@@ -437,12 +437,13 @@ pub fn e8_topology_scaling(peer_counts: &[usize]) -> Table {
             let sol = chase_system(&sys, &RpsChaseConfig::default());
             let chase_ms = t0.elapsed();
             let query = actor_shape_query(peers - 1, false);
-            let mut service =
-                rps_p2p::P2pQueryService::new(&sys).with_rewrite_config(RewriteConfig {
-                    max_depth: 60,
-                    max_cqs: 200_000,
-                });
-            let result = service.answer(&query);
+            let config = rps_core::EngineConfig::default().with_rewrite(RewriteConfig {
+                max_depth: 60,
+                max_cqs: 200_000,
+            });
+            let result = rps_p2p::FederatedSession::new(&sys, config)
+                .answer(&query)
+                .expect("chain/ring/star/clique film mappings rewrite exhaustively");
             rows.push(vec![
                 peers.to_string(),
                 label.to_string(),

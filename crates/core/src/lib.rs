@@ -24,8 +24,8 @@
 //!   engineering ablation ([`equivalence`]),
 //! * the unified answering façade — [`session::Session`],
 //!   [`session::PreparedQuery`], streaming [`session::AnswerStream`]
-//!   results and the typed [`error::RpsError`] — plus the legacy
-//!   [`engine::RpsEngine`] shim kept for its historical contract.
+//!   results and the typed [`error::RpsError`] — with SPARQL text on
+//!   every façade through the one glue in [`sparql`].
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,6 @@ pub mod chase;
 pub mod datalog_route;
 pub mod discovery;
 pub mod encode;
-pub mod engine;
 pub mod equivalence;
 pub mod error;
 pub mod fault;
@@ -57,7 +56,6 @@ pub use discovery::{
 pub use encode::{
     encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
 };
-pub use engine::{AnswerRoute, RpsEngine};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};
@@ -67,8 +65,9 @@ pub use peer::{Peer, PeerId, PeerValidationError};
 pub use rewriting::{cq_to_pattern, RpsRewriter, RpsRewriting};
 pub use rps_query::{JoinOrder, SparqlError, SparqlResult, SparqlRows};
 pub use session::{
-    canonical_plan_key, AnswerStream, EngineConfig, ExecConfig, ExecRoute, FrozenSession,
-    PlanCache, PlanCacheStats, PreparedQuery, Session, Strategy, DEFAULT_PLAN_CACHE_CAPACITY,
+    canonical_plan_key, next_session_id, AnswerStream, EngineConfig, ExecConfig, ExecRoute,
+    FrozenSession, PlanCache, PlanCacheStats, PreparedQuery, Session, Strategy,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use sparql::PreparedSparql;
 pub use system::{RdfPeerSystem, RpsBuilder, SystemValidationError};

@@ -45,11 +45,12 @@ use crate::chase::{ChaseEngine, FiringMode, RpsChaseStats, UniversalSolution};
 use crate::error::RpsError;
 use crate::peer::PeerId;
 use crate::session::{
-    canonical_plan_key, stream_vars, AnswerStream, EngineConfig, ExecRoute, PlanCache, Strategy,
+    stream_vars, AnswerStream, EngineConfig, ExecRoute, PlanCache, Strategy,
     DEFAULT_PLAN_CACHE_CAPACITY,
 };
+use crate::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics};
+use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -389,24 +390,24 @@ impl LiveReader {
     /// *names* are always the caller's own (α-equivalent queries share
     /// the compiled plan but not the name vector).
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<LivePlan, RpsError> {
-        let snapshot = self.shared.current.read().expect("epoch lock").clone();
-        let key = canonical_plan_key(query);
-        let cached = snapshot.plans.lock().expect("plan cache lock").lookup(&key);
-        let plan = match cached {
-            Some(hit) => hit,
-            None => {
-                // Compile outside the cache lock; first insert wins.
-                let compiled = Arc::new(PreparedQueryIds::compile_only(
-                    &snapshot.solution.graph,
-                    query,
-                ));
-                snapshot
-                    .plans
-                    .lock()
-                    .expect("plan cache lock")
-                    .insert(key, compiled)
-            }
-        };
+        self.prepare_at(&self.current(), query)
+    }
+
+    fn current(&self) -> Arc<EpochSnapshot> {
+        self.shared.current.read().expect("epoch lock").clone()
+    }
+
+    fn prepare_at(
+        &self,
+        snapshot: &EpochSnapshot,
+        query: &GraphPatternQuery,
+    ) -> Result<LivePlan, RpsError> {
+        let plan = PlanCache::get_or_compile(&snapshot.plans, query, || {
+            Ok::<_, RpsError>(PreparedQueryIds::compile_only(
+                &snapshot.solution.graph,
+                query,
+            ))
+        })?;
         Ok(LivePlan {
             epoch: snapshot.epoch,
             solution: snapshot.solution.clone(),
@@ -441,6 +442,30 @@ impl LiveReader {
     pub fn answer(&self, query: &GraphPatternQuery) -> Result<AnswerStream, RpsError> {
         let plan = self.prepare(query)?;
         self.execute(&plan)
+    }
+
+    /// Compiles SPARQL text against the current epoch (the subset and
+    /// error contract of [`crate::sparql::prepare_sparql_with`]). Every
+    /// lowered CQ pins the *same* snapshot, so a multi-plan query never
+    /// straddles an epoch swap.
+    pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql<LivePlan>, RpsError> {
+        let snapshot = self.current();
+        prepare_sparql_with(text, |cq| self.prepare_at(&snapshot, cq))
+    }
+
+    /// Executes a prepared SPARQL query against the epoch it pinned
+    /// ([`RpsError::StalePlan`] once the retention floor passes it).
+    pub fn execute_sparql(
+        &self,
+        prepared: &PreparedSparql<LivePlan>,
+    ) -> Result<SparqlResult, RpsError> {
+        execute_sparql_with(prepared, |plan| self.execute(plan))
+    }
+
+    /// Parses, prepares and executes against the current epoch.
+    pub fn answer_sparql(&self, text: &str) -> Result<SparqlResult, RpsError> {
+        let prepared = self.prepare_sparql(text)?;
+        self.execute_sparql(&prepared)
     }
 }
 

@@ -476,8 +476,9 @@ impl ExactSizeIterator for AnswerStream {}
 /// A process-unique token identifying the session a prepared query was
 /// compiled against. Compiled plans are only meaningful relative to
 /// their session's caches and dictionaries, so execution on a different
-/// session is rejected with [`RpsError::SessionMismatch`].
-pub(crate) fn next_session_id() -> u64 {
+/// session is rejected with [`RpsError::SessionMismatch`]. Shared with
+/// the federated sessions in `rps-p2p`.
+pub fn next_session_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -492,16 +493,96 @@ pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
         .collect()
 }
 
-/// Executes a materialised or rewritten plan. Everything this touches —
-/// the `Arc`ed solution, the sealed canonical graph carried by the plan,
-/// the equivalence index — is immutable, so both the mutable [`Session`]
-/// and the shared [`crate::FrozenSession`] route through here (the
-/// latter concurrently from many threads).
-pub(crate) fn execute_plan(
+/// The one route → [`Plan`] body behind [`Session::prepare`] and
+/// [`FrozenSession::prepare`], which differ only in where the compile
+/// state comes from: `rewriter` must be `Some` on the rewritten route,
+/// and `solution` yields the universal solution to plan against —
+/// `Ok(None)` when there is none and none can be computed (a frozen
+/// session that froze without one). An incomplete rewriting is unsound
+/// to trust: it falls back to the solution (which is exact) unless the
+/// strategy is the explicit [`Strategy::Rewrite`] or there is no
+/// solution — then it is [`RpsError::RewriteBudget`].
+fn compile_query(
+    (id, generation): (u64, u32),
+    config: &EngineConfig,
+    route: ExecRoute,
+    query: &GraphPatternQuery,
+    rewriter: Option<&mut RpsRewriter>,
+    solution: impl FnOnce() -> Result<Option<Arc<UniversalSolution>>, RpsError>,
+) -> Result<PreparedQuery, RpsError> {
+    // The solution is frozen, so the plan compiles against it without
+    // interning (unknown constants are simply unsatisfiable).
+    let materialised = |solution: Arc<UniversalSolution>| {
+        let plan = PreparedQueryIds::compile_only_with(&solution.graph, query, config.exec.order);
+        Plan::Materialised { solution, plan }
+    };
+    let (route, rewrite_fell_back, plan) = match route {
+        ExecRoute::Datalog => (ExecRoute::Datalog, false, Plan::Datalog),
+        ExecRoute::Rewritten => {
+            let rewriter = rewriter.expect("the caller builds the rewriter for this route");
+            let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
+            if rewriting.complete {
+                let branches = rewriter.compile_branches(&rewriting);
+                let graph = rewriter.canon_graph_arc();
+                (
+                    ExecRoute::Rewritten,
+                    false,
+                    Plan::Rewritten { graph, branches },
+                )
+            } else {
+                // The explicit Rewrite strategy never falls back.
+                let fallback = match config.strategy {
+                    Strategy::Rewrite => None,
+                    _ => solution()?,
+                };
+                let Some(solution) = fallback else {
+                    return Err(RpsError::RewriteBudget {
+                        explored: rewriting.explored,
+                        max_depth: config.rewrite.max_depth,
+                        max_cqs: config.rewrite.max_cqs,
+                    });
+                };
+                (ExecRoute::Materialised, true, materialised(solution))
+            }
+        }
+        ExecRoute::Materialised | ExecRoute::Federated => {
+            let solution = solution()?.expect("the caller holds a solution for this route");
+            (ExecRoute::Materialised, false, materialised(solution))
+        }
+    };
+    Ok(PreparedQuery {
+        session_id: id,
+        generation,
+        query: query.clone(),
+        route,
+        semantics: config.semantics,
+        rewrite_fell_back,
+        plan,
+    })
+}
+
+/// The one execute body behind [`Session::execute`] and
+/// [`FrozenSession::execute`]: the session-id / generation check, then
+/// the plan. Materialised and rewritten plans touch only immutable data
+/// (the `Arc`ed substrate they carry, the equivalence index), so the
+/// frozen session runs this concurrently from many threads; `datalog`
+/// (locked by the frozen caller) is only called for a Datalog plan.
+fn execute_prepared<D: std::ops::DerefMut<Target = DatalogEngine>>(
     prepared: &PreparedQuery,
+    (id, generation): (u64, u32),
     eq_index: &EquivalenceIndex,
     exec: &ExecConfig,
+    datalog: impl FnOnce() -> D,
 ) -> Result<AnswerStream, RpsError> {
+    if prepared.session_id != id {
+        return Err(RpsError::SessionMismatch);
+    }
+    if prepared.generation != generation {
+        return Err(RpsError::StalePlan {
+            prepared: prepared.generation,
+            current: generation,
+        });
+    }
     let vars = stream_vars(&prepared.query);
     let workers = exec.resolved_workers();
     match &prepared.plan {
@@ -564,7 +645,10 @@ pub(crate) fn execute_plan(
                 expanded,
             ))
         }
-        Plan::Datalog => unreachable!("Datalog plans execute through their engine"),
+        Plan::Datalog => {
+            let tuples = datalog().answers(&prepared.query).tuples;
+            Ok(AnswerStream::from_terms(vars, ExecRoute::Datalog, tuples))
+        }
     }
 }
 
@@ -658,39 +742,16 @@ impl Session {
     /// re-runs the chase under the new budgets (retries under unchanged
     /// budgets reuse the cached outcome instead of re-chasing).
     pub fn universal_solution(&mut self) -> Result<Arc<UniversalSolution>, RpsError> {
-        if self.solution.as_ref().is_some_and(|s| !s.complete)
-            && self.solution_budgets.as_ref() != Some(&self.config.chase)
-        {
-            self.solution = None;
-        }
-        let sol = self.universal_solution_lenient();
-        if !sol.complete {
-            return Err(RpsError::ChaseBudget {
-                rounds: sol.stats.rounds,
-                triples: sol.graph.len(),
-            });
-        }
-        Ok(sol)
-    }
-
-    /// The universal solution without the completeness check — the
-    /// compatibility path for the deprecated [`crate::RpsEngine`] shim,
-    /// which historically returned answers over incomplete solutions.
-    pub(crate) fn universal_solution_lenient(&mut self) -> Arc<UniversalSolution> {
-        if self.solution.is_none() {
-            self.solution = Some(Arc::new(chase_system(&self.system, &self.config.chase)));
-            self.solution_budgets = Some(self.config.chase.clone());
-        }
-        self.solution.as_ref().expect("just materialised").clone()
-    }
-
-    /// The already-materialised solution, if any (shim support).
-    pub(crate) fn cached_solution(&self) -> Option<&UniversalSolution> {
-        self.solution.as_deref()
+        materialise(
+            &self.system,
+            &self.config.chase,
+            &mut self.solution,
+            &mut self.solution_budgets,
+        )
     }
 
     /// The cached rewriter, built on first use.
-    pub(crate) fn rewriter_mut(&mut self) -> &mut RpsRewriter {
+    fn rewriter_mut(&mut self) -> &mut RpsRewriter {
         if self.rewriter.is_none() {
             self.rewriter = Some(RpsRewriter::new(&self.system));
         }
@@ -716,15 +777,6 @@ impl Session {
         }
     }
 
-    fn prepare_materialised(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError> {
-        let solution = self.universal_solution()?;
-        // The solution is frozen, so the plan compiles against it without
-        // interning (unknown constants are simply unsatisfiable).
-        let plan =
-            PreparedQueryIds::compile_only_with(&solution.graph, query, self.config.exec.order);
-        Ok(Plan::Materialised { solution, plan })
-    }
-
     /// Compiles a query once — route resolution, canonical UCQ rewriting
     /// (id-level, subsumption-pruned) and per-branch plan compilation
     /// over the canonical stored graph, or an id-level plan against the
@@ -739,53 +791,28 @@ impl Session {
     /// the fact on [`PreparedQuery::rewrite_fell_back`].
     pub fn prepare(&mut self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let route = self.resolve_route()?;
-        let (route, rewrite_fell_back, plan) = match route {
-            ExecRoute::Materialised | ExecRoute::Federated => (
-                ExecRoute::Materialised,
-                false,
-                self.prepare_materialised(query)?,
-            ),
+        match route {
             ExecRoute::Rewritten => {
-                let cfg = self.config.rewrite.clone();
-                let rewriting = self.rewriter_mut().rewrite_canonical(query, &cfg);
-                if rewriting.complete {
-                    let rewriter = self.rewriter_mut();
-                    let branches = rewriter.compile_branches(&rewriting);
-                    let graph = rewriter.canon_graph_arc();
-                    (
-                        ExecRoute::Rewritten,
-                        false,
-                        Plan::Rewritten { graph, branches },
-                    )
-                } else if self.config.strategy == Strategy::Rewrite {
-                    return Err(RpsError::RewriteBudget {
-                        explored: rewriting.explored,
-                        max_depth: cfg.max_depth,
-                        max_cqs: cfg.max_cqs,
-                    });
-                } else {
-                    (
-                        ExecRoute::Materialised,
-                        true,
-                        self.prepare_materialised(query)?,
-                    )
-                }
+                self.rewriter_mut();
             }
-            ExecRoute::Datalog => {
-                if self.datalog.is_none() {
-                    self.datalog = Some(DatalogEngine::new(&self.system)?);
-                }
-                (ExecRoute::Datalog, false, Plan::Datalog)
+            ExecRoute::Datalog if self.datalog.is_none() => {
+                self.datalog = Some(DatalogEngine::new(&self.system)?);
             }
-        };
-        Ok(PreparedQuery {
-            session_id: self.id,
-            generation: self.generation,
-            query: query.clone(),
-            route,
-            semantics: self.config.semantics,
-            rewrite_fell_back,
-            plan,
+            _ => {}
+        }
+        let stamp = (self.id, self.generation);
+        // Split borrows: the rewriter and the solution cache are both
+        // mutated, the latter lazily (it may chase).
+        let Session {
+            system,
+            config,
+            solution,
+            solution_budgets,
+            rewriter,
+            ..
+        } = self;
+        compile_query(stamp, config, route, query, rewriter.as_mut(), || {
+            materialise(system, &config.chase, solution, solution_budgets).map(Some)
         })
     }
 
@@ -795,27 +822,13 @@ impl Session {
     /// *current* configuration ([`RpsError::StalePlan`] after a
     /// [`Session::config_mut`] call — re-prepare first).
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
-        if prepared.session_id != self.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != self.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: self.generation,
-            });
-        }
-        match &prepared.plan {
-            Plan::Datalog => {
-                let engine = self.datalog.as_mut().expect("datalog built at prepare");
-                let ans = engine.answers(&prepared.query);
-                Ok(AnswerStream::from_terms(
-                    stream_vars(&prepared.query),
-                    ExecRoute::Datalog,
-                    ans.tuples,
-                ))
-            }
-            _ => execute_plan(prepared, &self.eq_index, &self.config.exec),
-        }
+        execute_prepared(
+            prepared,
+            (self.id, self.generation),
+            &self.eq_index,
+            &self.config.exec,
+            || self.datalog.as_mut().expect("datalog built at prepare"),
+        )
     }
 
     /// Prepares and executes in one call. Prefer [`Session::prepare`] +
@@ -853,6 +866,32 @@ impl Session {
         let cfg = self.config.rewrite.clone();
         Ok(self.rewriter_mut().is_certain_answer(query, tuple, &cfg))
     }
+}
+
+/// [`Session::universal_solution`] over the session's fields, so
+/// [`Session::prepare`] can borrow the rewriter alongside. `budgets` is
+/// what the cached solution was chased under: only a budget *change*
+/// re-chases an incomplete one.
+fn materialise(
+    system: &RdfPeerSystem,
+    chase: &RpsChaseConfig,
+    cache: &mut Option<Arc<UniversalSolution>>,
+    budgets: &mut Option<RpsChaseConfig>,
+) -> Result<Arc<UniversalSolution>, RpsError> {
+    if cache.as_ref().is_some_and(|s| !s.complete) && budgets.as_ref() != Some(chase) {
+        *cache = None;
+    }
+    let sol = cache.get_or_insert_with(|| {
+        *budgets = Some(chase.clone());
+        Arc::new(chase_system(system, chase))
+    });
+    if !sol.complete {
+        return Err(RpsError::ChaseBudget {
+            rounds: sol.stats.rounds,
+            triples: sol.graph.len(),
+        });
+    }
+    Ok(sol.clone())
 }
 
 #[cfg(test)]
@@ -928,7 +967,12 @@ mod tests {
         assert_eq!(m.route(), ExecRoute::Materialised);
         let r = rew.answer(&cast_query()).unwrap();
         assert_eq!(r.route(), ExecRoute::Rewritten);
-        assert_eq!(m.into_set().tuples, r.into_set().tuples);
+        let m = m.into_set();
+        assert_eq!(m.tuples, r.into_set().tuples);
+        // The equivalence p1 ≡ p2 is answered over, not just the mapping.
+        assert!(m
+            .tuples
+            .contains(&vec![Term::iri("http://a/f1"), Term::iri("http://b/p2")]));
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! ```
 
 use super::{
-    execute_plan, next_session_id, stream_vars, AnswerStream, EngineConfig, ExecRoute, Plan,
+    compile_query, execute_prepared, next_session_id, AnswerStream, EngineConfig, ExecRoute,
     PreparedQuery, Session, Strategy,
 };
 use crate::chase::{RpsChaseStats, UniversalSolution};
@@ -132,8 +132,25 @@ impl<T> PlanCache<T> {
         }
     }
 
+    /// The plan cached for `query` (or an α-equivalent one prepared
+    /// earlier, on any thread) — or `compile`'s, run *outside* the lock
+    /// so a slow compile never blocks hits. If several threads race on
+    /// the same fresh query, the first insert wins and the rest adopt it.
+    pub fn get_or_compile<E>(
+        cache: &Mutex<Self>,
+        query: &GraphPatternQuery,
+        compile: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let key = canonical_plan_key(query);
+        if let Some(hit) = cache.lock().expect("plan cache lock").lookup(&key) {
+            return Ok(hit);
+        }
+        let compiled = Arc::new(compile()?);
+        Ok(cache.lock().expect("plan cache lock").insert(key, compiled))
+    }
+
     /// Fetches the plan cached under `key`, counting a hit or a miss.
-    pub fn lookup(&mut self, key: &str) -> Option<Arc<T>> {
+    fn lookup(&mut self, key: &str) -> Option<Arc<T>> {
         match self.map.get(key) {
             Some(hit) => {
                 self.hits += 1;
@@ -149,7 +166,7 @@ impl<T> PlanCache<T> {
     /// Inserts a freshly compiled plan, unless a concurrent preparation
     /// of the same key landed first — then that plan wins (so every
     /// caller of the same key converges on one shared `Arc`).
-    pub fn insert(&mut self, key: String, plan: Arc<T>) -> Arc<T> {
+    fn insert(&mut self, key: String, plan: Arc<T>) -> Arc<T> {
         if let Some(existing) = self.map.get(&key) {
             return existing.clone();
         }
@@ -223,14 +240,14 @@ struct FrozenInner {
     generation: u32,
     config: EngineConfig,
     eq_index: EquivalenceIndex,
-    /// Captured at freeze so route resolution never takes the compile
-    /// lock.
-    fo_rewritable: bool,
-    /// The sealed universal solution — present whenever the strategy can
-    /// route a query to the materialised plan (including the `Auto`
-    /// fallback).
+    /// Where every fresh preparation goes — resolved once, at freeze (the
+    /// configuration and the FO-rewritability verdict never change).
+    route: ExecRoute,
+    /// The sealed universal solution — present on the materialised route,
+    /// and as the `Auto` fallback when one was chased before the freeze.
     solution: Option<Arc<UniversalSolution>>,
-    /// The compile state of the rewrite route. Preparing a *new* query
+    /// The compile state of the rewritten route (`Some` exactly there).
+    /// Preparing a *new* query
     /// interns its constants into the rewriter's dictionaries, so that
     /// short phase is serialised here; compiled plans carry their own
     /// `Arc` of the sealed canonical graph and execute without this
@@ -297,24 +314,9 @@ impl Session {
         mut self,
         capacity: usize,
     ) -> Result<FrozenSession, RpsError> {
-        let star = self.config.semantics == Semantics::Star;
-        if star && matches!(self.config.strategy, Strategy::Rewrite | Strategy::Datalog) {
-            return Err(RpsError::StarNeedsMaterialisation);
-        }
-        let needs_rewriter =
-            !star && matches!(self.config.strategy, Strategy::Rewrite | Strategy::Auto);
-        let mut fo_rewritable = false;
-        if needs_rewriter {
-            let rewriter = self.rewriter_mut();
-            rewriter.precompile_canonical();
-            fo_rewritable = rewriter.fo_rewritable();
-        }
-        let needs_solution = match self.config.strategy {
-            Strategy::Materialise => true,
-            Strategy::Auto => star || !fo_rewritable,
-            Strategy::Rewrite | Strategy::Datalog => false,
-        };
-        let solution = if needs_solution {
+        // Also rejects `Q*` off the materialised route.
+        let route = self.resolve_route()?;
+        let solution = if route == ExecRoute::Materialised {
             Some(self.universal_solution()?)
         } else {
             // Keep an already-complete cached solution (from pre-freeze
@@ -334,7 +336,7 @@ impl Session {
             }
             other => other,
         };
-        let datalog = if self.config.strategy == Strategy::Datalog {
+        let datalog = if route == ExecRoute::Datalog {
             let mut engine = match self.datalog.take() {
                 Some(engine) => engine,
                 None => DatalogEngine::new(&self.system)?,
@@ -344,18 +346,17 @@ impl Session {
         } else {
             None
         };
-        let compiler = if needs_rewriter {
-            Some(Mutex::new(self.rewriter.take().expect("built above")))
-        } else {
-            None
-        };
+        let compiler = (route == ExecRoute::Rewritten).then(|| {
+            self.rewriter_mut().precompile_canonical();
+            Mutex::new(self.rewriter.take().expect("just built"))
+        });
         Ok(FrozenSession {
             inner: Arc::new(FrozenInner {
                 id: self.id,
                 generation: self.generation,
                 config: self.config,
                 eq_index: self.eq_index,
-                fo_rewritable,
+                route,
                 solution,
                 compiler,
                 datalog,
@@ -393,108 +394,27 @@ impl FrozenSession {
     /// first-prepared representative of the α-equivalence class; answer
     /// tuples are identical for every member of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
-        let key = canonical_plan_key(query);
-        if let Some(hit) = self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .lookup(&key)
-        {
-            return Ok(hit);
-        }
-        // Compile outside the cache lock; if several threads race on the
-        // same fresh query, the first insert wins and the rest adopt it.
-        let compiled = Arc::new(self.compile(query)?);
-        Ok(self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .insert(key, compiled))
+        PlanCache::get_or_compile(&self.inner.cache, query, || self.compile(query))
     }
 
-    /// Route resolution without the compile lock (the FO-rewritability
-    /// verdict was captured at freeze).
-    fn resolve_route(&self) -> ExecRoute {
-        let star = self.inner.config.semantics == Semantics::Star;
-        match self.inner.config.strategy {
-            Strategy::Materialise => ExecRoute::Materialised,
-            Strategy::Rewrite => ExecRoute::Rewritten,
-            Strategy::Datalog => ExecRoute::Datalog,
-            Strategy::Auto => {
-                if !star && self.inner.fo_rewritable {
-                    ExecRoute::Rewritten
-                } else {
-                    ExecRoute::Materialised
-                }
-            }
-        }
-    }
-
+    /// A plan-cache miss: the shared [`compile_query`] over the frozen
+    /// compile state. Only the rewritten route has (and locks) a
+    /// compiler, and the frozen-in solution (if any) is the only one
+    /// there will ever be — a frozen session cannot start a chase.
     fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let inner = &*self.inner;
-        let materialised = |rewrite_fell_back: bool| -> Result<(ExecRoute, bool, Plan), RpsError> {
-            let solution = inner
-                .solution
-                .as_ref()
-                .expect("freeze materialised the solution for this route")
-                .clone();
-            let plan = rps_query::PreparedQueryIds::compile_only_with(
-                &solution.graph,
-                query,
-                inner.config.exec.order,
-            );
-            Ok((
-                ExecRoute::Materialised,
-                rewrite_fell_back,
-                Plan::Materialised { solution, plan },
-            ))
-        };
-        let (route, rewrite_fell_back, plan) = match self.resolve_route() {
-            ExecRoute::Materialised | ExecRoute::Federated => materialised(false)?,
-            ExecRoute::Datalog => (ExecRoute::Datalog, false, Plan::Datalog),
-            ExecRoute::Rewritten => {
-                let cfg = inner.config.rewrite.clone();
-                let mut rewriter = inner
-                    .compiler
-                    .as_ref()
-                    .expect("freeze built the rewriter for this route")
-                    .lock()
-                    .expect("compile lock");
-                let rewriting = rewriter.rewrite_canonical(query, &cfg);
-                if rewriting.complete {
-                    let branches = rewriter.compile_branches(&rewriting);
-                    let graph = rewriter.canon_graph_arc();
-                    (
-                        ExecRoute::Rewritten,
-                        false,
-                        Plan::Rewritten { graph, branches },
-                    )
-                } else if inner.config.strategy == Strategy::Rewrite || inner.solution.is_none() {
-                    // Explicit Rewrite reports the typed error; Auto can
-                    // only fall back if a (complete) solution was frozen
-                    // in — a frozen session cannot start a chase.
-                    return Err(RpsError::RewriteBudget {
-                        explored: rewriting.explored,
-                        max_depth: cfg.max_depth,
-                        max_cqs: cfg.max_cqs,
-                    });
-                } else {
-                    drop(rewriter);
-                    materialised(true)?
-                }
-            }
-        };
-        Ok(PreparedQuery {
-            session_id: inner.id,
-            generation: inner.generation,
-            query: query.clone(),
-            route,
-            semantics: inner.config.semantics,
-            rewrite_fell_back,
-            plan,
-        })
+        let mut rewriter = inner
+            .compiler
+            .as_ref()
+            .map(|m| m.lock().expect("compile lock"));
+        compile_query(
+            (inner.id, inner.generation),
+            &inner.config,
+            inner.route,
+            query,
+            rewriter.as_deref_mut(),
+            || Ok(inner.solution.clone()),
+        )
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
@@ -507,32 +427,20 @@ impl FrozenSession {
     /// [`Session::config_mut`]).
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
         let inner = &*self.inner;
-        if prepared.session_id != inner.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != inner.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: inner.generation,
-            });
-        }
-        match &prepared.plan {
-            Plan::Datalog => {
-                let mut engine = inner
+        execute_prepared(
+            prepared,
+            (inner.id, inner.generation),
+            &inner.eq_index,
+            &inner.config.exec,
+            || {
+                inner
                     .datalog
                     .as_ref()
                     .expect("freeze built the Datalog engine for this route")
                     .lock()
-                    .expect("datalog lock");
-                let ans = engine.answers(&prepared.query);
-                Ok(AnswerStream::from_terms(
-                    stream_vars(&prepared.query),
-                    ExecRoute::Datalog,
-                    ans.tuples,
-                ))
-            }
-            _ => execute_plan(prepared, &inner.eq_index, &inner.config.exec),
-        }
+                    .expect("datalog lock")
+            },
+        )
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one
@@ -571,7 +479,7 @@ impl FrozenSession {
     /// serves **byte-identical** answer tuples in identical order.
     pub fn persist(&self, dir: impl AsRef<Path>) -> Result<(), RpsError> {
         let dir = dir.as_ref();
-        let route = self.resolve_route();
+        let route = self.inner.route;
         if route != ExecRoute::Materialised {
             return Err(RpsError::Persist {
                 detail: format!(
@@ -726,6 +634,11 @@ impl FrozenSession {
         let (Some(semantics), Some(stats), Some(complete)) = (semantics, stats, complete) else {
             return Err(corrupt("session file is missing required fields"));
         };
+        if !complete {
+            // `Session::universal_solution` refuses an incomplete chase as
+            // unsound to answer over, so `persist` never writes one.
+            return Err(corrupt("session records an incomplete universal solution"));
+        }
 
         let mut graph = Graph::open(dir.join("solution"))?;
         // The persisted solution was sealed; recovery replays the tail
@@ -748,7 +661,7 @@ impl FrozenSession {
                 generation: 0,
                 config,
                 eq_index: EquivalenceIndex::from_mappings(&mappings),
-                fo_rewritable: false,
+                route: ExecRoute::Materialised,
                 solution: Some(Arc::new(UniversalSolution {
                     graph,
                     stats,

@@ -1,14 +1,18 @@
-//! SPARQL text on the session façades.
+//! SPARQL text on every answering façade, written once.
 //!
 //! `rps_query::sparql` lowers a SPARQL SELECT/ASK query to a list of
-//! plain conjunctive queries plus a term-level assembly tail. This
-//! module wires that front-end onto [`Session`] and
-//! [`FrozenSession`]: each lowered CQ rides the session's *ordinary*
-//! prepare/execute pipeline — route resolution, plan cache, rewriting,
-//! cost-based join ordering, all unchanged — and the assembly tail
-//! combines the answer sets into the final [`SparqlResult`]. Because
-//! the tail is shared and deterministic, the same query text answers
-//! byte-identically on every session type and route.
+//! plain conjunctive queries plus a term-level assembly tail. The two
+//! functions here are the whole glue around that front-end —
+//! [`prepare_sparql_with`] (parse → lower → prepare each CQ) and
+//! [`execute_sparql_with`] (execute each plan → collect → assemble) —
+//! taking the façade's own `prepare` / `execute` as closures. Each
+//! lowered CQ therefore rides the façade's *ordinary* pipeline — route
+//! resolution, plan cache, rewriting, live epochs, federation, all
+//! unchanged — and because the tail is shared and deterministic, the
+//! same query text answers byte-identically on every façade and route.
+//! [`Session`] and [`FrozenSession`] forward to the glue below;
+//! [`crate::LiveReader`] and the federated sessions in `rps-p2p` do the
+//! same from their own modules.
 //!
 //! Prefixed names resolve against the query's own `PREFIX`/`BASE`
 //! prologue, falling back to the common well-known namespaces
@@ -18,22 +22,21 @@ use crate::error::RpsError;
 use crate::session::frozen::FrozenSession;
 use crate::session::{PreparedQuery, Session};
 use rps_query::sparql::LoweredSparql;
-use rps_query::{parse_sparql, SparqlResult};
+use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
 use rps_rdf::{PrefixMap, Term};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// A SPARQL query compiled against a session: the lowered plan recipe
-/// plus one prepared conjunctive plan per lowered CQ. Execute it with
-/// [`Session::execute_sparql`] / [`FrozenSession::execute_sparql`] on
-/// the session that prepared it (the underlying plans are
-/// session-bound, exactly like [`PreparedQuery`]).
-pub struct PreparedSparql {
-    pub(crate) lowered: LoweredSparql,
-    pub(crate) plans: Vec<Arc<PreparedQuery>>,
+/// A SPARQL query compiled against a façade: the lowered plan recipe
+/// plus one of the façade's own prepared plans `P` per lowered CQ.
+/// Execute it on the façade that prepared it — the underlying plans
+/// are bound to it exactly like a plain [`PreparedQuery`].
+pub struct PreparedSparql<P = Arc<PreparedQuery>> {
+    lowered: LoweredSparql,
+    plans: Vec<P>,
 }
 
-impl PreparedSparql {
+impl<P> PreparedSparql<P> {
     /// The number of conjunctive plans behind this query (one per
     /// UNION branch plus one per OPTIONAL block per branch).
     pub fn plan_count(&self) -> usize {
@@ -51,17 +54,41 @@ impl PreparedSparql {
     }
 }
 
-fn lower_text(text: &str) -> Result<LoweredSparql, RpsError> {
-    let query = parse_sparql(text, &PrefixMap::common())?;
-    Ok(query.lower())
+/// Compiles SPARQL text (the subset documented in [`rps_query::sparql`]:
+/// BGPs, OPTIONAL, UNION, FILTER, DISTINCT, ORDER BY, LIMIT/OFFSET)
+/// through a façade's own `prepare`. Malformed or out-of-subset text is
+/// a typed [`RpsError::Sparql`] with the offending span — never a panic.
+pub fn prepare_sparql_with<P>(
+    text: &str,
+    prepare: impl FnMut(&GraphPatternQuery) -> Result<P, RpsError>,
+) -> Result<PreparedSparql<P>, RpsError> {
+    let lowered = parse_sparql(text, &PrefixMap::common())?.lower();
+    let plans = lowered
+        .queries()
+        .into_iter()
+        .map(prepare)
+        .collect::<Result<_, _>>()?;
+    Ok(PreparedSparql { lowered, plans })
+}
+
+/// Runs every conjunctive plan of `prepared` through a façade's own
+/// `execute` and assembles the answer sets with the shared term-level
+/// tail (left joins, filters, ordering).
+pub fn execute_sparql_with<P, A: Iterator<Item = Vec<Term>>>(
+    prepared: &PreparedSparql<P>,
+    mut execute: impl FnMut(&P) -> Result<A, RpsError>,
+) -> Result<SparqlResult, RpsError> {
+    let answers = prepared
+        .plans
+        .iter()
+        .map(|plan| execute(plan).map(|rows| rows.collect::<BTreeSet<_>>()))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(prepared.lowered.assemble(&answers))
 }
 
 impl Session {
-    /// Compiles a SPARQL SELECT/ASK query (the subset documented in
-    /// [`rps_query::sparql`]: BGPs, OPTIONAL, UNION, FILTER, DISTINCT,
-    /// ORDER BY, LIMIT/OFFSET) for repeated execution. Malformed or
-    /// out-of-subset text is a typed [`RpsError::Sparql`] with the
-    /// offending span — never a panic.
+    /// Compiles a SPARQL SELECT/ASK query for repeated execution (see
+    /// [`prepare_sparql_with`] for the subset and the error contract).
     ///
     /// ```
     /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -86,28 +113,12 @@ impl Session {
     /// assert_eq!(rows.rows.len(), 1);
     /// ```
     pub fn prepare_sparql(&mut self, text: &str) -> Result<PreparedSparql, RpsError> {
-        let lowered = lower_text(text)?;
-        let plans = lowered
-            .queries()
-            .into_iter()
-            .map(|cq| self.prepare(cq).map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PreparedSparql { lowered, plans })
+        prepare_sparql_with(text, |cq| self.prepare(cq).map(Arc::new))
     }
 
-    /// Executes a prepared SPARQL query: every underlying conjunctive
-    /// plan runs through [`Session::execute`], and the term-level tail
-    /// (left joins, filters, ordering) assembles the final result.
+    /// Executes a prepared SPARQL query through [`Session::execute`].
     pub fn execute_sparql(&mut self, prepared: &PreparedSparql) -> Result<SparqlResult, RpsError> {
-        let answers = prepared
-            .plans
-            .iter()
-            .map(|plan| {
-                self.execute(plan)
-                    .map(|stream| stream.collect::<BTreeSet<Vec<Term>>>())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(prepared.lowered.assemble(&answers))
+        execute_sparql_with(prepared, |plan| self.execute(plan))
     }
 
     /// Parses, prepares and executes in one call. Prefer
@@ -147,26 +158,12 @@ impl FrozenSession {
     /// assert_eq!(ok.boolean(), Some(true));
     /// ```
     pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql, RpsError> {
-        let lowered = lower_text(text)?;
-        let plans = lowered
-            .queries()
-            .into_iter()
-            .map(|cq| self.prepare(cq))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PreparedSparql { lowered, plans })
+        prepare_sparql_with(text, |cq| self.prepare(cq))
     }
 
     /// Executes a prepared SPARQL query against this frozen session.
     pub fn execute_sparql(&self, prepared: &PreparedSparql) -> Result<SparqlResult, RpsError> {
-        let answers = prepared
-            .plans
-            .iter()
-            .map(|plan| {
-                self.execute(plan)
-                    .map(|stream| stream.collect::<BTreeSet<Vec<Term>>>())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(prepared.lowered.assemble(&answers))
+        execute_sparql_with(prepared, |plan| self.execute(plan))
     }
 
     /// Parses, prepares and executes in one call.

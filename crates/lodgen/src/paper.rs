@@ -3,7 +3,7 @@
 //! answers.
 
 use rps_core::{PeerId, RdfPeerSystem, RpsBuilder};
-use rps_query::{parse_query, GraphPatternQuery, Query};
+use rps_query::{parse_sparql, GraphPatternQuery, Variable};
 use rps_rdf::{PrefixMap, Term};
 use std::collections::BTreeSet;
 
@@ -141,15 +141,16 @@ pub fn paper_example() -> PaperExample {
     }
 }
 
-/// Parses a SELECT query into a [`GraphPatternQuery`] (single branch).
+/// Parses a conjunctive SELECT query into a [`GraphPatternQuery`] whose
+/// head is the SELECT list, in order.
 pub fn query_from(prefixes: &PrefixMap, text: &str) -> GraphPatternQuery {
-    match parse_query(text, prefixes).expect("query parses") {
-        Query::Select(u) => {
-            assert_eq!(u.branches().len(), 1, "expected a conjunctive query");
-            GraphPatternQuery::new(u.free_vars().to_vec(), u.branches()[0].clone())
-        }
-        Query::Ask(_) => panic!("expected SELECT"),
-    }
+    let lowered = parse_sparql(text, prefixes).expect("query parses").lower();
+    assert!(!lowered.is_ask(), "expected SELECT");
+    let [cq] = lowered.queries()[..] else {
+        panic!("expected a conjunctive query");
+    };
+    let head = lowered.columns().into_iter().map(Variable::new).collect();
+    GraphPatternQuery::new(head, cq.pattern().clone())
 }
 
 #[cfg(test)]

@@ -47,8 +47,7 @@ pub use federation::{
 pub use network::{CostModel, Message, NodeId, SimNetwork};
 pub use routing::SchemaIndex;
 pub use service::{
-    FederatedAnswer, FederatedSession, FrozenFederatedSession, P2pQueryService,
-    PreparedFederatedQuery, PreparedFederatedSparql, ServiceAnswer,
+    FederatedAnswer, FederatedSession, FrozenFederatedSession, PreparedFederatedQuery,
 };
 pub use transport::{
     FaultConfig, FaultyTransport, Reply, SimTransport, TcpTransport, Transport, TransportError,

@@ -9,20 +9,20 @@
 //! federation plan) into a [`PreparedFederatedQuery`], executes it any
 //! number of times, streams answers through
 //! [`rps_core::AnswerStream`], and reports failures as
-//! [`rps_core::RpsError`]. The old [`P2pQueryService`] remains as a thin
-//! shim.
+//! [`rps_core::RpsError`]. SPARQL text rides the same pipeline through
+//! the one glue in [`rps_core::sparql`]. Freezing yields the shareable
+//! [`FrozenFederatedSession`]; both façades answer through one private
+//! `FedCore`.
 
 use crate::federation::{FederatedEngine, FederationReport, FederationStats, PreparedFederation};
 use crate::network::{CostModel, SimNetwork};
 use crate::transport::{SimTransport, Transport};
+use rps_core::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use rps_core::{
-    canonical_plan_key, AnswerSet, AnswerStream, EngineConfig, EquivalenceIndex, ExecRoute,
-    PlanCache, PlanCacheStats, RdfPeerSystem, RpsError, RpsRewriter,
+    next_session_id, AnswerStream, EngineConfig, EquivalenceIndex, ExecRoute, PlanCache,
+    PlanCacheStats, RdfPeerSystem, RpsError, RpsRewriter,
 };
-use rps_query::{GraphPatternQuery, Semantics};
-use rps_rdf::TermId;
-use rps_tgd::RewriteConfig;
-use std::collections::BTreeSet;
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
 use std::sync::{Arc, Mutex};
 
 /// A query compiled once against a [`FederatedSession`]: the canonical
@@ -38,24 +38,10 @@ pub struct PreparedFederatedQuery {
     generation: u32,
     query: GraphPatternQuery,
     prepared: PreparedFederation,
-    complete: bool,
-    explored: usize,
     branches: usize,
 }
 
 impl PreparedFederatedQuery {
-    /// `true` iff the rewriting was exhaustive (perfect under
-    /// Proposition 2's conditions). Only [`FederatedSession::prepare_lenient`]
-    /// hands out queries where this is `false`.
-    pub fn complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of distinct CQs the rewriting explored.
-    pub fn explored(&self) -> usize {
-        self.explored
-    }
-
     /// Number of UNION branches compiled.
     pub fn branch_count(&self) -> usize {
         self.branches
@@ -68,13 +54,12 @@ impl PreparedFederatedQuery {
 }
 
 /// Result of one federated execution: a streaming answer iterator plus
-/// the run's completeness flag, traffic statistics and fault-tolerance
-/// report.
+/// the run's traffic statistics and fault-tolerance report. The
+/// underlying rewriting is always exhaustive — a truncated one never
+/// prepares ([`RpsError::RewriteBudget`]).
 pub struct FederatedAnswer {
     /// The answers (route is [`ExecRoute::Federated`]).
     pub stream: AnswerStream,
-    /// `true` iff the underlying rewriting was exhaustive.
-    pub complete: bool,
     /// Number of UNION branches evaluated.
     pub branches: usize,
     /// Federation traffic statistics.
@@ -88,18 +73,22 @@ pub struct FederatedAnswer {
     pub report: FederationReport,
 }
 
-/// The federated answering façade: rewrite against the quotient system
-/// once, federate the id-compiled branches over the canonical peer
-/// stores, expand the answers back over the equivalence classes.
-pub struct FederatedSession {
+/// What both federated façades answer through: everything but the
+/// rewriter, which the mutable session owns and the frozen one locks.
+/// Immutable after construction apart from the mutable session's
+/// builder methods, so frozen executes touch it lock-free from any
+/// number of threads.
+struct FedCore {
     id: u64,
     /// Bumped by [`FederatedSession::config_mut`]; prepared queries are
     /// stamped with it so post-prepare config changes surface as
     /// [`RpsError::StalePlan`] instead of executing silently-stale
     /// plans.
     generation: u32,
-    rewriter: RpsRewriter,
+    /// Preparation carries unknown constants in the plan instead of
+    /// interning them, so the engine never mutates.
     engine: FederatedEngine,
+    eq_index: EquivalenceIndex,
     config: EngineConfig,
     cost_model: CostModel,
     /// The peer-exchange transport (defaults to the perfect in-process
@@ -107,12 +96,93 @@ pub struct FederatedSession {
     transport: Arc<dyn Transport>,
 }
 
-/// Process-unique federated-session ids (see
-/// [`PreparedFederatedQuery`]'s session-binding contract).
-fn next_session_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+impl FedCore {
+    /// `rewrite → branches → prepare_branches`. The federated pipeline
+    /// computes certain answers; requesting the `Q*` semantics is a
+    /// configuration error ([`RpsError::StarNeedsMaterialisation`]). A
+    /// rewriting that exhausts its budgets before reaching a fixpoint is
+    /// unsound to federate — there is no materialised fallback out here
+    /// — so it is the typed [`RpsError::RewriteBudget`].
+    fn prepare(
+        &self,
+        rewriter: &mut RpsRewriter,
+        query: &GraphPatternQuery,
+    ) -> Result<PreparedFederatedQuery, RpsError> {
+        if self.config.semantics == Semantics::Star {
+            return Err(RpsError::StarNeedsMaterialisation);
+        }
+        let rewriting = rewriter.rewrite_canonical(query, &self.config.rewrite);
+        if !rewriting.complete {
+            return Err(RpsError::RewriteBudget {
+                explored: rewriting.explored,
+                max_depth: self.config.rewrite.max_depth,
+                max_cqs: self.config.rewrite.max_cqs,
+            });
+        }
+        let branches = rewriting.branches(rewriter.encoder());
+        Ok(PreparedFederatedQuery {
+            session_id: self.id,
+            generation: self.generation,
+            query: query.clone(),
+            prepared: self.engine.prepare_branches(&branches),
+            branches: branches.len(),
+        })
+    }
+
+    /// Federates every branch over the canonical peer stores at the id
+    /// level on up to `max_threads` OS threads (1 is the sequential
+    /// walk; answers, statistics and traffic are byte-identical either
+    /// way), then decodes and expands the union over the equivalence
+    /// classes. No term is re-parsed or re-interned per peer per round —
+    /// that work happened once, at prepare time.
+    fn execute(
+        &self,
+        prepared: &PreparedFederatedQuery,
+        max_threads: usize,
+    ) -> Result<FederatedAnswer, RpsError> {
+        if prepared.session_id != self.id {
+            return Err(RpsError::SessionMismatch);
+        }
+        if prepared.generation != self.generation {
+            return Err(RpsError::StalePlan {
+                prepared: prepared.generation,
+                current: self.generation,
+            });
+        }
+        let mut net = SimNetwork::new();
+        let (canon_ids, stats, report) = self.engine.execute_parallel_with(
+            &prepared.prepared,
+            Semantics::Certain,
+            &mut net,
+            &*self.transport,
+            &self.config.retry,
+            self.config.failure,
+            max_threads,
+        )?;
+        let canon_tuples = self.engine.decode_prepared(&prepared.prepared, &canon_ids);
+        let tuples = rps_core::expand_answers(&canon_tuples, &self.eq_index);
+        let vars = prepared
+            .query
+            .free_vars()
+            .iter()
+            .map(|v| v.name().to_string())
+            .collect();
+        Ok(FederatedAnswer {
+            stream: AnswerStream::from_terms(vars, ExecRoute::Federated, tuples),
+            branches: prepared.branches,
+            stats,
+            makespan_ms: net.round_makespan_ms(&self.cost_model, self.engine.peer_count()),
+            report,
+        })
+    }
+}
+
+/// The federated answering façade: rewrite against the quotient system
+/// once, federate the id-compiled branches over the canonical peer
+/// stores, expand the answers back over the equivalence classes.
+pub struct FederatedSession {
+    core: FedCore,
+    rewriter: RpsRewriter,
 }
 
 impl FederatedSession {
@@ -130,19 +200,22 @@ impl FederatedSession {
         let engine = FederatedEngine::new_canonical(system, rewriter.index());
         let transport = Arc::new(SimTransport::new(engine.peer_graphs()));
         FederatedSession {
-            id: next_session_id(),
-            generation: 0,
+            core: FedCore {
+                id: next_session_id(),
+                generation: 0,
+                engine,
+                eq_index: rewriter.index().clone(),
+                config,
+                cost_model: CostModel::default(),
+                transport,
+            },
             rewriter,
-            engine,
-            config,
-            cost_model: CostModel::default(),
-            transport,
         }
     }
 
     /// Overrides the network cost model.
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
+        self.core.cost_model = model;
         self
     }
 
@@ -153,27 +226,27 @@ impl FederatedSession {
     /// come from the configuration
     /// ([`rps_core::EngineConfig::retry`]/[`rps_core::EngineConfig::failure`]).
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = transport;
+        self.core.transport = transport;
         self
     }
 
     /// The engine's sealed peer graphs, for wiring up external
     /// transports that must serve the same stores.
     pub fn peer_graphs(&self) -> Arc<Vec<rps_rdf::Graph>> {
-        self.engine.peer_graphs()
+        self.core.engine.peer_graphs()
     }
 
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Mutable access to the configuration. Applies to queries prepared
     /// afterwards; queries prepared *before* the change become stale and
     /// report [`RpsError::StalePlan`] at execute — re-prepare them.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
-        self.generation += 1;
-        &mut self.config
+        self.core.generation += 1;
+        &mut self.core.config
     }
 
     /// `true` iff Proposition 2 guarantees the rewriting is perfect.
@@ -184,91 +257,23 @@ impl FederatedSession {
     /// Compiles a query once for repeated federated execution: canonical
     /// UCQ rewriting, branch decoding, per-pattern routing, per-peer
     /// constant resolution and head-template interning all happen here.
-    ///
-    /// The federated pipeline computes certain answers; requesting the
-    /// `Q*` semantics is a configuration error
-    /// ([`RpsError::StarNeedsMaterialisation`]). A rewriting that
-    /// exhausts its budgets before reaching a fixpoint is unsound to
-    /// federate silently — there is no materialised fallback out here —
-    /// so it is reported as the typed [`RpsError::RewriteBudget`];
-    /// callers that deliberately want the truncated union (the
-    /// historical lenient contract) use [`Self::prepare_lenient`].
+    /// `Q*` semantics and an exhausted rewriting budget are typed errors
+    /// ([`RpsError::StarNeedsMaterialisation`],
+    /// [`RpsError::RewriteBudget`]).
     pub fn prepare(
         &mut self,
         query: &GraphPatternQuery,
     ) -> Result<PreparedFederatedQuery, RpsError> {
-        let prepared = self.prepare_lenient(query)?;
-        if !prepared.complete {
-            return Err(RpsError::RewriteBudget {
-                explored: prepared.explored,
-                max_depth: self.config.rewrite.max_depth,
-                max_cqs: self.config.rewrite.max_cqs,
-            });
-        }
-        Ok(prepared)
+        self.core.prepare(&mut self.rewriter, query)
     }
 
-    /// [`Self::prepare`] without the completeness check: an exhausted
-    /// rewriting budget yields a prepared query over the *truncated*
-    /// union, flagged by [`PreparedFederatedQuery::complete`] returning
-    /// `false` (its answers are sound but possibly incomplete).
-    pub fn prepare_lenient(
-        &mut self,
-        query: &GraphPatternQuery,
-    ) -> Result<PreparedFederatedQuery, RpsError> {
-        if self.config.semantics == Semantics::Star {
-            return Err(RpsError::StarNeedsMaterialisation);
-        }
-        let rewriting = self.rewriter.rewrite_canonical(query, &self.config.rewrite);
-        let branches = rewriting.branches(self.rewriter.encoder());
-        let prepared = self.engine.prepare_branches(&branches);
-        Ok(PreparedFederatedQuery {
-            session_id: self.id,
-            generation: self.generation,
-            query: query.clone(),
-            prepared,
-            complete: rewriting.complete,
-            explored: rewriting.explored,
-            branches: branches.len(),
-        })
-    }
-
-    /// Executes a prepared query: federate every branch over the
-    /// canonical peer stores at the id level, then expand the union over
-    /// the equivalence classes. No term is re-parsed or re-interned per
-    /// peer per round — that work happened once, at prepare time. The
+    /// Executes a prepared query (sequentially; see
+    /// [`FrozenFederatedSession::execute`] for the threaded fan-out). The
     /// query must have been prepared by *this* session
     /// ([`RpsError::SessionMismatch`] otherwise — its term ids belong to
     /// this session's answer dictionary).
     pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
-        if prepared.session_id != self.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != self.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: self.generation,
-            });
-        }
-        let mut net = SimNetwork::new();
-        let (canon_ids, stats, report) = self.engine.execute_with(
-            &prepared.prepared,
-            Semantics::Certain,
-            &mut net,
-            &*self.transport,
-            &self.config.retry,
-            self.config.failure,
-        )?;
-        finish_federated(
-            prepared,
-            canon_ids,
-            stats,
-            report,
-            net,
-            &self.engine,
-            self.rewriter.index(),
-            &self.cost_model,
-        )
+        self.core.execute(prepared, 1)
     }
 
     /// Prepares and executes in one call. Prefer
@@ -295,80 +300,55 @@ impl FederatedSession {
         mut self,
         capacity: usize,
     ) -> Result<FrozenFederatedSession, RpsError> {
-        if self.config.semantics == Semantics::Star {
+        if self.core.config.semantics == Semantics::Star {
             return Err(RpsError::StarNeedsMaterialisation);
         }
         self.rewriter.precompile_canonical();
-        let eq_index = self.rewriter.index().clone();
-        let fo_rewritable = self.rewriter.fo_rewritable();
         Ok(FrozenFederatedSession {
             inner: Arc::new(FrozenFedInner {
-                id: self.id,
-                generation: self.generation,
-                fo_rewritable,
-                engine: self.engine,
+                core: self.core,
+                fo_rewritable: self.rewriter.fo_rewritable(),
                 compiler: Mutex::new(self.rewriter),
-                eq_index,
-                config: self.config,
-                cost_model: self.cost_model,
-                transport: self.transport,
                 cache: Mutex::new(PlanCache::new(capacity)),
             }),
         })
     }
-}
 
-/// Decodes, equivalence-expands and packages one federated execution —
-/// the tail shared by [`FederatedSession::execute`] and
-/// [`FrozenFederatedSession::execute`].
-#[allow(clippy::too_many_arguments)]
-fn finish_federated(
-    prepared: &PreparedFederatedQuery,
-    canon_ids: BTreeSet<Vec<TermId>>,
-    stats: FederationStats,
-    report: FederationReport,
-    net: SimNetwork,
-    engine: &FederatedEngine,
-    eq_index: &EquivalenceIndex,
-    cost_model: &CostModel,
-) -> Result<FederatedAnswer, RpsError> {
-    let canon_tuples = engine.decode_prepared(&prepared.prepared, &canon_ids);
-    let tuples = rps_core::expand_answers(&canon_tuples, eq_index);
-    let makespan_ms = net.round_makespan_ms(cost_model, engine.peer_count());
-    let vars = prepared
-        .query
-        .free_vars()
-        .iter()
-        .map(|v| v.name().to_string())
-        .collect();
-    Ok(FederatedAnswer {
-        stream: AnswerStream::from_terms(vars, ExecRoute::Federated, tuples),
-        complete: prepared.complete,
-        branches: prepared.branches,
-        stats,
-        makespan_ms,
-        report,
-    })
+    /// Compiles a SPARQL SELECT/ASK query (the subset documented in
+    /// `rps_query::sparql`) for repeated federated execution: each
+    /// lowered conjunctive query is rewritten, routed and id-compiled
+    /// through [`FederatedSession::prepare`], and execution assembles
+    /// the streams with the same term-level tail as the local session
+    /// types — so the federated route answers byte-identically.
+    pub fn prepare_sparql(
+        &mut self,
+        text: &str,
+    ) -> Result<PreparedSparql<Arc<PreparedFederatedQuery>>, RpsError> {
+        prepare_sparql_with(text, |cq| self.prepare(cq).map(Arc::new))
+    }
+
+    /// Executes a prepared SPARQL query over the federation.
+    pub fn execute_sparql(
+        &self,
+        prepared: &PreparedSparql<Arc<PreparedFederatedQuery>>,
+    ) -> Result<SparqlResult, RpsError> {
+        execute_sparql_with(prepared, |plan| self.execute(plan).map(|a| a.stream))
+    }
+
+    /// Parses, prepares and executes in one call.
+    pub fn answer_sparql(&mut self, text: &str) -> Result<SparqlResult, RpsError> {
+        let prepared = self.prepare_sparql(text)?;
+        self.execute_sparql(&prepared)
+    }
 }
 
 /// The shared state behind every clone of a [`FrozenFederatedSession`].
 struct FrozenFedInner {
-    id: u64,
-    generation: u32,
+    core: FedCore,
     fo_rewritable: bool,
-    /// The engine is immutable after construction (preparation carries
-    /// unknown constants in the plan instead of interning them), so
-    /// executes touch it lock-free from any number of threads.
-    engine: FederatedEngine,
     /// The rewriting compile state — held only while preparing a query
     /// that missed the plan cache.
     compiler: Mutex<RpsRewriter>,
-    eq_index: EquivalenceIndex,
-    config: EngineConfig,
-    cost_model: CostModel,
-    /// The peer-exchange transport, shared lock-free by concurrent
-    /// executes (the trait requires `Send + Sync`).
-    transport: Arc<dyn Transport>,
     cache: Mutex<PlanCache<PreparedFederatedQuery>>,
 }
 
@@ -399,7 +379,7 @@ fn static_assert_send_sync() {
 impl FrozenFederatedSession {
     /// The (immutable) configuration this session was frozen with.
     pub fn config(&self) -> &EngineConfig {
-        &self.inner.config
+        &self.inner.core.config
     }
 
     /// `true` iff Proposition 2 guarantees the rewriting is perfect.
@@ -413,51 +393,19 @@ impl FrozenFederatedSession {
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent
-    /// one. Strict like [`FederatedSession::prepare`]: an exhausted
+    /// one. Same contract as [`FederatedSession::prepare`]: an exhausted
     /// rewriting budget is the typed [`RpsError::RewriteBudget`] (a
     /// truncated union is never cached).
     pub fn prepare(
         &self,
         query: &GraphPatternQuery,
     ) -> Result<Arc<PreparedFederatedQuery>, RpsError> {
-        let key = canonical_plan_key(query);
-        if let Some(hit) = self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .lookup(&key)
-        {
-            return Ok(hit);
-        }
-        let compiled = {
-            let mut rewriter = self.inner.compiler.lock().expect("compile lock");
-            let rewriting = rewriter.rewrite_canonical(query, &self.inner.config.rewrite);
-            if !rewriting.complete {
-                return Err(RpsError::RewriteBudget {
-                    explored: rewriting.explored,
-                    max_depth: self.inner.config.rewrite.max_depth,
-                    max_cqs: self.inner.config.rewrite.max_cqs,
-                });
-            }
-            let branches = rewriting.branches(rewriter.encoder());
-            let prepared = self.inner.engine.prepare_branches(&branches);
-            PreparedFederatedQuery {
-                session_id: self.inner.id,
-                generation: self.inner.generation,
-                query: query.clone(),
-                prepared,
-                complete: rewriting.complete,
-                explored: rewriting.explored,
-                branches: branches.len(),
-            }
-        };
-        Ok(self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .insert(key, Arc::new(compiled)))
+        let inner = &*self.inner;
+        PlanCache::get_or_compile(&inner.cache, query, || {
+            inner
+                .core
+                .prepare(&mut inner.compiler.lock().expect("compile lock"), query)
+        })
     }
 
     /// Executes a prepared query with the branch fan-out spread over up
@@ -465,7 +413,7 @@ impl FrozenFederatedSession {
     /// threads. Accepts queries prepared by this frozen session or by
     /// the mutable session it was frozen from.
     pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
-        let threads = self.inner.config.exec.resolved_workers();
+        let threads = self.inner.core.config.exec.resolved_workers();
         self.execute_with_threads(prepared, threads)
     }
 
@@ -477,36 +425,7 @@ impl FrozenFederatedSession {
         prepared: &PreparedFederatedQuery,
         max_threads: usize,
     ) -> Result<FederatedAnswer, RpsError> {
-        let inner = &*self.inner;
-        if prepared.session_id != inner.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != inner.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: inner.generation,
-            });
-        }
-        let mut net = SimNetwork::new();
-        let (canon_ids, stats, report) = inner.engine.execute_parallel_with(
-            &prepared.prepared,
-            Semantics::Certain,
-            &mut net,
-            &*inner.transport,
-            &inner.config.retry,
-            inner.config.failure,
-            max_threads,
-        )?;
-        finish_federated(
-            prepared,
-            canon_ids,
-            stats,
-            report,
-            net,
-            &inner.engine,
-            &inner.eq_index,
-            &inner.cost_model,
-        )
+        self.inner.core.execute(prepared, max_threads)
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one
@@ -515,194 +434,30 @@ impl FrozenFederatedSession {
         let prepared = self.prepare(query)?;
         self.execute(&prepared)
     }
-}
 
-/// Result of a federated, rewriting-backed query execution (legacy
-/// shape; see [`FederatedAnswer`] for the streaming form).
-#[derive(Clone, Debug)]
-pub struct ServiceAnswer {
-    /// The certain answers.
-    pub answers: AnswerSet,
-    /// `true` iff the rewriting was exhaustive (perfect under
-    /// Proposition 2's conditions).
-    pub complete: bool,
-    /// Number of UNION branches evaluated.
-    pub branches: usize,
-    /// Federation traffic statistics.
-    pub stats: FederationStats,
-    /// Simulated wall-clock of the federated round.
-    pub makespan_ms: f64,
-}
-
-/// A SPARQL query compiled against a federated session: the lowered
-/// assembly recipe plus one prepared federated plan per lowered CQ.
-/// Built by [`FederatedSession::prepare_sparql`] /
-/// [`FrozenFederatedSession::prepare_sparql`]; the underlying plans
-/// are session-bound exactly like [`PreparedFederatedQuery`].
-pub struct PreparedFederatedSparql {
-    lowered: rps_query::LoweredSparql,
-    plans: Vec<Arc<PreparedFederatedQuery>>,
-}
-
-impl PreparedFederatedSparql {
-    /// The number of federated plans behind this query.
-    pub fn plan_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// `true` for ASK queries.
-    pub fn is_ask(&self) -> bool {
-        self.lowered.is_ask()
-    }
-
-    /// The output column names, in order (empty for ASK).
-    pub fn columns(&self) -> Vec<String> {
-        self.lowered.columns()
-    }
-}
-
-fn lower_sparql_text(text: &str) -> Result<rps_query::LoweredSparql, RpsError> {
-    let query =
-        rps_query::parse_sparql(text, &rps_rdf::PrefixMap::common()).map_err(RpsError::Sparql)?;
-    Ok(query.lower())
-}
-
-fn assemble_sparql(
-    lowered: &rps_query::LoweredSparql,
-    answers: Vec<BTreeSet<Vec<rps_rdf::Term>>>,
-) -> rps_query::SparqlResult {
-    lowered.assemble(&answers)
-}
-
-impl FederatedSession {
-    /// Compiles a SPARQL SELECT/ASK query (the subset documented in
-    /// `rps_query::sparql`) for repeated federated execution: each
-    /// lowered conjunctive query is rewritten, routed and id-compiled
-    /// through [`FederatedSession::prepare`], and execution assembles
-    /// the streams with the same term-level tail as the local session
-    /// types — so the federated route answers byte-identically.
-    pub fn prepare_sparql(&mut self, text: &str) -> Result<PreparedFederatedSparql, RpsError> {
-        let lowered = lower_sparql_text(text)?;
-        let plans = lowered
-            .queries()
-            .into_iter()
-            .map(|cq| self.prepare(cq).map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PreparedFederatedSparql { lowered, plans })
-    }
-
-    /// Executes a prepared SPARQL query over the federation.
-    pub fn execute_sparql(
-        &self,
-        prepared: &PreparedFederatedSparql,
-    ) -> Result<rps_query::SparqlResult, RpsError> {
-        let answers = prepared
-            .plans
-            .iter()
-            .map(|plan| {
-                self.execute(plan)
-                    .map(|answer| answer.stream.collect::<BTreeSet<_>>())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(assemble_sparql(&prepared.lowered, answers))
-    }
-
-    /// Parses, prepares and executes in one call.
-    pub fn answer_sparql(&mut self, text: &str) -> Result<rps_query::SparqlResult, RpsError> {
-        let prepared = self.prepare_sparql(text)?;
-        self.execute_sparql(&prepared)
-    }
-}
-
-impl FrozenFederatedSession {
     /// [`FederatedSession::prepare_sparql`] on a frozen federated
     /// session: every lowered CQ goes through the bounded plan cache,
     /// so hot SPARQL queries reuse their compiled federated plans.
-    pub fn prepare_sparql(&self, text: &str) -> Result<PreparedFederatedSparql, RpsError> {
-        let lowered = lower_sparql_text(text)?;
-        let plans = lowered
-            .queries()
-            .into_iter()
-            .map(|cq| self.prepare(cq))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PreparedFederatedSparql { lowered, plans })
+    pub fn prepare_sparql(
+        &self,
+        text: &str,
+    ) -> Result<PreparedSparql<Arc<PreparedFederatedQuery>>, RpsError> {
+        prepare_sparql_with(text, |cq| self.prepare(cq))
     }
 
     /// Executes a prepared SPARQL query over the federation.
     pub fn execute_sparql(
         &self,
-        prepared: &PreparedFederatedSparql,
-    ) -> Result<rps_query::SparqlResult, RpsError> {
-        let answers = prepared
-            .plans
-            .iter()
-            .map(|plan| {
-                self.execute(plan)
-                    .map(|answer| answer.stream.collect::<BTreeSet<_>>())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(assemble_sparql(&prepared.lowered, answers))
+        prepared: &PreparedSparql<Arc<PreparedFederatedQuery>>,
+    ) -> Result<SparqlResult, RpsError> {
+        execute_sparql_with(prepared, |plan| self.execute(plan).map(|a| a.stream))
     }
 
     /// Parses, prepares (or fetches from the plan cache) and executes
     /// in one call.
-    pub fn answer_sparql(&self, text: &str) -> Result<rps_query::SparqlResult, RpsError> {
+    pub fn answer_sparql(&self, text: &str) -> Result<SparqlResult, RpsError> {
         let prepared = self.prepare_sparql(text)?;
         self.execute_sparql(&prepared)
-    }
-}
-
-/// The legacy query service, kept as a thin shim over
-/// [`FederatedSession`]. **Deprecated in favour of `FederatedSession`**,
-/// which prepares queries once, streams answers and reports typed
-/// errors.
-pub struct P2pQueryService {
-    session: FederatedSession,
-}
-
-impl P2pQueryService {
-    /// Builds the service for a system.
-    pub fn new(system: &RdfPeerSystem) -> Self {
-        P2pQueryService {
-            session: FederatedSession::new(system, EngineConfig::default()),
-        }
-    }
-
-    /// Overrides the rewriting budgets.
-    pub fn with_rewrite_config(mut self, config: RewriteConfig) -> Self {
-        self.session.config_mut().rewrite = config;
-        self
-    }
-
-    /// Overrides the network cost model.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.session = self.session.with_cost_model(model);
-        self
-    }
-
-    /// `true` iff Proposition 2 guarantees the rewriting is perfect.
-    pub fn fo_rewritable(&self) -> bool {
-        self.session.fo_rewritable()
-    }
-
-    /// Answers a query through the prepared federated pipeline. Keeps
-    /// the historical lenient contract: an exhausted rewriting budget
-    /// evaluates the truncated union (flagged via
-    /// [`ServiceAnswer::complete`]) instead of erroring like
-    /// [`FederatedSession::prepare`] does.
-    pub fn answer(&mut self, query: &GraphPatternQuery) -> ServiceAnswer {
-        let result = self
-            .session
-            .prepare_lenient(query)
-            .and_then(|prepared| self.session.execute(&prepared))
-            .expect("certain-semantics federated answering is infallible");
-        ServiceAnswer {
-            complete: result.complete,
-            branches: result.branches,
-            stats: result.stats.clone(),
-            makespan_ms: result.makespan_ms,
-            answers: result.stream.into_set(),
-        }
     }
 }
 
@@ -711,6 +466,7 @@ mod tests {
     use super::*;
     use rps_core::{certain_answers, chase_system, PeerId, RpsBuilder, RpsChaseConfig};
     use rps_query::{GraphPattern, TermOrVar, Variable};
+    use rps_tgd::RewriteConfig;
 
     fn linear_system() -> RdfPeerSystem {
         let mut a = PeerId(0);
@@ -760,26 +516,25 @@ mod tests {
     #[test]
     fn service_matches_materialised_answers() {
         let sys = linear_system();
-        let mut service = P2pQueryService::new(&sys);
-        assert!(service.fo_rewritable());
-        let result = service.answer(&cast_query());
-        assert!(result.complete);
-        let sol = chase_system(&sys, &RpsChaseConfig::default());
-        let chased = certain_answers(&sol, &cast_query());
-        assert_eq!(result.answers.tuples, chased.tuples);
+        let mut session = FederatedSession::new(&sys, EngineConfig::default());
+        assert!(session.fo_rewritable());
+        let result = session.answer(&cast_query()).unwrap();
         assert!(result.branches >= 2);
         assert!(result.stats.messages > 0);
         assert!(result.makespan_ms > 0.0);
+        let sol = chase_system(&sys, &RpsChaseConfig::default());
+        let chased = certain_answers(&sol, &cast_query());
+        assert_eq!(result.stream.into_set().tuples, chased.tuples);
     }
 
     #[test]
     fn repeated_queries_are_independent() {
         let sys = linear_system();
-        let mut service = P2pQueryService::new(&sys);
-        let r1 = service.answer(&cast_query());
-        let r2 = service.answer(&cast_query());
-        assert_eq!(r1.answers.tuples, r2.answers.tuples);
+        let mut session = FederatedSession::new(&sys, EngineConfig::default());
+        let r1 = session.answer(&cast_query()).unwrap();
+        let r2 = session.answer(&cast_query()).unwrap();
         assert_eq!(r1.stats, r2.stats);
+        assert_eq!(r1.stream.into_set().tuples, r2.stream.into_set().tuples);
     }
 
     #[test]
@@ -787,7 +542,6 @@ mod tests {
         let sys = linear_system();
         let mut session = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
         let prepared = session.prepare(&cast_query()).unwrap();
-        assert!(prepared.complete());
         assert!(prepared.branch_count() >= 2);
         let first = session.execute(&prepared).unwrap();
         assert_eq!(first.stream.route(), ExecRoute::Federated);
@@ -818,27 +572,33 @@ mod tests {
     #[test]
     fn exhausted_rewriting_budget_is_a_typed_error() {
         // Transitive closure is not FO-rewritable (Proposition 3): a
-        // bounded expansion can never be exhaustive. The strict prepare
-        // reports that as the typed budget error instead of silently
-        // federating a truncated union; the lenient path keeps the
-        // historical contract and flags the truncation.
+        // bounded expansion can never be exhaustive. Prepare reports that
+        // as the typed budget error instead of federating a truncated
+        // union, mutable and frozen alike.
         let sys = rps_lodgen::chain::transitive_system(6);
-        let cfg = EngineConfig::default().with_rewrite(RewriteConfig {
+        let rewrite = RewriteConfig {
             max_depth: 3,
             max_cqs: 10_000,
-        });
+        };
+        let cfg = EngineConfig::default().with_rewrite(rewrite.clone());
         let mut session = FederatedSession::open(&sys, cfg).unwrap();
         let query = rps_lodgen::chain::edge_query();
-        assert!(matches!(
-            session.prepare(&query),
-            Err(RpsError::RewriteBudget { .. })
-        ));
-        let prepared = session.prepare_lenient(&query).unwrap();
-        assert!(!prepared.complete());
-        assert!(prepared.explored() > 0);
-        // Sound but possibly incomplete: short-range pairs are found.
-        let answers = session.execute(&prepared).unwrap().stream.into_set();
-        assert!(!answers.is_empty());
+        for err in [
+            session.prepare(&query).err(),
+            session.freeze().unwrap().prepare(&query).err(),
+        ] {
+            match err {
+                Some(RpsError::RewriteBudget {
+                    explored,
+                    max_depth,
+                    max_cqs,
+                }) => {
+                    assert!(explored > 0);
+                    assert_eq!((max_depth, max_cqs), (rewrite.max_depth, rewrite.max_cqs));
+                }
+                other => panic!("expected RewriteBudget, got {other:?}"),
+            }
+        }
     }
 
     #[test]

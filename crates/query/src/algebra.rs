@@ -7,8 +7,8 @@
 //! [`GraphPattern`].
 
 use crate::eval::{evaluate_query, has_match, Semantics};
-use crate::pattern::{GraphPattern, GraphPatternQuery, Variable};
-use rps_rdf::{Graph, Term};
+use crate::pattern::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
+use rps_rdf::{Graph, PrefixMap, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -91,7 +91,7 @@ impl fmt::Display for UnionQuery {
     }
 }
 
-/// A parsed top-level query: the SPARQL-subset forms the engine accepts.
+/// A top-level UCQ in one of the two SPARQL forms the rewriting emits.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Query {
     /// `SELECT ?x … WHERE { … }` (body may be a UNION of groups).
@@ -115,6 +115,51 @@ impl Query {
             Query::Select(u) => QueryResult::Tuples(u.evaluate(graph, semantics)),
             Query::Ask(u) => QueryResult::Boolean(u.ask(graph)),
         }
+    }
+}
+
+/// Serialises a query to SPARQL text, shrinking IRIs with `prefixes` —
+/// the inverse of [`crate::parse_sparql`] + [`crate::SparqlQuery::lower`]
+/// on UCQs (how Listing 2's rewritten ASK is printed).
+pub fn to_sparql(query: &Query, prefixes: &PrefixMap) -> String {
+    let render_tv = |tv: &TermOrVar| -> String {
+        match tv {
+            TermOrVar::Term(Term::Iri(iri)) => {
+                prefixes.shrink(iri).unwrap_or_else(|| iri.to_string())
+            }
+            TermOrVar::Term(t) => t.to_string(),
+            TermOrVar::Var(v) => v.to_string(),
+        }
+    };
+    let render_branch = |gp: &GraphPattern| -> String {
+        let pats: Vec<String> = gp
+            .patterns()
+            .iter()
+            .map(|p| {
+                format!(
+                    "{} {} {}",
+                    render_tv(&p.s),
+                    render_tv(&p.p),
+                    render_tv(&p.o)
+                )
+            })
+            .collect();
+        format!("{{ {} }}", pats.join(" . "))
+    };
+    let u = query.as_union();
+    let body = match u.branches() {
+        [single] => render_branch(single),
+        branches => {
+            let branches: Vec<String> = branches.iter().map(render_branch).collect();
+            format!("{{ {} }}", branches.join(" UNION "))
+        }
+    };
+    match query {
+        Query::Select(_) => {
+            let vars: Vec<String> = u.free_vars().iter().map(|v| v.to_string()).collect();
+            format!("SELECT {} WHERE {}", vars.join(" "), body)
+        }
+        Query::Ask(_) => format!("ASK {body}"),
     }
 }
 

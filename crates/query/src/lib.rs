@@ -13,28 +13,28 @@
 //! * [`binding`] — mappings `µ` and the compatible-join semantics;
 //! * [`eval`] — the index-nested-loop evaluator with greedy join ordering;
 //! * [`algebra`] — unions of conjunctive queries (the output language of
-//!   the Section 4 rewriting), SELECT/ASK forms;
-//! * [`parser`] — a parser for the conjunctive SPARQL subset plus UNION;
-//! * [`sparql`] — the full SPARQL front-end (SELECT/ASK with OPTIONAL,
+//!   the Section 4 rewriting), SELECT/ASK forms, and their SPARQL
+//!   pretty-printer [`to_sparql`];
+//! * [`sparql`] — the SPARQL front-end (SELECT/ASK with OPTIONAL,
 //!   UNION, FILTER, DISTINCT, ORDER BY, LIMIT/OFFSET), lowered onto the
-//!   conjunctive engine.
+//!   conjunctive engine — the only parser.
 
 #![warn(missing_docs)]
 
 pub mod algebra;
 pub mod binding;
 pub mod eval;
-pub mod parser;
+#[cfg(test)]
+mod parser;
 pub mod pattern;
 pub mod sparql;
 
-pub use algebra::{Query, QueryResult, UnionQuery};
+pub use algebra::{to_sparql, Query, QueryResult, UnionQuery};
 pub use binding::{join, Mapping};
 pub use eval::{
     evaluate_boolean, evaluate_pattern, evaluate_query, evaluate_query_ids,
     evaluate_query_ids_delta, has_match, has_match_with, JoinOrder, PlanSlot, PreparedPattern,
     PreparedQueryIds, ScanPerm, Semantics,
 };
-pub use parser::{parse_query, to_sparql};
 pub use pattern::{GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable};
 pub use sparql::{parse_sparql, LoweredSparql, SparqlError, SparqlQuery, SparqlResult, SparqlRows};

@@ -1,549 +1,16 @@
-//! A parser for the conjunctive SPARQL subset the paper uses.
-//!
-//! Grammar (case-insensitive keywords):
-//!
-//! ```text
-//! query     := prologue ( select | ask )
-//! prologue  := ( PREFIX pname: <iri> )*
-//! select    := SELECT ?v+ [WHERE] ggp
-//! ask       := ASK ggp
-//! ggp       := '{' ( group (UNION group)* | triples ) '}'
-//! group     := '{' triples '}'
-//! triples   := triple ( '.' triple? | ';' pred-obj | ',' obj )*
-//! ```
-//!
-//! This covers exactly what the paper needs: graph pattern queries
-//! ("conjunctive SPARQL", Section 2.1) and the UNION form that the
-//! Section 4 rewriting produces (Listing 2).
+//! The conjunctive subset the paper uses (Section 2.1 graph pattern
+//! queries, plus the UNION form Listing 2's rewriting produces), pinned
+//! against the one SPARQL front-end: [`crate::parse_sparql`] reads every
+//! shape the paper writes, rejects what is malformed, and reads
+//! [`crate::to_sparql`]'s output back to the same branch CQs.
 
-use crate::algebra::{Query, UnionQuery};
-use crate::pattern::{GraphPattern, TermOrVar, TriplePattern, Variable};
-use rps_rdf::namespace::vocab;
-use rps_rdf::{Iri, Literal, PrefixMap, RdfError, Term};
-
-/// Parses a SPARQL-subset query, resolving prefixed names first against
-/// any `PREFIX` declarations in the query and then against `base`.
-pub fn parse_query(input: &str, base: &PrefixMap) -> Result<Query, RdfError> {
-    let tokens = tokenize(input)?;
-    let mut p = QueryParser {
-        tokens,
-        pos: 0,
-        prefixes: base.clone(),
-    };
-    p.query()
-}
-
-/// Serialises a query back to SPARQL text, shrinking IRIs with `prefixes`.
-pub fn to_sparql(query: &Query, prefixes: &PrefixMap) -> String {
-    let render_term = |t: &Term| -> String {
-        if let Term::Iri(iri) = t {
-            if let Some(s) = prefixes.shrink(iri) {
-                return s;
-            }
-        }
-        t.to_string()
-    };
-    let render_tv = |tv: &TermOrVar| -> String {
-        match tv {
-            TermOrVar::Term(t) => render_term(t),
-            TermOrVar::Var(v) => v.to_string(),
-        }
-    };
-    let render_branch = |gp: &GraphPattern| -> String {
-        let pats: Vec<String> = gp
-            .patterns()
-            .iter()
-            .map(|p| {
-                format!(
-                    "{} {} {}",
-                    render_tv(&p.s),
-                    render_tv(&p.p),
-                    render_tv(&p.o)
-                )
-            })
-            .collect();
-        format!("{{ {} }}", pats.join(" . "))
-    };
-    let render_union = |u: &UnionQuery| -> String {
-        if u.branches().len() == 1 {
-            render_branch(&u.branches()[0])
-        } else {
-            let branches: Vec<String> = u.branches().iter().map(render_branch).collect();
-            format!("{{ {} }}", branches.join(" UNION "))
-        }
-    };
-    match query {
-        Query::Select(u) => {
-            let vars: Vec<String> = u.free_vars().iter().map(|v| v.to_string()).collect();
-            format!("SELECT {} WHERE {}", vars.join(" "), render_union(u))
-        }
-        Query::Ask(u) => format!("ASK {}", render_union(u)),
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Keyword(String),
-    Var(String),
-    Iri(String),
-    PName(String),
-    Literal {
-        lexical: String,
-        lang: Option<String>,
-        datatype: Option<String>,
-    },
-    Integer(String),
-    A,
-    LBrace,
-    RBrace,
-    Dot,
-    Semi,
-    Comma,
-}
-
-#[derive(Debug, Clone)]
-struct Sp {
-    tok: Tok,
-    line: usize,
-}
-
-const KEYWORDS: &[&str] = &["select", "ask", "where", "union", "prefix"];
-
-fn tokenize(input: &str) -> Result<Vec<Sp>, RdfError> {
-    let mut out = Vec::new();
-    let mut chars = input.chars().peekable();
-    let mut line = 1usize;
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            ch if ch.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
-                for ch in chars.by_ref() {
-                    if ch == '\n' {
-                        line += 1;
-                        break;
-                    }
-                }
-            }
-            '{' => {
-                chars.next();
-                out.push(Sp {
-                    tok: Tok::LBrace,
-                    line,
-                });
-            }
-            '}' => {
-                chars.next();
-                out.push(Sp {
-                    tok: Tok::RBrace,
-                    line,
-                });
-            }
-            '.' => {
-                chars.next();
-                out.push(Sp {
-                    tok: Tok::Dot,
-                    line,
-                });
-            }
-            ';' => {
-                chars.next();
-                out.push(Sp {
-                    tok: Tok::Semi,
-                    line,
-                });
-            }
-            ',' => {
-                chars.next();
-                out.push(Sp {
-                    tok: Tok::Comma,
-                    line,
-                });
-            }
-            '?' | '$' => {
-                chars.next();
-                let name = read_name(&mut chars);
-                if name.is_empty() {
-                    return Err(RdfError::parse(line, "empty variable name"));
-                }
-                out.push(Sp {
-                    tok: Tok::Var(name),
-                    line,
-                });
-            }
-            '<' => {
-                chars.next();
-                let mut iri = String::new();
-                loop {
-                    match chars.next() {
-                        Some('>') => break,
-                        Some('\n') | None => return Err(RdfError::parse(line, "unterminated IRI")),
-                        Some(ch) => iri.push(ch),
-                    }
-                }
-                out.push(Sp {
-                    tok: Tok::Iri(iri),
-                    line,
-                });
-            }
-            '"' => {
-                chars.next();
-                let mut lex = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('"') => lex.push('"'),
-                            Some('\\') => lex.push('\\'),
-                            Some('n') => lex.push('\n'),
-                            Some('t') => lex.push('\t'),
-                            other => {
-                                return Err(RdfError::parse(
-                                    line,
-                                    format!("bad escape \\{other:?}"),
-                                ))
-                            }
-                        },
-                        Some('\n') | None => {
-                            return Err(RdfError::parse(line, "unterminated literal"))
-                        }
-                        Some(ch) => lex.push(ch),
-                    }
-                }
-                let mut lang = None;
-                let mut datatype = None;
-                if chars.peek() == Some(&'@') {
-                    chars.next();
-                    let tag = read_name(&mut chars);
-                    if tag.is_empty() {
-                        return Err(RdfError::parse(line, "empty language tag"));
-                    }
-                    lang = Some(tag);
-                } else if chars.peek() == Some(&'^') {
-                    chars.next();
-                    if chars.next() != Some('^') {
-                        return Err(RdfError::parse(line, "expected ^^"));
-                    }
-                    if chars.peek() == Some(&'<') {
-                        chars.next();
-                        let mut iri = String::new();
-                        loop {
-                            match chars.next() {
-                                Some('>') => break,
-                                Some('\n') | None => {
-                                    return Err(RdfError::parse(line, "unterminated datatype"))
-                                }
-                                Some(ch) => iri.push(ch),
-                            }
-                        }
-                        datatype = Some(iri);
-                    } else {
-                        return Err(RdfError::parse(
-                            line,
-                            "prefixed datatype names not supported in queries",
-                        ));
-                    }
-                }
-                out.push(Sp {
-                    tok: Tok::Literal {
-                        lexical: lex,
-                        lang,
-                        datatype,
-                    },
-                    line,
-                });
-            }
-            ch if ch.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        num.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Sp {
-                    tok: Tok::Integer(num),
-                    line,
-                });
-            }
-            _ => {
-                let name = read_name(&mut chars);
-                if name.is_empty() {
-                    return Err(RdfError::parse(line, format!("unexpected character {c:?}")));
-                }
-                let lower = name.to_ascii_lowercase();
-                if KEYWORDS.contains(&lower.as_str()) {
-                    out.push(Sp {
-                        tok: Tok::Keyword(lower),
-                        line,
-                    });
-                } else if name == "a" {
-                    out.push(Sp { tok: Tok::A, line });
-                } else {
-                    out.push(Sp {
-                        tok: Tok::PName(name),
-                        line,
-                    });
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn read_name(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> String {
-    let mut name = String::new();
-    while let Some(&ch) = chars.peek() {
-        if ch.is_alphanumeric() || ch == ':' || ch == '_' || ch == '-' {
-            name.push(ch);
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    name
-}
-
-struct QueryParser {
-    tokens: Vec<Sp>,
-    pos: usize,
-    prefixes: PrefixMap,
-}
-
-impl QueryParser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|s| &s.tok)
-    }
-
-    fn line(&self) -> usize {
-        self.tokens.get(self.pos).map(|s| s.line).unwrap_or(0)
-    }
-
-    fn next(&mut self) -> Option<Sp> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn query(&mut self) -> Result<Query, RdfError> {
-        // Prologue.
-        while matches!(self.peek(), Some(Tok::Keyword(k)) if k == "prefix") {
-            self.next();
-            let line = self.line();
-            let Some(Sp {
-                tok: Tok::PName(pname),
-                ..
-            }) = self.next()
-            else {
-                return Err(RdfError::parse(line, "expected prefix name"));
-            };
-            let prefix = pname
-                .strip_suffix(':')
-                .ok_or_else(|| RdfError::parse(line, "prefix must end with ':'"))?;
-            let Some(Sp {
-                tok: Tok::Iri(ns), ..
-            }) = self.next()
-            else {
-                return Err(RdfError::parse(line, "expected namespace IRI"));
-            };
-            self.prefixes.insert(prefix, ns);
-        }
-        let line = self.line();
-        match self.next() {
-            Some(Sp {
-                tok: Tok::Keyword(k),
-                ..
-            }) if k == "select" => {
-                let mut vars = Vec::new();
-                while let Some(Tok::Var(_)) = self.peek() {
-                    if let Some(Sp {
-                        tok: Tok::Var(name),
-                        ..
-                    }) = self.next()
-                    {
-                        vars.push(Variable::new(name));
-                    }
-                }
-                if vars.is_empty() {
-                    return Err(RdfError::parse(line, "SELECT needs at least one variable"));
-                }
-                if matches!(self.peek(), Some(Tok::Keyword(k)) if k == "where") {
-                    self.next();
-                }
-                let branches = self.group_graph_pattern()?;
-                self.end()?;
-                Ok(Query::Select(UnionQuery::new(vars, branches)))
-            }
-            Some(Sp {
-                tok: Tok::Keyword(k),
-                ..
-            }) if k == "ask" => {
-                let branches = self.group_graph_pattern()?;
-                self.end()?;
-                Ok(Query::Ask(UnionQuery::new(Vec::new(), branches)))
-            }
-            _ => Err(RdfError::parse(line, "expected SELECT or ASK")),
-        }
-    }
-
-    fn end(&mut self) -> Result<(), RdfError> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            Err(RdfError::parse(self.line(), "trailing tokens after query"))
-        }
-    }
-
-    /// Parses `'{' ... '}'`, returning the UNION branches. The body is
-    /// either plain triples (one branch) or `group (UNION group)*`.
-    fn group_graph_pattern(&mut self) -> Result<Vec<GraphPattern>, RdfError> {
-        let line = self.line();
-        match self.next() {
-            Some(Sp {
-                tok: Tok::LBrace, ..
-            }) => {}
-            _ => return Err(RdfError::parse(line, "expected '{'")),
-        }
-        if matches!(self.peek(), Some(Tok::LBrace)) {
-            // Union of groups.
-            let mut branches = Vec::new();
-            loop {
-                // Each group may itself be `{ triples }` or a nested union;
-                // we flatten nested unions into the branch list.
-                let inner = self.group_graph_pattern()?;
-                branches.extend(inner);
-                if matches!(self.peek(), Some(Tok::Keyword(k)) if k == "union") {
-                    self.next();
-                    continue;
-                }
-                break;
-            }
-            let line = self.line();
-            match self.next() {
-                Some(Sp {
-                    tok: Tok::RBrace, ..
-                }) => Ok(branches),
-                _ => Err(RdfError::parse(line, "expected '}' after UNION groups")),
-            }
-        } else {
-            let gp = self.triples_block()?;
-            let line = self.line();
-            match self.next() {
-                Some(Sp {
-                    tok: Tok::RBrace, ..
-                }) => Ok(vec![gp]),
-                _ => Err(RdfError::parse(line, "expected '}'")),
-            }
-        }
-    }
-
-    /// Parses triples until (not consuming) the closing `'}'`.
-    fn triples_block(&mut self) -> Result<GraphPattern, RdfError> {
-        let mut gp = GraphPattern::new();
-        loop {
-            if matches!(self.peek(), Some(Tok::RBrace)) || self.peek().is_none() {
-                return Ok(gp);
-            }
-            let subject = self.term_or_var()?;
-            'predicates: loop {
-                let predicate = self.term_or_var()?;
-                loop {
-                    let object = self.term_or_var()?;
-                    gp.push(TriplePattern::new(
-                        subject.clone(),
-                        predicate.clone(),
-                        object,
-                    ));
-                    match self.peek() {
-                        Some(Tok::Comma) => {
-                            self.next();
-                        }
-                        _ => break,
-                    }
-                }
-                match self.peek() {
-                    Some(Tok::Semi) => {
-                        self.next();
-                        if matches!(self.peek(), Some(Tok::RBrace) | Some(Tok::Dot)) {
-                            break 'predicates;
-                        }
-                        continue 'predicates;
-                    }
-                    Some(Tok::Dot) => {
-                        self.next();
-                        break 'predicates;
-                    }
-                    Some(Tok::RBrace) | None => break 'predicates,
-                    _ => {
-                        return Err(RdfError::parse(
-                            self.line(),
-                            "expected '.', ';', ',' or '}' after triple",
-                        ))
-                    }
-                }
-            }
-        }
-    }
-
-    fn term_or_var(&mut self) -> Result<TermOrVar, RdfError> {
-        let line = self.line();
-        match self.next() {
-            Some(Sp {
-                tok: Tok::Var(name),
-                ..
-            }) => Ok(TermOrVar::Var(Variable::new(name))),
-            Some(Sp {
-                tok: Tok::Iri(iri), ..
-            }) => Ok(TermOrVar::Term(Term::Iri(Iri::new(iri)))),
-            Some(Sp {
-                tok: Tok::PName(name),
-                ..
-            }) => Ok(TermOrVar::Term(Term::Iri(self.prefixes.expand(&name)?))),
-            Some(Sp { tok: Tok::A, .. }) => Ok(TermOrVar::iri(vocab::RDF_TYPE)),
-            Some(Sp {
-                tok: Tok::Integer(num),
-                ..
-            }) => Ok(TermOrVar::Term(Term::Literal(Literal::typed(
-                num,
-                Iri::new(format!("{}integer", vocab::XSD_NS)),
-            )))),
-            Some(Sp {
-                tok:
-                    Tok::Literal {
-                        lexical,
-                        lang,
-                        datatype,
-                    },
-                ..
-            }) => {
-                let lit = match (lang, datatype) {
-                    (Some(tag), _) => Literal::lang(lexical, tag),
-                    (None, Some(dt)) => Literal::typed(lexical, Iri::new(dt)),
-                    (None, None) => Literal::plain(lexical),
-                };
-                Ok(TermOrVar::Term(Term::Literal(lit)))
-            }
-            other => Err(RdfError::parse(
-                other.map(|s| s.line).unwrap_or(line),
-                "expected term or variable",
-            )),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::algebra::{to_sparql, Query, UnionQuery};
     use crate::eval::Semantics;
+    use crate::pattern::{GraphPattern, TermOrVar, TriplePattern, Variable};
+    use crate::sparql::{parse_sparql, LoweredSparql};
+    use rps_rdf::{Iri, Literal, PrefixMap, Term};
+    use std::collections::BTreeSet;
 
     fn base() -> PrefixMap {
         let mut m = PrefixMap::common();
@@ -551,107 +18,187 @@ mod tests {
         m
     }
 
+    fn lowered(src: &str, prefixes: &PrefixMap) -> LoweredSparql {
+        parse_sparql(src, prefixes).expect("parses").lower()
+    }
+
     #[test]
     fn parse_select() {
-        let q = parse_query("SELECT ?x ?y WHERE { ?x e:p ?z . ?z e:q ?y }", &base()).unwrap();
-        let Query::Select(u) = &q else {
-            panic!("expected select")
-        };
-        assert_eq!(u.free_vars().len(), 2);
-        assert_eq!(u.branches().len(), 1);
-        assert_eq!(u.branches()[0].len(), 2);
+        let q = lowered("SELECT ?x ?y WHERE { ?x e:p ?z . ?z e:q ?y }", &base());
+        assert!(!q.is_ask());
+        assert_eq!(q.columns(), ["x", "y"]);
+        assert_eq!(q.queries().len(), 1);
+        assert_eq!(q.queries()[0].pattern().len(), 2);
     }
 
     #[test]
     fn parse_select_without_where() {
-        let q = parse_query("SELECT ?x { ?x e:p ?y }", &base()).unwrap();
-        assert!(matches!(q, Query::Select(_)));
+        let q = lowered("SELECT ?x { ?x e:p ?y }", &base());
+        assert_eq!(q.columns(), ["x"]);
     }
 
     #[test]
     fn parse_prefix_declaration() {
-        let q = parse_query(
+        let q = lowered(
             "PREFIX db: <http://db/> SELECT ?x WHERE { db:Spiderman db:starring ?x }",
             &PrefixMap::new(),
-        )
-        .unwrap();
-        let u = q.as_union();
-        let c = u.branches()[0].constants();
+        );
+        let c = q.queries()[0].pattern().constants();
         assert!(c.contains(&Term::iri("http://db/Spiderman")));
     }
 
     #[test]
     fn parse_ask_with_union() {
-        let q = parse_query(
+        let q = lowered(
             "ASK {{ ?x e:p ?y } UNION { ?x e:q ?y } UNION { ?x e:r ?y }}",
             &base(),
-        )
-        .unwrap();
-        let Query::Ask(u) = &q else {
-            panic!("expected ask")
-        };
-        assert_eq!(u.branches().len(), 3);
+        );
+        assert!(q.is_ask());
+        assert_eq!(q.queries().len(), 3);
     }
 
     #[test]
     fn parse_literals_and_integers() {
-        let q = parse_query(
+        let q = lowered(
             "SELECT ?x WHERE { ?x e:age \"39\" . ?x e:year 2002 . ?x e:label \"f\"@en }",
             &base(),
-        )
-        .unwrap();
-        let gp = &q.as_union().branches()[0];
+        );
+        let gp = q.queries()[0].pattern();
         assert_eq!(gp.len(), 3);
         assert!(gp.constants().contains(&Term::literal("39")));
     }
 
     #[test]
     fn parse_semicolon_and_comma_groups() {
-        let q = parse_query(
+        let q = lowered(
             "SELECT ?x WHERE { ?x e:p e:a , e:b ; e:q e:c . e:s e:r ?x }",
             &base(),
-        )
-        .unwrap();
-        assert_eq!(q.as_union().branches()[0].len(), 4);
+        );
+        assert_eq!(q.queries()[0].pattern().len(), 4);
     }
 
     #[test]
     fn unknown_prefix_fails() {
-        assert!(parse_query("SELECT ?x WHERE { ?x nope:p ?y }", &PrefixMap::new()).is_err());
+        assert!(parse_sparql("SELECT ?x WHERE { ?x nope:p ?y }", &PrefixMap::new()).is_err());
     }
 
     #[test]
     fn trailing_garbage_fails() {
-        assert!(parse_query("ASK { ?x e:p ?y } garbage", &base()).is_err());
+        assert!(parse_sparql("ASK { ?x e:p ?y } garbage", &base()).is_err());
+    }
+
+    /// SplitMix64 (no `rand` in the build container).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random subject/object: a variable, an IRI `e:` shrinks, an IRI
+    /// nothing shrinks, or (objects only) a plain/lang/typed literal.
+    fn arb_node(rng: &mut Rng, object: bool) -> TermOrVar {
+        match rng.below(if object { 7 } else { 4 }) {
+            0 | 1 => TermOrVar::Var(Variable::new(format!("v{}", rng.below(3)))),
+            2 => TermOrVar::iri(&format!("http://e/n{}", rng.below(5))),
+            3 => TermOrVar::iri(&format!("http://other/path/n{}", rng.below(5))),
+            4 => TermOrVar::Term(Term::literal(format!("a \"b\" {}", rng.below(5)))),
+            5 => TermOrVar::Term(Term::Literal(Literal::lang("chat", "fr"))),
+            _ => TermOrVar::Term(Term::Literal(Literal::typed(
+                rng.below(100).to_string(),
+                Iri::new("http://www.w3.org/2001/XMLSchema#integer"),
+            ))),
+        }
+    }
+
+    /// A random safe UCQ: 1–4 branches of 1–3 triples, every head
+    /// variable occurring in every branch.
+    fn arb_union(rng: &mut Rng, ask: bool) -> UnionQuery {
+        let head: Vec<Variable> = if ask {
+            Vec::new()
+        } else {
+            (0..1 + rng.below(2))
+                .map(|i| Variable::new(format!("h{i}")))
+                .collect()
+        };
+        let branches = (0..1 + rng.below(4))
+            .map(|_| {
+                let mut triples: Vec<TriplePattern> = head
+                    .iter()
+                    .map(|h| {
+                        TriplePattern::new(
+                            TermOrVar::Var(h.clone()),
+                            TermOrVar::iri(&format!("http://e/p{}", rng.below(4))),
+                            arb_node(rng, true),
+                        )
+                    })
+                    .collect();
+                for _ in 0..1 + rng.below(2) {
+                    triples.push(TriplePattern::new(
+                        arb_node(rng, false),
+                        TermOrVar::iri(&format!("http://e/p{}", rng.below(4))),
+                        arb_node(rng, true),
+                    ));
+                }
+                GraphPattern::from_patterns(triples)
+            })
+            .collect();
+        UnionQuery::new(head, branches)
+    }
+
+    /// `to_sparql` text read back by the one parser lowers to the same
+    /// branch CQs, in branch order.
+    fn roundtrip(ask: bool) {
+        for seed in 0..200u64 {
+            let mut rng = Rng(seed ^ if ask { 0xA5 } else { 0x5E1 });
+            let union = arb_union(&mut rng, ask);
+            let query = if ask {
+                Query::Ask(union.clone())
+            } else {
+                Query::Select(union.clone())
+            };
+            let text = to_sparql(&query, &base());
+            let back = parse_sparql(&text, &base())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"))
+                .lower();
+            assert_eq!(back.is_ask(), ask, "seed {seed}\n{text}");
+            let columns: Vec<&str> = union.free_vars().iter().map(Variable::name).collect();
+            assert_eq!(back.columns(), columns, "seed {seed}\n{text}");
+            let want_head: BTreeSet<&Variable> = union.free_vars().iter().collect();
+            assert_eq!(back.queries().len(), union.len(), "seed {seed}\n{text}");
+            for (cq, branch) in back.queries().iter().zip(union.branches()) {
+                assert_eq!(cq.pattern(), branch, "seed {seed}\n{text}");
+                let head: BTreeSet<&Variable> = cq.free_vars().iter().collect();
+                assert_eq!(head, want_head, "seed {seed}\n{text}");
+            }
+        }
     }
 
     #[test]
     fn roundtrip_through_to_sparql() {
-        let src = "SELECT ?x ?y WHERE { ?x e:p ?z . ?z e:q ?y }";
-        let q = parse_query(src, &base()).unwrap();
-        let text = to_sparql(&q, &base());
-        let q2 = parse_query(&text, &base()).unwrap();
-        assert_eq!(q, q2);
+        roundtrip(false);
     }
 
     #[test]
     fn roundtrip_union_ask() {
-        let src = "ASK {{ ?x e:p ?y } UNION { ?x e:q ?y }}";
-        let q = parse_query(src, &base()).unwrap();
-        let text = to_sparql(&q, &base());
-        let q2 = parse_query(&text, &base()).unwrap();
-        assert_eq!(q, q2);
+        roundtrip(true);
     }
 
     #[test]
     fn end_to_end_evaluation() {
         let g = rps_rdf::turtle::parse("@prefix e: <http://e/> .\ne:s e:p e:m .\ne:m e:q e:o .\n")
             .unwrap();
-        let q = parse_query("SELECT ?x WHERE { e:s e:p ?m . ?m e:q ?x }", &base()).unwrap();
+        let q = lowered("SELECT ?x WHERE { e:s e:p ?m . ?m e:q ?x }", &base());
         let r = q.evaluate(&g, Semantics::Certain);
-        let tuples = r.tuples().unwrap();
-        assert_eq!(tuples.len(), 1);
-        assert!(tuples.contains(&vec![Term::iri("http://e/o")]));
+        assert_eq!(
+            r.rows().unwrap().rows,
+            [vec![Some(Term::iri("http://e/o"))]]
+        );
     }
 
     #[test]
@@ -660,11 +207,10 @@ mod tests {
         let mut m = PrefixMap::new();
         m.insert("db1", "http://db1/");
         m.insert("", "http://vocab/");
-        let q = parse_query(
+        let q = lowered(
             "SELECT ?x ?y WHERE { db1:Spiderman :starring ?z . ?z :artist ?x . ?x :age ?y }",
             &m,
-        )
-        .unwrap();
-        assert_eq!(q.as_union().branches()[0].len(), 3);
+        );
+        assert_eq!(q.queries()[0].pattern().len(), 3);
     }
 }

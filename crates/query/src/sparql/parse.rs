@@ -649,6 +649,15 @@ impl Parser {
                     self.bump();
                     break 'predicates;
                 }
+                // Another term here would silently start the next triple.
+                Some(
+                    Tok::Var(_)
+                    | Tok::Iri(_)
+                    | Tok::PName(_)
+                    | Tok::A
+                    | Tok::Literal { .. }
+                    | Tok::Integer(_),
+                ) => return Err(self.err_here("expected '.', ';' or ',' between triples")),
                 _ => break 'predicates,
             }
         }

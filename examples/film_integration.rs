@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example film_integration`
 
-use rps_core::{RpsEngine, Strategy};
+use rps_core::{EngineConfig, Session, Strategy};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
 use std::time::Instant;
 
@@ -37,11 +37,14 @@ fn main() {
     let query = actor_shape_query(cfg.peers - 1, false);
 
     // Strategy 1: materialise (Algorithm 1).
-    let mut mat = RpsEngine::new(system.clone()).with_strategy(Strategy::Materialise);
+    let mut mat = Session::new(
+        system.clone(),
+        EngineConfig::default().with_strategy(Strategy::Materialise),
+    );
     let t0 = Instant::now();
-    let (ans_mat, _) = mat.answer(&query);
+    let ans_mat = mat.answer(&query).expect("chase terminates").into_set();
     let mat_time = t0.elapsed();
-    let sol = mat.universal_solution();
+    let sol = mat.universal_solution().expect("chased above");
     println!(
         "\nmaterialise: universal solution {} triples ({} chase rounds, {} firings) in {mat_time:?}",
         sol.graph.len(),
@@ -52,14 +55,19 @@ fn main() {
 
     // Strategy 2: rewrite per query (the chain of single-triple mappings
     // is linear, so Proposition 2 applies).
-    let mut rw = RpsEngine::new(system.clone())
-        .with_strategy(Strategy::Rewrite)
-        .with_rewrite_config(rps_tgd::RewriteConfig {
-            max_depth: 10,
-            max_cqs: 10_000,
-        });
+    let mut rw = Session::new(
+        system.clone(),
+        EngineConfig::default()
+            .with_strategy(Strategy::Rewrite)
+            .with_rewrite(rps_tgd::RewriteConfig {
+                max_depth: 10,
+                max_cqs: 10_000,
+            }),
+    );
     let t1 = Instant::now();
-    let (ans_rw, route) = rw.answer(&query);
+    let stream = rw.answer(&query).expect("rewriting is exhaustive");
+    let route = stream.route();
+    let ans_rw = stream.into_set();
     let rw_time = t1.elapsed();
     println!(
         "\nrewrite: route {route:?}, {} answers in {rw_time:?}",
@@ -73,7 +81,7 @@ fn main() {
     println!("\nstrategies agree on {} answers ✔", ans_mat.len());
 
     // Redundancy elimination across sameAs-merged persons.
-    let (lean, _) = mat.answer_without_redundancy(&query);
+    let lean = mat.answer_without_redundancy(&query).expect("chased above");
     println!(
         "answers without equivalence-induced redundancy: {} (from {})",
         lean.len(),

@@ -2,9 +2,9 @@
 //! same certain answers as centralised materialisation, and routing
 //! actually prunes traffic.
 
-use rps_core::{certain_answers, chase_system, RpsChaseConfig};
+use rps_core::{certain_answers, chase_system, EngineConfig, RpsChaseConfig};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
-use rps_p2p::{FederatedEngine, P2pQueryService, SchemaIndex, SimNetwork};
+use rps_p2p::{FederatedEngine, FederatedSession, SchemaIndex, SimNetwork};
 use rps_query::Semantics;
 use rps_tgd::RewriteConfig;
 
@@ -26,15 +26,20 @@ fn service_equals_materialisation_across_seeds() {
     for seed in [1u64, 7, 21] {
         let sys = film_system(&cfg(4, seed));
         let query = actor_shape_query(3, false);
-        let mut service = P2pQueryService::new(&sys).with_rewrite_config(RewriteConfig {
+        let config = EngineConfig::default().with_rewrite(RewriteConfig {
             max_depth: 30,
             max_cqs: 60_000,
         });
-        let result = service.answer(&query);
-        assert!(result.complete, "seed {seed}");
+        let result = FederatedSession::new(&sys, config)
+            .answer(&query)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let reference = certain_answers(&sol, &query);
-        assert_eq!(result.answers.tuples, reference.tuples, "seed {seed}");
+        assert_eq!(
+            result.stream.into_set().tuples,
+            reference.tuples,
+            "seed {seed}"
+        );
     }
 }
 

@@ -122,8 +122,9 @@ fn templated_rewritten_pipeline_agrees_with_chase_and_term_level() {
         let mut session =
             FederatedSession::open(&sys, EngineConfig::default().with_rewrite(rewrite_cfg()))
                 .unwrap();
-        let result = session.answer(&query).unwrap();
-        assert!(result.complete, "seed {seed}");
+        let result = session
+            .answer(&query)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(result.stream.route(), ExecRoute::Federated);
         let id_answers = result.stream.into_set();
 

@@ -2,8 +2,8 @@
 //! E1–E3): Figure 1, Example 1, Example 2, Listing 1 and Listing 2.
 
 use rps_core::{
-    certain_answers, chase_system, is_solution, EquivalenceIndex, RpsChaseConfig, RpsEngine,
-    RpsRewriter, Strategy,
+    certain_answers, chase_system, is_solution, EngineConfig, EquivalenceIndex, ExecRoute,
+    RpsChaseConfig, RpsRewriter, Session, Strategy,
 };
 use rps_lodgen::{paper_example, query_from};
 use rps_query::{evaluate_query, Semantics};
@@ -88,28 +88,28 @@ fn e3_full_boolean_enumeration_matches_chase() {
 #[test]
 fn engine_auto_route_reproduces_listing1() {
     let ex = paper_example();
-    let mut engine = RpsEngine::new(ex.system.clone());
-    let (ans, _) = engine.answer(&ex.query);
+    let mut session = Session::open(ex.system.clone(), EngineConfig::default()).unwrap();
+    let ans = session.answer(&ex.query).unwrap().into_set();
     assert_eq!(ans.tuples, ex.expected_full);
-    let (lean, _) = engine.answer_without_redundancy(&ex.query);
+    let lean = session.answer_without_redundancy(&ex.query).unwrap();
     assert_eq!(lean.tuples, ex.expected_lean);
 }
 
 #[test]
 fn rewriting_strategy_reproduces_listing1() {
     let ex = paper_example();
-    let mut engine = RpsEngine::new(ex.system.clone()).with_strategy(Strategy::Rewrite);
-    let (ans, route) = engine.answer(&ex.query);
-    assert_eq!(route, rps_core::AnswerRoute::Rewritten);
-    assert_eq!(ans.tuples, ex.expected_full);
+    let config = EngineConfig::default().with_strategy(Strategy::Rewrite);
+    let mut session = Session::open(ex.system.clone(), config).unwrap();
+    let stream = session.answer(&ex.query).unwrap();
+    assert_eq!(stream.route(), ExecRoute::Rewritten);
+    assert_eq!(stream.into_set().tuples, ex.expected_full);
 }
 
 #[test]
 fn federated_service_reproduces_listing1() {
     let ex = paper_example();
-    let mut service = rps_p2p::P2pQueryService::new(&ex.system);
-    let result = service.answer(&ex.query);
-    assert!(result.complete);
-    assert_eq!(result.answers.tuples, ex.expected_full);
+    let mut session = rps_p2p::FederatedSession::open(&ex.system, EngineConfig::default()).unwrap();
+    let result = session.answer(&ex.query).unwrap();
     assert!(result.stats.messages > 0);
+    assert_eq!(result.stream.into_set().tuples, ex.expected_full);
 }

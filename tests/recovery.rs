@@ -489,3 +489,30 @@ fn truncated_session_file_is_typed_corruption() {
     fs::write(&session, &pristine).unwrap();
     FrozenSession::open(tmp.path()).unwrap();
 }
+
+#[test]
+fn incomplete_solution_flag_is_typed_corruption() {
+    // `Session::universal_solution` refuses an incomplete chase as unsound
+    // to answer over; a SESSION file claiming one must not be served.
+    let sys = film_system(&film_cfg(42));
+    let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let frozen = Session::open(sys, cfg).unwrap().freeze().unwrap();
+    let tmp = TempDir::new("session-incomplete");
+    frozen.persist(tmp.path()).unwrap();
+
+    let session = tmp.path().join("SESSION");
+    let pristine = fs::read_to_string(&session).unwrap();
+    assert!(pristine.contains("\ncomplete true\n"));
+    fs::write(
+        &session,
+        pristine.replace("\ncomplete true\n", "\ncomplete false\n"),
+    )
+    .unwrap();
+    match FrozenSession::open(tmp.path()) {
+        Err(RpsError::Rdf(RdfError::Corrupt { detail, .. })) => {
+            assert!(detail.contains("incomplete"), "unhelpful detail: {detail}")
+        }
+        Err(other) => panic!("incomplete SESSION yielded {other}"),
+        Ok(_) => panic!("incomplete SESSION was served"),
+    }
+}

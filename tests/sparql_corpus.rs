@@ -110,6 +110,20 @@ fn malformed_corpus_yields_spanned_errors() {
         "CONSTRUCT { ?x <http://c/p> ?y } WHERE { ?x <http://c/p> ?y }",
         "SELECT ?x WHERE { ?x <http://c/p> ?y } trailing garbage",
         "SELECT ?x WHERE { { ?x <http://c/p> ?y } UNION { OPTIONAL { ?x ?p ?y } } }",
+        // What the deleted legacy parser rejected and nothing above covers.
+        "SELECT ? WHERE { ?x <http://c/p> ?y }",
+        "SELECT WHERE { ?x <http://c/p> ?y }",
+        "SELECT ?x WHERE { ?x <http://c/p> \"bad \\q escape\" }",
+        "SELECT ?x WHERE { ?x <http://c/p> \"unterminated }",
+        "SELECT ?x WHERE { ?x <http://c/p> \"v\"@ }",
+        "SELECT ?x WHERE { ?x <http://c/p> \"v\"^<http://c/t> }",
+        "SELECT ?x WHERE { ?x <http://c/p> \"v\"^^<http://c/t }",
+        "SELECT ?x WHERE { ?x <http://c/p> ?y % }",
+        "SELECT ?x WHERE { ?x <http://c/p> ?y ?x <http://c/q> ?z }",
+        "PREFIX SELECT ?x WHERE { ?x <http://c/p> ?y }",
+        "PREFIX c <http://c/> SELECT ?x WHERE { ?x c:p ?y }",
+        "PREFIX c: SELECT ?x WHERE { ?x c:p ?y }",
+        "ASK { { ?x <http://c/p> ?y } UNION { ?x <http://c/q> ?y }",
     ];
     for (i, text) in BAD.iter().enumerate() {
         match parse_sparql(text, &PrefixMap::common()) {

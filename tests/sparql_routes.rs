@@ -1,12 +1,16 @@
 //! SPARQL front-end acceptance: the same query text answers
 //! byte-identically on every session type — mutable [`Session`] (both
-//! strategies), [`FrozenSession`] and the federated session — and
-//! matches hand-built conjunctive plans and hand-computed ground truth.
+//! strategies), [`FrozenSession`], the federated session and the live
+//! reader — and matches hand-built conjunctive plans and hand-computed
+//! ground truth.
 
-use rps_core::{EngineConfig, JoinOrder, PeerId, RpsBuilder, Session, SparqlResult, Strategy};
+use rps_core::{
+    EngineConfig, JoinOrder, LiveSession, PeerId, RpsBuilder, Session, SparqlResult, Strategy,
+    UpdateBatch,
+};
 use rps_p2p::FederatedSession;
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
-use rps_rdf::Term;
+use rps_rdf::{Term, Triple};
 
 const SELECT_QUERY: &str = "PREFIX a: <http://a/>\n\
      SELECT ?f ?who ?nick WHERE {\n\
@@ -65,10 +69,15 @@ fn select_with_optional_filter_order_limit_agrees_on_every_route() {
     let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
     let r_fed = fed.answer_sparql(SELECT_QUERY).unwrap();
     check_all(&r_fed, "federated");
+    // Live reader (epoch 0).
+    let live = LiveSession::open(sys, strategy(Strategy::Auto)).unwrap();
+    let r_live = live.reader().answer_sparql(SELECT_QUERY).unwrap();
+    check_all(&r_live, "live");
     // Byte-identical across routes.
     assert_eq!(r_mat, r_rw);
     assert_eq!(r_mat, r_frozen);
     assert_eq!(r_mat, r_fed);
+    assert_eq!(r_mat, r_live);
 }
 
 #[test]
@@ -115,6 +124,11 @@ fn filtered_select_matches_hand_built_plan() {
     assert_eq!(rows.vars, ["who", "age"]);
     assert_eq!(rows.rows, hand);
     assert_eq!(rows.rows.len(), 2, "ages 31 and 40 pass, 25 fails");
+    let live = LiveSession::open(build_system(), strategy(Strategy::Auto)).unwrap();
+    assert_eq!(
+        live.reader().answer_sparql(SELECT_FILTERED).unwrap(),
+        sparql
+    );
 }
 
 #[test]
@@ -132,7 +146,61 @@ fn ask_with_union_agrees_on_every_route() {
         assert_eq!(frozen.answer_sparql(text).unwrap().boolean(), Some(want));
         let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
         assert_eq!(fed.answer_sparql(text).unwrap().boolean(), Some(want));
+        let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
+        let reader = live.reader();
+        assert_eq!(reader.answer_sparql(text).unwrap().boolean(), Some(want));
     }
+}
+
+#[test]
+fn live_sparql_after_an_epoch_equals_a_fresh_session() {
+    let mut live = LiveSession::open(build_system(), strategy(Strategy::Auto)).unwrap();
+    let reader = live.reader();
+    // Prepared against epoch 0: stays pinned there.
+    let pinned = reader.prepare_sparql(SELECT_QUERY).unwrap();
+    let before = reader.execute_sparql(&pinned).unwrap();
+
+    let iri = |s: &str| Term::iri(s);
+    let actor = |film: &str, who: &str| {
+        Triple::new(iri(film), iri("http://b/actor"), iri(who)).expect("valid triple")
+    };
+    let batch = UpdateBatch::new()
+        .remove(PeerId(1), actor("http://b/f3", "http://b/p3"))
+        .insert(PeerId(1), actor("http://b/f9", "http://b/p9"))
+        .insert(
+            PeerId(0),
+            Triple::new(
+                iri("http://b/p9"),
+                iri("http://a/nick"),
+                Term::literal("nine"),
+            )
+            .expect("valid triple"),
+        );
+    assert_eq!(live.apply(&batch).unwrap(), 1);
+
+    // Every text, after the epoch, equals a fresh session over the
+    // updated system — and the update is visible.
+    let mut fresh = Session::open(live.system().clone(), strategy(Strategy::Materialise)).unwrap();
+    for text in [SELECT_QUERY, SELECT_FILTERED, ASK_UNION, ASK_UNION_FALSE] {
+        assert_eq!(
+            reader.answer_sparql(text).unwrap(),
+            fresh.answer_sparql(text).unwrap(),
+            "{text}"
+        );
+    }
+    let after = reader.answer_sparql(SELECT_QUERY).unwrap();
+    assert_ne!(after, before);
+    let top = &after.rows().unwrap().rows[0];
+    assert_eq!(
+        top,
+        &vec![
+            Some(iri("http://b/f9")),
+            Some(iri("http://b/p9")),
+            Some(Term::literal("nine"))
+        ]
+    );
+    // The epoch-0 plans still answer epoch 0.
+    assert_eq!(reader.execute_sparql(&pinned).unwrap(), before);
 }
 
 #[test]
