@@ -131,7 +131,6 @@ pub struct LiveSession {
     shared: Arc<LiveShared>,
     epoch: u32,
     retain: u32,
-    cache_capacity: usize,
 }
 
 impl LiveSession {
@@ -181,18 +180,8 @@ impl LiveSession {
                 triples: engine.graph.len(),
             });
         }
-        engine.graph.seal();
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: 0,
-            solution: Arc::new(UniversalSolution {
-                graph: engine.graph.clone(),
-                stats: engine.stats,
-                complete: true,
-            }),
-            plans: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
-        });
         let shared = Arc::new(LiveShared {
-            current: RwLock::new(snapshot),
+            current: RwLock::new(seal_snapshot(&mut engine, 0)),
             floor: AtomicU32::new(0),
         });
         Ok(LiveSession {
@@ -203,7 +192,6 @@ impl LiveSession {
             shared,
             epoch: 0,
             retain,
-            cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
         })
     }
 
@@ -285,22 +273,11 @@ impl LiveSession {
         Ok(self.epoch)
     }
 
-    /// Seals the write-side graph and swaps the published snapshot.
-    /// Readers holding the previous `Arc` keep it alive; new preparations
-    /// see the new epoch. Sealed runs are `Arc`-shared between the write
-    /// side and the published clone, so the clone cost is proportional
-    /// to the un-merged tail, not the whole graph.
+    /// Swaps the published snapshot for one of the write side's current
+    /// state. Readers holding the previous `Arc` keep it alive; new
+    /// preparations see the new epoch.
     fn publish(&mut self) {
-        self.engine.graph.seal();
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: self.epoch,
-            solution: Arc::new(UniversalSolution {
-                graph: self.engine.graph.clone(),
-                stats: self.engine.stats,
-                complete: true,
-            }),
-            plans: Mutex::new(PlanCache::new(self.cache_capacity)),
-        });
+        let snapshot = seal_snapshot(&mut self.engine, self.epoch);
         *self.shared.current.write().expect("epoch lock") = snapshot;
         self.shared
             .floor
@@ -343,6 +320,23 @@ impl LiveSession {
     pub fn stats(&self) -> RpsChaseStats {
         self.engine.stats
     }
+}
+
+/// Seals the write-side graph and snapshots it as `epoch`, with a fresh
+/// plan cache. Sealed runs are `Arc`-shared between the write side and
+/// the snapshot's clone, so the clone cost is proportional to the
+/// un-merged tail, not the whole graph.
+fn seal_snapshot(engine: &mut ChaseEngine, epoch: u32) -> Arc<EpochSnapshot> {
+    engine.graph.seal();
+    Arc::new(EpochSnapshot {
+        epoch,
+        solution: Arc::new(UniversalSolution {
+            graph: engine.graph.clone(),
+            stats: engine.stats,
+            complete: true,
+        }),
+        plans: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+    })
 }
 
 /// Interns a peer triple into the engine's dictionary under the peer's
@@ -429,12 +423,14 @@ impl LiveReader {
                 current: self.epoch(),
             });
         }
-        let ids = plan.plan.evaluate(&plan.solution.graph, plan.semantics);
+        let rows = plan
+            .plan
+            .evaluate_rows(&plan.solution.graph, plan.semantics);
         Ok(AnswerStream::from_ids(
             plan.vars.clone(),
             ExecRoute::Materialised,
             plan.solution.clone(),
-            ids,
+            rows,
         ))
     }
 
@@ -476,7 +472,7 @@ pub struct LivePlan {
     epoch: u32,
     solution: Arc<UniversalSolution>,
     plan: Arc<PreparedQueryIds>,
-    vars: Vec<String>,
+    vars: Arc<[String]>,
     semantics: Semantics,
 }
 

@@ -552,39 +552,6 @@ impl RpsRewriter {
         )
     }
 
-    /// The paper-verbatim route: rewrite under the *full* dependency set
-    /// (graph mappings + equivalence TGDs) and evaluate over the raw
-    /// stored database. Exponentially larger unions than
-    /// [`Self::answers`], kept for Listing 2 and the E9 ablation.
-    pub fn answers_pure(
-        &mut self,
-        query: &GraphPatternQuery,
-        cfg: &RewriteConfig,
-    ) -> (AnswerSet, bool) {
-        let rewriting = self.rewrite(query, cfg);
-        let tuples = rps_tgd::evaluate_union_ids(&rewriting.id_cqs, &self.stored_tt);
-        let enc = &self.exchange.encoder;
-        let decoded: BTreeSet<Vec<Term>> = tuples
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&v| enc.decode(self.stored_tt.values().value(v)))
-                    .collect()
-            })
-            .collect();
-        (
-            AnswerSet {
-                vars: query
-                    .free_vars()
-                    .iter()
-                    .map(|v| v.name().to_string())
-                    .collect(),
-                tuples: decoded,
-            },
-            rewriting.complete,
-        )
-    }
-
     /// The Example 3 decision procedure: is `tuple` a certain answer of
     /// `query`? Substitutes the tuple into the free variables, rewrites
     /// the resulting Boolean query, and evaluates the UNION of ASKs over

@@ -79,7 +79,7 @@ use crate::equivalence::EquivalenceIndex;
 use crate::error::RpsError;
 use crate::rewriting::{RewrittenBranch, RpsRewriter};
 use crate::system::RdfPeerSystem;
-use rps_query::{GraphPatternQuery, JoinOrder, PreparedQueryIds, Semantics};
+use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, Semantics};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
@@ -331,6 +331,9 @@ pub struct PreparedQuery {
     /// plan stale ([`RpsError::StalePlan`] at execute).
     generation: u32,
     query: GraphPatternQuery,
+    /// The projection variable names, shared with every stream this
+    /// plan produces.
+    vars: Arc<[String]>,
     route: ExecRoute,
     semantics: Semantics,
     rewrite_fell_back: bool,
@@ -387,7 +390,7 @@ impl PreparedQuery {
 /// variables, and can be collected into an [`AnswerSet`] with
 /// [`AnswerStream::into_set`].
 pub struct AnswerStream {
-    vars: Vec<String>,
+    vars: Arc<[String]>,
     route: ExecRoute,
     inner: StreamInner,
 }
@@ -395,35 +398,41 @@ pub struct AnswerStream {
 enum StreamInner {
     Ids {
         solution: Arc<UniversalSolution>,
-        iter: std::collections::btree_set::IntoIter<Vec<TermId>>,
+        rows: IdRows,
+        next: usize,
     },
     Terms(std::collections::btree_set::IntoIter<Vec<Term>>),
 }
 
 impl AnswerStream {
-    /// A stream over id-level tuples, decoded lazily against the
+    /// A stream over id-level rows, decoded lazily against the
     /// solution's dictionary.
     pub(crate) fn from_ids(
-        vars: Vec<String>,
+        vars: Arc<[String]>,
         route: ExecRoute,
         solution: Arc<UniversalSolution>,
-        tuples: BTreeSet<Vec<TermId>>,
+        rows: IdRows,
     ) -> Self {
         AnswerStream {
             vars,
             route,
             inner: StreamInner::Ids {
                 solution,
-                iter: tuples.into_iter(),
+                rows,
+                next: 0,
             },
         }
     }
 
     /// A stream over already-decoded tuples. Building block for
     /// alternative executors (the federated engine in `rps-p2p`).
-    pub fn from_terms(vars: Vec<String>, route: ExecRoute, tuples: BTreeSet<Vec<Term>>) -> Self {
+    pub fn from_terms(
+        vars: impl Into<Arc<[String]>>,
+        route: ExecRoute,
+        tuples: BTreeSet<Vec<Term>>,
+    ) -> Self {
         AnswerStream {
-            vars,
+            vars: vars.into(),
             route,
             inner: StreamInner::Terms(tuples.into_iter()),
         }
@@ -441,11 +450,40 @@ impl AnswerStream {
 
     /// Drains the stream into an [`AnswerSet`].
     pub fn into_set(self) -> AnswerSet {
-        let vars = self.vars.clone();
+        let vars = self.vars.to_vec();
         AnswerSet {
             vars,
             tuples: self.collect(),
         }
+    }
+
+    /// The undecoded id rows of `streams` and the solution whose
+    /// dictionary they index — when every stream is an untouched id
+    /// stream over that one solution. Otherwise (decoded tuples, ids
+    /// of different solutions, a stream already advanced) the streams
+    /// come back unchanged.
+    pub(crate) fn into_shared_ids(
+        streams: Vec<AnswerStream>,
+    ) -> Result<(Arc<UniversalSolution>, Vec<IdRows>), Vec<AnswerStream>> {
+        let Some(StreamInner::Ids { solution, .. }) = streams.first().map(|s| &s.inner) else {
+            return Err(streams);
+        };
+        let solution = solution.clone();
+        let shared = streams.iter().all(|s| {
+            matches!(&s.inner, StreamInner::Ids { solution: other, next: 0, .. }
+                if Arc::ptr_eq(&solution, other))
+        });
+        if !shared {
+            return Err(streams);
+        }
+        let rows = streams
+            .into_iter()
+            .filter_map(|s| match s.inner {
+                StreamInner::Ids { rows, .. } => Some(rows),
+                StreamInner::Terms(_) => None,
+            })
+            .collect();
+        Ok((solution, rows))
     }
 }
 
@@ -454,8 +492,14 @@ impl Iterator for AnswerStream {
 
     fn next(&mut self) -> Option<Vec<Term>> {
         match &mut self.inner {
-            StreamInner::Ids { solution, iter } => iter.next().map(|ids| {
-                ids.iter()
+            StreamInner::Ids {
+                solution,
+                rows,
+                next,
+            } => (*next < rows.len()).then(|| {
+                let row = rows.row(*next);
+                *next += 1;
+                row.iter()
                     .map(|&id| solution.graph.term(id).clone())
                     .collect()
             }),
@@ -465,7 +509,10 @@ impl Iterator for AnswerStream {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.inner {
-            StreamInner::Ids { iter, .. } => iter.size_hint(),
+            StreamInner::Ids { rows, next, .. } => {
+                let left = rows.len() - next;
+                (left, Some(left))
+            }
             StreamInner::Terms(iter) => iter.size_hint(),
         }
     }
@@ -484,8 +531,9 @@ pub fn next_session_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The projection variable names of a query, in tuple order.
-pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
+/// The projection variable names of a query, in tuple order — built
+/// once at prepare and shared by every stream of the plan.
+pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Arc<[String]> {
     query
         .free_vars()
         .iter()
@@ -554,6 +602,7 @@ fn compile_query(
         session_id: id,
         generation,
         query: query.clone(),
+        vars: stream_vars(query),
         route,
         semantics: config.semantics,
         rewrite_fell_back,
@@ -583,11 +632,11 @@ fn execute_prepared<D: std::ops::DerefMut<Target = DatalogEngine>>(
             current: generation,
         });
     }
-    let vars = stream_vars(&prepared.query);
+    let vars = prepared.vars.clone();
     let workers = exec.resolved_workers();
     match &prepared.plan {
         Plan::Materialised { solution, plan } => {
-            let ids = plan.evaluate_parallel(
+            let rows = plan.evaluate_rows_parallel(
                 &solution.graph,
                 prepared.semantics,
                 workers,
@@ -597,7 +646,7 @@ fn execute_prepared<D: std::ops::DerefMut<Target = DatalogEngine>>(
                 vars,
                 ExecRoute::Materialised,
                 solution.clone(),
-                ids,
+                rows,
             ))
         }
         Plan::Rewritten { graph, branches } => {

@@ -1,18 +1,27 @@
 //! SPARQL text on every answering façade, written once.
 //!
 //! `rps_query::sparql` lowers a SPARQL SELECT/ASK query to a list of
-//! plain conjunctive queries plus a term-level assembly tail. The two
+//! plain conjunctive queries plus an id-level assembly tail. The two
 //! functions here are the whole glue around that front-end —
 //! [`prepare_sparql_with`] (parse → lower → prepare each CQ) and
-//! [`execute_sparql_with`] (execute each plan → collect → assemble) —
-//! taking the façade's own `prepare` / `execute` as closures. Each
-//! lowered CQ therefore rides the façade's *ordinary* pipeline — route
-//! resolution, plan cache, rewriting, live epochs, federation, all
-//! unchanged — and because the tail is shared and deterministic, the
-//! same query text answers byte-identically on every façade and route.
-//! [`Session`] and [`FrozenSession`] forward to the glue below;
-//! [`crate::LiveReader`] and the federated sessions in `rps-p2p` do the
-//! same from their own modules.
+//! [`execute_sparql_with`] (execute each plan → assemble) — taking the
+//! façade's own `prepare` / `execute` as closures. Each lowered CQ
+//! therefore rides the façade's *ordinary* pipeline — route resolution,
+//! plan cache, rewriting, live epochs, federation, all unchanged — and
+//! because the tail is shared and deterministic, the same query text
+//! answers byte-identically on every façade and route.
+//!
+//! **Late materialisation.** On the materialised routes ([`Session`],
+//! [`FrozenSession`], [`crate::LiveReader`]) every lowered CQ answers
+//! with undecoded id rows over one universal solution, and the tail
+//! runs on those ids against that solution's dictionary: joins,
+//! filters, DISTINCT, ordering and LIMIT all happen before a single
+//! [`Term`](rps_rdf::Term) is cloned, and only the rows that leave the
+//! engine are decoded. The rewritten, Datalog and federated routes
+//! answer with terms (equivalence expansion and cross-peer merging
+//! happen at the term level); their tuples are interned into a scratch
+//! dictionary by [`LoweredSparql::assemble`] and go through the *same*
+//! tail. There is no second implementation and nothing to configure.
 //!
 //! Prefixed names resolve against the query's own `PREFIX`/`BASE`
 //! prologue, falling back to the common well-known namespaces
@@ -20,10 +29,10 @@
 
 use crate::error::RpsError;
 use crate::session::frozen::FrozenSession;
-use crate::session::{PreparedQuery, Session};
+use crate::session::{AnswerStream, PreparedQuery, Session};
 use rps_query::sparql::LoweredSparql;
 use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
-use rps_rdf::{PrefixMap, Term};
+use rps_rdf::PrefixMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -72,18 +81,26 @@ pub fn prepare_sparql_with<P>(
 }
 
 /// Runs every conjunctive plan of `prepared` through a façade's own
-/// `execute` and assembles the answer sets with the shared term-level
-/// tail (left joins, filters, ordering).
-pub fn execute_sparql_with<P, A: Iterator<Item = Vec<Term>>>(
+/// `execute` and assembles the answers with the shared tail (left
+/// joins, filters, ordering): directly on the streams' id rows when
+/// they all index one solution's dictionary, through the interning
+/// adapter otherwise.
+pub fn execute_sparql_with<P>(
     prepared: &PreparedSparql<P>,
-    mut execute: impl FnMut(&P) -> Result<A, RpsError>,
+    execute: impl FnMut(&P) -> Result<AnswerStream, RpsError>,
 ) -> Result<SparqlResult, RpsError> {
-    let answers = prepared
+    let streams = prepared
         .plans
         .iter()
-        .map(|plan| execute(plan).map(|rows| rows.collect::<BTreeSet<_>>()))
+        .map(execute)
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(prepared.lowered.assemble(&answers))
+    Ok(match AnswerStream::into_shared_ids(streams) {
+        Ok((solution, rows)) => prepared.lowered.assemble_ids(&rows, solution.graph.dict()),
+        Err(streams) => {
+            let answers: Vec<BTreeSet<_>> = streams.into_iter().map(Iterator::collect).collect();
+            prepared.lowered.assemble(&answers)
+        }
+    })
 }
 
 impl Session {

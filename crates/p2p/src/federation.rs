@@ -511,31 +511,6 @@ impl FederatedEngine {
         (out, stats)
     }
 
-    /// [`FederatedEngine::execute`], fanning the prepared branches out
-    /// across OS threads. See
-    /// [`FederatedEngine::execute_parallel_with`] for the semantics.
-    pub fn execute_parallel(
-        &self,
-        prepared: &PreparedFederation,
-        semantics: Semantics,
-        net: &mut SimNetwork,
-        max_threads: usize,
-    ) -> (BTreeSet<Vec<TermId>>, FederationStats) {
-        let transport = SimTransport::new(Arc::clone(&self.locals));
-        let (out, stats, _report) = self
-            .execute_parallel_with(
-                prepared,
-                semantics,
-                net,
-                &transport,
-                &RetryPolicy::none(),
-                FailurePolicy::Strict,
-                max_threads,
-            )
-            .expect("the perfect in-process transport cannot fail");
-        (out, stats)
-    }
-
     /// Executes a prepared federation over an explicit [`Transport`]
     /// under a [`RetryPolicy`] and a [`FailurePolicy`] — the
     /// fault-tolerant core every other execute entry point wraps.
@@ -1408,8 +1383,17 @@ mod tests {
             let (seq_ids, seq_stats) = engine.execute(&prepared, semantics, &mut seq_net);
             for threads in [1, 2, 4, 8] {
                 let mut par_net = SimNetwork::new();
-                let (par_ids, par_stats) =
-                    engine.execute_parallel(&prepared, semantics, &mut par_net, threads);
+                let (par_ids, par_stats, _) = engine
+                    .execute_parallel_with(
+                        &prepared,
+                        semantics,
+                        &mut par_net,
+                        &SimTransport::new(Arc::clone(&engine.locals)),
+                        &RetryPolicy::none(),
+                        FailurePolicy::Strict,
+                        threads,
+                    )
+                    .unwrap();
                 assert_eq!(par_ids, seq_ids, "{threads} threads, {semantics:?}");
                 assert_eq!(par_stats, seq_stats);
                 assert_eq!(par_net.messages(), seq_net.messages(), "traffic trace");

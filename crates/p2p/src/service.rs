@@ -37,6 +37,8 @@ pub struct PreparedFederatedQuery {
     /// [`FederatedSession::config_mut`]).
     generation: u32,
     query: GraphPatternQuery,
+    /// The projection variable names, shared with every stream.
+    vars: Arc<[String]>,
     prepared: PreparedFederation,
     branches: usize,
 }
@@ -124,6 +126,11 @@ impl FedCore {
             session_id: self.id,
             generation: self.generation,
             query: query.clone(),
+            vars: query
+                .free_vars()
+                .iter()
+                .map(|v| v.name().to_string())
+                .collect(),
             prepared: self.engine.prepare_branches(&branches),
             branches: branches.len(),
         })
@@ -161,14 +168,8 @@ impl FedCore {
         )?;
         let canon_tuples = self.engine.decode_prepared(&prepared.prepared, &canon_ids);
         let tuples = rps_core::expand_answers(&canon_tuples, &self.eq_index);
-        let vars = prepared
-            .query
-            .free_vars()
-            .iter()
-            .map(|v| v.name().to_string())
-            .collect();
         Ok(FederatedAnswer {
-            stream: AnswerStream::from_terms(vars, ExecRoute::Federated, tuples),
+            stream: AnswerStream::from_terms(prepared.vars.clone(), ExecRoute::Federated, tuples),
             branches: prepared.branches,
             stats,
             makespan_ms: net.round_makespan_ms(&self.cost_model, self.engine.peer_count()),
@@ -318,8 +319,9 @@ impl FederatedSession {
     /// `rps_query::sparql`) for repeated federated execution: each
     /// lowered conjunctive query is rewritten, routed and id-compiled
     /// through [`FederatedSession::prepare`], and execution assembles
-    /// the streams with the same term-level tail as the local session
-    /// types — so the federated route answers byte-identically.
+    /// the streams with the same tail as the local session types (the
+    /// federated tuples are interned into a scratch dictionary first) —
+    /// so the federated route answers byte-identically.
     pub fn prepare_sparql(
         &mut self,
         text: &str,

@@ -107,15 +107,6 @@ impl Query {
             Query::Select(u) | Query::Ask(u) => u,
         }
     }
-
-    /// Evaluates the query; ASK queries return a singleton/empty answer
-    /// set encoding true/false.
-    pub fn evaluate(&self, graph: &Graph, semantics: Semantics) -> QueryResult {
-        match self {
-            Query::Select(u) => QueryResult::Tuples(u.evaluate(graph, semantics)),
-            Query::Ask(u) => QueryResult::Boolean(u.ask(graph)),
-        }
-    }
 }
 
 /// Serialises a query to SPARQL text, shrinking IRIs with `prefixes` —
@@ -160,33 +151,6 @@ pub fn to_sparql(query: &Query, prefixes: &PrefixMap) -> String {
             format!("SELECT {} WHERE {}", vars.join(" "), body)
         }
         Query::Ask(_) => format!("ASK {body}"),
-    }
-}
-
-/// The result of evaluating a [`Query`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum QueryResult {
-    /// Answer tuples of a SELECT.
-    Tuples(BTreeSet<Vec<Term>>),
-    /// Truth value of an ASK.
-    Boolean(bool),
-}
-
-impl QueryResult {
-    /// The tuple set, if this is a SELECT result.
-    pub fn tuples(&self) -> Option<&BTreeSet<Vec<Term>>> {
-        match self {
-            QueryResult::Tuples(t) => Some(t),
-            QueryResult::Boolean(_) => None,
-        }
-    }
-
-    /// The Boolean, if this is an ASK result.
-    pub fn boolean(&self) -> Option<bool> {
-        match self {
-            QueryResult::Boolean(b) => Some(*b),
-            QueryResult::Tuples(_) => None,
-        }
     }
 }
 
@@ -253,10 +217,6 @@ mod tests {
         );
         let u = UnionQuery::new(vec![], vec![dead, live]);
         assert!(u.ask(&g));
-        assert!(Query::Ask(u)
-            .evaluate(&g, Semantics::Certain)
-            .boolean()
-            .unwrap());
     }
 
     #[test]
@@ -266,21 +226,5 @@ mod tests {
         assert!(u.is_empty());
         assert!(u.evaluate(&g, Semantics::Star).is_empty());
         assert!(!u.ask(&g));
-    }
-
-    #[test]
-    fn select_result_accessors() {
-        let g = graph();
-        let u = UnionQuery::new(
-            vec![v("x")],
-            vec![GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://e/p"),
-                TermOrVar::var("y"),
-            )],
-        );
-        let r = Query::Select(u).evaluate(&g, Semantics::Certain);
-        assert_eq!(r.tuples().unwrap().len(), 1);
-        assert!(r.boolean().is_none());
     }
 }

@@ -644,61 +644,73 @@ impl PreparedQueryIds {
         out
     }
 
-    /// Evaluates the plan, returning id-level answer tuples (dense,
-    /// copy-free). Under [`Semantics::Certain`], tuples containing blank
-    /// nodes are dropped. `graph` must be the graph the plan was compiled
-    /// against (or a descendant sharing its dictionary ids).
-    pub fn evaluate(&self, graph: &Graph, semantics: Semantics) -> BTreeSet<Vec<TermId>> {
-        let mut out = BTreeSet::new();
-        if !self.compiled.satisfiable {
-            return out;
+    /// The projection to run, or `None` when the plan is trivially
+    /// empty: an unsatisfiable constant, or a free variable the
+    /// pattern cannot bind.
+    fn runnable(&self) -> Option<&[usize]> {
+        self.proj.as_deref().filter(|_| self.compiled.satisfiable)
+    }
+
+    /// Evaluates the plan into [`IdRows`]: the answer tuples as term
+    /// ids in one flat, sorted, duplicate-free buffer — no per-row
+    /// allocation. Under [`Semantics::Certain`], tuples containing
+    /// blank nodes are dropped. `graph` must be the graph the plan was
+    /// compiled against (or a descendant sharing its dictionary ids).
+    pub fn evaluate_rows(&self, graph: &Graph, semantics: Semantics) -> IdRows {
+        let mut out = RowSink::new(self.arity());
+        if let Some(proj) = self.runnable() {
+            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+            search(graph, &self.compiled.slots, 0, &mut binding, &mut |b| {
+                project_into(graph, proj, b, semantics, &mut out);
+                true
+            });
         }
-        let Some(proj) = &self.proj else {
-            return out;
-        };
-        let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
-        search(graph, &self.compiled.slots, 0, &mut binding, &mut |b| {
-            project_into(graph, proj, b, semantics, &mut out);
-            true
-        });
-        out
+        out.finish()
+    }
+
+    /// [`Self::evaluate_rows`] as an ordered set of owned tuples, for
+    /// callers that index or merge the answers as a set.
+    pub fn evaluate(&self, graph: &Graph, semantics: Semantics) -> BTreeSet<Vec<TermId>> {
+        self.evaluate_rows(graph, semantics).to_set()
+    }
+
+    /// The number of positions of an answer tuple.
+    fn arity(&self) -> usize {
+        self.proj.as_ref().map_or(0, Vec::len)
     }
 
     /// Morsel-driven parallel evaluation: byte-identical to
-    /// [`Self::evaluate`], but the first (planner-ordered) conjunct's
-    /// candidate scan is materialised and split into fixed-size
-    /// **morsels** claimed by a `std::thread::scope` worker pool over a
-    /// shared atomic counter — work-stealing without queues: a worker
-    /// that finishes its share simply claims the next morsel regardless
-    /// of whose round-robin slot it was. Each worker backtracks its
-    /// morsels' candidates through the remaining conjuncts into a
-    /// private answer set; the per-worker sets are merged at the end.
-    /// Because answers accumulate in ordered sets and set union is
-    /// commutative, the merged result is independent of scheduling —
-    /// the determinism contract the agreement tests pin.
+    /// [`Self::evaluate_rows`], but the first (planner-ordered)
+    /// conjunct's candidate scan is materialised and split into
+    /// fixed-size **morsels** claimed by a `std::thread::scope` worker
+    /// pool over a shared atomic counter — work-stealing without
+    /// queues: a worker that finishes its share simply claims the next
+    /// morsel regardless of whose round-robin slot it was. Each worker
+    /// backtracks its morsels' candidates through the remaining
+    /// conjuncts into a private row buffer; the buffers are
+    /// concatenated, sorted and deduplicated at the end, so the result
+    /// is independent of scheduling — the determinism contract the
+    /// agreement tests pin.
     ///
-    /// Falls back to the sequential path when `workers <= 1`, when the
-    /// driver scan is no larger than one morsel, or when the plan is
-    /// trivially empty.
-    pub fn evaluate_parallel(
+    /// Runs on the calling thread when `workers <= 1` or when the
+    /// driver scan fits one morsel (the collected driver is reused, not
+    /// rescanned).
+    pub fn evaluate_rows_parallel(
         &self,
         graph: &Graph,
         semantics: Semantics,
         workers: usize,
         morsel_size: usize,
-    ) -> BTreeSet<Vec<TermId>> {
+    ) -> IdRows {
         let morsel = morsel_size.max(1);
-        if workers <= 1
-            || !self.compiled.satisfiable
-            || self.proj.is_none()
-            || self.compiled.slots.is_empty()
-        {
-            return self.evaluate(graph, semantics);
-        }
+        let (Some(proj), Some(slot), true) =
+            (self.runnable(), self.compiled.slots.first(), workers > 1)
+        else {
+            return self.evaluate_rows(graph, semantics);
+        };
         // The driver: all candidates of the first conjunct (with no
         // binding in flight, only its constants are resolved — exactly
         // what sequential `search` scans at depth 0).
-        let slot = &self.compiled.slots[0];
         let resolve = |s: &Slot| match s {
             Slot::Const(id) => Some(*id),
             Slot::Var(_) => None,
@@ -706,24 +718,43 @@ impl PreparedQueryIds {
         let driver: Vec<rps_rdf::IdTriple> = graph
             .match_ids(resolve(&slot[0]), resolve(&slot[1]), resolve(&slot[2]))
             .collect();
+        // Backtracks a run of driver candidates through the remaining
+        // conjuncts into `out`.
+        let run = |candidates: &[rps_rdf::IdTriple], out: &mut RowSink| {
+            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+            for &t in candidates {
+                match_one(
+                    graph,
+                    &self.compiled.slots,
+                    1,
+                    slot,
+                    t,
+                    &mut binding,
+                    &mut |b| {
+                        project_into(graph, proj, b, semantics, out);
+                        true
+                    },
+                );
+            }
+        };
         if driver.len() <= morsel {
-            return self.evaluate(graph, semantics);
+            let mut out = RowSink::new(proj.len());
+            run(&driver, &mut out);
+            return out.finish();
         }
-        let proj = self.proj.as_ref().expect("checked above");
         let morsel_count = driver.len().div_ceil(morsel);
         let workers = workers.min(morsel_count);
         let next_morsel = AtomicUsize::new(0);
         let steals = AtomicU64::new(0);
-        let driver = &driver;
-        let mut partials: Vec<BTreeSet<Vec<TermId>>> = Vec::with_capacity(workers);
+        let (driver, run) = (&driver, &run);
+        let mut out = RowSink::new(proj.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let next_morsel = &next_morsel;
                     let steals = &steals;
                     scope.spawn(move || {
-                        let mut local = BTreeSet::new();
-                        let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+                        let mut local = RowSink::new(proj.len());
                         loop {
                             let m = next_morsel.fetch_add(1, Ordering::Relaxed);
                             if m >= morsel_count {
@@ -734,35 +765,31 @@ impl PreparedQueryIds {
                             }
                             let lo = m * morsel;
                             let hi = (lo + morsel).min(driver.len());
-                            for &t in &driver[lo..hi] {
-                                match_one(
-                                    graph,
-                                    &self.compiled.slots,
-                                    1,
-                                    slot,
-                                    t,
-                                    &mut binding,
-                                    &mut |b| {
-                                        project_into(graph, proj, b, semantics, &mut local);
-                                        true
-                                    },
-                                );
-                            }
+                            run(&driver[lo..hi], &mut local);
                         }
                         local
                     })
                 })
                 .collect();
             for h in handles {
-                partials.push(h.join().expect("morsel worker panicked"));
+                out.append(h.join().expect("morsel worker panicked"));
             }
         });
         graph.note_parallel_scan(morsel_count as u64, steals.load(Ordering::Relaxed));
-        let mut out = partials.pop().unwrap_or_default();
-        for p in partials {
-            out.extend(p);
-        }
-        out
+        out.finish()
+    }
+
+    /// [`Self::evaluate_rows_parallel`] as an ordered set of owned
+    /// tuples.
+    pub fn evaluate_parallel(
+        &self,
+        graph: &Graph,
+        semantics: Semantics,
+        workers: usize,
+        morsel_size: usize,
+    ) -> BTreeSet<Vec<TermId>> {
+        self.evaluate_rows_parallel(graph, semantics, workers, morsel_size)
+            .to_set()
     }
 
     /// Delta evaluation: the answer tuples with at least one witness
@@ -774,13 +801,13 @@ impl PreparedQueryIds {
         semantics: Semantics,
         log_from: usize,
     ) -> BTreeSet<Vec<TermId>> {
-        let mut out = BTreeSet::new();
-        if graph.log_since(log_from).is_empty() || !self.compiled.satisfiable {
-            return out;
-        }
-        let Some(proj) = &self.proj else {
-            return out;
+        let Some(proj) = self.runnable() else {
+            return BTreeSet::new();
         };
+        if graph.log_since(log_from).is_empty() {
+            return BTreeSet::new();
+        }
+        let mut out = RowSink::new(proj.len());
         // One pass per pivot conjunct: the pivot ranges over the delta
         // triples, the remaining conjuncts over the whole graph (ordered
         // with the pivot's variables pre-bound). Tuples found via several
@@ -811,7 +838,7 @@ impl PreparedQueryIds {
                 });
             }
         }
-        out
+        out.finish().to_set()
     }
 }
 
@@ -954,16 +981,165 @@ fn project_into(
     proj: &[usize],
     binding: &[Option<TermId>],
     semantics: Semantics,
-    out: &mut BTreeSet<Vec<TermId>>,
+    out: &mut RowSink,
 ) {
-    let tuple: Vec<TermId> = proj
+    let tuple = proj
         .iter()
-        .map(|&i| binding[i].expect("solution binds all pattern vars"))
-        .collect();
-    if semantics == Semantics::Certain && tuple.iter().any(|&id| !graph.dict().is_name(id)) {
+        .map(|&i| binding[i].expect("solution binds all pattern vars"));
+    if semantics == Semantics::Certain && tuple.clone().any(|id| !graph.dict().is_name(id)) {
         return;
     }
-    out.insert(tuple);
+    out.push(tuple);
+}
+
+/// The answer tuples of one evaluation as term ids in one flat
+/// row-major buffer: `len` rows of `arity` ids each, sorted ascending
+/// (row-lexicographic by id) and duplicate-free — the iteration order
+/// of the `BTreeSet<Vec<TermId>>` it stands in for, without a heap
+/// allocation per row. Ids are only meaningful against the dictionary
+/// of the graph that was evaluated.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct IdRows {
+    arity: usize,
+    len: usize,
+    ids: Vec<TermId>,
+}
+
+impl IdRows {
+    /// Positions per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows. An arity-0 result has one (empty) row when the
+    /// pattern matched and none otherwise.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` iff there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn row(&self, i: usize) -> &[TermId] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.ids[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The rows in ascending order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TermId]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// The rows as an ordered set of owned tuples.
+    pub fn to_set(&self) -> BTreeSet<Vec<TermId>> {
+        self.iter().map(<[TermId]>::to_vec).collect()
+    }
+}
+
+/// Rows a [`RowSink`] holds before it first compacts.
+const COMPACT_MIN_ROWS: usize = 4096;
+
+/// The emit side of [`IdRows`]: rows are appended unsorted, and the
+/// buffer is sorted and deduplicated when it has doubled since the
+/// last compaction (so a projection that maps many solutions onto few
+/// distinct tuples stays bounded by twice its answer) and once more at
+/// [`RowSink::finish`].
+pub(crate) struct RowSink {
+    rows: IdRows,
+    compact_at: usize,
+}
+
+impl RowSink {
+    /// An empty sink for rows of `arity` ids.
+    pub(crate) fn new(arity: usize) -> Self {
+        RowSink {
+            rows: IdRows {
+                arity,
+                len: 0,
+                ids: Vec::new(),
+            },
+            compact_at: COMPACT_MIN_ROWS,
+        }
+    }
+
+    /// Appends one row, which must yield exactly `arity` ids.
+    pub(crate) fn push(&mut self, row: impl Iterator<Item = TermId>) {
+        self.rows.ids.extend(row);
+        self.rows.len += 1;
+        debug_assert_eq!(self.rows.ids.len(), self.rows.len * self.rows.arity);
+        if self.rows.len >= self.compact_at {
+            self.compact();
+        }
+    }
+
+    /// Appends every row of another sink of the same arity.
+    fn append(&mut self, other: RowSink) {
+        debug_assert_eq!(self.rows.arity, other.rows.arity);
+        self.rows.ids.extend(other.rows.ids);
+        self.rows.len += other.rows.len;
+    }
+
+    fn compact(&mut self) {
+        self.rows.len = sort_dedup_rows(&mut self.rows.ids, self.rows.arity, self.rows.len);
+        self.compact_at = (2 * self.rows.len).max(COMPACT_MIN_ROWS);
+    }
+
+    /// The sorted, duplicate-free rows.
+    pub(crate) fn finish(mut self) -> IdRows {
+        self.compact();
+        self.rows
+    }
+}
+
+/// Sorts the `len` rows of `width` cells each held row-major in
+/// `cells` ascending (row-lexicographic), drops duplicate rows and
+/// returns how many remain. Width 0 keeps at most the one empty row.
+pub(crate) fn sort_dedup_rows<T: Ord + Copy>(
+    cells: &mut Vec<T>,
+    width: usize,
+    len: usize,
+) -> usize {
+    debug_assert_eq!(cells.len(), len * width);
+    match width {
+        0 => len.min(1),
+        1 => sort_dedup_arrays::<T, 1>(cells),
+        2 => sort_dedup_arrays::<T, 2>(cells),
+        3 => sort_dedup_arrays::<T, 3>(cells),
+        4 => sort_dedup_arrays::<T, 4>(cells),
+        _ => {
+            // Wider rows sort through a permutation and are gathered.
+            let row = |i: u32| &cells[i as usize * width..(i as usize + 1) * width];
+            let mut order: Vec<u32> =
+                (0..u32::try_from(len).expect("row count fits u32")).collect();
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            order.dedup_by(|b, a| row(*a) == row(*b));
+            let sorted: Vec<T> = order.iter().flat_map(|&i| row(i)).copied().collect();
+            *cells = sorted;
+            order.len()
+        }
+    }
+}
+
+/// [`sort_dedup_rows`] for a width known at compile time: the rows
+/// sort in place as `[T; N]` values.
+fn sort_dedup_arrays<T: Ord + Copy, const N: usize>(cells: &mut Vec<T>) -> usize {
+    let (rows, _) = cells.as_chunks_mut::<N>();
+    rows.sort_unstable();
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if kept == 0 || rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    cells.truncate(kept * N);
+    kept
 }
 
 #[cfg(test)]
@@ -1480,6 +1656,92 @@ _:c3 e:artist e:actor1 .
         assert!(plan
             .evaluate_parallel(&empty, Semantics::Star, 4, 2)
             .is_empty());
+    }
+
+    /// The flat emit buffer against what it replaced — every projected
+    /// solution inserted into a `BTreeSet` — under a projection that
+    /// maps 14 400 solutions onto three tuples, so the buffer compacts
+    /// repeatedly and must stay bounded while it does.
+    #[test]
+    fn flat_emit_buffer_equals_the_set_under_a_narrow_projection() {
+        let mut g = Graph::new();
+        let iri = |s: String| Term::iri(s);
+        for i in 0..120 {
+            g.insert_terms(iri(format!("a{i}")), Term::iri("p"), Term::iri("hub"))
+                .unwrap();
+            g.insert_terms(Term::iri("hub"), Term::iri("q"), iri(format!("b{i}")))
+                .unwrap();
+            g.insert_terms(
+                iri(format!("b{i}")),
+                Term::iri("r"),
+                iri(format!("t{}", i % 3)),
+            )
+            .unwrap();
+        }
+        let pattern = GraphPattern::triple(
+            TermOrVar::var("a"),
+            TermOrVar::iri("p"),
+            TermOrVar::var("h"),
+        )
+        .and(GraphPattern::triple(
+            TermOrVar::var("h"),
+            TermOrVar::iri("q"),
+            TermOrVar::var("b"),
+        ))
+        .and(GraphPattern::triple(
+            TermOrVar::var("b"),
+            TermOrVar::iri("r"),
+            TermOrVar::var("t"),
+        ));
+        for head in [vec![var("t")], vec![var("t"), var("h")], vec![]] {
+            let plan =
+                PreparedQueryIds::compile_only(&g, &GraphPatternQuery::new(head, pattern.clone()));
+            let proj = plan.proj.as_ref().unwrap();
+            let mut set = BTreeSet::new();
+            let mut solutions = 0;
+            let mut binding = vec![None; plan.compiled.vars.len()];
+            search(&g, &plan.compiled.slots, 0, &mut binding, &mut |b| {
+                set.insert(proj.iter().map(|&i| b[i].unwrap()).collect::<Vec<_>>());
+                solutions += 1;
+                true
+            });
+            assert_eq!(solutions, 120 * 120);
+            let rows = plan.evaluate_rows(&g, Semantics::Certain);
+            assert_eq!(rows.len(), set.len());
+            assert_eq!(rows.to_set(), set);
+            assert_eq!(
+                plan.evaluate_rows_parallel(&g, Semantics::Certain, 4, 16),
+                rows
+            );
+        }
+        let mut sink = RowSink::new(1);
+        for i in 0..100_000u32 {
+            sink.push(std::iter::once(TermId(i % 3)));
+            assert!(sink.rows.len < 2 * COMPACT_MIN_ROWS);
+        }
+        assert_eq!(sink.finish().to_set().len(), 3);
+    }
+
+    #[test]
+    fn sort_dedup_rows_matches_a_set_at_every_width() {
+        for width in 0..=6usize {
+            let len = 500;
+            let mut x = 0x9E37_79B9u32;
+            let mut cells: Vec<u32> = (0..len * width)
+                .map(|_| {
+                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (x >> 24) % 3
+                })
+                .collect();
+            let want: BTreeSet<Vec<u32>> = match width {
+                0 => BTreeSet::from([vec![]]),
+                _ => cells.chunks(width).map(<[u32]>::to_vec).collect(),
+            };
+            let kept = sort_dedup_rows(&mut cells, width, len);
+            assert_eq!(kept, want.len(), "width {width}");
+            assert_eq!(cells, want.into_iter().flatten().collect::<Vec<_>>());
+        }
+        assert_eq!(sort_dedup_rows(&mut Vec::<u32>::new(), 0, 0), 0);
     }
 
     /// A graph with two predicates of equal cardinality but opposite

@@ -1,5 +1,5 @@
 //! Lowering: the parsed SPARQL AST to id-level-executable conjunctive
-//! plans plus a term-level assembly recipe.
+//! plans plus an id-level assembly recipe.
 //!
 //! The engine underneath evaluates conjunctive queries (and unions of
 //! them) — that is the whole contract of the prepare/execute pipeline,
@@ -13,8 +13,8 @@
 //!   the branch BGP conjoined with the optional BGP, so its rows are
 //!   exactly the successful extensions of base rows;
 //! * FILTERs, the left-join merge, projection, DISTINCT, ORDER BY and
-//!   LIMIT/OFFSET are applied afterwards at the term level by
-//!   [`LoweredSparql::assemble`], identically on every route.
+//!   LIMIT/OFFSET are applied afterwards, on term ids, by
+//!   [`LoweredSparql::assemble_ids`], identically on every route.
 //!
 //! The head of each CQ is minimised to the variables actually needed
 //! downstream (projection ∪ filters ∪ sort keys ∪ join vars), so the
@@ -22,15 +22,16 @@
 
 use super::exec;
 use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SimpleGroup, SparqlQuery};
-use crate::eval::Semantics;
+use crate::eval::{IdRows, PreparedQueryIds, Semantics};
 use crate::pattern::{GraphPattern, GraphPatternQuery, TriplePattern, Variable};
-use rps_rdf::{Graph, Term};
+use rps_rdf::{Graph, Term, TermDict};
 use std::collections::BTreeSet;
 
-/// A SPARQL query lowered to conjunctive plans plus the term-level
-/// assembly recipe. Obtain one with [`SparqlQuery::lower`]; feed the
-/// per-CQ answer sets (in [`LoweredSparql::queries`] order) to
-/// [`LoweredSparql::assemble`].
+/// A SPARQL query lowered to conjunctive plans plus the assembly
+/// recipe. Obtain one with [`SparqlQuery::lower`]; feed the per-CQ
+/// answers (in [`LoweredSparql::queries`] order) to
+/// [`LoweredSparql::assemble_ids`], or to [`LoweredSparql::assemble`]
+/// when they are terms rather than ids of one dictionary.
 #[derive(Debug, Clone)]
 pub struct LoweredSparql {
     /// `true` for ASK.
@@ -270,32 +271,43 @@ impl LoweredSparql {
             .collect()
     }
 
-    /// Assembles the final result from the per-CQ answer sets, which
-    /// must line up with [`LoweredSparql::queries`]. This is the entire
-    /// non-conjunctive tail of SPARQL evaluation — left joins, filters,
-    /// projection, DISTINCT, ORDER BY, LIMIT/OFFSET — and it is shared
-    /// verbatim by every execution route, which is what makes the
-    /// routes answer byte-identically.
+    /// Assembles the final result from the per-CQ answer rows, which
+    /// must line up with [`LoweredSparql::queries`] and be ids of
+    /// `dict`. This is the entire non-conjunctive tail of SPARQL
+    /// evaluation — left joins, filters, projection, DISTINCT, ORDER
+    /// BY, LIMIT/OFFSET — run on term ids, and it is shared verbatim by
+    /// every execution route, which is what makes the routes answer
+    /// byte-identically. Terms are decoded only for the rows returned.
     ///
     /// # Panics
     ///
     /// Panics if `answers.len()` does not match the query count — the
     /// caller zips its own execution results and a mismatch is a bug,
     /// not an input error.
+    pub fn assemble_ids(&self, answers: &[IdRows], dict: &TermDict) -> SparqlResult {
+        exec::assemble_ids(self, answers, dict)
+    }
+
+    /// [`LoweredSparql::assemble_ids`] for answers that are decoded
+    /// terms (or come from several dictionaries): the tuples are
+    /// interned into a scratch dictionary and go through the same tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `answers.len()` does not match the query count.
     pub fn assemble(&self, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {
         exec::assemble(self, answers)
     }
 
-    /// Evaluates the query directly against a single graph — the
-    /// reference implementation used by the oracle tests, and a
-    /// convenience for callers below the session layer.
+    /// Evaluates the query directly against a single graph, on its own
+    /// ids — a convenience for callers below the session layer.
     pub fn evaluate(&self, graph: &Graph, semantics: Semantics) -> SparqlResult {
-        let answers: Vec<BTreeSet<Vec<Term>>> = self
+        let answers: Vec<IdRows> = self
             .queries()
             .into_iter()
-            .map(|q| crate::eval::evaluate_query(graph, q, semantics))
+            .map(|q| PreparedQueryIds::compile_only(graph, q).evaluate_rows(graph, semantics))
             .collect();
-        self.assemble(&answers)
+        self.assemble_ids(&answers, graph.dict())
     }
 }
 

@@ -23,15 +23,18 @@
 //!
 //! The subset is *structural*: OPTIONAL bodies and UNION alternatives
 //! are triples + filters only, so every query lowers exactly to a
-//! union of conjunctive plans plus a term-level assembly tail (left
-//! joins, filters, projection, ordering) shared by all routes. Queries
+//! union of conjunctive plans plus an assembly tail (left joins,
+//! filters, projection, ordering) that runs on term ids and is shared
+//! by all routes. Queries
 //! outside the subset are rejected at parse time with a typed,
 //! span-carrying [`SparqlError`] — never a panic, never a silently
 //! dropped clause.
 //!
 //! Entry points: [`parse_sparql`] text → [`SparqlQuery`] AST,
 //! [`SparqlQuery::lower`] AST → [`LoweredSparql`] conjunctive plans,
-//! [`LoweredSparql::assemble`] answer sets → [`SparqlResult`]. The
+//! [`LoweredSparql::assemble_ids`] id rows + their dictionary →
+//! [`SparqlResult`] ([`LoweredSparql::assemble`] takes term tuples and
+//! interns them first). The
 //! session façades in `rps-core` and `rps-p2p` wrap these around their
 //! own prepare/execute pipelines.
 
