@@ -7,7 +7,10 @@
 //! * `rewrite_linear` — UCQ rewriting along linear mapping chains of
 //!   growing length (Proposition 2);
 //! * `transitive_chase` — the chase computing transitive closure, the
-//!   workload no FO rewriting covers (Proposition 3).
+//!   workload no FO rewriting covers (Proposition 3);
+//! * `rewrite_ids` / `rewrite_naive` — the engine ablation at the tgd
+//!   layer (e14's inputs): the id-level engine against the retained
+//!   string-level oracle, by resolution depth.
 //!
 //! Run with `cargo bench -p rps-bench --bench rewrite`.
 
@@ -33,9 +36,10 @@ fn main() {
     let ex = paper_example();
     let toby = rps_rdf::Term::iri(format!("{}Toby_Maguire", rps_lodgen::paper::DB1));
     let tuple = [toby, rps_rdf::Term::literal("39")];
-    let mut rw = RpsRewriter::new(&ex.system);
+    let rw = RpsRewriter::new(&ex.system);
     bench("rewrite_listing2_decide", 20, || {
-        usize::from(rw.is_certain_answer(&ex.query, &tuple, &RewriteConfig::default()))
+        let decided = rw.is_certain_answer(&ex.query, &tuple, &RewriteConfig::default());
+        usize::from(decided.expect("the tuple has the query's arity"))
     });
 
     for peers in [2usize, 4, 6, 8] {
@@ -51,7 +55,7 @@ fn main() {
         };
         let sys = film_system(&cfg);
         let query = actor_shape_query(peers - 1, false);
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         let rcfg = RewriteConfig {
             max_depth: 40,
             max_cqs: 100_000,
@@ -60,6 +64,20 @@ fn main() {
             let (ans, complete) = rw.answers(&query, &rcfg);
             assert!(complete);
             ans.len()
+        });
+    }
+
+    let ab = rps_bench::RewriteAblation::new(&chain::transitive_system(40), &chain::edge_query());
+    for depth in [4usize, 6, 8] {
+        let cfg = RewriteConfig {
+            max_depth: depth,
+            max_cqs: 50_000,
+        };
+        bench(&format!("rewrite_ids/depth{depth}"), 5, || {
+            rps_tgd::rewrite_ids(&ab.id_cq, &ab.id_tgds, &cfg).cqs.len()
+        });
+        bench(&format!("rewrite_naive/depth{depth}"), 5, || {
+            rps_tgd::naive::rewrite(&ab.cq, &ab.tgds, &cfg).cqs.len()
         });
     }
 

@@ -7,7 +7,7 @@
 //! such as transitive closure.
 
 use crate::answers::AnswerSet;
-use crate::encode::{gma_tgd_unguarded, graph_as_tt, query_to_cq, Encoder};
+use crate::encode::{graph_as_tt, mapping_tgds_unguarded, query_to_cq, Encoder};
 use crate::equivalence::{
     canonicalize_graph, canonicalize_query, expand_answers, EquivalenceIndex,
 };
@@ -16,88 +16,71 @@ use rps_query::GraphPatternQuery;
 use rps_rdf::Term;
 use rps_tgd::{DatalogError, Instance, Program};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// A compiled Datalog evaluator for one system.
+/// A Datalog evaluator for one system: the least model of the
+/// (equivalence-quotiented) sources under the mapping program, computed
+/// once at construction and immutable afterwards, so
+/// [`DatalogEngine::answers`] takes `&self` from any number of threads.
 pub struct DatalogEngine {
-    program: Program,
-    /// The saturated (least-model) canonical instance, computed lazily.
-    saturated: Option<Instance>,
-    canon_source: Instance,
+    /// The saturated (least-model) canonical instance.
+    saturated: Instance,
     encoder: Encoder,
-    index: EquivalenceIndex,
-    /// Derivation rounds of the last fixpoint run.
+    index: Arc<EquivalenceIndex>,
+    /// Derivation rounds of the fixpoint run.
     pub rounds: usize,
 }
 
 impl DatalogEngine {
-    /// Compiles a system into a Datalog engine.
+    /// Compiles a system into a Datalog engine and saturates it.
     ///
     /// Fails with [`DatalogError::NotFull`] if some graph mapping
     /// assertion's conclusion has existential variables — those need the
     /// chase (labelled nulls), not Datalog.
     pub fn new(system: &RdfPeerSystem) -> Result<Self, DatalogError> {
-        let mut encoder = Encoder::new();
         let index = EquivalenceIndex::from_mappings(system.equivalences());
-        let tgds: Vec<rps_tgd::Tgd> = system
-            .assertions()
-            .iter()
-            .map(|gma| {
-                let premise = canonicalize_query(&gma.premise, &index);
-                let conclusion = canonicalize_query(&gma.conclusion, &index);
-                gma_tgd_unguarded(&premise, &conclusion, &mut encoder)
-            })
-            .collect();
-        let program = Program::compile(&tgds)?;
-        let canon_graph = canonicalize_graph(&system.stored_database(), &index);
-        let canon_source = graph_as_tt(&canon_graph, &mut encoder);
-        Ok(DatalogEngine {
-            program,
-            saturated: None,
-            canon_source,
-            encoder,
-            index,
-            rounds: 0,
-        })
+        Self::with_index(system, Arc::new(index))
     }
 
-    /// The least model of the canonical sources under the program.
-    fn saturated(&mut self) -> &Instance {
-        if self.saturated.is_none() {
-            let (inst, rounds) = self.program.fixpoint(self.canon_source.clone());
-            self.rounds = rounds;
-            self.saturated = Some(inst);
-        }
-        self.saturated.as_ref().expect("just computed")
+    /// [`Self::new`] over an equivalence index the caller already built
+    /// from `system.equivalences()`.
+    pub fn with_index(
+        system: &RdfPeerSystem,
+        index: Arc<EquivalenceIndex>,
+    ) -> Result<Self, DatalogError> {
+        let mut encoder = Encoder::new();
+        let program = Program::compile(&mapping_tgds_unguarded(system, &index, &mut encoder))?;
+        let canon_graph = canonicalize_graph(&system.stored_database(), &index);
+        let (saturated, rounds) = program.fixpoint(graph_as_tt(&canon_graph, &mut encoder));
+        Ok(DatalogEngine {
+            saturated,
+            encoder,
+            index,
+            rounds,
+        })
     }
 
     /// Certain answers of a query: evaluate over the least model, expand
     /// over equivalence classes.
-    pub fn answers(&mut self, query: &GraphPatternQuery) -> AnswerSet {
+    pub fn answers(&self, query: &GraphPatternQuery) -> AnswerSet {
         let canon_query = canonicalize_query(query, &self.index);
-        let cq = query_to_cq(&canon_query, &mut self.encoder, false);
-        let saturated = {
-            // Borrow dance: compute before borrowing encoder immutably.
-            self.saturated();
-            self.saturated.as_ref().expect("computed")
-        };
-        let raw = cq.evaluate(saturated, true);
-        let decoded: BTreeSet<Vec<Term>> = raw
+        // A scratch encoder (a copy-on-write clone): a blank label the
+        // sources never used mints a null no fact mentions.
+        let cq = query_to_cq(&canon_query, &mut self.encoder.clone(), false);
+        let decoded: BTreeSet<Vec<Term>> = cq
+            .evaluate(&self.saturated, true)
             .iter()
             .map(|row| row.iter().map(|g| self.encoder.decode(g)).collect())
             .collect();
         AnswerSet {
-            vars: query
-                .free_vars()
-                .iter()
-                .map(|v| v.name().to_string())
-                .collect(),
+            vars: crate::session::stream_vars(query),
             tuples: expand_answers(&decoded, &self.index),
         }
     }
 
-    /// Number of facts in the least model (after saturation).
-    pub fn model_size(&mut self) -> usize {
-        self.saturated().len()
+    /// Number of facts in the least model.
+    pub fn model_size(&self) -> usize {
+        self.saturated.len()
     }
 }
 
@@ -169,7 +152,7 @@ mod tests {
     #[test]
     fn datalog_equals_chase_on_transitive_closure() {
         let sys = tc_system(10);
-        let mut engine = DatalogEngine::new(&sys).expect("full TGDs");
+        let engine = DatalogEngine::new(&sys).expect("full TGDs");
         let datalog = engine.answers(&edge_query());
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let chased = crate::answers::certain_answers(&sol, &edge_query());
@@ -220,7 +203,7 @@ mod tests {
             rps_rdf::Iri::new("http://c/n0"),
             rps_rdf::Iri::new("http://c/alias"),
         ));
-        let mut engine = DatalogEngine::new(&sys).unwrap();
+        let engine = DatalogEngine::new(&sys).unwrap();
         let ans = engine.answers(&edge_query());
         // alias inherits all of n0's closure edges.
         assert!(ans

@@ -7,21 +7,29 @@
 //! `rt` guards on the free variables; each equivalence mapping becomes
 //! six target TGDs (one per position per direction).
 
+use crate::equivalence::{canonicalize_query, EquivalenceIndex};
+use crate::mapping::EquivalenceMapping;
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar};
 use rps_rdf::{Graph, Term};
 use rps_tgd::{Atom, AtomArg, GroundTerm, Instance, Sym, Tgd};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Bidirectional mapping between RDF terms and relational symbols.
 ///
 /// IRIs encode as `i:<iri>`, literals as `l:<display form>` (both
 /// prefixes keep the namespaces disjoint, mirroring the disjointness of
 /// `I` and `L`); blank nodes become labelled nulls.
+///
+/// The blank ↔ null tables are copy-on-write, so a clone is two
+/// reference-count bumps: `&self` answering paths encode a query into a
+/// scratch clone and only a query naming a blank label the encoder has
+/// never seen pays for a copy.
 #[derive(Clone, Debug, Default)]
 pub struct Encoder {
-    blank_to_null: HashMap<String, u64>,
-    null_to_blank: HashMap<u64, String>,
+    blank_to_null: Arc<HashMap<String, u64>>,
+    null_to_blank: Arc<HashMap<u64, String>>,
     next_null: u64,
 }
 
@@ -43,13 +51,13 @@ impl Encoder {
             Term::Iri(iri) => GroundTerm::constant(format!("i:{}", iri.as_str())),
             Term::Literal(lit) => GroundTerm::constant(format!("l:{lit}")),
             Term::Blank(b) => {
-                let label = b.label().to_string();
-                let null = *self.blank_to_null.entry(label.clone()).or_insert_with(|| {
-                    let n = self.next_null;
-                    self.next_null += 1;
-                    n
-                });
-                self.null_to_blank.entry(null).or_insert(label);
+                if let Some(&null) = self.blank_to_null.get(b.label()) {
+                    return GroundTerm::Null(null);
+                }
+                let null = self.next_null;
+                self.next_null += 1;
+                Arc::make_mut(&mut self.blank_to_null).insert(b.label().to_string(), null);
+                Arc::make_mut(&mut self.null_to_blank).insert(null, b.label().to_string());
                 GroundTerm::Null(null)
             }
         }
@@ -252,38 +260,24 @@ pub fn encode_system(system: &RdfPeerSystem) -> DataExchange {
         ),
     ];
 
-    let mut target = Vec::new();
-    let mut mapping_tgds_unguarded = Vec::new();
-
-    for gma in system.assertions() {
-        let unguarded = gma_tgd_unguarded(&gma.premise, &gma.conclusion, &mut enc);
-        let mut guarded_body = unguarded.body().to_vec();
-        for v in gma.premise.free_vars() {
-            guarded_body.push(Atom::new("rt", vec![AtomArg::var(v.name())]));
-        }
-        target.push(Tgd::new(guarded_body, unguarded.head().to_vec()));
-        mapping_tgds_unguarded.push(unguarded);
-    }
-
-    let mut equivalence_tgds = Vec::new();
-    for eq in system.equivalences() {
-        let c = AtomArg::from(enc.encode(&Term::Iri(eq.left.clone())));
-        let cp = AtomArg::from(enc.encode(&Term::Iri(eq.right.clone())));
-        for pos in 0..3 {
-            for (from, to) in [(&c, &cp), (&cp, &c)] {
-                let mut body_args = vec![AtomArg::var("u"), AtomArg::var("v"), AtomArg::var("w")];
-                let mut head_args = body_args.clone();
-                body_args[pos] = from.clone();
-                head_args[pos] = to.clone();
-                let tgd = Tgd::new(
-                    vec![Atom::new("tt", body_args)],
-                    vec![Atom::new("tt", head_args)],
-                );
-                target.push(tgd.clone());
-                equivalence_tgds.push(tgd);
+    // The TGD half is data-independent and shared with the Section 4
+    // rewriter; the guarded form adds an `rt` atom per free variable.
+    let mapping_tgds_unguarded =
+        mapping_tgds_unguarded(system, &EquivalenceIndex::default(), &mut enc);
+    let equivalence_tgds = equivalence_tgds(system.equivalences(), &mut enc);
+    let mut target: Vec<Tgd> = system
+        .assertions()
+        .iter()
+        .zip(&mapping_tgds_unguarded)
+        .map(|(gma, unguarded)| {
+            let mut guarded_body = unguarded.body().to_vec();
+            for v in gma.premise.free_vars() {
+                guarded_body.push(Atom::new("rt", vec![AtomArg::var(v.name())]));
             }
-        }
-    }
+            Tgd::new(guarded_body, unguarded.head().to_vec())
+        })
+        .collect();
+    target.extend(equivalence_tgds.iter().cloned());
 
     DataExchange {
         source_to_target,
@@ -293,6 +287,52 @@ pub fn encode_system(system: &RdfPeerSystem) -> DataExchange {
         source,
         encoder: enc,
     }
+}
+
+/// The system's graph-mapping TGDs *without* the `rt` guards, one per
+/// assertion in declaration order — the form Section 4 classifies and
+/// rewrites. No stored triple is touched. Premise and conclusion
+/// constants are replaced by their `index` representatives first: the
+/// system's own index gives the TGDs over the equivalence quotient (the
+/// combined approach rewrites or saturates only these and leaves the
+/// equivalences to the quotient); an empty index gives them as written.
+pub fn mapping_tgds_unguarded(
+    system: &RdfPeerSystem,
+    index: &EquivalenceIndex,
+    enc: &mut Encoder,
+) -> Vec<Tgd> {
+    system
+        .assertions()
+        .iter()
+        .map(|gma| {
+            let premise = canonicalize_query(&gma.premise, index);
+            let conclusion = canonicalize_query(&gma.conclusion, index);
+            gma_tgd_unguarded(&premise, &conclusion, enc)
+        })
+        .collect()
+}
+
+/// The six target TGDs of each equivalence mapping `c ≡ c'`: one per
+/// triple position per direction.
+pub fn equivalence_tgds(mappings: &[EquivalenceMapping], enc: &mut Encoder) -> Vec<Tgd> {
+    let mut out = Vec::with_capacity(mappings.len() * 6);
+    for eq in mappings {
+        let c = AtomArg::from(enc.encode(&Term::Iri(eq.left.clone())));
+        let cp = AtomArg::from(enc.encode(&Term::Iri(eq.right.clone())));
+        for pos in 0..3 {
+            for (from, to) in [(&c, &cp), (&cp, &c)] {
+                let mut body_args = vec![AtomArg::var("u"), AtomArg::var("v"), AtomArg::var("w")];
+                let mut head_args = body_args.clone();
+                body_args[pos] = from.clone();
+                head_args[pos] = to.clone();
+                out.push(Tgd::new(
+                    vec![Atom::new("tt", body_args)],
+                    vec![Atom::new("tt", head_args)],
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// Encodes one graph mapping assertion `Q ⇝ Q'` as a single target TGD
@@ -329,23 +369,11 @@ pub fn gma_tgd_unguarded(
     Tgd::new(body_atoms, head_atoms)
 }
 
-/// Encodes an RDF graph directly as `tt` facts (used when evaluating
-/// rewritings "directly over the sources": the `ts → tt` copy is the
-/// identity, so sources can be loaded as `tt`).
+/// Encodes an RDF graph directly as `tt` facts (the `ts → tt` copy is
+/// the identity, so sources can be loaded as `tt`): the Datalog route's
+/// fixpoint input and the tgd-layer benches' database. The rewrite route
+/// never calls this — it runs over the graph itself.
 pub fn graph_as_tt(graph: &Graph, enc: &mut Encoder) -> Instance {
-    graph_as_tt_mapped(graph, enc).0
-}
-
-/// [`graph_as_tt`], additionally returning the term-id → value-id
-/// translation built as a by-product of encoding (indexed by
-/// [`rps_rdf::TermId`]; `None` for dictionary entries no triple uses).
-/// The id-level rewriting pipeline inverts it to hand id-CQ branches to
-/// `rps_query::PreparedQueryIds` without a decode / re-intern round
-/// trip.
-pub fn graph_as_tt_mapped(
-    graph: &Graph,
-    enc: &mut Encoder,
-) -> (Instance, Vec<Option<rps_tgd::ValId>>) {
     let mut inst = Instance::new();
     let tt = inst.intern_pred(&Sym::from("tt"));
     // Encode and intern each distinct RDF term once; rows are assembled
@@ -367,7 +395,7 @@ pub fn graph_as_tt_mapped(
         ];
         inst.insert_row(tt, Box::new(row));
     }
-    (inst, memo)
+    inst
 }
 
 #[cfg(test)]

@@ -53,16 +53,14 @@ pub use datalog_route::DatalogEngine;
 pub use discovery::{
     discover, evaluate as evaluate_discovery, Candidate, DiscoveryConfig, DiscoveryQuality,
 };
-pub use encode::{
-    encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
-};
+pub use encode::{encode_system, graph_as_tt, query_to_cq, DataExchange, Encoder};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};
 pub use live::{LivePlan, LiveReader, LiveSession, UpdateBatch};
 pub use mapping::{EquivalenceMapping, GraphMappingAssertion, MappingError};
 pub use peer::{Peer, PeerId, PeerValidationError};
-pub use rewriting::{cq_to_pattern, RpsRewriter, RpsRewriting};
+pub use rewriting::{RpsRewriter, RpsRewriting};
 pub use rps_query::{JoinOrder, SparqlError, SparqlResult, SparqlRows};
 pub use session::{
     canonical_plan_key, next_session_id, AnswerStream, EngineConfig, ExecConfig, ExecRoute,

@@ -1,11 +1,19 @@
 //! Section 4: query rewriting for RPSs.
 //!
-//! The rewriter encodes the system's mappings as TGDs (dropping the `rt`
-//! guards, which is lossless for blank-node-free sources — the paper's
-//! own simplification), classifies them (Proposition 2: linear / sticky /
-//! sticky-join sets admit a perfect UCQ rewriting), expands the query
-//! with the `rps-tgd` rewriting engine, and evaluates the union directly
-//! over the stored database.
+//! The rewriter is a *compiler*, not a second database. The paper
+//! evaluates the UCQ rewriting "directly over the sources", so the only
+//! copy of the data here is the sealed canonical stored graph every
+//! compiled branch plan scans; the Section 3 `ts/rs → tt/rt` encoding is
+//! Theorem 1's proof device and is never loaded. What the rewriter owns
+//! besides that graph is mapping-sized: the graph-mapping TGDs (dropping
+//! the `rt` guards, which is lossless for blank-node-free sources — the
+//! paper's own simplification) compiled once for id-level expansion,
+//! their classification (Proposition 2: linear / sticky / sticky-join
+//! sets admit a perfect UCQ rewriting), the equivalence index, and a
+//! dictionary holding the TGDs' constants and nothing else. It is
+//! immutable after construction: every call interns its query's
+//! constants into a scratch copy of that dictionary, which the returned
+//! [`RpsRewriting`] carries.
 //!
 //! It also implements the Example 3 / Listing 2 procedure literally:
 //! deciding whether a tuple is a certain answer by substituting it into
@@ -13,40 +21,51 @@
 //! and evaluating that over the sources.
 
 use crate::answers::AnswerSet;
-use crate::encode::{
-    encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
+use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encoder};
+use crate::equivalence::{
+    canonicalize_graph, canonicalize_query, expand_answers, EquivalenceIndex,
 };
+use crate::error::RpsError;
+use crate::mapping::EquivalenceMapping;
 use crate::system::RdfPeerSystem;
 use rps_query::{
-    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, TermOrVar, UnionQuery, Variable,
+    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, Semantics, TermOrVar,
+    TriplePattern, UnionQuery, Variable,
 };
 use rps_rdf::{Graph, Term, TermId};
-use rps_tgd::{AtomArg, Classification, Cq, IdArg, IdCq, IdTgdSet, Instance, RewriteConfig, Tgd};
+use rps_tgd::{Classification, IdArg, IdCq, IdTgdSet, Instance, RewriteConfig, Sym, Tgd, ValId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Which instance dictionary a rewriting's id-CQs were interned against
-/// (ids are only meaningful relative to their dictionary).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum RewriteSpace {
-    /// The canonical stored database (`rewrite_canonical`).
-    Canon,
-    /// The raw stored database (`rewrite`, the paper-verbatim route).
-    Pure,
+/// The interning state ids are minted against: a row-less [`Instance`]
+/// (used purely as a predicate / value dictionary) and the blank ↔ null
+/// encoder. The rewriter's holds the TGD constants; each rewriting
+/// extends a private clone with its query's constants.
+#[derive(Clone, Debug)]
+struct Interner {
+    dict: Instance,
+    encoder: Encoder,
 }
 
-/// A rewriting of an RPS query.
+impl Interner {
+    /// The RDF term behind an interned value.
+    fn term(&self, v: ValId) -> Term {
+        self.encoder.decode(self.dict.values().value(v))
+    }
+}
+
+/// A rewriting of an RPS query: the id-level union the engine produced,
+/// together with the scratch dictionary its ids live in. String-level
+/// forms are decoded on request ([`Self::branches`] for federation,
+/// [`Self::to_union_query`] for display); local execution never leaves
+/// the id level.
 #[derive(Clone, Debug)]
 pub struct RpsRewriting {
-    /// The union of relational CQs over `tt` (decoded, canonical — the
-    /// display / federation form of `id_cqs`).
-    pub cqs: Vec<Cq>,
-    /// The id-level union the engine actually produced and evaluates
-    /// (empty for the retained naive oracle path, which falls back to
-    /// string-level evaluation).
-    pub(crate) id_cqs: Vec<IdCq>,
-    /// Which of the rewriter's instances minted `id_cqs`' ids.
-    pub(crate) space: RewriteSpace,
+    id_cqs: Vec<IdCq>,
+    /// A private copy of the rewriter's dictionary plus this query's
+    /// constants — per call, so rewritings of different queries never
+    /// alias each other's ids.
+    scratch: Interner,
     /// `true` iff the expansion reached a fixpoint — together with an
     /// FO-rewritable classification this makes the union perfect.
     pub complete: bool,
@@ -55,76 +74,91 @@ pub struct RpsRewriting {
 }
 
 impl RpsRewriting {
+    /// Number of CQs in the union.
+    pub fn len(&self) -> usize {
+        self.id_cqs.len()
+    }
+
+    /// `true` iff the union is empty.
+    pub fn is_empty(&self) -> bool {
+        self.id_cqs.is_empty()
+    }
+
     /// Decodes the union back to RDF-level graph patterns for display
     /// (the UNION query of Listing 2). CQs with non-`tt` atoms are
     /// skipped, and each branch's head variables are renamed back to the
     /// requested names. Branches whose head was specialised to a
     /// constant are skipped here (use [`Self::branches`] for evaluation).
-    pub fn to_union_query(&self, head: &[Variable], encoder: &Encoder) -> UnionQuery {
+    pub fn to_union_query(&self, head: &[Variable]) -> UnionQuery {
         let mut union = UnionQuery::new(head.to_vec(), Vec::new());
-        for (gp, template) in self.branches(encoder) {
-            if template.iter().any(|t| matches!(t, TermOrVar::Term(_))) {
-                continue;
-            }
+        for (gp, template) in self.branches() {
             // Rename the branch's head variables to the requested names,
             // avoiding collisions by prefixing every other variable.
-            let head_names: Vec<Variable> = template
+            let head_names: Option<Vec<&Variable>> = template
                 .iter()
                 .map(|t| match t {
-                    TermOrVar::Var(v) => v.clone(),
-                    TermOrVar::Term(_) => unreachable!("filtered above"),
+                    TermOrVar::Var(v) => Some(v),
+                    TermOrVar::Term(_) => None,
                 })
                 .collect();
-            let mut out = rps_query::GraphPattern::new();
-            for tp in gp.patterns() {
-                let fix = |tv: &TermOrVar| -> TermOrVar {
-                    match tv {
-                        TermOrVar::Var(v) => {
-                            if let Some(i) = head_names.iter().position(|h| h == v) {
-                                TermOrVar::Var(head[i].clone())
-                            } else {
-                                TermOrVar::Var(Variable::new(format!("b_{}", v.name())))
-                            }
-                        }
-                        other => other.clone(),
-                    }
-                };
-                out.push(rps_query::TriplePattern::new(
-                    fix(&tp.s),
-                    fix(&tp.p),
-                    fix(&tp.o),
-                ));
-            }
-            union.add_branch(out);
+            let Some(head_names) = head_names else {
+                continue;
+            };
+            let fix = |tv: &TermOrVar| -> TermOrVar {
+                match tv {
+                    TermOrVar::Var(v) => match head_names.iter().position(|h| *h == v) {
+                        Some(i) => TermOrVar::Var(head[i].clone()),
+                        None => TermOrVar::Var(Variable::new(format!("b_{}", v.name()))),
+                    },
+                    other => other.clone(),
+                }
+            };
+            union.add_branch(GraphPattern::from_patterns(
+                gp.patterns()
+                    .iter()
+                    .map(|tp| TriplePattern::new(fix(&tp.s), fix(&tp.p), fix(&tp.o)))
+                    .collect(),
+            ));
         }
         union
     }
 
     /// Decodes every CQ of the union into an RDF-level `(pattern, head
-    /// template)` pair for evaluation. Head templates may contain
-    /// constants when rewriting specialised an answer position.
-    pub fn branches(&self, encoder: &Encoder) -> Vec<(GraphPattern, Vec<TermOrVar>)> {
-        let mut out = Vec::new();
-        for cq in &self.cqs {
-            let Some(gp) = cq_to_pattern(cq, encoder) else {
-                continue;
-            };
-            let template: Vec<TermOrVar> = cq
-                .head
-                .iter()
-                .map(|arg| match arg {
-                    AtomArg::Var(v) => TermOrVar::Var(Variable::new(v.to_string())),
-                    AtomArg::Const(c) => {
-                        TermOrVar::Term(encoder.decode(&rps_tgd::GroundTerm::Const(c.clone())))
-                    }
-                    AtomArg::Null(n) => {
-                        TermOrVar::Term(encoder.decode(&rps_tgd::GroundTerm::Null(*n)))
-                    }
-                })
-                .collect();
-            out.push((gp, template));
-        }
-        out
+    /// template)` pair for evaluation elsewhere (the federated engine).
+    /// Variables are named `v0`, `v1`, … by their numbers; head templates
+    /// may contain constants when rewriting specialised an answer
+    /// position.
+    pub fn branches(&self) -> Vec<(GraphPattern, Vec<TermOrVar>)> {
+        let tt = self.scratch.dict.pred_id("tt");
+        let decode = |arg: &IdArg| match arg {
+            IdArg::Var(v) => TermOrVar::Var(Variable::new(format!("v{v}"))),
+            IdArg::Const(c) => TermOrVar::Term(self.scratch.term(*c)),
+        };
+        self.id_cqs
+            .iter()
+            .filter(|cq| {
+                cq.body
+                    .iter()
+                    .all(|a| Some(a.pred) == tt && a.args.len() == 3)
+            })
+            .map(|cq| {
+                let patterns = cq
+                    .body
+                    .iter()
+                    .map(|a| {
+                        TriplePattern::new(
+                            decode(&a.args[0]),
+                            decode(&a.args[1]),
+                            decode(&a.args[2]),
+                        )
+                    })
+                    .collect();
+                (
+                    GraphPattern::from_patterns(patterns),
+                    cq.head.iter().map(decode).collect(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -133,216 +167,152 @@ impl RpsRewriting {
 /// `rps_query` plan plus the head template interleaving projected
 /// variables with constants the rewriting specialised. Crate-internal:
 /// the plans' term ids are only meaningful against the rewriter's
-/// canonical graph, so `Session` is the one consumer.
+/// canonical graph, so [`execute_branches`] is the one consumer.
 pub(crate) struct RewrittenBranch {
     /// The prepared id-level plan (evaluated against
     /// [`RpsRewriter::canon_graph`]).
-    pub(crate) plan: PreparedQueryIds,
+    plan: PreparedQueryIds,
     /// Head template, one entry per answer position: `None` consumes
     /// the next projected variable of a result tuple, `Some(term)`
     /// injects a constant.
-    pub(crate) head: Vec<Option<Term>>,
+    head: Vec<Option<Term>>,
 }
 
-/// Decodes a relational CQ over `tt` into an RDF graph pattern.
-pub fn cq_to_pattern(cq: &Cq, encoder: &Encoder) -> Option<GraphPattern> {
-    let mut gp = GraphPattern::new();
-    for atom in &cq.body {
-        if atom.pred.as_ref() != "tt" || atom.args.len() != 3 {
-            return None;
+/// The one way to run a rewriting: every compiled branch is an id-level
+/// plan over the sealed canonical stored graph; the union is decoded and
+/// expanded back over the equivalence classes. All-variable-head
+/// branches (the common shape) union at the id level first, so
+/// cross-branch duplicates are deduplicated before any term is decoded;
+/// only branches whose head injects a rewriting-specialised constant
+/// decode per distinct branch row. Touches immutable data only.
+pub(crate) fn execute_branches(
+    graph: &Graph,
+    branches: &[RewrittenBranch],
+    index: &EquivalenceIndex,
+    workers: usize,
+    morsel_size: usize,
+) -> BTreeSet<Vec<Term>> {
+    let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
+    let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
+    for branch in branches {
+        let rows = branch
+            .plan
+            .evaluate_parallel(graph, Semantics::Certain, workers, morsel_size);
+        if branch.head.iter().all(Option::is_none) {
+            id_union.extend(rows);
+            continue;
         }
-        let decode_arg = |arg: &AtomArg| -> TermOrVar {
-            match arg {
-                AtomArg::Var(v) => TermOrVar::Var(Variable::new(v.to_string())),
-                AtomArg::Const(c) => {
-                    TermOrVar::Term(encoder.decode(&rps_tgd::GroundTerm::Const(c.clone())))
-                }
-                AtomArg::Null(n) => TermOrVar::Term(encoder.decode(&rps_tgd::GroundTerm::Null(*n))),
-            }
-        };
-        gp.push(rps_query::TriplePattern::new(
-            decode_arg(&atom.args[0]),
-            decode_arg(&atom.args[1]),
-            decode_arg(&atom.args[2]),
-        ));
+        for row in rows {
+            let mut vals = row.into_iter();
+            let tuple: Vec<Term> = branch
+                .head
+                .iter()
+                .map(|slot| match slot {
+                    Some(term) => term.clone(),
+                    None => graph
+                        .term(vals.next().expect("one id per projected position"))
+                        .clone(),
+                })
+                .collect();
+            tuples.insert(tuple);
+        }
     }
-    Some(gp)
+    for row in id_union {
+        tuples.insert(row.iter().map(|&id| graph.term(id).clone()).collect());
+    }
+    expand_answers(&tuples, index)
 }
 
 /// The Section 4 rewriter for one system.
 ///
-/// Two routes are provided:
+/// Two rewritings are provided:
 ///
-/// * the **pure** route feeds every dependency — graph-mapping TGDs *and*
-///   the six-per-mapping equivalence TGDs — to the generic rewriting
-///   engine. This is the paper's construction verbatim (Listing 2), but
-///   the perfect UCQ grows multiplicatively in the number of equivalent
-///   constants per query position;
-/// * the **combined** route (the default for [`Self::answers`]) realises
-///   the paper's future-work item 1 ("queries are rewritten according to
-///   some of the dependencies only"): equivalence mappings are handled by
-///   a union-find *quotient* — query constants, mapping constants and the
+/// * the **pure** one ([`Self::rewrite`]) feeds every dependency — graph-
+///   mapping TGDs *and* the six-per-mapping equivalence TGDs — to the
+///   generic rewriting engine. This is the paper's construction verbatim
+///   (Listing 2), but the perfect UCQ grows multiplicatively in the
+///   number of equivalent constants per query position;
+/// * the **combined** one ([`Self::rewrite_canonical`], behind
+///   [`Self::answers`] and every session) realises the paper's
+///   future-work item 1 ("queries are rewritten according to some of the
+///   dependencies only"): equivalence mappings are handled by a
+///   union-find *quotient* — query constants, mapping constants and the
 ///   stored database are canonicalised, only the graph-mapping TGDs are
 ///   rewritten, and answers are expanded back over the classes. Property
-///   tests establish both routes agree with the chase.
+///   tests establish both agree with the chase.
+///
+/// Immutable after construction (`Send + Sync`, no lock): see the
+/// [module docs](self).
 pub struct RpsRewriter {
-    exchange: DataExchange,
-    /// Full TGD set for the pure route (GMA + equivalence TGDs).
-    tgds: Vec<Tgd>,
-    /// The stored database loaded as `tt` facts.
-    stored_tt: Instance,
+    /// The paper-verbatim dependency set of [`Self::rewrite`]: the raw
+    /// graph-mapping TGDs, and the equivalence mappings whose six TGDs
+    /// apiece are generated per call rather than held.
+    gma_tgds: Vec<Tgd>,
+    equivalences: Vec<EquivalenceMapping>,
     classification: Classification,
-    /// Union-find over the system's equivalence mappings.
-    index: crate::equivalence::EquivalenceIndex,
-    /// Canonicalised graph-mapping TGDs (combined route).
-    canon_gma_tgds: Vec<Tgd>,
-    /// The canonicalised stored database as `tt` facts.
-    canon_stored_tt: Instance,
-    /// The canonicalised stored database as an RDF graph — the
-    /// evaluation substrate for [`Self::compile_branches`] plans.
+    /// Union-find over the system's equivalence mappings (shared with
+    /// the session that built this rewriter).
+    index: Arc<EquivalenceIndex>,
+    /// The canonicalised graph-mapping TGDs compiled for id-level
+    /// rewriting; ids live in `base.dict`.
+    canon_tgds: IdTgdSet,
+    /// `tt`, the TGD constants, and nothing else — independent of how
+    /// many triples are stored.
+    base: Interner,
+    /// The canonicalised stored database — the one copy of the sources,
+    /// and the evaluation substrate of [`Self::compile_branches`] plans.
     /// `Arc`-shared and sealed at build time so compiled plans (and the
     /// frozen sessions of `rps-core`/`rps-p2p`) can evaluate against it
     /// concurrently without holding the rewriter.
     canon_graph: Arc<Graph>,
-    /// `canon_stored_tt` value id → `canon_graph` term id, seeded from
-    /// the encoding pass and extended lazily for query constants.
-    val_to_term: Vec<Option<TermId>>,
-    /// The canonical GMA TGDs compiled for id-level rewriting (built on
-    /// first use; ids live in `canon_stored_tt`'s dictionaries).
-    canon_tgds_id: Option<IdTgdSet>,
-    /// The full TGD set compiled for the pure route (ids live in
-    /// `stored_tt`'s dictionaries).
-    pure_tgds_id: Option<IdTgdSet>,
 }
 
 impl RpsRewriter {
     /// Builds a rewriter from a system.
     pub fn new(system: &RdfPeerSystem) -> Self {
-        let mut exchange = encode_system(system);
-        let mut tgds = exchange.mapping_tgds_unguarded.clone();
-        tgds.extend(exchange.equivalence_tgds.clone());
-        let classification = Classification::of(&tgds);
-        let stored = system.stored_database();
-        let stored_tt = graph_as_tt(&stored, &mut exchange.encoder);
+        let index = EquivalenceIndex::from_mappings(system.equivalences());
+        Self::with_index(system, Arc::new(index))
+    }
 
-        let index = crate::equivalence::EquivalenceIndex::from_mappings(system.equivalences());
-        let canon_gma_tgds: Vec<Tgd> = system
-            .assertions()
-            .iter()
-            .map(|gma| {
-                let premise = crate::equivalence::canonicalize_query(&gma.premise, &index);
-                let conclusion = crate::equivalence::canonicalize_query(&gma.conclusion, &index);
-                crate::encode::gma_tgd_unguarded(&premise, &conclusion, &mut exchange.encoder)
-            })
-            .collect();
-        let mut canon_graph = crate::equivalence::canonicalize_graph(&stored, &index);
+    /// [`Self::new`] over an equivalence index the caller already built
+    /// from `system.equivalences()` (a session shares its own instead of
+    /// running a second union-find).
+    pub fn with_index(system: &RdfPeerSystem, index: Arc<EquivalenceIndex>) -> Self {
+        let mut encoder = Encoder::new();
+        let as_written = EquivalenceIndex::default();
+        let gma_tgds = mapping_tgds_unguarded(system, &as_written, &mut encoder);
+        // Proposition 2 is about the full dependency set; the equivalence
+        // TGDs are only needed for this verdict, so they are dropped
+        // again before the stored data is touched.
+        let classification = {
+            let mut all = gma_tgds.clone();
+            all.extend(equivalence_tgds(system.equivalences(), &mut encoder));
+            Classification::of(&all)
+        };
+        let mut dict = Instance::new();
+        dict.intern_pred(&Sym::from("tt"));
+        let canon_tgds = IdTgdSet::compile(
+            &mapping_tgds_unguarded(system, &index, &mut encoder),
+            &mut dict,
+        );
+        let mut canon_graph = canonicalize_graph(&system.stored_database(), &index);
         // The canonical graph never changes after this point: seal it so
         // branch-plan scans merge immutable runs only.
         canon_graph.seal();
-        let (canon_stored_tt, term_to_val) =
-            graph_as_tt_mapped(&canon_graph, &mut exchange.encoder);
-        // Invert the encoding map so id-CQ values translate to graph
-        // term ids by array lookup.
-        let mut val_to_term = vec![None; canon_stored_tt.values().len()];
-        for (ti, val) in term_to_val.iter().enumerate() {
-            if let Some(v) = val {
-                val_to_term[v.index()] = Some(TermId(ti as u32));
-            }
-        }
-
         RpsRewriter {
-            exchange,
-            tgds,
-            stored_tt,
+            gma_tgds,
+            equivalences: system.equivalences().to_vec(),
             classification,
             index,
-            canon_gma_tgds,
-            canon_stored_tt,
+            canon_tgds,
+            base: Interner { dict, encoder },
             canon_graph: Arc::new(canon_graph),
-            val_to_term,
-            canon_tgds_id: None,
-            pure_tgds_id: None,
         }
     }
 
     /// The union-find equivalence index of the system.
-    pub fn index(&self) -> &crate::equivalence::EquivalenceIndex {
+    pub fn index(&self) -> &EquivalenceIndex {
         &self.index
-    }
-
-    /// The shared id-level pipeline behind both routes: compile the TGD
-    /// set into `cache` on first use, intern the query against `inst`,
-    /// run the pruned id-level expansion, and decode the union once.
-    /// An associated function (not a method) so callers can hand in
-    /// disjoint field borrows.
-    fn rewrite_in_space(
-        cq: &Cq,
-        cfg: &RewriteConfig,
-        space: RewriteSpace,
-        tgd_src: &[Tgd],
-        inst: &mut Instance,
-        cache: &mut Option<IdTgdSet>,
-    ) -> RpsRewriting {
-        if cache.is_none() {
-            *cache = Some(IdTgdSet::compile(tgd_src, inst));
-        }
-        let id_query = rps_tgd::intern_cq(cq, inst);
-        let r = rps_tgd::rewrite_ids(&id_query, cache.as_ref().expect("just compiled"), cfg);
-        let cqs: Vec<Cq> = r.cqs.iter().map(|c| rps_tgd::decode_cq(c, inst)).collect();
-        RpsRewriting {
-            cqs,
-            id_cqs: r.cqs,
-            space,
-            complete: r.complete,
-            explored: r.explored,
-        }
-    }
-
-    /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
-    /// (combined route), entirely at the id level: the TGD set is
-    /// compiled once, the query is interned, the expansion runs on
-    /// numbered-variable CQs, and the emitted union is
-    /// subsumption-pruned. Evaluate over the canonical stored database
-    /// with [`Self::evaluate_canonical`] (which hands the id-CQs
-    /// straight to the id-level evaluator) and expand answers with
-    /// [`crate::equivalence::expand_answers`].
-    pub fn rewrite_canonical(
-        &mut self,
-        query: &GraphPatternQuery,
-        cfg: &RewriteConfig,
-    ) -> RpsRewriting {
-        let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let cq = query_to_cq(&canon_query, &mut self.exchange.encoder, false);
-        Self::rewrite_in_space(
-            &cq,
-            cfg,
-            RewriteSpace::Canon,
-            &self.canon_gma_tgds,
-            &mut self.canon_stored_tt,
-            &mut self.canon_tgds_id,
-        )
-    }
-
-    /// [`Self::rewrite_canonical`] through the retained naive rewriting
-    /// engine (`rps_tgd::naive`) — string-keyed canonicalisation, CQ-set
-    /// duplicate detection, no subsumption pruning. Used by benchmarks
-    /// (experiment e14) and property tests as the oracle; its union has
-    /// the same certain answers as the pruned id-level one.
-    pub fn rewrite_canonical_naive(
-        &mut self,
-        query: &GraphPatternQuery,
-        cfg: &RewriteConfig,
-    ) -> RpsRewriting {
-        let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let cq = query_to_cq(&canon_query, &mut self.exchange.encoder, false);
-        let r = rps_tgd::naive::rewrite(&cq, &self.canon_gma_tgds, cfg);
-        RpsRewriting {
-            cqs: r.cqs,
-            id_cqs: Vec::new(),
-            space: RewriteSpace::Canon,
-            complete: r.complete,
-            explored: r.explored,
-        }
     }
 
     /// The classification of the mapping TGDs (drives Proposition 2).
@@ -354,56 +324,6 @@ impl RpsRewriter {
     /// rewriting.
     pub fn fo_rewritable(&self) -> bool {
         self.classification.fo_rewritable()
-    }
-
-    /// The encoder (for decoding rewritings and answers).
-    pub fn encoder(&self) -> &Encoder {
-        &self.exchange.encoder
-    }
-
-    /// Rewrites a graph pattern query into a UCQ over the sources — the
-    /// paper-verbatim route, under the *full* dependency set (graph
-    /// mappings + equivalence TGDs). Runs on the id-level engine like
-    /// [`Self::rewrite_canonical`], with ids minted against the raw
-    /// stored database.
-    pub fn rewrite(&mut self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
-        let cq = query_to_cq(query, &mut self.exchange.encoder, false);
-        Self::rewrite_in_space(
-            &cq,
-            cfg,
-            RewriteSpace::Pure,
-            &self.tgds,
-            &mut self.stored_tt,
-            &mut self.pure_tgds_id,
-        )
-    }
-
-    /// Evaluates a previously-computed *canonical* rewriting (see
-    /// [`Self::rewrite_canonical`]) over the canonical stored database,
-    /// decoding the relational tuples and expanding them back over the
-    /// equivalence classes. Rewrite once, evaluate repeatedly. Id-level
-    /// rewritings evaluate without any string round-trip — only the
-    /// distinct answer ids are decoded; the naive-oracle path (no
-    /// id-CQs) falls back to string-level evaluation.
-    pub fn evaluate_canonical(&self, rewriting: &RpsRewriting) -> BTreeSet<Vec<Term>> {
-        let enc = &self.exchange.encoder;
-        let decoded: BTreeSet<Vec<Term>> =
-            if rewriting.space == RewriteSpace::Canon && !rewriting.id_cqs.is_empty() {
-                rps_tgd::evaluate_union_ids(&rewriting.id_cqs, &self.canon_stored_tt)
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|&v| enc.decode(self.canon_stored_tt.values().value(v)))
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                rps_tgd::evaluate_union(&rewriting.cqs, &self.canon_stored_tt)
-                    .iter()
-                    .map(|row| row.iter().map(|g| enc.decode(g)).collect())
-                    .collect()
-            };
-        crate::equivalence::expand_answers(&decoded, &self.index)
     }
 
     /// The canonicalised stored database as an RDF graph — the substrate
@@ -419,55 +339,70 @@ impl RpsRewriter {
         self.canon_graph.clone()
     }
 
-    /// Compiles the canonical-route `IdTgdSet` eagerly (normally built
-    /// on the first rewrite). Freezing a session — `Session::freeze`
-    /// here, `FederatedSession::freeze` in `rps-p2p` — calls this so the
-    /// first concurrent `prepare` does not pay the compilation inside
-    /// the compile lock.
-    pub fn precompile_canonical(&mut self) {
-        if self.canon_tgds_id.is_none() {
-            self.canon_tgds_id = Some(IdTgdSet::compile(
-                &self.canon_gma_tgds,
-                &mut self.canon_stored_tt,
-            ));
+    /// The id-level pipeline behind both rewritings: intern the query
+    /// into `scratch`, run the pruned expansion on numbered-variable
+    /// CQs, and hand the scratch dictionary back with the union.
+    fn expand(
+        query: &GraphPatternQuery,
+        tgds: &IdTgdSet,
+        mut scratch: Interner,
+        cfg: &RewriteConfig,
+    ) -> RpsRewriting {
+        let cq = query_to_cq(query, &mut scratch.encoder, false);
+        let id_query = rps_tgd::intern_cq(&cq, &mut scratch.dict);
+        let r = rps_tgd::rewrite_ids(&id_query, tgds, cfg);
+        RpsRewriting {
+            id_cqs: r.cqs,
+            scratch,
+            complete: r.complete,
+            explored: r.explored,
         }
     }
 
-    /// Translates a `canon_stored_tt` value id to the canonical graph's
-    /// term id. Seeded by the encoding pass; values interned later
-    /// (query constants) resolve lazily — `None` means the value does
-    /// not occur in the stored data at all.
-    fn term_of_val(&mut self, v: rps_tgd::ValId) -> Option<TermId> {
-        if self.val_to_term.len() < self.canon_stored_tt.values().len() {
-            self.val_to_term
-                .resize(self.canon_stored_tt.values().len(), None);
-        }
-        if let Some(t) = self.val_to_term[v.index()] {
-            return Some(t);
-        }
-        let term = self
-            .exchange
-            .encoder
-            .decode(self.canon_stored_tt.values().value(v));
-        let tid = self.canon_graph.term_id(&term);
-        if let Some(t) = tid {
-            self.val_to_term[v.index()] = Some(t);
-        }
-        tid
+    /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
+    /// (the combined approach), entirely at the id level. The result runs
+    /// over the canonical stored graph (what [`Self::answers`] and the
+    /// sessions do) or is decoded with [`RpsRewriting::branches`] for
+    /// federation; either way answers are expanded back with
+    /// [`crate::equivalence::expand_answers`].
+    pub fn rewrite_canonical(
+        &self,
+        query: &GraphPatternQuery,
+        cfg: &RewriteConfig,
+    ) -> RpsRewriting {
+        let canon_query = canonicalize_query(query, &self.index);
+        Self::expand(&canon_query, &self.canon_tgds, self.base.clone(), cfg)
+    }
+
+    /// Rewrites a graph pattern query into a UCQ over the sources — the
+    /// paper-verbatim rewriting, under the *full* dependency set (graph
+    /// mappings + equivalence TGDs), for display (Listing 2's UNION). The
+    /// dependency set is compiled into the call's scratch dictionary, so
+    /// this costs time linear in the number of mappings per call.
+    pub fn rewrite(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
+        let mut scratch = self.base.clone();
+        let mut tgds = self.gma_tgds.clone();
+        tgds.extend(equivalence_tgds(&self.equivalences, &mut scratch.encoder));
+        let tgds = IdTgdSet::compile(&tgds, &mut scratch.dict);
+        Self::expand(query, &tgds, scratch, cfg)
     }
 
     /// Compiles a canonical rewriting's id-CQ branches into prepared
     /// [`rps_query::PreparedQueryIds`] plans over the canonical stored
     /// graph. Branch bodies are `tt/3` atoms by construction, so each
-    /// maps positionally onto triple-pattern conjuncts; values translate
-    /// to term ids through the table built while encoding the graph —
-    /// no CQ is decoded and no term re-interned on the way. Branches
-    /// whose head was specialised to a labelled null are dropped (no
-    /// certain tuple can come from them); branches mentioning values
-    /// absent from the stored data compile to unsatisfiable plans.
-    pub(crate) fn compile_branches(&mut self, rewriting: &RpsRewriting) -> Vec<RewrittenBranch> {
-        debug_assert_eq!(rewriting.space, RewriteSpace::Canon);
-        let tt = self.canon_stored_tt.pred_id("tt");
+    /// maps positionally onto triple-pattern conjuncts; constants resolve
+    /// through the graph's own dictionary. Branches whose head was
+    /// specialised to a labelled null are dropped (no certain tuple can
+    /// come from them); branches mentioning values absent from the
+    /// stored data compile to unsatisfiable plans.
+    pub(crate) fn compile_branches(&self, rewriting: &RpsRewriting) -> Vec<RewrittenBranch> {
+        let scratch = &rewriting.scratch;
+        let tt = scratch.dict.pred_id("tt");
+        // Each distinct constant is decoded and looked up once per call.
+        let mut memo: Vec<Option<Option<TermId>>> = vec![None; scratch.dict.values().len()];
+        let mut term_id = |v: ValId| {
+            *memo[v.index()].get_or_insert_with(|| self.canon_graph.term_id(&scratch.term(v)))
+        };
         let mut out = Vec::with_capacity(rewriting.id_cqs.len());
         'branches: for cq in &rewriting.id_cqs {
             let nvars = (cq.nvars() as usize).max(1);
@@ -481,7 +416,7 @@ impl RpsRewriter {
                 for (i, arg) in atom.args.iter().enumerate() {
                     slot[i] = match arg {
                         IdArg::Var(v) => PlanSlot::Var(*v as usize),
-                        IdArg::Const(c) => match self.term_of_val(*c) {
+                        IdArg::Const(c) => match term_id(*c) {
                             Some(t) => PlanSlot::Const(t),
                             None => {
                                 // Dead branch; the placeholder slot is
@@ -513,11 +448,10 @@ impl RpsRewriter {
                         head.push(None);
                     }
                     IdArg::Const(c) => {
-                        let g = self.canon_stored_tt.values().value(*c);
-                        if g.is_null() {
+                        if scratch.dict.values().is_null(*c) {
                             continue 'branches; // never a certain answer
                         }
-                        head.push(Some(self.exchange.encoder.decode(g)));
+                        head.push(Some(scratch.term(*c)));
                     }
                 }
             }
@@ -534,19 +468,16 @@ impl RpsRewriter {
     }
 
     /// Rewrites and evaluates a query over the stored database via the
-    /// *combined* route (quotient for equivalences, UCQ rewriting for
+    /// *combined* approach (quotient for equivalences, UCQ rewriting for
     /// graph mappings). Returns the answers and whether the rewriting
     /// was exhaustive.
-    pub fn answers(&mut self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (AnswerSet, bool) {
+    pub fn answers(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (AnswerSet, bool) {
         let rewriting = self.rewrite_canonical(query, cfg);
+        let branches = self.compile_branches(&rewriting);
         (
             AnswerSet {
-                vars: query
-                    .free_vars()
-                    .iter()
-                    .map(|v| v.name().to_string())
-                    .collect(),
-                tuples: self.evaluate_canonical(&rewriting),
+                vars: crate::session::stream_vars(query),
+                tuples: execute_branches(&self.canon_graph, &branches, &self.index, 1, 1),
             },
             rewriting.complete,
         )
@@ -555,94 +486,81 @@ impl RpsRewriter {
     /// The Example 3 decision procedure: is `tuple` a certain answer of
     /// `query`? Substitutes the tuple into the free variables, rewrites
     /// the resulting Boolean query, and evaluates the UNION of ASKs over
-    /// the stored database (Listing 2).
+    /// the stored database (Listing 2), stopping at the first branch
+    /// with a witness. A tuple of the wrong arity is
+    /// [`RpsError::Arity`].
     pub fn is_certain_answer(
-        &mut self,
+        &self,
         query: &GraphPatternQuery,
         tuple: &[Term],
         cfg: &RewriteConfig,
-    ) -> bool {
-        assert_eq!(tuple.len(), query.arity(), "tuple arity mismatch");
-        let free = query.free_vars().to_vec();
-        let tuple: Vec<Term> = tuple.iter().map(|t| self.index.canonical_term(t)).collect();
-        let subst = |v: &Variable| -> Option<Term> {
-            free.iter().position(|f| f == v).map(|i| tuple[i].clone())
-        };
-        let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let bound = canon_query.pattern().substitute(&subst);
-        let boolean = GraphPatternQuery::boolean(bound);
-        let cq = query_to_cq(&boolean, &mut self.exchange.encoder, false);
-        let r = Self::rewrite_in_space(
-            &cq,
-            cfg,
-            RewriteSpace::Canon,
-            &self.canon_gma_tgds,
-            &mut self.canon_stored_tt,
-            &mut self.canon_tgds_id,
-        );
-        rps_tgd::union_has_answer(&r.id_cqs, &self.canon_stored_tt)
+    ) -> Result<bool, RpsError> {
+        let free = query.free_vars();
+        if tuple.len() != free.len() {
+            return Err(RpsError::Arity {
+                expected: free.len(),
+                got: tuple.len(),
+            });
+        }
+        let bound = query
+            .pattern()
+            .substitute(&|v| free.iter().position(|f| f == v).map(|i| tuple[i].clone()));
+        let rewriting = self.rewrite_canonical(&GraphPatternQuery::boolean(bound), cfg);
+        Ok(self.compile_branches(&rewriting).iter().any(|branch| {
+            let one = std::slice::from_ref(branch);
+            !execute_branches(&self.canon_graph, one, &self.index, 1, 1).is_empty()
+        }))
     }
 
     /// The full Example 3 pipeline: enumerate all candidate tuples of
-    /// names from the stored database (polynomially many: `n^arity`) and
-    /// decide each with the Boolean rewriting. Returns `None` if the
-    /// candidate space exceeds `max_candidates` — callers should fall
-    /// back to [`Self::answers`].
+    /// names (polynomially many: `n^arity`) and decide each with the
+    /// Boolean rewriting. Candidates are the names of the canonical
+    /// stored graph together with every member of their equivalence
+    /// classes. Returns `None` if the candidate space exceeds
+    /// `max_candidates` — callers should fall back to [`Self::answers`].
     pub fn certain_answers_via_boolean(
-        &mut self,
+        &self,
         query: &GraphPatternQuery,
         cfg: &RewriteConfig,
         max_candidates: usize,
     ) -> Option<AnswerSet> {
-        // Candidate constants: all names (IRIs and literals) in the
-        // stored database, decoded from the tt instance.
-        let names: Vec<Term> = {
-            let enc = &self.exchange.encoder;
-            self.stored_tt
-                .constants()
-                .iter()
-                .map(|c| enc.decode(&rps_tgd::GroundTerm::Const(c.clone())))
-                .collect()
-        };
+        let names: Vec<Term> = self
+            .canon_graph
+            .dict()
+            .iter()
+            .filter(|(_, term)| !term.is_blank())
+            .flat_map(|(_, term)| self.index.class_of_term(term))
+            .collect::<BTreeSet<Term>>()
+            .into_iter()
+            .collect();
         let arity = query.arity();
         let total = names.len().checked_pow(arity as u32)?;
         if total > max_candidates {
             return None;
         }
         let mut tuples = BTreeSet::new();
+        // Odometer over `names^arity` (one empty tuple at arity 0).
         let mut idx = vec![0usize; arity];
-        loop {
+        for _ in 0..total {
             let tuple: Vec<Term> = idx.iter().map(|&i| names[i].clone()).collect();
-            if self.is_certain_answer(query, &tuple, cfg) {
+            if self
+                .is_certain_answer(query, &tuple, cfg)
+                .expect("candidate tuples have the query's arity")
+            {
                 tuples.insert(tuple);
             }
-            // Odometer increment.
-            let mut k = 0;
-            loop {
-                if k == arity {
-                    return Some(AnswerSet {
-                        vars: query
-                            .free_vars()
-                            .iter()
-                            .map(|v| v.name().to_string())
-                            .collect(),
-                        tuples,
-                    });
-                }
-                idx[k] += 1;
-                if idx[k] < names.len() {
+            for slot in &mut idx {
+                *slot += 1;
+                if *slot < names.len() {
                     break;
                 }
-                idx[k] = 0;
-                k += 1;
-            }
-            if arity == 0 {
-                return Some(AnswerSet {
-                    vars: Vec::new(),
-                    tuples,
-                });
+                *slot = 0;
             }
         }
+        Some(AnswerSet {
+            vars: crate::session::stream_vars(query),
+            tuples,
+        })
     }
 }
 
@@ -706,18 +624,18 @@ mod tests {
 
     #[test]
     fn linear_system_is_fo_rewritable() {
-        let mut rw = RpsRewriter::new(&linear_system());
+        let rw = RpsRewriter::new(&linear_system());
         assert!(rw.classification().linear);
         assert!(rw.fo_rewritable());
         let r = rw.rewrite(&cast_query(), &RewriteConfig::default());
         assert!(r.complete);
-        assert!(r.cqs.len() >= 2);
+        assert!(r.len() >= 2);
     }
 
     #[test]
     fn rewriting_answers_equal_chase_answers() {
         let sys = linear_system();
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         let (ans, complete) = rw.answers(&cast_query(), &RewriteConfig::default());
         assert!(complete);
         let sol = chase_system(&sys, &RpsChaseConfig::default());
@@ -735,27 +653,28 @@ mod tests {
     #[test]
     fn boolean_certain_answer_listing2_shape() {
         let sys = linear_system();
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         // (f2, p1) is a certain answer only via the equivalence mapping:
         // the stored data has (f2, actor, p2) and p1 ≡ p2.
-        let yes = rw.is_certain_answer(
-            &cast_query(),
-            &[Term::iri("http://b/f2"), Term::iri("http://a/p1")],
-            &RewriteConfig::default(),
-        );
-        assert!(yes);
-        let no = rw.is_certain_answer(
-            &cast_query(),
-            &[Term::iri("http://a/f1"), Term::iri("http://b/f2")],
-            &RewriteConfig::default(),
-        );
-        assert!(!no);
+        let cfg = RewriteConfig::default();
+        let yes = [Term::iri("http://b/f2"), Term::iri("http://a/p1")];
+        assert!(rw.is_certain_answer(&cast_query(), &yes, &cfg).unwrap());
+        let no = [Term::iri("http://a/f1"), Term::iri("http://b/f2")];
+        assert!(!rw.is_certain_answer(&cast_query(), &no, &cfg).unwrap());
+        // A tuple of the wrong arity is a typed error, not a panic.
+        assert!(matches!(
+            rw.is_certain_answer(&cast_query(), &yes[..1], &cfg),
+            Err(RpsError::Arity {
+                expected: 2,
+                got: 1
+            })
+        ));
     }
 
     #[test]
     fn boolean_enumeration_matches_direct_rewriting() {
         let sys = linear_system();
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         let (direct, _) = rw.answers(&cast_query(), &RewriteConfig::default());
         let enumerated = rw
             .certain_answers_via_boolean(&cast_query(), &RewriteConfig::default(), 10_000)
@@ -766,7 +685,7 @@ mod tests {
     #[test]
     fn candidate_budget_overflow_returns_none() {
         let sys = linear_system();
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         assert!(rw
             .certain_answers_via_boolean(&cast_query(), &RewriteConfig::default(), 3)
             .is_none());
@@ -775,14 +694,88 @@ mod tests {
     #[test]
     fn union_query_decoding() {
         let sys = linear_system();
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         let q = cast_query();
         let r = rw.rewrite(&q, &RewriteConfig::default());
-        let union = r.to_union_query(q.free_vars(), rw.encoder());
+        let union = r.to_union_query(q.free_vars());
         assert!(union.len() >= 2);
         // Every branch is a valid RDF-level pattern over tt-decoded terms.
         for b in union.branches() {
             assert!(!b.is_empty());
         }
+    }
+
+    /// `linear_system`'s mappings over `films` stored `actor` triples.
+    fn sized_system(films: usize) -> RdfPeerSystem {
+        let mut sys = linear_system();
+        let mut extra = Graph::new();
+        for i in 0..films {
+            extra
+                .insert_terms(
+                    Term::iri(format!("http://b/film{i}")),
+                    Term::iri("http://b/actor"),
+                    Term::iri(format!("http://b/person{i}")),
+                )
+                .unwrap();
+        }
+        sys.add_peer(crate::peer::Peer::from_database("bulk", extra));
+        sys
+    }
+
+    #[test]
+    fn dictionary_is_mapping_sized_not_data_sized() {
+        // Compiler, not database: the same mappings over 10 and over
+        // 1 000 stored triples intern exactly the same values.
+        let small = RpsRewriter::new(&sized_system(10));
+        let large = RpsRewriter::new(&sized_system(1_000));
+        assert!(large.canon_graph().len() >= small.canon_graph().len() + 990);
+        assert_eq!(
+            small.base.dict.values().len(),
+            large.base.dict.values().len()
+        );
+        assert_eq!(small.base.dict.len(), 0, "the dictionary holds no rows");
+    }
+
+    #[test]
+    fn scratch_dictionaries_do_not_alias() {
+        let sys = sized_system(10);
+        let rw = RpsRewriter::new(&sys);
+        let cfg = RewriteConfig::default();
+        let films_of = |person: &str| {
+            GraphPatternQuery::new(
+                vec![v("x")],
+                GraphPattern::triple(
+                    TermOrVar::var("x"),
+                    TermOrVar::iri("http://a/cast"),
+                    TermOrVar::iri(person),
+                ),
+            )
+        };
+        let run = |r: &RpsRewriting| {
+            execute_branches(rw.canon_graph(), &rw.compile_branches(r), rw.index(), 1, 1)
+        };
+        // Prepared first, compiled only after two other queries — one
+        // with a constant absent from the data — interned their own
+        // constants into their own scratch copies.
+        let first = rw.rewrite_canonical(&films_of("http://b/person3"), &cfg);
+        let second = rw.rewrite_canonical(&films_of("http://b/person7"), &cfg);
+        let absent = rw.rewrite_canonical(&films_of("http://nowhere/nobody"), &cfg);
+        assert_eq!(
+            rw.base.dict.values().len(),
+            RpsRewriter::new(&sys).base.dict.values().len(),
+            "rewriting never grows the rewriter's own dictionary"
+        );
+        assert!(run(&absent).is_empty());
+        assert_eq!(
+            run(&second),
+            BTreeSet::from([vec![Term::iri("http://b/film7")]])
+        );
+        assert_eq!(
+            run(&first),
+            BTreeSet::from([vec![Term::iri("http://b/film3")]])
+        );
+        let sol = chase_system(&sys, &RpsChaseConfig::default());
+        let chased = crate::answers::certain_answers(&sol, &films_of("http://b/person3"));
+        assert_eq!(run(&first), chased.tuples);
     }
 }

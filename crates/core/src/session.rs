@@ -77,10 +77,10 @@ use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
 use crate::equivalence::EquivalenceIndex;
 use crate::error::RpsError;
-use crate::rewriting::{RewrittenBranch, RpsRewriter};
+use crate::rewriting::{execute_branches, RewrittenBranch, RpsRewriter};
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, Semantics};
-use rps_rdf::{Graph, SealConfig, Term, TermId};
+use rps_rdf::{Graph, SealConfig, Term};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -531,9 +531,10 @@ pub fn next_session_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The projection variable names of a query, in tuple order — built
-/// once at prepare and shared by every stream of the plan.
-pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Arc<[String]> {
+/// The projection variable names of a query, in tuple order — as the
+/// `Arc<[String]>` a plan shares with its streams, or an [`AnswerSet`]'s
+/// `Vec`.
+pub(crate) fn stream_vars<C: FromIterator<String>>(query: &GraphPatternQuery) -> C {
     query
         .free_vars()
         .iter()
@@ -555,7 +556,7 @@ fn compile_query(
     config: &EngineConfig,
     route: ExecRoute,
     query: &GraphPatternQuery,
-    rewriter: Option<&mut RpsRewriter>,
+    rewriter: Option<&RpsRewriter>,
     solution: impl FnOnce() -> Result<Option<Arc<UniversalSolution>>, RpsError>,
 ) -> Result<PreparedQuery, RpsError> {
     // The solution is frozen, so the plan compiles against it without
@@ -612,16 +613,17 @@ fn compile_query(
 
 /// The one execute body behind [`Session::execute`] and
 /// [`FrozenSession::execute`]: the session-id / generation check, then
-/// the plan. Materialised and rewritten plans touch only immutable data
-/// (the `Arc`ed substrate they carry, the equivalence index), so the
+/// the plan.
+/// Every plan touches only immutable data (the `Arc`ed substrate it
+/// carries, the equivalence index, the saturated Datalog engine), so the
 /// frozen session runs this concurrently from many threads; `datalog`
-/// (locked by the frozen caller) is only called for a Datalog plan.
-fn execute_prepared<D: std::ops::DerefMut<Target = DatalogEngine>>(
+/// must be `Some` for a Datalog plan.
+fn execute_prepared(
     prepared: &PreparedQuery,
     (id, generation): (u64, u32),
     eq_index: &EquivalenceIndex,
     exec: &ExecConfig,
-    datalog: impl FnOnce() -> D,
+    datalog: Option<&DatalogEngine>,
 ) -> Result<AnswerStream, RpsError> {
     if prepared.session_id != id {
         return Err(RpsError::SessionMismatch);
@@ -649,53 +651,14 @@ fn execute_prepared<D: std::ops::DerefMut<Target = DatalogEngine>>(
                 rows,
             ))
         }
-        Plan::Rewritten { graph, branches } => {
-            // Each branch is a prepared id-level plan over the sealed
-            // canonical stored graph. All-variable-head branches (the
-            // common shape) union at the id level first, so cross-branch
-            // duplicates are deduplicated before any term is decoded;
-            // only branches whose head injects a rewriting-specialised
-            // constant decode per distinct branch row.
-            let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
-            let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
-            for branch in branches {
-                let rows = branch.plan.evaluate_parallel(
-                    graph,
-                    Semantics::Certain,
-                    workers,
-                    exec.morsel_size,
-                );
-                if branch.head.iter().all(Option::is_none) {
-                    id_union.extend(rows);
-                    continue;
-                }
-                for row in rows {
-                    let mut vals = row.into_iter();
-                    let tuple: Vec<Term> = branch
-                        .head
-                        .iter()
-                        .map(|slot| match slot {
-                            Some(term) => term.clone(),
-                            None => graph
-                                .term(vals.next().expect("one id per projected position"))
-                                .clone(),
-                        })
-                        .collect();
-                    tuples.insert(tuple);
-                }
-            }
-            for row in id_union {
-                tuples.insert(row.iter().map(|&id| graph.term(id).clone()).collect());
-            }
-            let expanded = crate::equivalence::expand_answers(&tuples, eq_index);
-            Ok(AnswerStream::from_terms(
-                vars,
-                ExecRoute::Rewritten,
-                expanded,
-            ))
-        }
+        Plan::Rewritten { graph, branches } => Ok(AnswerStream::from_terms(
+            vars,
+            ExecRoute::Rewritten,
+            execute_branches(graph, branches, eq_index, workers, exec.morsel_size),
+        )),
         Plan::Datalog => {
-            let tuples = datalog().answers(&prepared.query).tuples;
+            let engine = datalog.expect("the session builds the Datalog engine for this route");
+            let tuples = engine.answers(&prepared.query).tuples;
             Ok(AnswerStream::from_terms(vars, ExecRoute::Datalog, tuples))
         }
     }
@@ -714,7 +677,8 @@ pub struct Session {
     /// instead of silently executing a plan the new configuration would
     /// not have produced.
     generation: u32,
-    eq_index: EquivalenceIndex,
+    /// Built once; the rewriter and the Datalog engine share it.
+    eq_index: Arc<EquivalenceIndex>,
     solution: Option<Arc<UniversalSolution>>,
     /// The chase budgets the cached (possibly incomplete) solution was
     /// computed under; a later budget change invalidates an incomplete
@@ -736,7 +700,7 @@ impl Session {
     /// Builds a session without validating the system (for callers that
     /// constructed the system programmatically and validated it already).
     pub fn new(system: RdfPeerSystem, config: EngineConfig) -> Self {
-        let eq_index = EquivalenceIndex::from_mappings(system.equivalences());
+        let eq_index = Arc::new(EquivalenceIndex::from_mappings(system.equivalences()));
         Session {
             id: next_session_id(),
             system,
@@ -800,11 +764,18 @@ impl Session {
     }
 
     /// The cached rewriter, built on first use.
-    fn rewriter_mut(&mut self) -> &mut RpsRewriter {
-        if self.rewriter.is_none() {
-            self.rewriter = Some(RpsRewriter::new(&self.system));
+    fn rewriter(&mut self) -> &RpsRewriter {
+        self.rewriter
+            .get_or_insert_with(|| RpsRewriter::with_index(&self.system, self.eq_index.clone()))
+    }
+
+    /// The cached (saturated) Datalog engine, built on first use.
+    fn datalog(&mut self) -> Result<&DatalogEngine, RpsError> {
+        if self.datalog.is_none() {
+            let engine = DatalogEngine::with_index(&self.system, self.eq_index.clone())?;
+            self.datalog = Some(engine);
         }
-        self.rewriter.as_mut().expect("just built")
+        Ok(self.datalog.as_ref().expect("just built"))
     }
 
     /// Resolves the route a fresh preparation of a query would take.
@@ -817,7 +788,7 @@ impl Session {
             Strategy::Rewrite => Ok(ExecRoute::Rewritten),
             Strategy::Datalog => Ok(ExecRoute::Datalog),
             Strategy::Auto => {
-                if !star && self.rewriter_mut().fo_rewritable() {
+                if !star && self.rewriter().fo_rewritable() {
                     Ok(ExecRoute::Rewritten)
                 } else {
                     Ok(ExecRoute::Materialised)
@@ -842,16 +813,16 @@ impl Session {
         let route = self.resolve_route()?;
         match route {
             ExecRoute::Rewritten => {
-                self.rewriter_mut();
+                self.rewriter();
             }
-            ExecRoute::Datalog if self.datalog.is_none() => {
-                self.datalog = Some(DatalogEngine::new(&self.system)?);
+            ExecRoute::Datalog => {
+                self.datalog()?;
             }
             _ => {}
         }
         let stamp = (self.id, self.generation);
-        // Split borrows: the rewriter and the solution cache are both
-        // mutated, the latter lazily (it may chase).
+        // Split borrows: the solution cache is mutated lazily (it may
+        // chase) while the rewriter is read.
         let Session {
             system,
             config,
@@ -860,7 +831,7 @@ impl Session {
             rewriter,
             ..
         } = self;
-        compile_query(stamp, config, route, query, rewriter.as_mut(), || {
+        compile_query(stamp, config, route, query, rewriter.as_ref(), || {
             materialise(system, &config.chase, solution, solution_budgets).map(Some)
         })
     }
@@ -876,7 +847,7 @@ impl Session {
             (self.id, self.generation),
             &self.eq_index,
             &self.config.exec,
-            || self.datalog.as_mut().expect("datalog built at prepare"),
+            self.datalog.as_ref(),
         )
     }
 
@@ -899,21 +870,15 @@ impl Session {
     }
 
     /// The Example 3 decision procedure through the façade: is `tuple` a
-    /// certain answer of `query`? Returns [`RpsError::Arity`] instead of
-    /// panicking on a malformed tuple.
+    /// certain answer of `query`? A malformed tuple is
+    /// [`RpsError::Arity`].
     pub fn is_certain_answer(
         &mut self,
         query: &GraphPatternQuery,
         tuple: &[Term],
     ) -> Result<bool, RpsError> {
-        if tuple.len() != query.arity() {
-            return Err(RpsError::Arity {
-                expected: query.arity(),
-                got: tuple.len(),
-            });
-        }
         let cfg = self.config.rewrite.clone();
-        Ok(self.rewriter_mut().is_certain_answer(query, tuple, &cfg))
+        self.rewriter().is_certain_answer(query, tuple, &cfg)
     }
 }
 

@@ -7,21 +7,20 @@
 //! and nothing can be shared across threads. Freezing a session
 //! ([`Session::freeze`]) runs the remaining
 //! compile-phase work **once** — materialising (and sealing) the
-//! universal solution where the strategy needs it, building the rewriter
-//! and eagerly compiling its `IdTgdSet`, saturating the Datalog least
-//! model — and moves the result into an `Arc`-backed, `Send + Sync`
-//! handle on which [`FrozenSession::prepare`] and
-//! [`FrozenSession::execute`] take `&self` and run concurrently from any
-//! number of threads.
+//! universal solution where the strategy needs it, building the
+//! rewriter, saturating the Datalog least model — and moves the result
+//! into an `Arc`-backed, `Send + Sync` handle on which
+//! [`FrozenSession::prepare`] and [`FrozenSession::execute`] take `&self`
+//! and run concurrently from any number of threads.
 //!
-//! Execution is lock-free on the materialised and rewritten routes:
-//! plans carry their own `Arc` of the sealed substrate (universal
-//! solution or canonical stored graph), so an execute touches only
-//! immutable data. Preparation of a *new* query takes a short internal
-//! compile lock (query interning mutates the rewriter's dictionaries);
-//! repeated queries skip even that through the **plan cache**, a bounded
-//! map keyed on the canonical numbered-variable form of the query, with
-//! hit/miss counters exposed via [`FrozenSession::plan_cache_stats`].
+//! Everything behind the handle is immutable: plans carry their own
+//! `Arc` of the sealed substrate (universal solution or canonical stored
+//! graph), the rewriter interns a new query's constants into a per-call
+//! scratch dictionary, and the Datalog engine is saturated. The one lock
+//! is the **plan cache**'s — a bounded map keyed on the canonical
+//! numbered-variable form of the query, held for a hash probe and never
+//! across compilation or execution — with hit/miss counters exposed via
+//! [`FrozenSession::plan_cache_stats`].
 //!
 //! ```
 //! use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -94,8 +93,8 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
 /// Hit/miss counters and occupancy of a frozen session's plan cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PlanCacheStats {
-    /// Preparations served from the cache (no rewriting, no lock on the
-    /// compile state).
+    /// Preparations served from the cache (no rewriting, no plan
+    /// compilation).
     pub hits: u64,
     /// Preparations that compiled a fresh plan.
     pub misses: u64,
@@ -239,23 +238,19 @@ struct FrozenInner {
     id: u64,
     generation: u32,
     config: EngineConfig,
-    eq_index: EquivalenceIndex,
+    eq_index: Arc<EquivalenceIndex>,
     /// Where every fresh preparation goes — resolved once, at freeze (the
     /// configuration and the FO-rewritability verdict never change).
     route: ExecRoute,
     /// The sealed universal solution — present on the materialised route,
     /// and as the `Auto` fallback when one was chased before the freeze.
     solution: Option<Arc<UniversalSolution>>,
-    /// The compile state of the rewritten route (`Some` exactly there).
-    /// Preparing a *new* query
-    /// interns its constants into the rewriter's dictionaries, so that
-    /// short phase is serialised here; compiled plans carry their own
-    /// `Arc` of the sealed canonical graph and execute without this
-    /// lock.
-    compiler: Option<Mutex<RpsRewriter>>,
-    /// The saturated Datalog engine (least model computed at freeze).
-    /// Query evaluation interns into its encoder, hence the lock.
-    datalog: Option<Mutex<DatalogEngine>>,
+    /// The compiler of the rewritten route (`Some` exactly there).
+    /// Compiled plans carry their own `Arc` of its sealed canonical
+    /// graph and execute without it.
+    compiler: Option<RpsRewriter>,
+    /// The saturated Datalog engine (`Some` exactly on that route).
+    datalog: Option<DatalogEngine>,
     cache: Mutex<PlanCache<PreparedQuery>>,
 }
 
@@ -280,6 +275,8 @@ fn static_assert_send_sync() {
     assert::<FrozenSession>();
     assert::<PreparedQuery>();
     assert::<AnswerStream>();
+    assert::<RpsRewriter>();
+    assert::<DatalogEngine>();
 }
 
 impl Session {
@@ -291,7 +288,7 @@ impl Session {
     ///   ([`Strategy::Materialise`], and [`Strategy::Auto`] when
     ///   rewriting is not guaranteed perfect) chase now and seal the
     ///   universal solution ([`RpsError::ChaseBudget`] on exhaustion);
-    /// * the rewrite route's `IdTgdSet` is compiled now, so the first
+    /// * the rewrite route's compiler is built now, so the first
     ///   concurrent `prepare` pays only its own query's expansion;
     /// * [`Strategy::Datalog`] saturates the least model now.
     ///
@@ -337,19 +334,17 @@ impl Session {
             other => other,
         };
         let datalog = if route == ExecRoute::Datalog {
-            let mut engine = match self.datalog.take() {
-                Some(engine) => engine,
-                None => DatalogEngine::new(&self.system)?,
-            };
-            engine.model_size(); // saturate outside the per-query lock
-            Some(Mutex::new(engine))
+            self.datalog()?;
+            self.datalog.take()
         } else {
             None
         };
-        let compiler = (route == ExecRoute::Rewritten).then(|| {
-            self.rewriter_mut().precompile_canonical();
-            Mutex::new(self.rewriter.take().expect("just built"))
-        });
+        let compiler = if route == ExecRoute::Rewritten {
+            self.rewriter();
+            self.rewriter.take()
+        } else {
+            None
+        };
         Ok(FrozenSession {
             inner: Arc::new(FrozenInner {
                 id: self.id,
@@ -398,29 +393,25 @@ impl FrozenSession {
     }
 
     /// A plan-cache miss: the shared [`compile_query`] over the frozen
-    /// compile state. Only the rewritten route has (and locks) a
-    /// compiler, and the frozen-in solution (if any) is the only one
-    /// there will ever be — a frozen session cannot start a chase.
+    /// compile state. Only the rewritten route has a compiler, and the
+    /// frozen-in solution (if any) is the only one there will ever be —
+    /// a frozen session cannot start a chase.
     fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let inner = &*self.inner;
-        let mut rewriter = inner
-            .compiler
-            .as_ref()
-            .map(|m| m.lock().expect("compile lock"));
         compile_query(
             (inner.id, inner.generation),
             &inner.config,
             inner.route,
             query,
-            rewriter.as_deref_mut(),
+            inner.compiler.as_ref(),
             || Ok(inner.solution.clone()),
         )
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
-    /// Lock-free on the materialised and rewritten routes (plans carry
-    /// their sealed substrate); the Datalog route serialises on its
-    /// engine's encoder. Accepts queries prepared by this frozen session
+    /// Lock-free on every route (plans carry their sealed substrate; the
+    /// Datalog least model is immutable). Accepts queries prepared by
+    /// this frozen session
     /// *or* by the mutable session it was frozen from
     /// ([`RpsError::SessionMismatch`] for anything else;
     /// [`RpsError::StalePlan`] if the plan predates the last pre-freeze
@@ -432,14 +423,7 @@ impl FrozenSession {
             (inner.id, inner.generation),
             &inner.eq_index,
             &inner.config.exec,
-            || {
-                inner
-                    .datalog
-                    .as_ref()
-                    .expect("freeze built the Datalog engine for this route")
-                    .lock()
-                    .expect("datalog lock")
-            },
+            inner.datalog.as_ref(),
         )
     }
 
@@ -469,8 +453,8 @@ impl FrozenSession {
     /// write-temp-then-atomic-rename.
     ///
     /// Only the **materialised route** persists: rewritten and Datalog
-    /// routes carry live compile state (interned dictionaries, saturated
-    /// engines) that is cheap to rebuild but has no stable on-disk form;
+    /// routes carry compile state (compiled TGD sets, saturated engines)
+    /// that is cheap to rebuild but has no stable on-disk form;
     /// a session resolving to one of those routes is a typed
     /// [`RpsError::Persist`]. Freeze under [`Strategy::Materialise`] to
     /// guarantee persistability.
@@ -660,7 +644,7 @@ impl FrozenSession {
                 id: next_session_id(),
                 generation: 0,
                 config,
-                eq_index: EquivalenceIndex::from_mappings(&mappings),
+                eq_index: Arc::new(EquivalenceIndex::from_mappings(&mappings)),
                 route: ExecRoute::Materialised,
                 solution: Some(Arc::new(UniversalSolution {
                     graph,

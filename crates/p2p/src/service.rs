@@ -19,8 +19,8 @@ use crate::network::{CostModel, SimNetwork};
 use crate::transport::{SimTransport, Transport};
 use rps_core::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use rps_core::{
-    next_session_id, AnswerStream, EngineConfig, EquivalenceIndex, ExecRoute, PlanCache,
-    PlanCacheStats, RdfPeerSystem, RpsError, RpsRewriter,
+    next_session_id, AnswerStream, EngineConfig, ExecRoute, PlanCache, PlanCacheStats,
+    RdfPeerSystem, RpsError, RpsRewriter,
 };
 use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
 use std::sync::{Arc, Mutex};
@@ -75,11 +75,10 @@ pub struct FederatedAnswer {
     pub report: FederationReport,
 }
 
-/// What both federated façades answer through: everything but the
-/// rewriter, which the mutable session owns and the frozen one locks.
-/// Immutable after construction apart from the mutable session's
-/// builder methods, so frozen executes touch it lock-free from any
-/// number of threads.
+/// What both federated façades answer through. Immutable after
+/// construction apart from the mutable session's builder methods, so
+/// frozen prepares and executes touch it lock-free from any number of
+/// threads.
 struct FedCore {
     id: u64,
     /// Bumped by [`FederatedSession::config_mut`]; prepared queries are
@@ -90,7 +89,10 @@ struct FedCore {
     /// Preparation carries unknown constants in the plan instead of
     /// interning them, so the engine never mutates.
     engine: FederatedEngine,
-    eq_index: EquivalenceIndex,
+    /// The rewriting compiler; each prepare interns into its own scratch
+    /// dictionary, so this never mutates either. Also holds the
+    /// equivalence index answers are expanded over.
+    rewriter: RpsRewriter,
     config: EngineConfig,
     cost_model: CostModel,
     /// The peer-exchange transport (defaults to the perfect in-process
@@ -105,15 +107,11 @@ impl FedCore {
     /// rewriting that exhausts its budgets before reaching a fixpoint is
     /// unsound to federate — there is no materialised fallback out here
     /// — so it is the typed [`RpsError::RewriteBudget`].
-    fn prepare(
-        &self,
-        rewriter: &mut RpsRewriter,
-        query: &GraphPatternQuery,
-    ) -> Result<PreparedFederatedQuery, RpsError> {
+    fn prepare(&self, query: &GraphPatternQuery) -> Result<PreparedFederatedQuery, RpsError> {
         if self.config.semantics == Semantics::Star {
             return Err(RpsError::StarNeedsMaterialisation);
         }
-        let rewriting = rewriter.rewrite_canonical(query, &self.config.rewrite);
+        let rewriting = self.rewriter.rewrite_canonical(query, &self.config.rewrite);
         if !rewriting.complete {
             return Err(RpsError::RewriteBudget {
                 explored: rewriting.explored,
@@ -121,7 +119,7 @@ impl FedCore {
                 max_cqs: self.config.rewrite.max_cqs,
             });
         }
-        let branches = rewriting.branches(rewriter.encoder());
+        let branches = rewriting.branches();
         Ok(PreparedFederatedQuery {
             session_id: self.id,
             generation: self.generation,
@@ -167,7 +165,7 @@ impl FedCore {
             max_threads,
         )?;
         let canon_tuples = self.engine.decode_prepared(&prepared.prepared, &canon_ids);
-        let tuples = rps_core::expand_answers(&canon_tuples, &self.eq_index);
+        let tuples = rps_core::expand_answers(&canon_tuples, self.rewriter.index());
         Ok(FederatedAnswer {
             stream: AnswerStream::from_terms(prepared.vars.clone(), ExecRoute::Federated, tuples),
             branches: prepared.branches,
@@ -183,7 +181,6 @@ impl FedCore {
 /// stores, expand the answers back over the equivalence classes.
 pub struct FederatedSession {
     core: FedCore,
-    rewriter: RpsRewriter,
 }
 
 impl FederatedSession {
@@ -205,12 +202,11 @@ impl FederatedSession {
                 id: next_session_id(),
                 generation: 0,
                 engine,
-                eq_index: rewriter.index().clone(),
+                rewriter,
                 config,
                 cost_model: CostModel::default(),
                 transport,
             },
-            rewriter,
         }
     }
 
@@ -252,7 +248,7 @@ impl FederatedSession {
 
     /// `true` iff Proposition 2 guarantees the rewriting is perfect.
     pub fn fo_rewritable(&self) -> bool {
-        self.rewriter.fo_rewritable()
+        self.core.rewriter.fo_rewritable()
     }
 
     /// Compiles a query once for repeated federated execution: canonical
@@ -265,7 +261,7 @@ impl FederatedSession {
         &mut self,
         query: &GraphPatternQuery,
     ) -> Result<PreparedFederatedQuery, RpsError> {
-        self.core.prepare(&mut self.rewriter, query)
+        self.core.prepare(query)
     }
 
     /// Executes a prepared query (sequentially; see
@@ -289,8 +285,7 @@ impl FederatedSession {
     /// with the default plan-cache bound: a `Send + Sync` handle whose
     /// `prepare(&self)`/`execute(&self)` run concurrently from many
     /// threads, and whose execution fans the prepared branches out
-    /// across OS threads. The rewrite engine's `IdTgdSet` is compiled
-    /// eagerly here. `Q*` semantics has no federated route, so it is
+    /// across OS threads. `Q*` semantics has no federated route, so it is
     /// rejected at freeze ([`RpsError::StarNeedsMaterialisation`]).
     pub fn freeze(self) -> Result<FrozenFederatedSession, RpsError> {
         self.freeze_with_cache_capacity(rps_core::DEFAULT_PLAN_CACHE_CAPACITY)
@@ -298,18 +293,15 @@ impl FederatedSession {
 
     /// [`FederatedSession::freeze`] with an explicit plan-cache bound.
     pub fn freeze_with_cache_capacity(
-        mut self,
+        self,
         capacity: usize,
     ) -> Result<FrozenFederatedSession, RpsError> {
         if self.core.config.semantics == Semantics::Star {
             return Err(RpsError::StarNeedsMaterialisation);
         }
-        self.rewriter.precompile_canonical();
         Ok(FrozenFederatedSession {
             inner: Arc::new(FrozenFedInner {
                 core: self.core,
-                fo_rewritable: self.rewriter.fo_rewritable(),
-                compiler: Mutex::new(self.rewriter),
                 cache: Mutex::new(PlanCache::new(capacity)),
             }),
         })
@@ -347,10 +339,6 @@ impl FederatedSession {
 /// The shared state behind every clone of a [`FrozenFederatedSession`].
 struct FrozenFedInner {
     core: FedCore,
-    fo_rewritable: bool,
-    /// The rewriting compile state — held only while preparing a query
-    /// that missed the plan cache.
-    compiler: Mutex<RpsRewriter>,
     cache: Mutex<PlanCache<PreparedFederatedQuery>>,
 }
 
@@ -376,6 +364,7 @@ fn static_assert_send_sync() {
     fn assert<T: Send + Sync>() {}
     assert::<FrozenFederatedSession>();
     assert::<PreparedFederatedQuery>();
+    assert::<RpsRewriter>();
 }
 
 impl FrozenFederatedSession {
@@ -386,7 +375,7 @@ impl FrozenFederatedSession {
 
     /// `true` iff Proposition 2 guarantees the rewriting is perfect.
     pub fn fo_rewritable(&self) -> bool {
-        self.inner.fo_rewritable
+        self.inner.core.rewriter.fo_rewritable()
     }
 
     /// Plan-cache hit/miss counters and occupancy.
@@ -403,11 +392,7 @@ impl FrozenFederatedSession {
         query: &GraphPatternQuery,
     ) -> Result<Arc<PreparedFederatedQuery>, RpsError> {
         let inner = &*self.inner;
-        PlanCache::get_or_compile(&inner.cache, query, || {
-            inner
-                .core
-                .prepare(&mut inner.compiler.lock().expect("compile lock"), query)
-        })
+        PlanCache::get_or_compile(&inner.cache, query, || inner.core.prepare(query))
     }
 
     /// Executes a prepared query with the branch fan-out spread over up

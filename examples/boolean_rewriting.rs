@@ -45,18 +45,18 @@ fn main() {
     assert!(!before);
 
     // Rewrite the Boolean query under the system's dependencies.
-    let mut rw = RpsRewriter::new(&ex.system);
+    let rw = RpsRewriter::new(&ex.system);
     let rewriting = {
         let boolean = GraphPatternQuery::boolean(bound);
         let r = rw.rewrite(&boolean, &RewriteConfig::default());
         println!(
             "\n#Rewritten query ({} UNION branches, {} CQs explored)",
-            r.cqs.len(),
+            r.len(),
             r.explored
         );
         r
     };
-    let union = rewriting.to_union_query(&[], rw.encoder());
+    let union = rewriting.to_union_query(&[]);
     // Print a UNION excerpt like Listing 2 (the full union is large).
     let display = Query::Ask(UnionQuery::new(
         vec![],
@@ -69,7 +69,9 @@ fn main() {
     assert!(after);
 
     // And the full decision procedure agrees.
-    let decided = rw.is_certain_answer(&ex.query, &tuple, &RewriteConfig::default());
+    let decided = rw
+        .is_certain_answer(&ex.query, &tuple, &RewriteConfig::default())
+        .expect("the tuple has the query's arity");
     assert!(decided);
     println!("\nis_certain_answer(query, (DB1:Toby_Maguire, \"39\")) = {decided} ✔");
 }

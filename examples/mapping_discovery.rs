@@ -61,7 +61,7 @@ fn main() {
     let chase_answers = certain_answers(&tc_sol, &chain::edge_query());
 
     let t1 = std::time::Instant::now();
-    let mut datalog = DatalogEngine::new(&tc).expect("TC mappings are full TGDs");
+    let datalog = DatalogEngine::new(&tc).expect("TC mappings are full TGDs");
     let datalog_answers = datalog.answers(&chain::edge_query());
     let datalog_time = t1.elapsed();
 

@@ -65,7 +65,7 @@ fn datalog_route_with_equivalences_agrees_with_chase() {
         rps_rdf::Iri::new(format!("{}n0", chain::NS)),
         rps_rdf::Iri::new(format!("{}start", chain::NS)),
     ));
-    let mut datalog = DatalogEngine::new(&sys).expect("full TGDs");
+    let datalog = DatalogEngine::new(&sys).expect("full TGDs");
     let datalog_ans = datalog.answers(&chain::edge_query());
     let sol = chase_system(&sys, &RpsChaseConfig::default());
     let chase_ans = certain_answers(&sol, &chain::edge_query());

@@ -91,11 +91,11 @@ fn term_level_service_answers(
     sys: &rps_core::RdfPeerSystem,
     query: &GraphPatternQuery,
 ) -> std::collections::BTreeSet<Vec<rps_rdf::Term>> {
-    let mut rewriter = RpsRewriter::new(sys);
+    let rewriter = RpsRewriter::new(sys);
     let engine = FederatedEngine::new_canonical(sys, rewriter.index());
     let rewriting = rewriter.rewrite_canonical(query, &rewrite_cfg());
     assert!(rewriting.complete);
-    let branches = rewriting.branches(rewriter.encoder());
+    let branches = rewriting.branches();
     let mut net = SimNetwork::new();
     let mut stats = rps_p2p::FederationStats::default();
     let mut canon = std::collections::BTreeSet::new();

@@ -1,8 +1,9 @@
 //! Concurrency agreement tests for the frozen answering API: N threads
 //! sharing one `FrozenSession` (or `FrozenFederatedSession`) across
 //! mixed routes and semantics must each observe answers byte-identical
-//! to the sequential mutable `Session`, and plan-cache hits must answer
-//! exactly like misses.
+//! to the sequential mutable `Session`, plan-cache hits must answer
+//! exactly like misses, and cold prepares (every one a miss, each with
+//! its own constants) must not interfere with each other.
 //!
 //! Thread counts deliberately exceed the host's cores (oversubscription
 //! shakes out interleavings); CI additionally runs this file with
@@ -129,8 +130,8 @@ fn threads_agree_with_sequential_session_across_routes() {
 #[test]
 fn threads_agree_on_datalog_route() {
     // Transitive closure is the route rewriting cannot take
-    // (Proposition 3); the Datalog engine serialises on its encoder but
-    // must still agree with the sequential session from every thread.
+    // (Proposition 3); the saturated Datalog engine is shared lock-free
+    // and must agree with the sequential session from every thread.
     let sys = chain::transitive_system(12);
     let queries = vec![chain::edge_query(), chain::endpoint_query(12)];
     let cfg = EngineConfig::default().with_strategy(Strategy::Datalog);
@@ -207,4 +208,134 @@ fn frozen_federated_threads_agree_with_sequential() {
             });
         }
     });
+}
+
+/// Thread `t`'s `rep`-th cold query over the film system: the cast of
+/// one film under peer 2's vocabulary, anchored on a film IRI no other
+/// (thread, rep) pair uses. Films of peers 0 and 1 are only reachable
+/// through the mapping chain, and indexes past `films_per_peer` name
+/// films absent from the data.
+fn cold_film_query(t: usize, rep: usize) -> GraphPatternQuery {
+    let film = format!(
+        "{}film{}",
+        rps_lodgen::film::peer_ns(t % 3),
+        t / 3 + 3 * rep + 5
+    );
+    GraphPatternQuery::new(
+        vec![Variable::new("y")],
+        GraphPattern::triple(
+            TermOrVar::iri(&film),
+            TermOrVar::Term(Term::Iri(rps_lodgen::film::actor_pred(2))),
+            TermOrVar::var("y"),
+        ),
+    )
+}
+
+/// Thread `t`'s `rep`-th cold query over the 12-edge chain: everything
+/// reachable from one node; nodes past 12 are absent from the data.
+fn cold_chain_query(t: usize, rep: usize) -> GraphPatternQuery {
+    GraphPatternQuery::new(
+        vec![Variable::new("y")],
+        GraphPattern::triple(
+            TermOrVar::Term(chain::node(t + THREADS * rep)),
+            TermOrVar::Term(chain::edge_pred()),
+            TermOrVar::var("y"),
+        ),
+    )
+}
+
+/// `THREADS` threads each prepare and execute `REPS_PER_THREAD` queries
+/// nobody else prepares — through `answer`, which returns the tuples of
+/// one cold prepare + execute — and every answer must equal
+/// `expected[t][rep]`, computed sequentially beforehand.
+fn cold_hammer(
+    query: fn(usize, usize) -> GraphPatternQuery,
+    expected: &[Vec<BTreeSet<Vec<Term>>>],
+    answer: impl Fn(&GraphPatternQuery) -> BTreeSet<Vec<Term>> + Sync,
+) {
+    // All threads enter their first (cold) prepare together.
+    let start = std::sync::Barrier::new(expected.len());
+    std::thread::scope(|scope| {
+        for (t, expected) in expected.iter().enumerate() {
+            let (answer, start) = (&answer, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (rep, expected) in expected.iter().enumerate() {
+                    assert_eq!(
+                        &answer(&query(t, rep)),
+                        expected,
+                        "thread {t}, rep {rep} diverged"
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// The sequential oracle of [`cold_hammer`]: one mutable materialising
+/// session answers every (thread, rep) query in turn.
+fn cold_expected(
+    sys: &rps_core::RdfPeerSystem,
+    query: fn(usize, usize) -> GraphPatternQuery,
+) -> Vec<Vec<BTreeSet<Vec<Term>>>> {
+    let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let mut session = Session::open(sys.clone(), cfg).unwrap();
+    let expected: Vec<Vec<_>> = (0..THREADS)
+        .map(|t| {
+            (0..REPS_PER_THREAD)
+                .map(|rep| session.answer(&query(t, rep)).unwrap().into_set().tuples)
+                .collect()
+        })
+        .collect();
+    // The workload is only a test if some constants hit and some miss.
+    let non_empty = expected.iter().flatten().filter(|a| !a.is_empty()).count();
+    assert!(0 < non_empty && non_empty < THREADS * REPS_PER_THREAD);
+    expected
+}
+
+#[test]
+fn cold_concurrent_prepares_agree_with_sequential_session() {
+    let all_misses = |stats: rps_core::PlanCacheStats| {
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, (THREADS * REPS_PER_THREAD) as u64)
+        );
+    };
+
+    let films = film_system(&film_cfg(23));
+    let expected = cold_expected(&films, cold_film_query);
+    let cfg = EngineConfig::default().with_strategy(Strategy::Rewrite);
+    let frozen = Session::open(films.clone(), cfg).unwrap().freeze().unwrap();
+    cold_hammer(cold_film_query, &expected, |q| {
+        let prepared = frozen.prepare(q).unwrap();
+        assert_eq!(prepared.route(), rps_core::ExecRoute::Rewritten);
+        frozen.execute(&prepared).unwrap().into_set().tuples
+    });
+    all_misses(frozen.plan_cache_stats());
+
+    let federated = FederatedSession::open(&films, EngineConfig::default())
+        .unwrap()
+        .freeze()
+        .unwrap();
+    cold_hammer(cold_film_query, &expected, |q| {
+        let prepared = federated.prepare(q).unwrap();
+        federated
+            .execute(&prepared)
+            .unwrap()
+            .stream
+            .into_set()
+            .tuples
+    });
+    all_misses(federated.plan_cache_stats());
+
+    let tc = chain::transitive_system(12);
+    let expected = cold_expected(&tc, cold_chain_query);
+    let cfg = EngineConfig::default().with_strategy(Strategy::Datalog);
+    let frozen = Session::new(tc, cfg).freeze().unwrap();
+    cold_hammer(cold_chain_query, &expected, |q| {
+        let prepared = frozen.prepare(q).unwrap();
+        assert_eq!(prepared.route(), rps_core::ExecRoute::Datalog);
+        frozen.execute(&prepared).unwrap().into_set().tuples
+    });
+    all_misses(frozen.plan_cache_stats());
 }

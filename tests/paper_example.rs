@@ -43,7 +43,7 @@ fn e2_universal_solution_is_a_solution() {
 #[test]
 fn e3_listing2_boolean_rewriting() {
     let ex = paper_example();
-    let mut rw = RpsRewriter::new(&ex.system);
+    let rw = RpsRewriter::new(&ex.system);
     let toby = Term::iri(format!("{}Toby_Maguire", rps_lodgen::paper::DB1));
     let tuple = [toby, Term::literal("39")];
 
@@ -56,14 +56,15 @@ fn e3_listing2_boolean_rewriting() {
     assert!(!rps_query::has_match(&ex.system.stored_database(), &bound));
 
     // After rewriting: true.
-    assert!(rw.is_certain_answer(&ex.query, &tuple, &RewriteConfig::default()));
+    let cfg = RewriteConfig::default();
+    assert!(rw.is_certain_answer(&ex.query, &tuple, &cfg).unwrap());
 
     // A non-answer stays false.
     let wrong = [
         Term::iri(format!("{}Toby_Maguire", rps_lodgen::paper::DB1)),
         Term::literal("99"),
     ];
-    assert!(!rw.is_certain_answer(&ex.query, &wrong, &RewriteConfig::default()));
+    assert!(!rw.is_certain_answer(&ex.query, &wrong, &cfg).unwrap());
 }
 
 #[test]
@@ -75,7 +76,7 @@ fn e3_full_boolean_enumeration_matches_chase() {
         &ex.prefixes,
         "SELECT ?y WHERE { foaf:Toby_Maguire v:age ?y }",
     );
-    let mut rw = RpsRewriter::new(&ex.system);
+    let rw = RpsRewriter::new(&ex.system);
     let enumerated = rw
         .certain_answers_via_boolean(&q, &RewriteConfig::default(), 100)
         .expect("arity-1 candidate space fits");

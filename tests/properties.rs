@@ -177,7 +177,7 @@ fn rewriting_is_sound_and_complete_for_equivalence_systems() {
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let chased = certain_answers(&sol, &pool_query(p));
 
-        let mut rw = RpsRewriter::new(&sys);
+        let rw = RpsRewriter::new(&sys);
         assert!(rw.fo_rewritable(), "seed {seed}");
         let (ans, complete) = rw.answers(
             &pool_query(p),

@@ -25,7 +25,7 @@ fn assert_perfect(cfg: &FilmConfig, query: &rps_query::GraphPatternQuery) {
     assert!(sol.complete);
     let chased = certain_answers(&sol, query);
 
-    let mut rw = RpsRewriter::new(&sys);
+    let rw = RpsRewriter::new(&sys);
     assert!(rw.fo_rewritable(), "config {cfg:?} should be FO-rewritable");
     let (rewritten, complete) = rw.answers(
         query,
