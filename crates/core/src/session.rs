@@ -80,7 +80,7 @@ use crate::error::RpsError;
 use crate::rewriting::{execute_branches, RewrittenBranch, RpsRewriter};
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, Semantics};
-use rps_rdf::{Graph, SealConfig, Term};
+use rps_rdf::{host_parallelism, Graph, SealConfig, Term};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -252,18 +252,19 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The worker count after resolving `0` to available parallelism.
+    /// The worker count after resolving `0` to
+    /// [`host_parallelism`] — a cached answer, so calling this per
+    /// execute never queries the OS.
     pub fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        host_parallelism()
     }
 
-    /// The shard count after the `RPS_SHARDS` override and resolving
-    /// `0` to available parallelism.
+    /// The shard count after the `RPS_SHARDS` override (read on every
+    /// call — it only runs at freeze) and resolving `0` to
+    /// [`host_parallelism`].
     pub fn resolved_shards(&self) -> usize {
         if let Ok(v) = std::env::var("RPS_SHARDS") {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -275,9 +276,7 @@ impl ExecConfig {
         if self.shards > 0 {
             return self.shards;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        host_parallelism()
     }
 
     /// The [`SealConfig`] a frozen graph should be resealed with.

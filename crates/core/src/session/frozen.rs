@@ -17,9 +17,11 @@
 //! `Arc` of the sealed substrate (universal solution or canonical stored
 //! graph), the rewriter interns a new query's constants into a per-call
 //! scratch dictionary, and the Datalog engine is saturated. The one lock
-//! is the **plan cache**'s — a bounded map keyed on the canonical
-//! numbered-variable form of the query, held for a hash probe and never
-//! across compilation or execution — with hit/miss counters exposed via
+//! is the **plan cache**'s ([`PlanCache`]) — two bounded maps under one
+//! mutex, conjunctive plans keyed on the canonical numbered-variable
+//! form of the query and whole SPARQL statements keyed on their text,
+//! held for a hash probe and never across parsing, compilation or
+//! execution — with hit/miss counters exposed via
 //! [`FrozenSession::plan_cache_stats`].
 //!
 //! ```
@@ -79,6 +81,7 @@ use crate::equivalence::EquivalenceIndex;
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
 use crate::rewriting::RpsRewriter;
+use crate::sparql::{prepare_sparql_with, PreparedSparql};
 use rps_query::{GraphPatternQuery, Semantics, TermOrVar};
 use rps_rdf::{Graph, Iri, RdfError, Term};
 use std::collections::{HashMap, VecDeque};
@@ -93,39 +96,94 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
 /// Hit/miss counters and occupancy of a frozen session's plan cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PlanCacheStats {
-    /// Preparations served from the cache (no rewriting, no plan
-    /// compilation).
+    /// Conjunctive plans served without compilation (no rewriting, no
+    /// plan compilation): one per plan-key hit, and
+    /// [`PreparedSparql::plan_count`] per statement hit.
     pub hits: u64,
     /// Preparations that compiled a fresh plan.
     pub misses: u64,
-    /// Entries currently cached.
+    /// Conjunctive plans currently cached.
     pub entries: usize,
-    /// The configured bound.
+    /// The configured bound — of `entries` and of `statements`, each.
     pub capacity: usize,
+    /// SPARQL statements currently cached by their text.
+    pub statements: usize,
 }
 
-/// The bounded plan cache: canonical query key → shared prepared plan,
-/// FIFO-evicted at capacity, with hit/miss counters. One mutex (owned
-/// by the embedding session) guards map, eviction order and counters
-/// together — the critical section is a hash probe, so the lock is
-/// never held across compilation or execution. Generic over the plan
-/// type so the federated counterpart in `rps-p2p` shares the
+/// A map that forgets its oldest key once it holds `capacity` of them.
+struct Fifo<V> {
+    capacity: usize,
+    map: HashMap<Arc<str>, V>,
+    order: VecDeque<Arc<str>>,
+}
+
+impl<V: Clone> Fifo<V> {
+    fn new(capacity: usize) -> Self {
+        Fifo {
+            capacity,
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<V> {
+        self.map.get(key).cloned()
+    }
+
+    /// Inserts `value` under `key`, unless a concurrent preparation of
+    /// the same key landed first — then that one wins (so every caller
+    /// of the same key converges on one shared value).
+    fn insert(&mut self, key: &str, value: V) -> V {
+        if let Some(existing) = self.get(key) {
+            return existing;
+        }
+        while self.map.len() >= self.capacity {
+            match self.order.pop_front() {
+                Some(old) => {
+                    self.map.remove(&old);
+                }
+                None => break,
+            }
+        }
+        let key: Arc<str> = key.into();
+        self.map.insert(key.clone(), value.clone());
+        self.order.push_back(key);
+        value
+    }
+}
+
+/// The bounded plan cache of a frozen façade, keyed two ways under one
+/// bound, one mutex and one pair of counters:
+///
+/// * **plans** — canonical query key ([`canonical_plan_key`]) → shared
+///   prepared plan, so α-equivalent conjunctive queries compile once no
+///   matter which SPARQL text (or CQ-API caller) they came from;
+/// * **statements** — SPARQL text, byte for byte → the whole
+///   [`PreparedSparql`] (lowered recipe + its plans), so a repeated
+///   text skips lexing, parsing, lowering, key building and the per-CQ
+///   probes ([`PlanCache::get_or_prepare_sparql`]).
+///
+/// Each is FIFO-evicted at `capacity`. The mutex (owned by the
+/// embedding session) guards both maps, their eviction orders and the
+/// counters together — a critical section is a hash probe, so the lock
+/// is never held across parsing, compilation or execution. Generic over
+/// the plan type so the federated counterpart in `rps-p2p` shares the
 /// implementation.
 pub struct PlanCache<T> {
-    capacity: usize,
-    map: HashMap<String, Arc<T>>,
-    order: VecDeque<String>,
+    plans: Fifo<Arc<T>>,
+    statements: Fifo<PreparedSparql<Arc<T>>>,
     hits: u64,
     misses: u64,
 }
 
 impl<T> PlanCache<T> {
-    /// An empty cache bounded to `capacity` entries (clamped to ≥ 1).
+    /// An empty cache bounded to `capacity` plans and as many
+    /// statements (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         PlanCache {
-            capacity: capacity.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
+            plans: Fifo::new(capacity),
+            statements: Fifo::new(capacity),
             hits: 0,
             misses: 0,
         }
@@ -141,45 +199,52 @@ impl<T> PlanCache<T> {
         compile: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         let key = canonical_plan_key(query);
-        if let Some(hit) = cache.lock().expect("plan cache lock").lookup(&key) {
+        if let Some(hit) = cache.lock().expect("plan cache lock").plan(&key) {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
-        Ok(cache.lock().expect("plan cache lock").insert(key, compiled))
+        let mut cache = cache.lock().expect("plan cache lock");
+        Ok(cache.plans.insert(&key, compiled))
+    }
+
+    /// The statement cached for exactly this `text`, or a fresh
+    /// [`prepare_sparql_with`] through `prepare` — the façade's own
+    /// per-CQ path, which goes through [`PlanCache::get_or_compile`]
+    /// and counts there, a hit or a miss per CQ, exactly as a caller of
+    /// the CQ API would. Nothing runs under the lock but the two hash
+    /// probes; a text that fails to parse, lower or prepare is an `Err`
+    /// and is never cached, and racing threads converge on the first
+    /// statement inserted.
+    pub fn get_or_prepare_sparql(
+        cache: &Mutex<Self>,
+        text: &str,
+        prepare: impl FnMut(&GraphPatternQuery) -> Result<Arc<T>, RpsError>,
+    ) -> Result<PreparedSparql<Arc<T>>, RpsError> {
+        if let Some(hit) = cache.lock().expect("plan cache lock").statement(text) {
+            return Ok(hit);
+        }
+        let prepared = prepare_sparql_with(text, prepare)?;
+        let mut cache = cache.lock().expect("plan cache lock");
+        Ok(cache.statements.insert(text, prepared))
     }
 
     /// Fetches the plan cached under `key`, counting a hit or a miss.
-    fn lookup(&mut self, key: &str) -> Option<Arc<T>> {
-        match self.map.get(key) {
-            Some(hit) => {
-                self.hits += 1;
-                Some(hit.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    fn plan(&mut self, key: &str) -> Option<Arc<T>> {
+        let hit = self.plans.get(key);
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        hit
     }
 
-    /// Inserts a freshly compiled plan, unless a concurrent preparation
-    /// of the same key landed first — then that plan wins (so every
-    /// caller of the same key converges on one shared `Arc`).
-    fn insert(&mut self, key: String, plan: Arc<T>) -> Arc<T> {
-        if let Some(existing) = self.map.get(&key) {
-            return existing.clone();
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        self.map.insert(key.clone(), plan.clone());
-        self.order.push_back(key);
-        plan
+    /// Fetches the statement cached for `text`, counting one hit per
+    /// plan it carries: that many plans are served without compilation.
+    /// An absent statement counts nothing — its CQs count themselves.
+    fn statement(&mut self, text: &str) -> Option<PreparedSparql<Arc<T>>> {
+        let hit = self.statements.get(text)?;
+        self.hits += hit.plan_count() as u64;
+        Some(hit)
     }
 
     /// Current counters and occupancy.
@@ -187,8 +252,9 @@ impl<T> PlanCache<T> {
         PlanCacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.map.len(),
-            capacity: self.capacity,
+            entries: self.plans.map.len(),
+            capacity: self.plans.capacity,
+            statements: self.statements.map.len(),
         }
     }
 }
@@ -200,13 +266,17 @@ impl<T> PlanCache<T> {
 /// on everything that affects compilation. Shared with the federated
 /// frozen session in `rps-p2p`.
 pub fn canonical_plan_key(query: &GraphPatternQuery) -> String {
-    let mut slots: HashMap<String, usize> = HashMap::new();
+    // A conjunctive query names a handful of variables: a linear scan
+    // over borrowed names beats hashing (and copying) each occurrence.
+    let mut slots: Vec<&str> = Vec::new();
     let mut key = String::new();
-    let push_var = |name: &str, key: &mut String, slots: &mut HashMap<String, usize>| {
-        let next = slots.len();
-        let slot = *slots.entry(name.to_string()).or_insert(next);
+    fn push_var<'q>(name: &'q str, key: &mut String, slots: &mut Vec<&'q str>) {
+        let slot = slots.iter().position(|s| *s == name).unwrap_or_else(|| {
+            slots.push(name);
+            slots.len() - 1
+        });
         let _ = write!(key, "#{slot} ");
-    };
+    }
     for v in query.free_vars() {
         push_var(v.name(), &mut key, &mut slots);
     }
@@ -274,6 +344,7 @@ fn static_assert_send_sync() {
     fn assert<T: Send + Sync>() {}
     assert::<FrozenSession>();
     assert::<PreparedQuery>();
+    assert::<PreparedSparql>();
     assert::<AnswerStream>();
     assert::<RpsRewriter>();
     assert::<DatalogEngine>();
@@ -375,6 +446,11 @@ impl FrozenSession {
     /// Plan-cache hit/miss counters and occupancy.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.inner.cache.lock().expect("plan cache lock").stats()
+    }
+
+    /// The cache itself, for the SPARQL entry points in [`crate::sparql`].
+    pub(crate) fn plan_cache(&self) -> &Mutex<PlanCache<PreparedQuery>> {
+        &self.inner.cache
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent

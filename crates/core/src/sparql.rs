@@ -28,39 +28,63 @@
 //! ([`rps_rdf::PrefixMap::common`]).
 
 use crate::error::RpsError;
-use crate::session::frozen::FrozenSession;
+use crate::session::frozen::{FrozenSession, PlanCache};
 use crate::session::{AnswerStream, PreparedQuery, Session};
 use rps_query::sparql::LoweredSparql;
 use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
 use rps_rdf::PrefixMap;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A SPARQL query compiled against a façade: the lowered plan recipe
 /// plus one of the façade's own prepared plans `P` per lowered CQ.
 /// Execute it on the façade that prepared it — the underlying plans
 /// are bound to it exactly like a plain [`PreparedQuery`].
+///
+/// The handle is one `Arc`: cloning is a reference-count bump, which is
+/// what lets a frozen façade's plan cache keep whole statements by
+/// their text ([`PlanCache::get_or_prepare_sparql`]) and hand the same
+/// one to every thread that repeats it.
 pub struct PreparedSparql<P = Arc<PreparedQuery>> {
+    statement: Arc<Statement<P>>,
+}
+
+struct Statement<P> {
     lowered: LoweredSparql,
     plans: Vec<P>,
+}
+
+impl<P> Clone for PreparedSparql<P> {
+    fn clone(&self) -> Self {
+        PreparedSparql {
+            statement: self.statement.clone(),
+        }
+    }
 }
 
 impl<P> PreparedSparql<P> {
     /// The number of conjunctive plans behind this query (one per
     /// UNION branch plus one per OPTIONAL block per branch).
     pub fn plan_count(&self) -> usize {
-        self.plans.len()
+        self.statement.plans.len()
     }
 
     /// `true` for ASK queries.
     pub fn is_ask(&self) -> bool {
-        self.lowered.is_ask()
+        self.statement.lowered.is_ask()
     }
 
     /// The output column names, in order (empty for ASK).
     pub fn columns(&self) -> Vec<String> {
-        self.lowered.columns()
+        self.statement.lowered.columns()
     }
+}
+
+/// The well-known namespaces every façade resolves prefixed names
+/// against, built once per process ([`parse_sparql`] only borrows it).
+fn common_prefixes() -> &'static PrefixMap {
+    static COMMON: OnceLock<PrefixMap> = OnceLock::new();
+    COMMON.get_or_init(PrefixMap::common)
 }
 
 /// Compiles SPARQL text (the subset documented in [`rps_query::sparql`]:
@@ -71,13 +95,15 @@ pub fn prepare_sparql_with<P>(
     text: &str,
     prepare: impl FnMut(&GraphPatternQuery) -> Result<P, RpsError>,
 ) -> Result<PreparedSparql<P>, RpsError> {
-    let lowered = parse_sparql(text, &PrefixMap::common())?.lower();
+    let lowered = parse_sparql(text, common_prefixes())?.lower();
     let plans = lowered
         .queries()
         .into_iter()
         .map(prepare)
         .collect::<Result<_, _>>()?;
-    Ok(PreparedSparql { lowered, plans })
+    Ok(PreparedSparql {
+        statement: Arc::new(Statement { lowered, plans }),
+    })
 }
 
 /// Runs every conjunctive plan of `prepared` through a façade's own
@@ -89,16 +115,13 @@ pub fn execute_sparql_with<P>(
     prepared: &PreparedSparql<P>,
     execute: impl FnMut(&P) -> Result<AnswerStream, RpsError>,
 ) -> Result<SparqlResult, RpsError> {
-    let streams = prepared
-        .plans
-        .iter()
-        .map(execute)
-        .collect::<Result<Vec<_>, _>>()?;
+    let Statement { lowered, plans } = &*prepared.statement;
+    let streams = plans.iter().map(execute).collect::<Result<Vec<_>, _>>()?;
     Ok(match AnswerStream::into_shared_ids(streams) {
-        Ok((solution, rows)) => prepared.lowered.assemble_ids(&rows, solution.graph.dict()),
+        Ok((solution, rows)) => lowered.assemble_ids(&rows, solution.graph.dict()),
         Err(streams) => {
             let answers: Vec<BTreeSet<_>> = streams.into_iter().map(Iterator::collect).collect();
-            prepared.lowered.assemble(&answers)
+            lowered.assemble(&answers)
         }
     })
 }
@@ -148,9 +171,11 @@ impl Session {
 }
 
 impl FrozenSession {
-    /// [`Session::prepare_sparql`] on a frozen session: each lowered
-    /// CQ goes through the frozen session's bounded plan cache, so hot
-    /// SPARQL queries reuse their compiled plans across threads.
+    /// [`Session::prepare_sparql`] on a frozen session: a text seen
+    /// before (byte for byte) comes back whole from the plan cache's
+    /// statement front — no lexing, parsing, lowering or per-CQ lookup;
+    /// a new text takes each lowered CQ through the bounded plan cache,
+    /// so hot conjunctive plans are shared across texts and threads.
     ///
     /// ```
     /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -175,7 +200,7 @@ impl FrozenSession {
     /// assert_eq!(ok.boolean(), Some(true));
     /// ```
     pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql, RpsError> {
-        prepare_sparql_with(text, |cq| self.prepare(cq))
+        PlanCache::get_or_prepare_sparql(self.plan_cache(), text, |cq| self.prepare(cq))
     }
 
     /// Executes a prepared SPARQL query against this frozen session.

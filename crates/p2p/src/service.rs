@@ -346,8 +346,9 @@ struct FrozenFedInner {
 /// `Send + Sync` handle over a frozen [`FederatedSession`] on which
 /// [`prepare`](FrozenFederatedSession::prepare) and
 /// [`execute`](FrozenFederatedSession::execute) take `&self` and run
-/// concurrently, with the same bounded plan cache keyed on the
-/// canonical numbered-variable query. `execute` additionally fans the
+/// concurrently, with the same bounded plan cache (plans keyed on the
+/// canonical numbered-variable query, SPARQL statements on their
+/// text). `execute` additionally fans the
 /// prepared UNION branches out across OS threads
 /// (`std::thread::scope`), merging the per-branch id-level answer sets,
 /// statistics and traffic traces deterministically in branch order —
@@ -364,6 +365,7 @@ fn static_assert_send_sync() {
     fn assert<T: Send + Sync>() {}
     assert::<FrozenFederatedSession>();
     assert::<PreparedFederatedQuery>();
+    assert::<PreparedSparql<Arc<PreparedFederatedQuery>>>();
     assert::<RpsRewriter>();
 }
 
@@ -423,13 +425,15 @@ impl FrozenFederatedSession {
     }
 
     /// [`FederatedSession::prepare_sparql`] on a frozen federated
-    /// session: every lowered CQ goes through the bounded plan cache,
-    /// so hot SPARQL queries reuse their compiled federated plans.
+    /// session: a repeated text comes back whole from the plan cache's
+    /// statement front; a new one takes every lowered CQ through the
+    /// bounded plan cache, so hot SPARQL queries reuse their compiled
+    /// federated plans either way.
     pub fn prepare_sparql(
         &self,
         text: &str,
     ) -> Result<PreparedSparql<Arc<PreparedFederatedQuery>>, RpsError> {
-        prepare_sparql_with(text, |cq| self.prepare(cq))
+        PlanCache::get_or_prepare_sparql(&self.inner.cache, text, |cq| self.prepare(cq))
     }
 
     /// Executes a prepared SPARQL query over the federation.

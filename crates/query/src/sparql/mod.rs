@@ -200,6 +200,28 @@ mod tests {
         assert_eq!(r.rows().unwrap().rows.len(), 1);
     }
 
+    /// The base map is borrowed, not copied: a query's own declarations
+    /// shadow it (and each other, latest wins) for that parse only.
+    #[test]
+    fn query_prefixes_shadow_the_borrowed_base() {
+        let base = base();
+        let count = |src: &str| {
+            let lowered = parse_sparql(src, &base).expect("parse").lower();
+            let result = lowered.evaluate(&graph(), Semantics::Certain);
+            result.rows().unwrap().rows.len()
+        };
+        assert_eq!(
+            count("PREFIX e: <http://other/> SELECT ?x { ?x e:age ?a }"),
+            0
+        );
+        assert_eq!(
+            count("PREFIX e: <http://other/> PREFIX e: <http://e/> SELECT ?x { ?x e:age ?a }"),
+            3
+        );
+        assert_eq!(count("SELECT ?x { ?x e:age ?a }"), 3);
+        assert!(parse_sparql("SELECT ?x { ?x nope:age ?a }", &base).is_err());
+    }
+
     #[test]
     fn errors_carry_spans_and_positions() {
         let src = "SELECT ?x WHERE { ?x e:age }";

@@ -157,7 +157,8 @@ pub fn parse_sparql(input: &str, base: &PrefixMap) -> Result<SparqlQuery, Sparql
     let mut p = Parser {
         tokens,
         pos: 0,
-        prefixes: base.clone(),
+        base,
+        declared: PrefixMap::new(),
         base_iri: None,
         src_len: input.len(),
     };
@@ -167,15 +168,19 @@ pub fn parse_sparql(input: &str, base: &PrefixMap) -> Result<SparqlQuery, Sparql
 /// `(order_by, limit, offset)` — the trailing solution modifiers.
 type Modifiers = (Vec<OrderKey>, Option<usize>, Option<usize>);
 
-struct Parser {
+struct Parser<'a> {
     tokens: Vec<Spanned>,
     pos: usize,
-    prefixes: PrefixMap,
+    /// The caller's prefixes, borrowed: most queries declare none of
+    /// their own, so nothing is copied per parse.
+    base: &'a PrefixMap,
+    /// The query's own `PREFIX` declarations, which shadow `base`.
+    declared: PrefixMap,
     base_iri: Option<String>,
     src_len: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos).map(|s| &s.tok)
     }
@@ -236,6 +241,17 @@ impl Parser {
             }
         }
         Term::Iri(Iri::new(iri))
+    }
+
+    /// Expands `prefix:local` against the query's own declarations,
+    /// then the caller's base map.
+    fn expand(&self, pname: &str) -> Option<Iri> {
+        let (prefix, local) = pname.split_once(':')?;
+        let ns = self
+            .declared
+            .get(prefix)
+            .or_else(|| self.base.get(prefix))?;
+        Some(Iri::new(format!("{ns}{local}")))
     }
 
     fn query(&mut self) -> Result<SparqlQuery, SparqlError> {
@@ -326,7 +342,7 @@ impl Parser {
                 else {
                     return Err(self.err_here("expected a namespace IRI after the prefix"));
                 };
-                self.prefixes.insert(prefix, ns);
+                self.declared.insert(prefix, ns);
             } else if self.eat_kw(Kw::Base) {
                 let Some(Spanned {
                     tok: Tok::Iri(iri), ..
@@ -679,9 +695,9 @@ impl Parser {
                 span,
                 line,
                 col,
-            }) => match self.prefixes.expand(&name) {
-                Ok(iri) => Ok(TermOrVar::Term(Term::Iri(iri))),
-                Err(_) => Err(SparqlError {
+            }) => match self.expand(&name) {
+                Some(iri) => Ok(TermOrVar::Term(Term::Iri(iri))),
+                None => Err(SparqlError {
                     message: format!("unknown prefix in {name:?}"),
                     span,
                     line,

@@ -52,6 +52,6 @@ pub use error::RdfError;
 pub use graph::{Graph, LogWindow, MatchIter};
 pub use namespace::{vocab, PrefixMap};
 pub use stats::{GraphStats, PredicateStats};
-pub use store::{SealConfig, StorageBackend, StorageStats};
+pub use store::{host_parallelism, SealConfig, StorageBackend, StorageStats};
 pub use term::{BlankNode, Iri, Literal, LiteralAnnotation, Term, TermKind};
 pub use triple::{IdTriple, Triple, TriplePosition};

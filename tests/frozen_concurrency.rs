@@ -339,3 +339,100 @@ fn cold_concurrent_prepares_agree_with_sequential_session() {
     });
     all_misses(frozen.plan_cache_stats());
 }
+
+/// SPARQL texts every thread repeats: a two-CQ OPTIONAL, a two-CQ ASK
+/// UNION and a plain scan over the mapped vocabulary.
+fn hot_texts() -> Vec<String> {
+    let actor = rps_lodgen::film::actor_pred(2);
+    let other = rps_lodgen::film::actor_pred(1);
+    vec![
+        format!("SELECT ?f ?a WHERE {{ ?f {actor} ?a }} ORDER BY ?f ?a"),
+        format!("SELECT ?f ?a ?g WHERE {{ ?f {actor} ?a OPTIONAL {{ ?g {other} ?a }} }}"),
+        format!("ASK {{ {{ ?f {actor} ?a }} UNION {{ ?f <http://no/such> ?a }} }}"),
+    ]
+}
+
+/// [`cold_film_query`] as SPARQL text (an `Iri` displays bracketed).
+fn cold_film_text(t: usize, rep: usize) -> String {
+    let query = cold_film_query(t, rep);
+    let tp = &query.pattern().patterns()[0];
+    let (TermOrVar::Term(film), TermOrVar::Term(actor)) = (&tp.s, &tp.p) else {
+        panic!("cold film queries are anchored on a film IRI");
+    };
+    format!("SELECT ?y WHERE {{ {film} {actor} ?y }}")
+}
+
+/// The statement front under contention: `THREADS` barrier-started
+/// threads interleave the same hot texts with texts nobody else sends,
+/// through `answer_sparql` on a cache of 8 statements and 8 plans — far
+/// fewer than the 27 texts in flight, so hits, misses, first-insert
+/// races and evictions all happen together — and every answer equals
+/// the sequential mutable session's.
+#[test]
+fn statement_front_under_eviction_agrees_with_sequential_session() {
+    const CAPACITY: usize = 8;
+    let films = film_system(&film_cfg(23));
+    let hot = hot_texts();
+    let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let mut oracle = Session::open(films.clone(), cfg.clone()).unwrap();
+    let hot_expected: Vec<_> = hot
+        .iter()
+        .map(|text| oracle.answer_sparql(text).unwrap())
+        .collect();
+    assert!(hot_expected[0].rows().is_some_and(|r| !r.rows.is_empty()));
+    assert_eq!(hot_expected[2].boolean(), Some(true));
+    let cold_expected: Vec<Vec<_>> = (0..THREADS)
+        .map(|t| {
+            (0..REPS_PER_THREAD)
+                .map(|rep| oracle.answer_sparql(&cold_film_text(t, rep)).unwrap())
+                .collect()
+        })
+        .collect();
+
+    let hammer = |answer: &(dyn Fn(&str) -> rps_core::SparqlResult + Sync)| {
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for (t, cold_expected) in cold_expected.iter().enumerate() {
+                let (start, hot, hot_expected) = (&start, &hot, &hot_expected);
+                scope.spawn(move || {
+                    start.wait();
+                    for (rep, cold) in cold_expected.iter().enumerate() {
+                        for (text, expected) in hot.iter().zip(hot_expected) {
+                            assert_eq!(&answer(text), expected, "thread {t}, rep {rep}: {text}");
+                        }
+                        let text = cold_film_text(t, rep);
+                        assert_eq!(&answer(&text), cold, "thread {t}, rep {rep}: {text}");
+                    }
+                });
+            }
+        });
+    };
+    let bounded = |stats: rps_core::PlanCacheStats| {
+        assert!(
+            stats.statements <= CAPACITY && stats.entries <= CAPACITY,
+            "{stats:?}"
+        );
+        // Hot texts repeat 24 times each: some repeats were served
+        // without compilation, and every cold text compiled.
+        assert!(stats.hits > 0, "{stats:?}");
+        assert!(
+            stats.misses >= (THREADS * REPS_PER_THREAD) as u64,
+            "{stats:?}"
+        );
+    };
+
+    for strategy in [Strategy::Materialise, Strategy::Rewrite] {
+        let frozen = Session::open(films.clone(), cfg.clone().with_strategy(strategy))
+            .unwrap()
+            .freeze_with_cache_capacity(CAPACITY)
+            .unwrap();
+        hammer(&|text| frozen.answer_sparql(text).unwrap());
+        bounded(frozen.plan_cache_stats());
+    }
+    let federated = FederatedSession::open(&films, EngineConfig::default())
+        .unwrap()
+        .freeze_with_cache_capacity(CAPACITY)
+        .unwrap();
+    hammer(&|text| federated.answer_sparql(text).unwrap());
+    bounded(federated.plan_cache_stats());
+}

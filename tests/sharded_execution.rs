@@ -177,3 +177,58 @@ fn frozen_reseal_reports_shards_and_compression() {
         "compression requested and the solution is large enough"
     );
 }
+
+/// How the "auto" (`0`) counts resolve: the host is asked once per
+/// process ([`rps_rdf::host_parallelism`]), explicit values never ask,
+/// and `RPS_SHARDS` — unlike the host — is read on every call. The test
+/// changes its environment, so it re-runs itself alone in a child
+/// process, where that races with no other test.
+#[test]
+fn auto_counts_resolve_through_one_cached_host_query() {
+    const CHILD: &str = "RPS_TEST_RESOLVE_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "auto_counts_resolve_through_one_cached_host_query",
+            ])
+            .env(CHILD, "1")
+            .status()
+            .expect("child test process runs");
+        assert!(status.success(), "child half failed: {status}");
+        return;
+    }
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(rps_rdf::host_parallelism(), host);
+    assert!(rps_rdf::host_parallelism() >= 1);
+
+    let auto = ExecConfig::default();
+    let explicit = ExecConfig {
+        workers: 3,
+        shards: 5,
+        ..auto
+    };
+    assert_eq!((auto.workers, auto.shards), (0, 0));
+    assert_eq!(auto.resolved_workers(), host);
+    assert_eq!(explicit.resolved_workers(), 3);
+
+    // The override wins over both, and follows the environment.
+    for forced in [3, 7] {
+        std::env::set_var("RPS_SHARDS", forced.to_string());
+        assert_eq!(auto.resolved_shards(), forced);
+        assert_eq!(explicit.resolved_shards(), forced);
+        assert_eq!(explicit.seal_config().shards, forced);
+    }
+    std::env::remove_var("RPS_SHARDS");
+    assert_eq!(auto.resolved_shards(), host);
+    assert_eq!(explicit.resolved_shards(), 5);
+    let seal = rps_rdf::SealConfig::default();
+    assert_eq!(
+        rps_rdf::SealConfig { shards: 0, ..seal }.effective_shards(),
+        host
+    );
+    assert_eq!(
+        rps_rdf::SealConfig { shards: 5, ..seal }.effective_shards(),
+        5
+    );
+}

@@ -5,10 +5,11 @@
 //! [`rps_query::SparqlError`] whose span lies within the input. The
 //! parser must never panic, whatever bytes it is fed.
 
-use rps_core::{EngineConfig, PeerId, RpsBuilder, Session, SparqlResult};
+use rps_core::{canonical_plan_key, EngineConfig, PeerId, RpsBuilder, Session, SparqlResult};
 use rps_lodgen::seed_matrix;
-use rps_query::parse_sparql;
-use rps_rdf::PrefixMap;
+use rps_query::{parse_sparql, GraphPatternQuery, TermOrVar};
+use rps_rdf::{PrefixMap, Term};
+use std::collections::HashMap;
 
 /// Valid corpus: one query per supported grammar feature, plus
 /// combinations. All must parse, lower and execute without error.
@@ -85,6 +86,57 @@ fn corpus_parses_lowers_and_executes() {
             SparqlResult::Boolean(_) => {}
         }
     }
+}
+
+/// The plan-cache key by its definition, written the plain way (a map
+/// from name to slot): variables numbered by first occurrence, head
+/// first, constants kind-tagged.
+fn reference_plan_key(query: &GraphPatternQuery) -> String {
+    let mut slots: HashMap<String, usize> = HashMap::new();
+    let mut slot = |name: &str| {
+        let next = slots.len();
+        format!("#{} ", slots.entry(name.to_string()).or_insert(next))
+    };
+    let mut key: String = query.free_vars().iter().map(|v| slot(v.name())).collect();
+    key.push('|');
+    for tp in query.pattern().patterns() {
+        for tv in [&tp.s, &tp.p, &tp.o] {
+            key += &match tv {
+                TermOrVar::Var(v) => slot(v.name()),
+                TermOrVar::Term(Term::Iri(i)) => format!("I<{i}> "),
+                TermOrVar::Term(Term::Literal(l)) => format!("L<{l}> "),
+                TermOrVar::Term(Term::Blank(b)) => format!("B<{b}> "),
+            };
+        }
+        key.push('.');
+    }
+    key
+}
+
+/// The key bytes are a contract (the benchmark's live reader tells hits
+/// from misses by them): every CQ the corpus lowers to keys exactly as
+/// the definition says, and one is pinned literally.
+#[test]
+fn plan_keys_of_the_corpus_are_pinned() {
+    let mut cqs = 0;
+    for text in CORPUS {
+        let lowered = parse_sparql(text, &PrefixMap::common()).unwrap().lower();
+        for cq in lowered.queries() {
+            assert_eq!(canonical_plan_key(cq), reference_plan_key(cq), "{text}");
+            cqs += 1;
+        }
+    }
+    assert!(
+        cqs > CORPUS.len(),
+        "OPTIONAL and UNION lower to several CQs"
+    );
+    let lowered = parse_sparql(CORPUS[2], &PrefixMap::common())
+        .unwrap()
+        .lower();
+    assert_eq!(
+        canonical_plan_key(lowered.queries()[0]),
+        "#0 |#0 I<<http://c/p>> #1 .#1 I<<http://c/q>> #2 ."
+    );
 }
 
 /// Malformed queries that must produce a typed error with an in-bounds

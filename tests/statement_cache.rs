@@ -1,0 +1,327 @@
+//! The statement front of the frozen plan caches: a SPARQL text seen
+//! before comes back whole, keyed by its bytes, and answers exactly as
+//! the first (missing) preparation and as the mutable [`Session`] do.
+//! Checked on the three façades that have the front — frozen
+//! `Materialise`, frozen `Rewrite` and [`FrozenFederatedSession`] —
+//! together with the counter contract (`hits` counts plans served
+//! without compilation), the bound, and that errors are never cached.
+
+use rps_core::{
+    EngineConfig, FrozenSession, PeerId, PlanCacheStats, RdfPeerSystem, RpsBuilder, RpsError,
+    Session, SparqlResult, Strategy,
+};
+use rps_p2p::{FederatedSession, FrozenFederatedSession};
+use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
+use rps_tgd::RewriteConfig;
+
+const PEOPLE: usize = 100;
+
+const SELECT: &str = "SELECT ?f ?who WHERE { ?f <http://a/cast> ?who }";
+
+const OPTIONAL_FILTER: &str = "PREFIX a: <http://a/>\n\
+     SELECT ?who ?age ?nick WHERE {\n\
+       ?f a:cast ?who . ?who a:age ?age\n\
+       OPTIONAL { ?who a:nick ?nick }\n\
+       FILTER(?age > \"40\")\n\
+     } ORDER BY DESC(?age) LIMIT 7";
+
+const ASK_UNION: &str =
+    "ASK { { ?f <http://a/cast> <http://a/p2> } UNION { ?f <http://no/such> ?x } }";
+
+const TEXTS: [&str; 3] = [SELECT, OPTIONAL_FILTER, ASK_UNION];
+
+/// What the fronted façades have in common, so every check below is
+/// written once. A prepared statement travels as its plan count and a
+/// closure that executes it (the handle types differ per façade).
+trait Front {
+    fn name(&self) -> &'static str;
+    fn prepare(&self, text: &str) -> Result<(usize, Execute<'_>), RpsError>;
+    fn answer(&self, text: &str) -> Result<SparqlResult, RpsError>;
+    fn stats(&self) -> PlanCacheStats;
+}
+
+type Execute<'a> = Box<dyn Fn() -> SparqlResult + 'a>;
+
+struct Named<S>(&'static str, S);
+
+macro_rules! front {
+    ($session:ty) => {
+        impl Front for Named<$session> {
+            fn name(&self) -> &'static str {
+                self.0
+            }
+            fn prepare(&self, text: &str) -> Result<(usize, Execute<'_>), RpsError> {
+                let prepared = self.1.prepare_sparql(text)?;
+                Ok((
+                    prepared.plan_count(),
+                    Box::new(move || self.1.execute_sparql(&prepared).unwrap()),
+                ))
+            }
+            fn answer(&self, text: &str) -> Result<SparqlResult, RpsError> {
+                self.1.answer_sparql(text)
+            }
+            fn stats(&self) -> PlanCacheStats {
+                self.1.plan_cache_stats()
+            }
+        }
+    };
+}
+front!(FrozenSession);
+front!(FrozenFederatedSession);
+
+/// Runs `check` on each fronted façade over `sys`, every cache bounded
+/// to `capacity`.
+fn on_every_front(
+    sys: &RdfPeerSystem,
+    config: &EngineConfig,
+    capacity: usize,
+    mut check: impl FnMut(&dyn Front),
+) {
+    for (name, strategy) in [
+        ("frozen materialise", Strategy::Materialise),
+        ("frozen rewrite", Strategy::Rewrite),
+    ] {
+        let frozen = Session::open(sys.clone(), config.clone().with_strategy(strategy))
+            .unwrap()
+            .freeze_with_cache_capacity(capacity)
+            .unwrap();
+        check(&Named(name, frozen));
+    }
+    let federated = FederatedSession::open(sys, config.clone())
+        .unwrap()
+        .freeze_with_cache_capacity(capacity)
+        .unwrap();
+    check(&Named("frozen federated", federated));
+}
+
+/// The sequential oracle: a mutable materialising session.
+fn oracle(sys: &RdfPeerSystem) -> Session {
+    let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+    Session::open(sys.clone(), config).unwrap()
+}
+
+#[test]
+fn hit_equals_miss_equals_mutable_session_and_counts_its_plans() {
+    let sys = build_system();
+    let mut oracle = oracle(&sys);
+    on_every_front(&sys, &EngineConfig::default(), 64, |front| {
+        for (seen, text) in TEXTS.into_iter().enumerate() {
+            let label = format!("{}: {text}", front.name());
+            let expected = oracle.answer_sparql(text).unwrap();
+            let cold = front.stats();
+            assert_eq!(cold.statements, seen, "{label}");
+
+            // The miss: every CQ of the text compiles, nothing hits.
+            let miss = front.answer(text).unwrap();
+            assert_eq!(miss, expected, "{label}: miss");
+            let warm = front.stats();
+            let plans = (warm.misses - cold.misses) as usize;
+            assert!(plans >= 1, "{label}");
+            assert_eq!(warm.hits, cold.hits, "{label}");
+            assert_eq!(warm.statements, seen + 1, "{label}");
+
+            // The hit, through both entry points: `plan_count` plans
+            // served without compilation, nothing else moves.
+            assert_eq!(front.answer(text).unwrap(), expected, "{label}: hit");
+            let (plan_count, execute) = front.prepare(text).unwrap();
+            assert_eq!(plan_count, plans, "{label}");
+            assert_eq!(execute(), expected, "{label}: prepared hit");
+            assert_eq!(
+                front.stats(),
+                PlanCacheStats {
+                    hits: warm.hits + 2 * plans as u64,
+                    ..warm
+                },
+                "{label}"
+            );
+        }
+    });
+}
+
+#[test]
+fn texts_differing_in_spelling_are_two_statements_sharing_their_plans() {
+    let sys = build_system();
+    let mut oracle = oracle(&sys);
+    // The same query three ways: as is, re-spaced, and α-renamed.
+    let respaced = OPTIONAL_FILTER.replace('\n', "  \n\t");
+    let renamed = OPTIONAL_FILTER
+        .replace("?who", "?whom")
+        .replace("?f ", "?film ");
+    assert_ne!(respaced, OPTIONAL_FILTER);
+    assert_ne!(renamed, OPTIONAL_FILTER);
+    on_every_front(&sys, &EngineConfig::default(), 64, |front| {
+        let name = front.name();
+        assert_eq!(
+            front.answer(OPTIONAL_FILTER).unwrap(),
+            oracle.answer_sparql(OPTIONAL_FILTER).unwrap()
+        );
+        let first = front.stats();
+        let plans = first.misses;
+        assert_eq!((first.hits, first.statements), (0, 1), "{name}");
+        for (n, text) in [respaced.as_str(), renamed.as_str()]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(
+                front.answer(text).unwrap(),
+                oracle.answer_sparql(text).unwrap(),
+                "{name}: {text}"
+            );
+            // A statement miss that falls through to the per-CQ path,
+            // where every α-equivalent CQ is already compiled.
+            assert_eq!(
+                front.stats(),
+                PlanCacheStats {
+                    hits: (n as u64 + 1) * plans,
+                    statements: n + 2,
+                    ..first
+                },
+                "{name}: {text}"
+            );
+        }
+    });
+}
+
+/// `{err:?}` of what must be an error.
+fn failure(result: Result<SparqlResult, RpsError>) -> String {
+    format!("{:?}", result.expect_err("must fail"))
+}
+
+#[test]
+fn errors_are_typed_repeatable_and_never_cached() {
+    // Malformed text, on every front.
+    let sys = build_system();
+    on_every_front(&sys, &EngineConfig::default(), 64, |front| {
+        let malformed = "SELECT ?x WHERE { ?x }";
+        let first = front.answer(malformed);
+        assert!(
+            matches!(first, Err(RpsError::Sparql(_))),
+            "{}",
+            front.name()
+        );
+        assert_eq!(failure(first), failure(front.answer(malformed)));
+        assert!(front.prepare(malformed).is_err());
+        let stats = front.stats();
+        assert_eq!(
+            (stats.statements, stats.entries),
+            (0, 0),
+            "{}",
+            front.name()
+        );
+    });
+
+    // A rewriting that cannot finish inside its budget: transitive
+    // closure is not FO-rewritable (Proposition 3).
+    let tc = rps_lodgen::chain::transitive_system(6);
+    let config = EngineConfig::default().with_rewrite(RewriteConfig {
+        max_depth: 3,
+        max_cqs: 10_000,
+    });
+    let text = format!(
+        "SELECT ?x ?y WHERE {{ ?x <{}A> ?y }}",
+        rps_lodgen::chain::NS
+    );
+    let rewrite = Session::open(tc.clone(), config.clone().with_strategy(Strategy::Rewrite))
+        .unwrap()
+        .freeze()
+        .unwrap();
+    let federated = FederatedSession::open(&tc, config)
+        .unwrap()
+        .freeze()
+        .unwrap();
+    let fronts: [&dyn Front; 2] = [
+        &Named("frozen rewrite", rewrite),
+        &Named("frozen federated", federated),
+    ];
+    for front in fronts {
+        let first = front.answer(&text);
+        assert!(
+            matches!(first, Err(RpsError::RewriteBudget { .. })),
+            "{}",
+            front.name()
+        );
+        assert_eq!(failure(first), failure(front.answer(&text)));
+        let stats = front.stats();
+        assert_eq!(
+            (stats.statements, stats.entries),
+            (0, 0),
+            "{}",
+            front.name()
+        );
+        // Nothing was served without compilation either time.
+        assert_eq!((stats.hits, stats.misses), (0, 2), "{}", front.name());
+    }
+}
+
+#[test]
+fn capacity_bounds_the_statements_and_an_evicted_handle_still_executes() {
+    const CAPACITY: usize = 4;
+    let sys = build_system();
+    let mut oracle = oracle(&sys);
+    let films_of =
+        |i: usize| format!("SELECT ?f WHERE {{ ?f <http://a/cast> <http://a/p{i}> }} ORDER BY ?f");
+    on_every_front(&sys, &EngineConfig::default(), CAPACITY, |front| {
+        let name = front.name();
+        let first = films_of(0);
+        let (_, early) = front.prepare(&first).unwrap();
+        for i in 0..PEOPLE {
+            let text = films_of(i);
+            let expected = oracle.answer_sparql(&text).unwrap();
+            assert!(!expected.rows().unwrap().rows.is_empty(), "{text}");
+            assert_eq!(front.answer(&text).unwrap(), expected, "{name}: {text}");
+            let stats = front.stats();
+            assert!(
+                stats.statements <= CAPACITY && stats.entries <= CAPACITY,
+                "{name}: {stats:?}"
+            );
+            assert_eq!(stats.capacity, CAPACITY);
+        }
+        let full = front.stats();
+        assert_eq!((full.statements, full.entries), (CAPACITY, CAPACITY));
+        // The first text fell out of both maps long ago: asking again
+        // compiles again — while the handle taken before the eviction
+        // keeps its plans and answers as ever.
+        let expected = oracle.answer_sparql(&first).unwrap();
+        assert_eq!(early(), expected, "{name}: evicted handle");
+        assert_eq!(front.answer(&first).unwrap(), expected);
+        assert_eq!(front.stats().misses, full.misses + 1, "{name}");
+    });
+}
+
+/// Peer A casts person `i` in films `i` and `7i mod 100` and knows
+/// everybody's age and every third nick; peer B's `actor` triples map
+/// into A's `cast`.
+fn build_system() -> RdfPeerSystem {
+    let pair = |pred: &str| {
+        GraphPatternQuery::new(
+            vec![Variable::new("x"), Variable::new("y")],
+            GraphPattern::triple(
+                TermOrVar::var("x"),
+                TermOrVar::iri(pred),
+                TermOrVar::var("y"),
+            ),
+        )
+    };
+    let mut a_text = String::new();
+    let mut b_text = String::new();
+    for i in 0..PEOPLE {
+        a_text += &format!("<http://a/f{i}> <http://a/cast> <http://a/p{i}> .\n");
+        b_text += &format!(
+            "<http://b/f{}> <http://b/actor> <http://a/p{i}> .\n",
+            i * 7 % PEOPLE
+        );
+        a_text += &format!("<http://a/p{i}> <http://a/age> \"{}\" .\n", 20 + i % 50);
+        if i % 3 == 0 {
+            a_text += &format!("<http://a/p{i}> <http://a/nick> \"n{i}\" .\n");
+        }
+    }
+    let (mut a, mut b) = (PeerId(0), PeerId(0));
+    RpsBuilder::new()
+        .peer_turtle("A", &a_text, &mut a)
+        .unwrap()
+        .peer_turtle("B", &b_text, &mut b)
+        .unwrap()
+        .assertion(b, a, pair("http://b/actor"), pair("http://a/cast"))
+        .unwrap()
+        .build()
+}
