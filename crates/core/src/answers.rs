@@ -48,8 +48,7 @@ impl AnswerSet {
         }
     }
 
-    /// Renders the answers as a simple aligned table (for examples and
-    /// the benchmark harness).
+    /// Renders the answers as a simple aligned table (for examples).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(

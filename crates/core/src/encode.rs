@@ -371,8 +371,8 @@ pub fn gma_tgd_unguarded(
 
 /// Encodes an RDF graph directly as `tt` facts (the `ts → tt` copy is
 /// the identity, so sources can be loaded as `tt`): the Datalog route's
-/// fixpoint input and the tgd-layer benches' database. The rewrite route
-/// never calls this — it runs over the graph itself.
+/// fixpoint input. The rewrite route never calls this — it runs over the
+/// graph itself.
 pub fn graph_as_tt(graph: &Graph, enc: &mut Encoder) -> Instance {
     let mut inst = Instance::new();
     let tt = inst.intern_pred(&Sym::from("tt"));

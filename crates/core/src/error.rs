@@ -116,6 +116,14 @@ pub enum RpsError {
         /// What prevented the persist/open.
         detail: String,
     },
+    /// A live update batch names a peer index outside the system;
+    /// [`crate::live::LiveSession::apply`] refuses it whole, unapplied.
+    UnknownPeer {
+        /// The peer index the batch named.
+        peer: usize,
+        /// The number of peers in the system.
+        peers: usize,
+    },
     /// A candidate tuple's arity does not match the query's.
     Arity {
         /// The query arity.
@@ -189,6 +197,10 @@ impl fmt::Display for RpsError {
             RpsError::Persist { detail } => {
                 write!(f, "cannot persist/open frozen session: {detail}")
             }
+            RpsError::UnknownPeer { peer, peers } => write!(
+                f,
+                "update batch names peer {peer}, but the system has {peers} peer(s)"
+            ),
             RpsError::Arity { expected, got } => {
                 write!(
                     f,

@@ -12,8 +12,8 @@
 //!   ([`system`]),
 //! * **Algorithm 1** — the chase producing a universal solution, over
 //!   which certain answers are evaluated ([`chase`], [`answers`]);
-//!   Theorem 1 (PTIME data complexity) is exercised by the `rps-bench`
-//!   scaling experiments,
+//!   the repo benchmark (`benchmark/`, metrics `core.chase.*`) times it
+//!   at one size — Theorem 1's growth with size is not measured,
 //! * the **Section 3 reduction** to relational data exchange
 //!   ([`encode`]),
 //! * the **Section 4 rewriting** machinery — classification-driven UCQ

@@ -206,10 +206,22 @@ impl LiveSession {
     /// discarded (rebuild via [`LiveSession::open`] from the peers'
     /// databases, which the failed batch has already mutated).
     ///
-    /// # Panics
-    ///
-    /// If a batch entry names a peer index outside the system.
+    /// A batch entry naming a peer outside the system is
+    /// [`RpsError::UnknownPeer`]: the whole batch is refused before any
+    /// peer database changes, and the session stays usable.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<u32, RpsError> {
+        let peers = self.system.peers().len();
+        if let Some((peer, _)) = batch
+            .removes
+            .iter()
+            .chain(&batch.inserts)
+            .find(|(peer, _)| peer.0 >= peers)
+        {
+            return Err(RpsError::UnknownPeer {
+                peer: peer.0,
+                peers,
+            });
+        }
         // --- Removals first (batch semantics: remove-then-insert of the
         // same triple is a no-op). ---
         let mut candidates: Vec<IdTriple> = Vec::new();
@@ -617,6 +629,35 @@ mod tests {
         // support; only A's stored pair remains.
         assert_eq!(answers.len(), 1);
         assert!(live.stats().retractions > 0);
+    }
+
+    #[test]
+    fn unknown_peer_refuses_the_whole_batch_before_any_mutation() {
+        let mut live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let triples = live.solution().graph.len();
+        // Valid entries first, so a late check would already have mutated
+        // peer B; the bad peer is the batch's last entry.
+        let batch = UpdateBatch::new()
+            .remove(PeerId(1), actor_triple("film2", "actor2"))
+            .insert(PeerId(1), actor_triple("film3", "actor3"))
+            .insert(PeerId(2), actor_triple("film4", "actor4"));
+        assert!(matches!(
+            live.apply(&batch),
+            Err(RpsError::UnknownPeer { peer: 2, peers: 2 })
+        ));
+        assert_eq!(live.epoch(), 0);
+        assert_eq!(live.reader().epoch(), 0);
+        assert_eq!(live.solution().graph.len(), triples);
+        assert_eq!(live.system().peer(PeerId(1)).database.len(), 1);
+        // A bad peer among the removals is caught the same way.
+        let batch = UpdateBatch::new().remove(PeerId(7), actor_triple("film2", "actor2"));
+        assert!(matches!(
+            live.apply(&batch),
+            Err(RpsError::UnknownPeer { peer: 7, peers: 2 })
+        ));
+        // The session is still usable: the next valid batch commits epoch 1.
+        let batch = UpdateBatch::new().insert(PeerId(1), actor_triple("film3", "actor3"));
+        assert_eq!(live.apply(&batch).expect("applies"), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The other generators in this crate build *peer systems* — mappings,
 //! `sameAs` links, query mixes — and top out around the tens of
 //! thousands of triples the chase experiments need. The sharding and
-//! morsel-scan experiments (`e19`) instead need one graph with
+//! morsel-scan experiments instead need one graph with
 //! *millions* of triples, generated in O(n) time and O(pool) extra
 //! memory: no per-triple `format!` of fresh IRIs (which makes the
 //! dictionary as large as the store) and no accidental quadratic

@@ -997,8 +997,8 @@ impl FederatedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Term-level baseline (the pre-redesign path), kept for the e12
-    // benchmark ablation and the agreement tests.
+    // Term-level baseline (the pre-redesign path), kept as the
+    // reference of the agreement tests (tests/federation_prepared.rs).
     // ------------------------------------------------------------------
 
     /// Evaluates a single conjunctive branch federatedly at the term

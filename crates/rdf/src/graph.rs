@@ -12,8 +12,8 @@
 //! tail, size-tiered compaction, tombstoned removals), with the original
 //! three-`BTreeSet` layout retained as an oracle and benchmark baseline.
 //! Logical behaviour — membership, scan order, the insertion log and its
-//! delta windows — is identical across backends; the `rps-bench`
-//! experiment `e13` measures the difference in insert and scan cost.
+//! delta windows — is identical across backends; the repo benchmark's
+//! storage ladder (`rdf.ladder.*`) measures the difference in cost.
 //!
 //! Independently of the backend, a graph maintains an append-only
 //! **insertion log** ([`Graph::log_since`]): consumers such as the
@@ -222,7 +222,7 @@ impl Graph {
 
     /// Creates an empty graph with an explicit storage backend. Logical
     /// behaviour is backend-independent; use [`StorageBackend::BTree`]
-    /// only to compare physical layouts (as experiment `e13` does).
+    /// only to compare physical layouts (as the agreement tests do).
     pub fn with_backend(backend: StorageBackend) -> Self {
         Graph {
             store: TripleStore::new(backend),

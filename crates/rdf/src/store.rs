@@ -25,8 +25,8 @@
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
-//!   oracle and benchmark baseline (experiment `e13` in `rps-bench`
-//!   measures both).
+//!   oracle and benchmark baseline (`rdf.ladder.btree.*` in the repo
+//!   benchmark measures it beside the run layouts).
 //!
 //! **Why runs beat trees here.** The chase workload is insert-dominated:
 //! every equivalence repair and GMA firing inserts triples, and each
@@ -186,7 +186,7 @@ pub enum StorageBackend {
 }
 
 /// Counters describing the physical state of a store — used by tests
-/// (to force and observe compaction) and by the `e13` storage benchmark.
+/// (to force and observe compaction) and by the repo benchmark.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageStats {
     /// Immutable sorted runs per permutation index.

@@ -445,6 +445,39 @@ fn id_rewriting_matches_naive_on_linear_and_sticky_sets() {
     }
 }
 
+/// Outside the FO-rewritable classes (Proposition 3's transitive closure)
+/// the expansion never closes: a deeper budget explores strictly more CQs,
+/// neither engine reports completeness, and both answer alike at each depth.
+#[test]
+fn deeper_expansion_explores_strictly_more_cqs_on_transitive_closure() {
+    let tgds = vec![tgd_pool()[4].clone()]; // r(x,z), r(z,y) → r(x,y)
+    let mut inst = Instance::new();
+    for i in 0..12 {
+        inst.insert(Fact::new("r", vec![c(i), c(i + 1)]));
+    }
+    let q = Cq::new(
+        &["x", "y"],
+        vec![Atom::new("r", vec![AtomArg::var("x"), AtomArg::var("y")])],
+    );
+    let mut explored = 0;
+    for depth in [2, 4] {
+        let cfg = RewriteConfig {
+            max_depth: depth,
+            max_cqs: 50_000,
+        };
+        let fast = rewrite(&q, &tgds, &cfg);
+        let slow = naive::rewrite(&q, &tgds, &cfg);
+        assert!(!fast.complete && !slow.complete, "depth {depth}");
+        assert!(fast.explored > explored, "depth {depth}");
+        explored = fast.explored;
+        assert_eq!(
+            rps_tgd::evaluate_union(&fast.cqs, &inst),
+            rps_tgd::evaluate_union(&slow.cqs, &inst),
+            "depth {depth}"
+        );
+    }
+}
+
 /// Subsumption pruning is sound: the pruned union is a subset of the
 /// unpruned one (up to canonical renaming) with identical certain
 /// answers on random instances — and the id-level evaluator agrees

@@ -88,6 +88,21 @@ fn discovery_is_stable_under_reordering_of_peers() {
 }
 
 #[test]
+fn default_thresholds_hold_at_thirty_percent_duplicates() {
+    let w = people_workload(&PeopleConfig {
+        peers: 4,
+        persons_per_peer: 60,
+        duplicate_fraction: 0.3,
+        cities: 5,
+        seed: 11,
+    });
+    let candidates = discover(&w.system, &DiscoveryConfig::default());
+    let quality = evaluate_discovery(&candidates, &w.truth);
+    assert!(quality.precision >= 0.9, "{quality:?}");
+    assert!(quality.recall >= 0.9, "{quality:?}");
+}
+
+#[test]
 fn stricter_thresholds_trade_recall_for_precision() {
     let w = people_workload(&PeopleConfig {
         duplicate_fraction: 0.5,

@@ -44,6 +44,8 @@ fn e2_universal_solution_is_a_solution() {
 fn e3_listing2_boolean_rewriting() {
     let ex = paper_example();
     let rw = RpsRewriter::new(&ex.system);
+    // Example 3 rewrites because the paper's G is linear.
+    assert!(rw.classification().linear);
     let toby = Term::iri(format!("{}Toby_Maguire", rps_lodgen::paper::DB1));
     let tuple = [toby, Term::literal("39")];
 

@@ -63,21 +63,26 @@ fn depth_k_rewriting_covers_exactly_bounded_chains() {
 
 #[test]
 fn chase_finds_what_rewriting_misses() {
-    let len = 24;
-    let sys = transitive_system(len);
-    let sol = chase_system(&sys, &RpsChaseConfig::default());
-    let ans = certain_answers(&sol, &edge_query());
-    assert!(ans.tuples.contains(&vec![node(0), node(len)]));
-
-    let rw = RpsRewriter::new(&sys);
     let cfg = RewriteConfig {
         max_depth: 3,
         max_cqs: 50_000,
     };
-    let (rw_ans, complete) = rw.answers(&edge_query(), &cfg);
-    assert!(!complete, "expansion must be cut off");
-    // Soundness: the bounded rewriting never invents answers.
-    assert!(rw_ans.tuples.is_subset(&ans.tuples));
-    // Incompleteness: it strictly misses some.
-    assert!(rw_ans.tuples.len() < ans.tuples.len());
+    let mut missed_before = 0;
+    for len in [8, 16, 24] {
+        let sys = transitive_system(len);
+        let sol = chase_system(&sys, &RpsChaseConfig::default());
+        let ans = certain_answers(&sol, &edge_query());
+        assert!(ans.tuples.contains(&vec![node(0), node(len)]));
+
+        let (rw_ans, complete) = RpsRewriter::new(&sys).answers(&edge_query(), &cfg);
+        assert!(!complete, "expansion must be cut off");
+        // Soundness: the bounded rewriting never invents answers.
+        assert!(rw_ans.tuples.is_subset(&ans.tuples));
+        // Incompleteness: it strictly misses some, and more on a longer
+        // chain — the closure grows quadratically, a fixed depth's reach
+        // linearly.
+        let missed = ans.len() - rw_ans.len();
+        assert!(missed > missed_before, "len {len}: missed {missed}");
+        missed_before = missed;
+    }
 }
