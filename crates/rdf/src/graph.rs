@@ -368,14 +368,19 @@ impl Graph {
     }
 
     /// Seals the graph's physical layout for read-only sharing: under
-    /// the sorted-run backend the mutable tail is flushed into an
-    /// immutable run and every tombstone is physically purged, so
-    /// subsequent `&self` scans are pure merges of immutable runs —
-    /// nothing left for a writer to race with, which is what makes a
-    /// sealed graph the substrate of the `Send + Sync` frozen sessions
-    /// in `rps-core`/`rps-p2p`. The logical triple set, the dictionary
+    /// the sorted-run backend the mutable tail is flushed, the runs are
+    /// merged into one per permutation and every tombstone is
+    /// physically dropped on the way, so subsequent `&self` scans read
+    /// immutable runs only — nothing left for a writer to race with,
+    /// which is what makes a sealed graph the substrate of the
+    /// `Send + Sync` frozen sessions in `rps-core`/`rps-p2p`. Sealed
+    /// and unsharded ⇒ at most one run per permutation
+    /// ([`StorageStats::runs`] ≤ 1), so a point probe never sets up a
+    /// merge; shards left by an earlier [`Graph::seal_with`] are kept
+    /// beside that run. The logical triple set, the dictionary
     /// and the insertion log (and every outstanding mark into it) are
-    /// unchanged; sealing an already-sealed or B-tree graph is a no-op.
+    /// unchanged; sealing a graph `seal` already left in this shape, or
+    /// a B-tree graph, is a no-op.
     /// A sealed graph still accepts writes — they simply start a new
     /// tail and clear [`Graph::is_sealed`].
     pub fn seal(&mut self) {
@@ -421,9 +426,10 @@ impl Graph {
         self.store.seal_with(cfg);
     }
 
-    /// `true` iff the physical layout is in the sealed shape (empty
-    /// mutable tail, no pending tombstones; trivially true for the
-    /// B-tree backend).
+    /// `true` iff the mutable tail is empty and no tombstone is pending
+    /// (trivially true for the B-tree backend). [`Graph::seal`] leaves
+    /// the graph so, but so can a batch insert that happens to flush
+    /// the tail: only `seal` also folds the runs into one.
     pub fn is_sealed(&self) -> bool {
         self.store.is_sealed()
     }

@@ -20,8 +20,11 @@
 //!   sorted per permutation — for the key range and k-way merge the
 //!   resulting slices, so iteration order is identical to a B-tree
 //!   range scan and scan setup allocates nothing beyond the head list. Removals from runs are **tombstones** in a side set,
-//!   filtered during scans and physically dropped by a full compaction
-//!   once they outnumber half the run-resident keys.
+//!   filtered during scans and physically dropped — by one merge pass
+//!   per permutation that folds the stack into a single run, copying
+//!   the big run in stretches between the few tombstoned positions —
+//!   when the store is sealed, or on its own once they outnumber half
+//!   the run-resident keys.
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
@@ -410,11 +413,17 @@ impl TripleStore {
     }
 
     /// Seals the physical layout for read-only sharing: the sorted-run
-    /// backend flushes the mutable tail into a run and physically purges
-    /// all tombstones, so subsequent scans merge immutable runs only
-    /// (no tail subslice, no per-key tombstone probe). The logical key
-    /// set is unchanged; the B-tree backend is a no-op. A sealed store
-    /// accepts further writes (they simply start a new tail).
+    /// backend flushes the mutable tail into a run, then folds the run
+    /// stack into one run per permutation while physically dropping all
+    /// tombstones, so subsequent scans read immutable runs only (no
+    /// tail subslice, no per-key tombstone probe). **Sealed and
+    /// unsharded ⇒ at most one run per permutation**, whether or not a
+    /// tombstone existed: a probe sets up a single source, no merge.
+    /// Over a sharded seal the shards stay as they are (less their dead
+    /// keys) and the writes since fold into one run beside them. The
+    /// logical key set is unchanged; the B-tree backend is a no-op. A
+    /// sealed store accepts further writes (they simply start a new
+    /// tail).
     pub(crate) fn seal(&mut self) {
         if let TripleStore::Runs(s) = self {
             s.seal();
@@ -433,8 +442,10 @@ impl TripleStore {
         }
     }
 
-    /// `true` iff the store is in the sealed shape ([`Self::seal`]):
-    /// empty tail, no tombstones. Trivially true for the B-tree backend.
+    /// `true` iff the tail is empty and no tombstone is pending — what
+    /// [`Self::seal`] leaves, though not only it (a flushing
+    /// `insert_batch` does too, over several runs). Trivially true for
+    /// the B-tree backend.
     pub(crate) fn is_sealed(&self) -> bool {
         match self {
             TripleStore::BTree(_) => true,
@@ -725,26 +736,91 @@ impl RunIndex {
             }
             let b = self.runs.pop().expect("len checked");
             let a = self.runs.pop().expect("len checked");
-            self.runs.push(Arc::new(merge_sorted(&a, &b)));
+            self.runs.push(Arc::new(merge_sorted(&a, &b, &[])));
+        }
+    }
+
+    /// Folds the whole run stack into one run without the keys of
+    /// `dead` (sorted in this permutation's order). The younger runs —
+    /// under tiering a fraction of the oldest — are merged among
+    /// themselves first, newest up, so the oldest run is read once, in
+    /// the pass that also drops the dead keys. An already single run
+    /// with nothing to drop is left as it is (same `Arc`).
+    fn compact(&mut self, dead: &[[u32; 3]]) {
+        if self.runs.len() <= 1 && dead.is_empty() {
+            return;
+        }
+        let mut runs = std::mem::take(&mut self.runs).into_iter();
+        let Some(oldest) = runs.next() else {
+            return; // tombstones of shard-resident keys only
+        };
+        let young = runs
+            .rev()
+            .fold(Vec::new(), |acc, run| merge_sorted(&run, &acc, &[]));
+        let merged = merge_sorted(&oldest, &young, dead);
+        if !merged.is_empty() {
+            self.runs.push(Arc::new(merged));
         }
     }
 }
 
-/// Two-pointer merge of disjoint sorted key vectors.
-fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]]) -> Vec<[u32; 3]> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
+/// `(a ∪ b) ∖ dead` for disjoint sorted key slices `a` and `b` and a
+/// sorted `dead` (which may also name keys of neither) — the store's
+/// one merge routine: tiered compaction calls it with nothing dead, a
+/// purge with the tombstones.
+///
+/// The longer input is copied in stretches; the shorter one's keys and
+/// the dead ones are the *events* between the stretches, taken in key
+/// order. A stretch's end is found by galloping when a few events meet
+/// a long run (a live batch against the solution: `O(events · log n)`
+/// comparisons plus a sequential copy), and by stepping key by key when
+/// galloping's worst case, two probes per bit of the run's length for
+/// every event, would cost more than the one comparison per key that
+/// stepping pays (runs of like size, as tiering merges them).
+fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]], dead: &[[u32; 3]]) -> Vec<[u32; 3]> {
+    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    let mut out = Vec::with_capacity(long.len() + short.len());
+    let events = short.len() + dead.len();
+    let gallop = events * 2 * (long.len().max(2).ilog2() as usize) < long.len();
+    let (mut i, mut j, mut d) = (0, 0, 0);
+    loop {
+        let event = match (short.get(j), dead.get(d)) {
+            (Some(&s), Some(&x)) => s.min(x),
+            (Some(&s), None) => s,
+            (None, Some(&x)) => x,
+            (None, None) => break,
+        };
+        if gallop {
+            let rest = &long[i..];
+            let mut bound = 1;
+            while bound <= rest.len() && rest[bound - 1] < event {
+                bound *= 2;
+            }
+            let from = bound / 2;
+            let below = from + rest[from..bound.min(rest.len())].partition_point(|k| *k < event);
+            out.extend_from_slice(&rest[..below]);
+            i += below;
         } else {
-            out.push(b[j]);
+            while i < long.len() && long[i] < event {
+                out.push(long[i]);
+                i += 1;
+            }
+        }
+        let is_dead = dead.get(d) == Some(&event);
+        if is_dead {
+            d += 1;
+            if long.get(i) == Some(&event) {
+                i += 1;
+            }
+        }
+        if short.get(j) == Some(&event) {
             j += 1;
+            if !is_dead {
+                out.push(event);
+            }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend_from_slice(&long[i..]);
     out
 }
 
@@ -1006,31 +1082,28 @@ impl RunStore {
         self.purge_dead();
     }
 
-    /// Unconditionally filters every tombstoned key out of the runs and
-    /// shards, then clears the tombstone set. Shards keep their
-    /// partitioning and representation (dropping keys never moves one
-    /// between shards).
+    /// Folds each index's run stack into one run without the tombstoned
+    /// keys — one merge pass per permutation over the tombstones sorted
+    /// in that permutation's order, see [`merge_sorted`] — rebuilds any
+    /// shard that holds a dead key, then clears the tombstone set.
+    /// Shards keep their partitioning and representation (dropping keys
+    /// never moves one between shards). A no-op on a single clean run.
     fn purge_dead(&mut self) {
-        if self.dead.len() == 0 {
-            return;
-        }
+        let dead_spo: Vec<[u32; 3]> = self.dead.iter().collect();
         for (perm, index) in [
             (Perm::Spo, &mut self.spo),
             (Perm::Pos, &mut self.pos),
             (Perm::Osp, &mut self.osp),
         ] {
-            let mut all: Vec<[u32; 3]> = Vec::new();
-            for run in index.runs.drain(..) {
-                all.extend(
-                    run.iter()
-                        .copied()
-                        .filter(|k| !self.dead.contains(spo_key(perm.unpermute(*k)))),
-                );
-            }
-            all.sort_unstable();
-            if !all.is_empty() {
-                index.runs.push(Arc::new(all));
-            }
+            let mut dead: Vec<[u32; 3]> = dead_spo
+                .iter()
+                .map(|&k| perm.permute(Perm::Spo.unpermute(k)))
+                .collect();
+            dead.sort_unstable();
+            index.compact(&dead);
+        }
+        if dead_spo.is_empty() {
+            return;
         }
         if self
             .shards
@@ -1046,10 +1119,10 @@ impl RunStore {
         self.dead = KeySet::default();
     }
 
-    /// Flushes the tail and drops every tombstone physically, leaving
-    /// the store as immutable runs only (see [`TripleStore::seal`]).
-    /// Existing shards are kept — only [`Self::seal_with`]
-    /// repartitions.
+    /// Flushes the tail, then folds the runs and drops every tombstone
+    /// physically, leaving at most one immutable run per permutation
+    /// beside the shards (see [`TripleStore::seal`]). Existing shards
+    /// are kept — only [`Self::seal_with`] repartitions.
     fn seal(&mut self) {
         if !self.spo.tail.is_empty() {
             self.flush(Vec::new());
@@ -1208,6 +1281,15 @@ impl KeySet {
 
     fn contains(&self, key: [u32; 3]) -> bool {
         self.find(key).is_some()
+    }
+
+    /// The keys, in slot order.
+    fn iter(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
+        self.ctrl
+            .iter()
+            .zip(&self.keys)
+            .filter(|(c, _)| **c == CTRL_FULL)
+            .map(|(_, k)| *k)
     }
 
     /// Adds `key`; `true` iff it was not present.
@@ -1888,6 +1970,228 @@ mod tests {
         assert!(!rs.insert(t(0, 0, 0)));
         assert!(bt.insert(t(0, 0, 0)));
         assert_matches_oracle(&rs, &bt, "after revival");
+    }
+
+    /// Both stores take the same write and agree on its outcome.
+    fn insert_both(rs: &mut TripleStore, bt: &mut TripleStore, triple: IdTriple) -> bool {
+        let added = bt.insert(triple);
+        assert_eq!(rs.insert(triple), added, "insert {triple:?}");
+        added
+    }
+
+    fn remove_both(rs: &mut TripleStore, bt: &mut TripleStore, triple: IdTriple) {
+        assert_eq!(rs.remove(triple), bt.remove(triple), "remove {triple:?}");
+    }
+
+    /// A store in the shape a live solution has when its batch is
+    /// published, mirrored in the B-tree oracle: one run of 20 000+
+    /// keys, `1 + seed % 3` small runs stacked on it and a partial tail.
+    /// The small keys fall before, between and after the big run's.
+    struct BigRunFixture {
+        rs: TripleStore,
+        bt: TripleStore,
+        /// The big run's keys, in insertion order.
+        big: Vec<IdTriple>,
+        /// Keys that were flushed into the small runs.
+        flushed: Vec<IdTriple>,
+        /// The first and the last key of the big run in each
+        /// permutation's order.
+        edges: Vec<IdTriple>,
+    }
+
+    fn big_run_fixture(seed: u64, next: &mut impl FnMut() -> u64) -> BigRunFixture {
+        let mut draw = |base: u32, subjects: u64| {
+            let r = next();
+            t(
+                base + (r % subjects) as u32,
+                ((r >> 16) % 7) as u32,
+                ((r >> 32) % 50) as u32,
+            )
+        };
+        let mut rs = TripleStore::new(StorageBackend::SortedRuns);
+        let mut bt = TripleStore::new(StorageBackend::BTree);
+        let bulk: Vec<IdTriple> = (0..24_000).map(|_| draw(100, 4000)).collect();
+        let mut big = Vec::new();
+        rs.insert_batch(bulk.iter().copied(), &mut big);
+        bt.insert_batch(bulk.into_iter(), &mut Vec::new());
+        rs.seal();
+        assert!(big.len() >= 20_000 && rs.stats().runs == 1, "one big run");
+        let edges: Vec<IdTriple> = [Perm::Spo, Perm::Pos, Perm::Osp]
+            .into_iter()
+            .flat_map(|perm| {
+                let all = collect_range(&bt, perm, [0; 3], [u32::MAX; 3]);
+                [all[0], all[all.len() - 1]]
+            })
+            .collect();
+        // Batches more than the tiering factor apart stay separate runs.
+        let smalls = 1 + (seed % 3) as usize;
+        let mut flushed = Vec::new();
+        for batch in [3000, 640].into_iter().skip(3 - smalls) {
+            let keys: Vec<IdTriple> = (0..batch).map(|_| draw(0, 4200)).collect();
+            rs.insert_batch(keys.iter().copied(), &mut flushed);
+            bt.insert_batch(keys.into_iter(), &mut Vec::new());
+        }
+        // Single inserts: the first TAIL_MAX flush into the newest small
+        // run, the rest stay in the tail.
+        let mut singles = 0;
+        while singles < TAIL_MAX + 40 {
+            let triple = draw(0, 4200);
+            if insert_both(&mut rs, &mut bt, triple) {
+                if singles < TAIL_MAX {
+                    flushed.push(triple);
+                }
+                singles += 1;
+            }
+        }
+        let stats = rs.stats();
+        assert_eq!((stats.runs, stats.tail), (1 + smalls, 40), "seed {seed}");
+        BigRunFixture {
+            rs,
+            bt,
+            big,
+            flushed,
+            edges,
+        }
+    }
+
+    /// Tombstones where the merge kernel has to get them right: (i) the
+    /// big run's interior, (ii) its first and last key in every
+    /// permutation, (iii) keys added, flushed into a small run and
+    /// removed in the same window, (iv) a key removed and re-inserted,
+    /// which must survive. Returns every key touched.
+    fn tombstone_sweep(f: &mut BigRunFixture, next: &mut impl FnMut() -> u64) -> Vec<IdTriple> {
+        let mut touched = Vec::new();
+        for _ in 0..150 {
+            touched.push(f.big[next() as usize % f.big.len()]);
+        }
+        touched.extend(f.edges.iter().copied());
+        for _ in 0..20 {
+            touched.push(f.flushed[next() as usize % f.flushed.len()]);
+        }
+        for &triple in &touched {
+            // A repeated draw is already gone from both.
+            remove_both(&mut f.rs, &mut f.bt, triple);
+        }
+        assert!(f.rs.stats().tombstones >= 150, "{:?}", f.rs.stats());
+        let revived = [touched[0], f.edges[0], touched[touched.len() - 1]];
+        for triple in revived {
+            assert!(insert_both(&mut f.rs, &mut f.bt, triple), "revives");
+        }
+        touched
+    }
+
+    /// The published layout: at most one run, nothing else; content and
+    /// membership as the oracle has them.
+    fn assert_one_clean_run(rs: &TripleStore, bt: &TripleStore, touched: &[IdTriple], what: &str) {
+        let stats = rs.stats();
+        assert!(
+            stats.runs <= 1 && stats.tail == 0 && stats.tombstones == 0,
+            "{what}: {stats:?}"
+        );
+        assert_matches_oracle(rs, bt, what);
+        for &triple in touched {
+            assert_eq!(rs.contains(triple), bt.contains(triple), "{what}");
+        }
+    }
+
+    /// `seal()` publishes one merged run per permutation at the shapes
+    /// the live path has (the live suites' systems are a few dozen
+    /// triples): big run + small runs + tail + tombstones, then the same
+    /// over shards, then everything dead.
+    #[test]
+    fn seal_merges_big_run_shapes_like_the_oracle() {
+        for seed in [3u64, 4, 5] {
+            let mut next = splitmix(seed);
+            let mut f = big_run_fixture(seed, &mut next);
+            let mut touched = tombstone_sweep(&mut f, &mut next);
+            f.rs.seal();
+            assert_one_clean_run(&f.rs, &f.bt, &touched, &format!("seed {seed}"));
+            assert_eq!(f.rs.stats().run_keys, f.bt.len());
+
+            // Insert-only window: no tombstone, still one run.
+            for i in 0..(TAIL_MAX as u32 + 9) {
+                let triple = t(50 + i * 31, 3, 7_000 + i);
+                insert_both(&mut f.rs, &mut f.bt, triple);
+                touched.push(triple);
+            }
+            assert!(f.rs.stats().runs == 2 && f.rs.stats().tombstones == 0);
+            f.rs.seal();
+            assert_one_clean_run(&f.rs, &f.bt, &touched, &format!("seed {seed}, insert-only"));
+
+            // (v) every key dead: nothing is left to publish.
+            let (mut rs, mut bt) = (f.rs.clone(), f.bt.clone());
+            for triple in collect_range(&f.bt, Perm::Osp, [0; 3], [u32::MAX; 3]) {
+                remove_both(&mut rs, &mut bt, triple);
+            }
+            rs.seal();
+            assert_one_clean_run(&rs, &bt, &touched, &format!("seed {seed}, drained"));
+            assert_eq!((rs.stats().runs, rs.len()), (0, 0));
+
+            // (vi) the same sweep over shard-resident keys: the shards
+            // stay, the runs written since fold to one.
+            f.rs.seal_with(&SealConfig {
+                shards: 3,
+                ..SealConfig::default()
+            });
+            let fresh = TAIL_MAX * 6 + 17;
+            for i in 0..fresh as u32 {
+                let triple = t(i * 7, 5, 9_000 + i);
+                insert_both(&mut f.rs, &mut f.bt, triple);
+                touched.push(triple);
+            }
+            f.flushed = touched[touched.len() - fresh..][..TAIL_MAX].to_vec();
+            f.big.retain(|&triple| f.bt.contains(triple));
+            f.edges = vec![
+                collect_range(&f.bt, Perm::Spo, [0; 3], [u32::MAX; 3])[0],
+                f.big[0],
+            ];
+            touched.extend(tombstone_sweep(&mut f, &mut next));
+            assert_eq!(f.rs.stats().tail, 17);
+            f.rs.seal();
+            assert_one_clean_run(&f.rs, &f.bt, &touched, &format!("seed {seed}, sharded"));
+            assert_eq!(f.rs.stats().shards, 3, "plain seal never repartitions");
+            for triple in collect_range(&f.bt, Perm::Pos, [0; 3], [u32::MAX; 3]) {
+                remove_both(&mut f.rs, &mut f.bt, triple);
+            }
+            f.rs.seal();
+            assert_one_clean_run(
+                &f.rs,
+                &f.bt,
+                &touched,
+                &format!("seed {seed}, shards drained"),
+            );
+            let stats = f.rs.stats();
+            assert_eq!((stats.runs, stats.shard_keys, f.rs.len()), (0, 0, 0));
+        }
+    }
+
+    /// The same shapes through `maybe_purge`: no seal, the purge trips
+    /// on its own once half the run-resident keys are tombstones, and
+    /// each time leaves one run that scans like the oracle.
+    #[test]
+    fn purge_merges_big_run_shapes_like_the_oracle() {
+        for seed in [6u64, 7, 8] {
+            let mut next = splitmix(seed);
+            let mut f = big_run_fixture(seed, &mut next);
+            let touched = tombstone_sweep(&mut f, &mut next);
+            let mut purges = 0;
+            for triple in collect_range(&f.bt, Perm::Pos, [0; 3], [u32::MAX; 3]) {
+                let before = f.rs.stats().tombstones;
+                remove_both(&mut f.rs, &mut f.bt, triple);
+                let stats = f.rs.stats();
+                if stats.tombstones < before {
+                    purges += 1;
+                    assert!(before + 1 >= PURGE_MIN, "purged at {before} tombstones");
+                    assert!(stats.runs <= 1 && stats.tombstones == 0, "{stats:?}");
+                    assert_matches_oracle(&f.rs, &f.bt, &format!("seed {seed} purge {purges}"));
+                }
+            }
+            assert!(purges >= 3, "seed {seed}: {purges} purges");
+            assert_eq!(f.rs.len(), 0);
+            for &triple in &touched {
+                assert!(!f.rs.contains(triple));
+            }
+        }
     }
 
     /// Sealing again (plain `seal`) after writes on top of a sharded

@@ -8,7 +8,10 @@
 //! **byte-identically** — the universal-solution triple sets are equal
 //! as term-level sets, and the answers to a query panel are equal under
 //! both `Semantics::Certain` and `Semantics::Star` and across every
-//! strategy route the scratch session can legally take.
+//! strategy route the scratch session can legally take. Every epoch's
+//! published layout is pinned too: one sorted run per permutation, no
+//! tail, no tombstone — a publish that lets a run stack through to
+//! readers fails here, not in a benchmark.
 //!
 //! The sweep runs random interleavings of insert/remove batches over
 //! randomly generated linear + sticky TGD sets (weakly acyclic by
@@ -171,6 +174,14 @@ fn skolem_chase() -> RpsChaseConfig {
 fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed: u64, epoch: u32) {
     let ctx = format!("seed {seed}, epoch {epoch}");
 
+    // 0. The published layout is what the read path is priced on: one
+    // run per permutation, nothing to merge or filter per probe.
+    let stats = live.solution().graph.storage_stats();
+    assert!(
+        stats.runs <= 1 && stats.tail == 0 && stats.tombstones == 0 && stats.shards == 0,
+        "{ctx}: published layout {stats:?}"
+    );
+
     // 1. Universal solutions agree as term-level triple sets.
     let scratch = chase_system(live.system(), &skolem_chase());
     assert!(scratch.complete, "{ctx}: scratch chase must complete");
@@ -221,6 +232,15 @@ fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed:
     }
 }
 
+/// What a batch of the sweep is made of.
+#[derive(Clone, Copy)]
+enum Shape {
+    Mixed,
+    InsertOnly,
+    RemoveOnly,
+    Empty,
+}
+
 #[test]
 fn incremental_maintenance_matches_scratch_rechase() {
     for seed in seeds() {
@@ -245,10 +265,27 @@ fn incremental_maintenance_matches_scratch_rechase() {
             LiveSession::open(system, EngineConfig::default()).expect("live session opens");
         assert_matches_scratch(&live, &panel, seed, 0);
 
-        for _ in 0..BATCHES {
+        // The random batches, then one insert-only, one remove-only and
+        // one empty batch: a publish must not depend on a tombstone
+        // being there to fold the runs.
+        let shapes = std::iter::repeat_n(Shape::Mixed, BATCHES).chain([
+            Shape::InsertOnly,
+            Shape::RemoveOnly,
+            Shape::Empty,
+        ]);
+        for shape in shapes {
+            let ops = match shape {
+                Shape::Empty => 0,
+                _ => rng.gen_range(1..4),
+            };
             let mut batch = UpdateBatch::new();
-            for _ in 0..rng.gen_range(1..4) {
-                let removing = !present.is_empty() && rng.gen_bool(0.4);
+            for _ in 0..ops {
+                let removing = !present.is_empty()
+                    && match shape {
+                        Shape::Mixed => rng.gen_bool(0.4),
+                        Shape::RemoveOnly => true,
+                        Shape::InsertOnly | Shape::Empty => false,
+                    };
                 if removing {
                     let at = rng.gen_range(0..present.len());
                     let (peer, triple) = present.swap_remove(at);
