@@ -1865,7 +1865,7 @@ _:c3 e:artist e:actor1 .
             (32, 32, 32)
         );
         assert_eq!(stats.predicates(), 2);
-        assert!(stats.spo_bounds.is_some() && stats.pos_bounds.is_some());
+        assert!(stats.spo_bounds.is_some());
         // Mutation invalidates; resealing rebuilds.
         g.insert_terms(
             Term::iri("http://e/s0"),

@@ -57,7 +57,8 @@ use crate::dict::{TermDict, TermId};
 use crate::error::RdfError;
 use crate::stats::{GraphStats, PredicateStats};
 use crate::store::{
-    Perm, RunSnapshot, SealConfig, StorageBackend, StorageStats, StoreRangeIter, TripleStore,
+    gallop_pays, Perm, RunSnapshot, SealConfig, StorageBackend, StorageStats, StoreRangeIter,
+    TripleStore,
 };
 use crate::term::Term;
 use crate::triple::{IdTriple, Triple};
@@ -101,13 +102,33 @@ pub struct Graph {
     /// until a scan merges widely or a morsel-driven execute runs over
     /// this graph.
     par: ParCounters,
-    /// Lazily-built planner statistics snapshot (see [`GraphStats`]).
-    /// Populated by the first [`Graph::graph_stats`] call against the
-    /// sealed graph and reset by any mutation, so a cached snapshot
-    /// always describes the current logical content. `OnceLock` because
-    /// sealed graphs are shared read-only across threads (frozen
-    /// sessions) while the first planner request builds it.
+    /// The planner statistics snapshot (see [`GraphStats`]). Populated
+    /// by the first [`Graph::graph_stats`] call against the sealed graph
+    /// or by [`Graph::seal`] patching `stats_base`, and emptied by any
+    /// mutation, so a held snapshot always describes the current logical
+    /// content. `OnceLock` because sealed graphs are shared read-only
+    /// across threads (frozen sessions) while the first planner request
+    /// builds it.
     stats: OnceLock<Arc<GraphStats>>,
+    /// The snapshot the first mutation since took out of `stats`, kept
+    /// for the next [`Graph::seal`] to patch instead of sweeping the
+    /// graph again.
+    stats_base: Option<StatsBase>,
+}
+
+/// A statistics snapshot that stopped being current, with what it takes
+/// to bring it up to date. Insertions record nothing here — the
+/// insertion log past `mark` already lists them.
+#[derive(Clone)]
+struct StatsBase {
+    stats: Arc<GraphStats>,
+    /// [`Graph::log_len`] when the snapshot was last current: every
+    /// triple it counts has its log entry below the mark.
+    mark: usize,
+    /// The triples removed since whose log entry was below the mark,
+    /// once each (an entry dies once). A removal at or above the mark
+    /// undid an insertion of the window and the log window skips it.
+    removed: Vec<IdTriple>,
 }
 
 /// Counters for the durable tier, reported through
@@ -259,10 +280,11 @@ impl Graph {
     /// cardinalities, global distinct counts, and the sealed scans' key
     /// bounds. Returns `None` until the graph is sealed — the snapshot
     /// describes an immutable layout, and the cost-based planner falls
-    /// back to the shape heuristic without one. Built lazily on the
-    /// first call (two O(n) scan passes) and cached; any mutation
-    /// resets the cache, so a returned snapshot always matches the
-    /// graph's current logical content.
+    /// back to the shape heuristic without one. A returned snapshot
+    /// always matches the graph's current logical content: a mutation
+    /// takes the held one away, and the next one is either patched from
+    /// it by [`Graph::seal`], in `O(delta · log n)`, or built here on the
+    /// first call after, by two O(n) scan passes.
     pub fn graph_stats(&self) -> Option<Arc<GraphStats>> {
         if !self.is_sealed() {
             return None;
@@ -274,7 +296,8 @@ impl Graph {
         )
     }
 
-    /// Two sorted scans, no hashing: in SPO order a predicate's
+    /// The full sweep, and the oracle [`GraphStats::patched`] is tested
+    /// against. Two sorted scans, no hashing: in SPO order a predicate's
     /// distinct subjects are its `(s, p)` transitions; in each
     /// predicate's POS range its distinct objects are the `o`
     /// transitions. Global distinct subjects/objects use dense bitsets
@@ -288,14 +311,9 @@ impl Graph {
         let mut distinct_subjects = 0usize;
         let mut distinct_objects = 0usize;
         let mut triples = 0usize;
-        let mut spo_bounds: Option<(IdTriple, IdTriple)> = None;
         let mut prev_sp: Option<(TermId, TermId)> = None;
         for t in self.store.range(Perm::Spo, [MIN; 3], [MAX; 3]) {
             triples += 1;
-            spo_bounds = Some(match spo_bounds {
-                None => (t, t),
-                Some((first, _)) => (first, t),
-            });
             let e = preds.entry(t.p).or_default();
             e.count += 1;
             if prev_sp != Some((t.s, t.p)) {
@@ -311,17 +329,12 @@ impl Graph {
                 distinct_objects += 1;
             }
         }
-        let mut pos_bounds: Option<(IdTriple, IdTriple)> = None;
         for (&p, st) in preds.iter_mut() {
             let mut prev_o: Option<TermId> = None;
             for t in self
                 .store
                 .range(Perm::Pos, [p.0, MIN, MIN], [p.0, MAX, MAX])
             {
-                pos_bounds = Some(match pos_bounds {
-                    None => (t, t),
-                    Some((first, _)) => (first, t),
-                });
                 if prev_o != Some(t.o) {
                     st.distinct_objects += 1;
                     prev_o = Some(t.o);
@@ -333,8 +346,7 @@ impl Graph {
             triples,
             distinct_subjects,
             distinct_objects,
-            spo_bounds,
-            pos_bounds,
+            spo_bounds: self.store.spo_bounds(),
             build_nanos: t0.elapsed().as_nanos() as u64,
         }
     }
@@ -383,8 +395,48 @@ impl Graph {
     /// a B-tree graph, is a no-op.
     /// A sealed graph still accepts writes — they simply start a new
     /// tail and clear [`Graph::is_sealed`].
+    ///
+    /// **Planner statistics.** If the graph held a [`GraphStats`]
+    /// snapshot when the writes since began, `seal` brings it up to
+    /// date from their net delta — exactly, in `O(delta · log n)`
+    /// probes of the new run — and [`Graph::graph_stats`] (and a
+    /// [`Clone`] of the graph) finds it in place. When the delta is too
+    /// large for that to beat a sweep (`delta · 2 · ilog2(n) ≥ n`), or
+    /// the layout is not one run per permutation (shards, the B-tree
+    /// backend), the old snapshot is dropped and the next
+    /// `graph_stats` call sweeps the graph as it does for a graph that
+    /// never held one.
     pub fn seal(&mut self) {
         self.store.seal();
+        self.patch_stats();
+    }
+
+    /// Turns `stats_base` into the current snapshot if it can be done
+    /// for less than a sweep (see [`Graph::seal`]); drops it otherwise.
+    fn patch_stats(&mut self) {
+        let Some(base) = self.stats_base.take() else {
+            return;
+        };
+        if self.stats.get().is_some() {
+            return; // swept since, while sealed by accident
+        }
+        let Some(runs) = self.store.sealed_runs() else {
+            return;
+        };
+        // The window's slots bound its live entries from above.
+        let delta = self.log.len() - base.mark + base.removed.len();
+        if !gallop_pays(delta, self.len()) {
+            return;
+        }
+        let added: Vec<IdTriple> = self.log_since(base.mark).collect();
+        debug_assert_eq!(
+            base.stats.triples + added.len() - base.removed.len(),
+            self.len()
+        );
+        let patched = base
+            .stats
+            .patched(&added, &base.removed, runs, self.store.spo_bounds());
+        self.stats = OnceLock::from(Arc::new(patched));
     }
 
     /// Seals into the physical layout `cfg` asks for: live keys are
@@ -424,6 +476,7 @@ impl Graph {
     /// ```
     pub fn seal_with(&mut self, cfg: &SealConfig) {
         self.store.seal_with(cfg);
+        self.patch_stats();
     }
 
     /// `true` iff the mutable tail is empty and no tombstone is pending
@@ -503,9 +556,23 @@ impl Graph {
         added.len()
     }
 
+    /// Called before a mutation is logged: a held statistics snapshot
+    /// stops being current and becomes the base of the next patch. Most
+    /// calls find none and do nothing — in particular nothing per
+    /// insertion, whose record is the log itself.
+    fn retire_stats(&mut self) {
+        if let Some(stats) = self.stats.take() {
+            self.stats_base = Some(StatsBase {
+                stats,
+                mark: self.log.len(),
+                removed: Vec::new(),
+            });
+        }
+    }
+
     /// Log + planner bookkeeping for one newly-stored triple.
     fn note_added(&mut self, t: IdTriple) {
-        self.stats = OnceLock::new();
+        self.retire_stats();
         *self.pred_counts.entry(t.p).or_insert(0) += 1;
         if let Some(pos) = &mut self.log_pos {
             pos.insert(t, self.log.len() as u32);
@@ -554,7 +621,7 @@ impl Graph {
     pub fn remove_ids(&mut self, t: IdTriple) -> bool {
         let removed = self.store.remove(t);
         if removed {
-            self.stats = OnceLock::new();
+            self.retire_stats();
             if let Some(c) = self.pred_counts.get_mut(&t.p) {
                 *c -= 1;
                 if *c == 0 {
@@ -576,6 +643,15 @@ impl Graph {
             let pos = self.log_pos.as_mut().expect("just built");
             let i = pos.remove(&t).expect("present triple has a live log entry") as usize;
             bit_set(&mut self.log_dead, i);
+            if let Some(base) = &mut self.stats_base {
+                if i < base.mark {
+                    base.removed.push(t);
+                    // Past what a seal would patch from: stop listing.
+                    if !gallop_pays(base.removed.len(), self.store.len()) {
+                        self.stats_base = None;
+                    }
+                }
+            }
         }
         removed
     }
@@ -1220,6 +1296,212 @@ mod tests {
         assert!(!g.contains_ids(victim));
         // Marks still bound exactly the post-mark insertions.
         assert_eq!(g.log_since(mark).count(), 1);
+    }
+
+    fn id(s: u32, p: u32, o: u32) -> IdTriple {
+        IdTriple::new(TermId(s), TermId(p), TermId(o))
+    }
+
+    /// One key in the shapes of `store::tests::big_run_fixture`: seven
+    /// predicates, fifty objects, `subjects` subjects from `base` up.
+    fn draw(next: &mut impl FnMut() -> u64, base: u32, subjects: u64) -> IdTriple {
+        let r = next();
+        id(
+            base + (r % subjects) as u32,
+            ((r >> 16) % 7) as u32,
+            ((r >> 32) % 50) as u32,
+        )
+    }
+
+    /// A sealed graph of 20 000+ keys over subjects 100..4100 — the
+    /// size a live epoch's window is small against.
+    fn stats_fixture(next: &mut impl FnMut() -> u64, backend: StorageBackend) -> Graph {
+        let mut g = Graph::with_backend(backend);
+        for i in 0..5000 {
+            g.intern(&Term::iri(format!("t{i}")));
+        }
+        let bulk: Vec<IdTriple> = (0..24_000).map(|_| draw(next, 100, 4000)).collect();
+        g.insert_batch(bulk);
+        g.seal();
+        assert!(g.len() >= 20_000);
+        g
+    }
+
+    /// `n` keys of the graph, drawn with repeats.
+    fn some_present(g: &Graph, next: &mut impl FnMut() -> u64, n: usize) -> Vec<IdTriple> {
+        let all: Vec<IdTriple> = g.iter_ids().collect();
+        (0..n).map(|_| all[next() as usize % all.len()]).collect()
+    }
+
+    /// Seals, then holds the snapshot the seal installed — there must be
+    /// one before anybody asks — against the full sweep, field by field
+    /// (`build_nanos` is a wall time).
+    fn reseal_patched(g: &mut Graph, what: &str) {
+        g.seal();
+        let patched = g.stats.get().unwrap_or_else(|| panic!("{what}: patched"));
+        assert!(g.stats_base.is_none(), "{what}: base consumed");
+        let swept = g.build_stats();
+        assert_eq!(patched.triples, swept.triples, "{what}");
+        assert_eq!(patched.preds, swept.preds, "{what}");
+        assert_eq!(patched.distinct_subjects, swept.distinct_subjects, "{what}");
+        assert_eq!(patched.distinct_objects, swept.distinct_objects, "{what}");
+        assert_eq!(patched.spo_bounds, swept.spo_bounds, "{what}");
+        assert_eq!(
+            g.clone().storage_stats().stats_predicates,
+            swept.predicates(),
+            "{what}: a clone carries the snapshot"
+        );
+    }
+
+    #[test]
+    fn seal_patches_statistics_like_the_sweep() {
+        for seed in [3u64, 17, 20_260] {
+            let next = &mut crate::store::tests::splitmix(seed);
+            let mut g = stats_fixture(next, StorageBackend::SortedRuns);
+            assert!(g.stats.get().is_none(), "never asked, nothing to patch");
+            g.graph_stats().expect("sealed");
+            let g = &mut g;
+
+            // A live batch's shape: removals all over the run, more
+            // insertions (some of them duplicates), a few taken back.
+            for t in some_present(g, next, 150) {
+                g.remove_ids(t);
+            }
+            let fresh: Vec<IdTriple> = (0..300).map(|_| draw(next, 60, 4200)).collect();
+            g.insert_batch(fresh.iter().copied());
+            for &t in fresh.iter().step_by(40) {
+                g.remove_ids(t);
+            }
+            reseal_patched(g, &format!("seed {seed}: mixed window"));
+
+            let old = some_present(g, next, 2);
+            assert!(g.remove_ids(old[0]) && g.insert_ids(old[0]));
+            reseal_patched(g, "removed and re-inserted");
+            assert!(g.insert_ids(id(200, 3, 70)) && g.remove_ids(id(200, 3, 70)));
+            reseal_patched(g, "inserted and removed inside the window");
+            assert!(g.insert_ids(id(200, 3, 71)) && g.remove_ids(id(200, 3, 71)));
+            assert!(g.insert_ids(id(200, 3, 71)));
+            reseal_patched(g, "insert, remove, insert");
+            assert!(g.remove_ids(old[1]) && g.insert_ids(old[1]) && g.remove_ids(old[1]));
+            reseal_patched(g, "remove, insert, remove");
+
+            // A brand-new predicate, then the same predicate losing its
+            // last triple: the entry comes and goes.
+            g.insert_batch([id(300, 9, 5), id(301, 9, 5), id(300, 9, 6)]);
+            reseal_patched(g, "new predicate");
+            let stats = g.graph_stats().unwrap();
+            assert_eq!(stats.predicates(), 8);
+            assert_eq!(
+                stats.predicate(TermId(9)),
+                Some(&PredicateStats {
+                    count: 3,
+                    distinct_subjects: 2,
+                    distinct_objects: 2
+                })
+            );
+            for t in [id(300, 9, 5), id(301, 9, 5), id(300, 9, 6)] {
+                assert!(g.remove_ids(t));
+            }
+            reseal_patched(g, "predicate lost its last triple");
+            let stats = g.graph_stats().unwrap();
+            assert_eq!(stats.predicates(), 7);
+            assert!(stats.predicate(TermId(9)).is_none());
+
+            // A subject and an object nothing else uses: gone from one
+            // predicate first, from the graph second.
+            g.insert_batch([
+                id(4600, 1, 5),
+                id(4600, 2, 6),
+                id(500, 1, 80),
+                id(501, 2, 80),
+            ]);
+            reseal_patched(g, "new subject, new object");
+            assert!(g.remove_ids(id(4600, 1, 5)) && g.remove_ids(id(500, 1, 80)));
+            reseal_patched(g, "last triple within one predicate");
+            assert!(g.remove_ids(id(4600, 2, 6)) && g.remove_ids(id(501, 2, 80)));
+            reseal_patched(g, "last triple overall");
+            let subject = some_present(g, next, 1)[0].s;
+            let of_subject: Vec<IdTriple> = g.match_ids(Some(subject), None, None).collect();
+            for t in of_subject {
+                g.remove_ids(t);
+            }
+            reseal_patched(g, "an old subject emptied");
+
+            // The two ends of the SPO run.
+            let first = g.iter_ids().next().unwrap();
+            let last = g.iter_ids().last().unwrap();
+            assert!(g.remove_ids(first) && g.remove_ids(last));
+            reseal_patched(g, "first and last key removed");
+            assert!(g.insert_ids(id(50, 0, 0)) && g.insert_ids(id(4900, 6, 49)));
+            reseal_patched(g, "new smallest and largest subject");
+            let bounds = g.graph_stats().unwrap().spo_bounds;
+            assert_eq!(bounds, Some((id(50, 0, 0), id(4900, 6, 49))));
+
+            let before = Arc::clone(g.stats.get().unwrap());
+            g.seal();
+            assert!(
+                Arc::ptr_eq(&before, g.stats.get().unwrap()),
+                "an empty window keeps the snapshot"
+            );
+            g.insert_batch((0..200).map(|_| draw(next, 60, 4200)));
+            reseal_patched(g, "insert-only window");
+            for t in some_present(g, next, 200) {
+                g.remove_ids(t);
+            }
+            reseal_patched(g, "remove-only window");
+        }
+    }
+
+    #[test]
+    fn seal_leaves_statistics_to_the_sweep_when_a_patch_cannot_pay() {
+        let next = &mut crate::store::tests::splitmix(5);
+        // `n` keys the fixture does not hold, distinct per `round`.
+        let fresh =
+            |n: u32, round: u32| (0..n).map(move |i| id(4200 + i % 700, i / 700, 60 + round));
+
+        // No base: a graph nobody asked for statistics.
+        let mut g = stats_fixture(next, StorageBackend::SortedRuns);
+        g.insert_batch(fresh(10, 0));
+        g.seal();
+        assert!(g.stats.get().is_none() && g.stats_base.is_none());
+
+        // A window over the size rule (24k keys: 1000 · 2 · 14 > n) — and
+        // the sweep it falls back to arms the next, small one.
+        g.graph_stats().expect("sealed");
+        g.insert_batch(fresh(1000, 1));
+        assert!(g.stats_base.is_some());
+        g.seal();
+        assert!(g.stats.get().is_none() && g.stats_base.is_none());
+        g.graph_stats().expect("sealed");
+        g.insert_batch(fresh(300, 2));
+        reseal_patched(&mut g, "small window after a fallback");
+
+        // Removals alone over the rule stop being listed at once.
+        for t in some_present(&g, next, 1200) {
+            g.remove_ids(t);
+        }
+        assert!(g.stats_base.is_none());
+        g.seal();
+        assert!(g.stats.get().is_none());
+
+        // Shards: no single run to probe.
+        g.seal_with(&SealConfig {
+            shards: 3,
+            ..SealConfig::default()
+        });
+        g.graph_stats().expect("sealed");
+        g.insert_batch(fresh(10, 3));
+        g.seal();
+        assert_eq!(g.storage_stats().shards, 3);
+        assert!(g.stats.get().is_none() && g.stats_base.is_none());
+
+        // The B-tree backend: always "sealed", never patched.
+        let mut bt = stats_fixture(next, StorageBackend::BTree);
+        bt.graph_stats().expect("trivially sealed");
+        bt.insert_batch(fresh(10, 0));
+        bt.seal();
+        assert!(bt.stats.get().is_none() && bt.stats_base.is_none());
+        assert_eq!(bt.graph_stats().unwrap().triples, bt.len());
     }
 
     #[test]

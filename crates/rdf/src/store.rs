@@ -280,7 +280,7 @@ impl Perm {
     }
 
     /// Projects a triple into this permutation's key order.
-    fn permute(&self, t: IdTriple) -> [u32; 3] {
+    pub(crate) fn permute(&self, t: IdTriple) -> [u32; 3] {
         match self {
             Perm::Spo => [t.s.0, t.p.0, t.o.0],
             Perm::Pos => [t.p.0, t.o.0, t.s.0],
@@ -451,6 +451,37 @@ impl TripleStore {
             TripleStore::BTree(_) => true,
             TripleStore::Runs(s) => s.spo.tail.is_empty() && s.dead.len() == 0,
         }
+    }
+
+    /// The SPO, POS and OSP key arrays when [`Self::seal`] left the
+    /// whole store in them: sorted runs, unsharded, no tail, no
+    /// tombstone, at most one run per permutation (none when empty).
+    /// `None` for any other shape, the B-tree backend included.
+    pub(crate) fn sealed_runs(&self) -> Option<[&[[u32; 3]]; 3]> {
+        let TripleStore::Runs(s) = self else {
+            return None;
+        };
+        if !(self.is_sealed() && s.shards.is_empty() && s.spo.runs.len() <= 1) {
+            return None;
+        }
+        Some([&s.spo, &s.pos, &s.osp].map(|index| index.runs.first().map_or(&[][..], |r| &r[..])))
+    }
+
+    /// The smallest and the largest SPO key of a sealed store (`None`
+    /// when empty), read off the two ends of each run — no scan.
+    pub(crate) fn spo_bounds(&self) -> Option<(IdTriple, IdTriple)> {
+        debug_assert!(self.is_sealed(), "a run's ends may be tombstoned");
+        let (lo, hi) = match self {
+            TripleStore::BTree(s) => (*s.spo.first()?, *s.spo.last()?),
+            TripleStore::Runs(s) => s
+                .spo
+                .runs
+                .iter()
+                .filter_map(|r| Some((*r.first()?, *r.last()?)))
+                .chain(s.shards.iter().filter_map(|sh| sh.spo.ends()))
+                .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))?,
+        };
+        Some((Perm::Spo.unpermute(lo), Perm::Spo.unpermute(hi)))
     }
 
     /// A live-only image of the physical shape, taken by the durable
@@ -764,6 +795,16 @@ impl RunIndex {
     }
 }
 
+/// Whether handling `events` keys by binary search in a sorted run of
+/// `len` keys — galloping's worst case, two probes per bit of the run's
+/// length for every event — costs less than one comparison per key of
+/// the run. [`merge_sorted`] picks its stepping by it, and
+/// [`Graph::seal`](crate::Graph::seal) whether to patch the planner
+/// statistics from a delta or to sweep the graph again.
+pub(crate) fn gallop_pays(events: usize, len: usize) -> bool {
+    events * 2 * (len.max(2).ilog2() as usize) < len
+}
+
 /// `(a ∪ b) ∖ dead` for disjoint sorted key slices `a` and `b` and a
 /// sorted `dead` (which may also name keys of neither) — the store's
 /// one merge routine: tiered compaction calls it with nothing dead, a
@@ -780,8 +821,7 @@ impl RunIndex {
 fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]], dead: &[[u32; 3]]) -> Vec<[u32; 3]> {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(long.len() + short.len());
-    let events = short.len() + dead.len();
-    let gallop = events * 2 * (long.len().max(2).ilog2() as usize) < long.len();
+    let gallop = gallop_pays(short.len() + dead.len(), long.len());
     let (mut i, mut j, mut d) = (0, 0, 0);
     loop {
         let event = match (short.get(j), dead.get(d)) {
@@ -849,6 +889,14 @@ impl SealedRun {
         match self {
             SealedRun::Plain(v) => v.len(),
             SealedRun::Compressed(c) => c.len(),
+        }
+    }
+
+    /// The first and the last key, `None` when empty.
+    fn ends(&self) -> Option<([u32; 3], [u32; 3])> {
+        match self {
+            SealedRun::Plain(v) => Some((*v.first()?, *v.last()?)),
+            SealedRun::Compressed(c) => (c.len() > 0).then(|| (c.min_key(), c.max_key())),
         }
     }
 
@@ -1609,7 +1657,7 @@ impl Iterator for StoreRangeIter<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
@@ -1817,7 +1865,7 @@ mod tests {
     }
 
     /// A seeded SplitMix64 stream shared by the sharding proptests.
-    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    pub(crate) fn splitmix(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
         move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

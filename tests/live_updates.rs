@@ -11,7 +11,10 @@
 //! strategy route the scratch session can legally take. Every epoch's
 //! published layout is pinned too: one sorted run per permutation, no
 //! tail, no tombstone — a publish that lets a run stack through to
-//! readers fails here, not in a benchmark.
+//! readers fails here, not in a benchmark. So are the planner
+//! statistics each epoch is published with: equal, by term, to those of
+//! the re-chased solution, whether the publish patched them from the
+//! batch's delta or left them to a full sweep.
 //!
 //! The sweep runs random interleavings of insert/remove batches over
 //! randomly generated linear + sticky TGD sets (weakly acyclic by
@@ -26,8 +29,8 @@ use rps_core::{
 };
 use rps_lodgen::{seed_matrix, SeededRng};
 use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
-use rps_rdf::{Iri, Term, Triple};
-use std::collections::BTreeSet;
+use rps_rdf::{Graph, Iri, PredicateStats, Term, Triple};
+use std::collections::{BTreeMap, BTreeSet};
 
 const PEERS: usize = 3;
 const PREDS: usize = 3;
@@ -171,6 +174,22 @@ fn skolem_chase() -> RpsChaseConfig {
 
 /// Asserts that the incrementally maintained state is byte-identical to
 /// a from-scratch re-chase of the live session's current system.
+/// A sealed graph's planner statistics with the predicate ids resolved:
+/// triples, distinct subjects, distinct objects, per-predicate entries.
+fn by_term(graph: &Graph) -> (usize, usize, usize, BTreeMap<Term, PredicateStats>) {
+    let stats = graph.graph_stats().expect("sealed");
+    let preds = stats
+        .iter_predicates()
+        .map(|(p, st)| (graph.term(p).clone(), *st))
+        .collect();
+    (
+        stats.triples,
+        stats.distinct_subjects,
+        stats.distinct_objects,
+        preds,
+    )
+}
+
 fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed: u64, epoch: u32) {
     let ctx = format!("seed {seed}, epoch {epoch}");
 
@@ -191,6 +210,14 @@ fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed:
         live_triples, scratch_triples,
         "{ctx}: universal solutions diverged"
     );
+
+    // 1b. So do the planner statistics the epoch was published with —
+    // patched from the batch's delta or swept afresh, depending on which
+    // side of the size rule the batch fell — by term, the dictionaries
+    // differ.
+    let graph = &live.solution().graph;
+    let (got, expected) = (by_term(graph), by_term(&scratch.graph));
+    assert_eq!(got, expected, "{ctx}: planner statistics diverged");
 
     // 2. Answers agree under both semantics and every strategy route
     // the scratch session can legally take on this system.
