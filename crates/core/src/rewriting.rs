@@ -189,15 +189,11 @@ pub(crate) fn execute_branches(
     graph: &Graph,
     branches: &[RewrittenBranch],
     index: &EquivalenceIndex,
-    workers: usize,
-    morsel_size: usize,
 ) -> BTreeSet<Vec<Term>> {
     let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
     let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
     for branch in branches {
-        let rows = branch
-            .plan
-            .evaluate_parallel(graph, Semantics::Certain, workers, morsel_size);
+        let rows = branch.plan.evaluate(graph, Semantics::Certain);
         if branch.head.iter().all(Option::is_none) {
             id_union.extend(rows);
             continue;
@@ -477,7 +473,7 @@ impl RpsRewriter {
         (
             AnswerSet {
                 vars: crate::session::stream_vars(query),
-                tuples: execute_branches(&self.canon_graph, &branches, &self.index, 1, 1),
+                tuples: execute_branches(&self.canon_graph, &branches, &self.index),
             },
             rewriting.complete,
         )
@@ -508,7 +504,7 @@ impl RpsRewriter {
         let rewriting = self.rewrite_canonical(&GraphPatternQuery::boolean(bound), cfg);
         Ok(self.compile_branches(&rewriting).iter().any(|branch| {
             let one = std::slice::from_ref(branch);
-            !execute_branches(&self.canon_graph, one, &self.index, 1, 1).is_empty()
+            !execute_branches(&self.canon_graph, one, &self.index).is_empty()
         }))
     }
 
@@ -752,7 +748,7 @@ mod tests {
             )
         };
         let run = |r: &RpsRewriting| {
-            execute_branches(rw.canon_graph(), &rw.compile_branches(r), rw.index(), 1, 1)
+            execute_branches(rw.canon_graph(), &rw.compile_branches(r), rw.index())
         };
         // Prepared first, compiled only after two other queries — one
         // with a constant absent from the data — interned their own

@@ -80,7 +80,7 @@ use crate::error::RpsError;
 use crate::rewriting::{execute_branches, RewrittenBranch, RpsRewriter};
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, Semantics};
-use rps_rdf::{host_parallelism, Graph, SealConfig, Term};
+use rps_rdf::{Graph, SealConfig, Term};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -145,8 +145,8 @@ pub struct EngineConfig {
     /// after the retries. Ignored by the local routes, like
     /// [`EngineConfig::retry`].
     pub failure: crate::fault::FailurePolicy,
-    /// Physical execution knobs: worker count and morsel size for
-    /// parallel scans, shard count and compression for sealed graphs.
+    /// Physical execution knobs: columnar compression of a frozen
+    /// solution's sealed runs, and the join-order policy.
     pub exec: ExecConfig,
 }
 
@@ -215,20 +215,9 @@ impl EngineConfig {
 /// and resident bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for morsel-driven scans. `0` = auto (available
-    /// parallelism). `1` forces the sequential path.
-    pub workers: usize,
-    /// Driver tuples per morsel; workers claim morsels from a shared
-    /// counter (work stealing). Smaller morsels balance better, larger
-    /// ones amortise dispatch.
-    pub morsel_size: usize,
-    /// Subject-hash shard count frozen graphs are sealed into. `0` =
-    /// auto (available parallelism), `1` = a single unsharded run per
-    /// permutation. The `RPS_SHARDS` environment variable overrides
-    /// this (used by CI to force a fixed shard count).
-    pub shards: usize,
-    /// Encode sealed runs as delta-varint columnar blocks when they are
-    /// large enough to benefit.
+    /// Encode a frozen solution's sealed runs as delta-varint columnar
+    /// blocks when they are large enough to benefit. Off, freezing
+    /// serves the one plain run per permutation the chase sealed.
     pub compress: bool,
     /// Join-order policy for id-level plans. [`JoinOrder::Auto`] uses
     /// the stats-driven cost model whenever the graph is sealed (and
@@ -242,9 +231,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            workers: 0,
-            morsel_size: 1024,
-            shards: 0,
             compress: false,
             order: JoinOrder::Auto,
         }
@@ -252,46 +238,18 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The worker count after resolving `0` to
-    /// [`host_parallelism`] — a cached answer, so calling this per
-    /// execute never queries the OS.
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        host_parallelism()
-    }
-
-    /// The shard count after the `RPS_SHARDS` override (read on every
-    /// call — it only runs at freeze) and resolving `0` to
-    /// [`host_parallelism`].
-    pub fn resolved_shards(&self) -> usize {
-        if let Ok(v) = std::env::var("RPS_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        if self.shards > 0 {
-            return self.shards;
-        }
-        host_parallelism()
-    }
-
     /// The [`SealConfig`] a frozen graph should be resealed with.
     pub fn seal_config(&self) -> SealConfig {
         SealConfig {
-            shards: self.resolved_shards(),
             compress: self.compress,
             ..SealConfig::default()
         }
     }
 
     /// Whether freezing should physically reseal the solution graph
-    /// (sharding and/or compression requested).
+    /// (compression requested).
     pub fn wants_reseal(&self) -> bool {
-        self.resolved_shards() > 1 || self.compress
+        self.compress
     }
 }
 
@@ -621,7 +579,6 @@ fn execute_prepared(
     prepared: &PreparedQuery,
     (id, generation): (u64, u32),
     eq_index: &EquivalenceIndex,
-    exec: &ExecConfig,
     datalog: Option<&DatalogEngine>,
 ) -> Result<AnswerStream, RpsError> {
     if prepared.session_id != id {
@@ -634,26 +591,17 @@ fn execute_prepared(
         });
     }
     let vars = prepared.vars.clone();
-    let workers = exec.resolved_workers();
     match &prepared.plan {
-        Plan::Materialised { solution, plan } => {
-            let rows = plan.evaluate_rows_parallel(
-                &solution.graph,
-                prepared.semantics,
-                workers,
-                exec.morsel_size,
-            );
-            Ok(AnswerStream::from_ids(
-                vars,
-                ExecRoute::Materialised,
-                solution.clone(),
-                rows,
-            ))
-        }
+        Plan::Materialised { solution, plan } => Ok(AnswerStream::from_ids(
+            vars,
+            ExecRoute::Materialised,
+            solution.clone(),
+            plan.evaluate_rows(&solution.graph, prepared.semantics),
+        )),
         Plan::Rewritten { graph, branches } => Ok(AnswerStream::from_terms(
             vars,
             ExecRoute::Rewritten,
-            execute_branches(graph, branches, eq_index, workers, exec.morsel_size),
+            execute_branches(graph, branches, eq_index),
         )),
         Plan::Datalog => {
             let engine = datalog.expect("the session builds the Datalog engine for this route");
@@ -845,7 +793,6 @@ impl Session {
             prepared,
             (self.id, self.generation),
             &self.eq_index,
-            &self.config.exec,
             self.datalog.as_ref(),
         )
     }
@@ -918,7 +865,7 @@ mod tests {
         Variable::new(n)
     }
 
-    fn linear_system() -> RdfPeerSystem {
+    pub(super) fn linear_system() -> RdfPeerSystem {
         let mut a = PeerId(0);
         let mut b = PeerId(0);
         let premise = GraphPatternQuery::new(
@@ -952,7 +899,7 @@ mod tests {
             .build()
     }
 
-    fn cast_query() -> GraphPatternQuery {
+    pub(super) fn cast_query() -> GraphPatternQuery {
         GraphPatternQuery::new(
             vec![v("x"), v("y")],
             GraphPattern::triple(

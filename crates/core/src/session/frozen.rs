@@ -384,18 +384,21 @@ impl Session {
     ) -> Result<FrozenSession, RpsError> {
         // Also rejects `Q*` off the materialised route.
         let route = self.resolve_route()?;
-        let solution = if route == ExecRoute::Materialised {
-            Some(self.universal_solution()?)
-        } else {
-            // Keep an already-complete cached solution (from pre-freeze
-            // preparations) as the Auto fallback substrate.
-            self.solution.take().filter(|s| s.complete)
-        };
+        if route == ExecRoute::Materialised {
+            self.universal_solution()?;
+        }
+        // Off the materialised route, keep an already-complete cached
+        // solution (from pre-freeze preparations) as the Auto fallback
+        // substrate. Taken out of the session either way, so the
+        // session's own handle does not pin it below.
+        let solution = self.solution.take().filter(|s| s.complete);
         // Frozen sessions serve reads only, so this is the moment to
-        // pick the physical layout: reseal the solution graph into
-        // subject-hash shards (and optionally columnar-compressed runs)
-        // per the execution config. Answers are unaffected — the sealed
-        // forms scan byte-identically to the unsharded runs.
+        // pick the physical layout. By default that is the one plain run
+        // per permutation the chase sealed, untouched; under
+        // `ExecConfig::compress` the runs are re-encoded columnar — in
+        // place when the session was the solution's only owner, on a
+        // copy when a live `PreparedQuery` still pins it. Answers are
+        // unaffected: both forms scan byte-identically.
         let solution = match solution {
             Some(arc) if self.config.exec.wants_reseal() => {
                 let mut sol = Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone());
@@ -498,7 +501,6 @@ impl FrozenSession {
             prepared,
             (inner.id, inner.generation),
             &inner.eq_index,
-            &inner.config.exec,
             inner.datalog.as_ref(),
         )
     }
@@ -768,4 +770,50 @@ fn unescape_field(s: &str) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{cast_query, linear_system};
+    use super::super::{ExecConfig, Strategy};
+    use super::*;
+    use rps_rdf::{Term, TermId};
+
+    /// Where the solution's dictionary keeps its first term: a moved
+    /// graph keeps that heap buffer, a cloned one cannot.
+    fn first_term(solution: &UniversalSolution) -> *const Term {
+        solution.graph.term(TermId(0))
+    }
+
+    fn frozen_first_term(frozen: &FrozenSession) -> *const Term {
+        first_term(frozen.inner.solution.as_deref().expect("materialised"))
+    }
+
+    #[test]
+    fn freeze_reseals_a_solely_owned_solution_in_place() -> Result<(), RpsError> {
+        let config = EngineConfig::default()
+            .with_strategy(Strategy::Materialise)
+            .with_exec(ExecConfig {
+                compress: true,
+                ..ExecConfig::default()
+            });
+        let mut session = Session::open(linear_system(), config.clone())?;
+        let before = first_term(&*session.universal_solution()?);
+        let frozen = session.freeze()?;
+        assert_eq!(
+            frozen_first_term(&frozen),
+            before,
+            "the session was the only owner"
+        );
+
+        // Pinned by a live prepared query, the solution is copied and the
+        // query still runs over the one it holds.
+        let mut session = Session::open(linear_system(), config)?;
+        let prepared = session.prepare(&cast_query())?;
+        let before = first_term(&*session.universal_solution()?);
+        let frozen = session.freeze()?;
+        assert_ne!(frozen_first_term(&frozen), before, "both copies are alive");
+        assert_eq!(frozen.execute(&prepared)?.len(), 4);
+        Ok(())
+    }
 }

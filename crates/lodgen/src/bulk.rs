@@ -1,9 +1,9 @@
-//! Bulk single-graph triple generation for the scale-out experiments.
+//! Bulk single-graph triple generation for storage-layer scale tests.
 //!
 //! The other generators in this crate build *peer systems* — mappings,
 //! `sameAs` links, query mixes — and top out around the tens of
-//! thousands of triples the chase experiments need. The sharding and
-//! morsel-scan experiments instead need one graph with
+//! thousands of triples the chase experiments need. A test of the
+//! store's seal, scan and merge paths instead needs one graph with
 //! *millions* of triples, generated in O(n) time and O(pool) extra
 //! memory: no per-triple `format!` of fresh IRIs (which makes the
 //! dictionary as large as the store) and no accidental quadratic

@@ -15,7 +15,8 @@
 //! * [`chain`] — the Proposition 3 transitive-closure workload;
 //! * [`queries`] — query generators for workload mixes;
 //! * [`bulk`] — O(n) multi-million-triple single-graph generation for
-//!   the sharded / morsel-scan experiments.
+//!   storage-layer scale tests (no caller outside this crate today;
+//!   ROADMAP item 1b decides it).
 
 #![warn(missing_docs)]
 

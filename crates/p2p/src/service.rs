@@ -398,12 +398,11 @@ impl FrozenFederatedSession {
     }
 
     /// Executes a prepared query with the branch fan-out spread over up
-    /// to [`ExecConfig::resolved_workers`](rps_core::ExecConfig) OS
-    /// threads. Accepts queries prepared by this frozen session or by
-    /// the mutable session it was frozen from.
+    /// to [`rps_rdf::host_parallelism`] OS threads. Accepts queries
+    /// prepared by this frozen session or by the mutable session it was
+    /// frozen from.
     pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
-        let threads = self.inner.core.config.exec.resolved_workers();
-        self.execute_with_threads(prepared, threads)
+        self.execute_with_threads(prepared, rps_rdf::host_parallelism())
     }
 
     /// [`FrozenFederatedSession::execute`] with an explicit worker-thread

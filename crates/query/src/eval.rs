@@ -18,7 +18,6 @@ use crate::binding::Mapping;
 use crate::pattern::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
 use rps_rdf::{Graph, GraphStats, IdTriple, TermId};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How the planner orders a conjunction's atoms (and with it, which scan
 /// permutation each atom ends up probing — see
@@ -679,119 +678,6 @@ impl PreparedQueryIds {
         self.proj.as_ref().map_or(0, Vec::len)
     }
 
-    /// Morsel-driven parallel evaluation: byte-identical to
-    /// [`Self::evaluate_rows`], but the first (planner-ordered)
-    /// conjunct's candidate scan is materialised and split into
-    /// fixed-size **morsels** claimed by a `std::thread::scope` worker
-    /// pool over a shared atomic counter — work-stealing without
-    /// queues: a worker that finishes its share simply claims the next
-    /// morsel regardless of whose round-robin slot it was. Each worker
-    /// backtracks its morsels' candidates through the remaining
-    /// conjuncts into a private row buffer; the buffers are
-    /// concatenated, sorted and deduplicated at the end, so the result
-    /// is independent of scheduling — the determinism contract the
-    /// agreement tests pin.
-    ///
-    /// Runs on the calling thread when `workers <= 1` or when the
-    /// driver scan fits one morsel (the collected driver is reused, not
-    /// rescanned).
-    pub fn evaluate_rows_parallel(
-        &self,
-        graph: &Graph,
-        semantics: Semantics,
-        workers: usize,
-        morsel_size: usize,
-    ) -> IdRows {
-        let morsel = morsel_size.max(1);
-        let (Some(proj), Some(slot), true) =
-            (self.runnable(), self.compiled.slots.first(), workers > 1)
-        else {
-            return self.evaluate_rows(graph, semantics);
-        };
-        // The driver: all candidates of the first conjunct (with no
-        // binding in flight, only its constants are resolved — exactly
-        // what sequential `search` scans at depth 0).
-        let resolve = |s: &Slot| match s {
-            Slot::Const(id) => Some(*id),
-            Slot::Var(_) => None,
-        };
-        let driver: Vec<rps_rdf::IdTriple> = graph
-            .match_ids(resolve(&slot[0]), resolve(&slot[1]), resolve(&slot[2]))
-            .collect();
-        // Backtracks a run of driver candidates through the remaining
-        // conjuncts into `out`.
-        let run = |candidates: &[rps_rdf::IdTriple], out: &mut RowSink| {
-            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
-            for &t in candidates {
-                match_one(
-                    graph,
-                    &self.compiled.slots,
-                    1,
-                    slot,
-                    t,
-                    &mut binding,
-                    &mut |b| {
-                        project_into(graph, proj, b, semantics, out);
-                        true
-                    },
-                );
-            }
-        };
-        if driver.len() <= morsel {
-            let mut out = RowSink::new(proj.len());
-            run(&driver, &mut out);
-            return out.finish();
-        }
-        let morsel_count = driver.len().div_ceil(morsel);
-        let workers = workers.min(morsel_count);
-        let next_morsel = AtomicUsize::new(0);
-        let steals = AtomicU64::new(0);
-        let (driver, run) = (&driver, &run);
-        let mut out = RowSink::new(proj.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let next_morsel = &next_morsel;
-                    let steals = &steals;
-                    scope.spawn(move || {
-                        let mut local = RowSink::new(proj.len());
-                        loop {
-                            let m = next_morsel.fetch_add(1, Ordering::Relaxed);
-                            if m >= morsel_count {
-                                break;
-                            }
-                            if m % workers != w {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let lo = m * morsel;
-                            let hi = (lo + morsel).min(driver.len());
-                            run(&driver[lo..hi], &mut local);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.append(h.join().expect("morsel worker panicked"));
-            }
-        });
-        graph.note_parallel_scan(morsel_count as u64, steals.load(Ordering::Relaxed));
-        out.finish()
-    }
-
-    /// [`Self::evaluate_rows_parallel`] as an ordered set of owned
-    /// tuples.
-    pub fn evaluate_parallel(
-        &self,
-        graph: &Graph,
-        semantics: Semantics,
-        workers: usize,
-        morsel_size: usize,
-    ) -> BTreeSet<Vec<TermId>> {
-        self.evaluate_rows_parallel(graph, semantics, workers, morsel_size)
-            .to_set()
-    }
-
     /// Delta evaluation: the answer tuples with at least one witness
     /// using a triple inserted at log index `log_from` or later (see
     /// [`Graph::log_since`] and [`evaluate_query_ids_delta`]).
@@ -1076,13 +962,6 @@ impl RowSink {
         if self.rows.len >= self.compact_at {
             self.compact();
         }
-    }
-
-    /// Appends every row of another sink of the same arity.
-    fn append(&mut self, other: RowSink) {
-        debug_assert_eq!(self.rows.arity, other.rows.arity);
-        self.rows.ids.extend(other.rows.ids);
-        self.rows.len += other.rows.len;
     }
 
     fn compact(&mut self) {
@@ -1526,138 +1405,6 @@ _:c3 e:artist e:actor1 .
         assert_eq!(evaluate_pattern(&g, &gp).len(), 1);
     }
 
-    /// A join-shaped graph big enough that the first conjunct's driver
-    /// scan spans many morsels: `si --p--> mj --q--> ok` chains (plus a
-    /// blank-valued chain, so Certain/Maybe differ).
-    fn chain_graph(n: u32) -> (Graph, GraphPatternQuery) {
-        let mut g = Graph::new();
-        for i in 0..n {
-            g.insert_terms(
-                Term::iri(format!("s{i}")),
-                Term::iri("p"),
-                Term::iri(format!("m{}", i % 97)),
-            )
-            .unwrap();
-            g.insert_terms(
-                Term::iri(format!("m{}", i % 97)),
-                Term::iri("q"),
-                Term::iri(format!("o{}", i % 13)),
-            )
-            .unwrap();
-            if i % 10 == 0 {
-                g.insert_terms(
-                    Term::iri(format!("m{}", i % 97)),
-                    Term::iri("q"),
-                    Term::blank(format!("b{i}")),
-                )
-                .unwrap();
-            }
-        }
-        let q = GraphPatternQuery::new(
-            vec![var("x"), var("z")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("p"),
-                TermOrVar::var("y"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("y"),
-                TermOrVar::iri("q"),
-                TermOrVar::var("z"),
-            )),
-        );
-        (g, q)
-    }
-
-    /// Parallel evaluation is byte-identical to sequential across
-    /// worker counts, morsel sizes (smaller than a run, larger than the
-    /// whole driver), semantics, and sealed layouts (plain, sharded,
-    /// sharded+compressed) — the morsel-boundary agreement test.
-    #[test]
-    fn parallel_evaluation_is_byte_identical_to_sequential() {
-        let (mut g, q) = chain_graph(600);
-        let plan = PreparedQueryIds::new(&mut g, &q);
-        for seal in 0..3 {
-            match seal {
-                0 => g.seal(),
-                1 => g.seal_with(&rps_rdf::SealConfig {
-                    shards: 4,
-                    ..rps_rdf::SealConfig::default()
-                }),
-                _ => g.seal_with(&rps_rdf::SealConfig {
-                    shards: 3,
-                    compress: true,
-                    compress_min_keys: 16,
-                }),
-            }
-            for semantics in [Semantics::Certain, Semantics::Star] {
-                let sequential = plan.evaluate(&g, semantics);
-                assert!(!sequential.is_empty());
-                for workers in [1usize, 2, 3, 4, 8] {
-                    for morsel in [1usize, 7, 64, 1_000_000] {
-                        assert_eq!(
-                            plan.evaluate_parallel(&g, semantics, workers, morsel),
-                            sequential,
-                            "layout {seal}, {semantics:?}, {workers} workers, morsel {morsel}"
-                        );
-                    }
-                }
-            }
-        }
-        // The scans above dispatched morsels and (almost certainly)
-        // recorded steals; the counters surface through storage_stats.
-        assert!(g.storage_stats().morsels_dispatched > 0);
-    }
-
-    /// Edge shapes: a single-key driver range (one candidate — falls
-    /// back to sequential), an unsatisfiable plan, and an empty graph.
-    #[test]
-    fn parallel_evaluation_edge_shapes() {
-        let (mut g, q) = chain_graph(50);
-        let plan = PreparedQueryIds::new(&mut g, &q);
-        // Single-key driver: fully bound first conjunct.
-        let single = GraphPatternQuery::new(
-            vec![var("z")],
-            GraphPattern::triple(
-                TermOrVar::iri("s1"),
-                TermOrVar::iri("p"),
-                TermOrVar::var("y"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("y"),
-                TermOrVar::iri("q"),
-                TermOrVar::var("z"),
-            )),
-        );
-        let single_plan = PreparedQueryIds::new(&mut g, &single);
-        g.seal_with(&rps_rdf::SealConfig {
-            shards: 5,
-            compress: true,
-            compress_min_keys: 1,
-        });
-        assert_eq!(
-            single_plan.evaluate_parallel(&g, Semantics::Star, 8, 4),
-            single_plan.evaluate(&g, Semantics::Star),
-        );
-        // Unsatisfiable / empty shapes stay empty under any pool.
-        let absent = GraphPatternQuery::new(
-            vec![var("x")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("no-such-predicate"),
-                TermOrVar::var("y"),
-            ),
-        );
-        let absent_plan = PreparedQueryIds::compile_only(&g, &absent);
-        assert!(absent_plan
-            .evaluate_parallel(&g, Semantics::Star, 4, 2)
-            .is_empty());
-        let empty = Graph::new();
-        assert!(plan
-            .evaluate_parallel(&empty, Semantics::Star, 4, 2)
-            .is_empty());
-    }
-
     /// The flat emit buffer against what it replaced — every projected
     /// solution inserted into a `BTreeSet` — under a projection that
     /// maps 14 400 solutions onto three tuples, so the buffer compacts
@@ -1709,10 +1456,6 @@ _:c3 e:artist e:actor1 .
             let rows = plan.evaluate_rows(&g, Semantics::Certain);
             assert_eq!(rows.len(), set.len());
             assert_eq!(rows.to_set(), set);
-            assert_eq!(
-                plan.evaluate_rows_parallel(&g, Semantics::Certain, 4, 16),
-                rows
-            );
         }
         let mut sink = RowSink::new(1);
         for i in 0..100_000u32 {

@@ -98,10 +98,6 @@ pub struct Graph {
     /// Durability counters (see [`DurCounters`]); all zeros until the
     /// graph touches the durable tier.
     dur: DurCounters,
-    /// Parallel-execution counters (see [`ParCounters`]); all zeros
-    /// until a scan merges widely or a morsel-driven execute runs over
-    /// this graph.
-    par: ParCounters,
     /// The planner statistics snapshot (see [`GraphStats`]). Populated
     /// by the first [`Graph::graph_stats`] call against the sealed graph
     /// or by [`Graph::seal`] patching `stats_base`, and emptied by any
@@ -175,54 +171,6 @@ impl DurCounters {
     }
 }
 
-/// Counters for parallel / wide-merge execution, reported through
-/// [`Graph::storage_stats`]. Atomic for the same reason as
-/// [`DurCounters`]: morsel-driven execution scans a sealed graph
-/// through `&self` from many worker threads at once, and each records
-/// what it did.
-#[derive(Default, Debug)]
-pub(crate) struct ParCounters {
-    pub(crate) morsels_dispatched: AtomicU64,
-    pub(crate) morsel_steals: AtomicU64,
-    pub(crate) loser_tree_merges: AtomicU64,
-    pub(crate) widest_merge: AtomicU64,
-}
-
-impl Clone for ParCounters {
-    fn clone(&self) -> Self {
-        let ld = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
-        ParCounters {
-            morsels_dispatched: ld(&self.morsels_dispatched),
-            morsel_steals: ld(&self.morsel_steals),
-            loser_tree_merges: ld(&self.loser_tree_merges),
-            widest_merge: ld(&self.widest_merge),
-        }
-    }
-}
-
-impl ParCounters {
-    /// Records one range scan's merge shape. Point probes under a
-    /// parallel execute hit this from every worker, so the hot path is
-    /// a plain load — the read-modify-write runs only when the width
-    /// high-water mark actually rises (a handful of times per graph),
-    /// keeping the counter cache line shared instead of ping-ponging.
-    fn note_scan(&self, width: u64, loser_tree: bool) {
-        if width > self.widest_merge.load(Ordering::Relaxed) {
-            self.widest_merge.fetch_max(width, Ordering::Relaxed);
-        }
-        if loser_tree {
-            self.loser_tree_merges.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn merge_into(&self, stats: &mut StorageStats) {
-        stats.morsels_dispatched = self.morsels_dispatched.load(Ordering::Relaxed);
-        stats.morsel_steals = self.morsel_steals.load(Ordering::Relaxed);
-        stats.loser_tree_merges = self.loser_tree_merges.load(Ordering::Relaxed);
-        stats.widest_merge = self.widest_merge.load(Ordering::Relaxed);
-    }
-}
-
 fn bit_get(bits: &[u64], i: usize) -> bool {
     bits.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
 }
@@ -265,7 +213,6 @@ impl Graph {
     pub fn storage_stats(&self) -> StorageStats {
         let mut stats = self.store.stats();
         self.dur.merge_into(&mut stats);
-        self.par.merge_into(&mut stats);
         if let Some(gs) = self.stats.get() {
             stats.stats_predicates = gs.predicates();
             stats.stats_distinct_subjects = gs.distinct_subjects;
@@ -386,13 +333,13 @@ impl Graph {
     /// immutable runs only — nothing left for a writer to race with,
     /// which is what makes a sealed graph the substrate of the
     /// `Send + Sync` frozen sessions in `rps-core`/`rps-p2p`. Sealed
-    /// and unsharded ⇒ at most one run per permutation
-    /// ([`StorageStats::runs`] ≤ 1), so a point probe never sets up a
-    /// merge; shards left by an earlier [`Graph::seal_with`] are kept
-    /// beside that run. The logical triple set, the dictionary
-    /// and the insertion log (and every outstanding mark into it) are
-    /// unchanged; sealing a graph `seal` already left in this shape, or
-    /// a B-tree graph, is a no-op.
+    /// ⇒ one run per permutation ([`StorageStats::runs`] ≤ 1), so a
+    /// point probe never sets up a merge; only over a columnar run left
+    /// by an earlier compressing [`Graph::seal_with`] do the writes
+    /// since fold into a plain run beside it. The logical triple set,
+    /// the dictionary and the insertion log (and every outstanding mark
+    /// into it) are unchanged; sealing a graph `seal` already left in
+    /// this shape, or a B-tree graph, is a no-op.
     /// A sealed graph still accepts writes — they simply start a new
     /// tail and clear [`Graph::is_sealed`].
     ///
@@ -402,8 +349,8 @@ impl Graph {
     /// probes of the new run — and [`Graph::graph_stats`] (and a
     /// [`Clone`] of the graph) finds it in place. When the delta is too
     /// large for that to beat a sweep (`delta · 2 · ilog2(n) ≥ n`), or
-    /// the layout is not one run per permutation (shards, the B-tree
-    /// backend), the old snapshot is dropped and the next
+    /// the layout is not one plain run per permutation (a columnar run,
+    /// the B-tree backend), the old snapshot is dropped and the next
     /// `graph_stats` call sweeps the graph as it does for a graph that
     /// never held one.
     pub fn seal(&mut self) {
@@ -439,16 +386,14 @@ impl Graph {
         self.stats = OnceLock::from(Arc::new(patched));
     }
 
-    /// Seals into the physical layout `cfg` asks for: live keys are
-    /// repartitioned by **subject hash** into `cfg.effective_shards()`
-    /// independent per-shard run sets, optionally stored delta-varint
-    /// compressed — the substrate morsel-driven parallel execution
-    /// scans. `shards <= 1` without compression folds back to the
-    /// classic unsharded sealed form. Logical content, the dictionary
-    /// and the insertion log are untouched, and scans stay byte-
-    /// identical to the unsharded (and B-tree) layout; only the
-    /// physical shape — and with it scan parallelism and resident size
-    /// — changes.
+    /// Seals into the physical layout `cfg` asks for: one run per
+    /// permutation holding every live key, stored delta-varint
+    /// compressed when `cfg.compress` is set and the graph has at least
+    /// `cfg.compress_min_keys` triples, as a plain key vector — what
+    /// [`Graph::seal`] leaves — otherwise. Logical content, the
+    /// dictionary and the insertion log are untouched, and scans stay
+    /// byte-identical to the plain (and B-tree) layout; only the
+    /// resident size and the cost of a scan change.
     ///
     /// ```
     /// use rps_rdf::{Graph, SealConfig, Term};
@@ -463,12 +408,12 @@ impl Graph {
     /// }
     /// let before: Vec<_> = g.iter_ids().collect();
     ///
-    /// g.seal_with(&SealConfig { shards: 4, compress: true, compress_min_keys: 64 });
+    /// g.seal_with(&SealConfig { compress: true, compress_min_keys: 64 });
     /// assert!(g.is_sealed());
     ///
     /// let stats = g.storage_stats();
-    /// assert_eq!(stats.shards, 4);
-    /// assert_eq!(stats.shard_keys, 1000);
+    /// assert_eq!((stats.runs, stats.run_keys), (1, 1000));
+    /// assert_eq!(stats.compressed_runs, 3); // SPO, POS, OSP
     /// // Clustered keys compress well below their plain 12-byte form.
     /// assert!(stats.compressed_bytes < stats.compressed_raw_bytes);
     /// // Scans are unchanged, byte for byte.
@@ -718,8 +663,9 @@ impl Graph {
     ///
     /// Every combination of bound positions is served by a contiguous range
     /// scan over one of the three permutation indexes — under the
-    /// sorted-run backend, a k-way merge of the runs' range slices and
-    /// the tail's matches, in the same key order a B-tree scan yields.
+    /// sorted-run backend, one run's range slice once sealed and a
+    /// merge of the runs' slices and the tail's matches before, in the
+    /// same key order a B-tree scan yields.
     pub fn match_ids(
         &self,
         s: Option<TermId>,
@@ -743,22 +689,9 @@ impl Graph {
             (None, None, Some(o)) => (Perm::Osp, [o.0, MIN, MIN], [o.0, MAX, MAX]),
             (None, None, None) => (Perm::Spo, [MIN; 3], [MAX; 3]),
         };
-        let iter = self.store.range(perm, lo, hi);
-        self.par
-            .note_scan(iter.merge_width() as u64, iter.uses_loser_tree());
         MatchIter {
-            inner: MatchIterInner::Range(iter),
+            inner: MatchIterInner::Range(self.store.range(perm, lo, hi)),
         }
-    }
-
-    /// Records one morsel-driven parallel execution over this graph:
-    /// `morsels` work units dispatched, of which `steals` were claimed
-    /// by a worker outside its round-robin share. Called by the
-    /// parallel evaluator in `rps-query`; takes `&self` (the graph is
-    /// shared read-only during execution).
-    pub fn note_parallel_scan(&self, morsels: u64, steals: u64) {
-        DurCounters::add(&self.par.morsels_dispatched, morsels);
-        DurCounters::add(&self.par.morsel_steals, steals);
     }
 
     /// Estimated number of matches for a pattern, used by the planner.
@@ -1484,15 +1417,15 @@ mod tests {
         g.seal();
         assert!(g.stats.get().is_none());
 
-        // Shards: no single run to probe.
+        // A columnar run: no plain run to probe.
         g.seal_with(&SealConfig {
-            shards: 3,
+            compress: true,
             ..SealConfig::default()
         });
         g.graph_stats().expect("sealed");
         g.insert_batch(fresh(10, 3));
         g.seal();
-        assert_eq!(g.storage_stats().shards, 3);
+        assert_eq!(g.storage_stats().compressed_runs, 3);
         assert!(g.stats.get().is_none() && g.stats_base.is_none());
 
         // The B-tree backend: always "sealed", never patched.

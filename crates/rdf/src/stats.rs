@@ -27,8 +27,8 @@
 //! The patch runs only when it is cheaper than the sweep and the layout
 //! can be probed: `delta · 2 · ilog2(n) < n` (the rule the store's
 //! merge uses to choose galloping, with the window's slot count standing
-//! in for `added`), the sorted-run backend, one unsharded run per
-//! permutation. Otherwise — a bulk load's window, a sharded or B-tree
+//! in for `added`), the sorted-run backend, one plain run per
+//! permutation. Otherwise — a bulk load's window, a columnar or B-tree
 //! graph, a graph never asked for statistics — the base is dropped and
 //! the sweep runs lazily as before. The sweep stays the only full
 //! implementation; the patch is tested equal to it field by field.

@@ -17,14 +17,19 @@
 //!   (4) times the newer one — keeping the run count logarithmic in
 //!   the store size.
 //!   Range scans binary-search every run — and the tail, which is kept
-//!   sorted per permutation — for the key range and k-way merge the
-//!   resulting slices, so iteration order is identical to a B-tree
-//!   range scan and scan setup allocates nothing beyond the head list. Removals from runs are **tombstones** in a side set,
-//!   filtered during scans and physically dropped — by one merge pass
-//!   per permutation that folds the stack into a single run, copying
-//!   the big run in stretches between the few tombstoned positions —
-//!   when the store is sealed, or on its own once they outnumber half
-//!   the run-resident keys.
+//!   sorted per permutation — for the key range and merge the
+//!   resulting slices by a linear minimum over their heads, so
+//!   iteration order is identical to a B-tree range scan and scan setup
+//!   allocates nothing beyond the source list. Removals from runs are
+//!   **tombstones** in a side set, filtered during scans and physically
+//!   dropped — by one merge pass per permutation that folds the stack
+//!   into a single run, copying the big run in stretches between the
+//!   few tombstoned positions — when the store is sealed, or on its own
+//!   once they outnumber half the run-resident keys.
+//!   **Sealed, the layout is one run per permutation**: a plain key
+//!   vector, or its delta-varint columnar encoding (the
+//!   `store::columnar` module) when [`SealConfig::compress`] asks. A
+//!   scan of a sealed store sets up one source and merges nothing.
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
@@ -104,31 +109,19 @@ const PURGE_MIN: usize = 1024;
 /// grows, so a moderately aggressive factor favours the read path.
 const TIER_FACTOR: usize = 4;
 
-/// Merge width at or above which a range scan replaces the linear-min
-/// k-way merge with a loser tree. Below this, scanning every head is
-/// cheaper than maintaining the tournament; at 8+ sources (a sharded
-/// sealed graph plus a few fresh runs) the tree's `O(log k)` replay
-/// wins.
-const LOSER_TREE_MIN: usize = 8;
-
 /// How a [`Graph`](crate::graph::Graph) is physically laid out when it
 /// is sealed via [`Graph::seal_with`](crate::graph::Graph::seal_with).
 ///
-/// The default (`shards: 1`, no compression) is the classic sealed
-/// form: one purged sorted-run stack per permutation. Raising `shards`
-/// partitions the live keys by **subject hash** into that many
-/// independent per-shard run sets — the substrate morsel-driven
-/// parallel execution scans — and `compress` stores each large enough
-/// shard run delta-varint encoded (the `store::columnar` module).
+/// Either way the sealed form is one purged sorted run per permutation:
+/// a plain key vector by default, or — with `compress`, once the store
+/// holds `compress_min_keys` keys — its delta-varint columnar encoding
+/// (the `store::columnar` module).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SealConfig {
-    /// Number of subject-hash shards; `0` means "auto" (the machine's
-    /// available parallelism), `1` means the classic unsharded form.
-    pub shards: usize,
-    /// Store shard runs delta-varint compressed when they are at least
-    /// `compress_min_keys` long.
+    /// Store the sealed runs delta-varint compressed when they are at
+    /// least `compress_min_keys` long.
     pub compress: bool,
-    /// Minimum keys in a shard before compression is worth the decode
+    /// Minimum keys in the store before compression is worth the decode
     /// cost of its scans.
     pub compress_min_keys: usize,
 }
@@ -136,28 +129,17 @@ pub struct SealConfig {
 impl Default for SealConfig {
     fn default() -> Self {
         SealConfig {
-            shards: 1,
             compress: false,
             compress_min_keys: 256,
         }
     }
 }
 
-impl SealConfig {
-    /// Resolves `shards: 0` ("auto") to [`host_parallelism`].
-    pub fn effective_shards(&self) -> usize {
-        match self.shards {
-            0 => host_parallelism(),
-            n => n,
-        }
-    }
-}
-
 /// The machine's available parallelism (≥ 1), asked of the OS once per
 /// process. On Linux the query is an affinity syscall plus cgroup-quota
-/// file reads — ~14 µs, several times an id-level point join — so every
-/// "auto" worker or shard count resolves through this cached answer and
-/// no request path queries the host.
+/// file reads — ~14 µs, several times an id-level point join — so the
+/// federated branch fan-out in `rps-p2p`, the one caller, bounds its
+/// threads by this cached answer and no request path queries the host.
 pub fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| {
@@ -165,15 +147,6 @@ pub fn host_parallelism() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Maps a subject id to its shard. A SplitMix-style multiply-xor mix so
-/// that dense interned ids (the common case) spread evenly instead of
-/// striping by allocation order.
-pub(crate) fn shard_of(s: u32, shards: usize) -> usize {
-    let mut h = (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 32;
-    (h % shards as u64) as usize
 }
 
 /// Which physical index layout a [`Graph`](crate::graph::Graph) uses.
@@ -192,14 +165,15 @@ pub enum StorageBackend {
 /// (to force and observe compaction) and by the repo benchmark.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageStats {
-    /// Immutable sorted runs per permutation index.
+    /// Immutable sorted runs per permutation index, the columnar one
+    /// included.
     pub runs: usize,
     /// Keys in the mutable tail (shared across the three permutations).
     pub tail: usize,
     /// Tombstoned keys awaiting a purge-compaction (always 0 for the
     /// B-tree backend, which removes in place).
     pub tombstones: usize,
-    /// Keys resident in runs (live + tombstoned).
+    /// Keys resident in runs, plain or columnar (live + tombstoned).
     pub run_keys: usize,
     /// Pages written by `Graph::persist` checkpoints over this graph's
     /// lifetime (0 until the graph touches the durable tier).
@@ -215,26 +189,24 @@ pub struct StorageStats {
     pub wal_bytes: u64,
     /// WAL records replayed into the tail during recovery.
     pub wal_replayed: u64,
-    /// Subject-hash shards in the sealed form (0 when unsharded).
+    /// Always 0; read by name in `benchmark/src/trial.rs`; goes with
+    /// ROADMAP 1a-iii.
     pub shards: usize,
-    /// Keys resident in shard runs (disjoint from `run_keys`).
+    /// Always 0; read by name in `benchmark/src/trial.rs`; goes with
+    /// ROADMAP 1a-iii.
     pub shard_keys: usize,
-    /// Shard runs stored delta-varint compressed (across permutations).
+    /// Runs stored delta-varint compressed (across permutations).
     pub compressed_runs: usize,
     /// Resident bytes of the compressed runs (codes + sync tables).
     pub compressed_bytes: usize,
     /// Bytes the same keys would occupy as plain `[u32; 3]` runs.
     pub compressed_raw_bytes: usize,
-    /// Morsels handed to workers by parallel query execution over this
-    /// graph.
+    /// Always 0; read by name in `benchmark/src/trial.rs`; goes with
+    /// ROADMAP 1a-iii.
     pub morsels_dispatched: u64,
-    /// Morsels a worker claimed outside its round-robin share — the
-    /// work-stealing that keeps uneven morsels from idling workers.
-    pub morsel_steals: u64,
-    /// Range scans that engaged the loser-tree merge (width ≥ 8).
+    /// Always 0; read by name in `benchmark/src/trial.rs`; goes with
+    /// ROADMAP 1a-iii.
     pub loser_tree_merges: u64,
-    /// Widest k-way merge any scan of this graph has performed.
-    pub widest_merge: u64,
     /// Distinct predicates in the planner statistics snapshot (0 until
     /// [`Graph::graph_stats`](crate::Graph::graph_stats) has built one).
     pub stats_predicates: usize,
@@ -331,28 +303,19 @@ impl TripleStore {
         match self {
             TripleStore::BTree(_) => StorageStats::default(),
             TripleStore::Runs(s) => {
-                let mut compressed_runs = 0;
-                let mut compressed_bytes = 0;
-                let mut compressed_raw_bytes = 0;
-                for shard in &s.shards {
-                    for run in [&shard.spo, &shard.pos, &shard.osp] {
-                        if let SealedRun::Compressed(c) = run {
-                            compressed_runs += 1;
-                            compressed_bytes += c.encoded_bytes();
-                            compressed_raw_bytes += c.raw_bytes();
-                        }
-                    }
-                }
+                let columnar = || {
+                    [&s.spo, &s.pos, &s.osp]
+                        .into_iter()
+                        .flat_map(|i| &i.columnar)
+                };
                 StorageStats {
-                    runs: s.spo.runs.len(),
+                    runs: s.spo.runs.len() + usize::from(s.spo.columnar.is_some()),
                     tail: s.spo.tail.len(),
                     tombstones: s.dead.len(),
-                    run_keys: s.spo.runs.iter().map(|r| r.len()).sum(),
-                    shards: s.shards.len(),
-                    shard_keys: s.shards.iter().map(|sh| sh.spo.len()).sum(),
-                    compressed_runs,
-                    compressed_bytes,
-                    compressed_raw_bytes,
+                    run_keys: s.spo.run_keys(),
+                    compressed_runs: columnar().count(),
+                    compressed_bytes: columnar().map(|c| c.encoded_bytes()).sum(),
+                    compressed_raw_bytes: columnar().map(|c| c.raw_bytes()).sum(),
                     ..StorageStats::default()
                 }
             }
@@ -416,26 +379,25 @@ impl TripleStore {
     /// backend flushes the mutable tail into a run, then folds the run
     /// stack into one run per permutation while physically dropping all
     /// tombstones, so subsequent scans read immutable runs only (no
-    /// tail subslice, no per-key tombstone probe). **Sealed and
-    /// unsharded ⇒ at most one run per permutation**, whether or not a
-    /// tombstone existed: a probe sets up a single source, no merge.
-    /// Over a sharded seal the shards stay as they are (less their dead
-    /// keys) and the writes since fold into one run beside them. The
-    /// logical key set is unchanged; the B-tree backend is a no-op. A
-    /// sealed store accepts further writes (they simply start a new
-    /// tail).
+    /// tail subslice, no per-key tombstone probe). **Sealed ⇒ at most
+    /// one plain run per permutation**, whether or not a tombstone
+    /// existed: a probe sets up a single source, no merge. A columnar
+    /// run left by an earlier [`Self::seal_with`] stays as it is (less
+    /// its dead keys) and the writes since fold into one plain run
+    /// beside it. The logical key set is unchanged; the B-tree backend
+    /// is a no-op. A sealed store accepts further writes (they simply
+    /// start a new tail).
     pub(crate) fn seal(&mut self) {
         if let TripleStore::Runs(s) = self {
             s.seal();
         }
     }
 
-    /// Seals into the physical layout described by `cfg`: live keys are
-    /// repartitioned by subject hash into `cfg.effective_shards()`
-    /// independent per-shard run sets (optionally delta-varint
-    /// compressed), or folded back into the classic unsharded form for
-    /// `shards <= 1` without compression. Logical content is untouched;
-    /// the B-tree backend ignores the config ([`Self::seal`] semantics).
+    /// Seals into the physical layout described by `cfg`: one run per
+    /// permutation holding every live key, delta-varint compressed when
+    /// `cfg` asks and the store is large enough, plain otherwise.
+    /// Logical content is untouched; the B-tree backend ignores the
+    /// config ([`Self::seal`] semantics).
     pub(crate) fn seal_with(&mut self, cfg: &SealConfig) {
         if let TripleStore::Runs(s) = self {
             s.seal_with(cfg);
@@ -454,14 +416,14 @@ impl TripleStore {
     }
 
     /// The SPO, POS and OSP key arrays when [`Self::seal`] left the
-    /// whole store in them: sorted runs, unsharded, no tail, no
+    /// whole store in them: sorted runs, none columnar, no tail, no
     /// tombstone, at most one run per permutation (none when empty).
     /// `None` for any other shape, the B-tree backend included.
     pub(crate) fn sealed_runs(&self) -> Option<[&[[u32; 3]]; 3]> {
         let TripleStore::Runs(s) = self else {
             return None;
         };
-        if !(self.is_sealed() && s.shards.is_empty() && s.spo.runs.len() <= 1) {
+        if !(self.is_sealed() && s.spo.columnar.is_none() && s.spo.runs.len() <= 1) {
             return None;
         }
         Some([&s.spo, &s.pos, &s.osp].map(|index| index.runs.first().map_or(&[][..], |r| &r[..])))
@@ -478,7 +440,7 @@ impl TripleStore {
                 .runs
                 .iter()
                 .filter_map(|r| Some((*r.first()?, *r.last()?)))
-                .chain(s.shards.iter().filter_map(|sh| sh.spo.ends()))
+                .chain(s.spo.columnar.iter().map(|c| (c.min_key(), c.max_key())))
                 .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))?,
         };
         Some((Perm::Spo.unpermute(lo), Perm::Spo.unpermute(hi)))
@@ -513,49 +475,31 @@ impl TripleStore {
                 tail: Vec::new(),
             },
             TripleStore::Runs(s) => {
+                // A columnar run persists as one more plain run image —
+                // the durable tier (and `from_runs` recovery) knows plain
+                // runs only; re-seal with a config to compress after
+                // opening.
                 let live = |perm: Perm, index: &RunIndex| -> Vec<Vec<[u32; 3]>> {
                     index
                         .runs
                         .iter()
-                        .map(|run| {
-                            if s.dead.len() == 0 {
-                                run.as_ref().clone()
-                            } else {
-                                run.iter()
-                                    .copied()
-                                    .filter(|k| !s.dead.contains(spo_key(perm.unpermute(*k))))
-                                    .collect()
+                        .map(|run| run.as_ref().clone())
+                        .chain(index.columnar.iter().map(|c| c.decode_all()))
+                        .map(|mut run| {
+                            if s.dead.len() > 0 {
+                                run.retain(|k| !s.dead.contains(spo_key(perm.unpermute(*k))));
                             }
+                            run
                         })
-                        .filter(|run: &Vec<[u32; 3]>| !run.is_empty())
+                        .filter(|run| !run.is_empty())
                         .collect()
                 };
-                let mut runs = [
-                    live(Perm::Spo, &s.spo),
-                    live(Perm::Pos, &s.pos),
-                    live(Perm::Osp, &s.osp),
-                ];
-                // Shard runs persist as additional plain run images —
-                // the durable tier (and `from_runs` recovery) stays
-                // unsharded; re-seal with a config to reshard after
-                // opening.
-                for shard in &s.shards {
-                    for (slot, perm, run) in [
-                        (0, Perm::Spo, &shard.spo),
-                        (1, Perm::Pos, &shard.pos),
-                        (2, Perm::Osp, &shard.osp),
-                    ] {
-                        let mut keys = run.decode_keys();
-                        if s.dead.len() > 0 {
-                            keys.retain(|k| !s.dead.contains(spo_key(perm.unpermute(*k))));
-                        }
-                        if !keys.is_empty() {
-                            runs[slot].push(keys);
-                        }
-                    }
-                }
                 RunSnapshot {
-                    runs,
+                    runs: [
+                        live(Perm::Spo, &s.spo),
+                        live(Perm::Pos, &s.pos),
+                        live(Perm::Osp, &s.osp),
+                    ],
                     // Tail keys are never tombstoned (removals from the
                     // tail are physical), so the tail is live as-is.
                     tail: s.spo.tail.iter().map(|&k| Perm::Spo.unpermute(k)).collect(),
@@ -616,22 +560,16 @@ impl TripleStore {
                 }
             }
         }
+        let index = |runs: Vec<Vec<[u32; 3]>>| RunIndex {
+            runs: runs.into_iter().map(Arc::new).collect(),
+            ..RunIndex::default()
+        };
         Ok(TripleStore::Runs(RunStore {
-            spo: RunIndex {
-                runs: spo_runs.into_iter().map(Arc::new).collect(),
-                tail: Vec::new(),
-            },
-            pos: RunIndex {
-                runs: pos_runs.into_iter().map(Arc::new).collect(),
-                tail: Vec::new(),
-            },
-            osp: RunIndex {
-                runs: osp_runs.into_iter().map(Arc::new).collect(),
-                tail: Vec::new(),
-            },
+            spo: index(spo_runs),
+            pos: index(pos_runs),
+            osp: index(osp_runs),
             present,
             dead: KeySet::default(),
-            shards: Vec::new(),
         }))
     }
 
@@ -703,18 +641,31 @@ struct RunIndex {
     /// more merge source. All three permutations' tails hold the same
     /// triples, each in its own order.
     tail: Vec<[u32; 3]>,
+    /// The delta-varint encoded run a compressing
+    /// [`RunStore::seal_with`] left — then the only run; writes since
+    /// stack plain runs beside it. Disjoint from `runs` and the tail
+    /// like any other run, and immutable until the next purge or
+    /// `seal_with`.
+    columnar: Option<Arc<ColumnarRun>>,
 }
 
 impl RunIndex {
-    /// The subslices of each run — and of the sorted tail — intersecting
-    /// `lo..=hi`. Each source is a sorted vector, so its first and last
-    /// entries are its min/max key: a run whose key range cannot
-    /// intersect the scan range is skipped with two O(1) comparisons
-    /// before any binary search runs. On clustered key ranges (a fresh
-    /// predicate or subject landing in one recent run) this prunes most
-    /// of the run stack per scan.
-    fn sorted_slices(&self, lo: [u32; 3], hi: [u32; 3]) -> Vec<&[[u32; 3]]> {
-        let mut out = Vec::with_capacity(self.runs.len() + 1);
+    /// Keys resident in the runs, plain and columnar.
+    fn run_keys(&self) -> usize {
+        self.runs.iter().map(|r| r.len()).sum::<usize>()
+            + self.columnar.as_ref().map_or(0, |c| c.len())
+    }
+
+    /// The merge sources of a scan of `lo..=hi`: the subslice of each
+    /// run — and of the sorted tail — intersecting it, and a seeked
+    /// cursor into the columnar run. Each plain source is a sorted
+    /// vector, so its first and last entries are its min/max key: a run
+    /// whose key range cannot intersect the scan range is skipped with
+    /// two O(1) comparisons before any binary search runs. On clustered
+    /// key ranges (a fresh predicate or subject landing in one recent
+    /// run) this prunes most of the run stack per scan.
+    fn sources(&self, lo: [u32; 3], hi: [u32; 3]) -> Vec<ScanSource<'_>> {
+        let mut out = Vec::with_capacity(self.runs.len() + 2);
         for source in self
             .runs
             .iter()
@@ -728,8 +679,15 @@ impl RunIndex {
             let start = source.partition_point(|k| *k < lo);
             let end = source.partition_point(|k| *k <= hi);
             if start < end {
-                out.push(&source[start..end]);
+                out.push(ScanSource::Slice(&source[start..end]));
             }
+        }
+        if let Some(scan) = self
+            .columnar
+            .as_ref()
+            .and_then(|c| ColScan::over(c, lo, hi))
+        {
+            out.push(ScanSource::Col(Box::new(scan)));
         }
         out
     }
@@ -771,19 +729,30 @@ impl RunIndex {
         }
     }
 
-    /// Folds the whole run stack into one run without the keys of
-    /// `dead` (sorted in this permutation's order). The younger runs —
-    /// under tiering a fraction of the oldest — are merged among
+    /// Folds the whole stack of plain runs into one run without the
+    /// keys of `dead` (sorted in this permutation's order). The younger
+    /// runs — under tiering a fraction of the oldest — are merged among
     /// themselves first, newest up, so the oldest run is read once, in
     /// the pass that also drops the dead keys. An already single run
-    /// with nothing to drop is left as it is (same `Arc`).
+    /// with nothing to drop is left as it is (same `Arc`). The columnar
+    /// run keeps its representation: it is re-encoded without its dead
+    /// keys, and only when it holds one.
     fn compact(&mut self, dead: &[[u32; 3]]) {
+        if let Some(columnar) = self.columnar.as_ref().filter(|_| !dead.is_empty()) {
+            let keys = columnar.decode_all();
+            let live = merge_sorted(&keys, &[], dead);
+            if live.is_empty() {
+                self.columnar = None;
+            } else if live.len() < keys.len() {
+                self.columnar = Some(Arc::new(ColumnarRun::encode(&live)));
+            }
+        }
         if self.runs.len() <= 1 && dead.is_empty() {
             return;
         }
         let mut runs = std::mem::take(&mut self.runs).into_iter();
         let Some(oldest) = runs.next() else {
-            return; // tombstones of shard-resident keys only
+            return; // tombstones of columnar-resident keys only
         };
         let young = runs
             .rev()
@@ -791,6 +760,23 @@ impl RunIndex {
         let merged = merge_sorted(&oldest, &young, dead);
         if !merged.is_empty() {
             self.runs.push(Arc::new(merged));
+        }
+    }
+
+    /// Rewrites a sealed index — at most one plain run, a columnar one
+    /// or neither — as a single run holding the keys of both: columnar
+    /// if `compress`, plain otherwise.
+    fn reseal(&mut self, compress: bool) {
+        debug_assert!(self.runs.len() <= 1 && self.tail.is_empty());
+        let plain = self.runs.pop().unwrap_or_default();
+        let keys = match self.columnar.take() {
+            Some(columnar) => Arc::new(merge_sorted(&plain, &columnar.decode_all(), &[])),
+            None => plain,
+        };
+        if compress {
+            self.columnar = Some(Arc::new(ColumnarRun::encode(&keys)));
+        } else if !keys.is_empty() {
+            self.runs.push(keys);
         }
     }
 }
@@ -864,139 +850,6 @@ fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]], dead: &[[u32; 3]]) -> Vec<[u32; 
     out
 }
 
-/// One sealed shard run in either physical representation. Chosen per
-/// shard at [`RunStore::seal_with`] time; scans are
-/// representation-agnostic.
-#[derive(Clone)]
-enum SealedRun {
-    /// A plain sorted key vector — binary-searched like any other run.
-    Plain(Arc<Vec<[u32; 3]>>),
-    /// Delta-varint columnar form — seek via sync table, then
-    /// sequential decode.
-    Compressed(Arc<ColumnarRun>),
-}
-
-impl SealedRun {
-    fn new(keys: Vec<[u32; 3]>, compress: bool) -> SealedRun {
-        if compress && !keys.is_empty() {
-            SealedRun::Compressed(Arc::new(ColumnarRun::encode(&keys)))
-        } else {
-            SealedRun::Plain(Arc::new(keys))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SealedRun::Plain(v) => v.len(),
-            SealedRun::Compressed(c) => c.len(),
-        }
-    }
-
-    /// The first and the last key, `None` when empty.
-    fn ends(&self) -> Option<([u32; 3], [u32; 3])> {
-        match self {
-            SealedRun::Plain(v) => Some((*v.first()?, *v.last()?)),
-            SealedRun::Compressed(c) => (c.len() > 0).then(|| (c.min_key(), c.max_key())),
-        }
-    }
-
-    /// The keys back as a plain sorted vector (snapshotting, resealing,
-    /// tombstone purges).
-    fn decode_keys(&self) -> Vec<[u32; 3]> {
-        match self {
-            SealedRun::Plain(v) => v.as_ref().clone(),
-            SealedRun::Compressed(c) => c.decode_all(),
-        }
-    }
-
-    /// A merge source over `self ∩ [lo, hi]`, if non-empty.
-    fn source<'g>(&'g self, lo: [u32; 3], hi: [u32; 3]) -> Option<ScanSource<'g>> {
-        match self {
-            SealedRun::Plain(v) => {
-                match (v.first(), v.last()) {
-                    (Some(min), Some(max)) if *min <= hi && lo <= *max => {}
-                    _ => return None,
-                }
-                let start = v.partition_point(|k| *k < lo);
-                let end = v.partition_point(|k| *k <= hi);
-                (start < end).then(|| ScanSource::Slice(&v[start..end]))
-            }
-            SealedRun::Compressed(c) => {
-                ColScan::over(c, lo, hi).map(|s| ScanSource::Col(Box::new(s)))
-            }
-        }
-    }
-}
-
-/// One subject-hash shard of a sealed store: a single run per
-/// permutation holding exactly the keys whose subject hashes to this
-/// shard. Shards are mutually disjoint and disjoint from the unsharded
-/// runs and tail, so merged scans need no deduplication — the same
-/// invariant the unsharded layout relies on.
-#[derive(Clone)]
-struct Shard {
-    spo: SealedRun,
-    pos: SealedRun,
-    osp: SealedRun,
-}
-
-impl Shard {
-    /// Builds a shard from its (already sorted, disjoint) SPO keys.
-    fn build(spo_keys: Vec<[u32; 3]>, cfg: &SealConfig) -> Shard {
-        let compress = cfg.compress && spo_keys.len() >= cfg.compress_min_keys;
-        let mut pos_keys: Vec<[u32; 3]> = spo_keys
-            .iter()
-            .map(|&k| Perm::Pos.permute(Perm::Spo.unpermute(k)))
-            .collect();
-        pos_keys.sort_unstable();
-        let mut osp_keys: Vec<[u32; 3]> = spo_keys
-            .iter()
-            .map(|&k| Perm::Osp.permute(Perm::Spo.unpermute(k)))
-            .collect();
-        osp_keys.sort_unstable();
-        Shard {
-            spo: SealedRun::new(spo_keys, compress),
-            pos: SealedRun::new(pos_keys, compress),
-            osp: SealedRun::new(osp_keys, compress),
-        }
-    }
-
-    fn run(&self, perm: Perm) -> &SealedRun {
-        match perm {
-            Perm::Spo => &self.spo,
-            Perm::Pos => &self.pos,
-            Perm::Osp => &self.osp,
-        }
-    }
-
-    /// Rebuilds the shard without the tombstoned keys, preserving its
-    /// representation (compressed shards re-encode).
-    fn filter_dead(self, dead: &KeySet) -> Shard {
-        let compress = matches!(self.spo, SealedRun::Compressed(_));
-        let mut spo_keys = self.spo.decode_keys();
-        spo_keys.retain(|k| !dead.contains(*k));
-        Shard {
-            spo: SealedRun::new(spo_keys.clone(), compress),
-            pos: {
-                let mut keys: Vec<[u32; 3]> = spo_keys
-                    .iter()
-                    .map(|&k| Perm::Pos.permute(Perm::Spo.unpermute(k)))
-                    .collect();
-                keys.sort_unstable();
-                SealedRun::new(keys, compress)
-            },
-            osp: {
-                let mut keys: Vec<[u32; 3]> = spo_keys
-                    .iter()
-                    .map(|&k| Perm::Osp.permute(Perm::Spo.unpermute(k)))
-                    .collect();
-                keys.sort_unstable();
-                SealedRun::new(keys, compress)
-            },
-        }
-    }
-}
-
 /// The sorted-run layout shared by the three permutation indexes.
 ///
 /// Point membership never touches the runs: `present` is a fast
@@ -1009,20 +862,15 @@ pub(crate) struct RunStore {
     spo: RunIndex,
     pos: RunIndex,
     osp: RunIndex,
-    /// Every live SPO key (runs + tail + shards). The single
-    /// point-lookup structure; also the live count.
+    /// Every live SPO key (runs + tail). The single point-lookup
+    /// structure; also the live count.
     present: KeySet,
-    /// SPO keys tombstoned inside runs or shard runs. Disjoint from
-    /// `present`; every member is resident in some run; filtered during
-    /// scans and physically dropped by `purge`. A live copy of a key
-    /// never coexists with a tombstoned copy (revival clears the
+    /// SPO keys tombstoned inside runs, plain or columnar. Disjoint
+    /// from `present`; every member is resident in some run; filtered
+    /// during scans and physically dropped by `purge`. A live copy of a
+    /// key never coexists with a tombstoned copy (revival clears the
     /// tombstone instead of re-adding the key).
     dead: KeySet,
-    /// Subject-hash shards produced by [`Self::seal_with`]; empty in
-    /// the classic unsharded form. Writes after a sharded seal go to
-    /// the tail/runs as usual — shards are immutable until the next
-    /// reseal or purge.
-    shards: Vec<Shard>,
 }
 
 impl RunStore {
@@ -1119,12 +967,9 @@ impl RunStore {
 
     /// Physically drops tombstoned keys once they outnumber half the
     /// run-resident keys (and exceed an absolute floor), by merging each
-    /// index's whole run stack into one purged run and rebuilding any
-    /// shard that still holds dead keys.
+    /// index's whole run stack into one purged run.
     fn maybe_purge(&mut self) {
-        let run_keys: usize = self.spo.runs.iter().map(|r| r.len()).sum::<usize>()
-            + self.shards.iter().map(|sh| sh.spo.len()).sum::<usize>();
-        if self.dead.len() < PURGE_MIN || self.dead.len() * 2 < run_keys {
+        if self.dead.len() < PURGE_MIN || self.dead.len() * 2 < self.spo.run_keys() {
             return;
         }
         self.purge_dead();
@@ -1132,10 +977,8 @@ impl RunStore {
 
     /// Folds each index's run stack into one run without the tombstoned
     /// keys — one merge pass per permutation over the tombstones sorted
-    /// in that permutation's order, see [`merge_sorted`] — rebuilds any
-    /// shard that holds a dead key, then clears the tombstone set.
-    /// Shards keep their partitioning and representation (dropping keys
-    /// never moves one between shards). A no-op on a single clean run.
+    /// in that permutation's order, see [`RunIndex::compact`] — then
+    /// clears the tombstone set. A no-op on a single clean run.
     fn purge_dead(&mut self) {
         let dead_spo: Vec<[u32; 3]> = self.dead.iter().collect();
         for (perm, index) in [
@@ -1150,27 +993,13 @@ impl RunStore {
             dead.sort_unstable();
             index.compact(&dead);
         }
-        if dead_spo.is_empty() {
-            return;
-        }
-        if self
-            .shards
-            .iter()
-            .any(|sh| sh.spo.decode_keys().iter().any(|k| self.dead.contains(*k)))
-        {
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = shards
-                .into_iter()
-                .map(|sh| sh.filter_dead(&self.dead))
-                .collect();
-        }
         self.dead = KeySet::default();
     }
 
     /// Flushes the tail, then folds the runs and drops every tombstone
-    /// physically, leaving at most one immutable run per permutation
-    /// beside the shards (see [`TripleStore::seal`]). Existing shards
-    /// are kept — only [`Self::seal_with`] repartitions.
+    /// physically, leaving at most one immutable plain run per
+    /// permutation (see [`TripleStore::seal`]). A columnar run is kept
+    /// — only [`Self::seal_with`] re-encodes or decodes it.
     fn seal(&mut self) {
         if !self.spo.tail.is_empty() {
             self.flush(Vec::new());
@@ -1178,58 +1007,19 @@ impl RunStore {
         self.purge_dead();
     }
 
-    /// Seals, then repartitions every live key into the layout `cfg`
-    /// asks for: `effective_shards()` subject-hash shards (optionally
-    /// compressed), or the classic unsharded run stacks for `shards <=
-    /// 1` without compression. The logical key set — and therefore
-    /// `present` and every scan result — is unchanged.
+    /// Seals, then rewrites the one run per permutation in the form
+    /// `cfg` asks for: columnar for `compress` over at least
+    /// `compress_min_keys` keys, plain otherwise. The logical key set —
+    /// and therefore `present` and every scan result — is unchanged.
     fn seal_with(&mut self, cfg: &SealConfig) {
         self.seal();
-        let shards = cfg.effective_shards();
-        if shards <= 1 && !cfg.compress && self.shards.is_empty() {
-            return; // already in the classic sealed form
+        let compress = cfg.compress && self.len() >= cfg.compress_min_keys.max(1);
+        if !compress && self.spo.columnar.is_none() {
+            return; // already one plain run
         }
-        // Gather every live SPO key (runs are dead-free after seal()).
-        let total: usize = self.spo.runs.iter().map(|r| r.len()).sum::<usize>()
-            + self.shards.iter().map(|sh| sh.spo.len()).sum::<usize>();
-        let mut all: Vec<[u32; 3]> = Vec::with_capacity(total);
-        for run in self.spo.runs.drain(..) {
-            all.extend(run.iter().copied());
+        for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
+            index.reseal(compress);
         }
-        for shard in self.shards.drain(..) {
-            all.extend(shard.spo.decode_keys());
-        }
-        self.pos.runs.clear();
-        self.osp.runs.clear();
-        all.sort_unstable();
-        if shards <= 1 && !cfg.compress {
-            // Fold back to one plain run per permutation.
-            if !all.is_empty() {
-                let mut pos_keys: Vec<[u32; 3]> = all
-                    .iter()
-                    .map(|&k| Perm::Pos.permute(Perm::Spo.unpermute(k)))
-                    .collect();
-                pos_keys.sort_unstable();
-                let mut osp_keys: Vec<[u32; 3]> = all
-                    .iter()
-                    .map(|&k| Perm::Osp.permute(Perm::Spo.unpermute(k)))
-                    .collect();
-                osp_keys.sort_unstable();
-                self.spo.runs.push(Arc::new(all));
-                self.pos.runs.push(Arc::new(pos_keys));
-                self.osp.runs.push(Arc::new(osp_keys));
-            }
-            return;
-        }
-        // `all` is sorted, so each part inherits sorted order.
-        let mut parts: Vec<Vec<[u32; 3]>> = vec![Vec::new(); shards];
-        for &k in &all {
-            parts[shard_of(k[0], shards)].push(k);
-        }
-        self.shards = parts
-            .into_iter()
-            .map(|spo_keys| Shard::build(spo_keys, cfg))
-            .collect();
     }
 
     fn range(&self, perm: Perm, lo: [u32; 3], hi: [u32; 3]) -> RunRangeIter<'_> {
@@ -1238,39 +1028,12 @@ impl RunStore {
             Perm::Pos => &self.pos,
             Perm::Osp => &self.osp,
         };
-        let mut sources: Vec<ScanSource<'_>> = index
-            .sorted_slices(lo, hi)
-            .into_iter()
-            .map(ScanSource::Slice)
-            .collect();
-        if !self.shards.is_empty() {
-            // Shard pruning: when the scan fixes the subject, only the
-            // subject's own shard can hold matches. The subject sits at
-            // key position 0 for SPO, 1 for OSP ([o, s, p]) and 2 for
-            // POS ([p, o, s]).
-            let only = match perm {
-                Perm::Spo if lo[0] == hi[0] => Some(shard_of(lo[0], self.shards.len())),
-                Perm::Osp if lo[0] == hi[0] && lo[1] == hi[1] => {
-                    Some(shard_of(lo[1], self.shards.len()))
-                }
-                Perm::Pos if lo == hi => Some(shard_of(lo[2], self.shards.len())),
-                _ => None,
-            };
-            match only {
-                Some(i) => sources.extend(self.shards[i].run(perm).source(lo, hi)),
-                None => sources.extend(
-                    self.shards
-                        .iter()
-                        .filter_map(|sh| sh.run(perm).source(lo, hi)),
-                ),
-            }
-        }
-        RunRangeIter::new(
-            sources,
+        RunRangeIter {
+            sources: index.sources(lo, hi),
             hi,
             perm,
-            (self.dead.len() > 0).then_some(&self.dead),
-        )
+            dead: (self.dead.len() > 0).then_some(&self.dead),
+        }
     }
 }
 
@@ -1405,9 +1168,8 @@ impl KeySet {
     }
 }
 
-/// One source of a k-way merged range scan: a pre-bounded plain slice
-/// (run or tail subslice) or a bounded cursor into a compressed shard
-/// run.
+/// One source of a merged range scan: a pre-bounded plain slice (run
+/// or tail subslice) or a bounded cursor into the columnar run.
 pub(crate) enum ScanSource<'g> {
     /// A `[lo, hi]`-bounded subslice of a plain sorted run or tail.
     Slice(&'g [[u32; 3]]),
@@ -1436,128 +1198,26 @@ impl ScanSource<'_> {
     }
 }
 
-/// A loser tree (tournament tree) over the merge sources: each `next`
-/// replays one leaf-to-root path (`O(log k)` comparisons) instead of
-/// scanning all `k` heads. Exhausted sources compare as +∞ and simply
-/// sink to the bottom — no removal needed, which is what lets the tree
-/// keep stable source indices.
-struct LoserTree {
-    /// `node[0]` is the overall winner; `node[1..cap]` hold the loser
-    /// of each internal match. Leaves are implicit: leaf `i` is source
-    /// `i` (sources `>= k` are permanently exhausted padding).
-    node: Vec<usize>,
-    cap: usize,
-}
-
-/// Exhausted sources order after every real key.
-fn ranked(key: Option<[u32; 3]>) -> (u8, [u32; 3]) {
-    match key {
-        Some(k) => (0, k),
-        None => (1, [0; 3]),
-    }
-}
-
-impl LoserTree {
-    fn new(sources: &[ScanSource<'_>], hi: [u32; 3]) -> LoserTree {
-        let cap = sources.len().next_power_of_two().max(2);
-        let key = |s: usize| ranked(sources.get(s).and_then(|src| src.peek(hi)));
-        let mut winner = vec![0usize; cap * 2];
-        for (i, w) in winner.iter_mut().enumerate().skip(cap) {
-            *w = i - cap;
-        }
-        let mut node = vec![0usize; cap];
-        for i in (1..cap).rev() {
-            let (a, b) = (winner[2 * i], winner[2 * i + 1]);
-            let (w, l) = if key(a) <= key(b) { (a, b) } else { (b, a) };
-            winner[i] = w;
-            node[i] = l;
-        }
-        node[0] = winner[1];
-        LoserTree { node, cap }
-    }
-
-    /// The source holding the smallest current key.
-    fn winner(&self) -> usize {
-        self.node[0]
-    }
-
-    /// After the winner's source advanced, replays its leaf-to-root
-    /// path to find the new overall winner.
-    fn replay(&mut self, sources: &[ScanSource<'_>], hi: [u32; 3]) {
-        let key = |s: usize| ranked(sources.get(s).and_then(|src| src.peek(hi)));
-        let mut s = self.node[0];
-        let mut i = (self.cap + s) / 2;
-        while i >= 1 {
-            if key(self.node[i]) < key(s) {
-                std::mem::swap(&mut s, &mut self.node[i]);
-            }
-            i /= 2;
-        }
-        self.node[0] = s;
-    }
-}
-
-/// Iterator over one permutation's key range: a k-way merge of the
-/// intersecting run slices, the sorted tail's subslice and any shard
-/// runs (plain or compressed), yielding triples in the permutation's
-/// key order with tombstones filtered. Narrow merges use a linear min
-/// over the heads; merges of [`LOSER_TREE_MIN`] or more sources use a
-/// loser tree.
+/// Iterator over one permutation's key range: a merge of the
+/// intersecting run slices, the sorted tail's subslice and the columnar
+/// run's cursor, yielding triples in the permutation's key order with
+/// tombstones filtered. One source is stepped as it is; several are
+/// merged by a linear min over their heads — correct at any width, and
+/// under tiering the width is logarithmic in the store size.
 pub(crate) struct RunRangeIter<'g> {
     sources: Vec<ScanSource<'g>>,
     hi: [u32; 3],
     perm: Perm,
     /// Tombstoned SPO keys, present only when non-empty.
     dead: Option<&'g KeySet>,
-    /// Engaged once and for all at construction (sources only ever
-    /// drain, so the width never grows mid-scan).
-    loser: Option<LoserTree>,
-    /// Merge width at construction, for the scan-shape counters.
-    width: usize,
 }
 
-impl<'g> RunRangeIter<'g> {
-    fn new(
-        sources: Vec<ScanSource<'g>>,
-        hi: [u32; 3],
-        perm: Perm,
-        dead: Option<&'g KeySet>,
-    ) -> RunRangeIter<'g> {
-        let width = sources.len();
-        let loser = (width >= LOSER_TREE_MIN).then(|| LoserTree::new(&sources, hi));
-        RunRangeIter {
-            sources,
-            hi,
-            perm,
-            dead,
-            loser,
-            width,
-        }
-    }
-
-    /// Number of sources this scan merges (runs + tail + shard runs).
-    pub(crate) fn merge_width(&self) -> usize {
-        self.width
-    }
-
-    /// Whether the scan is wide enough to run on the loser tree.
-    pub(crate) fn uses_loser_tree(&self) -> bool {
-        self.loser.is_some()
-    }
-
+impl RunRangeIter<'_> {
     /// The next key in merge order, or `None` when every source is
     /// exhausted.
     fn next_key(&mut self) -> Option<[u32; 3]> {
-        if let Some(tree) = &mut self.loser {
-            let w = tree.winner();
-            let key = self.sources[w].peek(self.hi)?;
-            self.sources[w].advance();
-            tree.replay(&self.sources, self.hi);
-            return Some(key);
-        }
         // Fast path: one remaining source — no merge, just step it (the
-        // common shape once tiered merging or sharded sealing has
-        // concentrated the data, or after shard pruning).
+        // only shape a sealed store has).
         if self.sources.len() == 1 {
             match &mut self.sources[0] {
                 ScanSource::Slice(s) => {
@@ -1624,25 +1284,6 @@ pub(crate) enum StoreRangeIter<'g> {
         perm: Perm,
     },
     Runs(RunRangeIter<'g>),
-}
-
-impl StoreRangeIter<'_> {
-    /// How many sorted sources this scan merges (1 for the B-tree
-    /// backend, which is a single ordered structure).
-    pub(crate) fn merge_width(&self) -> usize {
-        match self {
-            StoreRangeIter::BTree { .. } => 1,
-            StoreRangeIter::Runs(it) => it.merge_width(),
-        }
-    }
-
-    /// Whether the scan engaged the loser-tree merge.
-    pub(crate) fn uses_loser_tree(&self) -> bool {
-        match self {
-            StoreRangeIter::BTree { .. } => false,
-            StoreRangeIter::Runs(it) => it.uses_loser_tree(),
-        }
-    }
 }
 
 impl Iterator for StoreRangeIter<'_> {
@@ -1864,7 +1505,7 @@ pub(crate) mod tests {
         assert!(stats.runs >= 1);
     }
 
-    /// A seeded SplitMix64 stream shared by the sharding proptests.
+    /// A seeded SplitMix64 stream shared by the seeded sweeps.
     pub(crate) fn splitmix(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
         move || {
@@ -1888,7 +1529,7 @@ pub(crate) mod tests {
                 "{what}: {perm:?} full scan"
             );
         }
-        // Bounded probes: per-subject SPO ranges exercise shard pruning.
+        // Bounded probes: per-subject SPO ranges seek into every run.
         for s in 0..40u32 {
             assert_eq!(
                 collect_range(store, Perm::Spo, [s, 0, 0], [s, u32::MAX, u32::MAX]),
@@ -1898,34 +1539,32 @@ pub(crate) mod tests {
         }
     }
 
-    /// Sharded ≡ unsharded ≡ BTree, and compressed ≡ plain, under a
-    /// mixed insert/remove/batch/seal/reseal workload — the seeded
-    /// proptest the sharded seal path is pinned by.
+    /// Columnar ≡ plain ≡ BTree under a mixed
+    /// insert/remove/batch/seal/reseal workload — the seeded proptest
+    /// the `seal_with` path is pinned by.
     #[test]
-    fn sharded_and_compressed_seals_agree_with_oracle() {
+    fn plain_and_columnar_seals_agree_with_oracle() {
         for seed in [1u64, 0xBEEF, 0x5EED_5EED] {
             let mut next = splitmix(seed);
             let mut bt = TripleStore::new(StorageBackend::BTree);
             let mut rs = TripleStore::new(StorageBackend::SortedRuns);
             let configs = [
                 SealConfig {
-                    shards: 4,
-                    ..SealConfig::default()
-                },
-                SealConfig {
-                    shards: 4,
                     compress: true,
                     compress_min_keys: 8,
                 },
                 SealConfig {
-                    shards: 2,
                     compress: true,
                     compress_min_keys: 1,
                 },
-                SealConfig::default(), // folds back to unsharded
+                SealConfig::default(), // decodes back to a plain run
                 SealConfig {
-                    shards: 7,
-                    ..SealConfig::default()
+                    compress: true,
+                    compress_min_keys: usize::MAX, // too few keys: plain
+                },
+                SealConfig {
+                    compress: true,
+                    compress_min_keys: 8,
                 },
             ];
             for (round, cfg) in configs.iter().enumerate() {
@@ -1971,53 +1610,12 @@ pub(crate) mod tests {
                 rs.seal_with(cfg);
                 assert!(rs.is_sealed(), "seed {seed} round {round}");
                 let stats = rs.stats();
-                if cfg.effective_shards() > 1 || cfg.compress {
-                    assert_eq!(stats.shards, cfg.effective_shards());
-                    assert_eq!(stats.run_keys, 0, "all keys live in shards");
-                    assert_eq!(stats.shard_keys, rs.len());
-                } else {
-                    assert_eq!(stats.shards, 0, "folded back to unsharded");
-                    assert_eq!(stats.run_keys, rs.len());
-                }
+                let columnar = cfg.compress && cfg.compress_min_keys <= rs.len();
+                assert_eq!(stats.compressed_runs, if columnar { 3 } else { 0 });
+                assert_eq!((stats.runs, stats.run_keys), (1, rs.len()));
                 assert_matches_oracle(&rs, &bt, &format!("seed {seed} round {round}"));
             }
         }
-    }
-
-    /// Removals against shard-resident keys must not resurrect: the
-    /// tombstone set is only cleared after shard runs are physically
-    /// filtered.
-    #[test]
-    fn tombstones_of_shard_resident_keys_purge_physically() {
-        let mut rs = TripleStore::new(StorageBackend::SortedRuns);
-        let mut bt = TripleStore::new(StorageBackend::BTree);
-        let n = (PURGE_MIN * 3) as u32;
-        for i in 0..n {
-            rs.insert(t(i, i % 3, i % 11));
-            bt.insert(t(i, i % 3, i % 11));
-        }
-        rs.seal_with(&SealConfig {
-            shards: 4,
-            compress: true,
-            compress_min_keys: 8,
-        });
-        // Remove two thirds of the (now shard-resident) keys; the purge
-        // threshold trips along the way and must rebuild the shards.
-        let removed = n * 2 / 3;
-        for i in 0..removed {
-            assert!(rs.remove(t(i, i % 3, i % 11)));
-            assert!(bt.remove(t(i, i % 3, i % 11)));
-        }
-        assert!(
-            rs.stats().tombstones < PURGE_MIN,
-            "bulk of the tombstones purged"
-        );
-        assert_matches_oracle(&rs, &bt, "after shard purge");
-        // Re-insert a purged key: it must come back exactly once.
-        assert!(rs.insert(t(0, 0, 0)));
-        assert!(!rs.insert(t(0, 0, 0)));
-        assert!(bt.insert(t(0, 0, 0)));
-        assert_matches_oracle(&rs, &bt, "after revival");
     }
 
     /// Both stores take the same write and agree on its outcome.
@@ -2128,12 +1726,14 @@ pub(crate) mod tests {
         touched
     }
 
-    /// The published layout: at most one run, nothing else; content and
-    /// membership as the oracle has them.
+    /// The published layout: at most one plain run (beside the columnar
+    /// one, if any), nothing else; content and membership as the oracle
+    /// has them.
     fn assert_one_clean_run(rs: &TripleStore, bt: &TripleStore, touched: &[IdTriple], what: &str) {
         let stats = rs.stats();
+        let plain_runs = stats.runs - stats.compressed_runs / 3;
         assert!(
-            stats.runs <= 1 && stats.tail == 0 && stats.tombstones == 0,
+            plain_runs <= 1 && stats.tail == 0 && stats.tombstones == 0,
             "{what}: {stats:?}"
         );
         assert_matches_oracle(rs, bt, what);
@@ -2145,7 +1745,7 @@ pub(crate) mod tests {
     /// `seal()` publishes one merged run per permutation at the shapes
     /// the live path has (the live suites' systems are a few dozen
     /// triples): big run + small runs + tail + tombstones, then the same
-    /// over shards, then everything dead.
+    /// over a columnar run, then everything dead.
     #[test]
     fn seal_merges_big_run_shapes_like_the_oracle() {
         for seed in [3u64, 4, 5] {
@@ -2175,10 +1775,10 @@ pub(crate) mod tests {
             assert_one_clean_run(&rs, &bt, &touched, &format!("seed {seed}, drained"));
             assert_eq!((rs.stats().runs, rs.len()), (0, 0));
 
-            // (vi) the same sweep over shard-resident keys: the shards
-            // stay, the runs written since fold to one.
+            // (vi) the same sweep over columnar-resident keys: the
+            // columnar run stays, the runs written since fold to one.
             f.rs.seal_with(&SealConfig {
-                shards: 3,
+                compress: true,
                 ..SealConfig::default()
             });
             let fresh = TAIL_MAX * 6 + 17;
@@ -2196,8 +1796,13 @@ pub(crate) mod tests {
             touched.extend(tombstone_sweep(&mut f, &mut next));
             assert_eq!(f.rs.stats().tail, 17);
             f.rs.seal();
-            assert_one_clean_run(&f.rs, &f.bt, &touched, &format!("seed {seed}, sharded"));
-            assert_eq!(f.rs.stats().shards, 3, "plain seal never repartitions");
+            assert_one_clean_run(&f.rs, &f.bt, &touched, &format!("seed {seed}, columnar"));
+            let stats = f.rs.stats();
+            assert_eq!(
+                (stats.runs, stats.compressed_runs),
+                (2, 3),
+                "plain seal never re-encodes"
+            );
             for triple in collect_range(&f.bt, Perm::Pos, [0; 3], [u32::MAX; 3]) {
                 remove_both(&mut f.rs, &mut f.bt, triple);
             }
@@ -2206,10 +1811,10 @@ pub(crate) mod tests {
                 &f.rs,
                 &f.bt,
                 &touched,
-                &format!("seed {seed}, shards drained"),
+                &format!("seed {seed}, columnar drained"),
             );
             let stats = f.rs.stats();
-            assert_eq!((stats.runs, stats.shard_keys, f.rs.len()), (0, 0, 0));
+            assert_eq!((stats.runs, stats.run_keys, f.rs.len()), (0, 0, 0));
         }
     }
 
@@ -2242,10 +1847,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Sealing again (plain `seal`) after writes on top of a sharded
-    /// seal keeps the shards and the logical content.
+    /// Sealing again (plain `seal`) after writes on top of a columnar
+    /// seal keeps the columnar run and the logical content, and a
+    /// single-key range finds its key in either run form.
     #[test]
-    fn plain_seal_preserves_shards() {
+    fn plain_seal_keeps_the_columnar_run() {
         let mut rs = TripleStore::new(StorageBackend::SortedRuns);
         let mut bt = TripleStore::new(StorageBackend::BTree);
         for i in 0..(TAIL_MAX as u32 * 4) {
@@ -2253,11 +1859,11 @@ pub(crate) mod tests {
             bt.insert(t(i, i % 5, i % 9));
         }
         rs.seal_with(&SealConfig {
-            shards: 3,
+            compress: true,
             ..SealConfig::default()
         });
-        assert_eq!(rs.stats().shards, 3);
-        // Post-seal writes land in the tail; removing a shard-resident
+        assert_eq!((rs.stats().runs, rs.stats().compressed_runs), (1, 3));
+        // Post-seal writes land in the tail; removing a columnar-resident
         // key tombstones it.
         for i in 0..40u32 {
             rs.insert(t(100_000 + i, 1, 1));
@@ -2270,70 +1876,20 @@ pub(crate) mod tests {
         rs.seal();
         assert!(rs.is_sealed());
         let stats = rs.stats();
-        assert_eq!(stats.shards, 3, "plain seal never repartitions");
+        assert_eq!(
+            (stats.runs, stats.compressed_runs),
+            (2, 3),
+            "plain seal never re-encodes"
+        );
         assert_eq!(stats.tombstones, 0);
-        assert_matches_oracle(&rs, &bt, "resealed over shards");
-    }
-
-    /// Empty shards (more shards than distinct subjects) scan cleanly,
-    /// and single-key ranges hit exactly one shard.
-    #[test]
-    fn empty_shards_and_single_key_ranges() {
-        let mut rs = TripleStore::new(StorageBackend::SortedRuns);
-        let mut bt = TripleStore::new(StorageBackend::BTree);
-        // Two subjects, 16 shards: at least 14 shards are empty.
-        for o in 0..(TAIL_MAX as u32) {
-            for s in [3u32, 4] {
-                rs.insert(t(s, 1, o));
-                bt.insert(t(s, 1, o));
+        assert_eq!(stats.run_keys, bt.len(), "the dead key is gone physically");
+        assert_matches_oracle(&rs, &bt, "resealed over a columnar run");
+        // Exact triple probes (single-key range in every permutation).
+        for probe in [t(3, 3, 3), t(100_005, 1, 1)] {
+            for perm in [Perm::Spo, Perm::Pos, Perm::Osp] {
+                let key = perm.permute(probe);
+                assert_eq!(collect_range(&rs, perm, key, key), vec![probe]);
             }
         }
-        rs.seal_with(&SealConfig {
-            shards: 16,
-            compress: true,
-            compress_min_keys: 1,
-        });
-        assert_eq!(rs.stats().shards, 16);
-        assert_matches_oracle(&rs, &bt, "mostly-empty shards");
-        // Exact triple probe (single-key range in every permutation).
-        let probe = t(3, 1, 5);
-        let key = spo_key(probe);
-        assert_eq!(collect_range(&rs, Perm::Spo, key, key), vec![probe]);
-        let pk = Perm::Pos.permute(probe);
-        assert_eq!(collect_range(&rs, Perm::Pos, pk, pk), vec![probe]);
-        let ok = Perm::Osp.permute(probe);
-        assert_eq!(collect_range(&rs, Perm::Osp, ok, ok), vec![probe]);
-    }
-
-    /// Wide merges (many runs + shards) engage the loser tree and still
-    /// agree with the oracle byte for byte.
-    #[test]
-    fn loser_tree_merge_agrees_with_oracle() {
-        let mut rs = TripleStore::new(StorageBackend::SortedRuns);
-        let mut bt = TripleStore::new(StorageBackend::BTree);
-        let mut next = splitmix(0xCAFE);
-        for i in 0..(TAIL_MAX as u32 * 2) {
-            let triple = t(i % 97, (i % 7) + 1, (next() % 200) as u32);
-            rs.insert(triple);
-            bt.insert(triple);
-        }
-        // Shard widely, then pile fresh runs on top so full scans merge
-        // shards + runs + tail.
-        rs.seal_with(&SealConfig {
-            shards: 12,
-            ..SealConfig::default()
-        });
-        for i in 0..(TAIL_MAX as u32 * 3 + 7) {
-            let triple = t(200 + (i % 83), (i % 5) + 1, (next() % 150) as u32);
-            rs.insert(triple);
-            bt.insert(triple);
-        }
-        let scan = rs.range(Perm::Spo, [0; 3], [u32::MAX; 3]);
-        assert!(
-            scan.merge_width() >= LOSER_TREE_MIN && scan.uses_loser_tree(),
-            "width {} must engage the loser tree",
-            scan.merge_width()
-        );
-        assert_matches_oracle(&rs, &bt, "loser-tree merge");
     }
 }

@@ -290,7 +290,7 @@ impl ColCursor {
 
 /// A bounded scan over a [`ColumnarRun`], the shape the store's merge
 /// layer holds (the run is borrowed from the store; the `Arc` stays in
-/// the shard). Decodes one whole sync block at a time into an inline
+/// the index). Decodes one whole sync block at a time into an inline
 /// buffer, so the per-key merge path pays an array read instead of a
 /// varint decode with block-boundary branches.
 #[derive(Clone, Debug)]

@@ -23,6 +23,9 @@
 //! overridable with `RPS_LIVE_SEED=1,2,3`, mirroring
 //! `tests/recovery.rs` and `tests/fault_injection.rs`.
 
+mod common;
+
+use common::assert_one_run_layout;
 use rps_core::{
     chase_system, EngineConfig, FiringMode, LiveSession, PeerId, RdfPeerSystem, RpsBuilder,
     RpsChaseConfig, RpsError, Session, Strategy, UpdateBatch,
@@ -193,13 +196,8 @@ fn by_term(graph: &Graph) -> (usize, usize, usize, BTreeMap<Term, PredicateStats
 fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed: u64, epoch: u32) {
     let ctx = format!("seed {seed}, epoch {epoch}");
 
-    // 0. The published layout is what the read path is priced on: one
-    // run per permutation, nothing to merge or filter per probe.
-    let stats = live.solution().graph.storage_stats();
-    assert!(
-        stats.runs <= 1 && stats.tail == 0 && stats.tombstones == 0 && stats.shards == 0,
-        "{ctx}: published layout {stats:?}"
-    );
+    // 0. The published layout is what the read path is priced on.
+    assert_one_run_layout(&live.solution().graph.storage_stats(), &ctx);
 
     // 1. Universal solutions agree as term-level triple sets.
     let scratch = chase_system(live.system(), &skolem_chase());

@@ -18,6 +18,9 @@
 //! The seed matrix is overridable with `RPS_RECOVERY_SEED=1,2,3` so CI
 //! can shard seeds across jobs, mirroring `tests/fault_injection.rs`.
 
+mod common;
+
+use common::assert_one_run_layout;
 use rps_core::{EngineConfig, FrozenSession, RpsError, Session, Strategy};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
 use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
@@ -422,6 +425,7 @@ fn frozen_session_roundtrip_serves_byte_identical_answers() {
             .with_strategy(Strategy::Materialise)
             .with_semantics(semantics);
         let frozen = Session::open(sys, cfg).unwrap().freeze().unwrap();
+        assert_one_run_layout(&frozen.storage_stats().unwrap(), "frozen");
         let queries = film_queries();
         let expected: Vec<Vec<Vec<Term>>> = queries
             .iter()
@@ -441,6 +445,7 @@ fn frozen_session_roundtrip_serves_byte_identical_answers() {
             .storage_stats()
             .expect("reopened session must carry a materialised solution");
         assert!(stats.pages_read > 0, "reopen should go through paged runs");
+        assert_one_run_layout(&stats, "reopened");
 
         // Persisting the reopened session again is a faithful copy too.
         let tmp2 = TempDir::new("frozen-again");
