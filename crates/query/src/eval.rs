@@ -17,6 +17,7 @@
 use crate::binding::Mapping;
 use crate::pattern::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
 use rps_rdf::{Graph, GraphStats, IdTriple, TermId};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// How the planner orders a conjunction's atoms (and with it, which scan
@@ -275,8 +276,8 @@ pub fn evaluate_pattern(graph: &Graph, gp: &GraphPattern) -> Vec<Mapping> {
     let nvars = compiled.vars.len();
     let mut binding: Vec<Option<TermId>> = vec![None; nvars];
     let mut results: Vec<Vec<TermId>> = Vec::new();
-    search(graph, &compiled.slots, 0, &mut binding, &mut |binding| {
-        results.push(binding.iter().map(|b| b.expect("var bound")).collect());
+    Matcher::plain(graph, &compiled.slots).search(0, &mut binding, &mut |binding| {
+        results.push((0..nvars).map(|v| bound(binding, v)).collect());
         true
     });
     results.sort();
@@ -293,86 +294,235 @@ pub fn evaluate_pattern(graph: &Graph, gp: &GraphPattern) -> Vec<Mapping> {
         .collect()
 }
 
-/// Backtracking matcher over compiled conjuncts. The `emit` callback
-/// receives the full binding at each solution and returns `false` to stop
-/// the search; the overall return is `false` iff the search was stopped.
-/// Candidates stream directly off the permutation-index range scans — no
-/// per-level candidate materialisation.
-fn search(
-    graph: &Graph,
-    slots: &[[Slot; 3]],
-    depth: usize,
-    binding: &mut Vec<Option<TermId>>,
-    emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
-) -> bool {
-    if depth == slots.len() {
-        // All conjuncts matched; every variable that occurs is bound.
-        return emit(binding);
-    }
-    let slot = &slots[depth];
-    let resolve = |s: &Slot, binding: &[Option<TermId>]| match s {
-        Slot::Const(id) => Some(*id),
-        Slot::Var(v) => binding[*v],
-    };
-    let qs = resolve(&slot[0], binding);
-    let qp = resolve(&slot[1], binding);
-    let qo = resolve(&slot[2], binding);
-
-    for t in graph.match_ids(qs, qp, qo) {
-        let keep_going = match_one(graph, slots, depth + 1, slot, t, binding, emit);
-        if !keep_going {
-            return false;
-        }
-    }
-    true
+/// The value a solution gives variable `v`.
+fn bound(binding: &[Option<TermId>], v: usize) -> TermId {
+    binding[v].expect("a solution binds every variable of its conjuncts")
 }
 
-/// Binds one candidate triple against `slot`, recurses into
-/// `slots[next_depth..]` on success, and undoes the bindings. Returns
-/// `false` iff the search was stopped.
-fn match_one(
-    graph: &Graph,
-    slots: &[[Slot; 3]],
-    next_depth: usize,
-    slot: &[Slot; 3],
-    t: rps_rdf::IdTriple,
-    binding: &mut Vec<Option<TermId>>,
-    emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
-) -> bool {
-    let vals = [t.s, t.p, t.o];
-    let mut newly_bound: [Option<usize>; 3] = [None; 3];
-    let mut ok = true;
-    for i in 0..3 {
-        match slot[i] {
+/// Where a plan's remaining conjuncts stop depending on everything
+/// bound above them: `slots[depth..]` mention, of the variables the
+/// conjuncts before `depth` bind, only `key` — and some conjunct after
+/// the last one that binds a `key` variable and before `depth` binds a
+/// variable of its own, so the loops above `depth` arrive there again
+/// and again under one `key` value. The suffix's sub-answer is then a
+/// function of `key` alone and is evaluated once per `key` value (see
+/// [`Matcher::replay_suffix`]). Chains and two-atom plans have no such
+/// depth; a hub self-join (`?f starring ?z1 . ?z1 artist ?p . ?f
+/// starring ?z2 . ?z2 artist ?q`), a star and a cartesian product do.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SuffixMemo {
+    /// Planner position of the suffix's first conjunct.
+    depth: usize,
+    /// The variables the suffix shares with the conjuncts above it,
+    /// ascending.
+    key: Vec<usize>,
+    /// The projected variables the suffix binds, ascending: what a
+    /// replay has to restore. Its other variables are existential and
+    /// are dropped when the sub-answer is stored.
+    out: Vec<usize>,
+}
+
+/// The variables of one conjunct, position by position.
+fn slot_vars(slot: &[Slot; 3]) -> impl Iterator<Item = usize> + '_ {
+    slot.iter().filter_map(|s| match s {
+        Slot::Var(v) => Some(*v),
+        Slot::Const(_) => None,
+    })
+}
+
+/// The first depth at which the plan has an independent suffix (see
+/// [`SuffixMemo`]), or `None`. `proj` is the plan's projection.
+fn independent_suffix(slots: &[[Slot; 3]], nvars: usize, proj: &[usize]) -> Option<SuffixMemo> {
+    // The conjunct that binds each variable.
+    let mut first = vec![usize::MAX; nvars];
+    for (d, slot) in slots.iter().enumerate() {
+        for v in slot_vars(slot) {
+            first[v] = first[v].min(d);
+        }
+    }
+    (1..slots.len()).find_map(|depth| {
+        let mut key: Vec<usize> = slots[depth..]
+            .iter()
+            .flat_map(slot_vars)
+            .filter(|&v| first[v] < depth)
+            .collect();
+        key.sort_unstable();
+        key.dedup();
+        // The conjuncts that run with the key fixed: those after the
+        // last one binding a key variable. One of them must bind a
+        // variable, or `depth` is reached once per key value anyway.
+        let fixed_from = key.iter().map(|&v| first[v] + 1).max().unwrap_or(0);
+        if !(fixed_from..depth).any(|d| first.contains(&d)) {
+            return None;
+        }
+        let mut out: Vec<usize> = proj
+            .iter()
+            .copied()
+            .filter(|&v| first[v] >= depth)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        Some(SuffixMemo { depth, key, out })
+    })
+}
+
+/// One key's sub-answer of a plan's independent suffix: a size-1 cache,
+/// as large as that one sub-answer and no larger.
+struct SuffixCache<'a> {
+    plan: &'a SuffixMemo,
+    /// The `plan.key` values `rows` answers; `None` before the first
+    /// arrival.
+    key: Option<Vec<TermId>>,
+    /// The suffix's answer under `key`, projected onto `plan.out`.
+    rows: IdRows,
+}
+
+impl<'a> SuffixCache<'a> {
+    fn new(plan: &'a SuffixMemo) -> Self {
+        SuffixCache {
+            plan,
+            key: None,
+            rows: RowSink::new(plan.out.len()).finish(),
+        }
+    }
+}
+
+/// The backtracking matcher over compiled conjuncts: what one
+/// evaluation reads besides its binding.
+struct Matcher<'a> {
+    graph: &'a Graph,
+    slots: &'a [[Slot; 3]],
+    /// Per variable, `true` iff a blank node may not bind it — the
+    /// projected variables under [`Semantics::Certain`]. Refusing the
+    /// binding prunes the subtree whose every leaf the projection would
+    /// drop. Empty when no variable is restricted.
+    named: &'a [bool],
+    /// The plan's independent suffix and its cached sub-answer, when the
+    /// evaluation projects (`None` runs the plain loop at every depth).
+    memo: Option<SuffixCache<'a>>,
+}
+
+impl<'a> Matcher<'a> {
+    /// A matcher that binds any term to any variable and evaluates
+    /// every conjunct under every binding above it.
+    fn plain(graph: &'a Graph, slots: &'a [[Slot; 3]]) -> Self {
+        Matcher {
+            graph,
+            slots,
+            named: &[],
+            memo: None,
+        }
+    }
+
+    /// Matches `slots[depth..]` under `binding`. The `emit` callback
+    /// receives the binding at each solution and returns `false` to stop
+    /// the search; the overall return is `false` iff the search was
+    /// stopped. Candidates stream directly off the permutation-index
+    /// range scans — no per-level candidate materialisation.
+    fn search(
+        &mut self,
+        depth: usize,
+        binding: &mut Vec<Option<TermId>>,
+        emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
+    ) -> bool {
+        if depth == self.slots.len() {
+            // All conjuncts matched; every variable that occurs is bound.
+            return emit(binding);
+        }
+        if let Some(mut cache) = self.memo.take_if(|c| c.plan.depth == depth) {
+            // With the cache taken, the suffix itself runs the plain loop.
+            let keep_going = self.replay_suffix(&mut cache, binding, emit);
+            self.memo = Some(cache);
+            return keep_going;
+        }
+        let slot = self.slots[depth];
+        let resolve = |s: &Slot| match s {
+            Slot::Const(id) => Some(*id),
+            Slot::Var(v) => binding[*v],
+        };
+        let (qs, qp, qo) = (resolve(&slot[0]), resolve(&slot[1]), resolve(&slot[2]));
+        let graph = self.graph;
+        for t in graph.match_ids(qs, qp, qo) {
+            if !self.match_one(depth + 1, &slot, t, binding, emit) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Binds one candidate triple against `slot`, recurses into
+    /// `slots[next_depth..]` on success, and undoes the bindings.
+    /// Returns `false` iff the search was stopped.
+    fn match_one(
+        &mut self,
+        next_depth: usize,
+        slot: &[Slot; 3],
+        t: IdTriple,
+        binding: &mut Vec<Option<TermId>>,
+        emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
+    ) -> bool {
+        let vals = [t.s, t.p, t.o];
+        let mut newly_bound: [Option<usize>; 3] = [None; 3];
+        let fits = (0..3).all(|i| match slot[i] {
+            Slot::Const(c) => c == vals[i],
             Slot::Var(v) => match binding[v] {
-                Some(existing) => {
-                    if existing != vals[i] {
-                        ok = false;
-                        break;
-                    }
+                Some(existing) => existing == vals[i],
+                None if self.named.get(v) == Some(&true) && !self.graph.dict().is_name(vals[i]) => {
+                    false
                 }
                 None => {
                     binding[v] = Some(vals[i]);
                     newly_bound[i] = Some(v);
+                    true
                 }
             },
-            Slot::Const(c) => {
-                if c != vals[i] {
-                    ok = false;
-                    break;
-                }
-            }
+        });
+        let keep_going = !fits || self.search(next_depth, binding, emit);
+        for nb in newly_bound.into_iter().flatten() {
+            binding[nb] = None;
         }
+        keep_going
     }
-    let keep_going = if ok {
-        search(graph, slots, next_depth, binding, emit)
-    } else {
-        true
-    };
-    for nb in newly_bound.into_iter().flatten() {
-        binding[nb] = None;
+
+    /// [`Self::search`] at the depth of the plan's independent suffix:
+    /// evaluates the suffix only if `binding` holds another key than the
+    /// one `cache` answers, then emits once per stored row. What is
+    /// stored is the suffix's answer projected onto `plan.out`, sorted
+    /// and duplicate-free; a suffix that binds no projected variable
+    /// stores one bit (the arity-0 row or none) and stops at its first
+    /// witness.
+    fn replay_suffix(
+        &mut self,
+        cache: &mut SuffixCache<'_>,
+        binding: &mut Vec<Option<TermId>>,
+        emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
+    ) -> bool {
+        let SuffixMemo { depth, key, out } = cache.plan;
+        let same_key = cache.key.as_ref().is_some_and(|cached| {
+            key.iter()
+                .zip(cached)
+                .all(|(&v, &id)| binding[v] == Some(id))
+        });
+        if !same_key {
+            cache.key = Some(key.iter().map(|&v| bound(binding, v)).collect());
+            let mut rows = RowSink::new(out.len());
+            self.search(*depth, binding, &mut |b| {
+                rows.push(out.iter().map(|&v| bound(b, v)));
+                !out.is_empty()
+            });
+            cache.rows = rows.finish();
+        }
+        let keep_going = cache.rows.iter().all(|row| {
+            for (&v, &id) in out.iter().zip(row) {
+                binding[v] = Some(id);
+            }
+            emit(binding)
+        });
+        for &v in out {
+            binding[v] = None;
+        }
+        keep_going
     }
-    keep_going
 }
 
 /// Evaluates a graph pattern query, returning its answer tuples under the
@@ -450,7 +600,7 @@ impl PreparedPattern {
             }
         }
         let mut found = false;
-        search(graph, &self.compiled.slots, 0, &mut binding, &mut |_| {
+        Matcher::plain(graph, &self.compiled.slots).search(0, &mut binding, &mut |_| {
             found = true;
             false
         });
@@ -480,10 +630,10 @@ impl PreparedPattern {
         }
         let slots = &self.compiled.slots;
         let mut witness: Option<Vec<IdTriple>> = None;
-        search(graph, slots, 0, &mut binding, &mut |b| {
+        Matcher::plain(graph, slots).search(0, &mut binding, &mut |b| {
             let resolve = |s: &Slot| match s {
                 Slot::Const(id) => *id,
-                Slot::Var(v) => b[*v].expect("a full match binds every occurring variable"),
+                Slot::Var(v) => bound(b, *v),
             };
             witness = Some(
                 slots
@@ -518,7 +668,7 @@ pub fn has_match_with(
         }
     }
     let mut found = false;
-    search(graph, &compiled.slots, 0, &mut binding, &mut |_| {
+    Matcher::plain(graph, &compiled.slots).search(0, &mut binding, &mut |_| {
         found = true;
         false
     });
@@ -565,6 +715,10 @@ pub struct PreparedQueryIds {
     /// when some free variable does not occur in the pattern (the answer
     /// set is then empty).
     proj: Option<Vec<usize>>,
+    /// Per compiled variable, `true` iff `proj` names it.
+    projected: Vec<bool>,
+    /// The plan's independent suffix under `proj`, if it has one.
+    memo: Option<SuffixMemo>,
 }
 
 impl PreparedQueryIds {
@@ -599,7 +753,27 @@ impl PreparedQueryIds {
     pub fn compile_only_with(graph: &Graph, query: &GraphPatternQuery, order: JoinOrder) -> Self {
         let compiled = compile(graph, query.pattern(), order);
         let proj = projection(&compiled, query);
-        PreparedQueryIds { compiled, proj }
+        Self::from_parts(compiled, proj)
+    }
+
+    /// Derives what depends on both the planned conjuncts and the
+    /// projection.
+    fn from_parts(compiled: Compiled, proj: Option<Vec<usize>>) -> Self {
+        let nvars = compiled.vars.len();
+        let mut projected = vec![false; nvars];
+        for &v in proj.iter().flatten() {
+            projected[v] = true;
+        }
+        let memo = proj
+            .as_deref()
+            .filter(|_| compiled.satisfiable)
+            .and_then(|proj| independent_suffix(&compiled.slots, nvars, proj));
+        PreparedQueryIds {
+            compiled,
+            proj,
+            projected,
+            memo,
+        }
     }
 
     /// The ordering mode this plan was compiled under.
@@ -643,6 +817,37 @@ impl PreparedQueryIds {
         out
     }
 
+    /// The plan's independent suffix, or `None` when it has none: the
+    /// planner position of the suffix's first conjunct and the variables
+    /// it shares with the conjuncts above it. [`Self::evaluate_rows`]
+    /// evaluates `planned_order()[depth..]` once per value of those
+    /// variables and replays the stored sub-answer for every binding of
+    /// the conjuncts above that leaves them unchanged — a hub self-join
+    /// re-joins its second arm once per hub, not once per member of the
+    /// first. Chains and two-atom plans have no such suffix.
+    pub fn planned_memo(&self) -> Option<(usize, Vec<&Variable>)> {
+        let memo = self.memo.as_ref()?;
+        let key = memo.key.iter().map(|&v| &self.compiled.vars[v]).collect();
+        Some((memo.depth, key))
+    }
+
+    /// A matcher over `slots` that refuses blank nodes for the
+    /// projected variables under [`Semantics::Certain`].
+    fn matcher<'a>(
+        &'a self,
+        graph: &'a Graph,
+        slots: &'a [[Slot; 3]],
+        semantics: Semantics,
+    ) -> Matcher<'a> {
+        Matcher {
+            named: match semantics {
+                Semantics::Certain => &self.projected,
+                Semantics::Star => &[],
+            },
+            ..Matcher::plain(graph, slots)
+        }
+    }
+
     /// The projection to run, or `None` when the plan is trivially
     /// empty: an unsatisfiable constant, or a free variable the
     /// pattern cannot bind.
@@ -659,8 +864,10 @@ impl PreparedQueryIds {
         let mut out = RowSink::new(self.arity());
         if let Some(proj) = self.runnable() {
             let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
-            search(graph, &self.compiled.slots, 0, &mut binding, &mut |b| {
-                project_into(graph, proj, b, semantics, &mut out);
+            let mut matcher = self.matcher(graph, &self.compiled.slots, semantics);
+            matcher.memo = self.memo.as_ref().map(SuffixCache::new);
+            matcher.search(0, &mut binding, &mut |b| {
+                out.push(proj.iter().map(|&v| bound(b, v)));
                 true
             });
         }
@@ -708,18 +915,13 @@ impl PreparedQueryIds {
                 .filter(|(i, _)| *i != pivot)
                 .map(|(_, s)| *s)
                 .collect();
-            let pivot_vars: BTreeSet<usize> = slot
-                .iter()
-                .filter_map(|s| match s {
-                    Slot::Var(v) => Some(*v),
-                    Slot::Const(_) => None,
-                })
-                .collect();
+            let pivot_vars: BTreeSet<usize> = slot_vars(&slot).collect();
             order_slots(graph, &mut rest, pivot_vars, self.compiled.order);
             let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+            let mut matcher = self.matcher(graph, &rest, semantics);
             for t in graph.log_since(log_from) {
-                match_one(graph, &rest, 0, &slot, t, &mut binding, &mut |b| {
-                    project_into(graph, proj, b, semantics, &mut out);
+                matcher.match_one(0, &slot, t, &mut binding, &mut |b| {
+                    out.push(proj.iter().map(|&v| bound(b, v)));
                     true
                 });
             }
@@ -795,16 +997,14 @@ impl PreparedQueryIds {
         // Numbered variables have no source names; synthesise stable
         // placeholders so the dense table keeps its invariants.
         let vars: Vec<Variable> = (0..nvars).map(|i| Variable::new(format!("_{i}"))).collect();
-        PreparedQueryIds {
-            compiled: Compiled {
-                slots,
-                vars,
-                satisfiable,
-                order,
-                source,
-            },
-            proj,
-        }
+        let compiled = Compiled {
+            slots,
+            vars,
+            satisfiable,
+            order,
+            source,
+        };
+        Self::from_parts(compiled, proj)
     }
 }
 
@@ -862,22 +1062,6 @@ fn projection(compiled: &Compiled, query: &GraphPatternQuery) -> Option<Vec<usiz
         .collect()
 }
 
-fn project_into(
-    graph: &Graph,
-    proj: &[usize],
-    binding: &[Option<TermId>],
-    semantics: Semantics,
-    out: &mut RowSink,
-) {
-    let tuple = proj
-        .iter()
-        .map(|&i| binding[i].expect("solution binds all pattern vars"));
-    if semantics == Semantics::Certain && tuple.clone().any(|id| !graph.dict().is_name(id)) {
-        return;
-    }
-    out.push(tuple);
-}
-
 /// The answer tuples of one evaluation as term ids in one flat
 /// row-major buffer: `len` rows of `arity` ids each, sorted ascending
 /// (row-lexicographic by id) and duplicate-free — the iteration order
@@ -931,14 +1115,19 @@ impl IdRows {
 /// Rows a [`RowSink`] holds before it first compacts.
 const COMPACT_MIN_ROWS: usize = 4096;
 
-/// The emit side of [`IdRows`]: rows are appended unsorted, and the
-/// buffer is sorted and deduplicated when it has doubled since the
-/// last compaction (so a projection that maps many solutions onto few
-/// distinct tuples stays bounded by twice its answer) and once more at
-/// [`RowSink::finish`].
+/// The emit side of [`IdRows`]: rows are appended unsorted beside the
+/// sorted, duplicate-free rows of every earlier compaction. When as
+/// many have been appended as are already sorted, they are sorted and
+/// deduplicated among themselves and merged in, in one linear pass — so
+/// a projection that maps many solutions onto few distinct tuples stays
+/// bounded by twice its answer, and no row is sorted twice. Once more
+/// at [`RowSink::finish`].
 pub(crate) struct RowSink {
+    /// Every row pushed before the last compaction.
     rows: IdRows,
-    compact_at: usize,
+    /// The `fresh_len` rows pushed since, in push order.
+    fresh: Vec<TermId>,
+    fresh_len: usize,
 }
 
 impl RowSink {
@@ -950,23 +1139,55 @@ impl RowSink {
                 len: 0,
                 ids: Vec::new(),
             },
-            compact_at: COMPACT_MIN_ROWS,
+            fresh: Vec::new(),
+            fresh_len: 0,
         }
     }
 
     /// Appends one row, which must yield exactly `arity` ids.
     pub(crate) fn push(&mut self, row: impl Iterator<Item = TermId>) {
-        self.rows.ids.extend(row);
-        self.rows.len += 1;
-        debug_assert_eq!(self.rows.ids.len(), self.rows.len * self.rows.arity);
-        if self.rows.len >= self.compact_at {
+        self.fresh.extend(row);
+        self.fresh_len += 1;
+        debug_assert_eq!(self.fresh.len(), self.fresh_len * self.rows.arity);
+        if self.fresh_len >= self.rows.len.max(COMPACT_MIN_ROWS) {
             self.compact();
         }
     }
 
     fn compact(&mut self) {
-        self.rows.len = sort_dedup_rows(&mut self.rows.ids, self.rows.arity, self.rows.len);
-        self.compact_at = (2 * self.rows.len).max(COMPACT_MIN_ROWS);
+        let width = self.rows.arity;
+        let fresh_len = sort_dedup_rows(&mut self.fresh, width, self.fresh_len);
+        self.fresh_len = 0;
+        if self.rows.len == 0 || width == 0 {
+            // Nothing to merge with (every arity-0 row is the same row).
+            std::mem::swap(&mut self.rows.ids, &mut self.fresh);
+            self.rows.len = self.rows.len.max(fresh_len);
+            self.fresh.clear();
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.rows.ids.len() + self.fresh.len());
+        let mut old = self.rows.ids.chunks_exact(width).peekable();
+        let mut new = self.fresh.chunks_exact(width).peekable();
+        while let (Some(a), Some(b)) = (old.peek(), new.peek()) {
+            match a.cmp(b) {
+                Ordering::Less => {
+                    merged.extend_from_slice(a);
+                    old.next();
+                }
+                Ordering::Greater => {
+                    merged.extend_from_slice(b);
+                    new.next();
+                }
+                // The sorted rows' own copy follows.
+                Ordering::Equal => {
+                    new.next();
+                }
+            }
+        }
+        old.chain(new).for_each(|row| merged.extend_from_slice(row));
+        self.rows.len = merged.len() / width;
+        self.rows.ids = merged;
+        self.fresh.clear();
     }
 
     /// The sorted, duplicate-free rows.
@@ -1447,8 +1668,8 @@ _:c3 e:artist e:actor1 .
             let mut set = BTreeSet::new();
             let mut solutions = 0;
             let mut binding = vec![None; plan.compiled.vars.len()];
-            search(&g, &plan.compiled.slots, 0, &mut binding, &mut |b| {
-                set.insert(proj.iter().map(|&i| b[i].unwrap()).collect::<Vec<_>>());
+            Matcher::plain(&g, &plan.compiled.slots).search(0, &mut binding, &mut |b| {
+                set.insert(proj.iter().map(|&i| bound(b, i)).collect::<Vec<_>>());
                 solutions += 1;
                 true
             });
@@ -1460,7 +1681,7 @@ _:c3 e:artist e:actor1 .
         let mut sink = RowSink::new(1);
         for i in 0..100_000u32 {
             sink.push(std::iter::once(TermId(i % 3)));
-            assert!(sink.rows.len < 2 * COMPACT_MIN_ROWS);
+            assert!(sink.rows.len + sink.fresh_len < 2 * COMPACT_MIN_ROWS);
         }
         assert_eq!(sink.finish().to_set().len(), 3);
     }
@@ -1485,6 +1706,173 @@ _:c3 e:artist e:actor1 .
             assert_eq!(cells, want.into_iter().flatten().collect::<Vec<_>>());
         }
         assert_eq!(sort_dedup_rows(&mut Vec::<u32>::new(), 0, 0), 0);
+    }
+
+    /// The sink against a `BTreeSet` at every width the tail's rows take:
+    /// few distinct values per cell, so most pushes repeat a row that is
+    /// already sorted, already pending, or both, across eight
+    /// compactions and more.
+    #[test]
+    fn row_sink_merges_like_a_set_across_compactions() {
+        for width in 0..=5usize {
+            let mut x = 0x2545_F491u32;
+            let mut sink = RowSink::new(width);
+            let mut want: BTreeSet<Vec<TermId>> = BTreeSet::new();
+            let mut compactions = 0;
+            for push in 0..60_000usize {
+                // The value range widens as the pushes go, so every
+                // compaction meets rows below, between and above the
+                // sorted ones, and rows equal to their first and last.
+                let row: Vec<TermId> = (0..width)
+                    .map(|_| {
+                        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        TermId((x >> 20) % (2 + push as u32 / 8_000))
+                    })
+                    .collect();
+                let sorted_before = sink.rows.len;
+                sink.push(row.iter().copied());
+                want.insert(row);
+                compactions += usize::from(sink.fresh_len == 0);
+                assert!(sink.rows.len >= sorted_before);
+                assert!(sink.fresh_len < want.len().max(COMPACT_MIN_ROWS));
+            }
+            assert!(compactions >= 8, "width {width}: {compactions} compactions");
+            let rows = sink.finish();
+            assert_eq!((rows.arity(), rows.len()), (width, want.len()));
+            assert_eq!(rows.ids, want.into_iter().flatten().collect::<Vec<_>>());
+        }
+        assert!(RowSink::new(0).finish().is_empty());
+    }
+
+    /// The benchmark's catalogue in small: films with a year and three
+    /// cast hubs each, people with an age, and three direct cast
+    /// predicates — sealed, so the plans below are the cost-based ones.
+    fn film_graph() -> Result<Graph, rps_rdf::RdfError> {
+        let e = |s: String| Term::iri(format!("http://e/{s}"));
+        let mut g = Graph::new();
+        let mut add = |s: Term, p: &str, o: Term| g.insert_terms(s, e(p.into()), o);
+        for f in 0..40 {
+            let film = e(format!("film{f}"));
+            let year = Term::literal(format!("{}", 1900 + f % 4));
+            add(film.clone(), "year", year)?;
+            for k in 0..3 {
+                let hub = Term::blank(format!("hub{f}_{k}"));
+                let person = e(format!("person{}", (f * 3 + k) % 25));
+                add(film.clone(), "starring", hub.clone())?;
+                add(hub, "artist", person.clone())?;
+                add(film.clone(), &format!("actor{}", k + 1), person)?;
+            }
+        }
+        for x in 0..25 {
+            let age = Term::literal(format!("{}", 20 + x));
+            add(e(format!("person{x}")), "age", age)?;
+        }
+        g.seal();
+        Ok(g)
+    }
+
+    /// Parses `"s p o"` conjuncts (`?name` a variable, a quoted word a
+    /// literal, anything else an IRI under `http://e/`) into a query.
+    fn film_query(head: &[&str], body: &[&str]) -> GraphPatternQuery {
+        let tv = |w: &str| match (w.strip_prefix('?'), w.strip_prefix('"')) {
+            (Some(name), _) => TermOrVar::var(name),
+            (_, Some(lit)) => TermOrVar::literal(lit.trim_end_matches('"')),
+            _ => TermOrVar::iri(&format!("http://e/{w}")),
+        };
+        let patterns = body
+            .iter()
+            .map(|conjunct| {
+                let w: Vec<&str> = conjunct.split(' ').collect();
+                crate::pattern::TriplePattern::new(tv(w[0]), tv(w[1]), tv(w[2]))
+            })
+            .collect();
+        GraphPatternQuery::new(
+            head.iter().map(|v| var(v)).collect(),
+            GraphPattern::from_patterns(patterns),
+        )
+    }
+
+    const COSTAR: [&str; 5] = [
+        "?f year \"1901\"",
+        "?f starring ?z1",
+        "?z1 artist ?p",
+        "?f starring ?z2",
+        "?z2 artist ?q",
+    ];
+
+    /// The five shapes the repo benchmark runs, as the cost-based
+    /// planner orders them: only the hub self-join has an independent
+    /// suffix, and it is the second arm keyed on the film.
+    #[test]
+    fn planned_memo_on_the_benchmark_shapes() -> Result<(), rps_rdf::RdfError> {
+        let g = film_graph()?;
+        let plan = |head: &[&str], body: &[&str]| {
+            PreparedQueryIds::compile_only(&g, &film_query(head, body))
+        };
+        let costar = plan(&["p", "q"], &COSTAR);
+        assert_eq!(costar.planned_order(), &[0, 1, 2, 3, 4]);
+        assert_eq!(costar.planned_memo(), Some((3, vec![&var("f")])));
+
+        let cast_hub = plan(&["p"], &["film7 starring ?z", "?z artist ?p"]);
+        let films_of = plan(&["f"], &["?f starring ?z", "?z artist person3"]);
+        let age_range = plan(
+            &["f", "x", "a"],
+            &[
+                "?f year \"1902\"",
+                "?f starring ?z",
+                "?z artist ?x",
+                "?x age ?a",
+            ],
+        );
+        let union_hub = plan(
+            &["f", "p"],
+            &["?f year \"1903\"", "?f starring ?z", "?z artist ?p"],
+        );
+        let union_direct = plan(&["f", "p"], &["?f year \"1903\"", "?f actor2 ?p"]);
+        for (name, chain) in [
+            ("cast_hub", &cast_hub),
+            ("films_of", &films_of),
+            ("age_range", &age_range),
+            ("union_cast, hub branch", &union_hub),
+            ("union_cast, direct branch", &union_direct),
+        ] {
+            assert_eq!(chain.planned_memo(), None, "{name}");
+            assert!(!chain.evaluate(&g, Semantics::Certain).is_empty(), "{name}");
+        }
+        // The suffix is found under the projection: a head that names no
+        // variable of the second arm keeps the depth and the key.
+        let semi = plan(&["p"], &COSTAR);
+        assert_eq!(semi.planned_memo(), costar.planned_memo());
+        // Replaying the second arm answers what re-joining it answers.
+        for mut memoised in [costar, semi] {
+            let rows = memoised.evaluate_rows(&g, Semantics::Certain);
+            memoised.memo = None;
+            assert_eq!(rows, memoised.evaluate_rows(&g, Semantics::Certain));
+            assert!(rows.len() >= 10);
+        }
+        Ok(())
+    }
+
+    /// A replay stops where `emit` says so, like the loop it stands in
+    /// for: the callback is not called again after its first `false`.
+    #[test]
+    fn suffix_replay_honours_an_early_stop() -> Result<(), rps_rdf::RdfError> {
+        let g = film_graph()?;
+        let plan = PreparedQueryIds::compile_only(&g, &film_query(&["p", "q"], &COSTAR));
+        for stop_at in [1, 2, 3, 4, 10, 89, 90] {
+            let mut matcher = plan.matcher(&g, &plan.compiled.slots, Semantics::Certain);
+            matcher.memo = plan.memo.as_ref().map(SuffixCache::new);
+            let mut binding = vec![None; plan.compiled.vars.len()];
+            let mut calls = 0;
+            let finished = matcher.search(0, &mut binding, &mut |_| {
+                calls += 1;
+                calls < stop_at
+            });
+            assert!(!finished, "stop at {stop_at}");
+            assert_eq!(calls, stop_at);
+            assert!(binding.iter().all(Option::is_none), "bindings undone");
+        }
+        Ok(())
     }
 
     /// A graph with two predicates of equal cardinality but opposite

@@ -694,30 +694,6 @@ impl Graph {
         }
     }
 
-    /// Estimated number of matches for a pattern, used by the planner.
-    ///
-    /// Fully bound patterns cost 0 or 1; predicate-bound patterns use the
-    /// maintained per-predicate counts; subject/object-bound patterns are
-    /// estimated optimistically as sqrt of the graph size; unbound patterns
-    /// cost the full graph.
-    pub fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.contains_ids(IdTriple::new(s, p, o))),
-            (None, Some(p), None) => self.pred_counts.get(&p).copied().unwrap_or(0),
-            (_, Some(p), _) => {
-                // At least one of s/o bound in addition to p: refine the
-                // predicate count by an ad-hoc factor.
-                let base = self.pred_counts.get(&p).copied().unwrap_or(0);
-                (base / 4).max(1).min(base)
-            }
-            (None, None, None) => self.len(),
-            _ => {
-                // s and/or o bound, predicate free.
-                ((self.len() as f64).sqrt() as usize).max(1)
-            }
-        }
-    }
-
     /// Number of triples whose predicate is `p`.
     pub fn predicate_count(&self, p: TermId) -> usize {
         self.pred_counts.get(&p).copied().unwrap_or(0)
@@ -1068,18 +1044,6 @@ mod tests {
         // A second removal exercises the incrementally-maintained map.
         g.remove(&t);
         assert!(g.log_since(mark).is_empty());
-    }
-
-    #[test]
-    fn estimates_are_sane() {
-        let g = sample();
-        let p1 = g.term_id(&Term::iri("p1")).unwrap();
-        let s1 = g.term_id(&Term::iri("s1")).unwrap();
-        assert_eq!(g.estimate(None, Some(p1), None), 3);
-        assert_eq!(g.estimate(None, None, None), 5);
-        assert!(g.estimate(Some(s1), None, None) >= 1);
-        let o1 = g.term_id(&Term::iri("o1")).unwrap();
-        assert_eq!(g.estimate(Some(s1), Some(p1), Some(o1)), 1);
     }
 
     /// Enough inserts to force tail flushes and tiered merges, so the

@@ -656,40 +656,37 @@ impl RunIndex {
             + self.columnar.as_ref().map_or(0, |c| c.len())
     }
 
-    /// The merge sources of a scan of `lo..=hi`: the subslice of each
-    /// run — and of the sorted tail — intersecting it, and a seeked
-    /// cursor into the columnar run. Each plain source is a sorted
-    /// vector, so its first and last entries are its min/max key: a run
-    /// whose key range cannot intersect the scan range is skipped with
-    /// two O(1) comparisons before any binary search runs. On clustered
-    /// key ranges (a fresh predicate or subject landing in one recent
-    /// run) this prunes most of the run stack per scan.
-    fn sources(&self, lo: [u32; 3], hi: [u32; 3]) -> Vec<ScanSource<'_>> {
-        let mut out = Vec::with_capacity(self.runs.len() + 2);
-        for source in self
+    /// The sources of a scan of `lo..=hi`: the subslice of each run —
+    /// and of the sorted tail — intersecting it (see [`bounded`]), and
+    /// a seeked cursor into the columnar run. A scan that meets one
+    /// plain source — every scan of a sealed, uncompressed store, and
+    /// of any store whose other runs lie outside the range — *is* that
+    /// subslice: nothing is allocated for it.
+    fn sources(&self, lo: [u32; 3], hi: [u32; 3]) -> ScanSources<'_> {
+        let mut plain = self
             .runs
             .iter()
             .map(|r| r.as_slice())
             .chain(std::iter::once(self.tail.as_slice()))
-        {
-            match (source.first(), source.last()) {
-                (Some(min), Some(max)) if *min <= hi && lo <= *max => {}
-                _ => continue, // empty, or disjoint from [lo, hi]
-            }
-            let start = source.partition_point(|k| *k < lo);
-            let end = source.partition_point(|k| *k <= hi);
-            if start < end {
-                out.push(ScanSource::Slice(&source[start..end]));
-            }
-        }
+            .map(|source| bounded(source, lo, hi))
+            .filter(|part| !part.is_empty());
+        let first = plain.next().unwrap_or_default();
+        // Collecting nothing allocates nothing.
+        let mut merge: Vec<ScanSource<'_>> = plain.map(ScanSource::Slice).collect();
         if let Some(scan) = self
             .columnar
             .as_ref()
             .and_then(|c| ColScan::over(c, lo, hi))
         {
-            out.push(ScanSource::Col(Box::new(scan)));
+            merge.push(ScanSource::Col(Box::new(scan)));
         }
-        out
+        if merge.is_empty() {
+            return ScanSources::One(first);
+        }
+        if !first.is_empty() {
+            merge.push(ScanSource::Slice(first));
+        }
+        ScanSources::Merge(merge)
     }
 
     /// Inserts a key into the sorted tail. The caller guarantees it is
@@ -781,6 +778,34 @@ impl RunIndex {
     }
 }
 
+/// The part of the sorted `source` inside `lo..=hi`. A sorted slice's
+/// first and last entries are its min/max key, so a source that cannot
+/// intersect the range is skipped with two O(1) comparisons before any
+/// search runs — on clustered key ranges (a fresh predicate or subject
+/// landing in one recent run) that prunes most of a run stack. The
+/// lower bound is one binary search; the upper bound gallops from it,
+/// `O(log range)` for the few keys a join probe spans instead of a
+/// second search over the whole run.
+fn bounded(source: &[[u32; 3]], lo: [u32; 3], hi: [u32; 3]) -> &[[u32; 3]] {
+    match (source.first(), source.last()) {
+        (Some(min), Some(max)) if *min <= hi && lo <= *max => {}
+        _ => return &[], // empty, or disjoint from [lo, hi]
+    }
+    let from = &source[source.partition_point(|k| *k < lo)..];
+    &from[..gallop_point(from, |k| *k <= hi)]
+}
+
+/// [`slice::partition_point`] by exponential search from the front:
+/// `O(log answer)` probes, for an answer expected near the start.
+fn gallop_point(sorted: &[[u32; 3]], pred: impl Fn(&[u32; 3]) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= sorted.len() && pred(&sorted[bound - 1]) {
+        bound *= 2;
+    }
+    let from = bound / 2;
+    from + sorted[from..bound.min(sorted.len())].partition_point(pred)
+}
+
 /// Whether handling `events` keys by binary search in a sorted run of
 /// `len` keys — galloping's worst case, two probes per bit of the run's
 /// length for every event — costs less than one comparison per key of
@@ -817,14 +842,8 @@ fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]], dead: &[[u32; 3]]) -> Vec<[u32; 
             (None, None) => break,
         };
         if gallop {
-            let rest = &long[i..];
-            let mut bound = 1;
-            while bound <= rest.len() && rest[bound - 1] < event {
-                bound *= 2;
-            }
-            let from = bound / 2;
-            let below = from + rest[from..bound.min(rest.len())].partition_point(|k| *k < event);
-            out.extend_from_slice(&rest[..below]);
+            let below = gallop_point(&long[i..], |k| *k < event);
+            out.extend_from_slice(&long[i..i + below]);
             i += below;
         } else {
             while i < long.len() && long[i] < event {
@@ -1168,6 +1187,16 @@ impl KeySet {
     }
 }
 
+/// What a range scan reads.
+enum ScanSources<'g> {
+    /// The one plain subslice the range meets (empty when it meets
+    /// none): the scan steps it as it is.
+    One(&'g [[u32; 3]]),
+    /// Several sources, or the columnar run's cursor: merged by a
+    /// linear min over their heads.
+    Merge(Vec<ScanSource<'g>>),
+}
+
 /// One source of a merged range scan: a pre-bounded plain slice (run
 /// or tail subslice) or a bounded cursor into the columnar run.
 pub(crate) enum ScanSource<'g> {
@@ -1201,11 +1230,11 @@ impl ScanSource<'_> {
 /// Iterator over one permutation's key range: a merge of the
 /// intersecting run slices, the sorted tail's subslice and the columnar
 /// run's cursor, yielding triples in the permutation's key order with
-/// tombstones filtered. One source is stepped as it is; several are
-/// merged by a linear min over their heads — correct at any width, and
-/// under tiering the width is logarithmic in the store size.
+/// tombstones filtered. One plain source is stepped as it is; several
+/// are merged by a linear min over their heads — correct at any width,
+/// and under tiering the width is logarithmic in the store size.
 pub(crate) struct RunRangeIter<'g> {
-    sources: Vec<ScanSource<'g>>,
+    sources: ScanSources<'g>,
     hi: [u32; 3],
     perm: Perm,
     /// Tombstoned SPO keys, present only when non-empty.
@@ -1216,33 +1245,27 @@ impl RunRangeIter<'_> {
     /// The next key in merge order, or `None` when every source is
     /// exhausted.
     fn next_key(&mut self) -> Option<[u32; 3]> {
-        // Fast path: one remaining source — no merge, just step it (the
-        // only shape a sealed store has).
-        if self.sources.len() == 1 {
-            match &mut self.sources[0] {
-                ScanSource::Slice(s) => {
-                    let (&key, rest) = s.split_first()?;
-                    *s = rest;
-                    return Some(key);
-                }
-                ScanSource::Col(c) => {
-                    let key = c.peek_bounded(self.hi)?;
-                    c.advance();
-                    return Some(key);
-                }
+        let sources = match &mut self.sources {
+            // No merge, just step it (the only shape a sealed,
+            // uncompressed store has).
+            ScanSources::One(s) => {
+                let (&key, rest) = s.split_first()?;
+                *s = rest;
+                return Some(key);
             }
-        }
+            ScanSources::Merge(sources) => sources,
+        };
         // Pick the smallest head. The key sets are disjoint, so no
         // tie-breaking or deduplication is needed; exhausted heads are
         // dropped, so the linear min runs over live sources only.
         let mut best: Option<(usize, [u32; 3])> = None; // (source, key)
         let mut i = 0;
-        while i < self.sources.len() {
-            match self.sources[i].peek(self.hi) {
+        while i < sources.len() {
+            match sources[i].peek(self.hi) {
                 None => {
                     // Swaps the (as yet unexamined) last source into
                     // place `i`, so recorded best indices stay valid.
-                    self.sources.swap_remove(i);
+                    sources.swap_remove(i);
                 }
                 Some(k) => {
                     if best.is_none_or(|(_, bk)| k < bk) {
@@ -1253,7 +1276,7 @@ impl RunRangeIter<'_> {
             }
         }
         let (i, key) = best?;
-        self.sources[i].advance();
+        sources[i].advance();
         Some(key)
     }
 }
@@ -1536,6 +1559,76 @@ pub(crate) mod tests {
                 collect_range(bt, Perm::Spo, [s, 0, 0], [s, u32::MAX, u32::MAX]),
                 "{what}: subject {s} range"
             );
+        }
+    }
+
+    /// The galloped upper bound at its edges, against the B-tree
+    /// backend, in all three permutations: ranges of exactly 0, 1, 2 and
+    /// 2ᵏ − 1, 2ᵏ, 2ᵏ + 1 keys starting at the run's first key, in its
+    /// middle and ending on its last, the whole run, and `hi = [MAX; 3]`
+    /// — on one sealed run, and on a run stack under a tail with
+    /// tombstones, where every source takes the same bound.
+    #[test]
+    fn range_edges_agree_with_the_btree_backend() {
+        let mut next = splitmix(0x6A11_0B0D);
+        let mut bt = TripleStore::new(StorageBackend::BTree);
+        let mut rs = TripleStore::new(StorageBackend::SortedRuns);
+        while bt.len() < 830 {
+            let triple = t(
+                (next() % 24) as u32,
+                (next() % 5) as u32,
+                (next() % 40) as u32,
+            );
+            insert_both(&mut rs, &mut bt, triple);
+        }
+        let resident = collect_range(&bt, Perm::Spo, [0; 3], [u32::MAX; 3]);
+        for dead in resident.iter().step_by(23) {
+            remove_both(&mut rs, &mut bt, *dead);
+        }
+        let stacked = rs.stats();
+        assert!(stacked.runs >= 2 && stacked.tail > 0 && stacked.tombstones > 0);
+        let mut sealed = rs.clone();
+        sealed.seal();
+        assert_eq!((sealed.stats().runs, sealed.stats().tail), (1, 0));
+
+        for perm in [Perm::Spo, Perm::Pos, Perm::Osp] {
+            let keys: Vec<[u32; 3]> = collect_range(&bt, perm, [0; 3], [u32::MAX; 3])
+                .into_iter()
+                .map(|triple| perm.permute(triple))
+                .collect();
+            let n = keys.len();
+            let mut lens = vec![1, 2, n];
+            lens.extend((2..10).flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]));
+            let mut checked = 0;
+            for (what, store) in [("sealed", &sealed), ("stacked", &rs)] {
+                let mut check = |lo: [u32; 3], hi: [u32; 3], want: usize| {
+                    let got = collect_range(store, perm, lo, hi);
+                    assert_eq!(
+                        got,
+                        collect_range(&bt, perm, lo, hi),
+                        "{what} {perm:?} {lo:?}..={hi:?}"
+                    );
+                    assert_eq!(got.len(), want, "{what} {perm:?} {lo:?}..={hi:?}");
+                    checked += 1;
+                };
+                for &len in lens.iter().filter(|&&len| len <= n) {
+                    for start in [0, (n - len) / 2, n - len] {
+                        check(keys[start], keys[start + len - 1], len);
+                        check(keys[start], [u32::MAX; 3], n - start);
+                    }
+                }
+                // Empty: between two keys, below the first, above the last.
+                let gap = keys
+                    .windows(2)
+                    .map(|w| [w[0][0], w[0][1], w[0][2] + 1])
+                    .find(|k| keys.binary_search(k).is_err())
+                    .unwrap_or([u32::MAX; 3]);
+                check(gap, gap, 0);
+                check([0; 3], [0; 3], usize::from(keys[0] == [0; 3]));
+                check([u32::MAX - 1; 3], [u32::MAX; 3], 0);
+                check([0; 3], [u32::MAX; 3], n);
+            }
+            assert!(checked > 2 * 6 * 20, "{perm:?}: {checked} ranges");
         }
     }
 
