@@ -27,7 +27,8 @@
 //!   equivalence constant every round;
 //! * each graph mapping assertion evaluates its premise only over the
 //!   delta window since its previous evaluation
-//!   ([`rps_query::evaluate_query_ids_delta`]), and a per-assertion memo
+//!   ([`PreparedQueryIds::evaluate_delta`], on a premise plan compiled
+//!   once per engine), and a per-assertion memo
 //!   of already-processed premise tuples (fired or found satisfied — both
 //!   states are permanent) skips the per-tuple satisfaction subquery for
 //!   everything seen before;
@@ -52,10 +53,7 @@
 
 use crate::mapping::GraphMappingAssertion;
 use crate::system::RdfPeerSystem;
-use rps_query::{
-    evaluate_query, evaluate_query_ids, evaluate_query_ids_delta, PreparedPattern, Semantics,
-    Variable,
-};
+use rps_query::{evaluate_query, PreparedPattern, PreparedQueryIds, Semantics, Variable};
 use rps_rdf::{Graph, IdTriple, Term, TermId, TriplePosition};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -202,6 +200,9 @@ pub(crate) struct ChaseEngine {
     /// Conclusion patterns compiled once for the per-tuple satisfaction
     /// checks (`t ∈ Q'_J`; restricted mode only).
     conclusion_pats: Vec<PreparedPattern>,
+    /// Premise queries compiled once (constants interned, so the plans
+    /// survive the graph's growth) for the full and delta evaluations.
+    premise_plans: Vec<PreparedQueryIds>,
     /// Premise patterns compiled once for witness extraction and the
     /// rederive premise re-checks (provenance mode only).
     premise_pats: Vec<PreparedPattern>,
@@ -231,6 +232,10 @@ impl ChaseEngine {
             .iter()
             .map(|gma| PreparedPattern::new(&mut graph, gma.conclusion.pattern()))
             .collect();
+        let premise_plans: Vec<PreparedQueryIds> = gmas
+            .iter()
+            .map(|gma| PreparedQueryIds::new(&mut graph, &gma.premise))
+            .collect();
         let premise_pats: Vec<PreparedPattern> = if track_provenance {
             gmas.iter()
                 .map(|gma| PreparedPattern::new(&mut graph, gma.premise.pattern()))
@@ -250,6 +255,7 @@ impl ChaseEngine {
             processed: vec![HashSet::new(); gmas.len()],
             plans,
             conclusion_pats,
+            premise_plans,
             premise_pats,
             prov: track_provenance.then(Provenance::default),
             gmas,
@@ -323,18 +329,14 @@ impl ChaseEngine {
                 // window was already enumerated (and memoised) back then.
                 let from = self.gma_marks[gi];
                 self.gma_marks[gi] = self.graph.log_len();
+                let plan = &self.premise_plans[gi];
                 let premise_tuples = if from == 0 {
-                    evaluate_query_ids(&self.graph, &self.gmas[gi].premise, Semantics::Certain)
+                    plan.evaluate_rows(&self.graph, Semantics::Certain)
                 } else {
-                    evaluate_query_ids_delta(
-                        &self.graph,
-                        &self.gmas[gi].premise,
-                        Semantics::Certain,
-                        from,
-                    )
+                    plan.evaluate_delta(&self.graph, Semantics::Certain, from)
                 };
-                for tuple in premise_tuples {
-                    if !self.processed[gi].insert(tuple.clone()) {
+                for tuple in premise_tuples.iter() {
+                    if !self.processed[gi].insert(tuple.to_vec()) {
                         continue;
                     }
                     if self.config.firing == FiringMode::Restricted
@@ -342,12 +344,12 @@ impl ChaseEngine {
                             &self.graph,
                             &self.conclusion_pats[gi],
                             &self.gmas[gi].conclusion,
-                            &tuple,
+                            tuple,
                         )
                     {
                         continue;
                     }
-                    if self.fire(gi, &tuple) {
+                    if self.fire(gi, tuple) {
                         changed = true;
                     }
                     if self.graph.len() > self.config.max_triples {

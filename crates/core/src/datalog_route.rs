@@ -7,25 +7,27 @@
 //! such as transitive closure.
 
 use crate::answers::AnswerSet;
-use crate::encode::{graph_as_tt, mapping_tgds_unguarded, query_to_cq, Encoder};
-use crate::equivalence::{
-    canonicalize_graph, canonicalize_query, expand_answers, EquivalenceIndex,
-};
+use crate::encode::{graph_as_tt, mapping_tgds_unguarded, tt_as_graph, Encoder};
+use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
+use crate::session::{ExecRoute, GraphHandle, Plan};
 use crate::system::RdfPeerSystem;
-use rps_query::GraphPatternQuery;
-use rps_rdf::Term;
-use rps_tgd::{DatalogError, Instance, Program};
-use std::collections::BTreeSet;
+use rps_query::{GraphPatternQuery, JoinOrder, Semantics};
+use rps_rdf::Graph;
+use rps_tgd::{DatalogError, Program};
 use std::sync::Arc;
 
 /// A Datalog evaluator for one system: the least model of the
 /// (equivalence-quotiented) sources under the mapping program, computed
-/// once at construction and immutable afterwards, so
-/// [`DatalogEngine::answers`] takes `&self` from any number of threads.
+/// once at construction, decoded into a sealed [`Graph`] and immutable
+/// afterwards, so [`DatalogEngine::answers`] takes `&self` from any
+/// number of threads and a query is one id-level plan over that graph.
 pub struct DatalogEngine {
-    /// The saturated (least-model) canonical instance.
-    saturated: Instance,
-    encoder: Encoder,
+    /// The least model of the canonical sources. Facts that are not RDF
+    /// triples (a literal subject, a non-IRI predicate) are left out, as
+    /// the chase refuses to derive them.
+    model: Arc<Graph>,
+    /// The equivalence classes as ids of `model`'s dictionary.
+    classes: Arc<ClassTable>,
     index: Arc<EquivalenceIndex>,
     /// Derivation rounds of the fixpoint run.
     pub rounds: usize,
@@ -52,35 +54,40 @@ impl DatalogEngine {
         let program = Program::compile(&mapping_tgds_unguarded(system, &index, &mut encoder))?;
         let canon_graph = canonicalize_graph(&system.stored_database(), &index);
         let (saturated, rounds) = program.fixpoint(graph_as_tt(&canon_graph, &mut encoder));
+        let mut model = tt_as_graph(&saturated, &encoder);
+        let classes = Arc::new(ClassTable::intern(&index, &mut model));
+        model.seal();
         Ok(DatalogEngine {
-            saturated,
-            encoder,
+            model: Arc::new(model),
+            classes,
             index,
             rounds,
         })
     }
 
+    /// The execution plan of a query: one branch over the least model,
+    /// answers expanded over the equivalence classes.
+    pub(crate) fn plan(&self, query: &GraphPatternQuery) -> Plan {
+        Plan::single(
+            GraphHandle::Quotient(self.model.clone()),
+            &canonicalize_query(query, &self.index),
+            JoinOrder::Auto,
+            Some(self.classes.clone()),
+        )
+    }
+
     /// Certain answers of a query: evaluate over the least model, expand
     /// over equivalence classes.
     pub fn answers(&self, query: &GraphPatternQuery) -> AnswerSet {
-        let canon_query = canonicalize_query(query, &self.index);
-        // A scratch encoder (a copy-on-write clone): a blank label the
-        // sources never used mints a null no fact mentions.
-        let cq = query_to_cq(&canon_query, &mut self.encoder.clone(), false);
-        let decoded: BTreeSet<Vec<Term>> = cq
-            .evaluate(&self.saturated, true)
-            .iter()
-            .map(|row| row.iter().map(|g| self.encoder.decode(g)).collect())
-            .collect();
-        AnswerSet {
-            vars: crate::session::stream_vars(query),
-            tuples: expand_answers(&decoded, &self.index),
-        }
+        let vars = crate::session::stream_vars(query);
+        self.plan(query)
+            .execute(vars, ExecRoute::Datalog, Semantics::Certain)
+            .into_set()
     }
 
     /// Number of facts in the least model.
     pub fn model_size(&self) -> usize {
-        self.saturated.len()
+        self.model.len()
     }
 }
 
@@ -93,6 +100,7 @@ pub(crate) mod tests_support {
     use super::*;
     use crate::peer::Peer;
     use rps_query::{GraphPattern, TermOrVar, Variable};
+    use rps_rdf::Term;
 
     pub(crate) fn transitive_system(len: usize) -> RdfPeerSystem {
         let pred = Term::iri("http://c/A");
@@ -148,6 +156,7 @@ mod tests {
     use super::*;
     use crate::chase::{chase_system, RpsChaseConfig};
     use crate::PeerId;
+    use rps_rdf::Term;
 
     #[test]
     fn datalog_equals_chase_on_transitive_closure() {

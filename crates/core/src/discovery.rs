@@ -11,8 +11,9 @@
 //! become candidate `≡ₑ` mappings.
 //!
 //! This is deliberately a transparent baseline (the paper only sketches
-//! the problem and points at probabilistic methods); experiment E11
-//! measures its precision/recall against generated ground truth.
+//! the problem and points at probabilistic methods);
+//! `tests/discovery_pipeline.rs` holds its precision/recall against
+//! generated ground truth.
 
 use crate::mapping::EquivalenceMapping;
 use crate::system::RdfPeerSystem;

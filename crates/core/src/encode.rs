@@ -199,8 +199,8 @@ pub struct DataExchange {
     /// six TGDs per equivalence mapping.
     pub target: Vec<Tgd>,
     /// Graph-mapping TGDs *without* the `rt` guards — the form used for
-    /// classification and rewriting (Section 4 drops the guards, valid
-    /// for blank-node-free sources).
+    /// classification and rewriting (Section 4 drops the guards; what
+    /// that loses is in the [`crate::rewriting`] module docs).
     pub mapping_tgds_unguarded: Vec<Tgd>,
     /// The six-per-mapping equivalence TGDs (a subset of `target`).
     pub equivalence_tgds: Vec<Tgd>,
@@ -396,6 +396,21 @@ pub fn graph_as_tt(graph: &Graph, enc: &mut Encoder) -> Instance {
         inst.insert_row(tt, Box::new(row));
     }
     inst
+}
+
+/// The inverse of [`graph_as_tt`]: the `tt` facts of `inst` decoded into
+/// an RDF graph — the Datalog route's least model, once. A fact that is
+/// not an RDF triple (a literal subject, a non-IRI predicate) has no
+/// place in a graph and is skipped.
+pub(crate) fn tt_as_graph(inst: &Instance, enc: &Encoder) -> Graph {
+    let mut graph = Graph::new();
+    let term = |v| enc.decode(inst.values().value(v));
+    for row in inst.pred_id("tt").map_or(&[][..], |tt| inst.rows_ids(tt)) {
+        if let [s, p, o] = **row {
+            let _ = graph.insert_terms(term(s), term(p), term(o));
+        }
+    }
+    graph
 }
 
 #[cfg(test)]

@@ -5,16 +5,21 @@
 //! paper, but quadratic in the class size (a class of `k` IRIs with `m`
 //! triples each materialises `k·m` variants of every triple).
 //!
-//! This module adds the engineering fast path used as an ablation in
-//! experiment E9: a union-find [`EquivalenceIndex`] with canonical
-//! representatives. Instead of saturating, the engine canonicalises the
-//! graph and queries, evaluates once, and *expands* answers over class
-//! members on demand. Property tests (and
-//! [`saturate_naive`] which implements the paper's repair literally)
-//! establish that both routes produce identical answer sets.
+//! This module adds the engineering fast path: a union-find
+//! [`EquivalenceIndex`] with canonical representatives. Instead of
+//! saturating, the rewritten and Datalog routes canonicalise the graph
+//! and queries, evaluate once, and *expand* answers over class members
+//! last — on id rows (`expand_rows` over a `ClassTable`) locally, on
+//! terms ([`expand_answers`], which the id form is swept against) in the
+//! federation. `tests/properties.rs` (and [`saturate_naive`], which
+//! implements the paper's repair literally) establish that both ways
+//! produce identical answer sets; what saturation costs the materialised
+//! route is the benchmark's `core.chase.eq_copies`
+//! (`docs/BENCHMARKING.md`).
 
 use crate::mapping::EquivalenceMapping;
-use rps_rdf::{Graph, Iri, Term};
+use rps_query::{IdRows, RowSink};
+use rps_rdf::{Graph, Iri, Term, TermId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Union-find over IRIs with lexicographically-least canonical
@@ -256,6 +261,62 @@ fn cross_product(choices: &[Vec<Term>], prefix: &mut Vec<Term>, out: &mut BTreeS
     }
 }
 
+/// The equivalence classes of an [`EquivalenceIndex`] as term ids of one
+/// quotient graph's dictionary: canonical id → the ids of every member
+/// of its class (the canonical one included). The id-level counterpart
+/// of [`EquivalenceIndex::class_of_term`], consumed by [`expand_rows`].
+pub(crate) struct ClassTable(HashMap<TermId, Box<[TermId]>>);
+
+impl ClassTable {
+    /// Interns the members of every non-trivial class whose canonical
+    /// representative `graph`'s dictionary already holds, and records
+    /// them under the representative's id. A class the dictionary does
+    /// not mention can occur in no row over that graph, so it is left
+    /// out. Call before the graph is shared: ids minted here are what
+    /// expanded rows carry.
+    pub(crate) fn intern(index: &EquivalenceIndex, graph: &mut Graph) -> Self {
+        let id = |iri: &Iri, graph: &mut Graph| graph.intern(&Term::Iri(iri.clone()));
+        let classes = index.classes().filter_map(|(canon, members)| {
+            let canon = graph.term_id(&Term::Iri(canon.clone()))?;
+            Some((canon, members.iter().map(|m| id(m, graph)).collect()))
+        });
+        ClassTable(classes.collect())
+    }
+}
+
+/// [`expand_answers`] on id rows over a quotient graph: every cell
+/// holding a canonical representative ranges over its class's members,
+/// per row as a cross product; every other cell (a term in no class, a
+/// literal, a blank) stays put, so a row no class touches is copied
+/// through.
+pub(crate) fn expand_rows(rows: IdRows, table: &ClassTable) -> IdRows {
+    let mut out = RowSink::new(rows.arity());
+    let mut choices: Vec<&[TermId]> = Vec::with_capacity(rows.arity());
+    let mut pick = vec![0usize; rows.arity()];
+    for row in rows.iter() {
+        choices.clear();
+        choices.extend(row.iter().map(|id| {
+            table
+                .0
+                .get(id)
+                .map_or(std::slice::from_ref(id), |class| &**class)
+        }));
+        // Odometer over the row's choices (one empty row at arity 0).
+        'row: loop {
+            out.push(choices.iter().zip(&pick).map(|(c, &i)| c[i]));
+            for (slot, c) in pick.iter_mut().zip(&choices).rev() {
+                *slot += 1;
+                if *slot < c.len() {
+                    continue 'row;
+                }
+                *slot = 0;
+            }
+            break;
+        }
+    }
+    out.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +390,96 @@ mod tests {
             [vec![Term::iri("a"), Term::iri("a")]].into_iter().collect();
         let expanded = expand_answers(&answers, &index);
         assert_eq!(expanded.len(), 4);
+    }
+
+    fn sweep_seeds() -> Vec<u64> {
+        match std::env::var("RPS_SPARQL_SEED") {
+            Ok(list) => list
+                .split(',')
+                .map(|tok| {
+                    tok.trim()
+                        .parse()
+                        .unwrap_or_else(|_| panic!("RPS_SPARQL_SEED: bad seed {tok:?} in {list:?}"))
+                })
+                .collect(),
+            Err(_) => vec![0xEDB7, 0xD1CE],
+        }
+    }
+
+    #[test]
+    fn expand_rows_agrees_with_expand_answers_on_a_seeded_sweep() {
+        for seed in sweep_seeds() {
+            // xorshift64; the state must not be zero.
+            let mut state = seed | 1;
+            let mut below = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let (mut expanded, mut untouched, mut twice) = (0usize, 0usize, 0usize);
+            for round in 0..300 {
+                // Classes of 1–4 members (a one-member class is an IRI
+                // mapped to itself); `m0` is each one's representative.
+                let member = |k: usize, j: usize| Iri::new(format!("http://e/c{k}/m{j}"));
+                let sizes: Vec<usize> = (0..1 + below(4)).map(|_| 1 + below(4)).collect();
+                let mappings: Vec<EquivalenceMapping> = sizes
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, &size)| {
+                        (0..size).map(move |j| EquivalenceMapping::new(member(k, 0), member(k, j)))
+                    })
+                    .collect();
+                let index = EquivalenceIndex::from_mappings(&mappings);
+                // What a quotient row can hold: representatives, IRIs in
+                // no class, literals, blanks. One class may stay out of
+                // the graph altogether.
+                let absent = below(sizes.len() + 1);
+                let mut pool: Vec<Term> = (0..sizes.len())
+                    .filter(|&k| k != absent)
+                    .map(|k| Term::Iri(member(k, 0)))
+                    .collect();
+                pool.extend([
+                    Term::iri("http://e/loose"),
+                    Term::literal("http://e/c0/m0"),
+                    Term::blank("b"),
+                ]);
+                let mut graph = Graph::new();
+                let arity = below(4);
+                let mut sink = RowSink::new(arity);
+                let mut canon: BTreeSet<Vec<Term>> = BTreeSet::new();
+                for _ in 0..below(6) {
+                    let row: Vec<Term> = (0..arity)
+                        .map(|_| pool[below(pool.len())].clone())
+                        .collect();
+                    sink.push(row.iter().map(|t| graph.intern(t)));
+                    twice += usize::from(row.iter().any(|t| {
+                        index.class_of_term(t).len() > 1
+                            && row.iter().filter(|u| *u == t).count() > 1
+                    }));
+                    canon.insert(row);
+                }
+                let rows = sink.finish();
+                let table = ClassTable::intern(&index, &mut graph);
+                let got = expand_rows(rows.clone(), &table);
+                let decoded: BTreeSet<Vec<Term>> = got
+                    .iter()
+                    .map(|row| row.iter().map(|&id| graph.term(id).clone()).collect())
+                    .collect();
+                let what = format!("seed {seed} round {round}");
+                assert_eq!(decoded, expand_answers(&canon, &index), "{what}");
+                assert_eq!(decoded.len(), got.len(), "{what}: duplicate rows");
+                assert!(got.iter().is_sorted(), "{what}: unsorted rows");
+                if got == rows {
+                    untouched += 1;
+                } else {
+                    expanded += 1;
+                }
+            }
+            // The sweep must reach both sides, and a class met twice in
+            // one row.
+            assert!(expanded > 50 && untouched > 50 && twice > 20, "seed {seed}");
+        }
     }
 
     #[test]

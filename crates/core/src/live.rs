@@ -75,12 +75,12 @@ use crate::chase::{ChaseEngine, FiringMode, RpsChaseStats, UniversalSolution};
 use crate::error::RpsError;
 use crate::peer::PeerId;
 use crate::session::{
-    stream_vars, AnswerStream, EngineConfig, ExecRoute, PlanCache, Strategy,
+    stream_vars, AnswerStream, EngineConfig, ExecRoute, GraphHandle, Plan, PlanCache, Strategy,
     DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use crate::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics, SparqlResult};
+use rps_query::{GraphPatternQuery, JoinOrder, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -131,7 +131,7 @@ struct EpochSnapshot {
     /// Per-epoch plan cache: compiled id-level plans are only valid
     /// against the dictionary of the graph they were compiled for, so
     /// the cache is scoped to the snapshot and dies with it.
-    plans: Mutex<PlanCache<PreparedQueryIds>>,
+    plans: Mutex<PlanCache<Plan>>,
 }
 
 /// State shared between the writer and all readers: the current
@@ -450,14 +450,11 @@ impl LiveReader {
         query: &GraphPatternQuery,
     ) -> Result<LivePlan, RpsError> {
         let plan = PlanCache::get_or_compile(&snapshot.plans, query, || {
-            Ok::<_, RpsError>(PreparedQueryIds::compile_only(
-                &snapshot.solution.graph,
-                query,
-            ))
+            let graph = GraphHandle::Solution(snapshot.solution.clone());
+            Ok::<_, RpsError>(Plan::single(graph, query, JoinOrder::Auto, None))
         })?;
         Ok(LivePlan {
             epoch: snapshot.epoch,
-            solution: snapshot.solution.clone(),
             plan,
             vars: stream_vars(query),
             semantics: self.semantics,
@@ -476,15 +473,10 @@ impl LiveReader {
                 current: self.epoch(),
             });
         }
-        let rows = plan
+        let vars = plan.vars.clone();
+        Ok(plan
             .plan
-            .evaluate_rows(&plan.solution.graph, plan.semantics);
-        Ok(AnswerStream::from_ids(
-            plan.vars.clone(),
-            ExecRoute::Materialised,
-            plan.solution.clone(),
-            rows,
-        ))
+            .execute(vars, ExecRoute::Materialised, plan.semantics))
     }
 
     /// Prepare-and-execute against the current epoch.
@@ -519,12 +511,12 @@ impl LiveReader {
 }
 
 /// A query compiled by [`LiveReader::prepare`] against one specific
-/// epoch. Holds the epoch's solution alive; executable any number of
-/// times (on any thread) until the writer's retention floor passes it.
+/// epoch. Holds the epoch's solution alive (the plan carries it);
+/// executable any number of times (on any thread) until the writer's
+/// retention floor passes it.
 pub struct LivePlan {
     epoch: u32,
-    solution: Arc<UniversalSolution>,
-    plan: Arc<PreparedQueryIds>,
+    plan: Arc<Plan>,
     vars: Arc<[String]>,
     semantics: Semantics,
 }

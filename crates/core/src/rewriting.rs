@@ -5,15 +5,25 @@
 //! copy of the data here is the sealed canonical stored graph every
 //! compiled branch plan scans; the Section 3 `ts/rs → tt/rt` encoding is
 //! Theorem 1's proof device and is never loaded. What the rewriter owns
-//! besides that graph is mapping-sized: the graph-mapping TGDs (dropping
-//! the `rt` guards, which is lossless for blank-node-free sources — the
-//! paper's own simplification) compiled once for id-level expansion,
-//! their classification (Proposition 2: linear / sticky / sticky-join
-//! sets admit a perfect UCQ rewriting), the equivalence index, and a
-//! dictionary holding the TGDs' constants and nothing else. It is
+//! besides that graph is mapping-sized: the graph-mapping TGDs compiled
+//! once for id-level expansion, their classification (Proposition 2:
+//! linear / sticky / sticky-join sets admit a perfect UCQ rewriting), the
+//! equivalence index with its classes as ids of the canonical graph, and
+//! a dictionary holding the TGDs' constants and nothing else. It is
 //! immutable after construction: every call interns its query's
 //! constants into a scratch copy of that dictionary, which the returned
 //! [`RpsRewriting`] carries.
+//!
+//! **The TGDs are rewritten without Section 3's `rt` guards, and that is
+//! lossy.** A guard `rt(x)` keeps a premise tuple with a blank node from
+//! firing; without it the rewriting also answers from such tuples. It
+//! happens as soon as a premise's frontier can meet a blank: a source
+//! blank (Figure 1's `db2:Pleasantville v:actor _:unknown`, which makes
+//! the rewritten, Datalog and federated routes answer Pleasantville for
+//! "films with a cast" where the chase does not), or the existential of
+//! one assertion's conclusion feeding another assertion's premise.
+//! `tests/paper_example.rs` pins the difference; ROADMAP item 6(e) has
+//! the shape of the fix.
 //!
 //! It also implements the Example 3 / Listing 2 procedure literally:
 //! deciding whether a tuple is a certain answer by substituting it into
@@ -22,11 +32,10 @@
 
 use crate::answers::AnswerSet;
 use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encoder};
-use crate::equivalence::{
-    canonicalize_graph, canonicalize_query, expand_answers, EquivalenceIndex,
-};
+use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
+use crate::session::{Branch, ExecRoute, GraphHandle, Plan};
 use crate::system::RdfPeerSystem;
 use rps_query::{
     GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, Semantics, TermOrVar,
@@ -162,63 +171,6 @@ impl RpsRewriting {
     }
 }
 
-/// One UCQ branch compiled for execution over the canonical stored
-/// graph (see `RpsRewriter::compile_branches`): an id-level
-/// `rps_query` plan plus the head template interleaving projected
-/// variables with constants the rewriting specialised. Crate-internal:
-/// the plans' term ids are only meaningful against the rewriter's
-/// canonical graph, so [`execute_branches`] is the one consumer.
-pub(crate) struct RewrittenBranch {
-    /// The prepared id-level plan (evaluated against
-    /// [`RpsRewriter::canon_graph`]).
-    plan: PreparedQueryIds,
-    /// Head template, one entry per answer position: `None` consumes
-    /// the next projected variable of a result tuple, `Some(term)`
-    /// injects a constant.
-    head: Vec<Option<Term>>,
-}
-
-/// The one way to run a rewriting: every compiled branch is an id-level
-/// plan over the sealed canonical stored graph; the union is decoded and
-/// expanded back over the equivalence classes. All-variable-head
-/// branches (the common shape) union at the id level first, so
-/// cross-branch duplicates are deduplicated before any term is decoded;
-/// only branches whose head injects a rewriting-specialised constant
-/// decode per distinct branch row. Touches immutable data only.
-pub(crate) fn execute_branches(
-    graph: &Graph,
-    branches: &[RewrittenBranch],
-    index: &EquivalenceIndex,
-) -> BTreeSet<Vec<Term>> {
-    let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
-    let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
-    for branch in branches {
-        let rows = branch.plan.evaluate(graph, Semantics::Certain);
-        if branch.head.iter().all(Option::is_none) {
-            id_union.extend(rows);
-            continue;
-        }
-        for row in rows {
-            let mut vals = row.into_iter();
-            let tuple: Vec<Term> = branch
-                .head
-                .iter()
-                .map(|slot| match slot {
-                    Some(term) => term.clone(),
-                    None => graph
-                        .term(vals.next().expect("one id per projected position"))
-                        .clone(),
-                })
-                .collect();
-            tuples.insert(tuple);
-        }
-    }
-    for row in id_union {
-        tuples.insert(row.iter().map(|&id| graph.term(id).clone()).collect());
-    }
-    expand_answers(&tuples, index)
-}
-
 /// The Section 4 rewriter for one system.
 ///
 /// Two rewritings are provided:
@@ -259,8 +211,13 @@ pub struct RpsRewriter {
     /// and the evaluation substrate of [`Self::compile_branches`] plans.
     /// `Arc`-shared and sealed at build time so compiled plans (and the
     /// frozen sessions of `rps-core`/`rps-p2p`) can evaluate against it
-    /// concurrently without holding the rewriter.
+    /// concurrently without holding the rewriter. Its dictionary also
+    /// holds the canonical TGD constants and the members of every class
+    /// it mentions, so a specialised head and an expanded answer are ids
+    /// of it.
     canon_graph: Arc<Graph>,
+    /// The equivalence classes as ids of `canon_graph`'s dictionary.
+    classes: Arc<ClassTable>,
 }
 
 impl RpsRewriter {
@@ -292,6 +249,16 @@ impl RpsRewriter {
             &mut dict,
         );
         let mut canon_graph = canonicalize_graph(&system.stored_database(), &index);
+        // A rewritten head can be specialised to a constant of a TGD head
+        // no stored triple mentions: give each an id, then the classes.
+        for gma in system.assertions() {
+            for side in [&gma.premise, &gma.conclusion] {
+                for constant in side.pattern().constants() {
+                    canon_graph.intern(&index.canonical_term(&constant));
+                }
+            }
+        }
+        let classes = Arc::new(ClassTable::intern(&index, &mut canon_graph));
         // The canonical graph never changes after this point: seal it so
         // branch-plan scans merge immutable runs only.
         canon_graph.seal();
@@ -303,6 +270,7 @@ impl RpsRewriter {
             canon_tgds,
             base: Interner { dict, encoder },
             canon_graph: Arc::new(canon_graph),
+            classes,
         }
     }
 
@@ -328,11 +296,15 @@ impl RpsRewriter {
         &self.canon_graph
     }
 
-    /// The shared handle to the canonical stored graph (sealed at
-    /// construction). Compiled branch plans carry a clone of this so
-    /// execution needs no access to the rewriter itself.
-    pub(crate) fn canon_graph_arc(&self) -> Arc<Graph> {
-        self.canon_graph.clone()
+    /// The execution plan of a canonical rewriting: its compiled branches
+    /// over the (shared, sealed) canonical stored graph, answers expanded
+    /// over the classes — so execution needs no access to the rewriter.
+    pub(crate) fn plan(&self, rewriting: &RpsRewriting) -> Plan {
+        Plan {
+            graph: GraphHandle::Quotient(self.canon_graph.clone()),
+            branches: self.compile_branches(rewriting),
+            classes: Some(self.classes.clone()),
+        }
     }
 
     /// The id-level pipeline behind both rewritings: intern the query
@@ -358,8 +330,8 @@ impl RpsRewriter {
     /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
     /// (the combined approach), entirely at the id level. The result runs
     /// over the canonical stored graph (what [`Self::answers`] and the
-    /// sessions do) or is decoded with [`RpsRewriting::branches`] for
-    /// federation; either way answers are expanded back with
+    /// sessions do, expanding the id rows over the classes) or is decoded
+    /// with [`RpsRewriting::branches`] for federation, which expands with
     /// [`crate::equivalence::expand_answers`].
     pub fn rewrite_canonical(
         &self,
@@ -390,8 +362,20 @@ impl RpsRewriter {
     /// through the graph's own dictionary. Branches whose head was
     /// specialised to a labelled null are dropped (no certain tuple can
     /// come from them); branches mentioning values absent from the
-    /// stored data compile to unsatisfiable plans.
-    pub(crate) fn compile_branches(&self, rewriting: &RpsRewriting) -> Vec<RewrittenBranch> {
+    /// graph's dictionary compile to unsatisfiable plans.
+    ///
+    /// A head constant is an id too, or the branch is dropped as dead: a
+    /// head variable only ever becomes a constant `c` by a substitution
+    /// applied to the whole CQ, which leaves `c` wherever the variable
+    /// stood in the body (a safe query's head variables all occur there).
+    /// A later step can resolve such an atom away only against a TGD head
+    /// that has, at `c`'s position, either the constant `c` itself — then
+    /// `c` is a canonical TGD constant, interned at construction — or a
+    /// frontier variable, which carries `c` into the TGD's body (an
+    /// existential variable does not unify with a constant). So a head
+    /// constant without an id still occurs in the body, where a constant
+    /// without an id matches no stored triple.
+    pub(crate) fn compile_branches(&self, rewriting: &RpsRewriting) -> Vec<Branch> {
         let scratch = &rewriting.scratch;
         let tt = scratch.dict.pred_id("tt");
         // Each distinct constant is decoded and looked up once per call.
@@ -434,7 +418,7 @@ impl RpsRewriter {
                 }
             }
             let mut proj: Vec<usize> = Vec::new();
-            let mut head: Vec<Option<Term>> = Vec::with_capacity(cq.head.len());
+            let mut head: Vec<Option<TermId>> = Vec::with_capacity(cq.head.len());
             let mut head_bound = true;
             for arg in &cq.head {
                 match arg {
@@ -447,7 +431,11 @@ impl RpsRewriter {
                         if scratch.dict.values().is_null(*c) {
                             continue 'branches; // never a certain answer
                         }
-                        head.push(Some(scratch.term(*c)));
+                        let Some(id) = term_id(*c) else {
+                            debug_assert!(!satisfiable, "a head constant without an id");
+                            continue 'branches; // dead, see above
+                        };
+                        head.push(Some(id));
                     }
                 }
             }
@@ -458,7 +446,7 @@ impl RpsRewriter {
                 head_bound.then_some(proj),
                 satisfiable,
             );
-            out.push(RewrittenBranch { plan, head });
+            out.push((plan, head));
         }
         out
     }
@@ -469,14 +457,11 @@ impl RpsRewriter {
     /// was exhaustive.
     pub fn answers(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (AnswerSet, bool) {
         let rewriting = self.rewrite_canonical(query, cfg);
-        let branches = self.compile_branches(&rewriting);
-        (
-            AnswerSet {
-                vars: crate::session::stream_vars(query),
-                tuples: execute_branches(&self.canon_graph, &branches, &self.index),
-            },
-            rewriting.complete,
-        )
+        let vars = crate::session::stream_vars(query);
+        let stream = self
+            .plan(&rewriting)
+            .execute(vars, ExecRoute::Rewritten, Semantics::Certain);
+        (stream.into_set(), rewriting.complete)
     }
 
     /// The Example 3 decision procedure: is `tuple` a certain answer of
@@ -502,17 +487,17 @@ impl RpsRewriter {
             .pattern()
             .substitute(&|v| free.iter().position(|f| f == v).map(|i| tuple[i].clone()));
         let rewriting = self.rewrite_canonical(&GraphPatternQuery::boolean(bound), cfg);
-        Ok(self.compile_branches(&rewriting).iter().any(|branch| {
-            let one = std::slice::from_ref(branch);
-            !execute_branches(&self.canon_graph, one, &self.index).is_empty()
+        Ok(self.compile_branches(&rewriting).iter().any(|(plan, _)| {
+            let witness = plan.evaluate_rows(&self.canon_graph, Semantics::Certain);
+            !witness.is_empty()
         }))
     }
 
     /// The full Example 3 pipeline: enumerate all candidate tuples of
     /// names (polynomially many: `n^arity`) and decide each with the
-    /// Boolean rewriting. Candidates are the names of the canonical
-    /// stored graph together with every member of their equivalence
-    /// classes. Returns `None` if the candidate space exceeds
+    /// Boolean rewriting. Candidates are the names in the canonical
+    /// stored graph's dictionary: the stored names, the mappings'
+    /// constants and every member of their equivalence classes. Returns `None` if the candidate space exceeds
     /// `max_candidates` — callers should fall back to [`Self::answers`].
     pub fn certain_answers_via_boolean(
         &self,
@@ -525,7 +510,7 @@ impl RpsRewriter {
             .dict()
             .iter()
             .filter(|(_, term)| !term.is_blank())
-            .flat_map(|(_, term)| self.index.class_of_term(term))
+            .map(|(_, term)| term.clone())
             .collect::<BTreeSet<Term>>()
             .into_iter()
             .collect();
@@ -748,7 +733,12 @@ mod tests {
             )
         };
         let run = |r: &RpsRewriting| {
-            execute_branches(rw.canon_graph(), &rw.compile_branches(r), rw.index())
+            let stream = rw.plan(r).execute(
+                ["x".into()].into(),
+                ExecRoute::Rewritten,
+                Semantics::Certain,
+            );
+            stream.into_set().tuples
         };
         // Prepared first, compiled only after two other queries — one
         // with a constant absent from the data — interned their own

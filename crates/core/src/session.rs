@@ -75,12 +75,12 @@
 use crate::answers::AnswerSet;
 use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
-use crate::equivalence::EquivalenceIndex;
+use crate::equivalence::{expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
-use crate::rewriting::{execute_branches, RewrittenBranch, RpsRewriter};
+use crate::rewriting::RpsRewriter;
 use crate::system::RdfPeerSystem;
-use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, Semantics};
-use rps_rdf::{Graph, SealConfig, Term};
+use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, RowSink, Semantics};
+use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -253,26 +253,106 @@ impl ExecConfig {
     }
 }
 
-/// The compiled execution plan of a [`PreparedQuery`].
-enum Plan {
-    /// Id-level plan against a (frozen) universal solution. Holding the
-    /// solution here makes repeated execution and lazy answer decoding
-    /// independent of the session's own cache.
-    Materialised {
-        solution: Arc<UniversalSolution>,
-        plan: PreparedQueryIds,
-    },
-    /// A complete canonical UCQ rewriting, compiled once into id-level
-    /// branch plans over the rewriter's canonical stored graph (no
-    /// per-execution pattern decoding or term re-interning). The sealed
-    /// canonical graph travels with the plan, so execution never needs
-    /// the rewriter back.
-    Rewritten {
-        graph: Arc<Graph>,
-        branches: Vec<RewrittenBranch>,
-    },
-    /// Evaluated through the session's cached Datalog engine.
-    Datalog,
+/// Whichever `Arc` keeps a sealed graph — and with it the dictionary a
+/// plan's ids index — alive: a universal solution, or a quotient graph
+/// (the rewriter's canonical stored graph, the Datalog least model).
+#[derive(Clone)]
+pub(crate) enum GraphHandle {
+    Solution(Arc<UniversalSolution>),
+    Quotient(Arc<Graph>),
+}
+
+impl std::ops::Deref for GraphHandle {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            GraphHandle::Solution(solution) => &solution.graph,
+            GraphHandle::Quotient(graph) => graph,
+        }
+    }
+}
+
+/// One conjunctive branch of a [`Plan`]: an id-level plan over the
+/// plan's graph, and the head template that turns one of its rows into
+/// an answer row — `None` consumes the row's next id, `Some(id)` injects
+/// a constant the rewriting specialised that position to.
+pub(crate) type Branch = (PreparedQueryIds, Vec<Option<TermId>>);
+
+/// The compiled execution plan of a [`PreparedQuery`], the same shape on
+/// every local route: a union of id-level branches over one sealed graph,
+/// whose answers are expanded over `classes` when that graph is a
+/// quotient by the equivalence mappings. Materialised = one all-variable
+/// branch over the universal solution (which is saturated, so no
+/// classes); rewritten = the UCQ's branches over the canonical stored
+/// graph; Datalog = one all-variable branch over the least model.
+/// Carrying the graph makes repeated execution and lazy answer decoding
+/// independent of the session's own caches.
+pub(crate) struct Plan {
+    pub(crate) graph: GraphHandle,
+    pub(crate) branches: Vec<Branch>,
+    pub(crate) classes: Option<Arc<ClassTable>>,
+}
+
+impl Plan {
+    /// `query` as the one all-variable branch over `graph`. The graph is
+    /// frozen, so the branch compiles without interning: an unknown
+    /// constant is simply unsatisfiable.
+    pub(crate) fn single(
+        graph: GraphHandle,
+        query: &GraphPatternQuery,
+        order: JoinOrder,
+        classes: Option<Arc<ClassTable>>,
+    ) -> Self {
+        let plan = PreparedQueryIds::compile_only_with(&graph, query, order);
+        Plan {
+            graph,
+            branches: vec![(plan, vec![None; query.arity()])],
+            classes,
+        }
+    }
+
+    /// The one way to run a plan: the union of its branches' answers as
+    /// sorted, duplicate-free rows of ids over [`Plan::graph`], one per
+    /// variable of `vars`, expanded over the equivalence classes. A
+    /// single all-variable branch hands its rows through untouched;
+    /// otherwise the row sink deduplicates across branches before
+    /// anything is expanded.
+    pub(crate) fn execute(
+        &self,
+        vars: Arc<[String]>,
+        route: ExecRoute,
+        semantics: Semantics,
+    ) -> AnswerStream {
+        let rows = match self.branches.as_slice() {
+            [(only, head)] if head.iter().all(Option::is_none) => {
+                only.evaluate_rows(&self.graph, semantics)
+            }
+            branches => {
+                let mut union = RowSink::new(vars.len());
+                for (plan, head) in branches {
+                    for row in plan.evaluate_rows(&self.graph, semantics).iter() {
+                        let mut ids = row.iter().copied();
+                        union.push(head.iter().filter_map(|c| c.or_else(|| ids.next())));
+                    }
+                }
+                union.finish()
+            }
+        };
+        let rows = match &self.classes {
+            Some(classes) => expand_rows(rows, classes),
+            None => rows,
+        };
+        AnswerStream {
+            vars,
+            route,
+            inner: StreamInner::Ids {
+                graph: self.graph.clone(),
+                rows,
+                next: 0,
+            },
+        }
+    }
 }
 
 /// A query compiled once against a [`Session`] — route resolved,
@@ -328,21 +408,20 @@ impl PreparedQuery {
 
     /// Number of *compiled* UCQ branch plans when the route is
     /// [`ExecRoute::Rewritten`] — what execution actually runs (branches
-    /// whose head was specialised to a labelled null are dropped at
-    /// compile time, so this can be below the rewriting's union size).
+    /// whose head was specialised to a labelled null, or to a constant
+    /// the canonical stored graph does not know, are dropped at compile
+    /// time, so this can be below the rewriting's union size).
     pub fn branch_count(&self) -> Option<usize> {
-        match &self.plan {
-            Plan::Rewritten { branches, .. } => Some(branches.len()),
-            _ => None,
-        }
+        (self.route == ExecRoute::Rewritten).then_some(self.plan.branches.len())
     }
 }
 
 /// A streaming iterator over answer tuples.
 ///
-/// Id-level results (the materialised route) are decoded to [`Term`]s
+/// Id-level results (every local route) are decoded to [`Term`]s
 /// lazily, one tuple per `next()` call, instead of materialising the
-/// whole answer vector up front; already-decoded results pass through.
+/// whole answer vector up front; already-decoded results (federation)
+/// pass through.
 /// The stream reports the [`ExecRoute`] taken and the projection
 /// variables, and can be collected into an [`AnswerSet`] with
 /// [`AnswerStream::into_set`].
@@ -354,7 +433,7 @@ pub struct AnswerStream {
 
 enum StreamInner {
     Ids {
-        solution: Arc<UniversalSolution>,
+        graph: GraphHandle,
         rows: IdRows,
         next: usize,
     },
@@ -362,25 +441,6 @@ enum StreamInner {
 }
 
 impl AnswerStream {
-    /// A stream over id-level rows, decoded lazily against the
-    /// solution's dictionary.
-    pub(crate) fn from_ids(
-        vars: Arc<[String]>,
-        route: ExecRoute,
-        solution: Arc<UniversalSolution>,
-        rows: IdRows,
-    ) -> Self {
-        AnswerStream {
-            vars,
-            route,
-            inner: StreamInner::Ids {
-                solution,
-                rows,
-                next: 0,
-            },
-        }
-    }
-
     /// A stream over already-decoded tuples. Building block for
     /// alternative executors (the federated engine in `rps-p2p`).
     pub fn from_terms(
@@ -414,21 +474,21 @@ impl AnswerStream {
         }
     }
 
-    /// The undecoded id rows of `streams` and the solution whose
+    /// The undecoded id rows of `streams` and the graph whose
     /// dictionary they index — when every stream is an untouched id
-    /// stream over that one solution. Otherwise (decoded tuples, ids
-    /// of different solutions, a stream already advanced) the streams
-    /// come back unchanged.
+    /// stream over that one graph. Otherwise (decoded tuples, ids of
+    /// different graphs, a stream already advanced) the streams come
+    /// back unchanged.
     pub(crate) fn into_shared_ids(
         streams: Vec<AnswerStream>,
-    ) -> Result<(Arc<UniversalSolution>, Vec<IdRows>), Vec<AnswerStream>> {
-        let Some(StreamInner::Ids { solution, .. }) = streams.first().map(|s| &s.inner) else {
+    ) -> Result<(GraphHandle, Vec<IdRows>), Vec<AnswerStream>> {
+        let Some(StreamInner::Ids { graph, .. }) = streams.first().map(|s| &s.inner) else {
             return Err(streams);
         };
-        let solution = solution.clone();
+        let graph = graph.clone();
         let shared = streams.iter().all(|s| {
-            matches!(&s.inner, StreamInner::Ids { solution: other, next: 0, .. }
-                if Arc::ptr_eq(&solution, other))
+            matches!(&s.inner, StreamInner::Ids { graph: other, next: 0, .. }
+                if std::ptr::eq::<Graph>(&*graph, &**other))
         });
         if !shared {
             return Err(streams);
@@ -440,7 +500,7 @@ impl AnswerStream {
                 StreamInner::Terms(_) => None,
             })
             .collect();
-        Ok((solution, rows))
+        Ok((graph, rows))
     }
 }
 
@@ -449,16 +509,10 @@ impl Iterator for AnswerStream {
 
     fn next(&mut self) -> Option<Vec<Term>> {
         match &mut self.inner {
-            StreamInner::Ids {
-                solution,
-                rows,
-                next,
-            } => (*next < rows.len()).then(|| {
-                let row = rows.row(*next);
+            StreamInner::Ids { graph, rows, next } => (*next < rows.len()).then(|| {
                 *next += 1;
-                row.iter()
-                    .map(|&id| solution.graph.term(id).clone())
-                    .collect()
+                let row = rows.row(*next - 1);
+                row.iter().map(|&id| graph.term(id).clone()).collect()
             }),
             StreamInner::Terms(iter) => iter.next(),
         }
@@ -501,40 +555,37 @@ pub(crate) fn stream_vars<C: FromIterator<String>>(query: &GraphPatternQuery) ->
 
 /// The one route → [`Plan`] body behind [`Session::prepare`] and
 /// [`FrozenSession::prepare`], which differ only in where the compile
-/// state comes from: `rewriter` must be `Some` on the rewritten route,
-/// and `solution` yields the universal solution to plan against —
-/// `Ok(None)` when there is none and none can be computed (a frozen
-/// session that froze without one). An incomplete rewriting is unsound
-/// to trust: it falls back to the solution (which is exact) unless the
-/// strategy is the explicit [`Strategy::Rewrite`] or there is no
-/// solution — then it is [`RpsError::RewriteBudget`].
+/// state comes from: the `rewriter` on the rewritten route, the
+/// `datalog` engine on the Datalog route, and `solution` yields the
+/// universal solution to plan against — `Ok(None)` when there is none
+/// and none can be computed (a frozen session that froze without one).
+/// An incomplete rewriting is unsound to trust: it falls back to the
+/// solution (which is exact) unless the strategy is the explicit
+/// [`Strategy::Rewrite`] or there is no solution — then it is
+/// [`RpsError::RewriteBudget`].
 fn compile_query(
     (id, generation): (u64, u32),
     config: &EngineConfig,
     route: ExecRoute,
     query: &GraphPatternQuery,
     rewriter: Option<&RpsRewriter>,
+    datalog: Option<&DatalogEngine>,
     solution: impl FnOnce() -> Result<Option<Arc<UniversalSolution>>, RpsError>,
 ) -> Result<PreparedQuery, RpsError> {
-    // The solution is frozen, so the plan compiles against it without
-    // interning (unknown constants are simply unsatisfiable).
     let materialised = |solution: Arc<UniversalSolution>| {
-        let plan = PreparedQueryIds::compile_only_with(&solution.graph, query, config.exec.order);
-        Plan::Materialised { solution, plan }
+        Plan::single(
+            GraphHandle::Solution(solution),
+            query,
+            config.exec.order,
+            None,
+        )
     };
-    let (route, rewrite_fell_back, plan) = match route {
-        ExecRoute::Datalog => (ExecRoute::Datalog, false, Plan::Datalog),
-        ExecRoute::Rewritten => {
-            let rewriter = rewriter.expect("the caller builds the rewriter for this route");
+    let (route, rewrite_fell_back, plan) = match (route, rewriter, datalog) {
+        (ExecRoute::Datalog, _, Some(engine)) => (route, false, engine.plan(query)),
+        (ExecRoute::Rewritten, Some(rewriter), _) => {
             let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
             if rewriting.complete {
-                let branches = rewriter.compile_branches(&rewriting);
-                let graph = rewriter.canon_graph_arc();
-                (
-                    ExecRoute::Rewritten,
-                    false,
-                    Plan::Rewritten { graph, branches },
-                )
+                (route, false, rewriter.plan(&rewriting))
             } else {
                 // The explicit Rewrite strategy never falls back.
                 let fallback = match config.strategy {
@@ -551,7 +602,9 @@ fn compile_query(
                 (ExecRoute::Materialised, true, materialised(solution))
             }
         }
-        ExecRoute::Materialised | ExecRoute::Federated => {
+        // The materialised route. (The solution is exact whatever the
+        // route, should a caller ever come without its compile state.)
+        _ => {
             let solution = solution()?.expect("the caller holds a solution for this route");
             (ExecRoute::Materialised, false, materialised(solution))
         }
@@ -570,16 +623,11 @@ fn compile_query(
 
 /// The one execute body behind [`Session::execute`] and
 /// [`FrozenSession::execute`]: the session-id / generation check, then
-/// the plan.
-/// Every plan touches only immutable data (the `Arc`ed substrate it
-/// carries, the equivalence index, the saturated Datalog engine), so the
-/// frozen session runs this concurrently from many threads; `datalog`
-/// must be `Some` for a Datalog plan.
+/// the plan. A plan touches only the immutable data it carries, so the
+/// frozen session runs this concurrently from many threads.
 fn execute_prepared(
     prepared: &PreparedQuery,
     (id, generation): (u64, u32),
-    eq_index: &EquivalenceIndex,
-    datalog: Option<&DatalogEngine>,
 ) -> Result<AnswerStream, RpsError> {
     if prepared.session_id != id {
         return Err(RpsError::SessionMismatch);
@@ -590,25 +638,9 @@ fn execute_prepared(
             current: generation,
         });
     }
-    let vars = prepared.vars.clone();
-    match &prepared.plan {
-        Plan::Materialised { solution, plan } => Ok(AnswerStream::from_ids(
-            vars,
-            ExecRoute::Materialised,
-            solution.clone(),
-            plan.evaluate_rows(&solution.graph, prepared.semantics),
-        )),
-        Plan::Rewritten { graph, branches } => Ok(AnswerStream::from_terms(
-            vars,
-            ExecRoute::Rewritten,
-            execute_branches(graph, branches, eq_index),
-        )),
-        Plan::Datalog => {
-            let engine = datalog.expect("the session builds the Datalog engine for this route");
-            let tuples = engine.answers(&prepared.query).tuples;
-            Ok(AnswerStream::from_terms(vars, ExecRoute::Datalog, tuples))
-        }
-    }
+    Ok(prepared
+        .plan
+        .execute(prepared.vars.clone(), prepared.route, prepared.semantics))
 }
 
 /// The unified answering façade: one system, one configuration, cached
@@ -716,13 +748,13 @@ impl Session {
             .get_or_insert_with(|| RpsRewriter::with_index(&self.system, self.eq_index.clone()))
     }
 
-    /// The cached (saturated) Datalog engine, built on first use.
-    fn datalog(&mut self) -> Result<&DatalogEngine, RpsError> {
+    /// Builds (saturates) the cached Datalog engine on first use.
+    fn datalog(&mut self) -> Result<(), RpsError> {
         if self.datalog.is_none() {
             let engine = DatalogEngine::with_index(&self.system, self.eq_index.clone())?;
             self.datalog = Some(engine);
         }
-        Ok(self.datalog.as_ref().expect("just built"))
+        Ok(())
     }
 
     /// Resolves the route a fresh preparation of a query would take.
@@ -776,11 +808,18 @@ impl Session {
             solution,
             solution_budgets,
             rewriter,
+            datalog,
             ..
         } = self;
-        compile_query(stamp, config, route, query, rewriter.as_ref(), || {
-            materialise(system, &config.chase, solution, solution_budgets).map(Some)
-        })
+        compile_query(
+            stamp,
+            config,
+            route,
+            query,
+            rewriter.as_ref(),
+            datalog.as_ref(),
+            || materialise(system, &config.chase, solution, solution_budgets).map(Some),
+        )
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
@@ -789,12 +828,7 @@ impl Session {
     /// *current* configuration ([`RpsError::StalePlan`] after a
     /// [`Session::config_mut`] call — re-prepare first).
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
-        execute_prepared(
-            prepared,
-            (self.id, self.generation),
-            &self.eq_index,
-            self.datalog.as_ref(),
-        )
+        execute_prepared(prepared, (self.id, self.generation))
     }
 
     /// Prepares and executes in one call. Prefer [`Session::prepare`] +

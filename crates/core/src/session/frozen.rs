@@ -483,13 +483,14 @@ impl FrozenSession {
             inner.route,
             query,
             inner.compiler.as_ref(),
+            inner.datalog.as_ref(),
             || Ok(inner.solution.clone()),
         )
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
-    /// Lock-free on every route (plans carry their sealed substrate; the
-    /// Datalog least model is immutable). Accepts queries prepared by
+    /// Lock-free on every route (plans carry their sealed substrate).
+    /// Accepts queries prepared by
     /// this frozen session
     /// *or* by the mutable session it was frozen from
     /// ([`RpsError::SessionMismatch`] for anything else;
@@ -497,12 +498,7 @@ impl FrozenSession {
     /// [`Session::config_mut`]).
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
         let inner = &*self.inner;
-        execute_prepared(
-            prepared,
-            (inner.id, inner.generation),
-            &inner.eq_index,
-            inner.datalog.as_ref(),
-        )
+        execute_prepared(prepared, (inner.id, inner.generation))
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one

@@ -11,17 +11,19 @@
 //! because the tail is shared and deterministic, the same query text
 //! answers byte-identically on every façade and route.
 //!
-//! **Late materialisation.** On the materialised routes ([`Session`],
-//! [`FrozenSession`], [`crate::LiveReader`]) every lowered CQ answers
-//! with undecoded id rows over one universal solution, and the tail
-//! runs on those ids against that solution's dictionary: joins,
-//! filters, DISTINCT, ordering and LIMIT all happen before a single
-//! [`Term`](rps_rdf::Term) is cloned, and only the rows that leave the
-//! engine are decoded. The rewritten, Datalog and federated routes
-//! answer with terms (equivalence expansion and cross-peer merging
-//! happen at the term level); their tuples are interned into a scratch
-//! dictionary by [`LoweredSparql::assemble`] and go through the *same*
-//! tail. There is no second implementation and nothing to configure.
+//! **Late materialisation.** On every local route ([`Session`],
+//! [`FrozenSession`], [`crate::LiveReader`]; materialised, rewritten or
+//! Datalog) a lowered CQ answers with undecoded id rows over one sealed
+//! graph — equivalence classes already expanded — and when a statement's
+//! CQs all index that one graph's dictionary the tail runs on those ids:
+//! joins, filters, DISTINCT, ordering and LIMIT all happen before a
+//! single [`Term`](rps_rdf::Term) is cloned, and only the rows that
+//! leave the engine are decoded. What has no shared dictionary — the
+//! federated façades, whose cross-peer merging happens on terms, and an
+//! `Auto` statement whose CQs fell back to different substrates — is
+//! interned into a scratch dictionary by [`LoweredSparql::assemble`] and
+//! goes through the *same* tail. There is no second implementation and
+//! nothing to configure.
 //!
 //! Prefixed names resolve against the query's own `PREFIX`/`BASE`
 //! prologue, falling back to the common well-known namespaces
@@ -109,7 +111,7 @@ pub fn prepare_sparql_with<P>(
 /// Runs every conjunctive plan of `prepared` through a façade's own
 /// `execute` and assembles the answers with the shared tail (left
 /// joins, filters, ordering): directly on the streams' id rows when
-/// they all index one solution's dictionary, through the interning
+/// they all index one graph's dictionary, through the interning
 /// adapter otherwise.
 pub fn execute_sparql_with<P>(
     prepared: &PreparedSparql<P>,
@@ -118,7 +120,7 @@ pub fn execute_sparql_with<P>(
     let Statement { lowered, plans } = &*prepared.statement;
     let streams = plans.iter().map(execute).collect::<Result<Vec<_>, _>>()?;
     Ok(match AnswerStream::into_shared_ids(streams) {
-        Ok((solution, rows)) => lowered.assemble_ids(&rows, solution.graph.dict()),
+        Ok((graph, rows)) => lowered.assemble_ids(&rows, graph.dict()),
         Err(streams) => {
             let answers: Vec<BTreeSet<_>> = streams.into_iter().map(Iterator::collect).collect();
             lowered.assemble(&answers)

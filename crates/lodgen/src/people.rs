@@ -1,5 +1,5 @@
-//! A people-deduplication workload with known ground truth, for the
-//! mapping-discovery experiment (E11, paper future-work item 3).
+//! A people-deduplication workload with known ground truth, for mapping
+//! discovery (paper future-work item 3; `tests/discovery_pipeline.rs`).
 //!
 //! Each peer describes a set of persons with `name` / `born` / `city`
 //! literals. A configurable fraction of persons is *duplicated* across

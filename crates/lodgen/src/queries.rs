@@ -56,8 +56,10 @@ pub fn hub_film_cast_query(film: usize) -> GraphPatternQuery {
     )
 }
 
-/// A batch of randomly anchored cast queries (seeded), used by the
-/// chase-vs-rewrite crossover experiment (E9) to model a query workload.
+/// A batch of randomly anchored cast queries (seeded), modelling a
+/// query workload for a chase-vs-rewrite comparison (the repo benchmark
+/// prices that as `lookup_mat` against `lookup_rewrite`, with its own
+/// generator — see `docs/BENCHMARKING.md`).
 pub fn random_cast_queries(
     peer: usize,
     films: usize,

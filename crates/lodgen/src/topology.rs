@@ -2,8 +2,8 @@
 //!
 //! The paper's motivation is that the LOD cloud has *arbitrary* mapping
 //! topologies — possibly with cycles — which defeats two-tiered rewriting
-//! systems. The generators here produce the standard shapes used by the
-//! scalability experiments (E8).
+//! systems. The generators here produce the standard shapes
+//! `tests/federation.rs` and `tests/strategies_agree.rs` run over.
 
 use crate::rng::SeededRng;
 

@@ -887,20 +887,17 @@ impl PreparedQueryIds {
 
     /// Delta evaluation: the answer tuples with at least one witness
     /// using a triple inserted at log index `log_from` or later (see
-    /// [`Graph::log_since`] and [`evaluate_query_ids_delta`]).
-    pub fn evaluate_delta(
-        &self,
-        graph: &Graph,
-        semantics: Semantics,
-        log_from: usize,
-    ) -> BTreeSet<Vec<TermId>> {
-        let Some(proj) = self.runnable() else {
-            return BTreeSet::new();
+    /// [`Graph::log_since`]). Together with the monotonicity of
+    /// conjunctive queries this is the semi-naive decomposition:
+    /// evaluating from `log_from = 0` equals [`Self::evaluate_rows`],
+    /// and a consumer that saw all tuples before `log_from` misses
+    /// nothing by evaluating only the delta. An empty pattern has no
+    /// delta (its sole empty witness uses no triples).
+    pub fn evaluate_delta(&self, graph: &Graph, semantics: Semantics, log_from: usize) -> IdRows {
+        let mut out = RowSink::new(self.arity());
+        let (Some(proj), false) = (self.runnable(), graph.log_since(log_from).is_empty()) else {
+            return out.finish();
         };
-        if graph.log_since(log_from).is_empty() {
-            return BTreeSet::new();
-        }
-        let mut out = RowSink::new(proj.len());
         // One pass per pivot conjunct: the pivot ranges over the delta
         // triples, the remaining conjuncts over the whole graph (ordered
         // with the pivot's variables pre-bound). Tuples found via several
@@ -926,7 +923,7 @@ impl PreparedQueryIds {
                 });
             }
         }
-        out.finish().to_set()
+        out.finish()
     }
 }
 
@@ -1023,34 +1020,6 @@ pub enum ScanPerm {
     Probe,
 }
 
-/// Evaluates a graph pattern query at the id level: answer tuples are
-/// [`TermId`]s of this graph's dictionary (dense, copy-free). Under
-/// [`Semantics::Certain`], tuples containing blank nodes are dropped.
-pub fn evaluate_query_ids(
-    graph: &Graph,
-    query: &GraphPatternQuery,
-    semantics: Semantics,
-) -> BTreeSet<Vec<TermId>> {
-    PreparedQueryIds::compile_only(graph, query).evaluate(graph, semantics)
-}
-
-/// Delta evaluation: the answer tuples of `query` that have at least one
-/// witness using a triple inserted at log index `log_from` or later
-/// (see [`Graph::log_since`]). Together with the monotonicity of
-/// conjunctive queries this is the semi-naive decomposition: evaluating
-/// from `log_from = 0` equals [`evaluate_query_ids`], and a consumer that
-/// saw all tuples before `log_from` misses nothing by evaluating only the
-/// delta. An empty pattern has no delta (its sole empty witness uses no
-/// triples).
-pub fn evaluate_query_ids_delta(
-    graph: &Graph,
-    query: &GraphPatternQuery,
-    semantics: Semantics,
-    log_from: usize,
-) -> BTreeSet<Vec<TermId>> {
-    PreparedQueryIds::compile_only(graph, query).evaluate_delta(graph, semantics, log_from)
-}
-
 /// Maps the query's free variables to compiled variable indexes; `None`
 /// if some free variable does not occur in the pattern (no tuple can bind
 /// it, so the answer set is empty).
@@ -1122,7 +1091,7 @@ const COMPACT_MIN_ROWS: usize = 4096;
 /// a projection that maps many solutions onto few distinct tuples stays
 /// bounded by twice its answer, and no row is sorted twice. Once more
 /// at [`RowSink::finish`].
-pub(crate) struct RowSink {
+pub struct RowSink {
     /// Every row pushed before the last compaction.
     rows: IdRows,
     /// The `fresh_len` rows pushed since, in push order.
@@ -1132,7 +1101,7 @@ pub(crate) struct RowSink {
 
 impl RowSink {
     /// An empty sink for rows of `arity` ids.
-    pub(crate) fn new(arity: usize) -> Self {
+    pub fn new(arity: usize) -> Self {
         RowSink {
             rows: IdRows {
                 arity,
@@ -1145,7 +1114,7 @@ impl RowSink {
     }
 
     /// Appends one row, which must yield exactly `arity` ids.
-    pub(crate) fn push(&mut self, row: impl Iterator<Item = TermId>) {
+    pub fn push(&mut self, row: impl Iterator<Item = TermId>) {
         self.fresh.extend(row);
         self.fresh_len += 1;
         debug_assert_eq!(self.fresh.len(), self.fresh_len * self.rows.arity);
@@ -1191,7 +1160,7 @@ impl RowSink {
     }
 
     /// The sorted, duplicate-free rows.
-    pub(crate) fn finish(mut self) -> IdRows {
+    pub fn finish(mut self) -> IdRows {
         self.compact();
         self.rows
     }
@@ -1429,7 +1398,7 @@ _:c3 e:artist e:actor1 .
         );
         let q = GraphPatternQuery::new(vec![var("x"), var("y")], gp);
         let terms = evaluate_query(&g, &q, Semantics::Certain);
-        let ids = evaluate_query_ids(&g, &q, Semantics::Certain);
+        let ids = PreparedQueryIds::compile_only(&g, &q).evaluate(&g, Semantics::Certain);
         let decoded: BTreeSet<Vec<Term>> = ids
             .iter()
             .map(|t| t.iter().map(|&id| g.term(id).clone()).collect())
@@ -1446,23 +1415,23 @@ _:c3 e:artist e:actor1 .
             TermOrVar::var("y"),
         );
         let q = GraphPatternQuery::new(vec![var("x"), var("y")], gp);
-        let before = evaluate_query_ids(&g, &q, Semantics::Certain);
-        assert_eq!(before.len(), 2);
+        let plan = PreparedQueryIds::new(&mut g, &q);
+        assert_eq!(plan.evaluate_rows(&g, Semantics::Certain).len(), 2);
         let mark = g.log_len();
         // No new triples: empty delta.
-        assert!(evaluate_query_ids_delta(&g, &q, Semantics::Certain, mark).is_empty());
+        assert!(plan.evaluate_delta(&g, Semantics::Certain, mark).is_empty());
         g.insert_terms(
             Term::iri("http://e/actor3"),
             Term::iri("http://e/age"),
             Term::literal("55"),
         )
         .unwrap();
-        let delta = evaluate_query_ids_delta(&g, &q, Semantics::Certain, mark);
+        let delta = plan.evaluate_delta(&g, Semantics::Certain, mark);
         assert_eq!(delta.len(), 1);
         // Delta-from-zero equals the full evaluation.
         assert_eq!(
-            evaluate_query_ids_delta(&g, &q, Semantics::Certain, 0),
-            evaluate_query_ids(&g, &q, Semantics::Certain)
+            plan.evaluate_delta(&g, Semantics::Certain, 0),
+            plan.evaluate_rows(&g, Semantics::Certain)
         );
     }
 
@@ -1484,10 +1453,11 @@ _:c3 e:artist e:actor1 .
             TermOrVar::var("x"),
         ));
         let q = GraphPatternQuery::new(vec![var("f"), var("x")], gp);
-        assert!(evaluate_query_ids_delta(&g, &q, Semantics::Certain, mark).is_empty());
+        let plan = PreparedQueryIds::new(&mut g, &q);
+        assert!(plan.evaluate_delta(&g, Semantics::Certain, mark).is_empty());
         g.insert_terms(Term::iri("c"), Term::iri("artist"), Term::iri("a"))
             .unwrap();
-        let delta = evaluate_query_ids_delta(&g, &q, Semantics::Certain, mark);
+        let delta = plan.evaluate_delta(&g, Semantics::Certain, mark);
         assert_eq!(delta.len(), 1);
     }
 
@@ -1513,10 +1483,10 @@ _:c3 e:artist e:actor1 .
         .unwrap();
         assert_eq!(plan.evaluate(&g, Semantics::Certain).len(), 1);
         assert_eq!(plan.evaluate_delta(&g, Semantics::Certain, mark).len(), 1);
-        // Repeated execution agrees with the one-shot helpers.
+        // Repeated execution agrees with a plan compiled afterwards.
         assert_eq!(
-            plan.evaluate(&g, Semantics::Certain),
-            evaluate_query_ids(&g, &q, Semantics::Certain)
+            plan.evaluate_rows(&g, Semantics::Certain),
+            PreparedQueryIds::compile_only(&g, &q).evaluate_rows(&g, Semantics::Certain)
         );
     }
 
@@ -1552,8 +1522,8 @@ _:c3 e:artist e:actor1 .
         );
         let q = GraphPatternQuery::new(vec![var("x"), var("y")], gp);
         assert_eq!(
-            plan.evaluate(&g, Semantics::Certain),
-            evaluate_query_ids(&g, &q, Semantics::Certain)
+            plan.evaluate_rows(&g, Semantics::Certain),
+            PreparedQueryIds::compile_only(&g, &q).evaluate_rows(&g, Semantics::Certain)
         );
         // An unsatisfiable branch (constant absent from the dictionary)
         // evaluates to nothing.

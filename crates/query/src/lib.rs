@@ -32,9 +32,8 @@ pub mod sparql;
 pub use algebra::{to_sparql, Query, UnionQuery};
 pub use binding::{join, Mapping};
 pub use eval::{
-    evaluate_boolean, evaluate_pattern, evaluate_query, evaluate_query_ids,
-    evaluate_query_ids_delta, has_match, has_match_with, IdRows, JoinOrder, PlanSlot,
-    PreparedPattern, PreparedQueryIds, ScanPerm, Semantics,
+    evaluate_boolean, evaluate_pattern, evaluate_query, has_match, has_match_with, IdRows,
+    JoinOrder, PlanSlot, PreparedPattern, PreparedQueryIds, RowSink, ScanPerm, Semantics,
 };
 pub use pattern::{GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable};
 pub use sparql::{parse_sparql, LoweredSparql, SparqlError, SparqlQuery, SparqlResult, SparqlRows};

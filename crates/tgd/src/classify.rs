@@ -7,7 +7,8 @@
 //! general, but that the equivalence-mapping TGDs are linear *and* sticky;
 //! Proposition 2 then guarantees FO-rewritability whenever the
 //! graph-mapping TGDs are linear, sticky or sticky-join. The classifiers
-//! here drive that decision and experiment E7.
+//! here drive that decision (`examples/classify_mappings` prints them;
+//! `tests/transitive_closure.rs` holds the negative case).
 
 use crate::term::{Atom, Sym};
 use crate::tgd::Tgd;
@@ -222,7 +223,7 @@ pub fn is_sticky_join(tgds: &[Tgd]) -> bool {
     is_sticky(tgds) || is_linear(tgds)
 }
 
-/// A summary of all classifications for a TGD set (experiment E7).
+/// A summary of all classifications for a TGD set.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Classification {
     /// Single-body-atom TGDs only.

@@ -22,8 +22,7 @@
 //! * [`datalog`] — the delta-driven least-model fixpoint for full TGD
 //!   sets, sharing the chase's compiled representation;
 //! * [`classify`] — the Definition-4 variable-marking stickiness test,
-//!   linearity, guardedness and weak-acyclicity classifiers
-//!   (experiment E7);
+//!   linearity, guardedness and weak-acyclicity classifiers;
 //! * [`mod@rewrite`] — depth-bounded UCQ rewriting (TGD-rewrite style) with
 //!   rewriting and factorisation steps, as a string boundary over:
 //! * [`idcq`] — the id-level (numbered-variable) rewriting engine:

@@ -5,8 +5,8 @@
 //! ground truth.
 
 use rps_core::{
-    EngineConfig, JoinOrder, LiveSession, PeerId, RpsBuilder, Session, SparqlResult, Strategy,
-    UpdateBatch,
+    EngineConfig, ExecRoute, JoinOrder, LiveSession, PeerId, RpsBuilder, Session, SparqlResult,
+    Strategy, UpdateBatch,
 };
 use rps_p2p::FederatedSession;
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
@@ -258,6 +258,201 @@ fn join_order_knob_never_changes_sparql_answers() {
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[0], results[2]);
+}
+
+/// A system with equivalences: `a:p1 ≡ b:p2` (people) and
+/// `a:Film ≡ b:Movie` (a class no stored triple mentions), peer B's
+/// `actor` facts implying peer A's `cast` facts and a `kind` fact whose
+/// object is the constant `a:Film`.
+fn equivalence_system() -> rps_core::RdfPeerSystem {
+    let mut a = PeerId(0);
+    let mut b = PeerId(0);
+    let xy = || vec![Variable::new("x"), Variable::new("y")];
+    let triple =
+        |p: &str, o: TermOrVar| GraphPattern::triple(TermOrVar::var("x"), TermOrVar::iri(p), o);
+    let actor = || GraphPatternQuery::new(xy(), triple("http://b/actor", TermOrVar::var("y")));
+    let cast = GraphPatternQuery::new(xy(), triple("http://a/cast", TermOrVar::var("y")));
+    let kind = GraphPatternQuery::new(
+        xy(),
+        triple("http://a/kind", TermOrVar::iri("http://a/Film"))
+            .and(triple("http://a/cast", TermOrVar::var("y"))),
+    );
+    let mut sys = RpsBuilder::new()
+        .peer_turtle(
+            "A",
+            "<http://a/f1> <http://a/cast> <http://a/p1> .\n\
+             <http://a/p1> <http://a/nick> \"ace\" .",
+            &mut a,
+        )
+        .unwrap()
+        .peer_turtle(
+            "B",
+            "<http://b/f3> <http://b/actor> <http://b/p2> .\n\
+             <http://b/p2> <http://a/nick> \"bee\" .",
+            &mut b,
+        )
+        .unwrap()
+        .assertion(b, a, actor(), cast)
+        .unwrap()
+        .assertion(b, a, actor(), kind)
+        .unwrap()
+        .equivalence("http://a/p1", "http://b/p2")
+        .equivalence("http://a/Film", "http://b/Movie")
+        .build();
+    // Peer A's schema names what its data does not use yet.
+    let unused = ["http://a/kind", "http://a/Film"].map(rps_rdf::Iri::new);
+    sys.peer_mut(a).schema.extend(unused);
+    sys
+}
+
+/// `text` on the five façades (and the Datalog route, the mappings
+/// being full): one answer, which is returned.
+fn on_every_facade(sys: &rps_core::RdfPeerSystem, text: &str) -> SparqlResult {
+    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
+    let want = mat.answer_sparql(text).unwrap();
+    for s in [Strategy::Rewrite, Strategy::Datalog] {
+        let mut session = Session::open(sys.clone(), strategy(s)).unwrap();
+        assert_eq!(session.answer_sparql(text).unwrap(), want, "{s:?}\n{text}");
+    }
+    let frozen = Session::open(sys.clone(), strategy(Strategy::Auto))
+        .unwrap()
+        .freeze()
+        .unwrap();
+    assert_eq!(frozen.answer_sparql(text).unwrap(), want, "frozen\n{text}");
+    let mut fed = FederatedSession::new(sys, strategy(Strategy::Auto));
+    assert_eq!(fed.answer_sparql(text).unwrap(), want, "federated\n{text}");
+    let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
+    let reader = live.reader();
+    assert_eq!(reader.answer_sparql(text).unwrap(), want, "live\n{text}");
+    want
+}
+
+fn iri_cells(row: &[&str]) -> Vec<Option<Term>> {
+    row.iter().map(|s| Some(Term::iri(*s))).collect()
+}
+
+#[test]
+fn filter_tells_the_members_of_a_class_apart_on_every_route() {
+    // Expansion precedes the tail: the rewritten and Datalog routes
+    // evaluate over the quotient, where only `a:p1` exists, and must
+    // still hand FILTER the member it keeps.
+    let result = on_every_facade(
+        &equivalence_system(),
+        "SELECT ?f ?who WHERE { ?f <http://a/cast> ?who FILTER(?who = <http://b/p2>) }",
+    );
+    assert_eq!(
+        result.rows().unwrap().rows,
+        [
+            iri_cells(&["http://a/f1", "http://b/p2"]),
+            iri_cells(&["http://b/f3", "http://b/p2"]),
+        ]
+    );
+}
+
+#[test]
+fn optional_joins_on_a_non_canonical_member_on_every_route() {
+    // The shared variable binds `b:p2` in both CQs' expanded answers;
+    // the left join matches them as ids of one dictionary.
+    let result = on_every_facade(
+        &equivalence_system(),
+        "SELECT ?f ?nick WHERE { ?f <http://a/cast> ?who OPTIONAL { ?who <http://a/nick> ?nick } \
+         FILTER(?who = <http://b/p2>) }",
+    );
+    let row = |f: &str, nick: &str| vec![Some(Term::iri(f)), Some(Term::literal(nick))];
+    assert_eq!(
+        result.rows().unwrap().rows,
+        [
+            row("http://a/f1", "ace"),
+            row("http://a/f1", "bee"),
+            row("http://b/f3", "ace"),
+            row("http://b/f3", "bee"),
+        ]
+    );
+}
+
+#[test]
+fn a_mapping_constant_no_triple_mentions_lands_in_a_rewritten_head() {
+    // `?k` unifies with the conclusion's `a:Film`: the rewritten branch
+    // projects a constant the stored data never mentions, and the
+    // answer ranges over its class.
+    let sys = equivalence_system();
+    let result = on_every_facade(&sys, "SELECT ?f ?k WHERE { ?f <http://a/kind> ?k }");
+    assert_eq!(
+        result.rows().unwrap().rows,
+        [
+            iri_cells(&["http://b/f3", "http://a/Film"]),
+            iri_cells(&["http://b/f3", "http://b/Movie"]),
+        ]
+    );
+    assert!(!sys
+        .stored_database()
+        .iter()
+        .any(|t| format!("{t:?}").contains("Film")));
+}
+
+#[test]
+fn a_rewritten_head_constant_without_an_id_means_a_dead_branch() {
+    // A head variable bound to a query constant the canonical graph has
+    // never seen: the constant stays in the branch's body, so dropping
+    // the branch loses nothing — the rewritten route answers what the
+    // chase answers (here: nothing, for a person nobody mentions).
+    let result = on_every_facade(
+        &equivalence_system(),
+        "SELECT ?f ?who WHERE { ?f <http://a/cast> ?who . ?f <http://a/cast> <http://no/body> }",
+    );
+    assert!(result.rows().unwrap().rows.is_empty());
+}
+
+#[test]
+fn a_fallen_back_conjunct_mixes_substrates_and_still_equals_materialise() {
+    // A budget of one CQ is enough for `nick` (no mapping concludes it)
+    // and not for `cast`: the statement's two plans index two
+    // dictionaries, so the tail interns.
+    let sys = equivalence_system();
+    let text = "SELECT ?x ?y WHERE { { ?x <http://a/nick> ?y } UNION { ?x <http://a/cast> ?y } }";
+    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
+    let want = mat.answer_sparql(text).unwrap();
+    assert_eq!(want.rows().unwrap().rows.len(), 8);
+
+    let mut starved = strategy(Strategy::Auto);
+    starved.rewrite.max_cqs = 1;
+    let mut auto = Session::open(sys, starved).unwrap();
+    let routes: Vec<ExecRoute> = rps_query::parse_sparql(text, &rps_rdf::PrefixMap::common())
+        .unwrap()
+        .lower()
+        .queries()
+        .into_iter()
+        .map(|cq| auto.prepare(cq).unwrap().route())
+        .collect();
+    assert_eq!(routes, [ExecRoute::Rewritten, ExecRoute::Materialised]);
+    assert_eq!(auto.answer_sparql(text).unwrap(), want);
+    // The frozen session inherits the chased fallback.
+    assert_eq!(auto.freeze().unwrap().answer_sparql(text).unwrap(), want);
+}
+
+#[test]
+fn branch_count_is_some_on_the_rewritten_route_only() {
+    let sys = equivalence_system();
+    let cq = GraphPatternQuery::new(
+        vec![Variable::new("f"), Variable::new("who")],
+        GraphPattern::triple(
+            TermOrVar::var("f"),
+            TermOrVar::iri("http://a/cast"),
+            TermOrVar::var("who"),
+        ),
+    );
+    for (s, want) in [
+        (Strategy::Materialise, None),
+        (Strategy::Rewrite, Some(2)),
+        (Strategy::Auto, Some(2)),
+        (Strategy::Datalog, None),
+    ] {
+        let mut session = Session::open(sys.clone(), strategy(s)).unwrap();
+        assert_eq!(session.prepare(&cq).unwrap().branch_count(), want, "{s:?}");
+        let frozen = session.freeze().unwrap();
+        let prepared = frozen.prepare(&cq).unwrap();
+        assert_eq!(prepared.branch_count(), want, "frozen {s:?}");
+    }
 }
 
 fn strategy(strategy: Strategy) -> EngineConfig {

@@ -1,4 +1,4 @@
-//! Experiment E5 (Proposition 2): for linear mapping sets the UCQ
+//! Proposition 2: for linear mapping sets the UCQ
 //! rewriting is *perfect* — its answers coincide with chase-based certain
 //! answers — across generated workloads and query shapes.
 

@@ -1,4 +1,4 @@
-//! Experiment E6 (Proposition 3): the transitive-closure mapping is not
+//! Proposition 3: the transitive-closure mapping is not
 //! FO-rewritable — bounded rewritings miss answers the chase proves.
 
 use rps_core::{certain_answers, chase_system, encode_system, RpsChaseConfig, RpsRewriter};
