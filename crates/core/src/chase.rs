@@ -51,7 +51,8 @@
 //! holds: premise tuples are blank-free (the `rt` guard), so the skolem
 //! chase fires at most once per assertion and base-domain tuple.
 
-use crate::mapping::GraphMappingAssertion;
+use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
+use crate::mapping::{EquivalenceMapping, GraphMappingAssertion};
 use crate::system::RdfPeerSystem;
 use rps_query::{evaluate_query, PreparedPattern, PreparedQueryIds, Semantics, Variable};
 use rps_rdf::{Graph, IdTriple, Term, TermId, TriplePosition};
@@ -127,20 +128,35 @@ pub struct UniversalSolution {
 
 /// Runs Algorithm 1 on a system, producing a universal solution.
 pub fn chase_system(system: &RdfPeerSystem, config: &RpsChaseConfig) -> UniversalSolution {
-    let mut engine = ChaseEngine::new(system, config, false);
-    let complete = engine.run();
-    if complete {
-        // Fixpoint: the solution never grows again. Seal the store
-        // (flush the sorted-run tail into an immutable run) so every
-        // later scan — including concurrent ones through a frozen
-        // session — merges immutable runs only.
-        engine.graph.seal();
-    }
-    UniversalSolution {
-        stats: engine.stats,
-        complete,
-        graph: engine.graph,
-    }
+    ChaseEngine::new(system, config, false).into_solution()
+}
+
+/// Runs Algorithm 1 on the system's quotient by its equivalence mappings:
+/// the stored database and every assertion's premise and conclusion are
+/// rewritten onto `index`'s class representatives, and the chase then
+/// runs with **no** equivalence edges — a class is one node, so there is
+/// nothing to copy. The solution holds no non-canonical IRI in a triple;
+/// its answers (to a query canonicalised the same way) expand over the
+/// returned [`ClassTable`] into exactly the answers over
+/// [`chase_system`]'s saturated solution.
+pub(crate) fn chase_quotient(
+    system: &RdfPeerSystem,
+    index: &EquivalenceIndex,
+    config: &RpsChaseConfig,
+) -> (UniversalSolution, ClassTable) {
+    let canonical = |gma: &GraphMappingAssertion| GraphMappingAssertion {
+        source: gma.source,
+        target: gma.target,
+        premise: canonicalize_query(&gma.premise, index),
+        conclusion: canonicalize_query(&gma.conclusion, index),
+    };
+    let gmas = system.assertions().iter().map(canonical).collect();
+    let graph = canonicalize_graph(&system.stored_database(), index);
+    let mut engine = ChaseEngine::from_parts(graph, gmas, &[], config, false);
+    // Every constant is interned by now (a chase mints blanks only), and
+    // the ids minted here are what expanded rows carry.
+    let classes = ClassTable::intern(index, &mut engine.graph);
+    (engine.into_solution(), classes)
 }
 
 /// One firing of a graph mapping assertion, recorded when provenance
@@ -215,15 +231,27 @@ impl ChaseEngine {
         config: &RpsChaseConfig,
         track_provenance: bool,
     ) -> Self {
-        let mut graph = system.stored_database();
+        let (graph, gmas) = (system.stored_database(), system.assertions().to_vec());
+        Self::from_parts(graph, gmas, system.equivalences(), config, track_provenance)
+    }
+
+    /// An engine over parts that need not be a system's own: the graph to
+    /// chase, the assertions to repair it under and the equivalence edges
+    /// to copy along.
+    fn from_parts(
+        mut graph: Graph,
+        gmas: Vec<GraphMappingAssertion>,
+        equivalences: &[EquivalenceMapping],
+        config: &RpsChaseConfig,
+        track_provenance: bool,
+    ) -> Self {
         let mut eq_adj: HashMap<Term, Vec<Term>> = HashMap::new();
-        for eq in system.equivalences() {
+        for eq in equivalences {
             let c = Term::Iri(eq.left.clone());
             let cp = Term::Iri(eq.right.clone());
             eq_adj.entry(c.clone()).or_default().push(cp.clone());
             eq_adj.entry(cp).or_default().push(c);
         }
-        let gmas: Vec<GraphMappingAssertion> = system.assertions().to_vec();
         let plans: Vec<ConclusionPlan> = gmas
             .iter()
             .map(|gma| ConclusionPlan::new(&gma.conclusion, &mut graph))
@@ -259,6 +287,23 @@ impl ChaseEngine {
             premise_pats,
             prov: track_provenance.then(Provenance::default),
             gmas,
+        }
+    }
+
+    /// Runs to a fixpoint, or out of budget, and hands the solution over.
+    fn into_solution(mut self) -> UniversalSolution {
+        let complete = self.run();
+        if complete {
+            // Fixpoint: the solution never grows again. Seal the store
+            // (flush the sorted-run tail into an immutable run) so every
+            // later scan — including concurrent ones through a frozen
+            // session — merges immutable runs only.
+            self.graph.seal();
+        }
+        UniversalSolution {
+            stats: self.stats,
+            complete,
+            graph: self.graph,
         }
     }
 

@@ -1,93 +1,116 @@
 //! The Datalog route (paper Section 5, future-work item 1): for systems
 //! whose graph mapping assertions are *full* (no existential variables in
-//! the conclusion after pairing with the premise), the mapping
-//! dependencies form a Datalog program. Certain answers are then computed
-//! by a semi-naive fixpoint over the (equivalence-quotiented) sources —
-//! covering exactly the systems Proposition 3 puts beyond FO rewriting,
-//! such as transitive closure.
+//! the conclusion), the mapping dependencies form a Datalog program, and
+//! Algorithm 1 computes exactly its least model — covering the systems
+//! Proposition 3 puts beyond FO rewriting, such as transitive closure.
+//! The route is that chase, run over the equivalence quotient
+//! (`chase::chase_quotient`): certain answers are one id-level plan over the
+//! quotient model, expanded over the equivalence classes.
 
 use crate::answers::AnswerSet;
-use crate::encode::{graph_as_tt, mapping_tgds_unguarded, tt_as_graph, Encoder};
-use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
-use crate::session::{ExecRoute, GraphHandle, Plan};
+use crate::chase::{chase_quotient, RpsChaseConfig, UniversalSolution};
+use crate::equivalence::{ClassTable, EquivalenceIndex};
+use crate::error::RpsError;
+use crate::session::{Chased, ExecRoute, Plan};
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, JoinOrder, Semantics};
-use rps_rdf::Graph;
-use rps_tgd::{DatalogError, Program};
 use std::sync::Arc;
 
+/// Why a system cannot take the Datalog route.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DatalogError {
+    /// A graph mapping assertion's conclusion has existential variables.
+    NotFull {
+        /// Index of the offending assertion (its TGD in the Section 3
+        /// encoding).
+        tgd: usize,
+    },
+}
+
+impl std::fmt::Display for DatalogError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DatalogError::NotFull { tgd } => {
+                write!(f, "TGD #{tgd} has existential variables; not Datalog")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DatalogError {}
+
 /// A Datalog evaluator for one system: the least model of the
-/// (equivalence-quotiented) sources under the mapping program, computed
-/// once at construction, decoded into a sealed [`Graph`] and immutable
-/// afterwards, so [`DatalogEngine::answers`] takes `&self` from any
-/// number of threads and a query is one id-level plan over that graph.
+/// (equivalence-quotiented) sources under the mapping program, chased
+/// once at construction, sealed and immutable afterwards, so
+/// [`DatalogEngine::answers`] takes `&self` from any number of threads
+/// and a query is one id-level plan over that model.
 pub struct DatalogEngine {
-    /// The least model of the canonical sources. Facts that are not RDF
-    /// triples (a literal subject, a non-IRI predicate) are left out, as
-    /// the chase refuses to derive them.
-    model: Arc<Graph>,
-    /// The equivalence classes as ids of `model`'s dictionary.
+    /// The chase of the quotient. An instantiation that is not an RDF
+    /// triple (a literal subject, a non-IRI predicate) is never derived.
+    solution: Arc<UniversalSolution>,
+    /// The equivalence classes as ids of the model's dictionary.
     classes: Arc<ClassTable>,
     index: Arc<EquivalenceIndex>,
-    /// Derivation rounds of the fixpoint run.
-    pub rounds: usize,
 }
 
 impl DatalogEngine {
-    /// Compiles a system into a Datalog engine and saturates it.
+    /// Chases a system's quotient to its least model under the default
+    /// budgets.
     ///
-    /// Fails with [`DatalogError::NotFull`] if some graph mapping
-    /// assertion's conclusion has existential variables — those need the
-    /// chase (labelled nulls), not Datalog.
-    pub fn new(system: &RdfPeerSystem) -> Result<Self, DatalogError> {
+    /// Fails with [`DatalogError::NotFull`] (as [`RpsError::NotDatalog`])
+    /// if some graph mapping assertion's conclusion has existential
+    /// variables — those invent labelled nulls, which no Datalog program
+    /// does.
+    pub fn new(system: &RdfPeerSystem) -> Result<Self, RpsError> {
         let index = EquivalenceIndex::from_mappings(system.equivalences());
-        Self::with_index(system, Arc::new(index))
+        Self::with_index(system, Arc::new(index), &RpsChaseConfig::default())
     }
 
     /// [`Self::new`] over an equivalence index the caller already built
-    /// from `system.equivalences()`.
-    pub fn with_index(
+    /// from `system.equivalences()`, under the caller's budgets:
+    /// [`RpsError::ChaseBudget`] when they run out before the fixpoint.
+    pub(crate) fn with_index(
         system: &RdfPeerSystem,
         index: Arc<EquivalenceIndex>,
-    ) -> Result<Self, DatalogError> {
-        let mut encoder = Encoder::new();
-        let program = Program::compile(&mapping_tgds_unguarded(system, &index, &mut encoder))?;
-        let canon_graph = canonicalize_graph(&system.stored_database(), &index);
-        let (saturated, rounds) = program.fixpoint(graph_as_tt(&canon_graph, &mut encoder));
-        let mut model = tt_as_graph(&saturated, &encoder);
-        let classes = Arc::new(ClassTable::intern(&index, &mut model));
-        model.seal();
+        chase: &RpsChaseConfig,
+    ) -> Result<Self, RpsError> {
+        let mut conclusions = system.assertions().iter().map(|gma| &gma.conclusion);
+        if let Some(tgd) = conclusions.position(|c| !c.existential_vars().is_empty()) {
+            return Err(DatalogError::NotFull { tgd }.into());
+        }
+        let (solution, classes) = chase_quotient(system, &index, chase);
+        if !solution.complete {
+            return Err(RpsError::ChaseBudget {
+                rounds: solution.stats.rounds,
+                triples: solution.graph.len(),
+            });
+        }
         Ok(DatalogEngine {
-            model: Arc::new(model),
-            classes,
+            solution: Arc::new(solution),
+            classes: Arc::new(classes),
             index,
-            rounds,
         })
     }
 
-    /// The execution plan of a query: one branch over the least model,
-    /// answers expanded over the equivalence classes.
-    pub(crate) fn plan(&self, query: &GraphPatternQuery) -> Plan {
-        Plan::single(
-            GraphHandle::Quotient(self.model.clone()),
-            &canonicalize_query(query, &self.index),
-            JoinOrder::Auto,
-            Some(self.classes.clone()),
-        )
+    /// The model and its class table, as a plan's substrate.
+    pub(crate) fn chased(&self) -> Chased {
+        (self.solution.clone(), Some(self.classes.clone()))
     }
 
     /// Certain answers of a query: evaluate over the least model, expand
     /// over equivalence classes.
     pub fn answers(&self, query: &GraphPatternQuery) -> AnswerSet {
         let vars = crate::session::stream_vars(query);
-        self.plan(query)
+        Plan::chased(self.chased(), &self.index, query, JoinOrder::Auto)
             .execute(vars, ExecRoute::Datalog, Semantics::Certain)
             .into_set()
     }
 
-    /// Number of facts in the least model.
-    pub fn model_size(&self) -> usize {
-        self.model.len()
+    /// The chase behind the engine: its graph is the least model over
+    /// the quotient (no triple holds a non-canonical IRI), its statistics
+    /// are the run's.
+    pub fn solution(&self) -> &UniversalSolution {
+        &self.solution
     }
 }
 
@@ -201,7 +224,7 @@ mod tests {
         );
         assert!(matches!(
             DatalogEngine::new(&sys),
-            Err(DatalogError::NotFull { .. })
+            Err(RpsError::NotDatalog(DatalogError::NotFull { .. }))
         ));
     }
 
@@ -218,5 +241,42 @@ mod tests {
         assert!(ans
             .tuples
             .contains(&vec![Term::iri("http://c/alias"), Term::iri("http://c/n4")]));
+    }
+
+    #[test]
+    fn literal_subject_conclusions_are_never_joined_on() -> Result<(), RpsError> {
+        use crate::system::RpsBuilder;
+        use rps_query::{GraphPattern, TermOrVar, Variable};
+        // `(x p y) ⇝ (y q x)` would put the literal in subject position;
+        // `(x q y) ⇝ (y r y)` would then derive a valid triple from that
+        // non-triple.
+        let cq = |head: &[&str], s: &str, p: &str, o: &str| {
+            GraphPatternQuery::new(
+                head.iter().map(|v| Variable::new(*v)).collect(),
+                GraphPattern::triple(TermOrVar::var(s), TermOrVar::iri(p), TermOrVar::var(o)),
+            )
+        };
+        let (xy, y) = (["x", "y"], ["y"]);
+        let mut a = PeerId(0);
+        let sys = RpsBuilder::new()
+            .peer_turtle("A", "<http://s> <http://p> \"lit\" .", &mut a)?
+            .assertion(
+                a,
+                a,
+                cq(&xy, "x", "http://p", "y"),
+                cq(&xy, "y", "http://q", "x"),
+            )?
+            .assertion(
+                a,
+                a,
+                cq(&y, "x", "http://q", "y"),
+                cq(&y, "y", "http://r", "y"),
+            )?
+            .build();
+        let engine = DatalogEngine::new(&sys)?;
+        assert_eq!(engine.solution.stats.invalid_firings, 1);
+        assert_eq!(engine.solution.graph.len(), 1);
+        assert!(engine.answers(&cq(&xy, "x", "http://r", "y")).is_empty());
+        Ok(())
     }
 }

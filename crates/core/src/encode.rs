@@ -11,7 +11,7 @@ use crate::equivalence::{canonicalize_query, EquivalenceIndex};
 use crate::mapping::EquivalenceMapping;
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar};
-use rps_rdf::{Graph, Term};
+use rps_rdf::Term;
 use rps_tgd::{Atom, AtomArg, GroundTerm, Instance, Sym, Tgd};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -294,8 +294,8 @@ pub fn encode_system(system: &RdfPeerSystem) -> DataExchange {
 /// rewrites. No stored triple is touched. Premise and conclusion
 /// constants are replaced by their `index` representatives first: the
 /// system's own index gives the TGDs over the equivalence quotient (the
-/// combined approach rewrites or saturates only these and leaves the
-/// equivalences to the quotient); an empty index gives them as written.
+/// combined approach rewrites only these and leaves the equivalences
+/// to the quotient); an empty index gives them as written.
 pub fn mapping_tgds_unguarded(
     system: &RdfPeerSystem,
     index: &EquivalenceIndex,
@@ -367,50 +367,6 @@ pub fn gma_tgd_unguarded(
         })
         .collect();
     Tgd::new(body_atoms, head_atoms)
-}
-
-/// Encodes an RDF graph directly as `tt` facts (the `ts → tt` copy is
-/// the identity, so sources can be loaded as `tt`): the Datalog route's
-/// fixpoint input. The rewrite route never calls this — it runs over the
-/// graph itself.
-pub fn graph_as_tt(graph: &Graph, enc: &mut Encoder) -> Instance {
-    let mut inst = Instance::new();
-    let tt = inst.intern_pred(&Sym::from("tt"));
-    // Encode and intern each distinct RDF term once; rows are assembled
-    // from interned value ids.
-    let mut memo: Vec<Option<rps_tgd::ValId>> = vec![None; graph.dict().len()];
-    let mut map = |id: rps_rdf::TermId, inst: &mut Instance| match memo[id.index()] {
-        Some(v) => v,
-        None => {
-            let v = inst.intern_value(&enc.encode(graph.term(id)));
-            memo[id.index()] = Some(v);
-            v
-        }
-    };
-    for t in graph.iter_ids() {
-        let row = [
-            map(t.s, &mut inst),
-            map(t.p, &mut inst),
-            map(t.o, &mut inst),
-        ];
-        inst.insert_row(tt, Box::new(row));
-    }
-    inst
-}
-
-/// The inverse of [`graph_as_tt`]: the `tt` facts of `inst` decoded into
-/// an RDF graph — the Datalog route's least model, once. A fact that is
-/// not an RDF triple (a literal subject, a non-IRI predicate) has no
-/// place in a graph and is skipped.
-pub(crate) fn tt_as_graph(inst: &Instance, enc: &Encoder) -> Graph {
-    let mut graph = Graph::new();
-    let term = |v| enc.decode(inst.values().value(v));
-    for row in inst.pred_id("tt").map_or(&[][..], |tt| inst.rows_ids(tt)) {
-        if let [s, p, o] = **row {
-            let _ = graph.insert_terms(term(s), term(p), term(o));
-        }
-    }
-    graph
 }
 
 #[cfg(test)]
@@ -570,15 +526,6 @@ mod tests {
             .map(|row| row.iter().map(|g| enc.decode(g)).collect())
             .collect();
         assert_eq!(decoded, rdf_answers);
-    }
-
-    #[test]
-    fn graph_as_tt_counts() {
-        let g = rps_rdf::turtle::parse("<a> <p> <b> .\n_:x <p> <b> .").unwrap();
-        let mut enc = Encoder::new();
-        let inst = graph_as_tt(&g, &mut enc);
-        assert_eq!(inst.relation_size("tt"), 2);
-        assert_eq!(inst.null_count(), 1);
     }
 
     #[test]

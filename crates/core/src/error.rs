@@ -7,11 +7,11 @@
 //! results). [`RpsError`] is the single surface the [`crate::Session`]
 //! façade reports all of them through.
 
+use crate::datalog_route::DatalogError;
 use crate::fault::FailureCause;
 use crate::mapping::MappingError;
 use crate::system::SystemValidationError;
 use rps_rdf::RdfError;
-use rps_tgd::DatalogError;
 use std::fmt;
 
 /// Everything that can go wrong while building a [`crate::Session`] or

@@ -49,11 +49,11 @@ pub use answers::{certain_answers, certain_answers_union, AnswerSet};
 pub use chase::{
     chase_system, is_solution, FiringMode, RpsChaseConfig, RpsChaseStats, UniversalSolution,
 };
-pub use datalog_route::DatalogEngine;
+pub use datalog_route::{DatalogEngine, DatalogError};
 pub use discovery::{
     discover, evaluate as evaluate_discovery, Candidate, DiscoveryConfig, DiscoveryQuality,
 };
-pub use encode::{encode_system, graph_as_tt, query_to_cq, DataExchange, Encoder};
+pub use encode::{encode_system, query_to_cq, DataExchange, Encoder};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};

@@ -19,7 +19,7 @@
 //! firing; without it the rewriting also answers from such tuples. It
 //! happens as soon as a premise's frontier can meet a blank: a source
 //! blank (Figure 1's `db2:Pleasantville v:actor _:unknown`, which makes
-//! the rewritten, Datalog and federated routes answer Pleasantville for
+//! the rewritten and federated routes answer Pleasantville for
 //! "films with a cast" where the chase does not), or the existential of
 //! one assertion's conclusion feeding another assertion's premise.
 //! `tests/paper_example.rs` pins the difference; ROADMAP item 6(e) has

@@ -5,7 +5,7 @@
 //! query over a peer system under a chosen strategy and semantics — and
 //! this module is its single façade. A [`Session`] owns a validated
 //! [`RdfPeerSystem`] plus an [`EngineConfig`] and caches every heavy
-//! artefact (universal solution, rewriter, Datalog program) across
+//! artefact (universal solution, rewriter, Datalog least model) across
 //! queries. [`Session::prepare`] compiles a query **once** — route
 //! resolution, canonical UCQ rewriting, id-level plan compilation — into
 //! a [`PreparedQuery`] that [`Session::execute`] can run repeatedly.
@@ -15,8 +15,9 @@
 //!
 //! Everything below the façade runs on the `rps_rdf` triple store: the
 //! materialise route chases into a [`rps_rdf::Graph`] (sorted-run
-//! storage by default — see `rps_rdf::store`), the rewrite and Datalog
-//! routes evaluate their UCQs over it, and the id-level plans compiled
+//! storage by default — see `rps_rdf::store`), the Datalog route chases
+//! the equivalence quotient into another, the rewrite route evaluates its
+//! UCQs over the canonical stored one, and the id-level plans compiled
 //! here are `rps_query::PreparedQueryIds` range scans against its
 //! permutation indexes.
 //!
@@ -75,7 +76,7 @@
 use crate::answers::AnswerSet;
 use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
-use crate::equivalence::{expand_rows, ClassTable, EquivalenceIndex};
+use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::rewriting::RpsRewriter;
 use crate::system::RdfPeerSystem;
@@ -99,9 +100,11 @@ pub enum Strategy {
     /// Rewrite each query into a UCQ over the sources (Proposition 2).
     /// No materialisation; pays per query.
     Rewrite,
-    /// Saturate the sources with a semi-naive Datalog fixpoint (future
-    /// work item 1). Requires full graph mapping assertions; covers the
-    /// systems Proposition 3 puts beyond FO rewriting.
+    /// Chase the equivalence quotient of the sources (Algorithm 1, under
+    /// [`EngineConfig::chase`]'s budgets) and expand answers over the
+    /// classes: for full graph mapping assertions — required here — that
+    /// is the least model of their Datalog program (future work item 1),
+    /// covering the systems Proposition 3 puts beyond FO rewriting.
     Datalog,
     /// Use rewriting when the mapping TGDs are FO-rewritable, otherwise
     /// materialise.
@@ -116,7 +119,8 @@ pub enum ExecRoute {
     Materialised,
     /// Evaluated through a (complete) UCQ rewriting.
     Rewritten,
-    /// Evaluated over a semi-naive Datalog least model.
+    /// Evaluated over the least model of a full system: the chase of
+    /// its equivalence quotient, answers expanded over the classes.
     Datalog,
     /// Evaluated federatedly over the peers (see `rps-p2p`).
     Federated,
@@ -132,7 +136,7 @@ pub struct EngineConfig {
     /// Result semantics (`Q_D` drops blank-node tuples, `Q*_D` keeps
     /// them). `Q*` is only available through the materialised route.
     pub semantics: Semantics,
-    /// Chase budgets for the materialised route.
+    /// Chase budgets for the materialised and Datalog routes.
     pub chase: RpsChaseConfig,
     /// Rewriting budgets for the rewritten route.
     pub rewrite: RewriteConfig,
@@ -254,8 +258,8 @@ impl ExecConfig {
 }
 
 /// Whichever `Arc` keeps a sealed graph — and with it the dictionary a
-/// plan's ids index — alive: a universal solution, or a quotient graph
-/// (the rewriter's canonical stored graph, the Datalog least model).
+/// plan's ids index — alive: a chased solution (the universal solution,
+/// the Datalog least model), or the rewriter's canonical stored graph.
 #[derive(Clone)]
 pub(crate) enum GraphHandle {
     Solution(Arc<UniversalSolution>),
@@ -279,13 +283,18 @@ impl std::ops::Deref for GraphHandle {
 /// a constant the rewriting specialised that position to.
 pub(crate) type Branch = (PreparedQueryIds, Vec<Option<TermId>>);
 
+/// A chased solution to plan against and — when it is the chase of the
+/// equivalence quotient — the class table its answers expand over.
+pub(crate) type Chased = (Arc<UniversalSolution>, Option<Arc<ClassTable>>);
+
 /// The compiled execution plan of a [`PreparedQuery`], the same shape on
 /// every local route: a union of id-level branches over one sealed graph,
 /// whose answers are expanded over `classes` when that graph is a
 /// quotient by the equivalence mappings. Materialised = one all-variable
 /// branch over the universal solution (which is saturated, so no
 /// classes); rewritten = the UCQ's branches over the canonical stored
-/// graph; Datalog = one all-variable branch over the least model.
+/// graph; Datalog = the materialised plan over the chase of the quotient,
+/// with its classes.
 /// Carrying the graph makes repeated execution and lazy answer decoding
 /// independent of the session's own caches.
 pub(crate) struct Plan {
@@ -309,6 +318,22 @@ impl Plan {
             graph,
             branches: vec![(plan, vec![None; query.arity()])],
             classes,
+        }
+    }
+
+    /// `query` as the one branch over a chased solution. Over a quotient
+    /// (`classes: Some`) the query's constants go onto `index`'s class
+    /// representatives first, as the chased graph's did.
+    pub(crate) fn chased(
+        (solution, classes): Chased,
+        index: &EquivalenceIndex,
+        query: &GraphPatternQuery,
+        order: JoinOrder,
+    ) -> Self {
+        let graph = GraphHandle::Solution(solution);
+        match classes {
+            Some(_) => Plan::single(graph, &canonicalize_query(query, index), order, classes),
+            None => Plan::single(graph, query, order, None),
         }
     }
 
@@ -555,34 +580,26 @@ pub(crate) fn stream_vars<C: FromIterator<String>>(query: &GraphPatternQuery) ->
 
 /// The one route → [`Plan`] body behind [`Session::prepare`] and
 /// [`FrozenSession::prepare`], which differ only in where the compile
-/// state comes from: the `rewriter` on the rewritten route, the
-/// `datalog` engine on the Datalog route, and `solution` yields the
-/// universal solution to plan against — `Ok(None)` when there is none
-/// and none can be computed (a frozen session that froze without one).
-/// An incomplete rewriting is unsound to trust: it falls back to the
-/// solution (which is exact) unless the strategy is the explicit
+/// state comes from: the `rewriter` on the rewritten route, and `chased`
+/// yields the solution to plan against — the Datalog least model on that
+/// route, the universal solution otherwise; `Ok(None)` when there is
+/// none and none can be computed (a frozen session that froze without
+/// one). An incomplete rewriting is unsound to trust: it falls back to
+/// the solution (which is exact) unless the strategy is the explicit
 /// [`Strategy::Rewrite`] or there is no solution — then it is
 /// [`RpsError::RewriteBudget`].
 fn compile_query(
     (id, generation): (u64, u32),
     config: &EngineConfig,
+    index: &EquivalenceIndex,
     route: ExecRoute,
     query: &GraphPatternQuery,
     rewriter: Option<&RpsRewriter>,
-    datalog: Option<&DatalogEngine>,
-    solution: impl FnOnce() -> Result<Option<Arc<UniversalSolution>>, RpsError>,
+    chased: impl FnOnce() -> Result<Option<Chased>, RpsError>,
 ) -> Result<PreparedQuery, RpsError> {
-    let materialised = |solution: Arc<UniversalSolution>| {
-        Plan::single(
-            GraphHandle::Solution(solution),
-            query,
-            config.exec.order,
-            None,
-        )
-    };
-    let (route, rewrite_fell_back, plan) = match (route, rewriter, datalog) {
-        (ExecRoute::Datalog, _, Some(engine)) => (route, false, engine.plan(query)),
-        (ExecRoute::Rewritten, Some(rewriter), _) => {
+    let plan = |chased: Chased| Plan::chased(chased, index, query, config.exec.order);
+    let (route, rewrite_fell_back, plan) = match (route, rewriter) {
+        (ExecRoute::Rewritten, Some(rewriter)) => {
             let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
             if rewriting.complete {
                 (route, false, rewriter.plan(&rewriting))
@@ -590,7 +607,7 @@ fn compile_query(
                 // The explicit Rewrite strategy never falls back.
                 let fallback = match config.strategy {
                     Strategy::Rewrite => None,
-                    _ => solution()?,
+                    _ => chased()?,
                 };
                 let Some(solution) = fallback else {
                     return Err(RpsError::RewriteBudget {
@@ -599,14 +616,18 @@ fn compile_query(
                         max_cqs: config.rewrite.max_cqs,
                     });
                 };
-                (ExecRoute::Materialised, true, materialised(solution))
+                (ExecRoute::Materialised, true, plan(solution))
             }
         }
-        // The materialised route. (The solution is exact whatever the
-        // route, should a caller ever come without its compile state.)
+        // The chased routes. (The universal solution is exact whatever
+        // the route, should a caller ever come without its rewriter.)
         _ => {
-            let solution = solution()?.expect("the caller holds a solution for this route");
-            (ExecRoute::Materialised, false, materialised(solution))
+            let solution = chased()?.expect("the caller holds a solution for this route");
+            let route = match route {
+                ExecRoute::Datalog => route,
+                _ => ExecRoute::Materialised,
+            };
+            (route, false, plan(solution))
         }
     };
     Ok(PreparedQuery {
@@ -656,7 +677,8 @@ pub struct Session {
     /// instead of silently executing a plan the new configuration would
     /// not have produced.
     generation: u32,
-    /// Built once; the rewriter and the Datalog engine share it.
+    /// Built once: the rewriter and the Datalog engine quotient by it,
+    /// and every quotient plan canonicalises its query with it.
     eq_index: Arc<EquivalenceIndex>,
     solution: Option<Arc<UniversalSolution>>,
     /// The chase budgets the cached (possibly incomplete) solution was
@@ -748,10 +770,13 @@ impl Session {
             .get_or_insert_with(|| RpsRewriter::with_index(&self.system, self.eq_index.clone()))
     }
 
-    /// Builds (saturates) the cached Datalog engine on first use.
+    /// Builds the cached Datalog engine — the chase of the quotient under
+    /// the current budgets — on first use. A run the budgets cut short is
+    /// [`RpsError::ChaseBudget`] and caches nothing.
     fn datalog(&mut self) -> Result<(), RpsError> {
         if self.datalog.is_none() {
-            let engine = DatalogEngine::with_index(&self.system, self.eq_index.clone())?;
+            let index = self.eq_index.clone();
+            let engine = DatalogEngine::with_index(&self.system, index, &self.config.chase)?;
             self.datalog = Some(engine);
         }
         Ok(())
@@ -805,20 +830,26 @@ impl Session {
         let Session {
             system,
             config,
+            eq_index,
             solution,
             solution_budgets,
             rewriter,
             datalog,
             ..
         } = self;
+        let chased = || match (route, datalog) {
+            (ExecRoute::Datalog, Some(engine)) => Ok(Some(engine.chased())),
+            _ => materialise(system, &config.chase, solution, solution_budgets)
+                .map(|solution| Some((solution, None))),
+        };
         compile_query(
             stamp,
             config,
+            eq_index,
             route,
             query,
             rewriter.as_ref(),
-            datalog.as_ref(),
-            || materialise(system, &config.chase, solution, solution_budgets).map(Some),
+            chased,
         )
     }
 

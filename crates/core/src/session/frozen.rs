@@ -8,7 +8,8 @@
 //! ([`Session::freeze`]) runs the remaining
 //! compile-phase work **once** — materialising (and sealing) the
 //! universal solution where the strategy needs it, building the
-//! rewriter, saturating the Datalog least model — and moves the result
+//! rewriter, chasing the quotient to the Datalog least model — and moves
+//! the result
 //! into an `Arc`-backed, `Send + Sync` handle on which
 //! [`FrozenSession::prepare`] and [`FrozenSession::execute`] take `&self`
 //! and run concurrently from any number of threads.
@@ -16,7 +17,7 @@
 //! Everything behind the handle is immutable: plans carry their own
 //! `Arc` of the sealed substrate (universal solution or canonical stored
 //! graph), the rewriter interns a new query's constants into a per-call
-//! scratch dictionary, and the Datalog engine is saturated. The one lock
+//! scratch dictionary, and the Datalog engine's model is sealed. The one lock
 //! is the **plan cache**'s ([`PlanCache`]) — two bounded maps under one
 //! mutex, conjunctive plans keyed on the canonical numbered-variable
 //! form of the query and whole SPARQL statements keyed on their text,
@@ -319,7 +320,8 @@ struct FrozenInner {
     /// Compiled plans carry their own `Arc` of its sealed canonical
     /// graph and execute without it.
     compiler: Option<RpsRewriter>,
-    /// The saturated Datalog engine (`Some` exactly on that route).
+    /// The Datalog engine, its model chased and sealed (`Some` exactly
+    /// on that route).
     datalog: Option<DatalogEngine>,
     cache: Mutex<PlanCache<PreparedQuery>>,
 }
@@ -361,7 +363,9 @@ impl Session {
     ///   universal solution ([`RpsError::ChaseBudget`] on exhaustion);
     /// * the rewrite route's compiler is built now, so the first
     ///   concurrent `prepare` pays only its own query's expansion;
-    /// * [`Strategy::Datalog`] saturates the least model now.
+    /// * [`Strategy::Datalog`] chases the quotient to the least model
+    ///   now, under the session's budgets ([`RpsError::ChaseBudget`] on
+    ///   exhaustion, [`RpsError::NotDatalog`] on an existential mapping).
     ///
     /// Queries prepared *before* the freeze keep working on the frozen
     /// session — plans carry their substrate, and the session identity
@@ -473,18 +477,23 @@ impl FrozenSession {
 
     /// A plan-cache miss: the shared [`compile_query`] over the frozen
     /// compile state. Only the rewritten route has a compiler, and the
-    /// frozen-in solution (if any) is the only one there will ever be —
-    /// a frozen session cannot start a chase.
+    /// frozen-in solution (if any; the Datalog engine's on that route)
+    /// is the only one there will ever be — a frozen session cannot
+    /// start a chase.
     fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let inner = &*self.inner;
+        let chased = || match &inner.datalog {
+            Some(engine) => Ok(Some(engine.chased())),
+            None => Ok(inner.solution.clone().map(|solution| (solution, None))),
+        };
         compile_query(
             (inner.id, inner.generation),
             &inner.config,
+            &inner.eq_index,
             inner.route,
             query,
             inner.compiler.as_ref(),
-            inner.datalog.as_ref(),
-            || Ok(inner.solution.clone()),
+            chased,
         )
     }
 
@@ -527,8 +536,9 @@ impl FrozenSession {
     /// write-temp-then-atomic-rename.
     ///
     /// Only the **materialised route** persists: rewritten and Datalog
-    /// routes carry compile state (compiled TGD sets, saturated engines)
-    /// that is cheap to rebuild but has no stable on-disk form;
+    /// routes carry compile state (compiled TGD sets, a quotient model
+    /// and its class table) that is cheap to rebuild but has no stable
+    /// on-disk form;
     /// a session resolving to one of those routes is a typed
     /// [`RpsError::Persist`]. Freeze under [`Strategy::Materialise`] to
     /// guarantee persistability.

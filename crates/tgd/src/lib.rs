@@ -19,8 +19,6 @@
 //!   considers triggers touching facts added since the previous round
 //!   (see the module docs for the invariant), with explicit budgets,
 //!   producing universal solutions;
-//! * [`datalog`] — the delta-driven least-model fixpoint for full TGD
-//!   sets, sharing the chase's compiled representation;
 //! * [`classify`] — the Definition-4 variable-marking stickiness test,
 //!   linearity, guardedness and weak-acyclicity classifiers;
 //! * [`mod@rewrite`] — depth-bounded UCQ rewriting (TGD-rewrite style) with
@@ -39,7 +37,6 @@
 
 pub mod chase;
 pub mod classify;
-pub mod datalog;
 pub mod hom;
 pub mod idcq;
 pub mod instance;
@@ -53,7 +50,6 @@ pub use classify::{
     is_guarded, is_linear, is_sticky, is_sticky_join, is_weakly_acyclic, marking,
     sticky_violations, Classification, Marking,
 };
-pub use datalog::{DatalogError, Program};
 pub use hom::{all_homomorphisms, evaluate_cq, exists_homomorphism, Subst};
 pub use idcq::{
     decode_cq, evaluate_union_ids, intern_cq, prune_union, rewrite_ids, rewrite_ids_unpruned,

@@ -543,23 +543,6 @@ fn subsumption_pruning_preserves_answers() {
 }
 
 #[test]
-fn datalog_fixpoint_agrees_with_naive_chase_on_full_sets() {
-    for seed in 0..CASES {
-        let rng = &mut Rng(seed);
-        let inst = arb_instance(rng, 12);
-        let tgds: Vec<Tgd> = arb_tgds(rng).into_iter().filter(Tgd::is_full).collect();
-        if tgds.is_empty() {
-            continue;
-        }
-        let program = rps_tgd::Program::compile(&tgds).expect("full TGDs");
-        let (model, _) = program.fixpoint(inst.clone());
-        let slow = naive::chase(inst, &tgds, &ChaseConfig::default(), 1_000);
-        assert!(slow.is_complete(), "seed {seed}");
-        assert_eq!(model, slow.instance, "seed {seed}");
-    }
-}
-
-#[test]
 fn subsumption_pruning_is_sound_above_the_old_cap() {
     // The bucketed prefilter lifted the 4096-branch cap on
     // `prune_union`; this drives unions well past it with synthetic

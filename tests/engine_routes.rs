@@ -3,8 +3,10 @@
 //! budget exhaustion must surface as a typed error, never as silently
 //! unsound answers.
 
-use rps_core::{EngineConfig, ExecRoute, RpsChaseConfig, RpsError, Session, Strategy};
-use rps_lodgen::{actor_shape_query, chain, film_system, FilmConfig, Topology};
+use rps_core::{
+    EngineConfig, ExecRoute, PeerId, RpsBuilder, RpsChaseConfig, RpsError, Session, Strategy,
+};
+use rps_lodgen::{actor_shape_query, chain, film_system, query_from, FilmConfig, Topology};
 use rps_tgd::RewriteConfig;
 use std::sync::Arc;
 
@@ -117,4 +119,67 @@ fn datalog_strategy_rejects_existential_mappings() {
         session.answer(&actor_shape_query(0, true)),
         Err(RpsError::NotDatalog(_))
     ));
+}
+
+#[test]
+fn datalog_keeps_the_blank_guard_on_a_premise_frontier() {
+    // ROADMAP 6(e): the premise's frontier variable `x` meets a source
+    // blank. `Q_J` drops that tuple (Section 3's `rt` guard), so the
+    // chase never casts `b:p2` — and neither may the Datalog route, on
+    // the mutable session or frozen.
+    let edge = |pred: &str| {
+        let text = format!("SELECT ?x ?y WHERE {{ ?x <http://{pred}> ?y }}");
+        query_from(&Default::default(), &text)
+    };
+    let (mut a, mut b) = (PeerId(0), PeerId(0));
+    let stored_b =
+        "_:x <http://b/actor> <http://b/p2> . <http://b/f3> <http://b/actor> <http://b/p3> .";
+    let sys = RpsBuilder::new()
+        .peer_turtle("A", "<http://a/f1> <http://a/cast> <http://a/p1> .", &mut a)
+        .unwrap()
+        .peer_turtle("B", stored_b, &mut b)
+        .unwrap()
+        .assertion(b, a, edge("b/actor"), edge("a/cast"))
+        .unwrap()
+        .build();
+    let text = "SELECT ?who WHERE { ?f <http://a/cast> ?who }";
+    let open =
+        |strategy| Session::new(sys.clone(), EngineConfig::default().with_strategy(strategy));
+    let chased = open(Strategy::Materialise).answer_sparql(text).unwrap();
+    let who = |iri: &str| vec![Some(rps_rdf::Term::iri(iri))];
+    let expected = [who("http://a/p1"), who("http://b/p3")];
+    assert_eq!(chased.rows().unwrap().rows, expected);
+    let mut datalog = open(Strategy::Datalog);
+    assert_eq!(datalog.answer_sparql(text).unwrap(), chased);
+    let frozen = datalog.freeze().unwrap();
+    assert_eq!(frozen.answer_sparql(text).unwrap(), chased);
+}
+
+#[test]
+fn datalog_route_honours_the_chase_budgets() {
+    // 64 edges close to 2 080; 500 triples do not hold them. The error is
+    // typed, on prepare and on freeze, and no truncated model is cached:
+    // under a budget that fits, the same session answers in full.
+    let sys = chain::transitive_system(64);
+    let config = EngineConfig::default()
+        .with_strategy(Strategy::Datalog)
+        .with_chase(RpsChaseConfig {
+            max_triples: 500,
+            ..RpsChaseConfig::default()
+        });
+    let mut session = Session::new(sys.clone(), config.clone());
+    for _ in 0..2 {
+        assert!(matches!(
+            session.prepare(&chain::edge_query()),
+            Err(RpsError::ChaseBudget { triples: 501.., .. })
+        ));
+    }
+    assert!(matches!(
+        Session::new(sys, config).freeze(),
+        Err(RpsError::ChaseBudget { .. })
+    ));
+    session.config_mut().chase = RpsChaseConfig::default();
+    let stream = session.answer(&chain::edge_query()).unwrap();
+    assert_eq!(stream.route(), ExecRoute::Datalog);
+    assert_eq!(stream.len(), 65 * 64 / 2);
 }
