@@ -20,9 +20,10 @@
 //!   they either see epoch *N* or epoch *N+1*, complete in both cases;
 //! - the writer blocks readers for a pointer swap and no longer: the
 //!   replaced snapshot is dropped — when the writer held its last
-//!   reference, a 2.7–6 ms free of a dictionary, a key set and a log —
-//!   only after the write guard is released (it used to be dropped
-//!   under it, stalling every `current()` / `epoch()` for that long);
+//!   reference, a free of its key set, its dictionary tail and whatever
+//!   runs and dictionary base no later epoch shares — only after the
+//!   write guard is released (it used to be dropped under it, stalling
+//!   every `current()` / `epoch()` for that long);
 //! - a [`LivePlan`] prepared against epoch *N* keeps executing against
 //!   epoch *N*'s pinned solution even after later epochs land, until
 //!   the writer's retention floor passes it — then execution fails with
@@ -32,24 +33,27 @@
 //!
 //! # Publish cost
 //!
-//! A publish seals the write-side graph and clones it; both are
-//! `O(solution)`, not `O(batch)`. On the repo benchmark's `live_churn`
-//! (185k–245k solution triples, 64-triple batches, 2-core VM, p10–p90)
-//! a publish is 11–24 ms of an `apply` of 14–30: `Graph::seal` 1.7–2.6
-//! (one merge pass per permutation that copies the solution's run
-//! around the batch's few additions and tombstones; 34–55 ms while it
-//! hash-probed and re-sorted every key), `Graph::clone` 6–16 and
-//! dropping the previous snapshot 2.7–6. Only the sorted runs are
-//! `Arc`-shared with the snapshot: the term dictionary (4–7 ms), the
-//! live-key set, the insertion log and its position map are deep-copied
-//! per epoch and freed again on the writer's thread. Every published
-//! solution is one run per permutation with no tail and no tombstone,
-//! so a reader's probe never merges.
+//! A publish seals the write-side graph and takes its
+//! [`read_only_copy`](rps_rdf::Graph::read_only_copy). The seal is one
+//! merge pass per permutation that copies the solution's run around the
+//! batch's few additions and tombstones (1.7–2.6 ms on the repo
+//! benchmark's `live_churn`: 185k–245k solution triples, 64-triple
+//! batches, 2-core VM). The copy **shares** the runs and the term
+//! dictionary's `Arc`-shared base and carries the planner statistics;
+//! it **copies** the live-key set, the per-predicate counts and the
+//! dictionary's tail — the terms interned since its last fold, at most
+//! `max(1024, base / 8)`; it **leaves** the insertion log and its position
+//! map on the write side, where the chase needs them and readers never
+//! did. So a publish is still `O(solution)` in the merge and the key
+//! set, but copies and frees no term: traced on `live_churn`, the copy
+//! is ≈ 1 ms where `Graph::clone` was ≈ 10, and an `apply` ≈ 6 ms where
+//! it was ≈ 13. Every published solution is one run per permutation
+//! with no tail and no tombstone, so a reader's probe never merges.
 //!
 //! The planner statistics are the one part of a publish that is
 //! `O(batch)`: the seal patches the previous epoch's `GraphStats` from
 //! the batch's net delta (`rps_rdf::stats`; well under a millisecond
-//! where the full sweep took 5–6) and the clone carries the result, so
+//! where the full sweep took 5–6) and the copy carries the result, so
 //! an epoch's first `prepare` finds its statistics in place instead of
 //! sweeping the solution — what is left of a cold read is a plan miss
 //! on a cold cache. Only epoch 0, and a batch too large for a patch to
@@ -370,21 +374,23 @@ impl LiveSession {
 }
 
 /// Seals the write-side graph and snapshots it as `epoch`, with a fresh
-/// plan cache. Both halves are `O(solution)` (see the module docs'
-/// "Publish cost"): the seal merges the batch into one run per
-/// permutation, and of the clone only those runs are `Arc`-shared — the
-/// dictionary, the key set, the insertion log and its position map are
-/// deep copies. The planner statistics are settled in between, so the
-/// clone carries them: the seal has patched the previous epoch's from
-/// the batch's delta, and `graph_stats()` sweeps only where it could
-/// not — epoch 0, an outsized batch.
+/// plan cache (see the module docs' "Publish cost"). The seal merges the
+/// batch into one run per permutation; the snapshot is the graph's
+/// [`read_only_copy`](rps_rdf::Graph::read_only_copy), which shares
+/// those runs and the dictionary's prefix, copies the live-key set, the
+/// predicate counts and the dictionary's unfolded tail, and leaves the
+/// insertion log — the chase's state, not the readers' — on the write
+/// side. The planner statistics are settled in between, so the copy
+/// carries them: the seal has patched the previous epoch's from the
+/// batch's delta, and `graph_stats()` sweeps only where it could not —
+/// epoch 0, an outsized batch.
 fn seal_snapshot(engine: &mut ChaseEngine, epoch: u32) -> Arc<EpochSnapshot> {
     engine.graph.seal();
     engine.graph.graph_stats();
     Arc::new(EpochSnapshot {
         epoch,
         solution: Arc::new(UniversalSolution {
-            graph: engine.graph.clone(),
+            graph: engine.graph.read_only_copy(),
             stats: engine.stats,
             complete: true,
         }),
@@ -723,6 +729,48 @@ mod tests {
         let plan2 = reader.prepare(&cast_query()).expect("prepares");
         assert_eq!(plan2.epoch(), 2);
         assert!(reader.execute(&plan2).is_ok());
+    }
+
+    /// Batches minting IRIs and Skolem blanks by the hundred (three terms
+    /// per inserted actor triple) grow the writer's dictionary by 2 400
+    /// terms over a base of a dozen, so its tail folds into the base at
+    /// least twice (`rps_rdf::dict`: a fold every 1 024 terms at this
+    /// size) while older epochs still share the prefix. A plan pinned at
+    /// any epoch decodes exactly what it decoded when it was prepared,
+    /// and no published snapshot carries the writer's insertion log.
+    #[test]
+    fn pinned_plans_decode_the_same_answers_after_the_dictionary_folds() -> Result<(), RpsError> {
+        let mut live = LiveSession::open(small_system(), EngineConfig::default())?;
+        let reader = live.reader().with_semantics(Semantics::Star);
+        let witness = GraphPatternQuery::new(
+            vec![v("x"), v("z")],
+            GraphPattern::triple(
+                TermOrVar::var("x"),
+                TermOrVar::iri("http://a/starring"),
+                TermOrVar::var("z"),
+            ),
+        );
+        let terms_at_open = live.solution().graph.dict().len();
+        let mut pinned = Vec::new();
+        for round in 0..8 {
+            for query in [cast_query(), witness.clone()] {
+                let plan = reader.prepare(&query)?;
+                let answers = reader.execute(&plan)?.into_set();
+                pinned.push((plan, answers));
+            }
+            let batch = (0..100).fold(UpdateBatch::new(), |batch, i| {
+                let (film, actor) = (format!("g{round}_{i}"), format!("p{round}_{i}"));
+                batch.insert(PeerId(1), actor_triple(&film, &actor))
+            });
+            live.apply(&batch)?;
+            assert_eq!(live.solution().graph.log_len(), 0, "epoch {}", live.epoch());
+        }
+        assert!(live.solution().graph.dict().len() >= terms_at_open + 2_400);
+        for (plan, answers) in &pinned {
+            let again = reader.execute(plan)?.into_set();
+            assert_eq!(&again, answers, "epoch {}", plan.epoch());
+        }
+        Ok(())
     }
 
     #[test]

@@ -404,10 +404,10 @@ impl Session {
         // copy when a live `PreparedQuery` still pins it. Answers are
         // unaffected: both forms scan byte-identically.
         let solution = match solution {
-            Some(arc) if self.config.exec.wants_reseal() => {
-                let mut sol = Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone());
+            Some(mut arc) if self.config.exec.wants_reseal() => {
+                let sol = Arc::make_mut(&mut arc);
                 sol.graph.seal_with(&self.config.exec.seal_config());
-                Some(Arc::new(sol))
+                Some(arc)
             }
             other => other,
         };
@@ -783,16 +783,16 @@ mod tests {
     use super::super::tests::{cast_query, linear_system};
     use super::super::{ExecConfig, Strategy};
     use super::*;
-    use rps_rdf::{Term, TermId};
 
-    /// Where the solution's dictionary keeps its first term: a moved
-    /// graph keeps that heap buffer, a cloned one cannot.
-    fn first_term(solution: &UniversalSolution) -> *const Term {
-        solution.graph.term(TermId(0))
+    /// Where the solution lives: one resealed in place keeps its
+    /// allocation, a copy cannot while the original is still alive. (Not
+    /// the dictionary's buffer: a cloned graph shares that.)
+    fn solution_at(solution: &UniversalSolution) -> *const UniversalSolution {
+        solution
     }
 
-    fn frozen_first_term(frozen: &FrozenSession) -> *const Term {
-        first_term(frozen.inner.solution.as_deref().expect("materialised"))
+    fn frozen_solution_at(frozen: &FrozenSession) -> *const UniversalSolution {
+        solution_at(frozen.inner.solution.as_deref().expect("materialised"))
     }
 
     #[test]
@@ -804,10 +804,10 @@ mod tests {
                 ..ExecConfig::default()
             });
         let mut session = Session::open(linear_system(), config.clone())?;
-        let before = first_term(&*session.universal_solution()?);
+        let before = solution_at(&*session.universal_solution()?);
         let frozen = session.freeze()?;
         assert_eq!(
-            frozen_first_term(&frozen),
+            frozen_solution_at(&frozen),
             before,
             "the session was the only owner"
         );
@@ -816,9 +816,9 @@ mod tests {
         // query still runs over the one it holds.
         let mut session = Session::open(linear_system(), config)?;
         let prepared = session.prepare(&cast_query())?;
-        let before = first_term(&*session.universal_solution()?);
+        let before = solution_at(&*session.universal_solution()?);
         let frozen = session.freeze()?;
-        assert_ne!(frozen_first_term(&frozen), before, "both copies are alive");
+        assert_ne!(frozen_solution_at(&frozen), before, "both copies are alive");
         assert_eq!(frozen.execute(&prepared)?.len(), 4);
         Ok(())
     }

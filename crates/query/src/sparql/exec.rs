@@ -29,7 +29,14 @@
 //! live or federated route produces byte-identical output. Routes whose
 //! answers are terms (or ids of several dictionaries) enter through
 //! [`assemble`], which interns them into a scratch dictionary and runs
-//! this same tail.
+//! this same tail — unless the statement's tail is the identity (one
+//! branch, no OPTIONAL / FILTER / ORDER BY / OFFSET, the projection the
+//! CQ's head in order). Then the answer *set* is already the result: a
+//! `BTreeSet` of term tuples is distinct and in the canonical column-wise
+//! term order, so interning it only to rank it back is skipped, and
+//! LIMIT and ASK are a prefix and a non-emptiness test on it. That is
+//! not a second tail: it is what this one computes on such a statement,
+//! and `exec::tests` holds the two paths equal on the same sets.
 
 use super::lower::{LoweredBranch, LoweredOptional, LoweredSparql, SparqlResult, SparqlRows};
 use super::parse::{CmpOp, FilterExpr, Operand};
@@ -433,10 +440,53 @@ pub(crate) fn assemble_ids(
     })
 }
 
-/// [`assemble_ids`] for answers that are not ids of one dictionary:
-/// interns the term tuples into a scratch dictionary and runs the same
-/// tail over it.
+/// `true` iff the tail hands the base CQ's answers through as they are:
+/// one branch, no OPTIONAL, no FILTER, no ORDER BY, no OFFSET, and a
+/// projection that is the base CQ's head in order. LIMIT keeps a prefix
+/// of the canonical order and ASK asks for a row, so both stay in.
+fn is_identity(lowered: &LoweredSparql) -> bool {
+    let [branch] = lowered.branches.as_slice() else {
+        return false;
+    };
+    branch.optionals.is_empty()
+        && branch.filters.is_empty()
+        && lowered.order_by.is_empty()
+        && lowered.offset.is_none()
+        && branch.base.free_vars() == lowered.projection.as_slice()
+}
+
+/// [`assemble_ids`] for answers that are not ids of one dictionary.
+///
+/// A statement whose tail is the identity ([`is_identity`]) takes its one
+/// set as the rows: a `BTreeSet<Vec<Term>>` is duplicate-free and sorted
+/// column-wise by term order, which is exactly what DISTINCT and the
+/// canonical order would make of it, so LIMIT takes a prefix and ASK
+/// asks for non-emptiness. Every other statement interns its term tuples
+/// into a scratch dictionary and runs the tail over it.
 pub(crate) fn assemble(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {
+    if !is_identity(lowered) {
+        return assemble_interned(lowered, answers);
+    }
+    let [set] = answers else {
+        panic!("assemble needs one answer set per lowered CQ");
+    };
+    if lowered.ask {
+        return SparqlResult::Boolean(!set.is_empty());
+    }
+    let rows = set
+        .iter()
+        .take(lowered.limit.unwrap_or(usize::MAX))
+        .map(|row| row.iter().cloned().map(Some).collect())
+        .collect();
+    SparqlResult::Rows(SparqlRows {
+        vars: lowered.columns(),
+        rows,
+    })
+}
+
+/// The interning half of [`assemble`]: the term tuples go into a scratch
+/// dictionary and through [`assemble_ids`].
+fn assemble_interned(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {
     let mut dict = TermDict::new();
     let rows: Vec<IdRows> = answers
         .iter()

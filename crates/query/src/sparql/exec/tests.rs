@@ -8,7 +8,7 @@
 //! own ids ([`LoweredSparql::evaluate`]) and the tail through the
 //! interning adapter ([`LoweredSparql::assemble`]).
 
-use super::reference;
+use super::{assemble, assemble_interned, is_identity, reference};
 use crate::eval::{evaluate_query, Semantics};
 use crate::sparql::{parse_sparql, LoweredSparql, SparqlResult};
 use rps_rdf::{Graph, PrefixMap, Term};
@@ -250,6 +250,46 @@ fn answers_from_several_dictionaries_enter_through_the_adapter() {
         rows(&want),
         [vec![iri("a"), lit("7")], vec![iri("b"), None]]
     );
+}
+
+#[test]
+fn identity_statements_pass_their_set_through_like_the_interning_path() {
+    let g = turtle(
+        "c:a c:p c:o ; c:q \"1\" .\nc:b c:p c:o2 , _:x .\n_:x c:p c:a .\nc:c c:q \"2\" , \"10\" .\n",
+    );
+    for (text, identity) in [
+        ("SELECT ?o ?x WHERE { ?x c:p ?o }", true),
+        ("SELECT ?o ?x WHERE { ?x c:p ?o } LIMIT 2", true),
+        ("SELECT ?v WHERE { ?x c:q ?v } LIMIT 0", true),
+        ("SELECT * WHERE { ?a c:p ?b . ?b c:p ?c }", true),
+        ("SELECT DISTINCT ?x WHERE { ?x c:p ?o }", true),
+        ("ASK { ?x c:p ?o }", true),
+        ("ASK { c:a c:p c:nope }", true),
+        // Near-misses: each needs something only the full tail does.
+        ("SELECT ?x ?o WHERE { ?x c:p ?o }", false),
+        ("SELECT ?o ?x ?w WHERE { ?x c:p ?o }", false),
+        ("SELECT ?o ?x WHERE { ?x c:p ?o } OFFSET 1", false),
+        ("SELECT ?o ?x WHERE { ?x c:p ?o } ORDER BY ?o", false),
+        ("SELECT ?o ?x WHERE { ?x c:p ?o FILTER(?o != c:o) }", false),
+        (
+            "SELECT ?o ?x WHERE { ?x c:p ?o OPTIONAL { ?x c:q ?v } }",
+            false,
+        ),
+        (
+            "SELECT ?x WHERE { { ?x c:p ?o } UNION { ?x c:q ?o } }",
+            false,
+        ),
+        ("ASK { ?x c:q ?v FILTER(?v > \"1\") }", false),
+    ] {
+        let lowered = lower(text);
+        assert_eq!(is_identity(&lowered), identity, "{text}");
+        for semantics in [Semantics::Certain, Semantics::Star] {
+            let answers = term_answers(&lowered, &g, semantics);
+            let want = agree(text, &g, semantics);
+            assert_eq!(assemble(&lowered, &answers), want, "{text}");
+            assert_eq!(assemble_interned(&lowered, &answers), want, "{text}");
+        }
+    }
 }
 
 /// `tests/sparql_corpus.rs`'s valid corpus (kept in step by hand: an

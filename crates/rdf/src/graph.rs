@@ -424,6 +424,28 @@ impl Graph {
         self.patch_stats();
     }
 
+    /// A read-only copy of a sealed graph: what a reader of it uses and
+    /// none of what only a writer does. It shares the sorted runs and
+    /// the dictionary's prefix with `self` (the terms interned since the
+    /// dictionary last folded are copied), copies the live-key set and
+    /// the per-predicate counts, and carries the [`GraphStats`] snapshot.
+    /// It has **no history**: its insertion log is empty, so no mark
+    /// taken on `self` means anything here and a chase cannot resume
+    /// from it — [`Graph::log_since`]`(0)` on the copy lists only what
+    /// was inserted into the copy itself. The copy is still a complete
+    /// graph (it scans, answers, persists and accepts writes like any
+    /// other); [`Clone`] remains the full copy, log included.
+    pub fn read_only_copy(&self) -> Graph {
+        Graph {
+            dict: self.dict.clone(),
+            store: self.store.clone(),
+            pred_counts: self.pred_counts.clone(),
+            dur: self.dur.clone(),
+            stats: self.stats.clone(),
+            ..Graph::default()
+        }
+    }
+
     /// `true` iff the mutable tail is empty and no tombstone is pending
     /// (trivially true for the B-tree backend). [`Graph::seal`] leaves
     /// the graph so, but so can a batch insert that happens to flush
@@ -586,10 +608,14 @@ impl Graph {
                 self.log_pos = Some(map);
             }
             let pos = self.log_pos.as_mut().expect("just built");
-            let i = pos.remove(&t).expect("present triple has a live log entry") as usize;
-            bit_set(&mut self.log_dead, i);
+            // Every present triple has one live log entry — except in a
+            // `read_only_copy`, whose triples all predate its log.
+            let entry = pos.remove(&t).map(|i| i as usize);
+            if let Some(i) = entry {
+                bit_set(&mut self.log_dead, i);
+            }
             if let Some(base) = &mut self.stats_base {
-                if i < base.mark {
+                if entry.is_none_or(|i| i < base.mark) {
                     base.removed.push(t);
                     // Past what a seal would patch from: stop listing.
                     if !gallop_pays(base.removed.len(), self.store.len()) {
@@ -1399,6 +1425,37 @@ mod tests {
         bt.seal();
         assert!(bt.stats.get().is_none() && bt.stats_base.is_none());
         assert_eq!(bt.graph_stats().unwrap().triples, bt.len());
+    }
+
+    /// The copy a live epoch publishes: same triples and statistics, no
+    /// history — and still a whole graph, whose removals of triples older
+    /// than its log and later seal patch the statistics like the sweep.
+    #[test]
+    fn a_read_only_copy_keeps_the_reader_side_and_drops_the_history() {
+        let next = &mut crate::store::tests::splitmix(11);
+        let g = stats_fixture(next, StorageBackend::SortedRuns);
+        assert!(g.graph_stats().is_some());
+        let before: Vec<IdTriple> = g.iter_ids().collect();
+        let mut copy = g.read_only_copy();
+        assert_eq!(copy.log_len(), 0);
+        assert!(copy.log_dead.is_empty() && copy.log_pos.is_none() && copy.stats_base.is_none());
+        let shared = g.stats.get().zip(copy.stats.get());
+        assert!(shared.is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(copy.iter_ids().eq(g.iter_ids()));
+        assert!(copy.dict().iter().eq(g.dict().iter()));
+        assert_eq!(
+            copy.predicate_count(TermId(3)),
+            g.predicate_count(TermId(3))
+        );
+
+        for t in some_present(&copy, next, 40) {
+            copy.remove_ids(t);
+        }
+        let fresh: Vec<IdTriple> = (0..60).map(|_| draw(next, 60, 4200)).collect();
+        let added = copy.insert_batch(fresh);
+        assert_eq!(copy.log_since(0).count(), added);
+        reseal_patched(&mut copy, "read-only copy");
+        assert!(g.iter_ids().eq(before), "the original is untouched");
     }
 
     #[test]

@@ -196,8 +196,10 @@ fn by_term(graph: &Graph) -> (usize, usize, usize, BTreeMap<Term, PredicateStats
 fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed: u64, epoch: u32) {
     let ctx = format!("seed {seed}, epoch {epoch}");
 
-    // 0. The published layout is what the read path is priced on.
+    // 0. The published layout is what the read path is priced on, and a
+    // publish leaves the chase's insertion log on the write side.
     assert_one_run_layout(&live.solution().graph.storage_stats(), &ctx);
+    assert_eq!(live.solution().graph.log_len(), 0, "{ctx}: published log");
 
     // 1. Universal solutions agree as term-level triple sets.
     let scratch = chase_system(live.system(), &skolem_chase());

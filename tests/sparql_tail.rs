@@ -4,7 +4,9 @@
 //! (`RPS_SPARQL_SEED`, comma-separated u64 seeds) builds random peer
 //! systems and runs tail-heavy queries — OPTIONAL, UNION, FILTER,
 //! ORDER BY, LIMIT/OFFSET, ASK — through every façade; all must return
-//! the one `SparqlResult`, byte for byte.
+//! the one `SparqlResult`, byte for byte. Statements whose tail is the
+//! identity (the terms way in hands their answer set straight through)
+//! sit beside near-misses that must take the full tail.
 //!
 //! The tail itself is checked against the term-level reference it
 //! replaced in `rps_query`'s unit tests (`sparql::exec::tests`, same
@@ -41,6 +43,18 @@ const QUERIES: &[&str] = &[
     "PREFIX a: <http://a/> ASK { ?f a:cast ?who . ?who a:age ?a FILTER(?a = \"31.0\") }",
     "PREFIX a: <http://a/> ASK { ?f a:cast ?who OPTIONAL { ?who a:nick ?n } \
      FILTER(bound(?n) && ?n > \"zz\") }",
+    // Identity tails: the interning adapter hands the answer set through.
+    "PREFIX a: <http://a/> ASK { ?f a:cast ?who }",
+    "PREFIX a: <http://a/> ASK { <http://a/f9> a:cast ?who }",
+    "PREFIX a: <http://a/> SELECT ?age ?who WHERE { ?who a:age ?age } LIMIT 4",
+    "PREFIX a: <http://a/> SELECT * WHERE { ?f a:cast ?p . ?p a:age ?q }",
+    // Near-misses, one tail feature each: permuted projection, a projected
+    // variable the pattern lacks, OFFSET, FILTER, OPTIONAL.
+    "PREFIX a: <http://a/> SELECT ?who ?age WHERE { ?who a:age ?age }",
+    "PREFIX a: <http://a/> SELECT ?age ?who ?zz WHERE { ?who a:age ?age }",
+    "PREFIX a: <http://a/> SELECT ?age ?who WHERE { ?who a:age ?age } OFFSET 2",
+    "PREFIX a: <http://a/> SELECT ?age ?who WHERE { ?who a:age ?age FILTER(?age != \"7\") }",
+    "PREFIX a: <http://a/> SELECT ?f ?who WHERE { ?f a:cast ?who OPTIONAL { ?who a:nick ?n } }",
 ];
 
 struct Rng(u64);
