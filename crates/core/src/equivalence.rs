@@ -318,7 +318,7 @@ pub(crate) fn expand_rows(rows: IdRows, table: &ClassTable) -> IdRows {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rps_query::{
         evaluate_query, GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable,
@@ -392,7 +392,9 @@ mod tests {
         assert_eq!(expanded.len(), 4);
     }
 
-    fn sweep_seeds() -> Vec<u64> {
+    /// The seeds of the crate's `RPS_SPARQL_SEED` sweeps (this one and
+    /// the rewriter's memo test).
+    pub(crate) fn sweep_seeds() -> Vec<u64> {
         match std::env::var("RPS_SPARQL_SEED") {
             Ok(list) => list
                 .split(',')

@@ -88,7 +88,7 @@ use rps_query::{GraphPatternQuery, JoinOrder, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A batch of peer-database updates, applied atomically by
 /// [`LiveSession::apply`]: readers observe either none of the batch or
@@ -147,6 +147,25 @@ struct LiveShared {
     /// (saturating); plans below it fail with
     /// [`RpsError::StalePlan`].
     floor: AtomicU32,
+}
+
+impl LiveShared {
+    // The epoch lock guards one `Arc`, and a guard lives for one clone
+    // of it (`load`) or one swap (`swap`): neither can panic short of an
+    // allocation failure, which aborts, nor leave the pointer half
+    // written. So a poisoned lock still holds a whole published
+    // snapshot, and both recover it rather than fail every reader.
+
+    /// The published snapshot.
+    fn load(&self) -> Arc<EpochSnapshot> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes `snapshot`, returning the one it replaces.
+    fn swap(&self, snapshot: Arc<EpochSnapshot>) -> Arc<EpochSnapshot> {
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *current, snapshot)
+    }
 }
 
 /// The write side of a live peer system: owns the system, the
@@ -324,12 +343,8 @@ impl LiveSession {
     /// preparations see the new epoch.
     fn publish(&mut self) {
         let snapshot = seal_snapshot(&mut self.engine, self.epoch);
-        let previous = {
-            let mut current = self.shared.current.write().expect("epoch lock");
-            std::mem::replace(&mut *current, snapshot)
-        };
         // Possibly the last reference: freed with the lock released.
-        drop(previous);
+        drop(self.shared.swap(snapshot));
         self.shared
             .floor
             .store(self.epoch.saturating_sub(self.retain), Ordering::Release);
@@ -357,12 +372,7 @@ impl LiveSession {
 
     /// The currently published universal solution.
     pub fn solution(&self) -> Arc<UniversalSolution> {
-        self.shared
-            .current
-            .read()
-            .expect("epoch lock")
-            .solution
-            .clone()
+        self.shared.load().solution.clone()
     }
 
     /// Cumulative chase statistics across the initial materialisation
@@ -421,7 +431,7 @@ pub struct LiveReader {
 impl LiveReader {
     /// The epoch a preparation issued right now would pin.
     pub fn epoch(&self) -> u32 {
-        self.shared.current.read().expect("epoch lock").epoch
+        self.shared.load().epoch
     }
 
     /// A handle answering under a different result semantics (`Q` drops
@@ -443,11 +453,7 @@ impl LiveReader {
     /// *names* are always the caller's own (α-equivalent queries share
     /// the compiled plan but not the name vector).
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<LivePlan, RpsError> {
-        self.prepare_at(&self.current(), query)
-    }
-
-    fn current(&self) -> Arc<EpochSnapshot> {
-        self.shared.current.read().expect("epoch lock").clone()
+        self.prepare_at(&self.shared.load(), query)
     }
 
     fn prepare_at(
@@ -496,7 +502,7 @@ impl LiveReader {
     /// lowered CQ pins the *same* snapshot, so a multi-plan query never
     /// straddles an epoch swap.
     pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql<LivePlan>, RpsError> {
-        let snapshot = self.current();
+        let snapshot = self.shared.load();
         prepare_sparql_with(text, |cq| self.prepare_at(&snapshot, cq))
     }
 

@@ -9,10 +9,30 @@
 //! once for id-level expansion, their classification (Proposition 2:
 //! linear / sticky / sticky-join sets admit a perfect UCQ rewriting), the
 //! equivalence index with its classes as ids of the canonical graph, and
-//! a dictionary holding the TGDs' constants and nothing else. It is
-//! immutable after construction: every call interns its query's
-//! constants into a scratch copy of that dictionary, which the returned
-//! [`RpsRewriting`] carries.
+//! a dictionary holding the TGDs' constants and nothing else. Every call
+//! interns its query's constants into a scratch copy of that dictionary,
+//! which the returned [`RpsRewriting`] carries.
+//!
+//! **The expansion is memoised, the plan is not.** Section 4 and
+//! Example 3 rewrite one query shape again and again with only its
+//! constants changed, so [`RpsRewriter::rewrite_canonical`] keeps the
+//! id-level union of each interned query under the key `(IdCq,
+//! max_depth, max_cqs)` and runs [`rps_tgd::rewrite_ids`] on a miss only.
+//! The memo is exact, with no genericity argument: the base dictionary
+//! holds `tt` and the canonical TGD constants only, so a query's other
+//! constants intern as ids `base_len..` in order of first occurrence,
+//! and two queries that differ only in such constants intern to the same
+//! `IdCq`. The expansion reads nothing but that `IdCq`, the fixed
+//! compiled TGDs and the two budgets, and is deterministic, so they get
+//! the byte-identical union; each call's own scratch dictionary then
+//! attaches its own constants to those ids. A constant a mapping mentions
+//! keeps its own id, hence its own key, and the budgets are in the key,
+//! so a complete union is never served to a budget that would have run
+//! out. Compiling the branches — satisfiability, dead head constants,
+//! the join order — stays per call and per constant. The memo is a FIFO
+//! of [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries whose unions are
+//! `Arc`-shared with the rewritings it hands out; its mutex is held for
+//! the probe and for the insert, never across an expansion.
 //!
 //! **The TGDs are rewritten without Section 3's `rt` guards, and that is
 //! lossy.** A guard `rt(x)` keeps a premise tuple with a blank node from
@@ -35,16 +55,20 @@ use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encod
 use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
-use crate::session::{Branch, ExecRoute, GraphHandle, Plan};
+use crate::session::frozen::Fifo;
+use crate::session::{Branch, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::system::RdfPeerSystem;
 use rps_query::{
     GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, Semantics, TermOrVar,
     TriplePattern, UnionQuery, Variable,
 };
 use rps_rdf::{Graph, Term, TermId};
-use rps_tgd::{Classification, IdArg, IdCq, IdTgdSet, Instance, RewriteConfig, Sym, Tgd, ValId};
+use rps_tgd::{
+    Classification, IdArg, IdCq, IdRewriteResult, IdTgdSet, Instance, RewriteConfig, Sym, Tgd,
+    ValId,
+};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The interning state ids are minted against: a row-less [`Instance`]
 /// (used purely as a predicate / value dictionary) and the blank ↔ null
@@ -70,7 +94,9 @@ impl Interner {
 /// the id level.
 #[derive(Clone, Debug)]
 pub struct RpsRewriting {
-    id_cqs: Vec<IdCq>,
+    /// Shared with the rewriter's memo entry and with every rewriting of
+    /// the same interned query.
+    id_cqs: Arc<[IdCq]>,
     /// A private copy of the rewriter's dictionary plus this query's
     /// constants — per call, so rewritings of different queries never
     /// alias each other's ids.
@@ -189,8 +215,11 @@ impl RpsRewriting {
 ///   rewritten, and answers are expanded back over the classes. Property
 ///   tests establish both agree with the chase.
 ///
-/// Immutable after construction (`Send + Sync`, no lock): see the
-/// [module docs](self).
+/// `Send + Sync`, and immutable after construction but for the combined
+/// rewriting's expansion memo: keyed on the interned query and the two
+/// budgets, exact because the expansion reads nothing else, bounded to
+/// [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries (FIFO), and locked for
+/// a hash probe or an insert only — see the [module docs](self).
 pub struct RpsRewriter {
     /// The paper-verbatim dependency set of [`Self::rewrite`]: the raw
     /// graph-mapping TGDs, and the equivalence mappings whose six TGDs
@@ -218,6 +247,44 @@ pub struct RpsRewriter {
     canon_graph: Arc<Graph>,
     /// The equivalence classes as ids of `canon_graph`'s dictionary.
     classes: Arc<ClassTable>,
+    /// [`Self::rewrite_canonical`]'s expansions by interned query and
+    /// budgets; ids live in `base.dict` extended per call.
+    memo: Mutex<Fifo<Arc<MemoKey>, Expansion>>,
+}
+
+/// What an expansion depends on: the interned (canonicalised) query, and
+/// [`RewriteConfig`]'s `max_depth` and `max_cqs`.
+type MemoKey = (IdCq, usize, usize);
+
+/// One expansion as the memo holds it: an [`IdRewriteResult`] whose
+/// union is shared.
+#[derive(Clone)]
+struct Expansion {
+    cqs: Arc<[IdCq]>,
+    complete: bool,
+    explored: usize,
+}
+
+impl From<IdRewriteResult> for Expansion {
+    fn from(r: IdRewriteResult) -> Self {
+        Expansion {
+            cqs: r.cqs.into(),
+            complete: r.complete,
+            explored: r.explored,
+        }
+    }
+}
+
+impl Expansion {
+    /// The rewriting this expansion is for a query interned in `scratch`.
+    fn into_rewriting(self, scratch: Interner) -> RpsRewriting {
+        RpsRewriting {
+            id_cqs: self.cqs,
+            scratch,
+            complete: self.complete,
+            explored: self.explored,
+        }
+    }
 }
 
 impl RpsRewriter {
@@ -271,7 +338,19 @@ impl RpsRewriter {
             base: Interner { dict, encoder },
             canon_graph: Arc::new(canon_graph),
             classes,
+            memo: Mutex::new(Fifo::new(DEFAULT_PLAN_CACHE_CAPACITY)),
         }
+    }
+
+    /// Locks the expansion memo, recovering it if the mutex is poisoned.
+    /// That is sound because a guard only ever lives for a hash probe or
+    /// a whole-entry insert (whole entries evicted, then one added):
+    /// `std` collection calls and `Arc` clones, which do not panic short
+    /// of an allocation failure, and that aborts. The expansion itself
+    /// runs unlocked. So the memo behind a poisoned lock is one such
+    /// step's before or after, every entry in it whole.
+    fn memo(&self) -> MutexGuard<'_, Fifo<Arc<MemoKey>, Expansion>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The union-find equivalence index of the system.
@@ -307,24 +386,11 @@ impl RpsRewriter {
         }
     }
 
-    /// The id-level pipeline behind both rewritings: intern the query
-    /// into `scratch`, run the pruned expansion on numbered-variable
-    /// CQs, and hand the scratch dictionary back with the union.
-    fn expand(
-        query: &GraphPatternQuery,
-        tgds: &IdTgdSet,
-        mut scratch: Interner,
-        cfg: &RewriteConfig,
-    ) -> RpsRewriting {
+    /// Interns `query` into `scratch` as a numbered-variable id-CQ — the
+    /// first step of both rewritings, and the memo's key.
+    fn intern(query: &GraphPatternQuery, scratch: &mut Interner) -> IdCq {
         let cq = query_to_cq(query, &mut scratch.encoder, false);
-        let id_query = rps_tgd::intern_cq(&cq, &mut scratch.dict);
-        let r = rps_tgd::rewrite_ids(&id_query, tgds, cfg);
-        RpsRewriting {
-            id_cqs: r.cqs,
-            scratch,
-            complete: r.complete,
-            explored: r.explored,
-        }
+        rps_tgd::intern_cq(&cq, &mut scratch.dict)
     }
 
     /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
@@ -332,27 +398,46 @@ impl RpsRewriter {
     /// over the canonical stored graph (what [`Self::answers`] and the
     /// sessions do, expanding the id rows over the classes) or is decoded
     /// with [`RpsRewriting::branches`] for federation, which expands with
-    /// [`crate::equivalence::expand_answers`].
+    /// [`crate::equivalence::expand_answers`]. The expansion comes from
+    /// the memo when this interned query ran under these budgets before
+    /// (see the [module docs](self)).
     pub fn rewrite_canonical(
         &self,
         query: &GraphPatternQuery,
         cfg: &RewriteConfig,
     ) -> RpsRewriting {
         let canon_query = canonicalize_query(query, &self.index);
-        Self::expand(&canon_query, &self.canon_tgds, self.base.clone(), cfg)
+        let mut scratch = self.base.clone();
+        let key = (
+            Self::intern(&canon_query, &mut scratch),
+            cfg.max_depth,
+            cfg.max_cqs,
+        );
+        // Bound first: the guard must not live into the miss path.
+        let hit = self.memo().get(&key);
+        let expansion = match hit {
+            Some(expansion) => expansion,
+            None => {
+                let fresh = Expansion::from(rps_tgd::rewrite_ids(&key.0, &self.canon_tgds, cfg));
+                self.memo().insert(Arc::new(key), fresh)
+            }
+        };
+        expansion.into_rewriting(scratch)
     }
 
     /// Rewrites a graph pattern query into a UCQ over the sources — the
     /// paper-verbatim rewriting, under the *full* dependency set (graph
     /// mappings + equivalence TGDs), for display (Listing 2's UNION). The
     /// dependency set is compiled into the call's scratch dictionary, so
-    /// this costs time linear in the number of mappings per call.
+    /// this costs time linear in the number of mappings per call, and the
+    /// expansion is never memoised.
     pub fn rewrite(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
         let mut scratch = self.base.clone();
         let mut tgds = self.gma_tgds.clone();
         tgds.extend(equivalence_tgds(&self.equivalences, &mut scratch.encoder));
         let tgds = IdTgdSet::compile(&tgds, &mut scratch.dict);
-        Self::expand(query, &tgds, scratch, cfg)
+        let id_query = Self::intern(query, &mut scratch);
+        Expansion::from(rps_tgd::rewrite_ids(&id_query, &tgds, cfg)).into_rewriting(scratch)
     }
 
     /// Compiles a canonical rewriting's id-CQ branches into prepared
@@ -384,7 +469,7 @@ impl RpsRewriter {
             *memo[v.index()].get_or_insert_with(|| self.canon_graph.term_id(&scratch.term(v)))
         };
         let mut out = Vec::with_capacity(rewriting.id_cqs.len());
-        'branches: for cq in &rewriting.id_cqs {
+        'branches: for cq in rewriting.id_cqs.iter() {
             let nvars = (cq.nvars() as usize).max(1);
             let mut satisfiable = true;
             let mut conjuncts: Vec<[PlanSlot; 3]> = Vec::with_capacity(cq.body.len());
@@ -657,10 +742,58 @@ mod tests {
         let sys = linear_system();
         let rw = RpsRewriter::new(&sys);
         let (direct, _) = rw.answers(&cast_query(), &RewriteConfig::default());
+        let before = rw.memo().len();
         let enumerated = rw
             .certain_answers_via_boolean(&cast_query(), &RewriteConfig::default(), 10_000)
             .expect("candidate space is small");
         assert_eq!(direct.tuples, enumerated.tuples);
+
+        // Example 3's `n^arity` Boolean rewritings cost one expansion per
+        // key pattern: which positions hold a constant a mapping mentions
+        // (and which one), and which of the other positions are equal.
+        #[derive(PartialEq, Eq, PartialOrd, Ord)]
+        enum Slot {
+            Mentioned(Term),
+            Fresh(usize),
+        }
+        let mentioned: BTreeSet<Term> = sys
+            .assertions()
+            .iter()
+            .flat_map(|gma| [&gma.premise, &gma.conclusion])
+            .flat_map(|side| side.pattern().constants())
+            .map(|c| rw.index.canonical_term(&c))
+            .collect();
+        let names: Vec<Term> = rw
+            .canon_graph
+            .dict()
+            .iter()
+            .filter(|(_, term)| !term.is_blank())
+            .map(|(_, term)| rw.index.canonical_term(term))
+            .collect();
+        let mut patterns: BTreeSet<[Slot; 2]> = BTreeSet::new();
+        for first in &names {
+            for second in &names {
+                let mut fresh: Vec<&Term> = Vec::new();
+                let pattern = [first, second].map(|t| {
+                    if mentioned.contains(t) {
+                        return Slot::Mentioned(t.clone());
+                    }
+                    let k = fresh.iter().position(|f| *f == t).unwrap_or(fresh.len());
+                    if k == fresh.len() {
+                        fresh.push(t);
+                    }
+                    Slot::Fresh(k)
+                });
+                patterns.insert(pattern);
+            }
+        }
+        let expansions = rw.memo().len() - before;
+        assert!(
+            expansions <= patterns.len() && patterns.len() < names.len().pow(2),
+            "{expansions} expansions, {} key patterns, {} candidates",
+            patterns.len(),
+            names.len().pow(2)
+        );
     }
 
     #[test]
@@ -763,5 +896,253 @@ mod tests {
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let chased = crate::answers::certain_answers(&sol, &films_of("http://b/person3"));
         assert_eq!(run(&first), chased.tuples);
+    }
+
+    /// A query over `triples`, projecting `head`.
+    fn query(head: &[&str], triples: &[[TermOrVar; 3]]) -> GraphPatternQuery {
+        GraphPatternQuery::new(
+            head.iter().map(|h| v(h)).collect(),
+            GraphPattern::from_patterns(
+                triples
+                    .iter()
+                    .map(|[s, p, o]| TriplePattern::new(s.clone(), p.clone(), o.clone()))
+                    .collect(),
+            ),
+        )
+    }
+
+    fn cast() -> TermOrVar {
+        TermOrVar::iri("http://a/cast")
+    }
+
+    /// `SELECT ?x { ?x a:cast c }`.
+    fn films_of(c: &Term) -> GraphPatternQuery {
+        query(&["x"], &[[TermOrVar::var("x"), cast(), c.clone().into()]])
+    }
+
+    /// [`RpsRewriter::rewrite_canonical`] past the memo: the same
+    /// interning, then the expansion run directly.
+    fn expand_directly(
+        rw: &RpsRewriter,
+        query: &GraphPatternQuery,
+        cfg: &RewriteConfig,
+    ) -> RpsRewriting {
+        let mut scratch = rw.base.clone();
+        let id_query = RpsRewriter::intern(&canonicalize_query(query, &rw.index), &mut scratch);
+        Expansion::from(rps_tgd::rewrite_ids(&id_query, &rw.canon_tgds, cfg))
+            .into_rewriting(scratch)
+    }
+
+    fn executed(
+        rw: &RpsRewriter,
+        query: &GraphPatternQuery,
+        r: &RpsRewriting,
+    ) -> BTreeSet<Vec<Term>> {
+        let vars = crate::session::stream_vars(query);
+        let stream = rw
+            .plan(r)
+            .execute(vars, ExecRoute::Rewritten, Semantics::Certain);
+        stream.into_set().tuples
+    }
+
+    /// The memoised rewriting of `query`, checked byte for byte against
+    /// the direct expansion: union, flags, decoded branches, answers.
+    fn memoised(rw: &RpsRewriter, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
+        let memo = rw.rewrite_canonical(query, cfg);
+        let direct = expand_directly(rw, query, cfg);
+        assert_eq!(memo.id_cqs[..], direct.id_cqs[..], "{query:?}");
+        assert_eq!(memo.complete, direct.complete, "{query:?}");
+        assert_eq!(memo.explored, direct.explored, "{query:?}");
+        assert_eq!(memo.branches(), direct.branches(), "{query:?}");
+        assert_eq!(
+            executed(rw, query, &memo),
+            executed(rw, query, &direct),
+            "{query:?}"
+        );
+        memo
+    }
+
+    #[test]
+    fn memoised_expansion_equals_direct_expansion_on_a_seeded_sweep() {
+        let sys = sized_system(44);
+        let cfg = RewriteConfig::default();
+        let person = |i: usize| Term::iri(format!("http://b/person{i}"));
+        let mentioned = [Term::iri("http://a/cast"), Term::iri("http://b/actor")];
+        let absent = Term::iri("http://nowhere/nobody");
+        let lit_person = Term::literal("http://b/person3");
+        let lit_actor = Term::literal("http://b/actor");
+        let mut pool: Vec<Term> = (0..44).map(person).collect();
+        pool.extend(mentioned.iter().cloned());
+        pool.extend([
+            absent.clone(),
+            Term::iri("http://nowhere/else"),
+            lit_person.clone(),
+            lit_actor.clone(),
+            // One equivalence class: both canonicalise to one constant.
+            Term::iri("http://a/p1"),
+            Term::iri("http://b/p2"),
+        ]);
+        assert!(pool.len() >= 50);
+        for seed in crate::equivalence::tests::sweep_seeds() {
+            let rw = RpsRewriter::new(&sys);
+            // xorshift64; the state must not be zero.
+            let mut state = seed | 1;
+            let mut below = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let mut order = pool.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, below(i + 1));
+            }
+
+            // One shape under every constant of the pool, in a seeded
+            // order: the ones no mapping mentions share one key and one
+            // union, each mentioned one has its own.
+            let mut shared: Option<Arc<[IdCq]>> = None;
+            for c in &order {
+                let r = memoised(&rw, &films_of(c), &cfg);
+                if mentioned.contains(c) {
+                    continue;
+                }
+                match &shared {
+                    None => shared = Some(r.id_cqs.clone()),
+                    Some(union) => assert!(Arc::ptr_eq(union, &r.id_cqs), "seed {seed}: {c}"),
+                }
+            }
+            assert_eq!(rw.memo().len(), 1 + mentioned.len(), "seed {seed}");
+            let films = |c: &Term| {
+                let q = films_of(c);
+                (rw.rewrite_canonical(&q, &cfg), q)
+            };
+            let ((live, live_q), (dead, dead_q)) = (films(&person(3)), films(&absent));
+            assert!(Arc::ptr_eq(&live.id_cqs, &dead.id_cqs));
+            assert_eq!(
+                executed(&rw, &live_q, &live),
+                BTreeSet::from([vec![Term::iri("http://b/film3")]])
+            );
+            assert!(executed(&rw, &dead_q, &dead).is_empty(), "a dead branch");
+            // A literal and an IRI of one lexical form: the literal is a
+            // fresh constant either way, the mentioned IRI is not.
+            let (lit, lit_q) = films(&lit_person);
+            assert!(Arc::ptr_eq(&live.id_cqs, &lit.id_cqs));
+            assert!(executed(&rw, &lit_q, &lit).is_empty());
+            let (as_literal, _) = films(&lit_actor);
+            let (as_iri, _) = films(&mentioned[1]);
+            assert!(Arc::ptr_eq(&live.id_cqs, &as_literal.id_cqs));
+            assert!(!Arc::ptr_eq(&live.id_cqs, &as_iri.id_cqs));
+
+            // The same constant twice is another key than two distinct
+            // ones.
+            let pair = |a: &Term, b: &Term| {
+                let q = query(
+                    &["p"],
+                    &[[a.clone().into(), TermOrVar::var("p"), b.clone().into()]],
+                );
+                memoised(&rw, &q, &cfg).id_cqs
+            };
+            let before = rw.memo().len();
+            let (same, same_again) = (pair(&person(3), &person(3)), pair(&person(5), &person(5)));
+            let (two, two_again) = (pair(&person(3), &person(4)), pair(&person(6), &absent));
+            assert!(Arc::ptr_eq(&same, &same_again) && Arc::ptr_eq(&two, &two_again));
+            assert!(!Arc::ptr_eq(&same, &two));
+            assert_eq!(rw.memo().len(), before + 2, "seed {seed}");
+
+            // Seeded shapes over seeded constants, a repeat one time in
+            // four: Example 3's Boolean shape, a variable predicate, a
+            // join.
+            for _ in 0..50 {
+                let a = order[below(order.len())].clone();
+                let b = match below(4) {
+                    0 => a.clone(),
+                    _ => order[below(order.len())].clone(),
+                };
+                let var = TermOrVar::var;
+                let q = match below(3) {
+                    0 => query(&[], &[[a.into(), cast(), b.into()]]),
+                    1 => {
+                        let join = [[a.into(), var("p"), var("x")], [var("x"), cast(), b.into()]];
+                        query(&["p", "x"], &join)
+                    }
+                    _ => {
+                        let join = [[var("x"), cast(), var("y")], [var("x"), cast(), a.into()]];
+                        query(&["x", "y"], &join)
+                    }
+                };
+                memoised(&rw, &q, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_evicts_its_oldest_expansion_and_answers_stay() {
+        let sys = sized_system(10);
+        let cfg = RewriteConfig::default();
+        let mut rw = RpsRewriter::new(&sys);
+        rw.memo = Mutex::new(Fifo::new(4));
+        let (p3, p4) = (Term::iri("http://b/person3"), Term::iri("http://b/person4"));
+        let (x, p) = (TermOrVar::var("x"), TermOrVar::var("p"));
+        let shapes = [
+            films_of(&p3),
+            films_of(&Term::iri("http://b/actor")),
+            query(&["p"], &[[p3.clone().into(), p.clone(), p4.clone().into()]]),
+            query(&["p"], &[[p3.clone().into(), p, p3.clone().into()]]),
+            query(
+                &[],
+                &[[Term::iri("http://b/film3").into(), cast(), p3.into()]],
+            ),
+            query(
+                &["x"],
+                &[
+                    [x.clone(), cast(), TermOrVar::var("y")],
+                    [x, cast(), p4.into()],
+                ],
+            ),
+        ];
+        let first: Vec<RpsRewriting> = shapes.iter().map(|q| memoised(&rw, q, &cfg)).collect();
+        assert_eq!(rw.memo().len(), 4);
+        // Newest first, so no probe evicts what a later one looks for:
+        // the four newest are hits, the two oldest expand afresh.
+        for (i, q) in shapes.iter().enumerate().rev() {
+            let again = memoised(&rw, q, &cfg);
+            assert_eq!(
+                Arc::ptr_eq(&again.id_cqs, &first[i].id_cqs),
+                i >= 2,
+                "{q:?}"
+            );
+            assert_eq!(again.id_cqs[..], first[i].id_cqs[..]);
+            assert_eq!(executed(&rw, q, &again), executed(&rw, q, &first[i]));
+        }
+        assert_eq!(rw.memo().len(), 4);
+    }
+
+    #[test]
+    fn budgets_are_part_of_the_memo_key() -> Result<(), RpsError> {
+        use crate::session::{EngineConfig, Session, Strategy};
+        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
+        let exhausted = |r| matches!(r, Err(RpsError::RewriteBudget { .. }));
+        // Too small for the expansion of `text` to finish.
+        let tight = RewriteConfig {
+            max_cqs: 1,
+            ..RewriteConfig::default()
+        };
+        let config = EngineConfig::default().with_strategy(Strategy::Rewrite);
+        let expected = Session::open(
+            linear_system(),
+            config.clone().with_strategy(Strategy::Materialise),
+        )?
+        .answer_sparql(text)?;
+        assert_eq!(expected.rows().map(|r| r.rows.len()), Some(4));
+        let mut session = Session::open(linear_system(), config.with_rewrite(tight.clone()))?;
+        assert!(exhausted(session.answer_sparql(text)));
+        session.config_mut().rewrite = RewriteConfig::default();
+        assert_eq!(session.answer_sparql(text)?, expected);
+        // The complete union is memoised now; a budget that runs out
+        // must not be served it.
+        session.config_mut().rewrite = tight;
+        assert!(exhausted(session.answer_sparql(text)));
+        Ok(())
     }
 }

@@ -14,16 +14,17 @@
 //! [`FrozenSession::prepare`] and [`FrozenSession::execute`] take `&self`
 //! and run concurrently from any number of threads.
 //!
-//! Everything behind the handle is immutable: plans carry their own
-//! `Arc` of the sealed substrate (universal solution or canonical stored
-//! graph), the rewriter interns a new query's constants into a per-call
-//! scratch dictionary, and the Datalog engine's model is sealed. The one lock
-//! is the **plan cache**'s ([`PlanCache`]) — two bounded maps under one
-//! mutex, conjunctive plans keyed on the canonical numbered-variable
-//! form of the query and whole SPARQL statements keyed on their text,
-//! held for a hash probe and never across parsing, compilation or
-//! execution — with hit/miss counters exposed via
-//! [`FrozenSession::plan_cache_stats`].
+//! Everything behind the handle is immutable but two caches: plans carry
+//! their own `Arc` of the sealed substrate (universal solution or
+//! canonical stored graph), the rewriter interns a new query's constants
+//! into a per-call scratch dictionary, and the Datalog engine's model is
+//! sealed. One lock is the **plan cache**'s ([`PlanCache`]) — two bounded
+//! maps under one mutex, conjunctive plans keyed on the canonical
+//! numbered-variable form of the query and whole SPARQL statements keyed
+//! on their text, held for a hash probe and never across parsing,
+//! compilation or execution — with hit/miss counters exposed via
+//! [`FrozenSession::plan_cache_stats`]. The other is the rewriter's
+//! expansion memo ([`crate::rewriting`]), held the same way.
 //!
 //! ```
 //! use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -85,10 +86,12 @@ use crate::rewriting::RpsRewriter;
 use crate::sparql::{prepare_sparql_with, PreparedSparql};
 use rps_query::{GraphPatternQuery, Semantics, TermOrVar};
 use rps_rdf::{Graph, Iri, RdfError, Term};
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::hash::Hash;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound of the plan cache (entries), used by
 /// [`Session::freeze`].
@@ -111,15 +114,18 @@ pub struct PlanCacheStats {
     pub statements: usize,
 }
 
-/// A map that forgets its oldest key once it holds `capacity` of them.
-struct Fifo<V> {
+/// A map that forgets its oldest key once it holds `capacity` of them —
+/// the plan cache's two maps and the rewriter's expansion memo
+/// ([`crate::rewriting`]). Keys are cheap to clone (`Arc`s): each is
+/// held by the map and by the eviction order.
+pub(crate) struct Fifo<K, V> {
     capacity: usize,
-    map: HashMap<Arc<str>, V>,
-    order: VecDeque<Arc<str>>,
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
 }
 
-impl<V: Clone> Fifo<V> {
-    fn new(capacity: usize) -> Self {
+impl<K: Hash + Eq + Clone, V: Clone> Fifo<K, V> {
+    pub(crate) fn new(capacity: usize) -> Self {
         Fifo {
             capacity,
             map: HashMap::new(),
@@ -127,16 +133,19 @@ impl<V: Clone> Fifo<V> {
         }
     }
 
-    fn get(&self, key: &str) -> Option<V> {
+    pub(crate) fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         self.map.get(key).cloned()
     }
 
     /// Inserts `value` under `key`, unless a concurrent preparation of
     /// the same key landed first — then that one wins (so every caller
     /// of the same key converges on one shared value).
-    fn insert(&mut self, key: &str, value: V) -> V {
-        if let Some(existing) = self.get(key) {
-            return existing;
+    pub(crate) fn insert(&mut self, key: K, value: V) -> V {
+        if let Some(existing) = self.map.get(&key) {
+            return existing.clone();
         }
         while self.map.len() >= self.capacity {
             match self.order.pop_front() {
@@ -146,10 +155,14 @@ impl<V: Clone> Fifo<V> {
                 None => break,
             }
         }
-        let key: Arc<str> = key.into();
         self.map.insert(key.clone(), value.clone());
         self.order.push_back(key);
         value
+    }
+
+    /// Entries currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -171,8 +184,8 @@ impl<V: Clone> Fifo<V> {
 /// the plan type so the federated counterpart in `rps-p2p` shares the
 /// implementation.
 pub struct PlanCache<T> {
-    plans: Fifo<Arc<T>>,
-    statements: Fifo<PreparedSparql<Arc<T>>>,
+    plans: Fifo<Arc<str>, Arc<T>>,
+    statements: Fifo<Arc<str>, PreparedSparql<Arc<T>>>,
     hits: u64,
     misses: u64,
 }
@@ -190,6 +203,18 @@ impl<T> PlanCache<T> {
         }
     }
 
+    /// Locks `cache`, recovering it if the mutex is poisoned. That is
+    /// sound because a guard only ever lives for a hash probe with a
+    /// counter bump, a whole-entry insert (whole entries evicted, then
+    /// one added) or a read of the counters: `std` collection calls and
+    /// `Arc` clones, which do not panic short of an allocation failure,
+    /// and that aborts. Parsing, compiling and executing run unlocked.
+    /// So the state behind a poisoned lock is one such step's before or
+    /// after, and serves the answers it would have served unpoisoned.
+    pub fn lock(cache: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The plan cached for `query` (or an α-equivalent one prepared
     /// earlier, on any thread) — or `compile`'s, run *outside* the lock
     /// so a slow compile never blocks hits. If several threads race on
@@ -200,12 +225,11 @@ impl<T> PlanCache<T> {
         compile: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         let key = canonical_plan_key(query);
-        if let Some(hit) = cache.lock().expect("plan cache lock").plan(&key) {
+        if let Some(hit) = Self::lock(cache).plan(&key) {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
-        let mut cache = cache.lock().expect("plan cache lock");
-        Ok(cache.plans.insert(&key, compiled))
+        Ok(Self::lock(cache).plans.insert(key.into(), compiled))
     }
 
     /// The statement cached for exactly this `text`, or a fresh
@@ -221,12 +245,11 @@ impl<T> PlanCache<T> {
         text: &str,
         prepare: impl FnMut(&GraphPatternQuery) -> Result<Arc<T>, RpsError>,
     ) -> Result<PreparedSparql<Arc<T>>, RpsError> {
-        if let Some(hit) = cache.lock().expect("plan cache lock").statement(text) {
+        if let Some(hit) = Self::lock(cache).statement(text) {
             return Ok(hit);
         }
         let prepared = prepare_sparql_with(text, prepare)?;
-        let mut cache = cache.lock().expect("plan cache lock");
-        Ok(cache.statements.insert(text, prepared))
+        Ok(Self::lock(cache).statements.insert(text.into(), prepared))
     }
 
     /// Fetches the plan cached under `key`, counting a hit or a miss.
@@ -253,9 +276,9 @@ impl<T> PlanCache<T> {
         PlanCacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.plans.map.len(),
+            entries: self.plans.len(),
             capacity: self.plans.capacity,
-            statements: self.statements.map.len(),
+            statements: self.statements.len(),
         }
     }
 }
@@ -452,7 +475,7 @@ impl FrozenSession {
 
     /// Plan-cache hit/miss counters and occupancy.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.inner.cache.lock().expect("plan cache lock").stats()
+        PlanCache::lock(&self.inner.cache).stats()
     }
 
     /// The cache itself, for the SPARQL entry points in [`crate::sparql`].

@@ -76,9 +76,9 @@ pub struct FederatedAnswer {
 }
 
 /// What both federated façades answer through. Immutable after
-/// construction apart from the mutable session's builder methods, so
-/// frozen prepares and executes touch it lock-free from any number of
-/// threads.
+/// construction apart from the mutable session's builder methods and the
+/// rewriter's expansion memo, so frozen executes touch it lock-free from
+/// any number of threads, and a prepare locks only for the memo's probe.
 struct FedCore {
     id: u64,
     /// Bumped by [`FederatedSession::config_mut`]; prepared queries are
@@ -90,8 +90,9 @@ struct FedCore {
     /// interning them, so the engine never mutates.
     engine: FederatedEngine,
     /// The rewriting compiler; each prepare interns into its own scratch
-    /// dictionary, so this never mutates either. Also holds the
-    /// equivalence index answers are expanded over.
+    /// dictionary, and only the expansion memo behind its own lock ever
+    /// changes. Also holds the equivalence index answers are expanded
+    /// over.
     rewriter: RpsRewriter,
     config: EngineConfig,
     cost_model: CostModel,
@@ -382,7 +383,7 @@ impl FrozenFederatedSession {
 
     /// Plan-cache hit/miss counters and occupancy.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.inner.cache.lock().expect("plan cache lock").stats()
+        PlanCache::lock(&self.inner.cache).stats()
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent
@@ -589,6 +590,27 @@ mod tests {
                 other => panic!("expected RewriteBudget, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn budgets_are_part_of_the_rewriters_memo_key() -> Result<(), RpsError> {
+        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
+        let exhausted = |r| matches!(r, Err(RpsError::RewriteBudget { .. }));
+        let tight = RewriteConfig {
+            max_cqs: 1,
+            ..RewriteConfig::default()
+        };
+        let cfg = EngineConfig::default().with_rewrite(tight.clone());
+        let mut session = FederatedSession::open(&linear_system(), cfg)?;
+        assert!(exhausted(session.answer_sparql(text)));
+        session.config_mut().rewrite = RewriteConfig::default();
+        let complete = session.answer_sparql(text)?;
+        assert_eq!(complete.rows().map(|r| r.rows.len()), Some(4));
+        // The complete union is memoised now; a budget that runs out
+        // must not be served it.
+        session.config_mut().rewrite = tight;
+        assert!(exhausted(session.answer_sparql(text)));
+        Ok(())
     }
 
     #[test]
