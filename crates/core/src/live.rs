@@ -20,8 +20,8 @@
 //!   they either see epoch *N* or epoch *N+1*, complete in both cases;
 //! - the writer blocks readers for a pointer swap and no longer: the
 //!   replaced snapshot is dropped — when the writer held its last
-//!   reference, a free of its key set, its dictionary tail and whatever
-//!   runs and dictionary base no later epoch shares — only after the
+//!   reference, a free of its predicate counts, its dictionary tail and
+//!   whatever runs and dictionary base no later epoch shares — only after the
 //!   write guard is released (it used to be dropped under it, stalling
 //!   every `current()` / `epoch()` for that long);
 //! - a [`LivePlan`] prepared against epoch *N* keeps executing against
@@ -38,17 +38,21 @@
 //! merge pass per permutation that copies the solution's run around the
 //! batch's few additions and tombstones (1.7–2.6 ms on the repo
 //! benchmark's `live_churn`: 185k–245k solution triples, 64-triple
-//! batches, 2-core VM). The copy **shares** the runs and the term
-//! dictionary's `Arc`-shared base and carries the planner statistics;
-//! it **copies** the live-key set, the per-predicate counts and the
-//! dictionary's tail — the terms interned since its last fold, at most
-//! `max(1024, base / 8)`; it **leaves** the insertion log and its position
-//! map on the write side, where the chase needs them and readers never
-//! did. So a publish is still `O(solution)` in the merge and the key
-//! set, but copies and frees no term: traced on `live_churn`, the copy
-//! is ≈ 1 ms where `Graph::clone` was ≈ 10, and an `apply` ≈ 6 ms where
-//! it was ≈ 13. Every published solution is one run per permutation
-//! with no tail and no tombstone, so a reader's probe never merges.
+//! batches, 2-core VM). The copy **shares** the three runs — its store
+//! is the sealed read-only variant, which holds nothing else: no tail,
+//! no tombstone set, no live-key set, so its membership test is a
+//! binary search of the SPO run — and the term dictionary's
+//! `Arc`-shared base, and carries the planner statistics; it
+//! **copies** the per-predicate counts and the dictionary's tail — the
+//! terms interned since its last fold, at most `max(1024, base / 8)`;
+//! it **leaves** the writer's live-key set, its insertion log and the
+//! log's position map on the write side, where the chase needs them
+//! and readers never did. So the seal's merge is the one `O(solution)`
+//! copy of a publish: traced on `live_churn`, the copy is ≈ 0.05 ms
+//! where `Graph::clone` was ≈ 10 and copying the key set ≈ 1, and an
+//! `apply` ≈ 4 ms where it was ≈ 13. Every published solution is one
+//! run per permutation with no tail and no tombstone — the variant has
+//! no room for either — so a reader's probe never merges.
 //!
 //! The planner statistics are the one part of a publish that is
 //! `O(batch)`: the seal patches the previous epoch's `GraphStats` from
@@ -386,9 +390,10 @@ impl LiveSession {
 /// Seals the write-side graph and snapshots it as `epoch`, with a fresh
 /// plan cache (see the module docs' "Publish cost"). The seal merges the
 /// batch into one run per permutation; the snapshot is the graph's
-/// [`read_only_copy`](rps_rdf::Graph::read_only_copy), which shares
-/// those runs and the dictionary's prefix, copies the live-key set, the
-/// predicate counts and the dictionary's unfolded tail, and leaves the
+/// [`read_only_copy`](rps_rdf::Graph::read_only_copy), whose store is
+/// those three runs, shared, and nothing else. It shares the
+/// dictionary's prefix too, copies the predicate counts and the
+/// dictionary's unfolded tail, and leaves the live-key set and the
 /// insertion log — the chase's state, not the readers' — on the write
 /// side. The planner statistics are settled in between, so the copy
 /// carries them: the seal has patched the previous epoch's from the

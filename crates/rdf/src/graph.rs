@@ -427,18 +427,29 @@ impl Graph {
     /// A read-only copy of a sealed graph: what a reader of it uses and
     /// none of what only a writer does. It shares the sorted runs and
     /// the dictionary's prefix with `self` (the terms interned since the
-    /// dictionary last folded are copied), copies the live-key set and
-    /// the per-predicate counts, and carries the [`GraphStats`] snapshot.
+    /// dictionary last folded are copied), copies the per-predicate
+    /// counts, and carries the [`GraphStats`] snapshot.
+    ///
+    /// Of a graph [`Graph::seal`] left as one plain run per permutation,
+    /// the copy's store is the sealed read-only variant: those three
+    /// runs and nothing else — no tail, no tombstones, and **no
+    /// live-key set**, so the copy costs three `Arc` bumps however large
+    /// the graph. Its membership test ([`Graph::contains_ids`], a fully
+    /// bound [`Graph::match_ids`]) is a binary search of the SPO run
+    /// instead of a hash probe. Any other shape (unsealed, columnar, the
+    /// B-tree backend) is copied whole.
+    ///
     /// It has **no history**: its insertion log is empty, so no mark
     /// taken on `self` means anything here and a chase cannot resume
     /// from it — [`Graph::log_since`]`(0)` on the copy lists only what
     /// was inserted into the copy itself. The copy is still a complete
     /// graph (it scans, answers, persists and accepts writes like any
-    /// other); [`Clone`] remains the full copy, log included.
+    /// other — its first write rebuilds the live-key set once, over the
+    /// same runs); [`Clone`] remains the full copy, log included.
     pub fn read_only_copy(&self) -> Graph {
         Graph {
             dict: self.dict.clone(),
-            store: self.store.clone(),
+            store: self.store.read_only_copy(),
             pred_counts: self.pred_counts.clone(),
             dur: self.dur.clone(),
             stats: self.stats.clone(),
@@ -1456,6 +1467,170 @@ mod tests {
         assert_eq!(copy.log_since(0).count(), added);
         reseal_patched(&mut copy, "read-only copy");
         assert!(g.iter_ids().eq(before), "the original is untouched");
+    }
+
+    /// `a` and `b` read alike: length, the full scan, and around each
+    /// probe membership and the seven shapes that bind a position.
+    fn assert_reads_agree(a: &Graph, b: &Graph, probes: &[IdTriple], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: len");
+        assert!(a.iter_ids().eq(b.iter_ids()), "{what}: iter_ids");
+        for &t in probes {
+            assert_eq!(a.contains_ids(t), b.contains_ids(t), "{what}: {t:?}");
+            for shape in 1..8u8 {
+                let bind = |bit: u8, id: TermId| (shape & bit != 0).then_some(id);
+                let (s, p, o) = (bind(1, t.s), bind(2, t.p), bind(4, t.o));
+                let (ours, theirs) = (a.match_ids(s, p, o), b.match_ids(s, p, o));
+                assert!(ours.eq(theirs), "{what}: {t:?}, shape {shape:03b}");
+            }
+        }
+    }
+
+    /// A named sealed writer and the keys to probe it on.
+    type Writer = (&'static str, Graph, Vec<IdTriple>);
+
+    /// Sealed writers of each shape a publish meets — empty, fresh, and
+    /// after a batch that held removals — with the probes that matter
+    /// for each: present, absent and just-removed keys.
+    fn sealed_writers(next: &mut impl FnMut() -> u64) -> Result<Vec<Writer>, String> {
+        let mut empty = Graph::new();
+        empty.seal();
+        let absent: Vec<IdTriple> = (0..40).map(|_| draw(next, 60, 4200)).collect();
+        let fresh = stats_fixture(next, StorageBackend::SortedRuns);
+        let mut probes = some_present(&fresh, next, 60);
+        probes.extend(&absent);
+        let mut churned = fresh.clone();
+        churned.graph_stats().ok_or("sealed")?;
+        let removed = some_present(&churned, next, 150);
+        for &t in &removed {
+            churned.remove_ids(t);
+        }
+        churned.insert_batch((0..300).map(|_| draw(next, 60, 4200)));
+        churned.seal();
+        let mut churned_probes = probes.clone();
+        churned_probes.extend(removed);
+        Ok(vec![
+            ("empty", empty, absent),
+            ("fresh", fresh, probes),
+            ("churned", churned, churned_probes),
+        ])
+    }
+
+    /// A publish's copy of a sealed plain graph holds the read-only
+    /// variant over the writer's own runs, and answers every read like
+    /// the writer; its first write thaws it into a store that behaves
+    /// like the B-tree oracle, and the writer never sees it.
+    #[test]
+    fn a_sealed_copy_shares_the_writers_runs_and_reads_like_it() -> Result<(), String> {
+        for seed in [31u64, 32, 33] {
+            let next = &mut crate::store::tests::splitmix(seed);
+            for (shape, writer, probes) in sealed_writers(next)? {
+                let what = format!("seed {seed}, {shape}");
+                let stats = writer.graph_stats().ok_or("sealed")?;
+                let writer_scan: Vec<IdTriple> = writer.iter_ids().collect();
+                let mut copy = writer.read_only_copy();
+                assert!(matches!(copy.store, TripleStore::Sealed(_)), "{what}");
+
+                // The same three key arrays, not copies of them.
+                let theirs = writer.store.sealed_runs().ok_or("writer sealed plain")?;
+                let ours = copy.store.sealed_runs().ok_or("copy sealed")?;
+                for (w, c) in theirs.iter().zip(ours) {
+                    assert_eq!(*w, c, "{what}");
+                    assert!(
+                        w.is_empty() || std::ptr::eq(w.as_ptr(), c.as_ptr()),
+                        "{what}"
+                    );
+                }
+                assert_reads_agree(&copy, &writer, &probes, &what);
+                for p in 0..10 {
+                    assert_eq!(
+                        copy.predicate_count(TermId(p)),
+                        writer.predicate_count(TermId(p)),
+                        "{what}: predicate {p}"
+                    );
+                }
+                let layout = copy.storage_stats();
+                assert_eq!(layout, writer.storage_stats(), "{what}");
+                let one_run = layout.runs <= 1 && layout.tail == 0 && layout.tombstones == 0;
+                assert!(one_run, "{what}: {layout:?}");
+                let carried = copy.graph_stats().ok_or("a sealed copy has statistics")?;
+                assert!(Arc::ptr_eq(&carried, &stats), "{what}: statistics shared");
+
+                // A reseal that stays plain leaves it as it is; one that
+                // compresses thaws a copy of it.
+                copy.seal_with(&SealConfig::default());
+                assert!(matches!(copy.store, TripleStore::Sealed(_)), "{what}");
+                let mut packed = copy.clone();
+                packed.seal_with(&SealConfig {
+                    compress: true,
+                    compress_min_keys: 1,
+                });
+                let columnar = usize::from(!writer.is_empty()) * 3;
+                assert_eq!(packed.storage_stats().compressed_runs, columnar, "{what}");
+                assert!(packed.iter_ids().eq(writer.iter_ids()), "{what}: packed");
+
+                // Thaw by writing, against the B-tree oracle.
+                let mut model = Graph::with_backend(StorageBackend::BTree);
+                model.insert_batch(writer.iter_ids());
+                let mut touched = probes.clone();
+                for (i, &t) in probes.iter().enumerate() {
+                    let write = if i % 3 == 0 {
+                        Graph::insert_ids
+                    } else {
+                        Graph::remove_ids
+                    };
+                    assert_eq!(write(&mut copy, t), write(&mut model, t), "{what}: {t:?}");
+                }
+                assert!(matches!(copy.store, TripleStore::Runs(_)), "{what}: thawed");
+                let fresh: Vec<IdTriple> = (0..200).map(|_| draw(next, 60, 4200)).collect();
+                assert_eq!(
+                    copy.insert_batch(fresh.iter().copied()),
+                    model.insert_batch(fresh.iter().copied()),
+                    "{what}"
+                );
+                touched.extend(fresh);
+                assert_reads_agree(&copy, &model, &touched, &format!("{what}, thawed"));
+                copy.seal();
+                assert_reads_agree(&copy, &model, &touched, &format!("{what}, resealed"));
+
+                assert!(
+                    writer.iter_ids().eq(writer_scan),
+                    "{what}: writer untouched"
+                );
+                assert!(matches!(writer.store, TripleStore::Runs(_)), "{what}");
+            }
+        }
+        Ok(())
+    }
+
+    /// A published copy persists through the variant's own snapshot and
+    /// reopens as the same triples, dictionary and statistics.
+    #[test]
+    fn a_sealed_copy_round_trips_through_the_durable_tier() -> Result<(), String> {
+        let next = &mut crate::store::tests::splitmix(41);
+        for (shape, writer, _) in sealed_writers(next)? {
+            let stats = writer.graph_stats().ok_or("sealed")?;
+            let copy = writer.read_only_copy();
+            assert!(matches!(copy.store, TripleStore::Sealed(_)), "{shape}");
+            let dir = std::env::temp_dir().join(format!(
+                "rps-graph-test-{}-published-{shape}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            copy.persist(&dir).map_err(|e| e.to_string())?;
+            let reopened = Graph::open(&dir).map_err(|e| e.to_string());
+            let _ = std::fs::remove_dir_all(&dir);
+            let reopened = reopened?;
+
+            assert!(reopened.iter_ids().eq(copy.iter_ids()), "{shape}: triples");
+            assert!(reopened.dict().iter().eq(copy.dict().iter()), "{shape}");
+            let swept = reopened.graph_stats().ok_or("reopened sealed")?;
+            assert_eq!(swept.triples, stats.triples, "{shape}");
+            assert_eq!(swept.preds, stats.preds, "{shape}");
+            assert_eq!(swept.distinct_subjects, stats.distinct_subjects);
+            assert_eq!(swept.distinct_objects, stats.distinct_objects);
+            assert_eq!(swept.spo_bounds, stats.spo_bounds, "{shape}");
+        }
+        Ok(())
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //!   vector, or its delta-varint columnar encoding (the
 //!   `store::columnar` module) when [`SealConfig::compress`] asks. A
 //!   scan of a sealed store sets up one source and merges nothing.
+//!   A **read-only copy** of a store sealed plain is its own variant,
+//!   `TripleStore::Sealed`: the three runs, `Arc`-shared with the
+//!   writer, and nothing else — no tail, no tombstone set, no live-key
+//!   set. Its membership probe is a binary search of the SPO run; a
+//!   write *thaws* it back into the run layout over the same runs.
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
@@ -56,7 +61,11 @@
 //!    its own key order;
 //! 4. compaction never changes the logical key set, so the insertion
 //!    log kept by `Graph` (and every outstanding mark into it) is
-//!    unaffected by flushes, merges and purges.
+//!    unaffected by flushes, merges and purges;
+//! 5. a `Sealed` store is one plain run per permutation (an empty one
+//!    when the store is empty), each holding the same triples in its
+//!    own order — by construction, not by a check: the variant has no
+//!    field for a tail, a tombstone or a second run.
 //!
 //! ```
 //! use rps_rdf::{Graph, StorageBackend, Term};
@@ -132,6 +141,13 @@ impl Default for SealConfig {
             compress: false,
             compress_min_keys: 256,
         }
+    }
+}
+
+impl SealConfig {
+    /// Whether a seal under this config stores `keys` keys columnar.
+    fn compresses(&self, keys: usize) -> bool {
+        self.compress && keys >= self.compress_min_keys.max(1)
     }
 }
 
@@ -266,8 +282,9 @@ fn spo_key(t: IdTriple) -> [u32; 3] {
 }
 
 /// The physical triple store: three permutation indexes in one of the
-/// two layouts. All members take/return SPO-keyed [`IdTriple`]s; the
-/// permutation plumbing is internal.
+/// two layouts, or the read-only form of a sealed sorted-run store. All
+/// members take/return SPO-keyed [`IdTriple`]s; the permutation
+/// plumbing is internal.
 // One store per graph, never collections of them — the size gap
 // between the layouts costs nothing, so indirection would only add a
 // pointer chase to every triple operation.
@@ -276,6 +293,15 @@ fn spo_key(t: IdTriple) -> [u32; 3] {
 pub(crate) enum TripleStore {
     BTree(BTreeStore),
     Runs(RunStore),
+    /// What [`TripleStore::read_only_copy`] makes of a store sealed
+    /// plain; reports [`StorageBackend::SortedRuns`].
+    Sealed(SealedRuns),
+}
+
+/// The store a write goes to (see [`TripleStore::writable`]).
+enum Writable<'s> {
+    BTree(&'s mut BTreeStore),
+    Runs(&'s mut RunStore),
 }
 
 impl Default for TripleStore {
@@ -295,13 +321,60 @@ impl TripleStore {
     pub(crate) fn backend(&self) -> StorageBackend {
         match self {
             TripleStore::BTree(_) => StorageBackend::BTree,
-            TripleStore::Runs(_) => StorageBackend::SortedRuns,
+            TripleStore::Runs(_) | TripleStore::Sealed(_) => StorageBackend::SortedRuns,
+        }
+    }
+
+    /// A copy for readers. A sorted-run store sealed plain — what
+    /// [`Self::seal`] leaves — becomes [`TripleStore::Sealed`] over the
+    /// same runs: three `Arc` bumps, no tail, no tombstones and no
+    /// live-key set to copy. Any other shape (unsealed, columnar, the
+    /// B-tree backend, a copy already sealed) is cloned whole.
+    pub(crate) fn read_only_copy(&self) -> TripleStore {
+        if let Some([spo, pos, osp]) = self.plain_runs() {
+            let run = |run: Option<&Run>| run.cloned().unwrap_or_default();
+            return TripleStore::Sealed(SealedRuns {
+                spo: run(spo),
+                pos: run(pos),
+                osp: run(osp),
+            });
+        }
+        self.clone()
+    }
+
+    /// The one plain run of each permutation (`None` where it is empty)
+    /// of a run store [`Self::seal`] left whole in them: no tail, no
+    /// tombstone, no columnar run, at most one run per permutation.
+    fn plain_runs(&self) -> Option<[Option<&Run>; 3]> {
+        let TripleStore::Runs(s) = self else {
+            return None;
+        };
+        let plain = self.is_sealed() && s.spo.columnar.is_none() && s.spo.runs.len() <= 1;
+        plain.then(|| [&s.spo, &s.pos, &s.osp].map(|index| index.runs.first()))
+    }
+
+    /// The store a write goes to. A [`TripleStore::Sealed`] store thaws
+    /// first: it becomes a run store over the same runs, with no
+    /// tombstone and its live-key set rebuilt once from the SPO run.
+    fn writable(&mut self) -> Writable<'_> {
+        match self {
+            TripleStore::BTree(s) => Writable::BTree(s),
+            TripleStore::Runs(s) => Writable::Runs(s),
+            TripleStore::Sealed(s) => {
+                *self = TripleStore::Runs(s.thaw());
+                self.writable()
+            }
         }
     }
 
     pub(crate) fn stats(&self) -> StorageStats {
         match self {
             TripleStore::BTree(_) => StorageStats::default(),
+            TripleStore::Sealed(s) => StorageStats {
+                runs: usize::from(!s.spo.is_empty()),
+                run_keys: s.spo.len(),
+                ..StorageStats::default()
+            },
             TripleStore::Runs(s) => {
                 let columnar = || {
                     [&s.spo, &s.pos, &s.osp]
@@ -326,6 +399,7 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => s.spo.len(),
             TripleStore::Runs(s) => s.len(),
+            TripleStore::Sealed(s) => s.spo.len(),
         }
     }
 
@@ -333,14 +407,15 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => s.spo.contains(&spo_key(t)),
             TripleStore::Runs(s) => s.contains(spo_key(t)),
+            TripleStore::Sealed(s) => s.spo.binary_search(&spo_key(t)).is_ok(),
         }
     }
 
     /// Inserts one triple; `true` iff it was not already present.
     pub(crate) fn insert(&mut self, t: IdTriple) -> bool {
-        match self {
-            TripleStore::BTree(s) => s.insert(t),
-            TripleStore::Runs(s) => s.insert(t),
+        match self.writable() {
+            Writable::BTree(s) => s.insert(t),
+            Writable::Runs(s) => s.insert(t),
         }
     }
 
@@ -355,23 +430,23 @@ impl TripleStore {
         triples: impl Iterator<Item = IdTriple>,
         added: &mut Vec<IdTriple>,
     ) {
-        match self {
-            TripleStore::BTree(s) => {
+        match self.writable() {
+            Writable::BTree(s) => {
                 for t in triples {
                     if s.insert(t) {
                         added.push(t);
                     }
                 }
             }
-            TripleStore::Runs(s) => s.insert_batch(triples, added),
+            Writable::Runs(s) => s.insert_batch(triples, added),
         }
     }
 
     /// Removes one triple; `true` iff it was present.
     pub(crate) fn remove(&mut self, t: IdTriple) -> bool {
-        match self {
-            TripleStore::BTree(s) => s.remove(t),
-            TripleStore::Runs(s) => s.remove(t),
+        match self.writable() {
+            Writable::BTree(s) => s.remove(t),
+            Writable::Runs(s) => s.remove(t),
         }
     }
 
@@ -385,8 +460,8 @@ impl TripleStore {
     /// run left by an earlier [`Self::seal_with`] stays as it is (less
     /// its dead keys) and the writes since fold into one plain run
     /// beside it. The logical key set is unchanged; the B-tree backend
-    /// is a no-op. A sealed store accepts further writes (they simply
-    /// start a new tail).
+    /// and a [`TripleStore::Sealed`] store are no-ops. A sealed store
+    /// accepts further writes (they simply start a new tail).
     pub(crate) fn seal(&mut self) {
         if let TripleStore::Runs(s) = self {
             s.seal();
@@ -397,9 +472,15 @@ impl TripleStore {
     /// permutation holding every live key, delta-varint compressed when
     /// `cfg` asks and the store is large enough, plain otherwise.
     /// Logical content is untouched; the B-tree backend ignores the
-    /// config ([`Self::seal`] semantics).
+    /// config ([`Self::seal`] semantics), and a [`TripleStore::Sealed`]
+    /// store thaws only if `cfg` compresses it.
     pub(crate) fn seal_with(&mut self, cfg: &SealConfig) {
-        if let TripleStore::Runs(s) = self {
+        if let TripleStore::Sealed(s) = self {
+            if !cfg.compresses(s.spo.len()) {
+                return; // already one plain run
+            }
+        }
+        if let Writable::Runs(s) = self.writable() {
             s.seal_with(cfg);
         }
     }
@@ -407,26 +488,27 @@ impl TripleStore {
     /// `true` iff the tail is empty and no tombstone is pending — what
     /// [`Self::seal`] leaves, though not only it (a flushing
     /// `insert_batch` does too, over several runs). Trivially true for
-    /// the B-tree backend.
+    /// the B-tree backend and a [`TripleStore::Sealed`] store.
     pub(crate) fn is_sealed(&self) -> bool {
         match self {
-            TripleStore::BTree(_) => true,
+            TripleStore::BTree(_) | TripleStore::Sealed(_) => true,
             TripleStore::Runs(s) => s.spo.tail.is_empty() && s.dead.len() == 0,
         }
     }
 
     /// The SPO, POS and OSP key arrays when [`Self::seal`] left the
     /// whole store in them: sorted runs, none columnar, no tail, no
-    /// tombstone, at most one run per permutation (none when empty).
-    /// `None` for any other shape, the B-tree backend included.
+    /// tombstone, at most one run per permutation (none when empty) —
+    /// always so for a [`TripleStore::Sealed`] store. `None` for any
+    /// other shape, the B-tree backend included.
     pub(crate) fn sealed_runs(&self) -> Option<[&[[u32; 3]]; 3]> {
-        let TripleStore::Runs(s) = self else {
-            return None;
-        };
-        if !(self.is_sealed() && s.spo.columnar.is_none() && s.spo.runs.len() <= 1) {
-            return None;
+        if let TripleStore::Sealed(s) = self {
+            return Some([Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| s.run(perm)));
         }
-        Some([&s.spo, &s.pos, &s.osp].map(|index| index.runs.first().map_or(&[][..], |r| &r[..])))
+        Some(
+            self.plain_runs()?
+                .map(|run| run.map_or(&[][..], |r| &r[..])),
+        )
     }
 
     /// The smallest and the largest SPO key of a sealed store (`None`
@@ -435,6 +517,7 @@ impl TripleStore {
         debug_assert!(self.is_sealed(), "a run's ends may be tombstoned");
         let (lo, hi) = match self {
             TripleStore::BTree(s) => (*s.spo.first()?, *s.spo.last()?),
+            TripleStore::Sealed(s) => (*s.spo.first()?, *s.spo.last()?),
             TripleStore::Runs(s) => s
                 .spo
                 .runs
@@ -450,28 +533,25 @@ impl TripleStore {
     /// tier when writing a checkpoint. Tombstoned keys are filtered out
     /// of the run images — a persist doubles as a purge-compaction —
     /// and the mutable tail comes back as SPO-ordered triples so the
-    /// checkpoint can re-log it through the WAL. The B-tree backend
-    /// snapshots as one full run per permutation.
+    /// checkpoint can re-log it through the WAL. The B-tree backend and
+    /// a [`TripleStore::Sealed`] store snapshot as one full run per
+    /// permutation.
     pub(crate) fn snapshot(&self) -> RunSnapshot {
+        // One run image, none for an empty permutation.
+        let whole = |keys: Vec<[u32; 3]>| -> Vec<Vec<[u32; 3]>> {
+            if keys.is_empty() {
+                Vec::new()
+            } else {
+                vec![keys]
+            }
+        };
         match self {
             TripleStore::BTree(s) => RunSnapshot {
-                runs: [
-                    if s.spo.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![s.spo.iter().copied().collect()]
-                    },
-                    if s.pos.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![s.pos.iter().copied().collect()]
-                    },
-                    if s.osp.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![s.osp.iter().copied().collect()]
-                    },
-                ],
+                runs: [&s.spo, &s.pos, &s.osp].map(|index| whole(index.iter().copied().collect())),
+                tail: Vec::new(),
+            },
+            TripleStore::Sealed(s) => RunSnapshot {
+                runs: [Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| whole(s.run(perm).to_vec())),
                 tail: Vec::new(),
             },
             TripleStore::Runs(s) => {
@@ -589,6 +669,57 @@ impl TripleStore {
                 }
             }
             TripleStore::Runs(s) => StoreRangeIter::Runs(s.range(perm, lo, hi)),
+            TripleStore::Sealed(s) => StoreRangeIter::Runs(RunRangeIter {
+                sources: ScanSources::One(bounded(s.run(perm), lo, hi)),
+                hi,
+                perm,
+                dead: None,
+            }),
+        }
+    }
+}
+
+/// A sealed plain sorted-run store in the form a reader uses: the one
+/// run of each permutation, `Arc`-shared with the [`RunStore`] it was
+/// copied from (empty when the store is), and nothing else. A write
+/// thaws it back into a [`RunStore`] (see [`TripleStore::writable`]).
+#[derive(Clone)]
+pub(crate) struct SealedRuns {
+    spo: Run,
+    pos: Run,
+    osp: Run,
+}
+
+impl SealedRuns {
+    fn run(&self, perm: Perm) -> &[[u32; 3]] {
+        match perm {
+            Perm::Spo => &self.spo,
+            Perm::Pos => &self.pos,
+            Perm::Osp => &self.osp,
+        }
+    }
+
+    /// A run store over the same runs: nothing tombstoned, and the
+    /// live-key set rebuilt from the SPO run.
+    fn thaw(&self) -> RunStore {
+        let index = |run: &Run| RunIndex {
+            runs: if run.is_empty() {
+                Vec::new()
+            } else {
+                vec![Arc::clone(run)]
+            },
+            ..RunIndex::default()
+        };
+        let mut present = KeySet::default();
+        for &key in self.spo.iter() {
+            present.insert(key);
+        }
+        RunStore {
+            spo: index(&self.spo),
+            pos: index(&self.pos),
+            osp: index(&self.osp),
+            present,
+            dead: KeySet::default(),
         }
     }
 }
@@ -621,6 +752,10 @@ impl BTreeStore {
     }
 }
 
+/// An immutable sorted run of one permutation's keys, shared by every
+/// store that holds it.
+type Run = Arc<Vec<[u32; 3]>>;
+
 /// One permutation's sorted-run stack plus its view of the mutable
 /// tail.
 #[derive(Clone, Default)]
@@ -629,10 +764,9 @@ struct RunIndex {
     /// newest run by at least the tiering factor, so there are
     /// `O(log n)` of them. Each run is `Arc`-shared: once written it is
     /// never mutated (compaction replaces whole runs), so cloning a
-    /// graph — which the live epoch-publication path does once per
-    /// committed epoch — shares the key arrays instead of deep-copying
-    /// them.
-    runs: Vec<Arc<Vec<[u32; 3]>>>,
+    /// store, or taking the read-only copy a live epoch publishes,
+    /// shares the key arrays instead of deep-copying them.
+    runs: Vec<Run>,
     /// The mutable tail, **kept sorted in this permutation's key
     /// order** (binary-search insertion; the tail is at most
     /// [`TAIL_MAX`] 12-byte keys, so the shift is one small memmove).
@@ -1032,7 +1166,7 @@ impl RunStore {
     /// and therefore `present` and every scan result — is unchanged.
     fn seal_with(&mut self, cfg: &SealConfig) {
         self.seal();
-        let compress = cfg.compress && self.len() >= cfg.compress_min_keys.max(1);
+        let compress = cfg.compresses(self.len());
         if !compress && self.spo.columnar.is_none() {
             return; // already one plain run
         }

@@ -175,8 +175,6 @@ fn skolem_chase() -> RpsChaseConfig {
     }
 }
 
-/// Asserts that the incrementally maintained state is byte-identical to
-/// a from-scratch re-chase of the live session's current system.
 /// A sealed graph's planner statistics with the predicate ids resolved:
 /// triples, distinct subjects, distinct objects, per-predicate entries.
 fn by_term(graph: &Graph) -> (usize, usize, usize, BTreeMap<Term, PredicateStats>) {
@@ -193,17 +191,36 @@ fn by_term(graph: &Graph) -> (usize, usize, usize, BTreeMap<Term, PredicateStats
     )
 }
 
-fn assert_matches_scratch(live: &LiveSession, panel: &[GraphPatternQuery], seed: u64, epoch: u32) {
+/// Asserts that the incrementally maintained state is byte-identical to
+/// a from-scratch re-chase of the live session's current system;
+/// `touched` lists the triples the epoch's batch inserted or removed.
+fn assert_matches_scratch(
+    live: &LiveSession,
+    panel: &[GraphPatternQuery],
+    seed: u64,
+    epoch: u32,
+    touched: &[Triple],
+) {
     let ctx = format!("seed {seed}, epoch {epoch}");
+    let scratch = chase_system(live.system(), &skolem_chase());
+    assert!(scratch.complete, "{ctx}: scratch chase must complete");
 
     // 0. The published layout is what the read path is priced on, and a
     // publish leaves the chase's insertion log on the write side.
     assert_one_run_layout(&live.solution().graph.storage_stats(), &ctx);
     assert_eq!(live.solution().graph.log_len(), 0, "{ctx}: published log");
+    // A published graph has no live-key set: its membership test is a
+    // binary search of the SPO run, and it must answer as the re-chase
+    // does for every triple the batch moved.
+    for triple in touched {
+        assert_eq!(
+            live.solution().graph.contains(triple),
+            scratch.graph.contains(triple),
+            "{ctx}: membership of {triple:?}"
+        );
+    }
 
     // 1. Universal solutions agree as term-level triple sets.
-    let scratch = chase_system(live.system(), &skolem_chase());
-    assert!(scratch.complete, "{ctx}: scratch chase must complete");
     let live_triples: BTreeSet<Triple> = live.solution().graph.iter().collect();
     let scratch_triples: BTreeSet<Triple> = scratch.graph.iter().collect();
     assert_eq!(
@@ -290,7 +307,8 @@ fn incremental_maintenance_matches_scratch_rechase() {
 
         let mut live =
             LiveSession::open(system, EngineConfig::default()).expect("live session opens");
-        assert_matches_scratch(&live, &panel, seed, 0);
+        let loaded: Vec<Triple> = present.iter().map(|(_, t)| t.clone()).collect();
+        assert_matches_scratch(&live, &panel, seed, 0, &loaded);
 
         // The random batches, then one insert-only, one remove-only and
         // one empty batch: a publish must not depend on a tombstone
@@ -306,6 +324,7 @@ fn incremental_maintenance_matches_scratch_rechase() {
                 _ => rng.gen_range(1..4),
             };
             let mut batch = UpdateBatch::new();
+            let mut touched = Vec::new();
             for _ in 0..ops {
                 let removing = !present.is_empty()
                     && match shape {
@@ -316,6 +335,7 @@ fn incremental_maintenance_matches_scratch_rechase() {
                 if removing {
                     let at = rng.gen_range(0..present.len());
                     let (peer, triple) = present.swap_remove(at);
+                    touched.push(triple.clone());
                     batch = batch.remove(peer, triple);
                 } else {
                     let peer = PeerId(rng.gen_range(0..PEERS));
@@ -323,13 +343,14 @@ fn incremental_maintenance_matches_scratch_rechase() {
                     if !present.contains(&(peer, triple.clone())) {
                         present.push((peer, triple.clone()));
                     }
+                    touched.push(triple.clone());
                     batch = batch.insert(peer, triple);
                 }
             }
             let before = live.epoch();
             let epoch = live.apply(&batch).expect("batch applies");
             assert_eq!(epoch, before + 1, "seed {seed}: epochs must be dense");
-            assert_matches_scratch(&live, &panel, seed, epoch);
+            assert_matches_scratch(&live, &panel, seed, epoch, &touched);
         }
     }
 }
@@ -358,11 +379,13 @@ fn draining_all_insertions_matches_scratch() {
             LiveSession::open(system, EngineConfig::default()).expect("live session opens");
 
         let mut batch = UpdateBatch::new();
+        let mut drained = Vec::new();
         for (peer, triple) in initial {
+            drained.push(triple.clone());
             batch = batch.remove(peer, triple);
         }
         let epoch = live.apply(&batch).expect("drain batch applies");
-        assert_matches_scratch(&live, &panel, seed, epoch);
+        assert_matches_scratch(&live, &panel, seed, epoch, &drained);
         assert!(
             live.solution().graph.is_empty(),
             "seed {seed}: draining all base facts must empty the solution"
