@@ -827,6 +827,11 @@ mod tests {
     /// Two peers: peer B has `actor` facts, peer A uses
     /// `starring`/`artist`; one GMA translates B into A's shape.
     fn two_peer_system() -> RdfPeerSystem {
+        two_peer_system_with("<http://b/film2> <http://b/actor> <http://b/actor2> .")
+    }
+
+    /// [`two_peer_system`] with `b_turtle` as peer B's data.
+    fn two_peer_system_with(b_turtle: &str) -> RdfPeerSystem {
         let mut a = PeerId(0);
         let mut b = PeerId(0);
         let premise = GraphPatternQuery::new(
@@ -858,11 +863,7 @@ mod tests {
                 &mut a,
             )
             .unwrap()
-            .peer_turtle(
-                "B",
-                "<http://b/film2> <http://b/actor> <http://b/actor2> .",
-                &mut b,
-            )
+            .peer_turtle("B", b_turtle, &mut b)
             .unwrap()
             .assertion(b, a, premise, conclusion)
             .unwrap()
@@ -912,6 +913,29 @@ mod tests {
         let sol2 = chase_system(&sys2, &RpsChaseConfig::default());
         assert_eq!(sol2.stats.gma_firings, 0);
         assert_eq!(sol1.graph.len(), sol2.graph.len());
+    }
+
+    /// Within one run, the restricted chase skips a premise tuple whose
+    /// conclusion the stored data already satisfies and fires the other.
+    #[test]
+    fn restricted_chase_does_not_refire_satisfied_triggers() {
+        // Peer A already holds the conclusion for (film, actor1), not for
+        // (film2, actor2).
+        let sys = two_peer_system_with(
+            "<http://a/film> <http://b/actor> <http://a/actor1> .\n\
+             <http://b/film2> <http://b/actor> <http://b/actor2> .",
+        );
+        let sol = chase_system(&sys, &RpsChaseConfig::default());
+        assert!(sol.complete);
+        assert_eq!(sol.stats.gma_firings, 1);
+        assert_eq!(sol.stats.blanks_created, 1);
+        assert!(is_solution(&sys, &sol.graph));
+        // The Skolem chase has no such guard and fires both tuples.
+        let skolem = RpsChaseConfig {
+            firing: FiringMode::Skolem,
+            ..RpsChaseConfig::default()
+        };
+        assert_eq!(chase_system(&sys, &skolem).stats.gma_firings, 2);
     }
 
     #[test]

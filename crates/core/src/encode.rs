@@ -488,13 +488,13 @@ mod tests {
         let sys = sample_system();
         let de = encode_system(&sys);
 
-        // Chase relationally.
+        // Chase relationally, with the Section-3 reference.
         let mut all_tgds = de.source_to_target.clone();
         all_tgds.extend(de.target.clone());
-        let r = rps_tgd::chase(
+        let r = rps_tgd::naive::chase(
             de.source.clone(),
             &all_tgds,
-            &rps_tgd::ChaseConfig::default(),
+            &rps_tgd::naive::ChaseConfig::default(),
             1_000_000,
         );
         assert!(r.is_complete());
@@ -519,7 +519,7 @@ mod tests {
         );
         let mut enc = de.encoder.clone();
         let cq = query_to_cq(&q, &mut enc, false);
-        let rel_answers = cq.evaluate(&r.instance, true);
+        let rel_answers = rps_tgd::naive::evaluate_union(&[cq], &r.instance);
         let rdf_answers = rps_query::evaluate_query(&sol.graph, &q, rps_query::Semantics::Certain);
         let decoded: std::collections::BTreeSet<Vec<Term>> = rel_answers
             .iter()

@@ -23,22 +23,21 @@
 //!   seen-set hashes canonical id-CQs directly;
 //! * the emitted union is optionally **subsumption-pruned**: a CQ with a
 //!   containment mapping from a retained CQ contributes no new answers
-//!   on any database, so it is dropped — the same dense-slot
-//!   backtracking search as [`crate::hom`], specialised to the frozen
-//!   body of the candidate CQ.
+//!   on any database, so it is dropped — a backtracking search over
+//!   numbered variables, with the frozen body of the candidate CQ
+//!   standing in for an instance.
 //!
-//! The string-level [`crate::rewrite::rewrite`] survives as a thin
-//! wrapper (intern → rewrite → decode) so existing callers and the
-//! [`crate::naive`] oracle contract are unchanged; property tests assert
-//! the id engine's unpruned union equals the oracle's up to canonical
-//! renaming, and that pruning preserves certain answers.
+//! The string-level [`crate::rewrite::rewrite`] is a thin wrapper
+//! (intern → rewrite → decode); property tests assert the id engine's
+//! unpruned union equals the reference [`crate::naive::rewrite`]'s up to
+//! canonical renaming, and that pruning preserves certain answers under
+//! [`crate::naive::evaluate_union`].
 
-use crate::hom;
 use crate::instance::{Instance, PredId, ValId};
 use crate::rewrite::{normalize_single_head, Cq, RewriteConfig};
 use crate::term::{Atom, AtomArg, GroundTerm, Sym};
 use crate::tgd::Tgd;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One argument of an id-level atom.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -719,8 +718,7 @@ fn pred_mask(cq: &IdCq) -> u64 {
 /// constants) and `q1`'s head tuple exactly onto `q2`'s. Then every
 /// answer of `q2` over any database is an answer of `q1`, so `q2` is
 /// redundant in a union containing `q1` (the classical CQ-containment
-/// criterion). The search is the same dense-slot backtracking as
-/// [`crate::hom`], with `q2`'s atom list standing in for the instance.
+/// criterion). `q2`'s atom list stands in for the instance.
 fn subsumes(q1: &IdCq, q2: &IdCq) -> bool {
     if q1.head.len() != q2.head.len() {
         return false;
@@ -790,106 +788,11 @@ fn match_atoms(
     false
 }
 
-/// Evaluates a union of id-CQs over the instance whose dictionaries
-/// minted their ids, under certain-answer semantics (tuples containing
-/// labelled nulls are dropped). Matching runs on [`crate::hom`]'s
-/// dense-slot search with no string round-trips; the returned tuples
-/// are id-level — decode them once, not per branch.
-pub fn evaluate_union_ids(cqs: &[IdCq], inst: &Instance) -> BTreeSet<Vec<ValId>> {
-    let mut out = BTreeSet::new();
-    for cq in cqs {
-        evaluate_into(cq, inst, &mut out);
-    }
-    out
-}
-
-/// `true` iff some CQ of the union has at least one certain answer —
-/// the early-exit form backing Boolean (ASK) rewritten queries.
-pub fn union_has_answer(cqs: &[IdCq], inst: &Instance) -> bool {
-    cqs.iter().any(|cq| {
-        let mut found = false;
-        search_cq(cq, inst, &mut |_| {
-            found = true;
-            false
-        });
-        found
-    })
-}
-
-fn evaluate_into(cq: &IdCq, inst: &Instance, out: &mut BTreeSet<Vec<ValId>>) {
-    search_cq(cq, inst, &mut |tuple| {
-        out.insert(tuple);
-        true
-    });
-}
-
-/// Runs the body search and emits each distinct certain head tuple;
-/// `emit` returns `false` to stop early.
-fn search_cq(cq: &IdCq, inst: &Instance, emit: &mut dyn FnMut(Vec<ValId>) -> bool) {
-    // A labelled null in the head makes every tuple non-certain.
-    if cq
-        .head
-        .iter()
-        .any(|a| matches!(a, IdArg::Const(c) if inst.values().is_null(*c)))
-    {
-        return;
-    }
-    let nvars = cq.nvars() as usize;
-    // A head variable absent from the body can never be bound.
-    let mut in_body = vec![false; nvars];
-    for atom in &cq.body {
-        for a in &atom.args {
-            if let IdArg::Var(v) = a {
-                in_body[*v as usize] = true;
-            }
-        }
-    }
-    if cq
-        .head
-        .iter()
-        .any(|a| matches!(a, IdArg::Var(v) if !in_body[*v as usize]))
-    {
-        return;
-    }
-    let atoms: Vec<hom::CompiledAtom> = cq
-        .body
-        .iter()
-        .enumerate()
-        .map(|(i, a)| hom::CompiledAtom {
-            pred: a.pred,
-            slots: a
-                .args
-                .iter()
-                .map(|&arg| match arg {
-                    IdArg::Var(v) => hom::Slot::Var(v as u32),
-                    IdArg::Const(c) => hom::Slot::Const(c),
-                })
-                .collect(),
-            orig: i,
-        })
-        .collect();
-    let order = hom::plan(&atoms, inst, None);
-    let mut env = vec![None; nvars];
-    hom::search(inst, &order, 0, None, &mut env, &mut |env| {
-        let tuple: Vec<ValId> = cq
-            .head
-            .iter()
-            .map(|a| match a {
-                IdArg::Var(v) => env[*v as usize].expect("body match binds all body vars"),
-                IdArg::Const(c) => *c,
-            })
-            .collect();
-        if tuple.iter().any(|&v| inst.values().is_null(v)) {
-            return true; // non-certain tuple
-        }
-        emit(tuple)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewrite::{evaluate_union, rewrite};
+    use crate::naive::evaluate_union;
+    use crate::rewrite::rewrite;
     use crate::term::dsl::*;
 
     fn id_pipeline(
@@ -985,41 +888,5 @@ mod tests {
         assert!(!subsumes(&q1, &q2));
         assert!(!subsumes(&q2, &q1));
         assert!(subsumes(&q1, &q1));
-    }
-
-    #[test]
-    fn id_evaluation_matches_string_evaluation() {
-        let data: Instance = [
-            fact("e", &["a", "b"]),
-            fact("e", &["b", "c"]),
-            fact("lbl", &["a", "start"]),
-        ]
-        .into_iter()
-        .collect();
-        let q = Cq::new(
-            &["x", "z"],
-            vec![atom("e", &[v("x"), v("y")]), atom("e", &[v("y"), v("z")])],
-        );
-        let mut data2 = data.clone();
-        let iq = intern_cq(&q, &mut data2);
-        let ids = evaluate_union_ids(std::slice::from_ref(&iq), &data2);
-        let decoded: BTreeSet<Vec<GroundTerm>> = ids
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&id| data2.values().value(id).clone())
-                    .collect()
-            })
-            .collect();
-        assert_eq!(decoded, q.evaluate(&data, true));
-        assert!(union_has_answer(std::slice::from_ref(&iq), &data2));
-    }
-
-    #[test]
-    fn union_has_answer_early_exit_and_empty() {
-        let mut inst = Instance::new();
-        let iq = intern_cq(&Cq::boolean(vec![atom("none", &[v("x")])]), &mut inst);
-        assert!(!union_has_answer(std::slice::from_ref(&iq), &inst));
-        assert!(evaluate_union_ids(std::slice::from_ref(&iq), &inst).is_empty());
     }
 }

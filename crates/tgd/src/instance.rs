@@ -1,21 +1,17 @@
 //! Relational instances: sets of ground facts with dictionary-interned
-//! values and per-position hash indexes for homomorphism search.
+//! values and a first-argument index.
 //!
 //! Values ([`GroundTerm`]) and predicate symbols are interned to dense
 //! `u32` ids ([`ValId`], [`PredId`]) on first contact — the same idiom as
-//! `rps_rdf::TermDict` — and every hot-path operation (row storage,
-//! index probes, join matching in [`crate::hom`], the semi-naive chase in
-//! [`mod@crate::chase`]) works purely on ids. The string-level [`Fact`] API
-//! is the boundary: `insert`/`contains`/`iter` translate through the
-//! dictionaries.
-//!
-//! Rows are stored in **insertion order** and never removed, so a
-//! [`InstanceMark`] (per-relation row counts) identifies "facts added
-//! since" windows for delta-driven evaluation.
+//! `rps_rdf::TermDict`. The rewriter of [`crate::idcq`] uses a row-less
+//! instance as exactly that dictionary. The string-level [`Fact`] API is
+//! the boundary the reference of [`crate::naive`] reads through:
+//! `insert`/`contains`/`rows`/`rows_with_first`/`iter` translate through
+//! the dictionaries. Rows are stored in insertion order and never removed.
 
 use crate::term::{Fact, GroundTerm, Sym};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A dense identifier for an interned [`GroundTerm`].
 ///
@@ -168,13 +164,13 @@ impl RowSet {
 }
 
 /// One predicate's rows: insertion-ordered storage, an index-based
-/// membership set ([`RowSet`]) and per-position hash indexes mapping a
+/// membership set ([`RowSet`]) and a hash index mapping a first-argument
 /// value id to the (ascending) row indices where it occurs.
 #[derive(Clone, Default, Debug)]
 struct Relation {
     rows: Vec<Box<[ValId]>>,
     seen: RowSet,
-    index: Vec<HashMap<ValId, Vec<u32>>>,
+    by_first: HashMap<ValId, Vec<u32>>,
 }
 
 impl Relation {
@@ -183,11 +179,8 @@ impl Relation {
             return false;
         }
         let row_idx = u32::try_from(self.rows.len()).expect("relation overflow");
-        if self.index.len() < row.len() {
-            self.index.resize_with(row.len(), HashMap::new);
-        }
-        for (pos, &v) in row.iter().enumerate() {
-            self.index[pos].entry(v).or_default().push(row_idx);
+        if let Some(&first) = row.first() {
+            self.by_first.entry(first).or_default().push(row_idx);
         }
         self.seen.insert_new(&self.rows, &row, row_idx);
         self.rows.push(row);
@@ -198,24 +191,9 @@ impl Relation {
         self.seen.contains(&self.rows, row)
     }
 
-    /// The positions of rows whose position `pos` holds `v`, ascending.
-    fn postings(&self, pos: usize, v: ValId) -> &[u32] {
-        self.index
-            .get(pos)
-            .and_then(|m| m.get(&v))
-            .map_or(&[], Vec::as_slice)
-    }
-}
-
-/// A snapshot of per-relation row counts, identifying the facts added
-/// after it was taken (the "delta" of semi-naive evaluation).
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct InstanceMark(Vec<u32>);
-
-impl InstanceMark {
-    /// The number of rows relation `pred` had when the mark was taken.
-    pub fn rows_before(&self, pred: PredId) -> u32 {
-        self.0.get(pred.index()).copied().unwrap_or(0)
+    /// The positions of rows whose first argument is `v`, ascending.
+    fn with_first(&self, v: ValId) -> &[u32] {
+        self.by_first.get(&v).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -306,11 +284,6 @@ impl Instance {
         }
     }
 
-    /// Id-level membership test.
-    pub fn contains_row(&self, pred: PredId, row: &[ValId]) -> bool {
-        self.relations[pred.index()].contains(row)
-    }
-
     /// Total number of facts.
     pub fn len(&self) -> usize {
         self.len
@@ -327,33 +300,9 @@ impl Instance {
             .map_or(0, |p| self.relations[p.index()].rows.len())
     }
 
-    /// Id-level relation size.
-    pub fn relation_len(&self, pred: PredId) -> usize {
-        self.relations[pred.index()].rows.len()
-    }
-
     /// The id-level rows of one predicate, in insertion order.
-    pub fn rows_ids(&self, pred: PredId) -> &[Box<[ValId]>] {
+    fn rows_ids(&self, pred: PredId) -> &[Box<[ValId]>] {
         &self.relations[pred.index()].rows
-    }
-
-    /// The ascending row positions of `pred` whose argument `pos` is `v`
-    /// (per-position hash-index probe).
-    pub fn postings(&self, pred: PredId, pos: usize, v: ValId) -> &[u32] {
-        self.relations[pred.index()].postings(pos, v)
-    }
-
-    /// Takes a snapshot of the current per-relation row counts.
-    pub fn mark(&self) -> InstanceMark {
-        InstanceMark(self.relations.iter().map(|r| r.rows.len() as u32).collect())
-    }
-
-    /// `true` iff any fact was added after `mark` was taken.
-    pub fn grew_since(&self, mark: &InstanceMark) -> bool {
-        self.relations
-            .iter()
-            .enumerate()
-            .any(|(i, r)| r.rows.len() as u32 > mark.0.get(i).copied().unwrap_or(0))
     }
 
     /// Iterates over the (decoded) rows of one predicate in insertion
@@ -374,7 +323,7 @@ impl Instance {
         let probe = self
             .pred_id(pred)
             .zip(self.vals.id(first))
-            .map(|(p, v)| (p, self.postings(p, 0, v)));
+            .map(|(p, v)| (p, self.relations[p.index()].with_first(v)));
         probe.into_iter().flat_map(move |(p, rows)| {
             rows.iter()
                 .map(move |&i| self.decode_row(&self.rows_ids(p)[i as usize]))
@@ -401,42 +350,6 @@ impl Instance {
         facts.sort();
         facts.into_iter()
     }
-
-    /// The set of constants (not nulls) appearing anywhere in the
-    /// instance.
-    pub fn constants(&self) -> BTreeSet<Sym> {
-        let mut used: HashSet<ValId> = HashSet::new();
-        for rel in &self.relations {
-            for row in &rel.rows {
-                used.extend(row.iter().copied());
-            }
-        }
-        used.into_iter()
-            .filter_map(|v| match self.vals.value(v) {
-                GroundTerm::Const(c) => Some(c.clone()),
-                GroundTerm::Null(_) => None,
-            })
-            .collect()
-    }
-
-    /// The number of distinct labelled nulls in the instance.
-    pub fn null_count(&self) -> usize {
-        let mut nulls: HashSet<ValId> = HashSet::new();
-        for rel in &self.relations {
-            for row in &rel.rows {
-                nulls.extend(row.iter().copied().filter(|&v| self.vals.is_null(v)));
-            }
-        }
-        nulls.len()
-    }
-
-    /// Unions another instance into this one (re-interning through the
-    /// fact boundary; the dictionaries may differ).
-    pub fn merge(&mut self, other: &Instance) {
-        for f in other.iter() {
-            self.insert(f);
-        }
-    }
 }
 
 impl std::fmt::Debug for Instance {
@@ -446,17 +359,6 @@ impl std::fmt::Debug for Instance {
             .finish()
     }
 }
-
-impl PartialEq for Instance {
-    fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
-        self.iter().all(|f| other.contains(&f))
-    }
-}
-
-impl Eq for Instance {}
 
 impl FromIterator<Fact> for Instance {
     fn from_iter<T: IntoIterator<Item = Fact>>(iter: T) -> Self {
@@ -483,31 +385,6 @@ mod tests {
         assert_eq!(i.len(), 1);
         assert_eq!(i.relation_size("r"), 1);
         assert_eq!(i.relation_size("s"), 0);
-    }
-
-    #[test]
-    fn constants_and_nulls() {
-        let mut i = Instance::new();
-        i.insert(Fact::new(
-            "t",
-            vec![GroundTerm::constant("a"), GroundTerm::Null(5)],
-        ));
-        i.insert(Fact::new(
-            "t",
-            vec![GroundTerm::Null(5), GroundTerm::Null(6)],
-        ));
-        assert_eq!(i.constants().len(), 1);
-        assert_eq!(i.null_count(), 2);
-    }
-
-    #[test]
-    fn merge_and_equality() {
-        let a: Instance = [fact("r", &["1"]), fact("s", &["2"])].into_iter().collect();
-        let mut b: Instance = [fact("s", &["2"])].into_iter().collect();
-        assert_ne!(a, b);
-        b.merge(&a);
-        assert_eq!(a, b);
-        assert_eq!(b.len(), 2);
     }
 
     #[test]
@@ -541,19 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn postings_are_per_position() {
-        let mut i = Instance::new();
-        i.insert(fact("e", &["a", "b"]));
-        i.insert(fact("e", &["b", "a"]));
-        i.insert(fact("e", &["a", "a"]));
-        let p = i.pred_id("e").unwrap();
-        let a = i.values().id(&GroundTerm::constant("a")).unwrap();
-        assert_eq!(i.postings(p, 0, a), &[0, 2]);
-        assert_eq!(i.postings(p, 1, a), &[1, 2]);
-        assert_eq!(i.postings(p, 2, a), &[] as &[u32]);
-    }
-
-    #[test]
     fn row_set_dedups_across_growth() {
         // Push enough distinct rows through one relation to force several
         // RowSet grow/rehash cycles, then re-insert everything.
@@ -568,21 +432,5 @@ mod tests {
             assert!(i.contains(&fact("r", &[&format!("a{k}"), &format!("b{}", k % 7)])));
         }
         assert_eq!(i.len(), n);
-    }
-
-    #[test]
-    fn marks_window_new_rows() {
-        let mut i = Instance::new();
-        i.insert(fact("r", &["1"]));
-        let m = i.mark();
-        assert!(!i.grew_since(&m));
-        i.insert(fact("r", &["2"]));
-        i.insert(fact("s", &["3"]));
-        assert!(i.grew_since(&m));
-        let r = i.pred_id("r").unwrap();
-        assert_eq!(m.rows_before(r), 1);
-        let s = i.pred_id("s").unwrap();
-        // `s` did not exist when the mark was taken.
-        assert_eq!(m.rows_before(s), 0);
     }
 }

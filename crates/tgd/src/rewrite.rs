@@ -67,77 +67,6 @@ impl Cq {
             .collect()
     }
 
-    /// Evaluates this CQ over an instance (certain semantics = drop
-    /// null-containing tuples). Matching, projection and deduplication
-    /// run at the id level; only the distinct tuples are decoded.
-    pub fn evaluate(
-        &self,
-        instance: &crate::instance::Instance,
-        certain: bool,
-    ) -> BTreeSet<Vec<crate::term::GroundTerm>> {
-        use crate::term::GroundTerm;
-        // Head literals are fixed across all result tuples: a labelled
-        // null in the head makes every tuple non-certain.
-        if certain && self.head.iter().any(|a| matches!(a, AtomArg::Null(_))) {
-            return BTreeSet::new();
-        }
-        let compiled = crate::hom::compile(&self.body, instance);
-        if !compiled.satisfiable {
-            return BTreeSet::new();
-        }
-        // Variable head positions project from the environment; constant
-        // positions need no per-tuple work (and no dedup discrimination).
-        let var_slots: Vec<Option<u32>> = self
-            .head
-            .iter()
-            .map(|arg| match arg {
-                AtomArg::Var(v) => compiled.var_slot(v),
-                _ => None,
-            })
-            .collect();
-        // A head variable that does not occur in the body can never be
-        // bound: no tuple qualifies (matches the substitution semantics).
-        if self
-            .head
-            .iter()
-            .zip(&var_slots)
-            .any(|(arg, slot)| arg.is_var() && slot.is_none())
-        {
-            return BTreeSet::new();
-        }
-        let order = crate::hom::plan(&compiled.atoms, instance, None);
-        let mut env = vec![None; compiled.nvars()];
-        let mut keys: std::collections::HashSet<Vec<crate::instance::ValId>> =
-            std::collections::HashSet::new();
-        crate::hom::search(instance, &order, 0, None, &mut env, &mut |env| {
-            let tuple: Vec<crate::instance::ValId> = var_slots
-                .iter()
-                .flatten()
-                .map(|&s| env[s as usize].expect("body match binds all body vars"))
-                .collect();
-            if !(certain && tuple.iter().any(|&v| instance.values().is_null(v))) {
-                keys.insert(tuple);
-            }
-            true
-        });
-        keys.into_iter()
-            .map(|key| {
-                let mut vars = key.iter();
-                self.head
-                    .iter()
-                    .map(|arg| match arg {
-                        AtomArg::Var(_) => instance
-                            .values()
-                            .value(*vars.next().expect("one id per var position"))
-                            .clone(),
-                        AtomArg::Const(c) => GroundTerm::Const(c.clone()),
-                        AtomArg::Null(n) => GroundTerm::Null(*n),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Canonicalises variable names for duplicate detection: sorts atoms
     /// by a name-insensitive key, then renames variables in order of first
     /// appearance, iterating to a (cheap) fixpoint. Deterministic in the
@@ -433,10 +362,10 @@ fn apply_unifier(atom: &Atom, u: &Unifier) -> Atom {
 
 /// One *rewriting step*: resolve body atom `ai` of `cq` against the head
 /// of `tgd` (renamed apart with suffix `fresh_rename`), subject to the
-/// applicability condition on existential variables. Shared by the
-/// optimised engine and the retained naive reference
-/// ([`crate::naive::rewrite`]) so the two differ only in
-/// canonicalisation and duplicate detection.
+/// applicability condition on existential variables. The reference
+/// [`crate::naive::rewrite`] runs it; the id-level engine mirrors it step
+/// for step, so the two differ only in canonicalisation and duplicate
+/// detection.
 pub(crate) fn resolve_step(
     cq: &Cq,
     tgd: &Tgd,
@@ -529,7 +458,8 @@ pub(crate) fn resolve_step(
 
 /// All *factorisation steps* of a CQ: unify pairs of same-predicate
 /// atoms. Always sound; needed for completeness when one chase-invented
-/// atom must cover several query atoms. Shared with the naive reference.
+/// atom must cover several query atoms. Run by the reference
+/// [`crate::naive::rewrite`].
 pub(crate) fn factorisation_steps(cq: &Cq) -> Vec<Cq> {
     let mut out = Vec::new();
     for i in 0..cq.body.len() {
@@ -562,8 +492,8 @@ pub(crate) fn factorisation_steps(cq: &Cq) -> Vec<Cq> {
 /// [`crate::idcq::IdTgdSet`] and the query interned against a scratch
 /// dictionary, the expansion runs entirely on dense ids, and the union
 /// is decoded once at the end. No subsumption pruning is applied here,
-/// so the union equals the retained [`crate::naive::rewrite`] oracle's
-/// up to canonical renaming; callers wanting the pruned union use
+/// so the union equals the reference [`crate::naive::rewrite`]'s up to
+/// canonical renaming; callers wanting the pruned union use
 /// [`crate::idcq::rewrite_ids`] directly.
 pub fn rewrite(query: &Cq, tgds: &[Tgd], config: &RewriteConfig) -> RewriteResult {
     let mut scratch = crate::instance::Instance::new();
@@ -583,26 +513,15 @@ pub fn rewrite(query: &Cq, tgds: &[Tgd], config: &RewriteConfig) -> RewriteResul
     }
 }
 
-/// Evaluates a union of CQs over an instance (certain semantics).
-pub fn evaluate_union(
-    cqs: &[Cq],
-    instance: &crate::instance::Instance,
-) -> BTreeSet<Vec<crate::term::GroundTerm>> {
-    let mut out = BTreeSet::new();
-    for cq in cqs {
-        out.extend(cq.evaluate(instance, true));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::{chase, ChaseConfig};
     use crate::instance::Instance;
+    use crate::naive::{chase, evaluate_union, ChaseConfig};
     use crate::term::dsl::*;
 
-    /// Certain answers via the chase, for cross-checking rewritings.
+    /// Certain answers via the reference chase, for cross-checking
+    /// rewritings.
     fn chase_answers(
         query: &Cq,
         tgds: &[Tgd],
@@ -610,7 +529,7 @@ mod tests {
     ) -> BTreeSet<Vec<crate::term::GroundTerm>> {
         let r = chase(data.clone(), tgds, &ChaseConfig::default(), 1_000_000);
         assert!(r.is_complete(), "chase must terminate in tests");
-        query.evaluate(&r.instance, true)
+        evaluate_union(std::slice::from_ref(query), &r.instance)
     }
 
     #[test]

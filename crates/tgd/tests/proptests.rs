@@ -1,24 +1,21 @@
-//! Randomised property tests for the data-exchange substrate.
+//! Randomised property tests for the rewriting compiler, against the
+//! Section-3 reference `rps_tgd::naive`.
 //!
 //! Two families:
 //!
-//! * **laws** — chase soundness/fixpoint and rewriting
-//!   soundness/perfection (as in the original suite);
-//! * **engine agreement** — the interned, delta-driven engine
-//!   (`rps_tgd::hom`, `rps_tgd::chase`, `rps_tgd::rewrite`) against the
-//!   retained naive reference (`rps_tgd::naive`) on random TGD sets and
-//!   instances: homomorphism sets equal; chase results homomorphically
-//!   equivalent universal solutions with equal certain answers (and equal
-//!   instances for full TGD sets); rewriting UCQ sets equal up to
-//!   canonical renaming and extensionally equivalent.
+//! * **laws** — the reference chase reaches a satisfying fixpoint, and
+//!   the rewriting is sound and perfect on linear sets: its union, under
+//!   `naive::evaluate_union`, answers what the chase answers;
+//! * **rewriter agreement** — the id-level rewriter (`rps_tgd::rewrite`,
+//!   `rps_tgd::rewrite_ids`) against `naive::rewrite` on random TGD sets
+//!   and instances: UCQ sets equal up to canonical renaming, and every
+//!   union evaluated with `naive::evaluate_union`, pruned or not.
 //!
-//! Seeded SplitMix64 case generation stands in for `proptest` (no
-//! crates.io access in the build container).
+//! Seeded SplitMix64 case generation stands in for `proptest` (the
+//! workspace takes no crates.io dependency).
 
-use rps_tgd::{
-    chase, naive, rewrite, satisfies, Atom, AtomArg, ChaseConfig, Cq, Fact, GroundTerm, Instance,
-    RewriteConfig, Subst, Tgd,
-};
+use rps_tgd::naive::{self, evaluate_union, ChaseConfig};
+use rps_tgd::{rewrite, Atom, AtomArg, Cq, Fact, GroundTerm, Instance, RewriteConfig, Tgd};
 use std::collections::BTreeSet;
 
 struct Rng(u64);
@@ -115,72 +112,6 @@ fn arb_linear_tgds(rng: &mut Rng) -> Vec<Tgd> {
         .collect()
 }
 
-fn subst_key(s: &Subst) -> Vec<(String, String)> {
-    let mut pairs: Vec<(String, String)> = s
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    pairs.sort();
-    pairs
-}
-
-/// All predicates appearing in an instance or TGD set.
-fn predicates(inst: &Instance, tgds: &[Tgd]) -> BTreeSet<(String, usize)> {
-    let mut out: BTreeSet<(String, usize)> = inst
-        .iter()
-        .map(|f| (f.pred.to_string(), f.args.len()))
-        .collect();
-    for tgd in tgds {
-        for a in tgd.body().iter().chain(tgd.head()) {
-            out.insert((a.pred.to_string(), a.arity()));
-        }
-    }
-    out
-}
-
-/// Certain answers of the identity CQ over every predicate.
-fn certain_by_pred(
-    inst: &Instance,
-    preds: &BTreeSet<(String, usize)>,
-) -> Vec<BTreeSet<Vec<GroundTerm>>> {
-    preds
-        .iter()
-        .map(|(p, arity)| {
-            let vars: Vec<String> = (0..*arity).map(|i| format!("v{i}")).collect();
-            let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-            let body = vec![Atom::new(
-                p.as_str(),
-                vars.iter().map(|v| AtomArg::var(v.as_str())).collect(),
-            )];
-            Cq::new(&var_refs, body).evaluate(inst, true)
-        })
-        .collect()
-}
-
-/// The whole instance as one conjunction, nulls turned into variables —
-/// `A` maps homomorphically into `B` iff this conjunction matches `B`.
-fn as_atoms(inst: &Instance) -> Vec<Atom> {
-    inst.iter()
-        .map(|f| {
-            Atom::new(
-                f.pred.clone(),
-                f.args
-                    .iter()
-                    .map(|g| match g {
-                        GroundTerm::Const(c) => AtomArg::Const(c.clone()),
-                        GroundTerm::Null(n) => AtomArg::var(format!("n{n}")),
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn hom_equivalent(a: &Instance, b: &Instance) -> bool {
-    rps_tgd::exists_homomorphism(&as_atoms(a), b, &Subst::new())
-        && rps_tgd::exists_homomorphism(&as_atoms(b), a, &Subst::new())
-}
-
 const CASES: u64 = 64;
 
 // ---------------------------------------------------------------- laws
@@ -191,15 +122,15 @@ fn chase_reaches_satisfying_fixpoint() {
         let rng = &mut Rng(seed);
         let inst = arb_instance(rng, 20);
         let tgds = arb_tgds(rng);
-        let r = chase(inst.clone(), &tgds, &ChaseConfig::default(), 1_000);
+        let r = naive::chase(inst.clone(), &tgds, &ChaseConfig::default(), 1_000);
         assert!(r.is_complete(), "seed {seed}");
-        assert!(satisfies(&r.instance, &tgds), "seed {seed}");
+        assert!(naive::satisfies(&r.instance, &tgds), "seed {seed}");
         // The chase only adds facts.
         for f in inst.iter() {
             assert!(r.instance.contains(&f), "seed {seed}");
         }
         // Chasing again is a no-op.
-        let r2 = chase(r.instance.clone(), &tgds, &ChaseConfig::default(), 2_000);
+        let r2 = naive::chase(r.instance.clone(), &tgds, &ChaseConfig::default(), 2_000);
         assert_eq!(r.instance.len(), r2.instance.len(), "seed {seed}");
     }
 }
@@ -225,11 +156,11 @@ fn rewriting_is_sound_and_perfect_for_linear_tgds() {
             },
         );
         assert!(r.complete, "seed {seed}");
-        let rewritten = rps_tgd::evaluate_union(&r.cqs, &inst);
+        let rewritten = evaluate_union(&r.cqs, &inst);
 
-        let chased = chase(inst.clone(), &tgds, &ChaseConfig::default(), 10_000);
+        let chased = naive::chase(inst.clone(), &tgds, &ChaseConfig::default(), 10_000);
         assert!(chased.is_complete(), "seed {seed}");
-        let reference = q.evaluate(&chased.instance, true);
+        let reference = evaluate_union(&[q], &chased.instance);
         assert_eq!(rewritten, reference, "seed {seed}");
     }
 }
@@ -263,85 +194,7 @@ fn classification_is_monotone_under_union_for_violations() {
     }
 }
 
-// ---------------------------------------- naive vs optimised agreement
-
-#[test]
-fn hom_search_agrees_with_naive() {
-    use rps_tgd::term::dsl::{atom, v};
-    for seed in 0..CASES {
-        let rng = &mut Rng(seed);
-        let inst = arb_instance(rng, 20);
-        let bodies: Vec<Vec<Atom>> = vec![
-            vec![atom("r", &[v("x"), v("y")])],
-            vec![atom("r", &[v("x"), v("y")]), atom("r", &[v("y"), v("z")])],
-            vec![atom("r", &[v("x"), v("x")])],
-            vec![atom("r", &[v("x"), v("y")]), atom("p", &[v("x")])],
-            vec![
-                atom("r", &[v("x"), v("y")]),
-                atom("r", &[v("y"), v("z")]),
-                atom("r", &[v("z"), v("x")]),
-            ],
-            vec![atom(
-                "r",
-                &[AtomArg::constant(format!("k{}", rng.below(6))), v("y")],
-            )],
-        ];
-        for body in &bodies {
-            let mut fast: Vec<_> = rps_tgd::all_homomorphisms(body, &inst, &Subst::new())
-                .iter()
-                .map(subst_key)
-                .collect();
-            let mut slow: Vec<_> = naive::all_homomorphisms(body, &inst, &Subst::new())
-                .iter()
-                .map(subst_key)
-                .collect();
-            fast.sort();
-            slow.sort();
-            assert_eq!(fast, slow, "seed {seed}, body {body:?}");
-            assert_eq!(
-                rps_tgd::exists_homomorphism(body, &inst, &Subst::new()),
-                naive::exists_homomorphism(body, &inst, &Subst::new()),
-                "seed {seed}, body {body:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn chase_agrees_with_naive() {
-    for seed in 0..CASES {
-        let rng = &mut Rng(seed);
-        let inst = arb_instance(rng, 12);
-        let tgds = arb_tgds(rng);
-        let fast = chase(inst.clone(), &tgds, &ChaseConfig::default(), 1_000);
-        let slow = naive::chase(inst.clone(), &tgds, &ChaseConfig::default(), 1_000);
-        assert!(fast.is_complete(), "seed {seed}");
-        assert!(slow.is_complete(), "seed {seed}");
-        assert!(satisfies(&fast.instance, &tgds), "seed {seed}");
-        assert!(satisfies(&slow.instance, &tgds), "seed {seed}");
-
-        // Universal solutions of the same problem: homomorphically
-        // equivalent (restricted-chase firing order may differ, so exact
-        // isomorphism is not guaranteed in the presence of existentials).
-        assert!(
-            hom_equivalent(&fast.instance, &slow.instance),
-            "seed {seed}: chase results not homomorphically equivalent"
-        );
-
-        // Equal certain answers for every predicate's identity CQ.
-        let preds = predicates(&inst, &tgds);
-        assert_eq!(
-            certain_by_pred(&fast.instance, &preds),
-            certain_by_pred(&slow.instance, &preds),
-            "seed {seed}: certain answers differ"
-        );
-
-        // For full TGD sets the least model is unique: exact equality.
-        if tgds.iter().all(Tgd::is_full) {
-            assert_eq!(fast.instance, slow.instance, "seed {seed}");
-        }
-    }
-}
+// ------------------------------------------- rewriter vs reference
 
 #[test]
 fn rewriting_agrees_with_naive() {
@@ -366,8 +219,8 @@ fn rewriting_agrees_with_naive() {
         assert_eq!(fa, sa, "seed {seed}: UCQ sets differ");
         // And extensionally equivalent on the random instance.
         assert_eq!(
-            rps_tgd::evaluate_union(&fast.cqs, &inst),
-            rps_tgd::evaluate_union(&slow.cqs, &inst),
+            evaluate_union(&fast.cqs, &inst),
+            evaluate_union(&slow.cqs, &inst),
             "seed {seed}"
         );
     }
@@ -438,8 +291,8 @@ fn id_rewriting_matches_naive_on_linear_and_sticky_sets() {
         let sa: BTreeSet<Cq> = slow.cqs.iter().map(Cq::canonical).collect();
         assert_eq!(fa, sa, "seed {seed}: UCQ sets differ");
         assert_eq!(
-            rps_tgd::evaluate_union(&fast.cqs, &inst),
-            rps_tgd::evaluate_union(&slow.cqs, &inst),
+            evaluate_union(&fast.cqs, &inst),
+            evaluate_union(&slow.cqs, &inst),
             "seed {seed}"
         );
     }
@@ -471,8 +324,8 @@ fn deeper_expansion_explores_strictly_more_cqs_on_transitive_closure() {
         assert!(fast.explored > explored, "depth {depth}");
         explored = fast.explored;
         assert_eq!(
-            rps_tgd::evaluate_union(&fast.cqs, &inst),
-            rps_tgd::evaluate_union(&slow.cqs, &inst),
+            evaluate_union(&fast.cqs, &inst),
+            evaluate_union(&slow.cqs, &inst),
             "depth {depth}"
         );
     }
@@ -480,8 +333,7 @@ fn deeper_expansion_explores_strictly_more_cqs_on_transitive_closure() {
 
 /// Subsumption pruning is sound: the pruned union is a subset of the
 /// unpruned one (up to canonical renaming) with identical certain
-/// answers on random instances — and the id-level evaluator agrees
-/// with the string-level one on both.
+/// answers on random instances.
 #[test]
 fn subsumption_pruning_preserves_answers() {
     for seed in 0..CASES {
@@ -517,28 +369,11 @@ fn subsumption_pruning_preserves_answers() {
         let pa: BTreeSet<Cq> = pruned_cqs.iter().map(Cq::canonical).collect();
         let ua: BTreeSet<Cq> = unpruned_cqs.iter().map(Cq::canonical).collect();
         assert!(pa.is_subset(&ua), "seed {seed}: pruning invented CQs");
-        // Pruned union ≡ unpruned answers, string-level…
-        let pruned_ans = rps_tgd::evaluate_union(&pruned_cqs, &inst);
         assert_eq!(
-            pruned_ans,
-            rps_tgd::evaluate_union(&unpruned_cqs, &inst),
+            evaluate_union(&pruned_cqs, &inst),
+            evaluate_union(&unpruned_cqs, &inst),
             "seed {seed}: pruning changed answers"
         );
-        // …and the id-level evaluator agrees with the string-level one.
-        let mut inst_ids = inst.clone();
-        let re_pruned: Vec<rps_tgd::IdCq> = pruned_cqs
-            .iter()
-            .map(|c| rps_tgd::intern_cq(c, &mut inst_ids))
-            .collect();
-        let id_ans: BTreeSet<Vec<GroundTerm>> = rps_tgd::evaluate_union_ids(&re_pruned, &inst_ids)
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&v| inst_ids.values().value(v).clone())
-                    .collect()
-            })
-            .collect();
-        assert_eq!(id_ans, pruned_ans, "seed {seed}: id evaluation differs");
     }
 }
 
@@ -592,9 +427,12 @@ fn subsumption_pruning_is_sound_above_the_old_cap() {
             pruned.len() < id_cqs.len(),
             "seed {seed}: random redundant unions should shrink"
         );
+        let dec = |cqs: &[rps_tgd::IdCq]| -> Vec<Cq> {
+            cqs.iter().map(|c| rps_tgd::decode_cq(c, &inst)).collect()
+        };
         assert_eq!(
-            rps_tgd::evaluate_union_ids(&pruned, &inst),
-            rps_tgd::evaluate_union_ids(&id_cqs, &inst),
+            evaluate_union(&dec(&pruned), &inst),
+            evaluate_union(&dec(&id_cqs), &inst),
             "seed {seed}: pruning changed answers"
         );
     }

@@ -6,8 +6,8 @@
 //!
 //! * [`rps_rdf`] — RDF substrate (terms, store, Turtle-lite);
 //! * [`rps_query`] — graph pattern queries and the SPARQL subset;
-//! * [`rps_tgd`] — relational data exchange, chase, classification,
-//!   UCQ rewriting;
+//! * [`rps_tgd`] — TGDs, classification, UCQ rewriting, and the
+//!   Section-3 reference chase / CQ evaluation (`rps_tgd::naive`);
 //! * [`rps_core`] — RDF Peer Systems (the paper's contribution);
 //! * [`rps_p2p`] — simulated federation;
 //! * [`rps_lodgen`] — synthetic workloads and the paper fixture.

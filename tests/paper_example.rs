@@ -3,13 +3,16 @@
 //! `docs/BENCHMARKING.md` lists as asserted here, not measured).
 
 use rps_core::{
-    certain_answers, chase_system, is_solution, EngineConfig, EquivalenceIndex, ExecRoute,
-    LiveSession, RpsChaseConfig, RpsRewriter, Session, SparqlResult, Strategy,
+    certain_answers, chase_system, encode_system, is_solution, query_to_cq, EngineConfig,
+    EquivalenceIndex, ExecRoute, LiveSession, RpsChaseConfig, RpsRewriter, Session, SparqlResult,
+    Strategy,
 };
 use rps_lodgen::{paper_example, query_from};
 use rps_query::{evaluate_query, Semantics};
 use rps_rdf::Term;
+use rps_tgd::naive::{self, ChaseConfig};
 use rps_tgd::RewriteConfig;
+use std::collections::BTreeSet;
 
 #[test]
 fn e1_query_empty_over_raw_data() {
@@ -155,6 +158,46 @@ fn rt_guard_keeps_pleasantville_out_of_the_chased_answers() {
         films(&live.reader().answer_sparql(FILMS_WITH_A_CAST).unwrap()),
         spiderman
     );
+}
+
+/// Section 3 on its own terms: the relational chase of Figure 1's
+/// encoding under `source_to_target ∪ target`, with `rt` guards, then CQ
+/// evaluation over it. Independent of `rps_core::chase` and of the SPARQL
+/// lowering, it gives Listing 1's six rows, and the films with a cast
+/// without Pleasantville.
+#[test]
+fn section3_reference_chase_answers_listing1_without_pleasantville() {
+    let ex = paper_example();
+    let de = encode_system(&ex.system);
+    let mut tgds = de.source_to_target.clone();
+    tgds.extend(de.target.iter().cloned());
+    let chased = naive::chase(
+        de.source.clone(),
+        &tgds,
+        &ChaseConfig::default(),
+        de.encoder.next_null(),
+    );
+    assert!(chased.is_complete(), "Theorem 1: the chase terminates");
+    let mut enc = de.encoder.clone();
+    let mut answers = |query| -> BTreeSet<Vec<Term>> {
+        let cq = query_to_cq(query, &mut enc, false);
+        naive::evaluate_union(&[cq], &chased.instance)
+            .iter()
+            .map(|row| row.iter().map(|g| enc.decode(g)).collect())
+            .collect()
+    };
+    assert_eq!(answers(&ex.query), ex.expected_full, "Listing 1");
+    let films_with_a_cast = query_from(&ex.prefixes, FILMS_WITH_A_CAST);
+    let spiderman: BTreeSet<Vec<Term>> = [
+        vec![Term::iri(format!("{}Spiderman", rps_lodgen::paper::DB1))],
+        vec![Term::iri(format!(
+            "{}Spiderman2002",
+            rps_lodgen::paper::DB2
+        ))],
+    ]
+    .into_iter()
+    .collect();
+    assert_eq!(answers(&films_with_a_cast), spiderman);
 }
 
 /// The rewriting evaluates the unguarded TGDs, whose premise atom
