@@ -88,7 +88,7 @@ use crate::session::{
 };
 use crate::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, JoinOrder, Semantics, SparqlResult};
+use rps_query::{GraphPatternQuery, JoinOrder, Semantics, SparqlResult, Variable};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -139,7 +139,14 @@ struct EpochSnapshot {
     /// Per-epoch plan cache: compiled id-level plans are only valid
     /// against the dictionary of the graph they were compiled for, so
     /// the cache is scoped to the snapshot and dies with it.
-    plans: Mutex<PlanCache<Plan>>,
+    plans: Mutex<PlanCache<CachedPlan>>,
+}
+
+/// A compiled plan as an epoch's cache holds it, with the projection
+/// variables of the query that compiled it.
+struct CachedPlan {
+    plan: Plan,
+    vars: Arc<[Variable]>,
 }
 
 /// State shared between the writer and all readers: the current
@@ -455,8 +462,9 @@ impl LiveReader {
     /// later publications.
     ///
     /// Unlike the frozen session's cache, the projection variable
-    /// *names* are always the caller's own (α-equivalent queries share
-    /// the compiled plan but not the name vector).
+    /// *names* are always the caller's own: α-equivalent queries share
+    /// the compiled plan, and the cached name vector only where their
+    /// names agree.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<LivePlan, RpsError> {
         self.prepare_at(&self.shared.load(), query)
     }
@@ -468,12 +476,22 @@ impl LiveReader {
     ) -> Result<LivePlan, RpsError> {
         let plan = PlanCache::get_or_compile(&snapshot.plans, query, || {
             let graph = GraphHandle::Solution(snapshot.solution.clone());
-            Ok::<_, RpsError>(Plan::single(graph, query, JoinOrder::Auto, None))
+            Ok::<_, RpsError>(CachedPlan {
+                plan: Plan::single(graph, query, JoinOrder::Auto, None),
+                vars: stream_vars(query),
+            })
         })?;
+        // The cached names when they are the caller's; an α-equivalent
+        // query with other names keeps its own.
+        let vars = if *plan.vars == *query.free_vars() {
+            plan.vars.clone()
+        } else {
+            stream_vars(query)
+        };
         Ok(LivePlan {
             epoch: snapshot.epoch,
             plan,
-            vars: stream_vars(query),
+            vars,
             semantics: self.semantics,
         })
     }
@@ -492,6 +510,7 @@ impl LiveReader {
         }
         let vars = plan.vars.clone();
         Ok(plan
+            .plan
             .plan
             .execute(vars, ExecRoute::Materialised, plan.semantics))
     }
@@ -533,8 +552,8 @@ impl LiveReader {
 /// retention floor passes it.
 pub struct LivePlan {
     epoch: u32,
-    plan: Arc<Plan>,
-    vars: Arc<[String]>,
+    plan: Arc<CachedPlan>,
+    vars: Arc<[Variable]>,
     semantics: Semantics,
 }
 
@@ -642,6 +661,42 @@ mod tests {
         let answers = reader.answer(&cast_query()).expect("answers").into_set();
         // A's stored pair plus the chased translation of B's fact.
         assert_eq!(answers.len(), 2);
+    }
+
+    /// A repeated query reuses the names its cached plan holds; an
+    /// α-equivalent one with other names shares the plan and streams
+    /// under its own.
+    #[test]
+    fn a_cached_plan_shares_its_names_only_with_their_owners() -> Result<(), RpsError> {
+        let live = LiveSession::open(small_system(), EngineConfig::default())?;
+        let reader = live.reader();
+        let first = reader.prepare(&cast_query())?;
+        let again = reader.prepare(&cast_query())?;
+        assert!(Arc::ptr_eq(&first.plan, &again.plan));
+        assert!(Arc::ptr_eq(&first.vars, &again.vars));
+
+        let renamed = GraphPatternQuery::new(
+            vec![v("film"), v("who")],
+            GraphPattern::triple(
+                TermOrVar::var("film"),
+                TermOrVar::iri("http://a/starring"),
+                TermOrVar::var("c"),
+            )
+            .and(GraphPattern::triple(
+                TermOrVar::var("c"),
+                TermOrVar::iri("http://a/artist"),
+                TermOrVar::var("who"),
+            )),
+        );
+        let other = reader.prepare(&renamed)?;
+        assert!(Arc::ptr_eq(&first.plan, &other.plan));
+        let stream = reader.execute(&other)?;
+        assert_eq!(stream.vars(), &[v("film"), v("who")]);
+        assert_eq!(
+            stream.into_set().tuples,
+            reader.execute(&first)?.into_set().tuples
+        );
+        Ok(())
     }
 
     #[test]

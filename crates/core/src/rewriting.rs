@@ -344,7 +344,8 @@ impl RpsRewriter {
 
     /// Locks the expansion memo, recovering it if the mutex is poisoned.
     /// That is sound because a guard only ever lives for a hash probe or
-    /// a whole-entry insert (whole entries evicted, then one added):
+    /// a whole-entry insert (the oldest entry unlinked, then one added;
+    /// the caller frees what was unlinked after the guard):
     /// `std` collection calls and `Arc` clones, which do not panic short
     /// of an allocation failure, and that aborts. The expansion itself
     /// runs unlocked. So the memo behind a poisoned lock is one such
@@ -419,7 +420,9 @@ impl RpsRewriter {
             Some(expansion) => expansion,
             None => {
                 let fresh = Expansion::from(rps_tgd::rewrite_ids(&key.0, &self.canon_tgds, cfg));
-                self.memo().insert(Arc::new(key), fresh)
+                // Dropped after the guard, like the plan cache's evictions.
+                let (expansion, _released) = self.memo().insert(Arc::new(key), fresh);
+                expansion
             }
         };
         expansion.into_rewriting(scratch)
@@ -624,7 +627,7 @@ impl RpsRewriter {
             }
         }
         Some(AnswerSet {
-            vars: crate::session::stream_vars(query),
+            vars: crate::session::var_names(query.free_vars()),
             tuples,
         })
     }

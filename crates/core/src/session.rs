@@ -80,7 +80,9 @@ use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, Equivalenc
 use crate::error::RpsError;
 use crate::rewriting::RpsRewriter;
 use crate::system::RdfPeerSystem;
-use rps_query::{GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, RowSink, Semantics};
+use rps_query::{
+    GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, RowSink, Semantics, Variable,
+};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
@@ -280,7 +282,8 @@ impl std::ops::Deref for GraphHandle {
 /// One conjunctive branch of a [`Plan`]: an id-level plan over the
 /// plan's graph, and the head template that turns one of its rows into
 /// an answer row — `None` consumes the row's next id, `Some(id)` injects
-/// a constant the rewriting specialised that position to.
+/// a constant the rewriting specialised that position to. An empty
+/// template takes the row as it is.
 pub(crate) type Branch = (PreparedQueryIds, Vec<Option<TermId>>);
 
 /// A chased solution to plan against and — when it is the chase of the
@@ -316,7 +319,7 @@ impl Plan {
         let plan = PreparedQueryIds::compile_only_with(&graph, query, order);
         Plan {
             graph,
-            branches: vec![(plan, vec![None; query.arity()])],
+            branches: vec![(plan, Vec::new())],
             classes,
         }
     }
@@ -345,7 +348,7 @@ impl Plan {
     /// anything is expanded.
     pub(crate) fn execute(
         &self,
-        vars: Arc<[String]>,
+        vars: Arc<[Variable]>,
         route: ExecRoute,
         semantics: Semantics,
     ) -> AnswerStream {
@@ -358,7 +361,11 @@ impl Plan {
                 for (plan, head) in branches {
                     for row in plan.evaluate_rows(&self.graph, semantics).iter() {
                         let mut ids = row.iter().copied();
-                        union.push(head.iter().filter_map(|c| c.or_else(|| ids.next())));
+                        if head.is_empty() {
+                            union.push(ids);
+                        } else {
+                            union.push(head.iter().filter_map(|c| c.or_else(|| ids.next())));
+                        }
                     }
                 }
                 union.finish()
@@ -392,10 +399,9 @@ pub struct PreparedQuery {
     /// [`Session::config_mut`] bumps the session's counter, making this
     /// plan stale ([`RpsError::StalePlan`] at execute).
     generation: u32,
-    query: GraphPatternQuery,
-    /// The projection variable names, shared with every stream this
-    /// plan produces.
-    vars: Arc<[String]>,
+    /// The projection variables, shared with every stream this plan
+    /// produces.
+    vars: Arc<[Variable]>,
     route: ExecRoute,
     semantics: Semantics,
     rewrite_fell_back: bool,
@@ -426,11 +432,6 @@ impl PreparedQuery {
         self.semantics
     }
 
-    /// The source query.
-    pub fn query(&self) -> &GraphPatternQuery {
-        &self.query
-    }
-
     /// Number of *compiled* UCQ branch plans when the route is
     /// [`ExecRoute::Rewritten`] — what execution actually runs (branches
     /// whose head was specialised to a labelled null, or to a constant
@@ -451,7 +452,7 @@ impl PreparedQuery {
 /// variables, and can be collected into an [`AnswerSet`] with
 /// [`AnswerStream::into_set`].
 pub struct AnswerStream {
-    vars: Arc<[String]>,
+    vars: Arc<[Variable]>,
     route: ExecRoute,
     inner: StreamInner,
 }
@@ -469,7 +470,7 @@ impl AnswerStream {
     /// A stream over already-decoded tuples. Building block for
     /// alternative executors (the federated engine in `rps-p2p`).
     pub fn from_terms(
-        vars: impl Into<Arc<[String]>>,
+        vars: impl Into<Arc<[Variable]>>,
         route: ExecRoute,
         tuples: BTreeSet<Vec<Term>>,
     ) -> Self {
@@ -480,8 +481,8 @@ impl AnswerStream {
         }
     }
 
-    /// The projection variable names, in tuple order.
-    pub fn vars(&self) -> &[String] {
+    /// The projection variables, in tuple order.
+    pub fn vars(&self) -> &[Variable] {
         &self.vars
     }
 
@@ -492,7 +493,7 @@ impl AnswerStream {
 
     /// Drains the stream into an [`AnswerSet`].
     pub fn into_set(self) -> AnswerSet {
-        let vars = self.vars.to_vec();
+        let vars = var_names(&self.vars);
         AnswerSet {
             vars,
             tuples: self.collect(),
@@ -567,15 +568,16 @@ pub fn next_session_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The projection variable names of a query, in tuple order — as the
-/// `Arc<[String]>` a plan shares with its streams, or an [`AnswerSet`]'s
-/// `Vec`.
-pub(crate) fn stream_vars<C: FromIterator<String>>(query: &GraphPatternQuery) -> C {
-    query
-        .free_vars()
-        .iter()
-        .map(|v| v.name().to_string())
-        .collect()
+/// The projection variables of a query, in tuple order, as the `Arc` a
+/// plan shares with its streams: one allocation, each name shared with
+/// the query's own.
+pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Arc<[Variable]> {
+    query.free_vars().into()
+}
+
+/// The names of `vars`, as an [`AnswerSet`] holds them.
+pub(crate) fn var_names(vars: &[Variable]) -> Vec<String> {
+    vars.iter().map(|v| v.name().to_string()).collect()
 }
 
 /// The one route → [`Plan`] body behind [`Session::prepare`] and
@@ -633,7 +635,6 @@ fn compile_query(
     Ok(PreparedQuery {
         session_id: id,
         generation,
-        query: query.clone(),
         vars: stream_vars(query),
         route,
         semantics: config.semantics,
@@ -1024,7 +1025,7 @@ mod tests {
         assert_eq!(n, 4);
         assert!(stream.next().is_some());
         assert_eq!(stream.len(), n - 1);
-        assert_eq!(stream.vars(), &["x".to_string(), "y".to_string()]);
+        assert_eq!(stream.vars(), &[Variable::new("x"), Variable::new("y")]);
     }
 
     #[test]

@@ -85,7 +85,7 @@ use crate::mapping::EquivalenceMapping;
 use crate::rewriting::RpsRewriter;
 use crate::sparql::{prepare_sparql_with, PreparedSparql};
 use rps_query::{GraphPatternQuery, Semantics, TermOrVar};
-use rps_rdf::{Graph, Iri, RdfError, Term};
+use rps_rdf::{Graph, Iri, LiteralAnnotation, RdfError, Term};
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -142,22 +142,25 @@ impl<K: Hash + Eq + Clone, V: Clone> Fifo<K, V> {
 
     /// Inserts `value` under `key`, unless a concurrent preparation of
     /// the same key landed first — then that one wins (so every caller
-    /// of the same key converges on one shared value).
-    pub(crate) fn insert(&mut self, key: K, value: V) -> V {
+    /// of the same key converges on one shared value). Returns the value
+    /// held under `key` and what the map let go of: the oldest entry,
+    /// evicted to make room, or the caller's own entry when an existing
+    /// one won. The caller drops that after releasing its lock — freeing
+    /// an evicted plan or statement is not the lock's work.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> (V, Option<(K, V)>) {
         if let Some(existing) = self.map.get(&key) {
-            return existing.clone();
+            return (existing.clone(), Some((key, value)));
         }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
+        let evicted = if self.map.len() >= self.capacity {
+            self.order
+                .pop_front()
+                .and_then(|old| self.map.remove_entry(&old))
+        } else {
+            None
+        };
         self.map.insert(key.clone(), value.clone());
         self.order.push_back(key);
-        value
+        (value, evicted)
     }
 
     /// Entries currently held.
@@ -205,10 +208,14 @@ impl<T> PlanCache<T> {
 
     /// Locks `cache`, recovering it if the mutex is poisoned. That is
     /// sound because a guard only ever lives for a hash probe with a
-    /// counter bump, a whole-entry insert (whole entries evicted, then
-    /// one added) or a read of the counters: `std` collection calls and
-    /// `Arc` clones, which do not panic short of an allocation failure,
-    /// and that aborts. Parsing, compiling and executing run unlocked.
+    /// counter bump, a whole-entry insert (the oldest entry unlinked,
+    /// then one added) or a read of the counters: `std` collection calls
+    /// and `Arc` clones, which do not panic short of an allocation
+    /// failure, and that aborts. Parsing, compiling and executing run
+    /// unlocked, and so does freeing: an insert hands the evicted entry
+    /// (a whole lowered recipe and its plans, on a statement) back to
+    /// the caller, which drops it after the guard, as `LiveShared::swap`
+    /// hands back the epoch it replaces.
     /// So the state behind a poisoned lock is one such step's before or
     /// after, and serves the answers it would have served unpoisoned.
     pub fn lock(cache: &Mutex<Self>) -> MutexGuard<'_, Self> {
@@ -229,7 +236,10 @@ impl<T> PlanCache<T> {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
-        Ok(Self::lock(cache).plans.insert(key.into(), compiled))
+        // The guard is a temporary of this statement; `_released` outlives
+        // it, so an evicted plan is freed unlocked.
+        let (plan, _released) = Self::lock(cache).plans.insert(key.into(), compiled);
+        Ok(plan)
     }
 
     /// The statement cached for exactly this `text`, or a fresh
@@ -249,7 +259,8 @@ impl<T> PlanCache<T> {
             return Ok(hit);
         }
         let prepared = prepare_sparql_with(text, prepare)?;
-        Ok(Self::lock(cache).statements.insert(text.into(), prepared))
+        let (statement, _released) = Self::lock(cache).statements.insert(text.into(), prepared);
+        Ok(statement)
     }
 
     /// Fetches the plan cached under `key`, counting a hit or a miss.
@@ -290,16 +301,10 @@ impl<T> PlanCache<T> {
 /// on everything that affects compilation. Shared with the federated
 /// frozen session in `rps-p2p`.
 pub fn canonical_plan_key(query: &GraphPatternQuery) -> String {
-    // A conjunctive query names a handful of variables: a linear scan
-    // over borrowed names beats hashing (and copying) each occurrence.
-    let mut slots: Vec<&str> = Vec::new();
-    let mut key = String::new();
-    fn push_var<'q>(name: &'q str, key: &mut String, slots: &mut Vec<&'q str>) {
-        let slot = slots.iter().position(|s| *s == name).unwrap_or_else(|| {
-            slots.push(name);
-            slots.len() - 1
-        });
-        let _ = write!(key, "#{slot} ");
+    let mut slots = Slots::default();
+    let mut key = String::with_capacity(plan_key_len(query));
+    fn push_var<'q>(name: &'q str, key: &mut String, slots: &mut Slots<'q>) {
+        let _ = write!(key, "#{} ", slots.slot(name));
     }
     for v in query.free_vars() {
         push_var(v.name(), &mut key, &mut slots);
@@ -323,6 +328,61 @@ pub fn canonical_plan_key(query: &GraphPatternQuery) -> String {
         key.push('.');
     }
     key
+}
+
+/// The variable names of a plan key, numbered by first occurrence. A
+/// conjunctive query names a handful of variables: a linear scan over
+/// borrowed names beats hashing (and copying) each occurrence, and the
+/// first [`Slots::INLINE`] are held without a heap list.
+#[derive(Default)]
+struct Slots<'q> {
+    inline: [&'q str; Slots::INLINE],
+    len: usize,
+    spilled: Vec<&'q str>,
+}
+
+impl<'q> Slots<'q> {
+    const INLINE: usize = 16;
+
+    /// The slot of `name`, numbering it next if it is new.
+    fn slot(&mut self, name: &'q str) -> usize {
+        let known = self.inline[..self.len.min(Self::INLINE)]
+            .iter()
+            .chain(&self.spilled)
+            .position(|s| *s == name);
+        known.unwrap_or_else(|| {
+            match self.inline.get_mut(self.len) {
+                Some(free) => *free = name,
+                None => self.spilled.push(name),
+            }
+            self.len += 1;
+            self.len - 1
+        })
+    }
+}
+
+/// The length of [`canonical_plan_key`]'s key for `query`, short only
+/// by the escapes of its literals and the digits of slots past 99: the
+/// key is built in one allocation.
+fn plan_key_len(query: &GraphPatternQuery) -> usize {
+    let term_len = |tv: &TermOrVar| match tv {
+        TermOrVar::Var(_) => 4,
+        TermOrVar::Term(Term::Iri(i)) => i.as_str().len() + 6,
+        TermOrVar::Term(Term::Blank(b)) => b.label().len() + 7,
+        TermOrVar::Term(Term::Literal(l)) => {
+            l.lexical().len()
+                + 6
+                + match l.annotation() {
+                    LiteralAnnotation::Plain => 0,
+                    LiteralAnnotation::Lang(tag) => tag.len() + 1,
+                    LiteralAnnotation::Typed(dt) => dt.as_str().len() + 4,
+                }
+        }
+    };
+    let body: usize = (query.pattern().patterns().iter())
+        .map(|tp| term_len(&tp.s) + term_len(&tp.p) + term_len(&tp.o) + 1)
+        .sum();
+    4 * query.arity() + 1 + body
 }
 
 /// The shared, immutable state behind every clone of a [`FrozenSession`].
@@ -490,10 +550,10 @@ impl FrozenSession {
     /// that skip route resolution, rewriting and plan compilation
     /// entirely.
     ///
-    /// Cache-hit note: the handle's [`PreparedQuery::query`] (and hence
-    /// the projection variable *names* on executed streams) is the
-    /// first-prepared representative of the α-equivalence class; answer
-    /// tuples are identical for every member of the class.
+    /// Cache-hit note: the projection variable *names* on executed
+    /// streams are those of the first-prepared representative of the
+    /// α-equivalence class; answer tuples are identical for every member
+    /// of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
         PlanCache::get_or_compile(&self.inner.cache, query, || self.compile(query))
     }
@@ -816,6 +876,28 @@ mod tests {
 
     fn frozen_solution_at(frozen: &FrozenSession) -> *const UniversalSolution {
         solution_at(frozen.inner.solution.as_deref().expect("materialised"))
+    }
+
+    /// An insert hands back what the map let go of, for the caller to
+    /// drop unlocked: the oldest entry at capacity, or its own entry
+    /// when one under the same key was there first.
+    #[test]
+    fn fifo_insert_returns_what_it_lets_go() {
+        let mut fifo: Fifo<u32, Arc<&str>> = Fifo::new(2);
+        assert_eq!(fifo.insert(1, Arc::new("a")), (Arc::new("a"), None));
+        assert_eq!(fifo.insert(2, Arc::new("b")), (Arc::new("b"), None));
+        assert_eq!(
+            fifo.insert(2, Arc::new("late")),
+            (Arc::new("b"), Some((2, Arc::new("late"))))
+        );
+        assert_eq!(
+            fifo.insert(3, Arc::new("c")),
+            (Arc::new("c"), Some((1, Arc::new("a"))))
+        );
+        assert_eq!(
+            (fifo.len(), fifo.get(&1), fifo.get(&3)),
+            (2, None, Some(Arc::new("c")))
+        );
     }
 
     #[test]

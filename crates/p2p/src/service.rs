@@ -22,7 +22,7 @@ use rps_core::{
     next_session_id, AnswerStream, EngineConfig, ExecRoute, PlanCache, PlanCacheStats,
     RdfPeerSystem, RpsError, RpsRewriter,
 };
-use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult, Variable};
 use std::sync::{Arc, Mutex};
 
 /// A query compiled once against a [`FederatedSession`]: the canonical
@@ -37,8 +37,8 @@ pub struct PreparedFederatedQuery {
     /// [`FederatedSession::config_mut`]).
     generation: u32,
     query: GraphPatternQuery,
-    /// The projection variable names, shared with every stream.
-    vars: Arc<[String]>,
+    /// The projection variables, shared with every stream.
+    vars: Arc<[Variable]>,
     prepared: PreparedFederation,
     branches: usize,
 }
@@ -125,11 +125,7 @@ impl FedCore {
             session_id: self.id,
             generation: self.generation,
             query: query.clone(),
-            vars: query
-                .free_vars()
-                .iter()
-                .map(|v| v.name().to_string())
-                .collect(),
+            vars: query.free_vars().into(),
             prepared: self.engine.prepare_branches(&branches),
             branches: branches.len(),
         })

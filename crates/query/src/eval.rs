@@ -79,8 +79,9 @@ struct Compiled {
 }
 
 fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
+    // A pattern names a handful of variables: a scan of the dense table
+    // beats hashing each occurrence.
     let mut vars: Vec<Variable> = Vec::new();
-    let mut var_index = std::collections::HashMap::new();
     let mut slots = Vec::with_capacity(gp.len());
     let mut satisfiable = true;
 
@@ -97,11 +98,10 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
                     }
                 },
                 TermOrVar::Var(v) => {
-                    let idx = *var_index.entry(v.clone()).or_insert_with(|| {
+                    Slot::Var(vars.iter().position(|w| w == v).unwrap_or_else(|| {
                         vars.push(v.clone());
                         vars.len() - 1
-                    });
-                    Slot::Var(idx)
+                    }))
                 }
             };
         }
@@ -109,7 +109,7 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
     }
 
     let source = if satisfiable {
-        order_slots(graph, &mut slots, BTreeSet::new(), order)
+        order_slots(graph, &mut slots, &[], order)
     } else {
         (0..slots.len()).collect()
     };
@@ -123,17 +123,18 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
 }
 
 /// Greedy join ordering: repeatedly pick the conjunct with the smallest
-/// cardinality estimate given the variables bound so far (seeded with
-/// `bound` — non-empty when ordering the non-pivot conjuncts of a delta
-/// evaluation). The estimate is the stats-based selectivity model when
-/// `order` resolves to the cost-based path (the graph is sealed and has
-/// a [`GraphStats`] snapshot), the shape heuristic otherwise. Returns
-/// the applied permutation: element `i` is the input position of the
-/// conjunct now planned `i`-th.
+/// cardinality estimate given the variables bound so far — those of
+/// `seed` (non-empty when ordering the non-pivot conjuncts of a delta
+/// evaluation) and of the conjuncts already picked. The estimate is the
+/// stats-based selectivity model when `order` resolves to the
+/// cost-based path (the graph is sealed and has a [`GraphStats`]
+/// snapshot), the shape heuristic otherwise. Returns the applied
+/// permutation: element `i` is the input position of the conjunct now
+/// planned `i`-th.
 fn order_slots(
     graph: &Graph,
     slots: &mut [[Slot; 3]],
-    bound: BTreeSet<usize>,
+    seed: &[usize],
     order: JoinOrder,
 ) -> Vec<usize> {
     let stats = match order {
@@ -142,27 +143,26 @@ fn order_slots(
     };
     let n = slots.len();
     let mut source: Vec<usize> = (0..n).collect();
-    let mut bound = bound;
     for i in 0..n {
+        // A conjunction names a handful of variables: asking the picked
+        // conjuncts beats keeping a set of them.
+        let (picked, rest) = slots.split_at(i);
+        let bound =
+            |v: usize| seed.contains(&v) || picked.iter().any(|s| slot_vars(s).any(|w| w == v));
         let mut best = i;
         let mut best_cost = f64::INFINITY;
-        for (j, slot) in slots.iter().enumerate().take(n).skip(i) {
+        for (j, slot) in rest.iter().enumerate() {
             let cost = match &stats {
                 Some(st) => stats_estimate(st, slot, &bound),
                 None => shape_estimate(graph, slot, &bound),
             };
             if cost < best_cost {
                 best_cost = cost;
-                best = j;
+                best = i + j;
             }
         }
         slots.swap(i, best);
         source.swap(i, best);
-        for s in slots[i] {
-            if let Slot::Var(v) = s {
-                bound.insert(v);
-            }
-        }
     }
     source
 }
@@ -178,13 +178,13 @@ fn all_const(slot: &[Slot; 3]) -> bool {
 /// divisors, sqrt guesses for subject/object anchors. Kept bit-for-bit
 /// (apart from the all-constant fix) as the differential oracle for the
 /// stats-based estimator.
-fn shape_estimate(graph: &Graph, slot: &[Slot; 3], bound: &BTreeSet<usize>) -> f64 {
+fn shape_estimate(graph: &Graph, slot: &[Slot; 3], bound: &impl Fn(usize) -> bool) -> f64 {
     if all_const(slot) {
         return 0.0;
     }
     let is_bound = |s: &Slot| match s {
         Slot::Const(_) => true,
-        Slot::Var(v) => bound.contains(v),
+        Slot::Var(v) => bound(*v),
     };
     let s_bound = is_bound(&slot[0]);
     let o_bound = is_bound(&slot[2]);
@@ -199,7 +199,7 @@ fn shape_estimate(graph: &Graph, slot: &[Slot; 3], bound: &BTreeSet<usize>) -> f
             }
         }
         (Slot::Var(pv), s, o) => {
-            let p_bound = bound.contains(pv);
+            let p_bound = bound(*pv);
             let n = graph.len().max(1);
             match (p_bound, s, o) {
                 (_, true, true) => ((n as f64).sqrt() as usize).max(1),
@@ -219,13 +219,13 @@ fn shape_estimate(graph: &Graph, slot: &[Slot; 3], bound: &BTreeSet<usize>) -> f
 /// Constants absent from the snapshot (unknown predicate, subject
 /// outside the sealed SPO key bounds) estimate 0: scanning them first
 /// terminates the join immediately.
-fn stats_estimate(stats: &GraphStats, slot: &[Slot; 3], bound: &BTreeSet<usize>) -> f64 {
+fn stats_estimate(stats: &GraphStats, slot: &[Slot; 3], bound: &impl Fn(usize) -> bool) -> f64 {
     if all_const(slot) {
         return 0.0;
     }
     let is_bound = |s: &Slot| match s {
         Slot::Const(_) => true,
-        Slot::Var(v) => bound.contains(v),
+        Slot::Var(v) => bound(*v),
     };
     let s_bound = is_bound(&slot[0]);
     let o_bound = is_bound(&slot[2]);
@@ -252,7 +252,7 @@ fn stats_estimate(stats: &GraphStats, slot: &[Slot; 3], bound: &BTreeSet<usize>)
         }
         Slot::Var(pv) => {
             let mut est = stats.triples.max(1) as f64;
-            if bound.contains(pv) {
+            if bound(*pv) {
                 est /= stats.predicates().max(1) as f64;
             }
             if s_bound {
@@ -332,33 +332,36 @@ fn slot_vars(slot: &[Slot; 3]) -> impl Iterator<Item = usize> + '_ {
 
 /// The first depth at which the plan has an independent suffix (see
 /// [`SuffixMemo`]), or `None`. `proj` is the plan's projection.
-fn independent_suffix(slots: &[[Slot; 3]], nvars: usize, proj: &[usize]) -> Option<SuffixMemo> {
-    // The conjunct that binds each variable.
-    let mut first = vec![usize::MAX; nvars];
-    for (d, slot) in slots.iter().enumerate() {
-        for v in slot_vars(slot) {
-            first[v] = first[v].min(d);
-        }
-    }
-    (1..slots.len()).find_map(|depth| {
-        let mut key: Vec<usize> = slots[depth..]
+fn independent_suffix(slots: &[[Slot; 3]], proj: &[usize]) -> Option<SuffixMemo> {
+    // The conjunct that binds a variable (a projected one may occur in
+    // none, when the plan is trivially empty).
+    let first = |v: usize| {
+        slots
             .iter()
-            .flat_map(slot_vars)
-            .filter(|&v| first[v] < depth)
-            .collect();
-        key.sort_unstable();
-        key.dedup();
+            .position(|s| slot_vars(s).any(|w| w == v))
+            .unwrap_or(usize::MAX)
+    };
+    (1..slots.len()).find_map(|depth| {
+        let key_vars = || {
+            slots[depth..]
+                .iter()
+                .flat_map(slot_vars)
+                .filter(|&v| first(v) < depth)
+        };
         // The conjuncts that run with the key fixed: those after the
         // last one binding a key variable. One of them must bind a
         // variable, or `depth` is reached once per key value anyway.
-        let fixed_from = key.iter().map(|&v| first[v] + 1).max().unwrap_or(0);
-        if !(fixed_from..depth).any(|d| first.contains(&d)) {
+        let fixed_from = key_vars().map(|v| first(v) + 1).max().unwrap_or(0);
+        if !(fixed_from..depth).any(|d| slot_vars(&slots[d]).any(|v| first(v) == d)) {
             return None;
         }
+        let mut key: Vec<usize> = key_vars().collect();
+        key.sort_unstable();
+        key.dedup();
         let mut out: Vec<usize> = proj
             .iter()
             .copied()
-            .filter(|&v| first[v] >= depth)
+            .filter(|&v| first(v) >= depth)
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -392,11 +395,11 @@ impl<'a> SuffixCache<'a> {
 struct Matcher<'a> {
     graph: &'a Graph,
     slots: &'a [[Slot; 3]],
-    /// Per variable, `true` iff a blank node may not bind it — the
-    /// projected variables under [`Semantics::Certain`]. Refusing the
-    /// binding prunes the subtree whose every leaf the projection would
-    /// drop. Empty when no variable is restricted.
-    named: &'a [bool],
+    /// The variables a blank node may not bind — the projected ones
+    /// under [`Semantics::Certain`], a handful, so a scan beats a table.
+    /// Refusing the binding prunes the subtree whose every leaf the
+    /// projection would drop. Empty when no variable is restricted.
+    named: &'a [usize],
     /// The plan's independent suffix and its cached sub-answer, when the
     /// evaluation projects (`None` runs the plain loop at every depth).
     memo: Option<SuffixCache<'a>>,
@@ -467,9 +470,7 @@ impl<'a> Matcher<'a> {
             Slot::Const(c) => c == vals[i],
             Slot::Var(v) => match binding[v] {
                 Some(existing) => existing == vals[i],
-                None if self.named.get(v) == Some(&true) && !self.graph.dict().is_name(vals[i]) => {
-                    false
-                }
+                None if self.named.contains(&v) && !self.graph.dict().is_name(vals[i]) => false,
                 None => {
                     binding[v] = Some(vals[i]);
                     newly_bound[i] = Some(v);
@@ -715,8 +716,6 @@ pub struct PreparedQueryIds {
     /// when some free variable does not occur in the pattern (the answer
     /// set is then empty).
     proj: Option<Vec<usize>>,
-    /// Per compiled variable, `true` iff `proj` names it.
-    projected: Vec<bool>,
     /// The plan's independent suffix under `proj`, if it has one.
     memo: Option<SuffixMemo>,
 }
@@ -759,19 +758,13 @@ impl PreparedQueryIds {
     /// Derives what depends on both the planned conjuncts and the
     /// projection.
     fn from_parts(compiled: Compiled, proj: Option<Vec<usize>>) -> Self {
-        let nvars = compiled.vars.len();
-        let mut projected = vec![false; nvars];
-        for &v in proj.iter().flatten() {
-            projected[v] = true;
-        }
         let memo = proj
             .as_deref()
             .filter(|_| compiled.satisfiable)
-            .and_then(|proj| independent_suffix(&compiled.slots, nvars, proj));
+            .and_then(|proj| independent_suffix(&compiled.slots, proj));
         PreparedQueryIds {
             compiled,
             proj,
-            projected,
             memo,
         }
     }
@@ -841,7 +834,7 @@ impl PreparedQueryIds {
     ) -> Matcher<'a> {
         Matcher {
             named: match semantics {
-                Semantics::Certain => &self.projected,
+                Semantics::Certain => self.proj.as_deref().unwrap_or_default(),
                 Semantics::Star => &[],
             },
             ..Matcher::plain(graph, slots)
@@ -912,8 +905,8 @@ impl PreparedQueryIds {
                 .filter(|(i, _)| *i != pivot)
                 .map(|(_, s)| *s)
                 .collect();
-            let pivot_vars: BTreeSet<usize> = slot_vars(&slot).collect();
-            order_slots(graph, &mut rest, pivot_vars, self.compiled.order);
+            let pivot_vars: Vec<usize> = slot_vars(&slot).collect();
+            order_slots(graph, &mut rest, &pivot_vars, self.compiled.order);
             let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
             let mut matcher = self.matcher(graph, &rest, semantics);
             for t in graph.log_since(log_from) {
@@ -986,7 +979,7 @@ impl PreparedQueryIds {
             })
             .collect();
         let source = if satisfiable {
-            order_slots(graph, &mut slots, BTreeSet::new(), order)
+            order_slots(graph, &mut slots, &[], order)
         } else {
             (0..slots.len()).collect()
         };

@@ -1,37 +1,45 @@
-//! The SPARQL lexer: UTF-8 text to spanned tokens.
+//! The SPARQL lexer: UTF-8 text to spanned tokens, one at a time.
 //!
 //! Every token carries its byte span and line/column so the parser can
 //! attach precise positions to [`super::SparqlError`]s. The lexer is
-//! hand-written over `char_indices` — no external lexer generator —
+//! hand-written over the source text — no external lexer generator —
 //! and covers exactly the token inventory of the SELECT/ASK subset:
 //! keywords, variables, IRIs, prefixed names, literals (plain,
 //! language-tagged, datatyped), integers, punctuation and the FILTER
 //! operator set.
+//!
+//! Tokens borrow their text from the source: lexing a query allocates
+//! nothing but the unescaped form of a literal that holds a `\`. The
+//! parser pulls tokens on demand ([`Lexer::next_token`]), so no token
+//! list is built either.
 
 use super::SparqlError;
+use std::borrow::Cow;
 
-/// A token kind. Keywords are folded to lower case at lex time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
-    /// A reserved word (`select`, `ask`, `optional`, …), lower-cased.
+/// A token kind, borrowing its text from the source.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Tok<'a> {
+    /// A reserved word (`select`, `ask`, `optional`, …), matched
+    /// case-insensitively.
     Keyword(Kw),
-    /// `?name` or `$name`.
-    Var(String),
+    /// `?name` or `$name` (the name, without the sigil).
+    Var(&'a str),
     /// `<absolute-or-relative-iri>` (angle brackets stripped).
-    Iri(String),
+    Iri(&'a str),
     /// `prefix:local` — resolved against the prefix map by the parser.
-    PName(String),
+    PName(&'a str),
     /// A quoted literal with optional `@lang` or `^^<datatype>`.
     Literal {
-        /// The unescaped lexical form.
-        lexical: String,
+        /// The unescaped lexical form: the source text itself unless it
+        /// holds an escape.
+        lexical: Cow<'a, str>,
         /// `@tag`, if present.
-        lang: Option<String>,
+        lang: Option<&'a str>,
         /// `^^<iri>`, if present.
-        datatype: Option<String>,
+        datatype: Option<&'a str>,
     },
     /// A bare unsigned integer.
-    Integer(String),
+    Integer(&'a str),
     /// The Turtle `a` shorthand for `rdf:type`.
     A,
     /// `*` (SELECT projection).
@@ -94,35 +102,39 @@ pub(crate) enum Kw {
     False,
 }
 
+const KEYWORDS: [(&str, Kw); 19] = [
+    ("select", Kw::Select),
+    ("ask", Kw::Ask),
+    ("where", Kw::Where),
+    ("union", Kw::Union),
+    ("optional", Kw::Optional),
+    ("filter", Kw::Filter),
+    ("bound", Kw::Bound),
+    ("distinct", Kw::Distinct),
+    ("reduced", Kw::Reduced),
+    ("order", Kw::Order),
+    ("by", Kw::By),
+    ("asc", Kw::Asc),
+    ("desc", Kw::Desc),
+    ("limit", Kw::Limit),
+    ("offset", Kw::Offset),
+    ("prefix", Kw::Prefix),
+    ("base", Kw::Base),
+    ("true", Kw::True),
+    ("false", Kw::False),
+];
+
 fn keyword(word: &str) -> Option<Kw> {
-    Some(match word.to_ascii_lowercase().as_str() {
-        "select" => Kw::Select,
-        "ask" => Kw::Ask,
-        "where" => Kw::Where,
-        "union" => Kw::Union,
-        "optional" => Kw::Optional,
-        "filter" => Kw::Filter,
-        "bound" => Kw::Bound,
-        "distinct" => Kw::Distinct,
-        "reduced" => Kw::Reduced,
-        "order" => Kw::Order,
-        "by" => Kw::By,
-        "asc" => Kw::Asc,
-        "desc" => Kw::Desc,
-        "limit" => Kw::Limit,
-        "offset" => Kw::Offset,
-        "prefix" => Kw::Prefix,
-        "base" => Kw::Base,
-        "true" => Kw::True,
-        "false" => Kw::False,
-        _ => return None,
-    })
+    KEYWORDS
+        .iter()
+        .find(|(name, _)| word.eq_ignore_ascii_case(name))
+        .map(|&(_, kw)| kw)
 }
 
 /// A token plus its source position.
-#[derive(Debug, Clone)]
-pub(crate) struct Spanned {
-    pub tok: Tok,
+#[derive(Debug)]
+pub(crate) struct Spanned<'a> {
+    pub tok: Tok<'a>,
     /// Half-open byte range in the source text.
     pub span: (usize, usize),
     /// 1-based source line of the first byte.
@@ -131,15 +143,24 @@ pub(crate) struct Spanned {
     pub col: usize,
 }
 
-struct Lexer<'a> {
+/// The lexer over one source text.
+pub(crate) struct Lexer<'a> {
     src: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     line: usize,
     col: usize,
 }
 
 impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
+        }
+    }
+
     fn peek(&self) -> Option<char> {
         self.src[self.pos..].chars().next()
     }
@@ -165,64 +186,63 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// `true` iff the `<` at the current position opens an IRI: a `>`
-    /// appears before any whitespace, quote or brace. Otherwise the `<`
-    /// is the less-than operator of a FILTER expression.
-    fn lt_is_iri(&self) -> bool {
-        for &b in &self.bytes[self.pos + 1..] {
-            match b {
-                b'>' => return true,
-                b' ' | b'\t' | b'\r' | b'\n' | b'"' | b'{' | b'}' | b'<' => return false,
-                _ => {}
-            }
-        }
-        false
+    /// Moves past `text`, the source at the current position, which
+    /// holds no newline.
+    fn skip(&mut self, text: &str) {
+        self.pos += text.len();
+        self.col += text.chars().count();
     }
 
-    fn name(&mut self) -> String {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == ':' || c == '.' {
+    /// The IRI the `<` at the current position opens, angle brackets
+    /// stripped: the text up to a `>` that comes before any character
+    /// SPARQL's `IRIREF` production excludes (`<>"{}|^`, the backtick,
+    /// `\` and 0x00–0x20). `None` when the `<` is the less-than operator
+    /// of a FILTER expression.
+    fn iri(&self) -> Option<&'a str> {
+        let body = &self.src[self.pos + 1..];
+        let end = body.bytes().position(|b| {
+            matches!(
+                b,
+                b'>' | b'<' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' | 0x00..=0x20
+            )
+        })?;
+        (body.as_bytes()[end] == b'>').then(|| &body[..end])
+    }
+
+    fn name(&mut self) -> &'a str {
+        let rest = &self.src[self.pos..];
+        let mut chars = rest.char_indices().peekable();
+        let mut end = 0;
+        while let Some((i, c)) = chars.next() {
+            let part = match c {
                 // A trailing '.' is a triple terminator, not part of a
                 // name (`e:s.` means `e:s .`).
-                if c == '.' {
-                    let after = {
-                        let mut it = self.src[self.pos..].chars();
-                        it.next();
-                        it.next()
-                    };
-                    if !after.is_some_and(|a| a.is_alphanumeric() || a == '_') {
-                        break;
-                    }
-                }
-                self.bump();
-            } else {
+                '.' => chars
+                    .peek()
+                    .is_some_and(|&(_, a)| a.is_alphanumeric() || a == '_'),
+                _ => c.is_alphanumeric() || c == '_' || c == '-' || c == ':',
+            };
+            if !part {
                 break;
             }
+            end = i + c.len_utf8();
         }
-        self.src[start..self.pos].to_string()
+        let name = &rest[..end];
+        self.skip(name);
+        name
     }
-}
 
-/// Tokenises `src`, reporting the first lexical error with its span.
-pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
-    let mut lx = Lexer {
-        src,
-        bytes: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
-    let mut out = Vec::new();
-    loop {
+    /// The next token, `Ok(None)` at the end of the text, or the
+    /// lexical error at the current position.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Spanned<'a>>, SparqlError> {
         // Skip whitespace and comments.
         loop {
-            match lx.peek() {
+            match self.peek() {
                 Some(c) if c.is_whitespace() => {
-                    lx.bump();
+                    self.bump();
                 }
                 Some('#') => {
-                    while let Some(c) = lx.bump() {
+                    while let Some(c) = self.bump() {
                         if c == '\n' {
                             break;
                         }
@@ -231,95 +251,92 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
                 _ => break,
             }
         }
-        let (start, line, col) = (lx.pos, lx.line, lx.col);
-        let Some(c) = lx.peek() else { break };
+        let (start, line, col) = (self.pos, self.line, self.col);
+        let Some(c) = self.peek() else {
+            return Ok(None);
+        };
+        let src = self.src;
         let tok = match c {
             '{' => {
-                lx.bump();
+                self.bump();
                 Tok::LBrace
             }
             '}' => {
-                lx.bump();
+                self.bump();
                 Tok::RBrace
             }
             '(' => {
-                lx.bump();
+                self.bump();
                 Tok::LParen
             }
             ')' => {
-                lx.bump();
+                self.bump();
                 Tok::RParen
             }
             '.' => {
-                lx.bump();
+                self.bump();
                 Tok::Dot
             }
             ';' => {
-                lx.bump();
+                self.bump();
                 Tok::Semi
             }
             ',' => {
-                lx.bump();
+                self.bump();
                 Tok::Comma
             }
             '*' => {
-                lx.bump();
+                self.bump();
                 Tok::Star
             }
             '=' => {
-                lx.bump();
+                self.bump();
                 Tok::Eq
             }
             '!' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
+                self.bump();
+                if self.peek() == Some('=') {
+                    self.bump();
                     Tok::Ne
                 } else {
                     Tok::Bang
                 }
             }
             '&' => {
-                lx.bump();
-                if lx.peek() == Some('&') {
-                    lx.bump();
+                self.bump();
+                if self.peek() == Some('&') {
+                    self.bump();
                     Tok::AndAnd
                 } else {
-                    return Err(lx.err(start, line, col, "expected '&&'"));
+                    return Err(self.err(start, line, col, "expected '&&'"));
                 }
             }
             '|' => {
-                lx.bump();
-                if lx.peek() == Some('|') {
-                    lx.bump();
+                self.bump();
+                if self.peek() == Some('|') {
+                    self.bump();
                     Tok::OrOr
                 } else {
-                    return Err(lx.err(start, line, col, "expected '||'"));
+                    return Err(self.err(start, line, col, "expected '||'"));
                 }
             }
             '>' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
+                self.bump();
+                if self.peek() == Some('=') {
+                    self.bump();
                     Tok::Ge
                 } else {
                     Tok::Gt
                 }
             }
             '<' => {
-                if lx.lt_is_iri() {
-                    lx.bump();
-                    let iri_start = lx.pos;
-                    while lx.peek() != Some('>') {
-                        lx.bump();
-                    }
-                    let iri = lx.src[iri_start..lx.pos].to_string();
-                    lx.bump();
+                if let Some(iri) = self.iri() {
+                    self.skip(&src[start..start + iri.len() + 2]);
                     Tok::Iri(iri)
                 } else {
-                    lx.bump();
-                    if lx.peek() == Some('=') {
-                        lx.bump();
+                    self.bump();
+                    if self.peek() == Some('=') {
+                        self.bump();
                         Tok::Le
                     } else {
                         Tok::Lt
@@ -327,26 +344,25 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
                 }
             }
             '?' | '$' => {
-                lx.bump();
-                let name = lx.name();
+                self.bump();
+                let name = self.name();
                 if name.is_empty() {
-                    return Err(lx.err(start, line, col, "empty variable name"));
+                    return Err(self.err(start, line, col, "empty variable name"));
                 }
                 Tok::Var(name)
             }
             '"' => {
-                lx.bump();
-                let mut lexical = String::new();
-                loop {
-                    match lx.bump() {
-                        Some('"') => break,
-                        Some('\\') => match lx.bump() {
-                            Some('"') => lexical.push('"'),
-                            Some('\\') => lexical.push('\\'),
-                            Some('n') => lexical.push('\n'),
-                            Some('t') => lexical.push('\t'),
+                self.bump();
+                let body = self.pos;
+                let mut escaped = false;
+                let end = loop {
+                    let at = self.pos;
+                    match self.bump() {
+                        Some('"') => break at,
+                        Some('\\') => match self.bump() {
+                            Some('"' | '\\' | 'n' | 't') => escaped = true,
                             other => {
-                                return Err(lx.err(
+                                return Err(self.err(
                                     start,
                                     line,
                                     col,
@@ -355,48 +371,54 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
                             }
                         },
                         Some('\n') | None => {
-                            return Err(lx.err(start, line, col, "unterminated string literal"))
+                            return Err(self.err(start, line, col, "unterminated string literal"))
                         }
-                        Some(ch) => lexical.push(ch),
+                        Some(_) => {}
                     }
-                }
+                };
+                let raw = &src[body..end];
+                let lexical = if escaped {
+                    Cow::Owned(unescape(raw))
+                } else {
+                    Cow::Borrowed(raw)
+                };
                 let mut lang = None;
                 let mut datatype = None;
-                if lx.peek() == Some('@') {
-                    lx.bump();
-                    let tag = lx.name();
+                if self.peek() == Some('@') {
+                    self.bump();
+                    let tag = self.name();
                     if tag.is_empty() {
-                        return Err(lx.err(start, line, col, "empty language tag"));
+                        return Err(self.err(start, line, col, "empty language tag"));
                     }
                     lang = Some(tag);
-                } else if lx.peek() == Some('^') {
-                    lx.bump();
-                    if lx.bump() != Some('^') {
-                        return Err(lx.err(start, line, col, "expected '^^' before datatype"));
+                } else if self.peek() == Some('^') {
+                    self.bump();
+                    if self.bump() != Some('^') {
+                        return Err(self.err(start, line, col, "expected '^^' before datatype"));
                     }
-                    if lx.peek() != Some('<') {
-                        return Err(lx.err(
+                    if self.peek() != Some('<') {
+                        return Err(self.err(
                             start,
                             line,
                             col,
                             "datatype must be a full IRI in angle brackets",
                         ));
                     }
-                    lx.bump();
-                    let dt_start = lx.pos;
+                    self.bump();
+                    let dt_start = self.pos;
                     loop {
-                        match lx.peek() {
+                        match self.peek() {
                             Some('>') => break,
                             Some('\n') | None => {
-                                return Err(lx.err(start, line, col, "unterminated datatype IRI"))
+                                return Err(self.err(start, line, col, "unterminated datatype IRI"))
                             }
                             _ => {
-                                lx.bump();
+                                self.bump();
                             }
                         }
                     }
-                    datatype = Some(lx.src[dt_start..lx.pos].to_string());
-                    lx.bump();
+                    datatype = Some(&src[dt_start..self.pos]);
+                    self.bump();
                 }
                 Tok::Literal {
                     lexical,
@@ -405,22 +427,22 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
                 }
             }
             d if d.is_ascii_digit() => {
-                let num_start = lx.pos;
-                while lx.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    lx.bump();
+                let num_start = self.pos;
+                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                    self.bump();
                 }
-                Tok::Integer(lx.src[num_start..lx.pos].to_string())
+                Tok::Integer(&src[num_start..self.pos])
             }
             c if c.is_alphanumeric() || c == '_' || c == ':' => {
-                let word = lx.name();
+                let word = self.name();
                 if word == "a" {
                     Tok::A
-                } else if let Some(kw) = keyword(&word) {
+                } else if let Some(kw) = keyword(word) {
                     Tok::Keyword(kw)
                 } else if word.contains(':') {
                     Tok::PName(word)
                 } else {
-                    return Err(lx.err(
+                    return Err(self.err(
                         start,
                         line,
                         col,
@@ -429,16 +451,78 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned>, SparqlError> {
                 }
             }
             other => {
-                lx.bump();
-                return Err(lx.err(start, line, col, format!("unexpected character {other:?}")));
+                self.bump();
+                return Err(self.err(start, line, col, format!("unexpected character {other:?}")));
             }
         };
-        out.push(Spanned {
+        Ok(Some(Spanned {
             tok,
-            span: (start, lx.pos),
+            span: (start, self.pos),
             line,
             col,
+        }))
+    }
+}
+
+/// The lexical form of a literal body whose escapes the lexer has
+/// already checked (`\"`, `\\`, `\n`, `\t`).
+fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(other) => other,
+                None => break,
+            },
+            other => other,
         });
     }
-    Ok(out)
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn first(src: &str) -> Option<Tok<'_>> {
+        Lexer::new(src).next_token().ok().flatten().map(|sp| sp.tok)
+    }
+
+    #[test]
+    fn lt_opens_an_iri_only_up_to_an_iriref_exclusion() {
+        assert_eq!(first("<http://c/p>"), Some(Tok::Iri("http://c/p")));
+        assert_eq!(first("<http://c/é>"), Some(Tok::Iri("http://c/é")));
+        for c in [
+            '<', '"', '{', '}', '|', '^', '`', '\\', ' ', '\t', '\n', '\u{1}',
+        ] {
+            let src = format!("<http://c/p{c}x>");
+            assert_eq!(first(&src), Some(Tok::Lt), "{src:?}");
+        }
+        assert_eq!(first("<=?x"), Some(Tok::Le));
+    }
+
+    /// A literal borrows its text unless it holds an escape.
+    #[test]
+    fn literals_copy_only_when_escaped() {
+        let lexical = |src| match first(src) {
+            Some(Tok::Literal { lexical, .. }) => Some(lexical),
+            _ => None,
+        };
+        assert!(matches!(lexical("\"plain\""), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(
+            lexical(r#""a\"b\\c\nd\te""#),
+            Some(Cow::Owned(s)) if s == "a\"b\\c\nd\te"
+        ));
+    }
+
+    #[test]
+    fn keywords_match_in_any_case_and_nothing_else() {
+        assert_eq!(first("SeLeCt"), Some(Tok::Keyword(Kw::Select)));
+        assert_eq!(first("select:x"), Some(Tok::PName("select:x")));
+        assert_eq!(first("a"), Some(Tok::A));
+        assert_eq!(first("A"), None);
+    }
 }

@@ -21,7 +21,7 @@
 //! underlying plans stay as narrow as hand-written ones.
 
 use super::exec;
-use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SimpleGroup, SparqlQuery};
+use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SparqlQuery};
 use crate::eval::{IdRows, PreparedQueryIds, Semantics};
 use crate::pattern::{GraphPattern, GraphPatternQuery, TriplePattern, Variable};
 use rps_rdf::{Graph, Term, TermDict};
@@ -76,64 +76,30 @@ impl SparqlQuery {
     /// restriction of the subset is enforced by the parser, so a parsed
     /// query always lowers.
     pub fn lower(&self) -> LoweredSparql {
-        // SELECT * projects every pattern variable in first-occurrence
-        // order (scanning base, then unions, then optionals, matching
-        // the serialised query left to right).
-        let star_vars = || {
-            let mut seen = BTreeSet::new();
-            let mut out = Vec::new();
-            let mut scan = |triples: &[TriplePattern]| {
-                for t in triples {
-                    for v in t.vars() {
-                        if seen.insert(v.clone()) {
-                            out.push(v.clone());
-                        }
-                    }
-                }
-            };
-            scan(&self.pattern.triples);
-            for block in &self.pattern.unions {
-                for alt in block {
-                    scan(&alt.triples);
-                }
-            }
-            for opt in &self.pattern.optionals {
-                scan(&opt.triples);
-            }
-            out
-        };
+        let pattern = &self.pattern;
         let (ask, projection) = match &self.form {
             QueryForm::Ask => (true, Vec::new()),
             QueryForm::Select { projection, .. } => match projection {
                 Projection::Vars(vars) => (false, vars.clone()),
-                Projection::Star => (false, star_vars()),
+                Projection::Star => (false, self.star_vars()),
             },
         };
 
-        // Variables needed beyond each branch's own evaluation:
-        // projection columns, sort keys, and every filter mention
+        // Variables needed beyond each branch's own evaluation besides
+        // the projection: sort keys and every filter mention
         // (group-level and optional-level — optional filters force the
         // base head to keep the base variables they constrain, so the
         // left join never collapses rows the filter distinguishes).
-        let mut needed: BTreeSet<Variable> = projection.iter().cloned().collect();
-        needed.extend(self.order_by.iter().map(|k| k.var.clone()));
-        let mut filter_vars = Vec::new();
-        for f in &self.pattern.filters {
-            f.collect_vars(&mut filter_vars);
+        let mut needed: Vec<Variable> = self.order_by.iter().map(|k| k.var.clone()).collect();
+        let alternatives = || pattern.unions.iter().flatten();
+        for f in pattern
+            .filters
+            .iter()
+            .chain(pattern.optionals.iter().flat_map(|opt| &opt.filters))
+            .chain(alternatives().flat_map(|alt| &alt.filters))
+        {
+            f.collect_vars(&mut needed);
         }
-        for opt in &self.pattern.optionals {
-            for f in &opt.filters {
-                f.collect_vars(&mut filter_vars);
-            }
-        }
-        for block in &self.pattern.unions {
-            for alt in block {
-                for f in &alt.filters {
-                    f.collect_vars(&mut filter_vars);
-                }
-            }
-        }
-        needed.extend(filter_vars);
 
         // Left-join keys: a variable shared between an OPTIONAL block
         // and the pattern it extends (the base BGP, any UNION
@@ -142,91 +108,72 @@ impl SparqlQuery {
         // when nothing downstream mentions it — otherwise distinct
         // base solutions that differ only on the key collapse before
         // the join, and unmatched-OPTIONAL rows are silently lost.
-        let triple_vars = |triples: &[TriplePattern]| -> BTreeSet<Variable> {
-            triples.iter().flat_map(|t| t.vars().cloned()).collect()
+        let mentions = |triples: &[TriplePattern], v: &Variable| {
+            triples.iter().any(|t| t.vars().any(|w| w == v))
         };
-        let mut base_side = triple_vars(&self.pattern.triples);
-        for block in &self.pattern.unions {
-            for alt in block {
-                base_side.extend(triple_vars(&alt.triples));
-            }
-        }
-        let opt_vars: Vec<BTreeSet<Variable>> = self
-            .pattern
-            .optionals
-            .iter()
-            .map(|opt| triple_vars(&opt.triples))
-            .collect();
-        for (i, vars) in opt_vars.iter().enumerate() {
-            for v in vars {
-                let shared = base_side.contains(v)
-                    || opt_vars
-                        .iter()
-                        .enumerate()
-                        .any(|(j, other)| j != i && other.contains(v));
+        for (i, opt) in pattern.optionals.iter().enumerate() {
+            for v in opt.triples.iter().flat_map(TriplePattern::vars) {
+                let shared = mentions(&pattern.triples, v)
+                    || alternatives().any(|alt| mentions(&alt.triples, v))
+                    || (pattern.optionals.iter().enumerate())
+                        .any(|(j, other)| j != i && mentions(&other.triples, v));
                 if shared {
-                    needed.insert(v.clone());
+                    needed.push(v.clone());
                 }
             }
         }
+        let is_needed = |v: &Variable| projection.contains(v) || needed.contains(v);
 
-        // Cross product of one alternative per UNION block.
-        let mut combos: Vec<Vec<&SimpleGroup>> = vec![Vec::new()];
-        for block in &self.pattern.unions {
-            let mut next = Vec::with_capacity(combos.len() * block.len());
-            for combo in &combos {
-                for alt in block {
-                    let mut c = combo.clone();
-                    c.push(alt);
-                    next.push(c);
-                }
-            }
-            combos = next;
-        }
-
-        let head_of = |pattern: &GraphPattern, needed: &BTreeSet<Variable>| -> Vec<Variable> {
-            let present = pattern.vars();
-            present
+        // A CQ's head: the needed variables of its body (and `keep`),
+        // in variable order.
+        let head_of = |triples: &[TriplePattern], keep: &[Variable]| -> Vec<Variable> {
+            let mut head: Vec<Variable> = triples
                 .iter()
-                .filter(|v| needed.contains(v))
+                .flat_map(TriplePattern::vars)
+                .filter(|v| is_needed(v) || keep.contains(v))
                 .cloned()
-                .collect()
+                .collect();
+            head.sort_unstable();
+            head.dedup();
+            head
         };
 
-        let mut branches = Vec::with_capacity(combos.len());
-        for combo in combos {
-            let mut base_pattern = GraphPattern::from_patterns(self.pattern.triples.clone());
-            let mut filters = self.pattern.filters.clone();
-            for alt in &combo {
-                for t in &alt.triples {
-                    base_pattern.push(t.clone());
-                }
-                filters.extend(alt.filters.iter().cloned());
+        // One branch per pick of one alternative from every UNION
+        // block, the first block varying slowest.
+        let branch_count: usize = pattern.unions.iter().map(Vec::len).product();
+        let mut branches = Vec::with_capacity(branch_count);
+        for branch in 0..branch_count {
+            let mut stride = branch_count;
+            let picks = pattern.unions.iter().map(|block| {
+                stride /= block.len();
+                &block[branch / stride % block.len()]
+            });
+            let mut triples = pattern.triples.clone();
+            let mut filters = pattern.filters.clone();
+            for alt in picks {
+                triples.extend_from_slice(&alt.triples);
+                filters.extend_from_slice(&alt.filters);
             }
-            let base_head = head_of(&base_pattern, &needed);
-            let base = GraphPatternQuery::new(base_head.clone(), base_pattern.clone());
-            let optionals = self
-                .pattern
+            let base_head = head_of(&triples, &[]);
+            let optionals = pattern
                 .optionals
                 .iter()
                 .map(|opt| {
-                    let mut ext = base_pattern.clone();
-                    for t in &opt.triples {
-                        ext.push(t.clone());
-                    }
+                    let mut ext = Vec::with_capacity(triples.len() + opt.triples.len());
+                    ext.extend_from_slice(&triples);
+                    ext.extend_from_slice(&opt.triples);
                     // The extension head carries the full base head (the
                     // left-join key) plus whatever optional variables are
                     // needed downstream.
-                    let mut head: BTreeSet<Variable> = base_head.iter().cloned().collect();
-                    head.extend(head_of(&ext, &needed));
+                    let head = head_of(&ext, &base_head);
                     LoweredOptional {
-                        query: GraphPatternQuery::new(head.into_iter().collect(), ext),
+                        query: GraphPatternQuery::new(head, GraphPattern::from_patterns(ext)),
                         filters: opt.filters.clone(),
                     }
                 })
                 .collect();
             branches.push(LoweredBranch {
-                base,
+                base: GraphPatternQuery::new(base_head, GraphPattern::from_patterns(triples)),
                 optionals,
                 filters,
             });
@@ -240,6 +187,23 @@ impl SparqlQuery {
             limit: self.limit,
             offset: self.offset,
         }
+    }
+
+    /// What `SELECT *` projects: every pattern variable in
+    /// first-occurrence order (scanning base, then unions, then
+    /// optionals, matching the serialised query left to right).
+    fn star_vars(&self) -> Vec<Variable> {
+        let pattern = &self.pattern;
+        let mut out: Vec<Variable> = Vec::new();
+        let blocks = std::iter::once(&pattern.triples)
+            .chain(pattern.unions.iter().flatten().map(|alt| &alt.triples))
+            .chain(pattern.optionals.iter().map(|opt| &opt.triples));
+        for v in blocks.flatten().flat_map(TriplePattern::vars) {
+            if !out.contains(v) {
+                out.push(v.clone());
+            }
+        }
+        out
     }
 }
 

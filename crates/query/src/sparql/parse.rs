@@ -6,7 +6,7 @@
 //! [`SparqlError`] carrying the byte span and line/column of the
 //! offending token; the parser never panics on malformed input.
 
-use super::lex::{tokenize, Kw, Spanned, Tok};
+use super::lex::{Kw, Lexer, Spanned, Tok};
 use super::SparqlError;
 use crate::pattern::{TermOrVar, TriplePattern, Variable};
 use rps_rdf::namespace::vocab;
@@ -152,49 +152,96 @@ pub enum CmpOp {
 
 /// Parses a SPARQL-subset query. Prefixed names resolve first against
 /// `PREFIX` declarations in the query, then against `base`.
+///
+/// A lexical error anywhere in the text is the error reported, even
+/// where the parser would reject an earlier token: the parser pulls
+/// tokens on demand, and on failure lexes the rest of the text first.
 pub fn parse_sparql(input: &str, base: &PrefixMap) -> Result<SparqlQuery, SparqlError> {
-    let tokens = tokenize(input)?;
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        lexer: Lexer::new(input),
+        next: None,
+        lex_error: None,
+        last: None,
         base,
-        declared: PrefixMap::new(),
+        declared: None,
+        shadowed: Vec::new(),
         base_iri: None,
+        vars: Vec::new(),
+        scratch: String::new(),
         src_len: input.len(),
     };
-    p.query()
+    p.advance();
+    let parsed = p.query();
+    while p.lex_error.is_none() && p.next.is_some() {
+        p.advance();
+    }
+    match p.lex_error {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
 /// `(order_by, limit, offset)` — the trailing solution modifiers.
 type Modifiers = (Vec<OrderKey>, Option<usize>, Option<usize>);
 
-struct Parser<'a> {
-    tokens: Vec<Spanned>,
-    pos: usize,
+struct Parser<'a, 'b> {
+    lexer: Lexer<'a>,
+    /// The token after the ones consumed; `None` at the end of the text
+    /// and from the first lexical error on.
+    next: Option<Spanned<'a>>,
+    /// The first lexical error, which ends the token stream.
+    lex_error: Option<SparqlError>,
+    /// Line and column of the last token lexed: where an error at the
+    /// end of the input points.
+    last: Option<(usize, usize)>,
     /// The caller's prefixes, borrowed: most queries declare none of
     /// their own, so nothing is copied per parse.
-    base: &'a PrefixMap,
-    /// The query's own `PREFIX` declarations, which shadow `base`.
-    declared: PrefixMap,
-    base_iri: Option<String>,
+    base: &'b PrefixMap,
+    /// The query's latest `PREFIX` declaration, borrowed from the text:
+    /// it shadows `shadowed` (the earlier ones, in order) and `base`.
+    /// Most queries declare one, which takes no list.
+    declared: Option<(&'a str, &'a str)>,
+    shadowed: Vec<(&'a str, &'a str)>,
+    base_iri: Option<&'a str>,
+    /// Every variable named so far: a repeated `?z` shares one name.
+    vars: Vec<Variable>,
+    /// Where an IRI is spelled before it is copied into its `Arc`.
+    scratch: String,
     src_len: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|s| &s.tok)
+impl<'a> Parser<'a, '_> {
+    /// Lexes the token after the current one into `next`.
+    fn advance(&mut self) {
+        match self.lexer.next_token() {
+            Ok(next) => {
+                if let Some(sp) = &next {
+                    self.last = Some((sp.line, sp.col));
+                }
+                self.next = next;
+            }
+            Err(e) => {
+                self.next = None;
+                self.lex_error = Some(e);
+            }
+        }
     }
 
-    fn bump(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn peek(&self) -> Option<&Tok<'a>> {
+        self.next.as_ref().map(|s| &s.tok)
+    }
+
+    /// Consumes the current token, moving it out.
+    fn bump(&mut self) -> Option<Spanned<'a>> {
+        let t = self.next.take();
         if t.is_some() {
-            self.pos += 1;
+            self.advance();
         }
         t
     }
 
     fn err_here(&self, msg: impl Into<String>) -> SparqlError {
-        match self.tokens.get(self.pos) {
+        match &self.next {
             Some(sp) => SparqlError {
                 message: msg.into(),
                 span: sp.span,
@@ -202,11 +249,7 @@ impl Parser<'_> {
                 col: sp.col,
             },
             None => {
-                let (line, col) = self
-                    .tokens
-                    .last()
-                    .map(|s| (s.line, s.col))
-                    .unwrap_or((1, 1));
+                let (line, col) = self.last.unwrap_or((1, 1));
                 SparqlError {
                     message: format!("{} (found end of input)", msg.into()),
                     span: (self.src_len, self.src_len),
@@ -217,27 +260,48 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<Spanned, SparqlError> {
-        match self.peek() {
-            Some(t) if *t == tok => Ok(self.bump().expect("peeked")),
-            _ => Err(self.err_here(format!("expected {what}"))),
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), SparqlError> {
+        if self.peek() == Some(&tok) {
+            self.bump();
+            Ok(())
+        } else {
+            Err(self.err_here(format!("expected {what}")))
         }
     }
 
     fn eat_kw(&mut self, kw: Kw) -> bool {
         if matches!(self.peek(), Some(Tok::Keyword(k)) if *k == kw) {
-            self.pos += 1;
+            self.bump();
             return true;
         }
         false
     }
 
-    fn resolve_iri(&self, iri: String) -> Term {
+    /// The variable called `name`, shared with its earlier mentions.
+    fn var(&mut self, name: &str) -> Variable {
+        if let Some(v) = self.vars.iter().find(|v| v.name() == name) {
+            return v.clone();
+        }
+        let v = Variable::new(name);
+        self.vars.push(v.clone());
+        v
+    }
+
+    /// The IRI `head` followed by `tail`, copied once into its `Arc`.
+    fn joined(&mut self, head: &str, tail: &str) -> Iri {
+        self.scratch.clear();
+        self.scratch.reserve(head.len() + tail.len());
+        self.scratch.push_str(head);
+        self.scratch.push_str(tail);
+        Iri::new(self.scratch.as_str())
+    }
+
+    fn resolve_iri(&mut self, iri: &str) -> Term {
         // Relative IRIs (no scheme colon) resolve by concatenation
         // against a BASE declaration, if any.
         if !iri.contains(':') {
-            if let Some(base) = &self.base_iri {
-                return Term::Iri(Iri::new(format!("{base}{iri}")));
+            if let Some(base) = self.base_iri {
+                return Term::Iri(self.joined(base, iri));
             }
         }
         Term::Iri(Iri::new(iri))
@@ -245,13 +309,15 @@ impl Parser<'_> {
 
     /// Expands `prefix:local` against the query's own declarations,
     /// then the caller's base map.
-    fn expand(&self, pname: &str) -> Option<Iri> {
+    fn expand(&mut self, pname: &str) -> Option<Iri> {
         let (prefix, local) = pname.split_once(':')?;
-        let ns = self
-            .declared
-            .get(prefix)
-            .or_else(|| self.base.get(prefix))?;
-        Some(Iri::new(format!("{ns}{local}")))
+        let mut declared = self.declared.iter().chain(self.shadowed.iter().rev());
+        let base = self.base;
+        let ns = match declared.find(|(p, _)| *p == prefix) {
+            Some(&(_, ns)) => ns,
+            None => base.get(prefix)?,
+        };
+        Some(self.joined(ns, local))
     }
 
     fn query(&mut self) -> Result<SparqlQuery, SparqlError> {
@@ -263,14 +329,9 @@ impl Parser<'_> {
                 Projection::Star
             } else {
                 let mut vars = Vec::new();
-                while let Some(Tok::Var(_)) = self.peek() {
-                    if let Some(Spanned {
-                        tok: Tok::Var(name),
-                        ..
-                    }) = self.bump()
-                    {
-                        vars.push(Variable::new(name));
-                    }
+                while let Some(&Tok::Var(name)) = self.peek() {
+                    self.bump();
+                    vars.push(self.var(name));
                 }
                 if vars.is_empty() {
                     return Err(self.err_here("SELECT needs a variable list or '*'"));
@@ -290,7 +351,7 @@ impl Parser<'_> {
         };
         let pattern = self.group_graph_pattern()?;
         let (order_by, limit, offset) = self.solution_modifiers()?;
-        if self.pos != self.tokens.len() {
+        if self.next.is_some() {
             return Err(self.err_here("trailing tokens after query"));
         }
         if matches!(form, QueryForm::Ask) && !order_by.is_empty() {
@@ -342,7 +403,9 @@ impl Parser<'_> {
                 else {
                     return Err(self.err_here("expected a namespace IRI after the prefix"));
                 };
-                self.declared.insert(prefix, ns);
+                if let Some(earlier) = self.declared.replace((prefix, ns)) {
+                    self.shadowed.push(earlier);
+                }
             } else if self.eat_kw(Kw::Base) {
                 let Some(Spanned {
                     tok: Tok::Iri(iri), ..
@@ -365,17 +428,12 @@ impl Parser<'_> {
             }
             loop {
                 match self.peek() {
-                    Some(Tok::Var(_)) => {
-                        if let Some(Spanned {
-                            tok: Tok::Var(name),
-                            ..
-                        }) = self.bump()
-                        {
-                            order_by.push(OrderKey {
-                                var: Variable::new(name),
-                                descending: false,
-                            });
-                        }
+                    Some(&Tok::Var(name)) => {
+                        self.bump();
+                        order_by.push(OrderKey {
+                            var: self.var(name),
+                            descending: false,
+                        });
                     }
                     Some(Tok::Keyword(Kw::Asc)) | Some(Tok::Keyword(Kw::Desc)) => {
                         let descending = matches!(self.peek(), Some(Tok::Keyword(Kw::Desc)));
@@ -390,7 +448,7 @@ impl Parser<'_> {
                         };
                         self.expect(Tok::RParen, "')' after the sort variable")?;
                         order_by.push(OrderKey {
-                            var: Variable::new(name),
+                            var: self.var(name),
                             descending,
                         });
                     }
@@ -422,14 +480,8 @@ impl Parser<'_> {
 
     fn integer(&mut self, what: &str) -> Result<usize, SparqlError> {
         match self.peek() {
-            Some(Tok::Integer(_)) => {
-                let Some(Spanned {
-                    tok: Tok::Integer(n),
-                    ..
-                }) = self.bump()
-                else {
-                    unreachable!("peeked an integer");
-                };
+            Some(&Tok::Integer(n)) => {
+                self.bump();
                 n.parse()
                     .map_err(|_| self.err_here(format!("{what} count out of range")))
             }
@@ -583,7 +635,7 @@ impl Parser<'_> {
                     return Err(self.err_here("bound() takes a variable"));
                 };
                 self.expect(Tok::RParen, "')' after the bound variable")?;
-                Ok(FilterExpr::Bound(Variable::new(name)))
+                Ok(FilterExpr::Bound(self.var(name)))
             }
             _ => {
                 let lhs = self.operand()?;
@@ -608,25 +660,10 @@ impl Parser<'_> {
     }
 
     fn operand(&mut self) -> Result<Operand, SparqlError> {
-        match self.peek() {
-            Some(Tok::Var(_)) => {
-                let Some(Spanned {
-                    tok: Tok::Var(name),
-                    ..
-                }) = self.bump()
-                else {
-                    unreachable!("peeked a variable");
-                };
-                Ok(Operand::Var(Variable::new(name)))
-            }
-            _ => {
-                let tv = self.term_or_var("a comparison operand")?;
-                match tv {
-                    TermOrVar::Term(t) => Ok(Operand::Term(t)),
-                    TermOrVar::Var(v) => Ok(Operand::Var(v)),
-                }
-            }
-        }
+        Ok(match self.term_or_var("a comparison operand")? {
+            TermOrVar::Term(t) => Operand::Term(t),
+            TermOrVar::Var(v) => Operand::Var(v),
+        })
     }
 
     /// Parses triple blocks (with `;` and `,` abbreviations) into `out`
@@ -681,21 +718,19 @@ impl Parser<'_> {
     }
 
     fn term_or_var(&mut self, what: &str) -> Result<TermOrVar, SparqlError> {
-        let err = self.err_here(format!("expected {what}"));
-        match self.bump() {
-            Some(Spanned {
-                tok: Tok::Var(name),
-                ..
-            }) => Ok(TermOrVar::Var(Variable::new(name))),
-            Some(Spanned {
-                tok: Tok::Iri(iri), ..
-            }) => Ok(TermOrVar::Term(self.resolve_iri(iri))),
-            Some(Spanned {
-                tok: Tok::PName(name),
-                span,
-                line,
-                col,
-            }) => match self.expand(&name) {
+        let Some(Spanned {
+            tok,
+            span,
+            line,
+            col,
+        }) = self.next.take()
+        else {
+            return Err(self.err_here(format!("expected {what}")));
+        };
+        let term = match tok {
+            Tok::Var(name) => Ok(TermOrVar::Var(self.var(name))),
+            Tok::Iri(iri) => Ok(TermOrVar::Term(self.resolve_iri(iri))),
+            Tok::PName(name) => match self.expand(name) {
                 Some(iri) => Ok(TermOrVar::Term(Term::Iri(iri))),
                 None => Err(SparqlError {
                     message: format!("unknown prefix in {name:?}"),
@@ -704,45 +739,45 @@ impl Parser<'_> {
                     col,
                 }),
             },
-            Some(Spanned { tok: Tok::A, .. }) => Ok(TermOrVar::iri(vocab::RDF_TYPE)),
-            Some(Spanned {
-                tok: Tok::Integer(num),
-                ..
-            }) => Ok(TermOrVar::Term(Term::Literal(Literal::typed(
-                num,
-                Iri::new(format!("{}integer", vocab::XSD_NS)),
-            )))),
-            Some(Spanned {
-                tok: Tok::Keyword(Kw::True),
-                ..
-            }) => Ok(TermOrVar::Term(Term::Literal(Literal::typed(
-                "true",
-                Iri::new(format!("{}boolean", vocab::XSD_NS)),
-            )))),
-            Some(Spanned {
-                tok: Tok::Keyword(Kw::False),
-                ..
-            }) => Ok(TermOrVar::Term(Term::Literal(Literal::typed(
-                "false",
-                Iri::new(format!("{}boolean", vocab::XSD_NS)),
-            )))),
-            Some(Spanned {
-                tok:
-                    Tok::Literal {
-                        lexical,
-                        lang,
-                        datatype,
-                    },
-                ..
-            }) => {
-                let lit = match (lang, datatype) {
+            Tok::A => Ok(TermOrVar::iri(vocab::RDF_TYPE)),
+            Tok::Integer(num) => {
+                let datatype = self.joined(vocab::XSD_NS, "integer");
+                Ok(TermOrVar::Term(Term::Literal(Literal::typed(
+                    num, datatype,
+                ))))
+            }
+            Tok::Keyword(kw @ (Kw::True | Kw::False)) => {
+                let value = if kw == Kw::True { "true" } else { "false" };
+                let datatype = self.joined(vocab::XSD_NS, "boolean");
+                Ok(TermOrVar::Term(Term::Literal(Literal::typed(
+                    value, datatype,
+                ))))
+            }
+            Tok::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => {
+                let lexical: &str = &lexical;
+                Ok(TermOrVar::Term(Term::Literal(match (lang, datatype) {
                     (Some(tag), _) => Literal::lang(lexical, tag),
                     (None, Some(dt)) => Literal::typed(lexical, Iri::new(dt)),
                     (None, None) => Literal::plain(lexical),
-                };
-                Ok(TermOrVar::Term(Term::Literal(lit)))
+                })))
             }
-            _ => Err(err),
-        }
+            // Not a term: put it back and report it. (The error message
+            // is only spelled out on this path.)
+            tok => {
+                self.next = Some(Spanned {
+                    tok,
+                    span,
+                    line,
+                    col,
+                });
+                return Err(self.err_here(format!("expected {what}")));
+            }
+        };
+        self.advance();
+        term
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::RdfError;
 use crate::term::Iri;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Well-known vocabulary IRIs used throughout the paper's examples.
@@ -24,10 +25,12 @@ pub mod vocab {
 }
 
 /// A prefix → namespace map supporting expansion of `prefix:local` names
-/// and best-effort shrinking for serialisation.
+/// and best-effort shrinking for serialisation. The well-known entries
+/// of [`PrefixMap::common`] borrow their `'static` text, so building one
+/// costs only its map nodes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PrefixMap {
-    prefixes: BTreeMap<String, String>,
+    prefixes: BTreeMap<Cow<'static, str>, Cow<'static, str>>,
 }
 
 impl PrefixMap {
@@ -39,22 +42,27 @@ impl PrefixMap {
     /// A prefix map preloaded with `rdf`, `rdfs`, `owl`, `xsd` and `foaf`.
     pub fn common() -> Self {
         let mut m = Self::new();
-        m.insert("rdf", vocab::RDF_NS);
-        m.insert("rdfs", vocab::RDFS_NS);
-        m.insert("owl", vocab::OWL_NS);
-        m.insert("xsd", vocab::XSD_NS);
-        m.insert("foaf", vocab::FOAF_NS);
+        for (prefix, ns) in [
+            ("rdf", vocab::RDF_NS),
+            ("rdfs", vocab::RDFS_NS),
+            ("owl", vocab::OWL_NS),
+            ("xsd", vocab::XSD_NS),
+            ("foaf", vocab::FOAF_NS),
+        ] {
+            m.prefixes.insert(Cow::Borrowed(prefix), Cow::Borrowed(ns));
+        }
         m
     }
 
     /// Declares (or redeclares) a prefix.
     pub fn insert(&mut self, prefix: impl Into<String>, namespace: impl Into<String>) {
-        self.prefixes.insert(prefix.into(), namespace.into());
+        self.prefixes
+            .insert(Cow::Owned(prefix.into()), Cow::Owned(namespace.into()));
     }
 
     /// The namespace bound to a prefix.
     pub fn get(&self, prefix: &str) -> Option<&str> {
-        self.prefixes.get(prefix).map(String::as_str)
+        self.prefixes.get(prefix).map(|ns| &**ns)
     }
 
     /// Expands `prefix:local` to a full IRI.
@@ -75,7 +83,7 @@ impl PrefixMap {
         let s = iri.as_str();
         let mut best: Option<(&str, &str)> = None;
         for (prefix, ns) in &self.prefixes {
-            if let Some(local) = s.strip_prefix(ns.as_str()) {
+            if let Some(local) = s.strip_prefix(&**ns) {
                 // Locals with further separators would not round-trip.
                 if local.contains('/') || local.contains('#') || local.contains(':') {
                     continue;
@@ -91,7 +99,7 @@ impl PrefixMap {
 
     /// Iterates over `(prefix, namespace)` pairs in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.prefixes.iter().map(|(p, n)| (p.as_str(), n.as_str()))
+        self.prefixes.iter().map(|(p, n)| (&**p, &**n))
     }
 
     /// Number of declared prefixes.
@@ -150,6 +158,18 @@ mod tests {
     fn common_contains_owl() {
         let m = PrefixMap::common();
         assert_eq!(m.expand("owl:sameAs").unwrap().as_str(), vocab::OWL_SAME_AS);
+    }
+
+    /// The well-known entries borrow their text: building the map
+    /// copies no namespace.
+    #[test]
+    fn common_borrows_its_entries() {
+        let m = PrefixMap::common();
+        for (prefix, ns) in &m.prefixes {
+            assert!(matches!((prefix, ns), (Cow::Borrowed(_), Cow::Borrowed(_))));
+        }
+        assert_eq!(m.len(), 5);
+        assert_eq!(m.get("xsd"), Some(vocab::XSD_NS));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! Terms are cheap to clone: their string payloads are reference-counted.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// An IRI (element of the set `I`).
@@ -154,7 +154,9 @@ impl fmt::Debug for Literal {
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape_literal(&self.lexical))?;
+        f.write_char('"')?;
+        write_escaped(f, &self.lexical)?;
+        f.write_char('"')?;
         match &self.annotation {
             LiteralAnnotation::Plain => Ok(()),
             LiteralAnnotation::Lang(tag) => write!(f, "@{tag}"),
@@ -169,20 +171,23 @@ impl From<&str> for Literal {
     }
 }
 
-/// Escapes a literal's lexical form for N-Triples / Turtle serialisation.
-pub(crate) fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
+/// Writes a literal's lexical form escaped for N-Triples / Turtle
+/// serialisation, unescaped runs in one piece.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(at) = rest.find(['"', '\\', '\n', '\r', '\t']) {
+        f.write_str(&rest[..at])?;
+        let escaped = match rest.as_bytes()[at] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => "\\t",
+        };
+        f.write_str(escaped)?;
+        rest = &rest[at + 1..];
     }
-    out
+    f.write_str(rest)
 }
 
 /// An RDF term: an element of `I ∪ B ∪ L`.

@@ -1,0 +1,191 @@
+//! Allocation budgets of the SPARQL front-end: what it costs to get from
+//! a new query text to a cached plan, counted in heap allocations.
+//!
+//! A `#[global_allocator]` counts the allocations of the calling thread
+//! only, so the tests of this binary running in parallel do not see each
+//! other's. Allocation counts are deterministic: this is a regression
+//! gate on the cold read path, not a timing test. The texts are the
+//! benchmark's four point templates (`benchmark/src/ops.rs::render`).
+//! Run it optimised, as CI does (`cargo test --release --test
+//! front_end_allocs`); the counts hold unoptimised too.
+
+use rps_core::{EngineConfig, FrozenSession, PeerId, RpsBuilder, Session, Strategy};
+use rps_query::parse_sparql;
+use rps_rdf::PrefixMap;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations (fresh blocks and
+/// resizes) per thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A `const`-initialised `Cell` has no destructor, so this neither
+    // allocates nor fails while the thread winds down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// counting touches a thread-local `Cell` only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made running it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const VOCAB: &str = "http://vocab.example.org/";
+
+fn film(i: usize) -> String {
+    format!("http://db0.example.org/film/F{i}")
+}
+
+fn person(i: usize) -> String {
+    format!("http://people.example.org/person/P{i}")
+}
+
+/// The text of point template `name` at key `i`, byte for byte as the
+/// benchmark renders it.
+fn render(name: &str, i: usize) -> String {
+    let p = format!("PREFIX v: <{VOCAB}> ");
+    let (f, x) = (film(i), person(i));
+    match name {
+        "cast_hub" => format!("{p}SELECT ?p WHERE {{ <{f}> v:starring ?z . ?z v:artist ?p }}"),
+        "films_of" => format!("{p}SELECT ?f WHERE {{ ?f v:starring ?z . ?z v:artist <{x}> }}"),
+        "age_opt" => format!(
+            "{p}SELECT ?x ?y ?n WHERE {{ <{f}> v:starring ?z . ?z v:artist ?x . ?x v:age ?y \
+             OPTIONAL {{ ?x v:nick ?n }} }}"
+        ),
+        "ask_cast" => format!("{p}ASK {{ <{f}> v:starring ?z . ?z v:artist <{x}> }}"),
+        other => panic!("no template {other}"),
+    }
+}
+
+/// Parsing and lowering a point template, in allocations: what
+/// `parse_sparql` + `lower` reached when the lexer started borrowing
+/// from the text and the parser moving its tokens (from 53 + 12 on
+/// `cast_hub` before).
+#[test]
+fn parse_and_lower_stay_within_budget() {
+    let prefixes = PrefixMap::common();
+    for (name, parse_budget, lower_budget) in [
+        ("cast_hub", 9, 4),
+        ("films_of", 9, 4),
+        ("age_opt", 15, 9),
+        ("ask_cast", 8, 2),
+    ] {
+        let text = render(name, 7);
+        let (parsed, parse) = counted(|| parse_sparql(&text, &prefixes));
+        let parsed = parsed.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (lowered, lower) = counted(|| parsed.lower());
+        assert!(!lowered.queries().is_empty(), "{name}");
+        assert!(
+            parse <= parse_budget,
+            "{name}: parse made {parse} allocations, the budget is {parse_budget}"
+        );
+        assert!(
+            lower <= lower_budget,
+            "{name}: lower made {lower} allocations, the budget is {lower_budget}"
+        );
+    }
+}
+
+/// `PrefixMap::common()` is the documented base of `parse_sparql`, made
+/// on every call by callers that do not keep one: its entries borrow
+/// their text, so it costs its one map node.
+#[test]
+fn common_prefixes_copy_no_text() {
+    let (prefixes, allocs) = counted(PrefixMap::common);
+    assert_eq!(prefixes.len(), 5);
+    assert!(allocs <= 1, "PrefixMap::common made {allocs} allocations");
+}
+
+/// A hub of `films` films, each with a cast of one through a blank node
+/// and an age — the shape the templates read.
+fn frozen(films: usize) -> FrozenSession {
+    let mut turtle = String::new();
+    for i in 0..films {
+        let (f, x) = (film(i), person(i));
+        turtle.push_str(&format!(
+            "<{f}> <{VOCAB}starring> _:c{i} .\n_:c{i} <{VOCAB}artist> <{x}> .\n\
+             <{x}> <{VOCAB}age> \"{}\" .\n",
+            20 + i % 50
+        ));
+    }
+    let mut peer = PeerId(0);
+    let system = RpsBuilder::new()
+        .peer_turtle("hub", &turtle, &mut peer)
+        .expect("generated turtle")
+        .build();
+    let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+    Session::open(system, config)
+        .and_then(Session::freeze)
+        .expect("a materialised session freezes")
+}
+
+/// A cold `FrozenSession::prepare_sparql` — a text the statement front
+/// has not seen, its CQ a plan-cache miss — of `cast_hub`: lex, parse,
+/// lower, key, compile, cache. 91 allocations before the front-end
+/// stopped copying its text. The fewest over eight cold texts in a row
+/// is asserted, so the cache maps growing on one insert does not count.
+#[test]
+fn cold_prepare_sparql_of_a_point_read_stays_within_budget() {
+    const BUDGET: usize = 25;
+    let session = frozen(64);
+    // Fill the caches past their first few growth steps.
+    for i in 0..40 {
+        session
+            .prepare_sparql(&render("cast_hub", i))
+            .expect("warm-up");
+    }
+    let misses = session.plan_cache_stats().misses;
+    let fewest = (40..48)
+        .map(|i| {
+            let text = render("cast_hub", i);
+            let (prepared, allocs) = counted(|| session.prepare_sparql(&text));
+            let result = prepared
+                .and_then(|p| session.execute_sparql(&p))
+                .expect("cold read");
+            assert_eq!(result.rows().map(|r| r.rows.len()), Some(1), "{text}");
+            allocs
+        })
+        .min()
+        .unwrap_or(usize::MAX);
+    assert_eq!(
+        session.plan_cache_stats().misses - misses,
+        8,
+        "every cold text is a plan-cache miss"
+    );
+    assert!(
+        fewest <= BUDGET,
+        "a cold prepare_sparql made {fewest} allocations, the budget is {BUDGET}"
+    );
+}
