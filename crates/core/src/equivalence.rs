@@ -195,12 +195,19 @@ pub fn canonicalize_graph(graph: &Graph, index: &EquivalenceIndex) -> Graph {
             mapped
         }
     };
-    for t in graph.iter_ids() {
-        let s = map(t.s, &mut out);
-        let p = map(t.p, &mut out);
-        let o = map(t.o, &mut out);
-        out.insert_ids(rps_rdf::IdTriple::new(s, p, o));
-    }
+    // One batch in source order, as `RdfPeerSystem::stored_database`
+    // loads a peer: the dictionary and the insertion log are those of
+    // inserting the triples one at a time, and the store sorts once.
+    let batch: Vec<rps_rdf::IdTriple> = graph
+        .iter_ids()
+        .map(|t| {
+            let s = map(t.s, &mut out);
+            let p = map(t.p, &mut out);
+            let o = map(t.o, &mut out);
+            rps_rdf::IdTriple::new(s, p, o)
+        })
+        .collect();
+    out.insert_batch(batch);
     out
 }
 
@@ -490,6 +497,81 @@ pub(crate) mod tests {
         let index = EquivalenceIndex::from_mappings(&[eq("a", "b")]);
         let c = canonicalize_graph(&g, &index);
         assert_eq!(c.len(), 1);
+    }
+
+    /// [`canonicalize_graph`]'s one batch builds what inserting its
+    /// triples one at a time built: the same dictionary, the same
+    /// insertion log and, sealed, the same runs.
+    #[test]
+    fn canonicalize_graph_in_one_batch_equals_one_at_a_time() -> Result<(), rps_rdf::RdfError> {
+        for seed in sweep_seeds() {
+            // xorshift64; the state must not be zero.
+            let mut state = seed | 1;
+            let mut below = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let name = |k: usize| format!("http://e/t{k}");
+            let mut graph = Graph::new();
+            // Enough triples for the one-at-a-time build to flush its
+            // tail and merge runs several times over.
+            for _ in 0..2_000 {
+                let object = match below(4) {
+                    0 => Term::literal(name(below(40))),
+                    _ => Term::iri(name(below(40))),
+                };
+                graph.insert_terms(
+                    Term::iri(name(below(40))),
+                    Term::iri(name(below(8))),
+                    object,
+                )?;
+            }
+            // Classes over subjects, predicates and objects alike.
+            let mappings: Vec<EquivalenceMapping> = (0..16)
+                .map(|_| eq(&name(below(40)), &name(below(40))))
+                .collect();
+            let index = EquivalenceIndex::from_mappings(&mappings);
+
+            let mut batched = canonicalize_graph(&graph, &index);
+            let mut single = Graph::new();
+            let mut memo: Vec<Option<TermId>> = vec![None; graph.dict().len()];
+            for t in graph.iter_ids() {
+                let [s, p, o] = [t.s, t.p, t.o].map(|id| {
+                    *memo[id.index()]
+                        .get_or_insert_with(|| single.intern(&index.canonical_term(graph.term(id))))
+                });
+                single.insert_ids(rps_rdf::IdTriple::new(s, p, o));
+            }
+
+            let what = format!("seed {seed}");
+            assert!(batched.len() < graph.len(), "{what}: nothing merged");
+            let dict = |g: &Graph| -> Vec<(TermId, Term)> {
+                g.dict().iter().map(|(id, t)| (id, t.clone())).collect()
+            };
+            assert_eq!(dict(&batched), dict(&single), "{what}: dictionary");
+            let log = |g: &Graph| -> Vec<rps_rdf::IdTriple> { g.log_since(0).collect() };
+            assert_eq!(log(&batched), log(&single), "{what}: insertion log");
+            batched.seal();
+            single.seal();
+            let layout = |g: &Graph| {
+                let s = g.storage_stats();
+                (s.runs, s.tail, s.tombstones, s.run_keys)
+            };
+            assert_eq!(layout(&batched), layout(&single), "{what}: layout");
+            // Every run in its own order: SPO whole, POS and OSP per term.
+            let scans = |g: &Graph| -> Vec<rps_rdf::IdTriple> {
+                let mut out: Vec<_> = g.iter_ids().collect();
+                for (id, _) in g.dict().iter() {
+                    out.extend(g.match_ids(None, Some(id), None));
+                    out.extend(g.match_ids(None, None, Some(id)));
+                }
+                out
+            };
+            assert_eq!(scans(&batched), scans(&single), "{what}: sealed runs");
+        }
+        Ok(())
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Theorem 1's proof device and is never loaded. What the rewriter owns
 //! besides that graph is mapping-sized: the graph-mapping TGDs compiled
 //! once for id-level expansion, their classification (Proposition 2:
-//! linear / sticky / sticky-join sets admit a perfect UCQ rewriting), the
+//! linear / sticky / sticky-join sets admit a perfect UCQ rewriting; the
+//! equivalence TGDs never change it, so they are not classified), the
 //! equivalence index with its classes as ids of the canonical graph, and
 //! a dictionary holding the TGDs' constants and nothing else. Every call
 //! interns its query's constants into a scratch copy of that dictionary,
@@ -301,14 +302,22 @@ impl RpsRewriter {
         let mut encoder = Encoder::new();
         let as_written = EquivalenceIndex::default();
         let gma_tgds = mapping_tgds_unguarded(system, &as_written, &mut encoder);
-        // Proposition 2 is about the full dependency set; the equivalence
-        // TGDs are only needed for this verdict, so they are dropped
-        // again before the stored data is touched.
-        let classification = {
-            let mut all = gma_tgds.clone();
-            all.extend(equivalence_tgds(system.equivalences(), &mut encoder));
-            Classification::of(&all)
-        };
+        // Proposition 2 is about the full set G ∪ E, but the equivalence
+        // TGDs E cannot change its verdict, so they are never built here.
+        // Every E TGD is `tt(…c…) → tt(…c′…)`, the same two variables at
+        // the same two positions on both sides. Definition 4's initial
+        // step marks neither (each is in the one head atom). Propagation
+        // marks one only if its head position is marked, and that is its
+        // body position too, so E adds no marked position and G's
+        // marking is unchanged. No E body repeats a variable, so E adds
+        // no sticky violation. E is linear, so it is also guarded. E's
+        // weak-acyclicity edges are regular self-loops `tt[i] → tt[i]`,
+        // with no special edge and no path between distinct positions.
+        // Hence `Classification::of(G ∪ E) == Classification::of(G)`
+        // field by field (`rps-tgd`'s proptests sweep it, and
+        // `tests/strategies_agree.rs` checks it against Section 3's full
+        // encoding).
+        let classification = Classification::of(&gma_tgds);
         let mut dict = Instance::new();
         dict.intern_pred(&Sym::from("tt"));
         let canon_tgds = IdTgdSet::compile(
@@ -359,7 +368,12 @@ impl RpsRewriter {
         &self.index
     }
 
-    /// The classification of the mapping TGDs (drives Proposition 2).
+    /// The classification Proposition 2 reads. It is computed on the
+    /// graph-mapping TGDs `G` alone and equals, field by field, that of
+    /// `G ∪ E` with the equivalence TGDs `E`: `E` is linear and sticky,
+    /// marks no position `G` leaves unmarked, repeats no body variable
+    /// and adds only self-loops to the position graph (the lemma in
+    /// [`Self::with_index`]'s body).
     pub fn classification(&self) -> Classification {
         self.classification
     }

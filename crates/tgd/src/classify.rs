@@ -9,6 +9,17 @@
 //! graph-mapping TGDs are linear, sticky or sticky-join. The classifiers
 //! here drive that decision (`examples/classify_mappings` prints them;
 //! `tests/transitive_closure.rs` holds the negative case).
+//!
+//! An RPS's verdict is computed on its graph-mapping TGDs `G` alone
+//! (`rps_core::RpsRewriter`), and it is the verdict on `G ∪ E` with the
+//! equivalence TGDs `E`, field by field. Every `E` TGD is
+//! `tt(…c…) → tt(…c′…)`: one atom a side, the same two variables at the
+//! same two positions on both, none repeated. So Definition 4 marks one
+//! only at a position its body already holds marked, and `E` adds no
+//! marked position and no sticky violation; `E` is linear, hence
+//! guarded; and its only weak-acyclicity edges are self-loops
+//! `tt[i] → tt[i]`, which close no cycle through a special edge.
+//! `tests/proptests.rs` sweeps it.
 
 use crate::term::{Atom, Sym};
 use crate::tgd::Tgd;
@@ -239,12 +250,16 @@ pub struct Classification {
 }
 
 impl Classification {
-    /// Classifies a TGD set.
+    /// Classifies a TGD set. Definition 4's marking runs once: the
+    /// sticky-join field is [`is_sticky_join`]'s `sticky ∨ linear`, read
+    /// off the two verdicts already computed.
     pub fn of(tgds: &[Tgd]) -> Self {
+        let linear = is_linear(tgds);
+        let sticky = is_sticky(tgds);
         Classification {
-            linear: is_linear(tgds),
-            sticky: is_sticky(tgds),
-            sticky_join: is_sticky_join(tgds),
+            linear,
+            sticky,
+            sticky_join: sticky || linear,
             guarded: is_guarded(tgds),
             weakly_acyclic: is_weakly_acyclic(tgds),
         }

@@ -72,32 +72,19 @@ impl Cq {
     /// appearance, iterating to a (cheap) fixpoint. Deterministic in the
     /// logical structure (variable names do not matter; the order of
     /// shape-identical atoms does), so it can compare CQs across engines.
-    ///
-    /// The rewriting engine itself uses an internal `canonicalize` with a
-    /// shared context so that sort keys are interned ids, not freshly
-    /// formatted strings.
     pub fn canonical(&self) -> Cq {
-        canonicalize(self, &mut CanonCtx::default()).0
+        canonicalize(self, &mut CanonCtx::default())
     }
 }
 
-/// A run-level interner mapping predicate and constant symbols to dense
-/// ids, so canonical sort keys and seen-set keys are integer vectors
-/// instead of formatted strings.
+/// Cache of canonical variable names `V0`, `V1`, … — renaming clones an
+/// `Arc` instead of formatting a fresh string per occurrence.
 #[derive(Default)]
 struct CanonCtx {
-    syms: HashMap<Sym, u32>,
-    /// Cache of canonical variable names `V0`, `V1`, … — renaming clones
-    /// an `Arc` instead of formatting a fresh string per occurrence.
     vnames: Vec<Sym>,
 }
 
 impl CanonCtx {
-    fn sym(&mut self, s: &Sym) -> u32 {
-        let next = self.syms.len() as u32;
-        *self.syms.entry(s.clone()).or_insert(next)
-    }
-
     fn vname(&mut self, i: usize) -> Sym {
         while self.vnames.len() <= i {
             self.vnames.push(format!("V{}", self.vnames.len()).into());
@@ -105,13 +92,6 @@ impl CanonCtx {
         self.vnames[i].clone()
     }
 }
-
-/// Argument token for canonical keys: a `(tag, value)` pair. Variables
-/// are erased in *shape* keys (used for sorting) and numbered by first
-/// appearance in *identity* keys (used for the seen-set).
-const TAG_VAR: u64 = 0;
-const TAG_CONST: u64 = 1;
-const TAG_NULL: u64 = 2;
 
 /// Compares two atoms by *shape* — predicate and argument tokens with
 /// variables erased. Depends only on symbol content (never on interning
@@ -144,8 +124,8 @@ fn shape_cmp(a: &Atom, b: &Atom) -> std::cmp::Ordering {
     Ordering::Equal
 }
 
-/// Canonicalises a CQ and computes its exact integer identity key.
-fn canonicalize(cq: &Cq, cx: &mut CanonCtx) -> (Cq, Vec<u64>) {
+/// Canonicalises a CQ: [`Cq::canonical`].
+fn canonicalize(cq: &Cq, cx: &mut CanonCtx) -> Cq {
     let mut cq = cq.clone();
     for _ in 0..3 {
         // Sort atoms by shape (variables erased).
@@ -193,33 +173,7 @@ fn canonicalize(cq: &Cq, cx: &mut CanonCtx) -> (Cq, Vec<u64>) {
     }
     cq.body.sort();
     cq.body.dedup();
-
-    // Exact identity key over the canonical form: head tokens, then per
-    // atom its predicate id and argument tokens, with canonical variables
-    // numbered by first appearance.
-    let mut var_nums: HashMap<Sym, u64> = HashMap::new();
-    let mut key: Vec<u64> = Vec::with_capacity(2 + 2 * cq.head.len() + 4 * cq.body.len());
-    let mut push_arg = |arg: &AtomArg, cx: &mut CanonCtx, key: &mut Vec<u64>| match arg {
-        AtomArg::Var(v) => {
-            let next = var_nums.len() as u64;
-            let n = *var_nums.entry(v.clone()).or_insert(next);
-            key.extend([TAG_VAR, n]);
-        }
-        AtomArg::Const(c) => key.extend([TAG_CONST, cx.sym(c) as u64]),
-        AtomArg::Null(n) => key.extend([TAG_NULL, *n]),
-    };
-    key.push(cq.head.len() as u64);
-    for arg in &cq.head {
-        push_arg(arg, cx, &mut key);
-    }
-    for atom in &cq.body {
-        key.push(u64::MAX); // atom separator (arity framing)
-        key.push(cx.sym(&atom.pred) as u64);
-        for arg in &atom.args {
-            push_arg(arg, cx, &mut key);
-        }
-    }
-    (cq, key)
+    cq
 }
 
 impl fmt::Debug for Cq {

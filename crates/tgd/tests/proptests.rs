@@ -5,7 +5,8 @@
 //!
 //! * **laws** — the reference chase reaches a satisfying fixpoint, and
 //!   the rewriting is sound and perfect on linear sets: its union, under
-//!   `naive::evaluate_union`, answers what the chase answers;
+//!   `naive::evaluate_union`, answers what the chase answers; and
+//!   Section 4's classification of `G ∪ E` is that of `G`;
 //! * **rewriter agreement** — the id-level rewriter (`rps_tgd::rewrite`,
 //!   `rps_tgd::rewrite_ids`) against `naive::rewrite` on random TGD sets
 //!   and instances: UCQ sets equal up to canonical renaming, and every
@@ -15,7 +16,9 @@
 //! workspace takes no crates.io dependency).
 
 use rps_tgd::naive::{self, evaluate_union, ChaseConfig};
-use rps_tgd::{rewrite, Atom, AtomArg, Cq, Fact, GroundTerm, Instance, RewriteConfig, Tgd};
+use rps_tgd::{
+    rewrite, Atom, AtomArg, Classification, Cq, Fact, GroundTerm, Instance, RewriteConfig, Tgd,
+};
 use std::collections::BTreeSet;
 
 struct Rng(u64);
@@ -192,6 +195,116 @@ fn classification_is_monotone_under_union_for_violations() {
         with.push(witness);
         assert!(!rps_tgd::is_sticky(&with), "seed {seed}");
     }
+}
+
+/// Graph-mapping shapes over `tt/3`, as Section 3 encodes an RPS's
+/// assertions: linear copies, a multi-atom head with an existential
+/// (Figure 1's), Section 4's non-sticky join, a join that stays sticky
+/// only while neither of its positions is marked, a head repeating a
+/// variable at a marked position, and a null cycle (not weakly acyclic).
+fn graph_mapping_pool() -> Vec<Tgd> {
+    use rps_tgd::term::dsl::{atom, c, v};
+    vec![
+        Tgd::new(
+            vec![atom("tt", &[v("x"), c("A"), v("y")])],
+            vec![atom("tt", &[v("x"), c("B"), v("y")])],
+        ),
+        Tgd::new(
+            vec![atom("tt", &[v("x"), c("B"), v("y")])],
+            vec![atom("tt", &[v("y"), c("C"), v("x")])],
+        ),
+        Tgd::new(
+            vec![atom("tt", &[v("x"), c("A"), v("y")])],
+            vec![
+                atom("tt", &[v("x"), c("B"), v("z")]),
+                atom("tt", &[v("z"), c("C"), v("y")]),
+            ],
+        ),
+        Tgd::new(
+            vec![
+                atom("tt", &[v("x"), c("A"), v("z")]),
+                atom("tt", &[v("z"), c("B"), v("y")]),
+            ],
+            vec![atom("tt", &[v("x"), c("C"), v("y")])],
+        ),
+        Tgd::new(
+            vec![
+                atom("tt", &[v("x"), c("A"), v("y")]),
+                atom("tt", &[v("y"), c("B"), v("x")]),
+            ],
+            vec![atom("tt", &[v("x"), c("C"), v("y")])],
+        ),
+        Tgd::new(
+            vec![atom("tt", &[v("u"), c("A"), v("w")])],
+            vec![atom("tt", &[v("w"), c("B"), v("w")])],
+        ),
+        Tgd::new(
+            vec![atom("tt", &[v("x"), c("C"), v("y")])],
+            vec![atom("tt", &[v("y"), c("C"), v("z")])],
+        ),
+    ]
+}
+
+/// The six `tt` TGDs of an equivalence mapping `left ≡ right`, shaped as
+/// `rps_core::encode::equivalence_tgds` shapes them: per triple position,
+/// both directions.
+fn equivalence_tgds(left: &str, right: &str) -> Vec<Tgd> {
+    use rps_tgd::term::dsl::{atom, c, v};
+    let mut out = Vec::with_capacity(6);
+    for pos in 0..3 {
+        for (from, to) in [(left, right), (right, left)] {
+            let mut body = [v("u"), v("v"), v("w")];
+            let mut head = body.clone();
+            body[pos] = c(from);
+            head[pos] = c(to);
+            out.push(Tgd::new(vec![atom("tt", &body)], vec![atom("tt", &head)]));
+        }
+    }
+    out
+}
+
+/// Section 4's classification of an RPS is read off its graph-mapping
+/// TGDs `G` (`rps_core::RpsRewriter`): the equivalence TGDs `E` of any
+/// mappings, over constants `G` mentions or not, change no field of it
+/// and no marked position.
+#[test]
+fn equivalence_tgds_never_change_the_classification() {
+    let pool = graph_mapping_pool();
+    // `A`, `B`, `C` are `G`'s constants; `D` and `K` are not.
+    let constants = ["A", "B", "C", "D", "K"];
+    let mut verdicts = BTreeSet::new();
+    let mut e_marked = 0;
+    for seed in 0..4 * CASES {
+        let rng = &mut Rng(0x5EC4 + seed);
+        let g: Vec<Tgd> = (0..1 + rng.below(4))
+            .map(|_| pool[rng.below(pool.len())].clone())
+            .collect();
+        let mut all = g.clone();
+        for _ in 0..1 + rng.below(3) {
+            let (left, right) = (rng.below(constants.len()), rng.below(constants.len()));
+            all.extend(equivalence_tgds(constants[left], constants[right]));
+        }
+        let of_g = Classification::of(&g);
+        assert_eq!(Classification::of(&all), of_g, "seed {seed}: {g:?}");
+        let (marked_g, marked_all) = (rps_tgd::marking(&g), rps_tgd::marking(&all));
+        assert_eq!(
+            marked_all.marked_positions, marked_g.marked_positions,
+            "seed {seed}: {g:?}"
+        );
+        // `E`'s TGDs follow `G`'s in `all`.
+        e_marked += usize::from(marked_all.marked.iter().any(|(i, _)| *i >= g.len()));
+        verdicts.insert((of_g.linear, of_g.sticky, of_g.weakly_acyclic));
+    }
+    // The sweep reaches every flag both ways, and propagation into `E`.
+    for flag in 0..3 {
+        let value = |v: &(bool, bool, bool)| [v.0, v.1, v.2][flag];
+        assert!(verdicts.iter().any(value), "flag {flag} never true");
+        assert!(!verdicts.iter().all(value), "flag {flag} never false");
+    }
+    assert!(
+        e_marked > CASES as usize / 4,
+        "E marked in {e_marked} cases"
+    );
 }
 
 // ------------------------------------------- rewriter vs reference

@@ -2,9 +2,16 @@
 //! rewriting is *perfect* — its answers coincide with chase-based certain
 //! answers — across generated workloads and query shapes.
 
-use rps_core::{certain_answers, chase_system, RpsChaseConfig, RpsRewriter};
-use rps_lodgen::{actor_shape_query, film_system, queries, FilmConfig, Topology};
-use rps_tgd::RewriteConfig;
+use rps_core::{
+    certain_answers, chase_system, encode_system, EngineConfig, EquivalenceMapping, ExecRoute,
+    RpsChaseConfig, RpsError, RpsRewriter, Session,
+};
+use rps_lodgen::{
+    actor_shape_query, edge_query, film_system, paper_example, queries, transitive_system,
+    FilmConfig, Topology,
+};
+use rps_rdf::Iri;
+use rps_tgd::{Classification, RewriteConfig};
 
 fn small(topology: Topology, hub_style: bool, seed: u64) -> FilmConfig {
     FilmConfig {
@@ -82,4 +89,44 @@ fn star_topology_hub_existentials() {
 fn costar_join_query() {
     let cfg = small(Topology::Chain, false, 13);
     assert_perfect(&cfg, &queries::costar_query(2, 2));
+}
+
+/// The rewriter classifies the graph-mapping TGDs alone; its verdict is
+/// the one on Section 3's full set (graph-mapping and equivalence TGDs),
+/// and `Strategy::Auto` takes the route that verdict picks.
+#[test]
+fn the_rewriters_classification_is_the_full_sets() -> Result<(), RpsError> {
+    let paper = paper_example();
+    let mut chain = transitive_system(4);
+    let iri = |local: &str| Iri::new(format!("{}{local}", rps_lodgen::chain::NS));
+    for (left, right) in [("n0", "m0"), ("A", "B"), ("n2", "n3")] {
+        chain.add_equivalence(EquivalenceMapping::new(iri(left), iri(right)));
+    }
+    let film = film_system(&small(Topology::Chain, false, 4));
+    let systems = [
+        ("Figure 1", paper.system, paper.query, ExecRoute::Rewritten),
+        ("chain", chain, edge_query(), ExecRoute::Materialised),
+        (
+            "film",
+            film,
+            actor_shape_query(2, false),
+            ExecRoute::Rewritten,
+        ),
+    ];
+    for (name, system, query, route) in systems {
+        assert!(!system.equivalences().is_empty(), "{name}");
+        let encoded = encode_system(&system);
+        let mut full = encoded.mapping_tgds_unguarded;
+        full.extend(encoded.equivalence_tgds);
+        let full = Classification::of(&full);
+        assert_eq!(RpsRewriter::new(&system).classification(), full, "{name}");
+        assert_eq!(
+            full.fo_rewritable(),
+            route == ExecRoute::Rewritten,
+            "{name}"
+        );
+        let mut session = Session::open(system, EngineConfig::default())?;
+        assert_eq!(session.prepare(&query)?.route(), route, "{name}");
+    }
+    Ok(())
 }
