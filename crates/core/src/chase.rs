@@ -35,6 +35,58 @@
 //! * all per-round work runs on interned [`TermId`]s; terms are only
 //!   materialised when a firing instantiates its conclusion.
 //!
+//! **Pass-at-a-time writes.** The store takes a batch in one sort
+//! ([`Graph::insert_batch`]: first occurrence wins, one log entry per
+//! added triple in batch order), so the engine writes a pass at a time
+//! wherever nothing inside the pass can tell:
+//!
+//! * the equivalence drain collects the copies of a whole log window
+//!   `[eq_mark, log_len)` — entry by entry, position S/P/O, neighbour by
+//!   neighbour, the order a copy-at-a-time drain visits them — and
+//!   inserts them as one batch, then takes the window the batch
+//!   appended. Copy-at-a-time appends the same copies after the window
+//!   in the same order, so the log is the same entry for entry;
+//! * an assertion's pass collects the conclusions of its firings and
+//!   writes them at the end of the pass when it is a *blind* pass:
+//!   provenance off (witness extraction reads the graph between
+//!   firings) and either the skolem mode (no satisfaction check) or a
+//!   restricted pass over a *firing-independent* conclusion. Any other
+//!   pass writes after each firing, before the next check reads the
+//!   graph.
+//!
+//! A conclusion `∃ȳ Q'(x̄)` is firing-independent when it is safe and (i)
+//! every atom holds an existential variable, (ii) the atoms are
+//! connected through shared existentials, and (iii) any two atoms whose
+//! constants do not clash (an atom paired with itself included) have the
+//! same shape: at every position the same constant, the same free
+//! variable, or an existential in both.
+//!
+//! *Lemma.* Within one restricted pass of a firing-independent
+//! assertion, the check `t′ ∈ Q'_J` decides the same against the graph
+//! as it stood before the pass as against the graph after every earlier
+//! firing of the pass. *Proof.* Let `h` be a match of the conclusion with
+//! `h(x̄) = t′` that maps some atom `A` onto a triple `τ` written by a
+//! firing on `t` in this pass, `τ` the instance of atom `B` under `t` and
+//! the firing's blanks. Their constants agree wherever both hold one, so
+//! by (iii) `A` and `B` have the same shape; by (i) `A` holds an
+//! existential `y`, and `B` an existential at the same position, so
+//! `h(y)` is one of `t`'s blanks. Those blanks are fresh — no triple
+//! from before the pass or from another firing holds them — so every
+//! atom sharing `y` with `A` is mapped onto `t`'s triples too, and by
+//! (ii) so is every atom. Each free variable of the (safe) conclusion
+//! occurs in some atom, at a position that holds the same free variable
+//! in its image's atom (iii), so `t′ = h(x̄) = t`. But the pass's tuples
+//! are distinct and `processed` already holds `t` when `t′` is checked.
+//! So no match uses a triple of this pass. ∎
+//!
+//! The benchmark's `actor ⇝ starring·artist` and Figure 1's `Q2 ⇝ Q1`
+//! are independent; a full conclusion such as transitive closure's
+//! `(x, A, y)` is not (clause (i)), nor is `(x, p, z) . (y, p, z)`
+//! (clause (iii): the firing on `(a, b)` writes `(a, p, _:z)` and
+//! `(b, p, _:z)`, which satisfy the check of `(b, a)`). Either way the
+//! written graph, the dictionary, the insertion log and
+//! [`RpsChaseStats`] are those of writing each triple as it is derived.
+//!
 //! **Two firing modes.** [`FiringMode::Restricted`] is the paper's chase:
 //! a premise tuple whose conclusion is already satisfied (`t ∈ Q'_J`)
 //! does not fire. That chase is *order-dependent* — which firings are
@@ -131,6 +183,23 @@ pub fn chase_system(system: &RdfPeerSystem, config: &RpsChaseConfig) -> Universa
     ChaseEngine::new(system, config, false).into_solution()
 }
 
+/// Test seam, not API: [`chase_system`] with provenance tracking on or
+/// off and, with `per_firing`, every write made as soon as it is
+/// derived — each log entry's equivalence copies, then each firing's
+/// conclusions — instead of a window or a pass at a time. The batch
+/// tests hold the engine's own run to this one byte for byte.
+#[doc(hidden)]
+pub fn chase_system_seam(
+    system: &RdfPeerSystem,
+    config: &RpsChaseConfig,
+    track_provenance: bool,
+    per_firing: bool,
+) -> UniversalSolution {
+    let mut engine = ChaseEngine::new(system, config, track_provenance);
+    engine.per_firing = per_firing;
+    engine.into_solution()
+}
+
 /// Runs Algorithm 1 on the system's quotient by its equivalence mappings:
 /// the stored database and every assertion's premise and conclusion are
 /// rewritten onto `index`'s class representatives, and the chase then
@@ -185,6 +254,9 @@ struct Provenance {
     eq_children: HashMap<IdTriple, Vec<IdTriple>>,
 }
 
+/// An `eq_span` entry whose term has not been visited yet.
+const UNRESOLVED: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// The chase loop's persistent state: graph, semi-naive marks, memos and
 /// compiled plans. [`chase_system`] drives it once to a fixpoint;
 /// [`crate::live::LiveSession`] keeps one alive across update batches so
@@ -196,13 +268,21 @@ pub(crate) struct ChaseEngine {
     pub(crate) stats: RpsChaseStats,
     blank_counter: u64,
     /// Term-level equivalence adjacency (both directions); id-level
-    /// neighbour lists are resolved lazily and cached — the dictionary
-    /// is append-only, so cached ids stay valid.
+    /// neighbour lists are resolved lazily, on a term's first visit.
     eq_adj: HashMap<Term, Vec<Term>>,
-    eq_cache: HashMap<TermId, Vec<TermId>>,
+    /// Per term id: its resolved neighbours as a span of `eq_flat`, or
+    /// [`UNRESOLVED`]. The dictionary is append-only, so resolved ids
+    /// stay valid.
+    eq_span: Vec<(u32, u32)>,
+    eq_flat: Vec<TermId>,
     /// Log index up to which equivalence repairs have been applied.
     eq_mark: usize,
     gmas: Vec<GraphMappingAssertion>,
+    /// Per assertion: whether its conclusion is firing-independent (see
+    /// the module docs), so a restricted pass may write once at its end.
+    independent: Vec<bool>,
+    /// Write every copy and firing as it is derived (the test seam).
+    per_firing: bool,
     /// Per assertion: the log index of its previous premise evaluation.
     gma_marks: Vec<usize>,
     /// Per assertion: premise tuples already processed (fired or
@@ -277,8 +357,14 @@ impl ChaseEngine {
             stats: RpsChaseStats::default(),
             blank_counter: 0,
             eq_adj,
-            eq_cache: HashMap::new(),
+            eq_span: Vec::new(),
+            eq_flat: Vec::new(),
             eq_mark: 0,
+            independent: gmas
+                .iter()
+                .map(|gma| firing_independent(&gma.conclusion))
+                .collect(),
+            per_firing: false,
             gma_marks: vec![0; gmas.len()],
             processed: vec![HashSet::new(); gmas.len()],
             plans,
@@ -336,36 +422,43 @@ impl ChaseEngine {
             // triple (including the copies this loop itself inserts) is
             // examined once per equivalence neighbour of its terms. This
             // is the delta form of the `subjQ*`/`predQ*`/`objQ*` repairs.
+            // A window's copies go in as one batch (module docs), and
+            // early wherever the budget might be crossed, so an exhausted
+            // run stops on the entry a copy-at-a-time drain stops on.
             if !self.eq_adj.is_empty() {
+                let (mut copies, mut sources) = (Vec::new(), Vec::new());
                 while self.eq_mark < self.graph.log_len() {
-                    let Some(t) = self.graph.log_entry(self.eq_mark) else {
-                        // Tombstoned by a removal; the log contract
-                        // allows skipping dead entries.
-                        self.eq_mark += 1;
-                        continue;
-                    };
-                    self.eq_mark += 1;
-                    for pos in TriplePosition::ALL {
-                        let from_id = t.get(pos);
-                        self.ensure_eq_neighbours(from_id);
-                        for &to_id in &self.eq_cache[&from_id] {
-                            let copy = t.with(pos, to_id);
-                            if self.graph.insert_ids(copy) {
-                                self.stats.eq_copies += 1;
-                                changed = true;
-                                if let Some(p) = &mut self.prov {
-                                    p.eq_children.entry(t).or_default().push(copy);
+                    for i in self.eq_mark..self.graph.log_len() {
+                        self.eq_mark = i + 1;
+                        // A tombstoned entry (a removal) is skipped, as
+                        // the log contract allows.
+                        let Some(t) = self.graph.log_entry(i) else {
+                            continue;
+                        };
+                        for pos in TriplePosition::ALL {
+                            let span = self.eq_neighbours(t.get(pos));
+                            for &to_id in &self.eq_flat[span] {
+                                copies.push(t.with(pos, to_id));
+                                if self.prov.is_some() {
+                                    sources.push(t);
                                 }
                             }
                         }
+                        if self.per_firing
+                            || self.graph.len() + copies.len() > self.config.max_triples
+                        {
+                            changed |= self.write_copies(&mut copies, &mut sources);
+                            if self.graph.len() > self.config.max_triples {
+                                return false;
+                            }
+                        }
                     }
-                    if self.graph.len() > self.config.max_triples {
-                        return false;
-                    }
+                    changed |= self.write_copies(&mut copies, &mut sources);
                 }
             }
 
             // --- Graph mapping assertions (Definition 2, item 2). ---
+            let mut pending: Vec<IdTriple> = Vec::new();
             for gi in 0..self.gmas.len() {
                 // Q_J under the blank-dropping semantics: the `rt`
                 // guard. After the first full evaluation, only the delta
@@ -380,6 +473,11 @@ impl ChaseEngine {
                 } else {
                     plan.evaluate_delta(&self.graph, Semantics::Certain, from)
                 };
+                // A blind pass writes its conclusions once, at its end
+                // (module docs); any other writes after every firing.
+                let blind = !self.per_firing
+                    && self.prov.is_none()
+                    && (self.config.firing == FiringMode::Skolem || self.independent[gi]);
                 for tuple in premise_tuples.iter() {
                     if !self.processed[gi].insert(tuple.to_vec()) {
                         continue;
@@ -394,13 +492,17 @@ impl ChaseEngine {
                     {
                         continue;
                     }
-                    if self.fire(gi, tuple) {
+                    if self.fire(gi, tuple, &mut pending) {
                         changed = true;
                     }
-                    if self.graph.len() > self.config.max_triples {
-                        return false;
+                    if !blind || self.graph.len() + pending.len() > self.config.max_triples {
+                        self.graph.insert_batch(pending.drain(..));
+                        if self.graph.len() > self.config.max_triples {
+                            return false;
+                        }
                     }
                 }
+                self.graph.insert_batch(pending.drain(..));
             }
 
             if !changed {
@@ -409,11 +511,12 @@ impl ChaseEngine {
         }
     }
 
-    /// Fires assertion `gi` on `tuple`; `true` iff triples were derived
-    /// (an RDF-invalid instantiation is counted and skipped).
-    fn fire(&mut self, gi: usize, tuple: &[TermId]) -> bool {
-        // Witness extraction happens before the conclusions go in, so a
-        // firing can never be its own (cyclic) support.
+    /// Fires assertion `gi` on `tuple`, appending its conclusions to
+    /// `out` unwritten; `true` iff the instantiation is valid RDF (an
+    /// invalid one is counted and skipped).
+    fn fire(&mut self, gi: usize, tuple: &[TermId], out: &mut Vec<IdTriple>) -> bool {
+        // Witness extraction reads the graph before the conclusions go
+        // in, so a firing can never be its own (cyclic) support.
         let witness = if self.prov.is_some() {
             let free = self.gmas[gi].premise.free_vars();
             self.premise_pats[gi].first_match_with(&self.graph, &|v: &Variable| {
@@ -422,70 +525,113 @@ impl ChaseEngine {
         } else {
             None
         };
-        let fired = match self.config.firing {
-            FiringMode::Restricted => self.plans[gi]
-                .fire(&mut self.graph, tuple, &mut self.blank_counter)
-                .map(|blanks| (blanks, Vec::new())),
-            FiringMode::Skolem => self.fire_skolem(gi, tuple),
+        let start = out.len();
+        let Some(blanks) = self.instantiate(gi, tuple, out) else {
+            self.stats.invalid_firings += 1;
+            return false;
         };
-        match fired {
-            Some((blanks, conclusions)) => {
-                self.stats.gma_firings += 1;
-                self.stats.blanks_created += blanks;
-                if let Some(p) = &mut self.prov {
-                    let witness = witness.expect("an enumerated premise tuple has a witness");
-                    let fid = p.firings.len() as u32;
-                    for &w in &witness {
-                        p.dependents.entry(w).or_default().push(fid);
-                    }
-                    for &c in &conclusions {
-                        p.producers.entry(c).or_default().push(fid);
-                    }
-                    p.firings.push(FiringRecord {
-                        gma: gi,
-                        tuple: tuple.to_vec(),
-                        witness,
-                        conclusions,
-                        live: true,
-                    });
-                }
-                true
+        self.stats.gma_firings += 1;
+        self.stats.blanks_created += blanks;
+        if let Some(p) = &mut self.prov {
+            let witness = witness.expect("an enumerated premise tuple has a witness");
+            let fid = p.firings.len() as u32;
+            for &w in &witness {
+                p.dependents.entry(w).or_default().push(fid);
             }
-            None => {
-                self.stats.invalid_firings += 1;
-                false
+            let conclusions = out[start..].to_vec();
+            for &c in &conclusions {
+                p.producers.entry(c).or_default().push(fid);
             }
+            p.firings.push(FiringRecord {
+                gma: gi,
+                tuple: tuple.to_vec(),
+                witness,
+                conclusions,
+                live: true,
+            });
         }
+        true
     }
 
-    /// The skolem firing path: deterministic blank labels, conclusions
-    /// returned for provenance. Idempotent — refiring the same
-    /// (assertion, tuple) re-derives the identical triples.
-    fn fire_skolem(&mut self, gi: usize, tuple: &[TermId]) -> Option<(u64, Vec<IdTriple>)> {
-        let labels = skolem_labels(&self.graph, gi, tuple, self.plans[gi].n_existentials);
-        let dict_before = self.graph.dict().len();
-        let fresh: Vec<TermId> = labels
-            .iter()
-            .map(|l| self.graph.intern(&Term::blank(l.clone())))
-            .collect();
-        let blanks = fresh.iter().filter(|id| id.index() >= dict_before).count() as u64;
-        let conclusions = self.plans[gi].resolve(&self.graph, tuple, &fresh)?;
-        self.graph.insert_batch(conclusions.iter().copied());
-        Some((blanks, conclusions))
+    /// Mints the existential blanks of a firing of `gi` on `tuple` —
+    /// counter-named under the restricted chase, skolem-named (so a
+    /// refiring re-derives the identical triples) under the confluent
+    /// one — and appends the instantiated conclusions to `out`. Returns
+    /// how many blanks are new, or `None`, with `out` untouched, when
+    /// the instantiation is invalid RDF.
+    fn instantiate(&mut self, gi: usize, tuple: &[TermId], out: &mut Vec<IdTriple>) -> Option<u64> {
+        let n = self.plans[gi].n_existentials;
+        let (fresh, blanks) = match self.config.firing {
+            FiringMode::Restricted => {
+                let fresh: Vec<TermId> = (0..n)
+                    .map(|_| {
+                        let b = Term::Blank(rps_rdf::BlankNode::fresh(self.blank_counter));
+                        self.blank_counter += 1;
+                        self.graph.intern(&b)
+                    })
+                    .collect();
+                (fresh, n as u64)
+            }
+            FiringMode::Skolem => {
+                let labels = skolem_labels(&self.graph, gi, tuple, n);
+                let dict_before = self.graph.dict().len();
+                let fresh: Vec<TermId> = labels
+                    .into_iter()
+                    .map(|l| self.graph.intern(&Term::blank(l)))
+                    .collect();
+                let blanks = fresh.iter().filter(|id| id.index() >= dict_before).count();
+                (fresh, blanks as u64)
+            }
+        };
+        self.plans[gi]
+            .resolve(&self.graph, tuple, &fresh, out)
+            .then_some(blanks)
     }
 
-    /// Resolves (and caches) the equivalence neighbours of a term id.
-    fn ensure_eq_neighbours(&mut self, from_id: TermId) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.eq_cache.entry(from_id) {
-            let neighbours: Vec<TermId> = match self.eq_adj.get(self.graph.term(from_id)) {
-                Some(terms) => {
-                    let terms = terms.clone();
-                    terms.iter().map(|n| self.graph.intern(n)).collect()
+    /// Writes the collected equivalence copies as one batch; `true` iff
+    /// any was new. With provenance on, `sources[i]` is the triple
+    /// `copies[i]` was copied from, and a copy's first occurrence — the
+    /// one the batch logged — is recorded as its source's child.
+    fn write_copies(&mut self, copies: &mut Vec<IdTriple>, sources: &mut Vec<IdTriple>) -> bool {
+        let log_from = self.graph.log_len();
+        let added = self.graph.insert_batch(copies.iter().copied());
+        self.stats.eq_copies += added;
+        if let Some(p) = &mut self.prov {
+            // The batch logs its new copies in candidate order, so a
+            // candidate equal to the next unclaimed log entry is the
+            // occurrence that entry records.
+            let mut next = log_from;
+            for (&from, &copy) in sources.iter().zip(copies.iter()) {
+                if self.graph.log_entry(next) == Some(copy) {
+                    p.eq_children.entry(from).or_default().push(copy);
+                    next += 1;
                 }
-                None => Vec::new(),
-            };
-            e.insert(neighbours);
+            }
         }
+        copies.clear();
+        sources.clear();
+        added > 0
+    }
+
+    /// The equivalence neighbours of a term id, as a span of `eq_flat`,
+    /// resolved (and their ids interned) on the id's first visit.
+    fn eq_neighbours(&mut self, id: TermId) -> std::ops::Range<usize> {
+        let i = id.index();
+        if i >= self.eq_span.len() {
+            let len = self.graph.dict().len().max(i + 1);
+            self.eq_span.resize(len, UNRESOLVED);
+        }
+        if self.eq_span[i] == UNRESOLVED {
+            let start = self.eq_flat.len() as u32;
+            if let Some(terms) = self.eq_adj.get(self.graph.term(id)) {
+                for n in terms {
+                    self.eq_flat.push(self.graph.intern(n));
+                }
+            }
+            self.eq_span[i] = (start, self.eq_flat.len() as u32);
+        }
+        let (start, end) = self.eq_span[i];
+        start as usize..end as usize
     }
 
     /// `true` iff `t` is one equivalence-repair step away from a triple
@@ -496,9 +642,8 @@ impl ChaseEngine {
     /// terms are exactly the possible sources).
     fn eq_inverse_present(&mut self, t: IdTriple) -> bool {
         for pos in TriplePosition::ALL {
-            let id = t.get(pos);
-            self.ensure_eq_neighbours(id);
-            for &from in &self.eq_cache[&id] {
+            let span = self.eq_neighbours(t.get(pos));
+            for &from in &self.eq_flat[span] {
                 if self.graph.contains_ids(t.with(pos, from)) {
                     return true;
                 }
@@ -590,9 +735,11 @@ impl ChaseEngine {
                 });
                 match witness {
                     Some(witness) => {
-                        let (blanks, conclusions) = self
-                            .fire_skolem(gi, &tuple)
+                        let mut conclusions = Vec::new();
+                        let blanks = self
+                            .instantiate(gi, &tuple, &mut conclusions)
                             .expect("a previously fired tuple instantiates validly");
+                        self.graph.insert_batch(conclusions.iter().copied());
                         self.stats.gma_firings += 1;
                         self.stats.refirings += 1;
                         self.stats.blanks_created += blanks;
@@ -710,47 +857,86 @@ impl ConclusionPlan {
         }
     }
 
-    /// Instantiates and inserts the conclusion for one premise tuple.
-    /// Returns the number of fresh blanks on success, or `None` when the
-    /// instantiation violates RDF positional constraints (a literal in
-    /// subject position, a non-IRI predicate) — nothing is inserted then.
-    fn fire(&self, graph: &mut Graph, tuple: &[TermId], blank_counter: &mut u64) -> Option<u64> {
-        let fresh: Vec<TermId> = (0..self.n_existentials)
-            .map(|_| {
-                let b = Term::Blank(rps_rdf::BlankNode::fresh(*blank_counter));
-                *blank_counter += 1;
-                graph.intern(&b)
-            })
-            .collect();
-        let to_insert = self.resolve(graph, tuple, &fresh)?;
-        // The batch path: conclusions with several conjuncts go into the
-        // store in one merge-batch instead of per-triple tail pushes.
-        graph.insert_batch(to_insert);
-        Some(self.n_existentials as u64)
-    }
-
-    /// Instantiates the conclusion triples for one premise tuple and a
-    /// pre-interned existential assignment, validating RDF positional
-    /// constraints. Nothing is inserted.
-    fn resolve(&self, graph: &Graph, tuple: &[TermId], fresh: &[TermId]) -> Option<Vec<IdTriple>> {
+    /// Appends the conclusion triples for one premise tuple and a
+    /// pre-interned existential assignment to `out`, validating RDF
+    /// positional constraints; `false`, with `out` as it was, when the
+    /// instantiation violates them (a literal in subject position, a
+    /// non-IRI predicate). Nothing is inserted.
+    fn resolve(
+        &self,
+        graph: &Graph,
+        tuple: &[TermId],
+        fresh: &[TermId],
+        out: &mut Vec<IdTriple>,
+    ) -> bool {
         let resolve = |s: &ConcSlot| match s {
             ConcSlot::Const(id) => *id,
             ConcSlot::Free(i) => tuple[*i],
             ConcSlot::Exist(j) => fresh[*j],
         };
-        let mut out = Vec::with_capacity(self.slots.len());
+        let dict = graph.dict();
+        let start = out.len();
         for slot in &self.slots {
             let t = IdTriple::new(resolve(&slot[0]), resolve(&slot[1]), resolve(&slot[2]));
-            let dict = graph.dict();
             if dict.kind(t.s) == rps_rdf::TermKind::Literal
                 || dict.kind(t.p) != rps_rdf::TermKind::Iri
             {
-                return None;
+                out.truncate(start);
+                return false;
             }
             out.push(t);
         }
-        Some(out)
+        true
     }
+}
+
+/// `true` iff `conclusion` is firing-independent (module docs): safe,
+/// and (i) every atom holds an existential variable, (ii) the atoms are
+/// connected through shared existentials, (iii) any two atoms whose
+/// constants do not clash have the same shape.
+fn firing_independent(conclusion: &rps_query::GraphPatternQuery) -> bool {
+    use rps_query::TermOrVar;
+    let free = conclusion.free_vars();
+    let existential = |tv: &TermOrVar| matches!(tv, TermOrVar::Var(v) if !free.contains(v));
+    let atoms: Vec<[&TermOrVar; 3]> = conclusion
+        .pattern()
+        .patterns()
+        .iter()
+        .map(|tp| [&tp.s, &tp.p, &tp.o])
+        .collect();
+    // Safety, and (i).
+    if !conclusion.is_safe() || atoms.iter().any(|a| !a.iter().any(|tv| existential(tv))) {
+        return false;
+    }
+    // (iii): unless two different constants clash at some position,
+    // every position holds two existentials or the same term or variable.
+    let shape_ok = |a: &[&TermOrVar; 3], b: &[&TermOrVar; 3]| {
+        let pairs = || a.iter().zip(b);
+        pairs().any(|(x, y)| matches!((x, y), (TermOrVar::Term(c), TermOrVar::Term(d)) if c != d))
+            || pairs().all(|(x, y)| {
+                if existential(x) {
+                    existential(y)
+                } else {
+                    x == y
+                }
+            })
+    };
+    if atoms.iter().any(|a| atoms.iter().any(|b| !shape_ok(a, b))) {
+        return false;
+    }
+    // (ii): grow atom 0's component over shared existentials.
+    let shares = |a: &[&TermOrVar; 3], b: &[&TermOrVar; 3]| {
+        a.iter().any(|x| existential(x) && b.contains(x))
+    };
+    let mut reached = vec![false; atoms.len()];
+    let mut stack: Vec<usize> = (0..atoms.len().min(1)).collect();
+    while let Some(i) = stack.pop() {
+        if std::mem::replace(&mut reached[i], true) {
+            continue;
+        }
+        stack.extend((0..atoms.len()).filter(|&j| !reached[j] && shares(&atoms[i], &atoms[j])));
+    }
+    reached.into_iter().all(|r| r)
 }
 
 /// Checks `t ∈ Q'_J`: bind the conclusion's free variables to the tuple's
@@ -1065,6 +1251,52 @@ mod tests {
             },
         );
         assert!(!sol.complete);
+    }
+
+    /// `q(x, y) ← atoms`, over `http://e/` constants.
+    fn conclusion(atoms: &[[&str; 3]]) -> GraphPatternQuery {
+        let tv = |s: &str| match s.strip_prefix('?') {
+            Some(name) => TermOrVar::var(name),
+            None => TermOrVar::iri(&format!("http://e/{s}")),
+        };
+        let patterns = atoms
+            .iter()
+            .map(|[s, p, o]| rps_query::TriplePattern::new(tv(s), tv(p), tv(o)))
+            .collect();
+        GraphPatternQuery::new(vec![v("x"), v("y")], GraphPattern::from_patterns(patterns))
+    }
+
+    #[test]
+    fn firing_independence_accepts_existential_joins() {
+        for atoms in [
+            // The benchmark's `actor ⇝ starring·artist`, Figure 1's Q1.
+            &[["?x", "starring", "?z"], ["?z", "artist", "?y"]][..],
+            &[["?z", "p", "?x"], ["?z", "q", "?y"]],
+            &[["?x", "p", "?z"], ["?y", "q", "?z"]],
+            &[["?x", "p", "?z"], ["?z", "q", "?w"], ["?w", "r", "?y"]],
+        ] {
+            assert!(firing_independent(&conclusion(atoms)), "{atoms:?}");
+        }
+    }
+
+    #[test]
+    fn firing_independence_rejects_what_a_firing_can_satisfy() {
+        for (atoms, clause) in [
+            (&[["?x", "p", "?z"], ["?y", "p", "?z"]][..], "(iii)"),
+            (&[["?x", "p", "?z"], ["?z", "p", "?y"]], "(iii)"),
+            (&[["?x", "p", "c"], ["?y", "q", "?z"]], "(i)"),
+            (&[["?x", "p", "?y"], ["?y", "p", "?x"]], "(i)"),
+            // The two-hop closure's conclusion.
+            (&[["?x", "A", "?y"]], "(i)"),
+            (&[["?x", "p", "?z"], ["?y", "q", "?w"]], "(ii)"),
+        ] {
+            assert!(
+                !firing_independent(&conclusion(atoms)),
+                "{clause}: {atoms:?}"
+            );
+        }
+        // Unsafe: `y` occurs in no atom.
+        assert!(!firing_independent(&conclusion(&[["?x", "p", "?z"]])));
     }
 
     #[test]

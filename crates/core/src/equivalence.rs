@@ -22,71 +22,62 @@ use rps_query::{IdRows, RowSink};
 use rps_rdf::{Graph, Iri, Term, TermId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Union-find over IRIs with lexicographically-least canonical
+/// Equivalence classes of IRIs with lexicographically-least canonical
 /// representatives.
 #[derive(Clone, Debug, Default)]
 pub struct EquivalenceIndex {
-    parent: HashMap<Iri, Iri>,
-    /// Canonical representative per class root (least member).
+    /// Canonical representative per mapped IRI (least member).
     canon: HashMap<Iri, Iri>,
     /// Members per canonical representative.
     members: BTreeMap<Iri, BTreeSet<Iri>>,
 }
 
 impl EquivalenceIndex {
-    /// Builds the index from a set of equivalence mappings.
+    /// Builds the index from a set of equivalence mappings: every IRI a
+    /// mapping names gets a dense id once, a union-find with path
+    /// halving over those ids joins the mapped pairs, and each class is
+    /// then sorted by IRI, its least member the representative.
     pub fn from_mappings(mappings: &[EquivalenceMapping]) -> Self {
-        let mut idx = EquivalenceIndex::default();
+        let find = |parent: &mut [u32], mut x: u32| {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
+            }
+            x
+        };
+        let mut dense: HashMap<&Iri, u32> = HashMap::new();
+        let mut iris: Vec<&Iri> = Vec::new();
+        let mut parent: Vec<u32> = Vec::new();
         for m in mappings {
-            idx.union(&m.left, &m.right);
+            let mut ends = [0u32; 2];
+            for (end, iri) in ends.iter_mut().zip([&m.left, &m.right]) {
+                *end = *dense.entry(iri).or_insert_with(|| {
+                    iris.push(iri);
+                    parent.push(parent.len() as u32);
+                    (iris.len() - 1) as u32
+                });
+            }
+            let (ra, rb) = (find(&mut parent, ends[0]), find(&mut parent, ends[1]));
+            if ra != rb {
+                parent[ra as usize] = rb;
+            }
         }
-        idx.rebuild_canonical();
+        let mut by_root: Vec<(u32, u32)> = (0..iris.len() as u32)
+            .map(|x| (find(&mut parent, x), x))
+            .collect();
+        by_root.sort_unstable();
+        let mut idx = EquivalenceIndex::default();
+        for class in by_root.chunk_by(|a, b| a.0 == b.0) {
+            let mut members: Vec<&Iri> = class.iter().map(|&(_, x)| iris[x as usize]).collect();
+            members.sort_unstable();
+            let canon = members[0].clone();
+            for &m in &members {
+                idx.canon.insert(m.clone(), canon.clone());
+            }
+            idx.members
+                .insert(canon, members.into_iter().cloned().collect());
+        }
         idx
-    }
-
-    fn find_root(&mut self, iri: &Iri) -> Iri {
-        let mut cur = iri.clone();
-        let mut path = Vec::new();
-        while let Some(p) = self.parent.get(&cur) {
-            if p == &cur {
-                break;
-            }
-            path.push(cur.clone());
-            cur = p.clone();
-        }
-        for node in path {
-            self.parent.insert(node, cur.clone());
-        }
-        cur
-    }
-
-    fn union(&mut self, a: &Iri, b: &Iri) {
-        self.parent.entry(a.clone()).or_insert_with(|| a.clone());
-        self.parent.entry(b.clone()).or_insert_with(|| b.clone());
-        let ra = self.find_root(a);
-        let rb = self.find_root(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-
-    fn rebuild_canonical(&mut self) {
-        let keys: Vec<Iri> = self.parent.keys().cloned().collect();
-        let mut classes: BTreeMap<Iri, BTreeSet<Iri>> = BTreeMap::new();
-        for k in keys {
-            let root = self.find_root(&k);
-            classes.entry(root).or_default().insert(k);
-        }
-        self.canon.clear();
-        self.members.clear();
-        for (root, members) in classes {
-            let canon = members.iter().next().expect("non-empty class").clone();
-            for m in &members {
-                self.canon.insert(m.clone(), canon.clone());
-            }
-            self.canon.insert(root, canon.clone());
-            self.members.insert(canon, members);
-        }
     }
 
     /// The canonical representative of an IRI (itself if unmapped).
@@ -388,6 +379,121 @@ pub(crate) mod tests {
         let canon_answers = evaluate_query(&canon_graph, &canon_q, Semantics::Star);
         let expanded = expand_answers(&canon_answers, &index);
         assert_eq!(naive, expanded);
+    }
+
+    /// The construction `from_mappings` replaced: a union-find keyed by
+    /// IRI in a `HashMap`, compressed through a per-call path `Vec`,
+    /// classes grouped under arbitrary roots. Returns (canonical of
+    /// every mapped IRI, members per canonical).
+    fn hashed_union_find(
+        mappings: &[EquivalenceMapping],
+    ) -> (BTreeMap<Iri, Iri>, BTreeMap<Iri, BTreeSet<Iri>>) {
+        fn find_root(parent: &mut HashMap<Iri, Iri>, iri: &Iri) -> Iri {
+            let mut cur = iri.clone();
+            let mut path = Vec::new();
+            while let Some(p) = parent.get(&cur) {
+                if p == &cur {
+                    break;
+                }
+                path.push(cur.clone());
+                cur = p.clone();
+            }
+            for node in path {
+                parent.insert(node, cur.clone());
+            }
+            cur
+        }
+        let mut parent: HashMap<Iri, Iri> = HashMap::new();
+        for m in mappings {
+            parent
+                .entry(m.left.clone())
+                .or_insert_with(|| m.left.clone());
+            parent
+                .entry(m.right.clone())
+                .or_insert_with(|| m.right.clone());
+            let (ra, rb) = (
+                find_root(&mut parent, &m.left),
+                find_root(&mut parent, &m.right),
+            );
+            if ra != rb {
+                parent.insert(ra, rb);
+            }
+        }
+        let keys: Vec<Iri> = parent.keys().cloned().collect();
+        let mut classes: BTreeMap<Iri, BTreeSet<Iri>> = BTreeMap::new();
+        for k in keys {
+            classes
+                .entry(find_root(&mut parent, &k))
+                .or_default()
+                .insert(k);
+        }
+        let (mut canon, mut members) = (BTreeMap::new(), BTreeMap::new());
+        for (_, class) in classes {
+            let least = class.iter().next().cloned().unwrap_or_else(|| Iri::new(""));
+            canon.extend(class.iter().map(|m| (m.clone(), least.clone())));
+            members.insert(least, class);
+        }
+        (canon, members)
+    }
+
+    #[test]
+    fn dense_union_find_equals_the_hashed_one_on_a_seeded_mix() {
+        for seed in sweep_seeds() {
+            // xorshift64; the state must not be zero.
+            let mut state = seed | 1;
+            let mut below = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let iri = |i: usize| Iri::new(format!("http://e/{i:03}"));
+            let mut mappings = Vec::new();
+            let mut next = 0;
+            for _ in 0..40 {
+                let len = 1 + below(6);
+                let nodes: Vec<usize> = (next..next + len).collect();
+                next += len;
+                match below(3) {
+                    // A chain, in a random direction per link.
+                    0 => mappings.extend(nodes.windows(2).map(|w| {
+                        let (a, b) = if below(2) == 0 {
+                            (w[0], w[1])
+                        } else {
+                            (w[1], w[0])
+                        };
+                        eq_iri(iri(a), iri(b))
+                    })),
+                    // A star around its last node.
+                    1 => {
+                        mappings.extend(nodes.iter().map(|&n| eq_iri(iri(n), iri(nodes[len - 1]))))
+                    }
+                    // A cycle.
+                    _ => mappings.extend(
+                        nodes
+                            .iter()
+                            .zip(nodes.iter().cycle().skip(1))
+                            .map(|(&a, &b)| eq_iri(iri(a), iri(b))),
+                    ),
+                }
+                // Now and then a link into an earlier class.
+                if below(4) == 0 {
+                    mappings.push(eq_iri(iri(below(next)), iri(below(next))));
+                }
+            }
+            let (canon, members) = hashed_union_find(&mappings);
+            let idx = EquivalenceIndex::from_mappings(&mappings);
+            let nontrivial: Vec<_> = members.iter().filter(|(_, m)| m.len() > 1).collect();
+            assert_eq!(idx.classes().collect::<Vec<_>>(), nontrivial, "seed {seed}");
+            for i in 0..next + 3 {
+                let expected = canon.get(&iri(i)).cloned().unwrap_or_else(|| iri(i));
+                assert_eq!(idx.canonical(&iri(i)), expected, "seed {seed}, {i}");
+            }
+        }
+    }
+
+    fn eq_iri(a: Iri, b: Iri) -> EquivalenceMapping {
+        EquivalenceMapping::new(a, b)
     }
 
     #[test]

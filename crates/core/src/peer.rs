@@ -4,7 +4,7 @@
 //! to describe data — and its stored RDF database. Peer schemas need not
 //! be disjoint: real Linked Data sources share IRIs.
 
-use rps_rdf::{Graph, Iri, Term, Triple};
+use rps_rdf::{Graph, Iri, Term, TermId, TermKind, Triple};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -55,24 +55,28 @@ impl Peer {
     /// must be in `(S ∪ B) × S × (S ∪ B ∪ L)`.
     #[allow(clippy::result_large_err)] // the offending triple is the useful payload
     pub fn validate(&self) -> Result<(), PeerValidationError> {
-        for triple in self.database.iter() {
-            let ok_subject = match triple.subject() {
-                Term::Iri(iri) => self.schema.contains(iri),
-                Term::Blank(_) => true,
-                Term::Literal(_) => false,
-            };
-            let ok_predicate = match triple.predicate() {
+        let dict = self.database.dict();
+        // Per term id, once: `None` until asked, then whether the id is
+        // an IRI of the schema.
+        let mut in_schema: Vec<Option<bool>> = vec![None; dict.len()];
+        let mut known = |id: TermId| {
+            *in_schema[id.index()].get_or_insert_with(|| match dict.term(id) {
                 Term::Iri(iri) => self.schema.contains(iri),
                 _ => false,
+            })
+        };
+        for t in self.database.iter_ids() {
+            let ok_subject = match dict.kind(t.s) {
+                TermKind::Iri => known(t.s),
+                TermKind::Blank => true,
+                TermKind::Literal => false,
             };
-            let ok_object = match triple.object() {
-                Term::Iri(iri) => self.schema.contains(iri),
-                Term::Blank(_) | Term::Literal(_) => true,
-            };
+            let ok_predicate = dict.kind(t.p) == TermKind::Iri && known(t.p);
+            let ok_object = dict.kind(t.o) != TermKind::Iri || known(t.o);
             if !(ok_subject && ok_predicate && ok_object) {
                 return Err(PeerValidationError {
                     peer: self.name.clone(),
-                    triple,
+                    triple: self.database.materialise(t),
                 });
             }
         }
@@ -114,6 +118,7 @@ impl std::error::Error for PeerValidationError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rps_rdf::IdTriple;
 
     fn db() -> Graph {
         rps_rdf::turtle::parse(
@@ -145,6 +150,46 @@ mod tests {
         let p = Peer::with_schema("narrow", schema, db());
         let err = p.validate().unwrap_err();
         assert_eq!(err.peer, "narrow");
+    }
+
+    /// The first offending triple in SPO (id) order is the error's, for
+    /// each of the three position rules.
+    #[test]
+    fn validation_reports_the_first_offending_triple() {
+        let mut g = Graph::new();
+        let mut id = |t: Term| g.intern(&t);
+        let (s, p, o) = (
+            id(Term::iri("http://e/s")),
+            id(Term::iri("http://e/p")),
+            id(Term::iri("http://e/o")),
+        );
+        let lit = id(Term::literal("lit"));
+        let blank = id(Term::blank("b"));
+        let out = id(Term::iri("http://e/out"));
+        let triples = [
+            IdTriple::new(s, p, o),
+            IdTriple::new(lit, p, o),
+            IdTriple::new(s, blank, o),
+            IdTriple::new(s, p, out),
+        ];
+        let schema: BTreeSet<Iri> = ["http://e/s", "http://e/p", "http://e/o"]
+            .into_iter()
+            .map(Iri::new)
+            .collect();
+        for &bad in &triples[1..] {
+            let mut one = g.clone();
+            one.insert_batch([triples[0], bad]);
+            let err = Peer::with_schema("one", schema.clone(), one.clone()).validate();
+            assert_eq!(err.unwrap_err().triple, one.materialise(bad));
+        }
+        g.insert_batch(triples);
+        let err = Peer::with_schema("all", schema, g.clone()).validate();
+        let first = g.iter_ids().find(|t| t != &triples[0]);
+        assert_eq!(
+            Some(err.unwrap_err().triple),
+            first.map(|t| g.materialise(t))
+        );
+        assert_eq!(first, Some(triples[3]), "(s, p, out) sorts first by id");
     }
 
     #[test]

@@ -137,11 +137,16 @@ fn order_slots(
     seed: &[usize],
     order: JoinOrder,
 ) -> Vec<usize> {
+    let n = slots.len();
+    if n < 2 {
+        // Nothing to order — and no statistics to ask for, which on a
+        // graph sealed by accident would be a full sweep.
+        return (0..n).collect();
+    }
     let stats = match order {
         JoinOrder::SmallestFirst => None,
         JoinOrder::Auto | JoinOrder::CostBased => graph.graph_stats(),
     };
-    let n = slots.len();
     let mut source: Vec<usize> = (0..n).collect();
     for i in 0..n {
         // A conjunction names a handful of variables: asking the picked
@@ -1974,5 +1979,33 @@ _:c3 e:artist e:actor1 .
         let flat = g.storage_stats();
         assert_eq!(flat.stats_predicates, 2);
         assert!(flat.stats_distinct_subjects >= 32);
+    }
+
+    /// A one-conjunct plan, or a delta pivot with nothing left to order,
+    /// never asks for the planner statistics: on a graph a batch left
+    /// sealed by accident that would be a full sweep.
+    #[test]
+    fn nothing_to_order_builds_no_statistics() {
+        // 128 single inserts: the last one flushes the tail.
+        let mut g = skewed_graph(64);
+        assert!(g.is_sealed(), "sealed by accident");
+        let q = GraphPatternQuery::new(
+            vec![var("s")],
+            GraphPattern::triple(
+                TermOrVar::var("s"),
+                TermOrVar::iri("http://e/status"),
+                TermOrVar::var("o"),
+            ),
+        );
+        let plan = PreparedQueryIds::new(&mut g, &q);
+        let rows = plan.evaluate_delta(&g, Semantics::Certain, 0);
+        assert_eq!(rows.len(), 64);
+        assert_eq!(g.storage_stats().stats_predicates, 0, "no sweep ran");
+        assert!(g.graph_stats().is_some());
+        assert_eq!(
+            g.storage_stats().stats_predicates,
+            2,
+            "a sweep reads as one"
+        );
     }
 }
