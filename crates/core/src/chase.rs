@@ -103,7 +103,7 @@
 //! holds: premise tuples are blank-free (the `rt` guard), so the skolem
 //! chase fires at most once per assertion and base-domain tuple.
 
-use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
+use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::mapping::{EquivalenceMapping, GraphMappingAssertion};
 use crate::system::RdfPeerSystem;
 use rps_query::{evaluate_query, PreparedPattern, PreparedQueryIds, Semantics, Variable};
@@ -220,7 +220,7 @@ pub(crate) fn chase_quotient(
         conclusion: canonicalize_query(&gma.conclusion, index),
     };
     let gmas = system.assertions().iter().map(canonical).collect();
-    let graph = canonicalize_graph(&system.stored_database(), index);
+    let graph = system.canonical_database(index);
     let mut engine = ChaseEngine::from_parts(graph, gmas, &[], config, false);
     // Every constant is interned by now (a chase mints blanks only), and
     // the ids minted here are what expanded rows carry.
@@ -787,7 +787,8 @@ impl ChaseEngine {
 /// the labels identical across engines with different interning orders,
 /// which is what makes an incremental maintenance run byte-identical to
 /// a from-scratch re-chase. The `sk` prefix cannot collide with peer
-/// blanks (scoped `p{idx}_…`) or restricted-chase blanks (`b{n}`).
+/// blanks (scoped `p{idx}_…`) or restricted-chase blanks (`chase{n}`,
+/// [`rps_rdf::BlankNode::fresh`]).
 fn skolem_labels(graph: &Graph, gi: usize, tuple: &[TermId], n: usize) -> Vec<String> {
     let mut suffix = String::new();
     for &id in tuple {

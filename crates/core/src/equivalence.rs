@@ -172,7 +172,12 @@ fn copy_position(graph: &mut Graph, from: &Term, to: &Term, pos: rps_rdf::Triple
 
 /// Rewrites a graph onto canonical representatives: every IRI is replaced
 /// by its class canonical. The result is the quotient graph the fast
-/// path evaluates against.
+/// path evaluates against. The routes load theirs straight from the
+/// peers instead ([`RdfPeerSystem::canonical_database`]), without a
+/// stored union to canonicalise and drop; this is the definition the
+/// tests hold that load to.
+///
+/// [`RdfPeerSystem::canonical_database`]: crate::RdfPeerSystem::canonical_database
 pub fn canonicalize_graph(graph: &Graph, index: &EquivalenceIndex) -> Graph {
     let mut out = Graph::new();
     // Memoise per distinct source term id: each term is canonicalised and
@@ -186,9 +191,9 @@ pub fn canonicalize_graph(graph: &Graph, index: &EquivalenceIndex) -> Graph {
             mapped
         }
     };
-    // One batch in source order, as `RdfPeerSystem::stored_database`
-    // loads a peer: the dictionary and the insertion log are those of
-    // inserting the triples one at a time, and the store sorts once.
+    // One batch in source order: the dictionary and the insertion log
+    // are those of inserting the triples one at a time, and the store
+    // sorts once.
     let batch: Vec<rps_rdf::IdTriple> = graph
         .iter_ids()
         .map(|t| {

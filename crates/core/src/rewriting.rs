@@ -53,7 +53,7 @@
 
 use crate::answers::AnswerSet;
 use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encoder};
-use crate::equivalence::{canonicalize_graph, canonicalize_query, ClassTable, EquivalenceIndex};
+use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
 use crate::session::frozen::Fifo;
@@ -324,7 +324,7 @@ impl RpsRewriter {
             &mapping_tgds_unguarded(system, &index, &mut encoder),
             &mut dict,
         );
-        let mut canon_graph = canonicalize_graph(&system.stored_database(), &index);
+        let mut canon_graph = system.canonical_database(&index);
         // A rewritten head can be specialised to a constant of a TGD head
         // no stored triple mentions: give each an id, then the classes.
         for gma in system.assertions() {

@@ -1,11 +1,13 @@
 //! RDF Peer Systems: `P = (S, G, E)` (paper Section 2.2) and their stored
 //! databases.
 
+use crate::equivalence::EquivalenceIndex;
 use crate::mapping::{EquivalenceMapping, GraphMappingAssertion, MappingError};
 use crate::peer::{Peer, PeerId};
-use rps_rdf::{vocab, Graph, Iri, Term};
+use rps_rdf::{vocab, Graph, IdTriple, Iri, Term, TermId};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 /// An RDF Peer System `P = (S, G, E)`: peers (each carrying its schema
 /// and stored database), graph mapping assertions and equivalence
@@ -78,37 +80,11 @@ impl RdfPeerSystem {
     /// The *stored database* `D`: the union of all peer databases
     /// (Section 2.3). Blank nodes are kept peer-local by prefixing their
     /// labels with the peer index, matching the paper's treatment of
-    /// blank nodes as scoped placeholders.
+    /// blank nodes as scoped placeholders. The dictionary and the
+    /// insertion log are those of inserting each peer's triples in turn,
+    /// one at a time.
     pub fn stored_database(&self) -> Graph {
-        let mut out = Graph::new();
-        // Relabel each peer's blanks and intern directly into the union —
-        // one interning pass per distinct term, no intermediate graphs —
-        // then store each peer's triples as one sorted batch.
-        for idx in 0..self.peers.len() {
-            let db = &self.peers[idx].database;
-            let mut memo: Vec<Option<rps_rdf::TermId>> = vec![None; db.dict().len()];
-            let mut map = |tid: rps_rdf::TermId, out: &mut Graph| match memo[tid.index()] {
-                Some(mapped) => mapped,
-                None => {
-                    let term = db.term(tid);
-                    let scoped = scoped_term(idx, term);
-                    let mapped = out.intern(&scoped);
-                    memo[tid.index()] = Some(mapped);
-                    mapped
-                }
-            };
-            let batch: Vec<rps_rdf::IdTriple> = db
-                .iter_ids()
-                .map(|t| {
-                    let s = map(t.s, &mut out);
-                    let p = map(t.p, &mut out);
-                    let o = map(t.o, &mut out);
-                    rps_rdf::IdTriple::new(s, p, o)
-                })
-                .collect();
-            out.insert_batch(batch);
-        }
-        out
+        self.load(0..self.peers.len(), None)
     }
 
     /// One peer's database with its blank nodes relabelled into the
@@ -116,32 +92,56 @@ impl RdfPeerSystem {
     /// evaluation uses these so that cross-pattern joins on blanks behave
     /// identically to centralised evaluation.
     pub fn scoped_database(&self, id: PeerId) -> Graph {
-        let peer = &self.peers[id.0];
-        let idx = id.0;
-        let db = &peer.database;
+        self.load(id.0..id.0 + 1, None)
+    }
+
+    /// The stored database on `index`'s class representatives: the
+    /// quotient graph the rewritten and Datalog routes evaluate over
+    /// (Section 4 evaluates a perfect rewriting directly over the
+    /// sources). It holds the triples and terms of
+    /// [`canonicalize_graph`](crate::canonicalize_graph) over
+    /// [`Self::stored_database`], but is loaded from the peers in one
+    /// pass, so its ids follow the peers' load order.
+    pub fn canonical_database(&self, index: &EquivalenceIndex) -> Graph {
+        self.load(0..self.peers.len(), Some(index))
+    }
+
+    /// [`Self::canonical_database`] of one peer: its
+    /// [`Self::scoped_database`] on `index`'s class representatives.
+    pub fn canonical_scoped_database(&self, id: PeerId, index: &EquivalenceIndex) -> Graph {
+        self.load(id.0..id.0 + 1, Some(index))
+    }
+
+    /// Loads the peers `peers` into one graph. Each peer's triples are
+    /// walked once and every distinct term of its dictionary is mapped
+    /// once, through a dense memo: blanks are scoped to the peer
+    /// ([`scoped_term`]), IRIs moved to their class representative when
+    /// an index is given, and the result interned. All peers' triples
+    /// then go into the store as one batch; first occurrence wins, so the
+    /// insertion log is that of loading the peers one after the other.
+    fn load(&self, peers: Range<usize>, index: Option<&EquivalenceIndex>) -> Graph {
         let mut out = Graph::new();
-        // Relabel and re-intern each distinct term once, not once per
-        // occurrence.
-        let mut memo: Vec<Option<rps_rdf::TermId>> = vec![None; db.dict().len()];
-        let mut map = |tid: rps_rdf::TermId, out: &mut Graph| match memo[tid.index()] {
-            Some(mapped) => mapped,
-            None => {
-                let term = db.term(tid);
-                let scoped = scoped_term(idx, term);
-                let mapped = out.intern(&scoped);
-                memo[tid.index()] = Some(mapped);
-                mapped
-            }
-        };
-        let batch: Vec<rps_rdf::IdTriple> = db
-            .iter_ids()
-            .map(|t| {
+        let mut batch: Vec<IdTriple> =
+            Vec::with_capacity(self.peers[peers.clone()].iter().map(Peer::size).sum());
+        for idx in peers {
+            let db = &self.peers[idx].database;
+            let mut memo: Vec<Option<TermId>> = vec![None; db.dict().len()];
+            let mut map = |id: TermId, out: &mut Graph| {
+                *memo[id.index()].get_or_insert_with(|| {
+                    let scoped = scoped_term(idx, db.term(id));
+                    match index {
+                        Some(index) => out.intern(&index.canonical_term(&scoped)),
+                        None => out.intern(&scoped),
+                    }
+                })
+            };
+            batch.extend(db.iter_ids().map(|t| {
                 let s = map(t.s, &mut out);
                 let p = map(t.p, &mut out);
                 let o = map(t.o, &mut out);
-                rps_rdf::IdTriple::new(s, p, o)
-            })
-            .collect();
+                IdTriple::new(s, p, o)
+            }));
+        }
         out.insert_batch(batch);
         out
     }
@@ -217,10 +217,11 @@ impl RdfPeerSystem {
 
 /// The peer-scoped image of a term in the stored database: blank labels
 /// are prefixed with the peer index (`p{idx}_…`), matching the paper's
-/// treatment of blank nodes as peer-local placeholders. Both the bulk
-/// [`RdfPeerSystem::stored_database`] union and the live-update write
-/// path ([`crate::live`]) apply this mapping, so a triple inserted live
-/// lands on exactly the id a batch load would have given it.
+/// treatment of blank nodes as peer-local placeholders. Both the peer
+/// loader behind [`RdfPeerSystem::stored_database`] (and its scoped and
+/// canonical forms) and the live-update write path ([`crate::live`])
+/// apply this mapping, so a triple inserted live lands on exactly the id
+/// a batch load would have given it.
 pub(crate) fn scoped_term(idx: usize, term: &Term) -> Term {
     match term {
         Term::Blank(b) => Term::blank(format!("p{idx}_{}", b.label())),

@@ -275,18 +275,11 @@ impl FederatedEngine {
     /// the originator expands answers back over the classes.
     pub fn new_canonical(system: &RdfPeerSystem, eq_index: &rps_core::EquivalenceIndex) -> Self {
         let locals: Vec<Graph> = (0..system.peers().len())
-            .map(|i| rps_core::canonicalize_graph(&system.scoped_database(PeerId(i)), eq_index))
+            .map(|i| system.canonical_scoped_database(PeerId(i), eq_index))
             .collect();
-        // The schema index must reflect canonical IRIs too: rebuild from
-        // the canonicalised stores.
-        let mut canon_system = RdfPeerSystem::new();
-        for (i, g) in locals.iter().enumerate() {
-            canon_system.add_peer(rps_core::Peer::from_database(
-                format!("canon{i}"),
-                g.clone(),
-            ));
-        }
-        let index = SchemaIndex::build(&canon_system);
+        // The schema index must reflect canonical IRIs too: read each
+        // peer's off its canonical store, as `Peer::from_database` does.
+        let index = SchemaIndex::from_schemas(locals.iter().map(Graph::iris_used));
         Self::build(locals, index)
     }
 

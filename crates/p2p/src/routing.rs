@@ -20,13 +20,25 @@ pub struct SchemaIndex {
 impl SchemaIndex {
     /// Builds the index from a system's peer schemas.
     pub fn build(system: &RdfPeerSystem) -> Self {
+        Self::from_schemas(
+            system
+                .peers()
+                .iter()
+                .map(|peer| peer.schema.iter().cloned()),
+        )
+    }
+
+    /// Builds the index from peer schemas, peer `i`'s the `i`-th.
+    pub(crate) fn from_schemas<S: IntoIterator<Item = Iri>>(
+        schemas: impl Iterator<Item = S>,
+    ) -> Self {
         let mut by_iri: HashMap<Iri, BTreeSet<PeerId>> = HashMap::new();
         let mut all_peers = BTreeSet::new();
-        for (idx, peer) in system.peers().iter().enumerate() {
+        for (idx, schema) in schemas.enumerate() {
             let id = PeerId(idx);
             all_peers.insert(id);
-            for iri in &peer.schema {
-                by_iri.entry(iri.clone()).or_default().insert(id);
+            for iri in schema {
+                by_iri.entry(iri).or_default().insert(id);
             }
         }
         SchemaIndex { by_iri, all_peers }

@@ -105,6 +105,15 @@ use std::sync::{Arc, OnceLock};
 /// graph.
 pub const TAIL_MAX: usize = 128;
 
+/// The smallest batch [`RunStore::insert_batch`] dedupes in key-set
+/// slot order (a batch whose iterator cannot tell its length counts as
+/// small). Below it each key probes the key set on its own, as a single
+/// insert does: the sort pays for itself only once the set outgrows the
+/// cache, and a live update's few dozen triples or a delta chase's few
+/// hundred mostly land in sets that do not. The bulk chase's and a peer
+/// load's batches, tens of thousands of keys and up, sit far above it.
+const SLOT_ORDER_MIN: usize = 4096;
+
 /// Tombstone count that triggers a full purge-compaction (together with
 /// the relative threshold: dead keys must also outnumber half the
 /// run-resident keys).
@@ -1053,15 +1062,21 @@ impl RunStore {
 
     fn insert_batch(&mut self, triples: impl Iterator<Item = IdTriple>, added: &mut Vec<IdTriple>) {
         let mut fresh: Vec<IdTriple> = Vec::new();
-        for t in triples {
-            let key = spo_key(t);
-            if !self.present.insert(key) {
-                continue;
+        if triples.size_hint().0 < SLOT_ORDER_MIN {
+            for t in triples {
+                let key = spo_key(t);
+                if !self.present.insert(key) {
+                    continue;
+                }
+                added.push(t);
+                if !self.dead.remove(key) {
+                    fresh.push(t);
+                }
             }
-            added.push(t);
-            if !self.dead.remove(key) {
-                fresh.push(t);
-            }
+        } else {
+            // The batch is dropped before the flush below copies `fresh`
+            // three times over.
+            self.insert_in_slot_order(triples.collect(), added, &mut fresh);
         }
         if self.spo.tail.len() + fresh.len() < TAIL_MAX {
             // Small batch: the tail absorbs it without a flush.
@@ -1073,6 +1088,66 @@ impl RunStore {
             // into one fresh run per permutation — one sort instead of
             // `fresh.len()` pushes and repeated threshold flushes.
             self.flush(fresh);
+        }
+    }
+
+    /// The dedupe of a large batch: its keys go into `present` in home
+    /// slot order, so the probes sweep the key set once from end to end
+    /// instead of missing the cache once per key. The set is grown once,
+    /// for the batch's distinct keys, before the sweep: grown during it,
+    /// the part already swept would hold more than its share of keys,
+    /// and linear probing would pile them into one long cluster. The
+    /// order sorts `(hash, batch index)` — the home slot is the hash's
+    /// top bits ([`KeySet::home`]) whatever the capacity — so a key's
+    /// copies are taken in batch order and its first occurrence is the
+    /// one added. `added` and `fresh` are then filled in batch order: the
+    /// outcome is that of inserting the keys one at a time.
+    fn insert_in_slot_order(
+        &mut self,
+        batch: Vec<IdTriple>,
+        added: &mut Vec<IdTriple>,
+        fresh: &mut Vec<IdTriple>,
+    ) {
+        // One word per key: the hash's top bits above the batch index's
+        // bits, which is the home slot of any key set smaller than
+        // `2^(64 - index_bits)` slots.
+        let index_bits = usize::BITS - batch.len().leading_zeros();
+        let index_mask = (1u64 << index_bits) - 1;
+        let mut order: Vec<u64> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (key_hash(spo_key(t)) & !index_mask) | i as u64)
+            .collect();
+        order.sort_unstable();
+        // Equal keys sort next to each other, so this counts the distinct
+        // keys, less any collision in the kept bits (one late growth at
+        // worst). Keys already present count too, so it errs high.
+        let distinct = 1 + order
+            .windows(2)
+            .filter(|w| (w[0] ^ w[1]) & !index_mask != 0)
+            .count();
+        self.present.reserve(distinct);
+        const ADDED: u8 = 1;
+        const FRESH: u8 = 2;
+        let mut outcome = vec![0u8; batch.len()];
+        for entry in order {
+            let i = (entry & index_mask) as usize;
+            let key = spo_key(batch[i]);
+            if self.present.insert(key) {
+                outcome[i] = if self.dead.remove(key) {
+                    ADDED
+                } else {
+                    ADDED | FRESH
+                };
+            }
+        }
+        for (&t, &o) in batch.iter().zip(&outcome) {
+            if o & ADDED != 0 {
+                added.push(t);
+            }
+            if o & FRESH != 0 {
+                fresh.push(t);
+            }
         }
     }
 
@@ -1227,13 +1302,22 @@ impl KeySet {
         self.len
     }
 
+    /// The home slot of a hash in a table of `cap` slots (a power of
+    /// two): the hash's top `log2(cap)` bits. Taking the top bits, not
+    /// the bottom ones, makes hash order home-slot order at every
+    /// capacity, which [`RunStore::insert_in_slot_order`] and
+    /// [`Self::rehash`] use to sweep the table in order.
+    fn home(hash: u64, cap: usize) -> usize {
+        (hash >> (u64::BITS - cap.trailing_zeros())) as usize
+    }
+
     /// Index of the slot holding `key`, if present.
     fn find(&self, key: [u32; 3]) -> Option<usize> {
         if self.ctrl.is_empty() {
             return None;
         }
         let mask = self.ctrl.len() - 1;
-        let mut i = key_hash(key) as usize & mask;
+        let mut i = Self::home(key_hash(key), self.ctrl.len());
         loop {
             match self.ctrl[i] {
                 CTRL_EMPTY => return None,
@@ -1262,7 +1346,7 @@ impl KeySet {
             self.grow();
         }
         let mask = self.ctrl.len() - 1;
-        let mut i = key_hash(key) as usize & mask;
+        let mut i = Self::home(key_hash(key), self.ctrl.len());
         let mut insert_at = None;
         loop {
             match self.ctrl[i] {
@@ -1300,7 +1384,22 @@ impl KeySet {
     }
 
     fn grow(&mut self) {
-        let new_cap = (self.ctrl.len() * 2).max(16);
+        self.rehash((self.ctrl.len() * 2).max(16));
+    }
+
+    /// Grows the table, once, so that `additional` more keys fit under
+    /// the 7/8 occupancy bound.
+    fn reserve(&mut self, additional: usize) {
+        if (self.occupied + additional) * 8 > self.ctrl.len() * 7 {
+            let needed = (self.len + additional) * 8 / 7 + 1;
+            self.rehash(needed.next_power_of_two().max(16));
+        }
+    }
+
+    /// Moves every key into a table of `new_cap` slots, dropping the
+    /// tombstones. The old slots are read in order, which is home-slot
+    /// order in the new table too, so the writes sweep it once.
+    fn rehash(&mut self, new_cap: usize) {
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![CTRL_EMPTY; new_cap]);
         let old_keys = std::mem::replace(&mut self.keys, vec![[0; 3]; new_cap]);
         self.len = 0;
@@ -1308,7 +1407,7 @@ impl KeySet {
         let mask = new_cap - 1;
         for (c, k) in old_ctrl.into_iter().zip(old_keys) {
             if c == CTRL_FULL {
-                let mut i = key_hash(k) as usize & mask;
+                let mut i = Self::home(key_hash(k), new_cap);
                 while self.ctrl[i] == CTRL_FULL {
                     i = (i + 1) & mask;
                 }
@@ -1660,6 +1759,69 @@ pub(crate) mod tests {
         let stats = rs.stats();
         assert_eq!(stats.tail, 0, "batch flushed straight into a run");
         assert!(stats.runs >= 1);
+    }
+
+    /// A batch dedupes as inserting its keys one at a time would, on
+    /// both sides of [`SLOT_ORDER_MIN`]: the same `added` list in the
+    /// same order, the same length, membership and scans. The batches
+    /// repeat keys within themselves and offer keys already present and
+    /// keys tombstoned inside a run.
+    #[test]
+    fn batch_dedupe_matches_single_inserts() {
+        for seed in [11u64, 12, 13] {
+            let mut next = splitmix(seed);
+            let mut batched = TripleStore::new(StorageBackend::SortedRuns);
+            let mut single = TripleStore::new(StorageBackend::SortedRuns);
+            let mut seen: Vec<IdTriple> = Vec::new();
+            let sizes = [
+                3 * SLOT_ORDER_MIN,
+                SLOT_ORDER_MIN - 1,
+                SLOT_ORDER_MIN,
+                40,
+                SLOT_ORDER_MIN + 1,
+                2 * SLOT_ORDER_MIN,
+            ];
+            for (round, &size) in sizes.iter().enumerate() {
+                let what = format!("seed {seed} round {round} ({size} keys)");
+                // Tombstone some run-resident keys on both sides.
+                if !seen.is_empty() {
+                    for _ in 0..200 {
+                        let victim = seen[next() as usize % seen.len()];
+                        assert_eq!(batched.remove(victim), single.remove(victim), "{what}");
+                    }
+                    assert!(batched.stats().tombstones > 0, "{what}: tombstones");
+                }
+                let mut batch: Vec<IdTriple> = Vec::with_capacity(size);
+                while batch.len() < size {
+                    let r = next();
+                    let triple = match r % 8 {
+                        // A key of this batch again.
+                        0 | 1 if !batch.is_empty() => batch[(r >> 8) as usize % batch.len()],
+                        // A key offered before: present, or tombstoned.
+                        2 | 3 if !seen.is_empty() => seen[(r >> 8) as usize % seen.len()],
+                        _ => t(
+                            ((r >> 8) % 5_000) as u32,
+                            ((r >> 24) % 6) as u32,
+                            ((r >> 32) % 40) as u32,
+                        ),
+                    };
+                    batch.push(triple);
+                }
+                let mut added = Vec::new();
+                batched.insert_batch(batch.iter().copied(), &mut added);
+                let expected: Vec<IdTriple> = batch
+                    .iter()
+                    .copied()
+                    .filter(|&t| single.insert(t))
+                    .collect();
+                assert_eq!(added, expected, "{what}: added");
+                assert_matches_oracle(&batched, &single, &what);
+                for &triple in batch.iter().chain(&seen) {
+                    assert_eq!(batched.contains(triple), single.contains(triple), "{what}");
+                }
+                seen.extend(batch);
+            }
+        }
     }
 
     /// A seeded SplitMix64 stream shared by the seeded sweeps.
