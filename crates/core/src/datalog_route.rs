@@ -13,7 +13,7 @@ use crate::equivalence::{ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::session::{Chased, ExecRoute, Plan};
 use crate::system::RdfPeerSystem;
-use rps_query::{GraphPatternQuery, JoinOrder, Semantics};
+use rps_query::{GraphPatternQuery, Semantics};
 use std::sync::Arc;
 
 /// Why a system cannot take the Datalog route.
@@ -101,7 +101,7 @@ impl DatalogEngine {
     /// over equivalence classes.
     pub fn answers(&self, query: &GraphPatternQuery) -> AnswerSet {
         let vars = crate::session::stream_vars(query);
-        Plan::chased(self.chased(), &self.index, query, JoinOrder::Auto)
+        Plan::chased(self.chased(), &self.index, query)
             .execute(vars, ExecRoute::Datalog, Semantics::Certain)
             .into_set()
     }

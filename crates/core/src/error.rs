@@ -4,8 +4,9 @@
 //! ways: panics (arity mismatches), `Option`s (budget overflows),
 //! bespoke error enums per layer (validation, mappings, Datalog
 //! compilation) and silent flags (`complete: false` on otherwise normal
-//! results). [`RpsError`] is the single surface the [`crate::Session`]
-//! façade reports all of them through.
+//! results). [`RpsError`] is the single surface the answering façades
+//! ([`crate::Session`] and the sessions it freezes into, the live and
+//! federated sessions) report all of them through.
 
 use crate::datalog_route::DatalogError;
 use crate::fault::FailureCause;
@@ -15,7 +16,7 @@ use rps_rdf::RdfError;
 use std::fmt;
 
 /// Everything that can go wrong while building a [`crate::Session`] or
-/// answering a query through it.
+/// answering a query through the session it freezes into.
 #[derive(Debug)]
 pub enum RpsError {
     /// The peer system failed validation (storage constraints, mapping
@@ -61,21 +62,17 @@ pub enum RpsError {
     /// that prepared it. Compiled plans reference their session's caches
     /// and dictionaries, so they are not transferable.
     SessionMismatch,
-    /// The compiled plan is too old to execute. Two layers raise this
-    /// with the same shape: a mutable [`crate::Session`] whose
-    /// configuration generation moved (via
-    /// [`crate::Session::config_mut`]) after the query was prepared, and
-    /// a [`crate::live::LiveSession`] whose writer has published more
-    /// epochs than the retention window keeps executable — a live plan
-    /// stays pinned to the epoch it was prepared against until the
-    /// writer's retention floor passes it. Re-prepare the query to pick
-    /// up the current generation/epoch. (Frozen sessions never raise
-    /// this — their configuration is immutable by construction.)
+    /// A live plan's epoch has left the retention window: the
+    /// [`crate::live::LiveSession`] writer has published more epochs
+    /// since the query was prepared than the window keeps executable. A
+    /// live plan stays pinned to the epoch it was prepared against until
+    /// the writer's retention floor passes it. Re-prepare the query to
+    /// pick up the current epoch. (Frozen sessions never raise this —
+    /// their substrate never changes.)
     StalePlan {
-        /// The configuration generation / epoch the plan was compiled
-        /// under.
+        /// The epoch the plan was prepared against.
         prepared: u32,
-        /// The session's current configuration generation / epoch.
+        /// The writer's current epoch.
         current: u32,
     },
     /// Live sessions answer from the incrementally maintained,
@@ -176,8 +173,8 @@ impl fmt::Display for RpsError {
             ),
             RpsError::StalePlan { prepared, current } => write!(
                 f,
-                "prepared query is stale: compiled under configuration generation \
-                 {prepared}, but the session is at generation {current}; re-prepare it"
+                "prepared query is stale: its epoch {prepared} has left the live writer's \
+                 retention window (the writer is at epoch {current}); re-prepare it"
             ),
             RpsError::PeerUnreachable {
                 peer,

@@ -22,7 +22,8 @@
 //!   Proposition 3 ([`rewriting`]),
 //! * a union-find fast path for equivalence saturation used as an
 //!   engineering ablation ([`equivalence`]),
-//! * the unified answering façade — [`session::Session`],
+//! * the unified answering façade — the [`session::Session`] builder
+//!   that freezes into the answering [`session::FrozenSession`],
 //!   [`session::PreparedQuery`], streaming [`session::AnswerStream`]
 //!   results and the typed [`error::RpsError`] — with SPARQL text on
 //!   every façade through the one glue in [`sparql`].
@@ -61,7 +62,7 @@ pub use live::{LivePlan, LiveReader, LiveSession, UpdateBatch};
 pub use mapping::{EquivalenceMapping, GraphMappingAssertion, MappingError};
 pub use peer::{Peer, PeerId, PeerValidationError};
 pub use rewriting::{RpsRewriter, RpsRewriting};
-pub use rps_query::{JoinOrder, SparqlError, SparqlResult, SparqlRows};
+pub use rps_query::{SparqlError, SparqlResult, SparqlRows};
 pub use session::{
     canonical_plan_key, next_session_id, AnswerStream, EngineConfig, ExecConfig, ExecRoute,
     FrozenSession, PlanCache, PlanCacheStats, PreparedQuery, Session, Strategy,

@@ -1,9 +1,8 @@
 //! Live updates under serving: incremental chase maintenance behind
 //! epoch-stamped immutable snapshots.
 //!
-//! The mutable [`crate::Session`] re-chases from scratch whenever the
-//! system changes, and the [`crate::FrozenSession`] forbids change
-//! altogether. This module fills the gap between them: a
+//! A [`crate::Session`] freezes one system once, and the
+//! [`crate::FrozenSession`] it freezes into forbids change altogether. This module fills the gap between them: a
 //! [`LiveSession`] owns the write side of a peer system and keeps its
 //! materialised universal solution *incrementally* maintained while
 //! any number of [`LiveReader`]s keep answering queries concurrently.
@@ -13,8 +12,7 @@
 //! Every committed update batch publishes a new **epoch**: an immutable
 //! snapshot holding the sealed universal solution and a fresh
 //! per-epoch plan cache. Publication is an atomic pointer swap behind an
-//! `RwLock<Arc<_>>`, generalising the configuration-generation check of
-//! the mutable session into real multi-version concurrency:
+//! `RwLock<Arc<_>>`, giving multi-version concurrency:
 //!
 //! - readers never block the writer and never observe a torn graph —
 //!   they either see epoch *N* or epoch *N+1*, complete in both cases;
@@ -88,7 +86,7 @@ use crate::session::{
 };
 use crate::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, JoinOrder, Semantics, SparqlResult, Variable};
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult, Variable};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -477,7 +475,7 @@ impl LiveReader {
         let plan = PlanCache::get_or_compile(&snapshot.plans, query, || {
             let graph = GraphHandle::Solution(snapshot.solution.clone());
             Ok::<_, RpsError>(CachedPlan {
-                plan: Plan::single(graph, query, JoinOrder::Auto, None),
+                plan: Plan::single(graph, query, None),
                 vars: stream_vars(query),
             })
         })?;
@@ -784,9 +782,14 @@ mod tests {
             .expect("applies");
         // Epoch 2: the floor (2 − 1 = 1) passed epoch 0.
         match reader.execute(&plan0) {
-            Err(RpsError::StalePlan { prepared, current }) => {
+            Err(err @ RpsError::StalePlan { prepared, current }) => {
                 assert_eq!(prepared, 0);
                 assert_eq!(current, 2);
+                assert_eq!(
+                    err.to_string(),
+                    "prepared query is stale: its epoch 0 has left the live writer's \
+                     retention window (the writer is at epoch 2); re-prepare it"
+                );
             }
             Err(other) => panic!("expected StalePlan, got {other}"),
             Ok(_) => panic!("expected StalePlan, got answers"),

@@ -1135,31 +1135,26 @@ mod tests {
         assert_eq!(rw.memo().len(), 4);
     }
 
+    /// One rewriter under tight, default, then tight budgets again: a
+    /// complete union memoised under the default budgets must not be
+    /// served to a budget that runs out.
     #[test]
-    fn budgets_are_part_of_the_memo_key() -> Result<(), RpsError> {
-        use crate::session::{EngineConfig, Session, Strategy};
-        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
-        let exhausted = |r| matches!(r, Err(RpsError::RewriteBudget { .. }));
-        // Too small for the expansion of `text` to finish.
+    fn budgets_are_part_of_the_memo_key() {
+        let sys = linear_system();
+        let rw = RpsRewriter::new(&sys);
+        // Too small for the expansion of the cast query to finish.
         let tight = RewriteConfig {
             max_cqs: 1,
             ..RewriteConfig::default()
         };
-        let config = EngineConfig::default().with_strategy(Strategy::Rewrite);
-        let expected = Session::open(
-            linear_system(),
-            config.clone().with_strategy(Strategy::Materialise),
-        )?
-        .answer_sparql(text)?;
-        assert_eq!(expected.rows().map(|r| r.rows.len()), Some(4));
-        let mut session = Session::open(linear_system(), config.with_rewrite(tight.clone()))?;
-        assert!(exhausted(session.answer_sparql(text)));
-        session.config_mut().rewrite = RewriteConfig::default();
-        assert_eq!(session.answer_sparql(text)?, expected);
-        // The complete union is memoised now; a budget that runs out
-        // must not be served it.
-        session.config_mut().rewrite = tight;
-        assert!(exhausted(session.answer_sparql(text)));
-        Ok(())
+        assert!(!memoised(&rw, &cast_query(), &tight).complete);
+        let complete = memoised(&rw, &cast_query(), &RewriteConfig::default());
+        assert!(complete.complete);
+        let sol = chase_system(&sys, &RpsChaseConfig::default());
+        let chased = crate::answers::certain_answers(&sol, &cast_query());
+        assert_eq!(executed(&rw, &cast_query(), &complete), chased.tuples);
+        assert_eq!(chased.len(), 4);
+        assert!(!memoised(&rw, &cast_query(), &tight).complete);
+        assert_eq!(rw.memo().len(), 2, "one entry per budget");
     }
 }

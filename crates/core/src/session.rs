@@ -1,17 +1,20 @@
-//! The unified answering API: [`Session`], [`PreparedQuery`] and
-//! [`AnswerStream`].
+//! The unified answering API: [`Session`], [`FrozenSession`],
+//! [`PreparedQuery`] and [`AnswerStream`].
 //!
 //! The RPS model has one conceptual operation — answer a conjunctive
 //! query over a peer system under a chosen strategy and semantics — and
-//! this module is its single façade. A [`Session`] owns a validated
-//! [`RdfPeerSystem`] plus an [`EngineConfig`] and caches every heavy
-//! artefact (universal solution, rewriter, Datalog least model) across
-//! queries. [`Session::prepare`] compiles a query **once** — route
-//! resolution, canonical UCQ rewriting, id-level plan compilation — into
-//! a [`PreparedQuery`] that [`Session::execute`] can run repeatedly.
-//! Results come back as a streaming [`AnswerStream`] that decodes
-//! id-level tuples lazily instead of materialising term vectors up
-//! front, and every failure is a typed [`RpsError`].
+//! this module is its façade. A [`Session`] is the builder: it owns a
+//! validated [`RdfPeerSystem`] plus an [`EngineConfig`], may chase the
+//! universal solution ahead of time ([`Session::universal_solution`]),
+//! and answers nothing itself. [`Session::freeze`] runs the remaining
+//! compile-phase work once and yields the [`FrozenSession`] that
+//! answers: [`FrozenSession::prepare`] compiles a query **once** —
+//! canonical UCQ rewriting or an id-level plan over the chased solution
+//! — into a shared [`PreparedQuery`] that [`FrozenSession::execute`]
+//! runs repeatedly, from any number of threads. Results come back as a
+//! streaming [`AnswerStream`] that decodes id-level tuples lazily
+//! instead of materialising term vectors up front, and every failure is
+//! a typed [`RpsError`].
 //!
 //! Everything below the façade runs on the `rps_rdf` triple store: the
 //! materialise route chases into a [`rps_rdf::Graph`] (sorted-run
@@ -56,7 +59,10 @@
 //!     .unwrap()
 //!     .build();
 //!
-//! let mut session = Session::open(system, EngineConfig::default()).unwrap();
+//! let session = Session::open(system, EngineConfig::default())
+//!     .unwrap()
+//!     .freeze()
+//!     .unwrap();
 //! let query = GraphPatternQuery::new(
 //!     vec![Variable::new("x"), Variable::new("y")],
 //!     GraphPattern::triple(
@@ -75,14 +81,10 @@
 
 use crate::answers::AnswerSet;
 use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
-use crate::datalog_route::DatalogEngine;
 use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
-use crate::rewriting::RpsRewriter;
 use crate::system::RdfPeerSystem;
-use rps_query::{
-    GraphPatternQuery, IdRows, JoinOrder, PreparedQueryIds, RowSink, Semantics, Variable,
-};
+use rps_query::{GraphPatternQuery, IdRows, PreparedQueryIds, RowSink, Semantics, Variable};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
@@ -151,8 +153,8 @@ pub struct EngineConfig {
     /// after the retries. Ignored by the local routes, like
     /// [`EngineConfig::retry`].
     pub failure: crate::fault::FailurePolicy,
-    /// Physical execution knobs: columnar compression of a frozen
-    /// solution's sealed runs, and the join-order policy.
+    /// Physical execution configuration: columnar compression of a frozen
+    /// solution's sealed runs.
     pub exec: ExecConfig,
 }
 
@@ -207,7 +209,7 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the physical execution knobs.
+    /// Overrides the physical execution configuration.
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
         self
@@ -218,29 +220,14 @@ impl EngineConfig {
 /// module actually touch the triple store. Orthogonal to the *answer*
 /// configuration ([`Strategy`], [`Semantics`], budgets): any setting
 /// here yields byte-identical answers — it only changes wall-clock time
-/// and resident bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// and resident bytes. (The join order is not a setting: the planner is
+/// cost-based on a sealed graph, which every frozen substrate is.)
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Encode a frozen solution's sealed runs as delta-varint columnar
     /// blocks when they are large enough to benefit. Off, freezing
     /// serves the one plain run per permutation the chase sealed.
     pub compress: bool,
-    /// Join-order policy for id-level plans. [`JoinOrder::Auto`] uses
-    /// the stats-driven cost model whenever the graph is sealed (and
-    /// therefore carries a [`rps_rdf::GraphStats`] snapshot), falling
-    /// back to the shape heuristic otherwise; the other variants force
-    /// one path for A/B comparison. Like every knob here, the choice
-    /// never changes answers — only the order conjuncts are probed in.
-    pub order: JoinOrder,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            compress: false,
-            order: JoinOrder::Auto,
-        }
-    }
 }
 
 impl ExecConfig {
@@ -250,12 +237,6 @@ impl ExecConfig {
             compress: self.compress,
             ..SealConfig::default()
         }
-    }
-
-    /// Whether freezing should physically reseal the solution graph
-    /// (compression requested).
-    pub fn wants_reseal(&self) -> bool {
-        self.compress
     }
 }
 
@@ -313,10 +294,9 @@ impl Plan {
     pub(crate) fn single(
         graph: GraphHandle,
         query: &GraphPatternQuery,
-        order: JoinOrder,
         classes: Option<Arc<ClassTable>>,
     ) -> Self {
-        let plan = PreparedQueryIds::compile_only_with(&graph, query, order);
+        let plan = PreparedQueryIds::compile_only(&graph, query);
         Plan {
             graph,
             branches: vec![(plan, Vec::new())],
@@ -331,12 +311,11 @@ impl Plan {
         (solution, classes): Chased,
         index: &EquivalenceIndex,
         query: &GraphPatternQuery,
-        order: JoinOrder,
     ) -> Self {
         let graph = GraphHandle::Solution(solution);
         match classes {
-            Some(_) => Plan::single(graph, &canonicalize_query(query, index), order, classes),
-            None => Plan::single(graph, query, order, None),
+            Some(_) => Plan::single(graph, &canonicalize_query(query, index), classes),
+            None => Plan::single(graph, query, None),
         }
     }
 
@@ -387,18 +366,13 @@ impl Plan {
     }
 }
 
-/// A query compiled once against a [`Session`] — route resolved,
+/// A query compiled once against a [`FrozenSession`] — route resolved,
 /// result semantics captured, rewriting expanded, id-level pattern plan
-/// built — and executable any number of times with [`Session::execute`]
-/// *on the session that prepared it* (compiled plans reference that
-/// session's caches; execution elsewhere returns
-/// [`RpsError::SessionMismatch`]).
+/// built — and executable any number of times with
+/// [`FrozenSession::execute`] *on the session that prepared it*
+/// (execution elsewhere returns [`RpsError::SessionMismatch`]).
 pub struct PreparedQuery {
     session_id: u64,
-    /// The session's configuration generation at prepare time; a later
-    /// [`Session::config_mut`] bumps the session's counter, making this
-    /// plan stale ([`RpsError::StalePlan`] at execute).
-    generation: u32,
     /// The projection variables, shared with every stream this plan
     /// produces.
     vars: Arc<[Variable]>,
@@ -416,18 +390,17 @@ impl PreparedQuery {
 
     /// `true` iff the `Auto` strategy attempted the rewrite route but
     /// the expansion exhausted its budgets, so this query was compiled
-    /// against the materialised solution instead. The answers are still
-    /// exact — this flag only explains the route change. An explicit
-    /// [`Strategy::Rewrite`] reports the same condition as the typed
-    /// [`RpsError::RewriteBudget`] instead of falling back.
+    /// against the universal solution chased before the freeze
+    /// ([`Session::universal_solution`]) instead. The answers are still
+    /// exact — this flag only explains the route change. Without such a
+    /// solution, and under an explicit [`Strategy::Rewrite`], the same
+    /// condition is the typed [`RpsError::RewriteBudget`].
     pub fn rewrite_fell_back(&self) -> bool {
         self.rewrite_fell_back
     }
 
-    /// The result semantics this query was compiled under. Captured at
-    /// prepare time; a later [`Session::config_mut`] call marks the plan
-    /// stale ([`RpsError::StalePlan`] at execute) rather than letting it
-    /// silently diverge from the active configuration.
+    /// The result semantics this query was compiled under: the frozen
+    /// session's, fixed at [`Session::freeze`].
     pub fn semantics(&self) -> Semantics {
         self.semantics
     }
@@ -580,114 +553,20 @@ pub(crate) fn var_names(vars: &[Variable]) -> Vec<String> {
     vars.iter().map(|v| v.name().to_string()).collect()
 }
 
-/// The one route → [`Plan`] body behind [`Session::prepare`] and
-/// [`FrozenSession::prepare`], which differ only in where the compile
-/// state comes from: the `rewriter` on the rewritten route, and `chased`
-/// yields the solution to plan against — the Datalog least model on that
-/// route, the universal solution otherwise; `Ok(None)` when there is
-/// none and none can be computed (a frozen session that froze without
-/// one). An incomplete rewriting is unsound to trust: it falls back to
-/// the solution (which is exact) unless the strategy is the explicit
-/// [`Strategy::Rewrite`] or there is no solution — then it is
-/// [`RpsError::RewriteBudget`].
-fn compile_query(
-    (id, generation): (u64, u32),
-    config: &EngineConfig,
-    index: &EquivalenceIndex,
-    route: ExecRoute,
-    query: &GraphPatternQuery,
-    rewriter: Option<&RpsRewriter>,
-    chased: impl FnOnce() -> Result<Option<Chased>, RpsError>,
-) -> Result<PreparedQuery, RpsError> {
-    let plan = |chased: Chased| Plan::chased(chased, index, query, config.exec.order);
-    let (route, rewrite_fell_back, plan) = match (route, rewriter) {
-        (ExecRoute::Rewritten, Some(rewriter)) => {
-            let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
-            if rewriting.complete {
-                (route, false, rewriter.plan(&rewriting))
-            } else {
-                // The explicit Rewrite strategy never falls back.
-                let fallback = match config.strategy {
-                    Strategy::Rewrite => None,
-                    _ => chased()?,
-                };
-                let Some(solution) = fallback else {
-                    return Err(RpsError::RewriteBudget {
-                        explored: rewriting.explored,
-                        max_depth: config.rewrite.max_depth,
-                        max_cqs: config.rewrite.max_cqs,
-                    });
-                };
-                (ExecRoute::Materialised, true, plan(solution))
-            }
-        }
-        // The chased routes. (The universal solution is exact whatever
-        // the route, should a caller ever come without its rewriter.)
-        _ => {
-            let solution = chased()?.expect("the caller holds a solution for this route");
-            let route = match route {
-                ExecRoute::Datalog => route,
-                _ => ExecRoute::Materialised,
-            };
-            (route, false, plan(solution))
-        }
-    };
-    Ok(PreparedQuery {
-        session_id: id,
-        generation,
-        vars: stream_vars(query),
-        route,
-        semantics: config.semantics,
-        rewrite_fell_back,
-        plan,
-    })
-}
-
-/// The one execute body behind [`Session::execute`] and
-/// [`FrozenSession::execute`]: the session-id / generation check, then
-/// the plan. A plan touches only the immutable data it carries, so the
-/// frozen session runs this concurrently from many threads.
-fn execute_prepared(
-    prepared: &PreparedQuery,
-    (id, generation): (u64, u32),
-) -> Result<AnswerStream, RpsError> {
-    if prepared.session_id != id {
-        return Err(RpsError::SessionMismatch);
-    }
-    if prepared.generation != generation {
-        return Err(RpsError::StalePlan {
-            prepared: prepared.generation,
-            current: generation,
-        });
-    }
-    Ok(prepared
-        .plan
-        .execute(prepared.vars.clone(), prepared.route, prepared.semantics))
-}
-
-/// The unified answering façade: one system, one configuration, cached
-/// heavy state, typed errors. See the [module docs](self) for an
-/// end-to-end example.
+/// The builder of the answering façade: one system, one configuration
+/// and, once [`Session::universal_solution`] has chased it, the
+/// universal solution. It answers nothing; [`Session::freeze`] turns it
+/// into the [`FrozenSession`] that does. See the [module docs](self)
+/// for an end-to-end example.
 pub struct Session {
-    id: u64,
     system: RdfPeerSystem,
     config: EngineConfig,
-    /// Bumped by every [`Session::config_mut`] call; prepared queries
-    /// are stamped with the generation they were compiled under, so a
-    /// post-prepare config change surfaces as [`RpsError::StalePlan`]
-    /// instead of silently executing a plan the new configuration would
-    /// not have produced.
-    generation: u32,
     /// Built once: the rewriter and the Datalog engine quotient by it,
     /// and every quotient plan canonicalises its query with it.
     eq_index: Arc<EquivalenceIndex>,
+    /// The universal solution, once a chase under the configured
+    /// budgets reached its fixpoint. An exhausted chase caches nothing.
     solution: Option<Arc<UniversalSolution>>,
-    /// The chase budgets the cached (possibly incomplete) solution was
-    /// computed under; a later budget change invalidates an incomplete
-    /// cache without re-chasing on every call under unchanged budgets.
-    solution_budgets: Option<RpsChaseConfig>,
-    rewriter: Option<RpsRewriter>,
-    datalog: Option<DatalogEngine>,
 }
 
 impl Session {
@@ -704,15 +583,10 @@ impl Session {
     pub fn new(system: RdfPeerSystem, config: EngineConfig) -> Self {
         let eq_index = Arc::new(EquivalenceIndex::from_mappings(system.equivalences()));
         Session {
-            id: next_session_id(),
             system,
             config,
-            generation: 0,
             eq_index,
             solution: None,
-            solution_budgets: None,
-            rewriter: None,
-            datalog: None,
         }
     }
 
@@ -721,27 +595,17 @@ impl Session {
         &self.system
     }
 
-    /// The active configuration.
+    /// The configuration [`Session::freeze`] will freeze.
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
 
-    /// Mutable access to the configuration. Changes apply to queries
-    /// prepared afterwards; queries prepared *before* the change are
-    /// marked stale and report [`RpsError::StalePlan`] when executed —
-    /// their compiled route, semantics and budgets may no longer match
-    /// the active configuration, and silently running them was a
-    /// long-standing footgun. Re-prepare after reconfiguring.
+    /// Mutable access to the configuration. Nothing has been compiled
+    /// yet, so a change simply applies to the session frozen later; a
+    /// cached universal solution is complete and stays valid whatever
+    /// the budgets become.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
-        self.generation += 1;
         &mut self.config
-    }
-
-    /// The current configuration generation (bumped by every
-    /// [`Session::config_mut`] call; prepared queries record the
-    /// generation they were compiled under).
-    pub fn config_generation(&self) -> u32 {
-        self.generation
     }
 
     /// The union-find index over the system's equivalence mappings.
@@ -749,180 +613,33 @@ impl Session {
         &self.eq_index
     }
 
-    /// The materialised universal solution, chasing on first use.
-    /// Returns [`RpsError::ChaseBudget`] if the chase could not reach a
-    /// fixpoint within the configured budgets — an incomplete solution is
-    /// unsound to answer over. An incomplete cached solution is not
-    /// sticky: after raising [`EngineConfig::chase`] the next call
-    /// re-runs the chase under the new budgets (retries under unchanged
-    /// budgets reuse the cached outcome instead of re-chasing).
+    /// The materialised universal solution, chasing on first use; a
+    /// solution chased here is the one [`Session::freeze`] serves (and,
+    /// under [`Strategy::Auto`], the one an exhausted rewriting falls
+    /// back to). Returns [`RpsError::ChaseBudget`] if the chase could
+    /// not reach a fixpoint within the configured budgets — an
+    /// incomplete solution is unsound to answer over, so it is not
+    /// cached: raise [`EngineConfig::chase`] and call again.
     pub fn universal_solution(&mut self) -> Result<Arc<UniversalSolution>, RpsError> {
-        materialise(
-            &self.system,
-            &self.config.chase,
-            &mut self.solution,
-            &mut self.solution_budgets,
-        )
-    }
-
-    /// The cached rewriter, built on first use.
-    fn rewriter(&mut self) -> &RpsRewriter {
-        self.rewriter
-            .get_or_insert_with(|| RpsRewriter::with_index(&self.system, self.eq_index.clone()))
-    }
-
-    /// Builds the cached Datalog engine — the chase of the quotient under
-    /// the current budgets — on first use. A run the budgets cut short is
-    /// [`RpsError::ChaseBudget`] and caches nothing.
-    fn datalog(&mut self) -> Result<(), RpsError> {
-        if self.datalog.is_none() {
-            let index = self.eq_index.clone();
-            let engine = DatalogEngine::with_index(&self.system, index, &self.config.chase)?;
-            self.datalog = Some(engine);
+        if let Some(solution) = &self.solution {
+            return Ok(solution.clone());
         }
-        Ok(())
-    }
-
-    /// Resolves the route a fresh preparation of a query would take.
-    fn resolve_route(&mut self) -> Result<ExecRoute, RpsError> {
-        let star = self.config.semantics == Semantics::Star;
-        match self.config.strategy {
-            Strategy::Materialise => Ok(ExecRoute::Materialised),
-            Strategy::Rewrite if star => Err(RpsError::StarNeedsMaterialisation),
-            Strategy::Datalog if star => Err(RpsError::StarNeedsMaterialisation),
-            Strategy::Rewrite => Ok(ExecRoute::Rewritten),
-            Strategy::Datalog => Ok(ExecRoute::Datalog),
-            Strategy::Auto => {
-                if !star && self.rewriter().fo_rewritable() {
-                    Ok(ExecRoute::Rewritten)
-                } else {
-                    Ok(ExecRoute::Materialised)
-                }
-            }
+        let solution = chase_system(&self.system, &self.config.chase);
+        if !solution.complete {
+            return Err(RpsError::ChaseBudget {
+                rounds: solution.stats.rounds,
+                triples: solution.graph.len(),
+            });
         }
+        Ok(self.solution.insert(Arc::new(solution)).clone())
     }
-
-    /// Compiles a query once — route resolution, canonical UCQ rewriting
-    /// (id-level, subsumption-pruned) and per-branch plan compilation
-    /// over the canonical stored graph, or an id-level plan against the
-    /// materialised solution — into a [`PreparedQuery`] for repeated
-    /// execution.
-    ///
-    /// An incomplete rewriting (budget exhaustion, non-FO-rewritable
-    /// mappings) is unsound to trust. Under the explicit
-    /// [`Strategy::Rewrite`] it is reported as the typed
-    /// [`RpsError::RewriteBudget`]; under [`Strategy::Auto`] preparation
-    /// falls back to the materialised route (which is exact) and records
-    /// the fact on [`PreparedQuery::rewrite_fell_back`].
-    pub fn prepare(&mut self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
-        let route = self.resolve_route()?;
-        match route {
-            ExecRoute::Rewritten => {
-                self.rewriter();
-            }
-            ExecRoute::Datalog => {
-                self.datalog()?;
-            }
-            _ => {}
-        }
-        let stamp = (self.id, self.generation);
-        // Split borrows: the solution cache is mutated lazily (it may
-        // chase) while the rewriter is read.
-        let Session {
-            system,
-            config,
-            eq_index,
-            solution,
-            solution_budgets,
-            rewriter,
-            datalog,
-            ..
-        } = self;
-        let chased = || match (route, datalog) {
-            (ExecRoute::Datalog, Some(engine)) => Ok(Some(engine.chased())),
-            _ => materialise(system, &config.chase, solution, solution_budgets)
-                .map(|solution| Some((solution, None))),
-        };
-        compile_query(
-            stamp,
-            config,
-            eq_index,
-            route,
-            query,
-            rewriter.as_ref(),
-            chased,
-        )
-    }
-
-    /// Executes a prepared query, returning a streaming answer iterator.
-    /// The query must have been prepared by *this* session
-    /// ([`RpsError::SessionMismatch`] otherwise) under the session's
-    /// *current* configuration ([`RpsError::StalePlan`] after a
-    /// [`Session::config_mut`] call — re-prepare first).
-    pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
-        execute_prepared(prepared, (self.id, self.generation))
-    }
-
-    /// Prepares and executes in one call. Prefer [`Session::prepare`] +
-    /// [`Session::execute`] when the same query runs repeatedly.
-    pub fn answer(&mut self, query: &GraphPatternQuery) -> Result<AnswerStream, RpsError> {
-        let prepared = self.prepare(query)?;
-        self.execute(&prepared)
-    }
-
-    /// Like [`Session::answer`], but drains the stream into an
-    /// [`AnswerSet`] and removes equivalence-induced redundancy
-    /// (Listing 1's "Result without redundancy").
-    pub fn answer_without_redundancy(
-        &mut self,
-        query: &GraphPatternQuery,
-    ) -> Result<AnswerSet, RpsError> {
-        let set = self.answer(query)?.into_set();
-        Ok(set.without_redundancy(&self.eq_index))
-    }
-
-    /// The Example 3 decision procedure through the façade: is `tuple` a
-    /// certain answer of `query`? A malformed tuple is
-    /// [`RpsError::Arity`].
-    pub fn is_certain_answer(
-        &mut self,
-        query: &GraphPatternQuery,
-        tuple: &[Term],
-    ) -> Result<bool, RpsError> {
-        let cfg = self.config.rewrite.clone();
-        self.rewriter().is_certain_answer(query, tuple, &cfg)
-    }
-}
-
-/// [`Session::universal_solution`] over the session's fields, so
-/// [`Session::prepare`] can borrow the rewriter alongside. `budgets` is
-/// what the cached solution was chased under: only a budget *change*
-/// re-chases an incomplete one.
-fn materialise(
-    system: &RdfPeerSystem,
-    chase: &RpsChaseConfig,
-    cache: &mut Option<Arc<UniversalSolution>>,
-    budgets: &mut Option<RpsChaseConfig>,
-) -> Result<Arc<UniversalSolution>, RpsError> {
-    if cache.as_ref().is_some_and(|s| !s.complete) && budgets.as_ref() != Some(chase) {
-        *cache = None;
-    }
-    let sol = cache.get_or_insert_with(|| {
-        *budgets = Some(chase.clone());
-        Arc::new(chase_system(system, chase))
-    });
-    if !sol.complete {
-        return Err(RpsError::ChaseBudget {
-            rounds: sol.stats.rounds,
-            triples: sol.graph.len(),
-        });
-    }
-    Ok(sol.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answers::certain_answers;
+    use crate::rewriting::RpsRewriter;
     use crate::system::RpsBuilder;
     use crate::PeerId;
     use rps_query::{GraphPattern, TermOrVar, Variable};
@@ -976,22 +693,24 @@ mod tests {
         )
     }
 
+    fn frozen(system: RdfPeerSystem, config: EngineConfig) -> Result<FrozenSession, RpsError> {
+        Session::open(system, config)?.freeze()
+    }
+
     #[test]
-    fn routes_agree_on_linear_system() {
+    fn routes_agree_on_linear_system() -> Result<(), RpsError> {
         let sys = linear_system();
-        let mut mat = Session::open(
+        let mat = frozen(
             sys.clone(),
             EngineConfig::default().with_strategy(Strategy::Materialise),
-        )
-        .unwrap();
-        let mut rew = Session::open(
+        )?;
+        let rew = frozen(
             sys,
             EngineConfig::default().with_strategy(Strategy::Rewrite),
-        )
-        .unwrap();
-        let m = mat.answer(&cast_query()).unwrap();
+        )?;
+        let m = mat.answer(&cast_query())?;
         assert_eq!(m.route(), ExecRoute::Materialised);
-        let r = rew.answer(&cast_query()).unwrap();
+        let r = rew.answer(&cast_query())?;
         assert_eq!(r.route(), ExecRoute::Rewritten);
         let m = m.into_set();
         assert_eq!(m.tuples, r.into_set().tuples);
@@ -999,37 +718,39 @@ mod tests {
         assert!(m
             .tuples
             .contains(&vec![Term::iri("http://a/f1"), Term::iri("http://b/p2")]));
+        Ok(())
     }
 
     #[test]
-    fn prepared_queries_execute_repeatedly() {
-        let mut s = Session::open(linear_system(), EngineConfig::default()).unwrap();
-        let prepared = s.prepare(&cast_query()).unwrap();
+    fn prepared_queries_execute_repeatedly() -> Result<(), RpsError> {
+        let s = frozen(linear_system(), EngineConfig::default())?;
+        let prepared = s.prepare(&cast_query())?;
         assert_eq!(prepared.route(), ExecRoute::Rewritten);
-        assert!(prepared.branch_count().unwrap() >= 2);
-        let first = s.execute(&prepared).unwrap().into_set();
-        let second = s.execute(&prepared).unwrap().into_set();
+        assert!(prepared.branch_count().is_some_and(|n| n >= 2));
+        let first = s.execute(&prepared)?.into_set();
+        let second = s.execute(&prepared)?.into_set();
         assert_eq!(first.tuples, second.tuples);
         assert_eq!(first.len(), 4);
+        Ok(())
     }
 
     #[test]
-    fn stream_is_lazy_and_exact_sized() {
-        let mut s = Session::open(
+    fn stream_is_lazy_and_exact_sized() -> Result<(), RpsError> {
+        let s = frozen(
             linear_system(),
             EngineConfig::default().with_strategy(Strategy::Materialise),
-        )
-        .unwrap();
-        let mut stream = s.answer(&cast_query()).unwrap();
+        )?;
+        let mut stream = s.answer(&cast_query())?;
         let n = stream.len();
         assert_eq!(n, 4);
         assert!(stream.next().is_some());
         assert_eq!(stream.len(), n - 1);
         assert_eq!(stream.vars(), &[Variable::new("x"), Variable::new("y")]);
+        Ok(())
     }
 
     #[test]
-    fn chase_budget_is_a_typed_error() {
+    fn chase_budget_is_a_typed_error() -> Result<(), RpsError> {
         let sys = crate::datalog_route::tests_support::transitive_system(12);
         let mut s = Session::new(
             sys,
@@ -1041,21 +762,30 @@ mod tests {
                     ..RpsChaseConfig::default()
                 }),
         );
-        let err = s.answer(&crate::datalog_route::tests_support::edge_query());
-        assert!(matches!(err, Err(RpsError::ChaseBudget { .. })));
-        // The incomplete solution is not sticky: raising the budget and
-        // retrying re-chases and succeeds, as the error message advises.
+        // An exhausted chase is an error every time and caches nothing…
+        for _ in 0..2 {
+            assert!(matches!(
+                s.universal_solution(),
+                Err(RpsError::ChaseBudget { .. })
+            ));
+        }
+        // …so raising the budget and retrying re-chases and succeeds, as
+        // the error message advises, and the frozen session serves it.
         s.config_mut().chase = RpsChaseConfig::default();
+        let solution = s.universal_solution()?;
+        assert!(solution.complete);
         let stream = s
-            .answer(&crate::datalog_route::tests_support::edge_query())
-            .unwrap();
+            .freeze()?
+            .answer(&crate::datalog_route::tests_support::edge_query())?;
         assert_eq!(stream.len(), 13 * 12 / 2);
+        Ok(())
     }
 
     #[test]
-    fn exhausted_rewrite_budget_is_typed_and_auto_falls_back() {
+    fn exhausted_rewrite_budget_is_typed_and_auto_falls_back() -> Result<(), RpsError> {
         // A zero-depth budget makes even a linear system's rewriting
-        // non-exhaustive. Explicit Rewrite reports the typed error…
+        // non-exhaustive. Explicit Rewrite reports the typed error, even
+        // with a solution chased before the freeze…
         let tiny = RewriteConfig {
             max_depth: 0,
             max_cqs: 10,
@@ -1065,104 +795,59 @@ mod tests {
             EngineConfig::default()
                 .with_strategy(Strategy::Rewrite)
                 .with_rewrite(tiny.clone()),
-        )
-        .unwrap();
+        )?;
+        strict.universal_solution()?;
         assert!(matches!(
-            strict.prepare(&cast_query()),
+            strict.freeze()?.prepare(&cast_query()),
             Err(RpsError::RewriteBudget { .. })
         ));
-        // …while Auto falls back to the (exact) materialised route and
-        // records why the route changed.
-        let mut auto =
-            Session::open(linear_system(), EngineConfig::default().with_rewrite(tiny)).unwrap();
-        let prepared = auto.prepare(&cast_query()).unwrap();
+        // …while Auto falls back to the (exact) solution chased before the
+        // freeze and records why the route changed.
+        let mut auto = Session::open(linear_system(), EngineConfig::default().with_rewrite(tiny))?;
+        auto.universal_solution()?;
+        let auto = auto.freeze()?;
+        let prepared = auto.prepare(&cast_query())?;
         assert_eq!(prepared.route(), ExecRoute::Materialised);
         assert!(prepared.rewrite_fell_back());
-        assert_eq!(auto.execute(&prepared).unwrap().len(), 4);
+        assert_eq!(auto.execute(&prepared)?.len(), 4);
         // A normally-budgeted preparation does not set the flag.
-        let mut ok = Session::open(linear_system(), EngineConfig::default()).unwrap();
-        let prepared = ok.prepare(&cast_query()).unwrap();
+        let ok = frozen(linear_system(), EngineConfig::default())?;
+        let prepared = ok.prepare(&cast_query())?;
         assert!(!prepared.rewrite_fell_back());
         assert_eq!(prepared.route(), ExecRoute::Rewritten);
+        Ok(())
     }
 
     #[test]
-    fn foreign_prepared_queries_are_rejected() {
+    fn foreign_prepared_queries_are_rejected() -> Result<(), RpsError> {
         let sys = linear_system();
-        let mut a = Session::open(sys.clone(), EngineConfig::default()).unwrap();
-        let mut b = Session::open(sys, EngineConfig::default()).unwrap();
-        let prepared = a.prepare(&cast_query()).unwrap();
+        let a = frozen(sys.clone(), EngineConfig::default())?;
+        let b = frozen(sys, EngineConfig::default())?;
+        let prepared = a.prepare(&cast_query())?;
         assert!(matches!(
             b.execute(&prepared),
             Err(RpsError::SessionMismatch)
         ));
-        // The owning session still executes it fine.
-        assert_eq!(a.execute(&prepared).unwrap().len(), 4);
+        // The owning session, and any clone of it, still executes it.
+        assert_eq!(a.execute(&prepared)?.len(), 4);
+        assert_eq!(a.clone().execute(&prepared)?.len(), 4);
+        Ok(())
     }
 
     #[test]
-    fn config_changes_stale_prepared_plans() {
-        let mut s = Session::open(
-            linear_system(),
-            EngineConfig::default()
-                .with_strategy(Strategy::Materialise)
-                .with_semantics(Semantics::Star),
-        )
-        .unwrap();
-        let prepared = s.prepare(&cast_query()).unwrap();
-        assert_eq!(prepared.semantics(), Semantics::Star);
-        let star = s.execute(&prepared).unwrap().into_set();
-        // Mutating the config after prepare marks the plan stale:
-        // executing it is a typed error instead of silently running a
-        // plan the new configuration would not have produced (the old
-        // footgun).
-        s.config_mut().semantics = Semantics::Certain;
-        assert_eq!(s.config_generation(), 1);
-        assert!(matches!(
-            s.execute(&prepared),
-            Err(RpsError::StalePlan {
-                prepared: 0,
-                current: 1
-            })
-        ));
-        // A fresh preparation picks up the new semantics and executes.
-        let certain = s.answer(&cast_query()).unwrap().into_set();
-        assert!(certain.tuples.is_subset(&star.tuples));
-        assert!(certain.len() < star.len() || certain.tuples == star.tuples);
-    }
-
-    #[test]
-    fn frozen_session_executes_all_routes() {
+    fn frozen_session_executes_all_routes() -> Result<(), RpsError> {
+        let solution = chase_system(&linear_system(), &RpsChaseConfig::default());
+        let expected = certain_answers(&solution, &cast_query());
         for strategy in [Strategy::Materialise, Strategy::Rewrite, Strategy::Auto] {
-            let mut seq = Session::open(
+            let frozen = frozen(
                 linear_system(),
                 EngineConfig::default().with_strategy(strategy),
-            )
-            .unwrap();
-            let expected = seq.answer(&cast_query()).unwrap().into_set();
-            let frozen = Session::open(
-                linear_system(),
-                EngineConfig::default().with_strategy(strategy),
-            )
-            .unwrap()
-            .freeze()
-            .unwrap();
-            let prepared = frozen.prepare(&cast_query()).unwrap();
-            let got = frozen.execute(&prepared).unwrap().into_set();
+            )?;
+            let prepared = frozen.prepare(&cast_query())?;
+            let got = frozen.execute(&prepared)?.into_set();
             assert_eq!(got.tuples, expected.tuples, "{strategy:?}");
         }
-    }
-
-    #[test]
-    fn freeze_preserves_prefrozen_prepared_queries() {
-        let mut s = Session::open(linear_system(), EngineConfig::default()).unwrap();
-        let prepared = s.prepare(&cast_query()).unwrap();
-        let before = s.execute(&prepared).unwrap().into_set();
-        let frozen = s.freeze().unwrap();
-        // Plans carry their substrate; identity and generation carry
-        // over, so the pre-freeze plan still runs.
-        let after = frozen.execute(&prepared).unwrap().into_set();
-        assert_eq!(before.tuples, after.tuples);
+        Ok(())
     }
 
     #[test]
@@ -1238,59 +923,61 @@ mod tests {
     }
 
     #[test]
-    fn datalog_route_handles_non_fo_systems() {
+    fn datalog_route_handles_non_fo_systems() -> Result<(), RpsError> {
         let sys = crate::datalog_route::tests_support::transitive_system(10);
-        let mut s = Session::new(
+        let query = crate::datalog_route::tests_support::edge_query();
+        let datalog = Session::new(
             sys.clone(),
             EngineConfig::default().with_strategy(Strategy::Datalog),
-        );
-        let stream = s
-            .answer(&crate::datalog_route::tests_support::edge_query())
-            .unwrap();
+        )
+        .freeze()?;
+        let stream = datalog.answer(&query)?;
         assert_eq!(stream.route(), ExecRoute::Datalog);
         let datalog = stream.into_set();
-        let mut mat = Session::new(
+        let mat = Session::new(
             sys,
             EngineConfig::default().with_strategy(Strategy::Materialise),
-        );
-        let chased = mat
-            .answer(&crate::datalog_route::tests_support::edge_query())
-            .unwrap()
-            .into_set();
+        )
+        .freeze()?;
+        let chased = mat.answer(&query)?.into_set();
         assert_eq!(datalog.tuples, chased.tuples);
         assert_eq!(datalog.len(), 55);
+        Ok(())
     }
 
     #[test]
-    fn star_semantics_requires_materialisation() {
+    fn star_semantics_requires_materialisation() -> Result<(), RpsError> {
         let cfg = EngineConfig::default()
             .with_strategy(Strategy::Rewrite)
             .with_semantics(Semantics::Star);
-        let mut s = Session::open(linear_system(), cfg).unwrap();
         assert!(matches!(
-            s.prepare(&cast_query()),
+            frozen(linear_system(), cfg.clone()),
             Err(RpsError::StarNeedsMaterialisation)
         ));
         // Auto silently picks the materialised route instead.
+        let mut s = Session::open(linear_system(), cfg)?;
         s.config_mut().strategy = Strategy::Auto;
-        let prepared = s.prepare(&cast_query()).unwrap();
+        let prepared = s.freeze()?.prepare(&cast_query())?;
         assert_eq!(prepared.route(), ExecRoute::Materialised);
+        Ok(())
     }
 
     #[test]
     fn arity_mismatch_is_a_typed_error() {
-        let mut s = Session::open(linear_system(), EngineConfig::default()).unwrap();
+        let rewriter = RpsRewriter::new(&linear_system());
+        let budgets = RewriteConfig::default();
         assert!(matches!(
-            s.is_certain_answer(&cast_query(), &[Term::iri("http://a/f1")]),
+            rewriter.is_certain_answer(&cast_query(), &[Term::iri("http://a/f1")], &budgets),
             Err(RpsError::Arity {
                 expected: 2,
                 got: 1
             })
         ));
-        assert!(s
+        assert!(rewriter
             .is_certain_answer(
                 &cast_query(),
-                &[Term::iri("http://b/f2"), Term::iri("http://a/p1")]
+                &[Term::iri("http://b/f2"), Term::iri("http://a/p1")],
+                &budgets
             )
             .unwrap());
     }

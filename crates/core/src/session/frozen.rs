@@ -1,16 +1,14 @@
-//! The shared half of the prepare-mutable / execute-shared split:
+//! The answering half of the configure / answer split:
 //! [`FrozenSession`].
 //!
-//! A [`Session`] is deliberately mutable — it chases,
-//! rewrites and compiles into caches behind `&mut self` — which makes it
-//! structurally single-user: one long compile blocks every other query,
-//! and nothing can be shared across threads. Freezing a session
-//! ([`Session::freeze`]) runs the remaining
-//! compile-phase work **once** — materialising (and sealing) the
-//! universal solution where the strategy needs it, building the
+//! A [`Session`] is the builder: it holds a system and a configuration
+//! and answers nothing, so nothing it holds can change under a prepared
+//! plan. Freezing it ([`Session::freeze`]) runs the compile-phase work
+//! **once** — materialising (and sealing) the universal solution where
+//! the strategy needs it, or taking the one
+//! [`Session::universal_solution`] already chased, building the
 //! rewriter, chasing the quotient to the Datalog least model — and moves
-//! the result
-//! into an `Arc`-backed, `Send + Sync` handle on which
+//! the result into an `Arc`-backed, `Send + Sync` handle on which
 //! [`FrozenSession::prepare`] and [`FrozenSession::execute`] take `&self`
 //! and run concurrently from any number of threads.
 //!
@@ -49,7 +47,7 @@
 //!     ),
 //! );
 //!
-//! // Compile-phase work happens behind `&mut self`, then `freeze`
+//! // The builder configures; `freeze` runs the compile phase and
 //! // produces a Send + Sync handle shared across threads by reference.
 //! let frozen = Session::open(system, EngineConfig::default())
 //!     .unwrap()
@@ -74,9 +72,10 @@
 //! ```
 
 use super::{
-    compile_query, execute_prepared, next_session_id, AnswerStream, EngineConfig, ExecRoute,
+    next_session_id, stream_vars, AnswerStream, Chased, EngineConfig, ExecRoute, Plan,
     PreparedQuery, Session, Strategy,
 };
+use crate::answers::AnswerSet;
 use crate::chase::{RpsChaseStats, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
 use crate::equivalence::EquivalenceIndex;
@@ -385,32 +384,33 @@ fn plan_key_len(query: &GraphPatternQuery) -> usize {
     4 * query.arity() + 1 + body
 }
 
+/// What a plan miss compiles against, fixed at [`Session::freeze`].
+enum Compiler {
+    /// The rewritten route: the rewriter, and the universal solution
+    /// chased before the freeze, which an exhausted rewriting falls back
+    /// to under [`Strategy::Auto`]. Compiled plans carry their own `Arc`
+    /// of the rewriter's sealed canonical graph and execute without it.
+    Rewriter(Box<RpsRewriter>, Option<Arc<UniversalSolution>>),
+    /// A chased route: the sealed universal solution (materialised), or
+    /// the least model of the equivalence quotient and its classes
+    /// (Datalog).
+    Chased(Chased),
+}
+
 /// The shared, immutable state behind every clone of a [`FrozenSession`].
 struct FrozenInner {
-    /// Inherited from the freezing session, so queries prepared *before*
-    /// the freeze still execute here.
     id: u64,
-    generation: u32,
     config: EngineConfig,
     eq_index: Arc<EquivalenceIndex>,
     /// Where every fresh preparation goes — resolved once, at freeze (the
     /// configuration and the FO-rewritability verdict never change).
     route: ExecRoute,
-    /// The sealed universal solution — present on the materialised route,
-    /// and as the `Auto` fallback when one was chased before the freeze.
-    solution: Option<Arc<UniversalSolution>>,
-    /// The compiler of the rewritten route (`Some` exactly there).
-    /// Compiled plans carry their own `Arc` of its sealed canonical
-    /// graph and execute without it.
-    compiler: Option<RpsRewriter>,
-    /// The Datalog engine, its model chased and sealed (`Some` exactly
-    /// on that route).
-    datalog: Option<DatalogEngine>,
+    compiler: Compiler,
     cache: Mutex<PlanCache<PreparedQuery>>,
 }
 
-/// A `Send + Sync` answering handle over a frozen
-/// [`Session`]: [`prepare`](FrozenSession::prepare) and
+/// The `Send + Sync` answering handle a [`Session`] freezes into:
+/// [`prepare`](FrozenSession::prepare) and
 /// [`execute`](FrozenSession::execute) take `&self` and run concurrently
 /// from many threads, with a bounded plan cache in front of the compile
 /// phase. Cloning is an `Arc` bump — clones share the cache and all
@@ -442,23 +442,23 @@ impl Session {
     ///
     /// * strategies that can route to the materialised plan
     ///   ([`Strategy::Materialise`], and [`Strategy::Auto`] when
-    ///   rewriting is not guaranteed perfect) chase now and seal the
-    ///   universal solution ([`RpsError::ChaseBudget`] on exhaustion);
+    ///   rewriting is not guaranteed perfect) chase now — or take the
+    ///   solution [`Session::universal_solution`] already chased — and
+    ///   seal the universal solution ([`RpsError::ChaseBudget`] on
+    ///   exhaustion);
     /// * the rewrite route's compiler is built now, so the first
     ///   concurrent `prepare` pays only its own query's expansion;
     /// * [`Strategy::Datalog`] chases the quotient to the least model
     ///   now, under the session's budgets ([`RpsError::ChaseBudget`] on
     ///   exhaustion, [`RpsError::NotDatalog`] on an existential mapping).
     ///
-    /// Queries prepared *before* the freeze keep working on the frozen
-    /// session — plans carry their substrate, and the session identity
-    /// and configuration generation carry over. One behavioural
-    /// difference from the mutable path: under [`Strategy::Auto`] with
-    /// FO-rewritable mappings no solution is materialised, so a
-    /// rewriting that exhausts its budgets reports
-    /// [`RpsError::RewriteBudget`] instead of lazily chasing a fallback
-    /// (a frozen session cannot start a chase). Raise the budgets or
-    /// freeze under [`Strategy::Materialise`] if that can matter.
+    /// A frozen session never starts a chase. Under [`Strategy::Auto`]
+    /// with FO-rewritable mappings nothing is materialised, so a
+    /// rewriting that exhausts its budgets falls back only to a solution
+    /// chased through [`Session::universal_solution`] before the freeze,
+    /// and is [`RpsError::RewriteBudget`] otherwise. Chase first, raise
+    /// the budgets, or freeze under [`Strategy::Materialise`] if that
+    /// can matter.
     pub fn freeze(self) -> Result<FrozenSession, RpsError> {
         self.freeze_with_cache_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
     }
@@ -469,53 +469,64 @@ impl Session {
         mut self,
         capacity: usize,
     ) -> Result<FrozenSession, RpsError> {
-        // Also rejects `Q*` off the materialised route.
-        let route = self.resolve_route()?;
-        if route == ExecRoute::Materialised {
-            self.universal_solution()?;
-        }
-        // Off the materialised route, keep an already-complete cached
-        // solution (from pre-freeze preparations) as the Auto fallback
-        // substrate. Taken out of the session either way, so the
-        // session's own handle does not pin it below.
-        let solution = self.solution.take().filter(|s| s.complete);
-        // Frozen sessions serve reads only, so this is the moment to
-        // pick the physical layout. By default that is the one plain run
-        // per permutation the chase sealed, untouched; under
-        // `ExecConfig::compress` the runs are re-encoded columnar — in
-        // place when the session was the solution's only owner, on a
-        // copy when a live `PreparedQuery` still pins it. Answers are
-        // unaffected: both forms scan byte-identically.
-        let solution = match solution {
-            Some(mut arc) if self.config.exec.wants_reseal() => {
-                let sol = Arc::make_mut(&mut arc);
-                sol.graph.seal_with(&self.config.exec.seal_config());
-                Some(arc)
+        let star = self.config.semantics == Semantics::Star;
+        let build = || RpsRewriter::with_index(&self.system, self.eq_index.clone());
+        // `Some` exactly on the rewritten route.
+        let rewriter = match self.config.strategy {
+            Strategy::Rewrite | Strategy::Datalog if star => {
+                return Err(RpsError::StarNeedsMaterialisation)
             }
-            other => other,
+            Strategy::Rewrite => Some(build()),
+            Strategy::Auto if !star => Some(build()).filter(RpsRewriter::fo_rewritable),
+            _ => None,
         };
-        let datalog = if route == ExecRoute::Datalog {
-            self.datalog()?;
-            self.datalog.take()
-        } else {
-            None
+        // Frozen sessions serve reads only, so this is the moment to pick
+        // the physical layout. By default that is the one plain run per
+        // permutation the chase sealed, untouched; under
+        // `ExecConfig::compress` the runs are re-encoded columnar — in
+        // place when the session was the solution's only owner, on a copy
+        // when a caller of `universal_solution` still holds it. Answers
+        // are unaffected: both forms scan byte-identically.
+        let exec = self.config.exec;
+        let seal = move |mut solution: Arc<UniversalSolution>| {
+            if exec.compress {
+                Arc::make_mut(&mut solution)
+                    .graph
+                    .seal_with(&exec.seal_config());
+            }
+            solution
         };
-        let compiler = if route == ExecRoute::Rewritten {
-            self.rewriter();
-            self.rewriter.take()
-        } else {
-            None
+        let (route, compiler) = match rewriter {
+            Some(rewriter) => {
+                let fallback = self.solution.take().map(seal);
+                (
+                    ExecRoute::Rewritten,
+                    Compiler::Rewriter(Box::new(rewriter), fallback),
+                )
+            }
+            None if self.config.strategy == Strategy::Datalog => {
+                let index = self.eq_index.clone();
+                let engine = DatalogEngine::with_index(&self.system, index, &self.config.chase)?;
+                (ExecRoute::Datalog, Compiler::Chased(engine.chased()))
+            }
+            None => {
+                let solution = self.universal_solution()?;
+                // Out of the session, so its own handle does not pin the
+                // solution while it is resealed.
+                self.solution = None;
+                (
+                    ExecRoute::Materialised,
+                    Compiler::Chased((seal(solution), None)),
+                )
+            }
         };
         Ok(FrozenSession {
             inner: Arc::new(FrozenInner {
-                id: self.id,
-                generation: self.generation,
+                id: next_session_id(),
                 config: self.config,
                 eq_index: self.eq_index,
                 route,
-                solution,
                 compiler,
-                datalog,
                 cache: Mutex::new(PlanCache::new(capacity)),
             }),
         })
@@ -550,6 +561,14 @@ impl FrozenSession {
     /// that skip route resolution, rewriting and plan compilation
     /// entirely.
     ///
+    /// An incomplete rewriting (budget exhaustion, non-FO-rewritable
+    /// mappings) is unsound to trust. Under [`Strategy::Auto`] it falls
+    /// back to a universal solution chased before the freeze, if there
+    /// is one, and records the fact on
+    /// [`PreparedQuery::rewrite_fell_back`]; otherwise, and always under
+    /// the explicit [`Strategy::Rewrite`], it is the typed
+    /// [`RpsError::RewriteBudget`].
+    ///
     /// Cache-hit note: the projection variable *names* on executed
     /// streams are those of the first-prepared representative of the
     /// α-equivalence class; answer tuples are identical for every member
@@ -558,39 +577,56 @@ impl FrozenSession {
         PlanCache::get_or_compile(&self.inner.cache, query, || self.compile(query))
     }
 
-    /// A plan-cache miss: the shared [`compile_query`] over the frozen
-    /// compile state. Only the rewritten route has a compiler, and the
-    /// frozen-in solution (if any; the Datalog engine's on that route)
-    /// is the only one there will ever be — a frozen session cannot
-    /// start a chase.
+    /// A plan-cache miss: the route → [`Plan`] compile over the frozen
+    /// compile state, which is all there will ever be — a frozen session
+    /// cannot start a chase.
     fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let inner = &*self.inner;
-        let chased = || match &inner.datalog {
-            Some(engine) => Ok(Some(engine.chased())),
-            None => Ok(inner.solution.clone().map(|solution| (solution, None))),
+        let config = &inner.config;
+        let chased = |chased: Chased| Plan::chased(chased, &inner.eq_index, query);
+        let (route, rewrite_fell_back, plan) = match &inner.compiler {
+            Compiler::Chased(solution) => (inner.route, false, chased(solution.clone())),
+            Compiler::Rewriter(rewriter, fallback) => {
+                let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
+                match fallback {
+                    _ if rewriting.complete => (inner.route, false, rewriter.plan(&rewriting)),
+                    // The explicit Rewrite strategy never falls back.
+                    Some(solution) if config.strategy == Strategy::Auto => {
+                        let plan = chased((solution.clone(), None));
+                        (ExecRoute::Materialised, true, plan)
+                    }
+                    _ => {
+                        return Err(RpsError::RewriteBudget {
+                            explored: rewriting.explored,
+                            max_depth: config.rewrite.max_depth,
+                            max_cqs: config.rewrite.max_cqs,
+                        })
+                    }
+                }
+            }
         };
-        compile_query(
-            (inner.id, inner.generation),
-            &inner.config,
-            &inner.eq_index,
-            inner.route,
-            query,
-            inner.compiler.as_ref(),
-            chased,
-        )
+        Ok(PreparedQuery {
+            session_id: inner.id,
+            vars: stream_vars(query),
+            route,
+            semantics: config.semantics,
+            rewrite_fell_back,
+            plan,
+        })
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
-    /// Lock-free on every route (plans carry their sealed substrate).
-    /// Accepts queries prepared by
-    /// this frozen session
-    /// *or* by the mutable session it was frozen from
-    /// ([`RpsError::SessionMismatch`] for anything else;
-    /// [`RpsError::StalePlan`] if the plan predates the last pre-freeze
-    /// [`Session::config_mut`]).
+    /// Lock-free on every route: a plan touches only the immutable,
+    /// sealed substrate it carries. The query must have been prepared by
+    /// this frozen session (or a clone of it):
+    /// [`RpsError::SessionMismatch`] otherwise.
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
-        let inner = &*self.inner;
-        execute_prepared(prepared, (inner.id, inner.generation))
+        if prepared.session_id != self.inner.id {
+            return Err(RpsError::SessionMismatch);
+        }
+        Ok(prepared
+            .plan
+            .execute(prepared.vars.clone(), prepared.route, prepared.semantics))
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one
@@ -600,14 +636,32 @@ impl FrozenSession {
         self.execute(&prepared)
     }
 
+    /// Like [`FrozenSession::answer`], but drains the stream into an
+    /// [`AnswerSet`] and removes equivalence-induced redundancy
+    /// (Listing 1's "Result without redundancy").
+    pub fn answer_without_redundancy(
+        &self,
+        query: &GraphPatternQuery,
+    ) -> Result<AnswerSet, RpsError> {
+        let set = self.answer(query)?.into_set();
+        Ok(set.without_redundancy(&self.inner.eq_index))
+    }
+
+    /// The universal solution this session holds: the materialised
+    /// route's substrate, or the rewritten route's `Auto` fallback.
+    fn solution(&self) -> Option<&Arc<UniversalSolution>> {
+        match &self.inner.compiler {
+            Compiler::Rewriter(_, fallback) => fallback.as_ref(),
+            Compiler::Chased((solution, None)) => Some(solution),
+            Compiler::Chased((_, Some(_))) => None,
+        }
+    }
+
     /// Physical storage counters of the frozen universal solution
     /// (run/tail shape plus the durability counters), or `None` when the
     /// session's route carries no materialised solution.
     pub fn storage_stats(&self) -> Option<rps_rdf::StorageStats> {
-        self.inner
-            .solution
-            .as_ref()
-            .map(|s| s.graph.storage_stats())
+        self.solution().map(|s| s.graph.storage_stats())
     }
 
     /// Persists this frozen session into `dir` so [`FrozenSession::open`]
@@ -631,21 +685,16 @@ impl FrozenSession {
     pub fn persist(&self, dir: impl AsRef<Path>) -> Result<(), RpsError> {
         let dir = dir.as_ref();
         let route = self.inner.route;
-        if route != ExecRoute::Materialised {
+        let (ExecRoute::Materialised, Compiler::Chased((solution, _))) =
+            (route, &self.inner.compiler)
+        else {
             return Err(RpsError::Persist {
                 detail: format!(
                     "only the materialised route persists; this session resolves to {route:?} \
                      (freeze under Strategy::Materialise)"
                 ),
             });
-        }
-        let solution = self
-            .inner
-            .solution
-            .as_ref()
-            .ok_or_else(|| RpsError::Persist {
-                detail: "session carries no materialised solution".to_string(),
-            })?;
+        };
         std::fs::create_dir_all(dir)
             .map_err(|e| RdfError::io(format!("create session directory {}", dir.display()), &e))?;
         solution.graph.persist(dir.join("solution"))?;
@@ -809,17 +858,17 @@ impl FrozenSession {
         Ok(FrozenSession {
             inner: Arc::new(FrozenInner {
                 id: next_session_id(),
-                generation: 0,
                 config,
                 eq_index: Arc::new(EquivalenceIndex::from_mappings(&mappings)),
                 route: ExecRoute::Materialised,
-                solution: Some(Arc::new(UniversalSolution {
-                    graph,
-                    stats,
-                    complete,
-                })),
-                compiler: None,
-                datalog: None,
+                compiler: Compiler::Chased((
+                    Arc::new(UniversalSolution {
+                        graph,
+                        stats,
+                        complete,
+                    }),
+                    None,
+                )),
                 cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),
         })
@@ -864,7 +913,7 @@ fn unescape_field(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cast_query, linear_system};
-    use super::super::{ExecConfig, Strategy};
+    use super::super::ExecConfig;
     use super::*;
 
     /// Where the solution lives: one resealed in place keeps its
@@ -875,7 +924,9 @@ mod tests {
     }
 
     fn frozen_solution_at(frozen: &FrozenSession) -> *const UniversalSolution {
-        solution_at(frozen.inner.solution.as_deref().expect("materialised"))
+        frozen
+            .solution()
+            .map_or(std::ptr::null(), |s| solution_at(s))
     }
 
     /// An insert hands back what the map let go of, for the caller to
@@ -904,10 +955,7 @@ mod tests {
     fn freeze_reseals_a_solely_owned_solution_in_place() -> Result<(), RpsError> {
         let config = EngineConfig::default()
             .with_strategy(Strategy::Materialise)
-            .with_exec(ExecConfig {
-                compress: true,
-                ..ExecConfig::default()
-            });
+            .with_exec(ExecConfig { compress: true });
         let mut session = Session::open(linear_system(), config.clone())?;
         let before = solution_at(&*session.universal_solution()?);
         let frozen = session.freeze()?;
@@ -917,14 +965,18 @@ mod tests {
             "the session was the only owner"
         );
 
-        // Pinned by a live prepared query, the solution is copied and the
-        // query still runs over the one it holds.
+        // Held by the caller, the solution is copied, and the caller's
+        // copy still answers as the frozen one does.
         let mut session = Session::open(linear_system(), config)?;
-        let prepared = session.prepare(&cast_query())?;
-        let before = solution_at(&*session.universal_solution()?);
+        let held = session.universal_solution()?;
         let frozen = session.freeze()?;
-        assert_ne!(frozen_solution_at(&frozen), before, "both copies are alive");
-        assert_eq!(frozen.execute(&prepared)?.len(), 4);
+        assert_ne!(
+            frozen_solution_at(&frozen),
+            solution_at(&held),
+            "both copies are alive"
+        );
+        let expected = crate::answers::certain_answers(&held, &cast_query());
+        assert_eq!(frozen.answer(&cast_query())?.into_set(), expected);
         Ok(())
     }
 }

@@ -11,9 +11,8 @@
 //! because the tail is shared and deterministic, the same query text
 //! answers byte-identically on every façade and route.
 //!
-//! **Late materialisation.** On every local route ([`Session`],
-//! [`FrozenSession`], [`crate::LiveReader`]; materialised, rewritten or
-//! Datalog) a lowered CQ answers with undecoded id rows over one sealed
+//! **Late materialisation.** On every local route ([`FrozenSession`],
+//! [`crate::LiveReader`]; materialised, rewritten or Datalog) a lowered CQ answers with undecoded id rows over one sealed
 //! graph — equivalence classes already expanded — and when a statement's
 //! CQs all index that one graph's dictionary the tail runs on those ids:
 //! joins, filters, DISTINCT, ordering and LIMIT all happen before a
@@ -31,7 +30,7 @@
 
 use crate::error::RpsError;
 use crate::session::frozen::{FrozenSession, PlanCache};
-use crate::session::{AnswerStream, PreparedQuery, Session};
+use crate::session::{AnswerStream, PreparedQuery};
 use rps_query::sparql::LoweredSparql;
 use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
 use rps_rdf::PrefixMap;
@@ -128,56 +127,14 @@ pub fn execute_sparql_with<P>(
     })
 }
 
-impl Session {
-    /// Compiles a SPARQL SELECT/ASK query for repeated execution (see
-    /// [`prepare_sparql_with`] for the subset and the error contract).
-    ///
-    /// ```
-    /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
-    ///
-    /// let mut p = PeerId(0);
-    /// let system = RpsBuilder::new()
-    ///     .peer_turtle(
-    ///         "A",
-    ///         "<http://a/f1> <http://a/cast> <http://a/p1> .",
-    ///         &mut p,
-    ///     )
-    ///     .unwrap()
-    ///     .build();
-    /// let mut session = Session::open(system, EngineConfig::default()).unwrap();
-    ///
-    /// let prepared = session
-    ///     .prepare_sparql("SELECT ?f ?who WHERE { ?f <http://a/cast> ?who }")
-    ///     .unwrap();
-    /// let result = session.execute_sparql(&prepared).unwrap();
-    /// let rows = result.rows().unwrap();
-    /// assert_eq!(rows.vars, ["f", "who"]);
-    /// assert_eq!(rows.rows.len(), 1);
-    /// ```
-    pub fn prepare_sparql(&mut self, text: &str) -> Result<PreparedSparql, RpsError> {
-        prepare_sparql_with(text, |cq| self.prepare(cq).map(Arc::new))
-    }
-
-    /// Executes a prepared SPARQL query through [`Session::execute`].
-    pub fn execute_sparql(&mut self, prepared: &PreparedSparql) -> Result<SparqlResult, RpsError> {
-        execute_sparql_with(prepared, |plan| self.execute(plan))
-    }
-
-    /// Parses, prepares and executes in one call. Prefer
-    /// [`Session::prepare_sparql`] + [`Session::execute_sparql`] when
-    /// the same query runs repeatedly.
-    pub fn answer_sparql(&mut self, text: &str) -> Result<SparqlResult, RpsError> {
-        let prepared = self.prepare_sparql(text)?;
-        self.execute_sparql(&prepared)
-    }
-}
-
 impl FrozenSession {
-    /// [`Session::prepare_sparql`] on a frozen session: a text seen
-    /// before (byte for byte) comes back whole from the plan cache's
-    /// statement front — no lexing, parsing, lowering or per-CQ lookup;
-    /// a new text takes each lowered CQ through the bounded plan cache,
-    /// so hot conjunctive plans are shared across texts and threads.
+    /// Compiles a SPARQL SELECT/ASK query for repeated execution (see
+    /// [`prepare_sparql_with`] for the subset and the error contract). A
+    /// text seen before (byte for byte) comes back whole from the plan
+    /// cache's statement front — no lexing, parsing, lowering or per-CQ
+    /// lookup; a new text takes each lowered CQ through the bounded plan
+    /// cache, so hot conjunctive plans are shared across texts and
+    /// threads.
     ///
     /// ```
     /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -195,6 +152,14 @@ impl FrozenSession {
     ///     .unwrap()
     ///     .freeze()
     ///     .unwrap();
+    ///
+    /// let prepared = frozen
+    ///     .prepare_sparql("SELECT ?f ?who WHERE { ?f <http://a/cast> ?who }")
+    ///     .unwrap();
+    /// let result = frozen.execute_sparql(&prepared).unwrap();
+    /// let rows = result.rows().unwrap();
+    /// assert_eq!(rows.vars, ["f", "who"]);
+    /// assert_eq!(rows.rows.len(), 1);
     ///
     /// let ok = frozen
     ///     .answer_sparql("ASK { ?f <http://a/cast> ?who }")

@@ -21,9 +21,11 @@
 //!   answer dictionary — the term-level path survives as a benchmark
 //!   baseline;
 //! * [`service`] — the full prototype pipeline behind the
-//!   [`service::FederatedSession`] façade (rewrite once → prepare once →
-//!   federate repeatedly), sharing `rps_core`'s `Session` vocabulary
-//!   (`EngineConfig`, `AnswerStream`, `ExecRoute`, `RpsError`);
+//!   [`service::FederatedSession`] builder and the
+//!   [`service::FrozenFederatedSession`] it freezes into (rewrite once →
+//!   prepare once → federate repeatedly), sharing `rps_core`'s `Session`
+//!   vocabulary (`EngineConfig`, `AnswerStream`, `ExecRoute`,
+//!   `RpsError`);
 //! * [`wire`] — the length-prefixed wire format every transport (and the
 //!   simulator's byte accounting) shares;
 //! * [`transport`] — the pluggable peer-exchange layer: a perfect

@@ -3,21 +3,21 @@
 //! the rewriting federatedly over the sources.
 //!
 //! [`FederatedSession`] is the federated counterpart of
-//! [`rps_core::Session`], sharing its vocabulary: it is built from an
-//! [`RdfPeerSystem`] plus an [`EngineConfig`], compiles a query **once**
-//! with [`FederatedSession::prepare`] (canonical UCQ rewriting + id-level
-//! federation plan) into a [`PreparedFederatedQuery`], executes it any
-//! number of times, streams answers through
-//! [`rps_core::AnswerStream`], and reports failures as
+//! [`rps_core::Session`], sharing its vocabulary: a builder over an
+//! [`RdfPeerSystem`] plus an [`EngineConfig`] (and a cost model and a
+//! transport) that answers nothing itself. [`FederatedSession::freeze`]
+//! yields the shareable [`FrozenFederatedSession`], which compiles a
+//! query **once** with [`FrozenFederatedSession::prepare`] (canonical
+//! UCQ rewriting + id-level federation plan) into a
+//! [`PreparedFederatedQuery`], executes it any number of times, streams
+//! answers through [`rps_core::AnswerStream`], and reports failures as
 //! [`rps_core::RpsError`]. SPARQL text rides the same pipeline through
-//! the one glue in [`rps_core::sparql`]. Freezing yields the shareable
-//! [`FrozenFederatedSession`]; both façades answer through one private
-//! `FedCore`.
+//! the one glue in [`rps_core::sparql`].
 
 use crate::federation::{FederatedEngine, FederationReport, FederationStats, PreparedFederation};
 use crate::network::{CostModel, SimNetwork};
 use crate::transport::{SimTransport, Transport};
-use rps_core::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
+use rps_core::sparql::{execute_sparql_with, PreparedSparql};
 use rps_core::{
     next_session_id, AnswerStream, EngineConfig, ExecRoute, PlanCache, PlanCacheStats,
     RdfPeerSystem, RpsError, RpsRewriter,
@@ -25,17 +25,14 @@ use rps_core::{
 use rps_query::{GraphPatternQuery, Semantics, SparqlResult, Variable};
 use std::sync::{Arc, Mutex};
 
-/// A query compiled once against a [`FederatedSession`]: the canonical
-/// UCQ rewriting is expanded and every branch is routed, constant-
-/// resolved and id-compiled for repeated federated execution — on the
-/// session that prepared it (the compiled plan's term ids belong to that
-/// session's answer dictionary; execution elsewhere returns
+/// A query compiled once against a [`FrozenFederatedSession`]: the
+/// canonical UCQ rewriting is expanded and every branch is routed,
+/// constant-resolved and id-compiled for repeated federated execution —
+/// on the session that prepared it (the compiled plan's term ids belong
+/// to that session's answer dictionary; execution elsewhere returns
 /// [`RpsError::SessionMismatch`]).
 pub struct PreparedFederatedQuery {
     session_id: u64,
-    /// The session's configuration generation at prepare time (see
-    /// [`FederatedSession::config_mut`]).
-    generation: u32,
     query: GraphPatternQuery,
     /// The projection variables, shared with every stream.
     vars: Arc<[Variable]>,
@@ -75,17 +72,12 @@ pub struct FederatedAnswer {
     pub report: FederationReport,
 }
 
-/// What both federated façades answer through. Immutable after
-/// construction apart from the mutable session's builder methods and the
-/// rewriter's expansion memo, so frozen executes touch it lock-free from
-/// any number of threads, and a prepare locks only for the memo's probe.
+/// What the federated façades are built from and answer through.
+/// Immutable once frozen apart from the rewriter's expansion memo, so
+/// executes touch it lock-free from any number of threads, and a
+/// prepare locks only for the memo's probe.
 struct FedCore {
     id: u64,
-    /// Bumped by [`FederatedSession::config_mut`]; prepared queries are
-    /// stamped with it so post-prepare config changes surface as
-    /// [`RpsError::StalePlan`] instead of executing silently-stale
-    /// plans.
-    generation: u32,
     /// Preparation carries unknown constants in the plan instead of
     /// interning them, so the engine never mutates.
     engine: FederatedEngine,
@@ -103,15 +95,11 @@ struct FedCore {
 
 impl FedCore {
     /// `rewrite → branches → prepare_branches`. The federated pipeline
-    /// computes certain answers; requesting the `Q*` semantics is a
-    /// configuration error ([`RpsError::StarNeedsMaterialisation`]). A
+    /// computes certain answers (freezing refuses the `Q*` semantics). A
     /// rewriting that exhausts its budgets before reaching a fixpoint is
     /// unsound to federate — there is no materialised fallback out here
     /// — so it is the typed [`RpsError::RewriteBudget`].
     fn prepare(&self, query: &GraphPatternQuery) -> Result<PreparedFederatedQuery, RpsError> {
-        if self.config.semantics == Semantics::Star {
-            return Err(RpsError::StarNeedsMaterialisation);
-        }
         let rewriting = self.rewriter.rewrite_canonical(query, &self.config.rewrite);
         if !rewriting.complete {
             return Err(RpsError::RewriteBudget {
@@ -123,7 +111,6 @@ impl FedCore {
         let branches = rewriting.branches();
         Ok(PreparedFederatedQuery {
             session_id: self.id,
-            generation: self.generation,
             query: query.clone(),
             vars: query.free_vars().into(),
             prepared: self.engine.prepare_branches(&branches),
@@ -144,12 +131,6 @@ impl FedCore {
     ) -> Result<FederatedAnswer, RpsError> {
         if prepared.session_id != self.id {
             return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != self.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: self.generation,
-            });
         }
         let mut net = SimNetwork::new();
         let (canon_ids, stats, report) = self.engine.execute_parallel_with(
@@ -173,9 +154,10 @@ impl FedCore {
     }
 }
 
-/// The federated answering façade: rewrite against the quotient system
-/// once, federate the id-compiled branches over the canonical peer
-/// stores, expand the answers back over the equivalence classes.
+/// The builder of the federated answering façade: it rewrites against
+/// the quotient system, federates the id-compiled branches over the
+/// canonical peer stores and expands the answers back over the
+/// equivalence classes — once frozen ([`FederatedSession::freeze`]).
 pub struct FederatedSession {
     core: FedCore,
 }
@@ -197,7 +179,6 @@ impl FederatedSession {
         FederatedSession {
             core: FedCore {
                 id: next_session_id(),
-                generation: 0,
                 engine,
                 rewriter,
                 config,
@@ -230,52 +211,20 @@ impl FederatedSession {
         self.core.engine.peer_graphs()
     }
 
-    /// The active configuration.
+    /// The configuration [`FederatedSession::freeze`] will freeze.
     pub fn config(&self) -> &EngineConfig {
         &self.core.config
     }
 
-    /// Mutable access to the configuration. Applies to queries prepared
-    /// afterwards; queries prepared *before* the change become stale and
-    /// report [`RpsError::StalePlan`] at execute — re-prepare them.
+    /// Mutable access to the configuration, which applies to the
+    /// session frozen later.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
-        self.core.generation += 1;
         &mut self.core.config
     }
 
     /// `true` iff Proposition 2 guarantees the rewriting is perfect.
     pub fn fo_rewritable(&self) -> bool {
         self.core.rewriter.fo_rewritable()
-    }
-
-    /// Compiles a query once for repeated federated execution: canonical
-    /// UCQ rewriting, branch decoding, per-pattern routing, per-peer
-    /// constant resolution and head-template interning all happen here.
-    /// `Q*` semantics and an exhausted rewriting budget are typed errors
-    /// ([`RpsError::StarNeedsMaterialisation`],
-    /// [`RpsError::RewriteBudget`]).
-    pub fn prepare(
-        &mut self,
-        query: &GraphPatternQuery,
-    ) -> Result<PreparedFederatedQuery, RpsError> {
-        self.core.prepare(query)
-    }
-
-    /// Executes a prepared query (sequentially; see
-    /// [`FrozenFederatedSession::execute`] for the threaded fan-out). The
-    /// query must have been prepared by *this* session
-    /// ([`RpsError::SessionMismatch`] otherwise — its term ids belong to
-    /// this session's answer dictionary).
-    pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
-        self.core.execute(prepared, 1)
-    }
-
-    /// Prepares and executes in one call. Prefer
-    /// [`FederatedSession::prepare`] + [`FederatedSession::execute`] when
-    /// the same query runs repeatedly.
-    pub fn answer(&mut self, query: &GraphPatternQuery) -> Result<FederatedAnswer, RpsError> {
-        let prepared = self.prepare(query)?;
-        self.execute(&prepared)
     }
 
     /// Freezes this session into a shareable [`FrozenFederatedSession`]
@@ -303,34 +252,6 @@ impl FederatedSession {
             }),
         })
     }
-
-    /// Compiles a SPARQL SELECT/ASK query (the subset documented in
-    /// `rps_query::sparql`) for repeated federated execution: each
-    /// lowered conjunctive query is rewritten, routed and id-compiled
-    /// through [`FederatedSession::prepare`], and execution assembles
-    /// the streams with the same tail as the local session types (the
-    /// federated tuples are interned into a scratch dictionary first) —
-    /// so the federated route answers byte-identically.
-    pub fn prepare_sparql(
-        &mut self,
-        text: &str,
-    ) -> Result<PreparedSparql<Arc<PreparedFederatedQuery>>, RpsError> {
-        prepare_sparql_with(text, |cq| self.prepare(cq).map(Arc::new))
-    }
-
-    /// Executes a prepared SPARQL query over the federation.
-    pub fn execute_sparql(
-        &self,
-        prepared: &PreparedSparql<Arc<PreparedFederatedQuery>>,
-    ) -> Result<SparqlResult, RpsError> {
-        execute_sparql_with(prepared, |plan| self.execute(plan).map(|a| a.stream))
-    }
-
-    /// Parses, prepares and executes in one call.
-    pub fn answer_sparql(&mut self, text: &str) -> Result<SparqlResult, RpsError> {
-        let prepared = self.prepare_sparql(text)?;
-        self.execute_sparql(&prepared)
-    }
 }
 
 /// The shared state behind every clone of a [`FrozenFederatedSession`].
@@ -339,18 +260,18 @@ struct FrozenFedInner {
     cache: Mutex<PlanCache<PreparedFederatedQuery>>,
 }
 
-/// The federated counterpart of `rps_core::FrozenSession`: a
-/// `Send + Sync` handle over a frozen [`FederatedSession`] on which
+/// The federated counterpart of `rps_core::FrozenSession`: the
+/// `Send + Sync` handle a [`FederatedSession`] freezes into, on which
 /// [`prepare`](FrozenFederatedSession::prepare) and
 /// [`execute`](FrozenFederatedSession::execute) take `&self` and run
 /// concurrently, with the same bounded plan cache (plans keyed on the
 /// canonical numbered-variable query, SPARQL statements on their
-/// text). `execute` additionally fans the
-/// prepared UNION branches out across OS threads
-/// (`std::thread::scope`), merging the per-branch id-level answer sets,
-/// statistics and traffic traces deterministically in branch order —
-/// answers are byte-identical to the sequential session's. Cloning is
-/// an `Arc` bump.
+/// text). `execute` fans the prepared UNION branches out across OS
+/// threads (`std::thread::scope`), merging the per-branch id-level
+/// answer sets, statistics and traffic traces deterministically in
+/// branch order — answers are byte-identical to the sequential walk's
+/// ([`FrozenFederatedSession::execute_with_threads`] with one thread).
+/// Cloning is an `Arc` bump.
 #[derive(Clone)]
 pub struct FrozenFederatedSession {
     inner: Arc<FrozenFedInner>,
@@ -382,10 +303,12 @@ impl FrozenFederatedSession {
         PlanCache::lock(&self.inner.cache).stats()
     }
 
-    /// Compiles a query — or returns the cached plan of an α-equivalent
-    /// one. Same contract as [`FederatedSession::prepare`]: an exhausted
-    /// rewriting budget is the typed [`RpsError::RewriteBudget`] (a
-    /// truncated union is never cached).
+    /// Compiles a query once for repeated federated execution — or
+    /// returns the cached plan of an α-equivalent one. Canonical UCQ
+    /// rewriting, branch decoding, per-pattern routing, per-peer
+    /// constant resolution and head-template interning all happen on a
+    /// miss. An exhausted rewriting budget is the typed
+    /// [`RpsError::RewriteBudget`] (a truncated union is never cached).
     pub fn prepare(
         &self,
         query: &GraphPatternQuery,
@@ -395,9 +318,10 @@ impl FrozenFederatedSession {
     }
 
     /// Executes a prepared query with the branch fan-out spread over up
-    /// to [`rps_rdf::host_parallelism`] OS threads. Accepts queries
-    /// prepared by this frozen session or by the mutable session it was
-    /// frozen from.
+    /// to [`rps_rdf::host_parallelism`] OS threads. The query must have
+    /// been prepared by this frozen session ([`RpsError::SessionMismatch`]
+    /// otherwise — its term ids belong to this session's answer
+    /// dictionary).
     pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
         self.execute_with_threads(prepared, rps_rdf::host_parallelism())
     }
@@ -420,11 +344,14 @@ impl FrozenFederatedSession {
         self.execute(&prepared)
     }
 
-    /// [`FederatedSession::prepare_sparql`] on a frozen federated
-    /// session: a repeated text comes back whole from the plan cache's
-    /// statement front; a new one takes every lowered CQ through the
-    /// bounded plan cache, so hot SPARQL queries reuse their compiled
-    /// federated plans either way.
+    /// Compiles a SPARQL SELECT/ASK query (the subset documented in
+    /// `rps_query::sparql`) for repeated federated execution: a repeated
+    /// text comes back whole from the plan cache's statement front; a
+    /// new one takes every lowered CQ through the bounded plan cache.
+    /// Execution assembles the streams with the same tail as the local
+    /// sessions (the federated tuples are interned into a scratch
+    /// dictionary first), so the federated route answers
+    /// byte-identically.
     pub fn prepare_sparql(
         &self,
         text: &str,
@@ -500,12 +427,18 @@ mod tests {
         )
     }
 
+    fn frozen(sys: &RdfPeerSystem, config: EngineConfig) -> FrozenFederatedSession {
+        FederatedSession::open(sys, config)
+            .and_then(FederatedSession::freeze)
+            .expect("the linear system freezes")
+    }
+
     #[test]
     fn service_matches_materialised_answers() {
         let sys = linear_system();
-        let mut session = FederatedSession::new(&sys, EngineConfig::default());
+        let session = FederatedSession::new(&sys, EngineConfig::default());
         assert!(session.fo_rewritable());
-        let result = session.answer(&cast_query()).unwrap();
+        let result = session.freeze().unwrap().answer(&cast_query()).unwrap();
         assert!(result.branches >= 2);
         assert!(result.stats.messages > 0);
         assert!(result.makespan_ms > 0.0);
@@ -516,8 +449,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_are_independent() {
-        let sys = linear_system();
-        let mut session = FederatedSession::new(&sys, EngineConfig::default());
+        let session = frozen(&linear_system(), EngineConfig::default());
         let r1 = session.answer(&cast_query()).unwrap();
         let r2 = session.answer(&cast_query()).unwrap();
         assert_eq!(r1.stats, r2.stats);
@@ -527,12 +459,12 @@ mod tests {
     #[test]
     fn session_prepares_once_and_executes_repeatedly() {
         let sys = linear_system();
-        let mut session = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
+        let session = frozen(&sys, EngineConfig::default());
         let prepared = session.prepare(&cast_query()).unwrap();
         assert!(prepared.branch_count() >= 2);
-        let first = session.execute(&prepared).unwrap();
+        let first = session.execute_with_threads(&prepared, 1).unwrap();
         assert_eq!(first.stream.route(), ExecRoute::Federated);
-        let second = session.execute(&prepared).unwrap();
+        let second = session.execute_with_threads(&prepared, 1).unwrap();
         assert_eq!(first.stats, second.stats);
         let a = first.stream.into_set();
         let b = second.stream.into_set();
@@ -544,8 +476,8 @@ mod tests {
     #[test]
     fn foreign_prepared_queries_are_rejected() {
         let sys = linear_system();
-        let mut a = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
-        let b = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
+        let a = frozen(&sys, EngineConfig::default());
+        let b = frozen(&sys, EngineConfig::default());
         let prepared = a.prepare(&cast_query()).unwrap();
         // Executing against another session's answer dictionary would
         // silently mistranslate ids; it must error instead.
@@ -561,19 +493,15 @@ mod tests {
         // Transitive closure is not FO-rewritable (Proposition 3): a
         // bounded expansion can never be exhaustive. Prepare reports that
         // as the typed budget error instead of federating a truncated
-        // union, mutable and frozen alike.
+        // union, on a miss and again on the retry (nothing is cached).
         let sys = rps_lodgen::chain::transitive_system(6);
         let rewrite = RewriteConfig {
             max_depth: 3,
             max_cqs: 10_000,
         };
-        let cfg = EngineConfig::default().with_rewrite(rewrite.clone());
-        let mut session = FederatedSession::open(&sys, cfg).unwrap();
+        let session = frozen(&sys, EngineConfig::default().with_rewrite(rewrite.clone()));
         let query = rps_lodgen::chain::edge_query();
-        for err in [
-            session.prepare(&query).err(),
-            session.freeze().unwrap().prepare(&query).err(),
-        ] {
+        for err in [session.prepare(&query).err(), session.prepare(&query).err()] {
             match err {
                 Some(RpsError::RewriteBudget {
                     explored,
@@ -588,76 +516,53 @@ mod tests {
         }
     }
 
+    /// One federated rewriter under tight, default, then tight budgets
+    /// again: a complete union memoised under the default budgets must
+    /// not be served to a budget that runs out.
     #[test]
-    fn budgets_are_part_of_the_rewriters_memo_key() -> Result<(), RpsError> {
-        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
-        let exhausted = |r| matches!(r, Err(RpsError::RewriteBudget { .. }));
+    fn budgets_are_part_of_the_rewriters_memo_key() {
+        let session = FederatedSession::open(&linear_system(), EngineConfig::default()).unwrap();
+        let rewriter = &session.core.rewriter;
         let tight = RewriteConfig {
             max_cqs: 1,
             ..RewriteConfig::default()
         };
-        let cfg = EngineConfig::default().with_rewrite(tight.clone());
-        let mut session = FederatedSession::open(&linear_system(), cfg)?;
-        assert!(exhausted(session.answer_sparql(text)));
-        session.config_mut().rewrite = RewriteConfig::default();
-        let complete = session.answer_sparql(text)?;
-        assert_eq!(complete.rows().map(|r| r.rows.len()), Some(4));
-        // The complete union is memoised now; a budget that runs out
-        // must not be served it.
-        session.config_mut().rewrite = tight;
-        assert!(exhausted(session.answer_sparql(text)));
-        Ok(())
+        assert!(!rewriter.rewrite_canonical(&cast_query(), &tight).complete);
+        let complete = rewriter.rewrite_canonical(&cast_query(), &RewriteConfig::default());
+        assert!(complete.complete);
+        assert!(complete.len() >= 2);
+        assert!(!rewriter.rewrite_canonical(&cast_query(), &tight).complete);
+        // The frozen session, under the default budgets, federates that
+        // complete union.
+        let frozen = session.freeze().unwrap();
+        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
+        let rows = frozen.answer_sparql(text).unwrap();
+        assert_eq!(rows.rows().map(|r| r.rows.len()), Some(4));
     }
 
     #[test]
     fn star_semantics_is_rejected() {
-        let sys = linear_system();
+        // `Q*` has no federated route: the configuration is rejected at
+        // freeze time.
         let cfg = EngineConfig::default().with_semantics(Semantics::Star);
-        let mut session = FederatedSession::open(&sys, cfg.clone()).unwrap();
         assert!(matches!(
-            session.prepare(&cast_query()),
+            FederatedSession::open(&linear_system(), cfg)
+                .unwrap()
+                .freeze(),
             Err(RpsError::StarNeedsMaterialisation)
         ));
-        // A frozen session rejects the configuration at freeze time.
-        assert!(matches!(
-            FederatedSession::open(&sys, cfg).unwrap().freeze(),
-            Err(RpsError::StarNeedsMaterialisation)
-        ));
-    }
-
-    #[test]
-    fn config_changes_stale_federated_plans() {
-        let sys = linear_system();
-        let mut session = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
-        let prepared = session.prepare(&cast_query()).unwrap();
-        session.config_mut().rewrite = RewriteConfig::default();
-        assert!(matches!(
-            session.execute(&prepared),
-            Err(RpsError::StalePlan {
-                prepared: 0,
-                current: 1
-            })
-        ));
-        let reprepared = session.prepare(&cast_query()).unwrap();
-        assert!(!session
-            .execute(&reprepared)
-            .unwrap()
-            .stream
-            .into_set()
-            .is_empty());
     }
 
     #[test]
     fn frozen_federated_matches_sequential_session() {
         let sys = linear_system();
-        let mut seq = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
-        let expected = seq.answer(&cast_query()).unwrap();
+        let seq = frozen(&sys, EngineConfig::default());
+        let expected = seq
+            .execute_with_threads(&seq.prepare(&cast_query()).unwrap(), 1)
+            .unwrap();
         let expected_tuples = expected.stream.into_set().tuples;
 
-        let frozen = FederatedSession::open(&sys, EngineConfig::default())
-            .unwrap()
-            .freeze()
-            .unwrap();
+        let frozen = frozen(&sys, EngineConfig::default());
         let prepared = frozen.prepare(&cast_query()).unwrap();
         for threads in [1, 2, 4, 8] {
             let got = frozen.execute_with_threads(&prepared, threads).unwrap();

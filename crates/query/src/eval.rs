@@ -20,29 +20,6 @@ use rps_rdf::{Graph, GraphStats, IdTriple, TermId};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-/// How the planner orders a conjunction's atoms (and with it, which scan
-/// permutation each atom ends up probing — see
-/// [`PreparedQueryIds::planned_scans`]). Orthogonal to answer
-/// correctness: every mode yields byte-identical answer sets (the
-/// equivalence proptests pin this); only wall-clock time changes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum JoinOrder {
-    /// Cost-based when the graph has a statistics snapshot
-    /// ([`Graph::graph_stats`] — sealed graphs only), shape heuristic
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Selectivity estimation from the [`GraphStats`] snapshot
-    /// (per-predicate counts refined by distinct-subject/object
-    /// cardinalities). Falls back to the shape heuristic when the graph
-    /// is unsealed and therefore has no snapshot.
-    CostBased,
-    /// The legacy smallest-first shape heuristic (predicate counts with
-    /// fixed refinement divisors), retained as the oracle the
-    /// cost-based path is differentially tested against.
-    SmallestFirst,
-}
-
 /// Which tuples a query evaluation returns (Section 2.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Semantics {
@@ -70,15 +47,15 @@ struct Compiled {
     /// False if some constant does not occur in the graph at all, which
     /// makes the whole conjunction unsatisfiable.
     satisfiable: bool,
-    /// The ordering mode the plan was compiled under (delta evaluation
-    /// re-orders its non-pivot conjuncts under the same mode).
-    order: JoinOrder,
+    /// Whether the plan was ordered by the shape heuristic alone (delta
+    /// evaluation re-orders its non-pivot conjuncts the same way).
+    heuristic: bool,
     /// Source conjunct index per planner position — `source[i]` is the
     /// position the `i`-th planned conjunct held in the input pattern.
     source: Vec<usize>,
 }
 
-fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
+fn compile(graph: &Graph, gp: &GraphPattern, heuristic: bool) -> Compiled {
     // A pattern names a handful of variables: a scan of the dense table
     // beats hashing each occurrence.
     let mut vars: Vec<Variable> = Vec::new();
@@ -109,7 +86,7 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
     }
 
     let source = if satisfiable {
-        order_slots(graph, &mut slots, &[], order)
+        order_slots(graph, &mut slots, &[], heuristic)
     } else {
         (0..slots.len()).collect()
     };
@@ -117,7 +94,7 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
         slots,
         vars,
         satisfiable,
-        order,
+        heuristic,
         source,
     }
 }
@@ -126,16 +103,16 @@ fn compile(graph: &Graph, gp: &GraphPattern, order: JoinOrder) -> Compiled {
 /// cardinality estimate given the variables bound so far — those of
 /// `seed` (non-empty when ordering the non-pivot conjuncts of a delta
 /// evaluation) and of the conjuncts already picked. The estimate is the
-/// stats-based selectivity model when `order` resolves to the
-/// cost-based path (the graph is sealed and has a [`GraphStats`]
-/// snapshot), the shape heuristic otherwise. Returns the applied
+/// stats-based selectivity model when the graph is sealed (and so has a
+/// [`GraphStats`] snapshot) and `heuristic` is off, the shape heuristic
+/// otherwise. Returns the applied
 /// permutation: element `i` is the input position of the conjunct now
 /// planned `i`-th.
 fn order_slots(
     graph: &Graph,
     slots: &mut [[Slot; 3]],
     seed: &[usize],
-    order: JoinOrder,
+    heuristic: bool,
 ) -> Vec<usize> {
     let n = slots.len();
     if n < 2 {
@@ -143,10 +120,7 @@ fn order_slots(
         // graph sealed by accident would be a full sweep.
         return (0..n).collect();
     }
-    let stats = match order {
-        JoinOrder::SmallestFirst => None,
-        JoinOrder::Auto | JoinOrder::CostBased => graph.graph_stats(),
-    };
+    let stats = if heuristic { None } else { graph.graph_stats() };
     let mut source: Vec<usize> = (0..n).collect();
     for i in 0..n {
         // A conjunction names a handful of variables: asking the picked
@@ -274,7 +248,7 @@ fn stats_estimate(stats: &GraphStats, slot: &[Slot; 3], bound: &impl Fn(usize) -
 /// Evaluates a graph pattern, returning the set of solution mappings
 /// `⟦GP⟧_D` of Definition 1 (term-level, sorted, deduplicated).
 pub fn evaluate_pattern(graph: &Graph, gp: &GraphPattern) -> Vec<Mapping> {
-    let compiled = compile(graph, gp, JoinOrder::Auto);
+    let compiled = compile(graph, gp, false);
     if !compiled.satisfiable {
         return Vec::new();
     }
@@ -585,7 +559,7 @@ impl PreparedPattern {
             }
         }
         PreparedPattern {
-            compiled: compile(graph, gp, JoinOrder::Auto),
+            compiled: compile(graph, gp, false),
         }
     }
 
@@ -663,7 +637,7 @@ pub fn has_match_with(
     gp: &GraphPattern,
     bind: &dyn Fn(&Variable) -> Option<TermId>,
 ) -> bool {
-    let compiled = compile(graph, gp, JoinOrder::Auto);
+    let compiled = compile(graph, gp, false);
     if !compiled.satisfiable {
         return false;
     }
@@ -745,17 +719,25 @@ impl PreparedQueryIds {
     /// unsatisfiable. Correct for frozen graphs (e.g. a materialised
     /// universal solution) — a graph that later gains triples could make
     /// the missing constant appear, which this plan would not notice.
+    ///
+    /// The planner is cost-based when the graph is sealed (it then
+    /// carries a [`GraphStats`] snapshot) and falls back to the shape
+    /// heuristic otherwise.
     pub fn compile_only(graph: &Graph, query: &GraphPatternQuery) -> Self {
-        Self::compile_only_with(graph, query, JoinOrder::Auto)
+        Self::compile_ordered(graph, query, false)
     }
 
-    /// [`Self::compile_only`] with an explicit join-ordering mode —
-    /// the seam the `ExecConfig` knob forces the cost-based or the
-    /// smallest-first planner through (answers are byte-identical
-    /// either way; only the conjunct order and scan permutations
-    /// change).
-    pub fn compile_only_with(graph: &Graph, query: &GraphPatternQuery, order: JoinOrder) -> Self {
-        let compiled = compile(graph, query.pattern(), order);
+    /// [`Self::compile_only`] ordered by the shape heuristic alone, even
+    /// on a sealed graph: the oracle the cost-based planner is
+    /// differentially tested against. Answers are byte-identical; only
+    /// the conjunct order and scan permutations may differ.
+    #[doc(hidden)]
+    pub fn compile_heuristic(graph: &Graph, query: &GraphPatternQuery) -> Self {
+        Self::compile_ordered(graph, query, true)
+    }
+
+    fn compile_ordered(graph: &Graph, query: &GraphPatternQuery, heuristic: bool) -> Self {
+        let compiled = compile(graph, query.pattern(), heuristic);
         let proj = projection(&compiled, query);
         Self::from_parts(compiled, proj)
     }
@@ -772,11 +754,6 @@ impl PreparedQueryIds {
             proj,
             memo,
         }
-    }
-
-    /// The ordering mode this plan was compiled under.
-    pub fn join_order(&self) -> JoinOrder {
-        self.compiled.order
     }
 
     /// The planner's conjunct order: element `i` is the position in the
@@ -911,7 +888,7 @@ impl PreparedQueryIds {
                 .map(|(_, s)| *s)
                 .collect();
             let pivot_vars: Vec<usize> = slot_vars(&slot).collect();
-            order_slots(graph, &mut rest, &pivot_vars, self.compiled.order);
+            order_slots(graph, &mut rest, &pivot_vars, self.compiled.heuristic);
             let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
             let mut matcher = self.matcher(graph, &rest, semantics);
             for t in graph.log_since(log_from) {
@@ -958,19 +935,6 @@ impl PreparedQueryIds {
         proj: Option<Vec<usize>>,
         satisfiable: bool,
     ) -> Self {
-        Self::from_id_slots_with(graph, conjuncts, nvars, proj, satisfiable, JoinOrder::Auto)
-    }
-
-    /// [`Self::from_id_slots`] with an explicit join-ordering mode (see
-    /// [`Self::compile_only_with`]).
-    pub fn from_id_slots_with(
-        graph: &Graph,
-        conjuncts: &[[PlanSlot; 3]],
-        nvars: usize,
-        proj: Option<Vec<usize>>,
-        satisfiable: bool,
-        order: JoinOrder,
-    ) -> Self {
         let mut slots: Vec<[Slot; 3]> = conjuncts
             .iter()
             .map(|c| {
@@ -984,7 +948,7 @@ impl PreparedQueryIds {
             })
             .collect();
         let source = if satisfiable {
-            order_slots(graph, &mut slots, &[], order)
+            order_slots(graph, &mut slots, &[], false)
         } else {
             (0..slots.len()).collect()
         };
@@ -996,7 +960,7 @@ impl PreparedQueryIds {
             slots,
             vars,
             satisfiable,
-            order,
+            heuristic: false,
             source,
         };
         Self::from_parts(compiled, proj)
@@ -1884,12 +1848,13 @@ _:c3 e:artist e:actor1 .
         )
         .and(probe);
         let q = GraphPatternQuery::new(vec![var("x")], gp);
-        for order in [JoinOrder::SmallestFirst, JoinOrder::CostBased] {
-            let plan = PreparedQueryIds::compile_only_with(&g, &q, order);
+        let heuristic = PreparedQueryIds::compile_heuristic(&g, &q);
+        let cost = PreparedQueryIds::compile_only(&g, &q);
+        for (plan, name) in [(heuristic, "heuristic"), (cost, "cost-based")] {
             assert_eq!(
                 plan.planned_order()[0],
                 1,
-                "all-constant atom must lead under {order:?}"
+                "all-constant atom must lead under the {name} planner"
             );
             assert_eq!(plan.planned_scans()[0], ScanPerm::Probe);
         }
@@ -1915,10 +1880,10 @@ _:c3 e:artist e:actor1 .
         ));
         let q = GraphPatternQuery::new(vec![var("x")], gp);
 
-        let heuristic = PreparedQueryIds::compile_only_with(&g, &q, JoinOrder::SmallestFirst);
+        let heuristic = PreparedQueryIds::compile_heuristic(&g, &q);
         assert_eq!(heuristic.planned_order(), &[0, 1], "tie keeps query order");
 
-        let cost = PreparedQueryIds::compile_only_with(&g, &q, JoinOrder::CostBased);
+        let cost = PreparedQueryIds::compile_only(&g, &q);
         assert_eq!(cost.planned_order(), &[1, 0], "selective atom leads");
         // The ident atom scans POS (only p+o known); by then the
         // status atom is fully bound and degenerates to a probe.
@@ -1929,16 +1894,13 @@ _:c3 e:artist e:actor1 .
             heuristic.evaluate(&g, Semantics::Certain),
             cost.evaluate(&g, Semantics::Certain)
         );
-        // Auto resolves to the cost-based plan on a sealed graph...
-        let auto = PreparedQueryIds::compile_only_with(&g, &q, JoinOrder::Auto);
-        assert_eq!(auto.planned_order(), cost.planned_order());
-        // ...and to the heuristic on an unsealed one (no snapshot).
-        // Keep the graph under TAIL_MAX triples so the tail does not
-        // auto-flush, which would leave the store sealed.
+        // The planner falls back to the heuristic on an unsealed graph
+        // (no snapshot). Keep the graph under TAIL_MAX triples so the
+        // tail does not auto-flush, which would leave the store sealed.
         let unsealed = skewed_graph(20);
         assert!(!unsealed.is_sealed());
-        let auto_unsealed = PreparedQueryIds::compile_only_with(&unsealed, &q, JoinOrder::Auto);
-        assert_eq!(auto_unsealed.planned_order(), &[0, 1]);
+        let unsealed_plan = PreparedQueryIds::compile_only(&unsealed, &q);
+        assert_eq!(unsealed_plan.planned_order(), &[0, 1]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use algebra::{to_sparql, Query, UnionQuery};
 pub use binding::{join, Mapping};
 pub use eval::{
     evaluate_boolean, evaluate_pattern, evaluate_query, has_match, has_match_with, IdRows,
-    JoinOrder, PlanSlot, PreparedPattern, PreparedQueryIds, RowSink, ScanPerm, Semantics,
+    PlanSlot, PreparedPattern, PreparedQueryIds, RowSink, ScanPerm, Semantics,
 };
 pub use pattern::{GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable};
 pub use sparql::{parse_sparql, LoweredSparql, SparqlError, SparqlQuery, SparqlResult, SparqlRows};

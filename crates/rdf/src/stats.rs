@@ -34,7 +34,7 @@
 //! implementation; the patch is tested equal to it field by field.
 //!
 //! Consumers: the cost-based join orderer in `rps-query` (see
-//! `JoinOrder::CostBased` there) and the flat counters surfaced through
+//! `PreparedQueryIds::compile_only` there) and the flat counters surfaced through
 //! [`StorageStats`](crate::StorageStats) (`stats_*` fields).
 
 use crate::dict::TermId;

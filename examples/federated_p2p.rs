@@ -40,12 +40,14 @@ fn main() {
         max_depth: 40,
         max_cqs: 30_000,
     });
-    let mut session = FederatedSession::open(&system, engine_config)
+    let session = FederatedSession::open(&system, engine_config)
         .expect("the generated system validates")
         .with_cost_model(CostModel {
             latency_ms: 20.0,
             ms_per_kb: 0.5,
-        });
+        })
+        .freeze()
+        .expect("certain-answer semantics freezes");
     println!(
         "\nmappings FO-rewritable (Proposition 2 applies): {}",
         session.fo_rewritable()
@@ -58,7 +60,9 @@ fn main() {
     let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let result = session.execute(&prepared).expect("executes");
+    let result = session
+        .execute_with_threads(&prepared, 1)
+        .expect("executes");
     let execute_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     println!("\n== federated execution (prepared, id-level) ==");
@@ -83,18 +87,21 @@ fn main() {
     // Re-executing the prepared query re-runs only the id-level hot
     // loop: no re-rewriting, no re-routing, no term re-interning.
     let t2 = Instant::now();
-    let again = session.execute(&prepared).expect("executes");
+    let again = session
+        .execute_with_threads(&prepared, 1)
+        .expect("executes");
     let reexec_ms = t2.elapsed().as_secs_f64() * 1e3;
     assert_eq!(again.stats, result.stats);
     println!("  re-execute (cached plan) : {reexec_ms:.2} ms");
 
     // Centralised reference: materialise and evaluate via the local
     // Session façade.
-    let mut central = Session::open(
+    let central = Session::open(
         system,
         EngineConfig::default().with_strategy(Strategy::Materialise),
     )
-    .expect("validates");
+    .and_then(Session::freeze)
+    .expect("validates and chases");
     let reference = central.answer(&query).expect("answers").into_set();
     assert_eq!(
         answers.tuples, reference.tuples,

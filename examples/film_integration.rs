@@ -42,9 +42,10 @@ fn main() {
         EngineConfig::default().with_strategy(Strategy::Materialise),
     );
     let t0 = Instant::now();
-    let ans_mat = mat.answer(&query).expect("chase terminates").into_set();
+    let sol = mat.universal_solution().expect("chase terminates");
+    let mat = mat.freeze().expect("freezes the chased solution");
+    let ans_mat = mat.answer(&query).expect("answers").into_set();
     let mat_time = t0.elapsed();
-    let sol = mat.universal_solution().expect("chased above");
     println!(
         "\nmaterialise: universal solution {} triples ({} chase rounds, {} firings) in {mat_time:?}",
         sol.graph.len(),
@@ -55,7 +56,7 @@ fn main() {
 
     // Strategy 2: rewrite per query (the chain of single-triple mappings
     // is linear, so Proposition 2 applies).
-    let mut rw = Session::new(
+    let rw = Session::new(
         system.clone(),
         EngineConfig::default()
             .with_strategy(Strategy::Rewrite)
@@ -65,6 +66,7 @@ fn main() {
             }),
     );
     let t1 = Instant::now();
+    let rw = rw.freeze().expect("builds the rewriter");
     let stream = rw.answer(&query).expect("rewriting is exhaustive");
     let route = stream.route();
     let ans_rw = stream.into_set();
@@ -81,7 +83,7 @@ fn main() {
     println!("\nstrategies agree on {} answers ✔", ans_mat.len());
 
     // Redundancy elimination across sameAs-merged persons.
-    let lean = mat.answer_without_redundancy(&query).expect("chased above");
+    let lean = mat.answer_without_redundancy(&query).expect("answers");
     println!(
         "answers without equivalence-induced redundancy: {} (from {})",
         lean.len(),

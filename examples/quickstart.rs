@@ -61,14 +61,16 @@ fn main() {
     assert!(raw.is_empty());
 
     // One façade for the whole stack: system + config in, validated
-    // session out; every failure is a typed RpsError.
+    // session out, frozen into the handle that answers; every failure
+    // is a typed RpsError.
     let mut session = Session::open(
         ex.system.clone(),
         EngineConfig::default().with_strategy(Strategy::Materialise),
     )
     .expect("the paper system validates");
 
-    // Algorithm 1: chase to a universal solution (cached by the session).
+    // Algorithm 1: chase to a universal solution (cached by the session,
+    // and served by the session it freezes into).
     let sol = session
         .universal_solution()
         .expect("default budgets suffice");
@@ -85,6 +87,7 @@ fn main() {
     // Listing 1, via the SPARQL front-end: the query text compiles
     // once (parse → lower → one prepared conjunctive plan) and
     // executes repeatedly; the result is the same certain answers.
+    let session = session.freeze().expect("the chased solution freezes");
     let sparql = session
         .prepare_sparql(EXAMPLE1_SPARQL)
         .expect("Example 1 is inside the supported subset");

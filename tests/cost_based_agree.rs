@@ -1,12 +1,15 @@
 //! The cost-based join orderer is an *optimiser*, never a semantics
-//! change: across random graphs and join shapes, plans compiled with
-//! `JoinOrder::CostBased`, `JoinOrder::SmallestFirst` and
-//! `JoinOrder::Auto` produce byte-identical answer sets, and all three
-//! agree with a `BTreeSet`-backed oracle graph holding the same
-//! triples. The same invariant is then pinned end-to-end through the
-//! session façade for every strategy × semantics combination.
+//! change: across random graphs and join shapes, plans compiled by the
+//! planner (`PreparedQueryIds::compile_only`, cost-based on a sealed
+//! graph) and by the shape heuristic
+//! (`PreparedQueryIds::compile_heuristic`) produce byte-identical
+//! answer sets, and both agree with a `BTreeSet`-backed oracle graph
+//! holding the same triples. The same invariant is then pinned
+//! end-to-end: every frozen session, for every strategy × semantics
+//! combination, answers what the heuristic plan answers over that
+//! session's universal solution.
 
-use rps_core::{EngineConfig, JoinOrder, PeerId, RpsBuilder, Session, Strategy};
+use rps_core::{EngineConfig, PeerId, RpsBuilder, Session, Strategy};
 use rps_query::{
     evaluate_query, GraphPattern, GraphPatternQuery, PreparedQueryIds, Semantics, TermOrVar,
     TriplePattern, Variable,
@@ -101,16 +104,14 @@ fn all_join_orders_agree_with_btree_oracle() {
             let q = arb_query(rng);
             for semantics in [Semantics::Certain, Semantics::Star] {
                 let reference = evaluate_query(&oracle, &q, semantics);
-                for order in [
-                    JoinOrder::CostBased,
-                    JoinOrder::SmallestFirst,
-                    JoinOrder::Auto,
+                for (order, plan) in [
+                    ("cost-based", PreparedQueryIds::compile_only(&runs, &q)),
+                    ("heuristic", PreparedQueryIds::compile_heuristic(&runs, &q)),
                 ] {
-                    let plan = PreparedQueryIds::compile_only_with(&runs, &q, order);
                     let got = to_terms(&runs, &plan.evaluate(&runs, semantics));
                     assert_eq!(
                         got, reference,
-                        "seed {seed} case {case} {order:?} {semantics:?} diverged \
+                        "seed {seed} case {case} {order} {semantics:?} diverged \
                          from the BTree oracle"
                     );
                 }
@@ -174,6 +175,9 @@ fn session_answers_are_order_invariant_across_strategies_and_semantics() {
             .build();
 
         let query = arb_query(rng);
+        let mut chased = Session::open(sys.clone(), EngineConfig::default()).unwrap();
+        let solution = chased.universal_solution().unwrap();
+        let graph = &solution.graph;
         for (strategy, semantics) in [
             (Strategy::Materialise, Semantics::Certain),
             (Strategy::Materialise, Semantics::Star),
@@ -181,28 +185,18 @@ fn session_answers_are_order_invariant_across_strategies_and_semantics() {
             (Strategy::Auto, Semantics::Certain),
             (Strategy::Auto, Semantics::Star),
         ] {
-            let mut per_order: Vec<BTreeSet<Vec<Term>>> = Vec::new();
-            for order in [
-                JoinOrder::Auto,
-                JoinOrder::CostBased,
-                JoinOrder::SmallestFirst,
-            ] {
-                let mut config = EngineConfig {
-                    strategy,
-                    ..EngineConfig::default()
-                }
+            let heuristic = PreparedQueryIds::compile_heuristic(graph, &query);
+            let expected = to_terms(graph, &heuristic.evaluate(graph, semantics));
+            let config = EngineConfig::default()
+                .with_strategy(strategy)
                 .with_semantics(semantics);
-                config.exec.order = order;
-                let mut session = Session::open(sys.clone(), config).unwrap();
-                per_order.push(session.answer(&query).unwrap().collect());
-            }
+            let frozen = Session::open(sys.clone(), config)
+                .and_then(Session::freeze)
+                .unwrap();
+            let got: BTreeSet<Vec<Term>> = frozen.answer(&query).unwrap().collect();
             assert_eq!(
-                per_order[0], per_order[1],
-                "seed {seed} {strategy:?} {semantics:?}: Auto vs CostBased"
-            );
-            assert_eq!(
-                per_order[0], per_order[2],
-                "seed {seed} {strategy:?} {semantics:?}: Auto vs SmallestFirst"
+                got, expected,
+                "seed {seed} {strategy:?} {semantics:?}: frozen session vs the heuristic plan"
             );
         }
     }

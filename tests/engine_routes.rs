@@ -4,11 +4,17 @@
 //! unsound answers.
 
 use rps_core::{
-    EngineConfig, ExecRoute, PeerId, RpsBuilder, RpsChaseConfig, RpsError, Session, Strategy,
+    certain_answers, EngineConfig, ExecRoute, FrozenSession, PeerId, RdfPeerSystem, RpsBuilder,
+    RpsChaseConfig, RpsError, Session, Strategy,
 };
 use rps_lodgen::{actor_shape_query, chain, film_system, query_from, FilmConfig, Topology};
 use rps_tgd::RewriteConfig;
 use std::sync::Arc;
+
+/// A session over `sys`, frozen straight away.
+fn frozen(sys: RdfPeerSystem, config: EngineConfig) -> Result<FrozenSession, RpsError> {
+    Session::new(sys, config).freeze()
+}
 
 fn film(topology: Topology, hub_style: bool) -> rps_core::RdfPeerSystem {
     film_system(&FilmConfig {
@@ -27,7 +33,7 @@ fn film(topology: Topology, hub_style: bool) -> rps_core::RdfPeerSystem {
 fn auto_materialises_non_fo_systems() {
     // Transitive closure is not FO-rewritable: Auto must take the chase.
     let sys = chain::transitive_system(10);
-    let mut session = Session::new(sys, EngineConfig::default());
+    let session = frozen(sys, EngineConfig::default()).unwrap();
     let stream = session.answer(&chain::edge_query()).unwrap();
     assert_eq!(stream.route(), ExecRoute::Materialised);
     assert_eq!(stream.len(), 55);
@@ -39,7 +45,7 @@ fn auto_rewrites_linear_systems() {
         max_depth: 30,
         max_cqs: 60_000,
     });
-    let mut session = Session::new(film(Topology::Chain, false), config);
+    let session = frozen(film(Topology::Chain, false), config).unwrap();
     let stream = session.answer(&actor_shape_query(2, false)).unwrap();
     assert_eq!(stream.route(), ExecRoute::Rewritten);
 }
@@ -57,7 +63,7 @@ fn rewrite_strategy_falls_back_when_incomplete() {
     let config = EngineConfig::default()
         .with_strategy(Strategy::Rewrite)
         .with_rewrite(tiny.clone());
-    let mut strict = Session::new(sys.clone(), config);
+    let strict = frozen(sys.clone(), config).unwrap();
     match strict.answer(&chain::edge_query()) {
         Err(RpsError::RewriteBudget {
             max_depth: 1,
@@ -69,25 +75,34 @@ fn rewrite_strategy_falls_back_when_incomplete() {
     }
     // …and only Auto falls back, to the chase, which computes the full
     // closure of the 13-node chain.
-    let mut auto = Session::new(sys, EngineConfig::default().with_rewrite(tiny));
+    let auto = frozen(sys, EngineConfig::default().with_rewrite(tiny)).unwrap();
     let stream = auto.answer(&chain::edge_query()).unwrap();
     assert_eq!(stream.route(), ExecRoute::Materialised);
     assert_eq!(stream.len(), 13 * 12 / 2);
 }
 
+/// `freeze` reuses a solution already chased through
+/// `universal_solution()`, and every query of the frozen session is
+/// answered over it.
 #[test]
 fn materialisation_is_cached_across_queries() {
     let sys = chain::transitive_system(16);
     let config = EngineConfig::default().with_strategy(Strategy::Materialise);
     let mut session = Session::new(sys, config);
-    let a1 = session.answer(&chain::edge_query()).unwrap().into_set();
-    let first = session.universal_solution().unwrap();
-    let a2 = session.answer(&chain::edge_query()).unwrap().into_set();
-    let second = session.universal_solution().unwrap();
-    assert_eq!(a1, a2);
-    // The second query reuses the cached universal solution; it must not
-    // re-run the chase.
-    assert!(Arc::ptr_eq(&first, &second));
+    let solution = session.universal_solution().unwrap();
+    // A second call is the cached solution, not a second chase.
+    assert!(Arc::ptr_eq(
+        &solution,
+        &session.universal_solution().unwrap()
+    ));
+    let expected = certain_answers(&solution, &chain::edge_query());
+    let frozen = session.freeze().unwrap();
+    // The frozen session serves that solution: the caller's handle and
+    // the frozen one are its only owners, so no chase or copy ran.
+    assert_eq!(Arc::strong_count(&solution), 2);
+    let answers = frozen.answer(&chain::edge_query()).unwrap().into_set();
+    assert_eq!(answers.tuples, expected.tuples);
+    assert_eq!(answers.len(), 17 * 16 / 2);
 }
 
 #[test]
@@ -100,10 +115,9 @@ fn chase_budget_exhaustion_is_reported() {
             max_triples: 10_000,
             ..RpsChaseConfig::default()
         });
-    let mut session = Session::new(sys, config);
     // One round is not enough for the full closure.
     assert!(matches!(
-        session.answer(&chain::edge_query()),
+        frozen(sys, config),
         Err(RpsError::ChaseBudget { rounds: 1, .. })
     ));
 }
@@ -114,9 +128,8 @@ fn datalog_strategy_rejects_existential_mappings() {
     // so the system is not a Datalog program: the route is refused, not
     // silently swapped for another.
     let config = EngineConfig::default().with_strategy(Strategy::Datalog);
-    let mut session = Session::new(film(Topology::Star { hub: 0 }, true), config);
     assert!(matches!(
-        session.answer(&actor_shape_query(0, true)),
+        frozen(film(Topology::Star { hub: 0 }, true), config),
         Err(RpsError::NotDatalog(_))
     ));
 }
@@ -125,8 +138,7 @@ fn datalog_strategy_rejects_existential_mappings() {
 fn datalog_keeps_the_blank_guard_on_a_premise_frontier() {
     // ROADMAP 6(e): the premise's frontier variable `x` meets a source
     // blank. `Q_J` drops that tuple (Section 3's `rt` guard), so the
-    // chase never casts `b:p2` — and neither may the Datalog route, on
-    // the mutable session or frozen.
+    // chase never casts `b:p2` — and neither may the Datalog route.
     let edge = |pred: &str| {
         let text = format!("SELECT ?x ?y WHERE {{ ?x <http://{pred}> ?y }}");
         query_from(&Default::default(), &text)
@@ -143,23 +155,23 @@ fn datalog_keeps_the_blank_guard_on_a_premise_frontier() {
         .unwrap()
         .build();
     let text = "SELECT ?who WHERE { ?f <http://a/cast> ?who }";
-    let open =
-        |strategy| Session::new(sys.clone(), EngineConfig::default().with_strategy(strategy));
-    let chased = open(Strategy::Materialise).answer_sparql(text).unwrap();
+    let open = |strategy| frozen(sys.clone(), EngineConfig::default().with_strategy(strategy));
+    let chased = open(Strategy::Materialise)
+        .unwrap()
+        .answer_sparql(text)
+        .unwrap();
     let who = |iri: &str| vec![Some(rps_rdf::Term::iri(iri))];
     let expected = [who("http://a/p1"), who("http://b/p3")];
     assert_eq!(chased.rows().unwrap().rows, expected);
-    let mut datalog = open(Strategy::Datalog);
+    let datalog = open(Strategy::Datalog).unwrap();
     assert_eq!(datalog.answer_sparql(text).unwrap(), chased);
-    let frozen = datalog.freeze().unwrap();
-    assert_eq!(frozen.answer_sparql(text).unwrap(), chased);
 }
 
 #[test]
 fn datalog_route_honours_the_chase_budgets() {
     // 64 edges close to 2 080; 500 triples do not hold them. The error is
-    // typed, on prepare and on freeze, and no truncated model is cached:
-    // under a budget that fits, the same session answers in full.
+    // typed, at freeze, every time: under a budget that fits, a session
+    // reconfigured before its freeze answers in full.
     let sys = chain::transitive_system(64);
     let config = EngineConfig::default()
         .with_strategy(Strategy::Datalog)
@@ -167,19 +179,19 @@ fn datalog_route_honours_the_chase_budgets() {
             max_triples: 500,
             ..RpsChaseConfig::default()
         });
-    let mut session = Session::new(sys.clone(), config.clone());
     for _ in 0..2 {
         assert!(matches!(
-            session.prepare(&chain::edge_query()),
+            frozen(sys.clone(), config.clone()),
             Err(RpsError::ChaseBudget { triples: 501.., .. })
         ));
     }
-    assert!(matches!(
-        Session::new(sys, config).freeze(),
-        Err(RpsError::ChaseBudget { .. })
-    ));
+    let mut session = Session::new(sys, config);
     session.config_mut().chase = RpsChaseConfig::default();
-    let stream = session.answer(&chain::edge_query()).unwrap();
+    let stream = session
+        .freeze()
+        .unwrap()
+        .answer(&chain::edge_query())
+        .unwrap();
     assert_eq!(stream.route(), ExecRoute::Datalog);
     assert_eq!(stream.len(), 65 * 64 / 2);
 }

@@ -1,8 +1,10 @@
-//! Determinism contract of the physical execution knobs: with columnar
+//! Determinism contract of the physical execution knob: with columnar
 //! compression on or off, answers are byte-identical for every strategy
-//! × semantics route, both on mutable [`Session`]s and on frozen ones
-//! (where the freeze re-encodes the solution graph per the config).
-//! `JoinOrder`, the other knob, is swept by `tests/cost_based_agree.rs`.
+//! × semantics route, both on sessions frozen straight away and on ones
+//! whose universal solution was chased before the freeze (the freeze
+//! re-encodes the solution graph per the config either way). The
+//! planner's join order is not a knob; `tests/cost_based_agree.rs`
+//! holds it to the shape heuristic.
 
 use rps_core::{EngineConfig, ExecConfig, Session, Strategy};
 use rps_lodgen::{actor_shape_query, film_system, queries, FilmConfig, Topology};
@@ -23,14 +25,18 @@ fn workload(seed: u64) -> FilmConfig {
     }
 }
 
+/// Answers through a session whose universal solution was chased
+/// before the freeze.
 fn answers(
     config: EngineConfig,
     cfg: &FilmConfig,
     query: &GraphPatternQuery,
 ) -> BTreeSet<Vec<Term>> {
     let mut session = Session::open(film_system(cfg), config).expect("session opens");
-    let prepared = session.prepare(query).expect("prepare");
-    let stream = session.execute(&prepared).expect("execute");
+    session.universal_solution().expect("chases");
+    let frozen = session.freeze().expect("freeze");
+    let prepared = frozen.prepare(query).expect("prepare");
+    let stream = frozen.execute(&prepared).expect("execute");
     stream.collect()
 }
 
@@ -49,10 +55,7 @@ fn frozen_answers(
 /// The exec configurations under test: the default plain runs, then
 /// columnar ones.
 fn exec_grid() -> [ExecConfig; 2] {
-    [false, true].map(|compress| ExecConfig {
-        compress,
-        ..ExecConfig::default()
-    })
+    [false, true].map(|compress| ExecConfig { compress })
 }
 
 fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
@@ -71,7 +74,7 @@ fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
         let frozen_reference = frozen_answers(base_config, &cfg, query);
         assert_eq!(
             reference, frozen_reference,
-            "frozen route diverges at the reference config ({strategy:?}, {semantics:?}, seed {seed})"
+            "frozen route diverges from the pre-chased one at the reference config ({strategy:?}, {semantics:?}, seed {seed})"
         );
         for exec in exec_grid().into_iter().skip(1) {
             let config = EngineConfig::default()
@@ -81,7 +84,7 @@ fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
             assert_eq!(
                 answers(config.clone(), &cfg, query),
                 reference,
-                "mutable session diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
+                "pre-chased session diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
             );
             assert_eq!(
                 frozen_answers(config, &cfg, query),

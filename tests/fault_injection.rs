@@ -21,10 +21,10 @@
 use rps_core::{EngineConfig, FailureCause, FailurePolicy, PeerId, RetryPolicy, RpsError};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
 use rps_p2p::{
-    FaultConfig, FaultyTransport, FederatedEngine, FederatedSession, FederationReport, SimNetwork,
-    SimTransport, TcpTransport, Transport,
+    FaultConfig, FaultyTransport, FederatedAnswer, FederatedEngine, FederatedSession,
+    FederationReport, SimNetwork, SimTransport, TcpTransport, Transport,
 };
-use rps_query::{GraphPattern, Semantics, TermOrVar, UnionQuery, Variable};
+use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, UnionQuery, Variable};
 use rps_rdf::{Graph, TermId};
 use rps_tgd::RewriteConfig;
 use std::collections::BTreeSet;
@@ -177,20 +177,29 @@ fn zero_faults_make_all_transports_byte_identical() {
     }
 }
 
+/// `query` on `session`, frozen, down the sequential path (one thread).
+fn sequential(
+    session: FederatedSession,
+    query: &GraphPatternQuery,
+) -> Result<FederatedAnswer, RpsError> {
+    let frozen = session.freeze()?;
+    let prepared = frozen.prepare(query)?;
+    frozen.execute_with_threads(&prepared, 1)
+}
+
 #[test]
 fn zero_faults_keep_the_rewriting_session_identical_over_tcp() {
     let sys = film_system(&data_cfg());
     let config = || EngineConfig::default().with_rewrite(rewrite_cfg());
     let query = actor_shape_query(3, false);
 
-    let mut sim_session = FederatedSession::open(&sys, config()).unwrap();
-    let expected = sim_session.answer(&query).unwrap();
+    let sim_session = FederatedSession::open(&sys, config()).unwrap();
+    let expected = sequential(sim_session, &query).unwrap();
     let expected_tuples = expected.stream.into_set().tuples;
 
-    let mut tcp_session = FederatedSession::open(&sys, config()).unwrap();
+    let tcp_session = FederatedSession::open(&sys, config()).unwrap();
     let tcp = TcpTransport::serve(tcp_session.peer_graphs()).expect("tcp transport serves");
-    tcp_session = tcp_session.with_transport(Arc::new(tcp));
-    let got = tcp_session.answer(&query).unwrap();
+    let got = sequential(tcp_session.with_transport(Arc::new(tcp)), &query).unwrap();
     assert_eq!(got.stats, expected.stats);
     assert!((got.makespan_ms - expected.makespan_ms).abs() < 1e-9);
     assert_eq!(got.report.transport, "tcp");
@@ -602,9 +611,9 @@ fn session_config_carries_retry_and_failure_policies() {
             ..FaultConfig::default()
         },
     );
-    let mut strict = strict.with_transport(Arc::new(dead));
+    let strict = strict.with_transport(Arc::new(dead));
     assert!(matches!(
-        strict.answer(&query),
+        sequential(strict, &query),
         Err(RpsError::PeerUnreachable { .. })
     ));
 
@@ -618,8 +627,7 @@ fn session_config_carries_retry_and_failure_policies() {
             ..FaultConfig::default()
         },
     );
-    let mut lenient = lenient.with_transport(Arc::new(dead));
-    let got = lenient.answer(&query).unwrap();
+    let got = sequential(lenient.with_transport(Arc::new(dead)), &query).unwrap();
     assert!(got.report.degraded());
     assert_eq!(got.report.peers_responded, 0);
     assert!(got.stream.into_set().is_empty());

@@ -31,7 +31,8 @@ fn service_equals_materialisation_across_seeds() {
             max_cqs: 60_000,
         });
         let result = FederatedSession::new(&sys, config)
-            .answer(&query)
+            .freeze()
+            .and_then(|session| session.answer(&query))
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let reference = certain_answers(&sol, &query);

@@ -119,8 +119,9 @@ fn templated_rewritten_pipeline_agrees_with_chase_and_term_level() {
         let query = actor_shape_query(3, false);
 
         // New id-level prepared pipeline.
-        let mut session =
+        let session =
             FederatedSession::open(&sys, EngineConfig::default().with_rewrite(rewrite_cfg()))
+                .and_then(FederatedSession::freeze)
                 .unwrap();
         let result = session
             .answer(&query)
@@ -143,8 +144,9 @@ fn templated_rewritten_pipeline_agrees_with_chase_and_term_level() {
 #[test]
 fn prepared_federated_query_is_reusable() {
     let sys = film_system(&cfg(4, 9));
-    let mut session =
-        FederatedSession::open(&sys, EngineConfig::default().with_rewrite(rewrite_cfg())).unwrap();
+    let session = FederatedSession::open(&sys, EngineConfig::default().with_rewrite(rewrite_cfg()))
+        .and_then(FederatedSession::freeze)
+        .unwrap();
     let query = actor_shape_query(3, false);
     let prepared = session.prepare(&query).unwrap();
     assert!(prepared.branch_count() >= 1);

@@ -1,7 +1,8 @@
 //! Concurrency agreement tests for the frozen answering API: N threads
 //! sharing one `FrozenSession` (or `FrozenFederatedSession`) across
 //! mixed routes and semantics must each observe answers byte-identical
-//! to the sequential mutable `Session`, plan-cache hits must answer
+//! to a separately frozen session answered from one thread before the
+//! hammer starts (the sequential oracle), plan-cache hits must answer
 //! exactly like misses, and cold prepares (every one a miss, each with
 //! its own constants) must not interfere with each other.
 //!
@@ -55,13 +56,16 @@ fn film_queries() -> Vec<GraphPatternQuery> {
     queries
 }
 
-/// Sequential oracle: one mutable session per (strategy, semantics).
+/// Sequential oracle: one separately frozen session per (strategy,
+/// semantics), answered from this thread alone.
 fn sequential_answers(
     sys: &rps_core::RdfPeerSystem,
     cfg: &EngineConfig,
     queries: &[GraphPatternQuery],
 ) -> Vec<BTreeSet<Vec<Term>>> {
-    let mut session = Session::open(sys.clone(), cfg.clone()).unwrap();
+    let session = Session::open(sys.clone(), cfg.clone())
+        .and_then(Session::freeze)
+        .unwrap();
     queries
         .iter()
         .map(|q| session.answer(q).unwrap().into_set().tuples)
@@ -176,10 +180,18 @@ fn plan_cache_hit_equals_miss() {
 fn frozen_federated_threads_agree_with_sequential() {
     let sys = film_system(&film_cfg(11));
     let queries = film_queries();
-    let mut seq = FederatedSession::open(&sys, EngineConfig::default()).unwrap();
+    // The sequential oracle: a separately frozen session, one thread,
+    // the sequential branch walk.
+    let seq = FederatedSession::open(&sys, EngineConfig::default())
+        .and_then(FederatedSession::freeze)
+        .unwrap();
     let expected: Vec<BTreeSet<Vec<Term>>> = queries
         .iter()
-        .map(|q| seq.answer(q).unwrap().stream.into_set().tuples)
+        .map(|q| {
+            let prepared = seq.prepare(q).unwrap();
+            let answer = seq.execute_with_threads(&prepared, 1).unwrap();
+            answer.stream.into_set().tuples
+        })
         .collect();
     let frozen = FederatedSession::open(&sys, EngineConfig::default())
         .unwrap()
@@ -272,14 +284,17 @@ fn cold_hammer(
     });
 }
 
-/// The sequential oracle of [`cold_hammer`]: one mutable materialising
-/// session answers every (thread, rep) query in turn.
+/// The sequential oracle of [`cold_hammer`]: one separately frozen
+/// materialising session answers every (thread, rep) query in turn,
+/// from this thread alone.
 fn cold_expected(
     sys: &rps_core::RdfPeerSystem,
     query: fn(usize, usize) -> GraphPatternQuery,
 ) -> Vec<Vec<BTreeSet<Vec<Term>>>> {
     let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
-    let mut session = Session::open(sys.clone(), cfg).unwrap();
+    let session = Session::open(sys.clone(), cfg)
+        .and_then(Session::freeze)
+        .unwrap();
     let expected: Vec<Vec<_>> = (0..THREADS)
         .map(|t| {
             (0..REPS_PER_THREAD)
@@ -367,14 +382,17 @@ fn cold_film_text(t: usize, rep: usize) -> String {
 /// through `answer_sparql` on a cache of 8 statements and 8 plans — far
 /// fewer than the 27 texts in flight, so hits, misses, first-insert
 /// races and evictions all happen together — and every answer equals
-/// the sequential mutable session's.
+/// the sequential oracle's, a separately frozen session answered from
+/// one thread before the hammer starts.
 #[test]
 fn statement_front_under_eviction_agrees_with_sequential_session() {
     const CAPACITY: usize = 8;
     let films = film_system(&film_cfg(23));
     let hot = hot_texts();
     let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
-    let mut oracle = Session::open(films.clone(), cfg.clone()).unwrap();
+    let oracle = Session::open(films.clone(), cfg.clone())
+        .and_then(Session::freeze)
+        .unwrap();
     let hot_expected: Vec<_> = hot
         .iter()
         .map(|text| oracle.answer_sparql(text).unwrap())

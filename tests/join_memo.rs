@@ -9,19 +9,21 @@
 //! nothing, a repeated variable inside the suffix, a constant shared by
 //! prefix and suffix) beside the shapes that have none (chains), with
 //! random heads, conjunct orders and constant substitutions. Every plan
-//! under every `JoinOrder` × `Semantics`, on a sealed graph and on an
-//! unsealed one (several runs, a tail and tombstones), must equal
+//! under both planners (the cost-based one and the shape heuristic) ×
+//! `Semantics`, on a sealed graph and on an unsealed one (several runs,
+//! a tail and tombstones), must equal
 //!
 //! * term-level `evaluate_query` over a `StorageBackend::BTree` copy —
 //!   `evaluate_pattern` enumerates every solution mapping with the
 //!   plain loop and projects afterwards, so it shares neither the memo
 //!   nor the blank-node pruning with the plans under test — and
-//! * the shipped oracle pair, `JoinOrder::SmallestFirst` over that copy.
+//! * the shipped oracle pair, the heuristic plan
+//!   (`PreparedQueryIds::compile_heuristic`) over that copy.
 
 use rps_lodgen::{seed_matrix, SeededRng};
 use rps_query::{
-    evaluate_query, GraphPattern, GraphPatternQuery, JoinOrder, PreparedQueryIds, Semantics,
-    TermOrVar, TriplePattern, Variable,
+    evaluate_query, GraphPattern, GraphPatternQuery, PreparedQueryIds, Semantics, TermOrVar,
+    TriplePattern, Variable,
 };
 use rps_rdf::{Graph, StorageBackend, Term, Triple};
 use std::collections::BTreeSet;
@@ -268,8 +270,7 @@ fn memoised_plans_agree_with_the_plain_loop_on_every_layout() {
                 let (shape, q) = arb_query(rng);
                 for semantics in [Semantics::Certain, Semantics::Star] {
                     let reference = evaluate_query(&oracle, &q, semantics);
-                    let pair =
-                        PreparedQueryIds::compile_only_with(&oracle, &q, JoinOrder::SmallestFirst);
+                    let pair = PreparedQueryIds::compile_heuristic(&oracle, &q);
                     assert_eq!(
                         to_terms(&oracle, &pair.evaluate(&oracle, semantics)),
                         reference,
@@ -278,12 +279,10 @@ fn memoised_plans_agree_with_the_plain_loop_on_every_layout() {
                     );
                     nonempty += usize::from(!reference.is_empty());
                     for (layout, graph) in [("sealed", &sealed), ("unsealed", &unsealed)] {
-                        for order in [
-                            JoinOrder::Auto,
-                            JoinOrder::CostBased,
-                            JoinOrder::SmallestFirst,
+                        for (order, plan) in [
+                            ("cost-based", PreparedQueryIds::compile_only(graph, &q)),
+                            ("heuristic", PreparedQueryIds::compile_heuristic(graph, &q)),
                         ] {
-                            let plan = PreparedQueryIds::compile_only_with(graph, &q, order);
                             plans += 1;
                             memoised += usize::from(plan.planned_memo().is_some());
                             let got = to_terms(graph, &plan.evaluate(graph, semantics));
@@ -291,7 +290,7 @@ fn memoised_plans_agree_with_the_plain_loop_on_every_layout() {
                                 got,
                                 reference,
                                 "seed {seed} round {round} case {case} ({shape}) {layout} \
-                                 {order:?} {semantics:?}: order {:?}, memo {:?}\n{q:?}",
+                                 {order} {semantics:?}: order {:?}, memo {:?}\n{q:?}",
                                 plan.planned_order(),
                                 plan.planned_memo(),
                             );
@@ -307,5 +306,6 @@ fn memoised_plans_agree_with_the_plain_loop_on_every_layout() {
         memoised * 2 >= plans,
         "{memoised} of {plans} plans memoised"
     );
-    assert!(nonempty * 12 >= plans, "{nonempty} non-empty answers");
+    // Four plans per reference: at least half the references non-empty.
+    assert!(nonempty * 8 >= plans, "{nonempty} non-empty answers");
 }

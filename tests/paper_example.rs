@@ -4,8 +4,8 @@
 
 use rps_core::{
     certain_answers, chase_system, encode_system, is_solution, query_to_cq, EngineConfig,
-    EquivalenceIndex, ExecRoute, LiveSession, RpsChaseConfig, RpsRewriter, Session, SparqlResult,
-    Strategy,
+    EquivalenceIndex, ExecRoute, FrozenSession, LiveSession, RdfPeerSystem, RpsChaseConfig,
+    RpsRewriter, Session, SparqlResult, Strategy,
 };
 use rps_lodgen::{paper_example, query_from};
 use rps_query::{evaluate_query, Semantics};
@@ -95,7 +95,7 @@ fn e3_full_boolean_enumeration_matches_chase() {
 #[test]
 fn engine_auto_route_reproduces_listing1() {
     let ex = paper_example();
-    let mut session = Session::open(ex.system.clone(), EngineConfig::default()).unwrap();
+    let session = frozen(&ex.system, EngineConfig::default());
     let ans = session.answer(&ex.query).unwrap().into_set();
     assert_eq!(ans.tuples, ex.expected_full);
     let lean = session.answer_without_redundancy(&ex.query).unwrap();
@@ -106,8 +106,7 @@ fn engine_auto_route_reproduces_listing1() {
 fn rewriting_strategy_reproduces_listing1() {
     let ex = paper_example();
     let config = EngineConfig::default().with_strategy(Strategy::Rewrite);
-    let mut session = Session::open(ex.system.clone(), config).unwrap();
-    let stream = session.answer(&ex.query).unwrap();
+    let stream = frozen(&ex.system, config).answer(&ex.query).unwrap();
     assert_eq!(stream.route(), ExecRoute::Rewritten);
     assert_eq!(stream.into_set().tuples, ex.expected_full);
 }
@@ -115,7 +114,7 @@ fn rewriting_strategy_reproduces_listing1() {
 #[test]
 fn federated_service_reproduces_listing1() {
     let ex = paper_example();
-    let mut session = rps_p2p::FederatedSession::open(&ex.system, EngineConfig::default()).unwrap();
+    let session = federated(&ex.system);
     let result = session.answer(&ex.query).unwrap();
     assert!(result.stats.messages > 0);
     assert_eq!(result.stream.into_set().tuples, ex.expected_full);
@@ -137,6 +136,20 @@ fn with_strategy(strategy: Strategy) -> EngineConfig {
     EngineConfig::default().with_strategy(strategy)
 }
 
+/// A session over `system`, frozen.
+fn frozen(system: &RdfPeerSystem, config: EngineConfig) -> FrozenSession {
+    Session::open(system.clone(), config)
+        .and_then(Session::freeze)
+        .unwrap()
+}
+
+/// The federated session over `system`, frozen.
+fn federated(system: &RdfPeerSystem) -> rps_p2p::FrozenFederatedSession {
+    rps_p2p::FederatedSession::open(system, EngineConfig::default())
+        .and_then(rps_p2p::FederatedSession::freeze)
+        .unwrap()
+}
+
 /// Section 3's `rt` guard on Figure 1 itself: Pleasantville's actor is a
 /// blank node, so `(Pleasantville, _:unknown)` is no tuple of the
 /// premise's `Q_J` and the assertion does not fire for it — Pleasantville
@@ -148,7 +161,7 @@ fn rt_guard_keeps_pleasantville_out_of_the_chased_answers() {
         Term::iri(format!("{}Spiderman", rps_lodgen::paper::DB1)),
         Term::iri(format!("{}Spiderman2002", rps_lodgen::paper::DB2)),
     ];
-    let mut mat = Session::open(ex.system.clone(), with_strategy(Strategy::Materialise)).unwrap();
+    let mat = frozen(&ex.system, with_strategy(Strategy::Materialise));
     assert_eq!(
         films(&mat.answer_sparql(FILMS_WITH_A_CAST).unwrap()),
         spiderman
@@ -207,16 +220,17 @@ fn section3_reference_chase_answers_listing1_without_pleasantville() {
 #[ignore = "ROADMAP 6(e): rewriting drops the rt guards"]
 fn every_route_agrees_with_the_chase_on_a_blank_premise_tuple() {
     let ex = paper_example();
-    let mut mat = Session::open(ex.system.clone(), with_strategy(Strategy::Materialise)).unwrap();
+    let mat = frozen(&ex.system, with_strategy(Strategy::Materialise));
     let want = films(&mat.answer_sparql(FILMS_WITH_A_CAST).unwrap());
     let mut got = Vec::new();
     for strategy in [Strategy::Auto, Strategy::Rewrite] {
-        let mut session = Session::open(ex.system.clone(), with_strategy(strategy)).unwrap();
+        let session = frozen(&ex.system, with_strategy(strategy));
         let result = session.answer_sparql(FILMS_WITH_A_CAST).unwrap();
         got.push((format!("{strategy:?}"), films(&result)));
     }
-    let mut fed = rps_p2p::FederatedSession::open(&ex.system, EngineConfig::default()).unwrap();
-    let result = fed.answer_sparql(FILMS_WITH_A_CAST).unwrap();
+    let result = federated(&ex.system)
+        .answer_sparql(FILMS_WITH_A_CAST)
+        .unwrap();
     got.push(("federated".to_string(), films(&result)));
     // One comparison, so a failure shows every route's answer.
     let all_want: Vec<_> = got.iter().map(|(r, _)| (r.clone(), want.clone())).collect();

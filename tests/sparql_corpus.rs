@@ -5,7 +5,9 @@
 //! [`rps_query::SparqlError`] whose span lies within the input. The
 //! parser must never panic, whatever bytes it is fed.
 
-use rps_core::{canonical_plan_key, EngineConfig, PeerId, RpsBuilder, Session, SparqlResult};
+use rps_core::{
+    canonical_plan_key, EngineConfig, FrozenSession, PeerId, RpsBuilder, Session, SparqlResult,
+};
 use rps_lodgen::seed_matrix;
 use rps_query::{parse_sparql, GraphPatternQuery, TermOrVar};
 use rps_rdf::{PrefixMap, Term};
@@ -49,7 +51,7 @@ const CORPUS: &[&str] = &[
     "SELECT ?a WHERE { ?a <http://c/p> ?b . ?c <http://c/q> ?d FILTER(?a<?b||?c>?d) }",
 ];
 
-fn session() -> Session {
+fn session() -> FrozenSession {
     let mut p = PeerId(0);
     let system = RpsBuilder::new()
         .peer_turtle(
@@ -63,12 +65,14 @@ fn session() -> Session {
         )
         .unwrap()
         .build();
-    Session::open(system, EngineConfig::default()).unwrap()
+    Session::open(system, EngineConfig::default())
+        .and_then(Session::freeze)
+        .unwrap()
 }
 
 #[test]
 fn corpus_parses_lowers_and_executes() {
-    let mut session = session();
+    let session = session();
     for (i, text) in CORPUS.iter().enumerate() {
         let parsed = parse_sparql(text, &PrefixMap::common())
             .unwrap_or_else(|e| panic!("corpus[{i}] failed to parse: {e}\n{text}"));

@@ -1,14 +1,13 @@
 //! SPARQL front-end acceptance: the same query text answers
-//! byte-identically on every session type — mutable [`Session`] (both
-//! strategies), [`FrozenSession`], the federated session and the live
-//! reader — and matches hand-built conjunctive plans and hand-computed
-//! ground truth.
+//! byte-identically on every answering façade — a frozen [`Session`]
+//! under each strategy, the federated session and the live reader — and
+//! matches hand-built conjunctive plans and hand-computed ground truth.
 
 use rps_core::{
-    EngineConfig, ExecRoute, JoinOrder, LiveSession, PeerId, RpsBuilder, Session, SparqlResult,
-    Strategy, UpdateBatch,
+    EngineConfig, ExecRoute, FrozenSession, LiveSession, PeerId, RdfPeerSystem, RpsBuilder,
+    Session, SparqlResult, Strategy, UpdateBatch,
 };
-use rps_p2p::FederatedSession;
+use rps_p2p::{FederatedSession, FrozenFederatedSession};
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
 use rps_rdf::{Term, Triple};
 
@@ -51,23 +50,22 @@ fn check_all(result: &SparqlResult, label: &str) {
 fn select_with_optional_filter_order_limit_agrees_on_every_route() {
     let sys = build_system();
     // Materialise route.
-    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
-    let r_mat = mat.answer_sparql(SELECT_QUERY).unwrap();
+    let r_mat = frozen(&sys, Strategy::Materialise)
+        .answer_sparql(SELECT_QUERY)
+        .unwrap();
     check_all(&r_mat, "materialised");
     // Rewrite route.
-    let mut rw = Session::open(sys.clone(), strategy(Strategy::Rewrite)).unwrap();
-    let r_rw = rw.answer_sparql(SELECT_QUERY).unwrap();
-    check_all(&r_rw, "rewritten");
-    // Frozen session (plan-cached).
-    let frozen = Session::open(sys.clone(), strategy(Strategy::Auto))
-        .unwrap()
-        .freeze()
+    let r_rw = frozen(&sys, Strategy::Rewrite)
+        .answer_sparql(SELECT_QUERY)
         .unwrap();
-    let r_frozen = frozen.answer_sparql(SELECT_QUERY).unwrap();
+    check_all(&r_rw, "rewritten");
+    // Auto.
+    let r_frozen = frozen(&sys, Strategy::Auto)
+        .answer_sparql(SELECT_QUERY)
+        .unwrap();
     check_all(&r_frozen, "frozen");
     // Federated session.
-    let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
-    let r_fed = fed.answer_sparql(SELECT_QUERY).unwrap();
+    let r_fed = federated(&sys).answer_sparql(SELECT_QUERY).unwrap();
     check_all(&r_fed, "federated");
     // Live reader (epoch 0).
     let live = LiveSession::open(sys, strategy(Strategy::Auto)).unwrap();
@@ -82,8 +80,7 @@ fn select_with_optional_filter_order_limit_agrees_on_every_route() {
 
 #[test]
 fn filtered_select_matches_hand_built_plan() {
-    let sys = build_system();
-    let mut session = Session::open(sys, strategy(Strategy::Materialise)).unwrap();
+    let session = frozen(&build_system(), Strategy::Materialise);
     let sparql = session.answer_sparql(SELECT_FILTERED).unwrap();
     // The equivalent hand-built conjunctive plan (the filter and sort
     // applied by hand on its answer set).
@@ -135,16 +132,11 @@ fn filtered_select_matches_hand_built_plan() {
 fn ask_with_union_agrees_on_every_route() {
     let sys = build_system();
     for (text, want) in [(ASK_UNION, true), (ASK_UNION_FALSE, false)] {
-        let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
-        assert_eq!(mat.answer_sparql(text).unwrap().boolean(), Some(want));
-        let mut rw = Session::open(sys.clone(), strategy(Strategy::Rewrite)).unwrap();
-        assert_eq!(rw.answer_sparql(text).unwrap().boolean(), Some(want));
-        let frozen = Session::open(sys.clone(), strategy(Strategy::Auto))
-            .unwrap()
-            .freeze()
-            .unwrap();
-        assert_eq!(frozen.answer_sparql(text).unwrap().boolean(), Some(want));
-        let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
+        for s in [Strategy::Materialise, Strategy::Rewrite, Strategy::Auto] {
+            let answer = frozen(&sys, s).answer_sparql(text).unwrap();
+            assert_eq!(answer.boolean(), Some(want), "{s:?}");
+        }
+        let fed = federated(&sys);
         assert_eq!(fed.answer_sparql(text).unwrap().boolean(), Some(want));
         let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
         let reader = live.reader();
@@ -180,7 +172,7 @@ fn live_sparql_after_an_epoch_equals_a_fresh_session() {
 
     // Every text, after the epoch, equals a fresh session over the
     // updated system — and the update is visible.
-    let mut fresh = Session::open(live.system().clone(), strategy(Strategy::Materialise)).unwrap();
+    let fresh = frozen(live.system(), Strategy::Materialise);
     for text in [SELECT_QUERY, SELECT_FILTERED, ASK_UNION, ASK_UNION_FALSE] {
         assert_eq!(
             reader.answer_sparql(text).unwrap(),
@@ -205,20 +197,15 @@ fn live_sparql_after_an_epoch_equals_a_fresh_session() {
 
 #[test]
 fn prepared_sparql_executes_repeatedly_and_reports_shape() {
-    let sys = build_system();
-    let mut session = Session::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
-    let prepared = session.prepare_sparql(SELECT_QUERY).unwrap();
+    let frozen = frozen(&build_system(), Strategy::Auto);
+    let prepared = frozen.prepare_sparql(SELECT_QUERY).unwrap();
     assert!(!prepared.is_ask());
     assert_eq!(prepared.columns(), ["f", "who", "nick"]);
     assert_eq!(prepared.plan_count(), 2, "base CQ + one OPTIONAL CQ");
-    let first = session.execute_sparql(&prepared).unwrap();
-    let second = session.execute_sparql(&prepared).unwrap();
+    let first = frozen.execute_sparql(&prepared).unwrap();
+    let second = frozen.execute_sparql(&prepared).unwrap();
     assert_eq!(first, second);
 
-    let frozen = Session::open(sys, strategy(Strategy::Auto))
-        .unwrap()
-        .freeze()
-        .unwrap();
     let p1 = frozen.prepare_sparql(ASK_UNION).unwrap();
     assert!(p1.is_ask());
     assert_eq!(p1.plan_count(), 2, "one CQ per UNION branch");
@@ -230,8 +217,7 @@ fn prepared_sparql_executes_repeatedly_and_reports_shape() {
 
 #[test]
 fn sparql_errors_surface_as_typed_rps_errors() {
-    let sys = build_system();
-    let mut session = Session::open(sys, strategy(Strategy::Auto)).unwrap();
+    let session = frozen(&build_system(), Strategy::Auto);
     let err = session.answer_sparql("SELECT ?x WHERE { ?x }").unwrap_err();
     match err {
         rps_core::RpsError::Sparql(e) => {
@@ -242,29 +228,11 @@ fn sparql_errors_surface_as_typed_rps_errors() {
     }
 }
 
-#[test]
-fn join_order_knob_never_changes_sparql_answers() {
-    let sys = build_system();
-    let mut results = Vec::new();
-    for order in [
-        JoinOrder::Auto,
-        JoinOrder::CostBased,
-        JoinOrder::SmallestFirst,
-    ] {
-        let mut config = strategy(Strategy::Materialise);
-        config.exec.order = order;
-        let mut session = Session::open(sys.clone(), config).unwrap();
-        results.push(session.answer_sparql(SELECT_FILTERED).unwrap());
-    }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[0], results[2]);
-}
-
 /// A system with equivalences: `a:p1 ≡ b:p2` (people) and
 /// `a:Film ≡ b:Movie` (a class no stored triple mentions), peer B's
 /// `actor` facts implying peer A's `cast` facts and a `kind` fact whose
 /// object is the constant `a:Film`.
-fn equivalence_system() -> rps_core::RdfPeerSystem {
+fn equivalence_system() -> RdfPeerSystem {
     let mut a = PeerId(0);
     let mut b = PeerId(0);
     let xy = || vec![Variable::new("x"), Variable::new("y")];
@@ -305,21 +273,18 @@ fn equivalence_system() -> rps_core::RdfPeerSystem {
     sys
 }
 
-/// `text` on the five façades (and the Datalog route, the mappings
-/// being full): one answer, which is returned.
-fn on_every_facade(sys: &rps_core::RdfPeerSystem, text: &str) -> SparqlResult {
-    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
-    let want = mat.answer_sparql(text).unwrap();
-    for s in [Strategy::Rewrite, Strategy::Datalog] {
-        let mut session = Session::open(sys.clone(), strategy(s)).unwrap();
+/// `text` on the three answering façades, the frozen session under
+/// every strategy (the Datalog route included, the mappings being
+/// full): one answer, which is returned.
+fn on_every_facade(sys: &RdfPeerSystem, text: &str) -> SparqlResult {
+    let want = frozen(sys, Strategy::Materialise)
+        .answer_sparql(text)
+        .unwrap();
+    for s in [Strategy::Rewrite, Strategy::Datalog, Strategy::Auto] {
+        let session = frozen(sys, s);
         assert_eq!(session.answer_sparql(text).unwrap(), want, "{s:?}\n{text}");
     }
-    let frozen = Session::open(sys.clone(), strategy(Strategy::Auto))
-        .unwrap()
-        .freeze()
-        .unwrap();
-    assert_eq!(frozen.answer_sparql(text).unwrap(), want, "frozen\n{text}");
-    let mut fed = FederatedSession::new(sys, strategy(Strategy::Auto));
+    let fed = federated(sys);
     assert_eq!(fed.answer_sparql(text).unwrap(), want, "federated\n{text}");
     let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
     let reader = live.reader();
@@ -410,13 +375,17 @@ fn a_fallen_back_conjunct_mixes_substrates_and_still_equals_materialise() {
     // dictionaries, so the tail interns.
     let sys = equivalence_system();
     let text = "SELECT ?x ?y WHERE { { ?x <http://a/nick> ?y } UNION { ?x <http://a/cast> ?y } }";
-    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
-    let want = mat.answer_sparql(text).unwrap();
+    let want = frozen(&sys, Strategy::Materialise)
+        .answer_sparql(text)
+        .unwrap();
     assert_eq!(want.rows().unwrap().rows.len(), 8);
 
+    // Auto falls back to the solution chased before the freeze.
     let mut starved = strategy(Strategy::Auto);
     starved.rewrite.max_cqs = 1;
     let mut auto = Session::open(sys, starved).unwrap();
+    auto.universal_solution().unwrap();
+    let auto = auto.freeze().unwrap();
     let routes: Vec<ExecRoute> = rps_query::parse_sparql(text, &rps_rdf::PrefixMap::common())
         .unwrap()
         .lower()
@@ -426,8 +395,6 @@ fn a_fallen_back_conjunct_mixes_substrates_and_still_equals_materialise() {
         .collect();
     assert_eq!(routes, [ExecRoute::Rewritten, ExecRoute::Materialised]);
     assert_eq!(auto.answer_sparql(text).unwrap(), want);
-    // The frozen session inherits the chased fallback.
-    assert_eq!(auto.freeze().unwrap().answer_sparql(text).unwrap(), want);
 }
 
 #[test]
@@ -447,11 +414,8 @@ fn branch_count_is_some_on_the_rewritten_route_only() {
         (Strategy::Auto, Some(2)),
         (Strategy::Datalog, None),
     ] {
-        let mut session = Session::open(sys.clone(), strategy(s)).unwrap();
-        assert_eq!(session.prepare(&cq).unwrap().branch_count(), want, "{s:?}");
-        let frozen = session.freeze().unwrap();
-        let prepared = frozen.prepare(&cq).unwrap();
-        assert_eq!(prepared.branch_count(), want, "frozen {s:?}");
+        let prepared = frozen(&sys, s).prepare(&cq).unwrap();
+        assert_eq!(prepared.branch_count(), want, "{s:?}");
     }
 }
 
@@ -462,7 +426,21 @@ fn strategy(strategy: Strategy) -> EngineConfig {
     }
 }
 
-fn build_system() -> rps_core::RdfPeerSystem {
+/// A session over `sys` under `s`, frozen.
+fn frozen(sys: &RdfPeerSystem, s: Strategy) -> FrozenSession {
+    Session::open(sys.clone(), strategy(s))
+        .and_then(Session::freeze)
+        .unwrap()
+}
+
+/// The federated session over `sys`, frozen.
+fn federated(sys: &RdfPeerSystem) -> FrozenFederatedSession {
+    FederatedSession::new(sys, strategy(Strategy::Auto))
+        .freeze()
+        .unwrap()
+}
+
+fn build_system() -> RdfPeerSystem {
     let mut a = PeerId(0);
     let mut b = PeerId(0);
     let premise = GraphPatternQuery::new(

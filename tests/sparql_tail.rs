@@ -14,7 +14,8 @@
 //! cannot be seen from an integration test.
 
 use rps_core::{
-    EngineConfig, LiveSession, PeerId, RdfPeerSystem, RpsBuilder, Session, SparqlResult, Strategy,
+    EngineConfig, FrozenSession, LiveSession, PeerId, RdfPeerSystem, RpsBuilder, Session,
+    SparqlResult, Strategy,
 };
 use rps_lodgen::seed_matrix;
 use rps_p2p::FederatedSession;
@@ -127,6 +128,13 @@ fn config(strategy: Strategy) -> EngineConfig {
     EngineConfig::default().with_strategy(strategy)
 }
 
+/// A session over `system` under `strategy`, frozen.
+fn freeze(system: &RdfPeerSystem, strategy: Strategy) -> FrozenSession {
+    Session::open(system.clone(), config(strategy))
+        .and_then(Session::freeze)
+        .unwrap()
+}
+
 #[test]
 fn id_rows_and_interned_terms_assemble_identically_on_every_facade() {
     for seed in seed_matrix("RPS_SPARQL_SEED", &[0xEDB7, 0xD1CE]) {
@@ -134,18 +142,20 @@ fn id_rows_and_interned_terms_assemble_identically_on_every_facade() {
         let (mut nonempty, mut unbound) = (0, 0);
         for round in 0..12 {
             let system = random_system(&mut rng);
-            // Undecoded ids of one solution: the three materialised façades.
+            // Undecoded ids of one solution: the three materialised façades
+            // (a session frozen over the solution chased before its
+            // freeze, one frozen straight away, the live reader).
             let mut mat = Session::open(system.clone(), config(Strategy::Materialise)).unwrap();
-            let frozen = Session::open(system.clone(), config(Strategy::Materialise))
-                .unwrap()
-                .freeze()
-                .unwrap();
+            let solution = mat.universal_solution().unwrap();
+            let mat = mat.freeze().unwrap();
+            let frozen = freeze(&system, Strategy::Materialise);
             let live = LiveSession::open(system.clone(), config(Strategy::Auto)).unwrap();
             // Terms, interned: rewriting, Datalog and federation.
-            let mut rewrite = Session::open(system.clone(), config(Strategy::Rewrite)).unwrap();
-            let mut datalog = Session::open(system.clone(), config(Strategy::Datalog)).unwrap();
-            let mut federated = FederatedSession::new(&system, config(Strategy::Auto));
-            let solution = mat.universal_solution().unwrap();
+            let rewrite = freeze(&system, Strategy::Rewrite);
+            let datalog = freeze(&system, Strategy::Datalog);
+            let federated = FederatedSession::new(&system, config(Strategy::Auto))
+                .freeze()
+                .unwrap();
 
             for text in QUERIES {
                 let label = format!("seed {seed} round {round}\n{text}");

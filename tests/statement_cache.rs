@@ -1,6 +1,7 @@
 //! The statement front of the frozen plan caches: a SPARQL text seen
 //! before comes back whole, keyed by its bytes, and answers exactly as
-//! the first (missing) preparation and as the mutable [`Session`] do.
+//! the first (missing) preparation and as the sequential oracle — a
+//! separately frozen materialising [`Session`] — do.
 //! Checked on the three façades that have the front — frozen
 //! `Materialise`, frozen `Rewrite` and [`FrozenFederatedSession`] —
 //! together with the counter contract (`hits` counts plans served
@@ -94,16 +95,19 @@ fn on_every_front(
     check(&Named("frozen federated", federated));
 }
 
-/// The sequential oracle: a mutable materialising session.
-fn oracle(sys: &RdfPeerSystem) -> Session {
+/// The sequential oracle: a separately frozen materialising session,
+/// answered from the test's own thread.
+fn oracle(sys: &RdfPeerSystem) -> FrozenSession {
     let config = EngineConfig::default().with_strategy(Strategy::Materialise);
-    Session::open(sys.clone(), config).unwrap()
+    Session::open(sys.clone(), config)
+        .and_then(Session::freeze)
+        .unwrap()
 }
 
 #[test]
 fn hit_equals_miss_equals_mutable_session_and_counts_its_plans() {
     let sys = build_system();
-    let mut oracle = oracle(&sys);
+    let oracle = oracle(&sys);
     on_every_front(&sys, &EngineConfig::default(), 64, |front| {
         for (seen, text) in TEXTS.into_iter().enumerate() {
             let label = format!("{}: {text}", front.name());
@@ -141,7 +145,7 @@ fn hit_equals_miss_equals_mutable_session_and_counts_its_plans() {
 #[test]
 fn texts_differing_in_spelling_are_two_statements_sharing_their_plans() {
     let sys = build_system();
-    let mut oracle = oracle(&sys);
+    let oracle = oracle(&sys);
     // The same query three ways: as is, re-spaced, and α-renamed.
     let respaced = OPTIONAL_FILTER.replace('\n', "  \n\t");
     let renamed = OPTIONAL_FILTER
@@ -257,7 +261,7 @@ fn errors_are_typed_repeatable_and_never_cached() {
 fn capacity_bounds_the_statements_and_an_evicted_handle_still_executes() {
     const CAPACITY: usize = 4;
     let sys = build_system();
-    let mut oracle = oracle(&sys);
+    let oracle = oracle(&sys);
     let films_of =
         |i: usize| format!("SELECT ?f WHERE {{ ?f <http://a/cast> <http://a/p{i}> }} ORDER BY ?f");
     on_every_front(&sys, &EngineConfig::default(), CAPACITY, |front| {

@@ -125,7 +125,7 @@ fn the_rewriters_classification_is_the_full_sets() -> Result<(), RpsError> {
             route == ExecRoute::Rewritten,
             "{name}"
         );
-        let mut session = Session::open(system, EngineConfig::default())?;
+        let session = Session::open(system, EngineConfig::default())?.freeze()?;
         assert_eq!(session.prepare(&query)?.route(), route, "{name}");
     }
     Ok(())
