@@ -1011,6 +1011,28 @@ mod tests {
         Variable::new(n)
     }
 
+    /// A Skolem label is `sk{gi}.{j}` and then, per tuple term, `|` and
+    /// the term's `Debug` form with `\\` and `|` escaped (`\\\\`, `\\p`),
+    /// so no two tuples share a label: pinned byte for byte on terms
+    /// holding both.
+    #[test]
+    fn skolem_labels_escape_the_separator_and_the_escape() {
+        let mut g = Graph::new();
+        let tuple = [
+            g.intern(&Term::iri("http://e/a|b\\c")),
+            g.intern(&Term::Literal(rps_rdf::Literal::lang("x|y\\z", "en"))),
+            g.intern(&Term::blank("n|1")),
+        ];
+        assert_eq!(
+            skolem_labels(&g, 2, &tuple, 2),
+            [
+                r#"sk2.0|<http://e/a\pb\\c>|"x\py\\\\z"@en|_:n\p1"#,
+                r#"sk2.1|<http://e/a\pb\\c>|"x\py\\\\z"@en|_:n\p1"#,
+            ]
+        );
+        assert_eq!(skolem_labels(&g, 0, &[], 1), ["sk0.0"]);
+    }
+
     /// Two peers: peer B has `actor` facts, peer A uses
     /// `starring`/`artist`; one GMA translates B into A's shape.
     fn two_peer_system() -> RdfPeerSystem {

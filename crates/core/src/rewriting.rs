@@ -10,30 +10,53 @@
 //! linear / sticky / sticky-join sets admit a perfect UCQ rewriting; the
 //! equivalence TGDs never change it, so they are not classified), the
 //! equivalence index with its classes as ids of the canonical graph, and
-//! a dictionary holding the TGDs' constants and nothing else. Every call
+//! a dictionary holding the TGDs' constants and nothing else. A rewriting
 //! interns its query's constants into a scratch copy of that dictionary,
-//! which the returned [`RpsRewriting`] carries.
+//! which the returned [`RpsRewriting`] carries; the plan of a query
+//! whose shape was seen interns nothing.
 //!
-//! **The expansion is memoised, the plan is not.** Section 4 and
+//! **A query shape is rewritten and compiled once.** Section 4 and
 //! Example 3 rewrite one query shape again and again with only its
-//! constants changed, so [`RpsRewriter::rewrite_canonical`] keeps the
-//! id-level union of each interned query under the key `(IdCq,
-//! max_depth, max_cqs)` and runs [`rps_tgd::rewrite_ids`] on a miss only.
-//! The memo is exact, with no genericity argument: the base dictionary
-//! holds `tt` and the canonical TGD constants only, so a query's other
-//! constants intern as ids `base_len..` in order of first occurrence,
-//! and two queries that differ only in such constants intern to the same
-//! `IdCq`. The expansion reads nothing but that `IdCq`, the fixed
-//! compiled TGDs and the two budgets, and is deterministic, so they get
-//! the byte-identical union; each call's own scratch dictionary then
-//! attaches its own constants to those ids. A constant a mapping mentions
-//! keeps its own id, hence its own key, and the budgets are in the key,
-//! so a complete union is never served to a budget that would have run
-//! out. Compiling the branches — satisfiability, dead head constants,
-//! the join order — stays per call and per constant. The memo is a FIFO
-//! of [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries whose unions are
-//! `Arc`-shared with the rewritings it hands out; its mutex is held for
-//! the probe and for the insert, never across an expansion.
+//! constants changed, so the rewriter keeps, per *shape key*, the
+//! id-level union of the query and its branches compiled over the
+//! canonical graph with *parameters* in place of the query's own
+//! constants; a query of a seen shape looks up its parameters' ids in
+//! that graph, writes them into the branches and plans each with
+//! [`rps_query::PreparedQueryIds::from_id_slots`] — no interning, no
+//! expansion, no decoding of the union. [`rps_tgd::rewrite_ids`] runs on
+//! a miss only. The key is computed without interning: variables are numbered
+//! by first occurrence (head first, then body), each constant is
+//! canonicalised once through the [`EquivalenceIndex`], and a constant
+//! stays *literal* (keyed by its term) if the canonical TGDs mention it,
+//! if it occurs at predicate position anywhere in the query (so a shape
+//! fixes its predicates) or if it is a blank node (which interns as a
+//! labelled null, not a constant); every other
+//! constant is a *parameter*, numbered by first occurrence, so `c ?p c`
+//! and `c1 ?p c2` are two keys. The budgets `max_depth` and `max_cqs`
+//! are part of the key, so a complete union is never served to a budget
+//! that would have run out.
+//!
+//! The memo is exact, with no genericity argument. Interning the query
+//! gives the constants the canonical TGDs mention their ids in the
+//! rewriter's base dictionary and every other constant a fresh id
+//! `base_len..` in order of first occurrence; the key refines that
+//! partition, so two queries of one key intern to the same `IdCq`. The
+//! expansion reads nothing but that `IdCq`, the fixed compiled TGDs and
+//! the budgets, and is deterministic, so it is the byte-identical union.
+//! In it, each fresh id stands for one of the query's constants: a
+//! literal one has the same canonical-graph id for every query of the
+//! key, a parameter's is looked up per query. Binding writes those ids
+//! into the branches' conjuncts, kept in the rewriting's order, and
+//! plans them as a compile of the query's own constants would. So a
+//! bound branch equals a fresh compile field by field by construction:
+//! its join order, scans, satisfiability (a parameter the graph lacks
+//! makes its branch unsatisfiable) and head (a head parameter the graph
+//! lacks drops its branch, as a compile drops a head constant without an
+//! id).
+//! The memo is a FIFO of [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries
+//! whose unions and branches are `Arc`-shared with the rewritings and
+//! plans it hands out; its mutex is held for the probe and for the
+//! insert, never across an expansion or a compile.
 //!
 //! **The TGDs are rewritten without Section 3's `rt` guards, and that is
 //! lossy.** A guard `rt(x)` keeps a premise tuple with a blank node from
@@ -56,7 +79,7 @@ use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encod
 use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
-use crate::session::frozen::Fifo;
+use crate::session::frozen::{Fifo, Slots};
 use crate::session::{Branch, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::system::RdfPeerSystem;
 use rps_query::{
@@ -68,7 +91,7 @@ use rps_tgd::{
     Classification, IdArg, IdCq, IdRewriteResult, IdTgdSet, Instance, RewriteConfig, Sym, Tgd,
     ValId,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The interning state ids are minted against: a row-less [`Instance`]
@@ -217,10 +240,11 @@ impl RpsRewriting {
 ///   tests establish both agree with the chase.
 ///
 /// `Send + Sync`, and immutable after construction but for the combined
-/// rewriting's expansion memo: keyed on the interned query and the two
-/// budgets, exact because the expansion reads nothing else, bounded to
-/// [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries (FIFO), and locked for
-/// a hash probe or an insert only — see the [module docs](self).
+/// rewriting's memo: keyed on the query's shape and the two budgets,
+/// exact because the expansion and the compiled branches read nothing
+/// else, bounded to [`crate::DEFAULT_PLAN_CACHE_CAPACITY`] entries
+/// (FIFO), and locked for a hash probe or an insert only — see the
+/// [module docs](self).
 pub struct RpsRewriter {
     /// The paper-verbatim dependency set of [`Self::rewrite`]: the raw
     /// graph-mapping TGDs, and the equivalence mappings whose six TGDs
@@ -237,8 +261,11 @@ pub struct RpsRewriter {
     /// `tt`, the TGD constants, and nothing else — independent of how
     /// many triples are stored.
     base: Interner,
+    /// The canonical TGD constants as terms: the constants a shape key
+    /// keeps literal because `base` interns them.
+    mentioned: HashSet<Term>,
     /// The canonicalised stored database — the one copy of the sources,
-    /// and the evaluation substrate of [`Self::compile_branches`] plans.
+    /// and the evaluation substrate of the branch plans [`Self::bind`] builds.
     /// `Arc`-shared and sealed at build time so compiled plans (and the
     /// frozen sessions of `rps-core`/`rps-p2p`) can evaluate against it
     /// concurrently without holding the rewriter. Its dictionary also
@@ -248,14 +275,75 @@ pub struct RpsRewriter {
     canon_graph: Arc<Graph>,
     /// The equivalence classes as ids of `canon_graph`'s dictionary.
     classes: Arc<ClassTable>,
-    /// [`Self::rewrite_canonical`]'s expansions by interned query and
-    /// budgets; ids live in `base.dict` extended per call.
-    memo: Mutex<Fifo<Arc<MemoKey>, Expansion>>,
+    /// Expansions and compiled branches by query shape and budgets.
+    memo: Mutex<Fifo<Arc<ShapeKey>, Entry>>,
 }
 
-/// What an expansion depends on: the interned (canonicalised) query, and
-/// [`RewriteConfig`]'s `max_depth` and `max_cqs`.
-type MemoKey = (IdCq, usize, usize);
+/// What an expansion and its compiled branches depend on: the query's
+/// shape (see the [module docs](self)) and [`RewriteConfig`]'s
+/// `max_depth` and `max_cqs`.
+#[derive(PartialEq, Eq, Hash, Debug)]
+struct ShapeKey {
+    arity: usize,
+    /// The head's variables, then each conjunct's three positions.
+    args: Vec<KeyArg>,
+    max_depth: usize,
+    max_cqs: usize,
+}
+
+/// One position of a [`ShapeKey`].
+#[derive(PartialEq, Eq, Hash, Debug)]
+enum KeyArg {
+    /// A variable, numbered by first occurrence.
+    Var(usize),
+    /// A literal constant, canonicalised.
+    Term(Term),
+    /// A parameter, numbered by first occurrence.
+    Param(usize),
+}
+
+/// One memo entry: a shape's expansion and its branches compiled over
+/// the canonical graph with parameters.
+#[derive(Clone)]
+struct Entry {
+    expansion: Expansion,
+    branches: Arc<[Template]>,
+}
+
+/// A branch compiled once per shape, its conjuncts in the rewriting's
+/// order: what [`RpsRewriter::bind`] plans once the parameters are
+/// written in.
+struct Template {
+    /// The `tt` atoms' positions.
+    body: Vec<[Arg; 3]>,
+    nvars: usize,
+    /// The head variables, or `None` when the body cannot bind one.
+    proj: Option<Vec<usize>>,
+    /// False when a constant that is not a parameter has no id.
+    satisfiable: bool,
+    /// The head, a variable standing for the answer row's next id; empty
+    /// when it is the row as it is.
+    head: Vec<Arg>,
+}
+
+/// One position of a [`Template`].
+#[derive(Clone, Copy, Debug)]
+enum Arg {
+    /// A variable, by its dense index.
+    Var(usize),
+    /// A constant, by its id in the canonical graph.
+    Const(TermId),
+    /// The `k`-th parameter of the shape key.
+    Param(usize),
+}
+
+/// A query compiled on the rewritten route: its plan, and whether its
+/// rewriting finished within the budgets.
+pub(crate) struct RewrittenPlan {
+    pub(crate) plan: Plan,
+    pub(crate) complete: bool,
+    pub(crate) explored: usize,
+}
 
 /// One expansion as the memo holds it: an [`IdRewriteResult`] whose
 /// union is shared.
@@ -327,10 +415,13 @@ impl RpsRewriter {
         let mut canon_graph = system.canonical_database(&index);
         // A rewritten head can be specialised to a constant of a TGD head
         // no stored triple mentions: give each an id, then the classes.
+        let mut mentioned = HashSet::new();
         for gma in system.assertions() {
             for side in [&gma.premise, &gma.conclusion] {
                 for constant in side.pattern().constants() {
-                    canon_graph.intern(&index.canonical_term(&constant));
+                    let constant = index.canonical_term(&constant);
+                    canon_graph.intern(&constant);
+                    mentioned.insert(constant);
                 }
             }
         }
@@ -345,21 +436,22 @@ impl RpsRewriter {
             index,
             canon_tgds,
             base: Interner { dict, encoder },
+            mentioned,
             canon_graph: Arc::new(canon_graph),
             classes,
             memo: Mutex::new(Fifo::new(DEFAULT_PLAN_CACHE_CAPACITY)),
         }
     }
 
-    /// Locks the expansion memo, recovering it if the mutex is poisoned.
+    /// Locks the memo, recovering it if the mutex is poisoned.
     /// That is sound because a guard only ever lives for a hash probe or
     /// a whole-entry insert (the oldest entry unlinked, then one added;
     /// the caller frees what was unlinked after the guard):
     /// `std` collection calls and `Arc` clones, which do not panic short
-    /// of an allocation failure, and that aborts. The expansion itself
-    /// runs unlocked. So the memo behind a poisoned lock is one such
+    /// of an allocation failure, and that aborts. The expansion and the
+    /// compile run unlocked. So the memo behind a poisoned lock is one such
     /// step's before or after, every entry in it whole.
-    fn memo(&self) -> MutexGuard<'_, Fifo<Arc<MemoKey>, Expansion>> {
+    fn memo(&self) -> MutexGuard<'_, Fifo<Arc<ShapeKey>, Entry>> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -390,56 +482,148 @@ impl RpsRewriter {
         &self.canon_graph
     }
 
-    /// The execution plan of a canonical rewriting: its compiled branches
-    /// over the (shared, sealed) canonical stored graph, answers expanded
-    /// over the classes — so execution needs no access to the rewriter.
-    pub(crate) fn plan(&self, rewriting: &RpsRewriting) -> Plan {
-        Plan {
-            graph: GraphHandle::Quotient(self.canon_graph.clone()),
-            branches: self.compile_branches(rewriting),
-            classes: Some(self.classes.clone()),
+    /// The plan of `query` on the rewritten route: its shape's branches,
+    /// from the memo or expanded and compiled now, bound to its own
+    /// constants, over the (shared, sealed) canonical stored graph, with
+    /// answers expanded over the classes — so execution needs no access
+    /// to the rewriter. A seen shape costs the key, one probe, a lookup
+    /// per parameter and the bind (see the [module docs](self)).
+    pub(crate) fn plan(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RewrittenPlan {
+        let (key, params) = self.shape(query, cfg);
+        // Bound first: the guard must not live into the miss path.
+        let hit = self.memo().get(&key);
+        let entry = match hit {
+            Some(entry) => entry,
+            None => {
+                let mut scratch = self.base.clone();
+                let id_query = Self::intern(&canonicalize_query(query, &self.index), &mut scratch);
+                self.expand(key, &id_query, &scratch, cfg)
+            }
+        };
+        let values: Vec<Option<TermId>> =
+            params.iter().map(|c| self.canon_graph.term_id(c)).collect();
+        RewrittenPlan {
+            plan: Plan {
+                graph: GraphHandle::Quotient(self.canon_graph.clone()),
+                branches: self.bind(&entry.branches, &values),
+                classes: Some(self.classes.clone()),
+            },
+            complete: entry.expansion.complete,
+            explored: entry.expansion.explored,
         }
     }
 
+    /// `query`'s shape key under `cfg`'s budgets, and the canonical
+    /// constants its parameters stand for, in parameter order (see the
+    /// [module docs](self)).
+    fn shape(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (ShapeKey, Vec<Term>) {
+        let mut vars = Slots::default();
+        let patterns = query.pattern().patterns();
+        let mut args = Vec::with_capacity(query.arity() + 3 * patterns.len());
+        for v in query.free_vars() {
+            args.push(KeyArg::Var(vars.slot(v.name())));
+        }
+        // Each constant canonicalised once, and literal until shown not
+        // to be.
+        for tv in patterns.iter().flat_map(|tp| [&tp.s, &tp.p, &tp.o]) {
+            args.push(match tv {
+                TermOrVar::Var(v) => KeyArg::Var(vars.slot(v.name())),
+                TermOrVar::Term(c) => KeyArg::Term(self.index.canonical_term(c)),
+            });
+        }
+        let mut params: Vec<Term> = Vec::new();
+        let body = query.arity();
+        for at in (body..args.len()).filter(|at| (at - body) % 3 != 1) {
+            let KeyArg::Term(c) = &args[at] else {
+                continue;
+            };
+            let mut predicates = args[body + 1..].iter().step_by(3);
+            if c.is_blank()
+                || predicates.any(|p| matches!(p, KeyArg::Term(p) if p == c))
+                || self.mentioned.contains(c)
+            {
+                continue;
+            }
+            // Numbered by first occurrence: a query holds a handful.
+            let k = params.iter().position(|p| p == c).unwrap_or(params.len());
+            if k == params.len() {
+                params.push(c.clone());
+            }
+            args[at] = KeyArg::Param(k);
+        }
+        let key = ShapeKey {
+            arity: query.arity(),
+            args,
+            max_depth: cfg.max_depth,
+            max_cqs: cfg.max_cqs,
+        };
+        (key, params)
+    }
+
+    /// A memo miss: expands `id_query` — a query of shape `key`, interned
+    /// into `scratch` — compiles its branches with the key's parameters
+    /// left open, and inserts the entry. A concurrent miss on the same key
+    /// that inserted first wins, and its entry is returned.
+    fn expand(
+        &self,
+        key: ShapeKey,
+        id_query: &IdCq,
+        scratch: &Interner,
+        cfg: &RewriteConfig,
+    ) -> Entry {
+        let expansion = Expansion::from(rps_tgd::rewrite_ids(id_query, &self.canon_tgds, cfg));
+        // `intern_cq` keeps the conjuncts and their positions in order, so
+        // the key and the interned query line up position by position.
+        let mut params: Vec<(ValId, usize)> = Vec::new();
+        let body = id_query.body.iter().flat_map(|atom| &atom.args);
+        for (arg, id_arg) in key.args[key.arity..].iter().zip(body) {
+            if let (KeyArg::Param(k), IdArg::Const(v)) = (arg, id_arg) {
+                debug_assert!(
+                    v.index() >= self.base.dict.values().len(),
+                    "a literal parameter"
+                );
+                params.push((*v, *k));
+            }
+        }
+        let branches = self.compile(&expansion.cqs, scratch, &params).into();
+        let entry = Entry {
+            expansion,
+            branches,
+        };
+        // Dropped after the guard, like the plan cache's evictions.
+        let (entry, _released) = self.memo().insert(Arc::new(key), entry);
+        entry
+    }
+
     /// Interns `query` into `scratch` as a numbered-variable id-CQ — the
-    /// first step of both rewritings, and the memo's key.
+    /// first step of both rewritings.
     fn intern(query: &GraphPatternQuery, scratch: &mut Interner) -> IdCq {
         let cq = query_to_cq(query, &mut scratch.encoder, false);
         rps_tgd::intern_cq(&cq, &mut scratch.dict)
     }
 
     /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
-    /// (the combined approach), entirely at the id level. The result runs
-    /// over the canonical stored graph (what [`Self::answers`] and the
-    /// sessions do, expanding the id rows over the classes) or is decoded
-    /// with [`RpsRewriting::branches`] for federation, which expands with
-    /// [`crate::equivalence::expand_answers`]. The expansion comes from
-    /// the memo when this interned query ran under these budgets before
-    /// (see the [module docs](self)).
+    /// (the combined approach), entirely at the id level, for a caller
+    /// that reads the union itself: [`RpsRewriting::branches`] decodes it
+    /// for federation, which expands with
+    /// [`crate::equivalence::expand_answers`]. The local routes compile
+    /// through `plan` instead. The expansion comes from the memo when a
+    /// query of this shape ran under these budgets before (see the
+    /// [module docs](self)).
     pub fn rewrite_canonical(
         &self,
         query: &GraphPatternQuery,
         cfg: &RewriteConfig,
     ) -> RpsRewriting {
-        let canon_query = canonicalize_query(query, &self.index);
+        let (key, _) = self.shape(query, cfg);
         let mut scratch = self.base.clone();
-        let key = (
-            Self::intern(&canon_query, &mut scratch),
-            cfg.max_depth,
-            cfg.max_cqs,
-        );
-        // Bound first: the guard must not live into the miss path.
+        let id_query = Self::intern(&canonicalize_query(query, &self.index), &mut scratch);
         let hit = self.memo().get(&key);
-        let expansion = match hit {
-            Some(expansion) => expansion,
-            None => {
-                let fresh = Expansion::from(rps_tgd::rewrite_ids(&key.0, &self.canon_tgds, cfg));
-                // Dropped after the guard, like the plan cache's evictions.
-                let (expansion, _released) = self.memo().insert(Arc::new(key), fresh);
-                expansion
-            }
+        let entry = match hit {
+            Some(entry) => entry,
+            None => self.expand(key, &id_query, &scratch, cfg),
         };
-        expansion.into_rewriting(scratch)
+        entry.expansion.into_rewriting(scratch)
     }
 
     /// Rewrites a graph pattern query into a UCQ over the sources — the
@@ -457,14 +641,15 @@ impl RpsRewriter {
         Expansion::from(rps_tgd::rewrite_ids(&id_query, &tgds, cfg)).into_rewriting(scratch)
     }
 
-    /// Compiles a canonical rewriting's id-CQ branches into prepared
-    /// [`rps_query::PreparedQueryIds`] plans over the canonical stored
-    /// graph. Branch bodies are `tt/3` atoms by construction, so each
-    /// maps positionally onto triple-pattern conjuncts; constants resolve
-    /// through the graph's own dictionary. Branches whose head was
-    /// specialised to a labelled null are dropped (no certain tuple can
-    /// come from them); branches mentioning values absent from the
-    /// graph's dictionary compile to unsatisfiable plans.
+    /// Compiles a canonical union's id-CQ branches (ids of `scratch`)
+    /// into [`Template`]s over the canonical stored graph, the values
+    /// `params` names as parameters. Branch bodies are `tt/3` atoms by
+    /// construction, so each maps positionally onto triple-pattern
+    /// conjuncts; other constants resolve through the graph's own
+    /// dictionary. Branches whose head was specialised to a labelled null
+    /// are dropped (no certain tuple can come from them); branches
+    /// mentioning values absent from the graph's dictionary bind to
+    /// unsatisfiable plans.
     ///
     /// A head constant is an id too, or the branch is dropped as dead: a
     /// head variable only ever becomes a constant `c` by a substitution
@@ -476,76 +661,127 @@ impl RpsRewriter {
     /// frontier variable, which carries `c` into the TGD's body (an
     /// existential variable does not unify with a constant). So a head
     /// constant without an id still occurs in the body, where a constant
-    /// without an id matches no stored triple.
-    pub(crate) fn compile_branches(&self, rewriting: &RpsRewriting) -> Vec<Branch> {
-        let scratch = &rewriting.scratch;
+    /// without an id matches no stored triple. A head parameter follows
+    /// the same argument at bind time.
+    fn compile(
+        &self,
+        cqs: &[IdCq],
+        scratch: &Interner,
+        params: &[(ValId, usize)],
+    ) -> Vec<Template> {
         let tt = scratch.dict.pred_id("tt");
-        // Each distinct constant is decoded and looked up once per call.
-        let mut memo: Vec<Option<Option<TermId>>> = vec![None; scratch.dict.values().len()];
-        let mut term_id = |v: ValId| {
-            *memo[v.index()].get_or_insert_with(|| self.canon_graph.term_id(&scratch.term(v)))
+        // Each distinct constant is resolved once per call: its parameter,
+        // or its id (`None` when the graph lacks it).
+        let mut memo: Vec<Option<Option<Arg>>> = vec![None; scratch.dict.values().len()];
+        let mut resolve = |v: ValId| {
+            *memo[v.index()].get_or_insert_with(|| match params.iter().find(|(p, _)| *p == v) {
+                Some(&(_, k)) => Some(Arg::Param(k)),
+                None => self.canon_graph.term_id(&scratch.term(v)).map(Arg::Const),
+            })
         };
-        let mut out = Vec::with_capacity(rewriting.id_cqs.len());
-        'branches: for cq in rewriting.id_cqs.iter() {
+        let mut out = Vec::with_capacity(cqs.len());
+        'branches: for cq in cqs {
             let nvars = (cq.nvars() as usize).max(1);
             let mut satisfiable = true;
-            let mut conjuncts: Vec<[PlanSlot; 3]> = Vec::with_capacity(cq.body.len());
+            let mut in_body = vec![false; nvars];
+            let mut body: Vec<[Arg; 3]> = Vec::with_capacity(cq.body.len());
             for atom in &cq.body {
                 if Some(atom.pred) != tt || atom.args.len() != 3 {
                     continue 'branches; // not a stored-triple atom
                 }
-                let mut slot = [PlanSlot::Var(0); 3];
+                let mut slot = [Arg::Var(0); 3];
                 for (i, arg) in atom.args.iter().enumerate() {
                     slot[i] = match arg {
-                        IdArg::Var(v) => PlanSlot::Var(*v as usize),
-                        IdArg::Const(c) => match term_id(*c) {
-                            Some(t) => PlanSlot::Const(t),
-                            None => {
-                                // Dead branch; the placeholder slot is
-                                // never consulted.
-                                satisfiable = false;
-                                PlanSlot::Var(0)
-                            }
-                        },
+                        IdArg::Var(v) => {
+                            in_body[*v as usize] = true;
+                            Arg::Var(*v as usize)
+                        }
+                        IdArg::Const(c) => resolve(*c).unwrap_or_else(|| {
+                            // Dead branch; the placeholder slot is never
+                            // consulted.
+                            satisfiable = false;
+                            Arg::Var(0)
+                        }),
                     };
                 }
-                conjuncts.push(slot);
-            }
-            let mut in_body = vec![false; nvars];
-            for slot in &conjuncts {
-                for s in slot {
-                    if let PlanSlot::Var(v) = s {
-                        in_body[*v] = true;
-                    }
-                }
+                body.push(slot);
             }
             let mut proj: Vec<usize> = Vec::new();
-            let mut head: Vec<Option<TermId>> = Vec::with_capacity(cq.head.len());
+            let mut head: Vec<Arg> = Vec::with_capacity(cq.head.len());
             let mut head_bound = true;
             for arg in &cq.head {
-                match arg {
+                head.push(match arg {
                     IdArg::Var(v) => {
                         head_bound &= in_body[*v as usize];
                         proj.push(*v as usize);
-                        head.push(None);
+                        Arg::Var(*v as usize)
                     }
-                    IdArg::Const(c) => {
-                        if scratch.dict.values().is_null(*c) {
-                            continue 'branches; // never a certain answer
-                        }
-                        let Some(id) = term_id(*c) else {
+                    IdArg::Const(c) if scratch.dict.values().is_null(*c) => {
+                        continue 'branches; // never a certain answer
+                    }
+                    IdArg::Const(c) => match resolve(*c) {
+                        Some(arg) => arg,
+                        None => {
                             debug_assert!(!satisfiable, "a head constant without an id");
                             continue 'branches; // dead, see above
-                        };
-                        head.push(Some(id));
-                    }
-                }
+                        }
+                    },
+                });
             }
+            // A head of variables only is the row as it is.
+            if head.iter().all(|arg| matches!(arg, Arg::Var(_))) {
+                head = Vec::new();
+            }
+            out.push(Template {
+                body,
+                nvars,
+                proj: head_bound.then_some(proj),
+                satisfiable,
+                head,
+            });
+        }
+        out
+    }
+
+    /// A shape's templates bound to one query's parameters and planned:
+    /// `values[k]` is parameter `k`'s id in the canonical graph, `None`
+    /// when it has none. A branch whose body holds such a parameter
+    /// binds unsatisfiable; one whose head does is dropped (dead, by
+    /// [`Self::compile`]'s argument) — both as a compile of the query's
+    /// own constants would do. Each bound body is planned afresh, so a
+    /// bound plan is the plan of its values by construction.
+    fn bind(&self, templates: &[Template], values: &[Option<TermId>]) -> Vec<Branch> {
+        let mut out = Vec::with_capacity(templates.len());
+        'branches: for t in templates {
+            let mut head = Vec::with_capacity(t.head.len());
+            for arg in &t.head {
+                head.push(match *arg {
+                    Arg::Var(_) => None,
+                    Arg::Const(id) => Some(id),
+                    Arg::Param(k) => match values[k] {
+                        Some(id) => Some(id),
+                        None => continue 'branches, // dead
+                    },
+                });
+            }
+            let mut satisfiable = t.satisfiable;
+            let mut slot = |arg: Arg| match arg {
+                Arg::Var(v) => PlanSlot::Var(v),
+                Arg::Const(id) => PlanSlot::Const(id),
+                Arg::Param(k) => values[k].map_or_else(
+                    || {
+                        satisfiable = false;
+                        PlanSlot::Var(0)
+                    },
+                    PlanSlot::Const,
+                ),
+            };
+            let body: Vec<[PlanSlot; 3]> = t.body.iter().map(|c| c.map(&mut slot)).collect();
             let plan = PreparedQueryIds::from_id_slots(
                 &self.canon_graph,
-                &conjuncts,
-                nvars,
-                head_bound.then_some(proj),
+                &body,
+                t.nvars,
+                t.proj.clone(),
                 satisfiable,
             );
             out.push((plan, head));
@@ -558,12 +794,10 @@ impl RpsRewriter {
     /// graph mappings). Returns the answers and whether the rewriting
     /// was exhaustive.
     pub fn answers(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (AnswerSet, bool) {
-        let rewriting = self.rewrite_canonical(query, cfg);
+        let rewritten = self.plan(query, cfg);
         let vars = crate::session::stream_vars(query);
-        let stream = self
-            .plan(&rewriting)
-            .execute(vars, ExecRoute::Rewritten, Semantics::Certain);
-        (stream.into_set(), rewriting.complete)
+        let stream = (rewritten.plan).execute(vars, ExecRoute::Rewritten, Semantics::Certain);
+        (stream.into_set(), rewritten.complete)
     }
 
     /// The Example 3 decision procedure: is `tuple` a certain answer of
@@ -578,21 +812,27 @@ impl RpsRewriter {
         tuple: &[Term],
         cfg: &RewriteConfig,
     ) -> Result<bool, RpsError> {
-        let free = query.free_vars();
-        if tuple.len() != free.len() {
+        let arity = query.arity();
+        if tuple.len() != arity {
             return Err(RpsError::Arity {
-                expected: free.len(),
+                expected: arity,
                 got: tuple.len(),
             });
         }
+        Ok(self.certain(query, tuple, cfg))
+    }
+
+    /// [`Self::is_certain_answer`] of a tuple of the query's arity.
+    fn certain(&self, query: &GraphPatternQuery, tuple: &[Term], cfg: &RewriteConfig) -> bool {
+        let free = query.free_vars();
         let bound = query
             .pattern()
             .substitute(&|v| free.iter().position(|f| f == v).map(|i| tuple[i].clone()));
-        let rewriting = self.rewrite_canonical(&GraphPatternQuery::boolean(bound), cfg);
-        Ok(self.compile_branches(&rewriting).iter().any(|(plan, _)| {
+        let rewritten = self.plan(&GraphPatternQuery::boolean(bound), cfg);
+        rewritten.plan.branches.iter().any(|(plan, _)| {
             let witness = plan.evaluate_rows(&self.canon_graph, Semantics::Certain);
             !witness.is_empty()
-        }))
+        })
     }
 
     /// The full Example 3 pipeline: enumerate all candidate tuples of
@@ -626,10 +866,7 @@ impl RpsRewriter {
         let mut idx = vec![0usize; arity];
         for _ in 0..total {
             let tuple: Vec<Term> = idx.iter().map(|&i| names[i].clone()).collect();
-            if self
-                .is_certain_answer(query, &tuple, cfg)
-                .expect("candidate tuples have the query's arity")
-            {
+            if self.certain(query, &tuple, cfg) {
                 tuples.insert(tuple);
             }
             for slot in &mut idx {
@@ -883,7 +1120,7 @@ mod tests {
             )
         };
         let run = |r: &RpsRewriting| {
-            let stream = rw.plan(r).execute(
+            let stream = compiled(&rw, r).execute(
                 ["x".into()].into(),
                 ExecRoute::Rewritten,
                 Semantics::Certain,
@@ -950,38 +1187,84 @@ mod tests {
             .into_rewriting(scratch)
     }
 
+    /// A rewriting's branches compiled with its own constants, no
+    /// parameter: what a bound plan must equal.
+    fn compiled(rw: &RpsRewriter, r: &RpsRewriting) -> Plan {
+        Plan {
+            graph: GraphHandle::Quotient(rw.canon_graph.clone()),
+            branches: rw.bind(&rw.compile(&r.id_cqs, &r.scratch, &[]), &[]),
+            classes: Some(rw.classes.clone()),
+        }
+    }
+
+    fn run(query: &GraphPatternQuery, plan: &Plan) -> BTreeSet<Vec<Term>> {
+        let vars = crate::session::stream_vars(query);
+        let stream = plan.execute(vars, ExecRoute::Rewritten, Semantics::Certain);
+        stream.into_set().tuples
+    }
+
     fn executed(
         rw: &RpsRewriter,
         query: &GraphPatternQuery,
         r: &RpsRewriting,
     ) -> BTreeSet<Vec<Term>> {
-        let vars = crate::session::stream_vars(query);
-        let stream = rw
-            .plan(r)
-            .execute(vars, ExecRoute::Rewritten, Semantics::Certain);
-        stream.into_set().tuples
+        run(query, &compiled(rw, r))
     }
 
     /// The memoised rewriting of `query`, checked byte for byte against
-    /// the direct expansion: union, flags, decoded branches, answers.
-    fn memoised(rw: &RpsRewriter, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
-        let memo = rw.rewrite_canonical(query, cfg);
+    /// the direct expansion — union, flags, decoded branches, answers —
+    /// and its plan, bound from the memo's branches, against the direct
+    /// expansion's compiled with the query's own constants: equal field
+    /// by field (join order, `planned_scans()`, satisfiability, head),
+    /// with equal answers. `plan_first` takes the memo's miss through the
+    /// serving path rather than [`RpsRewriter::rewrite_canonical`].
+    fn memoised_with(
+        rw: &RpsRewriter,
+        query: &GraphPatternQuery,
+        cfg: &RewriteConfig,
+        plan_first: bool,
+    ) -> RpsRewriting {
+        let (bound, memo) = if plan_first {
+            let bound = rw.plan(query, cfg);
+            (bound, rw.rewrite_canonical(query, cfg))
+        } else {
+            let memo = rw.rewrite_canonical(query, cfg);
+            (rw.plan(query, cfg), memo)
+        };
         let direct = expand_directly(rw, query, cfg);
         assert_eq!(memo.id_cqs[..], direct.id_cqs[..], "{query:?}");
         assert_eq!(memo.complete, direct.complete, "{query:?}");
         assert_eq!(memo.explored, direct.explored, "{query:?}");
         assert_eq!(memo.branches(), direct.branches(), "{query:?}");
-        assert_eq!(
-            executed(rw, query, &memo),
-            executed(rw, query, &direct),
-            "{query:?}"
-        );
+        let fresh = compiled(rw, &direct);
+        assert_eq!(bound.plan.branches, fresh.branches, "{query:?}");
+        for ((plan, _), (fresh_plan, _)) in bound.plan.branches.iter().zip(&fresh.branches) {
+            assert_eq!(
+                plan.planned_scans(),
+                fresh_plan.planned_scans(),
+                "{query:?}"
+            );
+        }
+        assert_eq!(bound.complete, direct.complete, "{query:?}");
+        assert_eq!(bound.explored, direct.explored, "{query:?}");
+        assert_eq!(run(query, &bound.plan), run(query, &fresh), "{query:?}");
         memo
+    }
+
+    fn memoised(rw: &RpsRewriter, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
+        memoised_with(rw, query, cfg, false)
     }
 
     #[test]
     fn memoised_expansion_equals_direct_expansion_on_a_seeded_sweep() {
-        let sys = sized_system(44);
+        let mut sys = sized_system(44);
+        // A class member of a mapping constant: canonicalised, it is the
+        // mapping's constant (or that is it), and stays literal.
+        let member = Term::iri("http://c/performer");
+        sys.add_equivalence(EquivalenceMapping::new(
+            rps_rdf::Iri::new("http://b/actor"),
+            rps_rdf::Iri::new("http://c/performer"),
+        ));
         let cfg = RewriteConfig::default();
         let person = |i: usize| Term::iri(format!("http://b/person{i}"));
         let mentioned = [Term::iri("http://a/cast"), Term::iri("http://b/actor")];
@@ -999,7 +1282,8 @@ mod tests {
             Term::iri("http://a/p1"),
             Term::iri("http://b/p2"),
         ]);
-        assert!(pool.len() >= 50);
+        assert!(pool.len() >= 52);
+        pool.push(member.clone());
         for seed in crate::equivalence::tests::sweep_seeds() {
             let rw = RpsRewriter::new(&sys);
             // xorshift64; the state must not be zero.
@@ -1017,11 +1301,12 @@ mod tests {
 
             // One shape under every constant of the pool, in a seeded
             // order: the ones no mapping mentions share one key and one
-            // union, each mentioned one has its own.
+            // union, each mentioned one has its own, and the class member
+            // shares its mapping constant's.
             let mut shared: Option<Arc<[IdCq]>> = None;
             for c in &order {
-                let r = memoised(&rw, &films_of(c), &cfg);
-                if mentioned.contains(c) {
+                let r = memoised_with(&rw, &films_of(c), &cfg, below(2) == 0);
+                if mentioned.contains(c) || *c == member {
                     continue;
                 }
                 match &shared {
@@ -1041,15 +1326,18 @@ mod tests {
                 BTreeSet::from([vec![Term::iri("http://b/film3")]])
             );
             assert!(executed(&rw, &dead_q, &dead).is_empty(), "a dead branch");
+            assert!(run(&dead_q, &rw.plan(&dead_q, &cfg).plan).is_empty());
             // A literal and an IRI of one lexical form: the literal is a
-            // fresh constant either way, the mentioned IRI is not.
+            // parameter either way, the mentioned IRI is not.
             let (lit, lit_q) = films(&lit_person);
             assert!(Arc::ptr_eq(&live.id_cqs, &lit.id_cqs));
             assert!(executed(&rw, &lit_q, &lit).is_empty());
             let (as_literal, _) = films(&lit_actor);
             let (as_iri, _) = films(&mentioned[1]);
+            let (as_member, _) = films(&member);
             assert!(Arc::ptr_eq(&live.id_cqs, &as_literal.id_cqs));
             assert!(!Arc::ptr_eq(&live.id_cqs, &as_iri.id_cqs));
+            assert!(Arc::ptr_eq(&as_iri.id_cqs, &as_member.id_cqs));
 
             // The same constant twice is another key than two distinct
             // ones.
@@ -1067,9 +1355,26 @@ mod tests {
             assert!(!Arc::ptr_eq(&same, &two));
             assert_eq!(rw.memo().len(), before + 2, "seed {seed}");
 
+            // A constant at predicate position stays literal, so two
+            // predicates no mapping mentions are two keys, of one union.
+            let before = rw.memo().len();
+            let (x, y) = (TermOrVar::var("x"), TermOrVar::var("y"));
+            let by = |p: &Term| query(&["x"], &[[x.clone(), p.clone().into(), y.clone()]]);
+            let one = memoised(&rw, &by(&person(3)), &cfg).id_cqs;
+            let other = memoised(&rw, &by(&person(4)), &cfg).id_cqs;
+            assert!(!Arc::ptr_eq(&one, &other) && one[..] == other[..]);
+            assert_eq!(rw.memo().len(), before + 2, "seed {seed}");
+            // ... and at every other position it holds, so `p p ?y` and
+            // `s p ?y` are two keys.
+            let before = rw.memo().len();
+            let from = |s: &Term| query(&["y"], &[[s.clone().into(), person(3).into(), y.clone()]]);
+            memoised(&rw, &from(&person(3)), &cfg);
+            memoised(&rw, &from(&person(4)), &cfg);
+            assert_eq!(rw.memo().len(), before + 2, "seed {seed}");
+
             // Seeded shapes over seeded constants, a repeat one time in
             // four: Example 3's Boolean shape, a variable predicate, a
-            // join.
+            // join, a constant predicate.
             for _ in 0..50 {
                 let a = order[below(order.len())].clone();
                 let b = match below(4) {
@@ -1077,20 +1382,37 @@ mod tests {
                     _ => order[below(order.len())].clone(),
                 };
                 let var = TermOrVar::var;
-                let q = match below(3) {
+                let q = match below(4) {
                     0 => query(&[], &[[a.into(), cast(), b.into()]]),
                     1 => {
                         let join = [[a.into(), var("p"), var("x")], [var("x"), cast(), b.into()]];
                         query(&["p", "x"], &join)
                     }
-                    _ => {
+                    2 => {
                         let join = [[var("x"), cast(), var("y")], [var("x"), cast(), a.into()]];
                         query(&["x", "y"], &join)
                     }
+                    _ => {
+                        let join = [[var("x"), a.into(), var("y")], [var("y"), cast(), b.into()]];
+                        query(&["x"], &join)
+                    }
                 };
-                memoised(&rw, &q, &cfg);
+                memoised_with(&rw, &q, &cfg, below(2) == 0);
             }
         }
+    }
+
+    /// The literal constants of a shape key are the canonical TGD
+    /// constants: exactly the terms the rewriter's base dictionary
+    /// interns, so a parameter never interns to a base id.
+    #[test]
+    fn the_mentioned_constants_are_the_base_dictionary() {
+        let rw = RpsRewriter::new(&sized_system(4));
+        let values = rw.base.dict.values();
+        let base: HashSet<Term> = (0..values.len())
+            .map(|i| rw.base.term(ValId(i as u32)))
+            .collect();
+        assert_eq!(base, rw.mentioned);
     }
 
     #[test]
@@ -1118,10 +1440,13 @@ mod tests {
                 ],
             ),
         ];
-        let first: Vec<RpsRewriting> = shapes.iter().map(|q| memoised(&rw, q, &cfg)).collect();
+        let (first, bound): (Vec<RpsRewriting>, Vec<Plan>) = (shapes.iter())
+            .map(|q| (memoised(&rw, q, &cfg), rw.plan(q, &cfg).plan))
+            .unzip();
         assert_eq!(rw.memo().len(), 4);
         // Newest first, so no probe evicts what a later one looks for:
-        // the four newest are hits, the two oldest expand afresh.
+        // the four newest are hits, the two oldest expand and compile
+        // afresh, and bind to the same plans.
         for (i, q) in shapes.iter().enumerate().rev() {
             let again = memoised(&rw, q, &cfg);
             assert_eq!(
@@ -1131,6 +1456,7 @@ mod tests {
             );
             assert_eq!(again.id_cqs[..], first[i].id_cqs[..]);
             assert_eq!(executed(&rw, q, &again), executed(&rw, q, &first[i]));
+            assert_eq!(rw.plan(q, &cfg).plan.branches, bound[i].branches, "{q:?}");
         }
         assert_eq!(rw.memo().len(), 4);
     }

@@ -14,15 +14,16 @@
 //!
 //! Everything behind the handle is immutable but two caches: plans carry
 //! their own `Arc` of the sealed substrate (universal solution or
-//! canonical stored graph), the rewriter interns a new query's constants
-//! into a per-call scratch dictionary, and the Datalog engine's model is
-//! sealed. One lock is the **plan cache**'s ([`PlanCache`]) — two bounded
+//! canonical stored graph), the rewriter binds a new query's constants
+//! into the branches it compiled for the query's shape, and the Datalog
+//! engine's model is sealed. One lock is the **plan cache**'s ([`PlanCache`]) — two bounded
 //! maps under one mutex, conjunctive plans keyed on the canonical
 //! numbered-variable form of the query and whole SPARQL statements keyed
 //! on their text, held for a hash probe and never across parsing,
 //! compilation or execution — with hit/miss counters exposed via
 //! [`FrozenSession::plan_cache_stats`]. The other is the rewriter's
-//! expansion memo ([`crate::rewriting`]), held the same way.
+//! memo of expansions and compiled branches by query shape
+//! ([`crate::rewriting`]), held the same way.
 //!
 //! ```
 //! use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -114,7 +115,7 @@ pub struct PlanCacheStats {
 }
 
 /// A map that forgets its oldest key once it holds `capacity` of them —
-/// the plan cache's two maps and the rewriter's expansion memo
+/// the plan cache's two maps and the rewriter's memo
 /// ([`crate::rewriting`]). Keys are cheap to clone (`Arc`s): each is
 /// held by the map and by the eviction order.
 pub(crate) struct Fifo<K, V> {
@@ -329,12 +330,13 @@ pub fn canonical_plan_key(query: &GraphPatternQuery) -> String {
     key
 }
 
-/// The variable names of a plan key, numbered by first occurrence. A
-/// conjunctive query names a handful of variables: a linear scan over
-/// borrowed names beats hashing (and copying) each occurrence, and the
-/// first [`Slots::INLINE`] are held without a heap list.
+/// The variable names of a plan key (and of the rewriter's shape key),
+/// numbered by first occurrence. A conjunctive query names a handful of
+/// variables: a linear scan over borrowed names beats hashing (and
+/// copying) each occurrence, and the first [`Slots::INLINE`] are held
+/// without a heap list.
 #[derive(Default)]
-struct Slots<'q> {
+pub(crate) struct Slots<'q> {
     inline: [&'q str; Slots::INLINE],
     len: usize,
     spilled: Vec<&'q str>,
@@ -344,7 +346,7 @@ impl<'q> Slots<'q> {
     const INLINE: usize = 16;
 
     /// The slot of `name`, numbering it next if it is new.
-    fn slot(&mut self, name: &'q str) -> usize {
+    pub(crate) fn slot(&mut self, name: &'q str) -> usize {
         let known = self.inline[..self.len.min(Self::INLINE)]
             .iter()
             .chain(&self.spilled)
@@ -587,9 +589,9 @@ impl FrozenSession {
         let (route, rewrite_fell_back, plan) = match &inner.compiler {
             Compiler::Chased(solution) => (inner.route, false, chased(solution.clone())),
             Compiler::Rewriter(rewriter, fallback) => {
-                let rewriting = rewriter.rewrite_canonical(query, &config.rewrite);
+                let rewritten = rewriter.plan(query, &config.rewrite);
                 match fallback {
-                    _ if rewriting.complete => (inner.route, false, rewriter.plan(&rewriting)),
+                    _ if rewritten.complete => (inner.route, false, rewritten.plan),
                     // The explicit Rewrite strategy never falls back.
                     Some(solution) if config.strategy == Strategy::Auto => {
                         let plan = chased((solution.clone(), None));
@@ -597,7 +599,7 @@ impl FrozenSession {
                     }
                     _ => {
                         return Err(RpsError::RewriteBudget {
-                            explored: rewriting.explored,
+                            explored: rewritten.explored,
                             max_depth: config.rewrite.max_depth,
                             max_cqs: config.rewrite.max_cqs,
                         })

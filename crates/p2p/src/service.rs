@@ -73,7 +73,7 @@ pub struct FederatedAnswer {
 }
 
 /// What the federated façades are built from and answer through.
-/// Immutable once frozen apart from the rewriter's expansion memo, so
+/// Immutable once frozen apart from the rewriter's memo, so
 /// executes touch it lock-free from any number of threads, and a
 /// prepare locks only for the memo's probe.
 struct FedCore {
@@ -82,7 +82,7 @@ struct FedCore {
     /// interning them, so the engine never mutates.
     engine: FederatedEngine,
     /// The rewriting compiler; each prepare interns into its own scratch
-    /// dictionary, and only the expansion memo behind its own lock ever
+    /// dictionary, and only the memo behind its own lock ever
     /// changes. Also holds the equivalence index answers are expanded
     /// over.
     rewriter: RpsRewriter,

@@ -30,7 +30,7 @@ pub enum Semantics {
 }
 
 /// One position of a compiled triple pattern.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Slot {
     /// A constant, already resolved to a term id of the target graph.
     Const(TermId),
@@ -39,11 +39,16 @@ enum Slot {
 }
 
 /// A graph pattern compiled against a specific graph's dictionary.
+#[derive(Clone, PartialEq, Eq, Debug)]
 struct Compiled {
     /// One `[s, p, o]` slot triple per conjunct, in planner order.
     slots: Vec<[Slot; 3]>,
-    /// Dense variable table; `Slot::Var` indexes into this.
+    /// Dense variable table; `Slot::Var` indexes into this. Empty for an
+    /// id-level plan ([`PreparedQueryIds::from_id_slots`]), whose
+    /// variables have numbers, not names.
     vars: Vec<Variable>,
+    /// The number of variables.
+    nvars: usize,
     /// False if some constant does not occur in the graph at all, which
     /// makes the whole conjunction unsatisfiable.
     satisfiable: bool,
@@ -92,6 +97,7 @@ fn compile(graph: &Graph, gp: &GraphPattern, heuristic: bool) -> Compiled {
     };
     Compiled {
         slots,
+        nvars: vars.len(),
         vars,
         satisfiable,
         heuristic,
@@ -689,6 +695,10 @@ pub fn has_match_with(
 /// assert_eq!(plan.evaluate_delta(&g, Semantics::Certain, mark).len(), 1);
 /// assert!(plan.evaluate_delta(&g, Semantics::Certain, g.log_len()).is_empty());
 /// ```
+///
+/// Two plans are equal when they are field by field: the same planned
+/// conjuncts, order, satisfiability and projection.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PreparedQueryIds {
     compiled: Compiled,
     /// Free-variable projection into compiled variable indexes; `None`
@@ -794,7 +804,8 @@ impl PreparedQueryIds {
 
     /// The plan's independent suffix, or `None` when it has none: the
     /// planner position of the suffix's first conjunct and the variables
-    /// it shares with the conjuncts above it. [`Self::evaluate_rows`]
+    /// it shares with the conjuncts above it (none on an id-level plan,
+    /// whose variables have no names). [`Self::evaluate_rows`]
     /// evaluates `planned_order()[depth..]` once per value of those
     /// variables and replays the stored sub-answer for every binding of
     /// the conjuncts above that leaves them unchanged — a hub self-join
@@ -802,7 +813,9 @@ impl PreparedQueryIds {
     /// first. Chains and two-atom plans have no such suffix.
     pub fn planned_memo(&self) -> Option<(usize, Vec<&Variable>)> {
         let memo = self.memo.as_ref()?;
-        let key = memo.key.iter().map(|&v| &self.compiled.vars[v]).collect();
+        let key = (memo.key.iter())
+            .filter_map(|&v| self.compiled.vars.get(v))
+            .collect();
         Some((memo.depth, key))
     }
 
@@ -838,7 +851,7 @@ impl PreparedQueryIds {
     pub fn evaluate_rows(&self, graph: &Graph, semantics: Semantics) -> IdRows {
         let mut out = RowSink::new(self.arity());
         if let Some(proj) = self.runnable() {
-            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.nvars];
             let mut matcher = self.matcher(graph, &self.compiled.slots, semantics);
             matcher.memo = self.memo.as_ref().map(SuffixCache::new);
             matcher.search(0, &mut binding, &mut |b| {
@@ -889,7 +902,7 @@ impl PreparedQueryIds {
                 .collect();
             let pivot_vars: Vec<usize> = slot_vars(&slot).collect();
             order_slots(graph, &mut rest, &pivot_vars, self.compiled.heuristic);
-            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+            let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.nvars];
             let mut matcher = self.matcher(graph, &rest, semantics);
             for t in graph.log_since(log_from) {
                 matcher.match_one(0, &slot, t, &mut binding, &mut |b| {
@@ -953,12 +966,10 @@ impl PreparedQueryIds {
             (0..slots.len()).collect()
         };
         debug_assert!(proj.iter().flatten().all(|&i| i < nvars));
-        // Numbered variables have no source names; synthesise stable
-        // placeholders so the dense table keeps its invariants.
-        let vars: Vec<Variable> = (0..nvars).map(|i| Variable::new(format!("_{i}"))).collect();
         let compiled = Compiled {
             slots,
-            vars,
+            vars: Vec::new(),
+            nvars,
             satisfiable,
             heuristic: false,
             source,

@@ -129,8 +129,8 @@ fn common_prefixes_copy_no_text() {
 }
 
 /// A hub of `films` films, each with a cast of one through a blank node
-/// and an age — the shape the templates read.
-fn frozen(films: usize) -> FrozenSession {
+/// and an age — the shape the templates read — frozen under `strategy`.
+fn frozen(films: usize, strategy: Strategy) -> FrozenSession {
     let mut turtle = String::new();
     for i in 0..films {
         let (f, x) = (film(i), person(i));
@@ -145,22 +145,17 @@ fn frozen(films: usize) -> FrozenSession {
         .peer_turtle("hub", &turtle, &mut peer)
         .expect("generated turtle")
         .build();
-    let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let config = EngineConfig::default().with_strategy(strategy);
     Session::open(system, config)
         .and_then(Session::freeze)
-        .expect("a materialised session freezes")
+        .expect("the session freezes")
 }
 
-/// A cold `FrozenSession::prepare_sparql` — a text the statement front
-/// has not seen, its CQ a plan-cache miss — of `cast_hub`: lex, parse,
-/// lower, key, compile, cache. 91 allocations before the front-end
-/// stopped copying its text. The fewest over eight cold texts in a row
-/// is asserted, so the cache maps growing on one insert does not count.
-#[test]
-fn cold_prepare_sparql_of_a_point_read_stays_within_budget() {
-    const BUDGET: usize = 25;
-    let session = frozen(64);
-    // Fill the caches past their first few growth steps.
+/// The fewest allocations of a cold `prepare_sparql` of `cast_hub` over
+/// films 40..48, after films 0..40 filled the caches past their first
+/// few growth steps; each of the eight texts must be a plan-cache miss
+/// answering one row.
+fn fewest_cold_cast_hub_allocs(session: &FrozenSession) -> usize {
     for i in 0..40 {
         session
             .prepare_sparql(&render("cast_hub", i))
@@ -184,8 +179,37 @@ fn cold_prepare_sparql_of_a_point_read_stays_within_budget() {
         8,
         "every cold text is a plan-cache miss"
     );
+    fewest
+}
+
+/// A cold `FrozenSession::prepare_sparql` — a text the statement front
+/// has not seen, its CQ a plan-cache miss — of `cast_hub`: lex, parse,
+/// lower, key, compile, cache. 91 allocations before the front-end
+/// stopped copying its text. The fewest over eight cold texts in a row
+/// is asserted, so the cache maps growing on one insert does not count.
+#[test]
+fn cold_prepare_sparql_of_a_point_read_stays_within_budget() {
+    const BUDGET: usize = 25;
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Materialise));
     assert!(
         fewest <= BUDGET,
         "a cold prepare_sparql made {fewest} allocations, the budget is {BUDGET}"
+    );
+}
+
+/// The same cold `prepare_sparql` on the rewritten route, of a film
+/// whose query shape the rewriter has seen: key the shape, probe the
+/// memo, look the film up, write it into the shape's compiled branches
+/// and plan them — no interning, no expansion, no decoding of the union
+/// (31 allocations when a plan miss interned the query and compiled its
+/// branches). The count is exact, and the same unoptimised and
+/// optimised: a rise is a regression.
+#[test]
+fn cold_prepare_sparql_of_a_seen_shape_on_the_rewritten_route_is_pinned() {
+    const ALLOCS: usize = 28;
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Rewrite));
+    assert_eq!(
+        fewest, ALLOCS,
+        "a cold prepare_sparql of a seen shape made {fewest} allocations"
     );
 }
