@@ -76,14 +76,16 @@
 
 use crate::answers::AnswerSet;
 use crate::encode::{equivalence_tgds, mapping_tgds_unguarded, query_to_cq, Encoder};
-use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
+use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
 use crate::session::frozen::{Fifo, Slots};
-use crate::session::{Branch, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::session::{
+    AnswerStream, Branch, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY,
+};
 use crate::system::RdfPeerSystem;
 use rps_query::{
-    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, Semantics, TermOrVar,
+    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, RowSink, Semantics, TermOrVar,
     TriplePattern, UnionQuery, Variable,
 };
 use rps_rdf::{Graph, Term, TermId};
@@ -482,6 +484,21 @@ impl RpsRewriter {
         &self.canon_graph
     }
 
+    /// The federated engine's answer rows — ids of [`Self::canon_graph`],
+    /// whose dictionary the engine's clones — expanded over the classes,
+    /// as the stream every route answers in.
+    pub fn federated_stream(
+        &self,
+        vars: Arc<[Variable]>,
+        rows: &BTreeSet<Vec<TermId>>,
+    ) -> AnswerStream {
+        let mut packed = RowSink::new(vars.len());
+        rows.iter().for_each(|row| packed.push(row.iter().copied()));
+        let rows = expand_rows(packed.finish(), &self.classes);
+        let graph = GraphHandle::Quotient(self.canon_graph.clone());
+        AnswerStream::new(vars, ExecRoute::Federated, graph, rows)
+    }
+
     /// The plan of `query` on the rewritten route: its shape's branches,
     /// from the memo or expanded and compiled now, bound to its own
     /// constants, over the (shared, sealed) canonical stored graph, with
@@ -605,8 +622,8 @@ impl RpsRewriter {
     /// Rewrites a query under the *canonicalised graph-mapping TGDs only*
     /// (the combined approach), entirely at the id level, for a caller
     /// that reads the union itself: [`RpsRewriting::branches`] decodes it
-    /// for federation, which expands with
-    /// [`crate::equivalence::expand_answers`]. The local routes compile
+    /// for federation, whose answers come back through
+    /// [`Self::federated_stream`]. The local routes compile
     /// through `plan` instead. The expansion comes from the memo when a
     /// query of this shape ran under these budgets before (see the
     /// [module docs](self)).

@@ -87,7 +87,6 @@ use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, IdRows, PreparedQueryIds, RowSink, Semantics, Variable};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 pub mod frozen;
@@ -354,15 +353,7 @@ impl Plan {
             Some(classes) => expand_rows(rows, classes),
             None => rows,
         };
-        AnswerStream {
-            vars,
-            route,
-            inner: StreamInner::Ids {
-                graph: self.graph.clone(),
-                rows,
-                next: 0,
-            },
-        }
+        AnswerStream::new(vars, route, self.graph.clone(), rows)
     }
 }
 
@@ -415,42 +406,37 @@ impl PreparedQuery {
     }
 }
 
-/// A streaming iterator over answer tuples.
-///
-/// Id-level results (every local route) are decoded to [`Term`]s
-/// lazily, one tuple per `next()` call, instead of materialising the
-/// whole answer vector up front; already-decoded results (federation)
-/// pass through.
+/// A streaming iterator over answer tuples: sorted, duplicate-free id
+/// rows over one sealed graph, decoded to [`Term`]s lazily, one tuple
+/// per `next()` call, instead of materialising the whole answer vector
+/// up front. Every route answers in this one form — the local ones over
+/// the graph their plan ran on, the federated one over the rewriter's
+/// canonical graph.
 /// The stream reports the [`ExecRoute`] taken and the projection
 /// variables, and can be collected into an [`AnswerSet`] with
 /// [`AnswerStream::into_set`].
 pub struct AnswerStream {
     vars: Arc<[Variable]>,
     route: ExecRoute,
-    inner: StreamInner,
-}
-
-enum StreamInner {
-    Ids {
-        graph: GraphHandle,
-        rows: IdRows,
-        next: usize,
-    },
-    Terms(std::collections::btree_set::IntoIter<Vec<Term>>),
+    graph: GraphHandle,
+    rows: IdRows,
+    next: usize,
 }
 
 impl AnswerStream {
-    /// A stream over already-decoded tuples. Building block for
-    /// alternative executors (the federated engine in `rps-p2p`).
-    pub fn from_terms(
-        vars: impl Into<Arc<[Variable]>>,
+    /// A stream over `rows`, ids of `graph`'s dictionary.
+    pub(crate) fn new(
+        vars: Arc<[Variable]>,
         route: ExecRoute,
-        tuples: BTreeSet<Vec<Term>>,
+        graph: GraphHandle,
+        rows: IdRows,
     ) -> Self {
         AnswerStream {
-            vars: vars.into(),
+            vars,
             route,
-            inner: StreamInner::Terms(tuples.into_iter()),
+            graph,
+            rows,
+            next: 0,
         }
     }
 
@@ -474,32 +460,22 @@ impl AnswerStream {
     }
 
     /// The undecoded id rows of `streams` and the graph whose
-    /// dictionary they index — when every stream is an untouched id
-    /// stream over that one graph. Otherwise (decoded tuples, ids of
-    /// different graphs, a stream already advanced) the streams come
-    /// back unchanged.
+    /// dictionary they index — when every stream is untouched and over
+    /// that one graph. Otherwise (ids of different graphs, a stream
+    /// already advanced) the streams come back unchanged.
     pub(crate) fn into_shared_ids(
         streams: Vec<AnswerStream>,
     ) -> Result<(GraphHandle, Vec<IdRows>), Vec<AnswerStream>> {
-        let Some(StreamInner::Ids { graph, .. }) = streams.first().map(|s| &s.inner) else {
+        let Some(graph) = streams.first().map(|s| s.graph.clone()) else {
             return Err(streams);
         };
-        let graph = graph.clone();
-        let shared = streams.iter().all(|s| {
-            matches!(&s.inner, StreamInner::Ids { graph: other, next: 0, .. }
-                if std::ptr::eq::<Graph>(&*graph, &**other))
-        });
+        let shared = streams
+            .iter()
+            .all(|s| s.next == 0 && std::ptr::eq::<Graph>(&*graph, &*s.graph));
         if !shared {
             return Err(streams);
         }
-        let rows = streams
-            .into_iter()
-            .filter_map(|s| match s.inner {
-                StreamInner::Ids { rows, .. } => Some(rows),
-                StreamInner::Terms(_) => None,
-            })
-            .collect();
-        Ok((graph, rows))
+        Ok((graph, streams.into_iter().map(|s| s.rows).collect()))
     }
 }
 
@@ -507,24 +483,16 @@ impl Iterator for AnswerStream {
     type Item = Vec<Term>;
 
     fn next(&mut self) -> Option<Vec<Term>> {
-        match &mut self.inner {
-            StreamInner::Ids { graph, rows, next } => (*next < rows.len()).then(|| {
-                *next += 1;
-                let row = rows.row(*next - 1);
-                row.iter().map(|&id| graph.term(id).clone()).collect()
-            }),
-            StreamInner::Terms(iter) => iter.next(),
-        }
+        (self.next < self.rows.len()).then(|| {
+            self.next += 1;
+            let row = self.rows.row(self.next - 1);
+            row.iter().map(|&id| self.graph.term(id).clone()).collect()
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            StreamInner::Ids { rows, next, .. } => {
-                let left = rows.len() - next;
-                (left, Some(left))
-            }
-            StreamInner::Terms(iter) => iter.size_hint(),
-        }
+        let left = self.rows.len() - self.next;
+        (left, Some(left))
     }
 }
 

@@ -11,18 +11,19 @@
 //! because the tail is shared and deterministic, the same query text
 //! answers byte-identically on every façade and route.
 //!
-//! **Late materialisation.** On every local route ([`FrozenSession`],
-//! [`crate::LiveReader`]; materialised, rewritten or Datalog) a lowered CQ answers with undecoded id rows over one sealed
-//! graph — equivalence classes already expanded — and when a statement's
-//! CQs all index that one graph's dictionary the tail runs on those ids:
-//! joins, filters, DISTINCT, ordering and LIMIT all happen before a
-//! single [`Term`](rps_rdf::Term) is cloned, and only the rows that
-//! leave the engine are decoded. What has no shared dictionary — the
-//! federated façades, whose cross-peer merging happens on terms, and an
-//! `Auto` statement whose CQs fell back to different substrates — is
-//! interned into a scratch dictionary by [`LoweredSparql::assemble`] and
-//! goes through the *same* tail. There is no second implementation and
-//! nothing to configure.
+//! **Late materialisation.** On every route ([`FrozenSession`],
+//! [`crate::LiveReader`]; materialised, rewritten or Datalog; and the
+//! federated façades of `rps-p2p`, whose answer dictionary is the
+//! rewriter's canonical graph's) a lowered CQ answers with undecoded id
+//! rows over one sealed graph — equivalence classes already expanded —
+//! and when a statement's CQs all index that one graph's dictionary the
+//! tail runs on those ids: joins, filters, DISTINCT, ordering and LIMIT
+//! all happen before a single [`Term`](rps_rdf::Term) is cloned, and
+//! only the rows that leave the engine are decoded. The one statement
+//! without a shared dictionary — an `Auto` statement whose CQs fell back
+//! to different substrates — is interned into a scratch dictionary by
+//! [`LoweredSparql::assemble`] and goes through the *same* tail. There
+//! is no second implementation and nothing to configure.
 //!
 //! Prefixed names resolve against the query's own `PREFIX`/`BASE`
 //! prologue, falling back to the common well-known namespaces
@@ -110,8 +111,9 @@ pub fn prepare_sparql_with<P>(
 /// Runs every conjunctive plan of `prepared` through a façade's own
 /// `execute` and assembles the answers with the shared tail (left
 /// joins, filters, ordering): directly on the streams' id rows when
-/// they all index one graph's dictionary, through the interning
-/// adapter otherwise.
+/// they all index one graph's dictionary — every statement of every
+/// façade but one — and through the interning adapter for that one, a
+/// mixed-substrate `Auto` statement.
 pub fn execute_sparql_with<P>(
     prepared: &PreparedSparql<P>,
     execute: impl FnMut(&P) -> Result<AnswerStream, RpsError>,

@@ -13,8 +13,9 @@
 //!
 //! **Id-level prepared execution.** The engine maintains an *answer
 //! dictionary* at the originator (the union of the peer dictionaries,
-//! built once with [`rps_rdf::TermDict::absorb`]) plus a per-peer
-//! translation table from peer-local term ids to originator ids.
+//! built once with [`rps_rdf::TermDict::absorb`] — or, canonical, the
+//! rewriter's canonical graph's, which holds every peer term already)
+//! plus a per-peer translation table from peer-local term ids to originator ids.
 //! [`FederatedEngine::prepare_branches`] compiles a UCQ once — routing
 //! each pattern, resolving its constants against every routed peer's
 //! dictionary, and interning head-template constants — into a
@@ -33,7 +34,9 @@ use crate::network::{NodeId, SimNetwork};
 use crate::routing::SchemaIndex;
 use crate::transport::{SimTransport, Transport};
 use crate::wire::{self, WireMessage, WireRequest, WireSlot};
-use rps_core::{FailureCause, FailurePolicy, PeerId, RdfPeerSystem, RetryPolicy, RpsError};
+use rps_core::{
+    FailureCause, FailurePolicy, PeerId, RdfPeerSystem, RetryPolicy, RpsError, RpsRewriter,
+};
 use rps_query::{
     evaluate_pattern, join, GraphPattern, GraphPatternQuery, Mapping, Semantics, TermOrVar,
     UnionQuery, Variable,
@@ -47,7 +50,8 @@ use std::sync::Arc;
 pub struct FederationStats {
     /// Sub-queries dispatched (pattern × peer).
     pub subqueries: usize,
-    /// Distinct peers contacted.
+    /// The widest fan-out of one triple pattern (peers it was routed to);
+    /// the distinct count is [`FederationReport::peers_contacted`].
     pub peers_contacted: usize,
     /// Messages exchanged (requests + responses).
     pub messages: usize,
@@ -224,6 +228,11 @@ impl PreparedFederation {
     pub fn branch_count(&self) -> usize {
         self.branches.len()
     }
+
+    #[cfg(test)]
+    pub(crate) fn overlay(&self) -> &[Term] {
+        &self.extra
+    }
 }
 
 /// The federated query processor.
@@ -234,21 +243,21 @@ pub struct FederatedEngine {
     index: SchemaIndex,
     /// The originator's node id (one past the last peer).
     originator: NodeId,
-    /// The originator's answer dictionary: the union of the peer
-    /// dictionaries, so any peer's binding decodes without re-interning.
+    /// The originator's answer dictionary: it holds every peer term, so
+    /// any peer's binding decodes without re-interning.
     dict: TermDict,
     /// Per peer: local term id → answer-dictionary id (dense table).
     to_global: Vec<Vec<TermId>>,
 }
 
 impl FederatedEngine {
-    fn build(mut locals: Vec<Graph>, index: SchemaIndex) -> Self {
+    /// Seals the peer stores and absorbs their dictionaries into `dict`.
+    fn build(mut locals: Vec<Graph>, index: SchemaIndex, mut dict: TermDict) -> Self {
         // Peer stores never change after engine construction: seal them
         // so concurrent range scans merge immutable runs only.
         for g in &mut locals {
             g.seal();
         }
-        let mut dict = TermDict::new();
         let to_global: Vec<Vec<TermId>> = locals.iter().map(|g| dict.absorb(g.dict())).collect();
         FederatedEngine {
             originator: locals.len(),
@@ -265,22 +274,24 @@ impl FederatedEngine {
             .map(|i| system.scoped_database(PeerId(i)))
             .collect();
         let index = SchemaIndex::build(system);
-        Self::build(locals, index)
+        Self::build(locals, index, TermDict::new())
     }
 
     /// Builds the engine with each peer's store canonicalised onto
-    /// equivalence-class representatives. Used by the combined
-    /// rewrite-then-federate pipeline: queries rewritten against the
-    /// quotient system are evaluated against quotient peer stores, and
-    /// the originator expands answers back over the classes.
-    pub fn new_canonical(system: &RdfPeerSystem, eq_index: &rps_core::EquivalenceIndex) -> Self {
+    /// `rewriter`'s class representatives, for the combined
+    /// rewrite-then-federate pipeline. The answer dictionary is a clone
+    /// of the rewriter's canonical graph's (an `Arc` bump): one loader
+    /// built that graph from these very stores, so absorbing them interns
+    /// nothing and answer ids are that graph's, which
+    /// [`RpsRewriter::federated_stream`] expands over the classes.
+    pub fn new_canonical(system: &RdfPeerSystem, rewriter: &RpsRewriter) -> Self {
         let locals: Vec<Graph> = (0..system.peers().len())
-            .map(|i| system.canonical_scoped_database(PeerId(i), eq_index))
+            .map(|i| system.canonical_scoped_database(PeerId(i), rewriter.index()))
             .collect();
         // The schema index must reflect canonical IRIs too: read each
         // peer's off its canonical store, as `Peer::from_database` does.
         let index = SchemaIndex::from_schemas(locals.iter().map(Graph::iris_used));
-        Self::build(locals, index)
+        Self::build(locals, index, rewriter.canon_graph().dict().clone())
     }
 
     /// Number of peers.
@@ -296,9 +307,14 @@ impl FederatedEngine {
     }
 
     /// The originator's answer dictionary (decode id-level answers
-    /// against this).
+    /// against this); [`FederatedEngine::new_canonical`]'s is shared.
     pub fn dict(&self) -> &TermDict {
         &self.dict
+    }
+
+    #[cfg(test)]
+    pub(crate) fn translation(&self, peer: usize) -> &[TermId] {
+        &self.to_global[peer]
     }
 
     /// Decodes id-level answer tuples to owned terms. Only valid for
@@ -373,46 +389,37 @@ impl FederatedEngine {
             let mut var_ix: HashMap<Variable, usize> = HashMap::new();
             let mut patterns = Vec::with_capacity(gp.len());
             for tp in gp.patterns() {
-                let mut pos_slot = [None; 3];
                 let mut pvars: Vec<usize> = Vec::new();
-                let mut consts: [Option<&Term>; 3] = [None; 3];
-                for (k, tv) in [&tp.s, &tp.p, &tp.o].into_iter().enumerate() {
-                    match tv {
-                        TermOrVar::Var(v) => {
-                            let next = var_ix.len();
-                            let vix = *var_ix.entry(v.clone()).or_insert(next);
-                            let slot = match pvars.iter().position(|&x| x == vix) {
-                                Some(s) => s,
-                                None => {
-                                    pvars.push(vix);
-                                    pvars.len() - 1
-                                }
-                            };
-                            pos_slot[k] = Some(slot);
-                        }
-                        TermOrVar::Term(t) => consts[k] = Some(t),
+                // Each position once: a variable becomes its row slot,
+                // a constant stays a term until a peer resolves it.
+                let positions = [&tp.s, &tp.p, &tp.o].map(|tv| match tv {
+                    TermOrVar::Var(v) => {
+                        let next = var_ix.len();
+                        let vix = *var_ix.entry(v.clone()).or_insert(next);
+                        let slot = pvars.iter().position(|&x| x == vix).unwrap_or_else(|| {
+                            pvars.push(vix);
+                            pvars.len() - 1
+                        });
+                        Ok(slot as u8)
                     }
-                }
+                    TermOrVar::Term(t) => Err(t),
+                });
                 let probes = self
                     .index
                     .route(tp)
                     .into_iter()
                     .map(|peer| {
                         let g = &self.locals[peer.0];
-                        let mut slots = [WireSlot::Unresolved; 3];
-                        for k in 0..3 {
-                            slots[k] = match (pos_slot[k], consts[k]) {
-                                (Some(slot), _) => WireSlot::Var(slot as u8),
-                                (None, Some(t)) => match g.term_id(t) {
-                                    Some(id) => WireSlot::Const(id),
-                                    // Unknown at this peer: the request
-                                    // is still sent (mirroring the wire
-                                    // protocol) but matches nothing.
-                                    None => WireSlot::Unresolved,
-                                },
-                                (None, None) => unreachable!("position is var or const"),
-                            };
-                        }
+                        let slots = positions.map(|pos| match pos {
+                            Ok(slot) => WireSlot::Var(slot),
+                            Err(t) => match g.term_id(t) {
+                                Some(id) => WireSlot::Const(id),
+                                // Unknown at this peer: the request is
+                                // still sent (mirroring the wire
+                                // protocol) but matches nothing.
+                                None => WireSlot::Unresolved,
+                            },
+                        });
                         (peer, WireRequest { attempt: 1, slots })
                     })
                     .collect();
@@ -893,21 +900,25 @@ impl FederatedEngine {
             fetched.push((pi, rows));
         }
 
-        // Join at the originator, smallest binding set first.
+        // Join at the originator, smallest binding set first. A join row
+        // has a cell per branch variable; `bound` marks the filled ones.
         fetched.sort_by_key(|(_, rows)| rows.len());
-        let mut acc_vars: Vec<usize> = Vec::new();
-        let mut acc: Vec<Vec<TermId>> = vec![Vec::new()];
+        let nvars = branch
+            .patterns
+            .iter()
+            .flat_map(|p| &p.pvars)
+            .max()
+            .map_or(0, |v| v + 1);
+        let mut bound = vec![false; nvars];
+        let mut acc: Vec<Vec<TermId>> = vec![vec![TermId(0); nvars]];
         for (pi, rows) in &fetched {
             let pat = &branch.patterns[*pi];
-            // (acc position, row position) pairs for the shared variables
-            // and (row position, var) for the newly introduced ones.
+            // (var, row position) of the shared and of the new variables.
             let mut shared: Vec<(usize, usize)> = Vec::new();
             let mut fresh: Vec<(usize, usize)> = Vec::new();
             for (rp, &v) in pat.pvars.iter().enumerate() {
-                match acc_vars.iter().position(|&av| av == v) {
-                    Some(ap) => shared.push((ap, rp)),
-                    None => fresh.push((rp, v)),
-                }
+                if bound[v] { &mut shared } else { &mut fresh }.push((v, rp));
+                bound[v] = true;
             }
             let mut table: HashMap<Vec<TermId>, Vec<u32>> = HashMap::new();
             for (ri, row) in rows.iter().enumerate() {
@@ -918,40 +929,32 @@ impl FederatedEngine {
             let mut key = Vec::with_capacity(shared.len());
             for arow in &acc {
                 key.clear();
-                key.extend(shared.iter().map(|&(ap, _)| arow[ap]));
+                key.extend(shared.iter().map(|&(v, _)| arow[v]));
                 if let Some(matches) = table.get(&key) {
                     for &ri in matches {
                         let row = &rows[ri as usize];
                         let mut merged = arow.clone();
-                        merged.extend(fresh.iter().map(|&(rp, _)| row[rp]));
+                        for &(v, rp) in &fresh {
+                            merged[v] = row[rp];
+                        }
                         next.push(merged);
                     }
                 }
             }
-            acc_vars.extend(fresh.iter().map(|&(_, v)| v));
             acc = next;
             if acc.is_empty() {
                 return Ok(());
             }
         }
 
-        // Project through the head template.
-        let slots: Vec<Result<usize, TermId>> = template
-            .iter()
-            .map(|slot| match slot {
-                TemplateSlot::Var(v) => Ok(acc_vars
-                    .iter()
-                    .position(|av| av == v)
-                    .expect("live branch binds every head variable")),
-                TemplateSlot::Const(id) => Err(*id),
-            })
-            .collect();
+        // Project through the head template: a live branch's head
+        // variables occur in its body, so their cells are filled.
         'rows: for arow in &acc {
-            let mut tuple = Vec::with_capacity(slots.len());
-            for slot in &slots {
-                let id = match slot {
-                    Ok(pos) => arow[*pos],
-                    Err(id) => *id,
+            let mut tuple = Vec::with_capacity(template.len());
+            for slot in template {
+                let id = match *slot {
+                    TemplateSlot::Var(v) => arow[v],
+                    TemplateSlot::Const(id) => id,
                 };
                 if semantics == Semantics::Certain && !self.id_is_name(extra, id) {
                     continue 'rows;

@@ -19,10 +19,10 @@ use crate::network::{CostModel, SimNetwork};
 use crate::transport::{SimTransport, Transport};
 use rps_core::sparql::{execute_sparql_with, PreparedSparql};
 use rps_core::{
-    next_session_id, AnswerStream, EngineConfig, ExecRoute, PlanCache, PlanCacheStats,
-    RdfPeerSystem, RpsError, RpsRewriter,
+    next_session_id, AnswerStream, EngineConfig, PlanCache, PlanCacheStats, RdfPeerSystem,
+    RpsError, RpsRewriter,
 };
-use rps_query::{GraphPatternQuery, Semantics, SparqlResult, Variable};
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult, TermOrVar, Variable};
 use std::sync::{Arc, Mutex};
 
 /// A query compiled once against a [`FrozenFederatedSession`]: the
@@ -33,22 +33,15 @@ use std::sync::{Arc, Mutex};
 /// [`RpsError::SessionMismatch`]).
 pub struct PreparedFederatedQuery {
     session_id: u64,
-    query: GraphPatternQuery,
     /// The projection variables, shared with every stream.
     vars: Arc<[Variable]>,
     prepared: PreparedFederation,
-    branches: usize,
 }
 
 impl PreparedFederatedQuery {
     /// Number of UNION branches compiled.
     pub fn branch_count(&self) -> usize {
-        self.branches
-    }
-
-    /// The source query.
-    pub fn query(&self) -> &GraphPatternQuery {
-        &self.query
+        self.prepared.branch_count()
     }
 }
 
@@ -57,7 +50,7 @@ impl PreparedFederatedQuery {
 /// underlying rewriting is always exhaustive — a truncated one never
 /// prepares ([`RpsError::RewriteBudget`]).
 pub struct FederatedAnswer {
-    /// The answers (route is [`ExecRoute::Federated`]).
+    /// The answers (route is [`rps_core::ExecRoute::Federated`]).
     pub stream: AnswerStream,
     /// Number of UNION branches evaluated.
     pub branches: usize,
@@ -78,13 +71,13 @@ pub struct FederatedAnswer {
 /// prepare locks only for the memo's probe.
 struct FedCore {
     id: u64,
-    /// Preparation carries unknown constants in the plan instead of
-    /// interning them, so the engine never mutates.
+    /// Its answer dictionary is the rewriter's canonical graph's, shared,
+    /// so its answer rows are ids of that graph; it never mutates.
     engine: FederatedEngine,
     /// The rewriting compiler; each prepare interns into its own scratch
     /// dictionary, and only the memo behind its own lock ever
-    /// changes. Also holds the equivalence index answers are expanded
-    /// over.
+    /// changes. Also holds the canonical graph and the class table the
+    /// answers are expanded over and decoded against.
     rewriter: RpsRewriter,
     config: EngineConfig,
     cost_model: CostModel,
@@ -99,6 +92,10 @@ impl FedCore {
     /// rewriting that exhausts its budgets before reaching a fixpoint is
     /// unsound to federate — there is no materialised fallback out here
     /// — so it is the typed [`RpsError::RewriteBudget`].
+    /// A branch whose head holds a constant the canonical graph lacks is
+    /// dropped, as the rewriter's own compile drops it (the constant is
+    /// in the body too, where it matches nothing): no plan-local overlay
+    /// id reaches a stream.
     fn prepare(&self, query: &GraphPatternQuery) -> Result<PreparedFederatedQuery, RpsError> {
         let rewriting = self.rewriter.rewrite_canonical(query, &self.config.rewrite);
         if !rewriting.complete {
@@ -108,20 +105,21 @@ impl FedCore {
                 max_cqs: self.config.rewrite.max_cqs,
             });
         }
-        let branches = rewriting.branches();
+        let canon = self.rewriter.canon_graph();
+        let known = |e: &TermOrVar| !matches!(e, TermOrVar::Term(t) if canon.term_id(t).is_none());
+        let mut branches = rewriting.branches();
+        branches.retain(|(_, head)| head.iter().all(known));
         Ok(PreparedFederatedQuery {
             session_id: self.id,
-            query: query.clone(),
             vars: query.free_vars().into(),
             prepared: self.engine.prepare_branches(&branches),
-            branches: branches.len(),
         })
     }
 
     /// Federates every branch over the canonical peer stores at the id
     /// level on up to `max_threads` OS threads (1 is the sequential
     /// walk; answers, statistics and traffic are byte-identical either
-    /// way), then decodes and expands the union over the equivalence
+    /// way), then expands the union's id rows over the equivalence
     /// classes. No term is re-parsed or re-interned per peer per round —
     /// that work happened once, at prepare time.
     fn execute(
@@ -142,11 +140,11 @@ impl FedCore {
             self.config.failure,
             max_threads,
         )?;
-        let canon_tuples = self.engine.decode_prepared(&prepared.prepared, &canon_ids);
-        let tuples = rps_core::expand_answers(&canon_tuples, self.rewriter.index());
         Ok(FederatedAnswer {
-            stream: AnswerStream::from_terms(prepared.vars.clone(), ExecRoute::Federated, tuples),
-            branches: prepared.branches,
+            stream: self
+                .rewriter
+                .federated_stream(prepared.vars.clone(), &canon_ids),
+            branches: prepared.branch_count(),
             stats,
             makespan_ms: net.round_makespan_ms(&self.cost_model, self.engine.peer_count()),
             report,
@@ -174,7 +172,7 @@ impl FederatedSession {
     /// rewriting only has to expand graph-mapping dependencies.
     pub fn new(system: &RdfPeerSystem, config: EngineConfig) -> Self {
         let rewriter = RpsRewriter::new(system);
-        let engine = FederatedEngine::new_canonical(system, rewriter.index());
+        let engine = FederatedEngine::new_canonical(system, &rewriter);
         let transport = Arc::new(SimTransport::new(engine.peer_graphs()));
         FederatedSession {
             core: FedCore {
@@ -348,10 +346,10 @@ impl FrozenFederatedSession {
     /// `rps_query::sparql`) for repeated federated execution: a repeated
     /// text comes back whole from the plan cache's statement front; a
     /// new one takes every lowered CQ through the bounded plan cache.
-    /// Execution assembles the streams with the same tail as the local
-    /// sessions (the federated tuples are interned into a scratch
-    /// dictionary first), so the federated route answers
-    /// byte-identically.
+    /// Execution assembles the streams with the same id-level tail as the
+    /// local sessions — the federated rows are ids of the rewriter's
+    /// canonical graph, like the rewritten route's — so the federated
+    /// route answers byte-identically.
     pub fn prepare_sparql(
         &self,
         text: &str,
@@ -378,7 +376,7 @@ impl FrozenFederatedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rps_core::{certain_answers, chase_system, PeerId, RpsBuilder, RpsChaseConfig};
+    use rps_core::{certain_answers, chase_system, ExecRoute, PeerId, RpsBuilder, RpsChaseConfig};
     use rps_query::{GraphPattern, TermOrVar, Variable};
     use rps_tgd::RewriteConfig;
 
@@ -538,6 +536,46 @@ mod tests {
         let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
         let rows = frozen.answer_sparql(text).unwrap();
         assert_eq!(rows.rows().map(|r| r.rows.len()), Some(4));
+    }
+
+    #[test]
+    fn building_the_engine_interns_no_term() -> Result<(), RpsError> {
+        // Every canonical peer term already has its canonical-graph id.
+        let session = FederatedSession::open(&linear_system(), EngineConfig::default())?;
+        let (engine, canon) = (&session.core.engine, session.core.rewriter.canon_graph());
+        assert_eq!(engine.dict().len(), canon.dict().len());
+        for (peer, graph) in engine.peer_graphs().iter().enumerate() {
+            for (local, term) in graph.dict().iter() {
+                let id = engine.translation(peer)[local.index()];
+                assert_eq!(Some(id), canon.term_id(term), "{term}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_head_constant_the_canonical_graph_lacks_drops_its_branch() -> Result<(), RpsError> {
+        // `tests/sparql_routes.rs`' factorised query: a branch's head has
+        // `?y` specialised to a constant no peer mentions.
+        let session = frozen(&linear_system(), EngineConfig::default());
+        let nobody = TermOrVar::iri("http://no/body");
+        let cast =
+            |o| GraphPattern::triple(TermOrVar::var("x"), TermOrVar::iri("http://a/cast"), o);
+        let query = GraphPatternQuery::new(
+            cast_query().free_vars().to_vec(),
+            cast(TermOrVar::var("y")).and(cast(nobody.clone())),
+        );
+        let core = &session.inner.core;
+        let rewriting = core
+            .rewriter
+            .rewrite_canonical(&query, &core.config.rewrite);
+        let branches = rewriting.branches();
+        assert!(branches.iter().any(|(_, head)| head.contains(&nobody)));
+        let prepared = session.prepare(&query)?;
+        assert!(prepared.prepared.overlay().is_empty());
+        assert!(prepared.branch_count() < branches.len());
+        assert!(session.execute(&prepared)?.stream.into_set().is_empty());
+        Ok(())
     }
 
     #[test]

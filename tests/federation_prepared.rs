@@ -92,7 +92,7 @@ fn term_level_service_answers(
     query: &GraphPatternQuery,
 ) -> std::collections::BTreeSet<Vec<rps_rdf::Term>> {
     let rewriter = RpsRewriter::new(sys);
-    let engine = FederatedEngine::new_canonical(sys, rewriter.index());
+    let engine = FederatedEngine::new_canonical(sys, &rewriter);
     let rewriting = rewriter.rewrite_canonical(query, &rewrite_cfg());
     assert!(rewriting.complete);
     let branches = rewriting.branches();

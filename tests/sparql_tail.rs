@@ -150,7 +150,8 @@ fn id_rows_and_interned_terms_assemble_identically_on_every_facade() {
             let mat = mat.freeze().unwrap();
             let frozen = freeze(&system, Strategy::Materialise);
             let live = LiveSession::open(system.clone(), config(Strategy::Auto)).unwrap();
-            // Terms, interned: rewriting, Datalog and federation.
+            // Ids of the canonical stored graph (rewriting, federation)
+            // and of the quotient's chase (Datalog).
             let rewrite = freeze(&system, Strategy::Rewrite);
             let datalog = freeze(&system, Strategy::Datalog);
             let federated = FederatedSession::new(&system, config(Strategy::Auto))
