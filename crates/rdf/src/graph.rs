@@ -336,7 +336,12 @@ impl Graph {
     /// ⇒ one run per permutation ([`StorageStats::runs`] ≤ 1), so a
     /// point probe never sets up a merge; only over a columnar run left
     /// by an earlier compressing [`Graph::seal_with`] do the writes
-    /// since fold into a plain run beside it. The logical triple set,
+    /// since fold into a plain run beside it. The one plain run gets a
+    /// directory over its first key component, which a bound probe
+    /// reads instead of binary-searching the run: patched from the
+    /// previous run's when few triples moved since the last seal (the
+    /// same `delta · 2 · ilog2(n) < n` rule as the statistics below),
+    /// swept otherwise. The logical triple set,
     /// the dictionary and the insertion log (and every outstanding mark
     /// into it) are unchanged; sealing a graph `seal` already left in
     /// this shape, or a B-tree graph, is a no-op.
@@ -434,9 +439,13 @@ impl Graph {
     /// the copy's store is the sealed read-only variant: those three
     /// runs and nothing else — no tail, no tombstones, and **no
     /// live-key set**, so the copy costs three `Arc` bumps however large
-    /// the graph. Its membership test ([`Graph::contains_ids`], a fully
-    /// bound [`Graph::match_ids`]) is a binary search of the SPO run
-    /// instead of a hash probe. Any other shape (unsealed, columnar, the
+    /// the graph. The runs' first-component directories are shared with
+    /// them, and its membership test ([`Graph::contains_ids`], a fully
+    /// bound [`Graph::match_ids`]) is a lookup in the SPO run's
+    /// directory instead of a hash probe. A graph never sealed but left
+    /// as one run per permutation by a bulk [`Graph::insert_batch`]
+    /// copies the same way, without directories: its probes
+    /// binary-search the runs. Any other shape (unsealed, columnar, the
     /// B-tree backend) is copied whole.
     ///
     /// It has **no history**: its insertion log is empty, so no mark
@@ -702,7 +711,11 @@ impl Graph {
     /// scan over one of the three permutation indexes — under the
     /// sorted-run backend, one run's range slice once sealed and a
     /// merge of the runs' slices and the tail's matches before, in the
-    /// same key order a B-tree scan yields.
+    /// same key order a B-tree scan yields. A sealed plain run finds the
+    /// slice of any pattern with a bound position through its directory
+    /// over the scanned permutation's first component: two loads, then
+    /// a search among the keys of that component and of the one other
+    /// sharing its entry.
     pub fn match_ids(
         &self,
         s: Option<TermId>,
@@ -1603,7 +1616,8 @@ mod tests {
     }
 
     /// A published copy persists through the variant's own snapshot and
-    /// reopens as the same triples, dictionary and statistics.
+    /// reopens as the same triples, dictionary, statistics and
+    /// first-component directories.
     #[test]
     fn a_sealed_copy_round_trips_through_the_durable_tier() -> Result<(), String> {
         let next = &mut crate::store::tests::splitmix(41);
@@ -1623,6 +1637,9 @@ mod tests {
 
             assert!(reopened.iter_ids().eq(copy.iter_ids()), "{shape}: triples");
             assert!(reopened.dict().iter().eq(copy.dict().iter()), "{shape}");
+            // Each permutation reopens as one run, with its directory.
+            let indexed = crate::store::tests::assert_directories(&reopened.store, shape);
+            assert_eq!(indexed, if copy.is_empty() { 0 } else { 3 }, "{shape}");
             let swept = reopened.graph_stats().ok_or("reopened sealed")?;
             assert_eq!(swept.triples, stats.triples, "{shape}");
             assert_eq!(swept.preds, stats.preds, "{shape}");

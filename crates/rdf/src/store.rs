@@ -30,11 +30,21 @@
 //!   vector, or its delta-varint columnar encoding (the
 //!   `store::columnar` module) when [`SealConfig::compress`] asks. A
 //!   scan of a sealed store sets up one source and merges nothing.
+//!   A sealed **plain** run carries a **directory** over its first key
+//!   component (the first level of Hexastore's per-subject vectors over
+//!   an RDF-3X-style sorted run): a probe that binds that component —
+//!   every probe but a full scan — reads the two entries that bound its
+//!   keys and searches only them, instead of binary-searching the whole
+//!   run. A seal after a small window patches the previous directory
+//!   from the window's delta; any other seal sweeps one.
 //!   A **read-only copy** of a store sealed plain is its own variant,
-//!   `TripleStore::Sealed`: the three runs, `Arc`-shared with the
-//!   writer, and nothing else — no tail, no tombstone set, no live-key
-//!   set. Its membership probe is a binary search of the SPO run; a
-//!   write *thaws* it back into the run layout over the same runs.
+//!   `TripleStore::Sealed`: the three runs and their directories,
+//!   `Arc`-shared with the writer, and nothing else — no tail, no
+//!   tombstone set, no live-key set. Its membership probe is a lookup
+//!   in the SPO run's directory where the run carries one (a copy of a
+//!   store never sealed — one batch-loaded run — has none and
+//!   binary-searches); a write *thaws* it back into the run layout over
+//!   the same runs.
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
@@ -65,7 +75,13 @@
 //! 5. a `Sealed` store is one plain run per permutation (an empty one
 //!    when the store is empty), each holding the same triples in its
 //!    own order — by construction, not by a check: the variant has no
-//!    field for a tail, a tombstone or a second run.
+//!    field for a tail, a tombstone or a second run;
+//! 6. a run's directory indexes exactly that run, and runs never
+//!    change; a seal that leaves one plain run per permutation, and no
+//!    columnar run, gives each one (unless it would be much larger than
+//!    the run, see `directory_len`), and nothing else makes one but a
+//!    compaction that patches its oldest run's and the reopening of a
+//!    permutation persisted as one run.
 //!
 //! ```
 //! use rps_rdf::{Graph, StorageBackend, Term};
@@ -337,8 +353,11 @@ impl TripleStore {
     /// A copy for readers. A sorted-run store sealed plain — what
     /// [`Self::seal`] leaves — becomes [`TripleStore::Sealed`] over the
     /// same runs: three `Arc` bumps, no tail, no tombstones and no
-    /// live-key set to copy. Any other shape (unsealed, columnar, the
-    /// B-tree backend, a copy already sealed) is cloned whole.
+    /// live-key set to copy. So does a store a flushing `insert_batch`
+    /// left as one run with no tail and no tombstone; its runs carry no
+    /// directory, so the copy's probes binary-search them. Any other
+    /// shape (unsealed, columnar, the B-tree backend, a copy already
+    /// sealed) is cloned whole.
     pub(crate) fn read_only_copy(&self) -> TripleStore {
         if let Some([spo, pos, osp]) = self.plain_runs() {
             let run = |run: Option<&Run>| run.cloned().unwrap_or_default();
@@ -416,7 +435,7 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => s.spo.contains(&spo_key(t)),
             TripleStore::Runs(s) => s.contains(spo_key(t)),
-            TripleStore::Sealed(s) => s.spo.binary_search(&spo_key(t)).is_ok(),
+            TripleStore::Sealed(s) => s.spo.contains(spo_key(t)),
         }
     }
 
@@ -512,7 +531,7 @@ impl TripleStore {
     /// other shape, the B-tree backend included.
     pub(crate) fn sealed_runs(&self) -> Option<[&[[u32; 3]]; 3]> {
         if let TripleStore::Sealed(s) = self {
-            return Some([Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| s.run(perm)));
+            return Some([Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| &s.run(perm)[..]));
         }
         Some(
             self.plain_runs()?
@@ -572,7 +591,7 @@ impl TripleStore {
                     index
                         .runs
                         .iter()
-                        .map(|run| run.as_ref().clone())
+                        .map(|run| run.to_vec())
                         .chain(index.columnar.iter().map(|c| c.decode_all()))
                         .map(|mut run| {
                             if s.dead.len() > 0 {
@@ -649,8 +668,17 @@ impl TripleStore {
                 }
             }
         }
-        let index = |runs: Vec<Vec<[u32; 3]>>| RunIndex {
-            runs: runs.into_iter().map(Arc::new).collect(),
+        // A permutation persisted as one run — what a sealed graph
+        // checkpoints — reopens with its directory.
+        let index = |mut runs: Vec<Vec<[u32; 3]>>| RunIndex {
+            runs: match runs.len() {
+                1 => runs
+                    .pop()
+                    .map(|keys| Run::new(keys).indexed())
+                    .into_iter()
+                    .collect(),
+                _ => runs.into_iter().map(Run::new).collect(),
+            },
             ..RunIndex::default()
         };
         Ok(TripleStore::Runs(RunStore {
@@ -679,7 +707,7 @@ impl TripleStore {
             }
             TripleStore::Runs(s) => StoreRangeIter::Runs(s.range(perm, lo, hi)),
             TripleStore::Sealed(s) => StoreRangeIter::Runs(RunRangeIter {
-                sources: ScanSources::One(bounded(s.run(perm), lo, hi)),
+                sources: ScanSources::One(s.run(perm).range(lo, hi)),
                 hi,
                 perm,
                 dead: None,
@@ -700,7 +728,7 @@ pub(crate) struct SealedRuns {
 }
 
 impl SealedRuns {
-    fn run(&self, perm: Perm) -> &[[u32; 3]] {
+    fn run(&self, perm: Perm) -> &Run {
         match perm {
             Perm::Spo => &self.spo,
             Perm::Pos => &self.pos,
@@ -715,7 +743,7 @@ impl SealedRuns {
             runs: if run.is_empty() {
                 Vec::new()
             } else {
-                vec![Arc::clone(run)]
+                vec![run.clone()]
             },
             ..RunIndex::default()
         };
@@ -762,8 +790,189 @@ impl BTreeStore {
 }
 
 /// An immutable sorted run of one permutation's keys, shared by every
-/// store that holds it.
-type Run = Arc<Vec<[u32; 3]>>;
+/// store that holds it, with the directory over its first key component
+/// when a seal left it its permutation's one plain run (see
+/// [`Run::range`]).
+#[derive(Clone, Default)]
+struct Run {
+    keys: Arc<Vec<[u32; 3]>>,
+    /// `starts[b]` is the position of the run's first key whose first
+    /// component's entry ([`entry_of`]) is at least `b`, for every `b`
+    /// up to the largest first component's entry + 1; so the keys led by
+    /// a component `c` lie in `starts[b]..starts[b + 1]` for `b =
+    /// entry_of(c)`, beside those of the one other component sharing the
+    /// entry, and a `c` past the end leads none. It indexes exactly these
+    /// keys, which never change, and exists only where it is not much
+    /// larger than they are (see [`directory_len`]). A `Vec`, so that a
+    /// patch writes its entries once, with no zero fill before them.
+    starts: Option<Arc<Vec<u32>>>,
+}
+
+impl std::ops::Deref for Run {
+    type Target = [[u32; 3]];
+
+    fn deref(&self) -> &[[u32; 3]] {
+        &self.keys
+    }
+}
+
+impl Run {
+    /// A run without a directory: stacked under writes, or merged by a
+    /// compaction that is not a seal.
+    fn new(keys: Vec<[u32; 3]>) -> Run {
+        Run {
+            keys: Arc::new(keys),
+            starts: None,
+        }
+    }
+
+    /// This run with a directory, swept over its keys if it has none.
+    fn indexed(mut self) -> Run {
+        if self.starts.is_none() {
+            self.starts = sweep_directory(&self.keys);
+        }
+        self
+    }
+
+    /// The part of the run inside `lo..=hi`. A range within one first
+    /// component `c` — every probe but a full scan — is looked up in the
+    /// directory: two loads give the keys of `c`'s entry, searched by
+    /// [`within`], instead of a binary search over the whole run.
+    fn range(&self, lo: [u32; 3], hi: [u32; 3]) -> &[[u32; 3]] {
+        match &self.starts {
+            Some(starts) if lo[0] == hi[0] => {
+                let b = entry_of(lo[0]);
+                let Some(&[from, to]) = starts.get(b..b + 2) else {
+                    return &[]; // past the largest first component
+                };
+                within(&self.keys[from as usize..to as usize], lo, hi)
+            }
+            _ => bounded(&self.keys, lo, hi),
+        }
+    }
+
+    /// Membership of one key.
+    fn contains(&self, key: [u32; 3]) -> bool {
+        !self.range(key, key).is_empty()
+    }
+}
+
+/// First components per directory entry. Two components sharing an
+/// entry halve the directory, and with it the entries a live publish
+/// writes when it patches one, for a slice of about two components'
+/// keys to search instead of one: a few more keys in the same cache
+/// lines.
+const COMPONENTS_PER_ENTRY: u32 = 2;
+
+/// The directory entry of the first component `c`.
+fn entry_of(c: u32) -> usize {
+    (c / COMPONENTS_PER_ENTRY) as usize
+}
+
+/// Slices of at most this many keys are searched by [`within`] with a
+/// linear scan: a few cache lines, cheaper than setting up a binary
+/// search and a gallop.
+const LINEAR_MAX: usize = 16;
+
+/// The part of the sorted `keys` inside `lo..=hi`, for the few keys a
+/// directory entry covers: a linear scan when they are at most
+/// [`LINEAR_MAX`], [`bounded`] otherwise.
+fn within(keys: &[[u32; 3]], lo: [u32; 3], hi: [u32; 3]) -> &[[u32; 3]] {
+    if keys.len() > LINEAR_MAX {
+        return bounded(keys, lo, hi);
+    }
+    let from = keys.iter().take_while(|k| **k < lo).count();
+    let to = from + keys[from..].iter().take_while(|k| **k <= hi).count();
+    &keys[from..to]
+}
+
+/// The number of entries in the directory of the sorted `keys`, if they
+/// are given one at all: the largest first component's entry + 2, as
+/// long as that is at most two entries per key plus a small constant.
+/// Term ids are dense, so a graph's runs qualify unless it holds few
+/// triples of a large dictionary, whose runs a binary search serves as
+/// well. The rule is a function of the run alone, so a patched
+/// directory and a swept one exist for the same runs.
+fn directory_len(keys: &[[u32; 3]]) -> Option<usize> {
+    let entries = entry_of(keys.last()?[0]) + 2;
+    (entries <= 2 * keys.len() + 1024).then_some(entries)
+}
+
+/// The directory of the sorted `keys` (see [`Run::starts`]), in one
+/// sweep; `None` where [`directory_len`] gives none.
+fn sweep_directory(keys: &[[u32; 3]]) -> Option<Arc<Vec<u32>>> {
+    let entries = directory_len(keys)?;
+    // Count the keys of each entry one entry up, then sum.
+    let mut starts = vec![0u32; entries];
+    for key in keys {
+        starts[entry_of(key[0]) + 1] += 1;
+    }
+    let mut at = 0;
+    for start in &mut starts {
+        at += *start;
+        *start = at;
+    }
+    Some(Arc::new(starts))
+}
+
+/// The directory of `merged`, the run `old` ∪ `added` ∖ `removed`, from
+/// `old`'s directory `starts` and the delta — what a seal does instead
+/// of a sweep when few keys moved: an entry shifts by the net count of
+/// moved keys of smaller entries, so the entries between two moved
+/// keys' are one shifted copy. `added` and `removed` are
+/// sorted, `removed` names keys of `old` or `added` only, and a key in
+/// both nets to nothing. `None` where [`directory_len`] gives none.
+fn patch_directory(
+    starts: &[u32],
+    merged: &[[u32; 3]],
+    added: &[[u32; 3]],
+    removed: &[[u32; 3]],
+) -> Option<Arc<Vec<u32>>> {
+    let entries = directory_len(merged)?;
+    let mut patched = Vec::with_capacity(entries);
+    // Wrapping: a shift below zero is two's complement, and every
+    // patched entry is a position again.
+    let mut shift = 0u32;
+    let (mut added, mut removed) = (added.iter().peekable(), removed.iter().peekable());
+    loop {
+        let moved = match (added.peek(), removed.peek()) {
+            (Some(a), Some(r)) => entry_of(a[0].min(r[0])),
+            (Some(key), None) | (None, Some(key)) => entry_of(key[0]),
+            (None, None) => break,
+        };
+        // The entries up to `moved` count none of its keys.
+        shift_copy(&mut patched, (moved + 1).min(entries), starts, shift);
+        while added.next_if(|key| entry_of(key[0]) == moved).is_some() {
+            shift = shift.wrapping_add(1);
+        }
+        while removed.next_if(|key| entry_of(key[0]) == moved).is_some() {
+            shift = shift.wrapping_sub(1);
+        }
+    }
+    shift_copy(&mut patched, entries, starts, shift);
+    debug_assert_eq!(patched.last().copied(), Some(merged.len() as u32));
+    #[cfg(test)]
+    PATCHED.with(|n| n.set(n.get() + 1));
+    Some(Arc::new(patched))
+}
+
+/// Extends `patched` up to `upto` entries with the same entries of the
+/// directory `starts`, each plus `shift`; an entry past its end is its
+/// last, the run's length.
+fn shift_copy(patched: &mut Vec<u32>, upto: usize, starts: &[u32], shift: u32) {
+    let from = patched.len();
+    let old = starts.get(from..upto.min(starts.len())).unwrap_or_default();
+    patched.extend(old.iter().map(|start| start.wrapping_add(shift)));
+    let past = starts.last().copied().unwrap_or(0).wrapping_add(shift);
+    patched.resize(upto, past);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Directories [`patch_directory`] made on this thread, for the
+    /// tests that a seal patches when it should.
+    static PATCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// One permutation's sorted-run stack plus its view of the mutable
 /// tail.
@@ -809,9 +1018,8 @@ impl RunIndex {
         let mut plain = self
             .runs
             .iter()
-            .map(|r| r.as_slice())
-            .chain(std::iter::once(self.tail.as_slice()))
-            .map(|source| bounded(source, lo, hi))
+            .map(|run| run.range(lo, hi))
+            .chain(std::iter::once(bounded(&self.tail, lo, hi)))
             .filter(|part| !part.is_empty());
         let first = plain.next().unwrap_or_default();
         // Collecting nothing allocates nothing.
@@ -856,16 +1064,14 @@ impl RunIndex {
         if run.is_empty() {
             return;
         }
-        self.runs.push(Arc::new(run));
-        while self.runs.len() >= 2 {
-            let newer = self.runs[self.runs.len() - 1].len();
-            let older = self.runs[self.runs.len() - 2].len();
-            if older > newer * TIER_FACTOR {
+        self.runs.push(Run::new(run));
+        while let [.., older, newer] = self.runs.as_slice() {
+            if older.len() > newer.len() * TIER_FACTOR {
                 break;
             }
-            let b = self.runs.pop().expect("len checked");
-            let a = self.runs.pop().expect("len checked");
-            self.runs.push(Arc::new(merge_sorted(&a, &b, &[])));
+            let merged = merge_sorted(older, newer, &[]);
+            self.runs.truncate(self.runs.len() - 2);
+            self.runs.push(Run::new(merged));
         }
     }
 
@@ -876,8 +1082,13 @@ impl RunIndex {
     /// the pass that also drops the dead keys. An already single run
     /// with nothing to drop is left as it is (same `Arc`). The columnar
     /// run keeps its representation: it is re-encoded without its dead
-    /// keys, and only when it holds one.
+    /// keys, and only when it holds one. The merged run's directory is
+    /// patched from the oldest run's when that has one and few keys
+    /// moved ([`gallop_pays`]); otherwise it has none, and a seal sweeps
+    /// one ([`Self::index_sole_run`]).
     fn compact(&mut self, dead: &[[u32; 3]]) {
+        // Without a columnar run every dead key is a plain run's.
+        let plain_only = self.columnar.is_none();
         if let Some(columnar) = self.columnar.as_ref().filter(|_| !dead.is_empty()) {
             let keys = columnar.decode_all();
             let live = merge_sorted(&keys, &[], dead);
@@ -898,25 +1109,44 @@ impl RunIndex {
             .rev()
             .fold(Vec::new(), |acc, run| merge_sorted(&run, &acc, &[]));
         let merged = merge_sorted(&oldest, &young, dead);
-        if !merged.is_empty() {
-            self.runs.push(Arc::new(merged));
+        if merged.is_empty() {
+            return;
+        }
+        let starts = match &oldest.starts {
+            Some(starts) if plain_only && gallop_pays(young.len() + dead.len(), merged.len()) => {
+                patch_directory(starts, &merged, &young, dead)
+            }
+            _ => None,
+        };
+        self.runs.push(Run {
+            keys: Arc::new(merged),
+            starts,
+        });
+    }
+
+    /// Gives the index's run a directory, swept if it has none, when it
+    /// is the one plain run — what a seal leaves unless a columnar run
+    /// stays beside it.
+    fn index_sole_run(&mut self) {
+        if let (None, [run]) = (&self.columnar, self.runs.as_mut_slice()) {
+            *run = std::mem::take(run).indexed();
         }
     }
 
-    /// Rewrites a sealed index — at most one plain run, a columnar one
+    /// Rewrites a folded index — at most one plain run, a columnar one
     /// or neither — as a single run holding the keys of both: columnar
-    /// if `compress`, plain otherwise.
+    /// if `compress`, plain, with its directory, otherwise.
     fn reseal(&mut self, compress: bool) {
         debug_assert!(self.runs.len() <= 1 && self.tail.is_empty());
         let plain = self.runs.pop().unwrap_or_default();
         let keys = match self.columnar.take() {
-            Some(columnar) => Arc::new(merge_sorted(&plain, &columnar.decode_all(), &[])),
+            Some(columnar) => Run::new(merge_sorted(&plain, &columnar.decode_all(), &[])),
             None => plain,
         };
         if compress {
             self.columnar = Some(Arc::new(ColumnarRun::encode(&keys)));
         } else if !keys.is_empty() {
-            self.runs.push(keys);
+            self.runs.push(keys.indexed());
         }
     }
 }
@@ -1226,25 +1456,37 @@ impl RunStore {
 
     /// Flushes the tail, then folds the runs and drops every tombstone
     /// physically, leaving at most one immutable plain run per
-    /// permutation (see [`TripleStore::seal`]). A columnar run is kept
-    /// — only [`Self::seal_with`] re-encodes or decodes it.
-    fn seal(&mut self) {
+    /// permutation.
+    fn fold(&mut self) {
         if !self.spo.tail.is_empty() {
             self.flush(Vec::new());
         }
         self.purge_dead();
     }
 
+    /// Folds (see [`TripleStore::seal`]) and gives each permutation's
+    /// one plain run its directory: patched by the fold from the old
+    /// run's when few keys moved, swept otherwise. A columnar run is
+    /// kept — only [`Self::seal_with`] re-encodes or decodes it — and
+    /// the plain run beside it has no directory.
+    fn seal(&mut self) {
+        self.fold();
+        for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
+            index.index_sole_run();
+        }
+    }
+
     /// Seals, then rewrites the one run per permutation in the form
     /// `cfg` asks for: columnar for `compress` over at least
-    /// `compress_min_keys` keys, plain otherwise. The logical key set —
-    /// and therefore `present` and every scan result — is unchanged.
+    /// `compress_min_keys` keys, plain with its directory otherwise.
+    /// The logical key set — and therefore `present` and every scan
+    /// result — is unchanged.
     fn seal_with(&mut self, cfg: &SealConfig) {
-        self.seal();
         let compress = cfg.compresses(self.len());
         if !compress && self.spo.columnar.is_none() {
-            return; // already one plain run
+            return self.seal(); // one plain run
         }
+        self.fold();
         for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
             index.reseal(compress);
         }
@@ -1556,6 +1798,7 @@ impl Iterator for StoreRangeIter<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::new(TermId(s), TermId(p), TermId(o))
@@ -2232,6 +2475,306 @@ pub(crate) mod tests {
             assert_eq!(f.rs.len(), 0);
             for &triple in &touched {
                 assert!(!f.rs.contains(triple));
+            }
+        }
+    }
+
+    /// Each permutation's one plain run, where that is the store's
+    /// layout: the runs a directory may index.
+    fn sole_runs(store: &TripleStore) -> Option<[&Run; 3]> {
+        fn sole(index: &RunIndex) -> Option<&Run> {
+            match (&index.columnar, index.runs.as_slice()) {
+                (None, [run]) if index.tail.is_empty() => Some(run),
+                _ => None,
+            }
+        }
+        match store {
+            TripleStore::Sealed(s) => Some([&s.spo, &s.pos, &s.osp]),
+            TripleStore::Runs(s) => Some([sole(&s.spo)?, sole(&s.pos)?, sole(&s.osp)?]),
+            TripleStore::BTree(_) => None,
+        }
+    }
+
+    /// Holds every directory of `store` against a fresh sweep of its run,
+    /// entry for entry, and every probe shape a match makes against a
+    /// B-tree of the store's own full scan (which no directory serves),
+    /// and each run's directory lookup against the binary search of the
+    /// same run: the same slice. First components probed: every one
+    /// present, 0, the largest, absent ones between, and past the
+    /// directory's end. Returns how many permutations have a directory.
+    pub(crate) fn assert_directories(store: &TripleStore, what: &str) -> usize {
+        let mut bt = TripleStore::new(StorageBackend::BTree);
+        bt.insert_batch(
+            store.range(Perm::Spo, [0; 3], [u32::MAX; 3]),
+            &mut Vec::new(),
+        );
+        let runs = sole_runs(store);
+        let mut indexed = 0;
+        for (i, perm) in [Perm::Spo, Perm::Pos, Perm::Osp].into_iter().enumerate() {
+            let what = format!("{what}, {perm:?}");
+            let run = runs.map(|runs| runs[i]);
+            if let Some(starts) = run.and_then(|run| run.starts.as_ref()) {
+                let swept = sweep_directory(run.map_or(&[][..], |run| &run[..]));
+                assert_eq!(Some(starts), swept.as_ref(), "{what}: directory");
+                indexed += 1;
+            }
+            let keys: Vec<[u32; 3]> = collect_range(&bt, perm, [0; 3], [u32::MAX; 3])
+                .into_iter()
+                .map(|triple| perm.permute(triple))
+                .collect();
+            let largest = keys.last().map_or(0, |k| k[0]);
+            let mut firsts: Vec<u32> = keys.iter().map(|k| k[0]).collect();
+            firsts.dedup();
+            let absent = (0..largest)
+                .filter(|c| firsts.binary_search(c).is_err())
+                .take(8);
+            let mut probes: Vec<([u32; 3], [u32; 3])> = Vec::new();
+            let edges = [0, largest, largest + 1, largest + 2, u32::MAX - 1, u32::MAX];
+            for c in firsts.iter().copied().chain(absent).chain(edges) {
+                probes.push(([c, 0, 0], [c, u32::MAX, u32::MAX]));
+                probes.push(([c, 0, 0], [c, 0, u32::MAX]));
+            }
+            let step = (keys.len() / 400).max(1);
+            for &[c, x, y] in keys.iter().step_by(step) {
+                probes.extend([
+                    ([c, x, 0], [c, x, u32::MAX]),
+                    ([c, x, y], [c, x, y]),
+                    ([c, x, y + 1], [c, x, y + 1]),
+                    ([c, x + 1, 0], [c, x + 1, u32::MAX]),
+                    ([c, x, y], [c, u32::MAX, u32::MAX]),
+                    ([c, 0, 0], [c, x, y]),
+                ]);
+            }
+            for (lo, hi) in probes {
+                assert_eq!(
+                    collect_range(store, perm, lo, hi),
+                    collect_range(&bt, perm, lo, hi),
+                    "{what}: {lo:?}..={hi:?}"
+                );
+                if let Some(run) = run {
+                    let (got, want) = (run.range(lo, hi), bounded(run, lo, hi));
+                    assert_eq!(got, want, "{what}: {lo:?}..={hi:?}");
+                    assert!(got.is_empty() || got.as_ptr() == want.as_ptr(), "{what}");
+                }
+                if lo == hi {
+                    let triple = perm.unpermute(lo);
+                    assert_eq!(store.contains(triple), bt.contains(triple), "{what}");
+                }
+            }
+        }
+        indexed
+    }
+
+    /// A store whose first components are uneven: id 0 leads a quarter
+    /// of the SPO keys (a slice past the linear scan), a few predicates
+    /// lead thousands of POS keys each, the rest lead a handful.
+    fn uneven(next: &mut impl FnMut() -> u64, n: usize) -> Vec<IdTriple> {
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let s = if r.is_multiple_of(4) {
+                    0
+                } else {
+                    (r >> 4) % 700
+                };
+                t(s as u32, ((r >> 16) % 5) as u32, ((r >> 32) % 900) as u32)
+            })
+            .collect()
+    }
+
+    /// The directory answers every probe shape as the binary search over
+    /// the whole run does, on each layout that carries one or meets one:
+    /// an empty store, a seal, a read-only copy, its thaw under writes
+    /// (a directory run under stacked runs, a tail and tombstones) and
+    /// its reseal, the durable tier's reopening (`from_runs` of the
+    /// snapshot, as `Graph::open` does), a compressing `seal_with` (no
+    /// directory) and the plain `seal_with` back.
+    #[test]
+    fn directory_probes_agree_with_the_binary_search() {
+        let mut empty = TripleStore::new(StorageBackend::SortedRuns);
+        empty.seal();
+        assert_eq!(assert_directories(&empty, "empty"), 0);
+        assert_eq!(assert_directories(&empty.read_only_copy(), "empty copy"), 0);
+        for seed in [21u64, 22, 23] {
+            let mut next = splitmix(seed);
+            let mut rs = TripleStore::new(StorageBackend::SortedRuns);
+            let keys = uneven(&mut next, 6000);
+            rs.insert_batch(keys.iter().copied(), &mut Vec::new());
+            // One run, no tail, no tombstone, never sealed: its copy is
+            // `Sealed` but has no directory, and scans by binary search.
+            assert!(rs.is_sealed() && rs.stats().runs == 1);
+            let unindexed = rs.read_only_copy();
+            assert!(matches!(unindexed, TripleStore::Sealed(_)));
+            assert_eq!(
+                assert_directories(&unindexed, &format!("seed {seed}, unsealed copy")),
+                0
+            );
+            for &triple in keys.iter().step_by(7) {
+                rs.remove(triple);
+            }
+            for triple in uneven(&mut next, 300) {
+                rs.insert(triple);
+            }
+            assert!(rs.stats().runs >= 2 && rs.stats().tombstones > 0);
+            assert_directories(&rs, &format!("seed {seed}, stacked"));
+            rs.seal();
+            assert_eq!(assert_directories(&rs, &format!("seed {seed}, sealed")), 3);
+
+            let mut copy = rs.read_only_copy();
+            assert!(matches!(copy, TripleStore::Sealed(_)));
+            assert_eq!(assert_directories(&copy, &format!("seed {seed}, copy")), 3);
+            let shared = sole_runs(&rs).zip(sole_runs(&copy)).map(|(ours, theirs)| {
+                (0..3).all(|i| {
+                    ours[i]
+                        .starts
+                        .as_ref()
+                        .zip(theirs[i].starts.as_ref())
+                        .is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+                })
+            });
+            assert_eq!(
+                shared,
+                Some(true),
+                "seed {seed}: the copy shares the directories"
+            );
+
+            for triple in uneven(&mut next, 200) {
+                copy.insert(triple);
+            }
+            for &triple in keys.iter().skip(3).step_by(11) {
+                copy.remove(triple);
+            }
+            assert!(matches!(copy, TripleStore::Runs(_)), "thawed");
+            assert_directories(&copy, &format!("seed {seed}, thawed"));
+            copy.seal();
+            assert_eq!(
+                assert_directories(&copy, &format!("seed {seed}, resealed")),
+                3
+            );
+
+            let max_term = 1 + collect_range(&copy, Perm::Spo, [0; 3], [u32::MAX; 3])
+                .iter()
+                .map(|t| t.s.0.max(t.p.0).max(t.o.0))
+                .max()
+                .unwrap_or(0);
+            let reopened = TripleStore::from_runs(copy.snapshot().runs, max_term);
+            let reopened = reopened.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(
+                assert_directories(&reopened, &format!("seed {seed}, reopened")),
+                3
+            );
+
+            copy.seal_with(&SealConfig {
+                compress: true,
+                compress_min_keys: 1,
+            });
+            assert_eq!(copy.stats().compressed_runs, 3);
+            assert_eq!(
+                assert_directories(&copy, &format!("seed {seed}, columnar")),
+                0
+            );
+            copy.seal_with(&SealConfig::default());
+            assert_eq!(
+                assert_directories(&copy, &format!("seed {seed}, decoded")),
+                3
+            );
+        }
+    }
+
+    /// A seal after a small window patches the previous directory from
+    /// the window's delta: on a 20 000+-key store, after every seal of a
+    /// seeded insert/remove sequence — new first components past the
+    /// largest, id 0, every key of the largest removed, a read-only
+    /// copy thawed by the window — the patched directory equals a fresh
+    /// sweep entry for entry, and a window too large to patch sweeps.
+    #[test]
+    fn sealing_patches_the_directory_like_a_sweep() {
+        for seed in [31u64, 32] {
+            let mut next = splitmix(seed);
+            let mut rs = TripleStore::new(StorageBackend::SortedRuns);
+            let mut bt = TripleStore::new(StorageBackend::BTree);
+            let bulk: Vec<IdTriple> = (0..24_000)
+                .map(|_| {
+                    let r = next();
+                    t(
+                        1 + (r % 4000) as u32,
+                        ((r >> 16) % 7) as u32,
+                        ((r >> 32) % 3000) as u32,
+                    )
+                })
+                .collect();
+            rs.insert_batch(bulk.iter().copied(), &mut Vec::new());
+            bt.insert_batch(bulk.into_iter(), &mut Vec::new());
+            rs.seal();
+            assert!(rs.len() >= 20_000);
+            for round in 0..24 {
+                let what = format!("seed {seed} round {round}");
+                if round % 5 == 2 {
+                    rs = rs.read_only_copy();
+                }
+                let present = collect_range(&bt, Perm::Spo, [0; 3], [u32::MAX; 3]);
+                let largest = present.last().map_or(0, |t| t.s.0);
+                let big = round == 11;
+                let moves = if big {
+                    9000
+                } else {
+                    20 + next() as usize % 150
+                };
+                if round % 3 == 0 {
+                    let lo = [largest, 0, 0];
+                    let hi = [largest, u32::MAX, u32::MAX];
+                    for triple in collect_range(&bt, Perm::Spo, lo, hi) {
+                        remove_both(&mut rs, &mut bt, triple);
+                    }
+                }
+                for _ in 0..moves {
+                    let r = next();
+                    match r % 6 {
+                        0..=2 => {
+                            let victim = present[(r >> 8) as usize % present.len()];
+                            remove_both(&mut rs, &mut bt, victim);
+                        }
+                        3 => {
+                            insert_both(
+                                &mut rs,
+                                &mut bt,
+                                t(
+                                    largest + 1 + (r >> 8) as u32 % 3,
+                                    8,
+                                    (r >> 16) as u32 % 3100,
+                                ),
+                            );
+                        }
+                        4 => {
+                            insert_both(
+                                &mut rs,
+                                &mut bt,
+                                t(0, (r >> 8) as u32 % 9, 3000 + (r >> 16) as u32 % 200),
+                            );
+                        }
+                        _ => {
+                            insert_both(
+                                &mut rs,
+                                &mut bt,
+                                t(
+                                    (r >> 8) as u32 % 4000,
+                                    (r >> 24) as u32 % 7,
+                                    (r >> 32) as u32 % 3000,
+                                ),
+                            );
+                        }
+                    }
+                }
+                let before = PATCHED.with(Cell::get);
+                rs.seal();
+                let patched = PATCHED.with(Cell::get) - before;
+                assert_eq!(
+                    patched,
+                    if big { 0 } else { 3 },
+                    "{what}: patched directories"
+                );
+                assert_eq!(assert_directories(&rs, &what), 3, "{what}");
+                assert_matches_oracle(&rs, &bt, &what);
             }
         }
     }

@@ -1,5 +1,8 @@
 //! Allocation budgets of the SPARQL front-end: what it costs to get from
-//! a new query text to a cached plan, counted in heap allocations.
+//! a new query text to a cached plan, counted in heap allocations — and
+//! the exact counts of the warm read path behind it (`execute` of a
+//! prepared CQ, a hot `answer_sparql`), which no change to the scans
+//! under the join may raise.
 //!
 //! A `#[global_allocator]` counts the allocations of the calling thread
 //! only, so the tests of this binary running in parallel do not see each
@@ -211,5 +214,54 @@ fn cold_prepare_sparql_of_a_seen_shape_on_the_rewritten_route_is_pinned() {
     assert_eq!(
         fewest, ALLOCS,
         "a cold prepare_sparql of a seen shape made {fewest} allocations"
+    );
+}
+
+/// The allocations of `f`'s third call in a row, after asserting the
+/// second made as many: the caches `f` reaches are warm by then, so the
+/// count is the read path's own.
+fn warm_allocs<T>(mut f: impl FnMut() -> T) -> usize {
+    f();
+    let (_, second) = counted(&mut f);
+    let (_, third) = counted(&mut f);
+    assert_eq!(second, third, "a warm call's allocations repeat");
+    third
+}
+
+/// A warm `FrozenSession::execute` of `cast_hub`'s prepared CQ, its
+/// stream drained: the join over the sealed solution, the row sink and
+/// the stream. The count is exact; a probe of the store allocates
+/// nothing, so a change to the scan under the join must leave it as it
+/// is.
+#[test]
+fn warm_execute_of_a_point_read_is_pinned() {
+    const ALLOCS: usize = 3;
+    let session = frozen(64, Strategy::Materialise);
+    let parsed = parse_sparql(&render("cast_hub", 7), &PrefixMap::common()).expect("cast_hub");
+    let lowered = parsed.lower();
+    let cq = lowered.queries()[0];
+    let prepared = session.prepare(cq).expect("prepare");
+    let allocs = warm_allocs(|| {
+        let rows = session.execute(&prepared).expect("execute").count();
+        assert_eq!(rows, 1);
+    });
+    assert_eq!(allocs, ALLOCS, "a warm execute made {allocs} allocations");
+}
+
+/// A hot `FrozenSession::answer_sparql` of `cast_hub`: a statement-cache
+/// hit, then execute and assemble. The count is exact, like the warm
+/// execute's.
+#[test]
+fn hot_answer_sparql_of_a_point_read_is_pinned() {
+    const ALLOCS: usize = 17;
+    let session = frozen(64, Strategy::Materialise);
+    let text = render("cast_hub", 7);
+    let allocs = warm_allocs(|| {
+        let result = session.answer_sparql(&text).expect("hot read");
+        assert_eq!(result.rows().map(|r| r.rows.len()), Some(1));
+    });
+    assert_eq!(
+        allocs, ALLOCS,
+        "a hot answer_sparql made {allocs} allocations"
     );
 }
