@@ -228,6 +228,16 @@ pub(crate) fn chase_quotient(
     (engine.into_solution(), classes)
 }
 
+/// Test seam, not API: the model [`chase_quotient`] chases over the
+/// system's own equivalence index — what a materialising freeze of a
+/// full system serves. The quotient tests hold it to the canonical image
+/// of [`chase_system`]'s saturated solution.
+#[doc(hidden)]
+pub fn chase_quotient_model(system: &RdfPeerSystem, config: &RpsChaseConfig) -> UniversalSolution {
+    let index = EquivalenceIndex::from_mappings(system.equivalences());
+    chase_quotient(system, &index, config).0
+}
+
 /// One firing of a graph mapping assertion, recorded when provenance
 /// tracking is on: which assertion fired on which premise tuple, the
 /// premise triples that supported it (one witness), and the conclusion

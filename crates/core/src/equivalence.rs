@@ -7,14 +7,15 @@
 //!
 //! This module adds the engineering fast path: a union-find
 //! [`EquivalenceIndex`] with canonical representatives. Instead of
-//! saturating, the rewritten and Datalog routes canonicalise the graph
-//! and queries, evaluate once, and *expand* answers over class members
-//! last — on id rows (`expand_rows` over a `ClassTable`) locally, on
-//! terms ([`expand_answers`], which the id form is swept against) in the
-//! federation. `tests/properties.rs` (and [`saturate_naive`], which
-//! implements the paper's repair literally) establish that both ways
-//! produce identical answer sets; what saturation costs the materialised
-//! route is the benchmark's `core.chase.eq_copies`
+//! saturating, the rewritten route and the materialised route of a full
+//! system canonicalise the graph and queries, evaluate once, and
+//! *expand* answers over class members last — on id rows (`expand_rows`
+//! over a `ClassTable`) locally, on terms ([`expand_answers`], which the
+//! id form is swept against) in the federation. `tests/properties.rs`
+//! (and [`saturate_naive`], which implements the paper's repair
+//! literally) establish that both ways produce identical answer sets;
+//! what saturation costs the materialised route of a system with
+//! existential conclusions is the benchmark's `core.chase.eq_copies`
 //! (`docs/BENCHMARKING.md`).
 
 use crate::mapping::EquivalenceMapping;
@@ -284,6 +285,27 @@ impl ClassTable {
             Some((canon, members.iter().map(|m| id(m, graph)).collect()))
         });
         ClassTable(classes.collect())
+    }
+
+    /// The table [`ClassTable::intern`] built into `graph`, looked up
+    /// again in a dictionary that kept every id it minted (a persisted
+    /// quotient's): `None` if a member of a class whose representative
+    /// the dictionary holds is missing from it.
+    pub(crate) fn find(index: &EquivalenceIndex, graph: &Graph) -> Option<Self> {
+        let id = |iri: &Iri| graph.term_id(&Term::Iri(iri.clone()));
+        let mut table = HashMap::new();
+        for (canon, members) in index.classes() {
+            if let Some(canon) = id(canon) {
+                table.insert(canon, members.iter().map(id).collect::<Option<_>>()?);
+            }
+        }
+        Some(ClassTable(table))
+    }
+
+    /// `true` iff no class occurs in the graph: its rows expand to
+    /// themselves.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 

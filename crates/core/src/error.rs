@@ -8,7 +8,6 @@
 //! ([`crate::Session`] and the sessions it freezes into, the live and
 //! federated sessions) report all of them through.
 
-use crate::datalog_route::DatalogError;
 use crate::fault::FailureCause;
 use crate::mapping::MappingError;
 use crate::system::SystemValidationError;
@@ -42,7 +41,7 @@ pub enum RpsError {
     /// back to materialisation instead (see
     /// [`crate::PreparedQuery::rewrite_fell_back`]). Raise the budgets
     /// in [`crate::EngineConfig::rewrite`], or pick a strategy with a
-    /// complete route (materialise, or Datalog for full mappings).
+    /// complete route (materialise).
     RewriteBudget {
         /// Distinct CQs explored before giving up.
         explored: usize,
@@ -51,12 +50,8 @@ pub enum RpsError {
         /// The union-size budget that bounded the expansion.
         max_cqs: usize,
     },
-    /// Datalog routing was requested for a system whose graph mapping
-    /// assertions are not full (existential conclusions need the chase).
-    NotDatalog(DatalogError),
     /// The `Q*` (blank-keeping) semantics is only available through the
-    /// materialised route; rewriting and Datalog routing compute certain
-    /// answers.
+    /// materialised route; rewriting computes certain answers.
     StarNeedsMaterialisation,
     /// A prepared query was executed on a session other than the one
     /// that prepared it. Compiled plans reference their session's caches
@@ -76,8 +71,8 @@ pub enum RpsError {
         current: u32,
     },
     /// Live sessions answer from the incrementally maintained,
-    /// materialised universal solution; the rewrite and Datalog routes
-    /// assume an immutable base instance and are not available through
+    /// materialised universal solution; the rewrite route assumes an
+    /// immutable base instance and is not available through
     /// [`crate::live::LiveSession`]. Use `Strategy::Materialise` or
     /// `Strategy::Auto`.
     LiveNeedsMaterialisation,
@@ -106,7 +101,7 @@ pub enum RpsError {
     },
     /// A frozen session could not be persisted or reopened: the route
     /// is not persistable (only the materialised route snapshots to
-    /// disk — rewritten/Datalog routes carry live compile state), or
+    /// disk — the rewritten route carries live compile state), or
     /// the session file on disk is malformed. Low-level I/O and
     /// durable-state corruption surface as [`RpsError::Rdf`] instead.
     Persist {
@@ -154,9 +149,6 @@ impl fmt::Display for RpsError {
                 "rewriting budget exhausted after exploring {explored} CQs \
                  (max_depth {max_depth}, max_cqs {max_cqs}) without reaching a fixpoint"
             ),
-            RpsError::NotDatalog(e) => {
-                write!(f, "system is not expressible as a Datalog program: {e}")
-            }
             RpsError::StarNeedsMaterialisation => write!(
                 f,
                 "Q* (blank-keeping) semantics requires the materialised route"
@@ -168,7 +160,7 @@ impl fmt::Display for RpsError {
             RpsError::LiveNeedsMaterialisation => write!(
                 f,
                 "live sessions answer from the incrementally maintained universal \
-                 solution; the rewrite and Datalog routes are unavailable — use \
+                 solution; the rewrite route is unavailable — use \
                  Strategy::Materialise or Strategy::Auto"
             ),
             RpsError::StalePlan { prepared, current } => write!(
@@ -226,12 +218,6 @@ impl From<MappingError> for RpsError {
 impl From<RdfError> for RpsError {
     fn from(e: RdfError) -> Self {
         RpsError::Rdf(e)
-    }
-}
-
-impl From<DatalogError> for RpsError {
-    fn from(e: DatalogError) -> Self {
-        RpsError::NotDatalog(e)
     }
 }
 

@@ -32,7 +32,6 @@
 
 pub mod answers;
 pub mod chase;
-pub mod datalog_route;
 pub mod discovery;
 pub mod encode;
 pub mod equivalence;
@@ -50,7 +49,6 @@ pub use answers::{certain_answers, certain_answers_union, AnswerSet};
 pub use chase::{
     chase_system, is_solution, FiringMode, RpsChaseConfig, RpsChaseStats, UniversalSolution,
 };
-pub use datalog_route::{DatalogEngine, DatalogError};
 pub use discovery::{
     discover, evaluate as evaluate_discovery, Candidate, DiscoveryConfig, DiscoveryQuality,
 };

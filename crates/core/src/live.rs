@@ -201,8 +201,8 @@ impl LiveSession {
     /// forever (unbounded retention); see [`LiveSession::open_with_retention`]
     /// to bound the window instead.
     ///
-    /// The rewrite and Datalog routes assume an immutable base instance,
-    /// so `config.strategy` must be `Materialise` or `Auto` (both serve
+    /// The rewrite route assumes an immutable base instance, so
+    /// `config.strategy` must be `Materialise` or `Auto` (both serve
     /// the maintained materialisation); anything else fails with
     /// [`RpsError::LiveNeedsMaterialisation`]. The chase firing mode is
     /// forced to `Skolem` — see the [module docs](self).
@@ -220,11 +220,8 @@ impl LiveSession {
         retain: u32,
     ) -> Result<Self, RpsError> {
         system.validate().map_err(RpsError::Validation)?;
-        match config.strategy {
-            Strategy::Materialise | Strategy::Auto => {}
-            Strategy::Rewrite | Strategy::Datalog => {
-                return Err(RpsError::LiveNeedsMaterialisation)
-            }
+        if config.strategy == Strategy::Rewrite {
+            return Err(RpsError::LiveNeedsMaterialisation);
         }
         let mut chase = config.chase.clone();
         chase.firing = FiringMode::Skolem;

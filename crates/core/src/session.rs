@@ -18,11 +18,12 @@
 //!
 //! Everything below the façade runs on the `rps_rdf` triple store: the
 //! materialise route chases into a [`rps_rdf::Graph`] (sorted-run
-//! storage by default — see `rps_rdf::store`), the Datalog route chases
-//! the equivalence quotient into another, the rewrite route evaluates its
-//! UCQs over the canonical stored one, and the id-level plans compiled
-//! here are `rps_query::PreparedQueryIds` range scans against its
-//! permutation indexes.
+//! storage by default — see `rps_rdf::store`) — on a full system the
+//! equivalence quotient, otherwise the saturated universal solution —
+//! the rewrite route evaluates its UCQs over the canonical stored one,
+//! and the id-level plans compiled here are
+//! `rps_query::PreparedQueryIds` range scans against its permutation
+//! indexes.
 //!
 //! The federated counterpart with the same vocabulary lives in
 //! `rps-p2p` (`FederatedSession`), which reuses this module's
@@ -80,7 +81,7 @@
 //! ```
 
 use crate::answers::AnswerSet;
-use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
+use crate::chase::{chase_quotient, chase_system, RpsChaseConfig, UniversalSolution};
 use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::system::RdfPeerSystem;
@@ -98,17 +99,17 @@ pub use frozen::{
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Strategy {
     /// Materialise the universal solution once (Algorithm 1) and evaluate
-    /// queries over it. Amortises well under high query rates.
+    /// queries over it. Amortises well under high query rates. On a full
+    /// system (no existential variable in any assertion's conclusion)
+    /// the chase runs over the equivalence quotient of the sources and
+    /// answers expand over the classes: that is the least model of the
+    /// assertions' Datalog program (future work item 1), covering the
+    /// systems Proposition 3 puts beyond FO rewriting, without the
+    /// equivalence copies.
     Materialise,
     /// Rewrite each query into a UCQ over the sources (Proposition 2).
     /// No materialisation; pays per query.
     Rewrite,
-    /// Chase the equivalence quotient of the sources (Algorithm 1, under
-    /// [`EngineConfig::chase`]'s budgets) and expand answers over the
-    /// classes: for full graph mapping assertions — required here — that
-    /// is the least model of their Datalog program (future work item 1),
-    /// covering the systems Proposition 3 puts beyond FO rewriting.
-    Datalog,
     /// Use rewriting when the mapping TGDs are FO-rewritable, otherwise
     /// materialise.
     #[default]
@@ -118,13 +119,12 @@ pub enum Strategy {
 /// How a prepared query actually executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecRoute {
-    /// Evaluated over a materialised universal solution.
+    /// Evaluated over the universal solution or, on a full system, its
+    /// quotient by the equivalence mappings, answers expanded over the
+    /// classes.
     Materialised,
     /// Evaluated through a (complete) UCQ rewriting.
     Rewritten,
-    /// Evaluated over the least model of a full system: the chase of
-    /// its equivalence quotient, answers expanded over the classes.
-    Datalog,
     /// Evaluated federatedly over the peers (see `rps-p2p`).
     Federated,
 }
@@ -139,7 +139,7 @@ pub struct EngineConfig {
     /// Result semantics (`Q_D` drops blank-node tuples, `Q*_D` keeps
     /// them). `Q*` is only available through the materialised route.
     pub semantics: Semantics,
-    /// Chase budgets for the materialised and Datalog routes.
+    /// Chase budgets for the materialised route.
     pub chase: RpsChaseConfig,
     /// Rewriting budgets for the rewritten route.
     pub rewrite: RewriteConfig,
@@ -241,7 +241,8 @@ impl ExecConfig {
 
 /// Whichever `Arc` keeps a sealed graph — and with it the dictionary a
 /// plan's ids index — alive: a chased solution (the universal solution,
-/// the Datalog least model), or the rewriter's canonical stored graph.
+/// or the chase of a full system's quotient), or the rewriter's
+/// canonical stored graph.
 #[derive(Clone)]
 pub(crate) enum GraphHandle {
     Solution(Arc<UniversalSolution>),
@@ -274,10 +275,10 @@ pub(crate) type Chased = (Arc<UniversalSolution>, Option<Arc<ClassTable>>);
 /// every local route: a union of id-level branches over one sealed graph,
 /// whose answers are expanded over `classes` when that graph is a
 /// quotient by the equivalence mappings. Materialised = one all-variable
-/// branch over the universal solution (which is saturated, so no
-/// classes); rewritten = the UCQ's branches over the canonical stored
-/// graph; Datalog = the materialised plan over the chase of the quotient,
-/// with its classes.
+/// branch over the chased solution: the saturated universal solution (no
+/// classes) or, on a full system, the chase of the quotient with its
+/// classes; rewritten = the UCQ's branches over the canonical stored
+/// graph.
 /// Carrying the graph makes repeated execution and lazy answer decoding
 /// independent of the session's own caches.
 pub(crate) struct Plan {
@@ -529,7 +530,7 @@ pub(crate) fn var_names(vars: &[Variable]) -> Vec<String> {
 pub struct Session {
     system: RdfPeerSystem,
     config: EngineConfig,
-    /// Built once: the rewriter and the Datalog engine quotient by it,
+    /// Built once: the rewriter and the quotient chase quotient by it,
     /// and every quotient plan canonicalises its query with it.
     eq_index: Arc<EquivalenceIndex>,
     /// The universal solution, once a chase under the configured
@@ -592,15 +593,40 @@ impl Session {
         if let Some(solution) = &self.solution {
             return Ok(solution.clone());
         }
-        let solution = chase_system(&self.system, &self.config.chase);
-        if !solution.complete {
-            return Err(RpsError::ChaseBudget {
-                rounds: solution.stats.rounds,
-                triples: solution.graph.len(),
-            });
-        }
-        Ok(self.solution.insert(Arc::new(solution)).clone())
+        let solution = complete(chase_system(&self.system, &self.config.chase))?;
+        Ok(self.solution.insert(solution).clone())
     }
+
+    /// What a materialising [`Session::freeze`] chases when no solution
+    /// was chased before it. A full system — no existential variable in
+    /// any assertion's conclusion — chases its quotient by the
+    /// equivalence mappings (`chase::chase_quotient`: no equivalence
+    /// copies), and its answers expand over the classes that occur in
+    /// it; any other system, the universal solution. Either way under
+    /// the configured budgets, [`RpsError::ChaseBudget`] on exhaustion.
+    fn materialise(&self) -> Result<Chased, RpsError> {
+        let (system, chase) = (&self.system, &self.config.chase);
+        let mut conclusions = system.assertions().iter().map(|gma| &gma.conclusion);
+        if conclusions.any(|c| !c.existential_vars().is_empty()) {
+            return Ok((complete(chase_system(system, chase))?, None));
+        }
+        let (quotient, classes) = chase_quotient(system, &self.eq_index, chase);
+        // A table no class occurs in would expand every row to itself.
+        let classes = (!classes.is_empty()).then(|| Arc::new(classes));
+        Ok((complete(quotient)?, classes))
+    }
+}
+
+/// A chased solution, if the chase reached its fixpoint: an incomplete
+/// one is unsound to answer over.
+fn complete(solution: UniversalSolution) -> Result<Arc<UniversalSolution>, RpsError> {
+    if !solution.complete {
+        return Err(RpsError::ChaseBudget {
+            rounds: solution.stats.rounds,
+            triples: solution.graph.len(),
+        });
+    }
+    Ok(Arc::new(solution))
 }
 
 #[cfg(test)]
@@ -661,8 +687,41 @@ mod tests {
         )
     }
 
+    /// `(s A o)` on the chain's edge predicate.
+    fn edge(s: &str, o: &str) -> GraphPattern {
+        GraphPattern::triple(
+            TermOrVar::var(s),
+            TermOrVar::iri("http://c/A"),
+            TermOrVar::var(o),
+        )
+    }
+
+    fn edge_query() -> GraphPatternQuery {
+        GraphPatternQuery::new(vec![v("x"), v("y")], edge("x", "y"))
+    }
+
+    /// The transitive-closure chain of `len` edges (the Proposition 3
+    /// workload), built here to avoid a dev-dependency cycle with
+    /// `rps-lodgen`.
+    fn transitive_system(len: usize) -> Result<RdfPeerSystem, RpsError> {
+        let turtle: String = (0..len)
+            .map(|i| format!("<http://c/n{i}> <http://c/A> <http://c/n{}> .\n", i + 1))
+            .collect();
+        let two_hops =
+            GraphPatternQuery::new(vec![v("x"), v("y")], edge("x", "z").and(edge("z", "y")));
+        let mut p = PeerId(0);
+        Ok(RpsBuilder::new()
+            .peer_turtle("chain", &turtle, &mut p)?
+            .assertion(p, p, two_hops, edge_query())?
+            .build())
+    }
+
     fn frozen(system: RdfPeerSystem, config: EngineConfig) -> Result<FrozenSession, RpsError> {
         Session::open(system, config)?.freeze()
+    }
+
+    fn materialise() -> EngineConfig {
+        EngineConfig::default().with_strategy(Strategy::Materialise)
     }
 
     #[test]
@@ -719,7 +778,7 @@ mod tests {
 
     #[test]
     fn chase_budget_is_a_typed_error() -> Result<(), RpsError> {
-        let sys = crate::datalog_route::tests_support::transitive_system(12);
+        let sys = transitive_system(12)?;
         let mut s = Session::new(
             sys,
             EngineConfig::default()
@@ -742,9 +801,7 @@ mod tests {
         s.config_mut().chase = RpsChaseConfig::default();
         let solution = s.universal_solution()?;
         assert!(solution.complete);
-        let stream = s
-            .freeze()?
-            .answer(&crate::datalog_route::tests_support::edge_query())?;
+        let stream = s.freeze()?.answer(&edge_query())?;
         assert_eq!(stream.len(), 13 * 12 / 2);
         Ok(())
     }
@@ -891,25 +948,37 @@ mod tests {
     }
 
     #[test]
-    fn datalog_route_handles_non_fo_systems() -> Result<(), RpsError> {
-        let sys = crate::datalog_route::tests_support::transitive_system(10);
-        let query = crate::datalog_route::tests_support::edge_query();
-        let datalog = Session::new(
-            sys.clone(),
-            EngineConfig::default().with_strategy(Strategy::Datalog),
-        )
-        .freeze()?;
-        let stream = datalog.answer(&query)?;
-        assert_eq!(stream.route(), ExecRoute::Datalog);
-        let datalog = stream.into_set();
-        let mat = Session::new(
-            sys,
-            EngineConfig::default().with_strategy(Strategy::Materialise),
-        )
-        .freeze()?;
-        let chased = mat.answer(&query)?.into_set();
-        assert_eq!(datalog.tuples, chased.tuples);
-        assert_eq!(datalog.len(), 55);
+    fn literal_subject_conclusions_are_never_joined_on() -> Result<(), RpsError> {
+        // `(x p y) ⇝ (y q x)` would put the literal in subject position;
+        // `(x q y) ⇝ (y r y)` would then derive a valid triple from that
+        // non-triple.
+        let cq = |head: &[&str], [s, p, o]: [&str; 3]| {
+            let atom =
+                GraphPattern::triple(TermOrVar::var(s), TermOrVar::iri(p), TermOrVar::var(o));
+            GraphPatternQuery::new(head.iter().map(|n| v(n)).collect(), atom)
+        };
+        let (xy, y) = (["x", "y"], ["y"]);
+        let mut a = PeerId(0);
+        let sys = RpsBuilder::new()
+            .peer_turtle("A", "<http://s> <http://p> \"lit\" .", &mut a)?
+            .assertion(
+                a,
+                a,
+                cq(&xy, ["x", "http://p", "y"]),
+                cq(&xy, ["y", "http://q", "x"]),
+            )?
+            .assertion(
+                a,
+                a,
+                cq(&y, ["x", "http://q", "y"]),
+                cq(&y, ["y", "http://r", "y"]),
+            )?
+            .build();
+        let model = crate::chase::chase_quotient_model(&sys, &RpsChaseConfig::default());
+        assert_eq!((model.stats.invalid_firings, model.graph.len()), (1, 1));
+        // `http://q` and `http://r` are in no peer's schema: unvalidated.
+        let frozen = Session::new(sys, materialise()).freeze()?;
+        assert_eq!(frozen.answer(&cq(&xy, ["x", "http://r", "y"]))?.len(), 0);
         Ok(())
     }
 

@@ -4,23 +4,23 @@
 //! A [`Session`] is the builder: it holds a system and a configuration
 //! and answers nothing, so nothing it holds can change under a prepared
 //! plan. Freezing it ([`Session::freeze`]) runs the compile-phase work
-//! **once** — materialising (and sealing) the universal solution where
-//! the strategy needs it, or taking the one
-//! [`Session::universal_solution`] already chased, building the
-//! rewriter, chasing the quotient to the Datalog least model — and moves
-//! the result into an `Arc`-backed, `Send + Sync` handle on which
-//! [`FrozenSession::prepare`] and [`FrozenSession::execute`] take `&self`
-//! and run concurrently from any number of threads.
+//! **once** — materialising (and sealing) the universal solution, or on
+//! a full system its equivalence quotient, where the strategy needs it,
+//! or taking the one [`Session::universal_solution`] already chased, and
+//! building the rewriter — and moves the result into an `Arc`-backed,
+//! `Send + Sync` handle on which [`FrozenSession::prepare`] and
+//! [`FrozenSession::execute`] take `&self` and run concurrently from any
+//! number of threads.
 //!
 //! Everything behind the handle is immutable but two caches: plans carry
-//! their own `Arc` of the sealed substrate (universal solution or
-//! canonical stored graph), the rewriter binds a new query's constants
-//! into the branches it compiled for the query's shape, and the Datalog
-//! engine's model is sealed. One lock is the **plan cache**'s ([`PlanCache`]) — two bounded
-//! maps under one mutex, conjunctive plans keyed on the canonical
-//! numbered-variable form of the query and whole SPARQL statements keyed
-//! on their text, held for a hash probe and never across parsing,
-//! compilation or execution — with hit/miss counters exposed via
+//! their own `Arc` of the sealed substrate (chased solution or canonical
+//! stored graph), and the rewriter binds a new query's constants into
+//! the branches it compiled for the query's shape. One lock is the
+//! **plan cache**'s ([`PlanCache`]) — two bounded maps under one mutex,
+//! conjunctive plans keyed on the canonical numbered-variable form of
+//! the query and whole SPARQL statements keyed on their text, held for
+//! a hash probe and never across parsing, compilation or execution —
+//! with hit/miss counters exposed via
 //! [`FrozenSession::plan_cache_stats`]. The other is the rewriter's
 //! memo of expansions and compiled branches by query shape
 //! ([`crate::rewriting`]), held the same way.
@@ -78,8 +78,7 @@ use super::{
 };
 use crate::answers::AnswerSet;
 use crate::chase::{RpsChaseStats, UniversalSolution};
-use crate::datalog_route::DatalogEngine;
-use crate::equivalence::EquivalenceIndex;
+use crate::equivalence::{ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
 use crate::rewriting::RpsRewriter;
@@ -393,9 +392,9 @@ enum Compiler {
     /// to under [`Strategy::Auto`]. Compiled plans carry their own `Arc`
     /// of the rewriter's sealed canonical graph and execute without it.
     Rewriter(Box<RpsRewriter>, Option<Arc<UniversalSolution>>),
-    /// A chased route: the sealed universal solution (materialised), or
-    /// the least model of the equivalence quotient and its classes
-    /// (Datalog).
+    /// The materialised route: the sealed universal solution or, on a
+    /// full system, the chase of its equivalence quotient and the
+    /// classes its rows expand over.
     Chased(Chased),
 }
 
@@ -434,7 +433,6 @@ fn static_assert_send_sync() {
     assert::<PreparedSparql>();
     assert::<AnswerStream>();
     assert::<RpsRewriter>();
-    assert::<DatalogEngine>();
 }
 
 impl Session {
@@ -444,15 +442,14 @@ impl Session {
     ///
     /// * strategies that can route to the materialised plan
     ///   ([`Strategy::Materialise`], and [`Strategy::Auto`] when
-    ///   rewriting is not guaranteed perfect) chase now — or take the
-    ///   solution [`Session::universal_solution`] already chased — and
-    ///   seal the universal solution ([`RpsError::ChaseBudget`] on
+    ///   rewriting is not guaranteed perfect) take the solution
+    ///   [`Session::universal_solution`] already chased, as it is, or
+    ///   chase now — on a full system the equivalence quotient, whose
+    ///   answers expand over the classes, otherwise the universal
+    ///   solution — and seal it ([`RpsError::ChaseBudget`] on
     ///   exhaustion);
     /// * the rewrite route's compiler is built now, so the first
-    ///   concurrent `prepare` pays only its own query's expansion;
-    /// * [`Strategy::Datalog`] chases the quotient to the least model
-    ///   now, under the session's budgets ([`RpsError::ChaseBudget`] on
-    ///   exhaustion, [`RpsError::NotDatalog`] on an existential mapping).
+    ///   concurrent `prepare` pays only its own query's expansion.
     ///
     /// A frozen session never starts a chase. Under [`Strategy::Auto`]
     /// with FO-rewritable mappings nothing is materialised, so a
@@ -475,9 +472,7 @@ impl Session {
         let build = || RpsRewriter::with_index(&self.system, self.eq_index.clone());
         // `Some` exactly on the rewritten route.
         let rewriter = match self.config.strategy {
-            Strategy::Rewrite | Strategy::Datalog if star => {
-                return Err(RpsError::StarNeedsMaterialisation)
-            }
+            Strategy::Rewrite if star => return Err(RpsError::StarNeedsMaterialisation),
             Strategy::Rewrite => Some(build()),
             Strategy::Auto if !star => Some(build()).filter(RpsRewriter::fo_rewritable),
             _ => None,
@@ -506,19 +501,16 @@ impl Session {
                     Compiler::Rewriter(Box::new(rewriter), fallback),
                 )
             }
-            None if self.config.strategy == Strategy::Datalog => {
-                let index = self.eq_index.clone();
-                let engine = DatalogEngine::with_index(&self.system, index, &self.config.chase)?;
-                (ExecRoute::Datalog, Compiler::Chased(engine.chased()))
-            }
             None => {
-                let solution = self.universal_solution()?;
                 // Out of the session, so its own handle does not pin the
                 // solution while it is resealed.
-                self.solution = None;
+                let (solution, classes) = match self.solution.take() {
+                    Some(solution) => (solution, None),
+                    None => self.materialise()?,
+                };
                 (
                     ExecRoute::Materialised,
-                    Compiler::Chased((seal(solution), None)),
+                    Compiler::Chased((seal(solution), classes)),
                 )
             }
         };
@@ -649,45 +641,45 @@ impl FrozenSession {
         Ok(set.without_redundancy(&self.inner.eq_index))
     }
 
-    /// The universal solution this session holds: the materialised
-    /// route's substrate, or the rewritten route's `Auto` fallback.
+    /// The chased solution this session holds: the materialised route's
+    /// substrate (the universal solution or a full system's quotient),
+    /// or the rewritten route's `Auto` fallback.
     fn solution(&self) -> Option<&Arc<UniversalSolution>> {
         match &self.inner.compiler {
             Compiler::Rewriter(_, fallback) => fallback.as_ref(),
-            Compiler::Chased((solution, None)) => Some(solution),
-            Compiler::Chased((_, Some(_))) => None,
+            Compiler::Chased((solution, _)) => Some(solution),
         }
     }
 
-    /// Physical storage counters of the frozen universal solution
-    /// (run/tail shape plus the durability counters), or `None` when the
-    /// session's route carries no materialised solution.
+    /// Physical storage counters of the frozen chased solution — the
+    /// universal solution or a full system's quotient — (run/tail shape
+    /// plus the durability counters), or `None` when the session's route
+    /// carries no chased solution.
     pub fn storage_stats(&self) -> Option<rps_rdf::StorageStats> {
         self.solution().map(|s| s.graph.storage_stats())
     }
 
     /// Persists this frozen session into `dir` so [`FrozenSession::open`]
     /// can rebuild it in a fresh process **without re-running the
-    /// chase**: the sealed universal solution goes through the durable
+    /// chase**: the sealed chased solution goes through the durable
     /// graph tier ([`Graph::persist`], under `dir/solution`) and the
     /// session metadata — semantics, budgets, chase statistics, the
-    /// equivalence classes — into a `SESSION` file committed by
+    /// equivalence classes and, when the solution is a full system's
+    /// quotient, a `quotient` line — into a `SESSION` file committed by
     /// write-temp-then-atomic-rename.
     ///
-    /// Only the **materialised route** persists: rewritten and Datalog
-    /// routes carry compile state (compiled TGD sets, a quotient model
-    /// and its class table) that is cheap to rebuild but has no stable
-    /// on-disk form;
-    /// a session resolving to one of those routes is a typed
-    /// [`RpsError::Persist`]. Freeze under [`Strategy::Materialise`] to
-    /// guarantee persistability.
+    /// Only the **materialised route** persists: the rewritten route
+    /// carries compile state (compiled TGD sets) that is cheap to
+    /// rebuild but has no stable on-disk form; a session resolving to it
+    /// is a typed [`RpsError::Persist`]. Freeze under
+    /// [`Strategy::Materialise`] to guarantee persistability.
     ///
     /// The dictionary round-trips id-for-id, so a reopened session
     /// serves **byte-identical** answer tuples in identical order.
     pub fn persist(&self, dir: impl AsRef<Path>) -> Result<(), RpsError> {
         let dir = dir.as_ref();
         let route = self.inner.route;
-        let (ExecRoute::Materialised, Compiler::Chased((solution, _))) =
+        let (ExecRoute::Materialised, Compiler::Chased((solution, classes))) =
             (route, &self.inner.compiler)
         else {
             return Err(RpsError::Persist {
@@ -719,6 +711,9 @@ impl FrozenSession {
             s.rounds, s.gma_firings, s.eq_copies, s.blanks_created, s.invalid_firings
         );
         let _ = writeln!(text, "complete {}", solution.complete);
+        if classes.is_some() {
+            text.push_str("quotient\n");
+        }
         for (_, members) in self.inner.eq_index.classes() {
             text.push_str("eq");
             for m in members {
@@ -745,13 +740,14 @@ impl FrozenSession {
     }
 
     /// Reopens a session persisted by [`FrozenSession::persist`]: the
-    /// universal solution is recovered through the durable graph tier
-    /// (checksum-verified pages, WAL replay — no chase) and the handle
-    /// answers on the materialised route exactly as the pre-persist
-    /// session did, byte-identically. Malformed session metadata is a
-    /// typed [`rps_rdf::RdfError::Corrupt`] via [`RpsError::Rdf`]; the
-    /// federated retry/failure policies reset to defaults (they describe
-    /// transports, not this snapshot).
+    /// chased solution is recovered through the durable graph tier
+    /// (checksum-verified pages, WAL replay — no chase), a quotient's
+    /// class table is looked up again in its recovered dictionary, and
+    /// the handle answers on the materialised route exactly as the
+    /// pre-persist session did, byte-identically. Malformed session
+    /// metadata is a typed [`rps_rdf::RdfError::Corrupt`] via
+    /// [`RpsError::Rdf`]; the federated retry/failure policies reset to
+    /// defaults (they describe transports, not this snapshot).
     pub fn open(dir: impl AsRef<Path>) -> Result<FrozenSession, RpsError> {
         let dir = dir.as_ref();
         let path = dir.join("SESSION");
@@ -771,6 +767,7 @@ impl FrozenSession {
         let mut rw_cqs = None;
         let mut stats: Option<RpsChaseStats> = None;
         let mut complete = None;
+        let mut quotient = false;
         let mut mappings: Vec<EquivalenceMapping> = Vec::new();
         let mut ended = false;
         for line in lines {
@@ -811,6 +808,7 @@ impl FrozenSession {
                         _ => return Err(corrupt("bad completeness flag")),
                     });
                 }
+                "quotient" => quotient = true,
                 "eq" => {
                     let members: Vec<Iri> = parts
                         .map(|m| unescape_field(m).map(Iri::new))
@@ -846,6 +844,15 @@ impl FrozenSession {
         // The persisted solution was sealed; recovery replays the tail
         // through the WAL, so re-seal for lock-free shared scans.
         graph.seal();
+        let eq_index = EquivalenceIndex::from_mappings(&mappings);
+        // The quotient chase interned every class member before it ran,
+        // so the recovered dictionary holds the whole table.
+        let classes = match quotient {
+            true => Some(Arc::new(ClassTable::find(&eq_index, &graph).ok_or_else(
+                || corrupt("a class member is missing from the quotient's dictionary"),
+            )?)),
+            false => None,
+        };
         let mut config = EngineConfig::default()
             .with_strategy(Strategy::Materialise)
             .with_semantics(semantics);
@@ -861,7 +868,7 @@ impl FrozenSession {
             inner: Arc::new(FrozenInner {
                 id: next_session_id(),
                 config,
-                eq_index: Arc::new(EquivalenceIndex::from_mappings(&mappings)),
+                eq_index: Arc::new(eq_index),
                 route: ExecRoute::Materialised,
                 compiler: Compiler::Chased((
                     Arc::new(UniversalSolution {
@@ -869,7 +876,7 @@ impl FrozenSession {
                         stats,
                         complete,
                     }),
-                    None,
+                    classes,
                 )),
                 cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),

@@ -12,7 +12,7 @@
 //! answers byte-identically on every façade and route.
 //!
 //! **Late materialisation.** On every route ([`FrozenSession`],
-//! [`crate::LiveReader`]; materialised, rewritten or Datalog; and the
+//! [`crate::LiveReader`]; materialised or rewritten; and the
 //! federated façades of `rps-p2p`, whose answer dictionary is the
 //! rewriter's canonical graph's) a lowered CQ answers with undecoded id
 //! rows over one sealed graph — equivalence classes already expanded —

@@ -96,9 +96,9 @@ impl RdfPeerSystem {
     }
 
     /// The stored database on `index`'s class representatives: the
-    /// quotient graph the rewritten and Datalog routes evaluate over
-    /// (Section 4 evaluates a perfect rewriting directly over the
-    /// sources). It holds the triples and terms of
+    /// quotient graph the rewritten route evaluates over (Section 4
+    /// evaluates a perfect rewriting directly over the sources), and the
+    /// one a full system's materialised route chases. It holds the triples and terms of
     /// [`canonicalize_graph`](crate::canonicalize_graph) over
     /// [`Self::stored_database`], but is loaded from the peers in one
     /// pass, so its ids follow the peers' load order.

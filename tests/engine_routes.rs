@@ -4,8 +4,8 @@
 //! unsound answers.
 
 use rps_core::{
-    certain_answers, EngineConfig, ExecRoute, FrozenSession, PeerId, RdfPeerSystem, RpsBuilder,
-    RpsChaseConfig, RpsError, Session, Strategy,
+    canonicalize_graph, certain_answers, chase_system, EngineConfig, EquivalenceIndex, ExecRoute,
+    FrozenSession, PeerId, RdfPeerSystem, RpsBuilder, RpsChaseConfig, RpsError, Session, Strategy,
 };
 use rps_lodgen::{actor_shape_query, chain, film_system, query_from, FilmConfig, Topology};
 use rps_tgd::RewriteConfig;
@@ -14,6 +14,14 @@ use std::sync::Arc;
 /// A session over `sys`, frozen straight away.
 fn frozen(sys: RdfPeerSystem, config: EngineConfig) -> Result<FrozenSession, RpsError> {
     Session::new(sys, config).freeze()
+}
+
+/// A session over `sys`, frozen over the universal solution it chased
+/// first.
+fn pre_chased(sys: RdfPeerSystem, config: EngineConfig) -> Result<FrozenSession, RpsError> {
+    let mut session = Session::new(sys, config);
+    session.universal_solution()?;
+    session.freeze()
 }
 
 fn film(topology: Topology, hub_style: bool) -> rps_core::RdfPeerSystem {
@@ -123,22 +131,40 @@ fn chase_budget_exhaustion_is_reported() {
 }
 
 #[test]
-fn datalog_strategy_rejects_existential_mappings() {
+fn fresh_freeze_serves_the_quotient_only_on_full_systems() {
+    // A full system with `sameAs` classes: a fresh freeze serves the
+    // canonical image of the saturated solution, which is smaller, and a
+    // pre-chased one the saturated solution itself — so comparing the two
+    // compares two substrates.
+    let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let run_keys = |frozen: Result<FrozenSession, RpsError>| {
+        frozen
+            .unwrap()
+            .storage_stats()
+            .expect("materialised")
+            .run_keys
+    };
+    let full = film(Topology::Chain, false);
+    let saturated = chase_system(&full, &RpsChaseConfig::default()).graph;
+    let index = EquivalenceIndex::from_mappings(full.equivalences());
+    let image = canonicalize_graph(&saturated, &index).len();
+    assert_eq!(run_keys(frozen(full.clone(), config.clone())), image);
+    assert_eq!(run_keys(pre_chased(full, config.clone())), saturated.len());
+    assert!(image < saturated.len(), "{image} of {}", saturated.len());
     // Conclusions into a hub-style peer 0 invent a blank node per firing,
-    // so the system is not a Datalog program: the route is refused, not
-    // silently swapped for another.
-    let config = EngineConfig::default().with_strategy(Strategy::Datalog);
-    assert!(matches!(
-        frozen(film(Topology::Star { hub: 0 }, true), config),
-        Err(RpsError::NotDatalog(_))
-    ));
+    // so the system is not full: a fresh freeze chases the saturated
+    // universal solution.
+    let existential = film(Topology::Star { hub: 0 }, true);
+    let saturated = chase_system(&existential, &RpsChaseConfig::default()).graph;
+    assert_eq!(run_keys(frozen(existential, config)), saturated.len());
 }
 
 #[test]
 fn datalog_keeps_the_blank_guard_on_a_premise_frontier() {
     // ROADMAP 6(e): the premise's frontier variable `x` meets a source
     // blank. `Q_J` drops that tuple (Section 3's `rt` guard), so the
-    // chase never casts `b:p2` — and neither may the Datalog route.
+    // saturating chase never casts `b:p2` — and neither may the chase of
+    // the quotient, which a fresh freeze of this full system serves.
     let edge = |pred: &str| {
         let text = format!("SELECT ?x ?y WHERE {{ ?x <http://{pred}> ?y }}");
         query_from(&Default::default(), &text)
@@ -155,26 +181,26 @@ fn datalog_keeps_the_blank_guard_on_a_premise_frontier() {
         .unwrap()
         .build();
     let text = "SELECT ?who WHERE { ?f <http://a/cast> ?who }";
-    let open = |strategy| frozen(sys.clone(), EngineConfig::default().with_strategy(strategy));
-    let chased = open(Strategy::Materialise)
+    let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+    let chased = pre_chased(sys.clone(), config.clone())
         .unwrap()
         .answer_sparql(text)
         .unwrap();
     let who = |iri: &str| vec![Some(rps_rdf::Term::iri(iri))];
     let expected = [who("http://a/p1"), who("http://b/p3")];
     assert_eq!(chased.rows().unwrap().rows, expected);
-    let datalog = open(Strategy::Datalog).unwrap();
-    assert_eq!(datalog.answer_sparql(text).unwrap(), chased);
+    let quotient = frozen(sys, config).unwrap();
+    assert_eq!(quotient.answer_sparql(text).unwrap(), chased);
 }
 
 #[test]
-fn datalog_route_honours_the_chase_budgets() {
+fn quotient_chase_honours_the_budgets() {
     // 64 edges close to 2 080; 500 triples do not hold them. The error is
     // typed, at freeze, every time: under a budget that fits, a session
     // reconfigured before its freeze answers in full.
     let sys = chain::transitive_system(64);
     let config = EngineConfig::default()
-        .with_strategy(Strategy::Datalog)
+        .with_strategy(Strategy::Materialise)
         .with_chase(RpsChaseConfig {
             max_triples: 500,
             ..RpsChaseConfig::default()
@@ -192,6 +218,6 @@ fn datalog_route_honours_the_chase_budgets() {
         .unwrap()
         .answer(&chain::edge_query())
         .unwrap();
-    assert_eq!(stream.route(), ExecRoute::Datalog);
+    assert_eq!(stream.route(), ExecRoute::Materialised);
     assert_eq!(stream.len(), 65 * 64 / 2);
 }

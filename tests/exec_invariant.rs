@@ -2,11 +2,13 @@
 //! compression on or off, answers are byte-identical for every strategy
 //! × semantics route, both on sessions frozen straight away and on ones
 //! whose universal solution was chased before the freeze (the freeze
-//! re-encodes the solution graph per the config either way). The
+//! re-encodes the solution graph per the config either way — on a full
+//! system, frozen straight away, the chase of its quotient). The
 //! planner's join order is not a knob; `tests/cost_based_agree.rs`
 //! holds it to the shape heuristic.
 
-use rps_core::{EngineConfig, ExecConfig, Session, Strategy};
+use rps_core::chase::chase_quotient_model;
+use rps_core::{EngineConfig, ExecConfig, RpsChaseConfig, Session, Strategy};
 use rps_lodgen::{actor_shape_query, film_system, queries, FilmConfig, Topology};
 use rps_query::{GraphPatternQuery, Semantics};
 use rps_rdf::Term;
@@ -20,7 +22,7 @@ fn workload(seed: u64) -> FilmConfig {
         person_pool: 20,
         sameas_per_pair: 4,
         topology: Topology::Chain,
-        hub_style: true, // existential mappings ⇒ Certain ≠ Star
+        hub_style: true, // stored blanks ⇒ Certain ≠ Star
         seed,
     }
 }
@@ -59,38 +61,53 @@ fn exec_grid() -> [ExecConfig; 2] {
 }
 
 fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
-    let cfg = workload(seed);
+    // Chain mappings never conclude into the hub-style peer 0, so the
+    // first two systems are full — a fresh freeze serves their quotient,
+    // stored blanks beside class members in the first — and the third,
+    // concluding into peer 0, is existential.
+    let systems = [
+        (Topology::Chain, true),
+        (Topology::Chain, false),
+        (Topology::Star { hub: 0 }, true),
+    ];
     let queries: Vec<GraphPatternQuery> = vec![
         actor_shape_query(2, false),
         queries::film_cast_query(2, 0),
         queries::film_cast_query(1, 3),
     ];
-    for query in &queries {
-        let base_config = EngineConfig::default()
-            .with_strategy(strategy)
-            .with_semantics(semantics)
-            .with_exec(exec_grid()[0]);
-        let reference = answers(base_config.clone(), &cfg, query);
-        let frozen_reference = frozen_answers(base_config, &cfg, query);
-        assert_eq!(
-            reference, frozen_reference,
-            "frozen route diverges from the pre-chased one at the reference config ({strategy:?}, {semantics:?}, seed {seed})"
-        );
-        for exec in exec_grid().into_iter().skip(1) {
-            let config = EngineConfig::default()
+    for (topology, hub_style) in systems {
+        let cfg = &FilmConfig {
+            topology,
+            hub_style,
+            ..workload(seed)
+        };
+        for query in &queries {
+            let base_config = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_semantics(semantics)
-                .with_exec(exec);
+                .with_exec(exec_grid()[0]);
+            let reference = answers(base_config.clone(), cfg, query);
+            let frozen_reference = frozen_answers(base_config, cfg, query);
             assert_eq!(
-                answers(config.clone(), &cfg, query),
-                reference,
-                "pre-chased session diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
+                reference, frozen_reference,
+                "frozen route diverges from the pre-chased one at the reference config ({strategy:?}, {semantics:?}, {cfg:?})"
             );
-            assert_eq!(
-                frozen_answers(config, &cfg, query),
-                reference,
-                "frozen session diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
-            );
+            for exec in exec_grid().into_iter().skip(1) {
+                let config = EngineConfig::default()
+                    .with_strategy(strategy)
+                    .with_semantics(semantics)
+                    .with_exec(exec);
+                assert_eq!(
+                    answers(config.clone(), cfg, query),
+                    reference,
+                    "pre-chased session diverges under {exec:?} ({strategy:?}, {semantics:?}, {cfg:?})"
+                );
+                assert_eq!(
+                    frozen_answers(config, cfg, query),
+                    reference,
+                    "frozen session diverges under {exec:?} ({strategy:?}, {semantics:?}, {cfg:?})"
+                );
+            }
         }
     }
 }
@@ -118,7 +135,8 @@ fn auto_route_is_exec_invariant() {
 }
 
 /// The frozen reseal is visible in the storage counters: a compressing
-/// config leaves the solution graph as one columnar run per permutation.
+/// config leaves the solution graph — saturated or a quotient — as one
+/// columnar run per permutation.
 #[test]
 fn frozen_reseal_reports_compression() {
     // Large enough to clear the seal config's `compress_min_keys` floor
@@ -131,7 +149,7 @@ fn frozen_reseal_reports_compression() {
     let config = EngineConfig::default()
         .with_strategy(Strategy::Materialise)
         .with_exec(exec_grid()[1]);
-    let mut session = Session::open(film_system(&cfg), config).expect("session opens");
+    let mut session = Session::open(film_system(&cfg), config.clone()).expect("session opens");
     let len = session.universal_solution().expect("chases").graph.len();
     let frozen = session.freeze().expect("freeze");
     let stats = frozen.storage_stats().expect("materialised ⇒ stats");
@@ -142,6 +160,18 @@ fn frozen_reseal_reports_compression() {
     assert!(stats.compressed_bytes < stats.compressed_raw_bytes);
     assert_eq!(stats.run_keys + stats.shard_keys + stats.tail, len);
     assert_eq!(stats.shards, 0);
+
+    // The system is full: frozen straight away, it serves the chase of
+    // its quotient, compressed the same way.
+    let system = film_system(&cfg);
+    let len = chase_quotient_model(&system, &RpsChaseConfig::default())
+        .graph
+        .len();
+    let session = Session::open(system, config).expect("session opens");
+    let stats = (session.freeze().expect("freeze").storage_stats()).expect("materialised");
+    assert!(stats.compressed_runs > 0, "the quotient is large enough");
+    assert!(stats.compressed_bytes < stats.compressed_raw_bytes);
+    assert_eq!(stats.run_keys + stats.tail, len);
 }
 
 /// The one "auto" thread bound left — the federated branch fan-out's —

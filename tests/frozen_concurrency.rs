@@ -132,13 +132,13 @@ fn threads_agree_with_sequential_session_across_routes() {
 }
 
 #[test]
-fn threads_agree_on_datalog_route() {
-    // Transitive closure is the route rewriting cannot take
-    // (Proposition 3); the saturated Datalog engine is shared lock-free
-    // and must agree with the sequential session from every thread.
+fn threads_agree_on_the_transitive_closure() {
+    // Transitive closure is the system rewriting cannot take
+    // (Proposition 3); the chase of its quotient is shared lock-free and
+    // must agree with the sequential session from every thread.
     let sys = chain::transitive_system(12);
     let queries = vec![chain::edge_query(), chain::endpoint_query(12)];
-    let cfg = EngineConfig::default().with_strategy(Strategy::Datalog);
+    let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
     let expected = sequential_answers(&sys, &cfg, &queries);
     assert!(!expected[0].is_empty());
     let frozen = Session::new(sys, cfg).freeze().unwrap();
@@ -345,11 +345,11 @@ fn cold_concurrent_prepares_agree_with_sequential_session() {
 
     let tc = chain::transitive_system(12);
     let expected = cold_expected(&tc, cold_chain_query);
-    let cfg = EngineConfig::default().with_strategy(Strategy::Datalog);
+    let cfg = EngineConfig::default().with_strategy(Strategy::Materialise);
     let frozen = Session::new(tc, cfg).freeze().unwrap();
     cold_hammer(cold_chain_query, &expected, |q| {
         let prepared = frozen.prepare(q).unwrap();
-        assert_eq!(prepared.route(), rps_core::ExecRoute::Datalog);
+        assert_eq!(prepared.route(), rps_core::ExecRoute::Materialised);
         frozen.execute(&prepared).unwrap().into_set().tuples
     });
     all_misses(frozen.plan_cache_stats());

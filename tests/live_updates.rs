@@ -240,25 +240,19 @@ fn assert_matches_scratch(
     // the scratch session can legally take on this system.
     for semantics in [Semantics::Certain, Semantics::Star] {
         let reader = live.reader().with_semantics(semantics);
-        for strategy in [
-            Strategy::Materialise,
-            Strategy::Auto,
-            Strategy::Rewrite,
-            Strategy::Datalog,
-        ] {
+        for strategy in [Strategy::Materialise, Strategy::Auto, Strategy::Rewrite] {
             let config = EngineConfig::default()
                 .with_strategy(strategy)
                 .with_semantics(semantics)
                 .with_chase(skolem_chase());
             // Routes this system/semantics cannot take are not part of
             // the contract.
-            let oracle = match Session::open(live.system().clone(), config)
-                .and_then(Session::freeze)
-            {
-                Ok(oracle) => oracle,
-                Err(RpsError::NotDatalog(_)) | Err(RpsError::StarNeedsMaterialisation) => continue,
-                Err(other) => panic!("{ctx}: oracle failed to freeze: {other}"),
-            };
+            let oracle =
+                match Session::open(live.system().clone(), config).and_then(Session::freeze) {
+                    Ok(oracle) => oracle,
+                    Err(RpsError::StarNeedsMaterialisation) => continue,
+                    Err(other) => panic!("{ctx}: oracle failed to freeze: {other}"),
+                };
             for (qi, query) in panel.iter().enumerate() {
                 let expected = match oracle.answer(query) {
                     Ok(stream) => stream.into_set(),

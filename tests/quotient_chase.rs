@@ -1,17 +1,22 @@
-//! `Strategy::Datalog` is Algorithm 1 over the system's quotient by its
-//! equivalence mappings, rows expanded over the classes afterwards. This
-//! seeded sweep (`RPS_QUOTIENT_SEED`, comma-separated u64 seeds) holds it
-//! to the saturating `chase_system` on full systems: the same certain
-//! answers byte for byte, a model that is the canonical image of the
-//! saturated solution, and no non-canonical IRI in any of its triples.
+//! On a full system a fresh `Strategy::Materialise` freeze serves
+//! Algorithm 1 over the system's quotient by its equivalence mappings,
+//! rows expanded over the classes afterwards. This seeded sweep
+//! (`RPS_QUOTIENT_SEED`, comma-separated u64 seeds) holds it to the
+//! saturating `chase_system`: the same certain answers byte for byte,
+//! the same `Q*` answers as a freeze over the saturated solution with
+//! stored blanks beside class members, a model that is the canonical
+//! image of the saturated solution, and no non-canonical IRI in any of
+//! its triples.
 
+use rps_core::chase::chase_quotient_model;
 use rps_core::{
-    canonicalize_graph, certain_answers, chase_system, DatalogEngine, EquivalenceIndex,
-    EquivalenceMapping, GraphMappingAssertion, PeerId, RdfPeerSystem, RpsChaseConfig,
+    canonicalize_graph, certain_answers, chase_system, EngineConfig, EquivalenceIndex,
+    EquivalenceMapping, FrozenSession, GraphMappingAssertion, PeerId, RdfPeerSystem,
+    RpsChaseConfig, Session, Strategy,
 };
-use rps_lodgen::{actor_shape_query, chain, film_system, queries, seed_matrix};
+use rps_lodgen::{actor_shape_query, chain, film, film_system, queries, query_from, seed_matrix};
 use rps_lodgen::{FilmConfig, SeededRng, Topology};
-use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
+use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
 use rps_rdf::{Iri, Term, Triple};
 use std::collections::BTreeSet;
 
@@ -19,15 +24,37 @@ fn seeds() -> Vec<u64> {
     seed_matrix("RPS_QUOTIENT_SEED", &[0x5A3E, 0xC1A55, 24])
 }
 
+/// A materialising session over `sys` under `semantics`, frozen straight
+/// away (over the quotient) or over the universal solution it chased
+/// first (saturated).
+fn freeze(sys: &RdfPeerSystem, semantics: Semantics, pre_chased: bool) -> FrozenSession {
+    let config = EngineConfig::default()
+        .with_strategy(Strategy::Materialise)
+        .with_semantics(semantics);
+    let mut session = Session::new(sys.clone(), config);
+    if pre_chased {
+        session.universal_solution().expect("the chase completes");
+    }
+    session.freeze().expect("the session freezes")
+}
+
 fn assert_quotient_agrees(sys: &RdfPeerSystem, queries: &[GraphPatternQuery], label: &str) {
     let saturated = chase_system(sys, &RpsChaseConfig::default());
-    let engine = DatalogEngine::new(sys).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let frozen = freeze(sys, Semantics::Certain, false);
     for query in queries {
         let expected = certain_answers(&saturated, query).tuples;
-        assert_eq!(engine.answers(query).tuples, expected, "{label}: {query}");
+        let got = frozen
+            .answer(query)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(got.into_set().tuples, expected, "{label}: {query}");
     }
     let index = EquivalenceIndex::from_mappings(sys.equivalences());
-    let model: BTreeSet<Triple> = engine.solution().graph.iter().collect();
+    let model: BTreeSet<Triple> = chase_quotient_model(sys, &RpsChaseConfig::default())
+        .graph
+        .iter()
+        .collect();
+    let served = frozen.storage_stats().expect("materialised").run_keys;
+    assert_eq!(served, model.len(), "{label}: the freeze serves the model");
     for triple in &model {
         for term in [triple.subject(), triple.predicate(), triple.object()] {
             assert_eq!(&index.canonical_term(term), term, "{label}: in the model");
@@ -114,5 +141,49 @@ fn closure_with_aliases_agrees() {
             GraphPatternQuery::new(all.to_vec(), GraphPattern::triple(s, p, o)),
         ];
         assert_quotient_agrees(&sys, &asked, &format!("seed {seed}, chain {len}"));
+    }
+}
+
+/// Under `Q*` a row may hold a stored blank beside a class member: chain
+/// mappings never conclude into the hub-style peer 0, whose films cast
+/// people through blanks, and its people are `sameAs` peer 1's. Over the
+/// quotient such a row holds the class's representative, and
+/// `expand_rows` must range the cell over the members, as the saturating
+/// chase copies the blank's triples onto each of them: a fresh freeze
+/// and a pre-chased one answer the same rows, none twice.
+#[test]
+fn star_rows_with_blanks_agree() {
+    let (starring, artist) = (film::starring_pred(0), film::artist_pred(0));
+    let asked = [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }".to_string(),
+        format!("SELECT ?f ?z ?y WHERE {{ ?f {starring} ?z . ?z {artist} ?y }}"),
+    ]
+    .map(|text| query_from(&Default::default(), &text));
+    for seed in seeds() {
+        let sys = film_system(&FilmConfig {
+            hub_style: true,
+            seed,
+            ..FilmConfig::default()
+        });
+        let index = EquivalenceIndex::from_mappings(sys.equivalences());
+        let [quotient, saturated] = [false, true].map(|pre| freeze(&sys, Semantics::Star, pre));
+        let mut mixed = 0;
+        for query in &asked {
+            let rows = |frozen: &FrozenSession| {
+                let stream = frozen.answer(query).expect("answers");
+                let len = stream.len();
+                let rows: BTreeSet<Vec<Term>> = stream.collect();
+                assert_eq!(rows.len(), len, "seed {seed}: a row twice for {query}");
+                rows
+            };
+            let got = rows(&quotient);
+            assert_eq!(got, rows(&saturated), "seed {seed}: {query}");
+            mixed += got
+                .iter()
+                .filter(|row| row.iter().any(Term::is_blank))
+                .filter(|row| row.iter().any(|t| &index.canonical_term(t) != t))
+                .count();
+        }
+        assert!(mixed > 0, "seed {seed}: no row holds a blank and a member");
     }
 }

@@ -21,10 +21,14 @@
 mod common;
 
 use common::assert_one_run_layout;
-use rps_core::{EngineConfig, FrozenSession, RpsError, Session, Strategy};
+use rps_core::chase::chase_quotient_model;
+use rps_core::{
+    chase_system, EngineConfig, FrozenSession, RpsChaseConfig, RpsError, Session, Strategy,
+};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
-use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
+use rps_query::{evaluate_query, GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
 use rps_rdf::{DurableGraph, Graph, IdTriple, RdfError, Term, TermId};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -454,6 +458,63 @@ fn frozen_session_roundtrip_serves_byte_identical_answers() {
         for (q, want) in queries.iter().zip(&expected) {
             let got: Vec<Vec<Term>> = third.answer(q).unwrap().collect();
             assert_eq!(&got, want, "{semantics:?}: second generation diverged");
+        }
+    }
+}
+
+/// A full system's fresh freeze serves the chase of its equivalence
+/// quotient: it persists with a `quotient` line and reopens over the same
+/// quotient, its class table looked up in the recovered dictionary, with
+/// the saturating chase's answers. An existential system's `SESSION` has
+/// no such line and reopens over its saturated solution, as before.
+#[test]
+fn full_system_session_reopens_over_its_quotient() {
+    // Conclusions into the hub-style peer 0 invent a blank per firing.
+    let existential = FilmConfig {
+        topology: Topology::Star { hub: 0 },
+        hub_style: true,
+        ..film_cfg(42)
+    };
+    for (cfg, full) in [(film_cfg(42), true), (existential, false)] {
+        for semantics in [Semantics::Certain, Semantics::Star] {
+            let sys = film_system(&cfg);
+            let saturated = chase_system(&sys, &RpsChaseConfig::default()).graph;
+            let served = match full {
+                true => chase_quotient_model(&sys, &RpsChaseConfig::default()).graph,
+                false => saturated.clone(),
+            };
+            let config = EngineConfig::default()
+                .with_strategy(Strategy::Materialise)
+                .with_semantics(semantics);
+            let frozen = Session::open(sys, config).unwrap().freeze().unwrap();
+            let tmp = TempDir::new("quotient");
+            frozen.persist(tmp.path()).unwrap();
+            drop(frozen);
+            let text = fs::read_to_string(tmp.path().join("SESSION")).unwrap();
+            assert_eq!(text.contains("\nquotient\n"), full, "{text}");
+
+            let reopened = FrozenSession::open(tmp.path()).unwrap();
+            let stats = reopened.storage_stats().expect("a materialised session");
+            assert_eq!(stats.run_keys, served.len(), "{full}, {semantics:?}");
+            for q in film_queries() {
+                let got: BTreeSet<Vec<Term>> = reopened.answer(&q).unwrap().collect();
+                let want = evaluate_query(&saturated, &q, semantics);
+                assert_eq!(got, want, "{full}, {semantics:?}: {q}");
+            }
+            if full {
+                // A class member the recovered dictionary lacks is corrupt
+                // metadata (`zzz` sorts last, so it is not the class's
+                // representative).
+                let tampered = text.replacen("\neq ", "\neq http://zzz.example/x ", 1);
+                fs::write(tmp.path().join("SESSION"), tampered).unwrap();
+                match FrozenSession::open(tmp.path()) {
+                    Err(RpsError::Rdf(RdfError::Corrupt { detail, .. })) => {
+                        assert!(detail.contains("missing"), "unhelpful detail: {detail}")
+                    }
+                    Err(other) => panic!("a tampered class table yielded {other}"),
+                    Ok(_) => panic!("a tampered class table was served"),
+                }
+            }
         }
     }
 }

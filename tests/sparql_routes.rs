@@ -274,13 +274,13 @@ fn equivalence_system() -> RdfPeerSystem {
 }
 
 /// `text` on the three answering façades, the frozen session under
-/// every strategy (the Datalog route included, the mappings being
+/// every strategy (`Materialise` over the quotient, the mappings being
 /// full): one answer, which is returned.
 fn on_every_facade(sys: &RdfPeerSystem, text: &str) -> SparqlResult {
     let want = frozen(sys, Strategy::Materialise)
         .answer_sparql(text)
         .unwrap();
-    for s in [Strategy::Rewrite, Strategy::Datalog, Strategy::Auto] {
+    for s in [Strategy::Rewrite, Strategy::Auto] {
         let session = frozen(sys, s);
         assert_eq!(session.answer_sparql(text).unwrap(), want, "{s:?}\n{text}");
     }
@@ -298,7 +298,7 @@ fn iri_cells(row: &[&str]) -> Vec<Option<Term>> {
 
 #[test]
 fn filter_tells_the_members_of_a_class_apart_on_every_route() {
-    // Expansion precedes the tail: the rewritten and Datalog routes
+    // Expansion precedes the tail: the rewritten and materialised routes
     // evaluate over the quotient, where only `a:p1` exists, and must
     // still hand FILTER the member it keeps.
     let result = on_every_facade(
@@ -412,7 +412,6 @@ fn branch_count_is_some_on_the_rewritten_route_only() {
         (Strategy::Materialise, None),
         (Strategy::Rewrite, Some(2)),
         (Strategy::Auto, Some(2)),
-        (Strategy::Datalog, None),
     ] {
         let prepared = frozen(&sys, s).prepare(&cq).unwrap();
         assert_eq!(prepared.branch_count(), want, "{s:?}");
