@@ -429,8 +429,11 @@ impl RpsRewriter {
         }
         let classes = Arc::new(ClassTable::intern(&index, &mut canon_graph));
         // The canonical graph never changes after this point: seal it so
-        // branch-plan scans merge immutable runs only.
+        // branch-plan scans merge immutable runs only, and rank its
+        // dictionary, which the rewritten and federated routes' SPARQL
+        // tail sorts answers by.
         canon_graph.seal();
+        canon_graph.term_order();
         RpsRewriter {
             gma_tgds,
             equivalences: system.equivalences().to_vec(),

@@ -484,6 +484,8 @@ impl Session {
         // place when the session was the solution's only owner, on a copy
         // when a caller of `universal_solution` still holds it. Answers
         // are unaffected: both forms scan byte-identically.
+        // The SPARQL tail ranks answer ids by the solution's term order:
+        // it is settled here too, like the layout, so no read sweeps.
         let exec = self.config.exec;
         let seal = move |mut solution: Arc<UniversalSolution>| {
             if exec.compress {
@@ -491,6 +493,7 @@ impl Session {
                     .graph
                     .seal_with(&exec.seal_config());
             }
+            solution.graph.term_order();
             solution
         };
         let (route, compiler) = match rewriter {
@@ -842,8 +845,10 @@ impl FrozenSession {
 
         let mut graph = Graph::open(dir.join("solution"))?;
         // The persisted solution was sealed; recovery replays the tail
-        // through the WAL, so re-seal for lock-free shared scans.
+        // through the WAL, so re-seal for lock-free shared scans, and rank
+        // the dictionary for the SPARQL tail before the first read.
         graph.seal();
+        graph.term_order();
         let eq_index = EquivalenceIndex::from_mappings(&mappings);
         // The quotient chase interned every class member before it ran,
         // so the recovered dictionary holds the whole table.

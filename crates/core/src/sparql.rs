@@ -121,7 +121,7 @@ pub fn execute_sparql_with<P>(
     let Statement { lowered, plans } = &*prepared.statement;
     let streams = plans.iter().map(execute).collect::<Result<Vec<_>, _>>()?;
     Ok(match AnswerStream::into_shared_ids(streams) {
-        Ok((graph, rows)) => lowered.assemble_ids(&rows, graph.dict()),
+        Ok((graph, rows)) => lowered.assemble_ids(&rows, &graph),
         Err(streams) => {
             let answers: Vec<BTreeSet<_>> = streams.into_iter().map(Iterator::collect).collect();
             lowered.assemble(&answers)

@@ -1139,21 +1139,76 @@ impl RowSink {
     }
 }
 
+/// A cell of the rows [`sort_dedup_rows`] sorts: one 32-bit word, whose
+/// order is the cell's.
+pub(crate) trait Word: Copy + Ord {
+    fn word(self) -> u32;
+    fn from_word(word: u32) -> Self;
+}
+
+impl Word for u32 {
+    fn word(self) -> u32 {
+        self
+    }
+
+    fn from_word(word: u32) -> Self {
+        word
+    }
+}
+
+impl Word for TermId {
+    fn word(self) -> u32 {
+        self.0
+    }
+
+    fn from_word(word: u32) -> Self {
+        TermId(word)
+    }
+}
+
+/// An unsigned integer a row of up to `BITS / 32` words packs into, first
+/// word highest, so the integers order as the rows do.
+trait Packed: Copy + Ord + From<u32> + std::ops::Shl<u32, Output = Self> {
+    fn or(self, word: u32) -> Self;
+    /// The word `shift` bits up.
+    fn word_at(self, shift: u32) -> u32;
+}
+
+macro_rules! packed {
+    ($($t:ty),*) => {$(
+        impl Packed for $t {
+            fn or(self, word: u32) -> Self {
+                self | <$t>::from(word)
+            }
+
+            fn word_at(self, shift: u32) -> u32 {
+                (self >> shift) as u32
+            }
+        }
+    )*};
+}
+packed!(u64, u128);
+
 /// Sorts the `len` rows of `width` cells each held row-major in
 /// `cells` ascending (row-lexicographic), drops duplicate rows and
 /// returns how many remain. Width 0 keeps at most the one empty row.
-pub(crate) fn sort_dedup_rows<T: Ord + Copy>(
-    cells: &mut Vec<T>,
-    width: usize,
-    len: usize,
-) -> usize {
+/// Rows of up to four cells sort as machine words — a cell, a `u64`, a
+/// `u128` — which is what the tail's and the row sink's rows are.
+pub(crate) fn sort_dedup_rows<T: Word>(cells: &mut Vec<T>, width: usize, len: usize) -> usize {
     debug_assert_eq!(cells.len(), len * width);
+    if width == 0 || len <= 1 {
+        return len.min(1);
+    }
     match width {
-        0 => len.min(1),
-        1 => sort_dedup_arrays::<T, 1>(cells),
-        2 => sort_dedup_arrays::<T, 2>(cells),
-        3 => sort_dedup_arrays::<T, 3>(cells),
-        4 => sort_dedup_arrays::<T, 4>(cells),
+        1 => {
+            cells.sort_unstable();
+            cells.dedup();
+            cells.len()
+        }
+        2 => sort_dedup_packed::<T, u64>(cells, width),
+        3 | 4 => sort_dedup_packed::<T, u128>(cells, width),
+        // The tail's three-column rows with their ids.
+        6 => sort_dedup_arrays::<T, 6>(cells),
         _ => {
             // Wider rows sort through a permutation and are gathered.
             let row = |i: u32| &cells[i as usize * width..(i as usize + 1) * width];
@@ -1166,6 +1221,27 @@ pub(crate) fn sort_dedup_rows<T: Ord + Copy>(
             order.len()
         }
     }
+}
+
+/// [`sort_dedup_rows`] for rows that fit a `W`: each packs into one
+/// integer, the integers sort and dedup, and unpack back into `cells`.
+fn sort_dedup_packed<T: Word, W: Packed>(cells: &mut Vec<T>, width: usize) -> usize {
+    let mut words: Vec<W> = cells
+        .chunks_exact(width)
+        .map(|row| {
+            row.iter()
+                .fold(W::from(0), |acc, c| (acc << 32).or(c.word()))
+        })
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    cells.truncate(words.len() * width);
+    for (row, &packed) in cells.chunks_exact_mut(width).zip(&words) {
+        for (at, cell) in row.iter_mut().enumerate() {
+            *cell = T::from_word(packed.word_at(32 * (width - 1 - at) as u32));
+        }
+    }
+    words.len()
 }
 
 /// [`sort_dedup_rows`] for a width known at compile time: the rows
@@ -1649,6 +1725,42 @@ _:c3 e:artist e:actor1 .
             assert_eq!(cells, want.into_iter().flatten().collect::<Vec<_>>());
         }
         assert_eq!(sort_dedup_rows(&mut Vec::<u32>::new(), 0, 0), 0);
+    }
+
+    /// The word-packed widths against the array sort of the same rows,
+    /// over cells drawn mostly from the edges of the id space: 0, the
+    /// top id a dictionary mints and the tail's unbound marker, which
+    /// must sort last and survive the packing.
+    #[test]
+    fn packed_rows_sort_like_arrays() {
+        fn check<const N: usize>(cells: &[u32]) {
+            let len = cells.len() / N;
+            let mut want = cells.to_vec();
+            let kept = sort_dedup_arrays::<u32, N>(&mut want);
+            let mut packed = cells.to_vec();
+            assert_eq!(sort_dedup_rows(&mut packed, N, len), kept, "width {N}");
+            assert_eq!(packed, want, "width {N}");
+            let mut ids: Vec<TermId> = cells.iter().map(|&c| TermId(c)).collect();
+            assert_eq!(sort_dedup_rows(&mut ids, N, len), kept, "width {N}, ids");
+            assert!(ids.iter().map(|id| id.0).eq(want), "width {N}, ids");
+        }
+        let edges = [0, 1, u32::MAX - 1, u32::MAX, 1 << 31, (1 << 31) - 1];
+        let mut x = 0x2545_F491u32;
+        for len in [0usize, 1, 2, 3, 64, 700] {
+            let cells: Vec<u32> = (0..len * 4)
+                .map(|_| {
+                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    match x >> 29 {
+                        0..=5 => edges[(x >> 8) as usize % edges.len()],
+                        _ => x,
+                    }
+                })
+                .collect();
+            check::<1>(&cells);
+            check::<2>(&cells);
+            check::<3>(&cells[..len * 3]);
+            check::<4>(&cells);
+        }
     }
 
     /// The sink against a `BTreeSet` at every width the tail's rows take:

@@ -16,20 +16,29 @@
 //!   filled in by the extension.
 //! * **FILTER** operands resolve `&Term` through the dictionary (no
 //!   clone); the numeric value of an id is parsed once per query.
-//! * **Canonical order.** The distinct ids of the surviving projected
-//!   rows are ranked by term order once; rows become rank tuples and
-//!   sort as integers, which is the column-wise term order (unbound
-//!   first) the result contract promises. ORDER BY then sorts those
-//!   rows with numeric values looked up by rank.
+//! * **Canonical order.** The dictionary comes with its [`TermOrder`],
+//!   ranked once per serving graph ([`rps_rdf::Graph::term_order`]), not
+//!   per query: a cell becomes its rank with one lookup, and a projected
+//!   row becomes its rank tuple followed by its ids. Rows of one or two
+//!   columns sort and dedup as one machine word
+//!   ([`sort_dedup_rows`]), which is the column-wise term order
+//!   (unbound first) the result contract promises.
+//! * **ORDER BY** computes one integer key per row and ORDER BY column,
+//!   once: unbound; then IRIs and blanks, by term; then numeric
+//!   literals, by value and then term; then every other literal, by
+//!   term — a total order, which is what lets `OFFSET + LIMIT` pick its
+//!   rows with a selection before only those are sorted.
 //! * **Decode.** Terms are cloned for the rows left after DISTINCT,
-//!   OFFSET and LIMIT — nothing else is ever materialised.
+//!   OFFSET and LIMIT, from the ids each row carried through the sort —
+//!   nothing else is ever materialised.
 //!
 //! The routines are route-agnostic — they see only id rows and a
 //! dictionary — so a query assembled over the materialised, rewritten,
 //! live or federated route produces byte-identical output. Routes whose
 //! answers are terms (or ids of several dictionaries) enter through
-//! [`assemble`], which interns them into a scratch dictionary and runs
-//! this same tail — unless the statement's tail is the identity (one
+//! [`assemble`], which interns them into a scratch dictionary, ranks it
+//! with the same sweep a graph's first [`TermOrder`] takes and runs this
+//! same tail — unless the statement's tail is the identity (one
 //! branch, no OPTIONAL / FILTER / ORDER BY / OFFSET, the projection the
 //! CQ's head in order). Then the answer *set* is already the result: a
 //! `BTreeSet` of term tuples is distinct and in the canonical column-wise
@@ -42,7 +51,8 @@ use super::lower::{LoweredBranch, LoweredOptional, LoweredSparql, SparqlResult, 
 use super::parse::{CmpOp, FilterExpr, Operand};
 use crate::eval::{sort_dedup_rows, IdRows, RowSink};
 use crate::pattern::Variable;
-use rps_rdf::{LiteralAnnotation, Term, TermDict, TermId};
+use rps_rdf::{LiteralAnnotation, Term, TermDict, TermId, TermKind, TermOrder};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
@@ -319,24 +329,61 @@ impl Table {
     }
 }
 
-/// The ORDER BY comparator for one key, on ranks: unbound (rank 0)
-/// sorts before bound; two numerics compare numerically; anything else
-/// — and a numeric tie — falls back to the total term order, which is
-/// the rank order.
-fn key_cmp(a: u32, b: u32, numeric_of_rank: &[Option<f64>]) -> Ordering {
-    let by_number = match (numeric_of_rank[a as usize], numeric_of_rank[b as usize]) {
-        (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
-        _ => Ordering::Equal,
+/// The ORDER BY key of one cell, as one integer that orders as the key
+/// does: unbound first; then IRIs and blanks, by term; then numeric
+/// literals, by value and then term; then every other literal, by term.
+/// That is a total order — a numeric never ties with a non-numeric, so
+/// comparing by value stays transitive. `rank` is the cell's place in
+/// the term order plus one, 0 for unbound.
+fn order_key(dict: &TermDict, id: TermId, rank: u32) -> u128 {
+    if rank == 0 {
+        return 0;
+    }
+    let (class, value) = match dict.kind(id) {
+        TermKind::Literal => match numeric(dict.term(id)) {
+            Some(v) => (2, ordered_bits(v)),
+            None => (3, 0),
+        },
+        _ => (1, 0),
     };
-    by_number.then(a.cmp(&b))
+    (class << 96) | (u128::from(value) << 32) | u128::from(rank)
+}
+
+/// A finite float's bits, flipped so that they order as the values do
+/// (both zeros as one).
+fn ordered_bits(v: f64) -> u64 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The first `wanted` of `len` rows in ORDER BY order, by their keys —
+/// `nk` per row in `keys` — and ties by row index, the rows being in
+/// canonical order: a total order, so the rows past `wanted` are set
+/// aside by a selection and only the ones kept are sorted.
+fn sort_by_keys(keys: &[u128], nk: usize, len: usize, wanted: usize) -> Vec<u32> {
+    let key = |i: u32| &keys[i as usize * nk..(i as usize + 1) * nk];
+    let cmp = |a: &u32, b: &u32| key(*a).cmp(key(*b)).then(a.cmp(b));
+    let mut rows: Vec<u32> = (0..len as u32).collect();
+    if wanted < len {
+        rows.select_nth_unstable_by(wanted, cmp);
+        rows.truncate(wanted);
+    }
+    rows.sort_unstable_by(cmp);
+    rows
 }
 
 /// Assembles the final result from the per-CQ id rows (in
-/// [`LoweredSparql::queries`] order), all over `dict`.
-pub(crate) fn assemble_ids(
+/// [`LoweredSparql::queries`] order), all over `dict`, whose ids `order`
+/// ranks — asked for only when there are rows to sort.
+pub(crate) fn assemble_ids<'d>(
     lowered: &LoweredSparql,
     answers: &[IdRows],
-    dict: &TermDict,
+    dict: &'d TermDict,
+    order: impl FnOnce() -> &'d TermOrder,
 ) -> SparqlResult {
     let expected: usize = lowered.branches.iter().map(|b| 1 + b.optionals.len()).sum();
     assert_eq!(
@@ -369,31 +416,36 @@ pub(crate) fn assemble_ids(
         return SparqlResult::Boolean(false);
     }
 
-    // Rank the distinct ids that survived by term order. Rank 0 is
-    // "unbound", so rank tuples compare exactly like the decoded rows
-    // would: column-wise, unbound first.
-    let mut by_id: Vec<TermId> = cells.iter().copied().filter(|&id| id != UNBOUND).collect();
-    by_id.sort_unstable();
-    by_id.dedup();
-    let mut by_term: Vec<u32> = (0..by_id.len() as u32).collect();
-    by_term.sort_unstable_by_key(|&at| dict.term(by_id[at as usize]));
-    let mut rank_of = vec![0u32; by_id.len()];
-    for (rank, &at) in by_term.iter().enumerate() {
-        rank_of[at as usize] = rank as u32 + 1;
+    if len == 0 {
+        return SparqlResult::Rows(SparqlRows {
+            vars: lowered.columns(),
+            rows: Vec::new(),
+        });
     }
-    let id_of_rank = |rank: u32| by_id[by_term[rank as usize - 1] as usize];
-    let mut ranks: Vec<u32> = cells
-        .iter()
-        .map(|id| by_id.binary_search(id).map_or(0, |at| rank_of[at]))
-        .collect();
+    // Each row becomes its cells' ranks in the term order, plus one so
+    // that 0 is "unbound", followed by its ids: the ranks compare
+    // exactly like the decoded rows would (column-wise, unbound first),
+    // and the ids ride along for the decode.
+    let order = order();
+    let wide = 2 * width;
+    let mut keyed: Vec<u32> = Vec::with_capacity(len * wide);
+    for row in (0..len).map(|r| &cells[r * width..(r + 1) * width]) {
+        keyed.extend(row.iter().map(|&id| match id {
+            UNBOUND => 0,
+            id => order.rank(id) + 1,
+        }));
+        keyed.extend(row.iter().map(|id| id.0));
+    }
     // The engine computes set semantics throughout, so the projected
     // rows dedup unconditionally (DISTINCT and REDUCED are thereby
     // satisfied; they are accepted syntax, not extra work).
-    let len = sort_dedup_rows(&mut ranks, width, len);
-    let row = |i: u32| &ranks[i as usize * width..(i as usize + 1) * width];
+    let len = sort_dedup_rows(&mut keyed, wide, len);
+    let ranks = |i: usize| &keyed[i * wide..i * wide + width];
+    let ids = |i: usize| &keyed[i * wide + width..(i + 1) * wide];
+    let skip = lowered.offset.unwrap_or(0);
+    let take = lowered.limit.unwrap_or(usize::MAX);
 
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    if !lowered.order_by.is_empty() {
+    let ordered = (!lowered.order_by.is_empty()).then(|| {
         let key_cols: Vec<(usize, bool)> = lowered
             .order_by
             .iter()
@@ -405,32 +457,31 @@ pub(crate) fn assemble_ids(
                     .map(|i| (i, k.descending))
             })
             .collect();
-        let numeric_of_rank: Vec<Option<f64>> = std::iter::once(None)
-            .chain((1..=by_id.len() as u32).map(|rank| tail.value(id_of_rank(rank)).1))
+        // Every row's keys, computed once; a descending key inverted.
+        let keys: Vec<u128> = (0..len)
+            .flat_map(|i| {
+                key_cols.iter().map(move |&(col, desc)| {
+                    let key = order_key(dict, TermId(ids(i)[col]), ranks(i)[col]);
+                    if desc {
+                        !key
+                    } else {
+                        key
+                    }
+                })
+            })
             .collect();
-        // Ties fall through to the next key, and finally to the whole
-        // projected row, so the output order is always total and
-        // deterministic.
-        order.sort_by(|&a, &b| {
-            for &(col, desc) in &key_cols {
-                let ord = key_cmp(row(a)[col], row(b)[col], &numeric_of_rank);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            row(a).cmp(row(b))
-        });
-    }
+        sort_by_keys(&keys, key_cols.len(), len, skip.saturating_add(take))
+    });
 
-    let rows = order
-        .into_iter()
-        .skip(lowered.offset.unwrap_or(0))
-        .take(lowered.limit.unwrap_or(usize::MAX))
+    let shown = ordered.as_ref().map_or(len, Vec::len);
+    let rows = (0..shown)
+        .map(|at| ordered.as_ref().map_or(at, |rows| rows[at] as usize))
+        .skip(skip)
+        .take(take)
         .map(|i| {
-            row(i)
+            ids(i)
                 .iter()
-                .map(|&rank| (rank > 0).then(|| dict.term(id_of_rank(rank)).clone()))
+                .map(|&id| (id != UNBOUND.0).then(|| dict.term(TermId(id)).clone()))
                 .collect()
         })
         .collect();
@@ -485,9 +536,11 @@ pub(crate) fn assemble(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>])
 }
 
 /// The interning half of [`assemble`]: the term tuples go into a scratch
-/// dictionary and through [`assemble_ids`].
+/// dictionary, which is swept into its term order, and through
+/// [`assemble_ids`].
 fn assemble_interned(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {
     let mut dict = TermDict::new();
+    let order = OnceCell::new();
     let rows: Vec<IdRows> = answers
         .iter()
         .zip(lowered.queries())
@@ -499,5 +552,7 @@ fn assemble_interned(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>]) -
             sink.finish()
         })
         .collect();
-    assemble_ids(lowered, &rows, &dict)
+    assemble_ids(lowered, &rows, &dict, || {
+        order.get_or_init(|| TermOrder::sweep(&dict))
+    })
 }

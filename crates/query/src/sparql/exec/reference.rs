@@ -151,24 +151,26 @@ fn eval_filter(expr: &FilterExpr, row: &Row) -> bool {
     eval_filter_tri(expr, row) == Some(true)
 }
 
-/// The ORDER BY comparator for one key: unbound sorts before bound;
-/// two numerics compare numerically; anything else falls back to the
-/// total term order. Ties fall through to the next key, and finally to
-/// the whole projected row, so the output order is always total and
-/// deterministic.
+/// The ORDER BY comparator for one key, a total order: unbound first;
+/// then IRIs and blanks, by term; then numeric literals, by value and
+/// then term; then every other literal, by term. Ties fall through to
+/// the next key, and finally to the whole projected row, so the output
+/// order is always total and deterministic.
 fn key_cmp(a: Option<&Term>, b: Option<&Term>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(ta), Some(tb)) => {
-            let by_number = match (numeric(ta), numeric(tb)) {
-                (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
-                _ => Ordering::Equal,
-            };
-            by_number.then_with(|| ta.cmp(tb))
-        }
-    }
+    let class = |t: Option<&Term>| match t {
+        None => (0, None),
+        Some(Term::Literal(_)) => match t.and_then(numeric) {
+            Some(v) => (2, Some(v)),
+            None => (3, None),
+        },
+        Some(_) => (1, None),
+    };
+    let ((ca, va), (cb, vb)) = (class(a), class(b));
+    let by_number = match (va, vb) {
+        (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
+        _ => Ordering::Equal,
+    };
+    ca.cmp(&cb).then(by_number).then_with(|| a.cmp(&b))
 }
 
 pub(crate) fn assemble(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {

@@ -188,6 +188,55 @@ fn order_by_ties_fall_to_term_order_then_the_whole_row() {
     );
 }
 
+/// ORDER BY over a column mixing numerics with digit-leading
+/// non-numerics (`123`, `45x`, `7.5`): numerics come in numeric order,
+/// every other literal after them in term order — on graphs where a
+/// comparator that is not a total order made the sort panic.
+#[test]
+fn order_by_a_column_mixing_numerics_and_other_literals() {
+    for seed in 0..20u64 {
+        let mut rng = Rng(seed);
+        let mut body = String::new();
+        for i in 0..200 {
+            let n = rng.below(1000);
+            let o = match rng.below(3) {
+                0 => format!("{n}"),
+                1 => format!("{n}x"),
+                _ => format!("{n}.5"),
+            };
+            body.push_str(&format!("c:s{i} c:p \"{o}\" .\n"));
+        }
+        let g = turtle(&body);
+        for (text, desc) in [
+            ("SELECT ?s ?o WHERE { ?s c:p ?o } ORDER BY ?o", false),
+            (
+                "SELECT ?s ?o WHERE { ?s c:p ?o } ORDER BY DESC(?o) LIMIT 30",
+                true,
+            ),
+        ] {
+            let r = agree(text, &g, Semantics::Certain);
+            let mut col: Vec<(bool, f64, String)> = rows(&r)
+                .iter()
+                .filter_map(|row| match &row[1] {
+                    Some(Term::Literal(l)) => {
+                        let v = l.lexical().parse::<f64>().ok();
+                        Some((v.is_none(), v.unwrap_or(0.0), l.lexical().to_string()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(col.len(), rows(&r).len(), "seed {seed}: {text}");
+            if desc {
+                col.reverse();
+            }
+            let sorted = col
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1, &w[0].2) <= (w[1].0, w[1].1, &w[1].2));
+            assert!(sorted, "seed {seed}: {text}");
+        }
+    }
+}
+
 #[test]
 fn offset_past_the_end_is_empty_with_columns() {
     let g = turtle("c:a c:p c:o .\nc:b c:p c:o .\n");
@@ -355,24 +404,29 @@ const PREDICATES: &[&str] = &["c:p", "c:q", "c:r", "a"];
 const NODES: &[&str] = &[
     "c:s1", "c:s2", "c:s3", "c:o1", "c:o2", "c:T", "_:b1", "_:b2",
 ];
-/// Literals whose ORDER BY comparator is a total order: numerics order
-/// by value then term, and every other lexical form starts with a
-/// letter, so it sorts after all of them as a term too. (A non-numeric
-/// literal with a digit-leading lexical form — `"5"@en`, `"5x"` — sits
-/// *between* numerics in term order but ties with them numerically,
-/// which makes the comparator cyclic; what a sort does with that is
-/// unspecified, in the reference as much as here.)
+/// Literals of every ORDER BY class: numerics (plain, decimal, typed)
+/// and, among the others, lexical forms that sort between numerics as
+/// terms — `"5x"`, `"45x"`, `"-x"`, `"5"@en` — where comparing by value
+/// when both sides are numeric and by term otherwise would not be
+/// transitive.
 const LITERALS: &[&str] = &[
     "\"1\"",
     "\"5\"",
     "\"5.0\"",
+    "\"7.5\"",
     "\"9\"",
+    "\"10\"",
     "\"31\"",
     "\"31.0\"",
+    "\"123\"",
     "42",
+    "\"5x\"",
+    "\"45x\"",
+    "\"-x\"",
     "\"v1\"",
     "\"x\"",
     "\"v\"@en",
+    "\"5\"@en",
     "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>",
 ];
 const VARS: &[&str] = &["?s", "?o", "?z", "?w"];

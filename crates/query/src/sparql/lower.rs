@@ -24,7 +24,7 @@ use super::exec;
 use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SparqlQuery};
 use crate::eval::{IdRows, PreparedQueryIds, Semantics};
 use crate::pattern::{GraphPattern, GraphPatternQuery, TriplePattern, Variable};
-use rps_rdf::{Graph, Term, TermDict};
+use rps_rdf::{Graph, Term};
 use std::collections::BTreeSet;
 
 /// A SPARQL query lowered to conjunctive plans plus the assembly
@@ -237,9 +237,10 @@ impl LoweredSparql {
 
     /// Assembles the final result from the per-CQ answer rows, which
     /// must line up with [`LoweredSparql::queries`] and be ids of
-    /// `dict`. This is the entire non-conjunctive tail of SPARQL
-    /// evaluation — left joins, filters, projection, DISTINCT, ORDER
-    /// BY, LIMIT/OFFSET — run on term ids, and it is shared verbatim by
+    /// `graph`'s dictionary, ranked by its [`Graph::term_order`]. This
+    /// is the entire non-conjunctive tail of SPARQL evaluation — left
+    /// joins, filters, projection, DISTINCT, ORDER BY, LIMIT/OFFSET —
+    /// run on term ids, and it is shared verbatim by
     /// every execution route, which is what makes the routes answer
     /// byte-identically. Terms are decoded only for the rows returned.
     ///
@@ -248,8 +249,8 @@ impl LoweredSparql {
     /// Panics if `answers.len()` does not match the query count — the
     /// caller zips its own execution results and a mismatch is a bug,
     /// not an input error.
-    pub fn assemble_ids(&self, answers: &[IdRows], dict: &TermDict) -> SparqlResult {
-        exec::assemble_ids(self, answers, dict)
+    pub fn assemble_ids(&self, answers: &[IdRows], graph: &Graph) -> SparqlResult {
+        exec::assemble_ids(self, answers, graph.dict(), || graph.term_order())
     }
 
     /// [`LoweredSparql::assemble_ids`] for answers that are decoded
@@ -271,7 +272,7 @@ impl LoweredSparql {
             .into_iter()
             .map(|q| PreparedQueryIds::compile_only(graph, q).evaluate_rows(graph, semantics))
             .collect();
-        self.assemble_ids(&answers, graph.dict())
+        self.assemble_ids(&answers, graph)
     }
 }
 

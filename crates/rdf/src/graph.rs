@@ -55,6 +55,7 @@
 
 use crate::dict::{TermDict, TermId};
 use crate::error::RdfError;
+use crate::order::TermOrder;
 use crate::stats::{GraphStats, PredicateStats};
 use crate::store::{
     gallop_pays, Perm, RunSnapshot, SealConfig, StorageBackend, StorageStats, StoreRangeIter,
@@ -110,6 +111,15 @@ pub struct Graph {
     /// for the next [`Graph::seal`] to patch instead of sweeping the
     /// graph again.
     stats_base: Option<StatsBase>,
+    /// The dictionary's term order (see [`TermOrder`]). Populated by the
+    /// first [`Graph::term_order`] call — a sweep, or a patch of
+    /// `order_base` — and emptied by the first intern of a new term, so
+    /// a held order always ranks every id of the dictionary.
+    order: OnceLock<Arc<TermOrder>>,
+    /// The last order intern took out of `order` (or one adopted from a
+    /// copy): it still ranks every id it did, and the next order merges
+    /// the terms interned since into it.
+    order_base: Option<Arc<TermOrder>>,
 }
 
 /// A statistics snapshot that stopped being current, with what it takes
@@ -241,6 +251,49 @@ impl Graph {
                 .get_or_init(|| Arc::new(self.build_stats()))
                 .clone(),
         )
+    }
+
+    /// The term order of this graph's dictionary (see [`TermOrder`]): a
+    /// rank per id, so rows of ids sort in [`Term`] order as integers.
+    /// It always ranks every term the dictionary holds: interning a new
+    /// term takes the held order away as a base, and the next call builds
+    /// one — patched from the base in `O(n + k · log n)` for the `k` terms
+    /// interned since when `k · 2 · ilog2(n) < n`, by a sort of the whole
+    /// dictionary otherwise. Unlike [`Graph::graph_stats`] it does not
+    /// need a sealed graph: it describes the dictionary, not the layout.
+    pub fn term_order(&self) -> &TermOrder {
+        self.order.get_or_init(|| {
+            Arc::new(match &self.order_base {
+                Some(base) if gallop_pays(self.dict.len() - base.len(), self.dict.len()) => {
+                    base.patched(&self.dict)
+                }
+                _ => TermOrder::sweep(&self.dict),
+            })
+        })
+    }
+
+    /// Takes the term order `copy` built as the base of this graph's next
+    /// one, when it is more recent than the base held. `copy` must be a
+    /// [`Graph::read_only_copy`] (or a clone) of this graph, taken since
+    /// its last intern or before it: its order then ranks a prefix of
+    /// this dictionary's ids. A writer that publishes copies and leaves
+    /// the order to the readers that need it adopts what they built, so
+    /// the next patch covers the terms of one publish, not of all of them.
+    pub fn adopt_term_order(&mut self, copy: &Graph) {
+        let Some(order) = copy.order.get() else {
+            return;
+        };
+        let newer = self
+            .order_base
+            .as_ref()
+            .is_none_or(|base| base.len() < order.len());
+        if self.order.get().is_none() && newer && order.len() <= self.dict.len() {
+            debug_assert!(order
+                .ids()
+                .iter()
+                .all(|&id| self.dict.term(id) == copy.term(id)));
+            self.order_base = Some(order.clone());
+        }
     }
 
     /// The full sweep, and the oracle [`GraphStats::patched`] is tested
@@ -433,7 +486,8 @@ impl Graph {
     /// none of what only a writer does. It shares the sorted runs and
     /// the dictionary's prefix with `self` (the terms interned since the
     /// dictionary last folded are copied), copies the per-predicate
-    /// counts, and carries the [`GraphStats`] snapshot.
+    /// counts, and carries the [`GraphStats`] snapshot and the
+    /// [`TermOrder`] (or the base the next one patches), by `Arc`.
     ///
     /// Of a graph [`Graph::seal`] left as one plain run per permutation,
     /// the copy's store is the sealed read-only variant: those three
@@ -462,6 +516,8 @@ impl Graph {
             pred_counts: self.pred_counts.clone(),
             dur: self.dur.clone(),
             stats: self.stats.clone(),
+            order: self.order.clone(),
+            order_base: self.order_base.clone(),
             ..Graph::default()
         }
     }
@@ -481,7 +537,20 @@ impl Graph {
 
     /// Interns a term in this graph's dictionary.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        self.dict.intern(term)
+        let terms = self.dict.len();
+        let id = self.dict.intern(term);
+        if self.dict.len() > terms {
+            self.retire_order();
+        }
+        id
+    }
+
+    /// Called when the dictionary grew: a held term order
+    /// stops covering it and becomes the base of the next patch.
+    fn retire_order(&mut self) {
+        if let Some(order) = self.order.take() {
+            self.order_base = Some(order);
+        }
     }
 
     /// Looks up a term's id without interning.
@@ -497,9 +566,9 @@ impl Graph {
     /// Inserts an owned triple, validating RDF positional constraints.
     /// Returns `true` if the triple was not already present.
     pub fn insert(&mut self, triple: &Triple) -> bool {
-        let s = self.dict.intern(triple.subject());
-        let p = self.dict.intern(triple.predicate());
-        let o = self.dict.intern(triple.object());
+        let s = self.intern(triple.subject());
+        let p = self.intern(triple.predicate());
+        let o = self.intern(triple.object());
         self.insert_ids(IdTriple::new(s, p, o))
     }
 
@@ -777,6 +846,7 @@ impl Graph {
     /// not once per occurrence, and the triples go in through the
     /// batch path ([`Graph::insert_batch`]).
     pub fn merge(&mut self, other: &Graph) {
+        let terms = self.dict.len();
         let mut memo: Vec<Option<TermId>> = vec![None; other.dict.len()];
         let mut map = |dict: &mut TermDict, id: TermId| match memo[id.index()] {
             Some(mapped) => mapped,
@@ -795,6 +865,9 @@ impl Graph {
                 IdTriple::new(s, p, o)
             })
             .collect();
+        if self.dict.len() > terms {
+            self.retire_order();
+        }
         self.insert_batch(mapped);
     }
 
@@ -1661,5 +1734,124 @@ mod tests {
         let mut sorted = all.clone();
         sorted.sort_by_key(|t| (t.s.0, t.p.0, t.o.0));
         assert_eq!(all, sorted, "iter_ids yields SPO order");
+    }
+
+    /// A term of any kind from a seeded draw over a small space, so
+    /// literals often share a lexical form and differ in annotation only.
+    fn drawn_term(next: &mut impl FnMut() -> u64) -> Term {
+        use crate::term::{Iri, Literal};
+        let n = next() % 300;
+        match next() % 6 {
+            0 => Term::iri(format!("http://e/{n}")),
+            1 => Term::blank(format!("b{n}")),
+            2 => Term::literal(format!("{n}")),
+            3 => Term::Literal(Literal::lang(format!("{n}"), ["en", "de"][n as usize % 2])),
+            4 => Term::Literal(Literal::typed(format!("{n}"), Iri::new("http://e/int"))),
+            _ => Term::Literal(Literal::typed(format!("{n}"), Iri::new("http://e/dec"))),
+        }
+    }
+
+    /// `order` ranks every id of `g`'s dictionary in term order, and is
+    /// what a sweep of it builds.
+    fn assert_ranks_the_dictionary(g: &Graph, order: &TermOrder, what: &str) {
+        let mut want: Vec<TermId> = g.dict().iter().map(|(id, _)| id).collect();
+        want.sort_by(|&a, &b| g.term(a).cmp(g.term(b)));
+        assert_eq!(order.ids(), want, "{what}: ids in term order");
+        for (at, &id) in want.iter().enumerate() {
+            assert_eq!(order.rank(id) as usize, at, "{what}: rank of {id:?}");
+        }
+        assert_eq!(*order, TermOrder::sweep(g.dict()), "{what}: ≡ the sweep");
+    }
+
+    /// Seeded windows of interns (of new and known terms), inserts and
+    /// seals: whatever order the graph builds next — a patch of the one
+    /// the window's first new term retired, or a sweep — ranks the whole
+    /// dictionary. Read-only copies share the order by `Arc`, a write to
+    /// one leaves the writer's as it was, and the writer adopts the order
+    /// a copy built as its base; a persisted graph reopens with the same
+    /// order.
+    #[test]
+    fn the_term_order_patches_like_the_sweep() -> Result<(), String> {
+        let empty = Graph::new();
+        assert!(empty.term_order().is_empty());
+        assert_ranks_the_dictionary(&empty, empty.term_order(), "empty");
+        for seed in [51u64, 52, 53] {
+            let next = &mut crate::store::tests::splitmix(seed);
+            let mut g = Graph::new();
+            let (mut patched, mut swept, mut adopted) = (0, 0, 0);
+            for window in 0..36 {
+                let what = format!("seed {seed}, window {window}");
+                // Mostly a few terms; every ninth window more than a
+                // patch may take.
+                let fresh = if window % 9 == 8 { 2000 } else { next() % 40 };
+                for _ in 0..fresh {
+                    let o = drawn_term(next);
+                    let s = Term::iri(format!("http://e/s{}", next() % 50));
+                    g.insert_terms(s, Term::iri("http://e/p"), o)
+                        .map_err(|e| e.to_string())?;
+                }
+                let known = g.dict().len();
+                g.intern(&Term::iri("http://e/p"));
+                assert_eq!(g.dict().len(), known, "{what}");
+                g.seal();
+                let base = g.order_base.as_ref().map_or(0, |b| b.len());
+                let held = g.order.get().is_some();
+                let pays = base > 0 && gallop_pays(known - base, known);
+                if !held {
+                    patched += usize::from(pays);
+                    swept += usize::from(!pays);
+                }
+                assert_ranks_the_dictionary(&g, g.term_order(), &what);
+
+                let mut copy = g.read_only_copy();
+                let (ours, theirs) = (copy.order.get(), g.order.get());
+                let shared = ours.zip(theirs).is_some_and(|(a, b)| Arc::ptr_eq(a, b));
+                assert!(shared, "{what}: the copy shares the order");
+                copy.intern(&Term::literal(format!("copy only {window}")));
+                assert!(copy.order.get().is_none(), "{what}: a new term retires it");
+                assert_ranks_the_dictionary(&copy, copy.term_order(), &what);
+                assert!(g.order.get().is_some(), "{what}: the writer's stays");
+
+                // A live publish: the writer's next terms retire its
+                // order, the copy it publishes ranks them when a reader
+                // asks, and the writer takes that as the base of its next.
+                if window % 4 == 3 {
+                    g.intern(&Term::iri(format!("http://e/published{window}")));
+                    let published = g.read_only_copy();
+                    g.adopt_term_order(&published);
+                    assert!(g.order_base.as_ref().is_some_and(|b| b.len() == known));
+                    let built = Arc::new(published.term_order().clone());
+                    assert_ranks_the_dictionary(&published, &built, &what);
+                    g.intern(&Term::iri(format!("http://e/next{window}")));
+                    g.adopt_term_order(&published);
+                    let base = g.order_base.clone().ok_or("a base")?;
+                    assert_eq!(*base, *built, "{what}: adopted");
+                    assert!(base.len() > known, "{what}: adopted");
+                    adopted += 1;
+                    assert_ranks_the_dictionary(&g, g.term_order(), &what);
+                    g.adopt_term_order(&published);
+                    assert!(g.order.get().is_some(), "{what}: a held order stays");
+                }
+            }
+            assert!(patched >= 12, "seed {seed}: {patched} patched orders");
+            assert!(swept >= 3, "seed {seed}: {swept} swept orders");
+            assert!(adopted >= 8, "seed {seed}: {adopted} adopted orders");
+
+            let dir = std::env::temp_dir().join(format!(
+                "rps-graph-test-{}-term-order-{seed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            g.persist(&dir).map_err(|e| e.to_string())?;
+            let reopened = Graph::open(&dir).map_err(|e| e.to_string());
+            let _ = std::fs::remove_dir_all(&dir);
+            let reopened = reopened?;
+            assert_eq!(
+                reopened.term_order(),
+                g.term_order(),
+                "seed {seed}: reopened"
+            );
+        }
+        Ok(())
     }
 }

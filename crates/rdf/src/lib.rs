@@ -11,6 +11,8 @@
 //!
 //! * [`term`] — [`Term`], [`Iri`], [`BlankNode`], [`Literal`];
 //! * [`dict`] — dictionary interning of terms to dense [`TermId`]s;
+//! * [`order`] — [`TermOrder`], a dictionary's ids ranked by term order,
+//!   which a graph keeps beside its planner statistics;
 //! * [`triple`] — owned and interned triples, position helpers;
 //! * [`graph`] — the indexed triple store ([`Graph`]) with SPO/POS/OSP
 //!   permutation indexes answering all eight triple-pattern shapes via
@@ -40,6 +42,7 @@ pub mod durable;
 pub mod error;
 pub mod graph;
 pub mod namespace;
+pub mod order;
 pub mod stats;
 pub mod store;
 pub mod term;
@@ -51,6 +54,7 @@ pub use durable::DurableGraph;
 pub use error::RdfError;
 pub use graph::{Graph, LogWindow, MatchIter};
 pub use namespace::{vocab, PrefixMap};
+pub use order::TermOrder;
 pub use stats::{GraphStats, PredicateStats};
 pub use store::{host_parallelism, SealConfig, StorageBackend, StorageStats};
 pub use term::{BlankNode, Iri, Literal, LiteralAnnotation, Term, TermKind};

@@ -1170,7 +1170,7 @@ fn bounded(source: &[[u32; 3]], lo: [u32; 3], hi: [u32; 3]) -> &[[u32; 3]] {
 
 /// [`slice::partition_point`] by exponential search from the front:
 /// `O(log answer)` probes, for an answer expected near the start.
-fn gallop_point(sorted: &[[u32; 3]], pred: impl Fn(&[u32; 3]) -> bool) -> usize {
+pub(crate) fn gallop_point<T>(sorted: &[T], pred: impl Fn(&T) -> bool) -> usize {
     let mut bound = 1;
     while bound <= sorted.len() && pred(&sorted[bound - 1]) {
         bound *= 2;
