@@ -140,6 +140,7 @@ impl FrozenSession {
     ///
     /// ```
     /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
+    /// use rps_rdf::Term;
     ///
     /// let mut p = PeerId(0);
     /// let system = RpsBuilder::new()
@@ -161,7 +162,10 @@ impl FrozenSession {
     /// let result = frozen.execute_sparql(&prepared).unwrap();
     /// let rows = result.rows().unwrap();
     /// assert_eq!(rows.vars, ["f", "who"]);
-    /// assert_eq!(rows.rows.len(), 1);
+    /// // One flat table: `len` rows of `width` cells, row `i` a slice.
+    /// assert_eq!((rows.rows.len(), rows.rows.width()), (1, 2));
+    /// let cast = [Term::iri("http://a/f1"), Term::iri("http://a/p1")].map(Some);
+    /// assert_eq!(rows.rows[0], cast);
     ///
     /// let ok = frozen
     ///     .answer_sparql("ASK { ?f <http://a/cast> ?who }")

@@ -18,7 +18,7 @@ use crate::binding::Mapping;
 use crate::pattern::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
 use rps_rdf::{Graph, GraphStats, IdTriple, TermId};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Which tuples a query evaluation returns (Section 2.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -301,6 +301,12 @@ struct SuffixMemo {
     /// The variables the suffix shares with the conjuncts above it,
     /// ascending.
     key: Vec<usize>,
+    /// The projected variables the conjuncts above `depth` bind, less
+    /// `key`, ascending: the part of an emitted row the prefix decides
+    /// once the key is fixed. Arrivals that agree on it under one key
+    /// emit the same rows, so only the first is replayed (see
+    /// [`Matcher::replay_suffix`]).
+    inp: Vec<usize>,
     /// The projected variables the suffix binds, ascending: what a
     /// replay has to restore. Its other variables are existential and
     /// are dropped when the sub-answer is stored.
@@ -343,16 +349,35 @@ fn independent_suffix(slots: &[[Slot; 3]], proj: &[usize]) -> Option<SuffixMemo>
         let mut key: Vec<usize> = key_vars().collect();
         key.sort_unstable();
         key.dedup();
-        let mut out: Vec<usize> = proj
-            .iter()
-            .copied()
-            .filter(|&v| first(v) >= depth)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        Some(SuffixMemo { depth, key, out })
+        // The projected variables the prefix binds, or the suffix; the
+        // key's are fixed under the cache and belong to neither.
+        let projected = |above: bool| {
+            let mut vars: Vec<usize> = proj
+                .iter()
+                .copied()
+                .filter(|&v| (first(v) < depth) == above && !key.contains(&v))
+                .collect();
+            vars.sort_unstable();
+            vars.dedup();
+            vars
+        };
+        let (inp, out) = (projected(true), projected(false));
+        Some(SuffixMemo {
+            depth,
+            key,
+            inp,
+            out,
+        })
     })
 }
+
+/// The `inp` values of the arrivals a [`SuffixCache`] has replayed
+/// under its current key, each packed into one word like the rows
+/// [`sort_dedup_rows`] compares. Cleared, not freed, when the key
+/// changes, so an arrival allocates nothing once the set has grown to
+/// the largest key's. `None` when `inp` is wider than a word holds;
+/// every arrival is then replayed.
+type Replayed = Option<HashSet<u128>>;
 
 /// One key's sub-answer of a plan's independent suffix: a size-1 cache,
 /// as large as that one sub-answer and no larger.
@@ -363,6 +388,8 @@ struct SuffixCache<'a> {
     key: Option<Vec<TermId>>,
     /// The suffix's answer under `key`, projected onto `plan.out`.
     rows: IdRows,
+    /// The `plan.inp` values already replayed under `key`.
+    replayed: Replayed,
 }
 
 impl<'a> SuffixCache<'a> {
@@ -371,6 +398,7 @@ impl<'a> SuffixCache<'a> {
             plan,
             key: None,
             rows: RowSink::new(plan.out.len()).finish(),
+            replayed: (plan.inp.len() <= 4).then(HashSet::new),
         }
     }
 }
@@ -477,13 +505,28 @@ impl<'a> Matcher<'a> {
     /// and duplicate-free; a suffix that binds no projected variable
     /// stores one bit (the arity-0 row or none) and stops at its first
     /// witness.
+    ///
+    /// An arrival whose `plan.inp` values an earlier arrival under the
+    /// same key already replayed emits nothing. That is exact for the
+    /// set of rows emitted: an emit reads only the projected variables,
+    /// which are `key`, `inp` and `out`; `key` and `inp` are the earlier
+    /// arrival's, and the `out` values come from `cache.rows`, which
+    /// depends on the key alone — so the arrival would emit the very
+    /// rows the earlier one did, into a sink that keeps a set. What it
+    /// skips are the prefix's existential bindings: a film's cast member
+    /// reached through several cast nodes is replayed once.
     fn replay_suffix(
         &mut self,
         cache: &mut SuffixCache<'_>,
         binding: &mut Vec<Option<TermId>>,
         emit: &mut dyn FnMut(&[Option<TermId>]) -> bool,
     ) -> bool {
-        let SuffixMemo { depth, key, out } = cache.plan;
+        let SuffixMemo {
+            depth,
+            key,
+            inp,
+            out,
+        } = cache.plan;
         let same_key = cache.key.as_ref().is_some_and(|cached| {
             key.iter()
                 .zip(cached)
@@ -497,6 +540,20 @@ impl<'a> Matcher<'a> {
                 !out.is_empty()
             });
             cache.rows = rows.finish();
+            if let Some(replayed) = &mut cache.replayed {
+                replayed.clear();
+            }
+        }
+        if cache.rows.is_empty() {
+            return true;
+        }
+        if let Some(replayed) = &mut cache.replayed {
+            let word = inp
+                .iter()
+                .fold(0u128, |acc, &v| acc << 32 | u128::from(bound(binding, v).0));
+            if !replayed.insert(word) {
+                return true;
+            }
         }
         let keep_going = cache.rows.iter().all(|row| {
             for (&v, &id) in out.iter().zip(row) {
@@ -1043,6 +1100,11 @@ impl IdRows {
         &self.ids[i * self.arity..(i + 1) * self.arity]
     }
 
+    /// Every row's ids, row after row.
+    pub(crate) fn cells(&self) -> &[TermId] {
+        &self.ids
+    }
+
     /// The rows in ascending order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TermId]> + '_ {
         (0..self.len).map(|i| self.row(i))
@@ -1056,6 +1118,10 @@ impl IdRows {
 
 /// Rows a [`RowSink`] holds before it first compacts.
 const COMPACT_MIN_ROWS: usize = 4096;
+
+/// Rows a [`RowSink`] makes room for at its first push: an answer of up
+/// to this many rows is one allocation, not one per doubling.
+const FIRST_ROWS: usize = 256;
 
 /// The emit side of [`IdRows`]: rows are appended unsorted beside the
 /// sorted, duplicate-free rows of every earlier compaction. When as
@@ -1088,6 +1154,9 @@ impl RowSink {
 
     /// Appends one row, which must yield exactly `arity` ids.
     pub fn push(&mut self, row: impl Iterator<Item = TermId>) {
+        if self.fresh.capacity() == 0 {
+            self.fresh.reserve_exact(self.rows.arity * FIRST_ROWS);
+        }
         self.fresh.extend(row);
         self.fresh_len += 1;
         debug_assert_eq!(self.fresh.len(), self.fresh_len * self.rows.arity);
@@ -1143,16 +1212,11 @@ impl RowSink {
 /// order is the cell's.
 pub(crate) trait Word: Copy + Ord {
     fn word(self) -> u32;
-    fn from_word(word: u32) -> Self;
 }
 
 impl Word for u32 {
     fn word(self) -> u32 {
         self
-    }
-
-    fn from_word(word: u32) -> Self {
-        word
     }
 }
 
@@ -1160,18 +1224,12 @@ impl Word for TermId {
     fn word(self) -> u32 {
         self.0
     }
-
-    fn from_word(word: u32) -> Self {
-        TermId(word)
-    }
 }
 
 /// An unsigned integer a row of up to `BITS / 32` words packs into, first
 /// word highest, so the integers order as the rows do.
 trait Packed: Copy + Ord + From<u32> + std::ops::Shl<u32, Output = Self> {
     fn or(self, word: u32) -> Self;
-    /// The word `shift` bits up.
-    fn word_at(self, shift: u32) -> u32;
 }
 
 macro_rules! packed {
@@ -1179,10 +1237,6 @@ macro_rules! packed {
         impl Packed for $t {
             fn or(self, word: u32) -> Self {
                 self | <$t>::from(word)
-            }
-
-            fn word_at(self, shift: u32) -> u32 {
-                (self >> shift) as u32
             }
         }
     )*};
@@ -1192,8 +1246,10 @@ packed!(u64, u128);
 /// Sorts the `len` rows of `width` cells each held row-major in
 /// `cells` ascending (row-lexicographic), drops duplicate rows and
 /// returns how many remain. Width 0 keeps at most the one empty row.
-/// Rows of up to four cells sort as machine words — a cell, a `u64`, a
-/// `u128` — which is what the tail's and the row sink's rows are.
+/// Rows of up to four cells compare as machine words — a cell, a `u64`,
+/// a `u128` — which is what the tail's and the row sink's rows are.
+/// Rows of up to four cells and of six sort in place, allocating
+/// nothing; other widths sort through a permutation.
 pub(crate) fn sort_dedup_rows<T: Word>(cells: &mut Vec<T>, width: usize, len: usize) -> usize {
     debug_assert_eq!(cells.len(), len * width);
     if width == 0 || len <= 1 {
@@ -1205,10 +1261,15 @@ pub(crate) fn sort_dedup_rows<T: Word>(cells: &mut Vec<T>, width: usize, len: us
             cells.dedup();
             cells.len()
         }
-        2 => sort_dedup_packed::<T, u64>(cells, width),
-        3 | 4 => sort_dedup_packed::<T, u128>(cells, width),
+        2 => sort_dedup_packed::<T, u64, 2>(cells),
+        3 => sort_dedup_packed::<T, u128, 3>(cells),
+        4 => sort_dedup_packed::<T, u128, 4>(cells),
         // The tail's three-column rows with their ids.
-        6 => sort_dedup_arrays::<T, 6>(cells),
+        6 => {
+            let (rows, _) = cells.as_chunks_mut::<6>();
+            rows.sort_unstable();
+            dedup_sorted::<T, 6>(cells)
+        }
         _ => {
             // Wider rows sort through a permutation and are gathered.
             let row = |i: u32| &cells[i as usize * width..(i as usize + 1) * width];
@@ -1223,32 +1284,21 @@ pub(crate) fn sort_dedup_rows<T: Word>(cells: &mut Vec<T>, width: usize, len: us
     }
 }
 
-/// [`sort_dedup_rows`] for rows that fit a `W`: each packs into one
-/// integer, the integers sort and dedup, and unpack back into `cells`.
-fn sort_dedup_packed<T: Word, W: Packed>(cells: &mut Vec<T>, width: usize) -> usize {
-    let mut words: Vec<W> = cells
-        .chunks_exact(width)
-        .map(|row| {
-            row.iter()
-                .fold(W::from(0), |acc, c| (acc << 32).or(c.word()))
-        })
-        .collect();
-    words.sort_unstable();
-    words.dedup();
-    cells.truncate(words.len() * width);
-    for (row, &packed) in cells.chunks_exact_mut(width).zip(&words) {
-        for (at, cell) in row.iter_mut().enumerate() {
-            *cell = T::from_word(packed.word_at(32 * (width - 1 - at) as u32));
-        }
-    }
-    words.len()
+/// [`sort_dedup_rows`] for rows of `N` cells that fit a `W`: the rows
+/// sort in place, each compared as the one integer its cells pack into.
+fn sort_dedup_packed<T: Word, W: Packed, const N: usize>(cells: &mut Vec<T>) -> usize {
+    let (rows, _) = cells.as_chunks_mut::<N>();
+    rows.sort_unstable_by_key(|row| {
+        row.iter()
+            .fold(W::from(0), |acc, c| (acc << 32).or(c.word()))
+    });
+    dedup_sorted::<T, N>(cells)
 }
 
-/// [`sort_dedup_rows`] for a width known at compile time: the rows
-/// sort in place as `[T; N]` values.
-fn sort_dedup_arrays<T: Ord + Copy, const N: usize>(cells: &mut Vec<T>) -> usize {
+/// Drops the repeats of sorted rows of `N` cells, keeping the first of
+/// each, and returns how many rows are left.
+fn dedup_sorted<T: Copy + Eq, const N: usize>(cells: &mut Vec<T>) -> usize {
     let (rows, _) = cells.as_chunks_mut::<N>();
-    rows.sort_unstable();
     let mut kept = 0;
     for i in 0..rows.len() {
         if kept == 0 || rows[i] != rows[kept - 1] {
@@ -1727,7 +1777,7 @@ _:c3 e:artist e:actor1 .
         assert_eq!(sort_dedup_rows(&mut Vec::<u32>::new(), 0, 0), 0);
     }
 
-    /// The word-packed widths against the array sort of the same rows,
+    /// The word-keyed widths against the array sort of the same rows,
     /// over cells drawn mostly from the edges of the id space: 0, the
     /// top id a dictionary mints and the tail's unbound marker, which
     /// must sort last and survive the packing.
@@ -1736,7 +1786,8 @@ _:c3 e:artist e:actor1 .
         fn check<const N: usize>(cells: &[u32]) {
             let len = cells.len() / N;
             let mut want = cells.to_vec();
-            let kept = sort_dedup_arrays::<u32, N>(&mut want);
+            want.as_chunks_mut::<N>().0.sort_unstable();
+            let kept = dedup_sorted::<u32, N>(&mut want);
             let mut packed = cells.to_vec();
             assert_eq!(sort_dedup_rows(&mut packed, N, len), kept, "width {N}");
             assert_eq!(packed, want, "width {N}");
@@ -1898,6 +1949,18 @@ _:c3 e:artist e:actor1 .
         // variable of the second arm keeps the depth and the key.
         let semi = plan(&["p"], &COSTAR);
         assert_eq!(semi.planned_memo(), costar.planned_memo());
+        // The prefix decides `?p`, the suffix `?q`: an arrival is known
+        // by its `?p` under the film, and replays `?q` — or nothing, under
+        // the head that does not name it.
+        fn fields(plan: &PreparedQueryIds) -> Option<(Vec<&str>, Vec<&str>)> {
+            let memo = plan.memo.as_ref()?;
+            let name = |vars: &[usize]| -> Vec<&str> {
+                vars.iter().map(|&v| plan.compiled.vars[v].name()).collect()
+            };
+            Some((name(&memo.inp), name(&memo.out)))
+        }
+        assert_eq!(fields(&costar), Some((vec!["p"], vec!["q"])));
+        assert_eq!(fields(&semi), Some((vec!["p"], vec![])));
         // Replaying the second arm answers what re-joining it answers.
         for mut memoised in [costar, semi] {
             let rows = memoised.evaluate_rows(&g, Semantics::Certain);
@@ -1905,6 +1968,71 @@ _:c3 e:artist e:actor1 .
             assert_eq!(rows, memoised.evaluate_rows(&g, Semantics::Certain));
             assert!(rows.len() >= 10);
         }
+        Ok(())
+    }
+
+    /// The prefix dedup on `costar`, over a catalogue where a film reaches
+    /// one cast member through several cast nodes: a memoised plan emits
+    /// once per distinct `(film, ?p)` arrival and suffix row — not once
+    /// per `(film, cast node, ?p)` — and answers what the plain loop does.
+    #[test]
+    fn costar_emits_once_per_distinct_prefix_tuple() -> Result<(), rps_rdf::RdfError> {
+        let e = |s: String| Term::iri(format!("http://e/{s}"));
+        let mut g = Graph::new();
+        // Per film: its `(cast node, person)` pairs and distinct persons.
+        let (mut pairs, mut cast) = (Vec::new(), Vec::new());
+        for f in 0..12 {
+            let film = e(format!("film{f}"));
+            g.insert_terms(film.clone(), e("year".into()), Term::literal("1901"))?;
+            let mut members = BTreeSet::new();
+            let mut arrivals = 0;
+            // 2–4 cast nodes; node k names person (f + k) % 4 and, on
+            // every other node, person 4 + f % 2 as well.
+            for k in 0..2 + f % 3 {
+                let hub = Term::blank(format!("hub{f}_{k}"));
+                g.insert_terms(film.clone(), e("starring".into()), hub.clone())?;
+                let mut named = vec![(f + k) % 4];
+                if k % 2 == 0 {
+                    named.push(4 + f % 2);
+                }
+                for x in named {
+                    g.insert_terms(hub.clone(), e("artist".into()), e(format!("person{x}")))?;
+                    members.insert(x);
+                    arrivals += 1;
+                }
+            }
+            pairs.push(arrivals);
+            cast.push(members.len());
+        }
+        g.seal();
+        let mut plan = PreparedQueryIds::compile_only(&g, &film_query(&["p", "q"], &COSTAR));
+        assert_eq!(plan.planned_memo(), Some((3, vec![&var("f")])));
+        let inp = plan.memo.as_ref().map(|memo| &memo.inp[..]);
+        assert_eq!(inp, plan.proj.as_ref().map(|proj| &proj[..1]));
+        let emits = |plan: &PreparedQueryIds| {
+            let proj = plan.proj.as_deref().unwrap_or_default();
+            let mut matcher = plan.matcher(&g, &plan.compiled.slots, Semantics::Certain);
+            matcher.memo = plan.memo.as_ref().map(SuffixCache::new);
+            let mut binding = vec![None; plan.compiled.nvars];
+            let mut rows = RowSink::new(proj.len());
+            let mut emits = 0;
+            matcher.search(0, &mut binding, &mut |b| {
+                emits += 1;
+                rows.push(proj.iter().map(|&v| bound(b, v)));
+                true
+            });
+            (emits, rows.finish())
+        };
+        // A film's distinct `?p` arrivals × its suffix rows (its distinct
+        // `?q`s, the same people): cast².
+        let (memoised, rows) = emits(&plan);
+        assert_eq!(memoised, cast.iter().map(|c| c * c).sum::<usize>());
+        // The plain loop emits every `(?z1, ?p)` × `(?z2, ?q)` pair.
+        plan.memo = None;
+        let (plain, plain_rows) = emits(&plan);
+        assert_eq!(plain, pairs.iter().map(|a| a * a).sum::<usize>());
+        assert!(plain > memoised, "{plain} plain emits, {memoised} memoised");
+        assert_eq!(rows, plain_rows);
         Ok(())
     }
 

@@ -36,4 +36,6 @@ pub use eval::{
     PlanSlot, PreparedPattern, PreparedQueryIds, RowSink, ScanPerm, Semantics,
 };
 pub use pattern::{GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable};
-pub use sparql::{parse_sparql, LoweredSparql, SparqlError, SparqlQuery, SparqlResult, SparqlRows};
+pub use sparql::{
+    parse_sparql, LoweredSparql, Rows, SparqlError, SparqlQuery, SparqlResult, SparqlRows,
+};

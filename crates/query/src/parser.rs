@@ -196,7 +196,7 @@ mod tests {
         let q = lowered("SELECT ?x WHERE { e:s e:p ?m . ?m e:q ?x }", &base());
         let r = q.evaluate(&g, Semantics::Certain);
         assert_eq!(
-            r.rows().unwrap().rows,
+            r.rows().unwrap().rows.to_vecs(),
             [vec![Some(Term::iri("http://e/o"))]]
         );
     }

@@ -29,8 +29,9 @@
 //!   term — a total order, which is what lets `OFFSET + LIMIT` pick its
 //!   rows with a selection before only those are sorted.
 //! * **Decode.** Terms are cloned for the rows left after DISTINCT,
-//!   OFFSET and LIMIT, from the ids each row carried through the sort —
-//!   nothing else is ever materialised.
+//!   OFFSET and LIMIT, from the ids each row carried through the sort,
+//!   into one [`Rows`] table of `rows × width` cells — nothing else is
+//!   ever materialised, and a result is one allocation, not one per row.
 //!
 //! The routines are route-agnostic — they see only id rows and a
 //! dictionary — so a query assembled over the materialised, rewritten,
@@ -47,11 +48,12 @@
 //! not a second tail: it is what this one computes on such a statement,
 //! and `exec::tests` holds the two paths equal on the same sets.
 
-use super::lower::{LoweredBranch, LoweredOptional, LoweredSparql, SparqlResult, SparqlRows};
+use super::lower::{LoweredBranch, LoweredOptional, LoweredSparql, Rows, SparqlResult, SparqlRows};
 use super::parse::{CmpOp, FilterExpr, Operand};
 use crate::eval::{sort_dedup_rows, IdRows, RowSink};
 use crate::pattern::Variable;
 use rps_rdf::{LiteralAnnotation, Term, TermDict, TermId, TermKind, TermOrder};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -143,14 +145,17 @@ fn compare(l: (&Term, Option<f64>), op: CmpOp, r: (&Term, Option<f64>)) -> Optio
     }
 }
 
-/// The per-query state of the tail: the dictionary the ids belong to
-/// and the numeric values already parsed.
-struct Tail<'d> {
+/// The per-query state of the tail: the dictionary the ids belong to,
+/// the numeric values already parsed, and the term order that ranks the
+/// ids — asked of `order` at the first row that needs it.
+struct Tail<'d, O> {
     dict: &'d TermDict,
     numeric: HashMap<TermId, Option<f64>>,
+    order: O,
+    ranks: Option<&'d TermOrder>,
 }
 
-impl<'d> Tail<'d> {
+impl<'d, O: Fn() -> &'d TermOrder> Tail<'d, O> {
     fn value(&mut self, id: TermId) -> (&'d Term, Option<f64>) {
         let term = self.dict.term(id);
         (
@@ -205,12 +210,12 @@ impl<'d> Tail<'d> {
     /// ones may be [`UNBOUND`]) and gains the variables the block adds.
     fn left_join(
         &mut self,
-        rows: &Table,
+        rows: &Table<'_>,
         slots: &mut Vec<&'d Variable>,
         always_bound: usize,
         opt: &'d LoweredOptional,
         ext: &IdRows,
-    ) -> Table {
+    ) -> Table<'static> {
         let ext_vars: Vec<&Variable> = opt.query.free_vars().iter().collect();
         let conds = compile_all(&opt.filters, &ext_vars);
         let mut kept: Vec<u32> = (0..ext.len() as u32)
@@ -240,7 +245,7 @@ impl<'d> Tail<'d> {
         let mut joined = Table {
             width: slots.len(),
             len: 0,
-            cells: Vec::with_capacity(rows.len * slots.len()),
+            cells: Cow::Owned(Vec::with_capacity(rows.len * slots.len())),
         };
         for row in rows.iter() {
             let row_key = || key.iter().map(|&(_, slot)| row[slot]);
@@ -255,9 +260,9 @@ impl<'d> Tail<'d> {
                     .iter()
                     .all(|&(col, slot)| row[slot] == UNBOUND || row[slot] == e[col]);
                 if compatible {
-                    let at = joined.push_padded(row);
+                    let cells = joined.push_padded(row);
                     for &(col, slot) in maybe.iter().chain(&fresh) {
-                        joined.cells[at + slot] = e[col];
+                        cells[slot] = e[col];
                     }
                 }
             }
@@ -268,37 +273,54 @@ impl<'d> Tail<'d> {
         joined
     }
 
-    /// The solutions of one UNION branch, projected: appends one
-    /// `projection.len()`-wide row to `out` per surviving solution and
-    /// returns how many there were.
+    /// The solutions of one UNION branch, projected: appends one row to
+    /// `keyed` per surviving solution — the `projection.len()` cells'
+    /// ranks in the term order, plus one so that 0 is "unbound", then
+    /// their ids — and returns how many there were. For ASK (`keyed`
+    /// `None`) it returns 1 at the first survivor and writes nothing.
     fn branch(
         &mut self,
         branch: &'d LoweredBranch,
         answers: &[IdRows],
         projection: &[Variable],
-        out: &mut Vec<TermId>,
+        keyed: Option<&mut Vec<u32>>,
     ) -> usize {
         let (base, extensions) = answers.split_first().expect("one answer per lowered CQ");
         // The slot table: the base head, then whatever each OPTIONAL adds.
         let mut slots: Vec<&Variable> = branch.base.free_vars().iter().collect();
         let always_bound = slots.len();
+        // The base CQ's rows are read where they are; an OPTIONAL's
+        // left join makes the first table of the branch's own.
         let mut rows = Table {
             width: base.arity(),
             len: base.len(),
-            cells: base.iter().flatten().copied().collect(),
+            cells: Cow::Borrowed(base.cells()),
         };
         for (opt, ext) in branch.optionals.iter().zip(extensions) {
             rows = self.left_join(&rows, &mut slots, always_bound, opt, ext);
         }
 
         let conds = compile_all(&branch.filters, &slots);
+        let Some(keyed) = keyed else {
+            return usize::from(rows.iter().any(|row| self.keeps(&conds, row)));
+        };
         let cols: Vec<Option<usize>> = projection
             .iter()
             .map(|v| slots.iter().position(|s| *s == v))
             .collect();
+        keyed.reserve(rows.len * 2 * cols.len());
         let mut survivors = 0;
-        for row in rows.iter().filter(|row| self.keeps(&conds, row)) {
-            out.extend(cols.iter().map(|c| c.map_or(UNBOUND, |c| row[c])));
+        for row in rows.iter() {
+            if !self.keeps(&conds, row) {
+                continue;
+            }
+            let order = *self.ranks.get_or_insert_with(&self.order);
+            let cell = |c: &Option<usize>| c.map_or(UNBOUND, |c| row[c]);
+            keyed.extend(cols.iter().map(|c| match cell(c) {
+                UNBOUND => 0,
+                id => order.rank(id) + 1,
+            }));
+            keyed.extend(cols.iter().map(|c| cell(c).0));
             survivors += 1;
         }
         survivors
@@ -306,26 +328,28 @@ impl<'d> Tail<'d> {
 }
 
 /// The solutions of a branch under construction: `len` rows of `width`
-/// cells, row-major, each cell a term id or [`UNBOUND`].
-struct Table {
+/// cells, row-major, each cell a term id or [`UNBOUND`] — borrowed from
+/// the base CQ's answer until a left join builds a table of its own.
+struct Table<'a> {
     width: usize,
     len: usize,
-    cells: Vec<TermId>,
+    cells: Cow<'a, [TermId]>,
 }
 
-impl Table {
+impl Table<'_> {
     fn iter(&self) -> impl Iterator<Item = &[TermId]> + '_ {
         (0..self.len).map(|r| &self.cells[r * self.width..(r + 1) * self.width])
     }
 
     /// Appends `row` padded with [`UNBOUND`] to the table's width and
-    /// returns the offset of its first cell.
-    fn push_padded(&mut self, row: &[TermId]) -> usize {
-        let at = self.cells.len();
-        self.cells.extend_from_slice(row);
-        self.cells.resize(at + self.width, UNBOUND);
+    /// returns the new row's cells.
+    fn push_padded(&mut self, row: &[TermId]) -> &mut [TermId] {
+        let cells = self.cells.to_mut();
+        let at = cells.len();
+        cells.extend_from_slice(row);
+        cells.resize(at + self.width, UNBOUND);
         self.len += 1;
-        at
+        &mut cells[at..]
     }
 }
 
@@ -380,10 +404,10 @@ fn sort_by_keys(keys: &[u128], nk: usize, len: usize, wanted: usize) -> Vec<u32>
 /// [`LoweredSparql::queries`] order), all over `dict`, whose ids `order`
 /// ranks — asked for only when there are rows to sort.
 pub(crate) fn assemble_ids<'d>(
-    lowered: &LoweredSparql,
+    lowered: &'d LoweredSparql,
     answers: &[IdRows],
     dict: &'d TermDict,
-    order: impl FnOnce() -> &'d TermOrder,
+    order: impl Fn() -> &'d TermOrder,
 ) -> SparqlResult {
     let expected: usize = lowered.branches.iter().map(|b| 1 + b.optionals.len()).sum();
     assert_eq!(
@@ -394,9 +418,16 @@ pub(crate) fn assemble_ids<'d>(
     let mut tail = Tail {
         dict,
         numeric: HashMap::new(),
+        order,
+        ranks: None,
     };
     let width = lowered.projection.len();
-    let mut cells: Vec<TermId> = Vec::new();
+    // Each row is its cells' ranks in the term order, plus one so that 0
+    // is "unbound", followed by its ids: the ranks compare exactly like
+    // the decoded rows would (column-wise, unbound first), and the ids
+    // ride along for the decode.
+    let wide = 2 * width;
+    let mut keyed: Vec<u32> = Vec::new();
     let mut len = 0;
     let mut cursor = 0;
     for branch in &lowered.branches {
@@ -405,7 +436,7 @@ pub(crate) fn assemble_ids<'d>(
             branch,
             &answers[cursor..cursor + cqs],
             &lowered.projection,
-            &mut cells,
+            (!lowered.ask).then_some(&mut keyed),
         );
         cursor += cqs;
         if lowered.ask && len > 0 {
@@ -416,26 +447,6 @@ pub(crate) fn assemble_ids<'d>(
         return SparqlResult::Boolean(false);
     }
 
-    if len == 0 {
-        return SparqlResult::Rows(SparqlRows {
-            vars: lowered.columns(),
-            rows: Vec::new(),
-        });
-    }
-    // Each row becomes its cells' ranks in the term order, plus one so
-    // that 0 is "unbound", followed by its ids: the ranks compare
-    // exactly like the decoded rows would (column-wise, unbound first),
-    // and the ids ride along for the decode.
-    let order = order();
-    let wide = 2 * width;
-    let mut keyed: Vec<u32> = Vec::with_capacity(len * wide);
-    for row in (0..len).map(|r| &cells[r * width..(r + 1) * width]) {
-        keyed.extend(row.iter().map(|&id| match id {
-            UNBOUND => 0,
-            id => order.rank(id) + 1,
-        }));
-        keyed.extend(row.iter().map(|id| id.0));
-    }
     // The engine computes set semantics throughout, so the projected
     // rows dedup unconditionally (DISTINCT and REDUCED are thereby
     // satisfied; they are accepted syntax, not extra work).
@@ -474,17 +485,18 @@ pub(crate) fn assemble_ids<'d>(
     });
 
     let shown = ordered.as_ref().map_or(len, Vec::len);
-    let rows = (0..shown)
+    let mut rows = Rows::with_capacity(width, shown.saturating_sub(skip).min(take));
+    for i in (0..shown)
         .map(|at| ordered.as_ref().map_or(at, |rows| rows[at] as usize))
         .skip(skip)
         .take(take)
-        .map(|i| {
+    {
+        rows.push(
             ids(i)
                 .iter()
-                .map(|&id| (id != UNBOUND.0).then(|| dict.term(TermId(id)).clone()))
-                .collect()
-        })
-        .collect();
+                .map(|&id| (id != UNBOUND.0).then(|| dict.term(TermId(id)).clone())),
+        );
+    }
     SparqlResult::Rows(SparqlRows {
         vars: lowered.columns(),
         rows,
@@ -524,11 +536,11 @@ pub(crate) fn assemble(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>])
     if lowered.ask {
         return SparqlResult::Boolean(!set.is_empty());
     }
-    let rows = set
-        .iter()
-        .take(lowered.limit.unwrap_or(usize::MAX))
-        .map(|row| row.iter().cloned().map(Some).collect())
-        .collect();
+    let take = lowered.limit.unwrap_or(usize::MAX);
+    let mut rows = Rows::with_capacity(lowered.projection.len(), set.len().min(take));
+    for row in set.iter().take(take) {
+        rows.push(row.iter().cloned().map(Some));
+    }
     SparqlResult::Rows(SparqlRows {
         vars: lowered.columns(),
         rows,

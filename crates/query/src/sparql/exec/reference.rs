@@ -4,7 +4,7 @@
 //! ordering is a string comparison. Slow and obviously faithful to the
 //! SPARQL definitions — which is the point.
 
-use super::super::lower::{LoweredSparql, SparqlResult, SparqlRows};
+use super::super::lower::{LoweredSparql, Rows, SparqlResult, SparqlRows};
 use super::super::parse::{CmpOp, FilterExpr, Operand};
 use crate::pattern::Variable;
 use rps_rdf::{LiteralAnnotation, Term};
@@ -247,8 +247,12 @@ pub(crate) fn assemble(lowered: &LoweredSparql, answers: &[BTreeSet<Vec<Term>>])
         rows.truncate(limit);
     }
 
+    let mut table = Rows::with_capacity(lowered.projection.len(), rows.len());
+    for row in rows {
+        table.push(row);
+    }
     SparqlResult::Rows(SparqlRows {
         vars: lowered.columns(),
-        rows,
+        rows: table,
     })
 }

@@ -10,7 +10,7 @@
 
 use super::{assemble, assemble_interned, is_identity, reference};
 use crate::eval::{evaluate_query, Semantics};
-use crate::sparql::{parse_sparql, LoweredSparql, SparqlResult};
+use crate::sparql::{parse_sparql, LoweredSparql, Rows, SparqlResult};
 use rps_rdf::{Graph, PrefixMap, Term};
 use std::collections::BTreeSet;
 
@@ -60,8 +60,12 @@ fn turtle(body: &str) -> Graph {
     rps_rdf::turtle::parse(&format!("@prefix c: <http://c/> .\n{body}")).unwrap()
 }
 
-fn rows(result: &SparqlResult) -> &[Vec<Option<Term>>] {
+fn table(result: &SparqlResult) -> &Rows {
     &result.rows().expect("a SELECT result").rows
+}
+
+fn rows(result: &SparqlResult) -> Vec<Vec<Option<Term>>> {
+    table(result).to_vecs()
 }
 
 fn iri(local: &str) -> Option<Term> {
@@ -247,6 +251,69 @@ fn offset_past_the_end_is_empty_with_columns() {
     );
     assert!(rows(&r).is_empty());
     assert_eq!(r.rows().unwrap().vars, ["x"]);
+    assert_eq!(table(&r).width(), 1);
+}
+
+/// A result table at its edges, on every way into the tail: width 0
+/// (`SELECT *` of a pattern with no variable) holds one empty row when
+/// the pattern matches and none otherwise; `LIMIT 0` and an `OFFSET`
+/// past the end keep their width and hold no row.
+#[test]
+fn result_tables_at_their_edges() {
+    let g = turtle("c:a c:p c:o .\nc:b c:p c:o .\n");
+    let shape = |text: &str| -> (usize, usize, Vec<usize>) {
+        let result = agree(text, &g, Semantics::Certain);
+        let table = table(&result);
+        (
+            table.width(),
+            table.len(),
+            table.iter().map(<[_]>::len).collect(),
+        )
+    };
+    for (text, want) in [
+        ("SELECT * WHERE { c:a c:p c:o }", (0, 1, vec![0])),
+        ("SELECT * WHERE { c:a c:p c:nope }", (0, 0, vec![])),
+        ("SELECT * WHERE { c:a c:p c:o } OFFSET 0", (0, 1, vec![0])),
+        ("SELECT * WHERE { c:a c:p c:o } OFFSET 1", (0, 0, vec![])),
+        ("SELECT ?x WHERE { ?x c:p ?o } LIMIT 0", (1, 0, vec![])),
+        (
+            "SELECT ?x ?o WHERE { ?x c:p ?o } ORDER BY ?x LIMIT 0",
+            (2, 0, vec![]),
+        ),
+        ("SELECT ?x ?o WHERE { ?x c:p ?o } OFFSET 2", (2, 0, vec![])),
+        ("SELECT ?x ?o WHERE { ?x c:p ?o } OFFSET 1", (2, 1, vec![2])),
+    ] {
+        assert_eq!(shape(text), want, "{text}");
+    }
+}
+
+/// A table's rows read the same through `Index`, `iter` and
+/// `&table`, and hold `width × len` cells in all.
+#[test]
+fn result_table_index_and_iter_agree() {
+    let g = turtle("c:a c:p c:o ; c:q \"1\" .\nc:b c:p c:o .\nc:c c:p c:b .\n");
+    let result = agree(
+        "SELECT ?x ?o ?v WHERE { ?x c:p ?o OPTIONAL { ?x c:q ?v } }",
+        &g,
+        Semantics::Certain,
+    );
+    let table = table(&result);
+    assert_eq!((table.width(), table.len()), (3, 3));
+    assert_eq!(table.iter().len(), table.len());
+    for (i, row) in table.iter().enumerate() {
+        assert_eq!(row, &table[i]);
+        assert_eq!(row.len(), table.width());
+    }
+    assert!(table.iter().eq(table));
+    assert_eq!(table.iter().flatten().filter(|c| c.is_none()).count(), 2);
+}
+
+#[test]
+#[should_panic(expected = "row 3 of 3")]
+fn result_table_index_past_the_end_panics() {
+    let g = turtle("c:a c:p c:o .\nc:b c:p c:o .\nc:c c:p c:o .\n");
+    let result = agree("SELECT ?x WHERE { ?x c:p ?o }", &g, Semantics::Certain);
+    let _ = &table(&result)[3];
 }
 
 #[test]
@@ -335,8 +402,12 @@ fn identity_statements_pass_their_set_through_like_the_interning_path() {
         for semantics in [Semantics::Certain, Semantics::Star] {
             let answers = term_answers(&lowered, &g, semantics);
             let want = agree(text, &g, semantics);
+            // Equal results are equal tables: width, rows and cells.
             assert_eq!(assemble(&lowered, &answers), want, "{text}");
             assert_eq!(assemble_interned(&lowered, &answers), want, "{text}");
+            if let Some(table) = want.rows() {
+                assert_eq!(table.rows.width(), table.vars.len(), "{text}");
+            }
         }
     }
 }

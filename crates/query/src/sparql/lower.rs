@@ -313,5 +313,130 @@ pub struct SparqlRows {
     pub vars: Vec<String>,
     /// Rows; `None` is an unbound column (an OPTIONAL that did not
     /// match, or a projected variable absent from the matched branch).
-    pub rows: Vec<Vec<Option<Term>>>,
+    pub rows: Rows,
+}
+
+/// The rows of a [`SparqlRows`]: `len` rows of `width` cells each, held
+/// row-major in one buffer — a result costs one allocation however many
+/// rows it has. Row `i` is the slice `table[i]`; [`Rows::iter`] and
+/// `&table` in a `for` loop walk them in order.
+///
+/// ```
+/// use rps_query::{parse_sparql, Semantics};
+/// use rps_rdf::{turtle, PrefixMap, Term};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = turtle::parse("<http://e/a> <http://e/p> <http://e/b> , <http://e/c> .")?;
+/// let text = "SELECT ?o { <http://e/a> <http://e/p> ?o }";
+/// let result = parse_sparql(text, &PrefixMap::new())?
+///     .lower()
+///     .evaluate(&g, Semantics::Certain);
+/// let table = &result.rows().ok_or("a SELECT has rows")?.rows;
+/// assert_eq!((table.len(), table.width()), (2, 1));
+/// assert_eq!(table[1], [Some(Term::iri("http://e/c"))]);
+/// for row in table {
+///     assert!(row[0].is_some());
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<Term>>,
+}
+
+impl Rows {
+    /// An empty table of `width` columns with room for `rows` rows.
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> Self {
+        Rows {
+            width,
+            len: 0,
+            cells: Vec::with_capacity(width * rows),
+        }
+    }
+
+    /// Appends one row, which must yield exactly `width` cells.
+    pub(crate) fn push(&mut self, row: impl IntoIterator<Item = Option<Term>>) {
+        self.cells.extend(row);
+        self.len += 1;
+        debug_assert_eq!(self.cells.len(), self.len * self.width);
+    }
+
+    /// Cells per row: the number of projected variables.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows. A table of width 0 has one (empty) row when the
+    /// pattern matched and none otherwise.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` iff there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter {
+            rows: self,
+            at: 0..self.len,
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [Option<Term>];
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    fn index(&self, i: usize) -> &[Option<Term>] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [Option<Term>];
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// The rows of a [`Rows`] table, in order, as slices.
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    rows: &'a Rows,
+    at: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [Option<Term>];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.at.next().map(|i| &self.rows[i])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.at.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
+
+#[cfg(test)]
+impl Rows {
+    /// The rows as owned vectors, for comparing with a literal table.
+    pub(crate) fn to_vecs(&self) -> Vec<Vec<Option<Term>>> {
+        self.iter().map(<[Option<Term>]>::to_vec).collect()
+    }
 }

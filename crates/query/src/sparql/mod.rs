@@ -43,7 +43,7 @@ mod lex;
 mod lower;
 mod parse;
 
-pub use lower::{LoweredSparql, SparqlResult, SparqlRows};
+pub use lower::{LoweredSparql, RowIter, Rows, SparqlResult, SparqlRows};
 pub use parse::{
     parse_sparql, CmpOp, FilterExpr, Operand, OrderKey, Projection, QueryForm, SimpleGroup,
     SparqlQuery,
@@ -311,7 +311,7 @@ mod tests {
             );
         }
         let r = lowered.evaluate(&g, Semantics::Certain);
-        let rows = &r.rows().unwrap().rows;
+        let rows = r.rows().unwrap().rows.to_vecs();
         assert_eq!(rows.len(), 2, "one matched and one unmatched row");
         assert!(rows.contains(&vec![
             Some(Term::iri("http://e/x1")),

@@ -97,6 +97,8 @@ fn main() {
     );
     let result = session.execute_sparql(&sparql).expect("executes");
     let rows = result.rows().expect("SELECT yields rows");
+    // One flat table: `len` rows of `width` cells, each row a slice.
+    assert_eq!(rows.rows.width(), rows.vars.len());
     let tuples: BTreeSet<Vec<Term>> = rows
         .rows
         .iter()

@@ -134,6 +134,12 @@ fn common_prefixes_copy_no_text() {
 /// A hub of `films` films, each with a cast of one through a blank node
 /// and an age — the shape the templates read — frozen under `strategy`.
 fn frozen(films: usize, strategy: Strategy) -> FrozenSession {
+    frozen_with_cast(films, 1, strategy)
+}
+
+/// [`frozen`], where film 0's cast has `cast` members, each through a
+/// blank node of its own.
+fn frozen_with_cast(films: usize, cast: usize, strategy: Strategy) -> FrozenSession {
     let mut turtle = String::new();
     for i in 0..films {
         let (f, x) = (film(i), person(i));
@@ -141,6 +147,12 @@ fn frozen(films: usize, strategy: Strategy) -> FrozenSession {
             "<{f}> <{VOCAB}starring> _:c{i} .\n_:c{i} <{VOCAB}artist> <{x}> .\n\
              <{x}> <{VOCAB}age> \"{}\" .\n",
             20 + i % 50
+        ));
+    }
+    for k in 1..cast {
+        let (f, x) = (film(0), person(films + k));
+        turtle.push_str(&format!(
+            "<{f}> <{VOCAB}starring> _:m{k} .\n_:m{k} <{VOCAB}artist> <{x}> .\n"
         ));
     }
     let mut peer = PeerId(0);
@@ -251,10 +263,12 @@ fn warm_execute_of_a_point_read_is_pinned() {
 /// A hot `FrozenSession::answer_sparql` of `cast_hub`: a statement-cache
 /// hit, then execute and assemble. The count is exact, like the warm
 /// execute's; assembling ranks the row by the solution's term order,
-/// which the freeze built, so the tail allocates no ranking table.
+/// which the freeze built, so the tail allocates no ranking table. It
+/// was 13 while the tail copied the base CQ's rows twice before the
+/// sort and decoded into a `Vec` per row.
 #[test]
 fn hot_answer_sparql_of_a_point_read_is_pinned() {
-    const ALLOCS: usize = 13;
+    const ALLOCS: usize = 10;
     let session = frozen(64, Strategy::Materialise);
     let text = render("cast_hub", 7);
     let allocs = warm_allocs(|| {
@@ -264,5 +278,33 @@ fn hot_answer_sparql_of_a_point_read_is_pinned() {
     assert_eq!(
         allocs, ALLOCS,
         "a hot answer_sparql made {allocs} allocations"
+    );
+}
+
+/// A hot `answer_sparql` of `cast_hub` on a film with a cast of 24 makes
+/// exactly the allocations of the same read on a film with a cast of
+/// one: the join's row sink, the tail's keyed rows and the decoded table
+/// are one buffer each, so a result's allocations do not grow with its
+/// rows.
+#[test]
+fn hot_answer_sparql_of_a_multi_row_read_allocates_like_a_one_row_read() {
+    const ALLOCS: usize = 10;
+    const CAST: usize = 24;
+    let session = frozen_with_cast(64, CAST, Strategy::Materialise);
+    let hot = |film: usize, rows: usize| {
+        let text = render("cast_hub", film);
+        warm_allocs(|| {
+            let result = session.answer_sparql(&text).expect("hot read");
+            assert_eq!(result.rows().map(|r| r.rows.len()), Some(rows));
+        })
+    };
+    let (many, one) = (hot(0, CAST), hot(7, 1));
+    assert_eq!(
+        many, ALLOCS,
+        "a hot {CAST}-row answer_sparql made {many} allocations"
+    );
+    assert_eq!(
+        many, one,
+        "a hot one-row answer_sparql made {one} allocations"
     );
 }

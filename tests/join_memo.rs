@@ -7,7 +7,10 @@
 //! — and runs the shapes that have such a suffix (hub self-joins,
 //! stars, cartesian products, an existential suffix that projects
 //! nothing, a repeated variable inside the suffix, a constant shared by
-//! prefix and suffix) beside the shapes that have none (chains), with
+//! prefix and suffix, stars whose arms bind an existential) beside the
+//! shapes that have none (chains) — where a film casts one person through
+//! several hubs, so a projected prefix tuple arrives at the suffix under
+//! several existential bindings, which the memo replays once — with
 //! random heads, conjunct orders and constant substitutions. Every plan
 //! under both planners (the cost-based one and the shape heuristic) ×
 //! `Semantics`, on a sealed graph and on an unsealed one (several runs,
@@ -70,6 +73,17 @@ fn arb_triples(rng: &mut SeededRng) -> Vec<Triple> {
                 add(hub.clone(), "artist", person(rng.gen_range(0..PEOPLE)));
             }
         }
+        // A person cast through two or three hubs of one film: a prefix
+        // reaches the same projected tuple through several existential
+        // bindings under one key.
+        for j in 0..rng.gen_range(0..3) {
+            let x = person(rng.gen_range(0..PEOPLE));
+            for k in 0..rng.gen_range(2..4) {
+                let hub = Term::blank(format!("rep{f}_{j}_{k}"));
+                add(film(f), "starring", hub.clone());
+                add(hub, "artist", x.clone());
+            }
+        }
     }
     for x in 0..PEOPLE {
         if rng.gen_bool(0.7) {
@@ -84,12 +98,11 @@ fn arb_triples(rng: &mut SeededRng) -> Vec<Triple> {
         }
         add(person(x), "knows", person(rng.gen_range(0..PEOPLE)));
     }
-    for i in 0..780 {
-        add(
-            iri(&format!("fill{i}")),
-            "filler",
-            iri(&format!("fill{}", i / 2)),
-        );
+    // Filler up to 830 triples in all: six tail flushes, which the
+    // size tiering leaves as two runs, under a tail.
+    for i in 0..830usize.saturating_sub(out.len()) {
+        let (s, o) = (iri(&format!("fill{i}")), iri(&format!("fill{}", i / 2)));
+        out.push(Triple::new(s, iri("filler"), o).unwrap());
     }
     // Fisher–Yates: catalogue triples land in every run and in the tail.
     for i in (1..out.len()).rev() {
@@ -198,6 +211,26 @@ const SHAPES: &[(&str, &[&str])] = &[
             "F starring ?z2",
             "?z2 artist ?q",
             "?p age ?a",
+        ],
+    ),
+    (
+        "star with existential arms",
+        &[
+            "?f starring ?z1",
+            "?z1 artist ?p",
+            "?f genre ?g",
+            "?f starring ?z2",
+            "?z2 artist ?q",
+        ],
+    ),
+    (
+        "star of a hub arm and an existential arm",
+        &[
+            "?f year ?y",
+            "?f starring ?z1",
+            "?z1 artist ?p",
+            "?f genre ?g",
+            "?f starring ?z2",
         ],
     ),
     (

@@ -43,7 +43,11 @@ fn expected_select() -> Vec<Vec<Option<Term>>> {
 fn check_all(result: &SparqlResult, label: &str) {
     let rows = result.rows().unwrap_or_else(|| panic!("{label}: rows"));
     assert_eq!(rows.vars, ["f", "who", "nick"], "{label}");
-    assert_eq!(rows.rows, expected_select(), "{label}");
+    assert_eq!(
+        rows.rows.iter().collect::<Vec<_>>(),
+        expected_select(),
+        "{label}"
+    );
 }
 
 #[test]
@@ -119,7 +123,7 @@ fn filtered_select_matches_hand_built_plan() {
     });
     let rows = sparql.rows().unwrap();
     assert_eq!(rows.vars, ["who", "age"]);
-    assert_eq!(rows.rows, hand);
+    assert_eq!(rows.rows.iter().collect::<Vec<_>>(), hand);
     assert_eq!(rows.rows.len(), 2, "ages 31 and 40 pass, 25 fails");
     let live = LiveSession::open(build_system(), strategy(Strategy::Auto)).unwrap();
     assert_eq!(
@@ -306,7 +310,7 @@ fn filter_tells_the_members_of_a_class_apart_on_every_route() {
         "SELECT ?f ?who WHERE { ?f <http://a/cast> ?who FILTER(?who = <http://b/p2>) }",
     );
     assert_eq!(
-        result.rows().unwrap().rows,
+        result.rows().unwrap().rows.iter().collect::<Vec<_>>(),
         [
             iri_cells(&["http://a/f1", "http://b/p2"]),
             iri_cells(&["http://b/f3", "http://b/p2"]),
@@ -325,7 +329,7 @@ fn optional_joins_on_a_non_canonical_member_on_every_route() {
     );
     let row = |f: &str, nick: &str| vec![Some(Term::iri(f)), Some(Term::literal(nick))];
     assert_eq!(
-        result.rows().unwrap().rows,
+        result.rows().unwrap().rows.iter().collect::<Vec<_>>(),
         [
             row("http://a/f1", "ace"),
             row("http://a/f1", "bee"),
@@ -343,7 +347,7 @@ fn a_mapping_constant_no_triple_mentions_lands_in_a_rewritten_head() {
     let sys = equivalence_system();
     let result = on_every_facade(&sys, "SELECT ?f ?k WHERE { ?f <http://a/kind> ?k }");
     assert_eq!(
-        result.rows().unwrap().rows,
+        result.rows().unwrap().rows.iter().collect::<Vec<_>>(),
         [
             iri_cells(&["http://b/f3", "http://a/Film"]),
             iri_cells(&["http://b/f3", "http://b/Movie"]),
