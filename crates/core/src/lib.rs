@@ -63,7 +63,7 @@ pub use rewriting::{RpsRewriter, RpsRewriting};
 pub use rps_query::{SparqlError, SparqlResult, SparqlRows};
 pub use session::{
     canonical_plan_key, next_session_id, AnswerStream, EngineConfig, ExecConfig, ExecRoute,
-    FrozenSession, PlanCache, PlanCacheStats, PreparedQuery, Session, Strategy,
+    FrozenSession, PlanCache, PlanCacheStats, PreparedQuery, Session, SparqlCompiler, Strategy,
     DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use sparql::PreparedSparql;

@@ -81,12 +81,12 @@ use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
 use crate::session::frozen::{Fifo, Slots};
 use crate::session::{
-    AnswerStream, Branch, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY,
+    AnswerStream, Arg, BranchTemplate, ExecRoute, GraphHandle, Plan, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use crate::system::RdfPeerSystem;
 use rps_query::{
-    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, RowSink, Semantics, TermOrVar,
-    TriplePattern, UnionQuery, Variable,
+    GraphPattern, GraphPatternQuery, RowSink, Semantics, TermOrVar, TriplePattern, UnionQuery,
+    Variable,
 };
 use rps_rdf::{Graph, Term, TermId};
 use rps_tgd::{
@@ -267,7 +267,7 @@ pub struct RpsRewriter {
     /// keeps literal because `base` interns them.
     mentioned: HashSet<Term>,
     /// The canonicalised stored database — the one copy of the sources,
-    /// and the evaluation substrate of the branch plans [`Self::bind`] builds.
+    /// and the evaluation substrate of the branch plans [`Plan::bound`] builds.
     /// `Arc`-shared and sealed at build time so compiled plans (and the
     /// frozen sessions of `rps-core`/`rps-p2p`) can evaluate against it
     /// concurrently without holding the rewriter. Its dictionary also
@@ -284,7 +284,7 @@ pub struct RpsRewriter {
 /// What an expansion and its compiled branches depend on: the query's
 /// shape (see the [module docs](self)) and [`RewriteConfig`]'s
 /// `max_depth` and `max_cqs`.
-#[derive(PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct ShapeKey {
     arity: usize,
     /// The head's variables, then each conjunct's three positions.
@@ -294,7 +294,7 @@ struct ShapeKey {
 }
 
 /// One position of a [`ShapeKey`].
-#[derive(PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum KeyArg {
     /// A variable, numbered by first occurrence.
     Var(usize),
@@ -309,34 +309,15 @@ enum KeyArg {
 #[derive(Clone)]
 struct Entry {
     expansion: Expansion,
-    branches: Arc<[Template]>,
+    branches: Arc<[BranchTemplate]>,
 }
 
-/// A branch compiled once per shape, its conjuncts in the rewriting's
-/// order: what [`RpsRewriter::bind`] plans once the parameters are
-/// written in.
-struct Template {
-    /// The `tt` atoms' positions.
-    body: Vec<[Arg; 3]>,
-    nvars: usize,
-    /// The head variables, or `None` when the body cannot bind one.
-    proj: Option<Vec<usize>>,
-    /// False when a constant that is not a parameter has no id.
-    satisfiable: bool,
-    /// The head, a variable standing for the answer row's next id; empty
-    /// when it is the row as it is.
-    head: Vec<Arg>,
-}
-
-/// One position of a [`Template`].
-#[derive(Clone, Copy, Debug)]
-enum Arg {
-    /// A variable, by its dense index.
-    Var(usize),
-    /// A constant, by its id in the canonical graph.
-    Const(TermId),
-    /// The `k`-th parameter of the shape key.
-    Param(usize),
+/// A query shape's complete expansion, compiled, as the SPARQL front of a
+/// frozen session keeps it for a lowered CQ of a text shape: its key, to
+/// check a bound text against, and its branches.
+pub(crate) struct RewriteTemplate {
+    key: ShapeKey,
+    branches: Arc<[BranchTemplate]>,
 }
 
 /// A query compiled on the rewritten route: its plan, and whether its
@@ -510,33 +491,88 @@ impl RpsRewriter {
     /// per parameter and the bind (see the [module docs](self)).
     pub(crate) fn plan(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RewrittenPlan {
         let (key, params) = self.shape(query, cfg);
-        // Bound first: the guard must not live into the miss path.
-        let hit = self.memo().get(&key);
-        let entry = match hit {
-            Some(entry) => entry,
-            None => {
-                let mut scratch = self.base.clone();
-                let id_query = Self::intern(&canonicalize_query(query, &self.index), &mut scratch);
-                self.expand(key, &id_query, &scratch, cfg)
-            }
-        };
-        let values: Vec<Option<TermId>> =
-            params.iter().map(|c| self.canon_graph.term_id(c)).collect();
+        let entry = self.entry(key, query, cfg);
         RewrittenPlan {
-            plan: Plan {
-                graph: GraphHandle::Quotient(self.canon_graph.clone()),
-                branches: self.bind(&entry.branches, &values),
-                classes: Some(self.classes.clone()),
-            },
+            plan: self.bound(&entry.branches, &params),
             complete: entry.expansion.complete,
             explored: entry.expansion.explored,
         }
+    }
+
+    /// The memo's entry for `query`, whose shape key is `key`: the one
+    /// held, or expanded and compiled now.
+    fn entry(&self, key: ShapeKey, query: &GraphPatternQuery, cfg: &RewriteConfig) -> Entry {
+        // Bound first: the guard must not live into the miss path.
+        let hit = self.memo().get(&key);
+        hit.unwrap_or_else(|| {
+            let mut scratch = self.base.clone();
+            let id_query = Self::intern(&canonicalize_query(query, &self.index), &mut scratch);
+            self.expand(key, &id_query, &scratch, cfg)
+        })
+    }
+
+    /// `branches` bound to the canonical constants `params` stand for and
+    /// planned over the canonical graph, answers expanded over the
+    /// classes.
+    fn bound(&self, branches: &[BranchTemplate], params: &[Term]) -> Plan {
+        let values: Vec<Option<TermId>> =
+            params.iter().map(|c| self.canon_graph.term_id(c)).collect();
+        let graph = GraphHandle::Quotient(self.canon_graph.clone());
+        let value = |k: usize| values.get(k).copied().flatten();
+        Plan::bound(graph, branches, value, Some(self.classes.clone()))
+    }
+
+    /// The template of `query`'s shape under `cfg`'s budgets, for a
+    /// frozen session's SPARQL front: its key and compiled branches, from
+    /// the memo or expanded now. `None` when the expansion ran out of
+    /// budget — a text of this shape then takes the plan cache's path,
+    /// which falls back or fails as [`Self::plan`]'s caller decides.
+    pub(crate) fn template(
+        &self,
+        query: &GraphPatternQuery,
+        cfg: &RewriteConfig,
+    ) -> Option<RewriteTemplate> {
+        let (key, _) = self.shape(query, cfg);
+        let entry = self.entry(key.clone(), query, cfg);
+        entry.expansion.complete.then_some(RewriteTemplate {
+            key,
+            branches: entry.branches,
+        })
+    }
+
+    /// The plan of `query` — a lowered CQ of a SPARQL template — with
+    /// `value` giving each of its constants its term, from `template`:
+    /// the shape's key is computed as for any query and must be the
+    /// template's, then the branches are bound as [`Self::plan`] binds
+    /// them, with no probe of the memo. `None` when the key differs (one
+    /// of the text's constants is one the TGDs mention, or two of them
+    /// are one canonical term where the template's were not).
+    pub(crate) fn plan_from<'q>(
+        &self,
+        template: &RewriteTemplate,
+        query: &'q GraphPatternQuery,
+        cfg: &RewriteConfig,
+        value: impl Fn(&'q Term) -> &'q Term,
+    ) -> Option<Plan> {
+        let (key, params) = self.shape_with(query, cfg, value);
+        (key == template.key).then(|| self.bound(&template.branches, &params))
     }
 
     /// `query`'s shape key under `cfg`'s budgets, and the canonical
     /// constants its parameters stand for, in parameter order (see the
     /// [module docs](self)).
     fn shape(&self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> (ShapeKey, Vec<Term>) {
+        self.shape_with(query, cfg, |c| c)
+    }
+
+    /// [`Self::shape`] of `query` with each constant `c` read as
+    /// `value(c)`.
+    fn shape_with<'q>(
+        &self,
+        query: &'q GraphPatternQuery,
+        cfg: &RewriteConfig,
+        value: impl Fn(&'q Term) -> &'q Term,
+    ) -> (ShapeKey, Vec<Term>) {
         let mut vars = Slots::default();
         let patterns = query.pattern().patterns();
         let mut args = Vec::with_capacity(query.arity() + 3 * patterns.len());
@@ -548,7 +584,7 @@ impl RpsRewriter {
         for tv in patterns.iter().flat_map(|tp| [&tp.s, &tp.p, &tp.o]) {
             args.push(match tv {
                 TermOrVar::Var(v) => KeyArg::Var(vars.slot(v.name())),
-                TermOrVar::Term(c) => KeyArg::Term(self.index.canonical_term(c)),
+                TermOrVar::Term(c) => KeyArg::Term(self.index.canonical_term(value(c))),
             });
         }
         let mut params: Vec<Term> = Vec::new();
@@ -662,7 +698,7 @@ impl RpsRewriter {
     }
 
     /// Compiles a canonical union's id-CQ branches (ids of `scratch`)
-    /// into [`Template`]s over the canonical stored graph, the values
+    /// into [`BranchTemplate`]s over the canonical stored graph, the values
     /// `params` names as parameters. Branch bodies are `tt/3` atoms by
     /// construction, so each maps positionally onto triple-pattern
     /// conjuncts; other constants resolve through the graph's own
@@ -688,7 +724,7 @@ impl RpsRewriter {
         cqs: &[IdCq],
         scratch: &Interner,
         params: &[(ValId, usize)],
-    ) -> Vec<Template> {
+    ) -> Vec<BranchTemplate> {
         let tt = scratch.dict.pred_id("tt");
         // Each distinct constant is resolved once per call: its parameter,
         // or its id (`None` when the graph lacks it).
@@ -752,59 +788,13 @@ impl RpsRewriter {
             if head.iter().all(|arg| matches!(arg, Arg::Var(_))) {
                 head = Vec::new();
             }
-            out.push(Template {
+            out.push(BranchTemplate {
                 body,
                 nvars,
                 proj: head_bound.then_some(proj),
                 satisfiable,
                 head,
             });
-        }
-        out
-    }
-
-    /// A shape's templates bound to one query's parameters and planned:
-    /// `values[k]` is parameter `k`'s id in the canonical graph, `None`
-    /// when it has none. A branch whose body holds such a parameter
-    /// binds unsatisfiable; one whose head does is dropped (dead, by
-    /// [`Self::compile`]'s argument) — both as a compile of the query's
-    /// own constants would do. Each bound body is planned afresh, so a
-    /// bound plan is the plan of its values by construction.
-    fn bind(&self, templates: &[Template], values: &[Option<TermId>]) -> Vec<Branch> {
-        let mut out = Vec::with_capacity(templates.len());
-        'branches: for t in templates {
-            let mut head = Vec::with_capacity(t.head.len());
-            for arg in &t.head {
-                head.push(match *arg {
-                    Arg::Var(_) => None,
-                    Arg::Const(id) => Some(id),
-                    Arg::Param(k) => match values[k] {
-                        Some(id) => Some(id),
-                        None => continue 'branches, // dead
-                    },
-                });
-            }
-            let mut satisfiable = t.satisfiable;
-            let mut slot = |arg: Arg| match arg {
-                Arg::Var(v) => PlanSlot::Var(v),
-                Arg::Const(id) => PlanSlot::Const(id),
-                Arg::Param(k) => values[k].map_or_else(
-                    || {
-                        satisfiable = false;
-                        PlanSlot::Var(0)
-                    },
-                    PlanSlot::Const,
-                ),
-            };
-            let body: Vec<[PlanSlot; 3]> = t.body.iter().map(|c| c.map(&mut slot)).collect();
-            let plan = PreparedQueryIds::from_id_slots(
-                &self.canon_graph,
-                &body,
-                t.nvars,
-                t.proj.clone(),
-                satisfiable,
-            );
-            out.push((plan, head));
         }
         out
     }
@@ -1210,11 +1200,7 @@ mod tests {
     /// A rewriting's branches compiled with its own constants, no
     /// parameter: what a bound plan must equal.
     fn compiled(rw: &RpsRewriter, r: &RpsRewriting) -> Plan {
-        Plan {
-            graph: GraphHandle::Quotient(rw.canon_graph.clone()),
-            branches: rw.bind(&rw.compile(&r.id_cqs, &r.scratch, &[]), &[]),
-            classes: Some(rw.classes.clone()),
-        }
+        rw.bound(&rw.compile(&r.id_cqs, &r.scratch, &[]), &[])
     }
 
     fn run(query: &GraphPatternQuery, plan: &Plan) -> BTreeSet<Vec<Term>> {

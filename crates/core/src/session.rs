@@ -85,14 +85,17 @@ use crate::chase::{chase_quotient, chase_system, RpsChaseConfig, UniversalSoluti
 use crate::equivalence::{canonicalize_query, expand_rows, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::system::RdfPeerSystem;
-use rps_query::{GraphPatternQuery, IdRows, PreparedQueryIds, RowSink, Semantics, Variable};
+use rps_query::{
+    GraphPatternQuery, IdRows, PlanSlot, PreparedQueryIds, RowSink, Semantics, TermOrVar, Variable,
+};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
 use rps_tgd::RewriteConfig;
 use std::sync::Arc;
 
 pub mod frozen;
 pub use frozen::{
-    canonical_plan_key, FrozenSession, PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY,
+    canonical_plan_key, FrozenSession, PlanCache, PlanCacheStats, SparqlCompiler,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 
 /// Query-answering strategy.
@@ -355,6 +358,135 @@ impl Plan {
             None => rows,
         };
         AnswerStream::new(vars, route, self.graph.clone(), rows)
+    }
+}
+
+/// One position of a [`BranchTemplate`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Arg {
+    /// A variable, by its dense index.
+    Var(usize),
+    /// A constant, by its id in the plan's graph.
+    Const(TermId),
+    /// The `k`-th parameter.
+    Param(usize),
+}
+
+/// A conjunctive branch compiled once with its parameters left open:
+/// what [`Plan::bound`] plans once their ids are written in. The
+/// rewriter keeps one per branch of a query shape's union, its conjuncts
+/// in the rewriting's order ([`crate::rewriting`]); a frozen session's
+/// SPARQL front keeps one per lowered CQ of a text's shape.
+pub(crate) struct BranchTemplate {
+    /// The conjuncts' positions.
+    pub(crate) body: Vec<[Arg; 3]>,
+    pub(crate) nvars: usize,
+    /// The head variables, or `None` when the body cannot bind one.
+    pub(crate) proj: Option<Vec<usize>>,
+    /// False when a constant that is not a parameter has no id.
+    pub(crate) satisfiable: bool,
+    /// The head, a variable standing for the answer row's next id; empty
+    /// when it is the row as it is.
+    pub(crate) head: Vec<Arg>,
+}
+
+impl BranchTemplate {
+    /// `query` as one all-variable branch over `graph`, `param` naming
+    /// the parameter a constant stands for: variables numbered by first
+    /// occurrence and the other constants looked up in `graph`'s
+    /// dictionary, as [`PreparedQueryIds::compile_only`] does.
+    pub(crate) fn of_query<'q>(
+        graph: &Graph,
+        query: &'q GraphPatternQuery,
+        param: impl Fn(&Term) -> Option<usize>,
+    ) -> Self {
+        let mut vars: Vec<&'q Variable> = Vec::new();
+        let mut satisfiable = true;
+        let mut arg = |tv: &'q TermOrVar| match tv {
+            TermOrVar::Var(v) => Arg::Var(vars.iter().position(|w| *w == v).unwrap_or_else(|| {
+                vars.push(v);
+                vars.len() - 1
+            })),
+            TermOrVar::Term(c) => match (param(c), graph.term_id(c)) {
+                (Some(k), _) => Arg::Param(k),
+                (None, Some(id)) => Arg::Const(id),
+                (None, None) => {
+                    // Dead branch; the placeholder slot is never consulted.
+                    satisfiable = false;
+                    Arg::Var(0)
+                }
+            },
+        };
+        let body = (query.pattern().patterns().iter())
+            .map(|tp| [arg(&tp.s), arg(&tp.p), arg(&tp.o)])
+            .collect();
+        let proj = (query.free_vars().iter())
+            .map(|v| vars.iter().position(|w| *w == v))
+            .collect();
+        BranchTemplate {
+            body,
+            nvars: vars.len().max(1),
+            proj,
+            satisfiable,
+            head: Vec::new(),
+        }
+    }
+}
+
+impl Plan {
+    /// `templates` bound to one query's parameters and planned over
+    /// `graph`: `value(k)` is parameter `k`'s id in `graph`, `None` when
+    /// it has none. A branch whose body holds such a parameter binds
+    /// unsatisfiable; one whose head does is dropped (dead, by the
+    /// rewriter's compile argument) — both as a compile of the query's
+    /// own constants would do. Each bound body is planned afresh, so a
+    /// bound plan is the plan of its values by construction.
+    pub(crate) fn bound(
+        graph: GraphHandle,
+        templates: &[BranchTemplate],
+        value: impl Fn(usize) -> Option<TermId>,
+        classes: Option<Arc<ClassTable>>,
+    ) -> Plan {
+        let mut branches = Vec::with_capacity(templates.len());
+        'branches: for t in templates {
+            let mut head = Vec::with_capacity(t.head.len());
+            for arg in &t.head {
+                head.push(match *arg {
+                    Arg::Var(_) => None,
+                    Arg::Const(id) => Some(id),
+                    Arg::Param(k) => match value(k) {
+                        Some(id) => Some(id),
+                        None => continue 'branches, // dead
+                    },
+                });
+            }
+            let mut satisfiable = t.satisfiable;
+            let mut slot = |arg: Arg| match arg {
+                Arg::Var(v) => PlanSlot::Var(v),
+                Arg::Const(id) => PlanSlot::Const(id),
+                Arg::Param(k) => value(k).map_or_else(
+                    || {
+                        satisfiable = false;
+                        PlanSlot::Var(0)
+                    },
+                    PlanSlot::Const,
+                ),
+            };
+            let body: Vec<[PlanSlot; 3]> = t.body.iter().map(|c| c.map(&mut slot)).collect();
+            let plan = PreparedQueryIds::from_id_slots(
+                &graph,
+                &body,
+                t.nvars,
+                t.proj.clone(),
+                satisfiable,
+            );
+            branches.push((plan, head));
+        }
+        Plan {
+            graph,
+            branches,
+            classes,
+        }
     }
 }
 

@@ -16,11 +16,12 @@
 //! their own `Arc` of the sealed substrate (chased solution or canonical
 //! stored graph), and the rewriter binds a new query's constants into
 //! the branches it compiled for the query's shape. One lock is the
-//! **plan cache**'s ([`PlanCache`]) — two bounded maps under one mutex,
-//! conjunctive plans keyed on the canonical numbered-variable form of
-//! the query and whole SPARQL statements keyed on their text, held for
-//! a hash probe and never across parsing, compilation or execution —
-//! with hit/miss counters exposed via
+//! **plan cache**'s ([`PlanCache`]) — three bounded maps under one
+//! mutex, conjunctive plans keyed on the canonical numbered-variable
+//! form of the query, whole SPARQL statements keyed on their text and
+//! SPARQL text shapes keyed on their tokens with the constants numbered,
+//! held for a hash probe and never across parsing, compilation or
+//! execution — with hit/miss counters exposed via
 //! [`FrozenSession::plan_cache_stats`]. The other is the rewriter's
 //! memo of expansions and compiled branches by query shape
 //! ([`crate::rewriting`]), held the same way.
@@ -73,22 +74,25 @@
 //! ```
 
 use super::{
-    next_session_id, stream_vars, AnswerStream, Chased, EngineConfig, ExecRoute, Plan,
-    PreparedQuery, Session, Strategy,
+    next_session_id, stream_vars, AnswerStream, BranchTemplate, Chased, EngineConfig, ExecRoute,
+    GraphHandle, Plan, PreparedQuery, Session, Strategy,
 };
 use crate::answers::AnswerSet;
 use crate::chase::{RpsChaseStats, UniversalSolution};
-use crate::equivalence::{ClassTable, EquivalenceIndex};
+use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
 use crate::mapping::EquivalenceMapping;
-use crate::rewriting::RpsRewriter;
-use crate::sparql::{prepare_sparql_with, PreparedSparql};
-use rps_query::{GraphPatternQuery, Semantics, TermOrVar};
-use rps_rdf::{Graph, Iri, LiteralAnnotation, RdfError, Term};
+use crate::rewriting::{RewriteTemplate, RpsRewriter};
+use crate::sparql::{common_prefixes, prepare_sparql_with, PreparedSparql};
+use rps_query::sparql::shape::{bind_query, bound_term, placeholder_index};
+use rps_query::sparql::{SparqlShape, SparqlTemplate};
+use rps_query::{GraphPatternQuery, Semantics, TermOrVar, Variable};
+use rps_rdf::{Graph, Iri, LiteralAnnotation, RdfError, Term, TermId};
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -103,14 +107,22 @@ pub struct PlanCacheStats {
     /// plan compilation): one per plan-key hit, and
     /// [`PreparedSparql::plan_count`] per statement hit.
     pub hits: u64,
-    /// Preparations that compiled a fresh plan.
+    /// Preparations that compiled a fresh plan: plan-key misses, and the
+    /// plans of a statement bound into its shape's template.
     pub misses: u64,
+    /// Of the `misses`, the plans compiled by binding a SPARQL text's
+    /// constants into its shape's template: no parsing, lowering or
+    /// plan-key probe ([`PlanCache::get_or_prepare_sparql`]).
+    pub binds: u64,
     /// Conjunctive plans currently cached.
     pub entries: usize,
-    /// The configured bound — of `entries` and of `statements`, each.
+    /// The configured bound — of `entries`, `statements` and `shapes`,
+    /// each.
     pub capacity: usize,
     /// SPARQL statements currently cached by their text.
     pub statements: usize,
+    /// SPARQL text shapes currently known, with a template or without.
+    pub shapes: usize,
 }
 
 /// A map that forgets its oldest key once it holds `capacity` of them —
@@ -139,6 +151,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Fifo<K, V> {
         self.map.get(key).cloned()
     }
 
+    /// The value held under `key`, borrowed.
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
     /// Inserts `value` under `key`, unless a concurrent preparation of
     /// the same key landed first — then that one wins (so every caller
     /// of the same key converges on one shared value). Returns the value
@@ -162,14 +179,87 @@ impl<K: Hash + Eq + Clone, V: Clone> Fifo<K, V> {
         (value, evicted)
     }
 
+    /// Sets `key`'s value to `value`: in place, keeping its turn in the
+    /// eviction order, when `key` is held, and as [`Self::insert`] does
+    /// otherwise. Returns what the map let go of, for the caller to drop
+    /// unlocked.
+    pub(crate) fn replace(&mut self, key: K, value: V) -> Option<(K, V)> {
+        match self.map.get_mut(&key) {
+            Some(held) => Some((key, std::mem::replace(held, value))),
+            None => self.insert(key, value).1,
+        }
+    }
+
     /// Entries currently held.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 }
 
-/// The bounded plan cache of a frozen façade, keyed two ways under one
-/// bound, one mutex and one pair of counters:
+/// How a façade compiles the conjunctive queries a SPARQL text lowers
+/// to, as its plan cache's statement front
+/// ([`PlanCache::get_or_prepare_sparql`]) drives it: through its plan
+/// cache, or by binding a text's constants into what a text shape keeps
+/// of each CQ.
+pub trait SparqlCompiler {
+    /// The façade's plan of one CQ.
+    type Plan;
+    /// What a text shape keeps of one of its lowered CQs.
+    type Template;
+
+    /// Prepares `cq` through the façade's plan cache
+    /// ([`PlanCache::get_or_compile`]): the path of a text whose shape
+    /// has no template, and the façade's CQ API.
+    fn prepare_cq(&self, cq: &GraphPatternQuery) -> Result<Arc<Self::Plan>, RpsError>;
+
+    /// The template of `cq` — a lowered CQ of a shape's template, with
+    /// [`placeholder`](rps_query::sparql::shape::placeholder)`(k)` for
+    /// parameter `k` — made while the text whose parameters are `values`
+    /// is bound. `None` when the façade binds no text of the shape: each
+    /// then takes the plan cache's path.
+    fn template_cq(&self, cq: &GraphPatternQuery, values: &[Term]) -> Option<Self::Template>;
+
+    /// The plan of `cq` with its parameters bound to `values`, compiled
+    /// from `template` without a plan-cache probe; `None` when this text
+    /// must take the plan cache's path instead.
+    fn bind_cq(
+        &self,
+        template: &Self::Template,
+        cq: &GraphPatternQuery,
+        values: &[Term],
+    ) -> Option<Self::Plan>;
+}
+
+/// What the statement front knows of a SPARQL text shape, under the hash
+/// of its key.
+enum Shape<S> {
+    /// A text of the shape was prepared: the next one makes its template.
+    Seen,
+    /// The shape's template, and the façade's of each lowered CQ.
+    Bound(Arc<BoundShape<S>>),
+    /// The façade binds no text of the shape.
+    Unbound,
+}
+
+impl<S> Clone for Shape<S> {
+    fn clone(&self) -> Self {
+        match self {
+            Shape::Seen => Shape::Seen,
+            Shape::Bound(bound) => Shape::Bound(bound.clone()),
+            Shape::Unbound => Shape::Unbound,
+        }
+    }
+}
+
+/// A shape's template and the façade's template of each of its CQs, in
+/// [`rps_query::LoweredSparql::queries`] order.
+struct BoundShape<S> {
+    sparql: SparqlTemplate,
+    cqs: Vec<S>,
+}
+
+/// The bounded plan cache of a frozen façade, keyed three ways under one
+/// bound, one mutex and one set of counters:
 ///
 /// * **plans** — canonical query key ([`canonical_plan_key`]) → shared
 ///   prepared plan, so α-equivalent conjunctive queries compile once no
@@ -177,42 +267,56 @@ impl<K: Hash + Eq + Clone, V: Clone> Fifo<K, V> {
 /// * **statements** — SPARQL text, byte for byte → the whole
 ///   [`PreparedSparql`] (lowered recipe + its plans), so a repeated
 ///   text skips lexing, parsing, lowering, key building and the per-CQ
-///   probes ([`PlanCache::get_or_prepare_sparql`]).
+///   probes ([`PlanCache::get_or_prepare_sparql`]). The map is keyed on
+///   a keyed hash of the text, taken once per preparation, and holds the
+///   text beside its statement: a probe, an insert and an eviction read
+///   each text once at most;
+/// * **shapes** — a SPARQL text's shape ([`SparqlShape`]: its tokens,
+///   constants numbered) → the shape parsed and lowered once with
+///   placeholders, and the façade's template of each CQ, so a new text
+///   of a seen shape is lexed and bound, not parsed, lowered and keyed.
 ///
 /// Each is FIFO-evicted at `capacity`. The mutex (owned by the
-/// embedding session) guards both maps, their eviction orders and the
+/// embedding session) guards the maps, their eviction orders and the
 /// counters together — a critical section is a hash probe, so the lock
 /// is never held across parsing, compilation or execution. Generic over
-/// the plan type so the federated counterpart in `rps-p2p` shares the
-/// implementation.
-pub struct PlanCache<T> {
+/// the plan type `T` and the façade's CQ template `S` so the federated
+/// counterpart in `rps-p2p` shares the implementation.
+pub struct PlanCache<T, S = ()> {
     plans: Fifo<Arc<str>, Arc<T>>,
-    statements: Fifo<Arc<str>, PreparedSparql<Arc<T>>>,
+    statements: Fifo<u64, (Arc<str>, PreparedSparql<Arc<T>>)>,
+    /// The keyed hasher of the statements' texts.
+    texts: RandomState,
+    shapes: Fifo<u64, Shape<S>>,
     hits: u64,
     misses: u64,
+    binds: u64,
 }
 
-impl<T> PlanCache<T> {
+impl<T, S> PlanCache<T, S> {
     /// An empty cache bounded to `capacity` plans and as many
-    /// statements (clamped to ≥ 1).
+    /// statements and shapes (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         PlanCache {
             plans: Fifo::new(capacity),
             statements: Fifo::new(capacity),
+            texts: RandomState::new(),
+            shapes: Fifo::new(capacity),
             hits: 0,
             misses: 0,
+            binds: 0,
         }
     }
 
     /// Locks `cache`, recovering it if the mutex is poisoned. That is
     /// sound because a guard only ever lives for a hash probe with a
-    /// counter bump, a whole-entry insert (the oldest entry unlinked,
-    /// then one added) or a read of the counters: `std` collection calls
-    /// and `Arc` clones, which do not panic short of an allocation
-    /// failure, and that aborts. Parsing, compiling and executing run
-    /// unlocked, and so does freeing: an insert hands the evicted entry
-    /// (a whole lowered recipe and its plans, on a statement) back to
+    /// counter bump, a whole-entry insert or replace (the oldest entry
+    /// unlinked, then one added) or a read of the counters: `std`
+    /// collection calls and `Arc` clones, which do not panic short of an
+    /// allocation failure, and that aborts. Parsing, compiling and
+    /// executing run unlocked, and so does freeing: an insert hands the
+    /// evicted entry (a statement's plans, a shape's template) back to
     /// the caller, which drops it after the guard, as `LiveShared::swap`
     /// hands back the epoch it replaces.
     /// So the state behind a poisoned lock is one such step's before or
@@ -241,25 +345,119 @@ impl<T> PlanCache<T> {
         Ok(plan)
     }
 
-    /// The statement cached for exactly this `text`, or a fresh
-    /// [`prepare_sparql_with`] through `prepare` — the façade's own
-    /// per-CQ path, which goes through [`PlanCache::get_or_compile`]
-    /// and counts there, a hit or a miss per CQ, exactly as a caller of
-    /// the CQ API would. Nothing runs under the lock but the two hash
-    /// probes; a text that fails to parse, lower or prepare is an `Err`
-    /// and is never cached, and racing threads converge on the first
-    /// statement inserted.
-    pub fn get_or_prepare_sparql(
+    /// The statement cached for exactly this `text`; else the text bound
+    /// into its shape's template; else a fresh [`prepare_sparql_with`]
+    /// through `compiler`'s plan-cache path, which counts in
+    /// [`PlanCache::get_or_compile`], a hit or a miss per CQ, exactly as
+    /// a caller of the CQ API would.
+    ///
+    /// A shape is made a template lazily. The first text of a shape
+    /// takes the plan-cache path and leaves only the shape's hash
+    /// behind, so a text asked once costs no more than before. The
+    /// second is parsed and lowered once more with placeholders for its
+    /// constants ([`SparqlTemplate`]), `compiler` makes a template of
+    /// each CQ, and the text is bound into them. Every later text of the
+    /// shape is lexed, checked against the template's key, has its
+    /// constants resolved and each CQ bound ([`SparqlCompiler::bind_cq`]):
+    /// its plans count as misses, and as `binds`. A text whose constant
+    /// does not resolve (an undeclared prefix), or which `compiler`
+    /// declines to bind, takes the plan-cache path — where a malformed
+    /// text fails with its typed, spanned error.
+    ///
+    /// Nothing runs under the lock but the hash probes and inserts; a
+    /// text that fails to parse, lower or prepare is an `Err` and is
+    /// never cached, and racing threads converge on the first statement
+    /// inserted.
+    pub fn get_or_prepare_sparql<C>(
         cache: &Mutex<Self>,
         text: &str,
-        prepare: impl FnMut(&GraphPatternQuery) -> Result<Arc<T>, RpsError>,
-    ) -> Result<PreparedSparql<Arc<T>>, RpsError> {
-        if let Some(hit) = Self::lock(cache).statement(text) {
-            return Ok(hit);
+        compiler: &C,
+    ) -> Result<PreparedSparql<Arc<T>>, RpsError>
+    where
+        C: SparqlCompiler<Plan = T, Template = S>,
+    {
+        let hash = match Self::lock(cache).statement(text) {
+            Ok(hit) => return Ok(hit),
+            Err(hash) => hash,
+        };
+        let shape = SparqlShape::of(text);
+        let bound = shape.as_ref().and_then(|s| Self::bind(cache, s, compiler));
+        let (prepared, binds) = match bound {
+            Some(bound) => bound,
+            None => {
+                let prepared = prepare_sparql_with(text, |cq| compiler.prepare_cq(cq))?;
+                if let Some(shape) = &shape {
+                    // A shape known already keeps what it has.
+                    let _released = Self::lock(cache).shapes.insert(shape.hash(), Shape::Seen);
+                }
+                (prepared, 0)
+            }
+        };
+        let mut guard = Self::lock(cache);
+        guard.misses += binds;
+        guard.binds += binds;
+        // Another text under the same hash keeps its place: this one is
+        // served uncached.
+        if guard
+            .statements
+            .peek(&hash)
+            .is_some_and(|(held, _)| **held != *text)
+        {
+            return Ok(prepared);
         }
-        let prepared = prepare_sparql_with(text, prepare)?;
-        let (statement, _released) = Self::lock(cache).statements.insert(text.into(), prepared);
+        let ((_, statement), released) = guard.statements.insert(hash, (text.into(), prepared));
+        drop(guard);
+        drop(released);
         Ok(statement)
+    }
+
+    /// The statement of `shape`'s text bound into the shape's template —
+    /// made now when the shape was only seen — and the number of plans
+    /// bound; `None` when the text takes the plan-cache path.
+    fn bind<C>(
+        cache: &Mutex<Self>,
+        shape: &SparqlShape<'_>,
+        compiler: &C,
+    ) -> Option<(PreparedSparql<Arc<T>>, u64)>
+    where
+        C: SparqlCompiler<Plan = T, Template = S>,
+    {
+        let base = common_prefixes();
+        let known = Self::lock(cache).shapes.get(&shape.hash())?;
+        let (bound, values) = match known {
+            Shape::Bound(bound) if bound.sparql.matches(shape) => {
+                let values = bound.sparql.values(shape, base)?;
+                (bound, values)
+            }
+            Shape::Seen => {
+                let sparql = SparqlTemplate::new(shape, base).ok()?;
+                let values = sparql.values(shape, base)?;
+                let cqs = (sparql.lowered().cqs())
+                    .map(|cq| compiler.template_cq(cq, &values))
+                    .collect::<Option<Vec<_>>>();
+                let made = match cqs {
+                    Some(cqs) => Shape::Bound(Arc::new(BoundShape { sparql, cqs })),
+                    None => Shape::Unbound,
+                };
+                let _released = Self::lock(cache).shapes.replace(shape.hash(), made.clone());
+                match made {
+                    Shape::Bound(bound) => (bound, values),
+                    _ => return None,
+                }
+            }
+            Shape::Bound(_) | Shape::Unbound => return None,
+        };
+        let lowered = bound.sparql.lowered();
+        let mut plans = Vec::with_capacity(bound.cqs.len());
+        for (cq, template) in lowered.cqs().zip(&bound.cqs) {
+            plans.push(Arc::new(compiler.bind_cq(template, cq, &values)?));
+        }
+        let lowered = match bound.sparql.bind_lowered(&values) {
+            Some(own) => Arc::new(own),
+            None => lowered.clone(),
+        };
+        let binds = plans.len() as u64;
+        Some((PreparedSparql::new(lowered, plans), binds))
     }
 
     /// Fetches the plan cached under `key`, counting a hit or a miss.
@@ -275,10 +473,16 @@ impl<T> PlanCache<T> {
     /// Fetches the statement cached for `text`, counting one hit per
     /// plan it carries: that many plans are served without compilation.
     /// An absent statement counts nothing — its CQs count themselves.
-    fn statement(&mut self, text: &str) -> Option<PreparedSparql<Arc<T>>> {
-        let hit = self.statements.get(text)?;
-        self.hits += hit.plan_count() as u64;
-        Some(hit)
+    /// A miss is the text's hash, under which the caller inserts.
+    fn statement(&mut self, text: &str) -> Result<PreparedSparql<Arc<T>>, u64> {
+        let hash = self.texts.hash_one(text);
+        match self.statements.peek(&hash) {
+            Some((held, hit)) if **held == *text => {
+                self.hits += hit.plan_count() as u64;
+                Ok(hit.clone())
+            }
+            _ => Err(hash),
+        }
     }
 
     /// Current counters and occupancy.
@@ -286,9 +490,11 @@ impl<T> PlanCache<T> {
         PlanCacheStats {
             hits: self.hits,
             misses: self.misses,
+            binds: self.binds,
             entries: self.plans.len(),
             capacity: self.plans.capacity,
             statements: self.statements.len(),
+            shapes: self.shapes.len(),
         }
     }
 }
@@ -407,7 +613,26 @@ struct FrozenInner {
     /// configuration and the FO-rewritability verdict never change).
     route: ExecRoute,
     compiler: Compiler,
-    cache: Mutex<PlanCache<PreparedQuery>>,
+    cache: Mutex<PlanCache<PreparedQuery, CqTemplate>>,
+}
+
+/// What a frozen session's SPARQL front keeps of one lowered CQ of a text
+/// shape: its projection, and its plan with the parameters left open.
+struct CqTemplate {
+    vars: Arc<[Variable]>,
+    plan: PlanTemplate,
+}
+
+/// A [`CqTemplate`]'s plan, per route.
+enum PlanTemplate {
+    /// The materialised route: the CQ as one branch over the chased
+    /// solution, its constants on their class representatives over a
+    /// quotient; and the parameters of the text the template was made
+    /// from with their ids, which a text spelling a parameter alike
+    /// reuses instead of looking its term up again.
+    Chased(BranchTemplate, Vec<(Term, Option<TermId>)>),
+    /// The rewritten route: the compiled union of the CQ's query shape.
+    Rewritten(RewriteTemplate),
 }
 
 /// The `Send + Sync` answering handle a [`Session`] freezes into:
@@ -546,9 +771,10 @@ impl FrozenSession {
         PlanCache::lock(&self.inner.cache).stats()
     }
 
-    /// The cache itself, for the SPARQL entry points in [`crate::sparql`].
-    pub(crate) fn plan_cache(&self) -> &Mutex<PlanCache<PreparedQuery>> {
-        &self.inner.cache
+    /// [`FrozenSession::prepare_sparql`]: the plan cache's statement
+    /// front, driving this session's compile.
+    pub(crate) fn prepare_statement(&self, text: &str) -> Result<PreparedSparql, RpsError> {
+        PlanCache::get_or_prepare_sparql(&self.inner.cache, text, &*self.inner)
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent
@@ -571,45 +797,7 @@ impl FrozenSession {
     /// α-equivalence class; answer tuples are identical for every member
     /// of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
-        PlanCache::get_or_compile(&self.inner.cache, query, || self.compile(query))
-    }
-
-    /// A plan-cache miss: the route → [`Plan`] compile over the frozen
-    /// compile state, which is all there will ever be — a frozen session
-    /// cannot start a chase.
-    fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
-        let inner = &*self.inner;
-        let config = &inner.config;
-        let chased = |chased: Chased| Plan::chased(chased, &inner.eq_index, query);
-        let (route, rewrite_fell_back, plan) = match &inner.compiler {
-            Compiler::Chased(solution) => (inner.route, false, chased(solution.clone())),
-            Compiler::Rewriter(rewriter, fallback) => {
-                let rewritten = rewriter.plan(query, &config.rewrite);
-                match fallback {
-                    _ if rewritten.complete => (inner.route, false, rewritten.plan),
-                    // The explicit Rewrite strategy never falls back.
-                    Some(solution) if config.strategy == Strategy::Auto => {
-                        let plan = chased((solution.clone(), None));
-                        (ExecRoute::Materialised, true, plan)
-                    }
-                    _ => {
-                        return Err(RpsError::RewriteBudget {
-                            explored: rewritten.explored,
-                            max_depth: config.rewrite.max_depth,
-                            max_cqs: config.rewrite.max_cqs,
-                        })
-                    }
-                }
-            }
-        };
-        Ok(PreparedQuery {
-            session_id: inner.id,
-            vars: stream_vars(query),
-            route,
-            semantics: config.semantics,
-            rewrite_fell_back,
-            plan,
-        })
+        self.inner.prepare_cq(query)
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
@@ -886,6 +1074,139 @@ impl FrozenSession {
                 cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),
         })
+    }
+}
+
+impl FrozenInner {
+    /// A plan-cache miss: the route → [`Plan`] compile over the frozen
+    /// compile state, which is all there will ever be — a frozen session
+    /// cannot start a chase.
+    fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
+        let config = &self.config;
+        let chased = |chased: Chased| Plan::chased(chased, &self.eq_index, query);
+        let (route, rewrite_fell_back, plan) = match &self.compiler {
+            Compiler::Chased(solution) => (self.route, false, chased(solution.clone())),
+            Compiler::Rewriter(rewriter, fallback) => {
+                let rewritten = rewriter.plan(query, &config.rewrite);
+                match fallback {
+                    _ if rewritten.complete => (self.route, false, rewritten.plan),
+                    // The explicit Rewrite strategy never falls back.
+                    Some(solution) if config.strategy == Strategy::Auto => {
+                        let plan = chased((solution.clone(), None));
+                        (ExecRoute::Materialised, true, plan)
+                    }
+                    _ => {
+                        return Err(RpsError::RewriteBudget {
+                            explored: rewritten.explored,
+                            max_depth: config.rewrite.max_depth,
+                            max_cqs: config.rewrite.max_cqs,
+                        })
+                    }
+                }
+            }
+        };
+        Ok(PreparedQuery {
+            session_id: self.id,
+            vars: stream_vars(query),
+            route,
+            semantics: config.semantics,
+            rewrite_fell_back,
+            plan,
+        })
+    }
+}
+
+impl SparqlCompiler for FrozenInner {
+    type Plan = PreparedQuery;
+    type Template = CqTemplate;
+
+    fn prepare_cq(&self, cq: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
+        PlanCache::get_or_compile(&self.cache, cq, || self.compile(cq))
+    }
+
+    /// On the materialised route the CQ as one branch over the solution,
+    /// always; on the rewritten route the compiled union of the query
+    /// shape of the CQ bound to `values`, when its rewriting completes
+    /// within the budgets (otherwise the plan-cache path falls back or
+    /// fails as [`FrozenSession::prepare`] documents).
+    fn template_cq(&self, cq: &GraphPatternQuery, values: &[Term]) -> Option<CqTemplate> {
+        let plan = match &self.compiler {
+            Compiler::Chased((solution, classes)) => {
+                let canonical;
+                let cq = match classes {
+                    Some(_) => {
+                        canonical = canonicalize_query(cq, &self.eq_index);
+                        &canonical
+                    }
+                    None => cq,
+                };
+                let graph = &solution.graph;
+                let branch = BranchTemplate::of_query(graph, cq, placeholder_index);
+                let index = classes.as_ref().map(|_| &*self.eq_index);
+                let ids = values
+                    .iter()
+                    .map(|v| (v.clone(), solution_id(graph, index, v)));
+                PlanTemplate::Chased(branch, ids.collect())
+            }
+            Compiler::Rewriter(rewriter, _) => {
+                let query = bind_query(cq, values);
+                PlanTemplate::Rewritten(rewriter.template(&query, &self.config.rewrite)?)
+            }
+        };
+        Some(CqTemplate {
+            vars: stream_vars(cq),
+            plan,
+        })
+    }
+
+    /// The template's plan with `values` written in: the parameters'
+    /// ids looked up in the solution (on their class representatives over
+    /// a quotient) and the branch planned, or the rewriter's
+    /// [`RpsRewriter::plan_from`] — `None` when the CQ bound to `values`
+    /// is of another query shape than the template's.
+    fn bind_cq(
+        &self,
+        template: &CqTemplate,
+        cq: &GraphPatternQuery,
+        values: &[Term],
+    ) -> Option<PreparedQuery> {
+        let plan = match (&self.compiler, &template.plan) {
+            (Compiler::Chased((solution, classes)), PlanTemplate::Chased(branch, known)) => {
+                let index = classes.as_ref().map(|_| &*self.eq_index);
+                let id = |k: usize| {
+                    let value = values.get(k)?;
+                    match known.get(k) {
+                        Some((term, id)) if term == value => *id,
+                        _ => solution_id(&solution.graph, index, value),
+                    }
+                };
+                let handle = GraphHandle::Solution(solution.clone());
+                Plan::bound(handle, std::slice::from_ref(branch), id, classes.clone())
+            }
+            (Compiler::Rewriter(rewriter, _), PlanTemplate::Rewritten(union)) => {
+                let value = |c| bound_term(c, values);
+                rewriter.plan_from(union, cq, &self.config.rewrite, value)?
+            }
+            _ => return None,
+        };
+        Some(PreparedQuery {
+            session_id: self.id,
+            vars: template.vars.clone(),
+            route: self.route,
+            semantics: self.config.semantics,
+            rewrite_fell_back: false,
+            plan,
+        })
+    }
+}
+
+/// The id of `value` in a chased solution's `graph`: of its class
+/// representative when the solution is the chase of the equivalence
+/// quotient by `index`.
+fn solution_id(graph: &Graph, index: Option<&EquivalenceIndex>, value: &Term) -> Option<TermId> {
+    match index {
+        Some(index) => graph.term_id(&index.canonical_term(value)),
+        None => graph.term_id(value),
     }
 }
 

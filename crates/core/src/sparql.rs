@@ -30,7 +30,7 @@
 //! ([`rps_rdf::PrefixMap::common`]).
 
 use crate::error::RpsError;
-use crate::session::frozen::{FrozenSession, PlanCache};
+use crate::session::frozen::FrozenSession;
 use crate::session::{AnswerStream, PreparedQuery};
 use rps_query::sparql::LoweredSparql;
 use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
@@ -45,14 +45,19 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The handle is one `Arc`: cloning is a reference-count bump, which is
 /// what lets a frozen façade's plan cache keep whole statements by
-/// their text ([`PlanCache::get_or_prepare_sparql`]) and hand the same
-/// one to every thread that repeats it.
+/// their text ([`crate::PlanCache::get_or_prepare_sparql`]) and hand
+/// the same one to every thread that repeats it.
 pub struct PreparedSparql<P = Arc<PreparedQuery>> {
     statement: Arc<Statement<P>>,
 }
 
+/// A compiled statement: its lowered query — the one its text lowered
+/// to, or its shape template's, shared with every text of the shape
+/// whose FILTERs hold no parameter (see
+/// [`crate::PlanCache::get_or_prepare_sparql`]) — and a plan per
+/// lowered CQ.
 struct Statement<P> {
-    lowered: LoweredSparql,
+    lowered: Arc<LoweredSparql>,
     plans: Vec<P>,
 }
 
@@ -65,6 +70,15 @@ impl<P> Clone for PreparedSparql<P> {
 }
 
 impl<P> PreparedSparql<P> {
+    /// The statement of `lowered` with a plan per CQ, in
+    /// [`LoweredSparql::queries`] order.
+    pub(crate) fn new(lowered: Arc<LoweredSparql>, plans: Vec<P>) -> Self {
+        debug_assert_eq!(plans.len(), lowered.query_count());
+        PreparedSparql {
+            statement: Arc::new(Statement { lowered, plans }),
+        }
+    }
+
     /// The number of conjunctive plans behind this query (one per
     /// UNION branch plus one per OPTIONAL block per branch).
     pub fn plan_count(&self) -> usize {
@@ -84,7 +98,7 @@ impl<P> PreparedSparql<P> {
 
 /// The well-known namespaces every façade resolves prefixed names
 /// against, built once per process ([`parse_sparql`] only borrows it).
-fn common_prefixes() -> &'static PrefixMap {
+pub(crate) fn common_prefixes() -> &'static PrefixMap {
     static COMMON: OnceLock<PrefixMap> = OnceLock::new();
     COMMON.get_or_init(PrefixMap::common)
 }
@@ -95,17 +109,14 @@ fn common_prefixes() -> &'static PrefixMap {
 /// a typed [`RpsError::Sparql`] with the offending span — never a panic.
 pub fn prepare_sparql_with<P>(
     text: &str,
-    prepare: impl FnMut(&GraphPatternQuery) -> Result<P, RpsError>,
+    mut prepare: impl FnMut(&GraphPatternQuery) -> Result<P, RpsError>,
 ) -> Result<PreparedSparql<P>, RpsError> {
-    let lowered = parse_sparql(text, common_prefixes())?.lower();
-    let plans = lowered
-        .queries()
-        .into_iter()
-        .map(prepare)
-        .collect::<Result<_, _>>()?;
-    Ok(PreparedSparql {
-        statement: Arc::new(Statement { lowered, plans }),
-    })
+    let lowered = parse_sparql(text, common_prefixes())?.into_lowered();
+    let mut plans = Vec::with_capacity(lowered.query_count());
+    for cq in lowered.cqs() {
+        plans.push(prepare(cq)?);
+    }
+    Ok(PreparedSparql::new(Arc::new(lowered), plans))
 }
 
 /// Runs every conjunctive plan of `prepared` through a façade's own
@@ -134,9 +145,12 @@ impl FrozenSession {
     /// [`prepare_sparql_with`] for the subset and the error contract). A
     /// text seen before (byte for byte) comes back whole from the plan
     /// cache's statement front — no lexing, parsing, lowering or per-CQ
-    /// lookup; a new text takes each lowered CQ through the bounded plan
-    /// cache, so hot conjunctive plans are shared across texts and
-    /// threads.
+    /// lookup. A new text of a seen shape — the same tokens but for its
+    /// constants — is lexed and its constants bound into the plans the
+    /// shape keeps, with no parsing or lowering; the first text of a
+    /// shape takes each lowered CQ through the bounded plan cache, so
+    /// hot conjunctive plans are shared across texts and threads
+    /// ([`crate::PlanCache::get_or_prepare_sparql`]).
     ///
     /// ```
     /// use rps_core::{EngineConfig, PeerId, RpsBuilder, Session};
@@ -173,7 +187,7 @@ impl FrozenSession {
     /// assert_eq!(ok.boolean(), Some(true));
     /// ```
     pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql, RpsError> {
-        PlanCache::get_or_prepare_sparql(self.plan_cache(), text, |cq| self.prepare(cq))
+        self.prepare_statement(text)
     }
 
     /// Executes a prepared SPARQL query against this frozen session.

@@ -20,9 +20,11 @@ use crate::transport::{SimTransport, Transport};
 use rps_core::sparql::{execute_sparql_with, PreparedSparql};
 use rps_core::{
     next_session_id, AnswerStream, EngineConfig, PlanCache, PlanCacheStats, RdfPeerSystem,
-    RpsError, RpsRewriter,
+    RpsError, RpsRewriter, SparqlCompiler,
 };
+use rps_query::sparql::shape::bind_query;
 use rps_query::{GraphPatternQuery, Semantics, SparqlResult, TermOrVar, Variable};
+use rps_rdf::Term;
 use std::sync::{Arc, Mutex};
 
 /// A query compiled once against a [`FrozenFederatedSession`]: the
@@ -258,13 +260,42 @@ struct FrozenFedInner {
     cache: Mutex<PlanCache<PreparedFederatedQuery>>,
 }
 
+/// The federated compile, as the statement front drives it. A text
+/// shape keeps nothing per CQ: a bind writes the text's constants into
+/// the template's CQ and compiles that ([`FedCore::prepare`]) without a
+/// plan-cache probe — the rewriter's memo still serves the expansion of
+/// the query's shape.
+impl SparqlCompiler for FrozenFedInner {
+    type Plan = PreparedFederatedQuery;
+    type Template = ();
+
+    fn prepare_cq(&self, cq: &GraphPatternQuery) -> Result<Arc<PreparedFederatedQuery>, RpsError> {
+        PlanCache::get_or_compile(&self.cache, cq, || self.core.prepare(cq))
+    }
+
+    fn template_cq(&self, _cq: &GraphPatternQuery, _values: &[Term]) -> Option<()> {
+        Some(())
+    }
+
+    /// `None` when the bound CQ does not prepare (its rewriting ran out
+    /// of budget): the plan-cache path then reports the error.
+    fn bind_cq(
+        &self,
+        _template: &(),
+        cq: &GraphPatternQuery,
+        values: &[Term],
+    ) -> Option<PreparedFederatedQuery> {
+        self.core.prepare(&bind_query(cq, values)).ok()
+    }
+}
+
 /// The federated counterpart of `rps_core::FrozenSession`: the
 /// `Send + Sync` handle a [`FederatedSession`] freezes into, on which
 /// [`prepare`](FrozenFederatedSession::prepare) and
 /// [`execute`](FrozenFederatedSession::execute) take `&self` and run
 /// concurrently, with the same bounded plan cache (plans keyed on the
-/// canonical numbered-variable query, SPARQL statements on their
-/// text). `execute` fans the prepared UNION branches out across OS
+/// canonical numbered-variable query, SPARQL statements on their text
+/// and on their shape). `execute` fans the prepared UNION branches out across OS
 /// threads (`std::thread::scope`), merging the per-branch id-level
 /// answer sets, statistics and traffic traces deterministically in
 /// branch order — answers are byte-identical to the sequential walk's
@@ -311,8 +342,7 @@ impl FrozenFederatedSession {
         &self,
         query: &GraphPatternQuery,
     ) -> Result<Arc<PreparedFederatedQuery>, RpsError> {
-        let inner = &*self.inner;
-        PlanCache::get_or_compile(&inner.cache, query, || inner.core.prepare(query))
+        self.inner.prepare_cq(query)
     }
 
     /// Executes a prepared query with the branch fan-out spread over up
@@ -354,7 +384,7 @@ impl FrozenFederatedSession {
         &self,
         text: &str,
     ) -> Result<PreparedSparql<Arc<PreparedFederatedQuery>>, RpsError> {
-        PlanCache::get_or_prepare_sparql(&self.inner.cache, text, |cq| self.prepare(cq))
+        PlanCache::get_or_prepare_sparql(&self.inner.cache, text, &*self.inner)
     }
 
     /// Executes a prepared SPARQL query over the federation.

@@ -380,14 +380,20 @@ fn independent_suffix(slots: &[[Slot; 3]], proj: &[usize]) -> Option<SuffixMemo>
 type Replayed = Option<HashSet<u128>>;
 
 /// One key's sub-answer of a plan's independent suffix: a size-1 cache,
-/// as large as that one sub-answer and no larger.
+/// as large as that one sub-answer and no larger. Its buffers outlive a
+/// key: a new key clears and refills them, so an evaluation allocates
+/// for its largest sub-answer, not once per key.
 struct SuffixCache<'a> {
     plan: &'a SuffixMemo,
-    /// The `plan.key` values `rows` answers; `None` before the first
-    /// arrival.
-    key: Option<Vec<TermId>>,
+    /// The `plan.key` values `rows` answers; meaningless before the
+    /// first arrival (`fresh`).
+    key: Vec<TermId>,
+    fresh: bool,
     /// The suffix's answer under `key`, projected onto `plan.out`.
     rows: IdRows,
+    /// Where the next key's answer is gathered: `rows`' buffer of the
+    /// key before last.
+    sink: RowSink,
     /// The `plan.inp` values already replayed under `key`.
     replayed: Replayed,
 }
@@ -396,8 +402,10 @@ impl<'a> SuffixCache<'a> {
     fn new(plan: &'a SuffixMemo) -> Self {
         SuffixCache {
             plan,
-            key: None,
+            key: Vec::new(),
+            fresh: true,
             rows: RowSink::new(plan.out.len()).finish(),
+            sink: RowSink::new(plan.out.len()),
             replayed: (plan.inp.len() <= 4).then(HashSet::new),
         }
     }
@@ -527,19 +535,20 @@ impl<'a> Matcher<'a> {
             inp,
             out,
         } = cache.plan;
-        let same_key = cache.key.as_ref().is_some_and(|cached| {
-            key.iter()
-                .zip(cached)
-                .all(|(&v, &id)| binding[v] == Some(id))
-        });
+        let same_key = !cache.fresh
+            && (key.iter())
+                .zip(&cache.key)
+                .all(|(&v, &id)| binding[v] == Some(id));
         if !same_key {
-            cache.key = Some(key.iter().map(|&v| bound(binding, v)).collect());
-            let mut rows = RowSink::new(out.len());
+            cache.fresh = false;
+            cache.key.clear();
+            cache.key.extend(key.iter().map(|&v| bound(binding, v)));
+            let sink = &mut cache.sink;
             self.search(*depth, binding, &mut |b| {
-                rows.push(out.iter().map(|&v| bound(b, v)));
+                sink.push(out.iter().map(|&v| bound(b, v)));
                 !out.is_empty()
             });
-            cache.rows = rows.finish();
+            sink.finish_into(&mut cache.rows);
             if let Some(replayed) = &mut cache.replayed {
                 replayed.clear();
             }
@@ -1205,6 +1214,16 @@ impl RowSink {
     pub fn finish(mut self) -> IdRows {
         self.compact();
         self.rows
+    }
+
+    /// [`Self::finish`] into `rows`, whose buffer the sink keeps for its
+    /// next rows: a sink that is filled and finished again and again
+    /// reuses two buffers instead of allocating per round.
+    fn finish_into(&mut self, rows: &mut IdRows) {
+        self.compact();
+        std::mem::swap(&mut self.rows, rows);
+        self.rows.len = 0;
+        self.rows.ids.clear();
     }
 }
 

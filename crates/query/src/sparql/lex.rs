@@ -131,6 +131,24 @@ fn keyword(word: &str) -> Option<Kw> {
         .map(|&(_, kw)| kw)
 }
 
+/// The bytes that end an IRI: `>` and what SPARQL's `IRIREF` production
+/// excludes (`<"{}|^`, the backtick, `\` and 0x00–0x20).
+const IRI_STOP: [bool; 256] = {
+    let mut stop = [false; 256];
+    let mut b = 0;
+    while b <= 0x20 {
+        stop[b] = true;
+        b += 1;
+    }
+    let mut i = 0;
+    let others = *b">\"{}|^`\\<";
+    while i < others.len() {
+        stop[others[i] as usize] = true;
+        i += 1;
+    }
+    stop
+};
+
 /// A token plus its source position.
 #[derive(Debug)]
 pub(crate) struct Spanned<'a> {
@@ -162,7 +180,18 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+        // Queries are nearly all ASCII: decode only what is not.
+        match self.src.as_bytes().get(self.pos) {
+            Some(&b) if b.is_ascii() => Some(char::from(b)),
+            Some(_) => self.src[self.pos..].chars().next(),
+            None => None,
+        }
+    }
+
+    /// Moves past one ASCII character that is no newline.
+    fn step(&mut self) {
+        self.pos += 1;
+        self.col += 1;
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -200,35 +229,42 @@ impl<'a> Lexer<'a> {
     /// of a FILTER expression.
     fn iri(&self) -> Option<&'a str> {
         let body = &self.src[self.pos + 1..];
-        let end = body.bytes().position(|b| {
-            matches!(
-                b,
-                b'>' | b'<' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' | 0x00..=0x20
-            )
-        })?;
+        let end = body.bytes().position(|b| IRI_STOP[usize::from(b)])?;
         (body.as_bytes()[end] == b'>').then(|| &body[..end])
     }
 
     fn name(&mut self) -> &'a str {
         let rest = &self.src[self.pos..];
-        let mut chars = rest.char_indices().peekable();
+        let bytes = rest.as_bytes();
         let mut end = 0;
-        while let Some((i, c)) = chars.next() {
-            let part = match c {
+        let mut ascii = true;
+        while let Some(&b) = bytes.get(end) {
+            let width = match b {
                 // A trailing '.' is a triple terminator, not part of a
                 // name (`e:s.` means `e:s .`).
-                '.' => chars
-                    .peek()
-                    .is_some_and(|&(_, a)| a.is_alphanumeric() || a == '_'),
-                _ => c.is_alphanumeric() || c == '_' || c == '-' || c == ':',
+                b'.' => {
+                    let next = rest[end + 1..].chars().next();
+                    usize::from(next.is_some_and(|a| a.is_alphanumeric() || a == '_'))
+                }
+                b'_' | b'-' | b':' => 1,
+                b if b.is_ascii() => usize::from(b.is_ascii_alphanumeric()),
+                _ => match rest[end..].chars().next() {
+                    Some(c) if c.is_alphanumeric() => {
+                        ascii = false;
+                        c.len_utf8()
+                    }
+                    _ => 0,
+                },
             };
-            if !part {
+            if width == 0 {
                 break;
             }
-            end = i + c.len_utf8();
+            end += width;
         }
         let name = &rest[..end];
-        self.skip(name);
+        // A name holds no newline; an ASCII one is a character a byte.
+        self.pos += end;
+        self.col += if ascii { end } else { name.chars().count() };
         name
     }
 
@@ -238,6 +274,10 @@ impl<'a> Lexer<'a> {
         // Skip whitespace and comments.
         loop {
             match self.peek() {
+                Some(' ' | '\t' | '\r') => {
+                    self.pos += 1;
+                    self.col += 1;
+                }
                 Some(c) if c.is_whitespace() => {
                     self.bump();
                 }
@@ -258,39 +298,39 @@ impl<'a> Lexer<'a> {
         let src = self.src;
         let tok = match c {
             '{' => {
-                self.bump();
+                self.step();
                 Tok::LBrace
             }
             '}' => {
-                self.bump();
+                self.step();
                 Tok::RBrace
             }
             '(' => {
-                self.bump();
+                self.step();
                 Tok::LParen
             }
             ')' => {
-                self.bump();
+                self.step();
                 Tok::RParen
             }
             '.' => {
-                self.bump();
+                self.step();
                 Tok::Dot
             }
             ';' => {
-                self.bump();
+                self.step();
                 Tok::Semi
             }
             ',' => {
-                self.bump();
+                self.step();
                 Tok::Comma
             }
             '*' => {
-                self.bump();
+                self.step();
                 Tok::Star
             }
             '=' => {
-                self.bump();
+                self.step();
                 Tok::Eq
             }
             '!' => {
@@ -435,12 +475,13 @@ impl<'a> Lexer<'a> {
             }
             c if c.is_alphanumeric() || c == '_' || c == ':' => {
                 let word = self.name();
-                if word == "a" {
+                // No keyword holds a ':'.
+                if word.contains(':') {
+                    Tok::PName(word)
+                } else if word == "a" {
                     Tok::A
                 } else if let Some(kw) = keyword(word) {
                     Tok::Keyword(kw)
-                } else if word.contains(':') {
-                    Tok::PName(word)
                 } else {
                     return Err(self.err(
                         start,

@@ -22,6 +22,7 @@
 
 use super::exec;
 use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SparqlQuery};
+use super::shape::bind_query;
 use crate::eval::{IdRows, PreparedQueryIds, Semantics};
 use crate::pattern::{GraphPattern, GraphPatternQuery, TriplePattern, Variable};
 use rps_rdf::{Graph, Term};
@@ -76,11 +77,37 @@ impl SparqlQuery {
     /// restriction of the subset is enforced by the parser, so a parsed
     /// query always lowers.
     pub fn lower(&self) -> LoweredSparql {
+        let projection = match &self.form {
+            QueryForm::Select {
+                projection: Projection::Vars(vars),
+                ..
+            } => vars.clone(),
+            _ => Vec::new(),
+        };
+        self.lower_projecting(projection)
+    }
+
+    /// [`Self::lower`], taking the projection list over instead of
+    /// copying it: for a caller done with the parsed query.
+    pub fn into_lowered(mut self) -> LoweredSparql {
+        let projection = match &mut self.form {
+            QueryForm::Select {
+                projection: Projection::Vars(vars),
+                ..
+            } => std::mem::take(vars),
+            _ => Vec::new(),
+        };
+        self.lower_projecting(projection)
+    }
+
+    /// Lowers the query, `vars` being its explicit SELECT list (empty
+    /// for ASK and `SELECT *`).
+    fn lower_projecting(&self, vars: Vec<Variable>) -> LoweredSparql {
         let pattern = &self.pattern;
         let (ask, projection) = match &self.form {
             QueryForm::Ask => (true, Vec::new()),
             QueryForm::Select { projection, .. } => match projection {
-                Projection::Vars(vars) => (false, vars.clone()),
+                Projection::Vars(_) => (false, vars),
                 Projection::Star => (false, self.star_vars()),
             },
         };
@@ -212,14 +239,46 @@ impl LoweredSparql {
     /// [`LoweredSparql::assemble`] expects: for each branch, its base
     /// CQ followed by its optional-extension CQs.
     pub fn queries(&self) -> Vec<&GraphPatternQuery> {
-        let mut out = Vec::new();
-        for b in &self.branches {
-            out.push(&b.base);
-            for o in &b.optionals {
-                out.push(&o.query);
+        self.cqs().collect()
+    }
+
+    /// [`Self::queries`], one at a time.
+    pub fn cqs(&self) -> impl Iterator<Item = &GraphPatternQuery> {
+        (self.branches.iter())
+            .flat_map(|b| std::iter::once(&b.base).chain(b.optionals.iter().map(|o| &o.query)))
+    }
+
+    /// The number of [`Self::queries`].
+    pub fn query_count(&self) -> usize {
+        self.branches.iter().map(|b| 1 + b.optionals.len()).sum()
+    }
+
+    /// Every FILTER of every branch and OPTIONAL block.
+    fn filters_mut(&mut self) -> impl Iterator<Item = &mut FilterExpr> {
+        self.branches.iter_mut().flat_map(|b| {
+            let optionals = b.optionals.iter_mut().flat_map(|o| &mut o.filters);
+            b.filters.iter_mut().chain(optionals)
+        })
+    }
+
+    /// `true` iff `pred` holds for a constant some FILTER compares with.
+    pub(crate) fn any_filter_term(&self, pred: &impl Fn(&Term) -> bool) -> bool {
+        self.branches.iter().any(|b| {
+            let optionals = b.optionals.iter().flat_map(|o| &o.filters);
+            b.filters.iter().chain(optionals).any(|f| f.any_term(pred))
+        })
+    }
+
+    /// Writes every placeholder, in the conjunctive queries and the
+    /// FILTERs alike, as its value (see [`super::shape`]).
+    pub(crate) fn bind_terms(&mut self, values: &[Term]) {
+        for b in &mut self.branches {
+            b.base = bind_query(&b.base, values);
+            for o in &mut b.optionals {
+                o.query = bind_query(&o.query, values);
             }
         }
-        out
+        self.filters_mut().for_each(|f| f.bind_terms(values));
     }
 
     /// `true` for ASK queries.

@@ -34,7 +34,9 @@
 //! [`SparqlQuery::lower`] AST → [`LoweredSparql`] conjunctive plans,
 //! [`LoweredSparql::assemble_ids`] id rows + their dictionary →
 //! [`SparqlResult`] ([`LoweredSparql::assemble`] takes term tuples and
-//! interns them first). The
+//! interns them first). [`shape`] keys a text on its tokens with the
+//! constants numbered, and makes a [`SparqlTemplate`] a text of the
+//! same shape binds into without being parsed or lowered. The
 //! session façades in `rps-core` and `rps-p2p` wrap these around their
 //! own prepare/execute pipelines.
 
@@ -42,12 +44,14 @@ mod exec;
 mod lex;
 mod lower;
 mod parse;
+pub mod shape;
 
 pub use lower::{LoweredSparql, RowIter, Rows, SparqlResult, SparqlRows};
 pub use parse::{
     parse_sparql, CmpOp, FilterExpr, Operand, OrderKey, Projection, QueryForm, SimpleGroup,
     SparqlQuery,
 };
+pub use shape::{SparqlShape, SparqlTemplate};
 
 use std::fmt;
 

@@ -122,6 +122,39 @@ impl FilterExpr {
             FilterExpr::Bound(v) => out.push(v.clone()),
         }
     }
+
+    /// `true` iff `pred` holds for a constant the expression compares
+    /// with.
+    pub(crate) fn any_term(&self, pred: &impl Fn(&Term) -> bool) -> bool {
+        match self {
+            FilterExpr::Or(a, b) | FilterExpr::And(a, b) => a.any_term(pred) || b.any_term(pred),
+            FilterExpr::Not(a) => a.any_term(pred),
+            FilterExpr::Compare(l, _, r) => [l, r]
+                .into_iter()
+                .any(|op| matches!(op, Operand::Term(t) if pred(t))),
+            FilterExpr::Bound(_) => false,
+        }
+    }
+
+    /// Writes every placeholder the expression compares with as its
+    /// value (see [`super::shape::bound_term`]).
+    pub(crate) fn bind_terms(&mut self, values: &[Term]) {
+        match self {
+            FilterExpr::Or(a, b) | FilterExpr::And(a, b) => {
+                a.bind_terms(values);
+                b.bind_terms(values);
+            }
+            FilterExpr::Not(a) => a.bind_terms(values),
+            FilterExpr::Compare(l, _, r) => {
+                for op in [l, r] {
+                    if let Operand::Term(t) = op {
+                        *t = super::shape::bound_term(t, values).clone();
+                    }
+                }
+            }
+            FilterExpr::Bound(_) => {}
+        }
+    }
 }
 
 /// A comparison operand: a variable or a constant term.
@@ -157,19 +190,20 @@ pub enum CmpOp {
 /// where the parser would reject an earlier token: the parser pulls
 /// tokens on demand, and on failure lexes the rest of the text first.
 pub fn parse_sparql(input: &str, base: &PrefixMap) -> Result<SparqlQuery, SparqlError> {
-    let mut p = Parser {
-        lexer: Lexer::new(input),
-        next: None,
-        lex_error: None,
-        last: None,
-        base,
-        declared: None,
-        shadowed: Vec::new(),
-        base_iri: None,
-        vars: Vec::new(),
-        scratch: String::new(),
-        src_len: input.len(),
-    };
+    parse_with_params(input, base, &[])
+}
+
+/// [`parse_sparql`], except that a constant token of the query body
+/// whose text is `params[k]` becomes [`super::shape::placeholder`]`(k)`
+/// rather than the term it denotes: the template of a text's shape (see
+/// [`super::shape`]). Every constant token of the body must be listed;
+/// one that is not parses as itself.
+pub(crate) fn parse_with_params(
+    input: &str,
+    base: &PrefixMap,
+    params: &[&str],
+) -> Result<SparqlQuery, SparqlError> {
+    let mut p = Parser::new(input, base, params);
     p.advance();
     let parsed = p.query();
     while p.lex_error.is_none() && p.next.is_some() {
@@ -179,6 +213,29 @@ pub fn parse_sparql(input: &str, base: &PrefixMap) -> Result<SparqlQuery, Sparql
         Some(e) => Err(e),
         None => parsed,
     }
+}
+
+/// The term the constant token `constant` (the whole text of one IRI,
+/// prefixed name, literal or number token) denotes in a query that
+/// begins with `head` — its `PREFIX` and `BASE` declarations are read up
+/// to the first token that is neither — and `base`, as [`parse_sparql`]
+/// would read it there. `None` when the declarations do not parse,
+/// `constant` is not one constant token, or its prefix is declared
+/// nowhere.
+pub(crate) fn resolve_constant(head: &str, constant: &str, base: &PrefixMap) -> Option<Term> {
+    let mut lexer = Lexer::new(constant);
+    let token = lexer.next_token().ok()??;
+    if !matches!(lexer.next_token(), Ok(None)) {
+        return None;
+    }
+    let mut p = Parser::new(head, base, &[]);
+    // Only a prefixed name and a relative IRI read the declarations.
+    let relative = matches!(token.tok, Tok::Iri(iri) if !iri.contains(':'));
+    if relative || matches!(token.tok, Tok::PName(_)) {
+        p.advance();
+        p.prologue().ok()?;
+    }
+    p.constant(&token.tok)
 }
 
 /// `(order_by, limit, offset)` — the trailing solution modifiers.
@@ -207,10 +264,30 @@ struct Parser<'a, 'b> {
     vars: Vec<Variable>,
     /// Where an IRI is spelled before it is copied into its `Arc`.
     scratch: String,
-    src_len: usize,
+    src: &'a str,
+    /// The texts of the constant tokens that parse as placeholders (see
+    /// [`parse_with_params`]); empty for a plain parse.
+    params: &'b [&'b str],
 }
 
-impl<'a> Parser<'a, '_> {
+impl<'a, 'b> Parser<'a, 'b> {
+    fn new(src: &'a str, base: &'b PrefixMap, params: &'b [&'b str]) -> Self {
+        Parser {
+            lexer: Lexer::new(src),
+            next: None,
+            lex_error: None,
+            last: None,
+            base,
+            declared: None,
+            shadowed: Vec::new(),
+            base_iri: None,
+            vars: Vec::new(),
+            scratch: String::new(),
+            src,
+            params,
+        }
+    }
+
     /// Lexes the token after the current one into `next`.
     fn advance(&mut self) {
         match self.lexer.next_token() {
@@ -252,7 +329,7 @@ impl<'a> Parser<'a, '_> {
                 let (line, col) = self.last.unwrap_or((1, 1));
                 SparqlError {
                     message: format!("{} (found end of input)", msg.into()),
-                    span: (self.src_len, self.src_len),
+                    span: (self.src.len(), self.src.len()),
                     line,
                     col,
                 }
@@ -717,6 +794,34 @@ impl<'a> Parser<'a, '_> {
         Ok(())
     }
 
+    /// The term a constant token denotes: an IRI (resolved against
+    /// `BASE` when relative), a prefixed name, a literal or a number.
+    /// `None` for a prefixed name whose prefix is declared nowhere, and
+    /// for a token that is no constant.
+    fn constant(&mut self, tok: &Tok<'_>) -> Option<Term> {
+        Some(match tok {
+            Tok::Iri(iri) => self.resolve_iri(iri),
+            Tok::PName(name) => Term::Iri(self.expand(name)?),
+            Tok::Integer(num) => {
+                let datatype = self.joined(vocab::XSD_NS, "integer");
+                Term::Literal(Literal::typed(*num, datatype))
+            }
+            Tok::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => {
+                let lexical: &str = lexical;
+                Term::Literal(match (lang, datatype) {
+                    (Some(tag), _) => Literal::lang(lexical, *tag),
+                    (None, Some(dt)) => Literal::typed(lexical, Iri::new(*dt)),
+                    (None, None) => Literal::plain(lexical),
+                })
+            }
+            _ => return None,
+        })
+    }
+
     fn term_or_var(&mut self, what: &str) -> Result<TermOrVar, SparqlError> {
         let Some(Spanned {
             tok,
@@ -729,23 +834,7 @@ impl<'a> Parser<'a, '_> {
         };
         let term = match tok {
             Tok::Var(name) => Ok(TermOrVar::Var(self.var(name))),
-            Tok::Iri(iri) => Ok(TermOrVar::Term(self.resolve_iri(iri))),
-            Tok::PName(name) => match self.expand(name) {
-                Some(iri) => Ok(TermOrVar::Term(Term::Iri(iri))),
-                None => Err(SparqlError {
-                    message: format!("unknown prefix in {name:?}"),
-                    span,
-                    line,
-                    col,
-                }),
-            },
             Tok::A => Ok(TermOrVar::iri(vocab::RDF_TYPE)),
-            Tok::Integer(num) => {
-                let datatype = self.joined(vocab::XSD_NS, "integer");
-                Ok(TermOrVar::Term(Term::Literal(Literal::typed(
-                    num, datatype,
-                ))))
-            }
             Tok::Keyword(kw @ (Kw::True | Kw::False)) => {
                 let value = if kw == Kw::True { "true" } else { "false" };
                 let datatype = self.joined(vocab::XSD_NS, "boolean");
@@ -753,17 +842,21 @@ impl<'a> Parser<'a, '_> {
                     value, datatype,
                 ))))
             }
-            Tok::Literal {
-                lexical,
-                lang,
-                datatype,
-            } => {
-                let lexical: &str = &lexical;
-                Ok(TermOrVar::Term(Term::Literal(match (lang, datatype) {
-                    (Some(tag), _) => Literal::lang(lexical, tag),
-                    (None, Some(dt)) => Literal::typed(lexical, Iri::new(dt)),
-                    (None, None) => Literal::plain(lexical),
-                })))
+            tok @ (Tok::Iri(_) | Tok::PName(_) | Tok::Literal { .. } | Tok::Integer(_)) => {
+                let text = &self.src[span.0..span.1];
+                let param = self.params.iter().position(|p| *p == text);
+                match param.map(super::shape::placeholder) {
+                    Some(placeholder) => Ok(TermOrVar::Term(placeholder)),
+                    None => match self.constant(&tok) {
+                        Some(term) => Ok(TermOrVar::Term(term)),
+                        None => Err(SparqlError {
+                            message: format!("unknown prefix in {text:?}"),
+                            span,
+                            line,
+                            col,
+                        }),
+                    },
+                }
             }
             // Not a term: put it back and report it. (The error message
             // is only spelled out on this path.)

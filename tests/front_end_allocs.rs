@@ -166,20 +166,35 @@ fn frozen_with_cast(films: usize, cast: usize, strategy: Strategy) -> FrozenSess
         .expect("the session freezes")
 }
 
+/// `cast_hub` at key `i` with its variables renamed after `i`: the same
+/// query, but a text shape of its own (variables are kept verbatim in a
+/// shape), so it is the first text of its shape.
+fn render_fresh_shape(i: usize) -> String {
+    render("cast_hub", i)
+        .replace("?p", &format!("?p{i}"))
+        .replace("?z", &format!("?z{i}"))
+}
+
 /// The fewest allocations of a cold `prepare_sparql` of `cast_hub` over
 /// films 40..48, after films 0..40 filled the caches past their first
-/// few growth steps; each of the eight texts must be a plan-cache miss
-/// answering one row.
-fn fewest_cold_cast_hub_allocs(session: &FrozenSession) -> usize {
+/// few growth steps — and made the text shape of `cast_hub` a template
+/// at its second text. `fresh_shapes` renders each of the eight with
+/// its own variable names, the first text of its shape; otherwise each
+/// is a text of the seen shape. Each must be a plan-cache miss answering
+/// one row, bound into the template exactly when its shape was seen.
+fn fewest_cold_cast_hub_allocs(session: &FrozenSession, fresh_shapes: bool) -> usize {
     for i in 0..40 {
         session
             .prepare_sparql(&render("cast_hub", i))
             .expect("warm-up");
     }
-    let misses = session.plan_cache_stats().misses;
+    let before = session.plan_cache_stats();
     let fewest = (40..48)
         .map(|i| {
-            let text = render("cast_hub", i);
+            let text = match fresh_shapes {
+                true => render_fresh_shape(i),
+                false => render("cast_hub", i),
+            };
             let (prepared, allocs) = counted(|| session.prepare_sparql(&text));
             let result = prepared
                 .and_then(|p| session.execute_sparql(&p))
@@ -189,43 +204,87 @@ fn fewest_cold_cast_hub_allocs(session: &FrozenSession) -> usize {
         })
         .min()
         .unwrap_or(usize::MAX);
+    let after = session.plan_cache_stats();
     assert_eq!(
-        session.plan_cache_stats().misses - misses,
+        after.misses - before.misses,
         8,
         "every cold text is a plan-cache miss"
+    );
+    let binds = if fresh_shapes { 0 } else { 8 };
+    assert_eq!(
+        after.binds - before.binds,
+        binds,
+        "a text is bound iff its shape was seen"
     );
     fewest
 }
 
-/// A cold `FrozenSession::prepare_sparql` — a text the statement front
-/// has not seen, its CQ a plan-cache miss — of `cast_hub`: lex, parse,
-/// lower, key, compile, cache. 91 allocations before the front-end
-/// stopped copying its text. The fewest over eight cold texts in a row
-/// is asserted, so the cache maps growing on one insert does not count.
+/// A cold `FrozenSession::prepare_sparql` of `cast_hub` that is the
+/// first text of its shape — a text the statement front has not seen,
+/// its CQ a plan-cache miss: lex and hash the shape, parse, lower, key,
+/// compile, cache. 91 allocations before the front-end stopped copying
+/// its text. The shape's hash is all the front keeps of it, and hashing
+/// allocates nothing, so this is what a cold text cost before the front
+/// kept shapes. The fewest over eight cold texts in a row is asserted,
+/// so the cache maps growing on one insert does not count.
 #[test]
 fn cold_prepare_sparql_of_a_point_read_stays_within_budget() {
     const BUDGET: usize = 25;
-    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Materialise));
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Materialise), true);
     assert!(
         fewest <= BUDGET,
         "a cold prepare_sparql made {fewest} allocations, the budget is {BUDGET}"
     );
 }
 
-/// The same cold `prepare_sparql` on the rewritten route, of a film
-/// whose query shape the rewriter has seen: key the shape, probe the
-/// memo, look the film up, write it into the shape's compiled branches
-/// and plan them — no interning, no expansion, no decoding of the union
-/// (31 allocations when a plan miss interned the query and compiled its
-/// branches). The count is exact, and the same unoptimised and
-/// optimised: a rise is a regression.
+/// The same first text of a text shape on the rewritten route, of a
+/// film whose query shape the rewriter has seen: key the query shape,
+/// probe the memo, look the film up, write it into the shape's compiled
+/// branches and plan them — no interning, no expansion, no decoding of
+/// the union (31 allocations when a plan miss interned the query and
+/// compiled its branches). The count is exact, and the same unoptimised
+/// and optimised: a rise is a regression.
 #[test]
 fn cold_prepare_sparql_of_a_seen_shape_on_the_rewritten_route_is_pinned() {
     const ALLOCS: usize = 28;
-    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Rewrite));
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Rewrite), true);
     assert_eq!(
         fewest, ALLOCS,
         "a cold prepare_sparql of a seen shape made {fewest} allocations"
+    );
+}
+
+/// A cold `prepare_sparql` of `cast_hub` whose text shape the statement
+/// front has made a template: lex and hash the text, check it against
+/// the template's key, resolve the film (the prefixed names are spelled
+/// as in the template's text and cost a reference count), look it up in
+/// the solution and plan the CQ's one branch, then cache the statement —
+/// no parsing, lowering, plan key or plan-cache insert. The count is
+/// exact; the shape front was built to bring it to 12 or fewer from the
+/// 25 of a parsed text.
+#[test]
+fn cold_prepare_sparql_of_a_seen_text_shape_is_pinned() {
+    const ALLOCS: usize = 11;
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Materialise), false);
+    assert_eq!(
+        fewest, ALLOCS,
+        "a cold prepare_sparql of a seen text shape made {fewest} allocations"
+    );
+}
+
+/// The same on the rewritten route: after the film is resolved, key its
+/// CQ's query shape — it must be the template's — look the film up in
+/// the canonical graph and bind it into the union compiled once per
+/// shape, with no probe of the rewriter's memo. The count is exact; the
+/// shape front was built to bring it to 16 or fewer from the 28 of a
+/// parsed text.
+#[test]
+fn cold_prepare_sparql_of_a_seen_text_shape_on_the_rewritten_route_is_pinned() {
+    const ALLOCS: usize = 14;
+    let fewest = fewest_cold_cast_hub_allocs(&frozen(64, Strategy::Rewrite), false);
+    assert_eq!(
+        fewest, ALLOCS,
+        "a cold prepare_sparql of a seen text shape made {fewest} allocations"
     );
 }
 

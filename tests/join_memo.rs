@@ -29,7 +29,50 @@ use rps_query::{
     TriplePattern, Variable,
 };
 use rps_rdf::{Graph, StorageBackend, Term, Triple};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
+
+/// The system allocator, counting the allocations (fresh blocks and
+/// resizes) of the calling thread only, so the tests of this binary
+/// running in parallel do not see each other's.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A `const`-initialised `Cell` has no destructor, so this neither
+    // allocates nor fails while the thread winds down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// counting touches a thread-local `Cell` only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 const FILMS: usize = 9;
 const PEOPLE: usize = 7;
@@ -341,4 +384,52 @@ fn memoised_plans_agree_with_the_plain_loop_on_every_layout() {
     );
     // Four plans per reference: at least half the references non-empty.
     assert!(nonempty * 8 >= plans, "{nonempty} non-empty answers");
+}
+
+/// A memoised evaluation allocates for its largest sub-answer, not per
+/// key: the suffix cache clears and refills its key and its row buffers
+/// when the key changes. Films `0..n`, each starring one person through
+/// a hub of its own, under the hub self-join (`costar`'s shape, keyed on
+/// the film): `n` keys, one answer row — and as many allocations for 200
+/// keys as for 20 (two more per key while each key took a fresh buffer
+/// of each kind).
+#[test]
+fn a_memoised_evaluation_allocates_alike_for_any_number_of_keys() {
+    let allocs = |films: usize| {
+        let mut graph = Graph::new();
+        for f in 0..films {
+            let hub = Term::blank(format!("hub{f}"));
+            for (s, p, o) in [
+                (film(f), "starring", hub.clone()),
+                (hub, "artist", iri("star")),
+            ] {
+                let triple = Triple::new(s, iri(p), o);
+                graph.insert(&triple.unwrap_or_else(|e| panic!("{e}")));
+            }
+        }
+        graph.seal();
+        let v = |n: &str| TermOrVar::var(n);
+        let t = |s, p: &str, o| TriplePattern::new(v(s), TermOrVar::Term(iri(p)), v(o));
+        let query = GraphPatternQuery::new(
+            vec![Variable::new("p"), Variable::new("q")],
+            GraphPattern::from_patterns(vec![
+                t("f", "starring", "z1"),
+                t("z1", "artist", "p"),
+                t("f", "starring", "z2"),
+                t("z2", "artist", "q"),
+            ]),
+        );
+        let plan = PreparedQueryIds::compile_only(&graph, &query);
+        assert!(
+            plan.planned_memo().is_some(),
+            "{films} films: a memoised plan"
+        );
+        let evaluate = || plan.evaluate_rows(&graph, Semantics::Certain).len();
+        assert_eq!(evaluate(), 1, "{films} films");
+        let before = ALLOCS.with(Cell::get);
+        assert_eq!(evaluate(), 1, "{films} films");
+        ALLOCS.with(Cell::get) - before
+    };
+    let (few, many) = (allocs(20), allocs(200));
+    assert_eq!(few, many, "20 keys made {few} allocations, 200 made {many}");
 }

@@ -5,7 +5,8 @@
 //! Checked on the three façades that have the front — frozen
 //! `Materialise`, frozen `Rewrite` and [`FrozenFederatedSession`] —
 //! together with the counter contract (`hits` counts plans served
-//! without compilation), the bound, and that errors are never cached.
+//! without compilation, `binds` the misses a shape's template served),
+//! the bound, and that errors are never cached.
 
 use rps_core::{
     EngineConfig, FrozenSession, PeerId, PlanCacheStats, RdfPeerSystem, RpsBuilder, RpsError,
@@ -142,6 +143,9 @@ fn hit_equals_miss_equals_mutable_session_and_counts_its_plans() {
     });
 }
 
+/// Two texts of one query are two statements. One that differs in
+/// whitespace only is of the first's shape and is bound; an α-renamed
+/// one is a shape of its own and shares the first's plans.
 #[test]
 fn texts_differing_in_spelling_are_two_statements_sharing_their_plans() {
     let sys = build_system();
@@ -162,26 +166,38 @@ fn texts_differing_in_spelling_are_two_statements_sharing_their_plans() {
         let first = front.stats();
         let plans = first.misses;
         assert_eq!((first.hits, first.statements), (0, 1), "{name}");
-        for (n, text) in [respaced.as_str(), renamed.as_str()]
+        // The re-spaced text is of the first one's shape (whitespace is
+        // no part of a shape): a statement miss bound into the shape's
+        // template, its CQs compiled afresh — misses that are binds —
+        // with no per-CQ probe. The α-renamed text is a shape of its
+        // own: a statement miss that falls through to the per-CQ path,
+        // where every α-equivalent CQ is already compiled.
+        let expected = [
+            PlanCacheStats {
+                misses: 2 * plans,
+                binds: plans,
+                statements: 2,
+                ..first
+            },
+            PlanCacheStats {
+                hits: plans,
+                misses: 2 * plans,
+                binds: plans,
+                statements: 3,
+                shapes: 2,
+                ..first
+            },
+        ];
+        for (text, expected) in [respaced.as_str(), renamed.as_str()]
             .into_iter()
-            .enumerate()
+            .zip(expected)
         {
             assert_eq!(
                 front.answer(text).unwrap(),
                 oracle.answer_sparql(text).unwrap(),
                 "{name}: {text}"
             );
-            // A statement miss that falls through to the per-CQ path,
-            // where every α-equivalent CQ is already compiled.
-            assert_eq!(
-                front.stats(),
-                PlanCacheStats {
-                    hits: (n as u64 + 1) * plans,
-                    statements: n + 2,
-                    ..first
-                },
-                "{name}: {text}"
-            );
+            assert_eq!(front.stats(), expected, "{name}: {text}");
         }
     });
 }
@@ -262,8 +278,11 @@ fn capacity_bounds_the_statements_and_an_evicted_handle_still_executes() {
     const CAPACITY: usize = 4;
     let sys = build_system();
     let oracle = oracle(&sys);
-    let films_of =
-        |i: usize| format!("SELECT ?f WHERE {{ ?f <http://a/cast> <http://a/p{i}> }} ORDER BY ?f");
+    // Each text a shape of its own (variables are verbatim in a shape),
+    // so every map fills: statements, shapes and plans.
+    let films_of = |i: usize| {
+        format!("SELECT ?f{i} WHERE {{ ?f{i} <http://a/cast> <http://a/p{i}> }} ORDER BY ?f{i}")
+    };
     on_every_front(&sys, &EngineConfig::default(), CAPACITY, |front| {
         let name = front.name();
         let first = films_of(0);
@@ -275,14 +294,19 @@ fn capacity_bounds_the_statements_and_an_evicted_handle_still_executes() {
             assert_eq!(front.answer(&text).unwrap(), expected, "{name}: {text}");
             let stats = front.stats();
             assert!(
-                stats.statements <= CAPACITY && stats.entries <= CAPACITY,
+                stats.statements <= CAPACITY
+                    && stats.entries <= CAPACITY
+                    && stats.shapes <= CAPACITY,
                 "{name}: {stats:?}"
             );
             assert_eq!(stats.capacity, CAPACITY);
         }
         let full = front.stats();
-        assert_eq!((full.statements, full.entries), (CAPACITY, CAPACITY));
-        // The first text fell out of both maps long ago: asking again
+        assert_eq!(
+            (full.statements, full.entries, full.shapes),
+            (CAPACITY, CAPACITY, CAPACITY)
+        );
+        // The first text fell out of every map long ago: asking again
         // compiles again — while the handle taken before the eviction
         // keeps its plans and answers as ever.
         let expected = oracle.answer_sparql(&first).unwrap();
