@@ -16,9 +16,22 @@
 //! `max(1024, b / 8)` terms folds into the base (copying it first if a
 //! clone still holds it), so a fold is amortised O(1) per term. Ids never
 //! move: a fold only changes which part holds them.
+//!
+//! **The id index.** A part holds each term once, in its `terms`, and
+//! finds it again through an open-addressing table of `u64` slots: a
+//! slot is the term's 32-bit keyed hash above its index in `terms` plus
+//! one, and 0 is an empty slot. A table is a power of two in size, at
+//! most 7/8 full, and probed linearly; a probe compares the stored hash,
+//! then the term. Parts never delete. `intern` hashes a term once, for
+//! the probe and the insert alike, and growth and a fold re-place slots
+//! from their stored hashes, so no term is hashed again. The index is
+//! 8 bytes a slot, 9–18 bytes a term. The hash is std's SipHash under a
+//! key drawn per dictionary and shared by its clones, so the terms a
+//! peer or a query brings cannot pick their collisions.
 
 use crate::term::{Term, TermKind};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// A dense identifier for an interned [`Term`].
@@ -37,6 +50,9 @@ impl TermId {
 /// The fewest tail terms a fold waits for (see the module docs).
 const FOLD_MIN: usize = 1024;
 
+/// The fewest slots a part's id index allocates.
+const SLOTS_MIN: usize = 16;
+
 /// A bidirectional interner from [`Term`] to [`TermId`].
 #[derive(Clone, Default)]
 pub struct TermDict {
@@ -44,22 +60,111 @@ pub struct TermDict {
     base: Arc<Part>,
     /// Ids from `base.terms.len()` on, interned while the base was shared.
     tail: Part,
+    /// The hash both parts' indexes are built with.
+    hasher: TermHasher,
 }
 
-/// A run of consecutive ids: their terms and kinds, and the reverse map.
+/// The keyed hash of a dictionary's terms (see the module docs).
+#[derive(Clone, Default)]
+struct TermHasher {
+    keys: RandomState,
+    /// Keeps only these bits of every hash, so that probe chains collide.
+    #[cfg(test)]
+    mask: Option<u32>,
+}
+
+impl TermHasher {
+    fn hash(&self, term: &Term) -> u32 {
+        let hash = self.keys.hash_one(term) as u32;
+        #[cfg(test)]
+        let hash = self.mask.map_or(hash, |mask| hash & mask);
+        hash
+    }
+}
+
+/// A run of consecutive ids: their terms and kinds, and the id index.
 #[derive(Clone, Default)]
 struct Part {
     terms: Vec<Term>,
     kinds: Vec<TermKind>,
-    lookup: HashMap<Term, TermId>,
+    /// `hash << 32 | (index in terms + 1)`, or 0 (see the module docs).
+    slots: Box<[u64]>,
 }
 
 impl Part {
-    fn push(&mut self, term: &Term, id: TermId) {
+    /// The index in `terms` of `term`, whose hash is `hash`, if held.
+    fn find(&self, hash: u32, term: &Term) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> 32) as u32 == hash {
+                let at = (slot as u32 - 1) as usize;
+                if self.terms[at] == *term {
+                    return Some(at);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn push(&mut self, term: &Term, hash: u32) {
+        let at = self.terms.len();
         self.terms.push(term.clone());
         self.kinds.push(term.kind());
-        self.lookup.insert(term.clone(), id);
+        self.reserve();
+        place(&mut self.slots, (u64::from(hash) << 32) | (at as u64 + 1));
     }
+
+    /// Grows the index, if `terms` would fill it past 7/8, re-placing
+    /// every slot from its stored hash.
+    fn reserve(&mut self) {
+        let fits = |slots: usize| self.terms.len() * 8 <= slots * 7;
+        if fits(self.slots.len()) {
+            return;
+        }
+        let mut size = self.slots.len().max(SLOTS_MIN);
+        while !fits(size) {
+            size *= 2;
+        }
+        let old = std::mem::replace(&mut self.slots, vec![0; size].into_boxed_slice());
+        for &slot in old.iter().filter(|&&slot| slot != 0) {
+            place(&mut self.slots, slot);
+        }
+    }
+
+    /// Moves `tail`'s terms behind this part's, re-placing its slots.
+    fn append(&mut self, tail: Part) {
+        let offset = self.terms.len() as u64;
+        self.terms.extend(tail.terms);
+        self.kinds.extend(tail.kinds);
+        self.reserve();
+        // The index sits in the low half, and the sum still fits there.
+        for &slot in tail.slots.iter().filter(|&&slot| slot != 0) {
+            place(&mut self.slots, slot + offset);
+        }
+    }
+}
+
+/// Writes `slot` into the first free slot of its probe chain.
+fn place(slots: &mut [u64], slot: u64) {
+    let mask = slots.len() - 1;
+    let mut i = (slot >> 32) as usize & mask;
+    while slots[i] != 0 {
+        i = (i + 1) & mask;
+    }
+    slots[i] = slot;
+}
+
+/// The id of a dictionary's `len`-th term. The top id is never minted:
+/// the SPARQL tail marks an unbound cell with it, and a slot could not
+/// hold its index plus one.
+fn mint(len: usize) -> TermId {
+    let id = u32::try_from(len).ok().filter(|&id| id != u32::MAX);
+    TermId(id.expect("term dictionary overflow"))
 }
 
 impl TermDict {
@@ -70,32 +175,36 @@ impl TermDict {
 
     /// Interns a term, returning its id. Idempotent.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(id) = self.id(term) {
+        let hash = self.hasher.hash(term);
+        if let Some(id) = self.find(hash, term) {
             return id;
         }
-        let id = TermId(u32::try_from(self.len()).expect("term dictionary overflow"));
+        let id = mint(self.len());
         if self.tail.terms.is_empty() {
             if let Some(base) = Arc::get_mut(&mut self.base) {
-                base.push(term, id);
+                base.push(term, hash);
                 return id;
             }
         }
-        self.tail.push(term, id);
+        self.tail.push(term, hash);
         if self.tail.terms.len() > FOLD_MIN.max(self.base.terms.len() / 8) {
             let tail = std::mem::take(&mut self.tail);
-            let base = Arc::make_mut(&mut self.base);
-            base.terms.extend(tail.terms);
-            base.kinds.extend(tail.kinds);
-            base.lookup.extend(tail.lookup);
+            Arc::make_mut(&mut self.base).append(tail);
         }
         id
     }
 
     /// Looks up the id of a term without interning it.
     pub fn id(&self, term: &Term) -> Option<TermId> {
-        // An empty map answers without hashing, so an empty tail is free.
-        let found = self.base.lookup.get(term);
-        found.or_else(|| self.tail.lookup.get(term)).copied()
+        self.find(self.hasher.hash(term), term)
+    }
+
+    /// The id of `term`, whose hash is `hash`, in whichever part holds it.
+    fn find(&self, hash: u32, term: &Term) -> Option<TermId> {
+        let split = self.base.terms.len();
+        let at = self.base.find(hash, term);
+        let at = at.or_else(|| Some(split + self.tail.find(hash, term)?));
+        at.map(|at| TermId(at as u32))
     }
 
     /// The part holding `id` and the id's index within it.
@@ -172,6 +281,8 @@ impl std::fmt::Debug for TermDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{Iri, Literal};
+    use std::collections::HashMap;
 
     #[test]
     fn intern_is_idempotent() {
@@ -264,14 +375,39 @@ mod tests {
     /// is unshared again under a non-empty tail is taken.
     #[test]
     fn clones_keep_their_prefix_across_folds() {
-        for seed in [7u64, 2501, 90_913] {
+        clones_keep_their_prefix(TermDict::new, &[7, 2501, 90_913], 12_000);
+    }
+
+    /// The same when every probe chain collides: a constant hash and a
+    /// 2-bit one.
+    #[test]
+    fn clones_keep_their_prefix_across_folds_when_hashes_collide() {
+        for mask in [0, 0b11] {
+            clones_keep_their_prefix(|| colliding(mask), &[2501], 4_000);
+        }
+    }
+
+    /// An empty dictionary whose hash keeps only the bits of `mask`.
+    fn colliding(mask: u32) -> TermDict {
+        let mut dict = TermDict::new();
+        dict.hasher.mask = Some(mask);
+        dict
+    }
+
+    /// Bytes held by both parts' id indexes.
+    fn index_bytes(dict: &TermDict) -> usize {
+        (dict.base.slots.len() + dict.tail.slots.len()) * std::mem::size_of::<u64>()
+    }
+
+    fn clones_keep_their_prefix(new: impl Fn() -> TermDict, seeds: &[u64], steps: usize) {
+        for &seed in seeds {
             let mut next = crate::store::tests::splitmix(seed);
-            let mut dict = TermDict::new();
+            let mut dict = new();
             let mut model: Vec<Term> = Vec::new();
-            let mut index: HashMap<Term, TermId> = HashMap::new();
+            let mut index = HashMap::new();
             let mut clones: Vec<(TermDict, usize)> = Vec::new();
             let (mut folds, mut unshared_with_tail) = (0, 0);
-            for step in 0..12_000 {
+            for step in 0..steps {
                 match next() % 100 {
                     0 if clones.len() < 4 => clones.push((dict.clone(), model.len())),
                     1 if !clones.is_empty() => {
@@ -312,6 +448,130 @@ mod tests {
             }
             assert!(folds >= 2, "seed {seed}: {folds} folds");
             assert!(unshared_with_tail >= 1, "seed {seed}: base never unshared");
+        }
+    }
+
+    /// The `n`-th term of a sweep over every kind of term.
+    fn nth_term(n: usize) -> Term {
+        match n % 5 {
+            0 => Term::iri(format!("http://e/{n}")),
+            1 => Term::blank(format!("b{n}")),
+            2 => Term::literal(format!("{n}")),
+            3 => Term::Literal(Literal::lang(format!("{n}"), "en")),
+            _ => Term::Literal(Literal::typed(format!("{n}"), Iri::new("http://e/int"))),
+        }
+    }
+
+    /// An empty dictionary through several doublings of both parts'
+    /// indexes and two folds (a clone is held from term 600 on and taken
+    /// again after each fold), under a constant, a 2-bit and the keyed
+    /// hash: after every doubling and fold each term has its id, and
+    /// absent terms of every kind — fresh ones, and present texts under
+    /// another kind — have none.
+    #[test]
+    fn the_index_grows_and_folds_when_every_chain_collides() {
+        for mask in [Some(0), Some(0b11), None] {
+            let mut dict = mask.map_or_else(TermDict::new, colliding);
+            let mut model = Vec::new();
+            let mut held = None;
+            let (mut doublings, mut folds) = (0, 0);
+            for n in 0..3_000 {
+                if n == 600 {
+                    held = Some(dict.clone());
+                }
+                let slots = (dict.base.slots.len(), dict.tail.slots.len());
+                let had_tail = !dict.tail.terms.is_empty();
+                let term = nth_term(n);
+                assert_eq!(dict.intern(&term), TermId(n as u32), "{mask:?}: ids dense");
+                model.push(term);
+                let folded = had_tail && dict.tail.terms.is_empty();
+                let doubled = dict.base.slots.len() > slots.0 || dict.tail.slots.len() > slots.1;
+                if folded {
+                    held = Some(dict.clone());
+                }
+                if folded || doubled {
+                    assert_models(&dict, &model, &format!("{mask:?}: after term {n}"));
+                }
+                folds += usize::from(folded);
+                doublings += usize::from(doubled && !folded);
+            }
+            assert!(folds >= 2, "{mask:?}: {folds} folds");
+            assert!(doublings >= 8, "{mask:?}: {doublings} doublings");
+            let held = held.unwrap_or_default();
+            assert!(
+                held.len() > 2_000,
+                "{mask:?}: the clone after the second fold"
+            );
+            assert_models(
+                &held,
+                &model[..held.len()],
+                &format!("{mask:?}: held clone"),
+            );
+            let absent = (3_000..3_005).map(nth_term).chain([
+                Term::iri("0"),
+                Term::iri("b1"),
+                Term::blank("http://e/0"),
+                Term::literal("http://e/0"),
+                Term::literal("b1"),
+                Term::Literal(Literal::lang("2", "en")),
+                Term::Literal(Literal::typed("3", Iri::new("http://e/int"))),
+                Term::Literal(Literal::lang("4", "de")),
+            ]);
+            for term in absent {
+                assert_eq!(dict.id(&term), None, "{mask:?}: {term:?} is absent");
+            }
+        }
+    }
+
+    /// A dictionary keeps one copy of a term: interning one clones its
+    /// payload's `Arc` once, into the base and into the tail alike, and a
+    /// lookup or a second intern clones nothing.
+    #[test]
+    fn a_term_is_held_once() {
+        let mut dict = TermDict::new();
+        let base: Arc<str> = Arc::from("http://e/base");
+        let callers = Arc::strong_count(&base);
+        let id = dict.intern(&Term::iri(Arc::clone(&base)));
+        assert_eq!(Arc::strong_count(&base), callers + 1, "in the base");
+        // The base is shared from here on, so the next term goes to the tail.
+        let _held = dict.clone();
+        let tail: Arc<str> = Arc::from("http://e/tail");
+        dict.intern(&Term::iri(Arc::clone(&tail)));
+        assert_eq!(dict.tail.terms.len(), 1);
+        assert_eq!(Arc::strong_count(&tail), callers + 1, "in the tail");
+        assert_eq!(dict.intern(&Term::iri(Arc::clone(&base))), id);
+        assert_eq!(dict.id(&Term::iri(Arc::clone(&tail))), Some(TermId(1)));
+        assert_eq!(
+            Arc::strong_count(&base),
+            callers + 1,
+            "shared with the clone"
+        );
+        assert_eq!(Arc::strong_count(&tail), callers + 1);
+    }
+
+    /// The id index of a 100 000-term dictionary is at most 16 bytes a
+    /// term.
+    #[test]
+    fn the_index_costs_at_most_16_bytes_a_term() {
+        let mut dict = TermDict::new();
+        for n in 0..100_000 {
+            dict.intern(&nth_term(n));
+        }
+        let bytes = index_bytes(&dict);
+        assert!(
+            bytes <= 16 * dict.len(),
+            "{bytes} B for {} terms",
+            dict.len()
+        );
+    }
+
+    /// The overflow check refuses the top id, which the SPARQL tail
+    /// reserves for an unbound cell.
+    #[test]
+    fn the_top_id_is_never_minted() {
+        assert_eq!(mint(u32::MAX as usize - 1), TermId(u32::MAX - 1));
+        for len in [u32::MAX as usize, usize::MAX] {
+            assert!(std::panic::catch_unwind(|| mint(len)).is_err(), "{len}");
         }
     }
 }
