@@ -932,7 +932,7 @@ impl FrozenSession {
 
     /// Reopens a session persisted by [`FrozenSession::persist`]: the
     /// chased solution is recovered through the durable graph tier
-    /// (checksum-verified pages, WAL replay — no chase), a quotient's
+    /// (checksum-verified pages — no chase), a quotient's
     /// class table is looked up again in its recovered dictionary, and
     /// the handle answers on the materialised route exactly as the
     /// pre-persist session did, byte-identically. Malformed session
@@ -1032,9 +1032,9 @@ impl FrozenSession {
         }
 
         let mut graph = Graph::open(dir.join("solution"))?;
-        // The persisted solution was sealed; recovery replays the tail
-        // through the WAL, so re-seal for lock-free shared scans, and rank
-        // the dictionary for the SPARQL tail before the first read.
+        // The persisted solution was sealed, but recovery rebuilds a
+        // writable run store, so re-seal for lock-free shared scans, and
+        // rank the dictionary for the SPARQL tail before the first read.
         graph.seal();
         graph.term_order();
         let eq_index = EquivalenceIndex::from_mappings(&mappings);

@@ -1,13 +1,15 @@
 //! Persist/open/recover orchestration for the durable storage tier.
 //!
-//! This module ties together the three `store` submodules —
-//! [`page`](crate::store::page) (checksummed fixed-size pages),
-//! [`wal`](crate::store::wal) (the write-ahead log) and
+//! This module ties together the two `store` submodules —
+//! [`page`](crate::store::page) (checksummed fixed-size pages) and
 //! [`disk`](crate::store::disk) (paged runs, the buffer pool, dictionary
 //! segments and the manifest) — into the two graph-level operations
-//! [`Graph::persist`] and [`Graph::open`], plus [`DurableGraph`], a
-//! write-through handle that logs every mutation to the WAL as it
-//! happens so state since the last checkpoint survives a crash.
+//! [`Graph::persist`] and [`Graph::open`].
+//!
+//! What is durable is a graph's checkpoint, nothing finer: there is no
+//! log of individual writes. In a peer system the state is the peers'
+//! databases plus the mappings, and a persisted graph is a solution
+//! derived from them; the engine persists sealed solutions only.
 //!
 //! # Checkpoint lifecycle
 //!
@@ -16,14 +18,13 @@
 //!
 //! 1. live-only run images (`run-e{epoch}-{perm}-{idx}.rpg`) — the
 //!    tombstones are dropped on the way out, a persist doubles as a
-//!    purge-compaction;
+//!    purge-compaction, and the mutable tail is written as one more
+//!    sorted run per permutation;
 //! 2. dictionary segments: previous epochs' segments are *reused* when
 //!    they still verify as a prefix of the current dictionary (ids are
 //!    dense and append-only), and one new segment covers the terms
 //!    interned since;
-//! 3. a fresh WAL (`wal-e{epoch}.log`) holding the mutable tail as
-//!    `Insert` records;
-//! 4. `MANIFEST.tmp` → fsync → rename over `MANIFEST` → directory fsync.
+//! 3. `MANIFEST.tmp` → fsync → rename over `MANIFEST` → directory fsync.
 //!
 //! Every new file carries the epoch in its name, so nothing the *old*
 //! manifest references is ever overwritten: a crash anywhere before the
@@ -35,32 +36,28 @@
 //!
 //! [`Graph::open`] trusts nothing it cannot verify: the manifest and
 //! every page and segment carry CRC-32 checksums; run images are
-//! re-validated for strict sortedness, dictionary-bounded ids and
-//! cross-permutation agreement; WAL replay is idempotent and stops
-//! cleanly at a torn tail (see the torn-tail discipline in
-//! [`crate::store::wal`]). Unverifiable *committed* state is a typed
-//! [`RdfError::Corrupt`] — recovery refuses to serve over silently
-//! wrong data, and never panics on corrupt input.
+//! re-validated for strict sortedness, dictionary-bounded ids, no key
+//! stored twice and cross-permutation agreement. Unverifiable
+//! *committed* state is a typed [`RdfError::Corrupt`] — recovery
+//! refuses to serve over silently wrong data, and never panics on
+//! corrupt input.
 //!
 //! The insertion log of a recovered graph starts fresh (one entry per
-//! live triple, SPO order, then WAL replay order): log indexes are
-//! process-local delta marks, not durable state, so marks taken in a
-//! previous process are meaningless after recovery.
+//! live triple, SPO order): log indexes are process-local delta marks,
+//! not durable state, so marks taken in a previous process are
+//! meaningless after recovery.
 
 use crate::dict::{TermDict, TermId};
 use crate::error::RdfError;
 use crate::graph::{DurCounters, Graph};
 use crate::store::disk::{
     read_dict_segment, write_dict_segment, write_run_file, BufferPool, DictSegmentMeta, Manifest,
-    PagedRun, RunMeta, MANIFEST_NAME,
+    PagedRun, RunMeta, MANIFEST_NAME, MANIFEST_VERSION,
 };
-use crate::store::page::KEYS_PER_PAGE;
-use crate::store::wal::{read_wal, WalRecord, WalWriter};
 use crate::store::TripleStore;
 use crate::term::Term;
-use crate::triple::IdTriple;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Frames in the buffer pool used while opening a graph — 256 pages
 /// (1 MiB) is plenty for the sequential validation scan, and recovery
@@ -71,10 +68,6 @@ const PERM_NAMES: [&str; 3] = ["spo", "pos", "osp"];
 
 fn run_name(epoch: u64, perm: &str, idx: usize) -> String {
     format!("run-e{epoch:06}-{perm}-{idx}.rpg")
-}
-
-fn wal_name(epoch: u64) -> String {
-    format!("wal-e{epoch:06}.log")
 }
 
 fn seg_name(epoch: u64, first_id: u32) -> String {
@@ -145,11 +138,11 @@ pub(crate) fn persist_graph(graph: &Graph, dir: &Path) -> Result<(), RdfError> {
         });
     }
 
-    // Live-only run images, one paged file per run per permutation.
-    let snapshot = graph.store_snapshot();
+    // Live-only run images, one paged file per run per permutation;
+    // the tail is the last run of each.
     let mut runs: [Vec<RunMeta>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut pages_written = 0u64;
-    for (perm_idx, perm_runs) in snapshot.runs.iter().enumerate() {
+    for (perm_idx, perm_runs) in graph.store_snapshot().iter().enumerate() {
         for (idx, run) in perm_runs.iter().enumerate() {
             let name = run_name(epoch, PERM_NAMES[perm_idx], idx);
             pages_written += write_run_file(&dir.join(&name), run)?;
@@ -160,62 +153,42 @@ pub(crate) fn persist_graph(graph: &Graph, dir: &Path) -> Result<(), RdfError> {
         }
     }
 
-    // The mutable tail rides in the fresh WAL as plain inserts — tail
-    // keys are never tombstoned, so they are all live.
-    let wal = wal_name(epoch);
-    let mut writer = WalWriter::create(&dir.join(&wal))?;
-    for &t in &snapshot.tail {
-        writer.append(&WalRecord::Insert(t))?;
-    }
-    writer.sync()?;
-    let wal_bytes = writer.bytes();
-    drop(writer);
-
     let manifest = Manifest {
-        version: 1,
+        version: MANIFEST_VERSION,
         epoch,
-        sealed: graph.is_sealed(),
         triples: graph.len() as u64,
         dict_segments,
         runs,
-        wal,
     };
     manifest.commit(dir)?;
 
     DurCounters::add(&graph.dur().pages_written, pages_written);
-    DurCounters::add(&graph.dur().wal_bytes, wal_bytes);
     cleanup_stale(dir, &manifest);
     Ok(())
 }
 
 /// Best-effort removal of files no longer referenced by the committed
-/// manifest (previous epochs' runs, segments and WALs). Failures are
+/// manifest (previous epochs' runs and segments). Failures are
 /// ignored — stale files are garbage, not state.
 fn cleanup_stale(dir: &Path, manifest: &Manifest) {
     let mut keep: Vec<&str> = vec![MANIFEST_NAME];
     keep.extend(manifest.dict_segments.iter().map(|s| s.name.as_str()));
     keep.extend(manifest.runs.iter().flatten().map(|r| r.name.as_str()));
-    keep.push(manifest.wal.as_str());
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let ours = name == "MANIFEST.tmp"
-            || name.ends_with(".rpg")
-            || name.ends_with(".seg")
-            || name.ends_with(".log");
+        let ours = name == "MANIFEST.tmp" || name.ends_with(".rpg") || name.ends_with(".seg");
         if ours && !keep.contains(&name) {
             let _ = fs::remove_file(entry.path());
         }
     }
 }
 
-/// Opens a checkpointed graph (see [`Graph::open`] for the contract) and
-/// additionally reports the WAL's verified prefix length, which
-/// [`DurableGraph::open`] resumes appending from.
-fn open_graph_inner(dir: &Path) -> Result<(Graph, Manifest, u64), RdfError> {
+/// Opens a checkpointed graph (the implementation of [`Graph::open`]).
+pub(crate) fn open_graph(dir: &Path) -> Result<Graph, RdfError> {
     let manifest = Manifest::load(dir)?;
     let dirname = dir.display().to_string();
 
@@ -269,205 +242,14 @@ fn open_graph_inner(dir: &Path) -> Result<(Graph, Manifest, u64), RdfError> {
     DurCounters::add(&dur.pool_hits, counters.hits);
     DurCounters::add(&dur.pool_misses, counters.misses);
 
-    let mut graph = Graph::from_recovered(dict, store, dur);
-
-    // WAL replay: idempotent, in append order, stopping cleanly at a
-    // torn tail. Term appends must agree with the rebuilt dictionary;
-    // triple records must stay within it.
-    let replay = read_wal(&dir.join(&manifest.wal))?;
-    let replayed = replay.records.len() as u64;
-    for rec in replay.records {
-        match rec {
-            WalRecord::TermAppend { id, term } => {
-                if graph.intern(&term) != id {
-                    return Err(RdfError::corrupt(
-                        &dirname,
-                        format!(
-                            "WAL term append disagrees with the dictionary at id {}",
-                            id.0
-                        ),
-                    ));
-                }
-            }
-            WalRecord::Insert(t) | WalRecord::Remove(t) => {
-                let n = graph.dict().len() as u32;
-                if [t.s.0, t.p.0, t.o.0].iter().any(|&id| id >= n) {
-                    return Err(RdfError::corrupt(
-                        &dirname,
-                        format!("WAL triple references term id beyond the dictionary ({n} terms)"),
-                    ));
-                }
-                if matches!(rec, WalRecord::Insert(_)) {
-                    graph.insert_ids(t);
-                } else {
-                    graph.remove_ids(t);
-                }
-            }
-        }
-    }
-    DurCounters::add(&graph.dur().wal_replayed, replayed);
-    DurCounters::add(&graph.dur().wal_bytes, replay.bytes);
-    Ok((graph, manifest, replay.bytes))
-}
-
-/// Opens a checkpointed graph (the implementation of [`Graph::open`]).
-pub(crate) fn open_graph(dir: &Path) -> Result<Graph, RdfError> {
-    open_graph_inner(dir).map(|(g, _, _)| g)
-}
-
-/// A write-through handle on a persisted graph: every mutation is
-/// captured in the write-ahead log as it happens, so the state since
-/// the last [`DurableGraph::checkpoint`] survives a crash (up to the
-/// last [`DurableGraph::sync`]). Reads go straight to the in-memory
-/// [`Graph`].
-///
-/// ```no_run
-/// use rps_rdf::{DurableGraph, Term};
-///
-/// let mut g = DurableGraph::create("/tmp/my-graph")?;
-/// let s = g.intern(&Term::iri("s"))?;
-/// let p = g.intern(&Term::iri("p"))?;
-/// let o = g.intern(&Term::iri("o"))?;
-/// g.insert(rps_rdf::IdTriple::new(s, p, o))?;
-/// g.sync()?; // durable from here on
-/// # Ok::<(), rps_rdf::RdfError>(())
-/// ```
-pub struct DurableGraph {
-    dir: PathBuf,
-    graph: Graph,
-    wal: WalWriter,
-}
-
-impl DurableGraph {
-    /// Creates an empty persisted graph in `dir` (the directory is
-    /// created if needed; an existing checkpoint there is an error —
-    /// open it instead).
-    pub fn create(dir: impl AsRef<Path>) -> Result<Self, RdfError> {
-        let dir = dir.as_ref();
-        if dir.join(MANIFEST_NAME).exists() {
-            return Err(RdfError::corrupt(
-                dir.display().to_string(),
-                "directory already holds a checkpoint; use DurableGraph::open",
-            ));
-        }
-        Graph::new().persist(dir)?;
-        Self::open(dir)
-    }
-
-    /// Opens (and recovers) a persisted graph for writing: replays the
-    /// WAL, truncates any torn tail, and resumes appending after the
-    /// verified prefix.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, RdfError> {
-        let dir = dir.as_ref();
-        let (graph, manifest, valid_bytes) = open_graph_inner(dir)?;
-        let wal = WalWriter::open_append(&dir.join(&manifest.wal), valid_bytes)?;
-        Ok(DurableGraph {
-            dir: dir.to_path_buf(),
-            graph,
-            wal,
-        })
-    }
-
-    /// Read access to the underlying graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Interns a term, logging it if it is new to the dictionary.
-    pub fn intern(&mut self, term: &Term) -> Result<TermId, RdfError> {
-        if let Some(id) = self.graph.term_id(term) {
-            return Ok(id);
-        }
-        let id = self.graph.intern(term);
-        self.append(&WalRecord::TermAppend {
-            id,
-            term: term.clone(),
-        })?;
-        Ok(id)
-    }
-
-    /// Inserts an interned triple, logging it if newly added. Ids must
-    /// come from this graph's dictionary.
-    pub fn insert(&mut self, t: IdTriple) -> Result<bool, RdfError> {
-        let n = self.graph.dict().len() as u32;
-        if [t.s.0, t.p.0, t.o.0].iter().any(|&id| id >= n) {
-            return Err(RdfError::InvalidTriple(format!(
-                "triple references term id beyond the dictionary ({n} terms)"
-            )));
-        }
-        let added = self.graph.insert_ids(t);
-        if added {
-            self.append(&WalRecord::Insert(t))?;
-        }
-        Ok(added)
-    }
-
-    /// Removes an interned triple, logging the removal if it was
-    /// present.
-    pub fn remove(&mut self, t: IdTriple) -> Result<bool, RdfError> {
-        let removed = self.graph.remove_ids(t);
-        if removed {
-            self.append(&WalRecord::Remove(t))?;
-        }
-        Ok(removed)
-    }
-
-    fn append(&mut self, rec: &WalRecord) -> Result<(), RdfError> {
-        let before = self.wal.bytes();
-        self.wal.append(rec)?;
-        DurCounters::add(&self.graph.dur().wal_bytes, self.wal.bytes() - before);
-        Ok(())
-    }
-
-    /// Fsyncs the WAL: everything appended so far is durable.
-    pub fn sync(&mut self) -> Result<(), RdfError> {
-        self.wal.sync()
-    }
-
-    /// Writes a fresh checkpoint epoch and truncates the logical WAL:
-    /// the accumulated tombstones and unchecked mutations are folded
-    /// into new run images, leaving only the live mutable tail to
-    /// replay (as the fresh WAL's insert image).
-    pub fn checkpoint(&mut self) -> Result<(), RdfError> {
-        self.wal.sync()?;
-        self.graph.persist(&self.dir)?;
-        let manifest = Manifest::load(&self.dir)?;
-        let wal_path = self.dir.join(&manifest.wal);
-        let len = fs::metadata(&wal_path)
-            .map_err(|e| RdfError::io(format!("stat WAL {}", wal_path.display()), &e))?
-            .len();
-        self.wal = WalWriter::open_append(&wal_path, len)?;
-        Ok(())
-    }
-
-    /// Consumes the handle, returning the in-memory graph. Anything not
-    /// yet synced is flushed first.
-    pub fn into_graph(mut self) -> Result<Graph, RdfError> {
-        self.wal.sync()?;
-        Ok(self.graph)
-    }
-}
-
-impl std::fmt::Debug for DurableGraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableGraph")
-            .field("dir", &self.dir)
-            .field("graph", &self.graph)
-            .finish()
-    }
-}
-
-/// Rough page count a graph of `triples` triples persists to, used by
-/// benchmarks to sanity-check I/O volumes: three permutations at
-/// [`KEYS_PER_PAGE`] keys per page.
-pub fn estimated_pages(triples: usize) -> usize {
-    3 * triples.div_ceil(KEYS_PER_PAGE)
+    Ok(Graph::from_recovered(dict, store, dur))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
+    use crate::triple::IdTriple;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -504,18 +286,41 @@ mod tests {
     #[test]
     fn persist_open_roundtrip_preserves_ids_and_order() {
         let dir = tmp("roundtrip");
-        let g = sample_graph(1500);
+        let mut g = sample_graph(1500);
+        // A revived key (tombstoned in a run, then inserted again) stays
+        // in its run; a fresh key goes to the tail.
+        let revived = g.iter_ids().nth(17).unwrap();
+        assert!(g.remove_ids(revived));
+        assert_eq!(g.storage_stats().tombstones, 1, "a run key");
+        assert!(g.insert_ids(revived));
+        assert_eq!(g.storage_stats().tombstones, 0, "revived in place");
+        g.insert_terms(
+            Term::iri("http://e/fresh"),
+            Term::iri("http://e/p0"),
+            Term::literal("fresh"),
+        )
+        .unwrap();
         let stats = g.storage_stats();
         assert!(stats.runs >= 1 && stats.tail > 0, "mixed shape: {stats:?}");
         g.persist(&dir).unwrap();
         assert!(g.storage_stats().pages_written > 0);
-        assert!(g.storage_stats().wal_bytes > 0, "tail rode in the WAL");
+        // The manifest, run files and dictionary segments: no log file.
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names
+                .iter()
+                .all(|n| n == MANIFEST_NAME || n.ends_with(".rpg") || n.ends_with(".seg")),
+            "{names:?}"
+        );
 
         let re = Graph::open(&dir).unwrap();
         assert_same(&g, &re);
         let rs = re.storage_stats();
         assert!(rs.pages_read > 0);
-        assert_eq!(rs.wal_replayed, stats.tail as u64);
+        assert_eq!(rs.tail, 0, "the tail came back as runs");
         assert_eq!(rs.tombstones, 0, "persist purged tombstones");
     }
 
@@ -571,65 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_graph_recovers_unchecked_writes() {
-        let dir = tmp("write-through");
-        let (s, p, o, o2);
-        {
-            let mut d = DurableGraph::create(&dir).unwrap();
-            s = d.intern(&Term::iri("s")).unwrap();
-            p = d.intern(&Term::iri("p")).unwrap();
-            o = d.intern(&Term::iri("o")).unwrap();
-            o2 = d.intern(&Term::iri("o2")).unwrap();
-            d.insert(IdTriple::new(s, p, o)).unwrap();
-            d.insert(IdTriple::new(s, p, o2)).unwrap();
-            d.remove(IdTriple::new(s, p, o)).unwrap();
-            d.sync().unwrap();
-            // No checkpoint: the manifest still describes the empty
-            // graph; everything lives in the WAL. Dropping without
-            // checkpointing simulates a crash after the sync.
-        }
-        let g = Graph::open(&dir).unwrap();
-        assert_eq!(g.len(), 1);
-        assert!(g.contains_ids(IdTriple::new(s, p, o2)));
-        assert!(!g.contains_ids(IdTriple::new(s, p, o)));
-        assert_eq!(g.dict().len(), 4);
-        assert_eq!(g.storage_stats().wal_replayed, 7);
-
-        // Reopening for writing resumes the same WAL.
-        let mut d = DurableGraph::open(&dir).unwrap();
-        assert_eq!(d.graph().len(), 1);
-        d.insert(IdTriple::new(s, p, o)).unwrap();
-        let g = d.into_graph().unwrap();
-        assert_eq!(g.len(), 2);
-        let re = Graph::open(&dir).unwrap();
-        assert_eq!(re, g);
-    }
-
-    #[test]
-    fn checkpoint_folds_wal_into_runs() {
-        let dir = tmp("checkpoint");
-        let mut d = DurableGraph::create(&dir).unwrap();
-        let p = d.intern(&Term::iri("p")).unwrap();
-        for i in 0..300u32 {
-            let s = d.intern(&Term::iri(format!("s{i}"))).unwrap();
-            let o = d.intern(&Term::iri(format!("o{}", i % 13))).unwrap();
-            d.insert(IdTriple::new(s, p, o)).unwrap();
-        }
-        d.checkpoint().unwrap();
-        let m = Manifest::load(&dir).unwrap();
-        assert!(m.epoch >= 2);
-        let re = Graph::open(&dir).unwrap();
-        assert_eq!(re.len(), 300);
-        // Post-checkpoint replay is just the (small) tail again.
-        assert!(re.storage_stats().wal_replayed < 300);
-        // And the handle keeps working after the checkpoint.
-        let s = d.intern(&Term::iri("post")).unwrap();
-        d.insert(IdTriple::new(s, p, s)).unwrap();
-        let g = d.into_graph().unwrap();
-        assert_eq!(Graph::open(&dir).unwrap(), g);
-    }
-
-    #[test]
     fn empty_graph_roundtrip() {
         let dir = tmp("empty");
         Graph::new().persist(&dir).unwrap();
@@ -649,16 +395,6 @@ mod tests {
         // contents — the durable format is backend-agnostic.
         let re = Graph::open(&dir).unwrap();
         assert_eq!(re, g);
-    }
-
-    #[test]
-    fn create_refuses_existing_checkpoint() {
-        let dir = tmp("refuse");
-        DurableGraph::create(&dir).unwrap();
-        assert!(matches!(
-            DurableGraph::create(&dir),
-            Err(RdfError::Corrupt { .. })
-        ));
     }
 
     #[test]

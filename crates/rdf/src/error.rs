@@ -28,11 +28,10 @@ pub enum RdfError {
         message: String,
     },
     /// Committed on-disk state failed validation: a bad magic number or
-    /// checksum, a torn page, a manifest that references missing or
-    /// inconsistent files. Recovery refuses to serve from such state
-    /// rather than answering over silently wrong data. (A torn *WAL
-    /// tail* is not corruption — it is discarded cleanly, see
-    /// `store::wal`.)
+    /// checksum, a torn page, a manifest of an unsupported format
+    /// version or one that references missing or inconsistent files.
+    /// Recovery refuses to serve from such state rather than answering
+    /// over silently wrong data.
     Corrupt {
         /// The offending file (or directory) as a display path.
         file: String,

@@ -58,8 +58,7 @@ use crate::error::RdfError;
 use crate::order::TermOrder;
 use crate::stats::{GraphStats, PredicateStats};
 use crate::store::{
-    gallop_pays, Perm, RunSnapshot, SealConfig, StorageBackend, StorageStats, StoreRangeIter,
-    TripleStore,
+    gallop_pays, Perm, SealConfig, StorageBackend, StorageStats, StoreRangeIter, TripleStore,
 };
 use crate::term::Term;
 use crate::triple::{IdTriple, Triple};
@@ -148,8 +147,6 @@ pub(crate) struct DurCounters {
     pub(crate) pages_read: AtomicU64,
     pub(crate) pool_hits: AtomicU64,
     pub(crate) pool_misses: AtomicU64,
-    pub(crate) wal_bytes: AtomicU64,
-    pub(crate) wal_replayed: AtomicU64,
 }
 
 impl Clone for DurCounters {
@@ -160,8 +157,6 @@ impl Clone for DurCounters {
             pages_read: ld(&self.pages_read),
             pool_hits: ld(&self.pool_hits),
             pool_misses: ld(&self.pool_misses),
-            wal_bytes: ld(&self.wal_bytes),
-            wal_replayed: ld(&self.wal_replayed),
         }
     }
 }
@@ -176,8 +171,6 @@ impl DurCounters {
         stats.pages_read = self.pages_read.load(Ordering::Relaxed);
         stats.pool_hits = self.pool_hits.load(Ordering::Relaxed);
         stats.pool_misses = self.pool_misses.load(Ordering::Relaxed);
-        stats.wal_bytes = self.wal_bytes.load(Ordering::Relaxed);
-        stats.wal_replayed = self.wal_replayed.load(Ordering::Relaxed);
     }
 }
 
@@ -216,10 +209,9 @@ impl Graph {
 
     /// Physical counters of the storage layer (run/tail/tombstone sizes
     /// plus the durability counters — pages read/written, buffer-pool
-    /// hits/misses, WAL bytes, replayed records). For tests and
-    /// benchmarks; the run counters are zero for the B-tree backend and
-    /// the durability counters are zero until the graph touches the
-    /// durable tier.
+    /// hits/misses). For tests and benchmarks; the run counters are zero
+    /// for the B-tree backend and the durability counters are zero until
+    /// the graph touches the durable tier.
     pub fn storage_stats(&self) -> StorageStats {
         let mut stats = self.store.stats();
         self.dur.merge_into(&mut stats);
@@ -358,9 +350,9 @@ impl Graph {
     /// manifest is committed by an atomic rename; a crash at any point
     /// leaves the previous checkpoint (or nothing) intact. Tombstoned
     /// keys are physically absent from the persisted runs (a persist
-    /// doubles as a purge-compaction) and the mutable tail is logged
-    /// through the write-ahead log, so persisting does not require the
-    /// graph to be sealed.
+    /// doubles as a purge-compaction) and the mutable tail is written
+    /// as one more sorted run per permutation, so persisting does not
+    /// require the graph to be sealed and leaves it as it was.
     ///
     /// Takes `&self`: a sealed graph shared read-only (e.g. inside a
     /// frozen session) can be checkpointed concurrently with readers.
@@ -370,11 +362,11 @@ impl Graph {
 
     /// Opens a graph previously checkpointed by [`Graph::persist`]:
     /// loads the manifest, validates and reads the run pages through a
-    /// buffer pool, rebuilds the dictionary from its segments, replays
-    /// the write-ahead log into the mutable tail, and reconstructs the
-    /// in-memory point-lookup set and insertion log. A torn WAL tail is
-    /// discarded cleanly; everything else that fails validation is a
-    /// typed [`RdfError::Corrupt`] — never a panic.
+    /// buffer pool, rebuilds the dictionary from its segments, and
+    /// reconstructs the in-memory point-lookup set and insertion log.
+    /// The reopened graph has no tail: a tail persisted as runs comes
+    /// back as runs. Anything that fails validation is a typed
+    /// [`RdfError::Corrupt`] — never a panic.
     pub fn open(dir: impl AsRef<Path>) -> Result<Graph, RdfError> {
         crate::durable::open_graph(dir.as_ref())
     }
@@ -894,7 +886,7 @@ impl Graph {
     }
 
     /// Live-only image of the physical layout for the durable tier.
-    pub(crate) fn store_snapshot(&self) -> RunSnapshot {
+    pub(crate) fn store_snapshot(&self) -> [Vec<Vec<[u32; 3]>>; 3] {
         self.store.snapshot()
     }
 

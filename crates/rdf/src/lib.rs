@@ -22,10 +22,10 @@
 //!   tail, size-tiered compaction) by default, with the historical
 //!   B-tree layout kept as oracle and benchmark baseline;
 //! * [`durable`] — the durable storage tier: graphs checkpoint to
-//!   checksummed paged run files plus a write-ahead log behind an
+//!   checksummed paged run files and dictionary segments behind an
 //!   atomically-committed manifest ([`Graph::persist`] /
-//!   [`Graph::open`] / [`DurableGraph`]), with crash recovery that
-//!   replays the WAL and refuses corrupt state with typed errors;
+//!   [`Graph::open`]), with recovery that refuses corrupt state with
+//!   typed errors;
 //! * [`turtle`] — an N-Triples / Turtle-lite parser and serialiser;
 //! * [`namespace`] — prefix maps and well-known vocabulary constants
 //!   (notably `owl:sameAs`, which the paper's equivalence mappings model).
@@ -50,7 +50,6 @@ pub mod triple;
 pub mod turtle;
 
 pub use dict::{TermDict, TermId};
-pub use durable::DurableGraph;
 pub use error::RdfError;
 pub use graph::{Graph, LogWindow, MatchIter};
 pub use namespace::{vocab, PrefixMap};

@@ -104,7 +104,6 @@
 pub(crate) mod columnar;
 pub mod disk;
 pub mod page;
-pub mod wal;
 
 use crate::dict::TermId;
 use crate::triple::IdTriple;
@@ -226,10 +225,6 @@ pub struct StorageStats {
     pub pool_hits: u64,
     /// Buffer-pool pins that had to read from disk.
     pub pool_misses: u64,
-    /// Bytes appended to the write-ahead log (frames + magic).
-    pub wal_bytes: u64,
-    /// WAL records replayed into the tail during recovery.
-    pub wal_replayed: u64,
     /// Always 0; read by name in `benchmark/src/trial.rs`; goes with
     /// ROADMAP 1a-iii.
     pub shards: usize,
@@ -258,16 +253,6 @@ pub struct StorageStats {
     /// Wall nanoseconds the statistics build passes took (0 until
     /// built).
     pub stats_build_nanos: u64,
-}
-
-/// A live-only image of a store's physical shape, produced by
-/// [`TripleStore::snapshot`] for the durable tier.
-pub(crate) struct RunSnapshot {
-    /// Live keys of each permutation's runs (SPO, POS, OSP order),
-    /// oldest first, each sorted; empty runs are dropped.
-    pub(crate) runs: [Vec<Vec<[u32; 3]>>; 3],
-    /// Live tail triples in SPO key order.
-    pub(crate) tail: Vec<IdTriple>,
 }
 
 /// One of the three permutation orders.
@@ -558,13 +543,17 @@ impl TripleStore {
     }
 
     /// A live-only image of the physical shape, taken by the durable
-    /// tier when writing a checkpoint. Tombstoned keys are filtered out
-    /// of the run images — a persist doubles as a purge-compaction —
-    /// and the mutable tail comes back as SPO-ordered triples so the
-    /// checkpoint can re-log it through the WAL. The B-tree backend and
-    /// a [`TripleStore::Sealed`] store snapshot as one full run per
+    /// tier when writing a checkpoint: each permutation's runs (SPO,
+    /// POS, OSP order), oldest first, each sorted, empty ones dropped.
+    /// Tombstoned keys are filtered out of the run images — a persist
+    /// doubles as a purge-compaction — and the mutable tail comes back
+    /// as one more run per permutation, in that permutation's order.
+    /// The tail is disjoint from the runs' live keys (an insert revives
+    /// a tombstoned run key in place and sends only absent keys to the
+    /// tail), so the image stores every triple once. The B-tree backend
+    /// and a [`TripleStore::Sealed`] store snapshot as one full run per
     /// permutation.
-    pub(crate) fn snapshot(&self) -> RunSnapshot {
+    pub(crate) fn snapshot(&self) -> [Vec<Vec<[u32; 3]>>; 3] {
         // One run image, none for an empty permutation.
         let whole = |keys: Vec<[u32; 3]>| -> Vec<Vec<[u32; 3]>> {
             if keys.is_empty() {
@@ -574,19 +563,18 @@ impl TripleStore {
             }
         };
         match self {
-            TripleStore::BTree(s) => RunSnapshot {
-                runs: [&s.spo, &s.pos, &s.osp].map(|index| whole(index.iter().copied().collect())),
-                tail: Vec::new(),
-            },
-            TripleStore::Sealed(s) => RunSnapshot {
-                runs: [Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| whole(s.run(perm).to_vec())),
-                tail: Vec::new(),
-            },
+            TripleStore::BTree(s) => {
+                [&s.spo, &s.pos, &s.osp].map(|index| whole(index.iter().copied().collect()))
+            }
+            TripleStore::Sealed(s) => {
+                [Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| whole(s.run(perm).to_vec()))
+            }
             TripleStore::Runs(s) => {
                 // A columnar run persists as one more plain run image —
                 // the durable tier (and `from_runs` recovery) knows plain
                 // runs only; re-seal with a config to compress after
-                // opening.
+                // opening. Tail keys are never tombstoned (removals from
+                // the tail are physical), so the tail is live as-is.
                 let live = |perm: Perm, index: &RunIndex| -> Vec<Vec<[u32; 3]>> {
                     index
                         .runs
@@ -599,19 +587,15 @@ impl TripleStore {
                             }
                             run
                         })
+                        .chain(std::iter::once(index.tail.clone()))
                         .filter(|run| !run.is_empty())
                         .collect()
                 };
-                RunSnapshot {
-                    runs: [
-                        live(Perm::Spo, &s.spo),
-                        live(Perm::Pos, &s.pos),
-                        live(Perm::Osp, &s.osp),
-                    ],
-                    // Tail keys are never tombstoned (removals from the
-                    // tail are physical), so the tail is live as-is.
-                    tail: s.spo.tail.iter().map(|&k| Perm::Spo.unpermute(k)).collect(),
-                }
+                [
+                    live(Perm::Spo, &s.spo),
+                    live(Perm::Pos, &s.pos),
+                    live(Perm::Osp, &s.osp),
+                ]
             }
         }
     }
@@ -2657,7 +2641,7 @@ pub(crate) mod tests {
                 .map(|t| t.s.0.max(t.p.0).max(t.o.0))
                 .max()
                 .unwrap_or(0);
-            let reopened = TripleStore::from_runs(copy.snapshot().runs, max_term);
+            let reopened = TripleStore::from_runs(copy.snapshot(), max_term);
             let reopened = reopened.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(
                 assert_directories(&reopened, &format!("seed {seed}, reopened")),

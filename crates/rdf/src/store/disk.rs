@@ -9,11 +9,9 @@
 //! run-e000001-pos-0.rpg       per permutation, epoch-stamped
 //! run-e000001-osp-0.rpg
 //! dict-e000001-0.seg          append-only dictionary segments
-//! wal-e000001.log             the active write-ahead log
 //! ```
 //!
-//! Run and WAL files are never modified after their manifest commits
-//! (the WAL only grows, and only past its committed prefix); a
+//! Run files are never modified after their manifest commits; a
 //! checkpoint writes a **new epoch** of files and then commits a new
 //! `MANIFEST` via write-temp-then-atomic-rename, so a crash at any point
 //! leaves either the old manifest with its intact old files or the new
@@ -42,6 +40,8 @@ use std::path::Path;
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
 const MANIFEST_MAGIC: [u8; 4] = *b"RMF1";
+/// The manifest format [`Manifest::load`] reads and a persist writes.
+pub(crate) const MANIFEST_VERSION: u32 = 2;
 const SEG_MAGIC: [u8; 4] = *b"RDS1";
 
 /// A handle to a file registered with a [`BufferPool`].
@@ -367,27 +367,24 @@ pub struct DictSegmentMeta {
     pub crc: u32,
 }
 
-/// The versioned per-graph manifest: which run files, dictionary
-/// segments and WAL constitute the current epoch. Committed atomically
+/// The versioned per-graph manifest: which run files and dictionary
+/// segments constitute the current epoch. Committed atomically
 /// by the crate-internal `Manifest::commit`; the rename of `MANIFEST.tmp` over
 /// [`MANIFEST_NAME`] is the durability commit point.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Manifest {
-    /// Format version (currently 1).
+    /// Format version (currently 2; a version-1 manifest, which names a
+    /// write-ahead log, is refused as corrupt).
     pub version: u32,
     /// Checkpoint epoch, incremented by every persist.
     pub epoch: u64,
-    /// Whether the graph was in the sealed shape when persisted.
-    pub sealed: bool,
-    /// Live triples at persist time (runs plus WAL tail inserts).
+    /// Live triples at persist time.
     pub triples: u64,
     /// Dictionary segments in id order.
     pub dict_segments: Vec<DictSegmentMeta>,
     /// Run lists for the SPO, POS and OSP permutations (in that order),
     /// each oldest-first.
     pub runs: [Vec<RunMeta>; 3],
-    /// File name of the active WAL.
-    pub wal: String,
 }
 
 impl Manifest {
@@ -396,7 +393,6 @@ impl Manifest {
         out.extend_from_slice(&MANIFEST_MAGIC);
         out.extend_from_slice(&self.version.to_le_bytes());
         put_varint(&mut out, self.epoch);
-        out.push(u8::from(self.sealed));
         put_varint(&mut out, self.triples);
         put_varint(&mut out, self.dict_segments.len() as u64);
         for seg in &self.dict_segments {
@@ -412,7 +408,6 @@ impl Manifest {
                 put_varint(&mut out, run.keys);
             }
         }
-        put_str(&mut out, &self.wal);
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
@@ -431,13 +426,11 @@ impl Manifest {
             return Err("bad manifest magic".into());
         }
         let version = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
-        if version != 1 {
+        if version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {version}"));
         }
         let mut pos = 8;
         let epoch = get_varint(body, &mut pos)?;
-        let &sealed = body.get(pos).ok_or("truncated manifest")?;
-        pos += 1;
         let triples = get_varint(body, &mut pos)?;
         let n_segs = get_varint(body, &mut pos)? as usize;
         let mut dict_segments = Vec::with_capacity(n_segs.min(1024));
@@ -466,18 +459,15 @@ impl Manifest {
                 perm.push(RunMeta { name, keys });
             }
         }
-        let wal = get_str(body, &mut pos)?;
         if pos != body.len() {
             return Err(format!("manifest has {} trailing bytes", body.len() - pos));
         }
         Ok(Manifest {
             version,
             epoch,
-            sealed: sealed != 0,
             triples,
             dict_segments,
             runs,
-            wal,
         })
     }
 
@@ -702,9 +692,8 @@ mod tests {
     fn manifest_roundtrip_and_corruption() {
         let dir = tmp("manifest");
         let m = Manifest {
-            version: 1,
+            version: MANIFEST_VERSION,
             epoch: 7,
-            sealed: true,
             triples: 12345,
             dict_segments: vec![DictSegmentMeta {
                 name: "dict-e000001-0.seg".into(),
@@ -726,7 +715,6 @@ mod tests {
                     keys: 1000,
                 }],
             ],
-            wal: "wal-e000007.log".into(),
         };
         m.commit(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), m);
@@ -748,6 +736,26 @@ mod tests {
             Manifest::load(&dir),
             Err(RdfError::Corrupt { .. })
         ));
+
+        // A well-formed version-1 image (sealed byte, no segments, no
+        // runs, a WAL name) is a format this reader refuses.
+        let mut v1 = MANIFEST_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        put_varint(&mut v1, 1);
+        v1.push(1);
+        for n in [0, 0, 0, 0, 0] {
+            put_varint(&mut v1, n);
+        }
+        put_str(&mut v1, "wal-e000001.log");
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        fs::write(dir.join(MANIFEST_NAME), &v1).unwrap();
+        match Manifest::load(&dir) {
+            Err(RdfError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("version 1"), "{detail}")
+            }
+            other => panic!("a version-1 manifest yielded {other:?}"),
+        }
     }
 
     #[test]

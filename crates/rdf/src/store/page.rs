@@ -19,9 +19,9 @@
 //! external crates are available offline).
 //!
 //! The module also hosts the crate-internal varint and term codecs
-//! shared by the write-ahead log ([`crate::store::wal`]), the dictionary
-//! segments and the manifest ([`crate::store::disk`]), so every durable
-//! byte format draws from one set of primitives.
+//! shared by the dictionary segments and the manifest
+//! ([`crate::store::disk`]), so every durable byte format draws from
+//! one set of primitives.
 
 use crate::term::{Iri, Literal, LiteralAnnotation, Term};
 
@@ -148,8 +148,8 @@ pub fn page_key(buf: &[u8], i: usize) -> [u32; 3] {
 }
 
 // ---------------------------------------------------------------------
-// Varint and term codecs (shared by the WAL, dictionary segments and
-// manifest formats).
+// Varint and term codecs (shared by the dictionary segment and manifest
+// formats).
 // ---------------------------------------------------------------------
 
 /// Appends an LEB128-encoded unsigned integer.

@@ -1,19 +1,16 @@
 //! Seeded kill-point crash-recovery sweep for the durable storage tier.
 //!
-//! Each test simulates a crash at a specific point of the checkpoint /
-//! WAL lifecycle by mutilating the on-disk state the way a power cut
-//! would (torn page, truncated log record, missing or partial
-//! manifest, stale temp files), then asserts the contract from
-//! `rps_rdf::durable`:
+//! Each test simulates a crash at a specific point of the checkpoint
+//! lifecycle by mutilating the on-disk state the way a power cut would
+//! (torn page, missing or partial manifest, stale temp files), then
+//! asserts the contract from `rps_rdf::durable`:
 //!
 //! * **committed** state that fails verification is a *typed*
 //!   [`RdfError::Corrupt`] (never a panic, never silently wrong data);
-//! * a torn **WAL tail** is not corruption — recovery truncates to the
-//!   verified prefix and the graph equals the last synced state;
-//! * replay is idempotent: reopening the same directory any number of
-//!   times yields observationally identical graphs;
+//! * restoring the committed bytes restores the checkpoint exactly;
 //! * a reopened graph is byte-identical (same ids, same terms, same
-//!   scan order) to the persisted oracle.
+//!   scan order) to the persisted oracle, whose tail and tombstones
+//!   persist as runs.
 //!
 //! The seed matrix is overridable with `RPS_RECOVERY_SEED=1,2,3` so CI
 //! can shard seeds across jobs, mirroring `tests/fault_injection.rs`.
@@ -27,7 +24,7 @@ use rps_core::{
 };
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
 use rps_query::{evaluate_query, GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
-use rps_rdf::{DurableGraph, Graph, IdTriple, RdfError, Term, TermId};
+use rps_rdf::{Graph, IdTriple, RdfError, Term, TermId};
 use std::collections::BTreeSet;
 use std::fs;
 use std::io::ErrorKind;
@@ -184,76 +181,7 @@ fn torn_run_page_is_typed_corruption_and_intact_bytes_recover() {
 }
 
 // ---------------------------------------------------------------------
-// Kill point 2: a crash mid-append tears the last WAL record.
-// ---------------------------------------------------------------------
-
-#[test]
-fn truncated_wal_record_recovers_to_the_synced_prefix() {
-    for seed in seeds() {
-        let tmp = TempDir::new("torn-wal");
-        let mut durable = DurableGraph::create(tmp.path()).unwrap();
-        let terms: Vec<TermId> = (0..6)
-            .map(|i| {
-                durable
-                    .intern(&Term::iri(format!("http://ex/t{i}")))
-                    .unwrap()
-            })
-            .collect();
-        let mut rng = Rng(seed);
-        let mut triples = Vec::new();
-        while triples.len() < 12 {
-            let t = IdTriple::new(
-                terms[rng.below(terms.len())],
-                terms[rng.below(terms.len())],
-                terms[rng.below(terms.len())],
-            );
-            if durable.insert(t).unwrap() {
-                triples.push(t);
-            }
-        }
-        durable.sync().unwrap();
-        let full: Vec<IdTriple> = durable.graph().iter_ids().collect();
-        let last = *triples.last().unwrap();
-        drop(durable);
-
-        // Tear 1–3 bytes off the final frame — a crash between the data
-        // write and its trailing checksum.
-        let wal = files_with_suffix(tmp.path(), ".log");
-        assert_eq!(wal.len(), 1, "seed {seed}: expected exactly one WAL");
-        let len = fs::metadata(&wal[0]).unwrap().len();
-        let cut = 1 + rng.below(3) as u64;
-        fs::OpenOptions::new()
-            .write(true)
-            .open(&wal[0])
-            .unwrap()
-            .set_len(len - cut)
-            .unwrap();
-
-        // Recovery drops exactly the torn record — the last insert —
-        // and replays everything before it (6 term appends + 11 inserts).
-        let mut recovered = DurableGraph::open(tmp.path()).unwrap();
-        let got: Vec<IdTriple> = recovered.graph().iter_ids().collect();
-        let expect: Vec<IdTriple> = full.iter().copied().filter(|t| *t != last).collect();
-        assert_eq!(got, expect, "seed {seed}: torn-tail recovery diverged");
-        assert_eq!(
-            recovered.graph().storage_stats().wal_replayed,
-            (terms.len() + triples.len() - 1) as u64,
-            "seed {seed}: replay count"
-        );
-
-        // The handle resumes appending after the verified prefix: redo
-        // the lost write, reopen cleanly, observe the full state.
-        assert!(recovered.insert(last).unwrap());
-        recovered.sync().unwrap();
-        drop(recovered);
-        let reopened = DurableGraph::open(tmp.path()).unwrap();
-        let got: Vec<IdTriple> = reopened.graph().iter_ids().collect();
-        assert_eq!(got, full, "seed {seed}: redo after torn tail diverged");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Kill point 3: the manifest itself is missing or half-written.
+// Kill point 2: the manifest itself is missing or half-written.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -313,7 +241,7 @@ fn open_of_a_never_persisted_directory_is_not_found() {
 }
 
 // ---------------------------------------------------------------------
-// Kill point 4: crash between writing MANIFEST.tmp and the rename.
+// Kill point 3: crash between writing MANIFEST.tmp and the rename.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -336,57 +264,6 @@ fn leftover_manifest_tmp_never_shadows_the_committed_state() {
     );
     let recovered = Graph::open(tmp.path()).unwrap();
     assert_same(&oracle, &recovered, "after epoch bump over stale tmp");
-}
-
-// ---------------------------------------------------------------------
-// Kill point 5: the same WAL replayed over and over.
-// ---------------------------------------------------------------------
-
-#[test]
-fn duplicate_wal_replay_is_idempotent() {
-    let tmp = TempDir::new("replay");
-    let mut durable = DurableGraph::create(tmp.path()).unwrap();
-    let ids: Vec<TermId> = (0..5)
-        .map(|i| {
-            durable
-                .intern(&Term::iri(format!("http://ex/r{i}")))
-                .unwrap()
-        })
-        .collect();
-    for i in 0..4 {
-        durable
-            .insert(IdTriple::new(ids[i], ids[4], ids[i + 1]))
-            .unwrap();
-    }
-    durable
-        .remove(IdTriple::new(ids[0], ids[4], ids[1]))
-        .unwrap();
-    durable.sync().unwrap();
-    let oracle: Vec<IdTriple> = durable.graph().iter_ids().collect();
-    drop(durable);
-
-    // Two independent recoveries of the same directory: identical
-    // graphs, identical replay counts — replay mutates nothing on disk.
-    let first = Graph::open(tmp.path()).unwrap();
-    let second = Graph::open(tmp.path()).unwrap();
-    assert_same(&first, &second, "replay twice");
-    assert_eq!(first.iter_ids().collect::<Vec<_>>(), oracle);
-    let replayed = first.storage_stats().wal_replayed;
-    assert_eq!(replayed, second.storage_stats().wal_replayed);
-    assert!(replayed > 0, "expected a non-empty replay");
-
-    // A checkpoint folds the unchecked mutations into a fresh epoch:
-    // the remove and the term appends disappear from replay (only the
-    // live tail image remains, as inserts) and the observable graph
-    // does not move.
-    let mut durable = DurableGraph::open(tmp.path()).unwrap();
-    durable.checkpoint().unwrap();
-    drop(durable);
-    let folded = Graph::open(tmp.path()).unwrap();
-    let folded_stats = folded.storage_stats();
-    assert_eq!(folded_stats.wal_replayed, folded_stats.tail as u64);
-    assert!(folded_stats.wal_replayed < replayed);
-    assert_eq!(folded.iter_ids().collect::<Vec<_>>(), oracle);
 }
 
 // ---------------------------------------------------------------------
