@@ -62,8 +62,8 @@ pub enum RpsError {
     /// since the query was prepared than the window keeps executable. A
     /// live plan stays pinned to the epoch it was prepared against until
     /// the writer's retention floor passes it. Re-prepare the query to
-    /// pick up the current epoch. (Frozen sessions never raise this —
-    /// their substrate never changes.)
+    /// pick up the current epoch. (A plain frozen session never raises
+    /// this — its substrate never changes.)
     StalePlan {
         /// The epoch the plan was prepared against.
         prepared: u32,

@@ -56,7 +56,7 @@ pub use encode::{encode_system, query_to_cq, DataExchange, Encoder};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};
-pub use live::{LivePlan, LiveReader, LiveSession, UpdateBatch};
+pub use live::{LiveReader, LiveSession, UpdateBatch};
 pub use mapping::{EquivalenceMapping, GraphMappingAssertion, MappingError};
 pub use peer::{Peer, PeerId, PeerValidationError};
 pub use rewriting::{RpsRewriter, RpsRewriting};

@@ -9,25 +9,23 @@
 //!
 //! # Epoch MVCC
 //!
-//! Every committed update batch publishes a new **epoch**: an immutable
-//! snapshot holding the sealed universal solution and a fresh
-//! per-epoch plan cache. Publication is an atomic pointer swap behind an
-//! `RwLock<Arc<_>>`, giving multi-version concurrency:
+//! Every committed update batch publishes a new **epoch**: a
+//! [`FrozenSession`] over the sealed universal solution, with its own
+//! plan cache and statement front. Publication is an atomic pointer swap
+//! behind an `RwLock`, giving multi-version concurrency:
 //!
 //! - readers never block the writer and never observe a torn graph —
 //!   they either see epoch *N* or epoch *N+1*, complete in both cases;
 //! - the writer blocks readers for a pointer swap and no longer: the
-//!   replaced snapshot is dropped — when the writer held its last
+//!   replaced epoch is dropped — when the writer held its last
 //!   reference, a free of its predicate counts, its dictionary tail and
-//!   whatever runs and dictionary base no later epoch shares — only after the
-//!   write guard is released (it used to be dropped under it, stalling
-//!   every `current()` / `epoch()` for that long);
-//! - a [`LivePlan`] prepared against epoch *N* keeps executing against
-//!   epoch *N*'s pinned solution even after later epochs land, until
-//!   the writer's retention floor passes it — then execution fails with
-//!   the typed [`RpsError::StalePlan`] and the caller re-prepares;
-//! - the plan cache is per-epoch, so a cached plan can never be
-//!   executed against a graph it was not compiled for.
+//!   whatever runs and dictionary base no later epoch shares — only after
+//!   the write guard is released;
+//! - a plan prepared at epoch *N* ([`PreparedQuery::epoch`]) keeps
+//!   executing against epoch *N*'s pinned solution on any later epoch's
+//!   session — all share one identity — until the writer's retention
+//!   floor passes it; then execution fails with the typed
+//!   [`RpsError::StalePlan`] and the caller re-prepares.
 //!
 //! # Publish cost
 //!
@@ -90,19 +88,20 @@
 //! them, making the fixpoint independent of insertion order.
 
 use crate::chase::{ChaseEngine, FiringMode, RpsChaseStats, UniversalSolution};
+use crate::equivalence::EquivalenceIndex;
 use crate::error::RpsError;
 use crate::peer::PeerId;
 use crate::session::{
-    stream_vars, AnswerStream, EngineConfig, ExecRoute, GraphHandle, Plan, PlanCache, Strategy,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    next_session_id, AnswerStream, EngineConfig, FrozenSession, PlanCacheStats, PreparedQuery,
+    Strategy,
 };
-use crate::sparql::{execute_sparql_with, prepare_sparql_with, PreparedSparql};
+use crate::sparql::PreparedSparql;
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, Semantics, SparqlResult, Variable};
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A batch of peer-database updates, applied atomically by
 /// [`LiveSession::apply`]: readers observe either none of the batch or
@@ -140,52 +139,49 @@ impl UpdateBatch {
     }
 }
 
-/// One committed, immutable version of the universal solution. Readers
-/// pin the snapshot their plans were compiled against; the writer never
-/// mutates a published snapshot.
-struct EpochSnapshot {
-    epoch: u32,
-    solution: Arc<UniversalSolution>,
-    /// Per-epoch plan cache: compiled id-level plans are only valid
-    /// against the dictionary of the graph they were compiled for, so
-    /// the cache is scoped to the snapshot and dies with it.
-    plans: Mutex<PlanCache<CachedPlan>>,
+/// A live session's retention window, shared by the writer and every
+/// epoch's session: a plan more than `retain` epochs behind the last
+/// published one is refused ([`FrozenSession::execute`]).
+pub(crate) struct Retention {
+    /// The last published epoch.
+    epoch: AtomicU32,
+    retain: u32,
 }
 
-/// A compiled plan as an epoch's cache holds it, with the projection
-/// variables of the query that compiled it.
-struct CachedPlan {
-    plan: Plan,
-    vars: Arc<[Variable]>,
+impl Retention {
+    /// [`RpsError::StalePlan`] once the window has left `prepared`, the
+    /// epoch of a plan, behind.
+    pub(crate) fn admit(&self, prepared: u32) -> Result<(), RpsError> {
+        let current = self.epoch.load(Ordering::Acquire);
+        match prepared < current.saturating_sub(self.retain) {
+            true => Err(RpsError::StalePlan { prepared, current }),
+            false => Ok(()),
+        }
+    }
 }
 
-/// State shared between the writer and all readers: the current
-/// snapshot pointer and the retention floor below which plans are
-/// rejected as stale.
+/// The published epoch's session, shared between the writer and all
+/// readers.
 struct LiveShared {
-    current: RwLock<Arc<EpochSnapshot>>,
-    /// Lowest epoch still executable. `floor = epoch − retain`
-    /// (saturating); plans below it fail with
-    /// [`RpsError::StalePlan`].
-    floor: AtomicU32,
+    current: RwLock<FrozenSession>,
 }
 
 impl LiveShared {
-    // The epoch lock guards one `Arc`, and a guard lives for one clone
-    // of it (`load`) or one swap (`swap`): neither can panic short of an
-    // allocation failure, which aborts, nor leave the pointer half
-    // written. So a poisoned lock still holds a whole published
-    // snapshot, and both recover it rather than fail every reader.
+    // The epoch lock guards one session, an `Arc`, and a guard lives for
+    // one clone of it (`load`) or one swap (`swap`): neither can panic
+    // short of an allocation failure, which aborts, nor leave the pointer
+    // half written. So a poisoned lock still holds a whole published
+    // session, and both recover it rather than fail every reader.
 
-    /// The published snapshot.
-    fn load(&self) -> Arc<EpochSnapshot> {
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    /// The published epoch's session.
+    fn load(&self) -> FrozenSession {
+        FrozenSession::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Publishes `snapshot`, returning the one it replaces.
-    fn swap(&self, snapshot: Arc<EpochSnapshot>) -> Arc<EpochSnapshot> {
+    /// Publishes `session`, returning the one it replaces.
+    fn swap(&self, session: FrozenSession) -> FrozenSession {
         let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *current, snapshot)
+        std::mem::replace(&mut *current, session)
     }
 }
 
@@ -202,9 +198,13 @@ pub struct LiveSession {
     /// count reaches zero — two peers asserting the same IRI-only
     /// triple keep it alive until both drop it.
     base: HashMap<IdTriple, u32>,
+    /// What every epoch's session shares. An [`UpdateBatch`] carries
+    /// triples only, so the equivalence index never changes.
+    id: u64,
+    eq_index: Arc<EquivalenceIndex>,
+    retention: Arc<Retention>,
     shared: Arc<LiveShared>,
     epoch: u32,
-    retain: u32,
 }
 
 impl LiveSession {
@@ -253,18 +253,33 @@ impl LiveSession {
         }
         // Epoch 0 is set-up: its readers find the term order in place.
         engine.graph.term_order();
+        let id = next_session_id();
+        let eq_index = Arc::new(EquivalenceIndex::from_mappings(system.equivalences()));
+        let retention = Arc::new(Retention {
+            epoch: AtomicU32::new(0),
+            retain,
+        });
+        let session = FrozenSession::live_epoch(
+            id,
+            0,
+            retention.clone(),
+            config.clone(),
+            eq_index.clone(),
+            seal_solution(&mut engine),
+        );
         let shared = Arc::new(LiveShared {
-            current: RwLock::new(seal_snapshot(&mut engine, 0)),
-            floor: AtomicU32::new(0),
+            current: RwLock::new(session),
         });
         Ok(LiveSession {
             system,
             config,
             engine,
             base,
+            id,
+            eq_index,
+            retention,
             shared,
             epoch: 0,
-            retain,
         })
     }
 
@@ -358,19 +373,24 @@ impl LiveSession {
         Ok(self.epoch)
     }
 
-    /// Swaps the published snapshot for one of the write side's current
-    /// state. Readers holding the previous `Arc` keep it alive; new
+    /// Swaps the published epoch for one of the write side's current
+    /// state. Readers holding the previous session keep it alive; new
     /// preparations see the new epoch.
     fn publish(&mut self) {
-        let previous = self.shared.load();
-        self.engine.graph.adopt_term_order(&previous.solution.graph);
-        drop(previous);
-        let snapshot = seal_snapshot(&mut self.engine, self.epoch);
+        self.engine.graph.adopt_term_order(&self.solution().graph);
+        let session = FrozenSession::live_epoch(
+            self.id,
+            self.epoch,
+            self.retention.clone(),
+            self.config.clone(),
+            self.eq_index.clone(),
+            seal_solution(&mut self.engine),
+        );
         // Possibly the last reference: freed with the lock released.
-        drop(self.shared.swap(snapshot));
-        self.shared
-            .floor
-            .store(self.epoch.saturating_sub(self.retain), Ordering::Release);
+        drop(self.shared.swap(session));
+        // After the swap, so a refusal never names an unpublished epoch
+        // (`Release` pairs with `Retention::admit`'s `Acquire`).
+        self.retention.epoch.store(self.epoch, Ordering::Release);
     }
 
     /// A cloneable read handle over the published epochs. Readers stay
@@ -395,7 +415,8 @@ impl LiveSession {
 
     /// The currently published universal solution.
     pub fn solution(&self) -> Arc<UniversalSolution> {
-        self.shared.load().solution.clone()
+        let session = self.shared.load();
+        session.solution().expect("a live epoch is chased").clone()
     }
 
     /// Cumulative chase statistics across the initial materialisation
@@ -406,34 +427,16 @@ impl LiveSession {
     }
 }
 
-/// Seals the write-side graph and snapshots it as `epoch`, with a fresh
-/// plan cache (see the module docs' "Publish cost"). The seal merges the
-/// batch into one run per permutation; the snapshot is the graph's
-/// [`read_only_copy`](rps_rdf::Graph::read_only_copy), whose store is
-/// those three runs, shared, and nothing else. It shares the
-/// dictionary's prefix too, copies the predicate counts and the
-/// dictionary's unfolded tail, and leaves the live-key set and the
-/// insertion log — the chase's state, not the readers' — on the write
-/// side. The planner statistics are settled in between, so the copy
-/// carries them: the seal has patched the previous epoch's from the
-/// batch's delta, and `graph_stats()` sweeps only where it could not —
-/// epoch 0, an outsized batch.
-///
-/// The term order is not settled here: the copy carries the base the
-/// next one patches from, and the first SPARQL read of the epoch that
-/// needs it patches it on the copy (see the module docs' "Publish
-/// cost"), which the writer adopts before the next publish.
-fn seal_snapshot(engine: &mut ChaseEngine, epoch: u32) -> Arc<EpochSnapshot> {
+/// Seals the write-side graph and copies it out as the next epoch's
+/// solution, its planner statistics settled and its term order left to
+/// the epoch's first SPARQL read (see the module docs' "Publish cost").
+fn seal_solution(engine: &mut ChaseEngine) -> Arc<UniversalSolution> {
     engine.graph.seal();
     engine.graph.graph_stats();
-    Arc::new(EpochSnapshot {
-        epoch,
-        solution: Arc::new(UniversalSolution {
-            graph: engine.graph.read_only_copy(),
-            stats: engine.stats,
-            complete: true,
-        }),
-        plans: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+    Arc::new(UniversalSolution {
+        graph: engine.graph.read_only_copy(),
+        stats: engine.stats,
+        complete: true,
     })
 }
 
@@ -448,9 +451,9 @@ fn scoped_id(engine: &mut ChaseEngine, idx: usize, triple: &Triple) -> IdTriple 
 }
 
 /// A shareable, cloneable read handle over a [`LiveSession`]'s published
-/// epochs. All methods take `&self`; the handle is `Send + Sync`, so
-/// worker threads can prepare and execute concurrently while the writer
-/// publishes.
+/// epochs: each method is the current epoch's [`FrozenSession`]'s, under
+/// the handle's semantics. The handle is `Send + Sync`, so worker threads
+/// can prepare and execute concurrently while the writer publishes.
 #[derive(Clone)]
 pub struct LiveReader {
     shared: Arc<LiveShared>,
@@ -460,7 +463,7 @@ pub struct LiveReader {
 impl LiveReader {
     /// The epoch a preparation issued right now would pin.
     pub fn epoch(&self) -> u32 {
-        self.shared.load().epoch
+        self.shared.load().epoch()
     }
 
     /// A handle answering under a different result semantics (`Q` drops
@@ -472,64 +475,16 @@ impl LiveReader {
         self
     }
 
-    /// Compiles a query against the current epoch — or adopts the
-    /// cached plan of an α-equivalent query prepared earlier against
-    /// the same epoch. The returned plan pins the epoch's solution:
-    /// executing it always answers over that exact graph, regardless of
-    /// later publications.
-    ///
-    /// Unlike the frozen session's cache, the projection variable
-    /// *names* are always the caller's own: α-equivalent queries share
-    /// the compiled plan, and the cached name vector only where their
-    /// names agree.
-    pub fn prepare(&self, query: &GraphPatternQuery) -> Result<LivePlan, RpsError> {
-        self.prepare_at(&self.shared.load(), query)
+    /// [`FrozenSession::prepare`] on the current epoch, whose solution
+    /// the plan pins, regardless of later publications.
+    pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
+        self.shared.load().prepare(query)
     }
 
-    fn prepare_at(
-        &self,
-        snapshot: &EpochSnapshot,
-        query: &GraphPatternQuery,
-    ) -> Result<LivePlan, RpsError> {
-        let plan = PlanCache::get_or_compile(&snapshot.plans, query, || {
-            let graph = GraphHandle::Solution(snapshot.solution.clone());
-            Ok::<_, RpsError>(CachedPlan {
-                plan: Plan::single(graph, query, None),
-                vars: stream_vars(query),
-            })
-        })?;
-        // The cached names when they are the caller's; an α-equivalent
-        // query with other names keeps its own.
-        let vars = if *plan.vars == *query.free_vars() {
-            plan.vars.clone()
-        } else {
-            stream_vars(query)
-        };
-        Ok(LivePlan {
-            epoch: snapshot.epoch,
-            plan,
-            vars,
-            semantics: self.semantics,
-        })
-    }
-
-    /// Executes a prepared plan against the epoch it was compiled for.
-    /// Fails with [`RpsError::StalePlan`] iff the writer's retention
-    /// floor has passed the plan's epoch — until then, the answers are
-    /// exactly epoch `plan.epoch()`'s, torn-read-free by construction.
-    pub fn execute(&self, plan: &LivePlan) -> Result<AnswerStream, RpsError> {
-        let floor = self.shared.floor.load(Ordering::Acquire);
-        if plan.epoch < floor {
-            return Err(RpsError::StalePlan {
-                prepared: plan.epoch,
-                current: self.epoch(),
-            });
-        }
-        let vars = plan.vars.clone();
-        Ok(plan
-            .plan
-            .plan
-            .execute(vars, ExecRoute::Materialised, plan.semantics))
+    /// Executes a plan against the epoch it was compiled for, until the
+    /// writer's retention floor passes it ([`RpsError::StalePlan`]).
+    pub fn execute(&self, plan: &PreparedQuery) -> Result<AnswerStream, RpsError> {
+        self.shared.load().execute_as(plan, self.semantics)
     }
 
     /// Prepare-and-execute against the current epoch.
@@ -538,46 +493,27 @@ impl LiveReader {
         self.execute(&plan)
     }
 
-    /// Compiles SPARQL text against the current epoch (the subset and
-    /// error contract of [`crate::sparql::prepare_sparql_with`]). Every
-    /// lowered CQ pins the *same* snapshot, so a multi-plan query never
-    /// straddles an epoch swap.
-    pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql<LivePlan>, RpsError> {
-        let snapshot = self.shared.load();
-        prepare_sparql_with(text, |cq| self.prepare_at(&snapshot, cq))
+    /// [`FrozenSession::prepare_sparql`] on the current epoch: every
+    /// lowered CQ pins the *same* epoch.
+    pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql, RpsError> {
+        self.shared.load().prepare_sparql(text)
     }
 
-    /// Executes a prepared SPARQL query against the epoch it pinned
-    /// ([`RpsError::StalePlan`] once the retention floor passes it).
-    pub fn execute_sparql(
-        &self,
-        prepared: &PreparedSparql<LivePlan>,
-    ) -> Result<SparqlResult, RpsError> {
-        execute_sparql_with(prepared, |plan| self.execute(plan))
+    /// [`LiveReader::execute`] for each plan of a SPARQL query.
+    pub fn execute_sparql(&self, prepared: &PreparedSparql) -> Result<SparqlResult, RpsError> {
+        self.shared
+            .load()
+            .execute_sparql_as(prepared, self.semantics)
     }
 
     /// Parses, prepares and executes against the current epoch.
     pub fn answer_sparql(&self, text: &str) -> Result<SparqlResult, RpsError> {
-        let prepared = self.prepare_sparql(text)?;
-        self.execute_sparql(&prepared)
+        self.execute_sparql(&self.prepare_sparql(text)?)
     }
-}
 
-/// A query compiled by [`LiveReader::prepare`] against one specific
-/// epoch. Holds the epoch's solution alive (the plan carries it);
-/// executable any number of times (on any thread) until the writer's
-/// retention floor passes it.
-pub struct LivePlan {
-    epoch: u32,
-    plan: Arc<CachedPlan>,
-    vars: Arc<[Variable]>,
-    semantics: Semantics,
-}
-
-impl LivePlan {
-    /// The epoch this plan is pinned to.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
+    /// The current epoch's plan-cache counters: each epoch starts empty.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.shared.load().plan_cache_stats()
     }
 }
 
@@ -606,19 +542,6 @@ mod tests {
                 TermOrVar::var("y"),
             ),
         );
-        let conclusion = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("z"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("z"),
-                TermOrVar::iri("http://a/artist"),
-                TermOrVar::var("y"),
-            )),
-        );
         RpsBuilder::new()
             .peer_turtle(
                 "A",
@@ -633,7 +556,7 @@ mod tests {
                 &mut b,
             )
             .unwrap()
-            .assertion(b, a, premise, conclusion)
+            .assertion(b, a, premise, cast_query())
             .unwrap()
             .build()
     }
@@ -641,17 +564,23 @@ mod tests {
     /// Join through the existential witness, so both projected
     /// positions are IRIs and survive `Certain` semantics.
     fn cast_query() -> GraphPatternQuery {
+        cast_over(["x", "z", "y"])
+    }
+
+    /// `film` starring `witness`, whose artist is `who`, answering
+    /// `(film, who)`.
+    fn cast_over([film, witness, who]: [&str; 3]) -> GraphPatternQuery {
         GraphPatternQuery::new(
-            vec![v("x"), v("y")],
+            vec![v(film), v(who)],
             GraphPattern::triple(
-                TermOrVar::var("x"),
+                TermOrVar::var(film),
                 TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("z"),
+                TermOrVar::var(witness),
             )
             .and(GraphPattern::triple(
-                TermOrVar::var("z"),
+                TermOrVar::var(witness),
                 TermOrVar::iri("http://a/artist"),
-                TermOrVar::var("y"),
+                TermOrVar::var(who),
             )),
         )
     }
@@ -670,49 +599,39 @@ mod tests {
     }
 
     #[test]
-    fn open_publishes_epoch_zero_with_chased_solution() {
-        let live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+    fn open_publishes_epoch_zero_with_chased_solution() -> Result<(), RpsError> {
+        let live = LiveSession::open(small_system(), EngineConfig::default())?;
         assert_eq!(live.epoch(), 0);
         let reader = live.reader();
         assert_eq!(reader.epoch(), 0);
-        let answers = reader.answer(&cast_query()).expect("answers").into_set();
+        let answers = reader.answer(&cast_query())?.into_set();
         // A's stored pair plus the chased translation of B's fact.
         assert_eq!(answers.len(), 2);
+        Ok(())
     }
 
-    /// A repeated query reuses the names its cached plan holds; an
-    /// α-equivalent one with other names shares the plan and streams
-    /// under its own.
+    /// An α-equivalent query shares the plan its first preparer
+    /// compiled, and with it that query's projection names: a live
+    /// epoch's cache keeps the frozen session's one contract. Answer
+    /// tuples are the same for every member of the class.
     #[test]
-    fn a_cached_plan_shares_its_names_only_with_their_owners() -> Result<(), RpsError> {
+    fn a_cached_plan_streams_under_its_first_preparers_names() -> Result<(), RpsError> {
         let live = LiveSession::open(small_system(), EngineConfig::default())?;
         let reader = live.reader();
         let first = reader.prepare(&cast_query())?;
         let again = reader.prepare(&cast_query())?;
-        assert!(Arc::ptr_eq(&first.plan, &again.plan));
-        assert!(Arc::ptr_eq(&first.vars, &again.vars));
+        assert!(Arc::ptr_eq(&first, &again));
 
-        let renamed = GraphPatternQuery::new(
-            vec![v("film"), v("who")],
-            GraphPattern::triple(
-                TermOrVar::var("film"),
-                TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("c"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("c"),
-                TermOrVar::iri("http://a/artist"),
-                TermOrVar::var("who"),
-            )),
-        );
-        let other = reader.prepare(&renamed)?;
-        assert!(Arc::ptr_eq(&first.plan, &other.plan));
+        let other = reader.prepare(&cast_over(["film", "c", "who"]))?;
+        assert!(Arc::ptr_eq(&first, &other));
         let stream = reader.execute(&other)?;
-        assert_eq!(stream.vars(), &[v("film"), v("who")]);
+        assert_eq!(stream.vars(), &[v("x"), v("y")]);
         assert_eq!(
             stream.into_set().tuples,
             reader.execute(&first)?.into_set().tuples
         );
+        let stats = reader.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
         Ok(())
     }
 

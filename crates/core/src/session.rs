@@ -291,34 +291,30 @@ pub(crate) struct Plan {
 }
 
 impl Plan {
-    /// `query` as the one all-variable branch over `graph`. The graph is
-    /// frozen, so the branch compiles without interning: an unknown
-    /// constant is simply unsatisfiable.
-    pub(crate) fn single(
-        graph: GraphHandle,
-        query: &GraphPatternQuery,
-        classes: Option<Arc<ClassTable>>,
-    ) -> Self {
-        let plan = PreparedQueryIds::compile_only(&graph, query);
-        Plan {
-            graph,
-            branches: vec![(plan, Vec::new())],
-            classes,
-        }
-    }
-
-    /// `query` as the one branch over a chased solution. Over a quotient
-    /// (`classes: Some`) the query's constants go onto `index`'s class
-    /// representatives first, as the chased graph's did.
+    /// `query` as the one all-variable branch over a chased solution.
+    /// Over a quotient (`classes: Some`) the query's constants go onto
+    /// `index`'s class representatives first, as the chased graph's did.
+    /// The graph is sealed, so the branch compiles without interning: an
+    /// unknown constant is simply unsatisfiable.
     pub(crate) fn chased(
         (solution, classes): Chased,
         index: &EquivalenceIndex,
         query: &GraphPatternQuery,
     ) -> Self {
+        let canonical;
+        let query = match classes {
+            Some(_) => {
+                canonical = canonicalize_query(query, index);
+                &canonical
+            }
+            None => query,
+        };
         let graph = GraphHandle::Solution(solution);
-        match classes {
-            Some(_) => Plan::single(graph, &canonicalize_query(query, index), classes),
-            None => Plan::single(graph, query, None),
+        let plan = PreparedQueryIds::compile_only(&graph, query);
+        Plan {
+            graph,
+            branches: vec![(plan, Vec::new())],
+            classes,
         }
     }
 
@@ -494,9 +490,11 @@ impl Plan {
 /// result semantics captured, rewriting expanded, id-level pattern plan
 /// built — and executable any number of times with
 /// [`FrozenSession::execute`] *on the session that prepared it*
-/// (execution elsewhere returns [`RpsError::SessionMismatch`]).
+/// (execution elsewhere returns [`RpsError::SessionMismatch`]) — a live
+/// session's epochs share one.
 pub struct PreparedQuery {
     session_id: u64,
+    epoch: u32,
     /// The projection variables, shared with every stream this plan
     /// produces.
     vars: Arc<[Variable]>,
@@ -527,6 +525,13 @@ impl PreparedQuery {
     /// session's, fixed at [`Session::freeze`].
     pub fn semantics(&self) -> Semantics {
         self.semantics
+    }
+
+    /// The live epoch this query was compiled at and answers, until the
+    /// writer's retention floor passes it ([`RpsError::StalePlan`]); 0
+    /// on a plain frozen session.
+    pub fn epoch(&self) -> u32 {
+        self.epoch
     }
 
     /// Number of *compiled* UCQ branch plans when the route is

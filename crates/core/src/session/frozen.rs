@@ -81,6 +81,7 @@ use crate::answers::AnswerSet;
 use crate::chase::{RpsChaseStats, UniversalSolution};
 use crate::equivalence::{canonicalize_query, ClassTable, EquivalenceIndex};
 use crate::error::RpsError;
+use crate::live::Retention;
 use crate::mapping::EquivalenceMapping;
 use crate::rewriting::{RewriteTemplate, RpsRewriter};
 use crate::sparql::{common_prefixes, prepare_sparql_with, PreparedSparql};
@@ -346,10 +347,10 @@ impl<T, S> PlanCache<T, S> {
     }
 
     /// The statement cached for exactly this `text`; else the text bound
-    /// into its shape's template; else a fresh [`prepare_sparql_with`]
-    /// through `compiler`'s plan-cache path, which counts in
-    /// [`PlanCache::get_or_compile`], a hit or a miss per CQ, exactly as
-    /// a caller of the CQ API would.
+    /// into its shape's template; else a fresh parse, lowering and
+    /// prepare of each CQ through `compiler`'s plan-cache path, which
+    /// counts in [`PlanCache::get_or_compile`], a hit or a miss per CQ,
+    /// exactly as a caller of the CQ API would.
     ///
     /// A shape is made a template lazily. The first text of a shape
     /// takes the plan-cache path and leaves only the shape's hash
@@ -607,6 +608,10 @@ enum Compiler {
 /// The shared, immutable state behind every clone of a [`FrozenSession`].
 struct FrozenInner {
     id: u64,
+    /// The live epoch this session answers, stamped on its plans, and
+    /// the live session's retention window; 0 and `None` on a freeze.
+    epoch: u32,
+    retention: Option<Arc<Retention>>,
     config: EngineConfig,
     eq_index: Arc<EquivalenceIndex>,
     /// Where every fresh preparation goes — resolved once, at freeze (the
@@ -614,6 +619,29 @@ struct FrozenInner {
     route: ExecRoute,
     compiler: Compiler,
     cache: Mutex<PlanCache<PreparedQuery, CqTemplate>>,
+}
+
+impl FrozenInner {
+    /// A frozen session's state: no live epoch, and an empty plan cache
+    /// bounded to `capacity`.
+    fn new(
+        id: u64,
+        config: EngineConfig,
+        eq_index: Arc<EquivalenceIndex>,
+        (route, compiler): (ExecRoute, Compiler),
+        capacity: usize,
+    ) -> Self {
+        FrozenInner {
+            id,
+            epoch: 0,
+            retention: None,
+            config,
+            eq_index,
+            route,
+            compiler,
+            cache: Mutex::new(PlanCache::new(capacity)),
+        }
+    }
 }
 
 /// What a frozen session's SPARQL front keeps of one lowered CQ of a text
@@ -721,7 +749,7 @@ impl Session {
             solution.graph.term_order();
             solution
         };
-        let (route, compiler) = match rewriter {
+        let routed = match rewriter {
             Some(rewriter) => {
                 let fallback = self.solution.take().map(seal);
                 (
@@ -742,20 +770,39 @@ impl Session {
                 )
             }
         };
+        let id = next_session_id();
+        let inner = FrozenInner::new(id, self.config, self.eq_index, routed, capacity);
         Ok(FrozenSession {
-            inner: Arc::new(FrozenInner {
-                id: next_session_id(),
-                config: self.config,
-                eq_index: self.eq_index,
-                route,
-                compiler,
-                cache: Mutex::new(PlanCache::new(capacity)),
-            }),
+            inner: Arc::new(inner),
         })
     }
 }
 
 impl FrozenSession {
+    /// A [`crate::LiveSession`]'s `epoch`: its sealed `solution` on the
+    /// materialised route, under the identity `id` every epoch's session
+    /// shares. Nothing is resealed, ranked or copied (see [`crate::live`]).
+    pub(crate) fn live_epoch(
+        id: u64,
+        epoch: u32,
+        retention: Arc<Retention>,
+        config: EngineConfig,
+        eq_index: Arc<EquivalenceIndex>,
+        solution: Arc<UniversalSolution>,
+    ) -> Self {
+        let routed = (ExecRoute::Materialised, Compiler::Chased((solution, None)));
+        let mut inner = FrozenInner::new(id, config, eq_index, routed, DEFAULT_PLAN_CACHE_CAPACITY);
+        (inner.epoch, inner.retention) = (epoch, Some(retention));
+        FrozenSession {
+            inner: Arc::new(inner),
+        }
+    }
+
+    /// The live epoch this session answers; 0 on a freeze.
+    pub(crate) fn epoch(&self) -> u32 {
+        self.inner.epoch
+    }
+
     /// The (immutable) configuration this session was frozen with.
     pub fn config(&self) -> &EngineConfig {
         &self.inner.config
@@ -792,10 +839,10 @@ impl FrozenSession {
     /// the explicit [`Strategy::Rewrite`], it is the typed
     /// [`RpsError::RewriteBudget`].
     ///
-    /// Cache-hit note: the projection variable *names* on executed
-    /// streams are those of the first-prepared representative of the
-    /// α-equivalence class; answer tuples are identical for every member
-    /// of the class.
+    /// Cache-hit note, a live epoch's included: the projection variable
+    /// *names* on executed streams are those of the first-prepared
+    /// representative of the α-equivalence class; answer tuples are
+    /// identical for every member of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
         self.inner.prepare_cq(query)
     }
@@ -804,14 +851,28 @@ impl FrozenSession {
     /// Lock-free on every route: a plan touches only the immutable,
     /// sealed substrate it carries. The query must have been prepared by
     /// this frozen session (or a clone of it):
-    /// [`RpsError::SessionMismatch`] otherwise.
+    /// [`RpsError::SessionMismatch`] otherwise, and a live epoch's plan
+    /// is [`RpsError::StalePlan`] once the retention window leaves it.
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
+        self.execute_as(prepared, prepared.semantics)
+    }
+
+    /// [`FrozenSession::execute`] under `semantics`, as a
+    /// [`crate::LiveReader`] sets it per handle.
+    pub(crate) fn execute_as(
+        &self,
+        prepared: &PreparedQuery,
+        semantics: Semantics,
+    ) -> Result<AnswerStream, RpsError> {
         if prepared.session_id != self.inner.id {
             return Err(RpsError::SessionMismatch);
         }
+        if let Some(retention) = &self.inner.retention {
+            retention.admit(prepared.epoch)?;
+        }
         Ok(prepared
             .plan
-            .execute(prepared.vars.clone(), prepared.route, prepared.semantics))
+            .execute(prepared.vars.clone(), prepared.route, semantics))
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one
@@ -835,7 +896,7 @@ impl FrozenSession {
     /// The chased solution this session holds: the materialised route's
     /// substrate (the universal solution or a full system's quotient),
     /// or the rewritten route's `Auto` fallback.
-    fn solution(&self) -> Option<&Arc<UniversalSolution>> {
+    pub(crate) fn solution(&self) -> Option<&Arc<UniversalSolution>> {
         match &self.inner.compiler {
             Compiler::Rewriter(_, fallback) => fallback.as_ref(),
             Compiler::Chased((solution, _)) => Some(solution),
@@ -1057,22 +1118,19 @@ impl FrozenSession {
             config.rewrite.max_depth = d;
             config.rewrite.max_cqs = c;
         }
+        let solution = Arc::new(UniversalSolution {
+            graph,
+            stats,
+            complete,
+        });
+        let routed = (
+            ExecRoute::Materialised,
+            Compiler::Chased((solution, classes)),
+        );
+        let (id, eq_index) = (next_session_id(), Arc::new(eq_index));
+        let inner = FrozenInner::new(id, config, eq_index, routed, DEFAULT_PLAN_CACHE_CAPACITY);
         Ok(FrozenSession {
-            inner: Arc::new(FrozenInner {
-                id: next_session_id(),
-                config,
-                eq_index: Arc::new(eq_index),
-                route: ExecRoute::Materialised,
-                compiler: Compiler::Chased((
-                    Arc::new(UniversalSolution {
-                        graph,
-                        stats,
-                        complete,
-                    }),
-                    classes,
-                )),
-                cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
-            }),
+            inner: Arc::new(inner),
         })
     }
 }
@@ -1107,6 +1165,7 @@ impl FrozenInner {
         };
         Ok(PreparedQuery {
             session_id: self.id,
+            epoch: self.epoch,
             vars: stream_vars(query),
             route,
             semantics: config.semantics,
@@ -1191,6 +1250,7 @@ impl SparqlCompiler for FrozenInner {
         };
         Some(PreparedQuery {
             session_id: self.id,
+            epoch: self.epoch,
             vars: template.vars.clone(),
             route: self.route,
             semantics: self.config.semantics,

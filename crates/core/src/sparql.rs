@@ -1,25 +1,28 @@
-//! SPARQL text on every answering façade, written once.
+//! SPARQL text on both answering types, written once: [`FrozenSession`],
+//! which a [`crate::LiveReader`] answers through, and `rps-p2p`'s
+//! `FrozenFederatedSession`.
 //!
 //! `rps_query::sparql` lowers a SPARQL SELECT/ASK query to a list of
 //! plain conjunctive queries plus an id-level assembly tail. The two
 //! functions here are the whole glue around that front-end —
-//! [`prepare_sparql_with`] (parse → lower → prepare each CQ) and
+//! `prepare_sparql_with` (parse → lower → prepare each CQ, the plan
+//! cache's path for a text of an unseen shape) and
 //! [`execute_sparql_with`] (execute each plan → assemble) — taking the
 //! façade's own `prepare` / `execute` as closures. Each lowered CQ
 //! therefore rides the façade's *ordinary* pipeline — route resolution,
-//! plan cache, rewriting, live epochs, federation, all unchanged — and
-//! because the tail is shared and deterministic, the same query text
-//! answers byte-identically on every façade and route.
+//! plan cache, rewriting, federation, all unchanged — and because the
+//! tail is shared and deterministic, the same query text answers
+//! byte-identically on every façade and route.
 //!
-//! **Late materialisation.** On every route ([`FrozenSession`],
-//! [`crate::LiveReader`]; materialised or rewritten; and the
-//! federated façades of `rps-p2p`, whose answer dictionary is the
-//! rewriter's canonical graph's) a lowered CQ answers with undecoded id
-//! rows over one sealed graph — equivalence classes already expanded —
-//! and when a statement's CQs all index that one graph's dictionary the
-//! tail runs on those ids: joins, filters, DISTINCT, ordering and LIMIT
-//! all happen before a single [`Term`](rps_rdf::Term) is cloned, and
-//! only the rows that leave the engine are decoded. The one statement
+//! **Late materialisation.** On every route (materialised, a live
+//! epoch's included, or rewritten; and the federated route, whose
+//! answer dictionary is the rewriter's canonical graph's) a lowered CQ
+//! answers with undecoded id rows over one sealed graph — equivalence
+//! classes already expanded — and when a statement's CQs all index that
+//! one graph's dictionary the tail runs on those ids: joins, filters,
+//! DISTINCT, ordering and LIMIT all happen before a single
+//! [`Term`](rps_rdf::Term) is cloned, and only the rows that leave the
+//! engine are decoded. The one statement
 //! without a shared dictionary — an `Auto` statement whose CQs fell back
 //! to different substrates — is interned into a scratch dictionary by
 //! [`LoweredSparql::assemble`] and goes through the *same* tail. There
@@ -33,7 +36,7 @@ use crate::error::RpsError;
 use crate::session::frozen::FrozenSession;
 use crate::session::{AnswerStream, PreparedQuery};
 use rps_query::sparql::LoweredSparql;
-use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
+use rps_query::{parse_sparql, GraphPatternQuery, Semantics, SparqlResult};
 use rps_rdf::PrefixMap;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -103,11 +106,9 @@ pub(crate) fn common_prefixes() -> &'static PrefixMap {
     COMMON.get_or_init(PrefixMap::common)
 }
 
-/// Compiles SPARQL text (the subset documented in [`rps_query::sparql`]:
-/// BGPs, OPTIONAL, UNION, FILTER, DISTINCT, ORDER BY, LIMIT/OFFSET)
-/// through a façade's own `prepare`. Malformed or out-of-subset text is
-/// a typed [`RpsError::Sparql`] with the offending span — never a panic.
-pub fn prepare_sparql_with<P>(
+/// Compiles SPARQL text through a façade's own `prepare` (the subset and
+/// the error contract of [`FrozenSession::prepare_sparql`]).
+pub(crate) fn prepare_sparql_with<P>(
     text: &str,
     mut prepare: impl FnMut(&GraphPatternQuery) -> Result<P, RpsError>,
 ) -> Result<PreparedSparql<P>, RpsError> {
@@ -141,11 +142,13 @@ pub fn execute_sparql_with<P>(
 }
 
 impl FrozenSession {
-    /// Compiles a SPARQL SELECT/ASK query for repeated execution (see
-    /// [`prepare_sparql_with`] for the subset and the error contract). A
-    /// text seen before (byte for byte) comes back whole from the plan
-    /// cache's statement front — no lexing, parsing, lowering or per-CQ
-    /// lookup. A new text of a seen shape — the same tokens but for its
+    /// Compiles a SPARQL SELECT/ASK query for repeated execution: the
+    /// subset documented in [`rps_query::sparql`] (BGPs, OPTIONAL, UNION,
+    /// FILTER, DISTINCT, ORDER BY, LIMIT/OFFSET). Malformed or
+    /// out-of-subset text is a typed [`RpsError::Sparql`] with the
+    /// offending span — never a panic. A text seen before (byte for
+    /// byte) comes back whole from the plan cache's statement front — no
+    /// lexing, parsing, lowering or per-CQ lookup. A new text of a seen shape — the same tokens but for its
     /// constants — is lexed and its constants bound into the plans the
     /// shape keeps, with no parsing or lowering; the first text of a
     /// shape takes each lowered CQ through the bounded plan cache, so
@@ -193,6 +196,15 @@ impl FrozenSession {
     /// Executes a prepared SPARQL query against this frozen session.
     pub fn execute_sparql(&self, prepared: &PreparedSparql) -> Result<SparqlResult, RpsError> {
         execute_sparql_with(prepared, |plan| self.execute(plan))
+    }
+
+    /// [`FrozenSession::execute_sparql`] under `semantics`.
+    pub(crate) fn execute_sparql_as(
+        &self,
+        prepared: &PreparedSparql,
+        semantics: Semantics,
+    ) -> Result<SparqlResult, RpsError> {
+        execute_sparql_with(prepared, |plan| self.execute_as(plan, semantics))
     }
 
     /// Parses, prepares and executes in one call.

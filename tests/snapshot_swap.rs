@@ -12,6 +12,9 @@
 //!   later epochs land, until the writer's retention floor passes it;
 //!   only then does execution fail, with the typed
 //!   [`RpsError::StalePlan`], and a re-prepare recovers.
+//! * **SPARQL reads** — a SPARQL text answers as some epoch the reader
+//!   could see during the call, whether its epoch's statement front
+//!   parses it, finds it whole or binds it into its shape's template.
 //!
 //! CI runs this suite under `RUST_TEST_THREADS=8`.
 
@@ -227,4 +230,66 @@ fn readers_survive_the_writer() {
         .expect("answers after writer drop")
         .collect();
     assert_eq!(got, expected(1));
+}
+
+/// The one row `SELECT ?y` over `film{i}`'s cast answers at `epoch`:
+/// `actor{i}` once epoch `i − 2` has inserted it, nothing before.
+fn cast_of(i: u32, epoch: u32) -> Vec<Vec<Option<Term>>> {
+    match i <= epoch + 2 {
+        true => vec![vec![Some(iri(&format!("http://b/actor{i}")))]],
+        false => Vec::new(),
+    }
+}
+
+#[test]
+fn sparql_readers_answer_an_epoch_they_could_see() {
+    let mut live = LiveSession::open(system(), EngineConfig::default()).expect("opens");
+    let done = Arc::new(AtomicBool::new(false));
+
+    let readers: Vec<_> = (0..READERS as u32)
+        .map(|r| {
+            let reader = live.reader();
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut observations = 0u32;
+                // Each thread rotates through every film of the run and
+                // one past it, starting at its own.
+                let films = EPOCHS + 2;
+                while !done.load(Ordering::Acquire) {
+                    let i = 2 + (r + observations) % films;
+                    let text = format!(
+                        "SELECT ?y WHERE {{ <http://b/film{i}> <http://a/starring> ?z . \
+                         ?z <http://a/artist> ?y }}"
+                    );
+                    let low = reader.epoch();
+                    let got = reader.answer_sparql(&text).expect("unbounded retention");
+                    let high = reader.epoch();
+                    let rows: Vec<Vec<Option<Term>>> = (got.rows().expect("a SELECT").rows.iter())
+                        .map(<[_]>::to_vec)
+                        .collect();
+                    assert!(
+                        (low..=high).any(|epoch| rows == cast_of(i, epoch)),
+                        "film{i} answered {rows:?}, no epoch in {low}..={high} does"
+                    );
+                    observations += 1;
+                }
+                observations
+            })
+        })
+        .collect();
+
+    for k in 0..EPOCHS {
+        let epoch = live
+            .apply(&UpdateBatch::new().insert(PeerId(1), actor_triple(k + 3)))
+            .expect("batch applies");
+        assert_eq!(epoch, k + 1);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    done.store(true, Ordering::Release);
+
+    let mut total = 0;
+    for handle in readers {
+        total += handle.join().expect("reader thread panics propagate");
+    }
+    assert!(total > 0, "readers must have answered at least one text");
 }

@@ -1,8 +1,9 @@
 //! The shape level of the statement front, differentially: a SPARQL
 //! text of a seen shape is bound into the shape's template rather than
 //! parsed and lowered, and must answer byte for byte as the full path —
-//! parse, lower, one plan per CQ (`prepare_sparql_with`) — of a
-//! separately frozen session does. Checked on the three fronted façades
+//! parse, lower, one plan per CQ, the CQs' answers assembled by the
+//! interning tail (`LoweredSparql::assemble`) — of a separately frozen
+//! session does. Checked on the three fronted façades
 //! (frozen `Materialise`, frozen `Rewrite`, `FrozenFederatedSession`)
 //! over two systems: one whose mapping has an existential (the
 //! materialised route serves the universal solution) and a full one
@@ -18,16 +19,18 @@
 //! fails — the same typed error, the same span — and never be cached.
 //! Seeded on `RPS_SPARQL_SEED` (comma-separated u64 seeds).
 
-use rps_core::sparql::{execute_sparql_with, prepare_sparql_with};
 use rps_core::{
-    EngineConfig, FrozenSession, PeerId, PlanCacheStats, RdfPeerSystem, RpsBuilder, RpsError,
-    Session, SparqlResult, Strategy,
+    AnswerStream, EngineConfig, FrozenSession, PeerId, PlanCacheStats, RdfPeerSystem, RpsBuilder,
+    RpsError, Session, SparqlResult, Strategy,
 };
 use rps_lodgen::{seed_matrix, SeededRng};
 use rps_p2p::{FederatedSession, FrozenFederatedSession};
 use rps_query::sparql::SparqlShape;
-use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable};
-use std::collections::{HashMap, HashSet};
+use rps_query::{
+    parse_sparql, GraphPattern, GraphPatternQuery, TermOrVar, TriplePattern, Variable,
+};
+use rps_rdf::PrefixMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 mod corpus;
 use corpus::CORPUS;
@@ -140,6 +143,22 @@ fn system(existential: bool) -> RdfPeerSystem {
         .build()
 }
 
+/// `text` through the full path: parsed and lowered, each CQ prepared,
+/// then each executed, and the answers assembled.
+fn full_path<P>(
+    text: &str,
+    prepare: impl Fn(&GraphPatternQuery) -> Result<P, RpsError>,
+    execute: impl Fn(&P) -> Result<AnswerStream, RpsError>,
+) -> Result<SparqlResult, RpsError> {
+    let lowered = parse_sparql(text, &PrefixMap::common())?.into_lowered();
+    let plans = lowered.cqs().map(prepare).collect::<Result<Vec<_>, _>>()?;
+    let mut answers = Vec::with_capacity(plans.len());
+    for plan in &plans {
+        answers.push(execute(plan)?.collect::<BTreeSet<_>>());
+    }
+    Ok(lowered.assemble(&answers))
+}
+
 /// A fronted façade, and a separately frozen twin answering through the
 /// full path only.
 trait Front {
@@ -160,8 +179,7 @@ impl Front for Local {
     }
     fn full_path(&self, text: &str) -> Result<SparqlResult, RpsError> {
         let oracle = &self.2;
-        let prepared = prepare_sparql_with(text, |cq| oracle.prepare(cq))?;
-        execute_sparql_with(&prepared, |plan| oracle.execute(plan))
+        full_path(text, |cq| oracle.prepare(cq), |plan| oracle.execute(plan))
     }
     fn stats(&self) -> PlanCacheStats {
         self.1.plan_cache_stats()
@@ -179,10 +197,11 @@ impl Front for Federated {
     }
     fn full_path(&self, text: &str) -> Result<SparqlResult, RpsError> {
         let oracle = &self.2;
-        let prepared = prepare_sparql_with(text, |cq| oracle.prepare(cq))?;
-        execute_sparql_with(&prepared, |plan| {
-            oracle.execute_with_threads(plan, 1).map(|a| a.stream)
-        })
+        full_path(
+            text,
+            |cq| oracle.prepare(cq),
+            |plan| oracle.execute_with_threads(plan, 1).map(|a| a.stream),
+        )
     }
     fn stats(&self) -> PlanCacheStats {
         self.1.plan_cache_stats()

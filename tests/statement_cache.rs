@@ -6,14 +6,17 @@
 //! `Materialise`, frozen `Rewrite` and [`FrozenFederatedSession`] —
 //! together with the counter contract (`hits` counts plans served
 //! without compilation, `binds` the misses a shape's template served),
-//! the bound, and that errors are never cached.
+//! the bound, and that errors are never cached. A live reader answers
+//! through its current epoch's frozen session, so it has the front too,
+//! one per epoch.
 
 use rps_core::{
-    EngineConfig, FrozenSession, PeerId, PlanCacheStats, RdfPeerSystem, RpsBuilder, RpsError,
-    Session, SparqlResult, Strategy,
+    EngineConfig, FrozenSession, LiveReader, LiveSession, PeerId, PlanCacheStats, RdfPeerSystem,
+    RpsBuilder, RpsError, Session, SparqlResult, Strategy, UpdateBatch,
 };
 use rps_p2p::{FederatedSession, FrozenFederatedSession};
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
+use rps_rdf::{Term, Triple};
 use rps_tgd::RewriteConfig;
 
 const PEOPLE: usize = 100;
@@ -314,6 +317,62 @@ fn capacity_bounds_the_statements_and_an_evicted_handle_still_executes() {
         assert_eq!(front.answer(&first).unwrap(), expected);
         assert_eq!(front.stats().misses, full.misses + 1, "{name}");
     });
+}
+
+/// A live epoch's front: a repeated text is a statement hit, a text of
+/// the same shape with another constant binds into the shape's
+/// template, and a publish starts the next epoch cold. A statement
+/// prepared before the publishes answers its own epoch until the
+/// retention window leaves it.
+#[test]
+fn a_live_epoch_fronts_its_statements_until_the_window_leaves_them() -> Result<(), RpsError> {
+    let mut live = LiveSession::open_with_retention(build_system(), EngineConfig::default(), 1)?;
+    let reader = live.reader();
+    let counters = |reader: &LiveReader| {
+        let stats = reader.plan_cache_stats();
+        (stats.hits, stats.misses, stats.binds)
+    };
+    let cast =
+        |film: usize| format!("SELECT ?who WHERE {{ <http://a/f{film}> <http://a/cast> ?who }}");
+
+    let pinned = reader.prepare_sparql(&cast(3))?;
+    let before = reader.execute_sparql(&pinned)?;
+    assert_eq!(counters(&reader), (0, 1, 0));
+    assert_eq!(reader.answer_sparql(&cast(3))?, before);
+    assert_eq!(
+        counters(&reader),
+        (1, 1, 0),
+        "a repeated text is a statement hit"
+    );
+    let expected = oracle(live.system()).answer_sparql(&cast(4))?;
+    assert_eq!(reader.answer_sparql(&cast(4))?, expected);
+    assert_eq!(counters(&reader), (1, 2, 1), "a new constant binds");
+
+    let iri = Term::iri;
+    let triple = Triple::new(
+        iri("http://a/f3"),
+        iri("http://a/cast"),
+        iri("http://a/p50"),
+    )?;
+    live.apply(&UpdateBatch::new().insert(PeerId(0), triple))?;
+    assert_eq!(counters(&reader), (0, 0, 0), "a new epoch starts cold");
+    let expected = oracle(live.system()).answer_sparql(&cast(3))?;
+    assert_ne!(expected, before);
+    assert_eq!(reader.answer_sparql(&cast(3))?, expected);
+    assert_eq!(
+        counters(&reader),
+        (0, 1, 0),
+        "the epoch's first read misses"
+    );
+    assert_eq!(reader.execute_sparql(&pinned)?, before, "within the window");
+
+    live.apply(&UpdateBatch::new())?;
+    match reader.execute_sparql(&pinned) {
+        Err(RpsError::StalePlan { prepared, current }) => assert_eq!((prepared, current), (0, 2)),
+        Err(other) => panic!("expected StalePlan, got {other}"),
+        Ok(_) => panic!("expected StalePlan, got answers"),
+    }
+    Ok(())
 }
 
 /// Peer A casts person `i` in films `i` and `7i mod 100` and knows
