@@ -35,20 +35,19 @@
 //! batch's few additions and tombstones (1.7–2.6 ms on the repo
 //! benchmark's `live_churn`: 185k–245k solution triples, 64-triple
 //! batches, 2-core VM). The copy **shares** the three runs — its store
-//! is the sealed read-only variant, which holds nothing else: no tail,
-//! no tombstone set, no live-key set, so its membership test is a
-//! binary search of the SPO run — and the term dictionary's
+//! is a clone of the sealed store, which holds nothing else: an empty
+//! tail, no tombstone, and no set of its keys, so its membership test
+//! is a lookup in the SPO run's directory — and the term dictionary's
 //! `Arc`-shared base, and carries the planner statistics; it
 //! **copies** the per-predicate counts and the dictionary's tail — the
 //! terms interned since its last fold, at most `max(1024, base / 8)`;
-//! it **leaves** the writer's live-key set, its insertion log and the
-//! log's position map on the write side, where the chase needs them
-//! and readers never did. So the seal's merge is the one `O(solution)`
-//! copy of a publish: traced on `live_churn`, the copy is ≈ 0.05 ms
-//! where `Graph::clone` was ≈ 10 and copying the key set ≈ 1, and an
-//! `apply` ≈ 4 ms where it was ≈ 13. Every published solution is one
-//! run per permutation with no tail and no tombstone — the variant has
-//! no room for either — so a reader's probe never merges.
+//! it **leaves** the writer's insertion log and the log's position map
+//! on the write side, where the chase needs them and readers never
+//! did. So the seal's merge is the one `O(solution)` copy of a publish:
+//! traced on `live_churn`, the copy is ≈ 0.05 ms where `Graph::clone`
+//! was ≈ 10, and an `apply` ≈ 4 ms where it was ≈ 13. Every published
+//! solution is one run per permutation with no tail and no tombstone,
+//! so a reader's probe never merges.
 //!
 //! The planner statistics are the one part of a publish that is
 //! `O(batch)`: the seal patches the previous epoch's `GraphStats` from
@@ -198,8 +197,10 @@ pub struct LiveSession {
     /// count reaches zero — two peers asserting the same IRI-only
     /// triple keep it alive until both drop it.
     base: HashMap<IdTriple, u32>,
-    /// What every epoch's session shares. An [`UpdateBatch`] carries
-    /// triples only, so the equivalence index never changes.
+    /// What every epoch's session shares. The equivalence index is an
+    /// empty one: a live epoch serves the chased solution itself, whose
+    /// plans expand no class (`FrozenSession::live_epoch`), and a
+    /// [`LiveReader`] reaches no path that reads the index.
     id: u64,
     eq_index: Arc<EquivalenceIndex>,
     retention: Arc<Retention>,
@@ -254,7 +255,7 @@ impl LiveSession {
         // Epoch 0 is set-up: its readers find the term order in place.
         engine.graph.term_order();
         let id = next_session_id();
-        let eq_index = Arc::new(EquivalenceIndex::from_mappings(system.equivalences()));
+        let eq_index = Arc::new(EquivalenceIndex::default());
         let retention = Arc::new(Retention {
             epoch: AtomicU32::new(0),
             retain,

@@ -481,30 +481,31 @@ impl Graph {
     /// counts, and carries the [`GraphStats`] snapshot and the
     /// [`TermOrder`] (or the base the next one patches), by `Arc`.
     ///
-    /// Of a graph [`Graph::seal`] left as one plain run per permutation,
-    /// the copy's store is the sealed read-only variant: those three
-    /// runs and nothing else — no tail, no tombstones, and **no
-    /// live-key set**, so the copy costs three `Arc` bumps however large
-    /// the graph. The runs' first-component directories are shared with
-    /// them, and its membership test ([`Graph::contains_ids`], a fully
-    /// bound [`Graph::match_ids`]) is a lookup in the SPO run's
-    /// directory instead of a hash probe. A graph never sealed but left
-    /// as one run per permutation by a bulk [`Graph::insert_batch`]
-    /// copies the same way, without directories: its probes
-    /// binary-search the runs. Any other shape (unsealed, columnar, the
-    /// B-tree backend) is copied whole.
+    /// The store is cloned, and a sorted-run store holds nothing
+    /// proportional to its size outside its runs: of a graph
+    /// [`Graph::seal`] left as one plain run per permutation, the copy
+    /// holds those three runs and their first-component directories,
+    /// `Arc`-shared, beside an empty tail and an empty tombstone set, so
+    /// it costs three `Arc` bumps however large the graph. Its
+    /// membership test ([`Graph::contains_ids`], a fully bound
+    /// [`Graph::match_ids`]) is a lookup in the SPO run's directory. A
+    /// graph never sealed but left as one run per permutation by a bulk
+    /// [`Graph::insert_batch`] copies the same way, without
+    /// directories: its probes binary-search the runs. An unsealed
+    /// store also copies its tail and tombstones; the B-tree backend is
+    /// copied whole.
     ///
     /// It has **no history**: its insertion log is empty, so no mark
     /// taken on `self` means anything here and a chase cannot resume
     /// from it — [`Graph::log_since`]`(0)` on the copy lists only what
     /// was inserted into the copy itself. The copy is still a complete
     /// graph (it scans, answers, persists and accepts writes like any
-    /// other — its first write rebuilds the live-key set once, over the
-    /// same runs); [`Clone`] remains the full copy, log included.
+    /// other, its writes starting a tail over the shared runs);
+    /// [`Clone`] remains the full copy, log included.
     pub fn read_only_copy(&self) -> Graph {
         Graph {
             dict: self.dict.clone(),
-            store: self.store.read_only_copy(),
+            store: self.store.clone(),
             pred_counts: self.pred_counts.clone(),
             dur: self.dur.clone(),
             stats: self.stats.clone(),
@@ -1593,10 +1594,10 @@ mod tests {
         ])
     }
 
-    /// A publish's copy of a sealed plain graph holds the read-only
-    /// variant over the writer's own runs, and answers every read like
-    /// the writer; its first write thaws it into a store that behaves
-    /// like the B-tree oracle, and the writer never sees it.
+    /// A publish's copy of a sealed plain graph holds the writer's own
+    /// three key buffers, and answers every read like the writer; a
+    /// plain reseal keeps them shared, writes to it behave like the
+    /// B-tree oracle, and the writer never sees them.
     #[test]
     fn a_sealed_copy_shares_the_writers_runs_and_reads_like_it() -> Result<(), String> {
         for seed in [31u64, 32, 33] {
@@ -1606,18 +1607,21 @@ mod tests {
                 let stats = writer.graph_stats().ok_or("sealed")?;
                 let writer_scan: Vec<IdTriple> = writer.iter_ids().collect();
                 let mut copy = writer.read_only_copy();
-                assert!(matches!(copy.store, TripleStore::Sealed(_)), "{what}");
 
                 // The same three key arrays, not copies of them.
                 let theirs = writer.store.sealed_runs().ok_or("writer sealed plain")?;
-                let ours = copy.store.sealed_runs().ok_or("copy sealed")?;
-                for (w, c) in theirs.iter().zip(ours) {
-                    assert_eq!(*w, c, "{what}");
-                    assert!(
-                        w.is_empty() || std::ptr::eq(w.as_ptr(), c.as_ptr()),
-                        "{what}"
-                    );
-                }
+                let shares_theirs = |copy: &Graph| -> Result<(), String> {
+                    let ours = copy.store.sealed_runs().ok_or("copy sealed")?;
+                    for (w, c) in theirs.iter().zip(ours) {
+                        assert_eq!(*w, c, "{what}");
+                        assert!(
+                            w.is_empty() || std::ptr::eq(w.as_ptr(), c.as_ptr()),
+                            "{what}"
+                        );
+                    }
+                    Ok(())
+                };
+                shares_theirs(&copy)?;
                 assert_reads_agree(&copy, &writer, &probes, &what);
                 for p in 0..10 {
                     assert_eq!(
@@ -1634,9 +1638,9 @@ mod tests {
                 assert!(Arc::ptr_eq(&carried, &stats), "{what}: statistics shared");
 
                 // A reseal that stays plain leaves it as it is; one that
-                // compresses thaws a copy of it.
+                // compresses re-encodes a copy of it.
                 copy.seal_with(&SealConfig::default());
-                assert!(matches!(copy.store, TripleStore::Sealed(_)), "{what}");
+                shares_theirs(&copy)?;
                 let mut packed = copy.clone();
                 packed.seal_with(&SealConfig {
                     compress: true,
@@ -1646,7 +1650,7 @@ mod tests {
                 assert_eq!(packed.storage_stats().compressed_runs, columnar, "{what}");
                 assert!(packed.iter_ids().eq(writer.iter_ids()), "{what}: packed");
 
-                // Thaw by writing, against the B-tree oracle.
+                // Writes to it, against the B-tree oracle.
                 let mut model = Graph::with_backend(StorageBackend::BTree);
                 model.insert_batch(writer.iter_ids());
                 let mut touched = probes.clone();
@@ -1658,7 +1662,7 @@ mod tests {
                     };
                     assert_eq!(write(&mut copy, t), write(&mut model, t), "{what}: {t:?}");
                 }
-                assert!(matches!(copy.store, TripleStore::Runs(_)), "{what}: thawed");
+                assert!(!copy.is_sealed(), "{what}: written");
                 let fresh: Vec<IdTriple> = (0..200).map(|_| draw(next, 60, 4200)).collect();
                 assert_eq!(
                     copy.insert_batch(fresh.iter().copied()),
@@ -1666,7 +1670,7 @@ mod tests {
                     "{what}"
                 );
                 touched.extend(fresh);
-                assert_reads_agree(&copy, &model, &touched, &format!("{what}, thawed"));
+                assert_reads_agree(&copy, &model, &touched, &format!("{what}, written"));
                 copy.seal();
                 assert_reads_agree(&copy, &model, &touched, &format!("{what}, resealed"));
 
@@ -1674,7 +1678,7 @@ mod tests {
                     writer.iter_ids().eq(writer_scan),
                     "{what}: writer untouched"
                 );
-                assert!(matches!(writer.store, TripleStore::Runs(_)), "{what}");
+                assert!(writer.is_sealed(), "{what}: writer untouched");
             }
         }
         Ok(())
@@ -1689,7 +1693,7 @@ mod tests {
         for (shape, writer, _) in sealed_writers(next)? {
             let stats = writer.graph_stats().ok_or("sealed")?;
             let copy = writer.read_only_copy();
-            assert!(matches!(copy.store, TripleStore::Sealed(_)), "{shape}");
+            assert!(copy.store.sealed_runs().is_some(), "{shape}");
             let dir = std::env::temp_dir().join(format!(
                 "rps-graph-test-{}-published-{shape}",
                 std::process::id()

@@ -9,8 +9,10 @@
 //! * [`StorageBackend::SortedRuns`] (the default) — an LSM-flavoured
 //!   layout. Each permutation index is a stack of **immutable sorted
 //!   runs** (`Vec<[u32; 3]>`) plus one shared, insertion-ordered mutable
-//!   **tail** kept sorted in each permutation's key order. Inserts are
-//!   an `O(1)` hash probe plus three small sorted-tail insertions; when
+//!   **tail** kept sorted in each permutation's key order. The store
+//!   keeps no key set beside them: membership is a probe of the SPO
+//!   tail and runs themselves, and an insert is that probe plus three
+//!   small sorted-tail insertions; when
 //!   the tail reaches [`TAIL_MAX`] entries it becomes a fresh run per
 //!   permutation, and a **size-tiered compaction** merges
 //!   neighbouring runs while the older run is within `TIER_FACTOR`
@@ -37,14 +39,13 @@
 //!   keys and searches only them, instead of binary-searching the whole
 //!   run. A seal after a small window patches the previous directory
 //!   from the window's delta; any other seal sweeps one.
-//!   A **read-only copy** of a store sealed plain is its own variant,
-//!   `TripleStore::Sealed`: the three runs and their directories,
-//!   `Arc`-shared with the writer, and nothing else — no tail, no
-//!   tombstone set, no live-key set. Its membership probe is a lookup
-//!   in the SPO run's directory where the run carries one (a copy of a
-//!   store never sealed — one batch-loaded run — has none and
-//!   binary-searches); a write *thaws* it back into the run layout over
-//!   the same runs.
+//!   A **read-only copy** of a store sealed plain is a clone of it: the
+//!   three runs and their directories, `Arc`-shared with the writer,
+//!   an empty tail and an empty tombstone set — nothing proportional to
+//!   the store is copied. Its membership probe is a lookup in the SPO
+//!   run's directory where the run carries one (a copy of a store never
+//!   sealed — one batch-loaded run — has none and binary-searches), and
+//!   a write to it starts a tail over the same runs, as on the writer.
 //!
 //! * [`StorageBackend::BTree`] — the original three
 //!   `BTreeSet<[u32; 3]>` permutation indexes, retained as a correctness
@@ -72,10 +73,8 @@
 //! 4. compaction never changes the logical key set, so the insertion
 //!    log kept by `Graph` (and every outstanding mark into it) is
 //!    unaffected by flushes, merges and purges;
-//! 5. a `Sealed` store is one plain run per permutation (an empty one
-//!    when the store is empty), each holding the same triples in its
-//!    own order — by construction, not by a check: the variant has no
-//!    field for a tail, a tombstone or a second run;
+//! 5. the live keys are the runs' keys and the tail's, less `dead`, so
+//!    the store's length is counted from them, not kept beside them;
 //! 6. a run's directory indexes exactly that run, and runs never
 //!    change; a seal that leaves one plain run per permutation, and no
 //!    columnar run, gives each one (unless it would be much larger than
@@ -119,15 +118,6 @@ use std::sync::{Arc, OnceLock};
 /// amortise well. Exposed for documentation; not currently tunable per
 /// graph.
 pub const TAIL_MAX: usize = 128;
-
-/// The smallest batch [`RunStore::insert_batch`] dedupes in key-set
-/// slot order (a batch whose iterator cannot tell its length counts as
-/// small). Below it each key probes the key set on its own, as a single
-/// insert does: the sort pays for itself only once the set outgrows the
-/// cache, and a live update's few dozen triples or a delta chase's few
-/// hundred mostly land in sets that do not. The bulk chase's and a peer
-/// load's batches, tens of thousands of keys and up, sit far above it.
-const SLOT_ORDER_MIN: usize = 4096;
 
 /// Tombstone count that triggers a full purge-compaction (together with
 /// the relative threshold: dead keys must also outnumber half the
@@ -292,9 +282,8 @@ fn spo_key(t: IdTriple) -> [u32; 3] {
 }
 
 /// The physical triple store: three permutation indexes in one of the
-/// two layouts, or the read-only form of a sealed sorted-run store. All
-/// members take/return SPO-keyed [`IdTriple`]s; the permutation
-/// plumbing is internal.
+/// two layouts. All members take/return SPO-keyed [`IdTriple`]s; the
+/// permutation plumbing is internal.
 // One store per graph, never collections of them — the size gap
 // between the layouts costs nothing, so indirection would only add a
 // pointer chase to every triple operation.
@@ -303,15 +292,6 @@ fn spo_key(t: IdTriple) -> [u32; 3] {
 pub(crate) enum TripleStore {
     BTree(BTreeStore),
     Runs(RunStore),
-    /// What [`TripleStore::read_only_copy`] makes of a store sealed
-    /// plain; reports [`StorageBackend::SortedRuns`].
-    Sealed(SealedRuns),
-}
-
-/// The store a write goes to (see [`TripleStore::writable`]).
-enum Writable<'s> {
-    BTree(&'s mut BTreeStore),
-    Runs(&'s mut RunStore),
 }
 
 impl Default for TripleStore {
@@ -331,63 +311,13 @@ impl TripleStore {
     pub(crate) fn backend(&self) -> StorageBackend {
         match self {
             TripleStore::BTree(_) => StorageBackend::BTree,
-            TripleStore::Runs(_) | TripleStore::Sealed(_) => StorageBackend::SortedRuns,
-        }
-    }
-
-    /// A copy for readers. A sorted-run store sealed plain — what
-    /// [`Self::seal`] leaves — becomes [`TripleStore::Sealed`] over the
-    /// same runs: three `Arc` bumps, no tail, no tombstones and no
-    /// live-key set to copy. So does a store a flushing `insert_batch`
-    /// left as one run with no tail and no tombstone; its runs carry no
-    /// directory, so the copy's probes binary-search them. Any other
-    /// shape (unsealed, columnar, the B-tree backend, a copy already
-    /// sealed) is cloned whole.
-    pub(crate) fn read_only_copy(&self) -> TripleStore {
-        if let Some([spo, pos, osp]) = self.plain_runs() {
-            let run = |run: Option<&Run>| run.cloned().unwrap_or_default();
-            return TripleStore::Sealed(SealedRuns {
-                spo: run(spo),
-                pos: run(pos),
-                osp: run(osp),
-            });
-        }
-        self.clone()
-    }
-
-    /// The one plain run of each permutation (`None` where it is empty)
-    /// of a run store [`Self::seal`] left whole in them: no tail, no
-    /// tombstone, no columnar run, at most one run per permutation.
-    fn plain_runs(&self) -> Option<[Option<&Run>; 3]> {
-        let TripleStore::Runs(s) = self else {
-            return None;
-        };
-        let plain = self.is_sealed() && s.spo.columnar.is_none() && s.spo.runs.len() <= 1;
-        plain.then(|| [&s.spo, &s.pos, &s.osp].map(|index| index.runs.first()))
-    }
-
-    /// The store a write goes to. A [`TripleStore::Sealed`] store thaws
-    /// first: it becomes a run store over the same runs, with no
-    /// tombstone and its live-key set rebuilt once from the SPO run.
-    fn writable(&mut self) -> Writable<'_> {
-        match self {
-            TripleStore::BTree(s) => Writable::BTree(s),
-            TripleStore::Runs(s) => Writable::Runs(s),
-            TripleStore::Sealed(s) => {
-                *self = TripleStore::Runs(s.thaw());
-                self.writable()
-            }
+            TripleStore::Runs(_) => StorageBackend::SortedRuns,
         }
     }
 
     pub(crate) fn stats(&self) -> StorageStats {
         match self {
             TripleStore::BTree(_) => StorageStats::default(),
-            TripleStore::Sealed(s) => StorageStats {
-                runs: usize::from(!s.spo.is_empty()),
-                run_keys: s.spo.len(),
-                ..StorageStats::default()
-            },
             TripleStore::Runs(s) => {
                 let columnar = || {
                     [&s.spo, &s.pos, &s.osp]
@@ -412,7 +342,6 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => s.spo.len(),
             TripleStore::Runs(s) => s.len(),
-            TripleStore::Sealed(s) => s.spo.len(),
         }
     }
 
@@ -420,15 +349,14 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => s.spo.contains(&spo_key(t)),
             TripleStore::Runs(s) => s.contains(spo_key(t)),
-            TripleStore::Sealed(s) => s.spo.contains(spo_key(t)),
         }
     }
 
     /// Inserts one triple; `true` iff it was not already present.
     pub(crate) fn insert(&mut self, t: IdTriple) -> bool {
-        match self.writable() {
-            Writable::BTree(s) => s.insert(t),
-            Writable::Runs(s) => s.insert(t),
+        match self {
+            TripleStore::BTree(s) => s.insert(t),
+            TripleStore::Runs(s) => s.insert(t),
         }
     }
 
@@ -443,23 +371,23 @@ impl TripleStore {
         triples: impl Iterator<Item = IdTriple>,
         added: &mut Vec<IdTriple>,
     ) {
-        match self.writable() {
-            Writable::BTree(s) => {
+        match self {
+            TripleStore::BTree(s) => {
                 for t in triples {
                     if s.insert(t) {
                         added.push(t);
                     }
                 }
             }
-            Writable::Runs(s) => s.insert_batch(triples, added),
+            TripleStore::Runs(s) => s.insert_batch(triples, added),
         }
     }
 
     /// Removes one triple; `true` iff it was present.
     pub(crate) fn remove(&mut self, t: IdTriple) -> bool {
-        match self.writable() {
-            Writable::BTree(s) => s.remove(t),
-            Writable::Runs(s) => s.remove(t),
+        match self {
+            TripleStore::BTree(s) => s.remove(t),
+            TripleStore::Runs(s) => s.remove(t),
         }
     }
 
@@ -473,8 +401,8 @@ impl TripleStore {
     /// run left by an earlier [`Self::seal_with`] stays as it is (less
     /// its dead keys) and the writes since fold into one plain run
     /// beside it. The logical key set is unchanged; the B-tree backend
-    /// and a [`TripleStore::Sealed`] store are no-ops. A sealed store
-    /// accepts further writes (they simply start a new tail).
+    /// is a no-op. A sealed store accepts further writes (they simply
+    /// start a new tail).
     pub(crate) fn seal(&mut self) {
         if let TripleStore::Runs(s) = self {
             s.seal();
@@ -485,15 +413,9 @@ impl TripleStore {
     /// permutation holding every live key, delta-varint compressed when
     /// `cfg` asks and the store is large enough, plain otherwise.
     /// Logical content is untouched; the B-tree backend ignores the
-    /// config ([`Self::seal`] semantics), and a [`TripleStore::Sealed`]
-    /// store thaws only if `cfg` compresses it.
+    /// config ([`Self::seal`] semantics).
     pub(crate) fn seal_with(&mut self, cfg: &SealConfig) {
-        if let TripleStore::Sealed(s) = self {
-            if !cfg.compresses(s.spo.len()) {
-                return; // already one plain run
-            }
-        }
-        if let Writable::Runs(s) = self.writable() {
+        if let TripleStore::Runs(s) = self {
             s.seal_with(cfg);
         }
     }
@@ -501,27 +423,26 @@ impl TripleStore {
     /// `true` iff the tail is empty and no tombstone is pending — what
     /// [`Self::seal`] leaves, though not only it (a flushing
     /// `insert_batch` does too, over several runs). Trivially true for
-    /// the B-tree backend and a [`TripleStore::Sealed`] store.
+    /// the B-tree backend.
     pub(crate) fn is_sealed(&self) -> bool {
         match self {
-            TripleStore::BTree(_) | TripleStore::Sealed(_) => true,
+            TripleStore::BTree(_) => true,
             TripleStore::Runs(s) => s.spo.tail.is_empty() && s.dead.len() == 0,
         }
     }
 
     /// The SPO, POS and OSP key arrays when [`Self::seal`] left the
     /// whole store in them: sorted runs, none columnar, no tail, no
-    /// tombstone, at most one run per permutation (none when empty) —
-    /// always so for a [`TripleStore::Sealed`] store. `None` for any
-    /// other shape, the B-tree backend included.
+    /// tombstone, at most one run per permutation (none when empty).
+    /// `None` for any other shape, the B-tree backend included.
     pub(crate) fn sealed_runs(&self) -> Option<[&[[u32; 3]]; 3]> {
-        if let TripleStore::Sealed(s) = self {
-            return Some([Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| &s.run(perm)[..]));
-        }
-        Some(
-            self.plain_runs()?
-                .map(|run| run.map_or(&[][..], |r| &r[..])),
-        )
+        let TripleStore::Runs(s) = self else {
+            return None;
+        };
+        let plain = self.is_sealed() && s.spo.columnar.is_none() && s.spo.runs.len() <= 1;
+        plain.then(|| {
+            [&s.spo, &s.pos, &s.osp].map(|index| index.runs.first().map_or(&[][..], |run| &run[..]))
+        })
     }
 
     /// The smallest and the largest SPO key of a sealed store (`None`
@@ -530,7 +451,6 @@ impl TripleStore {
         debug_assert!(self.is_sealed(), "a run's ends may be tombstoned");
         let (lo, hi) = match self {
             TripleStore::BTree(s) => (*s.spo.first()?, *s.spo.last()?),
-            TripleStore::Sealed(s) => (*s.spo.first()?, *s.spo.last()?),
             TripleStore::Runs(s) => s
                 .spo
                 .runs
@@ -551,8 +471,7 @@ impl TripleStore {
     /// The tail is disjoint from the runs' live keys (an insert revives
     /// a tombstoned run key in place and sends only absent keys to the
     /// tail), so the image stores every triple once. The B-tree backend
-    /// and a [`TripleStore::Sealed`] store snapshot as one full run per
-    /// permutation.
+    /// snapshots as one full run per permutation.
     pub(crate) fn snapshot(&self) -> [Vec<Vec<[u32; 3]>>; 3] {
         // One run image, none for an empty permutation.
         let whole = |keys: Vec<[u32; 3]>| -> Vec<Vec<[u32; 3]>> {
@@ -565,9 +484,6 @@ impl TripleStore {
         match self {
             TripleStore::BTree(s) => {
                 [&s.spo, &s.pos, &s.osp].map(|index| whole(index.iter().copied().collect()))
-            }
-            TripleStore::Sealed(s) => {
-                [Perm::Spo, Perm::Pos, Perm::Osp].map(|perm| whole(s.run(perm).to_vec()))
             }
             TripleStore::Runs(s) => {
                 // A columnar run persists as one more plain run image —
@@ -603,20 +519,17 @@ impl TripleStore {
     /// Rebuilds a sorted-run store from persisted run images, validating
     /// every structural invariant recovery depends on: each run strictly
     /// sorted, every id below `max_term`, no key stored twice, and the
-    /// three permutations describing the same triple set. Violations are
-    /// reported as a description for the caller to wrap in a typed
-    /// corruption error — never a panic.
+    /// three permutations describing the same triple set. The checks are
+    /// by order: the SPO runs merged hold each key once, and the POS and
+    /// OSP keys, permuted back to SPO and sorted, are exactly those.
+    /// Violations are reported as a description for the caller to wrap
+    /// in a typed corruption error — never a panic.
     pub(crate) fn from_runs(
         runs: [Vec<Vec<[u32; 3]>>; 3],
         max_term: u32,
     ) -> Result<TripleStore, String> {
-        let mut present = KeySet::default();
-        let [spo_runs, pos_runs, osp_runs] = runs;
-        for (perm, perm_runs) in [
-            (Perm::Spo, &spo_runs),
-            (Perm::Pos, &pos_runs),
-            (Perm::Osp, &osp_runs),
-        ] {
+        let perms = [Perm::Spo, Perm::Pos, Perm::Osp];
+        for (perm, perm_runs) in perms.into_iter().zip(&runs) {
             for (ri, run) in perm_runs.iter().enumerate() {
                 for (i, &key) in run.iter().enumerate() {
                     if key.iter().any(|&id| id >= max_term) {
@@ -628,29 +541,47 @@ impl TripleStore {
                     if i > 0 && run[i - 1] >= key {
                         return Err(format!("{perm:?} run {ri} is not strictly sorted"));
                     }
-                    if perm == Perm::Spo && !present.insert(key) {
-                        return Err(format!("SPO key {key:?} stored more than once"));
-                    }
                 }
             }
         }
-        let spo_total: usize = spo_runs.iter().map(Vec::len).sum();
+        let [spo_runs, pos_runs, osp_runs] = runs;
+        // One strictly sorted run holds each key once; several are
+        // merged, and a key stored in two of them lands beside its copy.
+        let merged;
+        let spo: &[[u32; 3]] = match spo_runs.as_slice() {
+            [] => &[],
+            [run] => run,
+            several => {
+                merged = in_spo_order(Perm::Spo, several);
+                if let Some(key) = first_repeat(&merged) {
+                    return Err(format!("SPO key {key:?} stored more than once"));
+                }
+                &merged
+            }
+        };
         for (perm, perm_runs) in [(Perm::Pos, &pos_runs), (Perm::Osp, &osp_runs)] {
             let total: usize = perm_runs.iter().map(Vec::len).sum();
-            if total != spo_total {
+            if total != spo.len() {
                 return Err(format!(
-                    "{perm:?} holds {total} keys, SPO holds {spo_total}"
+                    "{perm:?} holds {total} keys, SPO holds {}",
+                    spo.len()
                 ));
             }
-            for run in perm_runs.iter() {
-                for &key in run {
-                    if !present.contains(spo_key(perm.unpermute(key))) {
-                        return Err(format!(
-                            "{perm:?} key {key:?} names a triple absent from SPO"
-                        ));
-                    }
-                }
+            let back = in_spo_order(perm, perm_runs);
+            if back == spo {
+                continue;
             }
+            // As many keys as SPO's, not the same ones: one names a
+            // triple SPO lacks, or one is stored twice.
+            let as_stored = |key: [u32; 3]| perm.permute(Perm::Spo.unpermute(key));
+            if let Some(&key) = back.iter().find(|key| spo.binary_search(key).is_err()) {
+                return Err(format!(
+                    "{perm:?} key {:?} names a triple absent from SPO",
+                    as_stored(key)
+                ));
+            }
+            let key = first_repeat(&back).map_or([0; 3], as_stored);
+            return Err(format!("{perm:?} key {key:?} stored more than once"));
         }
         // A permutation persisted as one run — what a sealed graph
         // checkpoints — reopens with its directory.
@@ -669,7 +600,6 @@ impl TripleStore {
             spo: index(spo_runs),
             pos: index(pos_runs),
             osp: index(osp_runs),
-            present,
             dead: KeySet::default(),
         }))
     }
@@ -690,59 +620,24 @@ impl TripleStore {
                 }
             }
             TripleStore::Runs(s) => StoreRangeIter::Runs(s.range(perm, lo, hi)),
-            TripleStore::Sealed(s) => StoreRangeIter::Runs(RunRangeIter {
-                sources: ScanSources::One(s.run(perm).range(lo, hi)),
-                hi,
-                perm,
-                dead: None,
-            }),
         }
     }
 }
 
-/// A sealed plain sorted-run store in the form a reader uses: the one
-/// run of each permutation, `Arc`-shared with the [`RunStore`] it was
-/// copied from (empty when the store is), and nothing else. A write
-/// thaws it back into a [`RunStore`] (see [`TripleStore::writable`]).
-#[derive(Clone)]
-pub(crate) struct SealedRuns {
-    spo: Run,
-    pos: Run,
-    osp: Run,
+/// The keys of `perm`'s `runs`, permuted back to SPO order and sorted.
+fn in_spo_order(perm: Perm, runs: &[Vec<[u32; 3]>]) -> Vec<[u32; 3]> {
+    let mut keys: Vec<[u32; 3]> = runs
+        .iter()
+        .flatten()
+        .map(|&key| spo_key(perm.unpermute(key)))
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
-impl SealedRuns {
-    fn run(&self, perm: Perm) -> &Run {
-        match perm {
-            Perm::Spo => &self.spo,
-            Perm::Pos => &self.pos,
-            Perm::Osp => &self.osp,
-        }
-    }
-
-    /// A run store over the same runs: nothing tombstoned, and the
-    /// live-key set rebuilt from the SPO run.
-    fn thaw(&self) -> RunStore {
-        let index = |run: &Run| RunIndex {
-            runs: if run.is_empty() {
-                Vec::new()
-            } else {
-                vec![run.clone()]
-            },
-            ..RunIndex::default()
-        };
-        let mut present = KeySet::default();
-        for &key in self.spo.iter() {
-            present.insert(key);
-        }
-        RunStore {
-            spo: index(&self.spo),
-            pos: index(&self.pos),
-            osp: index(&self.osp),
-            present,
-            dead: KeySet::default(),
-        }
-    }
+/// The first key the sorted `keys` hold twice.
+fn first_repeat(keys: &[[u32; 3]]) -> Option<[u32; 3]> {
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// The historical layout: one `BTreeSet` per permutation.
@@ -1031,15 +926,22 @@ impl RunIndex {
         self.tail.insert(at, key);
     }
 
-    /// Removes a key from the sorted tail; `true` iff it was there.
-    fn tail_remove(&mut self, key: [u32; 3]) -> bool {
-        match self.tail.binary_search(&key) {
-            Ok(i) => {
-                self.tail.remove(i);
-                true
-            }
-            Err(_) => false,
+    /// Removes a key from the sorted tail, if it is there.
+    fn tail_remove(&mut self, key: [u32; 3]) {
+        if let Ok(i) = self.tail.binary_search(&key) {
+            self.tail.remove(i);
         }
+    }
+
+    /// Whether a run, plain or columnar, holds `key`, live or
+    /// tombstoned: a plain run answers through its directory where it
+    /// has one ([`Run::contains`]).
+    fn holds(&self, key: [u32; 3]) -> bool {
+        self.runs.iter().any(|run| run.contains(key))
+            || self
+                .columnar
+                .as_ref()
+                .is_some_and(|c| ColScan::over(c, key, key).is_some())
     }
 
     /// Appends a new sorted run and merges neighbours while the older
@@ -1135,6 +1037,54 @@ impl RunIndex {
     }
 }
 
+/// A probe of one permutation index for keys asked in ascending order,
+/// which a sorted batch asks: each source is a cursor that only moves
+/// forward, by galloping, so the batch is decided by one merge against
+/// the tail and each run instead of a search per key.
+struct SortedProbe<'a> {
+    tail: &'a [[u32; 3]],
+    runs: Vec<&'a [[u32; 3]]>,
+    columnar: Option<ColScan<'a>>,
+}
+
+impl<'a> SortedProbe<'a> {
+    fn new(index: &'a RunIndex) -> Self {
+        SortedProbe {
+            tail: &index.tail,
+            runs: index.runs.iter().map(|run| &run[..]).collect(),
+            columnar: index
+                .columnar
+                .as_ref()
+                .and_then(|c| ColScan::over(c, [0; 3], [u32::MAX; 3])),
+        }
+    }
+
+    /// Where `key` sits, for a key above every key asked before.
+    fn find(&mut self, key: [u32; 3]) -> Found {
+        if skip_to(&mut self.tail, key) {
+            return Found::Tail;
+        }
+        // A cursor this passes over moves up on a later key.
+        let in_run = self.runs.iter_mut().any(|run| skip_to(run, key))
+            || self.columnar.as_mut().is_some_and(|scan| {
+                scan.seek(key);
+                scan.peek_bounded([u32::MAX; 3]) == Some(key)
+            });
+        if in_run {
+            Found::Run
+        } else {
+            Found::Absent
+        }
+    }
+}
+
+/// Moves the sorted `cursor` past its keys below `key`, by galloping;
+/// `true` iff it then starts with `key`.
+fn skip_to(cursor: &mut &[[u32; 3]], key: [u32; 3]) -> bool {
+    *cursor = &cursor[gallop_point(cursor, |k| *k < key)..];
+    cursor.first() == Some(&key)
+}
+
 /// The part of the sorted `source` inside `lo..=hi`. A sorted slice's
 /// first and last entries are its min/max key, so a source that cannot
 /// intersect the range is skipped with two O(1) comparisons before any
@@ -1228,140 +1178,149 @@ fn merge_sorted(a: &[[u32; 3]], b: &[[u32; 3]], dead: &[[u32; 3]]) -> Vec<[u32; 
 
 /// The sorted-run layout shared by the three permutation indexes.
 ///
-/// Point membership never touches the runs: `present` is a fast
-/// open-addressing sidecar holding **every live SPO key**, so inserts
-/// and `contains` probes are one multiply-hash lookup instead of a
-/// binary search per run (the LSM "memtable + filter" trick, collapsed
-/// into one exact set since everything is in memory anyway).
+/// It keeps no set of its keys beside the runs that already hold them
+/// in order: membership is a probe of the SPO tail and runs (two loads
+/// through a sealed run's directory), and a batch is deduped by
+/// one sort and a merge against them (see [`Self::insert_batch`]).
 #[derive(Clone, Default)]
 pub(crate) struct RunStore {
     spo: RunIndex,
     pos: RunIndex,
     osp: RunIndex,
-    /// Every live SPO key (runs + tail). The single point-lookup
-    /// structure; also the live count.
-    present: KeySet,
-    /// SPO keys tombstoned inside runs, plain or columnar. Disjoint
-    /// from `present`; every member is resident in some run; filtered
-    /// during scans and physically dropped by `purge`. A live copy of a
-    /// key never coexists with a tombstoned copy (revival clears the
-    /// tombstone instead of re-adding the key).
+    /// SPO keys tombstoned inside runs, plain or columnar. Every member
+    /// is resident in some run; filtered during scans and physically
+    /// dropped by `purge`. A live copy of a key never coexists with a
+    /// tombstoned copy (revival clears the tombstone instead of
+    /// re-adding the key).
     dead: KeySet,
 }
 
+/// Where an SPO key sits in a [`RunStore`]: the store holds it at most
+/// once (invariant 1), and a run's copy may be tombstoned.
+enum Found {
+    Tail,
+    Run,
+    Absent,
+}
+
 impl RunStore {
+    /// Where `key` sits: a binary search of the tail, then each run.
+    fn locate(&self, key: [u32; 3]) -> Found {
+        if self.spo.tail.binary_search(&key).is_ok() {
+            Found::Tail
+        } else if self.spo.holds(key) {
+            Found::Run
+        } else {
+            Found::Absent
+        }
+    }
+
     fn contains(&self, key: [u32; 3]) -> bool {
-        self.present.contains(key)
+        match self.locate(key) {
+            Found::Tail => true,
+            Found::Run => self.dead.len() == 0 || !self.dead.contains(key),
+            Found::Absent => false,
+        }
     }
 
     fn len(&self) -> usize {
-        self.present.len()
+        self.spo.run_keys() + self.spo.tail.len() - self.dead.len()
     }
 
     fn insert(&mut self, t: IdTriple) -> bool {
         let key = spo_key(t);
-        if !self.present.insert(key) {
-            return false;
-        }
-        // A tombstoned run copy is revived in place; otherwise the key
-        // goes to the tail.
-        if !self.dead.remove(key) {
-            self.push_tail(t);
-            if self.spo.tail.len() >= TAIL_MAX {
-                self.flush(Vec::new());
-            }
-        }
-        true
-    }
-
-    fn insert_batch(&mut self, triples: impl Iterator<Item = IdTriple>, added: &mut Vec<IdTriple>) {
-        let mut fresh: Vec<IdTriple> = Vec::new();
-        if triples.size_hint().0 < SLOT_ORDER_MIN {
-            for t in triples {
-                let key = spo_key(t);
-                if !self.present.insert(key) {
-                    continue;
-                }
-                added.push(t);
-                if !self.dead.remove(key) {
-                    fresh.push(t);
-                }
-            }
-        } else {
-            // The batch is dropped before the flush below copies `fresh`
-            // three times over.
-            self.insert_in_slot_order(triples.collect(), added, &mut fresh);
-        }
-        if self.spo.tail.len() + fresh.len() < TAIL_MAX {
-            // Small batch: the tail absorbs it without a flush.
-            for t in fresh {
+        match self.locate(key) {
+            Found::Tail => false,
+            // A tombstoned run copy is revived in place.
+            Found::Run => self.dead.remove(key),
+            Found::Absent => {
                 self.push_tail(t);
+                if self.spo.tail.len() >= TAIL_MAX {
+                    self.flush(Vec::new());
+                }
+                true
             }
-        } else {
-            // Merge-batch: sort the batch together with the current tail
-            // into one fresh run per permutation — one sort instead of
-            // `fresh.len()` pushes and repeated threshold flushes.
-            self.flush(fresh);
         }
     }
 
-    /// The dedupe of a large batch: its keys go into `present` in home
-    /// slot order, so the probes sweep the key set once from end to end
-    /// instead of missing the cache once per key. The set is grown once,
-    /// for the batch's distinct keys, before the sweep: grown during it,
-    /// the part already swept would hold more than its share of keys,
-    /// and linear probing would pile them into one long cluster. The
-    /// order sorts `(hash, batch index)` — the home slot is the hash's
-    /// top bits ([`KeySet::home`]) whatever the capacity — so a key's
-    /// copies are taken in batch order and its first occurrence is the
-    /// one added. `added` and `fresh` are then filled in batch order: the
-    /// outcome is that of inserting the keys one at a time.
-    fn insert_in_slot_order(
-        &mut self,
-        batch: Vec<IdTriple>,
-        added: &mut Vec<IdTriple>,
-        fresh: &mut Vec<IdTriple>,
-    ) {
-        // One word per key: the hash's top bits above the batch index's
-        // bits, which is the home slot of any key set smaller than
-        // `2^(64 - index_bits)` slots.
-        let index_bits = usize::BITS - batch.len().leading_zeros();
-        let index_mask = (1u64 << index_bits) - 1;
-        let mut order: Vec<u64> = batch
+    /// Inserts a batch as inserting its keys one at a time would: the
+    /// first occurrence of a key absent from the store, or tombstoned
+    /// in a run (which it revives), is pushed onto `added` in batch
+    /// order.
+    ///
+    /// One sort of (SPO key, batch index) words puts a key's copies
+    /// together, first occurrence first, and the distinct keys are then
+    /// decided by one galloping merge against the tail and each run
+    /// ([`SortedProbe`]), not by a search per key; for a batch of a few
+    /// keys a gallop from a run's front costs about what a binary search
+    /// does. The first occurrence of each key to add is flagged, and
+    /// `added` filled from the flags in batch order. The keys new to the
+    /// store come out in SPO order for [`Self::absorb`].
+    ///
+    /// The sort word keeps a key's batch index in 32 bits, so a batch of
+    /// more than `u32::MAX` keys is refused (a panic) rather than
+    /// deduped by a truncated index.
+    fn insert_batch(&mut self, triples: impl Iterator<Item = IdTriple>, added: &mut Vec<IdTriple>) {
+        let batch: Vec<IdTriple> = triples.collect();
+        assert!(
+            u32::try_from(batch.len()).is_ok(),
+            "a batch of {} keys exceeds the 32-bit batch index",
+            batch.len()
+        );
+        let mut order: Vec<u128> = batch
             .iter()
             .enumerate()
-            .map(|(i, &t)| (key_hash(spo_key(t)) & !index_mask) | i as u64)
+            .map(|(i, &t)| {
+                let [s, p, o] = spo_key(t);
+                (u128::from(s) << 96) | (u128::from(p) << 64) | (u128::from(o) << 32) | i as u128
+            })
             .collect();
         order.sort_unstable();
-        // Equal keys sort next to each other, so this counts the distinct
-        // keys, less any collision in the kept bits (one late growth at
-        // worst). Keys already present count too, so it errs high.
-        let distinct = 1 + order
-            .windows(2)
-            .filter(|w| (w[0] ^ w[1]) & !index_mask != 0)
-            .count();
-        self.present.reserve(distinct);
-        const ADDED: u8 = 1;
-        const FRESH: u8 = 2;
-        let mut outcome = vec![0u8; batch.len()];
-        for entry in order {
-            let i = (entry & index_mask) as usize;
-            let key = spo_key(batch[i]);
-            if self.present.insert(key) {
-                outcome[i] = if self.dead.remove(key) {
-                    ADDED
-                } else {
-                    ADDED | FRESH
-                };
+        let mut first = vec![false; batch.len()];
+        let mut fresh = Vec::new();
+        let mut probe = SortedProbe::new(&self.spo);
+        let mut last = None;
+        for word in order {
+            let key = [
+                (word >> 96) as u32,
+                (word >> 64) as u32,
+                (word >> 32) as u32,
+            ];
+            if last.replace(key) == Some(key) {
+                continue; // a later copy
             }
+            first[word as u32 as usize] = match probe.find(key) {
+                Found::Tail => false,
+                Found::Run => self.dead.remove(key), // revived
+                Found::Absent => {
+                    fresh.push(key);
+                    true
+                }
+            };
         }
-        for (&t, &o) in batch.iter().zip(&outcome) {
-            if o & ADDED != 0 {
-                added.push(t);
+        added.extend(
+            batch
+                .iter()
+                .zip(first)
+                .filter_map(|(&t, first)| first.then_some(t)),
+        );
+        // The batch is dropped before the flush copies `fresh` three
+        // times over.
+        drop(batch);
+        self.absorb(fresh);
+    }
+
+    /// Takes a batch's keys new to the store (SPO, sorted): into the
+    /// tail while it has room for them, otherwise sorted together with
+    /// the tail into one fresh run per permutation — one sort instead
+    /// of `fresh.len()` pushes and repeated threshold flushes.
+    fn absorb(&mut self, fresh: Vec<[u32; 3]>) {
+        if self.spo.tail.len() + fresh.len() < TAIL_MAX {
+            for key in fresh {
+                self.push_tail(Perm::Spo.unpermute(key));
             }
-            if o & FRESH != 0 {
-                fresh.push(t);
-            }
+        } else {
+            self.flush(fresh);
         }
     }
 
@@ -1371,40 +1330,55 @@ impl RunStore {
         self.osp.tail_insert(Perm::Osp.permute(t));
     }
 
-    /// Drains the (already sorted) tail plus `extra` into one fresh
-    /// sorted run per permutation, then lets size-tiered merging
-    /// restore the run-size ladder.
-    fn flush(&mut self, extra: Vec<IdTriple>) {
-        for (perm, index) in [
-            (Perm::Spo, &mut self.spo),
-            (Perm::Pos, &mut self.pos),
-            (Perm::Osp, &mut self.osp),
-        ] {
+    /// Drains the (already sorted) tail plus `fresh` — SPO keys in
+    /// order, none in the store — into one fresh sorted run per
+    /// permutation, then lets size-tiered merging restore the run-size
+    /// ladder. The SPO run is a merge of the two; only POS and OSP sort.
+    fn flush(&mut self, fresh: Vec<[u32; 3]>) {
+        debug_assert!(fresh.is_sorted());
+        for (perm, index) in [(Perm::Pos, &mut self.pos), (Perm::Osp, &mut self.osp)] {
             let mut run = std::mem::take(&mut index.tail);
-            run.extend(extra.iter().map(|&t| perm.permute(t)));
+            run.extend(
+                fresh
+                    .iter()
+                    .map(|&key| perm.permute(Perm::Spo.unpermute(key))),
+            );
             // pdqsort exploits the sorted tail prefix; only the batch
             // part is genuinely unsorted.
             run.sort_unstable();
             index.push_run_tiered(run);
         }
+        let tail = std::mem::take(&mut self.spo.tail);
+        let run = match (tail.is_empty(), fresh.is_empty()) {
+            (true, _) => fresh,
+            (false, true) => tail,
+            (false, false) => merge_sorted(&tail, &fresh, &[]),
+        };
+        self.spo.push_run_tiered(run);
     }
 
     fn remove(&mut self, t: IdTriple) -> bool {
         let key = spo_key(t);
-        if !self.present.remove(key) {
-            return false;
+        match self.locate(key) {
+            // Tail entries are removed physically (the tail is small and
+            // removals rare); each permutation finds the key at its own
+            // sorted position.
+            Found::Tail => {
+                self.spo.tail_remove(key);
+                self.pos.tail_remove(Perm::Pos.permute(t));
+                self.osp.tail_remove(Perm::Osp.permute(t));
+                true
+            }
+            // Run-resident keys are tombstoned.
+            Found::Run => {
+                let removed = self.dead.insert(key);
+                if removed {
+                    self.maybe_purge();
+                }
+                removed
+            }
+            Found::Absent => false,
         }
-        // Tail entries are removed physically (the tail is small and
-        // removals rare); each permutation finds the key at its own
-        // sorted position. Run-resident keys are tombstoned.
-        if self.spo.tail_remove(key) {
-            self.pos.tail_remove(Perm::Pos.permute(t));
-            self.osp.tail_remove(Perm::Osp.permute(t));
-        } else {
-            self.dead.insert(key);
-            self.maybe_purge();
-        }
-        true
     }
 
     /// Physically drops tombstoned keys once they outnumber half the
@@ -1463,8 +1437,8 @@ impl RunStore {
     /// Seals, then rewrites the one run per permutation in the form
     /// `cfg` asks for: columnar for `compress` over at least
     /// `compress_min_keys` keys, plain with its directory otherwise.
-    /// The logical key set — and therefore `present` and every scan
-    /// result — is unchanged.
+    /// The logical key set — and therefore every probe and scan result
+    /// — is unchanged.
     fn seal_with(&mut self, cfg: &SealConfig) {
         let compress = cfg.compresses(self.len());
         if !compress && self.spo.columnar.is_none() {
@@ -1492,10 +1466,11 @@ impl RunStore {
 }
 
 /// A minimal open-addressing hash set for `[u32; 3]` keys with a cheap
-/// multiply-xor hash — the point-lookup sidecar of [`RunStore`]. The
-/// std `HashSet` pays SipHash on every probe, which dominates the
-/// insert path of a triple store whose keys are 12 bytes; this set is
-/// the same trick as `rps_tgd`'s open-addressing `RowSet`.
+/// multiply-xor hash — the tombstone set of [`RunStore`], probed for
+/// every run key a scan yields while it is non-empty. The std `HashSet`
+/// pays SipHash on every probe, which would dominate such a scan of
+/// 12-byte keys; this set is the same trick as `rps_tgd`'s
+/// open-addressing `RowSet`.
 ///
 /// Linear probing, power-of-two capacity, tombstone deletion, rehash at
 /// 7/8 occupancy (rehashing also drops tombstones).
@@ -1531,8 +1506,8 @@ impl KeySet {
     /// The home slot of a hash in a table of `cap` slots (a power of
     /// two): the hash's top `log2(cap)` bits. Taking the top bits, not
     /// the bottom ones, makes hash order home-slot order at every
-    /// capacity, which [`RunStore::insert_in_slot_order`] and
-    /// [`Self::rehash`] use to sweep the table in order.
+    /// capacity, which [`Self::rehash`] uses to sweep the new table in
+    /// order.
     fn home(hash: u64, cap: usize) -> usize {
         (hash >> (u64::BITS - cap.trailing_zeros())) as usize
     }
@@ -1611,15 +1586,6 @@ impl KeySet {
 
     fn grow(&mut self) {
         self.rehash((self.ctrl.len() * 2).max(16));
-    }
-
-    /// Grows the table, once, so that `additional` more keys fit under
-    /// the 7/8 occupancy bound.
-    fn reserve(&mut self, additional: usize) {
-        if (self.occupied + additional) * 8 > self.ctrl.len() * 7 {
-            let needed = (self.len + additional) * 8 / 7 + 1;
-            self.rehash(needed.next_power_of_two().max(16));
-        }
     }
 
     /// Moves every key into a table of `new_cap` slots, dropping the
@@ -1988,66 +1954,118 @@ pub(crate) mod tests {
         assert!(stats.runs >= 1);
     }
 
-    /// A batch dedupes as inserting its keys one at a time would, on
-    /// both sides of [`SLOT_ORDER_MIN`]: the same `added` list in the
-    /// same order, the same length, membership and scans. The batches
-    /// repeat keys within themselves and offer keys already present and
-    /// keys tombstoned inside a run.
+    /// A batch dedupes as inserting its keys one at a time into the
+    /// B-tree oracle does, for batches of one key to twelve thousand:
+    /// the same `added` list in the same order, the same length,
+    /// membership and scans. The batches repeat keys within themselves
+    /// and offer keys already present and keys tombstoned inside a run;
+    /// from the fourth round on the base is a columnar run (a
+    /// compressing seal). Last, a large and a small batch meet a store
+    /// whose repeated keys sit in the base run, a tiered young run and
+    /// the tail at once.
     #[test]
     fn batch_dedupe_matches_single_inserts() {
         for seed in [11u64, 12, 13] {
             let mut next = splitmix(seed);
-            let mut batched = TripleStore::new(StorageBackend::SortedRuns);
-            let mut single = TripleStore::new(StorageBackend::SortedRuns);
+            let mut rs = TripleStore::new(StorageBackend::SortedRuns);
+            let mut bt = TripleStore::new(StorageBackend::BTree);
             let mut seen: Vec<IdTriple> = Vec::new();
-            let sizes = [
-                3 * SLOT_ORDER_MIN,
-                SLOT_ORDER_MIN - 1,
-                SLOT_ORDER_MIN,
-                40,
-                SLOT_ORDER_MIN + 1,
-                2 * SLOT_ORDER_MIN,
-            ];
+            let sizes = [12_288, 4_095, 1, 40, 4_097, 8_192];
             for (round, &size) in sizes.iter().enumerate() {
                 let what = format!("seed {seed} round {round} ({size} keys)");
+                if round == 3 {
+                    rs.seal_with(&SealConfig {
+                        compress: true,
+                        compress_min_keys: 1,
+                    });
+                    assert_eq!(rs.stats().compressed_runs, 3, "{what}: columnar base");
+                }
                 // Tombstone some run-resident keys on both sides.
                 if !seen.is_empty() {
                     for _ in 0..200 {
-                        let victim = seen[next() as usize % seen.len()];
-                        assert_eq!(batched.remove(victim), single.remove(victim), "{what}");
+                        remove_both(&mut rs, &mut bt, seen[next() as usize % seen.len()]);
                     }
-                    assert!(batched.stats().tombstones > 0, "{what}: tombstones");
+                    assert!(rs.stats().tombstones > 0, "{what}: tombstones");
                 }
-                let mut batch: Vec<IdTriple> = Vec::with_capacity(size);
-                while batch.len() < size {
-                    let r = next();
-                    let triple = match r % 8 {
-                        // A key of this batch again.
-                        0 | 1 if !batch.is_empty() => batch[(r >> 8) as usize % batch.len()],
-                        // A key offered before: present, or tombstoned.
-                        2 | 3 if !seen.is_empty() => seen[(r >> 8) as usize % seen.len()],
-                        _ => t(
-                            ((r >> 8) % 5_000) as u32,
-                            ((r >> 24) % 6) as u32,
-                            ((r >> 32) % 40) as u32,
-                        ),
-                    };
-                    batch.push(triple);
-                }
-                let mut added = Vec::new();
-                batched.insert_batch(batch.iter().copied(), &mut added);
-                let expected: Vec<IdTriple> = batch
-                    .iter()
-                    .copied()
-                    .filter(|&t| single.insert(t))
-                    .collect();
-                assert_eq!(added, expected, "{what}: added");
-                assert_matches_oracle(&batched, &single, &what);
-                for &triple in batch.iter().chain(&seen) {
-                    assert_eq!(batched.contains(triple), single.contains(triple), "{what}");
-                }
+                let batch = dedupe_batch(&mut next, size, &seen);
+                assert_batch_agrees(&mut rs, &mut bt, &batch, &seen, &what);
                 seen.extend(batch);
             }
+
+            // Everywhere at once: a plain base run, a young run tiered
+            // beside it and a tail, some keys of each run tombstoned.
+            rs.seal_with(&SealConfig::default());
+            let young: Vec<IdTriple> = (0..600).map(|i| t(6_000 + i, 1, 1)).collect();
+            rs.insert_batch(young.iter().copied(), &mut Vec::new());
+            bt.insert_batch(young.iter().copied(), &mut Vec::new());
+            let mut resident = young.clone();
+            for i in 0..50 {
+                let triple = t(7_000 + i, 2, 2);
+                insert_both(&mut rs, &mut bt, triple);
+                resident.push(triple);
+            }
+            for i in 0..300 {
+                let from = if i % 3 == 0 { &young } else { &seen };
+                remove_both(&mut rs, &mut bt, from[next() as usize % from.len()]);
+            }
+            let stats = rs.stats();
+            assert_eq!((stats.runs, stats.tail), (2, 50), "seed {seed}: {stats:?}");
+            assert!(stats.tombstones > 0, "seed {seed}: {stats:?}");
+            resident.extend(seen.iter().step_by(3));
+            for size in [4_103, 90] {
+                let what = format!("seed {seed} everywhere ({size} keys)");
+                let (mut rs, mut bt) = (rs.clone(), bt.clone());
+                let batch = dedupe_batch(&mut next, size, &resident);
+                assert_batch_agrees(&mut rs, &mut bt, &batch, &resident, &what);
+            }
+        }
+    }
+
+    /// `size` keys: repeats of the batch's own keys, keys of `offered`
+    /// (present or tombstoned) and fresh draws, about a quarter each.
+    fn dedupe_batch(
+        next: &mut impl FnMut() -> u64,
+        size: usize,
+        offered: &[IdTriple],
+    ) -> Vec<IdTriple> {
+        let mut batch: Vec<IdTriple> = Vec::with_capacity(size);
+        while batch.len() < size {
+            let r = next();
+            let triple = match r % 8 {
+                0 | 1 if !batch.is_empty() => batch[(r >> 8) as usize % batch.len()],
+                2 | 3 if !offered.is_empty() => offered[(r >> 8) as usize % offered.len()],
+                _ => t(
+                    ((r >> 8) % 5_000) as u32,
+                    ((r >> 24) % 6) as u32,
+                    ((r >> 32) % 40) as u32,
+                ),
+            };
+            batch.push(triple);
+        }
+        batch
+    }
+
+    /// Inserts `batch` into both stores and holds `rs` to the B-tree
+    /// oracle `bt`: the same `added` list, then every observable, and
+    /// membership of the batch's keys and of `offered`.
+    fn assert_batch_agrees(
+        rs: &mut TripleStore,
+        bt: &mut TripleStore,
+        batch: &[IdTriple],
+        offered: &[IdTriple],
+        what: &str,
+    ) {
+        let (mut added, mut expected) = (Vec::new(), Vec::new());
+        rs.insert_batch(batch.iter().copied(), &mut added);
+        bt.insert_batch(batch.iter().copied(), &mut expected);
+        assert_eq!(added, expected, "{what}: added");
+        assert_matches_oracle(rs, bt, what);
+        for &triple in batch.iter().chain(offered) {
+            assert_eq!(
+                rs.contains(triple),
+                bt.contains(triple),
+                "{what}: {triple:?}"
+            );
         }
     }
 
@@ -2473,7 +2491,6 @@ pub(crate) mod tests {
             }
         }
         match store {
-            TripleStore::Sealed(s) => Some([&s.spo, &s.pos, &s.osp]),
             TripleStore::Runs(s) => Some([sole(&s.spo)?, sole(&s.pos)?, sole(&s.osp)?]),
             TripleStore::BTree(_) => None,
         }
@@ -2568,9 +2585,9 @@ pub(crate) mod tests {
 
     /// The directory answers every probe shape as the binary search over
     /// the whole run does, on each layout that carries one or meets one:
-    /// an empty store, a seal, a read-only copy, its thaw under writes
-    /// (a directory run under stacked runs, a tail and tombstones) and
-    /// its reseal, the durable tier's reopening (`from_runs` of the
+    /// an empty store, a seal, a read-only copy (a clone sharing the
+    /// runs and their directories), writes to the copy (a directory run
+    /// under stacked runs, a tail and tombstones) and its reseal, the durable tier's reopening (`from_runs` of the
     /// snapshot, as `Graph::open` does), a compressing `seal_with` (no
     /// directory) and the plain `seal_with` back.
     #[test]
@@ -2578,17 +2595,16 @@ pub(crate) mod tests {
         let mut empty = TripleStore::new(StorageBackend::SortedRuns);
         empty.seal();
         assert_eq!(assert_directories(&empty, "empty"), 0);
-        assert_eq!(assert_directories(&empty.read_only_copy(), "empty copy"), 0);
+        assert_eq!(assert_directories(&empty.clone(), "empty copy"), 0);
         for seed in [21u64, 22, 23] {
             let mut next = splitmix(seed);
             let mut rs = TripleStore::new(StorageBackend::SortedRuns);
             let keys = uneven(&mut next, 6000);
             rs.insert_batch(keys.iter().copied(), &mut Vec::new());
-            // One run, no tail, no tombstone, never sealed: its copy is
-            // `Sealed` but has no directory, and scans by binary search.
+            // One run, no tail, no tombstone, never sealed: its copy
+            // has no directory, and scans by binary search.
             assert!(rs.is_sealed() && rs.stats().runs == 1);
-            let unindexed = rs.read_only_copy();
-            assert!(matches!(unindexed, TripleStore::Sealed(_)));
+            let unindexed = rs.clone();
             assert_eq!(
                 assert_directories(&unindexed, &format!("seed {seed}, unsealed copy")),
                 0
@@ -2604,22 +2620,19 @@ pub(crate) mod tests {
             rs.seal();
             assert_eq!(assert_directories(&rs, &format!("seed {seed}, sealed")), 3);
 
-            let mut copy = rs.read_only_copy();
-            assert!(matches!(copy, TripleStore::Sealed(_)));
+            let mut copy = rs.clone();
             assert_eq!(assert_directories(&copy, &format!("seed {seed}, copy")), 3);
             let shared = sole_runs(&rs).zip(sole_runs(&copy)).map(|(ours, theirs)| {
                 (0..3).all(|i| {
-                    ours[i]
-                        .starts
-                        .as_ref()
-                        .zip(theirs[i].starts.as_ref())
-                        .is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+                    let starts = ours[i].starts.as_ref().zip(theirs[i].starts.as_ref());
+                    Arc::ptr_eq(&ours[i].keys, &theirs[i].keys)
+                        && starts.is_some_and(|(a, b)| Arc::ptr_eq(a, b))
                 })
             });
             assert_eq!(
                 shared,
                 Some(true),
-                "seed {seed}: the copy shares the directories"
+                "seed {seed}: the copy shares the runs and their directories"
             );
 
             for triple in uneven(&mut next, 200) {
@@ -2628,8 +2641,8 @@ pub(crate) mod tests {
             for &triple in keys.iter().skip(3).step_by(11) {
                 copy.remove(triple);
             }
-            assert!(matches!(copy, TripleStore::Runs(_)), "thawed");
-            assert_directories(&copy, &format!("seed {seed}, thawed"));
+            assert!(!copy.is_sealed(), "seed {seed}: written");
+            assert_directories(&copy, &format!("seed {seed}, written"));
             copy.seal();
             assert_eq!(
                 assert_directories(&copy, &format!("seed {seed}, resealed")),
@@ -2668,8 +2681,8 @@ pub(crate) mod tests {
     /// A seal after a small window patches the previous directory from
     /// the window's delta: on a 20 000+-key store, after every seal of a
     /// seeded insert/remove sequence — new first components past the
-    /// largest, id 0, every key of the largest removed, a read-only
-    /// copy thawed by the window — the patched directory equals a fresh
+    /// largest, id 0, every key of the largest removed — the patched
+    /// directory equals a fresh
     /// sweep entry for entry, and a window too large to patch sweeps.
     #[test]
     fn sealing_patches_the_directory_like_a_sweep() {
@@ -2693,9 +2706,6 @@ pub(crate) mod tests {
             assert!(rs.len() >= 20_000);
             for round in 0..24 {
                 let what = format!("seed {seed} round {round}");
-                if round % 5 == 2 {
-                    rs = rs.read_only_copy();
-                }
                 let present = collect_range(&bt, Perm::Spo, [0; 3], [u32::MAX; 3]);
                 let largest = present.last().map_or(0, |t| t.s.0);
                 let big = round == 11;

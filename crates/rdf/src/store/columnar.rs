@@ -26,6 +26,8 @@
 //! representation-agnostic — a [`ColCursor`] is just one more merge
 //! source, yielding exactly the keys a plain slice would.
 
+use super::gallop_point;
+
 /// Keys per sync block. A seek decodes at most `SYNC_INTERVAL - 1` keys
 /// past the block start; the table overhead is `16 / SYNC_INTERVAL`
 /// bytes per key.
@@ -364,6 +366,27 @@ impl<'g> ColScan<'g> {
         }
     }
 
+    /// Moves the scan forward to its first key `>= lo`; a `lo` at or
+    /// below the current key leaves it where it is. Within the decoded
+    /// block it steps; past it, it gallops over the sync table and
+    /// decodes only the block that holds the answer.
+    pub(crate) fn seek(&mut self, lo: [u32; 3]) {
+        let buffered = &self.buf[self.buf_pos..self.buf_len];
+        if buffered.last().is_some_and(|last| *last >= lo) {
+            self.buf_pos += buffered.partition_point(|k| *k < lo);
+            return;
+        }
+        // The last block from `next_block` on whose sync key is ≤ lo
+        // holds the answer, or ends just before the block that does.
+        let later = self.run.syncs.get(self.next_block..).unwrap_or_default();
+        self.next_block += gallop_point(later, |&(_, k)| k <= lo).saturating_sub(1);
+        self.fill_next_block();
+        self.buf_pos = self.buf[..self.buf_len].partition_point(|k| *k < lo);
+        if self.buf_pos == self.buf_len {
+            self.fill_next_block();
+        }
+    }
+
     /// Decodes sync block `next_block` into `buf` in one tight pass
     /// (the sync key is absolute; the rest chain off it). Leaves an
     /// empty buffer when the run is exhausted.
@@ -483,6 +506,33 @@ mod tests {
                 }
             }
             assert_eq!(got, expected, "range {lo:?}..={hi:?}");
+        }
+    }
+
+    /// A scan moved forward by `seek` over ascending probes — keys of
+    /// the run, keys between them, repeats, a jump past several blocks
+    /// and past the end — lands where a search of the plain keys does.
+    #[test]
+    fn forward_seeks_match_plain_slices() {
+        let ks = keys(900);
+        let run = ColumnarRun::encode(&ks);
+        let mut probes: Vec<[u32; 3]> = ks.iter().step_by(7).copied().collect();
+        probes.extend(ks.iter().step_by(11).map(|k| [k[0], k[1], k[2] + 1]));
+        probes.extend([ks[0], ks[500], [2_000_000, 0, 0], [u32::MAX; 3]]);
+        probes.sort_unstable();
+        for stride in [1, 3, 40] {
+            let Some(mut scan) = ColScan::over(&run, [0; 3], [u32::MAX; 3]) else {
+                panic!("a scan over every key of a non-empty run");
+            };
+            for &lo in probes.iter().step_by(stride) {
+                scan.seek(lo);
+                let want = ks.get(ks.partition_point(|k| *k < lo)).copied();
+                assert_eq!(
+                    scan.peek_bounded([u32::MAX; 3]),
+                    want,
+                    "stride {stride}, {lo:?}"
+                );
+            }
         }
     }
 

@@ -669,11 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn torn_run_page_is_typed_corruption() {
+    fn torn_run_page_is_typed_corruption() -> Result<(), RdfError> {
         let dir = tmp("torn-page");
         let keys: Vec<[u32; 3]> = (0..(KEYS_PER_PAGE as u32 + 5)).map(|i| [i, 1, 2]).collect();
         let path = dir.join("run.rpg");
-        write_run_file(&path, &keys).unwrap();
+        write_run_file(&path, &keys)?;
         let mut bytes = fs::read(&path).unwrap();
         // Flip a bit inside the second page's payload (not its zero
         // padding, which the checksum deliberately excludes).
@@ -681,11 +681,83 @@ mod tests {
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         let mut pool = BufferPool::new(4);
-        let run = PagedRun::open(&mut pool, &path, keys.len() as u64).unwrap();
+        let run = PagedRun::open(&mut pool, &path, keys.len() as u64)?;
         assert!(matches!(
             run.read_all(&mut pool),
             Err(RdfError::Corrupt { .. })
         ));
+
+        // Pages that verify but hold keys the store cannot serve are
+        // corruption of the checkpoint: two SPO runs sharing a key, and
+        // a POS run naming a triple SPO lacks. A well-formed set of the
+        // same keys opens.
+        let (a, b, c, x) = ([0, 1, 2], [0, 1, 3], [2, 1, 3], [3, 1, 2]);
+        let permute: [fn([u32; 3]) -> [u32; 3]; 3] =
+            [|k| k, |[s, p, o]| [p, o, s], |[s, p, o]| [o, s, p]];
+        // Each permutation's runs, as the triples they hold.
+        let checkpoints = [
+            (
+                "stored more than once",
+                [
+                    vec![vec![a, b], vec![b, c]],
+                    vec![vec![a, b], vec![b, c]],
+                    vec![vec![a, b], vec![b, c]],
+                ],
+            ),
+            (
+                "names a triple absent from SPO",
+                [vec![vec![a, b]], vec![vec![a, x]], vec![vec![a, b]]],
+            ),
+            (
+                "",
+                [
+                    vec![vec![a, b], vec![c]],
+                    vec![vec![a, b, c]],
+                    vec![vec![c], vec![a, b]],
+                ],
+            ),
+        ];
+        for (i, (refusal, perms)) in checkpoints.into_iter().enumerate() {
+            let dir = tmp(&format!("hostile-keys-{i}"));
+            let terms: Vec<Term> = (0..4).map(|t| Term::iri(format!("http://e/{t}"))).collect();
+            let segment = "dict-e000001-0.seg";
+            let crc = write_dict_segment(&dir.join(segment), 0, &terms)?;
+            let triples = perms[0].iter().map(Vec::len).sum::<usize>() as u64;
+            let mut metas: [Vec<RunMeta>; 3] = Default::default();
+            for (p, (runs, metas)) in perms.into_iter().zip(&mut metas).enumerate() {
+                for (at, run) in runs.into_iter().enumerate() {
+                    let mut keys: Vec<[u32; 3]> = run.into_iter().map(permute[p]).collect();
+                    keys.sort_unstable();
+                    let name = format!("run-e000001-{}-{at}.rpg", ["spo", "pos", "osp"][p]);
+                    write_run_file(&dir.join(&name), &keys)?;
+                    metas.push(RunMeta {
+                        name,
+                        keys: keys.len() as u64,
+                    });
+                }
+            }
+            let manifest = Manifest {
+                version: MANIFEST_VERSION,
+                epoch: 1,
+                triples,
+                dict_segments: vec![DictSegmentMeta {
+                    name: segment.into(),
+                    first_id: 0,
+                    terms: terms.len() as u32,
+                    crc,
+                }],
+                runs: metas,
+            };
+            manifest.commit(&dir)?;
+            match crate::Graph::open(&dir) {
+                Err(RdfError::Corrupt { detail, .. }) if !refusal.is_empty() => {
+                    assert!(detail.contains(refusal), "{refusal}: {detail}")
+                }
+                Ok(graph) if refusal.is_empty() => assert_eq!(graph.len(), 3),
+                other => panic!("{refusal:?}: opened as {other:?}"),
+            }
+        }
+        Ok(())
     }
 
     #[test]
